@@ -12,10 +12,12 @@ Perf trajectory: at the end of a benchmark session the per-figure wall-clock
 timings — together with the engine's simulated-cycle throughput
 (``cycles_per_second``), the number of cycles the time-warp engine skipped
 (``cycles_skipped``) and the simulation backend that produced them — are
-written to ``BENCH_steady.json`` / ``BENCH_transient.json`` (in
-``$BENCH_ARTIFACT_DIR``, default the current directory) so CI can archive
-them and compare against the committed baselines
-(``python -m repro.tools.bench_compare``).
+written to ``BENCH_steady.json`` / ``BENCH_transient.json`` in
+``$BENCH_ARTIFACT_DIR`` so CI can archive them and compare against the
+committed baselines (``python -m repro.tools.bench_compare``).  The default
+directory is the git-ignored ``bench-out/`` of this checkout, so an ordinary
+test run never rewrites the committed baselines in the repo root; record new
+baselines explicitly with ``BENCH_ARTIFACT_DIR=.`` (see EXPERIMENTS.md).
 
 The backend defaults to the committed baselines' backend and can be
 overridden per session with ``REPRO_BENCH_BACKEND=object|soa|soa-numba`` —
@@ -89,6 +91,9 @@ def transient_scale() -> ExperimentScale:
     return BENCH_TRANSIENT_SCALE
 
 
+#: Where the artifacts go when ``BENCH_ARTIFACT_DIR`` is unset (git-ignored).
+_DEFAULT_ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "bench-out"
+
 #: Per-test metrics (wall-clock seconds, simulated-cycle throughput, warped
 #: cycles, backend), collected by ``run_once`` and written at session end.
 _BENCH_METRICS: Dict[str, Dict[str, object]] = {}
@@ -146,7 +151,7 @@ def pytest_sessionfinish(session, exitstatus):
     """Write the BENCH_steady / BENCH_transient perf-trajectory artifacts."""
     if not _BENCH_METRICS:
         return
-    out_dir = Path(os.environ.get("BENCH_ARTIFACT_DIR", "."))
+    out_dir = Path(os.environ.get("BENCH_ARTIFACT_DIR") or _DEFAULT_ARTIFACT_DIR)
     steady = {
         test: metrics
         for test, metrics in _BENCH_METRICS.items()

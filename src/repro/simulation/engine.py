@@ -191,7 +191,6 @@ class Engine:
                 while self.cycle < end:
                     self.step()
                 return
-            network = self.network
             traffic = self.traffic
             while self.cycle < end:
                 cycle = self.cycle
@@ -210,7 +209,7 @@ class Engine:
                         # Routers and nodes are quiet: consult the (cheap)
                         # routing-broadcast and pre-sampled-arrival horizons.
                         if self._post_cycle is not None:
-                            hook = network.routing.post_cycle_horizon(network, cycle)
+                            hook = self._post_cycle_horizon(cycle)
                             if hook is not None and hook < horizon:
                                 horizon = hook
                         arrival = traffic.next_arrival_cycle(cycle, end)
@@ -244,6 +243,15 @@ class Engine:
             ENGINE_STATS.cycles_skipped += skipped
 
     # -- time warp ----------------------------------------------------------------
+    def _post_cycle_horizon(self, cycle: int) -> Optional[int]:
+        """Next cycle the routing broadcast hook has work (``None``: never).
+
+        Overridable because the hook reads engine-owned state (the active
+        router set); consulted only when ``_post_cycle`` is set.
+        """
+        network = self.network
+        return network.routing.post_cycle_horizon(network, cycle)
+
     def _work_horizon(self, cycle: int, end: int) -> int:
         """Earliest cycle at which any component can do something.
 
@@ -267,7 +275,7 @@ class Engine:
             if injection < horizon:
                 horizon = injection
         if self._post_cycle is not None:
-            hook = network.routing.post_cycle_horizon(network, cycle)
+            hook = self._post_cycle_horizon(cycle)
             if hook is not None:
                 if hook <= cycle:
                     return cycle

@@ -5,7 +5,7 @@ of state changes, routing-hook invocations and RNG draws as the object
 engine (:class:`repro.simulation.engine.Engine`), but reads and writes the
 flat arrays of :class:`~repro.simulation.soa.state.SoAState` instead of
 chasing ``Router``/``InputPort``/``OutputPort`` objects.  The speed comes
-from three places:
+from five places:
 
 * **flat state** — the begin/commit/transmit phases are integer arithmetic
   on Python lists instead of attribute loads across an object graph;
@@ -18,6 +18,10 @@ from three places:
   and only the trigger itself — a couple of counter comparisons and at most
   one RNG draw — runs per round, exactly as many times and in exactly the
   same order as the object model's ``select_output`` calls;
+* **event calendars** — credit returns, link arrivals and output-port
+  service (pipeline exits, link-free times) are bucketed by absolute due
+  cycle, so a step pops exactly the events due now and visits only routers
+  holding an occupied head; a router that merely waits costs nothing;
 * **batched broadcast kernels** — PB's saturation scan and ECtN's
   combined-counter reduction run as numpy (optionally numba) kernels over
   gathered arrays (:mod:`repro.simulation.soa.kernels`);
@@ -66,7 +70,7 @@ time-warp and property suites assert bit-identical results.
 from __future__ import annotations
 
 from bisect import insort
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import List, Optional
 
 import numpy as np
@@ -83,7 +87,7 @@ from repro.routing.olm import OLMRouting
 from repro.routing.contention.base_contention import BaseContentionRouting
 from repro.routing.contention.hybrid import HybridContentionRouting
 from repro.routing.contention.ectn import ECtNRouting
-from repro.simulation.engine import Engine, SimulationStallError, ENGINE_STATS
+from repro.simulation.engine import Engine, SimulationStallError
 from repro.simulation.soa.kernels import get_kernels
 from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind
@@ -91,6 +95,7 @@ from repro.topology.base import PortKind
 __all__ = ["SoAEngine"]
 
 _node_id = attrgetter("node_id")
+_event_port = itemgetter(0)
 _GLOBAL = PortKind.GLOBAL
 _LOCAL = PortKind.LOCAL
 _TO_INTERMEDIATE = RoutingPhase.TO_INTERMEDIATE
@@ -288,109 +293,33 @@ class SoAEngine(Engine):
                 )
 
     # ------------------------------------------------------------------ warp
-    def run(self, cycles: int) -> None:
-        """Same control flow as ``Engine.run``; see that docstring.
+    def _post_cycle_horizon(self, cycle: int) -> Optional[int]:
+        # The object hooks read ``network._active_routers``, which this
+        # backend keeps empty; the transcriptions read the flat state.
+        return self._soa_post_horizon(cycle)
 
-        Only the post-cycle horizon consultation differs: the object hook
-        reads ``network._active_routers``, which the SoA backend keeps empty,
-        so the transcribed horizon reads the SoA active set instead.
-        """
-        end = self.cycle + cycles
-        start_cycle = self.cycle
-        skipped_before = self.cycles_skipped
-        self._hint_valid = False
-        try:
-            if not self.time_warp:
-                while self.cycle < end:
-                    self.step()
-                return
-            traffic = self.traffic
-            faults = self.faults
-            while self.cycle < end:
-                cycle = self.cycle
-                if self._hint_valid:
-                    horizon = self._hint_router_event
-                    node_hint = self._hint_node_injection
-                    if node_hint < horizon:
-                        horizon = node_hint
-                    if faults is not None:
-                        fault_event = faults.pending_event_cycle
-                        if fault_event < horizon:
-                            horizon = fault_event
-                    if horizon > cycle:
-                        if self._post_cycle is not None:
-                            hook = self._soa_post_horizon(cycle)
-                            if hook is not None and hook < horizon:
-                                horizon = hook
-                        arrival = traffic.next_arrival_cycle(cycle, end)
-                        if arrival is not None and arrival < horizon:
-                            horizon = arrival
-                else:
-                    horizon = self._work_horizon(cycle, end)
-                if horizon <= cycle:
-                    self.step()
-                    continue
-                target = horizon if horizon < end else end
-                watchdog = self.stall_watchdog_cycles
-                if watchdog is not None:
-                    deadline = self._last_progress_cycle + watchdog
-                    if target > deadline:
-                        if deadline <= cycle:
-                            self._check_watchdog(cycle)
-                            continue
-                        target = deadline
-                if self.obs is not None:
-                    self.obs.on_warp(cycle, target)
-                self.cycles_skipped += target - cycle
-                self.cycle = target
-        finally:
-            advanced = self.cycle - start_cycle
-            skipped = self.cycles_skipped - skipped_before
-            ENGINE_STATS.cycles_executed += advanced - skipped
-            ENGINE_STATS.cycles_skipped += skipped
+    def _calendar_horizon(self) -> int:
+        """Earliest due cycle over the three calendars (``_NO_EVENT``: none)."""
+        st = self._st
+        horizon = _NO_EVENT
+        for calendar in (st.cred_cal, st.arr_cal, st.svc_cal):
+            if calendar:
+                due = min(calendar)
+                if due < horizon:
+                    horizon = due
+        return horizon
 
     def _work_horizon(self, cycle: int, end: int) -> int:
-        st = self._st
-        horizon = end
-        next_begin = st.next_begin
-        next_transmit = st.next_transmit
-        occ = st.occ
-        for rid in st.active:
-            if occ[rid]:
-                return cycle
-            begin = next_begin[rid]
-            transmit = next_transmit[rid]
-            event = begin if begin < transmit else transmit
-            if event <= cycle:
-                return cycle
-            if event < horizon:
-                horizon = event
-        for node in self.network._active_nodes:
-            injection = node.next_injection_cycle
-            if injection <= cycle:
-                return cycle
-            if injection < horizon:
-                horizon = injection
-        if self._post_cycle is not None:
-            hook = self._soa_post_horizon(cycle)
-            if hook is not None:
-                if hook <= cycle:
-                    return cycle
-                if hook < horizon:
-                    horizon = hook
-        arrival = self.traffic.next_arrival_cycle(cycle, end)
-        if arrival is not None:
-            if arrival <= cycle:
-                return cycle
-            if arrival < horizon:
-                horizon = arrival
-        if self.faults is not None:
-            fault_event = self.faults.pending_event_cycle
-            if fault_event <= cycle:
-                return cycle
-            if fault_event < horizon:
-                horizon = fault_event
-        return horizon
+        if self._st.active:
+            # An occupied head retries allocation every cycle.
+            return cycle
+        horizon = self._calendar_horizon()
+        if horizon <= cycle:
+            return cycle
+        # Nodes, broadcasts, traffic and faults are shared with the object
+        # engine, whose own router set stays empty on this backend.
+        rest = super()._work_horizon(cycle, end)
+        return rest if rest < horizon else horizon
 
     # ------------------------------------------------------------------ step
     def step(self) -> None:
@@ -434,31 +363,61 @@ class SoAEngine(Engine):
                     node.active = False
             network._active_nodes = backlogged
 
-        # 3. fused router phases over the active set, in router-id order.
+        # 3. the events due this cycle, then allocation and output service
+        # router by router.  The calendars are popped only now, after the
+        # injection pass: UGAL/PB ``on_inject`` reads ``credit_occ``, and the
+        # object engine runs ``begin_cycle`` after injection too.
+        due = st.cred_cal.pop(cycle, None)
+        if due is not None:
+            self._apply_credits(due)
+        due = st.arr_cal.pop(cycle, None)
+        if due is not None:
+            self._apply_arrivals(due, cycle)
+        svc = st.svc_cal.pop(cycle, ())
         delivered_now = 0
         dropped_now = 0
-        visited_routers = 0
         active = st.active
-        if active:
+        visited_routers = len(active)
+        if active or svc:
             if st.unsorted:
                 active.sort()
                 st.unsorted = False
+            if len(svc) > 1:
+                svc.sort()
+            P = st.P
             allocate = self._allocate
-            next_begin = st.next_begin
-            next_transmit = st.next_transmit
-            occ = st.occ
+            transmit = self._transmit
             clean = st.alloc_clean
+            svc_cal = st.svc_cal
+            # With ``router_latency = 0`` a commit's ``ready`` event is due
+            # in this very cycle, *after* the bucket above was popped: the
+            # router's same-cycle events are merged into its service step
+            # below (popping the bucket before the allocation loop alone
+            # diverges from ``object``, which transmits right after allocate).
+            same_cycle = self._router_latency == 0
             dlv = self._dlv
             drp = self._drp
-            snapshot = active[:]
-            visited_routers = len(snapshot)
-            for rid in snapshot:
-                if next_begin[rid] <= cycle:
-                    self._begin(rid, cycle)
-                if occ[rid] and not clean[rid]:
-                    allocate(rid, cycle)
-                if next_transmit[rid] <= cycle:
-                    self._transmit(rid, cycle)
+            # Merge-walk the sorted routers-with-a-head list and the sorted
+            # due-port list, so deliveries, metrics and ``repro.obs`` flight
+            # events keep the object engine's router-major order.
+            num_active = len(active)
+            num_due = len(svc)
+            ai = si = 0
+            while ai < num_active or si < num_due:
+                if ai < num_active and (si == num_due or active[ai] * P <= svc[si]):
+                    rid = active[ai]
+                    ai += 1
+                    if not clean[rid]:
+                        allocate(rid, cycle)
+                    if same_cycle and cycle in svc_cal:
+                        svc = sorted(svc_cal.pop(cycle) + list(svc[si:]))
+                        si = 0
+                        num_due = len(svc)
+                else:
+                    # Due output ports on a router without an occupied head.
+                    rid = svc[si] // P
+                if si < num_due and svc[si] < rid * P + P:
+                    si = transmit(svc, si, rid, cycle)
                 if dlv:
                     delivered_now += len(dlv)
                     if metrics is not None:
@@ -489,30 +448,20 @@ class SoAEngine(Engine):
             self.dropped_packets += dropped_now
             self._last_progress_cycle = cycle
 
-        # 5. retire idle routers; yield the router half of the warp horizon.
-        router_hint = _NO_EVENT
-        current = st.active
-        if current:
-            still_active = []
-            flags = st.active_flag
-            next_begin = st.next_begin
-            next_transmit = st.next_transmit
+        # 5. retire routers whose heads all left; the router half of the warp
+        # horizon is "now" while any head is occupied (allocation retries
+        # every cycle), else the earliest calendar key.
+        if st.active:
             occ = st.occ
-            for rid in current:
+            flags = st.active_flag
+            still_active = []
+            for rid in st.active:
                 if occ[rid]:
                     still_active.append(rid)
-                    router_hint = -1
                 else:
-                    begin = next_begin[rid]
-                    transmit = next_transmit[rid]
-                    event = begin if begin < transmit else transmit
-                    if event >= _NO_EVENT:
-                        flags[rid] = False
-                    else:
-                        still_active.append(rid)
-                        if event < router_hint:
-                            router_hint = event
+                    flags[rid] = False
             st.active = still_active
+        router_hint = -1 if st.active else self._calendar_horizon()
 
         self._hint_router_event = router_hint
         self._hint_node_injection = node_hint
@@ -583,89 +532,63 @@ class SoAEngine(Engine):
             return
 
     # ----------------------------------------------------------- begin_cycle
-    def _begin(self, rid: int, cycle: int) -> None:
-        """``Router.begin_cycle``: apply due credit returns and link arrivals."""
+    def _apply_credits(self, due) -> None:
+        """``Router.begin_cycle``, credit half: the returns due this cycle."""
+        st = self._st
+        credits = st.credits
+        max_credits = st.max_credits
+        credit_occ = st.credit_occ
+        clean = st.alloc_clean
+        for rid, g, q, phits in due:
+            # Returned credits can unblock waiting heads (and feed the
+            # occupancy triggers): re-evaluate allocation.
+            clean[rid] = False
+            credits[q] += phits
+            credit_occ[g] -= phits
+            if credits[q] > max_credits[q]:
+                raise RuntimeError(
+                    f"credit overflow on router {rid} port {g - rid * st.P} "
+                    f"vc {q - g * st.V}"
+                )
+
+    def _apply_arrivals(self, due, cycle: int) -> None:
+        """``Router.begin_cycle``, arrival half: the link arrivals due this cycle."""
         st = self._st
         P = st.P
         V = st.V
-        base = rid * P
-        nxt = _NO_EVENT
-
-        cports = st.cred_ports[rid]
-        if cports:
-            credits = st.credits
-            max_credits = st.max_credits
-            credit_occ = st.credit_occ
-            pending_credits = st.pending_credits
-            remaining = []
-            for port in cports:
-                g = base + port
-                pending = pending_credits[g]
-                if pending[0][0] <= cycle:
-                    # Returned credits can unblock waiting heads (and feed
-                    # the occupancy triggers): re-evaluate allocation.
-                    st.alloc_clean[rid] = False
-                    base_q = g * V
-                    while pending and pending[0][0] <= cycle:
-                        _, vc, phits = pending.popleft()
-                        q = base_q + vc
-                        credits[q] += phits
-                        credit_occ[g] -= phits
-                        if credits[q] > max_credits[q]:
-                            raise RuntimeError(
-                                f"credit overflow on router {rid} port {port} vc {vc}"
-                            )
-                if pending:
-                    remaining.append(port)
-                    due = pending[0][0]
-                    if due < nxt:
-                        nxt = due
-            st.cred_ports[rid] = remaining
-
-        aports = st.arr_ports[rid]
-        if aports:
-            routing = self._routing
-            notify = self._notify_arrival
-            view = st.views[rid]
-            occ_r = st.occ[rid]
-            new_heads = st.new_heads[rid]
-            in_q = st.in_q
-            in_free = st.in_free
-            arrivals_all = st.arrivals
-            remaining = []
-            for port in aports:
-                g = base + port
-                arrivals = arrivals_all[g]
-                if arrivals[0][0] <= cycle:
-                    base_q = g * V
-                    while arrivals and arrivals[0][0] <= cycle:
-                        _, vc, packet = arrivals.popleft()
-                        q = base_q + vc
-                        dq = in_q[q]
-                        if not dq:
-                            k = port * V + vc
-                            insort(occ_r, k)
-                            new_heads.append(k)
-                            st.alloc_clean[rid] = False
-                        size = packet.size_phits
-                        free = in_free[q]
-                        if free < size:
-                            raise OverflowError(
-                                f"VC buffer overflow: {size} phits requested, "
-                                f"{free} free"
-                            )
-                        dq.append(packet)
-                        in_free[q] = free - size
-                        if notify:
-                            routing.on_packet_arrival(view, port, vc, packet, cycle)
-                if arrivals:
-                    remaining.append(port)
-                    due = arrivals[0][0]
-                    if due < nxt:
-                        nxt = due
-            st.arr_ports[rid] = remaining
-
-        st.next_begin[rid] = nxt
+        if len(due) > 1:
+            # (router, port) order — the order the object engine's per-router
+            # ``begin_cycle`` calls fire ``on_packet_arrival`` in.  A link
+            # completes at most one packet per cycle; the sort is stable.
+            due.sort(key=_event_port)
+        routing = self._routing
+        notify = self._notify_arrival
+        views = st.views
+        occ = st.occ
+        new_heads = st.new_heads
+        clean = st.alloc_clean
+        in_q = st.in_q
+        in_free = st.in_free
+        for g, vc, packet in due:
+            rid, port = divmod(g, P)
+            q = g * V + vc
+            dq = in_q[q]
+            if not dq:
+                k = port * V + vc
+                insort(occ[rid], k)
+                new_heads[rid].append(k)
+                clean[rid] = False
+                self._activate(rid)
+            size = packet.size_phits
+            free = in_free[q]
+            if free < size:
+                raise OverflowError(
+                    f"VC buffer overflow: {size} phits requested, {free} free"
+                )
+            dq.append(packet)
+            in_free[q] = free - size
+            if notify:
+                routing.on_packet_arrival(views[rid], port, vc, packet, cycle)
 
     # ---------------------------------------------------------------- commit
     def _commit(self, rid: int, input_port: int, input_vc: int, decision, cycle: int) -> None:
@@ -688,15 +611,9 @@ class SoAEngine(Engine):
 
         up = st.up_g[g]
         if up >= 0:
-            up_rid = st.up_rid[g]
-            pending = st.pending_credits[up]
-            if not pending:
-                insort(st.cred_ports[up_rid], up - up_rid * P)
-            arrival = cycle + st.up_lat[g]
-            pending.append((arrival, input_vc, size))
-            if arrival < st.next_begin[up_rid]:
-                st.next_begin[up_rid] = arrival
-            self._activate(up_rid)
+            st.cred_cal[cycle + st.up_lat[g]].append(
+                (st.up_rid[g], up, up * V + input_vc, size)
+            )
 
         routing = self._routing
         view = st.views[rid]
@@ -709,8 +626,6 @@ class SoAEngine(Engine):
         if not st.kind_is_injection[out_port]:
             packet.record_hop(is_global=st.kind_is_global[out_port])
         packet.current_vc = decision.vc
-        if not st.pipeline[og] and not st.out_q[og]:
-            insort(st.busy_ports[rid], out_port)
         free = st.out_free[og]
         if free < size:
             raise OverflowError(
@@ -727,30 +642,40 @@ class SoAEngine(Engine):
         st.credit_occ[og] += size
         ready = cycle + self._router_latency
         st.pipeline[og].append((ready, packet))
-        if ready < st.next_transmit[rid]:
-            st.next_transmit[rid] = ready
+        st.svc_cal[ready].append(og)
 
     # -------------------------------------------------------------- transmit
-    def _transmit(self, rid: int, cycle: int) -> None:
-        """``Router.transmit``: pipeline exits and link serialization."""
+    def _transmit(self, due, i: int, rid: int, cycle: int) -> int:
+        """``Router.transmit`` for the due output ports of router ``rid``,
+        which start at ``due[i]``; returns the index of the next router's."""
         st = self._st
-        base = rid * st.P
-        busy = st.busy_ports[rid]
-        if not busy:
-            st.next_transmit[rid] = _NO_EVENT
-            return
-        nxt = _NO_EVENT
-        remaining = []
+        limit = rid * st.P + st.P
         pipelines = st.pipeline
         out_qs = st.out_q
         link_busy = st.link_busy
-        for port in busy:
-            g = base + port
+        tx_wait = st.tx_wait
+        svc_cal = st.svc_cal
+        num_due = len(due)
+        served = -1
+        while i < num_due:
+            g = due[i]
+            if g >= limit:
+                break
+            i += 1
+            # A ``ready`` and a link-free event (or two grants of one cycle)
+            # can land on the same cycle: serve a port at most once, like the
+            # object engine's one pass over its busy ports.
+            if g == served:
+                continue
+            served = g
             pipeline = pipelines[g]
             buf = out_qs[g]
             while pipeline and pipeline[0][0] <= cycle:
                 buf.append(pipeline.popleft()[1])
-            if buf and link_busy[g] <= cycle:
+            if not buf:
+                continue
+            free_at = link_busy[g]
+            if free_at <= cycle:
                 packet = buf.popleft()
                 size = packet.size_phits
                 st.out_committed[g] -= size
@@ -759,37 +684,23 @@ class SoAEngine(Engine):
                 # the occupancy triggers): re-evaluate allocation.
                 st.alloc_clean[rid] = False
                 size *= st.ser_fac[g]
-                link_busy[g] = cycle + size
-                down_rid = st.down_rid[g]
-                if down_rid < 0:
-                    packet.delivered_cycle = cycle + size
+                link_busy[g] = free_at = cycle + size
+                down_g = st.down_g[g]
+                if down_g < 0:
+                    packet.delivered_cycle = free_at
                     self._dlv.append(packet)
                 else:
-                    down_port = st.down_port[g]
-                    dg = down_rid * st.P + down_port
-                    arrivals = st.arrivals[dg]
-                    if not arrivals:
-                        insort(st.arr_ports[down_rid], down_port)
-                    complete = cycle + st.link_lat[g] + size
-                    arrivals.append((complete, packet.current_vc, packet))
-                    if complete < st.next_begin[down_rid]:
-                        st.next_begin[down_rid] = complete
-                    self._activate(down_rid)
-            keep = False
-            if pipeline:
-                keep = True
-                due = pipeline[0][0]
-                if due < nxt:
-                    nxt = due
-            if buf:
-                keep = True
-                due = link_busy[g]
-                if due < nxt:
-                    nxt = due
-            if keep:
-                remaining.append(port)
-        st.busy_ports[rid] = remaining
-        st.next_transmit[rid] = nxt
+                    st.arr_cal[free_at + st.link_lat[g]].append(
+                        (down_g, packet.current_vc, packet)
+                    )
+                if not buf:
+                    continue
+            # Packets wait for the link: one service event when it frees,
+            # however many ``ready`` events find it busy before then.
+            if tx_wait[g] != free_at:
+                tx_wait[g] = free_at
+                svc_cal[free_at].append(g)
+        return i
 
     # ------------------------------------------------------------- allocator
     def _alloc_round(self, rid: int, base: int, requests):
@@ -957,15 +868,9 @@ class SoAEngine(Engine):
             st.new_heads[rid].append(k)
         up = st.up_g[g]
         if up >= 0:
-            up_rid = st.up_rid[g]
-            pending = st.pending_credits[up]
-            if not pending:
-                insort(st.cred_ports[up_rid], up - up_rid * st.P)
-            arrival = cycle + st.up_lat[g]
-            pending.append((arrival, vc, size))
-            if arrival < st.next_begin[up_rid]:
-                st.next_begin[up_rid] = arrival
-            self._activate(up_rid)
+            st.cred_cal[cycle + st.up_lat[g]].append(
+                (st.up_rid[g], up, up * st.V + vc, size)
+            )
         if self._notify_leave:
             self._routing.on_packet_leave_input(st.views[rid], port, vc, packet, cycle)
         packet.dropped_cycle = cycle
@@ -1516,9 +1421,21 @@ class SoAEngine(Engine):
                 routing._saturated_groups.discard(group)
 
     def _pb_post_horizon(self, cycle: int) -> Optional[int]:
-        """``PiggybackRouting.post_cycle_horizon`` over the SoA active set."""
+        """``PiggybackRouting.post_cycle_horizon`` over the flat state.
+
+        Routers waiting on a credit, an arrival or a busy link are no longer
+        in the active set, so a non-empty calendar counts as "not quiet" too.
+        """
         routing = self._routing
-        if self._st.active or routing._pending or routing._saturated_groups:
+        st = self._st
+        if (
+            st.active
+            or st.cred_cal
+            or st.arr_cal
+            or st.svc_cal
+            or routing._pending
+            or routing._saturated_groups
+        ):
             return cycle
         return None
 
@@ -1547,13 +1464,10 @@ class SoAEngine(Engine):
     ) -> None:
         """Fabricate a link arrival over the flat state (test surface)."""
         st = self._st
-        arrivals = st.arrivals[rid * st.P + port]
-        if not arrivals:
-            insort(st.arr_ports[rid], port)
-        arrivals.append((complete_cycle, vc, packet))
-        if complete_cycle < st.next_begin[rid]:
-            st.next_begin[rid] = complete_cycle
-        self._activate(rid)
+        # A bucket behind the clock would never be popped: an already
+        # complete arrival is received by the next step.
+        due = complete_cycle if complete_cycle > self.cycle else self.cycle
+        st.arr_cal[due].append((rid * st.P + port, vc, packet))
 
     def total_buffered_packets(self) -> int:
         """Packets inside the fabric — counted over the flat arrays (the

@@ -4,7 +4,7 @@
 network in flat Python lists indexed arithmetically:
 
 * ``g = rid * P + port`` addresses per-port state (output buffers, links,
-  credit aggregates, arrival/credit queues, allocator pointers);
+  credit aggregates, allocator pointers);
 * ``q = g * V + vc`` addresses per-VC state (input FIFOs, free space,
   head-seen flags, downstream credits), with ``V`` the network-wide maximum
   number of VCs on any port.
@@ -16,6 +16,12 @@ object model's construction path is read back verbatim, so the SoA backend
 shares the object model's build logic by construction instead of duplicating
 it.  After the copy the object routers are never stepped again — the engine
 (:mod:`repro.simulation.soa.engine`) mutates only this state.
+
+Everything scheduled for a later cycle — credit returns, link arrivals,
+output-port service (pipeline exits and link-free times) — lives in three
+*calendars*, ``cycle -> [events]`` dicts keyed by absolute due cycle, so a
+step pops exactly the events due now instead of scanning every port that
+has something pending.
 
 Scalar-hot state intentionally lives in plain Python lists, not numpy
 arrays: the inner loops index single elements, where list indexing is
@@ -31,8 +37,8 @@ so every hook and ``select_output`` call observes live SoA state.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional
+from collections import defaultdict, deque
+from typing import DefaultDict, List, Optional
 
 from repro.network.network import Network
 
@@ -146,7 +152,6 @@ class SoAState:
         "credits",
         "max_credits",
         # per-g (R * P)
-        "arrivals",
         "in_nvcs",
         "up_g",
         "up_rid",
@@ -156,24 +161,18 @@ class SoAState:
         "out_q",
         "pipeline",
         "link_busy",
+        "tx_wait",
         "link_lat",
         "ser_fac",
-        "down_rid",
-        "down_port",
+        "down_g",
         "down_nvcs",
         "credit_occ",
-        "pending_credits",
         "cap_sum",
         "in_ptr",
         "out_ptr",
         # per-rid
         "occ",
         "new_heads",
-        "arr_ports",
-        "cred_ports",
-        "busy_ports",
-        "next_begin",
-        "next_transmit",
         "alloc_nvc",
         "alloc_clean",
         "active",
@@ -181,10 +180,13 @@ class SoAState:
         "unsorted",
         "views",
         "node_rid",
+        # calendars: absolute due cycle -> events
+        "cred_cal",
+        "arr_cal",
+        "svc_cal",
     )
 
     def __init__(self, network: Network):
-        from repro.network.router import _NO_EVENT
         from repro.topology.base import PortKind
 
         topo = network.topology
@@ -213,7 +215,6 @@ class SoAState:
         self.max_credits = [0] * nQ
 
         # -- per-g -----------------------------------------------------------
-        self.arrivals = [deque() for _ in range(nG)]
         self.in_nvcs = [0] * nG
         self.up_g = [-1] * nG
         self.up_rid = [-1] * nG
@@ -223,13 +224,15 @@ class SoAState:
         self.out_q = [deque() for _ in range(nG)]
         self.pipeline = [deque() for _ in range(nG)]
         self.link_busy = [0] * nG
+        # Due cycle of the port's scheduled link-free service event (it is
+        # current iff equal to ``link_busy``), so a port waiting for its link
+        # holds one such event however many packets queue up behind it.
+        self.tx_wait = [-1] * nG
         self.link_lat = [1] * nG
         self.ser_fac = [1] * nG
-        self.down_rid = [-1] * nG
-        self.down_port = [-1] * nG
+        self.down_g = [-1] * nG
         self.down_nvcs = [1] * nG
         self.credit_occ = [0] * nG
-        self.pending_credits = [deque() for _ in range(nG)]
         self.cap_sum = [0] * nG
         self.in_ptr = [0] * nG
         self.out_ptr = [0] * nG
@@ -237,16 +240,13 @@ class SoAState:
         # -- per-rid ---------------------------------------------------------
         self.occ: List[list] = [[] for _ in range(R)]
         self.new_heads: List[list] = [[] for _ in range(R)]
-        self.arr_ports: List[list] = [[] for _ in range(R)]
-        self.cred_ports: List[list] = [[] for _ in range(R)]
-        self.busy_ports: List[list] = [[] for _ in range(R)]
-        self.next_begin = [_NO_EVENT] * R
-        self.next_transmit = [_NO_EVENT] * R
         self.alloc_nvc = [1] * R
         # "Clean" routers proved unable to act (no grant, no RNG draw) at
         # their last allocation; the engine skips their allocate phase until
         # an event that could change the outcome clears the flag.
         self.alloc_clean = [False] * R
+        # Routers with an occupied buffer head, the only ones allocation
+        # visits; kept in router-id order, re-sorted lazily.
         self.active: List[int] = []
         self.active_flag = [False] * R
         self.unsorted = False
@@ -278,11 +278,21 @@ class SoAState:
                 self.down_nvcs[g] = len(op.credits)
                 self.cap_sum[g] = sum(op.max_credits)
                 if op.neighbor is not None:
-                    self.down_rid[g], self.down_port[g] = op.neighbor
+                    down_rid, down_port = op.neighbor
+                    self.down_g[g] = down_rid * P + down_port
                 for vc in range(len(op.credits)):
                     q = g * V + vc
                     self.credits[q] = op.credits[vc]
                     self.max_credits[q] = op.max_credits[vc]
+
+        # -- calendars -------------------------------------------------------
+        # Plain dicts, so there is no wheel size to tune; a bucket is popped
+        # whole on its due cycle.  Event shapes: credit returns
+        # ``(rid, g, q, phits)``, link arrivals ``(g, vc, packet)``,
+        # output-port service the bare ``g``.
+        self.cred_cal: DefaultDict[int, list] = defaultdict(list)
+        self.arr_cal: DefaultDict[int, list] = defaultdict(list)
+        self.svc_cal: DefaultDict[int, list] = defaultdict(list)
 
         self.views = [RouterView(self, rid) for rid in range(R)]
         # Node -> router id, so the injection pass needs no object chain.
@@ -302,6 +312,6 @@ class SoAState:
             n += len(dq)
         for dq in self.pipeline:
             n += len(dq)
-        for dq in self.arrivals:
-            n += len(dq)
+        for bucket in self.arr_cal.values():
+            n += len(bucket)
         return n

@@ -23,6 +23,7 @@ scenarios every time the sample is changed.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -41,8 +42,8 @@ from repro.routing import UnsupportedTopologyError, available_routings
 # serving an object-computed cache row to an soa request sound.
 from repro.service.keys import result_fingerprint as _result_fingerprint
 from repro.simulation.simulator import Simulator
-from repro.topology.faults import FaultModel
-from repro.topology.registry import topology_preset
+from repro.topology.faults import DegradedLink, FaultModel
+from repro.topology.registry import create_topology, topology_preset
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -51,8 +52,10 @@ def _run(backend: str, combo) -> tuple:
     params = SimulationParameters.tiny().with_topology(
         topology_preset(combo["topology"], "tiny")
     )
+    if "router_latency" in combo:
+        params = dataclasses.replace(params, router_latency=combo["router_latency"])
     params = params.with_backend(backend)
-    fault_model = (
+    fault_model = combo.get("fault_model") or (
         FaultModel(link_failure_percent=10.0) if combo["faults"] else None
     )
     sim = Simulator(
@@ -130,6 +133,56 @@ class TestPropertyGrid:
         assert _run("soa-numba", combo) == _run("soa", combo)
 
 
+def _first_link(topology_name: str):
+    topology = create_topology(topology_preset(topology_name, "tiny"))
+    return next(
+        (0, port)
+        for port in range(topology.router_radix)
+        if topology.neighbor(0, port) is not None
+    )
+
+
+def _coincident_event_grid():
+    """The two settings where a port's ``ready`` and link-free events share
+    a cycle: ``router_latency = 0`` (a grant is ready in the cycle it was
+    made — the seeded grid above never draws it) and a degraded link
+    (``serialize_factor > 1`` stretches link-busy times off the packet-size
+    lattice the healthy links keep)."""
+    combos = [
+        {"topology": "dragonfly", "routing": routing, "router_latency": 0}
+        for routing in sorted(available_routings())
+    ]
+    # MODE_GENERIC (ring-escape policy) at zero router latency.
+    combos.append({"topology": "torus", "routing": "Base", "router_latency": 0})
+    slow = DegradedLink(bandwidth_factor=3, latency_factor=2)
+    for routing in ("MIN", "Base"):
+        combos.append(
+            {
+                "topology": "dragonfly",
+                "routing": routing,
+                "fault_model": FaultModel(
+                    degraded_links=((_first_link("dragonfly"), slow),)
+                ),
+            }
+        )
+    for combo in combos:
+        combo.update(pattern="ADV+1", load=0.45, faults=False, seed=11)
+    return combos
+
+
+class TestCoincidentEvents:
+    @pytest.mark.parametrize(
+        "combo",
+        _coincident_event_grid(),
+        ids=lambda c: (
+            f"{c['topology']}-{c['routing']}-"
+            + ("degraded" if "fault_model" in c else "rl0")
+        ),
+    )
+    def test_object_and_soa_agree_bit_for_bit(self, combo):
+        assert _run("soa", combo) == _run("object", combo)
+
+
 class TestLockstepState:
     def _snapshot(self, engine):
         """Every buffer/credit/link observable of the network, any backend."""
@@ -168,11 +221,16 @@ class TestLockstepState:
             tuple(busy),
         )
 
-    @pytest.mark.parametrize("routing", ["OLM", "PB"])
-    def test_every_cycle_state_is_identical(self, routing):
+    @pytest.mark.parametrize(
+        "routing, overrides",
+        [("OLM", {}), ("PB", {}), ("Base", {"router_latency": 0}), ("PB", {"router_latency": 0})],
+        ids=["OLM", "PB", "Base-rl0", "PB-rl0"],
+    )
+    def test_every_cycle_state_is_identical(self, routing, overrides):
+        params = dataclasses.replace(SimulationParameters.tiny(), **overrides)
         sims = {
             backend: Simulator(
-                SimulationParameters.tiny().with_backend(backend),
+                params.with_backend(backend),
                 routing,
                 "ADV+1",
                 0.5,
