@@ -19,10 +19,10 @@ directory is the git-ignored ``bench-out/`` of this checkout, so an ordinary
 test run never rewrites the committed baselines in the repo root; record new
 baselines explicitly with ``BENCH_ARTIFACT_DIR=.`` (see EXPERIMENTS.md).
 
-The backend defaults to the committed baselines' backend and can be
-overridden per session with ``REPRO_BENCH_BACKEND=object|soa|soa-numba`` —
-timings from different backends are different experiments, so
-``bench_compare`` refuses to treat a cross-backend pair as a regression
+The benchmarks run on the library's default backend (``soa``, the backend
+of the committed baselines); ``REPRO_BACKEND=object`` points a session at
+the other one.  Timings from different backends are different experiments,
+so ``bench_compare`` refuses to treat a cross-backend pair as a regression
 signal.  Regenerate the committed artifacts with the same backend they
 were recorded with (see EXPERIMENTS.md).
 """
@@ -42,16 +42,9 @@ from repro.config.parameters import DragonflyConfig, SimulationParameters
 from repro.experiments.scales import TINY_SCALE, TRANSIENT_SCALE, ExperimentScale
 from repro.simulation.engine import ENGINE_STATS
 
-#: Backend every benchmark of the session runs on.  The committed baseline
-#: artifacts are recorded with the default; override per session with
-#: ``REPRO_BENCH_BACKEND`` to measure another backend (the artifacts tag
-#: every test with the backend so apples-to-oranges comparisons are caught).
-_BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "soa")
-
 #: Steady-state benchmarks: the tiny preset with a single seed and few loads.
 BENCH_STEADY_SCALE: ExperimentScale = dataclasses.replace(
     TINY_SCALE,
-    params=TINY_SCALE.params.with_backend(_BENCH_BACKEND),
     warmup_cycles=200,
     measure_cycles=400,
     seeds=(1,),
@@ -66,7 +59,6 @@ BENCH_STEADY_SCALE: ExperimentScale = dataclasses.replace(
 _BENCH_TRANSIENT_PARAMS: SimulationParameters = dataclasses.replace(
     SimulationParameters.transient(),
     topology=DragonflyConfig(p=4, a=4, h=4),
-    backend=_BENCH_BACKEND,
 )
 
 BENCH_TRANSIENT_SCALE: ExperimentScale = dataclasses.replace(
@@ -79,6 +71,11 @@ BENCH_TRANSIENT_SCALE: ExperimentScale = dataclasses.replace(
     transient_load=0.3,
     seeds=(1,),
 )
+
+
+#: Backend every benchmark of the session runs on.  The artifacts tag every
+#: test with it so apples-to-oranges comparisons are caught.
+_BENCH_BACKEND = BENCH_STEADY_SCALE.params.backend
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Valid values of ``SimulationParameters.backend``.
-VALID_BACKENDS = frozenset({"object", "soa", "soa-numba"})
+VALID_BACKENDS = frozenset({"object", "soa"})
 
 
 def default_backend() -> str:
@@ -49,9 +49,20 @@ def default_backend() -> str:
 
     Reads ``REPRO_BACKEND`` at *instantiation* time (not import time), so a
     test may monkeypatch the environment and every parameter set built
-    afterwards picks the override up.
+    afterwards picks the override up.  An empty value (an unset CI matrix
+    variable) counts as unset; any other invalid value is rejected here, by
+    name, because the module-level presets below would otherwise report it
+    at import time as a ``backend=`` argument nobody passed.
     """
-    return os.environ.get("REPRO_BACKEND", "object")
+    backend = os.environ.get("REPRO_BACKEND") or "soa"
+    if backend not in VALID_BACKENDS:
+        # Retired names were all variants of ``soa`` (compiled kernels).
+        hint = "; use soa" if backend.startswith("soa") else ""
+        raise ValueError(
+            f"environment variable REPRO_BACKEND={backend!r} is not one of "
+            f"{sorted(VALID_BACKENDS)}{hint}"
+        )
+    return backend
 
 
 @dataclass(frozen=True)
@@ -595,15 +606,13 @@ class SimulationParameters:
     # occupancy of its output exceeds this fraction of the downstream buffer.
     pb_saturation_fraction: float = 0.50
 
-    # Simulation backend.  ``"object"`` is the per-object router model;
-    # ``"soa"`` is the struct-of-arrays transcription of the same model
-    # (bit-identical results by contract); ``"soa-numba"`` additionally
-    # routes the batched kernels through numba when it is importable
-    # (pure-numpy fallback otherwise).  The default comes from the
-    # ``REPRO_BACKEND`` environment variable when set, so a whole test or
-    # benchmark session can be pointed at another backend without touching
-    # call sites (this is how CI runs the tier-1 matrix).  See
-    # docs/architecture.md ("Simulation backends").
+    # Simulation backend.  ``"soa"`` (the default) is the struct-of-arrays
+    # router model; ``"object"`` is the per-object model, the bit-identical
+    # reference the cross-backend suites compare it against.  The
+    # ``REPRO_BACKEND`` environment variable, when set, replaces the
+    # default, so a whole test or benchmark session can be pointed at the
+    # other backend without touching call sites (this is how CI runs the
+    # tier-1 matrix).  See docs/architecture.md ("Simulation backends").
     backend: str = field(default_factory=lambda: default_backend())
 
     def __post_init__(self) -> None:

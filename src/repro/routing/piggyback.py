@@ -89,6 +89,7 @@ class PiggybackRouting(UGALRouting):
         topo = self.topology
         h = topo.config.h
         first_global = min(topo.global_ports)
+        scanned = []
         for group in range(topo.num_groups):
             flags = [False] * topo.global_links_per_group
             for router in network.group_routers(group):
@@ -101,9 +102,21 @@ class PiggybackRouting(UGALRouting):
                     flags[pos * h + k] = (
                         occupancy >= self.params.pb_saturation_fraction * capacity
                     )
-            self._pending.append((cycle + self.notification_delay, group, flags))
-        while self._pending and self._pending[0][0] <= cycle:
-            _, group, flags = self._pending.popleft()
+            scanned.append(flags)
+        self.publish_flags(cycle, scanned)
+
+    def publish_flags(self, cycle: int, scanned: List[List[bool]]) -> None:
+        """Queue this cycle's per-group scan; deliver the flags now due.
+
+        Separate from the scan so an engine that keeps router state outside
+        the ``Network`` objects supplies its own scan and shares the rest.
+        """
+        pending = self._pending
+        due = cycle + self.notification_delay
+        for group, flags in enumerate(scanned):
+            pending.append((due, group, flags))
+        while pending and pending[0][0] <= cycle:
+            _, group, flags = pending.popleft()
             self._flags[group] = flags
             if any(flags):
                 self._saturated_groups.add(group)

@@ -1,18 +1,15 @@
 """Simulation backend registry.
 
-The simulator supports several engine implementations over the same network
-model (see ``SimulationParameters.backend``):
+Two router models run under the one cycle driver of
+:class:`~repro.simulation.engine.Engine` (see ``SimulationParameters.backend``):
 
-* ``"object"`` — the per-object router model (:class:`~repro.simulation.engine.Engine`);
-* ``"soa"`` — the struct-of-arrays transcription of the same model
-  (:class:`~repro.simulation.soa.SoAEngine`), bit-identical to ``"object"``
-  and several times faster under contention;
-* ``"soa-numba"`` — the SoA engine with its batched kernels compiled by
-  numba when importable, falling back to the pure-numpy kernels otherwise
-  (still bit-identical).
+* ``"soa"`` (default) — the struct-of-arrays model
+  (:class:`~repro.simulation.soa.SoAEngine`);
+* ``"object"`` — the per-object router model (``Engine`` itself), the
+  bit-identical reference the cross-backend suites compare ``"soa"`` against.
 
-The SoA package is imported lazily so the default object backend keeps its
-import footprint.
+The SoA package is imported on first use, so it stays off the import path of
+``repro.simulation.simulator`` and ``repro.service``.
 """
 
 from __future__ import annotations
@@ -41,22 +38,15 @@ def create_engine(
     if backend not in VALID_BACKENDS:
         raise ValueError(f"unknown backend {backend!r} (valid: {sorted(VALID_BACKENDS)})")
     if backend == "object":
-        return Engine(
-            network,
-            traffic,
-            metrics=metrics,
-            stall_watchdog_cycles=stall_watchdog_cycles,
-            time_warp=time_warp,
-            faults=faults,
-        )
-    from repro.simulation.soa import SoAEngine
+        engine_class = Engine
+    else:
+        from repro.simulation.soa import SoAEngine as engine_class
 
-    return SoAEngine(
+    return engine_class(
         network,
         traffic,
         metrics=metrics,
         stall_watchdog_cycles=stall_watchdog_cycles,
         time_warp=time_warp,
         faults=faults,
-        use_numba=(backend == "soa-numba"),
     )

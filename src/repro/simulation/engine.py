@@ -1,21 +1,28 @@
 """Synchronous cycle-driven simulation engine with a time-warp fast path.
 
-The engine advances the whole network one cycle at a time:
+:class:`Engine` is the one cycle driver of every backend, and at the same
+time the ``object`` backend.  ``step`` advances the whole network one cycle:
 
+0. apply the fault events scheduled for this cycle;
 1. generate traffic (pre-sampled Bernoulli arrivals) into the node source
    queues;
 2. inject packets from the source queues into the router injection buffers
    (only nodes with a backlog are visited);
-3. run ``begin_cycle`` (credit returns, link arrivals), ``allocate``
-   (routing + separable allocation) and ``transmit`` (link serialization,
-   node deliveries) over the *active* routers;
+3. run the router phase: credit returns and link arrivals, routing +
+   separable allocation, link serialization and node deliveries, retirement
+   of the routers that ran out of work;
 4. the routing algorithm's ``post_cycle`` hook (PB / ECtN broadcasts),
    invoked only for mechanisms that declare ``needs_post_cycle``;
-5. retire routers whose work counters dropped to zero.
+5. progress accounting, warp hints, ``obs.on_cycle``, the stall watchdog.
 
-The three router phases are fused into a single pass per router: every
-cross-router interaction inside a cycle (link arrivals, credit returns) is
-scheduled strictly in the future and all phase reads are router-local, so
+A backend supplies step 2's per-node injection, step 3, the router half of
+the work horizon, the buffered-packet count and the stall census through
+the methods marked "backend seam"; ``SoAEngine`` overrides exactly those.
+
+In the object model the three router phases (``begin_cycle``, ``allocate``,
+``transmit``) are fused into a single pass per router: every cross-router
+interaction inside a cycle (link arrivals, credit returns) is scheduled
+strictly in the future and all phase reads are router-local, so
 ``begin/allocate/transmit`` per router in router-id order is bit-identical
 to three network-wide sweeps — at a third of the iteration cost.  Routers
 and nodes register themselves in the network's active sets when work arrives
@@ -51,7 +58,7 @@ lies in the far future.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.network.network import Network
@@ -158,7 +165,8 @@ class Engine:
         # The network-wide hook is a bound-method cache: ``None`` for the
         # mechanisms that declare no per-cycle work (MIN/VAL/OLM/Base/Hybrid).
         # A mechanism that overrides post_cycle without declaring the flag
-        # would silently lose its broadcasts — refuse to run it.
+        # would silently lose its broadcasts — refuse to run it.  (Fires on
+        # every backend: ``SoAEngine.__init__`` runs this constructor first.)
         routing = network.routing
         from repro.routing.base import RoutingAlgorithm as _Base
 
@@ -252,6 +260,18 @@ class Engine:
         network = self.network
         return network.routing.post_cycle_horizon(network, cycle)
 
+    def _router_horizon(self, cycle: int) -> int:
+        """Backend seam: the router half of :meth:`_work_horizon` (``cycle``
+        when a router has work now, ``_NO_EVENT`` when none has any)."""
+        horizon = _NO_EVENT
+        for router in self.network._active_routers:
+            event = router.next_event_cycle()
+            if event <= cycle:
+                return cycle
+            if event < horizon:
+                horizon = event
+        return horizon
+
     def _work_horizon(self, cycle: int, end: int) -> int:
         """Earliest cycle at which any component can do something.
 
@@ -260,15 +280,12 @@ class Engine:
         when there is immediate work; the caller then executes a normal
         ``step``.
         """
-        network = self.network
-        horizon = end
-        for router in network._active_routers:
-            event = router.next_event_cycle()
-            if event <= cycle:
-                return cycle
-            if event < horizon:
-                horizon = event
-        for node in network._active_nodes:
+        horizon = self._router_horizon(cycle)
+        if horizon <= cycle:
+            return cycle
+        if end < horizon:
+            horizon = end
+        for node in self.network._active_nodes:
             injection = node.next_injection_cycle
             if injection <= cycle:
                 return cycle
@@ -296,11 +313,10 @@ class Engine:
         return horizon
 
     def step(self) -> None:
-        """Advance the simulation by one cycle."""
+        """Advance the simulation by one cycle (every backend; see module doc)."""
         cycle = self.cycle
         network = self.network
         metrics = self.metrics
-        obs = self.obs
 
         # 0. scheduled topology changes.  Applied before any router phase so
         # the whole cycle sees one consistent fault epoch; the warp horizon
@@ -324,10 +340,11 @@ class Engine:
             if network._nodes_unsorted:
                 active_nodes.sort(key=_node_id)
                 network._nodes_unsorted = False
+            try_inject = self._try_inject
             backlogged = []
             for node in active_nodes:
                 if cycle >= node.next_injection_cycle:
-                    node.try_inject(cycle)
+                    try_inject(node, cycle)
                 if node.source_queue:
                     backlogged.append(node)
                     injection = node.next_injection_cycle
@@ -337,13 +354,65 @@ class Engine:
                     node.active = False
             network._active_nodes = backlogged
 
-        # 3. fused router phases over the active set, in router-id order.
+        # 3. the routers: due events, allocation, transmission, retirement.
+        delivered_now, dropped_now, visited_routers, router_hint = self._router_phase(
+            cycle
+        )
+
+        # 4. network-wide routing hook (PB saturation ECN / ECtN broadcasts);
+        # mechanisms without per-cycle work declare needs_post_cycle=False
+        # and skip the call entirely.  The hooks write only the mechanism's
+        # own tables, so it is immaterial that phase 3 already retired.
+        if self._post_cycle is not None:
+            self._post_cycle(network, cycle)
+
+        if delivered_now:
+            self.delivered_packets += delivered_now
+            self._last_progress_cycle = cycle
+        if dropped_now:
+            # Dropping an unreachable packet is forward progress: the network
+            # sheds the packet instead of tripping the stall watchdog.
+            self.dropped_packets += dropped_now
+            self._last_progress_cycle = cycle
+
+        self._hint_router_event = router_hint
+        self._hint_node_injection = node_hint
+        self._hint_valid = True
+
+        if self.obs is not None:
+            # ``visited_routers`` keeps its documented per-backend meaning
+            # (``alloc_router_cycles``): active routers walked on ``object``,
+            # routers holding an occupied head on ``soa``.
+            self.obs.on_cycle(cycle, visited_routers)
+
+        self._check_watchdog(cycle)
+        self.cycle = cycle + 1
+
+    # -- backend seams (here: the object model) ---------------------------------
+    def _try_inject(self, node, cycle: int) -> None:
+        """Backend seam: inject the head of ``node``'s source queue if it fits."""
+        node.try_inject(cycle)
+
+    def _router_phase(self, cycle: int) -> Tuple[int, int, int, int]:
+        """Backend seam: one cycle of router work.
+
+        Returns ``(delivered, dropped, visited_routers, router_hint)``:
+        packets delivered and dropped this cycle (already reported to
+        ``metrics``/``obs`` in router-major order), the routers visited, and
+        the earliest cycle a router has work again (``-1``: next cycle,
+        ``_NO_EVENT``: nothing scheduled).
+        """
+        # Fused router phases over the active set, in router-id order.
         # Every cross-router effect of this cycle (link arrivals, credit
         # returns) is scheduled strictly in the future and every phase read
         # is router-local, so begin/allocate/transmit per router reproduces
         # the three network-wide sweeps bit-identically.  The snapshot keeps
         # the pass stable while arrivals/credits activate further routers for
         # the *next* cycle.
+        network = self.network
+        metrics = self.metrics
+        obs = self.obs
+        faults = self.faults
         routers: Sequence[Router]
         active_routers = network._active_routers
         delivered_now = 0
@@ -377,25 +446,9 @@ class Engine:
                         if obs is not None:
                             obs.record_dropped(packet, cycle)
 
-        # 4. network-wide routing hook (PB saturation ECN / ECtN broadcasts);
-        # mechanisms without per-cycle work declare needs_post_cycle=False
-        # and skip the call entirely.
-        if self._post_cycle is not None:
-            self._post_cycle(network, cycle)
-
-        if delivered_now:
-            self.delivered_packets += delivered_now
-            self._last_progress_cycle = cycle
-        if dropped_now:
-            # Dropping an unreachable packet is forward progress: the network
-            # sheds the packet instead of tripping the stall watchdog.
-            self.dropped_packets += dropped_now
-            self._last_progress_cycle = cycle
-
-        # 5. retire idle routers; the same pass yields the earliest scheduled
-        # router event — the expensive half of the next cycle's work horizon
-        # — from the routers' cached begin/transmit event times, so the hint
-        # costs two comparisons per active router.
+        # Retire idle routers; the same pass yields the earliest scheduled
+        # router event from the routers' cached begin/transmit event times,
+        # so the hint costs two comparisons per active router.
         router_hint = _NO_EVENT
         current = network._active_routers
         if current:
@@ -415,16 +468,7 @@ class Engine:
                         if event < router_hint:
                             router_hint = event
             network._active_routers = still_active
-
-        self._hint_router_event = router_hint
-        self._hint_node_injection = node_hint
-        self._hint_valid = True
-
-        if obs is not None:
-            obs.on_cycle(cycle, visited_routers)
-
-        self._check_watchdog(cycle)
-        self.cycle = cycle + 1
+        return delivered_now, dropped_now, visited_routers, router_hint
 
     # -- observation ---------------------------------------------------------------
     def attach_observation(self, hub) -> None:
@@ -475,19 +519,29 @@ class Engine:
 
     # -- watchdog -----------------------------------------------------------------
     def _check_watchdog(self, cycle: int) -> None:
-        if self.stall_watchdog_cycles is None:
+        watchdog = self.stall_watchdog_cycles
+        if watchdog is None or cycle - self._last_progress_cycle < watchdog:
             return
-        if cycle - self._last_progress_cycle < self.stall_watchdog_cycles:
-            return
-        if self.network.total_buffered_packets() == 0:
+        buffered = self.total_buffered_packets()
+        if buffered == 0:
             self._last_progress_cycle = cycle
             return
         raise SimulationStallError(
-            f"no packet delivered for {self.stall_watchdog_cycles} cycles "
-            f"(cycle {cycle}) while {self.network.total_buffered_packets()} packets "
-            "are buffered in the network - possible deadlock or wiring bug\n"
-            + self._stall_snapshot(cycle)
+            f"no packet delivered for {watchdog} cycles (cycle {cycle}) while "
+            f"{buffered} packets are buffered in the network - possible "
+            "deadlock or wiring bug\n" + self._stall_snapshot(cycle)
         )
+
+    def _stall_census(self):
+        """Backend seam: per router, in id order, ``(router_id, occupied_vcs,
+        buffered packets in (port, VC, queue) order)``."""
+        for router in self.network.routers:
+            yield router.router_id, len(router._occupied_vcs), (
+                packet
+                for ip in router.input_ports
+                for ivc in ip.vcs
+                for packet in ivc.buffer
+            )
 
     def _stall_snapshot(self, cycle: int) -> str:
         """Diagnostic snapshot for :class:`SimulationStallError`.
@@ -499,16 +553,13 @@ class Engine:
         occupancy = []
         oldest = None
         oldest_router = -1
-        for router in self.network.routers:
-            occupied = len(router._occupied_vcs)
+        for rid, occupied, packets in self._stall_census():
             if occupied:
-                occupancy.append((occupied, router.router_id))
-            for ip in router.input_ports:
-                for ivc in ip.vcs:
-                    for packet in ivc.buffer:
-                        if oldest is None or packet.creation_cycle < oldest.creation_cycle:
-                            oldest = packet
-                            oldest_router = router.router_id
+                occupancy.append((occupied, rid))
+            for packet in packets:
+                if oldest is None or packet.creation_cycle < oldest.creation_cycle:
+                    oldest = packet
+                    oldest_router = rid
         occupancy.sort(reverse=True)
         lines = ["stall diagnostics:"]
         top = ", ".join(

@@ -1,11 +1,14 @@
-"""Struct-of-arrays simulation engine — a transcription of ``Engine.step``.
+"""Struct-of-arrays simulation engine — the router model over flat state.
 
-:class:`SoAEngine` advances the network through *exactly* the same sequence
-of state changes, routing-hook invocations and RNG draws as the object
-engine (:class:`repro.simulation.engine.Engine`), but reads and writes the
-flat arrays of :class:`~repro.simulation.soa.state.SoAState` instead of
-chasing ``Router``/``InputPort``/``OutputPort`` objects.  The speed comes
-from five places:
+:class:`SoAEngine` plugs into the cycle driver of
+:class:`repro.simulation.engine.Engine` (``step``, ``run``, the watchdog
+and the stall report are inherited) and implements only the backend seams:
+it advances the network through *exactly* the same sequence of state
+changes, routing-hook invocations and RNG draws as the object model, but
+reads and writes the flat arrays of
+:class:`~repro.simulation.soa.state.SoAState` instead of chasing
+``Router``/``InputPort``/``OutputPort`` objects.  The speed comes from four
+places:
 
 * **flat state** — the begin/commit/transmit phases are integer arithmetic
   on Python lists instead of attribute loads across an object graph;
@@ -22,9 +25,6 @@ from five places:
   service (pipeline exits, link-free times) are bucketed by absolute due
   cycle, so a step pops exactly the events due now and visits only routers
   holding an occupied head; a router that merely waits costs nothing;
-* **batched broadcast kernels** — PB's saturation scan and ECtN's
-  combined-counter reduction run as numpy (optionally numba) kernels over
-  gathered arrays (:mod:`repro.simulation.soa.kernels`);
 * **clean-router skipping** — an allocation pass that produced no grant and
   consumed no RNG draw is a pure function of state that only a known set of
   events can change (a credit return or link arrival at the router, an
@@ -70,10 +70,8 @@ time-warp and property suites assert bit-identical results.
 from __future__ import annotations
 
 from bisect import insort
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import List, Optional
-
-import numpy as np
 
 from repro.network.allocator import AllocationRequest
 from repro.network.router import _NO_EVENT
@@ -87,14 +85,12 @@ from repro.routing.olm import OLMRouting
 from repro.routing.contention.base_contention import BaseContentionRouting
 from repro.routing.contention.hybrid import HybridContentionRouting
 from repro.routing.contention.ectn import ECtNRouting
-from repro.simulation.engine import Engine, SimulationStallError
-from repro.simulation.soa.kernels import get_kernels
+from repro.simulation.engine import Engine
 from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind
 
 __all__ = ["SoAEngine"]
 
-_node_id = attrgetter("node_id")
 _event_port = itemgetter(0)
 _GLOBAL = PortKind.GLOBAL
 _LOCAL = PortKind.LOCAL
@@ -137,8 +133,6 @@ class SoAEngine(Engine):
         "_st",
         "_mode",
         "_mech",
-        "_kernels",
-        "_use_numba",
         "_routing",
         "_notify_arrival",
         "_notify_head",
@@ -168,42 +162,16 @@ class SoAEngine(Engine):
         "_olm_min_occ",
         "_pkt2",
         "_ectn_cth",
-        # post-cycle transcription
-        "_soa_post",
-        "_soa_post_horizon",
-        "_pb_gidx",
-        "_pb_caps",
-        "_pb_occ",
-        "_pb_links",
-        "_pb_groups",
-        "_pb_frac",
-        "_pb_delay",
-        "_ectn_group_rids",
+        # routing broadcasts
+        "_pb_scan",
         "_ectn_period",
         "_allocate",
         "_draws",
     )
 
-    def __init__(
-        self,
-        network,
-        traffic,
-        metrics=None,
-        stall_watchdog_cycles: Optional[int] = 20_000,
-        time_warp: bool = True,
-        faults=None,
-        use_numba: bool = False,
-    ):
-        super().__init__(
-            network,
-            traffic,
-            metrics=metrics,
-            stall_watchdog_cycles=stall_watchdog_cycles,
-            time_warp=time_warp,
-            faults=faults,
-        )
-        self._use_numba = use_numba
-        self._kernels = get_kernels(use_numba)
+    def __init__(self, network, traffic, **engine_options):
+        super().__init__(network, traffic, **engine_options)
+        faults = self.faults
         st = self._st = SoAState(network)
         routing = self._routing = network.routing
         proto = network.routers[0]
@@ -268,24 +236,19 @@ class SoAEngine(Engine):
                     self._ectn_cth = routing._combined_threshold
 
         # The engine never steps the object routers, so a mechanism's
-        # post_cycle hook would observe stale objects.  The two hooks of the
-        # repo (PB, ECtN) are transcribed against the flat state; anything
-        # else must use the object backend.
+        # post_cycle hook would observe stale objects.  PB's scan is
+        # transcribed against the flat state; ECtN's hook reads only the
+        # routing's own arrays and runs as is; anything else must use the
+        # object backend.
+        self._pb_scan = None
         if self._post_cycle is not None:
             hook = rcls.post_cycle
             if hook is PiggybackRouting.post_cycle:
-                self._build_pb_tables()
-                self._soa_post = self._pb_post_cycle
-                self._soa_post_horizon = self._pb_post_horizon
+                self._build_pb_scan()
+                self._post_cycle = self._pb_post_cycle
             elif hook is ECtNRouting.post_cycle:
-                topo = st.topology
-                self._ectn_group_rids = [
-                    [router.router_id for router in network.group_routers(group)]
-                    for group in range(topo.num_groups)
-                ]
                 self._ectn_period = routing.params.ectn_update_period
-                self._soa_post = self._ectn_post_cycle
-                self._soa_post_horizon = self._ectn_post_horizon
+                self._post_cycle = self._ectn_post_cycle
             else:
                 raise ValueError(
                     f"backend 'soa' has no transcription of the post_cycle hook "
@@ -294,9 +257,26 @@ class SoAEngine(Engine):
 
     # ------------------------------------------------------------------ warp
     def _post_cycle_horizon(self, cycle: int) -> Optional[int]:
-        # The object hooks read ``network._active_routers``, which this
-        # backend keeps empty; the transcriptions read the flat state.
-        return self._soa_post_horizon(cycle)
+        if self._pb_scan is None:
+            # ECtN: pure period arithmetic, the routing class's own.
+            return super()._post_cycle_horizon(cycle)
+        # PB must stay an override: ``PiggybackRouting.post_cycle_horizon``
+        # reads ``network._active_routers``, which this backend keeps empty.
+        # Routers waiting on a credit, an arrival or a busy link are not in
+        # ``st.active`` either, so a non-empty calendar counts as "not
+        # quiet" too.
+        routing = self._routing
+        st = self._st
+        if (
+            st.active
+            or st.cred_cal
+            or st.arr_cal
+            or st.svc_cal
+            or routing._pending
+            or routing._saturated_groups
+        ):
+            return cycle
+        return None
 
     def _calendar_horizon(self) -> int:
         """Earliest due cycle over the three calendars (``_NO_EVENT``: none)."""
@@ -309,64 +289,21 @@ class SoAEngine(Engine):
                     horizon = due
         return horizon
 
-    def _work_horizon(self, cycle: int, end: int) -> int:
-        if self._st.active:
-            # An occupied head retries allocation every cycle.
-            return cycle
-        horizon = self._calendar_horizon()
-        if horizon <= cycle:
-            return cycle
-        # Nodes, broadcasts, traffic and faults are shared with the object
-        # engine, whose own router set stays empty on this backend.
-        rest = super()._work_horizon(cycle, end)
-        return rest if rest < horizon else horizon
+    def _router_horizon(self, cycle: int) -> int:
+        # An occupied head retries allocation every cycle.
+        return cycle if self._st.active else self._calendar_horizon()
 
-    # ------------------------------------------------------------------ step
-    def step(self) -> None:
-        """One cycle — the same five phases as ``Engine.step``."""
-        cycle = self.cycle
+    # ---------------------------------------------------------- router phase
+    def _router_phase(self, cycle: int):
+        """The events due this cycle, then allocation and output service
+        router by router, then retirement (see ``Engine._router_phase``)."""
         st = self._st
-        network = self.network
         metrics = self.metrics
         obs = self.obs
-
-        # 0. scheduled topology changes (fault epochs).
         faults = self.faults
-        if faults is not None and faults.pending_event_cycle <= cycle:
-            if faults.apply_due(cycle) and metrics is not None:
-                metrics.on_fault_epoch(cycle)
-
-        # 1. traffic generation (activates the source nodes).
-        nodes = network.nodes
-        for src, packet in self.traffic.generate(cycle):
-            nodes[src].enqueue(packet)
-            if metrics is not None:
-                metrics.record_generated(packet)
-
-        # 2. injection from the backlogged source queues, in node-id order.
-        node_hint = _NO_EVENT
-        active_nodes = network._active_nodes
-        if active_nodes:
-            if network._nodes_unsorted:
-                active_nodes.sort(key=_node_id)
-                network._nodes_unsorted = False
-            backlogged = []
-            for node in active_nodes:
-                if cycle >= node.next_injection_cycle:
-                    self._try_inject(node, cycle)
-                if node.source_queue:
-                    backlogged.append(node)
-                    injection = node.next_injection_cycle
-                    if injection < node_hint:
-                        node_hint = injection
-                else:
-                    node.active = False
-            network._active_nodes = backlogged
-
-        # 3. the events due this cycle, then allocation and output service
-        # router by router.  The calendars are popped only now, after the
-        # injection pass: UGAL/PB ``on_inject`` reads ``credit_occ``, and the
-        # object engine runs ``begin_cycle`` after injection too.
+        # The calendars are popped only now, after the driver's injection
+        # pass: UGAL/PB ``on_inject`` reads ``credit_occ``, and the object
+        # engine runs ``begin_cycle`` after injection too.
         due = st.cred_cal.pop(cycle, None)
         if due is not None:
             self._apply_credits(due)
@@ -437,18 +374,7 @@ class SoAEngine(Engine):
                             obs.record_dropped(packet, cycle)
                     drp.clear()
 
-        # 4. network-wide routing hook (transcribed PB / ECtN broadcasts).
-        if self._post_cycle is not None:
-            self._soa_post(cycle)
-
-        if delivered_now:
-            self.delivered_packets += delivered_now
-            self._last_progress_cycle = cycle
-        if dropped_now:
-            self.dropped_packets += dropped_now
-            self._last_progress_cycle = cycle
-
-        # 5. retire routers whose heads all left; the router half of the warp
+        # Retire routers whose heads all left; the router half of the warp
         # horizon is "now" while any head is occupied (allocation retries
         # every cycle), else the earliest calendar key.
         if st.active:
@@ -462,16 +388,7 @@ class SoAEngine(Engine):
                     flags[rid] = False
             st.active = still_active
         router_hint = -1 if st.active else self._calendar_horizon()
-
-        self._hint_router_event = router_hint
-        self._hint_node_injection = node_hint
-        self._hint_valid = True
-
-        if obs is not None:
-            obs.on_cycle(cycle, visited_routers)
-
-        self._check_watchdog(cycle)
-        self.cycle = cycle + 1
+        return delivered_now, dropped_now, visited_routers, router_hint
 
     # ----------------------------------------------------------- observation
     def _make_obs_reader(self):
@@ -1370,93 +1287,46 @@ class SoAEngine(Engine):
         self._draws += 1
         return preferred[int(routing.rng.integers(0, len(preferred)))]
 
-    # -------------------------------------------------- post-cycle transcriptions
-    def _build_pb_tables(self) -> None:
-        """Gather index for PB's saturation scan: broadcast slot -> flat port."""
+    # ---------------------------------------------------- routing broadcasts
+    def _build_pb_scan(self) -> None:
+        """PB's saturation scan, per group and broadcast slot: the flat
+        output port and its occupancy limit — the float64 product of
+        ``PiggybackRouting.post_cycle``, taken once."""
         st = self._st
         topo = st.topology
-        routing = self._routing
-        links = topo.global_links_per_group
-        groups = topo.num_groups
         h = topo.config.h
         first_global = min(topo.global_ports)
-        gather = [0] * (groups * links)
-        for group in range(groups):
+        fraction = self._routing.params.pb_saturation_fraction
+        self._pb_scan = []
+        for group in range(topo.num_groups):
+            slots = [None] * topo.global_links_per_group
             for router in self.network.group_routers(group):
-                rid = router.router_id
-                pos = router.position
                 for k in range(h):
-                    gather[group * links + pos * h + k] = rid * st.P + first_global + k
-        self._pb_gidx = gather
-        self._pb_caps = np.array([st.cap_sum[g] for g in gather], dtype=np.int64)
-        self._pb_occ = np.empty(len(gather), dtype=np.int64)
-        self._pb_links = links
-        self._pb_groups = groups
-        self._pb_frac = routing.params.pb_saturation_fraction
-        self._pb_delay = routing.notification_delay
+                    g = router.router_id * st.P + first_global + k
+                    slots[router.position * h + k] = (g, fraction * st.cap_sum[g])
+            self._pb_scan.append(slots)
 
-    def _pb_post_cycle(self, cycle: int) -> None:
-        """``PiggybackRouting.post_cycle`` with the scan as a batched kernel."""
-        st = self._st
-        routing = self._routing
-        occ = self._pb_occ
-        out_committed = st.out_committed
-        credit_occ = st.credit_occ
-        for i, g in enumerate(self._pb_gidx):
-            occ[i] = out_committed[g] + credit_occ[g]
-        flags_all = self._kernels.pb_saturation_flags(occ, self._pb_caps, self._pb_frac)
-        links = self._pb_links
-        pending = routing._pending
-        due = cycle + self._pb_delay
-        for group in range(self._pb_groups):
-            pending.append(
-                (due, group, flags_all[group * links : (group + 1) * links].tolist())
-            )
-        while pending and pending[0][0] <= cycle:
-            _, group, flags = pending.popleft()
-            routing._flags[group] = flags
-            if any(flags):
-                routing._saturated_groups.add(group)
-            else:
-                routing._saturated_groups.discard(group)
+    def _pb_post_cycle(self, network, cycle: int) -> None:
+        """``PiggybackRouting.post_cycle`` with the scan over the flat state."""
+        out_committed = self._st.out_committed
+        credit_occ = self._st.credit_occ
+        self._routing.publish_flags(
+            cycle,
+            [
+                [out_committed[g] + credit_occ[g] >= limit for g, limit in slots]
+                for slots in self._pb_scan
+            ],
+        )
 
-    def _pb_post_horizon(self, cycle: int) -> Optional[int]:
-        """``PiggybackRouting.post_cycle_horizon`` over the flat state.
-
-        Routers waiting on a credit, an arrival or a busy link are no longer
-        in the active set, so a non-empty calendar counts as "not quiet" too.
-        """
-        routing = self._routing
-        st = self._st
-        if (
-            st.active
-            or st.cred_cal
-            or st.arr_cal
-            or st.svc_cal
-            or routing._pending
-            or routing._saturated_groups
-        ):
-            return cycle
-        return None
-
-    def _ectn_post_cycle(self, cycle: int) -> None:
-        """``ECtNRouting.post_cycle`` with the column sums as a batched kernel."""
-        routing = self._routing
+    def _ectn_post_cycle(self, network, cycle: int) -> None:
+        """``ECtNRouting.post_cycle`` (it reads only the routing's own arrays)."""
         if cycle % self._ectn_period != 0:
             return
-        partial = routing.partial
-        combined = routing.combined
-        combine = self._kernels.combine_rows
-        for group, rids in enumerate(self._ectn_group_rids):
-            combined[group] = combine([partial[rid] for rid in rids])
+        self._routing.post_cycle(network, cycle)
         # The broadcast feeds the injection-side trigger of every router.
         clean = self._st.alloc_clean
         for rid in range(len(clean)):
             clean[rid] = False
-
-    def _ectn_post_horizon(self, cycle: int) -> Optional[int]:
-        # ECtN's horizon is purely period arithmetic; it ignores the network.
-        return self._routing.post_cycle_horizon(None, cycle)
 
     # ------------------------------------------------------------- diagnostics
     def schedule_arrival(
@@ -1474,55 +1344,16 @@ class SoAEngine(Engine):
         object network this engine was built from stays empty)."""
         return self._st.total_buffered_packets()
 
-    def _check_watchdog(self, cycle: int) -> None:
-        watchdog = self.stall_watchdog_cycles
-        if watchdog is None or cycle - self._last_progress_cycle < watchdog:
-            return
-        buffered = self._st.total_buffered_packets()
-        if buffered == 0:
-            self._last_progress_cycle = cycle
-            return
-        raise SimulationStallError(
-            f"no packet delivered for {watchdog} cycles (cycle {cycle}) while "
-            f"{buffered} packets are buffered in the network - possible "
-            "deadlock or wiring bug\n" + self._stall_snapshot(cycle)
-        )
-
-    def _stall_snapshot(self, cycle: int) -> str:
+    def _stall_census(self):
         st = self._st
-        occupancy = []
-        oldest = None
-        oldest_router = -1
         per_router = st.P * st.V
         for rid in range(st.R):
-            count = len(st.occ[rid])
-            if count:
-                occupancy.append((count, rid))
-            base_q = rid * per_router
-            for q in range(base_q, base_q + per_router):
-                dq = st.in_q[q]
-                if not dq:
-                    continue
-                for packet in dq:
-                    if oldest is None or packet.creation_cycle < oldest.creation_cycle:
-                        oldest = packet
-                        oldest_router = rid
-        occupancy.sort(reverse=True)
-        top = ", ".join(
-            f"router {rid}: {count} occupied VCs" for count, rid in occupancy[:5]
-        )
-        lines = ["stall diagnostics:"]
-        lines.append(f"  busiest routers: {top or 'none'}")
-        if oldest is not None:
-            lines.append(
-                f"  oldest buffered packet: pid={oldest.pid} "
-                f"{oldest.src}->{oldest.dst} phase={oldest.phase.value} "
-                f"hops={oldest.hops} fault_mode={oldest.fault_mode} "
-                f"age={cycle - oldest.creation_cycle} cycles at router {oldest_router}"
+            # ``None`` marks a VC the port does not have.
+            yield rid, len(st.occ[rid]), (
+                packet
+                for q in range(rid * per_router, (rid + 1) * per_router)
+                for packet in st.in_q[q] or ()
             )
-            if self.obs is not None:
-                lines.extend(self.obs.stall_context(oldest.pid, oldest_router))
-        return "\n".join(lines)
 
 
 def _arbitrate(pointers: List[int], index: int, num_clients: int, requests) -> int:

@@ -25,8 +25,7 @@ has something pending.
 
 Scalar-hot state intentionally lives in plain Python lists, not numpy
 arrays: the inner loops index single elements, where list indexing is
-several times cheaper than numpy scalar indexing.  Numpy enters only in the
-batched broadcast kernels (:mod:`repro.simulation.soa.kernels`).
+several times cheaper than numpy scalar indexing.
 
 Routing algorithms never see these arrays directly.  They receive a
 :class:`RouterView` — a façade exposing exactly the router surface the

@@ -6,7 +6,7 @@ Future performance PRs should start from data, not intuition::
     PYTHONPATH=src python -m repro.tools.profile_hotpath --scenario transient
     PYTHONPATH=src python -m repro.tools.profile_hotpath --scenario drain --sort cumulative
     PYTHONPATH=src python -m repro.tools.profile_hotpath --routing ECtN --load 0.6 --top 40
-    PYTHONPATH=src python -m repro.tools.profile_hotpath --scenario saturated --backend soa
+    PYTHONPATH=src python -m repro.tools.profile_hotpath --scenario saturated --backend object
 
 Scenarios
 ---------
@@ -26,9 +26,9 @@ Scenarios
     A short busy phase, then injection stops and the simulation drains and
     idles for many cycles — the regime the time-warp engine accelerates.
 
-``--backend`` points any scenario at a simulation backend (``object``,
-``soa`` or ``soa-numba``); run the same scenario once per backend to get a
-side-by-side hot-path picture.
+``--backend`` points any scenario at a simulation backend (``soa`` or
+``object``; default: the session's, see ``REPRO_BACKEND``); run the same
+scenario once per backend to get a side-by-side hot-path picture.
 
 Each run prints the simulated-cycle counts (executed vs warped-over) and
 wall-clock before the profile table, so a perf change is visible even
@@ -44,7 +44,11 @@ import pstats
 import sys
 import time
 
-from repro.config.parameters import SimulationParameters
+from repro.config.parameters import (
+    SimulationParameters,
+    VALID_BACKENDS,
+    default_backend,
+)
 from repro.simulation.engine import ENGINE_STATS
 from repro.simulation.simulator import Simulator
 
@@ -116,9 +120,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pattern", default="UN")
     parser.add_argument(
         "--backend",
-        choices=("object", "soa", "soa-numba"),
-        default="object",
-        help="simulation backend to profile (default object)",
+        choices=sorted(VALID_BACKENDS),
+        default=default_backend(),
+        help="simulation backend to profile (default: %(default)s)",
     )
     parser.add_argument(
         "--load",

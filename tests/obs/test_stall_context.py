@@ -7,10 +7,7 @@ from repro.simulation.engine import SimulationStallError
 from repro.simulation.simulator import Simulator
 
 
-@pytest.mark.parametrize("backend", ["object", "soa"])
-def test_stall_error_includes_the_recorded_flight_path(
-    tiny_params, wedge_ejection_ports, backend
-):
+def _stall_message(tiny_params, wedge_ejection_ports, backend):
     sim = Simulator(
         tiny_params.with_backend(backend),
         "Base",
@@ -23,9 +20,20 @@ def test_stall_error_includes_the_recorded_flight_path(
     wedge_ejection_ports(sim)
     with pytest.raises(SimulationStallError) as excinfo:
         sim.run_cycles(2_000)
-    message = str(excinfo.value)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("backend", ["object", "soa"])
+def test_stall_error_includes_the_recorded_flight_path(
+    tiny_params, wedge_ejection_ports, backend
+):
+    message = _stall_message(tiny_params, wedge_ejection_ports, backend)
     assert "stall diagnostics" in message
     assert "recorded flight path of pid=" in message
+    # One formatter serves both backends: stall cycle, buffered count,
+    # busiest routers, oldest packet and flight path are string-equal.
+    other = "soa" if backend == "object" else "object"
+    assert message == _stall_message(tiny_params, wedge_ejection_ports, other)
 
 
 def test_stall_error_without_probes_keeps_the_base_diagnostics(

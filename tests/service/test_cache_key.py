@@ -124,7 +124,7 @@ class TestCacheability:
 
 class TestInvariance:
     def test_backend_field_is_excluded(self):
-        """object/soa/soa-numba requests share one key (manifest contract)."""
+        """object and soa requests share one key (manifest contract)."""
         keys = {
             point_key(steady_spec(params=SimulationParameters.tiny().with_backend(b)))
             for b in sorted(VALID_BACKENDS)

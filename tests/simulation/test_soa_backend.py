@@ -9,12 +9,12 @@ Three layers of evidence, from broad to microscopic:
   goldens pin);
 * **lockstep state equality** — one simulation stepped cycle-by-cycle on
   both backends, comparing every buffer occupancy, credit count and link
-  timer of the network after every cycle, so a divergence is caught at the
-  cycle it first appears instead of smeared into end-of-run aggregates;
+  timer of the network — and the broadcast tables of PB and ECtN — after
+  every cycle, so a divergence is caught at the cycle it first appears
+  instead of smeared into end-of-run aggregates;
 * **micro-state kernel tests** — the SoA allocator round driven against
   the object model's ``SeparableAllocator`` on hand-built request sets
-  (contended, uncontested, single), and the batched numpy kernels checked
-  against their scalar reference expressions.
+  (contended, uncontested, single).
 
 The property grid here complements the golden suite: goldens pin fixed
 results forever, while this grid asserts *cross-backend* identity on fresh
@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import random
 
-import numpy as np
 import pytest
 
 from repro.config.parameters import (
@@ -126,12 +125,6 @@ class TestPropertyGrid:
         assert soa_hash == obj_hash
         assert soa_cycle == obj_cycle
 
-    def test_soa_numba_matches_soa(self):
-        # Without numba installed this exercises the documented fallback;
-        # with numba it checks the compiled kernels change nothing.
-        combo = GRID[0]
-        assert _run("soa-numba", combo) == _run("soa", combo)
-
 
 def _first_link(topology_name: str):
     topology = create_topology(topology_preset(topology_name, "tiny"))
@@ -184,8 +177,24 @@ class TestCoincidentEvents:
 
 
 class TestLockstepState:
+    def _broadcast_state(self, routing):
+        """The remote-signal tables a ``post_cycle`` hook maintains."""
+        if routing.name == "PB":
+            return (
+                [list(flags) for flags in routing._flags],
+                sorted(routing._saturated_groups),
+                [(due, group, list(flags)) for due, group, flags in routing._pending],
+            )
+        if routing.name == "ECtN":
+            return (routing.combined, routing.partial)
+        return None
+
     def _snapshot(self, engine):
-        """Every buffer/credit/link observable of the network, any backend."""
+        """Every buffer/credit/link observable of the network, any backend,
+        plus the routing mechanism's broadcast tables."""
+        return self._fabric(engine), self._broadcast_state(engine.network.routing)
+
+    def _fabric(self, engine):
         if hasattr(engine, "_st"):
             st = engine._st
             return (
@@ -223,8 +232,15 @@ class TestLockstepState:
 
     @pytest.mark.parametrize(
         "routing, overrides",
-        [("OLM", {}), ("PB", {}), ("Base", {"router_latency": 0}), ("PB", {"router_latency": 0})],
-        ids=["OLM", "PB", "Base-rl0", "PB-rl0"],
+        [
+            ("OLM", {}),
+            ("PB", {}),
+            ("Base", {"router_latency": 0}),
+            ("PB", {"router_latency": 0}),
+            # Several broadcasts inside the 120 compared cycles.
+            ("ECtN", {"ectn_update_period": 20}),
+        ],
+        ids=["OLM", "PB", "Base-rl0", "PB-rl0", "ECtN"],
     )
     def test_every_cycle_state_is_identical(self, routing, overrides):
         params = dataclasses.replace(SimulationParameters.tiny(), **overrides)
@@ -326,45 +342,6 @@ class TestAllocRoundMicroStates:
         self._compare_sequences(engine, rounds)
 
 
-class TestBatchedKernels:
-    def test_pb_saturation_flags_match_scalar_expression(self):
-        from repro.simulation.soa.kernels import pb_saturation_flags
-
-        rng = np.random.default_rng(11)
-        occupancy = rng.integers(0, 64, size=200)
-        capacity = rng.integers(1, 64, size=200)
-        for fraction in (0.0, 0.25, 0.5, 0.875, 1.0):
-            flags = pb_saturation_flags(occupancy, capacity, fraction)
-            expected = [
-                occ >= fraction * cap for occ, cap in zip(occupancy, capacity)
-            ]
-            assert flags.tolist() == expected
-
-    def test_combine_rows_matches_column_sums(self):
-        from repro.simulation.soa.kernels import combine_rows
-
-        rng = random.Random(13)
-        rows = [[rng.randrange(0, 50) for _ in range(16)] for _ in range(9)]
-        expected = [sum(col) for col in zip(*rows)]
-        combined = combine_rows(rows)
-        assert combined == expected
-        assert all(isinstance(value, int) for value in combined)
-
-    def test_numba_request_degrades_to_numpy(self):
-        from repro.simulation.soa.kernels import (
-            NUMBA_AVAILABLE,
-            NumpyKernels,
-            get_kernels,
-        )
-
-        assert get_kernels(False) is NumpyKernels
-        kernels = get_kernels(True)
-        if NUMBA_AVAILABLE:
-            assert kernels.backend_name == "numba"
-        else:
-            assert kernels is NumpyKernels
-
-
 class TestBackendPlumbing:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -381,11 +358,28 @@ class TestBackendPlumbing:
         assert params.as_dict()["backend"] == "soa"
 
     def test_env_variable_sets_default_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "soa")
-        assert default_backend() == "soa"
-        assert SimulationParameters.tiny().backend == "soa"
-        monkeypatch.delenv("REPRO_BACKEND")
+        monkeypatch.setenv("REPRO_BACKEND", "object")
+        assert default_backend() == "object"
         assert SimulationParameters.tiny().backend == "object"
+        monkeypatch.delenv("REPRO_BACKEND")
+        assert SimulationParameters.tiny().backend == "soa"
+
+    def test_empty_env_variable_counts_as_unset(self, monkeypatch):
+        # An unset CI matrix variable expands to the empty string.
+        monkeypatch.setenv("REPRO_BACKEND", "")
+        assert SimulationParameters.tiny().backend == "soa"
+
+    @pytest.mark.parametrize(
+        "value, hint", [("soa-compiled", "use soa"), ("vectorized", "REPRO_BACKEND")]
+    )
+    def test_invalid_env_variable_is_named_in_the_error(self, monkeypatch, value, hint):
+        # The module-level presets are built the same way at import time, so
+        # this is what a stale REPRO_BACKEND produces on ``import repro``:
+        # the message must name the variable, not a ``backend=`` argument.
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        with pytest.raises(ValueError, match=f"REPRO_BACKEND='{value}'.*") as excinfo:
+            SimulationParameters.tiny()
+        assert hint in str(excinfo.value)
 
     def test_valid_backends_build_engines(self):
         from repro.simulation.engine import Engine
@@ -399,7 +393,5 @@ class TestBackendPlumbing:
                 0.1,
                 seed=1,
             )
-            if backend == "object":
-                assert type(sim.engine) is Engine
-            else:
-                assert isinstance(sim.engine, SoAEngine)
+            assert type(sim.engine) is {"object": Engine, "soa": SoAEngine}[backend]
+        assert VALID_BACKENDS == {"object", "soa"}

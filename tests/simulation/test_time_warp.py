@@ -173,10 +173,9 @@ class TestRoutingHorizons:
         sim = Simulator(tiny_params, "MIN", "UN", offered_load=0.0, seed=1)
         sneaky = Sneaky(sim.topology, tiny_params, sim.rng)
         sim.network.routing = sneaky
-        from repro.simulation.engine import Engine
-
+        # The session's backend: the check lives in the shared constructor.
         with pytest.raises(TypeError, match="needs_post_cycle"):
-            Engine(sim.network, sim.traffic)
+            type(sim.engine)(sim.network, sim.traffic)
 
 
 # ---------------------------------------------------- block-sampled arrivals

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.config.parameters import VALID_BACKENDS, default_backend
 from repro.tools.profile_hotpath import main
 
 
@@ -17,11 +20,15 @@ class TestJsonOutput:
         doc = _run_json(capsys)
         assert doc["schema"] == "profile-hotpath-v1"
         assert doc["scenario"] == "steady"
-        assert doc["backend"] == "object"
+        assert doc["backend"] == default_backend()
         assert doc["cycles_executed"] > 0
         assert doc["wall_seconds"] > 0
         assert doc["cycles_per_second"] > 0
         assert doc["top_functions"]
+
+    @pytest.mark.parametrize("backend", sorted(VALID_BACKENDS))
+    def test_backend_choices_are_the_valid_backends(self, capsys, backend):
+        assert _run_json(capsys, "--backend", backend)["backend"] == backend
 
     def test_top_functions_respect_sort_and_limit(self, capsys):
         doc = _run_json(capsys, "--top", "5", "--sort", "cumulative")
