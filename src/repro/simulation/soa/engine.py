@@ -15,8 +15,7 @@ places:
 * **decision capture** — routing decisions are classified once per buffer
   head instead of re-derived from scratch every allocation round.  Heads
   whose decision cannot change while they wait (ejection, towards-
-  intermediate, pure mechanisms) carry a cached
-  :class:`~repro.network.allocator.AllocationRequest`; heads governed by an
+  intermediate, pure mechanisms) carry a cached request; heads governed by an
   adaptive trigger carry their (static) candidate list and VC assignments,
   and only the trigger itself — a couple of counter comparisons and at most
   one RNG draw — runs per round, exactly as many times and in exactly the
@@ -42,26 +41,47 @@ out_g, credit_q)`` whose last two fields precompute the admission-check
 indices.  ``AllocationRequest`` is a NamedTuple with the same first five
 fields, so the transcribed separable allocator accepts both shapes.
 
-Allocation modes
-----------------
-``MODE_PURE``
-    Healthy runs of the pure mechanisms (MIN, VAL, UGAL, PB):
-    ``decision_is_pure`` guarantees ``select_output`` has no side effects
-    and depends only on state that is constant while a packet waits at a
-    buffer head, so it is evaluated once per head and the rounds reduce to
-    admission checks plus the separable allocator.
-``MODE_FAST``
-    Healthy runs of the in-transit adaptive family (OLM, Base, Hybrid,
-    ECtN): the per-head taxonomy above, with the trigger transcribed from
-    the mechanism's ``choose_*`` hooks against the flat occupancies and
-    contention counters.
-``MODE_GENERIC``
-    Everything else (fault runs, ring-escape/torus and uplink-multipath/
-    fat-tree policies, third-party mechanisms): ``routing.select_output``
-    is called per round on a
-    :class:`~repro.simulation.soa.state.RouterView`, replicating the object
-    allocate loop verbatim — still faster than the object engine thanks to
-    the flat begin/commit/transmit phases.
+Row kinds
+---------
+There is one allocation path, :meth:`SoAEngine._allocate`.  Every buffer head
+is a *row* (kind, cached request, candidate list, VCs, minimal port), written
+once by the capture function the constructor binds and read by every round.
+Which capture function is bound depends only on what the code can observe:
+the exact routing class, its path policy, whether a fault runtime is attached.
+
+======  ===================  ==========================  =========  ==========
+kind    captured by          per round                   may draw   may clean
+======  ===================  ==========================  =========  ==========
+FIXED   every capture        admission check of the      no         yes
+                             cached request
+FORCED  ``_capture_group``   global trigger, then a      yes        if no draw
+                             uniform pick
+GLOBAL  ``_capture_group``   closed gate inline, else    open gate  if no draw
+                             the global trigger
+LOCAL   ``_capture_group``,  closed gate inline, else    open gate  if no draw
+        ``_capture_ring``,   the local trigger over the
+        ``_capture_uplink``  captured candidates
+LIVE    nobody               ``select_output`` +         yes        never
+                             ``_resolve_faults``
+======  ===================  ==========================  =========  ==========
+
+``_capture_pure`` (healthy MIN / VAL / UGAL / PB) evaluates ``select_output``
+once per head lifetime and stores a ``FIXED`` row.  The adaptive captures
+(healthy OLM / Base / Hybrid / ECtN; "trigger" above is the transcription of
+the mechanism's ``choose_*`` hooks) store ``FIXED`` for ejection, towards-
+intermediate, mid-ring-traversal, down-hop and gate-less heads:
+``_capture_group`` is the MM+L policy (Dragonfly, flattened butterfly) —
+``FORCED`` is the committed local-proxy step, ``GLOBAL`` the source-group
+gate, ``LOCAL`` the local-misroute gate; ``_capture_ring`` is the ring-escape
+policy (torus) — ``LOCAL`` at the first hop of a ring traversal;
+``_capture_uplink`` is the uplink-multipath policy (fat tree) — ``LOCAL``
+where the minimal port is an uplink with siblings.  With a fault runtime
+attached, or a routing class the engine has no transcription for (exact type
+match: a subclass may override the trigger), nothing is captured and every
+head is ``LIVE``: ``routing.select_output`` runs per round on a
+:class:`~repro.simulation.soa.state.RouterView`, the object allocate loop
+verbatim.  A router may be marked clean only after a grant-free *and*
+draw-free pass, so a ``LIVE`` row never lets it.
 
 Every deviation from ``Engine``/``Router`` behaviour is a bug; the golden,
 time-warp and property suites assert bit-identical results.
@@ -73,7 +93,6 @@ from bisect import insort
 from operator import itemgetter
 from typing import List, Optional
 
-from repro.network.allocator import AllocationRequest
 from repro.network.router import _NO_EVENT
 from repro.network.packet import RoutingPhase
 from repro.routing.base import RoutingDecision
@@ -96,28 +115,20 @@ _GLOBAL = PortKind.GLOBAL
 _LOCAL = PortKind.LOCAL
 _TO_INTERMEDIATE = RoutingPhase.TO_INTERMEDIATE
 
-# Allocation modes (see module docstring).
-MODE_GENERIC = 0
-MODE_PURE = 1
-MODE_FAST = 2
+# Row kinds (see module docstring).
+ROW_FIXED = 0  # decision constant while the head waits (cached request)
+ROW_FORCED = 1  # committed MM+L proxy: forced global hop, trigger per round
+ROW_GLOBAL = 2  # source-group global-misroute gate, trigger per round
+ROW_LOCAL = 3  # local-misroute / ring-escape / uplink gate, trigger per round
+ROW_LIVE = 4  # nothing captured: ``select_output`` per round
 
-# Head-decision categories of MODE_FAST.  One category per head suffices:
-# the local-misroute gate requires ``current_group == dst_group or
-# global_hops == 1`` while the global gates require ``dst_group !=
-# current_group and global_hops == 0``, so a head can never fall from a
-# failed global gate into the local gate — only into the minimal fallback.
-CAT_FIXED = 0  # decision constant while the head waits (cached request)
-CAT_FORCED = 1  # committed MM+L proxy: forced global hop, trigger per round
-CAT_GLOBAL = 2  # source-group global-misroute gate, trigger per round
-CAT_LOCAL = 3  # local-misroute gate, trigger per round
-
-# Trigger transcriptions of MODE_FAST.
+# Trigger transcriptions of the adaptive captures.
 MECH_OLM = 0
 MECH_BASE = 1
 MECH_HYBRID = 2
 MECH_ECTN = 3
 
-_FAST_MECHS = {
+_ADAPTIVE_MECHS = {
     OLMRouting: MECH_OLM,
     BaseContentionRouting: MECH_BASE,
     HybridContentionRouting: MECH_HYBRID,
@@ -131,20 +142,20 @@ class SoAEngine(Engine):
 
     __slots__ = (
         "_st",
-        "_mode",
         "_mech",
+        "_capture",
+        "_memo",
         "_routing",
         "_notify_arrival",
         "_notify_head",
         "_notify_leave",
         "_speedup",
         "_router_latency",
-        "_pure_decisions",
         "_dlv",
         "_drp",
-        # per-q decision capture (MODE_PURE / MODE_FAST)
+        # per-q rows
+        "_dkind",
         "_dreq",
-        "_dcat",
         "_dcand",
         "_dcandg",
         "_dgvc",
@@ -154,7 +165,7 @@ class SoAEngine(Engine):
         "_dminoff",
         "_dposbase",
         "_dinj",
-        # MODE_FAST trigger constants
+        # trigger constants of the adaptive captures
         "_counters",
         "_cth",
         "_hyb_cong",
@@ -165,7 +176,6 @@ class SoAEngine(Engine):
         # routing broadcasts
         "_pb_scan",
         "_ectn_period",
-        "_allocate",
         "_draws",
     )
 
@@ -180,39 +190,35 @@ class SoAEngine(Engine):
         self._notify_leave = proto._notify_leave
         self._speedup = proto._speedup
         self._router_latency = proto._router_latency
-        self._pure_decisions = routing.decision_is_pure
         self._dlv: List = []
         self._drp: List = []
         self._draws = 0
 
+        # Which capture function writes the rows.  Exact type matching: a
+        # subclass may override the trigger a transcription assumes, so it
+        # gets no capture — every head stays a LIVE row — like a fault run.
         rcls = type(routing)
-        if (
-            faults is None
-            and rcls in _FAST_MECHS
-            and not routing._ring_escape
-            # The uplink-multipath policy (fat tree) has no MM+L taxonomy to
-            # capture; its per-up-hop trigger runs through the generic path,
-            # which replicates the object allocate loop and stays
-            # bit-identical by construction.
-            and not routing._uplink_multipath
-        ):
-            self._mode = MODE_FAST
-            self._mech = _FAST_MECHS[rcls]
-            self._allocate = self._allocate_fast
-        elif faults is None and rcls in _PURE_MECHS:
-            self._mode = MODE_PURE
-            self._mech = -1
-            self._allocate = self._allocate_pure
-        else:
-            self._mode = MODE_GENERIC
-            self._mech = -1
-            self._allocate = self._allocate_generic
+        self._mech = -1
+        self._capture = None
+        if faults is None:
+            if rcls in _PURE_MECHS:
+                self._capture = self._capture_pure
+            elif rcls in _ADAPTIVE_MECHS:
+                self._mech = _ADAPTIVE_MECHS[rcls]
+                if routing._ring_escape:
+                    self._capture = self._capture_ring
+                elif routing._uplink_multipath:
+                    self._capture = self._capture_uplink
+                else:
+                    self._capture = self._capture_group
+        # LIVE rows of a ``decision_is_pure`` mechanism reuse round 1's
+        # decision in the later rounds of a cycle, as ``Router.allocate`` does.
+        self._memo = {} if routing.decision_is_pure else None
 
         nQ = st.R * st.P * st.V
-        if self._mode != MODE_GENERIC:
-            self._dreq: List[Optional[AllocationRequest]] = [None] * nQ
-        if self._mode == MODE_FAST:
-            self._dcat = [CAT_FIXED] * nQ
+        self._dkind = [ROW_LIVE] * nQ
+        self._dreq: List = [None] * nQ
+        if self._mech >= 0:
             self._dcand: List = [None] * nQ
             self._dcandg: List = [None] * nQ
             self._dgvc = [0] * nQ
@@ -508,38 +514,40 @@ class SoAEngine(Engine):
                 routing.on_packet_arrival(views[rid], port, vc, packet, cycle)
 
     # ---------------------------------------------------------------- commit
-    def _commit(self, rid: int, input_port: int, input_vc: int, decision, cycle: int) -> None:
-        """``Router._commit_grant``: move the head into the output pipeline."""
+    def _pop_head(self, rid: int, port: int, vc: int, cycle: int):
+        """The input side of a hop, shared by grant and drop: pop the head,
+        free its space, expose the next head, return the upstream credit and
+        fire ``on_packet_leave_input``."""
         st = self._st
-        P = st.P
         V = st.V
-        g = rid * P + input_port
-        q = g * V + input_vc
+        g = rid * st.P + port
+        q = g * V + vc
         dq = st.in_q[q]
         packet = dq.popleft()
         size = packet.size_phits
         st.in_free[q] += size
         st.head_seen[q] = False
-        k = input_port * V + input_vc
+        k = port * V + vc
         if not dq:
             st.occ[rid].remove(k)
         else:
             st.new_heads[rid].append(k)
-
         up = st.up_g[g]
         if up >= 0:
             st.cred_cal[cycle + st.up_lat[g]].append(
-                (st.up_rid[g], up, up * V + input_vc, size)
+                (st.up_rid[g], up, up * V + vc, size)
             )
-
-        routing = self._routing
-        view = st.views[rid]
         if self._notify_leave:
-            routing.on_packet_leave_input(view, input_port, input_vc, packet, cycle)
-        routing.on_grant(view, input_port, input_vc, packet, decision, cycle)
+            self._routing.on_packet_leave_input(st.views[rid], port, vc, packet, cycle)
+        return packet
 
-        out_port = decision.output_port
-        og = rid * P + out_port
+    def _commit(self, rid: int, req, cycle: int) -> None:
+        """``Router._commit_grant``: move the head of a granted request into
+        the output pipeline."""
+        input_port, input_vc, out_port, size, decision, og, cq = req
+        packet = self._pop_head(rid, input_port, input_vc, cycle)
+        st = self._st
+        self._routing.on_grant(st.views[rid], input_port, input_vc, packet, decision, cycle)
         if not st.kind_is_injection[out_port]:
             packet.record_hop(is_global=st.kind_is_global[out_port])
         packet.current_vc = decision.vc
@@ -550,7 +558,6 @@ class SoAEngine(Engine):
             )
         st.out_committed[og] += size
         st.out_free[og] = free - size
-        cq = og * V + decision.vc
         if st.credits[cq] < size:
             raise RuntimeError(
                 f"credit underflow on router {rid} port {out_port} vc {decision.vc}"
@@ -666,96 +673,150 @@ class SoAEngine(Engine):
             grants.append(by_in[winner_in])
         return grants
 
-    # --------------------------------------------------------- MODE_GENERIC
-    def _allocate_generic(self, rid: int, cycle: int) -> None:
-        """``Router.allocate`` verbatim, with ``select_output`` on the view."""
+    # -------------------------------------------------------------- allocate
+    def _allocate(self, rid: int, cycle: int) -> None:
+        """``Router.allocate``: report new heads, then the allocation rounds,
+        each head answering with the request of its captured row (see "Row
+        kinds" in the module doc)."""
         st = self._st
         V = st.V
-        base = rid * st.P
-        routing = self._routing
-        view = st.views[rid]
+        base_g = rid * st.P
+        base_q = base_g * V
         in_q = st.in_q
-        head_seen = st.head_seen
 
         new_heads = st.new_heads[rid]
         if new_heads:
-            # The object model appends/report-gates new heads only for
-            # mechanisms with an on_packet_head hook; the SoA state records
-            # them unconditionally (the capture modes need them), so the
-            # hook calls — and only those — stay gated here.
-            if self._notify_head:
-                if len(new_heads) > 1:
-                    new_heads.sort()
-                for k in new_heads:
-                    q = base * V + k
-                    if head_seen[q]:
-                        continue
-                    dq = in_q[q]
-                    routing.on_packet_head(
-                        view, k // V, k % V, dq[0] if dq else None, cycle
-                    )
-                    head_seen[q] = True
+            head_seen = st.head_seen
+            if len(new_heads) > 1:
+                new_heads.sort()
+            # ``new_heads`` is recorded unconditionally (the captures need
+            # every head); the hook calls — and only those — stay gated, as
+            # in the object model.
+            notify_head = self._notify_head
+            capture = self._capture
+            for k in new_heads:
+                q = base_q + k
+                if head_seen[q]:
+                    continue
+                dq = in_q[q]
+                # Empty only under faults (a head dropped and its successor
+                # granted within one cycle), where nothing is captured.
+                head = dq[0] if dq else None
+                if notify_head:
+                    self._routing.on_packet_head(st.views[rid], k // V, k % V, head, cycle)
+                head_seen[q] = True
+                if capture is not None:
+                    capture(rid, base_g, q, k, head, cycle)
             st.new_heads[rid] = []
 
-        occ_r = st.occ[rid]
         out_free = st.out_free
         credits = st.credits
-        faults = self.faults
-        if len(occ_r) == 1:
-            k = occ_r[0]
-            port, vc = divmod(k, V)
-            q = base * V + k
-            head = in_q[q][0]
-            decision = routing.select_output(view, port, vc, head, cycle)
-            if faults is not None:
-                decision = self._resolve_faults(rid, port, vc, head, decision, cycle)
-            if decision is None:
-                return
-            og = base + decision.output_port
-            size = head.size_phits
-            if out_free[og] < size or credits[og * V + decision.vc] < size:
-                return
-            st.in_ptr[base + port] = (vc + 1) % st.alloc_nvc[rid]
-            st.out_ptr[og] = (port + 1) % st.P
-            self._commit(rid, port, vc, decision, cycle)
-            return
+        dkind = self._dkind
+        dreq = self._dreq
+        draws0 = self._draws
+        mech = self._mech
+        if mech >= 0:
+            # Closed-gate inputs of the adaptive captures.
+            is_cnt = mech == MECH_BASE or mech == MECH_ECTN
+            if is_cnt:
+                counts = self._counters[rid].counts
+                cth = self._cth
+                dinj = self._dinj
+                dminport = self._dminport
+            elif mech == MECH_OLM:
+                out_committed = st.out_committed
+                credit_occ = st.credit_occ
+                olm_min = self._olm_min_occ
+                dminport = self._dminport
 
-        occupied = occ_r[:]
-        decision_memo = {} if self._pure_decisions else None
-        granted = set()
+        # Grants remove keys from the live list: iterate a copy.
+        occupied = st.occ[rid][:]
+        single = len(occupied) == 1
+        granted = None
         for round_index in range(self._speedup):
             requests = []
-            for key in occupied:
-                if key in granted:
-                    continue
-                port, vc = divmod(key, V)
-                q = base * V + key
+            # Occupied-key order, every round: an open gate runs its trigger
+            # exactly as many times, in exactly the order, that ``object``
+            # calls ``select_output`` — the draw count is the RNG contract.
+            for k in occupied:
+                q = base_q + k
                 dq = in_q[q]
                 if not dq:
                     continue
-                head = dq[0]
-                if decision_memo is None or round_index == 0:
-                    decision = routing.select_output(view, port, vc, head, cycle)
-                    if decision_memo is not None:
-                        decision_memo[key] = decision
+                if granted is not None and k in granted:
+                    continue
+                kind = dkind[q]
+                if kind == ROW_FIXED:
+                    req = dreq[q]
+                elif kind == ROW_LIVE:
+                    # ``dq[0]`` is read fresh: under faults ``_resolve_faults``
+                    # can drop a head while round 1 gathers requests, so round
+                    # 2 may meet a successor no ``on_packet_head`` was called
+                    # for yet (it is reported next cycle, as in the object
+                    # model).
+                    req = self._live_request(rid, base_g, q, k, dq[0], cycle, round_index)
                 else:
-                    decision = decision_memo[key]
-                if faults is not None:
-                    decision = self._resolve_faults(rid, port, vc, head, decision, cycle)
-                if decision is None:
+                    # Closed gate (a counter or occupancy comparison against
+                    # the captured minimal port): the draw-free minimal
+                    # fallback, exactly what the trigger would answer.
+                    req = None
+                    if kind != ROW_FORCED:
+                        if is_cnt:
+                            if not dinj[q] and counts[dminport[q]] <= cth:
+                                req = dreq[q]
+                        elif mech == MECH_OLM:
+                            gm = base_g + dminport[q]
+                            if out_committed[gm] + credit_occ[gm] < olm_min:
+                                req = dreq[q]
+                    if req is None:
+                        req = self._open_request(rid, base_g, q)
+                if req is None:
                     continue
-                og = base + decision.output_port
-                size = head.size_phits
-                if out_free[og] < size:
+                size = req[3]
+                if out_free[req[5]] < size or credits[req[6]] < size:
                     continue
-                if credits[og * V + decision.vc] < size:
-                    continue
-                requests.append(AllocationRequest(port, vc, decision.output_port, size, decision))
+                if single:
+                    # With one occupied VC a one-request allocation always
+                    # succeeds (only the arbiter pointers rotate) and every
+                    # later round is a no-op.
+                    st.in_ptr[base_g + req[0]] = (req[1] + 1) % st.alloc_nvc[rid]
+                    st.out_ptr[req[5]] = (req[0] + 1) % st.P
+                    self._commit(rid, req, cycle)
+                    return
+                requests.append(req)
             if not requests:
                 break
-            for grant in self._alloc_round(rid, base, requests):
-                self._commit(rid, grant[0], grant[1], grant[4], cycle)
-                granted.add(grant[0] * V + grant[1])
+            for req in self._alloc_round(rid, base_g, requests):
+                self._commit(rid, req, cycle)
+                if granted is None:
+                    granted = set()
+                granted.add(req[0] * V + req[1])
+        if granted is None and self._draws == draws0:
+            # Grant-free and draw-free: every input of this evaluation is
+            # router-local and invalidation-tracked, so skip until poked.  A
+            # ``FIXED`` or closed-gate row must therefore never draw, and a
+            # ``LIVE`` evaluation always counts as a draw.
+            st.alloc_clean[rid] = True
+
+    def _live_request(self, rid, base, q, k, head, cycle, round_index):
+        """A ``LIVE`` row's request: the per-head body of ``Router.allocate``
+        verbatim, ``select_output`` on the view plus the fault resolution."""
+        st = self._st
+        port, vc = divmod(k, st.V)
+        memo = self._memo
+        if memo is None or round_index == 0:
+            decision = self._routing.select_output(st.views[rid], port, vc, head, cycle)
+            if memo is not None:
+                memo[q] = decision
+        else:
+            decision = memo[q]
+        if self.faults is not None:
+            decision = self._resolve_faults(rid, port, vc, head, decision, cycle)
+        # The call may have drawn, dropped the head or mutated routing state.
+        self._draws += 1
+        if decision is None:
+            return None
+        return self._request(base, k, head, decision)
 
     def _resolve_faults(self, rid, port, vc, head, decision, cycle):
         """``Router._resolve_faults`` over the flat state."""
@@ -770,356 +831,115 @@ class SoAEngine(Engine):
 
     def _drop_head(self, rid: int, port: int, vc: int, cycle: int) -> None:
         """``Router._drop_head`` over the flat state."""
-        st = self._st
-        g = rid * st.P + port
-        q = g * st.V + vc
-        dq = st.in_q[q]
-        packet = dq.popleft()
-        size = packet.size_phits
-        st.in_free[q] += size
-        st.head_seen[q] = False
-        k = port * st.V + vc
-        if not dq:
-            st.occ[rid].remove(k)
-        else:
-            st.new_heads[rid].append(k)
-        up = st.up_g[g]
-        if up >= 0:
-            st.cred_cal[cycle + st.up_lat[g]].append(
-                (st.up_rid[g], up, up * st.V + vc, size)
-            )
-        if self._notify_leave:
-            self._routing.on_packet_leave_input(st.views[rid], port, vc, packet, cycle)
+        packet = self._pop_head(rid, port, vc, cycle)
         packet.dropped_cycle = cycle
         self.faults.dropped_packets += 1
         self._drp.append(packet)
 
-    # ------------------------------------------------------------ MODE_PURE
-    def _allocate_pure(self, rid: int, cycle: int) -> None:
-        """Pure mechanisms: one ``select_output`` per head lifetime.
+    # --------------------------------------------------------------- capture
+    def _request(self, base_g: int, k: int, head, decision):
+        """The request tuple of ``head`` (buffer key ``k``) for ``decision``."""
+        V = self._st.V
+        out_port = decision.output_port
+        og = base_g + out_port
+        return (
+            k // V, k % V, out_port, head.size_phits, decision,
+            og, og * V + decision.vc,
+        )
 
-        ``decision_is_pure`` plus the head-constancy of every input
-        (``packet`` fields, topology) make the decision a constant of the
-        head, so it is captured when the head is first reported and the
-        rounds reduce to admission checks + the separable allocator.
-        """
+    def _capture_pure(self, rid, base_g, q, k, head, cycle) -> None:
+        """MIN / VAL / UGAL / PB: ``decision_is_pure`` plus the head-constancy
+        of every input (packet fields, topology) make the decision a constant
+        of the head — one ``select_output`` per head lifetime."""
         st = self._st
-        V = st.V
-        base_g = rid * st.P
-        base_q = base_g * V
-        in_q = st.in_q
-        dreq = self._dreq
+        decision = self._routing.select_output(st.views[rid], k // st.V, k % st.V, head, cycle)
+        self._dkind[q] = ROW_FIXED
+        self._dreq[q] = None if decision is None else self._request(base_g, k, head, decision)
 
-        new_heads = st.new_heads[rid]
-        if new_heads:
-            head_seen = st.head_seen
-            if len(new_heads) > 1:
-                new_heads.sort()
-            routing = self._routing
-            view = st.views[rid]
-            for k in new_heads:
-                q = base_q + k
-                if head_seen[q]:
-                    continue
-                dq = in_q[q]
-                if not dq:
-                    continue
-                head = dq[0]
-                port, vc = divmod(k, V)
-                decision = routing.select_output(view, port, vc, head, cycle)
-                if decision is None:
-                    dreq[q] = None
-                else:
-                    outp = decision.output_port
-                    og = base_g + outp
-                    dreq[q] = (
-                        port, vc, outp, head.size_phits, decision,
-                        og, og * V + decision.vc,
-                    )
-                head_seen[q] = True
-            st.new_heads[rid] = []
-
-        occ_r = st.occ[rid]
-        out_free = st.out_free
-        credits = st.credits
-        clean = st.alloc_clean
-        if len(occ_r) == 1:
-            req = dreq[base_q + occ_r[0]]
-            if req is not None:
-                size = req[3]
-                if out_free[req[5]] >= size and credits[req[6]] >= size:
-                    st.in_ptr[base_g + req[0]] = (req[1] + 1) % st.alloc_nvc[rid]
-                    st.out_ptr[req[5]] = (req[0] + 1) % st.P
-                    self._commit(rid, req[0], req[1], req[4], cycle)
-                    return
-            clean[rid] = True
-            return
-
-        entries = [(k, base_q + k) for k in occ_r]
-        granted = None
-        got_grant = False
-        commit = self._commit
-        for _round in range(self._speedup):
-            requests = []
-            for k, q in entries:
-                if granted is not None and k in granted:
-                    continue
-                if not in_q[q]:
-                    continue
-                req = dreq[q]
-                if req is None:
-                    continue
-                size = req[3]
-                if out_free[req[5]] < size or credits[req[6]] < size:
-                    continue
-                requests.append(req)
-            if not requests:
-                break
-            for req in self._alloc_round(rid, base_g, requests):
-                commit(rid, req[0], req[1], req[4], cycle)
-                if granted is None:
-                    granted = set()
-                granted.add(req[0] * V + req[1])
-                got_grant = True
-        if not got_grant:
-            # No grant and (pure mechanisms) no draw: the outcome cannot
-            # change until an invalidating event fires.
-            clean[rid] = True
-
-    # ------------------------------------------------------------ MODE_FAST
-    def _allocate_fast(self, rid: int, cycle: int) -> None:
-        """Adaptive in-transit mechanisms: captured taxonomy + live trigger.
-
-        The draw-free fast cases are inlined in the round loop: a cached
-        request for ``CAT_FIXED`` heads, and the mechanism's *closed-gate*
-        check (a counter or occupancy comparison against the captured
-        minimal port) for the global/local-misroute categories, which falls
-        back to the cached minimal request exactly like the transcribed
-        trigger would.  Only open gates and forced-global heads take the
-        full :meth:`_fast_request` path (which may draw).
-        """
-        st = self._st
-        V = st.V
-        base_g = rid * st.P
-        base_q = base_g * V
-        in_q = st.in_q
-
-        new_heads = st.new_heads[rid]
-        if new_heads:
-            head_seen = st.head_seen
-            if len(new_heads) > 1:
-                new_heads.sort()
-            routing = self._routing
-            view = st.views[rid]
-            notify_head = self._notify_head
-            for k in new_heads:
-                q = base_q + k
-                if head_seen[q]:
-                    continue
-                dq = in_q[q]
-                if not dq:
-                    continue
-                head = dq[0]
-                if notify_head:
-                    routing.on_packet_head(view, k // V, k % V, head, cycle)
-                head_seen[q] = True
-                self._capture_fast(rid, base_g, q, k, head)
-            st.new_heads[rid] = []
-
-        occ_r = st.occ[rid]
-        out_free = st.out_free
-        credits = st.credits
-        clean = st.alloc_clean
-        dcat = self._dcat
-        dreq = self._dreq
-        mech = self._mech
-        draws0 = self._draws
-        is_cnt = mech == MECH_BASE or mech == MECH_ECTN
-        if is_cnt:
-            counts = self._counters[rid].counts
-            cth = self._cth
-            dinj = self._dinj
-            dminport = self._dminport
-        elif mech == MECH_OLM:
-            out_committed = st.out_committed
-            credit_occ = st.credit_occ
-            olm_min = self._olm_min_occ
-            dminport = self._dminport
-
-        if len(occ_r) == 1:
-            k = occ_r[0]
-            q = base_q + k
-            cat = dcat[q]
-            if cat == CAT_FIXED:
-                req = dreq[q]
-            else:
-                req = None
-                if cat != CAT_FORCED:
-                    if is_cnt:
-                        if not dinj[q] and counts[dminport[q]] <= cth:
-                            req = dreq[q]
-                    elif mech == MECH_OLM:
-                        gm = base_g + dminport[q]
-                        if out_committed[gm] + credit_occ[gm] < olm_min:
-                            req = dreq[q]
-                if req is None:
-                    req = self._fast_request(rid, base_g, q, k)
-            size = req[3]
-            if out_free[req[5]] < size or credits[req[6]] < size:
-                if self._draws == draws0:
-                    clean[rid] = True
-                return
-            st.in_ptr[base_g + req[0]] = (req[1] + 1) % st.alloc_nvc[rid]
-            st.out_ptr[req[5]] = (req[0] + 1) % st.P
-            self._commit(rid, req[0], req[1], req[4], cycle)
-            return
-
-        entries = [(k, base_q + k, in_q[base_q + k]) for k in occ_r]
-        granted = None
-        got_grant = False
-        commit = self._commit
-        for _round in range(self._speedup):
-            requests = []
-            for k, q, dq in entries:
-                if not dq:
-                    continue
-                if granted is not None and k in granted:
-                    continue
-                cat = dcat[q]
-                if cat == CAT_FIXED:
-                    req = dreq[q]
-                else:
-                    req = None
-                    if cat != CAT_FORCED:
-                        if is_cnt:
-                            if not dinj[q] and counts[dminport[q]] <= cth:
-                                req = dreq[q]
-                        elif mech == MECH_OLM:
-                            gm = base_g + dminport[q]
-                            if out_committed[gm] + credit_occ[gm] < olm_min:
-                                req = dreq[q]
-                    if req is None:
-                        req = self._fast_request(rid, base_g, q, k)
-                size = req[3]
-                if out_free[req[5]] < size or credits[req[6]] < size:
-                    continue
-                requests.append(req)
-            if not requests:
-                break
-            for req in self._alloc_round(rid, base_g, requests):
-                commit(rid, req[0], req[1], req[4], cycle)
-                if granted is None:
-                    granted = set()
-                granted.add(req[0] * V + req[1])
-                got_grant = True
-        if not got_grant and self._draws == draws0:
-            # Draw-free and grant-free: every input of this evaluation is
-            # router-local and invalidation-tracked, so skip until poked.
-            clean[rid] = True
-
-    def _capture_fast(self, rid: int, base_g: int, q: int, k: int, head) -> None:
-        """Classify a new head and cache everything constant while it waits.
+    def _capture_group(self, rid, base_g, q, k, head, cycle) -> None:
+        """The MM+L group policy: classify a new head and cache everything
+        constant while it waits.
 
         Mirrors the gate order of ``AdaptiveInTransitRouting.select_output``;
         only quantities that cannot change while the packet occupies the
         buffer head are read here (packet fields, topology, the memoized
         candidate sets).  Live state — occupancies, contention counters,
         ECtN/PB broadcasts — is read per round by the trigger transcription.
+        One row per head suffices: the local-misroute gate requires
+        ``current_group == dst_group or global_hops == 1`` while the global
+        gates require ``dst_group != current_group and global_hops == 0``, so
+        a head can never fall from a failed global gate into the local gate —
+        only into the minimal fallback.
         """
         routing = self._routing
         st = self._st
-        V = st.V
-        topo = st.topology
         dst = head.dst
         npr = routing._nodes_per_router
         dst_router = dst // npr
-        dcat = self._dcat
-        dreq = self._dreq
-        size = head.size_phits
-        port, vc = divmod(k, V)
+        kind = ROW_FIXED
         if rid == dst_router:
             decision = routing.plain_decision(dst % npr, 0)
-            dcat[q] = CAT_FIXED
-            outp = decision.output_port
-            og = base_g + outp
-            dreq[q] = (port, vc, outp, size, decision, og, og * V + decision.vc)
-            return
-        if head.phase is _TO_INTERMEDIATE and head.intermediate_group is not None:
+        elif head.phase is _TO_INTERMEDIATE and head.intermediate_group is not None:
             decision = routing._towards_group(st.views[rid], head, head.intermediate_group)
-            dcat[q] = CAT_FIXED
-            outp = decision.output_port
-            og = base_g + outp
-            dreq[q] = (port, vc, outp, size, decision, og, og * V + decision.vc)
-            return
-
-        rpg = routing._routers_per_group
-        current_group = rid // rpg
-        dst_group = dst_router // rpg
-        minimal_port = head.contention_port
-        if minimal_port is None:
-            minimal_port = topo.minimal_output_port(rid, dst)
-        minimal_kind = st.port_kinds[minimal_port]
-
-        # Minimal fallback request (select_output's tail), shared by every
-        # category; the forced-global fallback is value-identical.
-        if minimal_kind is _GLOBAL:
-            g_hops = head.global_hops
-            last = routing._global_vcs - 1
-            min_vc = g_hops if g_hops < last else last
-        elif minimal_kind is _LOCAL:
-            g_hops = head.global_hops
-            local = 1 if head.local_hops_in_group else 0
-            min_vc = local if g_hops == 0 else 2 * g_hops - 1 + local
-            last = routing._local_vcs - 1
-            if min_vc > last:
-                min_vc = last
         else:
-            min_vc = 0
-        og = base_g + minimal_port
-        dreq[q] = (
-            port, vc, minimal_port, size,
-            routing.plain_decision(minimal_port, min_vc),
-            og, og * V + min_vc,
-        )
-        self._dminport[q] = minimal_port
+            rpg = routing._routers_per_group
+            current_group = rid // rpg
+            dst_group = dst_router // rpg
+            minimal_port = head.contention_port
+            if minimal_port is None:
+                minimal_port = st.topology.minimal_output_port(rid, dst)
+            minimal_kind = st.port_kinds[minimal_port]
 
-        if head.must_misroute_global and dst_group != current_group and head.global_hops == 0:
-            dcat[q] = CAT_FORCED
-            candidates = routing.global_candidates(
-                rid, topo.node_region(dst), minimal_port, False
-            )
-            self._dcand[q] = candidates
-            self._dgvc[q] = routing.next_vc(head, _GLOBAL)
-            if self._mech == MECH_ECTN:
-                # _forced_global_decision passes port=0 to the trigger, and
-                # port 0 is an injection port on every topology with p >= 1.
-                self._capture_ectn(rid, q, 0, head, candidates)
-            return
+            # Minimal fallback (select_output's tail), shared by every row
+            # kind; the forced-global fallback is value-identical.
+            if minimal_kind is _GLOBAL:
+                g_hops = head.global_hops
+                last = routing._global_vcs - 1
+                min_vc = g_hops if g_hops < last else last
+            elif minimal_kind is _LOCAL:
+                g_hops = head.global_hops
+                local = 1 if head.local_hops_in_group else 0
+                min_vc = local if g_hops == 0 else 2 * g_hops - 1 + local
+                last = routing._local_vcs - 1
+                if min_vc > last:
+                    min_vc = last
+            else:
+                min_vc = 0
+            decision = routing.plain_decision(minimal_port, min_vc)
+            self._dminport[q] = minimal_port
 
-        if dst_group != current_group and head.global_hops == 0 and not head.globally_misrouted:
-            dcat[q] = CAT_GLOBAL
-            candidates = routing.global_candidates(
-                rid, dst_group, minimal_port, head.hops == 0
-            )
-            self._dcand[q] = candidates
-            self._dgvc[q] = routing.next_vc(head, _GLOBAL)
-            self._dlvc[q] = routing.next_vc(head, _LOCAL)
-            if self._mech == MECH_ECTN:
-                self._capture_ectn(rid, q, port, head, candidates)
-            return
-
-        if (
-            minimal_kind is _LOCAL
-            and head.local_hops_in_group == 0
-            and head.global_hops <= 1
-            and (current_group == dst_group or head.global_hops == 1)
-        ):
-            dcat[q] = CAT_LOCAL
-            self._dcand[q] = routing.local_candidates(minimal_port)
-            self._dlvc[q] = routing.next_vc(head, _LOCAL)
-            return
-
-        dcat[q] = CAT_FIXED
+            if head.must_misroute_global and dst_group != current_group and head.global_hops == 0:
+                kind = ROW_FORCED
+                candidates = routing.global_candidates(
+                    rid, st.topology.node_region(dst), minimal_port, False
+                )
+                self._dcand[q] = candidates
+                self._dgvc[q] = routing.next_vc(head, _GLOBAL)
+                if self._mech == MECH_ECTN:
+                    # _forced_global_decision passes port=0 to the trigger, and
+                    # port 0 is an injection port on every topology with p >= 1.
+                    self._capture_ectn(rid, q, 0, head, candidates)
+            elif dst_group != current_group and head.global_hops == 0 and not head.globally_misrouted:
+                kind = ROW_GLOBAL
+                candidates = routing.global_candidates(
+                    rid, dst_group, minimal_port, head.hops == 0
+                )
+                self._dcand[q] = candidates
+                self._dgvc[q] = routing.next_vc(head, _GLOBAL)
+                self._dlvc[q] = routing.next_vc(head, _LOCAL)
+                if self._mech == MECH_ECTN:
+                    self._capture_ectn(rid, q, k // st.V, head, candidates)
+            elif (
+                minimal_kind is _LOCAL
+                and head.local_hops_in_group == 0
+                and head.global_hops <= 1
+                and (current_group == dst_group or head.global_hops == 1)
+            ):
+                kind = ROW_LOCAL
+                self._dcand[q] = routing.local_candidates(minimal_port)
+                self._dlvc[q] = routing.next_vc(head, _LOCAL)
+        self._dkind[q] = kind
+        self._dreq[q] = self._request(base_g, k, head, decision)
 
     def _capture_ectn(self, rid: int, q: int, check_port: int, head, candidates) -> None:
         """ECtN's injection-side trigger constants (see ``choose_global_misroute``)."""
@@ -1145,73 +965,117 @@ class SoAEngine(Engine):
         # Order-preserving pre-filter of the static kind check.
         self._dcandg[q] = [c for c in candidates if c.kind is _GLOBAL]
 
-    def _fast_request(self, rid: int, base: int, q: int, k: int):
-        """One allocation round's request for a captured head (MODE_FAST).
+    def _capture_ring(self, rid, base_g, q, k, head, cycle) -> None:
+        """The ring-escape policy (``_ring_escape_output``): the first hop of
+        a ring traversal is a ``LOCAL`` row over the opposite-direction port,
+        everything else is ``FIXED``.
 
-        Only reached for forced-global heads and open trigger gates — the
-        cached-request and closed-gate cases are inlined in the caller.
-        The fallback request doubles as the head's size/port/vc record.
+        ``ring_vc`` may be taken at head time: the ring state it reads
+        (``ring_dim``, ``ring_dir``, ``ring_crossed``, ``vc_leg``) changes
+        only in ``on_grant`` and on arrival at a Valiant intermediate, never
+        while the packet waits at a buffer head.
         """
-        cat = self._dcat[q]
-        dreq = self._dreq
-        fallback = dreq[q]
-        if cat == CAT_FIXED:
-            return fallback
+        routing = self._routing
+        topo = self._st.topology
+        dst = head.dst
+        npr = routing._nodes_per_router
+        kind = ROW_FIXED
+        if rid == dst // npr:
+            decision = routing.plain_decision(dst % npr, 0)
+        else:
+            out_port = head.contention_port
+            if out_port is None:
+                out_port = topo.minimal_output_port(rid, dst)
+            dim, direction = routing._port_ring_dim[out_port]
+            escape = routing._escape_candidates[out_port]
+            if head.ring_dim != dim or head.ring_dir == 0:
+                # First hop of this dimension's traversal: the trigger may
+                # divert it.  With no candidate no trigger can fire or draw,
+                # so the row is FIXED.
+                if escape:
+                    kind = ROW_LOCAL
+                    self._dcand[q] = escape
+                    self._dlvc[q] = topo.ring_vc(head, rid, escape[0].port)
+                    self._dminport[q] = out_port
+            elif head.ring_dir != direction:
+                # Mid-traversal, committed the long way around.
+                out_port = escape[0].port
+            decision = routing.plain_decision(out_port, topo.ring_vc(head, rid, out_port))
+        self._dkind[q] = kind
+        self._dreq[q] = self._request(base_g, k, head, decision)
+
+    def _capture_uplink(self, rid, base_g, q, k, head, cycle) -> None:
+        """The uplink-multipath policy (``_uplink_output``): a minimal uplink
+        with siblings is a ``LOCAL`` row, everything else is ``FIXED``."""
+        routing = self._routing
+        dst = head.dst
+        kind = ROW_FIXED
+        if rid == routing._node_rid[dst]:
+            decision = routing.plain_decision(dst % routing._nodes_per_router, 0)
+        else:
+            minimal_port = head.contention_port
+            if minimal_port is None:
+                minimal_port = self._st.topology.minimal_output_port(rid, dst)
+            port_vcs = routing._updown_vcs
+            candidates = routing._uplink_candidates[minimal_port]
+            # The object path consults the trigger only for a non-empty
+            # sibling list: without one the row is FIXED.
+            if candidates:
+                kind = ROW_LOCAL
+                self._dcand[q] = candidates
+                # A row stores one misroute VC: every sibling uplink must map
+                # to the same up/down class.
+                self._dlvc[q] = vc = port_vcs[candidates[0].port]
+                assert all(port_vcs[c.port] == vc for c in candidates)
+                self._dminport[q] = minimal_port
+            decision = routing.plain_decision(minimal_port, port_vcs[minimal_port])
+        self._dkind[q] = kind
+        self._dreq[q] = self._request(base_g, k, head, decision)
+
+    def _open_request(self, rid: int, base: int, q: int):
+        """One allocation round's request for an open-gate or forced row.
+
+        The cached-request and closed-gate cases are inlined in
+        :meth:`_allocate`; what arrives here runs the transcribed trigger
+        (which may draw).  The fallback request doubles as the head's
+        size/port/vc record.
+        """
+        kind = self._dkind[q]
+        fallback = self._dreq[q]
         minimal_port = self._dminport[q]
         candidates = self._dcand[q]
-        V = self._st.V
-        if cat == CAT_LOCAL:
+        if kind == ROW_LOCAL:
             chosen = self._choose(rid, base, q, minimal_port, candidates)
             if chosen is None:
                 return fallback
-            cp = chosen.port
-            lvc = self._dlvc[q]
-            decision = RoutingDecision(
-                output_port=cp,
-                vc=lvc,
-                nonminimal_local=True,
-            )
-            og = base + cp
-            return (fallback[0], fallback[1], cp, fallback[3], decision, og, og * V + lvc)
-        chosen = self._choose_global(rid, base, q, minimal_port, candidates)
-        if cat == CAT_FORCED:
-            if chosen is None and candidates:
-                routing = self._routing
+            vc = self._dlvc[q]
+            decision = RoutingDecision(output_port=chosen.port, vc=vc, nonminimal_local=True)
+        else:
+            chosen = self._choose_global(rid, base, q, minimal_port, candidates)
+            if chosen is None and kind == ROW_FORCED and candidates:
                 self._draws += 1
-                chosen = candidates[int(routing.rng.integers(0, len(candidates)))]
+                chosen = candidates[int(self._routing.rng.integers(0, len(candidates)))]
             if chosen is None:
                 return fallback
-            cp = chosen.port
-            gvc = self._dgvc[q]
-            decision = RoutingDecision(
-                output_port=cp,
-                vc=gvc,
-                nonminimal_global=True,
-                set_intermediate_group=chosen.target_group,
-            )
-            og = base + cp
-            return (fallback[0], fallback[1], cp, fallback[3], decision, og, og * V + gvc)
-        # CAT_GLOBAL
-        if chosen is None:
-            return fallback
-        cp = chosen.port
-        if chosen.kind is _GLOBAL:
-            gvc = self._dgvc[q]
-            decision = RoutingDecision(
-                output_port=cp,
-                vc=gvc,
-                nonminimal_global=True,
-                set_intermediate_group=chosen.target_group,
-            )
-        else:
-            gvc = self._dlvc[q]
-            decision = RoutingDecision(
-                output_port=cp,
-                vc=gvc,
-                set_must_misroute_global=True,
-            )
-        og = base + cp
-        return (fallback[0], fallback[1], cp, fallback[3], decision, og, og * V + gvc)
+            # Forced candidates are global links only (no local proxy).
+            if kind == ROW_FORCED or chosen.kind is _GLOBAL:
+                vc = self._dgvc[q]
+                decision = RoutingDecision(
+                    output_port=chosen.port,
+                    vc=vc,
+                    nonminimal_global=True,
+                    set_intermediate_group=chosen.target_group,
+                )
+            else:
+                vc = self._dlvc[q]
+                decision = RoutingDecision(
+                    output_port=chosen.port, vc=vc, set_must_misroute_global=True
+                )
+        og = base + chosen.port
+        return (
+            fallback[0], fallback[1], chosen.port, fallback[3], decision,
+            og, og * self._st.V + vc,
+        )
 
     # ----------------------------------------------------- trigger transcriptions
     def _choose_global(self, rid: int, base: int, q: int, minimal_port: int, candidates):
