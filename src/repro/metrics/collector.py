@@ -74,6 +74,25 @@ class MetricsCollector:
             return False
         return self.measure_end is None or cycle < self.measure_end
 
+    def unsettled_packets(self) -> int:
+        """Packets generated in the window and neither delivered nor dropped
+        yet.  More can still be generated until the window closes."""
+        return (
+            self.generated_in_window
+            - self.misrouting.delivered
+            - self.dropped_in_window
+        )
+
+    def window_settled(self) -> bool:
+        """Every packet generated in the window was delivered or dropped.
+
+        Meaningful once the window has closed: from then on no result field
+        can change (latency, misrouting and the time series are attributed to
+        window packets, throughput to deliveries inside the window), so a
+        drain that stops here yields the result of a longer one.
+        """
+        return self.unsettled_packets() == 0
+
     def finalize_window(self) -> None:
         """Set the throughput normalisation once the window bounds are known."""
         if self.measure_end is None:

@@ -58,7 +58,7 @@ lies in the far future.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.network.network import Network
@@ -188,8 +188,15 @@ class Engine:
         self._hint_router_event = _NO_EVENT
         self._hint_node_injection = _NO_EVENT
 
-    def run(self, cycles: int) -> None:
-        """Advance the simulation by ``cycles`` cycles (warping over idle ones)."""
+    def run(self, cycles: int, until: Optional[Callable[[], bool]] = None) -> None:
+        """Advance the simulation by ``cycles`` cycles (warping over idle ones).
+
+        ``until`` ends the run early: it is asked before every step or warp
+        jump, and the run returns as soon as it answers true — at once when
+        it already holds on entry.  It must be a function of what executed
+        steps change (deliveries, drops), so that the stop cycle is the same
+        with the warp on or off and on every backend.
+        """
         end = self.cycle + cycles
         start_cycle = self.cycle
         skipped_before = self.cycles_skipped
@@ -197,10 +204,14 @@ class Engine:
         try:
             if not self.time_warp:
                 while self.cycle < end:
+                    if until is not None and until():
+                        break
                     self.step()
                 return
             traffic = self.traffic
             while self.cycle < end:
+                if until is not None and until():
+                    break
                 cycle = self.cycle
                 if self._hint_valid:
                     horizon = self._hint_router_event

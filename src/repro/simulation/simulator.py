@@ -125,6 +125,12 @@ class Simulator:
             time_warp=time_warp,
             faults=self.faults,
         )
+        #: Of the last ``run_steady_state`` / ``run_transient``: the cycles its
+        #: drain took (at most ``drain_cycles``) and the window packets still
+        #: undelivered when it ended — they are missing from the result's
+        #: latency and misrouting figures.
+        self.drain_cycles_used = 0
+        self.unsettled_packets = 0
         self.obs: Optional[ObservationHub] = None
         if observation is None:
             observation = ObservationConfig.from_env()
@@ -155,6 +161,24 @@ class Simulator:
         """Advance the simulation without measuring (warm-up / drain)."""
         self.engine.run(cycles)
 
+    def _drain(self, metrics: MetricsCollector, drain_cycles: int) -> None:
+        """Let the window's packets reach their destination, so that their
+        latency is included: for ``drain_cycles`` at most, and no longer than
+        it takes the closed window to settle."""
+        engine = self.engine
+        start = engine.cycle
+        # A fault run drains in full: ``dropped_packets`` and the per-epoch
+        # throughput are defined over the whole span the collector is attached.
+        until = metrics.window_settled if self.faults is None else None
+        engine.run(drain_cycles, until)
+        self.drain_cycles_used = engine.cycle - start
+        self.unsettled_packets = metrics.unsettled_packets()
+        if self.obs is not None:
+            self.obs.perf.update(
+                drain_cycles_used=self.drain_cycles_used,
+                unsettled_packets=self.unsettled_packets,
+            )
+
     # ----------------------------------------------------------- steady state
     def run_steady_state(
         self,
@@ -178,10 +202,8 @@ class Simulator:
         self.engine.metrics = metrics
         with phase_timer(obs, "measure"):
             self.engine.run(measure_cycles)
-        # Let packets generated near the end of the window reach their
-        # destination so their latency is included.
         with phase_timer(obs, "drain"):
-            self.engine.run(drain_cycles)
+            self._drain(metrics, drain_cycles)
         self.engine.metrics = None
         if obs is not None:
             obs.finalize(self.engine)
@@ -244,7 +266,8 @@ class Simulator:
         metrics.finalize_window()
         self.engine.metrics = metrics
         with phase_timer(self.obs, "transient"):
-            self.engine.run(switch + observe_after + drain_cycles)
+            self.engine.run(switch + observe_after)
+            self._drain(metrics, drain_cycles)
         self.engine.metrics = None
         if self.obs is not None:
             self.obs.finalize(self.engine)

@@ -7,10 +7,10 @@ it advances the network through *exactly* the same sequence of state
 changes, routing-hook invocations and RNG draws as the object model, but
 reads and writes the flat arrays of
 :class:`~repro.simulation.soa.state.SoAState` instead of chasing
-``Router``/``InputPort``/``OutputPort`` objects.  The speed comes from four
+``Router``/``InputPort``/``OutputPort`` objects.  The speed comes from five
 places:
 
-* **flat state** — the begin/commit/transmit phases are integer arithmetic
+* **flat state** — the begin/commit/release phases are integer arithmetic
   on Python lists instead of attribute loads across an object graph;
 * **decision capture** — routing decisions are classified once per buffer
   head instead of re-derived from scratch every allocation round.  Heads
@@ -21,9 +21,14 @@ places:
   one RNG draw — runs per round, exactly as many times and in exactly the
   same order as the object model's ``select_output`` calls;
 * **event calendars** — credit returns, link arrivals and output-port
-  service (pipeline exits, link-free times) are bucketed by absolute due
-  cycle, so a step pops exactly the events due now and visits only routers
-  holding an occupied head; a router that merely waits costs nothing;
+  releases are bucketed by absolute due cycle, so a step pops exactly the
+  events due now and visits only routers holding an occupied head; a router
+  that merely waits costs nothing;
+* **output ports booked at grant time** — a constant-latency pipeline, a
+  FIFO output buffer and a work-conserving link make a hop's output-side
+  timeline a function of the grant cycle: ``_commit`` computes it, schedules
+  the downstream arrival and leaves one release event to give the buffer
+  space back — three calendar events per hop, no output-side queue;
 * **clean-router skipping** — an allocation pass that produced no grant and
   consumed no RNG draw is a pure function of state that only a known set of
   events can change (a credit return or link arrival at the router, an
@@ -326,15 +331,17 @@ class SoAEngine(Engine):
                 active.sort()
                 st.unsorted = False
             if len(svc) > 1:
-                svc.sort()
+                # A release carries a ``Packet``, which does not order: sort
+                # by the port alone (a port has at most one release a cycle).
+                svc.sort(key=_event_port)
             P = st.P
             allocate = self._allocate
-            transmit = self._transmit
+            release = self._release
             clean = st.alloc_clean
             svc_cal = st.svc_cal
-            # With ``router_latency = 0`` a commit's ``ready`` event is due
-            # in this very cycle, *after* the bucket above was popped: the
-            # router's same-cycle events are merged into its service step
+            # With ``router_latency = 0`` a grant's release (or its marker)
+            # is due in this very cycle, *after* the bucket above was popped:
+            # the router's same-cycle events are merged into its release step
             # below (popping the bucket before the allocation loop alone
             # diverges from ``object``, which transmits right after allocate).
             same_cycle = self._router_latency == 0
@@ -347,20 +354,20 @@ class SoAEngine(Engine):
             num_due = len(svc)
             ai = si = 0
             while ai < num_active or si < num_due:
-                if ai < num_active and (si == num_due or active[ai] * P <= svc[si]):
+                if ai < num_active and (si == num_due or active[ai] * P <= svc[si][0]):
                     rid = active[ai]
                     ai += 1
                     if not clean[rid]:
                         allocate(rid, cycle)
                     if same_cycle and cycle in svc_cal:
-                        svc = sorted(svc_cal.pop(cycle) + list(svc[si:]))
+                        svc = sorted(svc_cal.pop(cycle) + list(svc[si:]), key=_event_port)
                         si = 0
                         num_due = len(svc)
                 else:
-                    # Due output ports on a router without an occupied head.
-                    rid = svc[si] // P
-                if si < num_due and svc[si] < rid * P + P:
-                    si = transmit(svc, si, rid, cycle)
+                    # Due releases on a router without an occupied head.
+                    rid = svc[si][0] // P
+                if si < num_due and svc[si][0] < rid * P + P:
+                    si = release(svc, si, rid)
                 if dlv:
                     delivered_now += len(dlv)
                     if metrics is not None:
@@ -542,8 +549,8 @@ class SoAEngine(Engine):
         return packet
 
     def _commit(self, rid: int, req, cycle: int) -> None:
-        """``Router._commit_grant``: move the head of a granted request into
-        the output pipeline."""
+        """``Router._commit_grant``, and the booking of what the grant
+        decides: the packet's release and its downstream arrival."""
         input_port, input_vc, out_port, size, decision, og, cq = req
         packet = self._pop_head(rid, input_port, input_vc, cycle)
         st = self._st
@@ -564,66 +571,53 @@ class SoAEngine(Engine):
             )
         st.credits[cq] -= size
         st.credit_occ[og] += size
+        # The packet leaves the pipeline at ``ready`` and starts on the wire
+        # once the packets granted before it are through: ready times are
+        # monotone per port and the link is a work-conserving FIFO.
         ready = cycle + self._router_latency
-        st.pipeline[og].append((ready, packet))
-        st.svc_cal[ready].append(og)
+        depart = st.link_booked[og]
+        if depart > ready:
+            # ``object`` wakes at ``ready`` (its pipeline exit) even though
+            # the link is still busy: touch that cycle's bucket so the warp
+            # horizon sees it and ``cycles_skipped`` stays equal.
+            st.svc_cal[ready]
+        else:
+            depart = ready
+        done = depart + size * st.ser_fac[og]
+        st.link_booked[og] = done
+        down_g = st.down_g[og]
+        if down_g >= 0:
+            st.arr_cal[done + st.link_lat[og]].append((down_g, decision.vc, packet))
+            packet = None  # only an ejection's release carries its packet
+        st.svc_cal[depart].append((og, size, done, packet))
 
-    # -------------------------------------------------------------- transmit
-    def _transmit(self, due, i: int, rid: int, cycle: int) -> int:
-        """``Router.transmit`` for the due output ports of router ``rid``,
-        which start at ``due[i]``; returns the index of the next router's."""
+    # --------------------------------------------------------------- release
+    def _release(self, due, i: int, rid: int) -> int:
+        """What is left of ``Router.transmit``: the releases of router
+        ``rid``, which start at ``due[i]`` — each a packet starting on the
+        wire this cycle; returns the index of the next router's."""
         st = self._st
         limit = rid * st.P + st.P
-        pipelines = st.pipeline
-        out_qs = st.out_q
+        out_committed = st.out_committed
+        out_free = st.out_free
         link_busy = st.link_busy
-        tx_wait = st.tx_wait
-        svc_cal = st.svc_cal
         num_due = len(due)
-        served = -1
         while i < num_due:
-            g = due[i]
+            g, size, done, packet = due[i]
             if g >= limit:
                 break
             i += 1
-            # A ``ready`` and a link-free event (or two grants of one cycle)
-            # can land on the same cycle: serve a port at most once, like the
-            # object engine's one pass over its busy ports.
-            if g == served:
-                continue
-            served = g
-            pipeline = pipelines[g]
-            buf = out_qs[g]
-            while pipeline and pipeline[0][0] <= cycle:
-                buf.append(pipeline.popleft()[1])
-            if not buf:
-                continue
-            free_at = link_busy[g]
-            if free_at <= cycle:
-                packet = buf.popleft()
-                size = packet.size_phits
-                st.out_committed[g] -= size
-                st.out_free[g] += size
-                # Freed output space can admit waiting heads (and lowers
-                # the occupancy triggers): re-evaluate allocation.
-                st.alloc_clean[rid] = False
-                size *= st.ser_fac[g]
-                link_busy[g] = free_at = cycle + size
-                down_g = st.down_g[g]
-                if down_g < 0:
-                    packet.delivered_cycle = free_at
-                    self._dlv.append(packet)
-                else:
-                    st.arr_cal[free_at + st.link_lat[g]].append(
-                        (down_g, packet.current_vc, packet)
-                    )
-                if not buf:
-                    continue
-            # Packets wait for the link: one service event when it frees,
-            # however many ``ready`` events find it busy before then.
-            if tx_wait[g] != free_at:
-                tx_wait[g] = free_at
-                svc_cal[free_at].append(g)
+            out_committed[g] -= size
+            out_free[g] += size
+            link_busy[g] = done
+            if packet is not None:
+                # Only now, not at the grant: ``Packet.delivered`` must not
+                # read true for a packet still inside the router.
+                packet.delivered_cycle = done
+                self._dlv.append(packet)
+        # Freed output space can admit waiting heads (and lowers the
+        # occupancy triggers): re-evaluate allocation.
+        st.alloc_clean[rid] = False
         return i
 
     # ------------------------------------------------------------- allocator

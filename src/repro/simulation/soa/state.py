@@ -18,10 +18,17 @@ it.  After the copy the object routers are never stepped again — the engine
 (:mod:`repro.simulation.soa.engine`) mutates only this state.
 
 Everything scheduled for a later cycle — credit returns, link arrivals,
-output-port service (pipeline exits and link-free times) — lives in three
-*calendars*, ``cycle -> [events]`` dicts keyed by absolute due cycle, so a
-step pops exactly the events due now instead of scanning every port that
-has something pending.
+output-port releases — lives in three *calendars*, ``cycle -> [events]``
+dicts keyed by absolute due cycle, so a step pops exactly the events due now
+instead of scanning every port that has something pending.
+
+The output side of a hop holds no packets: with a constant pipeline latency,
+a FIFO output buffer and a work-conserving link of fixed speed, the cycles a
+granted packet starts on the wire, leaves it and arrives downstream follow
+from the grant cycle and ``link_booked``.  The grant books them: the arrival
+goes into ``arr_cal`` at once, and one *release* event, due when the packet
+starts on the wire, gives the output-buffer space back (and, on an ejection
+port, delivers the packet).
 
 Scalar-hot state intentionally lives in plain Python lists, not numpy
 arrays: the inner loops index single elements, where list indexing is
@@ -60,9 +67,6 @@ class _OutputBufferView:
     @property
     def free_phits(self) -> int:
         return self._st.out_free[self._g]
-
-    def __len__(self) -> int:
-        return len(self._st.out_q[self._g])
 
 
 class _OutputPortView:
@@ -157,10 +161,8 @@ class SoAState:
         "up_lat",
         "out_committed",
         "out_free",
-        "out_q",
-        "pipeline",
         "link_busy",
-        "tx_wait",
+        "link_booked",
         "link_lat",
         "ser_fac",
         "down_g",
@@ -220,13 +222,10 @@ class SoAState:
         self.up_lat = [1] * nG
         self.out_committed = [0] * nG
         self.out_free = [0] * nG
-        self.out_q = [deque() for _ in range(nG)]
-        self.pipeline = [deque() for _ in range(nG)]
+        # Busy-until of the packet on the wire (the object model's
+        # ``link_busy_until``), and of every grant booked so far.
         self.link_busy = [0] * nG
-        # Due cycle of the port's scheduled link-free service event (it is
-        # current iff equal to ``link_busy``), so a port waiting for its link
-        # holds one such event however many packets queue up behind it.
-        self.tx_wait = [-1] * nG
+        self.link_booked = [0] * nG
         self.link_lat = [1] * nG
         self.ser_fac = [1] * nG
         self.down_g = [-1] * nG
@@ -288,7 +287,10 @@ class SoAState:
         # Plain dicts, so there is no wheel size to tune; a bucket is popped
         # whole on its due cycle.  Event shapes: credit returns
         # ``(rid, g, q, phits)``, link arrivals ``(g, vc, packet)``,
-        # output-port service the bare ``g``.
+        # output-port releases ``(g, phits, link-free cycle, packet)`` with
+        # the packet only on an ejection port (``None`` on a link: it already
+        # sits in ``arr_cal``).  An empty ``svc_cal`` bucket is a horizon
+        # marker (see ``SoAEngine._commit``).
         self.cred_cal: DefaultDict[int, list] = defaultdict(list)
         self.arr_cal: DefaultDict[int, list] = defaultdict(list)
         self.svc_cal: DefaultDict[int, list] = defaultdict(list)
@@ -299,18 +301,18 @@ class SoAState:
 
     # ------------------------------------------------------------- inspection
     def total_buffered_packets(self) -> int:
-        """Packets inside the network (input/output buffers, pipelines, links).
+        """Packets inside the network (input buffers, output side, links).
 
-        Mirrors ``Network.total_buffered_packets`` over the flat state.
+        Mirrors ``Network.total_buffered_packets`` over the flat state: a
+        forwarded packet sits in ``arr_cal`` from its grant until it arrives,
+        an ejecting one rides its release event until it is delivered.
         """
         n = 0
         for dq in self.in_q:
             if dq:
                 n += len(dq)
-        for dq in self.out_q:
-            n += len(dq)
-        for dq in self.pipeline:
-            n += len(dq)
         for bucket in self.arr_cal.values():
             n += len(bucket)
+        for bucket in self.svc_cal.values():
+            n += sum(event[3] is not None for event in bucket)
         return n

@@ -85,7 +85,9 @@ def wedge_ejection_ports():
     Returns a function of a built ``Simulator``.  The wedge goes through
     whichever state the engine backend actually reads: the SoA engine
     copies the object network at construction and never consults it again,
-    so mutating the object routers would be a silent no-op there.
+    so mutating the object routers would be a silent no-op there.  It books
+    its links at grant time, so there the wedge is the booked horizon
+    (``link_busy`` is only the record of the packet on the wire).
     """
     from repro.topology.base import PortKind
 
@@ -97,7 +99,7 @@ def wedge_ejection_ports():
             st = engine._st
             for rid in range(st.R):
                 for port in ejection:
-                    st.link_busy[rid * st.P + port] = 10**9
+                    st.link_booked[rid * st.P + port] = 10**9
             return
         for router in sim.network.routers:
             for port in ejection:

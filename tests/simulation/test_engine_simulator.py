@@ -5,6 +5,8 @@ import pytest
 from repro.config.parameters import SimulationParameters
 from repro.simulation.engine import SimulationStallError
 from repro.simulation.simulator import Simulator
+from repro.topology.faults import FaultModel
+from repro.topology.registry import topology_preset
 from repro.traffic import TransientTraffic
 
 
@@ -37,6 +39,32 @@ class TestConservation:
         in_network = sim.engine.total_buffered_packets()
         queued = sim.network.total_source_queued()
         assert generated == delivered + in_network + queued
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["healthy", "faults"])
+    @pytest.mark.parametrize("backend", ["object", "soa"])
+    def test_packets_conserved_every_cycle(self, every_topology, backend, faulty):
+        """generated == delivered + dropped + buffered + source-queued after
+        every single cycle, wherever the backend keeps a packet in between
+        (``soa``: input buffers, the arrival calendar, ejection releases)."""
+        params = SimulationParameters.tiny(topology_preset(every_topology, "tiny"))
+        sim = Simulator(
+            params.with_backend(backend),
+            "UGAL",
+            "ADV+1",
+            offered_load=0.4,
+            seed=3,
+            fault_model=FaultModel(link_failure_percent=10.0) if faulty else None,
+        )
+        engine = sim.engine
+        for _ in range(300):
+            sim.run_cycles(1)
+            assert sim.traffic.generated_packets == (
+                engine.delivered_packets
+                + engine.dropped_packets
+                + engine.total_buffered_packets()
+                + sim.network.total_source_queued()
+            ), sim.cycle
+        assert engine.delivered_packets > 0
 
     def test_network_drains_when_injection_stops(self, tiny_params):
         sim = Simulator(tiny_params, "Hybrid", "ADV+1", offered_load=0.3, seed=3)

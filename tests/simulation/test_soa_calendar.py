@@ -1,19 +1,22 @@
 """The SoA engine's event calendars: due-cycle buckets instead of port scans.
 
-Credit returns, link arrivals and output-port service events live in three
+Credit returns, link arrivals and output-port releases live in three
 ``cycle -> [events]`` calendars (:class:`repro.simulation.soa.state.SoAState`).
 These tests pin the traps of that design on hand-built micro-states: events
 sharing a cycle apply exactly once and in the object engine's (router, port)
-order, a port with two events on one cycle is served once, and the warp
-horizon / stall watchdog read the calendars the way they used to read the
-per-router event caches.
+order, grants booked onto one port start on the wire at the cycles the
+object engine sends them, and the warp horizon / stall watchdog read the
+calendars the way they used to read the per-router event caches.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.network.packet import Packet
 from repro.simulation.engine import SimulationStallError
 from repro.simulation.simulator import Simulator
+from repro.simulation.soa.engine import SoAEngine
 
 
 def _sim(params, routing="MIN", backend="soa", **kwargs):
@@ -76,36 +79,63 @@ class TestSameCycleEvents:
         assert engine.delivered_packets == 3
         assert engine.total_buffered_packets() == 0 and _calendars_empty(st)
 
-    def test_ready_and_link_free_on_one_cycle_send_one_packet(self, tiny_params):
-        sim = _sim(tiny_params)
-        engine, st = sim.engine, sim.engine._st
+    @pytest.mark.parametrize("router_latency", [None, 0], ids=["default", "rl0"])
+    def test_ready_and_link_free_on_one_cycle_send_one_packet(
+        self, tiny_params, router_latency, monkeypatch
+    ):
+        """Four heads for one ejection port, granted two a cycle over two
+        consecutive cycles: every packet starts on the wire at the cycle
+        ``object`` sends it, through exactly one release event."""
+        if router_latency is not None:
+            tiny_params = dataclasses.replace(tiny_params, router_latency=router_latency)
+        latency = tiny_params.router_latency
         size = tiny_params.packet_size_phits
-        now = 5
-        g = 0  # router 0, ejection port 0
-        waiting, ready = _packet(0, 0, size), _packet(1, 0, size)
-        # ``waiting`` sits in the output buffer behind a link that frees at
-        # ``now`` (its link-free event is scheduled); ``ready`` leaves the
-        # router pipeline on the same cycle.
-        st.out_q[g].append(waiting)
-        st.link_busy[g] = st.tx_wait[g] = now
-        st.svc_cal[now].append(g)
-        st.pipeline[g].append((now, ready))
-        st.svc_cal[now].append(g)
-        st.out_committed[g] += 2 * size
-        st.out_free[g] -= 2 * size
+        due = 5
+        heads = [(0, 0), (0, 1), (1, 0), (1, 1)]  # (injection port, vc) of router 0
 
-        sim.run_cycles(now + 1)
-        assert engine.delivered_packets == 1
-        assert waiting.delivered_cycle == now + size
-        assert list(st.out_q[g]) == [ready] and not st.pipeline[g]
-        # Exactly one follow-up: the link-free event for the queued packet.
-        assert dict(st.svc_cal) == {now + size: [g]}
-        assert st.tx_wait[g] == st.link_busy[g] == now + size
+        def burst(backend):
+            sim = _sim(tiny_params, backend=backend)
+            packets = [_packet(pid, 0, size) for pid in range(len(heads))]
+            for packet, (port, vc) in zip(packets, heads):
+                sim.engine.schedule_arrival(0, port, due, vc, packet)
+            return sim, packets
 
-        sim.run_cycles(3 * size)
-        assert engine.delivered_packets == 2
-        assert ready.delivered_cycle == now + 2 * size
-        assert st.out_committed[g] == 0 and _calendars_empty(st)
+        reference, sent = burst("object")
+        reference.run_cycles(200)
+        departs = sorted(packet.delivered_cycle - size for packet in sent)
+        # Two grants share the first ready cycle, so the link is what spaces
+        # them: one packet every ``size`` cycles.
+        assert departs == [due + latency + n * size for n in range(len(heads))]
+
+        released = []
+        release = SoAEngine._release
+
+        def spy(engine, events, i, rid):
+            end = release(engine, events, i, rid)
+            released.extend((engine.cycle, event[0], event[3]) for event in events[i:end])
+            return end
+
+        monkeypatch.setattr(SoAEngine, "_release", spy)
+        sim, packets = burst("soa")
+        engine, st = sim.engine, sim.engine._st
+        sim.run_cycles(due + 2)  # both grant cycles are through
+        if latency > 1:
+            # The grants of the second cycle are ready at ``due + 1 + latency``
+            # behind a busy link: ``object`` wakes there, so the bucket exists
+            # (empty) and the warp cannot jump it.
+            assert st.svc_cal.get(due + 1 + latency) == []
+            assert st.link_busy[0] == 0  # nothing on the wire yet
+        assert st.link_booked[0] == departs[-1] + size
+        assert st.out_committed[0] + size * len(released) == size * len(heads)
+        sim.run_cycles(200 - (due + 2))
+
+        assert sorted(cycle for cycle, _, _ in released) == departs
+        assert [g for _, g, _ in released] == [0] * len(heads)
+        assert sorted(p.pid for _, _, p in released) == [p.pid for p in packets]
+        assert [p.delivered_cycle for p in packets] == [p.delivered_cycle for p in sent]
+        assert engine.cycles_skipped == reference.engine.cycles_skipped
+        assert st.link_busy[0] == departs[-1] + size
+        assert st.out_committed[0] == 0 and _calendars_empty(st)
 
 
 class TestAccountingAndWarp:

@@ -8,24 +8,6 @@ from repro.topology.faults import FaultModel
 from repro.topology.registry import create_topology
 
 
-def _wedge_ejection_ports(sim, tiny_params):
-    """Block every ejection port forever: guaranteed total stall.
-
-    Wedges whichever state the backend reads (the SoA engine copies the
-    object network at construction and never consults it again).
-    """
-    engine = sim.engine
-    if hasattr(engine, "_st"):
-        st = engine._st
-        for rid in range(st.R):
-            for port in range(tiny_params.topology.p):
-                st.link_busy[rid * st.P + port] = 10**9
-        return
-    for router in sim.network.routers:
-        for port in range(tiny_params.topology.p):
-            router.output_ports[port].link_busy_until = 10**9
-
-
 def _isolate_links(topology, rid):
     return tuple(
         (rid, port)
@@ -35,7 +17,9 @@ def _isolate_links(topology, rid):
 
 
 class TestStallWatchdog:
-    def test_warp_and_no_warp_detect_at_the_same_cycle(self, tiny_params):
+    def test_warp_and_no_warp_detect_at_the_same_cycle(
+        self, tiny_params, wedge_ejection_ports
+    ):
         """Time warp must not overshoot (or miss) the stall detection point."""
         detection_cycles = []
         for warp in (True, False):
@@ -48,13 +32,13 @@ class TestStallWatchdog:
                 stall_watchdog_cycles=200,
                 time_warp=warp,
             )
-            _wedge_ejection_ports(sim, tiny_params)
+            wedge_ejection_ports(sim)
             with pytest.raises(SimulationStallError):
                 sim.run_cycles(5_000)
             detection_cycles.append(sim.engine.cycle)
         assert detection_cycles[0] == detection_cycles[1]
 
-    def test_watchdog_none_disables_detection(self, tiny_params):
+    def test_watchdog_none_disables_detection(self, tiny_params, wedge_ejection_ports):
         sim = Simulator(
             tiny_params,
             "MIN",
@@ -63,7 +47,7 @@ class TestStallWatchdog:
             seed=1,
             stall_watchdog_cycles=None,
         )
-        _wedge_ejection_ports(sim, tiny_params)
+        wedge_ejection_ports(sim)
         sim.run_cycles(2_000)  # wedged solid, but nothing raises
         assert sim.engine.delivered_packets == 0
 
@@ -86,7 +70,7 @@ class TestStallWatchdog:
         assert result.dropped_packets > 0
         assert result.delivered_packets > 0
 
-    def test_stall_error_carries_diagnostics(self, tiny_params):
+    def test_stall_error_carries_diagnostics(self, tiny_params, wedge_ejection_ports):
         sim = Simulator(
             tiny_params,
             "MIN",
@@ -95,7 +79,7 @@ class TestStallWatchdog:
             seed=1,
             stall_watchdog_cycles=100,
         )
-        _wedge_ejection_ports(sim, tiny_params)
+        wedge_ejection_ports(sim)
         with pytest.raises(SimulationStallError) as excinfo:
             sim.run_cycles(2_000)
         message = str(excinfo.value)
