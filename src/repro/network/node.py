@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
+from weakref import ref
 
 from repro.network.packet import Packet
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.network.network import Network
     from repro.network.router import Router
 
 __all__ = ["ComputeNode"]
@@ -27,8 +29,10 @@ class ComputeNode:
 
     __slots__ = (
         "node_id",
+        "router_id",
         "router",
         "port",
+        "_network",
         "source_queue",
         "next_injection_cycle",
         "active",
@@ -38,10 +42,17 @@ class ComputeNode:
         "generated_phits",
     )
 
-    def __init__(self, node_id: int, router: "Router", topology: Topology):
+    def __init__(self, node_id: int, network: "Network", topology: Topology):
         self.node_id = node_id
-        self.router = router
+        self.router_id = topology.node_router(node_id)
+        #: The object router this node injects into; set when the network
+        #: materialises its router graph, ``None`` on a backend that keeps
+        #: router state elsewhere.
+        self.router: Optional["Router"] = None
         self.port = topology.node_port(node_id)
+        # Weak, so that a network and its nodes form no reference cycle and a
+        # finished simulation is reclaimed by reference counting.
+        self._network = ref(network)
         self.source_queue: Deque[Packet] = deque()
         self.next_injection_cycle = 0
         #: Whether this node is registered in the network's backlog set.
@@ -58,7 +69,7 @@ class ComputeNode:
         self.generated_packets += 1
         self.generated_phits += packet.size_phits
         if not self.active:
-            network = self.router.network
+            network = self._network()
             if network is not None:
                 network.activate_node(self)
 
@@ -77,9 +88,15 @@ class ComputeNode:
         if not self.source_queue or cycle < self.next_injection_cycle:
             return None
         packet = self.source_queue[0]
-        input_port = self.router.input_ports[self.port]
+        router = self.router
+        if router is None:
+            # The object model's injection on a network that never built its
+            # router graph (only reachable by calling this by hand).
+            self._network().materialize_routers()
+            router = self.router
+        input_port = router.input_ports[self.port]
         num_vcs = len(input_port.vcs)
-        routing = self.router.routing
+        routing = router.routing
         for offset in range(num_vcs):
             vc = (self._vc_pointer + offset) % num_vcs
             ivc = input_port.vcs[vc]
@@ -87,11 +104,11 @@ class ComputeNode:
                 continue
             self.source_queue.popleft()
             packet.injection_cycle = cycle
-            routing.on_inject(self.router, packet, cycle)
+            routing.on_inject(router, packet, cycle)
             ivc.buffer.push(packet)
-            self.router.note_input_push(self.port, vc)
-            if self.router._notify_arrival:
-                routing.on_packet_arrival(self.router, self.port, vc, packet, cycle)
+            router.note_input_push(self.port, vc)
+            if router._notify_arrival:
+                routing.on_packet_arrival(router, self.port, vc, packet, cycle)
             self._vc_pointer = (vc + 1) % num_vcs
             self.next_injection_cycle = cycle + packet.size_phits
             self.injected_packets += 1

@@ -33,12 +33,13 @@ credits enter or leave the router, so activation/deactivation is O(1).
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from repro.config.parameters import SimulationParameters
 from repro.network.allocator import AllocationRequest, SeparableAllocator
 from repro.network.packet import Packet
 from repro.network.ports import InputPort, OutputPort
+from repro.network.specs import PortSpec
 from repro.topology.base import PortKind, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,6 +91,7 @@ class Router:
         topology: Topology,
         params: SimulationParameters,
         routing: "RoutingAlgorithm",
+        specs: Sequence[PortSpec],
         faults=None,
     ):
         self.router_id = router_id
@@ -106,7 +108,7 @@ class Router:
 
         self.input_ports: List[InputPort] = []
         self.output_ports: List[OutputPort] = []
-        self._build_ports()
+        self._build_ports(specs)
 
         max_vcs = max(len(ip.vcs) for ip in self.input_ports)
         self.allocator = SeparableAllocator(topology.router_radix, max_vcs)
@@ -155,90 +157,41 @@ class Router:
 
         # Skip no-op routing hooks in the hot loops (MIN/VAL/OLM do not track
         # heads; MIN does not watch arrivals).
-        from repro.routing.base import RoutingAlgorithm as _Base
-
-        routing_cls = type(routing)
-        self._notify_arrival = (
-            routing_cls.on_packet_arrival is not _Base.on_packet_arrival
-        )
-        self._notify_head = routing_cls.on_packet_head is not _Base.on_packet_head
-        self._notify_leave = (
-            routing_cls.on_packet_leave_input is not _Base.on_packet_leave_input
-        )
+        (
+            self._notify_arrival,
+            self._notify_head,
+            self._notify_leave,
+        ) = routing.overridden_hooks()
 
     # ------------------------------------------------------------------ build
-    def _build_ports(self) -> None:
-        topo = self.topology
-        params = self.params
-        routing = self.routing
-        for port in range(topo.router_radix):
-            kind = topo.port_kind(port)
-            nbr = topo.neighbor(self.router_id, port)
-            num_vcs = routing.num_vcs(kind)
-            if (
-                self._faults is not None
-                and kind is not PortKind.INJECTION
-                and nbr is not None
-            ):
-                # Fault injection provisions one extra *escape* VC on every
-                # router-to-router link, used exclusively by fault-mode
-                # packets routed on the surviving spanning tree (see
-                # RoutingAlgorithm.fault_decision).  Healthy runs never
-                # allocate it, so disabling faults keeps buffers, credits,
-                # and goldens bit-identical.
-                num_vcs += 1
-            in_capacity = params.input_buffer_phits(kind.value)
+    def _build_ports(self, specs: Sequence[PortSpec]) -> None:
+        """Instantiate the port objects of this router from its spec rows
+        (:func:`repro.network.specs.port_specs` — every number is decided
+        there)."""
+        for port, spec in enumerate(specs):
             self.input_ports.append(
                 InputPort(
                     router_id=self.router_id,
                     port=port,
-                    kind=kind,
-                    num_vcs=num_vcs,
-                    vc_capacity_phits=in_capacity,
-                    upstream=nbr,
+                    kind=spec.kind,
+                    num_vcs=spec.num_vcs,
+                    vc_capacity_phits=spec.vc_capacity_phits,
+                    upstream=spec.neighbor,
                 )
             )
-            latency = self._link_latency(kind)
-            degradation = (
-                self._faults.degradation(self.router_id, port)
-                if self._faults is not None
-                else None
-            )
-            if degradation is not None:
-                latency *= degradation.latency_factor
-            if nbr is None:
-                downstream_vcs = 1
-                downstream_capacity = 2**30
-            else:
-                downstream_vcs = num_vcs
-                downstream_capacity = in_capacity
             op = OutputPort(
                 router_id=self.router_id,
                 port=port,
-                kind=kind,
-                buffer_capacity_phits=params.output_buffer_phits,
-                downstream_vcs=downstream_vcs,
-                downstream_vc_capacity_phits=downstream_capacity,
-                link_latency=latency,
-                neighbor=nbr,
+                kind=spec.kind,
+                buffer_capacity_phits=spec.output_buffer_phits,
+                downstream_vcs=spec.downstream_vcs,
+                downstream_vc_capacity_phits=spec.downstream_vc_capacity_phits,
+                link_latency=spec.link_latency,
+                neighbor=spec.neighbor,
             )
-            if degradation is not None:
-                # Bandwidth multiplier stretches every serialization on this
-                # link; the static credit-occupied bias makes the link read
-                # as persistently congested to the occupancy-based triggers
-                # (OLM/UGAL/Hybrid) — the degraded-as-high-contention signal.
-                op.serialize_factor = degradation.bandwidth_factor
-                op.credit_occupied = (
-                    degradation.bias_packets * params.packet_size_phits
-                )
+            op.serialize_factor = spec.serialize_factor
+            op.credit_occupied = spec.credit_bias_phits
             self.output_ports.append(op)
-
-    def _link_latency(self, kind: PortKind) -> int:
-        if kind is PortKind.GLOBAL:
-            return self.params.global_link_latency
-        if kind is PortKind.LOCAL:
-            return self.params.local_link_latency
-        return 1  # injection/ejection: the node sits next to the router
 
     # -------------------------------------------------------- activity tracking
     def activate(self) -> None:

@@ -31,7 +31,7 @@ trigger* and the router datapath.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet, RoutingPhase
@@ -233,6 +233,20 @@ class RoutingAlgorithm(ABC):
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
     ) -> None:
         """Called when ``packet`` leaves the input buffer (tail removed)."""
+
+    def overridden_hooks(self) -> Tuple[bool, bool, bool]:
+        """Which of ``on_packet_arrival`` / ``on_packet_head`` /
+        ``on_packet_leave_input`` this mechanism overrides, in that order.
+
+        The engines skip the no-op base hooks in their hot loops (MIN/VAL/OLM
+        do not track heads; MIN does not watch arrivals).
+        """
+        cls = type(self)
+        return (
+            cls.on_packet_arrival is not RoutingAlgorithm.on_packet_arrival,
+            cls.on_packet_head is not RoutingAlgorithm.on_packet_head,
+            cls.on_packet_leave_input is not RoutingAlgorithm.on_packet_leave_input,
+        )
 
     def trigger_observation(self, router: "Router", packet: Packet) -> Optional[dict]:
         """Draw-free snapshot of this mechanism's misroute trigger state.

@@ -8,6 +8,10 @@ Two router models run under the one cycle driver of
 * ``"object"`` — the per-object router model (``Engine`` itself), the
   bit-identical reference the cross-backend suites compare ``"soa"`` against.
 
+Each engine builds the router state it steps in its constructor — ``"soa"``
+its flat arrays, ``"object"`` the network's ``Router`` graph — so a
+:class:`~repro.network.network.Network` itself holds only nodes.
+
 The SoA package is imported on first use, so it stays off the import path of
 ``repro.simulation.simulator`` and ``repro.service``.
 """

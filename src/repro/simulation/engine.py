@@ -15,9 +15,11 @@ time the ``object`` backend.  ``step`` advances the whole network one cycle:
    invoked only for mechanisms that declare ``needs_post_cycle``;
 5. progress accounting, warp hints, ``obs.on_cycle``, the stall watchdog.
 
-A backend supplies step 2's per-node injection, step 3, the router half of
-the work horizon, the buffered-packet count and the stall census through
-the methods marked "backend seam"; ``SoAEngine`` overrides exactly those.
+A backend supplies the router state it steps (built once, when the engine is
+constructed: here the ``Router`` graph of the network, in ``SoAEngine`` the
+flat arrays), step 2's per-node injection, step 3, the router half of the
+work horizon, the buffered-packet count and the stall census through the
+methods marked "backend seam"; ``SoAEngine`` overrides exactly those.
 
 In the object model the three router phases (``begin_cycle``, ``allocate``,
 ``transmit``) are fused into a single pass per router: every cross-router
@@ -187,6 +189,14 @@ class Engine:
         self._hint_valid = False
         self._hint_router_event = _NO_EVENT
         self._hint_node_injection = _NO_EVENT
+        self._build_router_state(network)
+
+    def _build_router_state(self, network: Network) -> None:
+        """Backend seam: build the router state this engine steps.
+
+        The object model steps the ``Router`` graph, materialised here — once,
+        at construction, so no timed ``step`` ever builds a router."""
+        network.materialize_routers()
 
     def run(self, cycles: int, until: Optional[Callable[[], bool]] = None) -> None:
         """Advance the simulation by ``cycles`` cycles (warping over idle ones).

@@ -98,7 +98,6 @@ from bisect import insort
 from operator import itemgetter
 from typing import List, Optional
 
-from repro.network.router import _NO_EVENT
 from repro.network.packet import RoutingPhase
 from repro.routing.base import RoutingDecision
 from repro.routing.minimal import MinimalRouting
@@ -109,7 +108,7 @@ from repro.routing.olm import OLMRouting
 from repro.routing.contention.base_contention import BaseContentionRouting
 from repro.routing.contention.hybrid import HybridContentionRouting
 from repro.routing.contention.ectn import ECtNRouting
-from repro.simulation.engine import Engine
+from repro.simulation.engine import _NO_EVENT, Engine
 from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind
 
@@ -180,21 +179,21 @@ class SoAEngine(Engine):
         "_ectn_cth",
         # routing broadcasts
         "_pb_scan",
-        "_ectn_period",
         "_draws",
     )
 
     def __init__(self, network, traffic, **engine_options):
         super().__init__(network, traffic, **engine_options)
         faults = self.faults
-        st = self._st = SoAState(network)
+        st = self._st
         routing = self._routing = network.routing
-        proto = network.routers[0]
-        self._notify_arrival = proto._notify_arrival
-        self._notify_head = proto._notify_head
-        self._notify_leave = proto._notify_leave
-        self._speedup = proto._speedup
-        self._router_latency = proto._router_latency
+        (
+            self._notify_arrival,
+            self._notify_head,
+            self._notify_leave,
+        ) = routing.overridden_hooks()
+        self._speedup = network.params.internal_speedup
+        self._router_latency = network.params.router_latency
         self._dlv: List = []
         self._drp: List = []
         self._draws = 0
@@ -202,20 +201,24 @@ class SoAEngine(Engine):
         # Which capture function writes the rows.  Exact type matching: a
         # subclass may override the trigger a transcription assumes, so it
         # gets no capture — every head stays a LIVE row — like a fault run.
+        # The function is stored unbound (``capture(self, ...)``): a bound
+        # method of ``self`` kept on ``self`` is a reference cycle, and the
+        # engine should be reclaimed by reference counting.
         rcls = type(routing)
+        engine_cls = type(self)
         self._mech = -1
         self._capture = None
         if faults is None:
             if rcls in _PURE_MECHS:
-                self._capture = self._capture_pure
+                self._capture = engine_cls._capture_pure
             elif rcls in _ADAPTIVE_MECHS:
                 self._mech = _ADAPTIVE_MECHS[rcls]
                 if routing._ring_escape:
-                    self._capture = self._capture_ring
+                    self._capture = engine_cls._capture_ring
                 elif routing._uplink_multipath:
-                    self._capture = self._capture_uplink
+                    self._capture = engine_cls._capture_uplink
                 else:
-                    self._capture = self._capture_group
+                    self._capture = engine_cls._capture_group
         # LIVE rows of a ``decision_is_pure`` mechanism reuse round 1's
         # decision in the later rounds of a cycle, as ``Router.allocate`` does.
         self._memo = {} if routing.decision_is_pure else None
@@ -246,25 +249,29 @@ class SoAEngine(Engine):
                 elif self._mech == MECH_ECTN:
                     self._ectn_cth = routing._combined_threshold
 
-        # The engine never steps the object routers, so a mechanism's
-        # post_cycle hook would observe stale objects.  PB's scan is
-        # transcribed against the flat state; ECtN's hook reads only the
-        # routing's own arrays and runs as is; anything else must use the
-        # object backend.
+        # There are no object routers on this backend, so a mechanism's
+        # post_cycle hook has nothing to scan.  PB's scan is transcribed
+        # against the flat state; ECtN's hook reads only the routing's own
+        # arrays and runs as is; anything else must use the object backend.
+        # The hooks are closures over the arrays they read, not bound methods
+        # of ``self`` (see ``_capture`` above).
         self._pb_scan = None
         if self._post_cycle is not None:
             hook = rcls.post_cycle
             if hook is PiggybackRouting.post_cycle:
-                self._build_pb_scan()
-                self._post_cycle = self._pb_post_cycle
+                self._pb_scan = _pb_scan(st, routing)
+                self._post_cycle = _pb_post_cycle(st, routing, self._pb_scan)
             elif hook is ECtNRouting.post_cycle:
-                self._ectn_period = routing.params.ectn_update_period
-                self._post_cycle = self._ectn_post_cycle
+                self._post_cycle = _ectn_post_cycle(st, routing)
             else:
                 raise ValueError(
                     f"backend 'soa' has no transcription of the post_cycle hook "
                     f"of {rcls.__name__}; use backend='object'"
                 )
+
+    def _build_router_state(self, network) -> None:
+        """The flat state, from the port specs; no ``Router`` is built."""
+        self._st = SoAState(network)
 
     # ------------------------------------------------------------------ warp
     def _post_cycle_horizon(self, cycle: int) -> Optional[int]:
@@ -422,7 +429,7 @@ class SoAEngine(Engine):
 
         The routing hooks receive the live :class:`RouterView` — UGAL/PB's
         ``on_inject`` reads ``router.output_occupancy``, which must observe
-        SoA state, not the stale object router.
+        SoA state (``node.router`` is ``None`` on this backend).
         """
         queue = node.source_queue
         packet = queue[0]
@@ -700,7 +707,7 @@ class SoAEngine(Engine):
                     self._routing.on_packet_head(st.views[rid], k // V, k % V, head, cycle)
                 head_seen[q] = True
                 if capture is not None:
-                    capture(rid, base_g, q, k, head, cycle)
+                    capture(self, rid, base_g, q, k, head, cycle)
             st.new_heads[rid] = []
 
         out_free = st.out_free
@@ -1145,47 +1152,6 @@ class SoAEngine(Engine):
         self._draws += 1
         return preferred[int(routing.rng.integers(0, len(preferred)))]
 
-    # ---------------------------------------------------- routing broadcasts
-    def _build_pb_scan(self) -> None:
-        """PB's saturation scan, per group and broadcast slot: the flat
-        output port and its occupancy limit — the float64 product of
-        ``PiggybackRouting.post_cycle``, taken once."""
-        st = self._st
-        topo = st.topology
-        h = topo.config.h
-        first_global = min(topo.global_ports)
-        fraction = self._routing.params.pb_saturation_fraction
-        self._pb_scan = []
-        for group in range(topo.num_groups):
-            slots = [None] * topo.global_links_per_group
-            for router in self.network.group_routers(group):
-                for k in range(h):
-                    g = router.router_id * st.P + first_global + k
-                    slots[router.position * h + k] = (g, fraction * st.cap_sum[g])
-            self._pb_scan.append(slots)
-
-    def _pb_post_cycle(self, network, cycle: int) -> None:
-        """``PiggybackRouting.post_cycle`` with the scan over the flat state."""
-        out_committed = self._st.out_committed
-        credit_occ = self._st.credit_occ
-        self._routing.publish_flags(
-            cycle,
-            [
-                [out_committed[g] + credit_occ[g] >= limit for g, limit in slots]
-                for slots in self._pb_scan
-            ],
-        )
-
-    def _ectn_post_cycle(self, network, cycle: int) -> None:
-        """``ECtNRouting.post_cycle`` (it reads only the routing's own arrays)."""
-        if cycle % self._ectn_period != 0:
-            return
-        self._routing.post_cycle(network, cycle)
-        # The broadcast feeds the injection-side trigger of every router.
-        clean = self._st.alloc_clean
-        for rid in range(len(clean)):
-            clean[rid] = False
-
     # ------------------------------------------------------------- diagnostics
     def schedule_arrival(
         self, rid: int, port: int, complete_cycle: int, vc: int, packet
@@ -1198,8 +1164,8 @@ class SoAEngine(Engine):
         st.arr_cal[due].append((rid * st.P + port, vc, packet))
 
     def total_buffered_packets(self) -> int:
-        """Packets inside the fabric — counted over the flat arrays (the
-        object network this engine was built from stays empty)."""
+        """Packets inside the fabric — counted over the flat arrays (there
+        is no object router graph on this backend)."""
         return self._st.total_buffered_packets()
 
     def _stall_census(self):
@@ -1212,6 +1178,60 @@ class SoAEngine(Engine):
                 for q in range(rid * per_router, (rid + 1) * per_router)
                 for packet in st.in_q[q] or ()
             )
+
+
+# -------------------------------------------------------- routing broadcasts
+def _pb_scan(st: SoAState, routing) -> List[list]:
+    """PB's saturation scan, per group and broadcast slot: the flat output
+    port and its occupancy limit — the float64 product of
+    ``PiggybackRouting.post_cycle``, taken once."""
+    topo = st.topology
+    h = topo.config.h
+    first_global = min(topo.global_ports)
+    fraction = routing.params.pb_saturation_fraction
+    scan = []
+    for group in range(topo.num_groups):
+        slots = [None] * topo.global_links_per_group
+        for rid in topo.region_routers(group):
+            position = topo.router_position(rid)
+            for k in range(h):
+                g = rid * st.P + first_global + k
+                slots[position * h + k] = (g, fraction * st.cap_sum[g])
+        scan.append(slots)
+    return scan
+
+
+def _pb_post_cycle(st: SoAState, routing, scan):
+    """``PiggybackRouting.post_cycle`` with the scan over the flat state."""
+    out_committed = st.out_committed
+    credit_occ = st.credit_occ
+
+    def post_cycle(network, cycle: int) -> None:
+        routing.publish_flags(
+            cycle,
+            [
+                [out_committed[g] + credit_occ[g] >= limit for g, limit in slots]
+                for slots in scan
+            ],
+        )
+
+    return post_cycle
+
+
+def _ectn_post_cycle(st: SoAState, routing):
+    """``ECtNRouting.post_cycle`` (it reads only the routing's own arrays)."""
+    period = routing.params.ectn_update_period
+    clean = st.alloc_clean
+
+    def post_cycle(network, cycle: int) -> None:
+        if cycle % period != 0:
+            return
+        routing.post_cycle(network, cycle)
+        # The broadcast feeds the injection-side trigger of every router.
+        for rid in range(len(clean)):
+            clean[rid] = False
+
+    return post_cycle
 
 
 def _arbitrate(pointers: List[int], index: int, num_clients: int, requests) -> int:

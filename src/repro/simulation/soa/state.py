@@ -9,13 +9,14 @@ network in flat Python lists indexed arithmetically:
   head-seen flags, downstream credits), with ``V`` the network-wide maximum
   number of VCs on any port.
 
-The layout is *copied from an already-built object network*
-(:class:`~repro.network.network.Network`): every capacity, latency,
-degradation factor, credit bias and upstream/downstream link resolved by the
-object model's construction path is read back verbatim, so the SoA backend
-shares the object model's build logic by construction instead of duplicating
-it.  After the copy the object routers are never stepped again — the engine
-(:mod:`repro.simulation.soa.engine`) mutates only this state.
+The arrays are filled from the rows of
+:func:`repro.network.specs.port_specs` — every capacity, VC count, latency,
+degradation factor, credit bias and link endpoint of every port — which are
+the same rows the object model's ``Router._build_ports`` instantiates its
+port objects from, so the SoA backend shares the object model's build logic
+by construction instead of duplicating it, without ever building a
+``Router``: the object graph does not exist on this backend unless something
+asks the network for its ``routers``.
 
 Everything scheduled for a later cycle — credit returns, link arrivals,
 output-port releases — lives in three *calendars*, ``cycle -> [events]``
@@ -44,9 +45,13 @@ so every hook and ``select_output`` call observes live SoA state.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import DefaultDict, List, Optional
+from typing import TYPE_CHECKING, DefaultDict, List, Optional
 
-from repro.network.network import Network
+from repro.network.specs import port_specs
+from repro.topology.base import PortKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.network.network import Network
 
 __all__ = ["SoAState", "RouterView"]
 
@@ -54,49 +59,63 @@ __all__ = ["SoAState", "RouterView"]
 class _OutputBufferView:
     """Read-only ``OutputBuffer`` façade over the flat arrays (routing reads)."""
 
-    __slots__ = ("_st", "_g")
+    __slots__ = ("_out_committed", "_out_free", "_g")
 
     def __init__(self, st: "SoAState", g: int):
-        self._st = st
+        self._out_committed = st.out_committed
+        self._out_free = st.out_free
         self._g = g
 
     @property
     def committed_phits(self) -> int:
-        return self._st.out_committed[self._g]
+        return self._out_committed[self._g]
 
     @property
     def free_phits(self) -> int:
-        return self._st.out_free[self._g]
+        return self._out_free[self._g]
 
 
 class _OutputPortView:
     """Read-only ``OutputPort`` façade over the flat arrays (routing reads)."""
 
-    __slots__ = ("_st", "_g", "kind", "buffer")
+    __slots__ = (
+        "_out_committed",
+        "_credit_occ",
+        "_link_busy",
+        "_max_credits",
+        "_down_nvcs",
+        "_V",
+        "_g",
+        "kind",
+        "buffer",
+    )
 
     def __init__(self, st: "SoAState", g: int, kind):
-        self._st = st
+        self._out_committed = st.out_committed
+        self._credit_occ = st.credit_occ
+        self._link_busy = st.link_busy
+        self._max_credits = st.max_credits
+        self._down_nvcs = st.down_nvcs
+        self._V = st.V
         self._g = g
         self.kind = kind
         self.buffer = _OutputBufferView(st, g)
 
     @property
     def credit_occupied(self) -> int:
-        return self._st.credit_occ[self._g]
+        return self._credit_occ[self._g]
 
     @property
     def link_busy_until(self) -> int:
-        return self._st.link_busy[self._g]
+        return self._link_busy[self._g]
 
     @property
     def max_credits(self) -> List[int]:
-        st = self._st
-        base = self._g * st.V
-        return st.max_credits[base : base + st.down_nvcs[self._g]]
+        base = self._g * self._V
+        return self._max_credits[base : base + self._down_nvcs[self._g]]
 
     def total_occupancy(self) -> int:
-        st = self._st
-        return st.out_committed[self._g] + st.credit_occ[self._g]
+        return self._out_committed[self._g] + self._credit_occ[self._g]
 
 
 class RouterView:
@@ -106,12 +125,23 @@ class RouterView:
     across ``repro.routing``): ``router_id``, ``output_occupancy(port)``,
     ``output_ports[p].{kind, buffer.committed_phits, credit_occupied,
     total_occupancy}``, plus ``group``/``position`` for diagnostics.
+
+    A view holds the arrays it reads, never the :class:`SoAState` that holds
+    the views: no reference cycle, and one attribute hop less per read.
     """
 
-    __slots__ = ("_st", "router_id", "_base", "output_ports", "topology")
+    __slots__ = (
+        "_out_committed",
+        "_credit_occ",
+        "router_id",
+        "_base",
+        "output_ports",
+        "topology",
+    )
 
     def __init__(self, st: "SoAState", rid: int):
-        self._st = st
+        self._out_committed = st.out_committed
+        self._credit_occ = st.credit_occ
         self.router_id = rid
         self._base = rid * st.P
         self.topology = st.topology
@@ -121,9 +151,8 @@ class RouterView:
         ]
 
     def output_occupancy(self, port: int) -> int:
-        st = self._st
         g = self._base + port
-        return st.out_committed[g] + st.credit_occ[g]
+        return self._out_committed[g] + self._credit_occ[g]
 
     @property
     def group(self) -> int:
@@ -138,7 +167,7 @@ class RouterView:
 
 
 class SoAState:
-    """Flat struct-of-arrays copy of a built object network (see module doc)."""
+    """Flat struct-of-arrays router state of one network (see module doc)."""
 
     __slots__ = (
         "topology",
@@ -187,9 +216,7 @@ class SoAState:
         "svc_cal",
     )
 
-    def __init__(self, network: Network):
-        from repro.topology.base import PortKind
-
+    def __init__(self, network: "Network"):
         topo = network.topology
         self.topology = topo
         R = self.R = topo.num_routers
@@ -200,26 +227,12 @@ class SoAState:
         )
         self.kind_is_global = tuple(k is PortKind.GLOBAL for k in self.port_kinds)
 
-        # Network-wide maximum VCs per port (fault runs add the escape VC on
-        # router-to-router links, so read the built ports, not the params).
-        V = self.V = max(
-            len(ip.vcs) for router in network.routers for ip in router.input_ports
-        )
         nG = R * P
-        nQ = nG * V
-
-        # -- per-q -----------------------------------------------------------
-        self.in_q: List[Optional[deque]] = [None] * nQ
-        self.in_free = [0] * nQ
-        self.head_seen = [False] * nQ
-        self.credits = [0] * nQ
-        self.max_credits = [0] * nQ
 
         # -- per-g -----------------------------------------------------------
         self.in_nvcs = [0] * nG
         self.up_g = [-1] * nG
         self.up_rid = [-1] * nG
-        self.up_lat = [1] * nG
         self.out_committed = [0] * nG
         self.out_free = [0] * nG
         # Busy-until of the packet on the wire (the object model's
@@ -249,39 +262,58 @@ class SoAState:
         self.active_flag = [False] * R
         self.unsorted = False
 
-        # -- copy the built configuration ------------------------------------
-        for router in network.routers:
-            rid = router.router_id
+        # -- the built configuration, row by row -----------------------------
+        # Per-port rows first: the per-VC arrays are sized by ``V``, the
+        # network-wide maximum VCs per port, which is known only once every
+        # row was seen (fault runs add the escape VC on router-to-router
+        # links, so the rows decide, not the params).
+        in_capacity = [0] * nG
+        down_capacity = [0] * nG
+        rows = port_specs(topo, network.params, network.routing, network.faults)
+        for rid, specs in enumerate(rows):
             base = rid * P
-            self.alloc_nvc[rid] = max(len(ip.vcs) for ip in router.input_ports)
-            for port, ip in enumerate(router.input_ports):
+            self.alloc_nvc[rid] = max(spec.num_vcs for spec in specs)
+            for port, spec in enumerate(specs):
                 g = base + port
-                self.in_nvcs[g] = len(ip.vcs)
-                if ip.upstream is not None:
-                    up_rid, up_port = ip.upstream
-                    self.up_rid[g] = up_rid
-                    self.up_g[g] = up_rid * P + up_port
-                    self.up_lat[g] = ip.upstream_latency
-                for vc, ivc in enumerate(ip.vcs):
-                    q = g * V + vc
-                    self.in_q[q] = deque()
-                    self.in_free[q] = ivc.buffer.free_phits
-            for port, op in enumerate(router.output_ports):
-                g = base + port
-                self.out_free[g] = op.buffer.free_phits
-                self.link_lat[g] = op.link_latency
-                self.ser_fac[g] = op.serialize_factor
+                self.in_nvcs[g] = spec.num_vcs
+                in_capacity[g] = spec.vc_capacity_phits
+                self.out_free[g] = spec.output_buffer_phits
+                self.link_lat[g] = spec.link_latency
+                self.ser_fac[g] = spec.serialize_factor
                 # Degraded links carry a static credit-occupied bias.
-                self.credit_occ[g] = op.credit_occupied
-                self.down_nvcs[g] = len(op.credits)
-                self.cap_sum[g] = sum(op.max_credits)
-                if op.neighbor is not None:
-                    down_rid, down_port = op.neighbor
-                    self.down_g[g] = down_rid * P + down_port
-                for vc in range(len(op.credits)):
-                    q = g * V + vc
-                    self.credits[q] = op.credits[vc]
-                    self.max_credits[q] = op.max_credits[vc]
+                self.credit_occ[g] = spec.credit_bias_phits
+                self.down_nvcs[g] = spec.downstream_vcs
+                down_capacity[g] = spec.downstream_vc_capacity_phits
+                self.cap_sum[g] = (
+                    spec.downstream_vcs * spec.downstream_vc_capacity_phits
+                )
+                if spec.neighbor is not None:
+                    # Links are symmetric: the far end is both the input port
+                    # this output feeds and the output port feeding this input.
+                    nbr_rid, nbr_port = spec.neighbor
+                    self.up_rid[g] = nbr_rid
+                    self.down_g[g] = self.up_g[g] = nbr_rid * P + nbr_port
+        # A credit travels back over the link its packet came in on.
+        link_lat = self.link_lat
+        self.up_lat = [link_lat[up] if up >= 0 else 1 for up in self.up_g]
+
+        # -- per-q -----------------------------------------------------------
+        V = self.V = max(self.in_nvcs)
+        nQ = nG * V
+        self.in_q: List[Optional[deque]] = [None] * nQ
+        self.in_free = [0] * nQ
+        self.head_seen = [False] * nQ
+        self.credits = [0] * nQ
+        self.max_credits = [0] * nQ
+        for g in range(nG):
+            base = g * V
+            capacity = in_capacity[g]
+            for q in range(base, base + self.in_nvcs[g]):
+                self.in_q[q] = deque()
+                self.in_free[q] = capacity
+            capacity = down_capacity[g]
+            for q in range(base, base + self.down_nvcs[g]):
+                self.credits[q] = self.max_credits[q] = capacity
 
         # -- calendars -------------------------------------------------------
         # Plain dicts, so there is no wheel size to tune; a bucket is popped
@@ -297,7 +329,7 @@ class SoAState:
 
         self.views = [RouterView(self, rid) for rid in range(R)]
         # Node -> router id, so the injection pass needs no object chain.
-        self.node_rid = [node.router.router_id for node in network.nodes]
+        self.node_rid = [topo.node_router(nid) for nid in range(topo.num_nodes)]
 
     # ------------------------------------------------------------- inspection
     def total_buffered_packets(self) -> int:

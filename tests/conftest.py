@@ -77,6 +77,29 @@ def every_tiny_topology(every_topology) -> Topology:
     return create_topology(topology_preset(every_topology, "tiny"))
 
 
+@pytest.fixture
+def one_failed_one_degraded():
+    """A function of a topology's registry name: the ``FaultModel`` that fails
+    the first router-to-router link of its ``tiny`` preset and degrades the
+    last (half bandwidth, three times the latency)."""
+    from repro.topology.faults import DegradedLink, FaultModel
+
+    def _model(topology_name: str) -> FaultModel:
+        topology = create_topology(topology_preset(topology_name, "tiny"))
+        links = [
+            (rid, port)
+            for rid in range(topology.num_routers)
+            for port in range(topology.router_radix)
+            if topology.neighbor(rid, port) is not None
+        ]
+        degraded = DegradedLink(bandwidth_factor=2, latency_factor=3)
+        return FaultModel(
+            failed_links=(links[0],), degraded_links={links[-1]: degraded}
+        )
+
+    return _model
+
+
 # ------------------------------------------------------- backend-aware helpers
 @pytest.fixture
 def wedge_ejection_ports():
@@ -84,8 +107,9 @@ def wedge_ejection_ports():
 
     Returns a function of a built ``Simulator``.  The wedge goes through
     whichever state the engine backend actually reads: the SoA engine
-    copies the object network at construction and never consults it again,
-    so mutating the object routers would be a silent no-op there.  It books
+    steps its flat arrays and has no object routers (reading
+    ``network.routers`` there builds a graph nobody steps), so mutating
+    object routers would be a silent no-op.  It books
     its links at grant time, so there the wedge is the booked horizon
     (``link_busy`` is only the record of the packet on the wire).
     """

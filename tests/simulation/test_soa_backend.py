@@ -513,3 +513,135 @@ class TestBackendPlumbing:
             )
             assert type(sim.engine) is {"object": Engine, "soa": SoAEngine}[backend]
         assert VALID_BACKENDS == {"object", "soa"}
+
+
+class TestNoObjectGraph:
+    """``soa`` fills its flat state from the port specs and never builds the
+    ``Router`` graph — that is what ``object`` steps, built when its engine
+    is — and a finished ``soa`` Simulator goes away with its last reference."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        """``__init__`` calls of the object model's classes, by class name."""
+        from collections import Counter
+
+        from repro.network.ports import InputPort, OutputPort
+        from repro.network.router import Router
+
+        counts = Counter()
+        for cls in (Router, InputPort, OutputPort):
+
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["healthy", "faults"])
+    def test_only_object_constructs_routers(
+        self, every_topology, faulty, one_failed_one_degraded, constructed
+    ):
+        params = SimulationParameters.tiny().with_topology(
+            topology_preset(every_topology, "tiny")
+        )
+        model = one_failed_one_degraded(every_topology) if faulty else None
+        ports = params.topology.num_routers * create_topology(params.topology).router_radix
+        expected = {
+            "soa": {},
+            "object": {
+                "Router": params.topology.num_routers,
+                "InputPort": ports,
+                "OutputPort": ports,
+            },
+        }
+        for backend in ("soa", "object"):
+            constructed.clear()
+            sim = Simulator(
+                params.with_backend(backend), "UGAL", "UN", 0.2, seed=4, fault_model=model
+            )
+            built = dict(constructed)
+            result = sim.run_steady_state(50, 100)
+            assert result.delivered_packets > 0
+            # All of it at construction: no timed step builds a router.
+            assert dict(constructed) == built == expected[backend], backend
+
+    def test_building_soa_allocates_nothing_in_the_object_model(self):
+        import tracemalloc
+
+        params = SimulationParameters.small().with_backend("soa")
+        Simulator(params, "Base", "UN", 0.1, seed=1)  # imports, memo tables
+        tracemalloc.start()
+        try:
+            sim = Simulator(params, "Base", "UN", 0.1, seed=1)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert sim.network._routers is None
+        object_model = ("router.py", "ports.py", "buffer.py", "allocator.py")
+        blamed = {
+            stat.traceback[0].filename: stat.size
+            for stat in snapshot.statistics("filename")
+            if stat.traceback[0].filename.endswith(
+                tuple(f"repro/network/{name}" for name in object_model)
+            )
+        }
+        assert blamed == {}
+
+    def test_network_routers_still_answers_on_soa(self):
+        sim = Simulator(
+            SimulationParameters.tiny().with_backend("soa"), "Base", "ADV+1", 0.4, seed=2
+        )
+        sim.run_cycles(200)
+        assert sim.engine.total_buffered_packets() > 0
+        routers = sim.network.routers
+        assert len(routers) == sim.topology.num_routers
+        # Built on demand and never stepped: every buffer is empty, whatever
+        # the engine holds.
+        assert sim.network.total_buffered_packets() == 0
+        assert all(not router.has_work() for router in routers)
+        sim.run_cycles(50)  # the engine does not care that the graph exists now
+        assert sim.network.total_buffered_packets() == 0
+
+    def test_a_finished_soa_simulator_is_reclaimed_by_reference_counting(
+        self, monkeypatch
+    ):
+        """Probes off.  The cycles that would keep it for the cyclic collector
+        are broken: the capture / ``post_cycle`` functions are not bound
+        methods of the engine stored on the engine, the router views hold
+        arrays and not the state that holds the views, and a node refers to
+        its network weakly.  (``Network.routers`` <-> ``Router.network`` stays:
+        it exists on ``object``, and on ``soa`` only once somebody asks.)"""
+        import gc
+
+        from repro.network.node import ComputeNode
+        from repro.network.packet import Packet
+        from repro.simulation.soa import SoAEngine
+        from repro.simulation.soa.state import SoAState
+
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        kinds = (SoAEngine, SoAState, ComputeNode, Packet)
+
+        def alive():
+            return {
+                cls.__name__: count
+                for cls in kinds
+                if (count := sum(type(o) is cls for o in gc.get_objects()))
+            }
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = alive()
+            # PB and ECtN carry the two ``post_cycle`` transcriptions.
+            for routing in ("Base", "PB", "ECtN", "MIN"):
+                sim = Simulator(
+                    SimulationParameters.tiny().with_backend("soa"),
+                    routing, "UN", 0.3, seed=1,
+                )
+                sim.run_steady_state(100, 200)
+                assert alive() != before
+                del sim
+                assert alive() == before, routing
+        finally:
+            gc.enable()
