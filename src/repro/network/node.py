@@ -53,7 +53,9 @@ class ComputeNode:
         # Weak, so that a network and its nodes form no reference cycle and a
         # finished simulation is reclaimed by reference counting.
         self._network = ref(network)
-        self.source_queue: Deque[Packet] = deque()
+        #: Created by the first :meth:`enqueue`: most nodes of a large
+        #: system never generate a packet in a short run.
+        self.source_queue: Optional[Deque[Packet]] = None
         self.next_injection_cycle = 0
         #: Whether this node is registered in the network's backlog set.
         self.active = False
@@ -65,7 +67,10 @@ class ComputeNode:
     # ------------------------------------------------------------------ source
     def enqueue(self, packet: Packet) -> None:
         """Add a freshly generated packet to the source queue."""
-        self.source_queue.append(packet)
+        queue = self.source_queue
+        if queue is None:
+            queue = self.source_queue = deque()
+        queue.append(packet)
         self.generated_packets += 1
         self.generated_phits += packet.size_phits
         if not self.active:
@@ -75,7 +80,7 @@ class ComputeNode:
 
     @property
     def source_queue_length(self) -> int:
-        return len(self.source_queue)
+        return len(self.source_queue or ())
 
     # --------------------------------------------------------------- injection
     def try_inject(self, cycle: int) -> Optional[Packet]:

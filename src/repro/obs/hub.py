@@ -334,12 +334,15 @@ class ObservationHub:
 
     def to_jsonl(self) -> str:
         """Serialize manifest + events + perf, one JSON object per line."""
+        # One encoder for the whole dump: ``json.dumps(..., sort_keys=True)``
+        # builds a fresh ``JSONEncoder`` per call, i.e. per event.
+        encode = json.JSONEncoder(sort_keys=True).encode
         lines = []
         if self.manifest is not None:
-            lines.append(json.dumps(self.manifest, sort_keys=True))
-        lines.extend(json.dumps(event, sort_keys=True) for event in self.events)
+            lines.append(encode(self.manifest))
+        lines.extend(map(encode, self.events))
         if self.perf:
-            lines.append(json.dumps(self.perf, sort_keys=True))
+            lines.append(encode(self.perf))
         return "\n".join(lines) + "\n"
 
     def dump(self, path) -> None:

@@ -68,11 +68,14 @@ class SoAStateReader:
         rows: List[OccupancyRow] = []
         P, V = st.P, st.V
         in_q = st.in_q
+        in_nvcs = st.in_nvcs
         for rid in range(st.R):
-            base_q = rid * P * V
             for port in range(P):
-                for vc in range(V):
-                    dq = in_q[base_q + port * V + vc]
+                g = rid * P + port
+                # Only the VCs the port has; one nothing was pushed into yet
+                # holds ``None``, one that drained an empty list.
+                for vc in range(in_nvcs[g]):
+                    dq = in_q[g * V + vc]
                     if dq:
                         phits = sum(packet.size_phits for packet in dq)
                         rows.append((rid, port, vc, len(dq), phits))

@@ -49,10 +49,14 @@ fields, so the transcribed separable allocator accepts both shapes.
 Row kinds
 ---------
 There is one allocation path, :meth:`SoAEngine._allocate`.  Every buffer head
-is a *row* (kind, cached request, candidate list, VCs, minimal port), written
-once by the capture function the constructor binds and read by every round.
-Which capture function is bound depends only on what the code can observe:
-the exact routing class, its path policy, whether a fault runtime is attached.
+is a *row*, one tuple written once into ``_rows[q]`` by the capture function
+the constructor binds and read by every round: ``(FIXED, request)``, or for a
+gate ``(kind, fallback request, minimal port, candidates, global VC, local
+VC, ectn)`` with ``ectn`` the injection-side constants of an ECtN head
+(``None`` otherwise).  A ``q`` nobody captured holds ``None`` and answers as
+``LIVE``.  Which capture function is bound depends only on what the code can
+observe: the exact routing class, its path policy, whether a fault runtime is
+attached.
 
 ======  ===================  ==========================  =========  ==========
 kind    captured by          per round                   may draw   may clean
@@ -124,7 +128,7 @@ ROW_FIXED = 0  # decision constant while the head waits (cached request)
 ROW_FORCED = 1  # committed MM+L proxy: forced global hop, trigger per round
 ROW_GLOBAL = 2  # source-group global-misroute gate, trigger per round
 ROW_LOCAL = 3  # local-misroute / ring-escape / uplink gate, trigger per round
-ROW_LIVE = 4  # nothing captured: ``select_output`` per round
+# ``LIVE`` is the absence of a row: ``select_output`` per round.
 
 # Trigger transcriptions of the adaptive captures.
 MECH_OLM = 0
@@ -157,18 +161,7 @@ class SoAEngine(Engine):
         "_router_latency",
         "_dlv",
         "_drp",
-        # per-q rows
-        "_dkind",
-        "_dreq",
-        "_dcand",
-        "_dcandg",
-        "_dgvc",
-        "_dlvc",
-        "_dminport",
-        "_dgrp",
-        "_dminoff",
-        "_dposbase",
-        "_dinj",
+        "_rows",
         # trigger constants of the adaptive captures
         "_counters",
         "_cth",
@@ -223,19 +216,10 @@ class SoAEngine(Engine):
         # decision in the later rounds of a cycle, as ``Router.allocate`` does.
         self._memo = {} if routing.decision_is_pure else None
 
-        nQ = st.R * st.P * st.V
-        self._dkind = [ROW_LIVE] * nQ
-        self._dreq: List = [None] * nQ
+        # One row per buffer head (layout: "Row kinds" in the module doc),
+        # written by the capture function; ``None`` answers as ``LIVE``.
+        self._rows: List = [None] * (st.R * st.P * st.V)
         if self._mech >= 0:
-            self._dcand: List = [None] * nQ
-            self._dcandg: List = [None] * nQ
-            self._dgvc = [0] * nQ
-            self._dlvc = [0] * nQ
-            self._dminport = [0] * nQ
-            self._dgrp = [0] * nQ
-            self._dminoff = [0] * nQ
-            self._dposbase = [0] * nQ
-            self._dinj = [False] * nQ
             params = routing.params
             self._pkt2 = 2 * params.packet_size_phits
             if self._mech == MECH_OLM:
@@ -453,6 +437,8 @@ class SoAEngine(Engine):
             view = st.views[rid]
             routing.on_inject(view, packet, cycle)
             dq = st.in_q[q]
+            if dq is None:
+                dq = st.in_q[q] = []
             dq.append(packet)
             in_free[q] = in_free[q] - size
             if len(dq) == 1:
@@ -511,6 +497,8 @@ class SoAEngine(Engine):
             q = g * V + vc
             dq = in_q[q]
             if not dq:
+                if dq is None:
+                    dq = in_q[q] = []
                 k = port * V + vc
                 insort(occ[rid], k)
                 new_heads[rid].append(k)
@@ -537,7 +525,7 @@ class SoAEngine(Engine):
         g = rid * st.P + port
         q = g * V + vc
         dq = st.in_q[q]
-        packet = dq.popleft()
+        packet = dq.pop(0)
         size = packet.size_phits
         st.in_free[q] += size
         st.head_seen[q] = False
@@ -712,8 +700,7 @@ class SoAEngine(Engine):
 
         out_free = st.out_free
         credits = st.credits
-        dkind = self._dkind
-        dreq = self._dreq
+        rows = self._rows
         draws0 = self._draws
         mech = self._mech
         if mech >= 0:
@@ -722,13 +709,10 @@ class SoAEngine(Engine):
             if is_cnt:
                 counts = self._counters[rid].counts
                 cth = self._cth
-                dinj = self._dinj
-                dminport = self._dminport
             elif mech == MECH_OLM:
                 out_committed = st.out_committed
                 credit_occ = st.credit_occ
                 olm_min = self._olm_min_occ
-                dminport = self._dminport
 
         # Grants remove keys from the live list: iterate a copy.
         occupied = st.occ[rid][:]
@@ -740,37 +724,39 @@ class SoAEngine(Engine):
             # exactly as many times, in exactly the order, that ``object``
             # calls ``select_output`` — the draw count is the RNG contract.
             for k in occupied:
-                q = base_q + k
-                dq = in_q[q]
-                if not dq:
-                    continue
                 if granted is not None and k in granted:
                     continue
-                kind = dkind[q]
-                if kind == ROW_FIXED:
-                    req = dreq[q]
-                elif kind == ROW_LIVE:
-                    # ``dq[0]`` is read fresh: under faults ``_resolve_faults``
-                    # can drop a head while round 1 gathers requests, so round
-                    # 2 may meet a successor no ``on_packet_head`` was called
-                    # for yet (it is reported next cycle, as in the object
-                    # model).
+                q = base_q + k
+                row = rows[q]
+                if row is None:
+                    # Only here can a key of ``occupied`` have lost its head
+                    # without a grant: ``_resolve_faults`` drops heads, and
+                    # with faults attached nothing is captured.  ``dq[0]`` is
+                    # read fresh for the same reason: a drop while round 1
+                    # gathers requests lets round 2 meet a successor no
+                    # ``on_packet_head`` was called for yet (it is reported
+                    # next cycle, as in the object model).
+                    dq = in_q[q]
+                    if not dq:
+                        continue
                     req = self._live_request(rid, base_g, q, k, dq[0], cycle, round_index)
+                elif row[0] == ROW_FIXED:
+                    req = row[1]
                 else:
                     # Closed gate (a counter or occupancy comparison against
                     # the captured minimal port): the draw-free minimal
                     # fallback, exactly what the trigger would answer.
                     req = None
-                    if kind != ROW_FORCED:
+                    if row[0] != ROW_FORCED:
                         if is_cnt:
-                            if not dinj[q] and counts[dminport[q]] <= cth:
-                                req = dreq[q]
+                            if row[6] is None and counts[row[2]] <= cth:
+                                req = row[1]
                         elif mech == MECH_OLM:
-                            gm = base_g + dminport[q]
+                            gm = base_g + row[2]
                             if out_committed[gm] + credit_occ[gm] < olm_min:
-                                req = dreq[q]
+                                req = row[1]
                     if req is None:
-                        req = self._open_request(rid, base_g, q)
+                        req = self._open_request(rid, base_g, row)
                 if req is None:
                     continue
                 size = req[3]
@@ -854,8 +840,10 @@ class SoAEngine(Engine):
         of the head — one ``select_output`` per head lifetime."""
         st = self._st
         decision = self._routing.select_output(st.views[rid], k // st.V, k % st.V, head, cycle)
-        self._dkind[q] = ROW_FIXED
-        self._dreq[q] = None if decision is None else self._request(base_g, k, head, decision)
+        self._rows[q] = (
+            ROW_FIXED,
+            None if decision is None else self._request(base_g, k, head, decision),
+        )
 
     def _capture_group(self, rid, base_g, q, k, head, cycle) -> None:
         """The MM+L group policy: classify a new head and cache everything
@@ -878,6 +866,7 @@ class SoAEngine(Engine):
         npr = routing._nodes_per_router
         dst_router = dst // npr
         kind = ROW_FIXED
+        gate = ()
         if rid == dst_router:
             decision = routing.plain_decision(dst % npr, 0)
         elif head.phase is _TO_INTERMEDIATE and head.intermediate_group is not None:
@@ -907,29 +896,28 @@ class SoAEngine(Engine):
             else:
                 min_vc = 0
             decision = routing.plain_decision(minimal_port, min_vc)
-            self._dminport[q] = minimal_port
 
             if head.must_misroute_global and dst_group != current_group and head.global_hops == 0:
                 kind = ROW_FORCED
                 candidates = routing.global_candidates(
                     rid, st.topology.node_region(dst), minimal_port, False
                 )
-                self._dcand[q] = candidates
-                self._dgvc[q] = routing.next_vc(head, _GLOBAL)
-                if self._mech == MECH_ECTN:
-                    # _forced_global_decision passes port=0 to the trigger, and
-                    # port 0 is an injection port on every topology with p >= 1.
-                    self._capture_ectn(rid, q, 0, head, candidates)
+                # _forced_global_decision passes port=0 to the trigger, and
+                # port 0 is an injection port on every topology with p >= 1.
+                gate = (
+                    minimal_port, candidates, routing.next_vc(head, _GLOBAL), 0,
+                    self._capture_ectn(rid, 0, head, candidates),
+                )
             elif dst_group != current_group and head.global_hops == 0 and not head.globally_misrouted:
                 kind = ROW_GLOBAL
                 candidates = routing.global_candidates(
                     rid, dst_group, minimal_port, head.hops == 0
                 )
-                self._dcand[q] = candidates
-                self._dgvc[q] = routing.next_vc(head, _GLOBAL)
-                self._dlvc[q] = routing.next_vc(head, _LOCAL)
-                if self._mech == MECH_ECTN:
-                    self._capture_ectn(rid, q, k // st.V, head, candidates)
+                gate = (
+                    minimal_port, candidates,
+                    routing.next_vc(head, _GLOBAL), routing.next_vc(head, _LOCAL),
+                    self._capture_ectn(rid, k // st.V, head, candidates),
+                )
             elif (
                 minimal_kind is _LOCAL
                 and head.local_hops_in_group == 0
@@ -937,34 +925,35 @@ class SoAEngine(Engine):
                 and (current_group == dst_group or head.global_hops == 1)
             ):
                 kind = ROW_LOCAL
-                self._dcand[q] = routing.local_candidates(minimal_port)
-                self._dlvc[q] = routing.next_vc(head, _LOCAL)
-        self._dkind[q] = kind
-        self._dreq[q] = self._request(base_g, k, head, decision)
+                gate = (
+                    minimal_port, routing.local_candidates(minimal_port),
+                    0, routing.next_vc(head, _LOCAL), None,
+                )
+        self._rows[q] = (kind, self._request(base_g, k, head, decision)) + gate
 
-    def _capture_ectn(self, rid: int, q: int, check_port: int, head, candidates) -> None:
-        """ECtN's injection-side trigger constants (see ``choose_global_misroute``)."""
+    def _capture_ectn(self, rid: int, check_port: int, head, candidates):
+        """ECtN's injection-side trigger constants (see ``choose_global_misroute``):
+        ``None`` for another mechanism or a head on a transit port."""
         st = self._st
+        if self._mech != MECH_ECTN or not st.kind_is_injection[check_port]:
+            return None
         routing = self._routing
-        injection = st.kind_is_injection[check_port]
-        self._dinj[q] = injection
-        if not injection:
-            return
         rpg = routing._routers_per_group
         group = rid // rpg
         dst_group = head.dst // routing._nodes_per_group
-        self._dgrp[q] = group
-        topo = st.topology
-        offset_key = group * topo.num_groups + dst_group
+        offset_key = group * st.topology.num_groups + dst_group
         cache = routing._dest_offset_cache
         min_offset = cache.get(offset_key)
         if min_offset is None:
             min_offset = routing.link_offset_for_destination(group, dst_group)
             cache[offset_key] = min_offset
-        self._dminoff[q] = min_offset
-        self._dposbase[q] = (rid % rpg) * routing._h - routing._first_global_port
-        # Order-preserving pre-filter of the static kind check.
-        self._dcandg[q] = [c for c in candidates if c.kind is _GLOBAL]
+        return (
+            # Order-preserving pre-filter of the static kind check.
+            [c for c in candidates if c.kind is _GLOBAL],
+            group,
+            min_offset,
+            (rid % rpg) * routing._h - routing._first_global_port,
+        )
 
     def _capture_ring(self, rid, base_g, q, k, head, cycle) -> None:
         """The ring-escape policy (``_ring_escape_output``): the first hop of
@@ -981,6 +970,7 @@ class SoAEngine(Engine):
         dst = head.dst
         npr = routing._nodes_per_router
         kind = ROW_FIXED
+        gate = ()
         if rid == dst // npr:
             decision = routing.plain_decision(dst % npr, 0)
         else:
@@ -995,15 +985,12 @@ class SoAEngine(Engine):
                 # so the row is FIXED.
                 if escape:
                     kind = ROW_LOCAL
-                    self._dcand[q] = escape
-                    self._dlvc[q] = topo.ring_vc(head, rid, escape[0].port)
-                    self._dminport[q] = out_port
+                    gate = (out_port, escape, 0, topo.ring_vc(head, rid, escape[0].port), None)
             elif head.ring_dir != direction:
                 # Mid-traversal, committed the long way around.
                 out_port = escape[0].port
             decision = routing.plain_decision(out_port, topo.ring_vc(head, rid, out_port))
-        self._dkind[q] = kind
-        self._dreq[q] = self._request(base_g, k, head, decision)
+        self._rows[q] = (kind, self._request(base_g, k, head, decision)) + gate
 
     def _capture_uplink(self, rid, base_g, q, k, head, cycle) -> None:
         """The uplink-multipath policy (``_uplink_output``): a minimal uplink
@@ -1011,6 +998,7 @@ class SoAEngine(Engine):
         routing = self._routing
         dst = head.dst
         kind = ROW_FIXED
+        gate = ()
         if rid == routing._node_rid[dst]:
             decision = routing.plain_decision(dst % routing._nodes_per_router, 0)
         else:
@@ -1023,17 +1011,15 @@ class SoAEngine(Engine):
             # sibling list: without one the row is FIXED.
             if candidates:
                 kind = ROW_LOCAL
-                self._dcand[q] = candidates
                 # A row stores one misroute VC: every sibling uplink must map
                 # to the same up/down class.
-                self._dlvc[q] = vc = port_vcs[candidates[0].port]
+                vc = port_vcs[candidates[0].port]
                 assert all(port_vcs[c.port] == vc for c in candidates)
-                self._dminport[q] = minimal_port
+                gate = (minimal_port, candidates, 0, vc, None)
             decision = routing.plain_decision(minimal_port, port_vcs[minimal_port])
-        self._dkind[q] = kind
-        self._dreq[q] = self._request(base_g, k, head, decision)
+        self._rows[q] = (kind, self._request(base_g, k, head, decision)) + gate
 
-    def _open_request(self, rid: int, base: int, q: int):
+    def _open_request(self, rid: int, base: int, row):
         """One allocation round's request for an open-gate or forced row.
 
         The cached-request and closed-gate cases are inlined in
@@ -1041,18 +1027,15 @@ class SoAEngine(Engine):
         (which may draw).  The fallback request doubles as the head's
         size/port/vc record.
         """
-        kind = self._dkind[q]
-        fallback = self._dreq[q]
-        minimal_port = self._dminport[q]
-        candidates = self._dcand[q]
+        kind, fallback, minimal_port, candidates, global_vc, local_vc, ectn = row
         if kind == ROW_LOCAL:
-            chosen = self._choose(rid, base, q, minimal_port, candidates)
+            chosen = self._choose(rid, base, minimal_port, candidates)
             if chosen is None:
                 return fallback
-            vc = self._dlvc[q]
+            vc = local_vc
             decision = RoutingDecision(output_port=chosen.port, vc=vc, nonminimal_local=True)
         else:
-            chosen = self._choose_global(rid, base, q, minimal_port, candidates)
+            chosen = self._choose_global(rid, base, ectn, minimal_port, candidates)
             if chosen is None and kind == ROW_FORCED and candidates:
                 self._draws += 1
                 chosen = candidates[int(self._routing.rng.integers(0, len(candidates)))]
@@ -1060,7 +1043,7 @@ class SoAEngine(Engine):
                 return fallback
             # Forced candidates are global links only (no local proxy).
             if kind == ROW_FORCED or chosen.kind is _GLOBAL:
-                vc = self._dgvc[q]
+                vc = global_vc
                 decision = RoutingDecision(
                     output_port=chosen.port,
                     vc=vc,
@@ -1068,7 +1051,7 @@ class SoAEngine(Engine):
                     set_intermediate_group=chosen.target_group,
                 )
             else:
-                vc = self._dlvc[q]
+                vc = local_vc
                 decision = RoutingDecision(
                     output_port=chosen.port, vc=vc, set_must_misroute_global=True
                 )
@@ -1079,24 +1062,24 @@ class SoAEngine(Engine):
         )
 
     # ----------------------------------------------------- trigger transcriptions
-    def _choose_global(self, rid: int, base: int, q: int, minimal_port: int, candidates):
+    def _choose_global(self, rid: int, base: int, ectn, minimal_port: int, candidates):
         """``choose_global_misroute`` of the active mechanism, flat-state reads."""
-        if self._mech == MECH_ECTN and self._dinj[q]:
+        if ectn is not None:
+            global_candidates, group, min_offset, pos_base = ectn
             routing = self._routing
-            combined = routing.combined[self._dgrp[q]]
+            combined = routing.combined[group]
             threshold = self._ectn_cth
-            if combined[self._dminoff[q]] > threshold:
-                pos_base = self._dposbase[q]
+            if combined[min_offset] > threshold:
                 preferred = [
-                    c for c in self._dcandg[q] if combined[pos_base + c.port] < threshold
+                    c for c in global_candidates if combined[pos_base + c.port] < threshold
                 ]
                 if preferred:
                     self._draws += 1
                     return preferred[int(routing.rng.integers(0, len(preferred)))]
             # fall through to the Base counters (ECtN's in-transit fallback)
-        return self._choose(rid, base, q, minimal_port, candidates)
+        return self._choose(rid, base, minimal_port, candidates)
 
-    def _choose(self, rid: int, base: int, q: int, minimal_port: int, candidates):
+    def _choose(self, rid: int, base: int, minimal_port: int, candidates):
         """The shared global/local trigger body of OLM / Base / Hybrid / ECtN."""
         mech = self._mech
         routing = self._routing
@@ -1172,7 +1155,7 @@ class SoAEngine(Engine):
         st = self._st
         per_router = st.P * st.V
         for rid in range(st.R):
-            # ``None`` marks a VC the port does not have.
+            # ``None`` marks a VC nothing was pushed into (yet).
             yield rid, len(st.occ[rid]), (
                 packet
                 for q in range(rid * per_router, (rid + 1) * per_router)

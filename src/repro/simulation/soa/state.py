@@ -35,6 +35,13 @@ Scalar-hot state intentionally lives in plain Python lists, not numpy
 arrays: the inner loops index single elements, where list indexing is
 several times cheaper than numpy scalar indexing.
 
+Construction fills numbers only; containers follow traffic.  ``in_q[q]`` is
+``None`` until the first packet is pushed into that VC and a plain ``list``
+from then on (a VC holds ``vc_capacity_phits // packet_size_phits`` packets at
+most, so ``pop(0)`` moves a handful of pointers); whether a VC *exists* is
+``vc < in_nvcs[g]``.  The per-port views of a :class:`RouterView` are built
+when something first reads ``output_ports``.
+
 Routing algorithms never see these arrays directly.  They receive a
 :class:`RouterView` — a façade exposing exactly the router surface the
 routing layer reads (``router_id``, ``output_occupancy``, per-output-port
@@ -44,8 +51,8 @@ so every hook and ``select_output`` call observes live SoA state.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import TYPE_CHECKING, DefaultDict, List, Optional
+from collections import defaultdict
+from typing import TYPE_CHECKING, DefaultDict, List, NamedTuple, Optional, Tuple
 
 from repro.network.specs import port_specs
 from repro.topology.base import PortKind
@@ -56,14 +63,28 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SoAState", "RouterView"]
 
 
+class _PortColumns(NamedTuple):
+    """The arrays the port views read: what a :class:`RouterView` keeps so it
+    can build its ports later without holding the :class:`SoAState`."""
+
+    out_committed: List[int]
+    out_free: List[int]
+    credit_occ: List[int]
+    link_busy: List[int]
+    max_credits: List[int]
+    down_nvcs: List[int]
+    V: int
+    port_kinds: Tuple[PortKind, ...]
+
+
 class _OutputBufferView:
     """Read-only ``OutputBuffer`` façade over the flat arrays (routing reads)."""
 
     __slots__ = ("_out_committed", "_out_free", "_g")
 
-    def __init__(self, st: "SoAState", g: int):
-        self._out_committed = st.out_committed
-        self._out_free = st.out_free
+    def __init__(self, columns: _PortColumns, g: int):
+        self._out_committed = columns.out_committed
+        self._out_free = columns.out_free
         self._g = g
 
     @property
@@ -90,16 +111,16 @@ class _OutputPortView:
         "buffer",
     )
 
-    def __init__(self, st: "SoAState", g: int, kind):
-        self._out_committed = st.out_committed
-        self._credit_occ = st.credit_occ
-        self._link_busy = st.link_busy
-        self._max_credits = st.max_credits
-        self._down_nvcs = st.down_nvcs
-        self._V = st.V
+    def __init__(self, columns: _PortColumns, g: int, kind):
+        self._out_committed = columns.out_committed
+        self._credit_occ = columns.credit_occ
+        self._link_busy = columns.link_busy
+        self._max_credits = columns.max_credits
+        self._down_nvcs = columns.down_nvcs
+        self._V = columns.V
         self._g = g
         self.kind = kind
-        self.buffer = _OutputBufferView(st, g)
+        self.buffer = _OutputBufferView(columns, g)
 
     @property
     def credit_occupied(self) -> int:
@@ -126,6 +147,11 @@ class RouterView:
     ``output_ports[p].{kind, buffer.committed_phits, credit_occupied,
     total_occupancy}``, plus ``group``/``position`` for diagnostics.
 
+    ``output_ports`` is built by its first reader — OLM's ``select_output``
+    on a ``LIVE`` row, a test, a tool; the transcribed triggers and
+    ``output_occupancy`` read the arrays directly — so most routers of most
+    runs never have one.
+
     A view holds the arrays it reads, never the :class:`SoAState` that holds
     the views: no reference cycle, and one attribute hop less per read.
     """
@@ -133,22 +159,36 @@ class RouterView:
     __slots__ = (
         "_out_committed",
         "_credit_occ",
+        "_columns",
+        "_ports",
         "router_id",
         "_base",
-        "output_ports",
         "topology",
     )
 
-    def __init__(self, st: "SoAState", rid: int):
-        self._out_committed = st.out_committed
-        self._credit_occ = st.credit_occ
+    def __init__(self, columns: _PortColumns, rid: int, topology):
+        self._out_committed = columns.out_committed
+        self._credit_occ = columns.credit_occ
+        self._columns = columns
+        self._ports: Optional[List[_OutputPortView]] = None
         self.router_id = rid
-        self._base = rid * st.P
-        self.topology = st.topology
-        self.output_ports = [
-            _OutputPortView(st, self._base + port, st.port_kinds[port])
-            for port in range(st.P)
-        ]
+        self._base = rid * len(columns.port_kinds)
+        self.topology = topology
+
+    # A property, not ``__getattr__`` on an empty slot: a class that defines
+    # ``__getattr__`` pays for it on every attribute read, and the hooks read
+    # ``router_id`` several times per hop.
+    @property
+    def output_ports(self) -> List[_OutputPortView]:
+        ports = self._ports
+        if ports is None:
+            columns = self._columns
+            base = self._base
+            ports = self._ports = [
+                _OutputPortView(columns, base + port, kind)
+                for port, kind in enumerate(columns.port_kinds)
+            ]
+        return ports
 
     def output_occupancy(self, port: int) -> int:
         g = self._base + port
@@ -300,7 +340,8 @@ class SoAState:
         # -- per-q -----------------------------------------------------------
         V = self.V = max(self.in_nvcs)
         nQ = nG * V
-        self.in_q: List[Optional[deque]] = [None] * nQ
+        # ``None`` until the VC's first push, then a plain list (module doc).
+        self.in_q: List[Optional[list]] = [None] * nQ
         self.in_free = [0] * nQ
         self.head_seen = [False] * nQ
         self.credits = [0] * nQ
@@ -309,7 +350,6 @@ class SoAState:
             base = g * V
             capacity = in_capacity[g]
             for q in range(base, base + self.in_nvcs[g]):
-                self.in_q[q] = deque()
                 self.in_free[q] = capacity
             capacity = down_capacity[g]
             for q in range(base, base + self.down_nvcs[g]):
@@ -327,7 +367,11 @@ class SoAState:
         self.arr_cal: DefaultDict[int, list] = defaultdict(list)
         self.svc_cal: DefaultDict[int, list] = defaultdict(list)
 
-        self.views = [RouterView(self, rid) for rid in range(R)]
+        columns = _PortColumns(
+            self.out_committed, self.out_free, self.credit_occ, self.link_busy,
+            self.max_credits, self.down_nvcs, V, self.port_kinds,
+        )
+        self.views = [RouterView(columns, rid, topo) for rid in range(R)]
         # Node -> router id, so the injection pass needs no object chain.
         self.node_rid = [topo.node_router(nid) for nid in range(topo.num_nodes)]
 

@@ -64,6 +64,9 @@ _ADAPTIVE_HOP_KINDS = (
     ("local", "global", "local", "local", "global", "local"),
 )
 
+#: "Not computed yet" in the byte-sized route memos.
+_UNSET = 0xFF
+
 
 class DragonflyTopology(Topology):
     """Canonical (complete-graph / complete-graph) Dragonfly."""
@@ -105,13 +108,19 @@ class DragonflyTopology(Topology):
         )
         # (router, dst_router) -> minimal output port memos; the minimal
         # paths are static, and routing recomputes them every cycle for every
-        # blocked head.  Dense lists rather than dicts: indexing is faster
-        # than hashing on the hot path and the footprint is bounded at
-        # num_routers^2 pointers (~34 MB at the paper scale) instead of an
-        # unbounded dict.  Allocated lazily on first use — the Valiant-phase
+        # blocked head.  Dense byte tables rather than dicts: indexing is
+        # faster than hashing on the hot path and the footprint is bounded at
+        # num_routers^2 bytes (~4 MB at the paper scale, a port index fits a
+        # byte) instead of an unbounded dict.  ``_UNSET`` marks an entry not
+        # computed yet.  Allocated lazily on first use — the Valiant-phase
         # cache, for instance, is never touched by MIN/Base runs.
-        self._minimal_port_cache: Optional[List[Optional[int]]] = None
-        self._router_route_cache: Optional[List[Optional[int]]] = None
+        if self._radix >= _UNSET:
+            raise ValueError(
+                f"router radix {self._radix} does not fit the byte-sized route "
+                f"memos (at most {_UNSET - 1} ports)"
+            )
+        self._minimal_port_cache: Optional[bytearray] = None
+        self._router_route_cache: Optional[bytearray] = None
         self._path_model = PathModel.from_minimal_paths(
             "dragonfly",
             _MINIMAL_HOP_KINDS,
@@ -326,24 +335,11 @@ class DragonflyTopology(Topology):
             return dst_node % self._p
         cache = self._minimal_port_cache
         if cache is None:
-            cache = self._minimal_port_cache = [None] * (
-                self._num_routers * self._num_routers
-            )
+            cache = self._minimal_port_cache = self._new_route_memo()
         key = router * self._num_routers + dst_router
         port = cache[key]
-        if port is None:
-            group = self.router_group(router)
-            dst_group = self.router_group(dst_router)
-            pos = self.router_position(router)
-            if group == dst_group:
-                port = self.local_port_to(pos, self.router_position(dst_router))
-            else:
-                gw_router, gw_port = self.global_link_endpoint(group, dst_group)
-                if gw_router == router:
-                    port = gw_port
-                else:
-                    port = self.local_port_to(pos, self.router_position(gw_router))
-            cache[key] = port
+        if port == _UNSET:
+            port = cache[key] = self._route_port(router, dst_router)
         return port
 
     def minimal_route_to_router(self, router: int, dst_router: int) -> int:
@@ -357,25 +353,29 @@ class DragonflyTopology(Topology):
             raise ValueError("already at the destination router")
         cache = self._router_route_cache
         if cache is None:
-            cache = self._router_route_cache = [None] * (
-                self._num_routers * self._num_routers
-            )
+            cache = self._router_route_cache = self._new_route_memo()
         key = router * self._num_routers + dst_router
         port = cache[key]
-        if port is None:
-            group = self.router_group(router)
-            dst_group = self.router_group(dst_router)
-            pos = self.router_position(router)
-            if group == dst_group:
-                port = self.local_port_to(pos, self.router_position(dst_router))
-            else:
-                gw_router, gw_port = self.global_link_endpoint(group, dst_group)
-                if gw_router == router:
-                    port = gw_port
-                else:
-                    port = self.local_port_to(pos, self.router_position(gw_router))
-            cache[key] = port
+        if port == _UNSET:
+            port = cache[key] = self._route_port(router, dst_router)
         return port
+
+    def _new_route_memo(self) -> bytearray:
+        """An all-unset (router, dst_router) -> port table, one byte an entry."""
+        return bytearray([_UNSET]) * (self._num_routers * self._num_routers)
+
+    def _route_port(self, router: int, dst_router: int) -> int:
+        """What the memo tables cache: the first hop of the minimal path
+        between two distinct routers."""
+        group = self.router_group(router)
+        dst_group = self.router_group(dst_router)
+        pos = self.router_position(router)
+        if group == dst_group:
+            return self.local_port_to(pos, self.router_position(dst_router))
+        gw_router, gw_port = self.global_link_endpoint(group, dst_group)
+        if gw_router == router:
+            return gw_port
+        return self.local_port_to(pos, self.router_position(gw_router))
 
     def minimal_global_port_info(self, router: int, dst_node: int) -> Optional[Tuple[int, int]]:
         """Return ``(gateway_router, global_port)`` of the minimal global link.

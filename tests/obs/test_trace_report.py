@@ -29,6 +29,16 @@ class TestRoundTrip:
         assert trace["perf"]["ev"] == "perf"
         assert trace["perf"]["grants"] == sim.obs.perf["grants"]
 
+    def test_jsonl_is_byte_identical_to_one_json_dumps_per_line(self, traced_run):
+        """``to_jsonl`` shares one encoder; the bytes are those of the
+        per-event ``json.dumps(..., sort_keys=True)`` it replaced."""
+        sim, _ = traced_run()
+        hub = sim.obs
+        assert hub.manifest is not None and hub.events and hub.perf
+        records = [hub.manifest, *hub.events, hub.perf]
+        expected = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+        assert hub.to_jsonl() == expected
+
     def test_newer_trace_schema_rejected(self, tmp_path):
         path = tmp_path / "future.jsonl"
         path.write_text(

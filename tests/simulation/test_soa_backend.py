@@ -617,10 +617,10 @@ class TestNoObjectGraph:
         from repro.network.node import ComputeNode
         from repro.network.packet import Packet
         from repro.simulation.soa import SoAEngine
-        from repro.simulation.soa.state import SoAState
+        from repro.simulation.soa.state import RouterView, SoAState, _OutputPortView
 
         monkeypatch.delenv("REPRO_OBS", raising=False)
-        kinds = (SoAEngine, SoAState, ComputeNode, Packet)
+        kinds = (SoAEngine, SoAState, RouterView, _OutputPortView, ComputeNode, Packet)
 
         def alive():
             return {
@@ -633,15 +633,183 @@ class TestNoObjectGraph:
         gc.disable()
         try:
             before = alive()
-            # PB and ECtN carry the two ``post_cycle`` transcriptions.
-            for routing in ("Base", "PB", "ECtN", "MIN"):
+            # PB and ECtN carry the two ``post_cycle`` transcriptions.  OLM's
+            # ``select_output`` reads ``output_ports``: on its ``LIVE`` rows
+            # (a fault run) the routers build their port views.
+            faults = FaultModel(link_failure_percent=10.0)
+            for routing, model in (
+                ("Base", None), ("PB", None), ("ECtN", None), ("MIN", None),
+                ("OLM", None), ("OLM", faults), ("PB", faults),
+            ):
                 sim = Simulator(
                     SimulationParameters.tiny().with_backend("soa"),
-                    routing, "UN", 0.3, seed=1,
+                    routing, "UN", 0.3, seed=1, fault_model=model,
                 )
                 sim.run_steady_state(100, 200)
                 assert alive() != before
+                if routing == "OLM" and model is not None:
+                    assert alive()["_OutputPortView"] > 0
                 del sim
                 assert alive() == before, routing
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("routing, faulty", [("Base", False), ("PB", False), ("OLM", True)])
+    def test_a_finished_soa_simulator_with_probes_is_reclaimed_too(self, routing, faulty):
+        """The hub holds a state reader and the routing holds the hub; none
+        of that points back at the engine or the Simulator."""
+        import gc
+
+        from repro.obs import ObservationConfig, ObservationHub
+        from repro.simulation.soa import SoAEngine
+        from repro.simulation.soa.state import (
+            RouterView, SoAState, _OutputBufferView, _OutputPortView,
+        )
+
+        kinds = (SoAEngine, SoAState, ObservationHub, RouterView,
+                 _OutputPortView, _OutputBufferView)
+
+        def alive():
+            return {
+                cls.__name__: count
+                for cls in kinds
+                if (count := sum(type(o) is cls for o in gc.get_objects()))
+            }
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = alive()
+            sim = Simulator(
+                SimulationParameters.tiny().with_backend("soa"),
+                routing, "ADV+1", 0.4, seed=1,
+                observation=ObservationConfig(snapshot_period=50),
+                fault_model=FaultModel(link_failure_percent=10.0) if faulty else None,
+            )
+            sim.run_steady_state(100, 200)
+            assert sim.obs.events and alive() != before
+            assert ("_OutputPortView" in alive()) == faulty  # OLM's LIVE rows
+            del sim
+            assert alive() == before
+        finally:
+            gc.enable()
+
+
+def _containers(sim):
+    """What a ``soa`` Simulator allocated because of traffic: VC queues, node
+    queues, head rows, and (process-wide, via the collector) deques and port
+    view objects."""
+    import gc
+    from collections import deque
+
+    from repro.simulation.soa.state import _OutputBufferView, _OutputPortView
+
+    st = sim.engine._st
+    counted = (deque, _OutputPortView, _OutputBufferView)
+    census = {cls.__name__: 0 for cls in counted}
+    for obj in gc.get_objects():
+        if type(obj) in counted:
+            census[type(obj).__name__] += 1
+    census["vc_queues"] = sum(dq is not None for dq in st.in_q)
+    census["node_queues"] = sum(n.source_queue is not None for n in sim.network.nodes)
+    census["rows"] = sum(row is not None for row in sim.engine._rows)
+    return census
+
+
+class TestAllocationFollowsTraffic:
+    """A built ``soa`` Simulator holds numbers; traffic allocates the rest."""
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["healthy", "faults"])
+    @pytest.mark.parametrize("preset", ["tiny", "transient"])
+    def test_a_fresh_simulator_holds_no_container(self, preset, faulty):
+        import gc
+
+        params = getattr(SimulationParameters, preset)().with_backend("soa")
+        model = FaultModel(link_failure_percent=10.0) if faulty else None
+        gc.collect()
+        gc.disable()  # a collection between the two censuses must not hide one
+        try:
+            before = _containers(
+                Simulator(SimulationParameters.tiny().with_backend("soa"), "MIN", "UN", 0.1)
+            )
+            sim = Simulator(params, "Base", "ADV+1", 0.4, seed=3, fault_model=model)
+            fresh = _containers(sim)
+        finally:
+            gc.enable()
+        # Nothing per VC, per port or per node: no deque, no port view, no
+        # list in ``in_q``, no row — whatever else the process holds.
+        assert fresh == before
+        assert not any(
+            fresh[name]
+            for name in ("_OutputPortView", "_OutputBufferView", "vc_queues",
+                         "node_queues", "rows")
+        )
+        st = sim.engine._st
+        assert len(st.in_q) == st.R * st.P * st.V and sum(st.in_nvcs) > 0
+        # ... and the first traffic brings them.
+        sim.run_cycles(60)
+        after = _containers(sim)
+        assert after["vc_queues"] > 0 and after["node_queues"] > 0
+        assert after["deque"] == fresh["deque"] + after["node_queues"]
+        assert all(type(dq) is list for dq in st.in_q if dq is not None)
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["healthy", "faults"])
+    def test_only_existing_vcs_ever_get_a_queue(self, faulty):
+        sim = Simulator(
+            SimulationParameters.tiny().with_backend("soa"), "Base", "ADV+1", 1.0,
+            seed=2, fault_model=FaultModel(link_failure_percent=10.0) if faulty else None,
+        )
+        sim.run_cycles(600)  # saturated: nearly every VC was pushed into
+        st = sim.engine._st
+        queues = [q for q, dq in enumerate(st.in_q) if dq is not None]
+        assert len(queues) > 0.5 * sum(st.in_nvcs)
+        for q in queues:
+            g, vc = divmod(q, st.V)
+            assert vc < st.in_nvcs[g], (g, vc)
+        # Ports differ in VC count, so some slots of the padded layout stay
+        # without a queue for ever.
+        assert len(queues) <= sum(st.in_nvcs) < len(st.in_q)
+
+    @pytest.mark.parametrize("routing", ["Base", "OLM"])
+    def test_inspection_agrees_with_object_while_vcs_are_untouched(self, routing):
+        from repro.obs.readers import ObjectStateReader, SoAStateReader
+
+        sims = {}
+        for backend in ("object", "soa"):
+            sim = sims[backend] = Simulator(
+                SimulationParameters.tiny().with_backend(backend), routing, "ADV+1", 0.3,
+                seed=9,
+            )
+            sim.run_cycles(25)
+        obj, soa = sims["object"], sims["soa"]
+        st = soa.engine._st
+        untouched = [
+            g * st.V + vc
+            for g, nvcs in enumerate(st.in_nvcs)
+            for vc in range(nvcs)
+            if st.in_q[g * st.V + vc] is None
+        ]
+        assert untouched, "the run must be short enough to leave VCs unused"
+        assert any(node.source_queue is None for node in soa.network.nodes)
+
+        def census(engine):
+            return [
+                (rid, occupied, [packet.pid for packet in packets])
+                for rid, occupied, packets in engine._stall_census()
+            ]
+
+        assert census(soa.engine) == census(obj.engine)
+        assert sum(len(pids) for _, _, pids in census(soa.engine)) > 0
+        assert soa.engine.total_buffered_packets() == obj.engine.total_buffered_packets() > 0
+        assert soa.engine._stall_snapshot(25) == obj.engine._stall_snapshot(25)
+        assert (
+            SoAStateReader(st).input_occupancy()
+            == ObjectStateReader(obj.network).input_occupancy()
+        )
+        assert (
+            soa.network.occupancy_summary()["source_queued"]
+            == obj.network.occupancy_summary()["source_queued"]
+        )
+        assert [n.source_queue_length for n in soa.network.nodes] == [
+            n.source_queue_length for n in obj.network.nodes
+        ]

@@ -1,4 +1,5 @@
-"""``tools/build_footprint.py`` on the ``tiny`` preset, both backends."""
+"""``tools/build_footprint.py`` on the ``tiny`` preset: both backends, the
+in-flight report and the budget gate."""
 
 import re
 import subprocess
@@ -37,6 +38,51 @@ def test_report_names_every_quantity_and_blames_the_right_modules(backend):
     else:
         assert set(OBJECT_MODEL) <= set(modules)
         assert "simulation/soa/state.py" not in modules
+
+
+def _module_table(lines):
+    """``{module: MB}`` of the table under a ``traced_mb`` line."""
+    assert re.fullmatch(r"traced_mb \d+\.\d\d  \(repro \d+\.\d\d\)", lines[0])
+    table = {}
+    for line in lines[1:]:
+        if not line.startswith("  "):
+            break
+        size, name = line.split()
+        table[name] = float(size)
+    return table
+
+
+def test_run_cycles_reports_the_memory_in_flight():
+    lines = _report("--run-cycles", "120", "--pattern", "ADV+1", "--load", "0.5")
+    mark = lines.index("after 120 cycles of ADV+1 at load 0.5:")
+    sites_mark = lines.index("largest allocation sites:")
+    assert 4 < mark < sites_mark
+    built = _module_table(lines[3:mark])
+    assert re.fullmatch(r"ru_maxrss_mb \d+\.\d", lines[mark + 1])
+    in_flight = _module_table(lines[mark + 2 : sites_mark])
+    # Traffic allocated what the build did not: packets, node queues, VC
+    # queues and head rows.
+    assert "traffic/bernoulli.py" in in_flight and "traffic/bernoulli.py" not in built
+    assert "simulation/soa/engine.py" in in_flight
+    assert sum(in_flight.values()) > sum(built.values())
+    sites = lines[sites_mark + 1 :]
+    assert 1 <= len(sites) <= 10
+    sizes = [float(site.split()[0]) for site in sites]
+    assert sizes == sorted(sizes, reverse=True)
+    assert all(re.fullmatch(r" +\d+\.\d\d  \S+:\d+", site) for site in sites)
+    # Without the flag the report stops after the build table.
+    assert "largest allocation sites:" not in _report()
+
+
+def test_budget_gates_the_traced_build_footprint():
+    assert _report("--budget-mb", "5")[0].startswith("preset tiny")
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--preset", "tiny", "--budget-mb", "0.001"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout.startswith("preset tiny")  # the report is still printed
+    assert re.search(r"build footprint \d+\.\d\d MB exceeds the budget of 0\.001 MB", done.stderr)
 
 
 def test_unknown_preset_is_rejected():

@@ -146,6 +146,30 @@ class TestMinimalRouting:
         with pytest.raises(ValueError):
             topology.minimal_route_to_router(src, src)
 
+    def test_route_memos_are_byte_tables_answering_like_the_uncached_route(self, topology):
+        R = topology.num_routers
+        assert topology._minimal_port_cache is None and topology._router_route_cache is None
+        for _ in range(2):  # the second pass reads every entry back
+            for router in range(R):
+                for dst_router in range(R):
+                    if router == dst_router:
+                        continue
+                    expected = topology._route_port(router, dst_router)
+                    dst = topology.router_nodes(dst_router)[0]
+                    assert topology.minimal_output_port(router, dst) == expected
+                    assert topology.minimal_route_to_router(router, dst_router) == expected
+        for memo in (topology._minimal_port_cache, topology._router_route_cache):
+            assert type(memo) is bytearray and len(memo) == R * R
+            # Only the diagonal (never asked for) is still unset.
+            assert [key for key, port in enumerate(memo) if port == 0xFF] == [
+                router * R + router for router in range(R)
+            ]
+
+    def test_a_radix_the_memo_byte_cannot_hold_is_rejected(self):
+        DragonflyTopology(DragonflyConfig(p=249, a=4, h=2))  # radix 254
+        with pytest.raises(ValueError, match="byte-sized route memos"):
+            DragonflyTopology(DragonflyConfig(p=250, a=4, h=2))
+
     def test_minimal_global_port_info(self, topology):
         # Same group: no global link on the minimal path.
         same_group_node = topology.router_nodes(1)[0]

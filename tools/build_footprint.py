@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""What building one Simulator costs: seconds, peak RSS, bytes per module.
+"""What one Simulator costs: build seconds, peak RSS, bytes per module.
 
     python3 tools/build_footprint.py --preset paper [--backend soa] [--routing Base]
+        [--run-cycles N [--pattern UN --load 0.1]] [--budget-mb X]
 
 Builds one ``Simulator`` of the ``SimulationParameters.<preset>()`` system
 and prints
@@ -11,10 +12,17 @@ and prints
   ``simulation.engine_build_s``;
 * ``ru_maxrss`` of this process after that build (imports + one Simulator);
 * from a second build under ``tracemalloc``: the live megabytes the build
-  left behind, per ``repro`` module that allocated them.
+  left behind, per ``repro`` module that allocated them;
+* with ``--run-cycles N``: the same per-module table after that second
+  Simulator ran ``N`` cycles, and the ten largest allocation sites (the
+  ``ru_maxrss`` printed there includes ``tracemalloc``'s own bookkeeping).
 
-A sweep worker holds one Simulator at a time, so the second line is the
-memory one worker needs.  No benchmark workload is as large as ``paper``;
+The build footprint is the *floor* of what a sweep worker needs, not the
+whole of it: on ``soa`` the containers follow the traffic (VC queues, node
+queues, port views, route memos), so a run in flight holds several times its
+build — ``--run-cycles`` is the figure to size workers by.  ``--budget-mb X``
+exits 1 when the traced build footprint exceeds ``X`` (bytes, not seconds:
+the gate is noise-free).  No benchmark workload is as large as ``paper``;
 this is the command behind the paper-scale table in docs/architecture.md.
 """
 
@@ -28,7 +36,7 @@ import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -39,6 +47,12 @@ import repro.simulation.soa  # noqa: E402,F401  (else loaded inside the first ti
 
 PRESETS = ("tiny", "small", "transient", "paper")
 MB = 1024 * 1024
+PACKAGE = str(ROOT / "src" / "repro") + "/"
+
+
+def max_rss_mb() -> float:
+    """``ru_maxrss`` of this process (Linux reports kilobytes)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def timed_build(params: SimulationParameters, routing: str) -> Dict[str, float]:
@@ -68,50 +82,75 @@ def timed_build(params: SimulationParameters, routing: str) -> Dict[str, float]:
     return seconds
 
 
-def traced_build(params: SimulationParameters, routing: str) -> Dict[str, int]:
-    """Build one Simulator under tracemalloc; live bytes per source file."""
+def traced_build(
+    params: SimulationParameters, routing: str, pattern: str, load: float, run_cycles: int
+) -> Tuple[tracemalloc.Snapshot, Optional[tracemalloc.Snapshot]]:
+    """Build one Simulator under tracemalloc and, if asked, run it: the
+    snapshot after the build and the one after ``run_cycles`` cycles."""
     gc.collect()
     tracemalloc.start()
     try:
-        sim = simulator_module.Simulator(params, routing, "UN", 0.1, seed=1)
-        snapshot = tracemalloc.take_snapshot()
+        sim = simulator_module.Simulator(params, routing, pattern, load, seed=1)
+        built = tracemalloc.take_snapshot()
+        in_flight = None
+        if run_cycles:
+            sim.run_cycles(run_cycles)
+            in_flight = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    del sim
+    return built, in_flight
+
+
+def traced_lines(snapshot: tracemalloc.Snapshot) -> Tuple[float, List[str]]:
+    """The traced megabytes of ``snapshot``, and its ``traced_mb`` line plus
+    one line per ``repro`` module holding a share worth printing."""
     per_file: Dict[str, int] = defaultdict(int)
     for stat in snapshot.statistics("filename"):
         per_file[stat.traceback[0].filename] += stat.size
-    return per_file
+    modules = {
+        name[len(PACKAGE):]: size for name, size in per_file.items()
+        if name.startswith(PACKAGE)
+    }
+    traced_mb = sum(per_file.values()) / MB
+    lines = [f"traced_mb {traced_mb:.2f}  (repro {sum(modules.values()) / MB:.2f})"]
+    for name, size in sorted(modules.items(), key=lambda item: -item[1]):
+        if size >= 0.005 * MB:
+            lines.append(f"  {size / MB:8.2f}  {name}")
+    return traced_mb, lines
 
 
-def report(preset: str, backend: str, routing: str) -> List[str]:
+def report(
+    preset: str, backend: str, routing: str, pattern: str, load: float, run_cycles: int
+) -> Tuple[float, List[str]]:
+    """The traced build megabytes and the lines to print."""
     params = getattr(SimulationParameters, preset)().with_backend(backend)
     topology = params.topology
     seconds = timed_build(params, routing)
-    # Linux reports kilobytes.
-    max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    per_file = traced_build(params, routing)
+    built_rss_mb = max_rss_mb()
+    built, in_flight = traced_build(params, routing, pattern, load, run_cycles)
 
-    package = str(ROOT / "src" / "repro") + "/"
-    modules = {
-        name[len(package):]: size for name, size in per_file.items()
-        if name.startswith(package)
-    }
-    traced_total = sum(per_file.values())
+    build_mb, build_lines = traced_lines(built)
     lines = [
         f"preset {preset}: {topology.num_routers} routers of radix "
         f"{topology.router_radix}, {topology.num_nodes} nodes; "
         f"backend {backend}, routing {routing}",
         f"build_s {seconds['build']:.3f}  (network {seconds['network']:.3f}, "
         f"engine {seconds['engine']:.3f})",
-        f"ru_maxrss_mb {max_rss_mb:.1f}",
-        f"traced_mb {traced_total / MB:.2f}  "
-        f"(repro {sum(modules.values()) / MB:.2f})",
+        f"ru_maxrss_mb {built_rss_mb:.1f}",
+        *build_lines,
     ]
-    for name, size in sorted(modules.items(), key=lambda item: -item[1]):
-        if size >= 0.005 * MB:
-            lines.append(f"  {size / MB:8.2f}  {name}")
-    return lines
+    if in_flight is not None:
+        lines.append(f"after {run_cycles} cycles of {pattern} at load {load:g}:")
+        lines.append(f"ru_maxrss_mb {max_rss_mb():.1f}")
+        lines += traced_lines(in_flight)[1]
+        lines.append("largest allocation sites:")
+        for stat in in_flight.statistics("lineno")[:10]:
+            frame = stat.traceback[0]
+            name = frame.filename
+            if name.startswith(PACKAGE):
+                name = name[len(PACKAGE):]
+            lines.append(f"  {stat.size / MB:8.2f}  {name}:{frame.lineno}")
+    return build_mb, lines
 
 
 def main(argv=None) -> int:
@@ -119,8 +158,28 @@ def main(argv=None) -> int:
     parser.add_argument("--preset", choices=PRESETS, required=True)
     parser.add_argument("--backend", choices=("soa", "object"), default="soa")
     parser.add_argument("--routing", default="Base")
+    parser.add_argument(
+        "--run-cycles", type=int, default=0, metavar="N",
+        help="also report the live memory after running N cycles",
+    )
+    parser.add_argument("--pattern", default="UN", help="traffic of --run-cycles")
+    parser.add_argument("--load", type=float, default=0.1, help="offered load of --run-cycles")
+    parser.add_argument(
+        "--budget-mb", type=float, default=None, metavar="X",
+        help="exit 1 when the traced build footprint exceeds X MB",
+    )
     args = parser.parse_args(argv)
-    print("\n".join(report(args.preset, args.backend, args.routing)))
+    build_mb, lines = report(
+        args.preset, args.backend, args.routing, args.pattern, args.load, args.run_cycles
+    )
+    print("\n".join(lines))
+    if args.budget_mb is not None and build_mb > args.budget_mb:
+        print(
+            f"build footprint {build_mb:.2f} MB exceeds the budget of "
+            f"{args.budget_mb:g} MB",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
