@@ -29,10 +29,13 @@ touches an RNG stream (sampling is a packet-id hash, see
 from __future__ import annotations
 
 import json
+import os
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.config import ObservationConfig, pid_sampled
+from repro.obs.config import _HASH_MASK, _HASH_MULT, ObservationConfig, pid_sampled
 from repro.obs.telemetry import TRACE_SCHEMA_VERSION
 from repro.topology.base import PortKind
 
@@ -48,16 +51,85 @@ _NEVER = 2**62
 #: ``PortKind.INJECTION``; seen from the crossbar they are the exit).
 _KIND_CHAR = {PortKind.GLOBAL: "G", PortKind.LOCAL: "L", PortKind.INJECTION: "E"}
 
+# A flight event is one flat tuple ``(tag, *fields)`` in the row list: no
+# dict per hop, and a tuple of scalars leaves the GC's tracked set at the
+# first collection that visits it.  ``tag`` selects the field names below;
+# a hop that consulted a trigger has tag ``_FIRST_SCHEMA + i`` and carries,
+# after the hop fields, ``escape`` and the observation's *values* — its key
+# tuple is ``ObservationHub._schemas[i]``, interned once per hub.
+_INJECT, _DELIVER, _DROP, _HOP, _FIRST_SCHEMA = range(5)
+#: The ``cls`` slot holds the port-kind letter only; the buffer class is
+#: that letter followed by ``out_vc``.
+_HOP_FIELDS = (
+    "pid",
+    "cycle",
+    "router",
+    "in_port",
+    "in_vc",
+    "out_port",
+    "out_vc",
+    "cls",
+    "kind",
+)
+_ROW_FIELDS = (
+    ("inject", ("pid", "cycle", "src", "dst", "size", "created")),
+    ("deliver", ("pid", "cycle", "latency", "hops")),
+    ("drop", ("pid", "cycle", "hops")),
+    ("hop", _HOP_FIELDS),
+)
+_ESCAPE = 1 + len(_HOP_FIELDS)  # row index of ``escape``; the values follow
+
+#: Lines per ``write`` of a dump (bounds the transient to one chunk).
+_DUMP_CHUNK_LINES = 1024
+
+
+def _picker(indices):
+    """``itemgetter`` that returns a tuple for any number of indices."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda row: (row[index],)
+    return itemgetter(*indices)
+
+
+def _row_format(tag: int) -> Tuple[str, List[int]]:
+    """``%``-template and row indices of a fixed-field row, keys pre-sorted.
+
+    Every fixed field is an ``int`` except the hop's ``cls`` (letter plus
+    ``out_vc``) and ``kind`` (one of six literals), so no value needs
+    escaping and ``template % picked`` is the line ``json.dumps(event,
+    sort_keys=True)`` would produce.
+    """
+    ev, fields = _ROW_FIELDS[tag]
+    pieces, indices = [], []
+    for key in sorted((*fields, "ev")):
+        if key == "ev":
+            pieces.append(f'"ev": "{ev}"')
+            continue
+        indices.append(1 + fields.index(key))
+        if key == "cls":
+            pieces.append('"cls": "%s%d"')
+            indices.append(1 + fields.index("out_vc"))
+        elif key == "kind":
+            pieces.append('"kind": "%s"')
+        else:
+            pieces.append(f'"{key}": %d')
+    return "{" + ", ".join(pieces) + "}", indices
+
 
 class ObservationHub:
     """Collects probe events, flight records and run telemetry for one run."""
 
     __slots__ = (
         "config",
-        "events",
         "manifest",
         "perf",
+        "_rows",
+        "_schemas",
+        "_schema_tags",
         "_threshold",
+        "_max_events",
+        "_link_utilization",
+        "_trigger_trace",
         "_reader",
         "_radix",
         "_port_chars",
@@ -78,21 +150,31 @@ class ObservationHub:
 
     def __init__(self, config: Optional[ObservationConfig] = None):
         self.config = config or ObservationConfig()
-        self.events: List[dict] = []
         self.manifest: Optional[dict] = None
         self.perf: dict = {}
+        #: Flight rows (tuples) and the rare snapshot / warp events (dicts),
+        #: in emission order.
+        self._rows: list = []
+        #: Trigger-observation key tuples, and key tuple -> row tag.
+        self._schemas: List[Tuple[str, ...]] = []
+        self._schema_tags: Dict[Tuple[str, ...], int] = {}
+        # The config is frozen: what the per-grant site reads is copied out.
         self._threshold = self.config.sample_threshold()
+        self._max_events = self.config.max_events
+        self._link_utilization = self.config.link_utilization
+        self._trigger_trace = self.config.trigger_trace
         self._reader = None
         self._radix = 0
         self._port_chars: List[str] = []
         self._topology = None
         self._link_phits: List[int] = []
+        #: Sampled pids currently in flight (granted, not yet delivered/dropped).
         self._seen_pids: set = set()
         self._next_snapshot = _NEVER
         #: rid -> [consultations, escapes] over sampled grants.
         self._trigger_totals: Dict[int, List[int]] = {}
-        #: rid -> the most recent trigger consultation (stall diagnostics).
-        self._last_trigger: Dict[int, dict] = {}
+        #: rid -> the hop row of the most recent trigger consultation.
+        self._last_trigger: Dict[int, tuple] = {}
         self._grants = 0
         self._events_dropped = 0
         self._cycles_observed = 0
@@ -125,63 +207,89 @@ class ObservationHub:
         self._grants += 1
         out_port = decision.output_port
         rid = router.router_id
-        if self.config.link_utilization:
+        if self._link_utilization:
             self._link_phits[rid * self._radix + out_port] += packet.size_phits
         pid = packet.pid
-        if not pid_sampled(pid, self._threshold):
+        if ((pid * _HASH_MULT) & _HASH_MASK) >= self._threshold:  # not pid_sampled
             return
+        rows = self._rows
+        max_events = self._max_events
         if pid not in self._seen_pids:
             self._seen_pids.add(pid)
-            self._emit(
-                {
-                    "ev": "inject",
-                    "pid": pid,
-                    "cycle": packet.injection_cycle,
-                    "src": packet.src,
-                    "dst": packet.dst,
-                    "size": packet.size_phits,
-                    "created": packet.creation_cycle,
-                }
+            if len(rows) < max_events:
+                rows.append(
+                    (
+                        _INJECT,
+                        pid,
+                        packet.injection_cycle,
+                        packet.src,
+                        packet.dst,
+                        packet.size_phits,
+                        packet.creation_cycle,
+                    )
+                )
+            else:
+                self._events_dropped += 1
+        char = self._port_chars[out_port]
+        out_vc = decision.vc
+        trigger = None
+        if decision.set_fault_mode:
+            kind = "fault"
+        elif char == "E":
+            kind = "eject"
+        else:
+            if decision.set_must_misroute_global:
+                kind = "nm_global_proxy"
+            elif decision.nonminimal_global:
+                kind = "nm_global"
+            elif decision.nonminimal_local:
+                kind = "nm_local"
+            else:
+                kind = "minimal"
+            if self._trigger_trace:
+                trigger = routing.trigger_observation(router, packet)
+        if trigger is None:
+            row = (_HOP, pid, cycle, rid, port, vc, out_port, out_vc, char, kind)
+        else:
+            keys = tuple(trigger)
+            tag = self._schema_tags.get(keys)
+            if tag is None:
+                tag = self._intern_schema(keys)
+            escape = kind != "minimal"
+            row = (
+                tag,
+                pid,
+                cycle,
+                rid,
+                port,
+                vc,
+                out_port,
+                out_vc,
+                char,
+                kind,
+                escape,
+                *trigger.values(),
             )
-        kind = self._hop_kind(decision, out_port)
-        event = {
-            "ev": "hop",
-            "pid": pid,
-            "cycle": cycle,
-            "router": rid,
-            "in_port": port,
-            "in_vc": vc,
-            "out_port": out_port,
-            "out_vc": decision.vc,
-            "cls": f"{self._port_chars[out_port]}{decision.vc}",
-            "kind": kind,
-        }
-        if self.config.trigger_trace and kind not in ("eject", "fault"):
-            trigger = routing.trigger_observation(router, packet)
-            if trigger is not None:
-                escape = kind != "minimal"
-                trigger["escape"] = escape
-                event["trigger"] = trigger
-                totals = self._trigger_totals.setdefault(rid, [0, 0])
-                totals[0] += 1
-                if escape:
-                    totals[1] += 1
-                self._last_trigger[rid] = {"pid": pid, "cycle": cycle, **trigger}
-        self._emit(event)
+            totals = self._trigger_totals.setdefault(rid, [0, 0])
+            totals[0] += 1
+            if escape:
+                totals[1] += 1
+            self._last_trigger[rid] = row
+        if len(rows) < max_events:
+            rows.append(row)
+        else:
+            self._events_dropped += 1
 
     def record_delivery(self, packet, cycle) -> None:
         """A packet handed to its destination node (engine drain loop)."""
         pid = packet.pid
         if not pid_sampled(pid, self._threshold):
             return
+        # A delivered packet is never granted again: forget it.
+        self._seen_pids.discard(pid)
+        delivered = packet.delivered_cycle
         self._emit(
-            {
-                "ev": "deliver",
-                "pid": pid,
-                "cycle": packet.delivered_cycle,
-                "latency": packet.delivered_cycle - packet.creation_cycle,
-                "hops": packet.hops,
-            }
+            (_DELIVER, pid, delivered, delivered - packet.creation_cycle, packet.hops)
         )
 
     def record_dropped(self, packet, cycle) -> None:
@@ -189,7 +297,8 @@ class ObservationHub:
         pid = packet.pid
         if not pid_sampled(pid, self._threshold):
             return
-        self._emit({"ev": "drop", "pid": pid, "cycle": cycle, "hops": packet.hops})
+        self._seen_pids.discard(pid)
+        self._emit((_DROP, pid, cycle, packet.hops))
 
     def on_cycle(self, cycle: int, alloc_routers: int) -> None:
         """End of one executed engine cycle (both backends)."""
@@ -218,24 +327,18 @@ class ObservationHub:
         self._emit(event)
 
     # ------------------------------------------------------------- internals
-    def _hop_kind(self, decision, out_port: int) -> str:
-        if decision.set_fault_mode:
-            return "fault"
-        if self._port_chars[out_port] == "E":
-            return "eject"
-        if decision.set_must_misroute_global:
-            return "nm_global_proxy"
-        if decision.nonminimal_global:
-            return "nm_global"
-        if decision.nonminimal_local:
-            return "nm_local"
-        return "minimal"
+    def _intern_schema(self, keys: Tuple[str, ...]) -> int:
+        """Row tag for hops whose trigger observation has exactly ``keys``."""
+        tag = self._schema_tags[keys] = _FIRST_SCHEMA + len(self._schemas)
+        self._schemas.append(keys)
+        return tag
 
-    def _emit(self, event: dict) -> None:
-        if len(self.events) >= self.config.max_events:
+    def _emit(self, event) -> None:
+        """Append a row, or a snapshot / warp ``dict`` (rare, so they stay dicts)."""
+        if len(self._rows) >= self._max_events:
             self._events_dropped += 1
             return
-        self.events.append(event)
+        self._rows.append(event)
 
     def _take_snapshot(self, cycle: int) -> None:
         reader = self._reader
@@ -250,6 +353,26 @@ class ObservationHub:
                 "outputs": [list(row) for row in reader.output_committed()],
             }
         )
+
+    def _trigger(self, row: tuple) -> dict:
+        """The trigger observation of a hop row, ``escape`` last."""
+        trigger = dict(zip(self._schemas[row[0] - _FIRST_SCHEMA], row[_ESCAPE + 1 :]))
+        trigger["escape"] = row[_ESCAPE]
+        return trigger
+
+    def _event(self, row) -> dict:
+        """The event dict of one row (what was stored before rows existed)."""
+        if type(row) is dict:
+            return row
+        tag = row[0]
+        ev, fields = _ROW_FIELDS[min(tag, _HOP)]
+        event = {"ev": ev}
+        event.update(zip(fields, row[1:]))
+        if tag >= _HOP:
+            event["cls"] = f"{event['cls']}{event['out_vc']}"
+            if tag > _HOP:
+                event["trigger"] = self._trigger(row)
+        return event
 
     # ------------------------------------------------------------- telemetry
     def finalize(self, engine) -> dict:
@@ -266,7 +389,7 @@ class ObservationHub:
                 "delivered_packets": engine.delivered_packets,
                 "dropped_packets": engine.dropped_packets,
                 "grants": self._grants,
-                "events": len(self.events),
+                "events": len(self._rows),
                 "events_dropped": self._events_dropped,
                 "snapshots_taken": self._snapshots_taken,
                 "snapshots_skipped": self._snapshots_skipped,
@@ -281,12 +404,18 @@ class ObservationHub:
         self.manifest = manifest
 
     # ----------------------------------------------------------- query / dump
+    @property
+    def events(self) -> List[dict]:
+        """Every recorded event as a dict, in emission order (built per call)."""
+        return [self._event(row) for row in self._rows]
+
     def flight_events(self, pid: Optional[int] = None) -> List[dict]:
         """The deterministic flight-recorder subset, optionally one packet."""
-        events = [e for e in self.events if e["ev"] in FLIGHT_EVENTS]
-        if pid is not None:
-            events = [e for e in events if e.get("pid") == pid]
-        return events
+        return [
+            self._event(row)
+            for row in self._rows
+            if type(row) is tuple and (pid is None or row[1] == pid)
+        ]
 
     def link_utilization(self) -> List[dict]:
         """Per-(router, output port) forwarded phits, non-zero links only."""
@@ -313,7 +442,10 @@ class ObservationHub:
         ]
 
     def last_trigger(self, rid: int) -> Optional[dict]:
-        return self._last_trigger.get(rid)
+        row = self._last_trigger.get(rid)
+        if row is None:
+            return None
+        return {"pid": row[1], "cycle": row[2], **self._trigger(row)}
 
     def stall_context(self, pid: int, rid: int) -> List[str]:
         """Extra ``SimulationStallError`` diagnostics from the probe state."""
@@ -327,26 +459,108 @@ class ObservationHub:
                 if e["ev"] == "hop"
             )
             lines.append(f"  recorded flight path of pid={pid}: {hops or 'no hops'}")
-        trigger = self._last_trigger.get(rid)
+        trigger = self.last_trigger(rid)
         if trigger is not None:
             lines.append(f"  last trigger decision at router {rid}: {trigger}")
         return lines
 
+    def _formats(self, encode) -> list:
+        """Per row tag: ``(template, fixed-field picker, trigger-value picker)``."""
+        formats = []
+        for tag in range(_FIRST_SCHEMA):
+            template, indices = _row_format(tag)
+            formats.append((template, _picker(indices), None))
+        hop_template, hop_fields, _ = formats[_HOP]
+        for keys in self._schemas:
+            # ``escape`` is the hub's; an observation's own key of that name
+            # is overwritten, as ``trigger["escape"] = ...`` did.
+            slot = {key: _ESCAPE + 1 + i for i, key in enumerate(keys)}
+            slot["escape"] = _ESCAPE
+            names = sorted(slot)
+            body = ", ".join(encode(key).replace("%", "%%") + ": %s" for key in names)
+            formats.append(
+                (
+                    hop_template[:-1] + ', "trigger": {' + body + "}}",
+                    hop_fields,
+                    _picker([slot[key] for key in names]),
+                )
+            )
+        return formats
+
+    def _lines(self) -> Iterator[str]:
+        """Manifest, events and perf as JSON lines, keys sorted.
+
+        Rows go through one pre-sorted ``%``-template per tag; only trigger
+        values, whose types the mechanism chooses, are encoded one by one.
+        """
+        encode = json.JSONEncoder(sort_keys=True).encode
+        encoded: Dict[str, str] = {}
+
+        def value(item):
+            if type(item) is int:
+                return item  # ``%s`` of an int is its JSON
+            if item is True:
+                return "true"
+            if item is False:
+                return "false"
+            if item is None:
+                return "null"
+            if type(item) is str:  # not floats: -0.0 == 0.0 would share an entry
+                text = encoded.get(item)
+                if text is None:
+                    text = encoded[item] = encode(item)
+                return text
+            return encode(item)
+
+        formats = self._formats(encode)
+        if self.manifest is not None:
+            yield encode(self.manifest)
+        for row in self._rows:
+            if type(row) is dict:
+                yield encode(row)
+                continue
+            template, fixed, trigger = formats[row[0]]
+            if trigger is None:
+                yield template % fixed(row)
+            else:
+                yield template % (fixed(row) + tuple(map(value, trigger(row))))
+        if self.perf:
+            yield encode(self.perf)
+
+    def _chunks(self) -> Iterator[str]:
+        """The JSONL text, ``_DUMP_CHUNK_LINES`` newline-terminated lines at a time."""
+        lines = self._lines()
+        while True:
+            chunk = list(islice(lines, _DUMP_CHUNK_LINES))
+            if not chunk:
+                return
+            chunk.append("")
+            yield "\n".join(chunk)
+
     def to_jsonl(self) -> str:
         """Serialize manifest + events + perf, one JSON object per line."""
-        # One encoder for the whole dump: ``json.dumps(..., sort_keys=True)``
-        # builds a fresh ``JSONEncoder`` per call, i.e. per event.
-        encode = json.JSONEncoder(sort_keys=True).encode
-        lines = []
-        if self.manifest is not None:
-            lines.append(encode(self.manifest))
-        lines.extend(map(encode, self.events))
-        if self.perf:
-            lines.append(encode(self.perf))
-        return "\n".join(lines) + "\n"
+        return "".join(self._chunks())
 
     def dump(self, path) -> None:
-        Path(path).write_text(self.to_jsonl())
+        """Write the JSONL trace to ``path``, chunk by chunk and atomically.
+
+        The text goes to a sibling temp file that replaces ``path`` only
+        once complete, so a crash mid-dump leaves the old trace (or no
+        file) rather than a truncated one ``load_trace`` would accept.
+        """
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as handle:
+                for chunk in self._chunks():
+                    handle.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def load_trace(path) -> dict:
@@ -359,22 +573,22 @@ def load_trace(path) -> dict:
     manifest = None
     perf = None
     events: List[dict] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        ev = record.get("ev")
-        if ev == "manifest":
-            manifest = record
-            schema = record.get("trace_schema")
-            if schema is not None and schema > TRACE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"trace schema {schema} is newer than supported "
-                    f"({TRACE_SCHEMA_VERSION}); upgrade repro"
-                )
-        elif ev == "perf":
-            perf = record
-        else:
-            events.append(record)
+    with open(path) as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            ev = record.get("ev")
+            if ev == "manifest":
+                manifest = record
+                schema = record.get("trace_schema")
+                if schema is not None and schema > TRACE_SCHEMA_VERSION:
+                    raise ValueError(
+                        f"trace schema {schema} is newer than supported "
+                        f"({TRACE_SCHEMA_VERSION}); upgrade repro"
+                    )
+            elif ev == "perf":
+                perf = record
+            else:
+                events.append(record)
     return {"manifest": manifest, "events": events, "perf": perf}

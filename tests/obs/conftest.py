@@ -12,6 +12,8 @@ import pytest
 
 from repro.obs import ObservationConfig
 from repro.simulation.simulator import Simulator
+from repro.topology.faults import FaultEvent, FaultModel, FaultSchedule
+from repro.topology.registry import create_topology
 
 
 @pytest.fixture
@@ -42,5 +44,43 @@ def traced_run(tiny_params):
         )
         result = sim.run_steady_state(warmup, measure)
         return sim, result
+
+    return _run
+
+
+@pytest.fixture
+def fault_run(tiny_params):
+    """A traced VAL run whose last router is isolated at cycle 120.
+
+    The in-flight packets are re-steered (``fault`` hops) and the ones
+    addressed to the victim's nodes are dropped (``drop`` events).
+    """
+
+    def _run(backend="soa"):
+        topology = create_topology(tiny_params.topology)
+        victim = topology.num_routers - 1
+        links = [
+            (victim, port)
+            for port in range(topology.router_radix)
+            if topology.neighbor(victim, port) is not None
+        ]
+        model = FaultModel(
+            schedule=FaultSchedule(
+                events=tuple(FaultEvent(120, link, "fail") for link in links)
+            ),
+            allow_partition=True,
+        )
+        sim = Simulator(
+            tiny_params.with_backend(backend),
+            "VAL",
+            "UN",
+            0.4,
+            seed=5,
+            fault_model=model,
+            stall_watchdog_cycles=2_000,
+            observation=ObservationConfig(),
+        )
+        sim.run_steady_state(150, 400)
+        return sim
 
     return _run
