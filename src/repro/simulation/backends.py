@@ -13,11 +13,15 @@ its flat arrays, ``"object"`` the network's ``Router`` graph — so a
 :class:`~repro.network.network.Network` itself holds only nodes.
 
 The SoA package is imported on first use, so it stays off the import path of
-``repro.simulation.simulator`` and ``repro.service``.
+``repro.simulation.simulator`` and ``repro.service``; that first use also
+builds its compiled core (:mod:`repro.simulation.soa._loader`).  Where the
+core cannot be built — no C compiler — ``"soa"`` runs the ``"object"`` engine
+with a ``RuntimeWarning``: same results, slower.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Optional
 
 from repro.config.parameters import VALID_BACKENDS
@@ -41,10 +45,22 @@ def create_engine(
     """Build the engine implementation selected by ``backend``."""
     if backend not in VALID_BACKENDS:
         raise ValueError(f"unknown backend {backend!r} (valid: {sorted(VALID_BACKENDS)})")
-    if backend == "object":
-        engine_class = Engine
-    else:
-        from repro.simulation.soa import SoAEngine as engine_class
+    engine_class = Engine
+    if backend == "soa":
+        from repro.simulation.soa import CoreUnavailable, SoAEngine, load_core
+
+        try:
+            load_core()
+            engine_class = SoAEngine
+        except CoreUnavailable as exc:
+            # The backends are bit-identical by contract (and cache keys
+            # exclude the backend), so the reference engine stands in.
+            warnings.warn(
+                f"backend 'soa' needs its compiled core, which is unavailable; "
+                f"running the slower, bit-identical 'object' engine instead: {exc}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     return engine_class(
         network,

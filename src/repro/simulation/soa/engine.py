@@ -7,11 +7,17 @@ it advances the network through *exactly* the same sequence of state
 changes, routing-hook invocations and RNG draws as the object model, but
 reads and writes the flat arrays of
 :class:`~repro.simulation.soa.state.SoAState` instead of chasing
-``Router``/``InputPort``/``OutputPort`` objects.  The speed comes from five
+``Router``/``InputPort``/``OutputPort`` objects.  The speed comes from six
 places:
 
 * **flat state** — the begin/commit/release phases are integer arithmetic
   on Python lists instead of attribute loads across an object graph;
+* **a compiled hop chain** — that arithmetic runs in C: ``_core.c``, one
+  CPython extension type bound to this engine's :class:`SoAState`, holds the
+  state's own lists and calendars and implements credit returns, link
+  arrivals, the pop / commit / release chain of a hop, the separable
+  allocator, the allocation rounds and the router-major walk of a cycle
+  (see "The compiled core" below);
 * **decision capture** — routing decisions are classified once per buffer
   head instead of re-derived from scratch every allocation round.  Heads
   whose decision cannot change while they wait (ejection, towards-
@@ -26,9 +32,9 @@ places:
   that merely waits costs nothing;
 * **output ports booked at grant time** — a constant-latency pipeline, a
   FIFO output buffer and a work-conserving link make a hop's output-side
-  timeline a function of the grant cycle: ``_commit`` computes it, schedules
-  the downstream arrival and leaves one release event to give the buffer
-  space back — three calendar events per hop, no output-side queue;
+  timeline a function of the grant cycle: the core's ``commit`` computes it,
+  schedules the downstream arrival and leaves one release event to give the
+  buffer space back — three calendar events per hop, no output-side queue;
 * **clean-router skipping** — an allocation pass that produced no grant and
   consumed no RNG draw is a pure function of state that only a known set of
   events can change (a credit return or link arrival at the router, an
@@ -46,9 +52,33 @@ out_g, credit_q)`` whose last two fields precompute the admission-check
 indices.  ``AllocationRequest`` is a NamedTuple with the same first five
 fields, so the transcribed separable allocator accepts both shapes.
 
+The compiled core
+-----------------
+``self._core`` (``_core.c``, built on first use by
+:mod:`repro.simulation.soa._loader`) runs everything of a cycle's router phase
+that neither draws nor can be overridden, over the *same* Python lists, tuples,
+dicts and ``Packet`` objects this module and its readers see — nothing is
+copied into typed buffers, so :class:`RouterView`, the obs readers, the
+capture functions and every test that inspects ``st.*`` read live state.  What
+stays Python is called from C with the arguments, and in the order, documented
+here: the routing hooks (``on_grant``, ``on_packet_head``,
+``on_packet_arrival``, ``on_packet_leave_input``, looked up by name on the
+routing instance on every call, so a wrapper installed on the class later is
+seen), the capture function (``self._capture``), :meth:`_open_request` and the
+``_choose*`` transcriptions (they draw from the routing stream),
+:meth:`_live_request` / :meth:`_resolve_faults` / :meth:`_drop_head` (``LIVE``
+rows, fault runs), ``Packet.record_hop``, ``metrics.record_*`` and the obs
+sites.  ``_try_inject`` stays Python as well: it runs once per injected
+packet, around two hook calls.  The core never holds the engine — the engine
+is an argument of ``router_phase`` — so engine → core is the only edge between
+the two, and the type takes part in cyclic collection.  There is no pure-Python
+twin of the compiled functions: where no C compiler works,
+``create_engine("soa", …)`` runs the bit-identical ``object`` engine instead
+(debug a suspected core bug with ``REPRO_BACKEND=object``).
+
 Row kinds
 ---------
-There is one allocation path, :meth:`SoAEngine._allocate`.  Every buffer head
+There is one allocation path, the core's ``allocate``.  Every buffer head
 is a *row*, one tuple written once into ``_rows[q]`` by the capture function
 the constructor binds and read by every round: ``(FIXED, request)``, or for a
 gate ``(kind, fallback request, minimal port, candidates, global VC, local
@@ -99,7 +129,6 @@ time-warp and property suites assert bit-identical results.
 from __future__ import annotations
 
 from bisect import insort
-from operator import itemgetter
 from typing import List, Optional
 
 from repro.network.packet import RoutingPhase
@@ -113,12 +142,12 @@ from repro.routing.contention.base_contention import BaseContentionRouting
 from repro.routing.contention.hybrid import HybridContentionRouting
 from repro.routing.contention.ectn import ECtNRouting
 from repro.simulation.engine import _NO_EVENT, Engine
+from repro.simulation.soa._loader import load_core
 from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind
 
 __all__ = ["SoAEngine"]
 
-_event_port = itemgetter(0)
 _GLOBAL = PortKind.GLOBAL
 _LOCAL = PortKind.LOCAL
 _TO_INTERMEDIATE = RoutingPhase.TO_INTERMEDIATE
@@ -150,16 +179,12 @@ class SoAEngine(Engine):
 
     __slots__ = (
         "_st",
+        "_core",
         "_mech",
         "_capture",
         "_memo",
         "_routing",
         "_notify_arrival",
-        "_notify_head",
-        "_notify_leave",
-        "_speedup",
-        "_router_latency",
-        "_dlv",
         "_drp",
         "_rows",
         # trigger constants of the adaptive captures
@@ -180,14 +205,8 @@ class SoAEngine(Engine):
         faults = self.faults
         st = self._st
         routing = self._routing = network.routing
-        (
-            self._notify_arrival,
-            self._notify_head,
-            self._notify_leave,
-        ) = routing.overridden_hooks()
-        self._speedup = network.params.internal_speedup
-        self._router_latency = network.params.router_latency
-        self._dlv: List = []
+        hooks = routing.overridden_hooks()
+        self._notify_arrival = hooks[0]
         self._drp: List = []
         self._draws = 0
 
@@ -232,6 +251,21 @@ class SoAEngine(Engine):
                     self._hyb_cong = routing.congestion_threshold
                 elif self._mech == MECH_ECTN:
                     self._ectn_cth = routing._combined_threshold
+
+        # The compiled hop chain over this state (``_core.c``).  It tests the
+        # closed gates of the adaptive rows inline, so it is handed what they
+        # compare: OLM's minimum occupancy, or the counter arrays and the
+        # threshold of Base / ECtN (Hybrid has no draw-free closed gate).
+        counters = threshold = None
+        if self._mech == MECH_OLM:
+            threshold = self._olm_min_occ
+        elif self._mech in (MECH_BASE, MECH_ECTN):
+            counters, threshold = self._counters, self._cth
+        self._core = load_core().Core(
+            st, routing, self._rows, self._drp, hooks,
+            network.params.internal_speedup, network.params.router_latency,
+            self._mech, counters, threshold,
+        )
 
         # There are no object routers on this backend, so a mechanism's
         # post_cycle hook has nothing to scan.  PB's scan is transcribed
@@ -298,100 +332,14 @@ class SoAEngine(Engine):
     # ---------------------------------------------------------- router phase
     def _router_phase(self, cycle: int):
         """The events due this cycle, then allocation and output service
-        router by router, then retirement (see ``Engine._router_phase``)."""
-        st = self._st
-        metrics = self.metrics
-        obs = self.obs
-        faults = self.faults
-        # The calendars are popped only now, after the driver's injection
-        # pass: UGAL/PB ``on_inject`` reads ``credit_occ``, and the object
-        # engine runs ``begin_cycle`` after injection too.
-        due = st.cred_cal.pop(cycle, None)
-        if due is not None:
-            self._apply_credits(due)
-        due = st.arr_cal.pop(cycle, None)
-        if due is not None:
-            self._apply_arrivals(due, cycle)
-        svc = st.svc_cal.pop(cycle, ())
-        delivered_now = 0
-        dropped_now = 0
-        active = st.active
-        visited_routers = len(active)
-        if active or svc:
-            if st.unsorted:
-                active.sort()
-                st.unsorted = False
-            if len(svc) > 1:
-                # A release carries a ``Packet``, which does not order: sort
-                # by the port alone (a port has at most one release a cycle).
-                svc.sort(key=_event_port)
-            P = st.P
-            allocate = self._allocate
-            release = self._release
-            clean = st.alloc_clean
-            svc_cal = st.svc_cal
-            # With ``router_latency = 0`` a grant's release (or its marker)
-            # is due in this very cycle, *after* the bucket above was popped:
-            # the router's same-cycle events are merged into its release step
-            # below (popping the bucket before the allocation loop alone
-            # diverges from ``object``, which transmits right after allocate).
-            same_cycle = self._router_latency == 0
-            dlv = self._dlv
-            drp = self._drp
-            # Merge-walk the sorted routers-with-a-head list and the sorted
-            # due-port list, so deliveries, metrics and ``repro.obs`` flight
-            # events keep the object engine's router-major order.
-            num_active = len(active)
-            num_due = len(svc)
-            ai = si = 0
-            while ai < num_active or si < num_due:
-                if ai < num_active and (si == num_due or active[ai] * P <= svc[si][0]):
-                    rid = active[ai]
-                    ai += 1
-                    if not clean[rid]:
-                        allocate(rid, cycle)
-                    if same_cycle and cycle in svc_cal:
-                        svc = sorted(svc_cal.pop(cycle) + list(svc[si:]), key=_event_port)
-                        si = 0
-                        num_due = len(svc)
-                else:
-                    # Due releases on a router without an occupied head.
-                    rid = svc[si][0] // P
-                if si < num_due and svc[si][0] < rid * P + P:
-                    si = release(svc, si, rid)
-                if dlv:
-                    delivered_now += len(dlv)
-                    if metrics is not None:
-                        for packet in dlv:
-                            metrics.record_delivery(packet, cycle)
-                    if obs is not None:
-                        for packet in dlv:
-                            obs.record_delivery(packet, cycle)
-                    dlv.clear()
-                if faults is not None and drp:
-                    dropped_now += len(drp)
-                    if metrics is not None:
-                        for packet in drp:
-                            metrics.record_dropped(packet, cycle)
-                    if obs is not None:
-                        for packet in drp:
-                            obs.record_dropped(packet, cycle)
-                    drp.clear()
-
-        # Retire routers whose heads all left; the router half of the warp
-        # horizon is "now" while any head is occupied (allocation retries
-        # every cycle), else the earliest calendar key.
-        if st.active:
-            occ = st.occ
-            flags = st.active_flag
-            still_active = []
-            for rid in st.active:
-                if occ[rid]:
-                    still_active.append(rid)
-                else:
-                    flags[rid] = False
-            st.active = still_active
-        router_hint = -1 if st.active else self._calendar_horizon()
+        router by router, then retirement (see ``Engine._router_phase``) —
+        all of it in the compiled core, which reads ``metrics`` / ``obs`` /
+        ``faults`` off this engine each cycle."""
+        delivered_now, dropped_now, visited_routers = self._core.router_phase(self, cycle)
+        # The router half of the warp horizon is "now" while any head is
+        # occupied (allocation retries every cycle), else the earliest
+        # calendar key.
+        router_hint = -1 if self._st.active else self._calendar_horizon()
         return delivered_now, dropped_now, visited_routers, router_hint
 
     # ----------------------------------------------------------- observation
@@ -401,13 +349,6 @@ class SoAEngine(Engine):
         return SoAStateReader(self._st)
 
     # ------------------------------------------------------------- injection
-    def _activate(self, rid: int) -> None:
-        st = self._st
-        if not st.active_flag[rid]:
-            st.active_flag[rid] = True
-            st.active.append(rid)
-            st.unsorted = True
-
     def _try_inject(self, node, cycle: int) -> None:
         """``ComputeNode.try_inject`` against the flat state.
 
@@ -446,7 +387,7 @@ class SoAEngine(Engine):
                 insort(st.occ[rid], k)
                 st.new_heads[rid].append(k)
                 st.alloc_clean[rid] = False
-            self._activate(rid)
+            self._core.activate(rid)
             if self._notify_arrival:
                 routing.on_packet_arrival(view, port, vc, packet, cycle)
             node._vc_pointer = (vc + 1) % num_vcs
@@ -454,337 +395,7 @@ class SoAEngine(Engine):
             node.injected_packets += 1
             return
 
-    # ----------------------------------------------------------- begin_cycle
-    def _apply_credits(self, due) -> None:
-        """``Router.begin_cycle``, credit half: the returns due this cycle."""
-        st = self._st
-        credits = st.credits
-        max_credits = st.max_credits
-        credit_occ = st.credit_occ
-        clean = st.alloc_clean
-        for rid, g, q, phits in due:
-            # Returned credits can unblock waiting heads (and feed the
-            # occupancy triggers): re-evaluate allocation.
-            clean[rid] = False
-            credits[q] += phits
-            credit_occ[g] -= phits
-            if credits[q] > max_credits[q]:
-                raise RuntimeError(
-                    f"credit overflow on router {rid} port {g - rid * st.P} "
-                    f"vc {q - g * st.V}"
-                )
-
-    def _apply_arrivals(self, due, cycle: int) -> None:
-        """``Router.begin_cycle``, arrival half: the link arrivals due this cycle."""
-        st = self._st
-        P = st.P
-        V = st.V
-        if len(due) > 1:
-            # (router, port) order — the order the object engine's per-router
-            # ``begin_cycle`` calls fire ``on_packet_arrival`` in.  A link
-            # completes at most one packet per cycle; the sort is stable.
-            due.sort(key=_event_port)
-        routing = self._routing
-        notify = self._notify_arrival
-        views = st.views
-        occ = st.occ
-        new_heads = st.new_heads
-        clean = st.alloc_clean
-        in_q = st.in_q
-        in_free = st.in_free
-        for g, vc, packet in due:
-            rid, port = divmod(g, P)
-            q = g * V + vc
-            dq = in_q[q]
-            if not dq:
-                if dq is None:
-                    dq = in_q[q] = []
-                k = port * V + vc
-                insort(occ[rid], k)
-                new_heads[rid].append(k)
-                clean[rid] = False
-                self._activate(rid)
-            size = packet.size_phits
-            free = in_free[q]
-            if free < size:
-                raise OverflowError(
-                    f"VC buffer overflow: {size} phits requested, {free} free"
-                )
-            dq.append(packet)
-            in_free[q] = free - size
-            if notify:
-                routing.on_packet_arrival(views[rid], port, vc, packet, cycle)
-
-    # ---------------------------------------------------------------- commit
-    def _pop_head(self, rid: int, port: int, vc: int, cycle: int):
-        """The input side of a hop, shared by grant and drop: pop the head,
-        free its space, expose the next head, return the upstream credit and
-        fire ``on_packet_leave_input``."""
-        st = self._st
-        V = st.V
-        g = rid * st.P + port
-        q = g * V + vc
-        dq = st.in_q[q]
-        packet = dq.pop(0)
-        size = packet.size_phits
-        st.in_free[q] += size
-        st.head_seen[q] = False
-        k = port * V + vc
-        if not dq:
-            st.occ[rid].remove(k)
-        else:
-            st.new_heads[rid].append(k)
-        up = st.up_g[g]
-        if up >= 0:
-            st.cred_cal[cycle + st.up_lat[g]].append(
-                (st.up_rid[g], up, up * V + vc, size)
-            )
-        if self._notify_leave:
-            self._routing.on_packet_leave_input(st.views[rid], port, vc, packet, cycle)
-        return packet
-
-    def _commit(self, rid: int, req, cycle: int) -> None:
-        """``Router._commit_grant``, and the booking of what the grant
-        decides: the packet's release and its downstream arrival."""
-        input_port, input_vc, out_port, size, decision, og, cq = req
-        packet = self._pop_head(rid, input_port, input_vc, cycle)
-        st = self._st
-        self._routing.on_grant(st.views[rid], input_port, input_vc, packet, decision, cycle)
-        if not st.kind_is_injection[out_port]:
-            packet.record_hop(is_global=st.kind_is_global[out_port])
-        packet.current_vc = decision.vc
-        free = st.out_free[og]
-        if free < size:
-            raise OverflowError(
-                f"output buffer over-commit: {size} requested, {free} free"
-            )
-        st.out_committed[og] += size
-        st.out_free[og] = free - size
-        if st.credits[cq] < size:
-            raise RuntimeError(
-                f"credit underflow on router {rid} port {out_port} vc {decision.vc}"
-            )
-        st.credits[cq] -= size
-        st.credit_occ[og] += size
-        # The packet leaves the pipeline at ``ready`` and starts on the wire
-        # once the packets granted before it are through: ready times are
-        # monotone per port and the link is a work-conserving FIFO.
-        ready = cycle + self._router_latency
-        depart = st.link_booked[og]
-        if depart > ready:
-            # ``object`` wakes at ``ready`` (its pipeline exit) even though
-            # the link is still busy: touch that cycle's bucket so the warp
-            # horizon sees it and ``cycles_skipped`` stays equal.
-            st.svc_cal[ready]
-        else:
-            depart = ready
-        done = depart + size * st.ser_fac[og]
-        st.link_booked[og] = done
-        down_g = st.down_g[og]
-        if down_g >= 0:
-            st.arr_cal[done + st.link_lat[og]].append((down_g, decision.vc, packet))
-            packet = None  # only an ejection's release carries its packet
-        st.svc_cal[depart].append((og, size, done, packet))
-
-    # --------------------------------------------------------------- release
-    def _release(self, due, i: int, rid: int) -> int:
-        """What is left of ``Router.transmit``: the releases of router
-        ``rid``, which start at ``due[i]`` — each a packet starting on the
-        wire this cycle; returns the index of the next router's."""
-        st = self._st
-        limit = rid * st.P + st.P
-        out_committed = st.out_committed
-        out_free = st.out_free
-        link_busy = st.link_busy
-        num_due = len(due)
-        while i < num_due:
-            g, size, done, packet = due[i]
-            if g >= limit:
-                break
-            i += 1
-            out_committed[g] -= size
-            out_free[g] += size
-            link_busy[g] = done
-            if packet is not None:
-                # Only now, not at the grant: ``Packet.delivered`` must not
-                # read true for a packet still inside the router.
-                packet.delivered_cycle = done
-                self._dlv.append(packet)
-        # Freed output space can admit waiting heads (and lowers the
-        # occupancy triggers): re-evaluate allocation.
-        st.alloc_clean[rid] = False
-        return i
-
-    # ------------------------------------------------------------- allocator
-    def _alloc_round(self, rid: int, base: int, requests):
-        """``SeparableAllocator.allocate`` over the flat pointer arrays.
-
-        Requests are indexed positionally — slots 0/1/2 are input port,
-        input VC and output port in both the captured-tuple shape and
-        ``AllocationRequest`` (a NamedTuple with the same field order).
-        """
-        st = self._st
-        in_ptr = st.in_ptr
-        out_ptr = st.out_ptr
-        P = st.P
-        nvc = st.alloc_nvc[rid]
-        if len(requests) == 1:
-            req = requests[0]
-            in_ptr[base + req[0]] = (req[1] + 1) % nvc
-            out_ptr[base + req[2]] = (req[0] + 1) % P
-            return requests
-        if len({req[0] for req in requests}) == len(requests) and len(
-            {req[2] for req in requests}
-        ) == len(requests):
-            for req in requests:
-                in_ptr[base + req[0]] = (req[1] + 1) % nvc
-                out_ptr[base + req[2]] = (req[0] + 1) % P
-            return requests
-        by_input = {}
-        for req in requests:
-            vc_requests = by_input.get(req[0])
-            if vc_requests is None:
-                by_input[req[0]] = vc_requests = {}
-            vc_requests[req[1]] = req
-        proposals = {}
-        for in_port, vc_requests in by_input.items():
-            winner_vc = _arbitrate(in_ptr, base + in_port, nvc, vc_requests)
-            if winner_vc < 0:
-                continue
-            req = vc_requests[winner_vc]
-            proposals.setdefault(req[2], []).append(req)
-        grants = []
-        for out_port, port_proposals in proposals.items():
-            by_in = {req[0]: req for req in port_proposals}
-            winner_in = _arbitrate(out_ptr, base + out_port, P, by_in)
-            if winner_in < 0:
-                continue
-            grants.append(by_in[winner_in])
-        return grants
-
-    # -------------------------------------------------------------- allocate
-    def _allocate(self, rid: int, cycle: int) -> None:
-        """``Router.allocate``: report new heads, then the allocation rounds,
-        each head answering with the request of its captured row (see "Row
-        kinds" in the module doc)."""
-        st = self._st
-        V = st.V
-        base_g = rid * st.P
-        base_q = base_g * V
-        in_q = st.in_q
-
-        new_heads = st.new_heads[rid]
-        if new_heads:
-            head_seen = st.head_seen
-            if len(new_heads) > 1:
-                new_heads.sort()
-            # ``new_heads`` is recorded unconditionally (the captures need
-            # every head); the hook calls — and only those — stay gated, as
-            # in the object model.
-            notify_head = self._notify_head
-            capture = self._capture
-            for k in new_heads:
-                q = base_q + k
-                if head_seen[q]:
-                    continue
-                dq = in_q[q]
-                # Empty only under faults (a head dropped and its successor
-                # granted within one cycle), where nothing is captured.
-                head = dq[0] if dq else None
-                if notify_head:
-                    self._routing.on_packet_head(st.views[rid], k // V, k % V, head, cycle)
-                head_seen[q] = True
-                if capture is not None:
-                    capture(self, rid, base_g, q, k, head, cycle)
-            st.new_heads[rid] = []
-
-        out_free = st.out_free
-        credits = st.credits
-        rows = self._rows
-        draws0 = self._draws
-        mech = self._mech
-        if mech >= 0:
-            # Closed-gate inputs of the adaptive captures.
-            is_cnt = mech == MECH_BASE or mech == MECH_ECTN
-            if is_cnt:
-                counts = self._counters[rid].counts
-                cth = self._cth
-            elif mech == MECH_OLM:
-                out_committed = st.out_committed
-                credit_occ = st.credit_occ
-                olm_min = self._olm_min_occ
-
-        # Grants remove keys from the live list: iterate a copy.
-        occupied = st.occ[rid][:]
-        single = len(occupied) == 1
-        granted = None
-        for round_index in range(self._speedup):
-            requests = []
-            # Occupied-key order, every round: an open gate runs its trigger
-            # exactly as many times, in exactly the order, that ``object``
-            # calls ``select_output`` — the draw count is the RNG contract.
-            for k in occupied:
-                if granted is not None and k in granted:
-                    continue
-                q = base_q + k
-                row = rows[q]
-                if row is None:
-                    # Only here can a key of ``occupied`` have lost its head
-                    # without a grant: ``_resolve_faults`` drops heads, and
-                    # with faults attached nothing is captured.  ``dq[0]`` is
-                    # read fresh for the same reason: a drop while round 1
-                    # gathers requests lets round 2 meet a successor no
-                    # ``on_packet_head`` was called for yet (it is reported
-                    # next cycle, as in the object model).
-                    dq = in_q[q]
-                    if not dq:
-                        continue
-                    req = self._live_request(rid, base_g, q, k, dq[0], cycle, round_index)
-                elif row[0] == ROW_FIXED:
-                    req = row[1]
-                else:
-                    # Closed gate (a counter or occupancy comparison against
-                    # the captured minimal port): the draw-free minimal
-                    # fallback, exactly what the trigger would answer.
-                    req = None
-                    if row[0] != ROW_FORCED:
-                        if is_cnt:
-                            if row[6] is None and counts[row[2]] <= cth:
-                                req = row[1]
-                        elif mech == MECH_OLM:
-                            gm = base_g + row[2]
-                            if out_committed[gm] + credit_occ[gm] < olm_min:
-                                req = row[1]
-                    if req is None:
-                        req = self._open_request(rid, base_g, row)
-                if req is None:
-                    continue
-                size = req[3]
-                if out_free[req[5]] < size or credits[req[6]] < size:
-                    continue
-                if single:
-                    # With one occupied VC a one-request allocation always
-                    # succeeds (only the arbiter pointers rotate) and every
-                    # later round is a no-op.
-                    st.in_ptr[base_g + req[0]] = (req[1] + 1) % st.alloc_nvc[rid]
-                    st.out_ptr[req[5]] = (req[0] + 1) % st.P
-                    self._commit(rid, req, cycle)
-                    return
-                requests.append(req)
-            if not requests:
-                break
-            for req in self._alloc_round(rid, base_g, requests):
-                self._commit(rid, req, cycle)
-                if granted is None:
-                    granted = set()
-                granted.add(req[0] * V + req[1])
-        if granted is None and self._draws == draws0:
-            # Grant-free and draw-free: every input of this evaluation is
-            # router-local and invalidation-tracked, so skip until poked.  A
-            # ``FIXED`` or closed-gate row must therefore never draw, and a
-            # ``LIVE`` evaluation always counts as a draw.
-            st.alloc_clean[rid] = True
-
+    # ------------------------------------------------------------- LIVE rows
     def _live_request(self, rid, base, q, k, head, cycle, round_index):
         """A ``LIVE`` row's request: the per-head body of ``Router.allocate``
         verbatim, ``select_output`` on the view plus the fault resolution."""
@@ -818,7 +429,7 @@ class SoAEngine(Engine):
 
     def _drop_head(self, rid: int, port: int, vc: int, cycle: int) -> None:
         """``Router._drop_head`` over the flat state."""
-        packet = self._pop_head(rid, port, vc, cycle)
+        packet = self._core.pop_head(rid, port, vc, cycle)
         packet.dropped_cycle = cycle
         self.faults.dropped_packets += 1
         self._drp.append(packet)
@@ -1023,7 +634,7 @@ class SoAEngine(Engine):
         """One allocation round's request for an open-gate or forced row.
 
         The cached-request and closed-gate cases are inlined in
-        :meth:`_allocate`; what arrives here runs the transcribed trigger
+        the core's round loop; what arrives here runs the transcribed trigger
         (which may draw).  The fallback request doubles as the head's
         size/port/vc record.
         """
@@ -1215,23 +826,3 @@ def _ectn_post_cycle(st: SoAState, routing):
             clean[rid] = False
 
     return post_cycle
-
-
-def _arbitrate(pointers: List[int], index: int, num_clients: int, requests) -> int:
-    """``RoundRobinArbiter.arbitrate`` against a flat pointer slot."""
-    pointer = pointers[index]
-    winner = -1
-    winner_distance = num_clients
-    for client in requests:
-        if client < 0 or client >= num_clients:
-            continue
-        distance = client - pointer
-        if distance < 0:
-            distance += num_clients
-        if distance < winner_distance:
-            winner_distance = distance
-            winner = client
-    if winner < 0:
-        return -1
-    pointers[index] = (winner + 1) % num_clients
-    return winner

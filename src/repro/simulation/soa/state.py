@@ -362,7 +362,7 @@ class SoAState:
         # output-port releases ``(g, phits, link-free cycle, packet)`` with
         # the packet only on an ejection port (``None`` on a link: it already
         # sits in ``arr_cal``).  An empty ``svc_cal`` bucket is a horizon
-        # marker (see ``SoAEngine._commit``).
+        # marker (see ``commit`` in ``_core.c``).
         self.cred_cal: DefaultDict[int, list] = defaultdict(list)
         self.arr_cal: DefaultDict[int, list] = defaultdict(list)
         self.svc_cal: DefaultDict[int, list] = defaultdict(list)

@@ -28,6 +28,23 @@ from repro.topology.registry import (
 )
 
 
+def pytest_collection_modifyitems(config, items):
+    """``soa_core`` tests read the SoA engine's state (``engine._st``, the
+    core's methods): where the compiled core cannot be built, ``backend="soa"``
+    runs the ``object`` engine and they have nothing to look at."""
+    needing = [item for item in items if item.get_closest_marker("soa_core")]
+    if not needing:
+        return
+    from repro.simulation.soa import CoreUnavailable, load_core
+
+    try:
+        load_core()
+    except CoreUnavailable as exc:
+        reason = f"the compiled soa core is unavailable: {str(exc).splitlines()[0]}"
+        for item in needing:
+            item.add_marker(pytest.mark.skip(reason=reason))
+
+
 @pytest.fixture
 def tiny_params() -> SimulationParameters:
     return SimulationParameters.tiny()

@@ -121,6 +121,7 @@ def soa_simulator(request, every_topology, one_failed_one_degraded):
     )
 
 
+@pytest.mark.soa_core
 class TestBothConsumersAgree:
     def test_flat_state_equals_the_object_ports(self, soa_simulator):
         """Element for element, every array ``SoAState.__init__`` fills."""

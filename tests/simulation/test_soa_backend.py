@@ -320,6 +320,7 @@ class _AlwaysFirstCandidate(BaseContentionRouting):
     choose_local_misroute = choose_global_misroute
 
 
+@pytest.mark.soa_core
 class TestRowCapture:
     """Which heads the engine captures and which stay ``LIVE`` rows."""
 
@@ -391,8 +392,10 @@ def _soa_engine():
     return sim.engine
 
 
+@pytest.mark.soa_core
 class TestAllocRoundMicroStates:
-    """``_alloc_round`` vs the object ``SeparableAllocator``, same requests."""
+    """The compiled ``alloc_round`` vs the object ``SeparableAllocator``, same
+    requests."""
 
     def _compare_sequences(self, engine, request_rounds):
         st = engine._st
@@ -400,12 +403,15 @@ class TestAllocRoundMicroStates:
         reference = SeparableAllocator(num_ports=P, max_vcs=nvc)
         for requests in request_rounds:
             ref_grants = reference.allocate(requests)
-            soa_grants = engine._alloc_round(0, 0, requests)
+            soa_grants = engine._core.alloc_round(0, 0, requests)
             assert [
                 (g[0], g[1], g[2]) for g in soa_grants
             ] == [
                 (g.input_port, g.input_vc, g.output_port) for g in ref_grants
             ]
+            # ... and the arbiter pointers it leaves behind.
+            assert st.in_ptr[:P] == [a.pointer for a in reference._input_arbiters]
+            assert st.out_ptr[:P] == [a.pointer for a in reference._output_arbiters]
 
     def _request(self, in_port, vc, out_port, size=4):
         return AllocationRequest(
@@ -499,6 +505,7 @@ class TestBackendPlumbing:
             SimulationParameters.tiny()
         assert hint in str(excinfo.value)
 
+    @pytest.mark.soa_core
     def test_valid_backends_build_engines(self):
         from repro.simulation.engine import Engine
         from repro.simulation.soa import SoAEngine
@@ -515,6 +522,7 @@ class TestBackendPlumbing:
         assert VALID_BACKENDS == {"object", "soa"}
 
 
+@pytest.mark.soa_core
 class TestNoObjectGraph:
     """``soa`` fills its flat state from the port specs and never builds the
     ``Router`` graph — that is what ``object`` steps, built when its engine
@@ -716,6 +724,7 @@ def _containers(sim):
     return census
 
 
+@pytest.mark.soa_core
 class TestAllocationFollowsTraffic:
     """A built ``soa`` Simulator holds numbers; traffic allocates the rest."""
 

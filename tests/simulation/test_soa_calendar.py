@@ -16,7 +16,8 @@ import pytest
 from repro.network.packet import Packet
 from repro.simulation.engine import SimulationStallError
 from repro.simulation.simulator import Simulator
-from repro.simulation.soa.engine import SoAEngine
+
+pytestmark = pytest.mark.soa_core
 
 
 def _sim(params, routing="MIN", backend="soa", **kwargs):
@@ -81,7 +82,7 @@ class TestSameCycleEvents:
 
     @pytest.mark.parametrize("router_latency", [None, 0], ids=["default", "rl0"])
     def test_ready_and_link_free_on_one_cycle_send_one_packet(
-        self, tiny_params, router_latency, monkeypatch
+        self, tiny_params, router_latency
     ):
         """Four heads for one ejection port, granted two a cycle over two
         consecutive cycles: every packet starts on the wire at the cycle
@@ -107,18 +108,25 @@ class TestSameCycleEvents:
         # them: one packet every ``size`` cycles.
         assert departs == [due + latency + n * size for n in range(len(heads))]
 
-        released = []
-        release = SoAEngine._release
-
-        def spy(engine, events, i, rid):
-            end = release(engine, events, i, rid)
-            released.extend((engine.cycle, event[0], event[3]) for event in events[i:end])
-            return end
-
-        monkeypatch.setattr(SoAEngine, "_release", spy)
         sim, packets = burst("soa")
         engine, st = sim.engine, sim.engine._st
-        sim.run_cycles(due + 2)  # both grant cycles are through
+        # The compiled walk calls the core's ``release`` from C, so the spy
+        # watches what a release writes instead: it stamps the packet an
+        # ejection event carries and records the wire's busy-until.
+        released = []
+
+        def run_watching(cycles):
+            for _ in range(cycles):
+                cycle = engine.cycle
+                pending = [p for p in packets if not p.delivered]
+                sim.run_cycles(1)
+                started = [p for p in pending if p.delivered]
+                assert len(started) <= 1  # one packet per port starts a cycle
+                for packet in started:
+                    assert st.link_busy[0] == packet.delivered_cycle
+                    released.append((cycle, packet))
+
+        run_watching(due + 2)  # both grant cycles are through
         if latency > 1:
             # The grants of the second cycle are ready at ``due + 1 + latency``
             # behind a busy link: ``object`` wakes there, so the bucket exists
@@ -127,15 +135,38 @@ class TestSameCycleEvents:
             assert st.link_busy[0] == 0  # nothing on the wire yet
         assert st.link_booked[0] == departs[-1] + size
         assert st.out_committed[0] + size * len(released) == size * len(heads)
-        sim.run_cycles(200 - (due + 2))
+        run_watching(200 - (due + 2))
 
-        assert sorted(cycle for cycle, _, _ in released) == departs
-        assert [g for _, g, _ in released] == [0] * len(heads)
-        assert sorted(p.pid for _, _, p in released) == [p.pid for p in packets]
+        assert [cycle for cycle, _ in released] == departs
+        assert sorted(p.pid for _, p in released) == [p.pid for p in packets]
         assert [p.delivered_cycle for p in packets] == [p.delivered_cycle for p in sent]
         assert engine.cycles_skipped == reference.engine.cycles_skipped
         assert st.link_busy[0] == departs[-1] + size
         assert st.out_committed[0] == 0 and _calendars_empty(st)
+
+    def test_release_serves_one_router_and_delivers_what_it_carries(self, tiny_params):
+        """The core's ``release`` on a hand-built bucket: it stops at the
+        router boundary, gives the buffer space back, records the wire's
+        busy-until, delivers only the packet an ejection event carries and
+        pokes the router's allocation."""
+        sim = _sim(tiny_params)
+        engine, st = sim.engine, sim.engine._st
+        size = tiny_params.packet_size_phits
+        packet = _packet(0, 0, size)
+        link = next(p for p in range(st.P) if st.down_g[p] >= 0)
+        events = [(0, size, 9, packet), (link, size, 11, None), (st.P, size, 13, None)]
+        for g, phits, _, _ in events:
+            st.out_committed[g] += phits
+            st.out_free[g] -= phits
+        free = [st.out_free[g] for g, _, _, _ in events]
+        st.alloc_clean[0] = st.alloc_clean[1] = True
+
+        assert engine._core.release(events, 0, 0) == 2  # router 1's event is next
+        assert [st.out_committed[g] for g, _, _, _ in events] == [0, 0, size]
+        assert [st.out_free[g] for g, _, _, _ in events] == [free[0] + size, free[1] + size, free[2]]
+        assert (st.link_busy[0], st.link_busy[link], st.link_busy[st.P]) == (9, 11, 0)
+        assert packet.delivered_cycle == 9
+        assert st.alloc_clean[:2] == [False, True]
 
 
 class TestAccountingAndWarp:

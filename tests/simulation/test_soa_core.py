@@ -1,0 +1,452 @@
+"""The compiled hop chain of the SoA engine (``soa/_core.c``).
+
+The chain runs the parent's Python statements over the same Python lists, so
+what is pinned here is what C could silently get wrong: every overflow /
+underflow / over-commit check still fires with the parent's exception type and
+message and releases what it took, hooks are looked up by name on every call,
+the ``svc_cal[ready]`` horizon marker and the bookings of a grant have the
+parent's shapes, nothing outlives a run (reference counts, the cyclic
+collector, ``tracemalloc``), and the build-on-first-use machinery falls back,
+races and refuses as documented.
+"""
+
+import gc
+import os
+import sys
+import threading
+import tracemalloc
+from collections import Counter
+
+import pytest
+
+from repro.config.parameters import SimulationParameters
+from repro.metrics.collector import MetricsCollector
+from repro.network.packet import Packet
+from repro.routing.base import RoutingDecision
+from repro.service.keys import result_fingerprint
+from repro.simulation.engine import Engine
+from repro.simulation.simulator import Simulator
+from repro.simulation.soa import _loader
+
+pytestmark = pytest.mark.soa_core
+
+
+def _sim(routing="MIN", load=0.0, backend="soa", **kwargs):
+    return Simulator(
+        SimulationParameters.tiny().with_backend(backend), routing, "UN", load, seed=1,
+        **kwargs,
+    )
+
+
+def _packet(pid=0, dst=0, size=None):
+    size = SimulationParameters.tiny().packet_size_phits if size is None else size
+    return Packet(pid=pid, src=23, dst=dst, size_phits=size, creation_cycle=0)
+
+
+def _link_port(st, rid=0):
+    return next(p for p in range(st.P) if st.down_g[rid * st.P + p] >= 0)
+
+
+def _raises_twice(exc_type, message, call, *held):
+    """``call()`` raises ``exc_type(message)`` — twice, and the second failure
+    leaves the reference counts of ``held`` where the first left them: an
+    error path that forgot a ``Py_DECREF`` adds one per call."""
+    counts = []
+    for _ in range(2):
+        with pytest.raises(exc_type) as info:
+            call()
+        assert str(info.value) == message
+        del info
+        counts.append([sys.getrefcount(obj) for obj in held])
+    assert counts[0] == counts[1]
+
+
+class TestKeptChecks:
+    """Remove a check from ``_core.c`` and one of these fails."""
+
+    def test_credit_overflow(self):
+        sim = _sim()
+        core, st = sim.engine._core, sim.engine._st
+        rid = 1
+        port = _link_port(st, rid)
+        g = rid * st.P + port
+        event = (rid, g, g * st.V + 1, 4)
+        due = [event]
+        _raises_twice(
+            RuntimeError, f"credit overflow on router {rid} port {port} vc 1",
+            lambda: core.apply_credits(due), due, event,
+        )
+
+    def test_vc_buffer_overflow(self):
+        sim = _sim()
+        core, st = sim.engine._core, sim.engine._st
+        capacity = st.in_free[0]
+        packet = _packet(size=capacity + 1)
+        due = [(0, 0, packet)]
+        _raises_twice(
+            OverflowError,
+            f"VC buffer overflow: {capacity + 1} phits requested, {capacity} free",
+            lambda: core.apply_arrivals(due, 3), due, packet,
+        )
+        assert st.in_q[0] == []  # nothing was pushed
+
+    def test_pop_from_an_empty_vc(self):
+        sim = _sim()
+        core, st = sim.engine._core, sim.engine._st
+        _raises_twice(
+            AttributeError, "'NoneType' object has no attribute 'pop'",
+            lambda: core.pop_head(0, 0, 0, 3),
+        )
+        st.in_q[0] = []  # a VC that was used and emptied
+        _raises_twice(IndexError, "pop from empty list", lambda: core.pop_head(0, 0, 0, 3))
+
+    def _grant(self, sim, out_port):
+        """A head on router 0, injection port 1, VC 0 and a request sending it
+        through ``out_port``: a function that (re)plants the head and commits."""
+        core, st = sim.engine._core, sim.engine._st
+        packet = _packet()
+        decision = RoutingDecision(output_port=out_port, vc=0)
+        request = (1, 0, out_port, packet.size_phits, decision, out_port, out_port * st.V)
+
+        def plant_and_commit():
+            core.apply_arrivals([(1, 0, packet)], 3)
+            core.commit(0, request, 3)
+
+        return plant_and_commit, packet, request, decision
+
+    def test_output_buffer_over_commit(self):
+        sim = _sim()
+        st = sim.engine._st
+        commit, packet, request, decision = self._grant(sim, 0)
+        size = packet.size_phits
+        st.out_free[0] = size - 1
+        _raises_twice(
+            OverflowError, f"output buffer over-commit: {size} requested, {size - 1} free",
+            commit, packet, request, decision,
+        )
+        assert st.out_committed[0] == 0  # the check precedes the booking
+
+    def test_credit_underflow(self):
+        sim = _sim()
+        st = sim.engine._st
+        port = _link_port(st)
+        commit, packet, request, decision = self._grant(sim, port)
+        st.credits[port * st.V] = packet.size_phits - 1
+        _raises_twice(
+            RuntimeError, f"credit underflow on router 0 port {port} vc 0",
+            commit, packet, request, decision,
+        )
+        assert st.credit_occ[port] == 0
+
+    @pytest.mark.parametrize("hook", ["on_grant", "on_packet_leave_input"])
+    def test_a_hook_that_raises_propagates_and_leaks_nothing(self, hook):
+        sim = _sim("Base")
+        commit, packet, request, decision = self._grant(sim, 0)
+
+        def refuse(*args):
+            raise LookupError("the hook said no")
+
+        setattr(sim.engine._routing, hook, refuse)
+        _raises_twice(LookupError, "the hook said no", commit, packet, request, decision)
+
+
+class TestBookings:
+    """What a grant writes into the calendars, event shapes included."""
+
+    def test_grant_onto_a_busy_link_touches_the_ready_bucket(self):
+        sim = _sim()
+        core, st = sim.engine._core, sim.engine._st
+        latency = sim.params.router_latency
+        port = _link_port(st)
+        packet = _packet()
+        size = packet.size_phits
+        cycle = 7
+        busy_until = cycle + latency + 5
+        st.link_booked[port] = busy_until
+        core.apply_arrivals([(1, 0, packet)], cycle)
+        decision = RoutingDecision(output_port=port, vc=1)
+        core.commit(0, (1, 0, port, size, decision, port, port * st.V + 1), cycle)
+
+        done = busy_until + size * st.ser_fac[port]
+        # ``object`` wakes at the pipeline exit although the link is busy: the
+        # empty bucket is the marker the warp horizon reads.
+        assert st.svc_cal.get(cycle + latency) == []  # ``get``: a read must not make it
+        assert st.svc_cal.get(busy_until) == [(port, size, done, None)]
+        assert st.arr_cal.get(done + st.link_lat[port]) == [(st.down_g[port], 1, packet)]
+        assert st.link_booked[port] == done and st.link_busy[port] == 0
+        assert (st.out_committed[port], st.credit_occ[port]) == (size, size)
+        assert packet.current_vc == 1 and packet.hops == 1
+        # An injection port has no upstream: no credit is owed.
+        assert not st.cred_cal
+
+    def test_ejection_release_carries_its_packet(self):
+        sim = _sim()
+        core, st = sim.engine._core, sim.engine._st
+        packet = _packet()
+        size = packet.size_phits
+        core.apply_arrivals([(1, 0, packet)], 2)
+        core.commit(0, (1, 0, 0, size, RoutingDecision(output_port=0, vc=0), 0, 0), 2)
+        depart = 2 + sim.params.router_latency
+        assert list(st.svc_cal) == [depart]
+        assert st.svc_cal.get(depart) == [(0, size, depart + size, packet)]
+        assert not st.arr_cal and packet.hops == 0  # an ejection is no hop
+
+    @pytest.mark.parametrize("router_latency", [0, 1])
+    def test_same_cycle_release_and_marker_leave_no_stale_bucket(self, router_latency):
+        """Three heads for one ejection port arriving together: with
+        ``router_latency = 0`` the first release and the markers of the grants
+        behind it are due in the very cycle that makes them, after its bucket
+        was popped — the walk merges them in, as ``object`` transmits right
+        after it allocates."""
+        import dataclasses
+
+        params = dataclasses.replace(SimulationParameters.tiny(), router_latency=router_latency)
+        runs = {}
+        for backend in ("object", "soa"):
+            sim = Simulator(params.with_backend(backend), "MIN", "UN", 0.0, seed=1)
+            packets = [_packet(pid) for pid in range(3)]
+            for packet, (port, vc) in zip(packets, [(0, 0), (0, 1), (1, 0)]):
+                sim.engine.schedule_arrival(0, port, 4, vc, packet)
+            sim.run_cycles(120)
+            runs[backend] = sim, [p.delivered_cycle for p in packets]
+        (obj, obj_cycles), (soa, soa_cycles) = runs["object"], runs["soa"]
+        assert soa_cycles == obj_cycles and None not in soa_cycles
+        assert soa.engine.cycles_skipped == obj.engine.cycles_skipped
+        st = soa.engine._st
+        assert not st.svc_cal and not st.arr_cal and not st.cred_cal
+
+
+class TestHooksAreLookedUpByName:
+    def test_wrappers_installed_on_the_classes_after_construction_are_called(
+        self, monkeypatch
+    ):
+        """``perf/trace.py`` wraps hooks at class level after import, tests
+        patch them: the compiled chain must see both, like a Python caller."""
+        sims = {backend: _sim("Base", 0.3, backend) for backend in ("object", "soa")}
+        calls = {backend: Counter() for backend in sims}
+        current = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[current[0]][name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        routing_class = type(sims["soa"].network.routing)
+        for name in ("on_grant", "on_packet_leave_input", "on_packet_head", "on_packet_arrival"):
+            counting(routing_class, name)
+        counting(MetricsCollector, "record_delivery")
+        counting(Packet, "record_hop")
+        for backend, sim in sims.items():
+            current[:] = [backend]
+            sim.run_steady_state(50, 150)
+        assert calls["soa"] == calls["object"]
+        assert calls["soa"]["on_grant"] == calls["soa"]["on_packet_leave_input"] > 0
+        assert calls["soa"]["record_delivery"] > 0 and calls["soa"]["record_hop"] > 0
+
+    def test_a_hook_set_on_the_instance_is_called(self):
+        sim = _sim("Base", 0.3)
+        seen = []
+        routing = sim.network.routing
+        hook = routing.on_grant
+        routing.on_grant = lambda *args: (seen.append(args[3].pid), hook(*args))
+        sim.run_cycles(120)
+        assert len(seen) > 0
+
+
+class TestLifetime:
+    def test_a_cycle_through_the_core_is_collected(self):
+        """engine -> core -> routing -> (anything) -> engine is a cycle once
+        something the routing holds points back; the core must be visible to
+        the collector or the whole Simulator is pinned for ever."""
+        core_type = _loader.load_core().Core
+        from repro.simulation.soa import SoAEngine
+
+        def alive():
+            return sum(type(o) in (core_type, SoAEngine) for o in gc.get_objects())
+
+        gc.collect()
+        before = alive()
+        sim = _sim("Base", 0.3)
+        sim.run_cycles(100)
+        sim.network.routing.back_reference = sim.engine
+        assert alive() == before + 2
+        del sim
+        gc.collect()
+        assert alive() == before
+
+    def test_nothing_of_a_drained_run_is_reachable_from_the_engine(self):
+        sim = _sim("Base", 0.3)
+        mine = _packet(pid=10**6, dst=2)
+        baseline = sys.getrefcount(mine)
+        sim.engine.schedule_arrival(0, 0, 20, 0, mine)
+        sim.run_cycles(300)
+        sim.traffic.set_offered_load(0.0)
+        sim.run_cycles(2_000)
+        engine = sim.engine
+        assert engine.delivered_packets > 100 and mine.delivered
+        assert engine._st.total_buffered_packets() == 0
+        st = engine._st
+        assert not st.cred_cal and not st.arr_cal and not st.svc_cal
+        # The event tuples, the VC list, the delivered list, the hook
+        # arguments: every reference the chain took is given back.
+        assert sys.getrefcount(mine) == baseline
+
+    def test_a_second_identical_run_allocates_nothing_that_stays(self):
+        def run():
+            sim = _sim("ECtN", 0.4)
+            sim.run_cycles(300)
+            sim.traffic.set_offered_load(0.0)
+            sim.run_cycles(1_000)
+            assert sim.engine.total_buffered_packets() == 0
+            return sim.engine.delivered_packets
+
+        delivered = run()  # imports, memoised candidate sets, the build itself
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            assert run() == delivered
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One leaked ``Packet`` per delivery would be > 100 kB.
+        assert delivered > 300 and after - before < 4_096
+
+
+# ------------------------------------------------------------ build hygiene
+#: A valid extension module that builds in a fraction of a second.  Multi-phase
+#: initialisation, so loading it does not touch ``sys.modules``.
+TINY_SOURCE = """
+#include <Python.h>
+static PyModuleDef_Slot slots[] = {{0, NULL}};
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_core", NULL, 0, NULL, slots, NULL, NULL, NULL};
+PyMODINIT_FUNC PyInit__core(void) { return PyModuleDef_Init(&module); }
+"""
+
+
+@pytest.fixture
+def scratch_loader(monkeypatch, tmp_path):
+    """The loader pointed at a scratch source tree and a scratch temp dir, with
+    nothing loaded yet; everything is put back afterwards."""
+    package = tmp_path / "package"
+    package.mkdir()
+    source = package / "_core.c"
+    source.write_text(TINY_SOURCE)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(_loader, "SOURCE", source)
+    monkeypatch.setattr(_loader, "_loaded", None)
+    monkeypatch.setattr(_loader.tempfile, "tempdir", str(temp))
+    return source
+
+
+class TestBuildOnFirstUse:
+    def test_fallback_to_object_warns_once_and_computes_the_same(self, monkeypatch):
+        def point():
+            return _sim("Base", 0.3).run_steady_state(50, 100)
+
+        compiled = point()
+
+        def no_compiler():
+            raise _loader.CoreUnavailable("no compiler on this box")
+
+        monkeypatch.setattr(_loader, "_loaded", None)
+        monkeypatch.setattr(_loader, "_build", no_compiler)
+        with pytest.warns(RuntimeWarning) as caught:
+            sim = _sim("Base", 0.3)
+        assert len(caught) == 1
+        assert "no compiler on this box" in str(caught[0].message)
+        assert type(sim.engine) is Engine
+        assert result_fingerprint(sim.run_steady_state(50, 100)) == result_fingerprint(compiled)
+        # The failure is remembered: no second build attempt in this process.
+        monkeypatch.setattr(_loader, "_build", lambda: pytest.fail("built again"))
+        with pytest.warns(RuntimeWarning):
+            assert type(_sim().engine) is Engine
+
+    def test_builds_beside_the_source_under_a_key_of_source_and_interpreter(
+        self, scratch_loader
+    ):
+        first = _loader._build()
+        assert first.parent.parent == scratch_loader.with_name("_build")
+        assert first.name == f"_core{_loader.EXT_SUFFIX}"
+        assert os.listdir(first.parent) == [first.name]  # no temporary left behind
+        stamp = first.stat().st_mtime_ns
+        assert _loader._build() == first and first.stat().st_mtime_ns == stamp  # reused
+        assert _loader.load_core().__file__ == str(first)
+        # Another source is another key: an edit can never load a stale binary.
+        scratch_loader.write_text(TINY_SOURCE + "/* edited */\n")
+        assert _loader._build().parent != first.parent
+
+    def test_compile_error_surfaces_the_compilers_words(self, scratch_loader):
+        scratch_loader.write_text("#error broken on purpose\n")
+        with pytest.raises(_loader.CoreUnavailable, match="broken on purpose"):
+            _loader.load_core()
+        with pytest.warns(RuntimeWarning, match="broken on purpose"):
+            assert type(_sim().engine) is Engine
+
+    def test_missing_compiler_is_a_reason_not_a_crash(self, scratch_loader, monkeypatch):
+        monkeypatch.setattr(_loader, "COMPILER", "no-such-compiler-anywhere")
+        with pytest.raises(_loader.CoreUnavailable, match="no-such-compiler-anywhere"):
+            _loader.load_core()
+
+    def test_unwritable_tree_builds_in_the_private_temp_dir(self, scratch_loader):
+        scratch_loader.with_name("_build").write_text("in the way")  # mkdir fails
+        built = _loader._build()
+        cache = built.parent.parent
+        assert cache.name == f"repro-soa-{os.getuid()}"
+        assert str(cache.parent) == _loader.tempfile.gettempdir()
+        assert cache.stat().st_mode & 0o777 == 0o700
+        assert _loader._build() == built
+
+    @pytest.mark.parametrize("flaw", ["mode", "symlink", "file"])
+    def test_a_temp_cache_somebody_else_could_write_is_refused(self, scratch_loader, flaw):
+        scratch_loader.with_name("_build").write_text("in the way")
+        cache = scratch_loader.parent.parent / "temp" / f"repro-soa-{os.getuid()}"
+        if flaw == "mode":
+            cache.mkdir(mode=0o755)
+            cache.chmod(0o755)
+        elif flaw == "symlink":
+            elsewhere = scratch_loader.parent / "elsewhere"
+            elsewhere.mkdir(mode=0o700)
+            cache.symlink_to(elsewhere)
+        else:
+            cache.write_text("not a directory")
+        with pytest.raises(_loader.CoreUnavailable, match="refusing the build cache"):
+            _loader._build()
+
+    def test_a_cache_owned_by_another_user_is_refused(self, scratch_loader, monkeypatch):
+        scratch_loader.with_name("_build").write_text("in the way")
+        _loader._private_temp_dir()  # ours, 0700
+        uid = os.getuid()
+        monkeypatch.setattr(_loader.os, "getuid", lambda: uid + 1)
+        (scratch_loader.parent.parent / "temp" / f"repro-soa-{uid}").rename(
+            scratch_loader.parent.parent / "temp" / f"repro-soa-{uid + 1}"
+        )
+        with pytest.raises(_loader.CoreUnavailable, match="refusing the build cache"):
+            _loader._private_temp_dir()
+
+    def test_concurrent_first_builds_publish_one_complete_file(self, scratch_loader):
+        target = scratch_loader.with_name("_build") / "key" / f"_core{_loader.EXT_SUFFIX}"
+        target.parent.mkdir(parents=True)
+        errors = []
+
+        def build():
+            try:
+                _loader._compile(target)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        builders = [threading.Thread(target=build) for _ in range(3)]
+        for thread in builders:
+            thread.start()
+        for thread in builders:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in builders) and not errors
+        assert os.listdir(target.parent) == [target.name]
+        assert _loader._import(target).__name__ == _loader.MODULE_NAME

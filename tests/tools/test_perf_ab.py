@@ -1,4 +1,5 @@
-"""``tools/perf_ab.py``: the planned run order (nothing is cloned or run)."""
+"""``tools/perf_ab.py``: the planned run order and the engine probe (nothing is
+cloned, no benchmark is run)."""
 
 import subprocess
 import sys
@@ -31,3 +32,18 @@ def test_defaults_are_ten_pairs_on_seed_one():
     lines = _dry_run("--workload", "steady_un")
     assert len(lines) == 10 and all(" seed 1: " in line for line in lines)
     assert sum(line.endswith("then A=parent") for line in lines) == 5
+
+
+def test_engine_probe_names_the_engine_and_its_core():
+    """The report line that makes a silent ``object`` fallback visible: here,
+    on this checkout, it names whichever of the two is the case."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perf_ab", TOOL)
+    perf_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_ab)
+    line = perf_ab.probe_engine(TOOL.parents[1])
+    assert line in (
+        "SoAEngine, compiled core repro.simulation.soa._core",
+        "Engine: soa FELL BACK, its compiled core is unavailable",
+    )

@@ -10,7 +10,12 @@ change.  For every end-to-end metric of ``BENCHMARK.json`` (REV_A's copy) it
 prints each side's median and quartiles, the pairs the change won, and the
 word ``unresolved`` where the parent's own range exceeds the metric's bound;
 then the failed operations per side and whether the ``sim_digest`` of every
-pair agrees.  ``--dry-run`` prints the planned run order and runs nothing.
+pair agrees.  Before the first pair an untimed probe in each clone builds one
+``soa`` Simulator and the report says per side which engine that was and
+whether its compiled core was in use — so a side that silently ran the
+``object`` fallback is visible — and the clone's one-time build of that core
+is paid there, not in pair 0.  ``--dry-run`` prints the planned run order and
+runs nothing.
 The tool lives beside ``tools/check_docs.py`` because ``perf/`` is frozen for
 a change that claims a gain.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -52,6 +58,33 @@ def clone(repo: Path, rev: str, into: Path) -> None:
     subprocess.run(["git", "-C", str(into), "checkout", "--quiet", "--detach", rev], check=True)
 
 
+#: What ``backend="soa"`` runs in a checkout: the engine class and, where the
+#: revision has one, the type of its compiled core.
+ENGINE_PROBE = """
+from repro.config.parameters import SimulationParameters
+from repro.simulation.simulator import Simulator
+engine = Simulator(SimulationParameters.tiny().with_backend("soa"), "MIN", "UN", 0.0).engine
+core = getattr(engine, "_core", None)
+print(type(engine).__name__, "-" if core is None else type(core).__module__)
+"""
+
+
+def probe_engine(checkout: Path) -> str:
+    """Which engine ``soa`` is in ``checkout`` (this also builds its core)."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_BACKEND"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", ENGINE_PROBE],
+        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S,
+    )
+    if done.returncode != 0 or not done.stdout.strip():
+        return "probe failed"
+    engine, core = done.stdout.split()
+    if engine != "SoAEngine":
+        return f"{engine}: soa FELL BACK, its compiled core is unavailable"
+    return f"{engine}, " + ("pure Python" if core == "-" else f"compiled core {core}")
+
+
 def run_once(checkout: Path, workload: str, seed: int, out: Path) -> Dict:
     """One ``perf/run.py`` run in ``checkout``; its result document."""
     subprocess.run(
@@ -72,9 +105,13 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
-def report(spec: Dict, runs: Dict[str, List[Dict]], revs: Dict[str, str]) -> None:
+def report(
+    spec: Dict, runs: Dict[str, List[Dict]], revs: Dict[str, str], engines: Dict[str, str]
+) -> None:
     pairs = len(runs["A"])
     print(f"{pairs} pairs; A = {revs['A']} (parent), B = {revs['B']} (change)")
+    for side in "AB":
+        print(f"  engine {side}: {engines[side]}")
     for metric in spec["end_to_end"]:
         name, bound = metric["name"], metric["bound"]
         sides = {
@@ -129,6 +166,7 @@ def main(argv=None) -> int:
         for side, checkout in checkouts.items():
             clone(ROOT, revs[side], checkout)
         spec = json.loads((checkouts["A"] / "BENCHMARK.json").read_text())
+        engines = {side: probe_engine(checkout) for side, checkout in checkouts.items()}
         for pair, seed, order in schedule:
             for side in order:
                 document = run_once(
@@ -138,7 +176,7 @@ def main(argv=None) -> int:
                 wall = document["metrics"].get("wall_s", float("nan"))
                 print(f"pair {pair} seed {seed} {side}: wall_s {wall:.4f} "
                       f"failed {document.get('failed', 1)}", flush=True)
-    report(spec, runs, revs)
+    report(spec, runs, revs, engines)
     return 1 if any(r.get("failed", 1) for side in "AB" for r in runs[side]) else 0
 
 
