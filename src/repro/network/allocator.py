@@ -30,14 +30,6 @@ class RoundRobinArbiter:
     def pointer(self) -> int:
         return self._pointer
 
-    def record_win(self, client: int) -> None:
-        """Advance the pointer past ``client`` as if it had won arbitration.
-
-        Used by the allocator fast paths that can prove the winner without a
-        full arbitration round; keeps the rotation rule in one place.
-        """
-        self._pointer = (client + 1) % self.num_clients
-
     def arbitrate(self, requests: Sequence[int]) -> int:
         """Grant one of ``requests`` (client indices); returns -1 if empty.
 
@@ -99,46 +91,12 @@ class SeparableAllocator:
         self._input_arbiters = [RoundRobinArbiter(max_vcs) for _ in range(num_ports)]
         self._output_arbiters = [RoundRobinArbiter(num_ports) for _ in range(num_ports)]
 
-    def grant_single(self, input_port: int, input_vc: int, output_port: int) -> None:
-        """Record an uncontested single-request grant (pointer rotation only).
-
-        A lone request always wins both stages, so callers that can prove
-        there is exactly one request (e.g. a router with a single occupied
-        VC) may skip the staging machinery and just rotate the arbiters.
-        """
-        self._input_arbiters[input_port].record_win(input_vc)
-        self._output_arbiters[output_port].record_win(input_port)
-
     def allocate(self, requests: Sequence[AllocationRequest]) -> List[AllocationRequest]:
         """Return the subset of ``requests`` granted in this round.
 
         Guarantees: at most one grant per input port and at most one grant
         per output port.
         """
-        if not requests:
-            return []
-
-        # Fast path: a single request always wins both stages; only the
-        # round-robin pointers need the same update a full round would apply.
-        if len(requests) == 1:
-            req = requests[0]
-            self.grant_single(req.input_port, req.input_vc, req.output_port)
-            return [req]
-
-        # Fast path: all input ports and all output ports distinct — every
-        # input proposes its only request and every output accepts its only
-        # proposal, so everything is granted (the common case outside
-        # hotspots); only the round-robin pointers need updating.
-        if len({req.input_port for req in requests}) == len(requests) and len(
-            {req.output_port for req in requests}
-        ) == len(requests):
-            input_arbiters = self._input_arbiters
-            output_arbiters = self._output_arbiters
-            for req in requests:
-                input_arbiters[req.input_port].record_win(req.input_vc)
-                output_arbiters[req.output_port].record_win(req.input_port)
-            return list(requests)
-
         # --- input stage: each input port proposes one VC ---------------------
         by_input: Dict[int, Dict[int, AllocationRequest]] = {}
         for req in requests:

@@ -8,7 +8,7 @@ has space for the *whole* packet, and it is forwarded as a unit.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, Optional, Tuple
+from typing import Deque, Iterator, Optional
 
 from repro.network.packet import Packet
 
@@ -151,27 +151,6 @@ class OutputBuffer:
         if not self._queue:
             raise IndexError("pop from empty output buffer")
         packet = self._queue.popleft()
-        self.committed_phits -= packet.size_phits
-        self.free_phits += packet.size_phits
-        self.head_packet = self._queue[0] if self._queue else None
-        return packet
-
-    def packets(self) -> Tuple[Packet, ...]:
-        """Snapshot of the queued packets, head first."""
-        return tuple(self._queue)
-
-    def pop_at(self, index: int) -> Packet:
-        """Remove the packet at ``index`` (0 = head) and release its space.
-
-        Used by the link stage to let a packet whose downstream VC has
-        credits bypass a blocked head on a different VC.
-        """
-        if index < 0 or index >= len(self._queue):
-            raise IndexError("output buffer index out of range")
-        if index == 0:
-            return self.pop()
-        packet = self._queue[index]
-        del self._queue[index]
         self.committed_phits -= packet.size_phits
         self.free_phits += packet.size_phits
         self.head_packet = self._queue[0] if self._queue else None

@@ -1,13 +1,13 @@
-"""The assembled network: compute nodes, active sets and — on demand — routers.
+"""The assembled network: compute nodes and — on demand — routers.
 
 :class:`Network` instantiates one :class:`~repro.network.node.ComputeNode` per
-compute node and owns the active sets the cycle driver walks.  The object
-router graph — one :class:`~repro.network.router.Router` per topology router,
-wired so credit returns and link arrivals reach the destination port objects
-directly — is what the ``object`` backend steps and nothing else needs: it is
-built by :meth:`Network.materialize_routers`, which the object engine calls
-when it is constructed and :attr:`Network.routers` calls on first access.
-The ``soa`` backend derives its flat state from the same
+compute node and owns the backlogged-node set the cycle driver walks.  The
+object router graph — one :class:`~repro.network.router.Router` per topology
+router, wired so credit returns and link arrivals reach the destination port
+objects directly — is what the ``object`` backend steps and nothing else
+needs: it is built by :meth:`Network.materialize_routers`, which the object
+engine calls when it is constructed and :attr:`Network.routers` calls on
+first access.  The ``soa`` backend derives its flat state from the same
 :func:`~repro.network.specs.port_specs` rows and never builds it.
 """
 
@@ -37,9 +37,7 @@ class Network:
         "faults",
         "_routers",
         "nodes",
-        "_active_routers",
         "_active_nodes",
-        "_routers_unsorted",
         "_nodes_unsorted",
         "__weakref__",
     )
@@ -61,17 +59,12 @@ class Network:
         self.nodes: List[ComputeNode] = [
             ComputeNode(nid, self, topology) for nid in range(topology.num_nodes)
         ]
-        # Active sets: routers with pending work and nodes with a source-queue
-        # backlog.  The engine only steps members of these sets; routers and
-        # nodes register themselves when work arrives (arrivals, credits,
-        # buffer pushes, generated traffic) and the engine retires them once
-        # their work counters drop to zero.
-        self._active_routers: List[Router] = []
+        # Nodes with a source-queue backlog (shared by every backend): a node
+        # registers itself when traffic is generated for it and the engine
+        # retires it once its queue is empty.  Activations append and set the
+        # dirty flag; the engine sorts the set only when the flag is set (its
+        # own filtering pass preserves the order).
         self._active_nodes: List[ComputeNode] = []
-        # Activations append (cheap) and set the dirty flag; the engine sorts
-        # an active set only when its flag is set instead of re-sorting every
-        # cycle (its own filtering passes preserve the order).
-        self._routers_unsorted = False
         self._nodes_unsorted = False
 
     # ----------------------------------------------------------------- routers
@@ -114,24 +107,13 @@ class Network:
         self._routers = routers
         return routers
 
-    # ------------------------------------------------------------- active sets
-    def activate_router(self, router: Router) -> None:
-        """Add ``router`` to the active set (no-op if already registered)."""
-        if not router.active:
-            router.active = True
-            self._active_routers.append(router)
-            self._routers_unsorted = True
-
+    # ---------------------------------------------------------- backlogged nodes
     def activate_node(self, node: ComputeNode) -> None:
         """Add ``node`` to the backlogged-node set (no-op if registered)."""
         if not node.active:
             node.active = True
             self._active_nodes.append(node)
             self._nodes_unsorted = True
-
-    @property
-    def active_router_count(self) -> int:
-        return len(self._active_routers)
 
     # ------------------------------------------------------------------ access
     def router(self, router_id: int) -> Router:

@@ -111,7 +111,6 @@ class ComputeNode:
             packet.injection_cycle = cycle
             routing.on_inject(router, packet, cycle)
             ivc.buffer.push(packet)
-            router.note_input_push(self.port, vc)
             if router._notify_arrival:
                 routing.on_packet_arrival(router, self.port, vc, packet, cycle)
             self._vc_pointer = (vc + 1) % num_vcs

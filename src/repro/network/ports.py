@@ -170,10 +170,6 @@ class OutputPort:
     # ``credits`` must only be mutated through ``consume_credits`` and the
     # ``schedule_credit_return``/``apply_credit_returns`` pair, which keep the
     # ``credit_occupied`` aggregate consistent.
-    @property
-    def num_downstream_vcs(self) -> int:
-        return len(self.credits)
-
     def credit_occupancy(self, vc: Optional[int] = None) -> int:
         """Estimated downstream occupancy (max credits minus available credits).
 
@@ -184,9 +180,6 @@ class OutputPort:
         if vc is None:
             return self.credit_occupied
         return self.max_credits[vc] - self.credits[vc]
-
-    def has_credits(self, vc: int, size_phits: int) -> bool:
-        return self.credits[vc] >= size_phits
 
     def consume_credits(self, vc: int, size_phits: int) -> None:
         if self.credits[vc] < size_phits:
@@ -217,9 +210,6 @@ class OutputPort:
     def total_occupancy(self) -> int:
         """Local output-buffer commitment plus estimated downstream occupancy."""
         return self.buffer.committed_phits + self.credit_occupied
-
-    def local_occupancy(self) -> int:
-        return self.buffer.committed_phits
 
     # -- pipeline ---------------------------------------------------------------
     def push_pipeline(self, ready_cycle: int, packet: Packet) -> None:

@@ -18,27 +18,19 @@ Per-cycle operation (driven by :class:`repro.simulation.engine.Engine`):
    start link transmissions (or deliver to the attached node on ejection
    ports) whenever the link is free and downstream credits allow.
 
-Activity tracking
------------------
-The router maintains aggregate work counters (in-flight arrivals, buffered
-input packets, in-flight credit returns, pipeline/output-buffer packets) and
-a set of occupied input VCs.  Every phase early-outs when its counter is
-zero, ``allocate`` only visits occupied VCs instead of re-scanning all
-``radix x num_vcs`` channels per speedup round, and the engine only steps
-routers registered in the network's active set — an idle router costs
-nothing per cycle.  The counters are updated at the few places packets and
-credits enter or leave the router, so activation/deactivation is O(1).
+This is the reference model: every phase scans the ports in port-major order
+and all state lives in the port objects (:mod:`repro.network.ports`).  The
+fast implementation of the same semantics is the ``soa`` backend.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from repro.config.parameters import SimulationParameters
 from repro.network.allocator import AllocationRequest, SeparableAllocator
 from repro.network.packet import Packet
-from repro.network.ports import InputPort, OutputPort
+from repro.network.ports import InputPort, InputVC, OutputPort
 from repro.network.specs import PortSpec
 from repro.topology.base import PortKind, Topology
 
@@ -64,22 +56,13 @@ class Router:
         "network",
         "_speedup",
         "_router_latency",
-        "_pure_decisions",
         "input_ports",
         "output_ports",
         "allocator",
-        "_vc_map",
         "delivered",
         "dropped",
         "_faults",
-        "active",
-        "_occupied_vcs",
-        "_new_heads",
-        "_arrival_ports",
-        "_credit_ports",
-        "_busy_out_ports",
-        "_next_begin_event",
-        "_next_transmit_event",
+        "_pure_decisions",
         "_notify_arrival",
         "_notify_head",
         "_notify_leave",
@@ -101,10 +84,10 @@ class Router:
         self.network: Optional["Network"] = None  # set by Network
         self._speedup = params.internal_speedup
         self._router_latency = params.router_latency
-        self._pure_decisions = routing.decision_is_pure
         #: Fault state shared across the network (``None`` = healthy run;
         #: every fault check in the phases is then one ``is None`` test).
         self._faults = faults
+        self._pure_decisions = routing.decision_is_pure
 
         self.input_ports: List[InputPort] = []
         self.output_ports: List[OutputPort] = []
@@ -113,50 +96,14 @@ class Router:
         max_vcs = max(len(ip.vcs) for ip in self.input_ports)
         self.allocator = SeparableAllocator(topology.router_radix, max_vcs)
 
-        # (port, vc) -> InputVC, so the allocation loop reaches a head with a
-        # single dict lookup instead of chained list indexing.
-        self._vc_map = {
-            (ip.port, vc): ivc
-            for ip in self.input_ports
-            for vc, ivc in enumerate(ip.vcs)
-        }
-
         # Delivered packets of the current cycle (drained by the engine).
         self.delivered: List[Packet] = []
         # Packets dropped this cycle because their destination is unreachable
         # on the surviving graph (fault runs only; drained by the engine).
         self.dropped: List[Packet] = []
 
-        # -- activity tracking ------------------------------------------------
-        # The work lists below are kept sorted (insort on insert), so the
-        # phases can iterate them directly in the port-major order of a full
-        # scan without re-sorting every cycle.  They are small (bounded by
-        # radix x VCs), so the O(n) inserts/removes are cheap.
-        #: Whether this router is registered in the network's active set.
-        self.active = False
-        #: ``(port, vc)`` of every non-empty input VC buffer.
-        self._occupied_vcs: List[Tuple[int, int]] = []
-        #: Input VCs whose head changed since the last new-head report
-        #: (buffer went empty -> non-empty, or a grant exposed the next
-        #: packet).  Only maintained for mechanisms with a head hook.
-        self._new_heads: List[Tuple[int, int]] = []
-        #: Input ports with packets in flight on their incoming link.
-        self._arrival_ports: List[int] = []
-        #: Output ports with credit returns in flight on the reverse channel.
-        self._credit_ports: List[int] = []
-        #: Output ports with packets in the pipeline or the output buffer.
-        self._busy_out_ports: List[int] = []
-        #: Exact earliest cycle at which ``begin_cycle`` has something to do
-        #: (a link arrival or credit return matures) and at which ``transmit``
-        #: has something to do (a pipeline exit or a free link with a queued
-        #: head).  Maintained at the scheduling sites and recomputed by the
-        #: phases themselves, so the engine can skip a phase call — and
-        #: compute the router's time-warp horizon — with one comparison.
-        self._next_begin_event = _NO_EVENT
-        self._next_transmit_event = _NO_EVENT
-
-        # Skip no-op routing hooks in the hot loops (MIN/VAL/OLM do not track
-        # heads; MIN does not watch arrivals).
+        # Skip no-op routing hooks (MIN/VAL/OLM do not track heads; MIN does
+        # not watch arrivals).
         (
             self._notify_arrival,
             self._notify_head,
@@ -193,206 +140,115 @@ class Router:
             op.credit_occupied = spec.credit_bias_phits
             self.output_ports.append(op)
 
-    # -------------------------------------------------------- activity tracking
-    def activate(self) -> None:
-        """Register this router in the network's active set."""
-        if not self.active and self.network is not None:
-            self.network.activate_router(self)
-
-    def has_work(self) -> bool:
-        """Whether any phase of the next cycles can do something."""
-        return bool(
-            self._occupied_vcs
-            or self._arrival_ports
-            or self._credit_ports
-            or self._busy_out_ports
-        )
+    # ----------------------------------------------------------------- events
+    def occupied_vcs(self) -> List[Tuple[int, int, InputVC]]:
+        """``(port, vc, InputVC)`` of every input VC holding a packet, in
+        port-major, VC-minor order."""
+        return [
+            (ip.port, vc, ivc)
+            for ip in self.input_ports
+            for vc, ivc in enumerate(ip.vcs)
+            if ivc.buffer.head_packet is not None
+        ]
 
     def next_event_cycle(self) -> int:
         """Earliest cycle at which this router can make progress.
 
-        Used by the time-warp engine: an occupied input VC means "right now"
-        (allocation must be retried every cycle), otherwise the answer is the
-        min over the cached begin/transmit event times (scheduled link
-        arrivals, in-flight credit returns, pipeline completions and
-        link-free times).  Returns the huge ``_NO_EVENT`` sentinel when
-        nothing is scheduled (the router is about to be retired).
+        An occupied input VC means "right now" (``-1``: allocation must be
+        retried every cycle); otherwise the answer is the earliest entry of
+        the port queues — a link arrival, an in-flight credit return, a
+        pipeline exit, or the link-free time of a queued output head.
+        Returns the huge ``_NO_EVENT`` sentinel when nothing is scheduled.
         """
-        if self._occupied_vcs:
-            return -1
-        begin = self._next_begin_event
-        transmit = self._next_transmit_event
-        return begin if begin < transmit else transmit
+        event = _NO_EVENT
+        for ip in self.input_ports:
+            for ivc in ip.vcs:
+                if ivc.buffer.head_packet is not None:
+                    return -1
+            if ip.arrivals and ip.arrivals[0][0] < event:
+                event = ip.arrivals[0][0]
+        for out in self.output_ports:
+            if out.pending_credits and out.pending_credits[0][0] < event:
+                event = out.pending_credits[0][0]
+            if out.pipeline and out.pipeline[0][0] < event:
+                event = out.pipeline[0][0]
+            if out.buffer.head_packet is not None and out.link_busy_until < event:
+                event = out.link_busy_until
+        return event
 
     def receive_arrival(
         self, port: int, complete_cycle: int, vc: int, packet: Packet
     ) -> None:
         """A neighbour started transmitting ``packet`` towards input ``port``."""
-        ip = self.input_ports[port]
-        if not ip.arrivals:
-            insort(self._arrival_ports, port)
-        ip.schedule_arrival(complete_cycle, vc, packet)
-        if complete_cycle < self._next_begin_event:
-            self._next_begin_event = complete_cycle
-        if not self.active and self.network is not None:
-            self.network.activate_router(self)
+        self.input_ports[port].schedule_arrival(complete_cycle, vc, packet)
 
     def receive_credit_return(
         self, port: int, arrival_cycle: int, vc: int, phits: int
     ) -> None:
         """The downstream router freed buffer space fed by output ``port``."""
-        op = self.output_ports[port]
-        if not op.pending_credits:
-            insort(self._credit_ports, port)
-        op.schedule_credit_return(arrival_cycle, vc, phits)
-        if arrival_cycle < self._next_begin_event:
-            self._next_begin_event = arrival_cycle
-        if not self.active and self.network is not None:
-            self.network.activate_router(self)
-
-    def note_input_push(self, port: int, vc: int) -> None:
-        """Bookkeeping after a packet was pushed into input VC ``(port, vc)``."""
-        if self.input_ports[port].vcs[vc].buffer.num_packets == 1:
-            insort(self._occupied_vcs, (port, vc))
-            if self._notify_head:
-                self._new_heads.append((port, vc))
-        if not self.active and self.network is not None:
-            self.network.activate_router(self)
+        self.output_ports[port].schedule_credit_return(arrival_cycle, vc, phits)
 
     # ------------------------------------------------------------------ phases
     def begin_cycle(self, cycle: int) -> None:
         """Apply credit returns and receive packets whose transmission finished."""
-        nxt = _NO_EVENT
-        credit_ports = self._credit_ports
-        if credit_ports:
-            remaining = []
-            for port in credit_ports:
-                op = self.output_ports[port]
-                pending = op.pending_credits
-                if pending[0][0] <= cycle:
-                    op.apply_credit_returns(cycle)
-                if pending:
-                    remaining.append(port)
-                    c = pending[0][0]
-                    if c < nxt:
-                        nxt = c
-            self._credit_ports = remaining
-        arrival_ports = self._arrival_ports
-        if arrival_ports:
-            occupied = self._occupied_vcs
-            routing = self.routing
-            notify = self._notify_arrival
-            notify_head = self._notify_head
-            new_heads = self._new_heads
-            input_ports = self.input_ports
-            remaining = []
-            for port in arrival_ports:
-                ip = input_ports[port]
-                arrivals = ip.arrivals
-                if arrivals[0][0] <= cycle:
-                    vcs = ip.vcs
-                    while arrivals and arrivals[0][0] <= cycle:
-                        _, vc, packet = arrivals.popleft()
-                        buf = vcs[vc].buffer
-                        if buf.head_packet is None:
-                            insort(occupied, (port, vc))
-                            if notify_head:
-                                new_heads.append((port, vc))
-                        buf.push(packet)
-                        if notify:
-                            routing.on_packet_arrival(self, port, vc, packet, cycle)
-                if arrivals:
-                    remaining.append(port)
-                    c = arrivals[0][0]
-                    if c < nxt:
-                        nxt = c
-            self._arrival_ports = remaining
-        self._next_begin_event = nxt
+        for out in self.output_ports:
+            out.apply_credit_returns(cycle)
+        for ip in self.input_ports:
+            for vc, packet in ip.pop_arrivals(cycle):
+                ip.vcs[vc].buffer.push(packet)
+                if self._notify_arrival:
+                    self.routing.on_packet_arrival(self, ip.port, vc, packet, cycle)
 
-    def allocate(self, cycle: int) -> None:
-        """Report new heads, route them and run the separable allocation rounds."""
-        if not self._occupied_vcs:
-            return
+    def allocate(self, cycle: int) -> int:
+        """Report new heads, route them and run the separable allocation rounds.
+
+        Returns the number of input VCs that held a packet (0: nothing to do).
+        """
         routing = self.routing
-        output_ports = self.output_ports
-        vc_map = self._vc_map
+        # No buffer is pushed into during allocation, so the list is fixed
+        # for the cycle.
+        occupied = self.occupied_vcs()
+        if not occupied:
+            return 0
 
         # --- new-head detection (contention counters) -------------------------
-        # Only VCs whose head actually changed since the last report are
-        # visited; sorting restores the port-major order of a full scan.
-        if self._notify_head and self._new_heads:
-            new_heads = self._new_heads
-            if len(new_heads) > 1:
-                new_heads.sort()
-            for key in new_heads:
-                ivc = vc_map[key]
-                if ivc.head_seen:
-                    continue
-                port, vc_idx = key
-                routing.on_packet_head(self, port, vc_idx, ivc.buffer.head_packet, cycle)
-                ivc.head_seen = True
-            self._new_heads = []
-
-        # --- single-head fast path ---------------------------------------------
-        # With exactly one occupied VC the round machinery degenerates: the
-        # first round either grants that head (a one-request allocation always
-        # succeeds, only the arbiter pointers rotate) or produces no request
-        # at all, and in both cases every later round is a no-op (the VC is in
-        # ``granted_vcs`` or the request list stays empty).  So exactly one
-        # ``select_output`` call happens per cycle — identical to a full run.
-        if len(self._occupied_vcs) == 1:
-            key = self._occupied_vcs[0]
-            head = vc_map[key].buffer.head_packet
-            port, vc_idx = key
-            decision = routing.select_output(self, port, vc_idx, head, cycle)
-            if self._faults is not None:
-                decision = self._resolve_faults(port, vc_idx, head, decision, cycle)
-            if decision is None:
-                return
-            out = output_ports[decision.output_port]
-            size = head.size_phits
-            if out.buffer.free_phits < size or out.credits[decision.vc] < size:
-                return
-            self.allocator.grant_single(port, vc_idx, decision.output_port)
-            self._commit_grant(port, vc_idx, decision, cycle)
-            return
+        # A packet is reported exactly once, when it reaches the head of its
+        # buffer (``head_seen`` is cleared when the head leaves).
+        if self._notify_head:
+            for port, vc, ivc in occupied:
+                if not ivc.head_seen:
+                    routing.on_packet_head(self, port, vc, ivc.buffer.head_packet, cycle)
+                    ivc.head_seen = True
 
         # --- allocation rounds (internal speedup) ------------------------------
-        # The occupied list holds exactly the non-empty input VCs in
-        # port-major, VC-minor order, reproducing the visit order of a full
-        # scan.  Grants remove entries from the live list, so iterate a copy.
-        # For mechanisms with pure decisions (MIN/VAL/PB) the first round's
-        # routing decision is reused by the later rounds of this cycle: a VC
-        # granted once is skipped for the rest of the cycle, so the head — and
-        # therefore its decision — cannot change between rounds.
-        occupied = self._occupied_vcs[:]
+        # A VC granted once is skipped for the rest of the cycle.  A
+        # ``decision_is_pure`` mechanism (MIN/VAL/UGAL/PB) is asked once per VC
+        # and cycle; later rounds reuse round 1's raw decision.  On a healthy
+        # run that is the decision a second call would give.  On a fault run
+        # it is not (the VC's next head inherits a dropped head's decision, a
+        # packet whose Valiant leg ``fault_decision`` abandoned keeps the old
+        # one; both still pass ``_resolve_faults``): a known wart, pinned by
+        # the ``fault`` digest of tests/obs/test_trace_bytes.py, so removing
+        # the memo is a result change of its own (ROADMAP open items).
         decision_memo = {} if self._pure_decisions else None
         granted_vcs: Set[Tuple[int, int]] = set()
-        faults = self._faults
         for round_index in range(self._speedup):
             requests: List[AllocationRequest] = []
-            for key in occupied:
-                if key in granted_vcs:
+            for port, vc, ivc in occupied:
+                head = ivc.buffer.head_packet
+                if head is None or (port, vc) in granted_vcs:
                     continue
-                head = vc_map[key].buffer.head_packet
-                if head is None:
-                    continue
-                port, vc_idx = key
                 if decision_memo is None or round_index == 0:
-                    decision = routing.select_output(self, port, vc_idx, head, cycle)
+                    decision = routing.select_output(self, port, vc, head, cycle)
                     if decision_memo is not None:
-                        decision_memo[key] = decision
+                        decision_memo[port, vc] = decision
                 else:
-                    decision = decision_memo[key]
-                if faults is not None:
-                    # The memo holds the raw policy decision; the fault
-                    # resolution is deterministic (BFS tables, no RNG), so
-                    # re-resolving per round is round-stable.
-                    decision = self._resolve_faults(port, vc_idx, head, decision, cycle)
+                    decision = decision_memo[port, vc]
+                if self._faults is not None:
+                    decision = self._resolve_faults(port, vc, head, decision, cycle)
                 if decision is None:
                     continue
-                out_port = decision.output_port
-                out = output_ports[out_port]
+                out = self.output_ports[decision.output_port]
                 size = head.size_phits
                 if out.buffer.free_phits < size:
                     continue
@@ -404,13 +260,14 @@ class Router:
                 if out.credits[decision.vc] < size:
                     continue
                 requests.append(
-                    AllocationRequest(port, vc_idx, out_port, size, decision)
+                    AllocationRequest(port, vc, decision.output_port, size, decision)
                 )
             if not requests:
                 break
             for grant in self.allocator.allocate(requests):
                 self._commit_grant(grant.input_port, grant.input_vc, grant.payload, cycle)
                 granted_vcs.add((grant.input_port, grant.input_vc))
+        return len(occupied)
 
     def _resolve_faults(self, port: int, vc: int, head, decision, cycle: int):
         """Resolve a routing decision against the live fault state.
@@ -436,18 +293,14 @@ class Router:
         """Drop the head of input VC ``(port, vc)`` (unreachable destination).
 
         Mirrors the input-side bookkeeping of ``_commit_grant`` — upstream
-        credit return, contention-counter release, occupied-VC tracking —
-        without any output-side forwarding.  The engine drains ``dropped``
-        and counts the drop as watchdog progress.
+        credit return, contention-counter release — without any output-side
+        forwarding.  The engine drains ``dropped`` and counts the drop as
+        watchdog progress.
         """
         ip = self.input_ports[port]
         ivc = ip.vcs[vc]
         packet = ivc.buffer.pop()
         ivc.head_seen = False
-        if ivc.buffer.head_packet is None:
-            self._occupied_vcs.remove((port, vc))
-        elif self._notify_head:
-            self._new_heads.append((port, vc))
         upstream = ip.upstream_router
         if upstream is not None:
             upstream.receive_credit_return(
@@ -467,10 +320,6 @@ class Router:
         ivc = ip.vcs[input_vc]
         packet = ivc.buffer.pop()
         ivc.head_seen = False
-        if ivc.buffer.head_packet is None:
-            self._occupied_vcs.remove((input_port, input_vc))
-        elif self._notify_head:
-            self._new_heads.append((input_port, input_vc))
 
         # Credit return to the upstream router (not for injection ports).
         upstream = ip.upstream_router
@@ -490,67 +339,35 @@ class Router:
         if out.kind is not PortKind.INJECTION:
             packet.record_hop(is_global=out.kind is PortKind.GLOBAL)
         packet.current_vc = decision.vc
-        if not out.pipeline and out.buffer.head_packet is None:
-            insort(self._busy_out_ports, decision.output_port)
         out.buffer.commit(packet.size_phits)
         out.consume_credits(decision.vc, packet.size_phits)
-        ready = cycle + self._router_latency
-        out.pipeline.append((ready, packet))
-        if ready < self._next_transmit_event:
-            self._next_transmit_event = ready
+        out.push_pipeline(cycle + self._router_latency, packet)
 
     def transmit(self, cycle: int) -> None:
-        """Start link transmissions / node deliveries on the busy output ports."""
-        busy = self._busy_out_ports
-        if not busy:
-            self._next_transmit_event = _NO_EVENT
-            return
-        output_ports = self.output_ports
-        remaining = []
-        nxt = _NO_EVENT
-        for port in busy:
-            out = output_ports[port]
-            buf = out.buffer
-            pipeline = out.pipeline
-            if pipeline:
-                while pipeline and pipeline[0][0] <= cycle:
-                    _, ready = pipeline.popleft()
-                    buf.enqueue(ready)
-            if buf.head_packet is not None and out.link_busy_until <= cycle:
-                packet = buf.pop()
-                # Degraded links stretch the serialization (factor 1 when
-                # healthy, so the healthy arithmetic is bit-identical).
-                size = packet.size_phits * out.serialize_factor
-                out.link_busy_until = cycle + size
-                downstream = out.downstream_router
-                if downstream is None:
-                    packet.delivered_cycle = cycle + size
-                    self.delivered.append(packet)
-                else:
-                    # Downstream credits were reserved at grant time, so the
-                    # head of the output buffer can always be transmitted
-                    # once the link frees.
-                    downstream.receive_arrival(
-                        out.downstream_port,
-                        cycle + out.link_latency + size,
-                        packet.current_vc,
-                        packet,
-                    )
-            keep = False
-            if pipeline:
-                keep = True
-                c = pipeline[0][0]
-                if c < nxt:
-                    nxt = c
-            if buf.head_packet is not None:
-                keep = True
-                c = out.link_busy_until
-                if c < nxt:
-                    nxt = c
-            if keep:
-                remaining.append(port)
-        self._busy_out_ports = remaining
-        self._next_transmit_event = nxt
+        """Start link transmissions / node deliveries on the free output links."""
+        for out in self.output_ports:
+            out.drain_pipeline(cycle)
+            if out.buffer.head_packet is None or out.link_busy_until > cycle:
+                continue
+            packet = out.buffer.pop()
+            # Degraded links stretch the serialization (factor 1 when
+            # healthy, so the healthy arithmetic is bit-identical).
+            size = packet.size_phits * out.serialize_factor
+            out.link_busy_until = cycle + size
+            downstream = out.downstream_router
+            if downstream is None:
+                packet.delivered_cycle = cycle + size
+                self.delivered.append(packet)
+            else:
+                # Downstream credits were reserved at grant time, so the
+                # head of the output buffer can always be transmitted
+                # once the link frees.
+                downstream.receive_arrival(
+                    out.downstream_port,
+                    cycle + out.link_latency + size,
+                    packet.current_vc,
+                    packet,
+                )
 
     # ------------------------------------------------------------- inspection
     @property

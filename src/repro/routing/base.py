@@ -667,11 +667,12 @@ class RoutingAlgorithm(ABC):
     def post_cycle(self, network: "Network", cycle: int) -> None:
         """Network-wide per-cycle hook (ECN / ECtN broadcasts)."""
 
-    def post_cycle_horizon(self, network: "Network", cycle: int) -> Optional[int]:
+    def post_cycle_horizon(self, cycle: int, fabric_idle: bool) -> Optional[int]:
         """Next cycle at which :meth:`post_cycle` must actually run.
 
         Consulted by the time-warp engine only when :attr:`needs_post_cycle`
-        is set.  Returning ``cycle`` means "this very cycle" (no warp);
+        is set; ``fabric_idle`` says that no router holds or awaits a packet
+        or a credit.  Returning ``cycle`` means "this very cycle" (no warp);
         ``None`` means "never, until other activity wakes the network up".
         The conservative default pins the engine to cycle-by-cycle stepping,
         so a mechanism that overrides ``post_cycle`` without thinking about

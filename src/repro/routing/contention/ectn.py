@@ -159,7 +159,7 @@ class ECtNRouting(BaseContentionRouting):
                     combined[i] += partial[i]
             self.combined[group] = combined
 
-    def post_cycle_horizon(self, network: "Network", cycle: int) -> Optional[int]:
+    def post_cycle_horizon(self, cycle: int, fabric_idle: bool) -> Optional[int]:
         """ECtN only acts on broadcast cycles: the next update-period multiple.
 
         Between broadcasts ``post_cycle`` is a no-op, so the time-warp engine

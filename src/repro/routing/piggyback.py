@@ -123,16 +123,16 @@ class PiggybackRouting(UGALRouting):
             else:
                 self._saturated_groups.discard(group)
 
-    def post_cycle_horizon(self, network: "Network", cycle: int) -> Optional[int]:
+    def post_cycle_horizon(self, cycle: int, fabric_idle: bool) -> Optional[int]:
         """PB's ECN must be re-evaluated every cycle while anything can move.
 
         Occupancies (and therefore the saturation flags) only change while
-        routers are active; once the network is fully quiet with no pending
+        the fabric is busy; once the network is fully quiet with no pending
         flag updates in flight and no saturated flag left, recomputing the
         flags every cycle is a provable no-op (all occupancies are zero), so
         the engine may warp freely.
         """
-        if network._active_routers or self._pending or self._saturated_groups:
+        if not fabric_idle or self._pending or self._saturated_groups:
             return cycle
         return None
 

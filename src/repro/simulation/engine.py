@@ -9,8 +9,7 @@ time the ``object`` backend.  ``step`` advances the whole network one cycle:
 2. inject packets from the source queues into the router injection buffers
    (only nodes with a backlog are visited);
 3. run the router phase: credit returns and link arrivals, routing +
-   separable allocation, link serialization and node deliveries, retirement
-   of the routers that ran out of work;
+   separable allocation, link serialization and node deliveries;
 4. the routing algorithm's ``post_cycle`` hook (PB / ECtN broadcasts),
    invoked only for mechanisms that declare ``needs_post_cycle``;
 5. progress accounting, warp hints, ``obs.on_cycle``, the stall watchdog.
@@ -22,14 +21,11 @@ work horizon, the buffered-packet count and the stall census through the
 methods marked "backend seam"; ``SoAEngine`` overrides exactly those.
 
 In the object model the three router phases (``begin_cycle``, ``allocate``,
-``transmit``) are fused into a single pass per router: every cross-router
-interaction inside a cycle (link arrivals, credit returns) is scheduled
-strictly in the future and all phase reads are router-local, so
-``begin/allocate/transmit`` per router in router-id order is bit-identical
-to three network-wide sweeps — at a third of the iteration cost.  Routers
-and nodes register themselves in the network's active sets when work arrives
-(see :mod:`repro.network.router`); the sets are kept in router-id order and
-re-sorted lazily, only after new activations.
+``transmit``) run back to back per router, in router-id order: every
+cross-router interaction inside a cycle (link arrivals, credit returns) is
+scheduled strictly in the future and all phase reads are router-local, so
+this equals three network-wide sweeps.  A router whose
+``next_event_cycle()`` lies in the future is skipped.
 
 Time warp
 ---------
@@ -38,12 +34,11 @@ model is scheduled (pre-sampled traffic arrivals, node injection spacing,
 link arrival/credit completions, pipeline exits, link-free times, routing
 broadcast periods), so when no component has work *this* cycle the engine
 computes the **work horizon** — the min over all scheduled event cycles —
-and advances ``cycle`` directly to it.  The router/node parts of the horizon
-are computed as a by-product of the retirement and injection passes of the
-previous ``step`` (the "hints" below), so the busy-network fast path pays
-almost nothing for the warp machinery.  A warped-over cycle is, by
-construction, one in which ``step`` would have been a complete no-op, so
-results are bit-identical with the warp on or off (asserted by
+and advances ``cycle`` directly to it.  The node part of the horizon is left
+behind by the previous ``step`` (a "hint"), the router part too where the
+backend has it for free; the object model walks its routers.  A warped-over
+cycle is, by construction, one in which ``step`` would have been a complete
+no-op, so results are bit-identical with the warp on or off (asserted by
 ``tests/simulation/test_time_warp.py``); only wall-clock time changes.  The
 number of cycles skipped this way is reported in
 :attr:`Engine.cycles_skipped` and in the module-level :data:`ENGINE_STATS`.
@@ -60,16 +55,15 @@ lies in the far future.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.network.network import Network
-from repro.network.router import _NO_EVENT, Router
+from repro.network.router import _NO_EVENT
 from repro.traffic.bernoulli import BernoulliTrafficGenerator
 
 __all__ = ["Engine", "SimulationStallError", "ENGINE_STATS"]
 
-_router_id = attrgetter("router_id")
 _node_id = attrgetter("node_id")
 
 
@@ -181,11 +175,11 @@ class Engine:
                 "declare needs_post_cycle = True"
             )
         self._post_cycle = routing.post_cycle if routing.needs_post_cycle else None
-        # Work-horizon hints, filled in by ``step`` as a by-product of its
-        # injection and retirement passes: the earliest scheduled router
-        # event and the earliest pending node injection.  Invalidated at
-        # ``run`` entry because callers may mutate network state between
-        # runs (tests enqueue packets by hand).
+        # Work-horizon hints, filled in by ``step``: the earliest scheduled
+        # router event (``None``: the backend left none, ask
+        # ``_router_horizon``) and the earliest pending node injection.
+        # Invalidated at ``run`` entry because callers may mutate network
+        # state between runs (tests enqueue packets by hand).
         self._hint_valid = False
         self._hint_router_event = _NO_EVENT
         self._hint_node_injection = _NO_EVENT
@@ -225,6 +219,9 @@ class Engine:
                 cycle = self.cycle
                 if self._hint_valid:
                     horizon = self._hint_router_event
+                    if horizon is None:
+                        horizon = self._router_horizon(cycle)
+                    router_horizon = horizon
                     node_hint = self._hint_node_injection
                     if node_hint < horizon:
                         horizon = node_hint
@@ -238,7 +235,7 @@ class Engine:
                         # Routers and nodes are quiet: consult the (cheap)
                         # routing-broadcast and pre-sampled-arrival horizons.
                         if self._post_cycle is not None:
-                            hook = self._post_cycle_horizon(cycle)
+                            hook = self._post_cycle_horizon(cycle, router_horizon)
                             if hook is not None and hook < horizon:
                                 horizon = hook
                         arrival = traffic.next_arrival_cycle(cycle, end)
@@ -272,20 +269,21 @@ class Engine:
             ENGINE_STATS.cycles_skipped += skipped
 
     # -- time warp ----------------------------------------------------------------
-    def _post_cycle_horizon(self, cycle: int) -> Optional[int]:
+    def _post_cycle_horizon(self, cycle: int, router_horizon: int) -> Optional[int]:
         """Next cycle the routing broadcast hook has work (``None``: never).
 
-        Overridable because the hook reads engine-owned state (the active
-        router set); consulted only when ``_post_cycle`` is set.
+        ``router_horizon`` is ``_router_horizon(cycle)`` as the caller already
+        has it: the routing class is told whether the fabric is idle (no
+        router of this backend holds or awaits anything), so it reads no
+        engine state.  Consulted only when ``_post_cycle`` is set.
         """
-        network = self.network
-        return network.routing.post_cycle_horizon(network, cycle)
+        return self.network.routing.post_cycle_horizon(cycle, router_horizon >= _NO_EVENT)
 
     def _router_horizon(self, cycle: int) -> int:
         """Backend seam: the router half of :meth:`_work_horizon` (``cycle``
         when a router has work now, ``_NO_EVENT`` when none has any)."""
         horizon = _NO_EVENT
-        for router in self.network._active_routers:
+        for router in self.network.routers:
             event = router.next_event_cycle()
             if event <= cycle:
                 return cycle
@@ -301,7 +299,7 @@ class Engine:
         when there is immediate work; the caller then executes a normal
         ``step``.
         """
-        horizon = self._router_horizon(cycle)
+        horizon = router_horizon = self._router_horizon(cycle)
         if horizon <= cycle:
             return cycle
         if end < horizon:
@@ -313,7 +311,7 @@ class Engine:
             if injection < horizon:
                 horizon = injection
         if self._post_cycle is not None:
-            hook = self._post_cycle_horizon(cycle)
+            hook = self._post_cycle_horizon(cycle, router_horizon)
             if hook is not None:
                 if hook <= cycle:
                     return cycle
@@ -375,7 +373,7 @@ class Engine:
                     node.active = False
             network._active_nodes = backlogged
 
-        # 3. the routers: due events, allocation, transmission, retirement.
+        # 3. the routers: due events, allocation, transmission.
         delivered_now, dropped_now, visited_routers, router_hint = self._router_phase(
             cycle
         )
@@ -383,7 +381,7 @@ class Engine:
         # 4. network-wide routing hook (PB saturation ECN / ECtN broadcasts);
         # mechanisms without per-cycle work declare needs_post_cycle=False
         # and skip the call entirely.  The hooks write only the mechanism's
-        # own tables, so it is immaterial that phase 3 already retired.
+        # own tables.
         if self._post_cycle is not None:
             self._post_cycle(network, cycle)
 
@@ -401,9 +399,8 @@ class Engine:
         self._hint_valid = True
 
         if self.obs is not None:
-            # ``visited_routers`` keeps its documented per-backend meaning
-            # (``alloc_router_cycles``): active routers walked on ``object``,
-            # routers holding an occupied head on ``soa``.
+            # ``visited_routers`` (``alloc_router_cycles``): the routers that
+            # held an occupied input VC when their allocation came up.
             self.obs.on_cycle(cycle, visited_routers)
 
         self._check_watchdog(cycle)
@@ -414,82 +411,44 @@ class Engine:
         """Backend seam: inject the head of ``node``'s source queue if it fits."""
         node.try_inject(cycle)
 
-    def _router_phase(self, cycle: int) -> Tuple[int, int, int, int]:
+    def _router_phase(self, cycle: int) -> Tuple[int, int, int, Optional[int]]:
         """Backend seam: one cycle of router work.
 
         Returns ``(delivered, dropped, visited_routers, router_hint)``:
         packets delivered and dropped this cycle (already reported to
         ``metrics``/``obs`` in router-major order), the routers visited, and
-        the earliest cycle a router has work again (``-1``: next cycle,
-        ``_NO_EVENT``: nothing scheduled).
+        the earliest cycle a router has work again (at most ``cycle + 1``:
+        next cycle, ``_NO_EVENT``: nothing scheduled) where the backend has
+        it for free.  The object model does not — a later router may schedule
+        an arrival or a credit return at an earlier one, so it would take a
+        second walk — and returns ``None``: ``run`` asks ``_router_horizon``
+        when, and only when, it wants to warp.
         """
-        # Fused router phases over the active set, in router-id order.
-        # Every cross-router effect of this cycle (link arrivals, credit
-        # returns) is scheduled strictly in the future and every phase read
-        # is router-local, so begin/allocate/transmit per router reproduces
-        # the three network-wide sweeps bit-identically.  The snapshot keeps
-        # the pass stable while arrivals/credits activate further routers for
-        # the *next* cycle.
-        network = self.network
         metrics = self.metrics
         obs = self.obs
-        faults = self.faults
-        routers: Sequence[Router]
-        active_routers = network._active_routers
         delivered_now = 0
         dropped_now = 0
         visited_routers = 0
-        if active_routers:
-            if network._routers_unsorted:
-                active_routers.sort(key=_router_id)
-                network._routers_unsorted = False
-            routers = active_routers[:]
-            visited_routers = len(routers)
-            for router in routers:
-                if router._next_begin_event <= cycle:
-                    router.begin_cycle(cycle)
-                if router._occupied_vcs:
-                    router.allocate(cycle)
-                if router._next_transmit_event <= cycle:
-                    router.transmit(cycle)
-                if router.delivered:
-                    for packet in router.drain_delivered():
-                        delivered_now += 1
-                        if metrics is not None:
-                            metrics.record_delivery(packet, cycle)
-                        if obs is not None:
-                            obs.record_delivery(packet, cycle)
-                if faults is not None and router.dropped:
-                    for packet in router.drain_dropped():
-                        dropped_now += 1
-                        if metrics is not None:
-                            metrics.record_dropped(packet, cycle)
-                        if obs is not None:
-                            obs.record_dropped(packet, cycle)
-
-        # Retire idle routers; the same pass yields the earliest scheduled
-        # router event from the routers' cached begin/transmit event times,
-        # so the hint costs two comparisons per active router.
-        router_hint = _NO_EVENT
-        current = network._active_routers
-        if current:
-            still_active = []
-            for router in current:
-                if router._occupied_vcs:
-                    still_active.append(router)
-                    router_hint = -1
-                else:
-                    begin = router._next_begin_event
-                    transmit = router._next_transmit_event
-                    event = begin if begin < transmit else transmit
-                    if event >= _NO_EVENT:
-                        router.active = False
-                    else:
-                        still_active.append(router)
-                        if event < router_hint:
-                            router_hint = event
-            network._active_routers = still_active
-        return delivered_now, dropped_now, visited_routers, router_hint
+        for router in self.network.routers:
+            if router.next_event_cycle() > cycle:
+                continue
+            router.begin_cycle(cycle)
+            if router.allocate(cycle):
+                visited_routers += 1
+            router.transmit(cycle)
+            for packet in router.drain_delivered():
+                delivered_now += 1
+                if metrics is not None:
+                    metrics.record_delivery(packet, cycle)
+                if obs is not None:
+                    obs.record_delivery(packet, cycle)
+            for packet in router.drain_dropped():
+                dropped_now += 1
+                if metrics is not None:
+                    metrics.record_dropped(packet, cycle)
+                if obs is not None:
+                    obs.record_dropped(packet, cycle)
+        return delivered_now, dropped_now, visited_routers, None
 
     # -- observation ---------------------------------------------------------------
     def attach_observation(self, hub) -> None:
@@ -557,7 +516,7 @@ class Engine:
         """Backend seam: per router, in id order, ``(router_id, occupied_vcs,
         buffered packets in (port, VC, queue) order)``."""
         for router in self.network.routers:
-            yield router.router_id, len(router._occupied_vcs), (
+            yield router.router_id, len(router.occupied_vcs()), (
                 packet
                 for ip in router.input_ports
                 for ivc in ip.vcs

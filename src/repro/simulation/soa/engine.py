@@ -129,7 +129,7 @@ time-warp and property suites assert bit-identical results.
 from __future__ import annotations
 
 from bisect import insort
-from typing import List, Optional
+from typing import List
 
 from repro.network.packet import RoutingPhase
 from repro.routing.base import RoutingDecision
@@ -292,28 +292,6 @@ class SoAEngine(Engine):
         self._st = SoAState(network)
 
     # ------------------------------------------------------------------ warp
-    def _post_cycle_horizon(self, cycle: int) -> Optional[int]:
-        if self._pb_scan is None:
-            # ECtN: pure period arithmetic, the routing class's own.
-            return super()._post_cycle_horizon(cycle)
-        # PB must stay an override: ``PiggybackRouting.post_cycle_horizon``
-        # reads ``network._active_routers``, which this backend keeps empty.
-        # Routers waiting on a credit, an arrival or a busy link are not in
-        # ``st.active`` either, so a non-empty calendar counts as "not
-        # quiet" too.
-        routing = self._routing
-        st = self._st
-        if (
-            st.active
-            or st.cred_cal
-            or st.arr_cal
-            or st.svc_cal
-            or routing._pending
-            or routing._saturated_groups
-        ):
-            return cycle
-        return None
-
     def _calendar_horizon(self) -> int:
         """Earliest due cycle over the three calendars (``_NO_EVENT``: none)."""
         st = self._st
@@ -332,7 +310,7 @@ class SoAEngine(Engine):
     # ---------------------------------------------------------- router phase
     def _router_phase(self, cycle: int):
         """The events due this cycle, then allocation and output service
-        router by router, then retirement (see ``Engine._router_phase``) —
+        router by router, then retirement —
         all of it in the compiled core, which reads ``metrics`` / ``obs`` /
         ``faults`` off this engine each cycle."""
         delivered_now, dropped_now, visited_routers = self._core.router_phase(self, cycle)

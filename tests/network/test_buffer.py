@@ -73,19 +73,6 @@ class TestOutputBuffer:
         with pytest.raises(OverflowError):
             buf.commit(1)
 
-    def test_pop_at_releases_space(self):
-        buf = OutputBuffer(32)
-        packets = [make_packet(i) for i in range(3)]
-        for p in packets:
-            buf.commit(p.size_phits)
-            buf.enqueue(p)
-        middle = buf.pop_at(1)
-        assert middle.pid == 1
-        assert [p.pid for p in buf.packets()] == [0, 2]
-        assert buf.committed_phits == 8
-        with pytest.raises(IndexError):
-            buf.pop_at(5)
-
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             OutputBuffer(8).pop()

@@ -46,7 +46,6 @@ class TestOutputPort:
     def test_credit_lifecycle(self):
         op = self.make_port()
         assert op.credits == [8, 8]
-        assert op.has_credits(0, 4)
         op.consume_credits(0, 4)
         assert op.credits[0] == 4
         assert op.credit_occupancy(0) == 4
@@ -76,8 +75,8 @@ class TestOutputPort:
             link_latency=1,
             neighbor=None,
         )
-        assert op.num_downstream_vcs == 1
-        assert op.has_credits(0, 10_000)
+        assert len(op.credits) == 1
+        op.consume_credits(0, 10_000)
 
     def test_pipeline_drain_respects_ready_cycle(self):
         op = self.make_port()
@@ -92,5 +91,5 @@ class TestOutputPort:
         op = self.make_port()
         op.buffer.commit(4)
         op.consume_credits(1, 8)
-        assert op.local_occupancy() == 4
+        assert op.buffer.committed_phits == 4
         assert op.total_occupancy() == 12

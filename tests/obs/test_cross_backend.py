@@ -47,6 +47,22 @@ class TestTraceEquality:
         assert snaps_obj, "snapshot_period=50 must fire within the run"
         assert snaps_obj == snaps_soa
 
+    @pytest.mark.parametrize("load", [0.05, 0.45])
+    def test_perf_counts_identical(self, traced_run, load):
+        """The count fields of the ``perf`` block (the timers differ), with
+        ``alloc_router_cycles``: routers holding an occupied head when their
+        allocation comes up, not the routers with any pending work."""
+        obj, soa = _pair(traced_run, load=load)
+        perf_obj = obj.obs.finalize(obj.engine)
+        perf_soa = soa.obs.finalize(soa.engine)
+        counts = (
+            "cycles_executed", "cycles_skipped", "warp_jumps", "cycles_observed",
+            "alloc_router_cycles", "delivered_packets", "dropped_packets", "grants",
+            "events", "events_dropped", "snapshots_taken", "snapshots_skipped",
+        )
+        assert perf_obj["alloc_router_cycles"] > 0
+        assert {k: perf_obj[k] for k in counts} == {k: perf_soa[k] for k in counts}
+
     def test_manifests_share_the_config_hash_but_not_the_backend(self, traced_run):
         obj, soa = _pair(traced_run)
         m_obj, m_soa = obj.obs.manifest, soa.obs.manifest

@@ -2,8 +2,10 @@
 
 Every supported (topology, mechanism) pair on the tiny presets x
 ``router_latency`` in {default, 0, 1} x {clean, one degraded link, 10 %
-failed links} x two loads, each point run to completion on both backends and
-compared on the result dict, its fingerprint, ``engine.cycle``,
+failed links} x two loads, and every pair again x ``internal_speedup`` in
+{1, 3} x {clean, 10 % failed links} at the higher load (no other test leaves
+the default of 2 rounds).  Each point is run to completion on both backends
+and compared on the result dict, its fingerprint, ``engine.cycle``,
 ``cycles_skipped`` and the delivered count.  Run with::
 
     PYTHONPATH=src python -m pytest -m slow tests/simulation/test_soa_grid.py
@@ -49,7 +51,26 @@ GRID = [
     for load in (0.2, 0.6)
 ]
 
+SPEEDUP_GRID = [
+    pytest.param(
+        {
+            "topology": topology,
+            "routing": routing,
+            "pattern": "ADV+1",
+            "load": 0.6,
+            "seed": 11,
+            "faults": False,
+            "fault_model": _FAULTS[fault](topology),
+            "internal_speedup": speedup,
+        },
+        id=f"{topology}-{routing}-speedup{speedup}-{fault}",
+    )
+    for topology, routing in SUPPORTED_PAIRS
+    for speedup in (1, 3)
+    for fault in ("clean", "failed10")
+]
 
-@pytest.mark.parametrize("combo", GRID)
+
+@pytest.mark.parametrize("combo", GRID + SPEEDUP_GRID)
 def test_object_and_soa_agree_bit_for_bit(combo):
     assert _run("soa", combo) == _run("object", combo)

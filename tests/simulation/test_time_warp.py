@@ -152,6 +152,45 @@ class TestRoutingHorizons:
         sim.run_cycles(500)
         assert sim.engine.cycles_skipped == 500
 
+    @pytest.mark.parametrize("backend", ["object", "soa"])
+    def test_pb_is_not_idle_while_a_packet_is_in_flight(self, tiny_params, backend):
+        """The fabric's only state is a packet on a link: no flag update is
+        queued and no group is saturated, so nothing but the engine's "the
+        fabric is idle" answer keeps PB's broadcast hook running.  Warp on
+        must leave the flags, the queue of flags in flight and the results
+        of warp off."""
+        arrival_cycle = 40
+        outcomes = []
+        for warp in (True, False):
+            sim = Simulator(
+                tiny_params.with_backend(backend), "PB", "UN", offered_load=0.0,
+                seed=1, time_warp=warp,
+            )
+            routing = sim.routing
+            assert not routing._pending and not routing._saturated_groups
+            packet = Packet(
+                pid=0, src=2, dst=0, size_phits=tiny_params.packet_size_phits,
+                creation_cycle=0,
+            )
+            sim.engine.schedule_arrival(0, 0, arrival_cycle, 0, packet)
+            # Stop before the scans queued since the arrival have all been
+            # delivered, so a hook skipped on the way there shows in the queue.
+            sim.run_cycles(arrival_cycle + routing.notification_delay // 2)
+            outcomes.append(
+                (
+                    [list(flags) for flags in routing._flags],
+                    sorted(routing._saturated_groups),
+                    [(due, group, list(flags)) for due, group, flags in routing._pending],
+                    sim.engine.cycle,
+                    sim.engine.total_buffered_packets(),
+                    packet.hops,
+                )
+            )
+            if warp:
+                assert sim.engine.cycles_skipped == 0
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2], "the run must end with flag updates in flight"
+
     def test_every_post_cycle_override_declares_needs_post_cycle(self):
         for name, cls in ROUTING_REGISTRY.items():
             overrides = cls.post_cycle is not RoutingAlgorithm.post_cycle
