@@ -152,6 +152,16 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
                 compute_uplink_candidates(topology, port)
                 for port in range(topology.router_radix)
             ]
+            # A diverted hop keeps its minimal hop's up/down class: the
+            # siblings of an uplink must all ride one VC (the SoA engine
+            # stores one misroute VC per captured uplink head).
+            for port, candidates in enumerate(self._uplink_candidates):
+                vcs = sorted({self._updown_vcs[c.port] for c in candidates})
+                if len(vcs) > 1:
+                    raise ValueError(
+                        f"the sibling uplinks of port {port} map to different "
+                        f"up/down VCs {vcs}"
+                    )
         else:
             # Candidate sets are pure functions of their key for a fixed
             # topology; memoizing them removes a per-blocked-head-per-cycle

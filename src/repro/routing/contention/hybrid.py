@@ -59,7 +59,7 @@ class HybridContentionRouting(BaseContentionRouting):
             if router.output_occupancy(candidate.port) < threshold * occ_min
         ]
 
-    def _choose(
+    def _contention_or_credit(
         self,
         router: "Router",
         minimal_port: int,
@@ -79,7 +79,7 @@ class HybridContentionRouting(BaseContentionRouting):
         candidates: Sequence[MisrouteCandidate],
         cycle: int,
     ) -> Optional[MisrouteCandidate]:
-        return self._choose(router, minimal_port, candidates)
+        return self._contention_or_credit(router, minimal_port, candidates)
 
     def choose_local_misroute(
         self,
@@ -90,4 +90,4 @@ class HybridContentionRouting(BaseContentionRouting):
         candidates: Sequence[MisrouteCandidate],
         cycle: int,
     ) -> Optional[MisrouteCandidate]:
-        return self._choose(router, minimal_port, candidates)
+        return self._contention_or_credit(router, minimal_port, candidates)

@@ -1,22 +1,28 @@
-/* The draw-free hop chain of the SoA engine, compiled.
+/* The hop chain of the SoA engine, compiled.
  *
  * One `Core` is bound to one `SoAState`: it holds the state's own lists,
  * tuples and calendar dicts (never copies, never the engine) and runs over
  * them the statements `SoAEngine` used to run in Python -- credit returns,
  * link arrivals, the pop / commit / release chain of a hop, the separable
  * allocator, the allocation rounds and the router-major merge walk of a
- * cycle.  Everything a test or a probe reads through `st.*` therefore stays
- * what it was: Python ints in Python lists, `Packet`s in VC lists, event
- * tuples in `cycle -> [events]` dicts.
+ * cycle -- and the routing work of a buffer head when the mechanism is a
+ * stock one: the routing hooks, `Packet.record_hop`, the head captures of the
+ * adaptive mechanisms and the triggers of their open gates.  Everything a
+ * test or a probe reads through `st.*` therefore stays what it was: Python
+ * ints in Python lists, `Packet`s in VC lists, event tuples in `cycle ->
+ * [events]` dicts, row tuples in `engine._rows`.
  *
- * What draws, captures or can be overridden stays Python and is called from
- * here with the arguments, and in the order, the Python bodies used: the
- * routing hooks (looked up by name on the routing instance on every call, so
- * a wrapper installed on the class or the instance later is seen), the
- * capture function, `_open_request`, `_live_request`, `Packet.record_hop`,
- * `metrics.record_*` and `obs.record_*`.  The engine is an argument of the
- * two entry points that need it, not a member: engine -> core is the only
- * edge between the two.
+ * A hook is answered here only while the function the instance resolves for
+ * its name -- resolved on every call, the way a method call resolves it -- is
+ * the stock function `SoAEngine` handed over; a subclass override or a
+ * wrapper on the class or the instance is called by name instead, with the
+ * arguments and in the order the object engine uses.  What a stock body calls
+ * that is not transcribed -- topology queries, misses of the routing's memos,
+ * the obs / dateline / fault sub-calls, every draw -- is a Python call made
+ * from here, by name and in the body's order.  `_capture_pure`,
+ * `_live_request`, `metrics.record_*` and `obs.record_*` stay Python.  The
+ * engine is an argument of the two entry points that need it, not a member:
+ * engine -> core is the only edge between the two.
  *
  * Memory safety does not rest on the state being well formed: every list
  * index is bounds-checked, every conversion is checked, and whatever is held
@@ -24,6 +30,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <stdlib.h>
 
 #if PY_VERSION_HEX < 0x030A0000 /* 3.9: the two 3.10 conveniences used below */
@@ -49,11 +56,21 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
 /* Row kinds of `SoAEngine._rows` (soa/engine.py, "Row kinds"). */
 #define ROW_FIXED 0
 #define ROW_FORCED 1
+#define ROW_GLOBAL 2
+#define ROW_LOCAL 3
 
-/* Trigger transcriptions whose closed gate is tested inline. */
+/* The triggers of the adaptive mechanisms (`SoAEngine._mech`). */
 #define MECH_OLM 0
 #define MECH_BASE 1
+#define MECH_HYBRID 2
 #define MECH_ECTN 3
+
+/* Who writes the rows (`SoAEngine._capture`; -1: nobody, every row `LIVE`):
+ * `engine._capture_pure`, or one of the adaptive path policies here. */
+#define CAPTURE_PURE 0
+#define CAPTURE_GROUP 1
+#define CAPTURE_RING 2
+#define CAPTURE_UPLINK 3
 
 /* Requests per round / occupied heads per router held on the C stack. */
 #define STACK_ITEMS 64
@@ -61,14 +78,63 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
 /* ------------------------------------------------------------------ names */
 #define NAMES(X) \
     X(on_grant) X(on_packet_head) X(on_packet_arrival) X(on_packet_leave_input) \
-    X(record_hop) X(is_global) X(current_vc) X(vc) X(size_phits) \
-    X(delivered_cycle) X(record_delivery) X(record_dropped) X(metrics) X(obs) \
-    X(faults) X(active) X(unsorted) X(counts) X(_draws) X(_capture) \
-    X(_open_request) X(_live_request)
+    X(record_hop) X(is_global) X(vc) X(record_delivery) X(record_dropped) X(metrics) \
+    X(obs) X(faults) X(active) X(unsorted) X(counts) X(_draws) X(_capture_pure) \
+    X(_live_request) X(on_head) X(on_leave) X(decrement) X(plain_decision) \
+    X(global_candidates) X(local_candidates) X(_towards_group) X(node_region) X(ring_vc) \
+    X(output_port) \
+    X(_maybe_count_partial) X(_obs) X(_dateline) X(_commit_fault_hop) X(commit_ring_hop) \
+    X(record_grant) X(minimal_output_port) X(router_region) X(router_group) X(node_group) \
+    X(link_offset_for_destination) X(rng) X(integers)
 
 #define DECLARE_NAME(n) static PyObject *s_##n;
 NAMES(DECLARE_NAME)
 static PyObject *kw_is_global; /* ("is_global",) */
+static PyObject *zero, *one;   /* the ints 0 and 1 */
+
+/* The `Packet` fields the chain reads and writes. */
+#define PACKET_FIELDS(X) \
+    X(dst) X(size_phits) X(phase) X(intermediate_group) X(valiant_router) X(hops) \
+    X(local_hops) X(global_hops) X(local_hops_in_group) X(vc_leg) X(ring_dim) \
+    X(ring_crossed) X(ring_dir) X(globally_misrouted) X(locally_misrouted) \
+    X(misroute_recorded_cycle) X(current_vc) X(delivered_cycle) X(contention_port) \
+    X(ectn_offset) X(must_misroute_global)
+
+#define FIELD_ENUM(n) F_##n,
+enum { PACKET_FIELDS(FIELD_ENUM) N_FIELDS };
+static PyObject *field_names[N_FIELDS];
+
+/* `RoutingDecision`'s fields, in order. */
+#define DECISION_FIELDS(X) \
+    X(output_port) X(vc) X(nonminimal_global) X(nonminimal_local) \
+    X(set_intermediate_group) X(set_must_misroute_global) X(set_fault_mode)
+#define DECISION_ENUM(n) D_##n,
+#define DECISION_NAME(n) #n,
+enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
+
+/* ------------------------------------------------------------------ stock */
+/* The functions a hook is answered in C for, as `SoAEngine` hands them over
+ * (`stock["Class.name"]`), and the types and constants those answers build
+ * and compare (`stock["name"]`). */
+#define STOCK_FUNCTIONS(X) \
+    X(RoutingAlgorithm, on_grant) X(Packet, record_hop) \
+    X(AdaptiveInTransitRouting, on_packet_arrival) X(ValiantRouting, on_packet_arrival) \
+    X(BaseContentionRouting, on_packet_head) X(BaseContentionRouting, on_packet_leave_input) \
+    X(ECtNRouting, on_packet_head) X(ECtNRouting, on_packet_arrival) \
+    X(ECtNRouting, on_packet_leave_input) X(ECtNRouting, _maybe_count_partial) \
+    X(ContentionTracker, on_head) X(ContentionTracker, on_leave) \
+    X(ContentionCounters, decrement)
+#define STOCK_OBJECTS(X) \
+    X(Packet) X(RoutingDecision) X(ECtNRouting) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL)
+
+/* What the stock hook bodies, the triggers and the captures read off the
+ * routing, bound once: the topology, and where the mechanism has them, the
+ * contention tracker, its counter arrays, ECtN's partial and combined arrays
+ * (`None` otherwise), and the tables and memos of the path policy. */
+#define ROUTING_MEMBERS(X) \
+    X(topology) X(tracker) X(counters) X(partial) X(combined) X(plain) X(global_cache) \
+    X(local_cache) X(towards_cache) X(offset_cache) X(ring_dims) X(escapes) X(node_rid) \
+    X(updown_vcs) X(uplinks)
 
 /* ------------------------------------------------------------------ slots */
 /* The state members the core holds.  `active` and `unsorted` are not among
@@ -85,6 +151,9 @@ enum member_kind { LIST, DICT, TUPLE };
     X(kind_is_injection, TUPLE) X(kind_is_global, TUPLE)
 
 #define SLOT_ENUM(name, kind) S_##name,
+#define STOCK_FUNCTION_ENUM(owner, name) S_##owner##_##name,
+#define STOCK_OBJECT_ENUM(name) S_##name,
+#define MEMBER_ENUM(name) S_##name,
 enum {
     STATE_MEMBERS(SLOT_ENUM)
     N_STATE,
@@ -93,7 +162,9 @@ enum {
     S_rows,
     S_dlv,
     S_drp,
-    S_counters,
+    STOCK_FUNCTIONS(STOCK_FUNCTION_ENUM)
+    STOCK_OBJECTS(STOCK_OBJECT_ENUM)
+    ROUTING_MEMBERS(MEMBER_ENUM)
     N_SLOTS
 };
 #define SLOT_ENTRY(name, kind) {#name, kind},
@@ -101,18 +172,39 @@ static const struct {
     const char *name;
     enum member_kind kind;
 } state_members[N_STATE] = {STATE_MEMBERS(SLOT_ENTRY)};
+#define STOCK_FUNCTION_ENTRY(owner, name) {S_##owner##_##name, #owner "." #name},
+#define STOCK_OBJECT_ENTRY(name) {S_##name, #name},
+static const struct {
+    int slot;
+    const char *key;
+} stock_entries[] = {STOCK_FUNCTIONS(STOCK_FUNCTION_ENTRY) STOCK_OBJECTS(STOCK_OBJECT_ENTRY)};
 
 typedef struct {
     PyObject_HEAD
     PyObject *o[N_SLOTS];
     long P, V;
     long speedup, router_latency;
-    int mech;
-    double threshold; /* counter threshold, or OLM's minimum occupancy */
     int notify_arrival, notify_head, notify_leave;
+    /* The trigger (`MECH_*`, -1: none) and its constants: the contention
+     * threshold (Base / Hybrid / ECtN), the occupancy ratio and minimum of
+     * OLM and of Hybrid's credit half, ECtN's combined threshold. */
+    int mech;
+    double counter_threshold, occupancy_ratio, min_occupancy, combined_threshold;
+    long draws; /* trigger draws not yet added to `engine._draws` */
+    /* The capture (`CAPTURE_*`, -1: none) and the routing's constants it
+     * reads: nodes per router, routers / nodes per group, the global and
+     * local VC counts, ECtN's groups, links per router and first global
+     * port. */
+    int capture;
+    long npr, rpg, npg, global_vcs, local_vcs, groups, h, first_global;
+    /* `Packet` when its fields are verified `__slots__` (read at `offset`),
+     * else NULL: every packet then goes through getattr / setattr. */
+    PyTypeObject *packet_type;
+    Py_ssize_t offset[N_FIELDS];
 } Core;
 
 #define L(c, name) ((c)->o[S_##name])
+#define STOCK(c, owner, name) ((c)->o[S_##owner##_##name])
 
 /* ---------------------------------------------------------------- helpers */
 static inline PyObject *
@@ -181,12 +273,47 @@ truth(PyObject *o)
     return PyObject_IsTrue(o);
 }
 
-/* Python's `%` for a positive modulus. */
+/* `st.kind_is_<kind>[port]` (`slot` is `S_kind_is_global` or
+ * `S_kind_is_injection`): 1 / 0, -1 on error. */
+static int
+port_is(Core *c, int slot, long port)
+{
+    if ((size_t)port >= (size_t)PyTuple_GET_SIZE(c->o[slot])) {
+        PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+        return -1;
+    }
+    return truth(PyTuple_GET_ITEM(c->o[slot], port));
+}
+
+/* Python's `%` and `//` for a positive modulus. */
 static inline long
 pymod(long a, long m)
 {
     long r = a % m;
     return r < 0 ? r + m : r;
+}
+
+static inline long
+pydiv(long a, long m)
+{
+    return (a - pymod(a, m)) / m;
+}
+
+/* `seq[i]` of a list or tuple (borrowed). */
+static PyObject *
+at(PyObject *seq, long i)
+{
+    if (PyList_Check(seq))
+        return item(seq, i);
+    if (!PyTuple_Check(seq)) {
+        PyErr_Format(PyExc_TypeError, "expected a list or tuple, got %R", seq);
+        return NULL;
+    }
+    if ((size_t)i >= (size_t)PyTuple_GET_SIZE(seq)) {
+        PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+        return NULL;
+    }
+    return PyTuple_GET_ITEM(seq, i);
 }
 
 /* Field `i` of an event / request / row tuple (borrowed). */
@@ -396,7 +523,641 @@ call_void(PyObject *name, PyObject **args, size_t nargs)
     return 0;
 }
 
-/* --------------------------------------------------------------- activate */
+/* `list[i] += delta` (`i` a Python int). */
+static int
+add_at(PyObject *list, PyObject *i_o, long delta)
+{
+    long i;
+    PyObject *value, *sum;
+    if (as_long(i_o, &i) < 0 || (value = item(list, i)) == NULL)
+        return -1;
+    Py_INCREF(value);
+    sum = delta > 0 ? PyNumber_InPlaceAdd(value, one) : PyNumber_InPlaceSubtract(value, one);
+    Py_DECREF(value);
+    return set_item(list, i, sum);
+}
+
+/* ---------------------------------------------------------- packet fields */
+/* A packet whose type is exactly `Packet` keeps its fields in `__slots__`,
+ * read and written at their offsets; anything else goes through getattr /
+ * setattr.  A new reference. */
+static PyObject *
+pget(Core *c, PyObject *packet, int f)
+{
+    if (Py_IS_TYPE(packet, c->packet_type)) {
+        PyObject *value = *(PyObject **)((char *)packet + c->offset[f]);
+        if (value != NULL)
+            return Py_NewRef(value);
+    }
+    return PyObject_GetAttr(packet, field_names[f]);
+}
+
+/* `packet.<f> = value`. */
+static int
+pset(Core *c, PyObject *packet, int f, PyObject *value)
+{
+    if (Py_IS_TYPE(packet, c->packet_type)) {
+        PyObject **slot = (PyObject **)((char *)packet + c->offset[f]), *old = *slot;
+        *slot = Py_NewRef(value);
+        Py_XDECREF(old);
+        return 0;
+    }
+    return PyObject_SetAttr(packet, field_names[f], value);
+}
+
+static int
+pget_long(Core *c, PyObject *packet, int f, long *out)
+{
+    PyObject *value = pget(c, packet, f);
+    int failed;
+    if (value == NULL)
+        return -1;
+    failed = as_long(value, out);
+    Py_DECREF(value);
+    return failed;
+}
+
+/* `bool(packet.<f>)`: 1 / 0, -1 on error. */
+static int
+ptruth(Core *c, PyObject *packet, int f)
+{
+    PyObject *value = pget(c, packet, f);
+    int on;
+    if (value == NULL)
+        return -1;
+    on = truth(value);
+    Py_DECREF(value);
+    return on;
+}
+
+/* `packet.<f> is value`: 1 / 0, -1 on error. */
+static int
+pis(Core *c, PyObject *packet, int f, PyObject *value)
+{
+    PyObject *held = pget(c, packet, f);
+    int same;
+    if (held == NULL)
+        return -1;
+    same = held == value;
+    Py_DECREF(held);
+    return same;
+}
+
+/* `packet.<f> += 1`. */
+static int
+pincr(Core *c, PyObject *packet, int f)
+{
+    PyObject *value = pget(c, packet, f), *sum;
+    int failed;
+    if (value == NULL)
+        return -1;
+    sum = PyNumber_InPlaceAdd(value, one);
+    Py_DECREF(value);
+    if (sum == NULL)
+        return -1;
+    failed = pset(c, packet, f, sum);
+    Py_DECREF(sum);
+    return failed;
+}
+
+/* ---------------------------------------------------------------- dispatch */
+/* `self.<name>` resolved as a method call resolves it -- the instance's own
+ * attribute first, then the type's -- without making a bound method: `fn` is
+ * a new reference, `unbound` says it is the type's function (`self` first). */
+typedef struct {
+    PyObject *fn;
+    int unbound;
+} method;
+
+static inline int
+resolve(PyObject *self, PyObject *name, method *m)
+{
+    m->unbound = _PyObject_GetMethod(self, name, &m->fn);
+    return m->fn == NULL ? -1 : 0;
+}
+
+/* Whether `m` is the stock function `function`. */
+static inline int
+stock(const method *m, PyObject *function)
+{
+    return m->unbound && m->fn == function;
+}
+
+/* Call what `resolve` found, `args[0]` being the object it was resolved on
+ * (`PyObject_VectorcallMethod` in two steps); gives up `m`. */
+static int
+invoke(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
+{
+    PyObject *result = m->unbound
+        ? PyObject_Vectorcall(m->fn, args, nargs, kwnames)
+        : PyObject_Vectorcall(m->fn, args + 1, (nargs - 1) | PY_VECTORCALL_ARGUMENTS_OFFSET,
+                              kwnames);
+    Py_CLEAR(m->fn);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* Whether `super(owner, self).<name>` is the stock function `function`: the
+ * first class after `owner` in `type(self).__mro__` whose namespace holds
+ * `name` is the one `super()` finds.  1 / 0, -1 on error. */
+static int
+super_is(PyObject *self, PyObject *owner, PyObject *name, PyObject *function)
+{
+    PyObject *mro = Py_TYPE(self)->tp_mro;
+    Py_ssize_t i = 0, n;
+    if (mro == NULL)
+        return 0;
+    n = PyTuple_GET_SIZE(mro);
+    while (i < n && PyTuple_GET_ITEM(mro, i) != owner)
+        i++;
+    for (i++; i < n; i++) {
+        PyObject *namespace = ((PyTypeObject *)PyTuple_GET_ITEM(mro, i))->tp_dict, *found;
+        if (namespace == NULL)
+            continue;
+        if ((found = PyDict_GetItemWithError(namespace, name)) != NULL)
+            return found == function;
+        if (PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* ---------------------------------------------------------- routing hooks */
+/* Each hook below resolves its name on the routing instance and runs the
+ * stock body it found (the Python function named in its comment, statement
+ * for statement), or calls what it found with the object engine's arguments
+ * `(view, port, vc, packet, ...)`.  A stock body resolves its own method
+ * calls (`self.tracker.on_head`, `self._maybe_count_partial`, ...) the same
+ * way at the point the Python body makes them, and `super()` through the
+ * instance type's MRO before it has changed anything. */
+
+/* `hook(args)` by name after all, `args[1]` being the view of router `rid`. */
+static int
+invoke_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
+{
+    if ((args[1] = item(L(c, views), rid)) == NULL) {
+        Py_CLEAR(m->fn);
+        return -1;
+    }
+    return invoke(m, args, nargs, NULL);
+}
+
+/* `topology.<name>(argument)`, a new reference. */
+static PyObject *
+ask_topology(Core *c, PyObject *name, PyObject *argument)
+{
+    PyObject *args[2] = {L(c, topology), argument};
+    return call_method(name, args, 2);
+}
+
+/* `AdaptiveInTransitRouting.on_packet_arrival`: a packet that reached its
+ * intermediate group continues minimally. */
+static int
+group_reached(Core *c, long rid, PyObject *packet)
+{
+    PyObject *target, *rid_o, *region;
+    int on = pis(c, packet, F_phase, L(c, TO_INTERMEDIATE));
+    if (on <= 0)
+        return on;
+    if ((target = pget(c, packet, F_intermediate_group)) == NULL)
+        return -1;
+    if (target == Py_None) {
+        Py_DECREF(target);
+        return 0;
+    }
+    region = (rid_o = PyLong_FromLong(rid)) == NULL ? NULL
+             : ask_topology(c, s_router_region, rid_o);
+    Py_XDECREF(rid_o);
+    on = region == NULL ? -1 : PyObject_RichCompareBool(region, target, Py_EQ);
+    Py_XDECREF(region);
+    Py_DECREF(target);
+    if (on <= 0)
+        return on;
+    if (pset(c, packet, F_intermediate_group, Py_None) < 0
+        || pset(c, packet, F_phase, L(c, MINIMAL)) < 0)
+        return -1;
+    return 0;
+}
+
+/* `ValiantRouting.on_packet_arrival`: at its intermediate router a packet
+ * starts its second leg. */
+static int
+valiant_reached(Core *c, long rid, PyObject *packet)
+{
+    PyObject *via, *rid_o, *minus_one;
+    int on = pis(c, packet, F_phase, L(c, TO_INTERMEDIATE));
+    if (on <= 0)
+        return on;
+    if ((via = pget(c, packet, F_valiant_router)) == NULL)
+        return -1;
+    on = (rid_o = PyLong_FromLong(rid)) == NULL ? -1 : PyObject_RichCompareBool(via, rid_o, Py_EQ);
+    Py_XDECREF(rid_o);
+    Py_DECREF(via);
+    if (on <= 0)
+        return on;
+    if ((minus_one = PyLong_FromLong(-1)) == NULL)
+        return -1;
+    on = pset(c, packet, F_valiant_router, Py_None) < 0
+         || pset(c, packet, F_phase, L(c, MINIMAL)) < 0 || pset(c, packet, F_vc_leg, one) < 0
+         || pset(c, packet, F_ring_dim, minus_one) < 0
+         || pset(c, packet, F_ring_crossed, Py_False) < 0 || pset(c, packet, F_ring_dir, zero) < 0;
+    Py_DECREF(minus_one);
+    return on ? -1 : 0;
+}
+
+/* `self.partial[rid]`, borrowed. */
+static PyObject *
+partial_of(Core *c, long rid)
+{
+    PyObject *rid_o, *counts;
+    if (!PyDict_Check(L(c, partial))) {
+        PyErr_SetString(PyExc_TypeError, "ECtN's partial arrays must be a dict");
+        return NULL;
+    }
+    if ((rid_o = PyLong_FromLong(rid)) == NULL)
+        return NULL;
+    counts = PyDict_GetItemWithError(L(c, partial), rid_o);
+    if (counts == NULL && !PyErr_Occurred())
+        PyErr_SetObject(PyExc_KeyError, rid_o);
+    Py_DECREF(rid_o);
+    if (counts != NULL && expect_list(counts, "an ECtN partial array") < 0)
+        return NULL;
+    return counts;
+}
+
+/* `self._maybe_count_partial(router, packet)` of ECtN's stock hooks: a
+ * packet bound for another group counts on its minimal global link. */
+static int
+count_partial(Core *c, long rid, PyObject *packet)
+{
+    PyObject *routing = c->o[S_routing], *group = NULL, *dst = NULL, *dst_group = NULL;
+    PyObject *rid_o = NULL, *offset = NULL, *counts;
+    method m;
+    int failed = -1, same;
+    if (resolve(routing, s__maybe_count_partial, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, ECtNRouting, _maybe_count_partial))) {
+        PyObject *args[3] = {routing, NULL, packet};
+        return invoke_on_view(c, &m, rid, args, 3);
+    }
+    Py_CLEAR(m.fn);
+    if ((same = pis(c, packet, F_ectn_offset, Py_None)) <= 0)
+        return same;
+    if ((rid_o = PyLong_FromLong(rid)) == NULL
+        || (group = ask_topology(c, s_router_group, rid_o)) == NULL
+        || (dst = pget(c, packet, F_dst)) == NULL
+        || (dst_group = ask_topology(c, s_node_group, dst)) == NULL
+        || (same = PyObject_RichCompareBool(dst_group, group, Py_EQ)) < 0)
+        goto done;
+    if (!same) {
+        PyObject *args[3] = {routing, group, dst_group};
+        if ((offset = call_method(s_link_offset_for_destination, args, 3)) == NULL
+            || (counts = partial_of(c, rid)) == NULL || add_at(counts, offset, 1) < 0
+            || pset(c, packet, F_ectn_offset, offset) < 0)
+            goto done;
+    }
+    failed = 0;
+done:
+    Py_XDECREF(offset);
+    Py_XDECREF(dst_group);
+    Py_XDECREF(dst);
+    Py_XDECREF(group);
+    Py_XDECREF(rid_o);
+    return failed;
+}
+
+/* `ContentionTracker.on_head`: the counter of the head's minimal output
+ * goes up while it is the head (Section III-B). */
+static int
+counter_up(Core *c, long rid, PyObject *packet)
+{
+    PyObject *rid_o, *dst = NULL, *minimal = NULL, *counts = NULL;
+    int failed = -1, none = pis(c, packet, F_contention_port, Py_None);
+    if (none <= 0)
+        return none;
+    if ((rid_o = PyLong_FromLong(rid)) == NULL)
+        return -1;
+    if ((dst = pget(c, packet, F_dst)) != NULL) {
+        PyObject *args[3] = {L(c, topology), rid_o, dst}, *counters;
+        if ((minimal = call_method(s_minimal_output_port, args, 3)) != NULL
+            && (counters = item(L(c, counters), rid)) != NULL
+            && (counts = PyObject_GetAttr(counters, s_counts)) != NULL
+            && expect_list(counts, "a counter array") == 0 && add_at(counts, minimal, 1) == 0
+            && pset(c, packet, F_contention_port, minimal) == 0)
+            failed = 0;
+    }
+    Py_XDECREF(counts);
+    Py_XDECREF(minimal);
+    Py_XDECREF(dst);
+    Py_DECREF(rid_o);
+    return failed;
+}
+
+/* `ContentionTracker.on_leave`, with `ContentionCounters.decrement`: the
+ * counter goes down when the packet leaves the input buffer. */
+static int
+counter_down(Core *c, long rid, PyObject *packet)
+{
+    PyObject *port, *counters, *counts = NULL;
+    method m;
+    int failed = -1;
+    if ((port = pget(c, packet, F_contention_port)) == NULL)
+        return -1;
+    if (port == Py_None) {
+        Py_DECREF(port);
+        return 0;
+    }
+    if ((counters = item(L(c, counters), rid)) == NULL || resolve(counters, s_decrement, &m) < 0)
+        goto done;
+    if (!stock(&m, STOCK(c, ContentionCounters, decrement))) {
+        PyObject *args[2] = {counters, port};
+        Py_INCREF(counters);
+        failed = invoke(&m, args, 2, NULL);
+        Py_DECREF(counters);
+    }
+    else {
+        long at, value;
+        Py_CLEAR(m.fn);
+        if ((counts = PyObject_GetAttr(counters, s_counts)) == NULL
+            || expect_list(counts, "a counter array") < 0 || as_long(port, &at) < 0
+            || get_long(counts, at, &value) < 0)
+            goto done;
+        if (value <= 0) {
+            PyErr_Format(PyExc_RuntimeError, "contention counter underflow on port %S", port);
+            goto done;
+        }
+        failed = add_at(counts, port, -1);
+    }
+    if (!failed)
+        failed = pset(c, packet, F_contention_port, Py_None);
+done:
+    Py_XDECREF(counts);
+    Py_DECREF(port);
+    return failed;
+}
+
+/* `self.tracker.on_head(router, packet)` / `on_leave` of the Base family's
+ * stock hooks. */
+static int
+track(Core *c, long rid, PyObject *packet, int leave)
+{
+    PyObject *tracker = L(c, tracker);
+    method m;
+    if (resolve(tracker, leave ? s_on_leave : s_on_head, &m) < 0)
+        return -1;
+    if (!stock(&m, leave ? STOCK(c, ContentionTracker, on_leave)
+                         : STOCK(c, ContentionTracker, on_head))) {
+        PyObject *args[3] = {tracker, NULL, packet};
+        return invoke_on_view(c, &m, rid, args, 3);
+    }
+    Py_CLEAR(m.fn);
+    return leave ? counter_down(c, rid, packet) : counter_up(c, rid, packet);
+}
+
+/* The rest of `ECtNRouting.on_packet_leave_input`: the partial counter the
+ * packet held goes down. */
+static int
+partial_down(Core *c, long rid, PyObject *packet)
+{
+    PyObject *offset, *counts;
+    long at, value;
+    int failed = -1;
+    if ((offset = pget(c, packet, F_ectn_offset)) == NULL)
+        return -1;
+    if (offset == Py_None) {
+        Py_DECREF(offset);
+        return 0;
+    }
+    if ((counts = partial_of(c, rid)) != NULL && as_long(offset, &at) == 0
+        && get_long(counts, at, &value) == 0) {
+        if (value <= 0)
+            PyErr_SetString(PyExc_RuntimeError, "ECtN partial counter underflow");
+        else if (add_at(counts, offset, -1) == 0)
+            failed = pset(c, packet, F_ectn_offset, Py_None);
+    }
+    Py_DECREF(offset);
+    return failed;
+}
+
+/* Whether the routing's tracker with its counter arrays (and ECtN's partial
+ * arrays, `ectn`) were bound: a stock Base-family body reads them. */
+static inline int
+tracked(Core *c, int ectn)
+{
+    return PyList_Check(L(c, counters)) && (!ectn || PyDict_Check(L(c, partial)));
+}
+
+/* `routing.on_packet_arrival(view, port, vc, packet, cycle)`. */
+static int
+arrival_hook(Core *c, long rid, long port, PyObject *port_o, PyObject *vc_o, PyObject *packet,
+             PyObject *cycle_o)
+{
+    PyObject *routing = c->o[S_routing];
+    method m;
+    int on = 0;
+    if (resolve(routing, s_on_packet_arrival, &m) < 0)
+        return -1;
+    if (stock(&m, STOCK(c, AdaptiveInTransitRouting, on_packet_arrival))) {
+        Py_CLEAR(m.fn);
+        return group_reached(c, rid, packet);
+    }
+    if (stock(&m, STOCK(c, ValiantRouting, on_packet_arrival))) {
+        Py_CLEAR(m.fn);
+        return valiant_reached(c, rid, packet);
+    }
+    if (stock(&m, STOCK(c, ECtNRouting, on_packet_arrival)) && tracked(c, 1)
+        && (on = super_is(routing, L(c, ECtNRouting), s_on_packet_arrival,
+                          STOCK(c, AdaptiveInTransitRouting, on_packet_arrival))) > 0) {
+        Py_CLEAR(m.fn);
+        if (group_reached(c, rid, packet) < 0 || (on = port_is(c, S_kind_is_global, port)) < 0)
+            return -1;
+        return on ? count_partial(c, rid, packet) : 0;
+    }
+    if (on < 0) {
+        Py_CLEAR(m.fn);
+        return -1;
+    }
+    {
+        PyObject *args[6] = {routing, NULL, port_o, vc_o, packet, cycle_o};
+        return invoke_on_view(c, &m, rid, args, 6);
+    }
+}
+
+/* `routing.on_packet_head(view, port, vc, packet, cycle)`. */
+static int
+head_hook(Core *c, long rid, long port, PyObject *port_o, PyObject *vc_o, PyObject *packet,
+          PyObject *cycle_o)
+{
+    PyObject *routing = c->o[S_routing];
+    method m;
+    int on = 0;
+    if (resolve(routing, s_on_packet_head, &m) < 0)
+        return -1;
+    if (stock(&m, STOCK(c, BaseContentionRouting, on_packet_head)) && tracked(c, 0)) {
+        Py_CLEAR(m.fn);
+        return track(c, rid, packet, 0);
+    }
+    if (stock(&m, STOCK(c, ECtNRouting, on_packet_head)) && tracked(c, 1)
+        && (on = super_is(routing, L(c, ECtNRouting), s_on_packet_head,
+                          STOCK(c, BaseContentionRouting, on_packet_head))) > 0) {
+        Py_CLEAR(m.fn);
+        if (track(c, rid, packet, 0) < 0 || (on = port_is(c, S_kind_is_injection, port)) < 0)
+            return -1;
+        return on ? count_partial(c, rid, packet) : 0;
+    }
+    if (on < 0) {
+        Py_CLEAR(m.fn);
+        return -1;
+    }
+    {
+        PyObject *args[6] = {routing, NULL, port_o, vc_o, packet, cycle_o};
+        return invoke_on_view(c, &m, rid, args, 6);
+    }
+}
+
+/* `routing.on_packet_leave_input(view, port, vc, packet, cycle)`. */
+static int
+leave_hook(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *packet,
+           PyObject *cycle_o)
+{
+    PyObject *routing = c->o[S_routing];
+    method m;
+    int on = 0;
+    if (resolve(routing, s_on_packet_leave_input, &m) < 0)
+        return -1;
+    if (stock(&m, STOCK(c, BaseContentionRouting, on_packet_leave_input)) && tracked(c, 0)) {
+        Py_CLEAR(m.fn);
+        return track(c, rid, packet, 1);
+    }
+    if (stock(&m, STOCK(c, ECtNRouting, on_packet_leave_input)) && tracked(c, 1)
+        && (on = super_is(routing, L(c, ECtNRouting), s_on_packet_leave_input,
+                          STOCK(c, BaseContentionRouting, on_packet_leave_input))) > 0) {
+        Py_CLEAR(m.fn);
+        return track(c, rid, packet, 1) < 0 ? -1 : partial_down(c, rid, packet);
+    }
+    if (on < 0) {
+        Py_CLEAR(m.fn);
+        return -1;
+    }
+    {
+        PyObject *args[6] = {routing, NULL, port_o, vc_o, packet, cycle_o};
+        return invoke_on_view(c, &m, rid, args, 6);
+    }
+}
+
+/* `RoutingAlgorithm.on_grant`: commit what the decision (an exact
+ * `RoutingDecision`, read by field position) says to the packet. */
+static int
+commit_decision(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *packet,
+                PyObject *decision, PyObject *cycle_o)
+{
+    PyObject *routing = c->o[S_routing], *field_o, *sub;
+    long out_port;
+    int on;
+#define FIELD(n) PyTuple_GET_ITEM(decision, D_##n)
+    if ((field_o = FIELD(set_intermediate_group)) != Py_None
+        && (pset(c, packet, F_intermediate_group, field_o) < 0
+            || pset(c, packet, F_phase, L(c, TO_INTERMEDIATE)) < 0))
+        return -1;
+    if ((on = truth(FIELD(set_must_misroute_global))) < 0)
+        return -1;
+    if (on) {
+        if (pset(c, packet, F_must_misroute_global, Py_True) < 0)
+            return -1;
+    }
+    else if (as_long(FIELD(output_port), &out_port) < 0
+             || (on = port_is(c, S_kind_is_global, out_port)) < 0
+             || (on && pset(c, packet, F_must_misroute_global, Py_False) < 0))
+        return -1;
+    if ((on = truth(FIELD(nonminimal_global))) < 0)
+        return -1;
+    if (on) {
+        if ((on = ptruth(c, packet, F_globally_misrouted)) < 0)
+            return -1;
+        if (!on
+            && (pset(c, packet, F_globally_misrouted, Py_True) < 0
+                || (on = pis(c, packet, F_misroute_recorded_cycle, Py_None)) < 0
+                || (on && pset(c, packet, F_misroute_recorded_cycle, cycle_o) < 0)))
+            return -1;
+    }
+    if ((on = truth(FIELD(nonminimal_local))) < 0
+        || (on && pset(c, packet, F_locally_misrouted, Py_True) < 0)
+        || (on = truth(FIELD(set_fault_mode))) < 0)
+        return -1;
+    if (on) {
+        PyObject *args[3] = {routing, packet, decision};
+        if (call_void(s__commit_fault_hop, args, 3) < 0)
+            return -1;
+    }
+    if ((sub = PyObject_GetAttr(routing, s__dateline)) == NULL)
+        return -1;
+    if (sub != Py_None) {
+        PyObject *rid_o = PyLong_FromLong(rid);
+        PyObject *args[4] = {sub, packet, rid_o, FIELD(output_port)};
+        on = rid_o == NULL || call_void(s_commit_ring_hop, args, 4) < 0;
+        Py_XDECREF(rid_o);
+        if (on) {
+            Py_DECREF(sub);
+            return -1;
+        }
+    }
+    Py_DECREF(sub);
+    if ((sub = PyObject_GetAttr(routing, s__obs)) == NULL)
+        return -1;
+    on = 0;
+    if (sub != Py_None) {
+        PyObject *view = item(L(c, views), rid);
+        PyObject *args[8] = {sub, routing, view, port_o, vc_o, packet, decision, cycle_o};
+        on = view == NULL || call_void(s_record_grant, args, 8) < 0;
+    }
+    Py_DECREF(sub);
+    return on ? -1 : 0;
+#undef FIELD
+}
+
+/* `routing.on_grant(view, port, vc, packet, decision, cycle)`. */
+static int
+grant_hook(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *packet,
+           PyObject *decision, PyObject *cycle_o)
+{
+    PyObject *routing = c->o[S_routing];
+    method m;
+    if (resolve(routing, s_on_grant, &m) < 0)
+        return -1;
+    if (stock(&m, STOCK(c, RoutingAlgorithm, on_grant))
+        && Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision))) {
+        Py_CLEAR(m.fn);
+        return commit_decision(c, rid, port_o, vc_o, packet, decision, cycle_o);
+    }
+    {
+        PyObject *args[7] = {routing, NULL, port_o, vc_o, packet, decision, cycle_o};
+        return invoke_on_view(c, &m, rid, args, 7);
+    }
+}
+
+/* `packet.record_hop(is_global=...)`. */
+static int
+record_hop(Core *c, PyObject *packet, PyObject *is_global)
+{
+    method m;
+    int on;
+    if (resolve(packet, s_record_hop, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, Packet, record_hop))) {
+        PyObject *args[2] = {packet, is_global};
+        return invoke(&m, args, 1, kw_is_global);
+    }
+    Py_CLEAR(m.fn);
+    if (pincr(c, packet, F_hops) < 0 || (on = truth(is_global)) < 0)
+        return -1;
+    if (on)
+        return pincr(c, packet, F_global_hops) < 0
+               || pset(c, packet, F_local_hops_in_group, zero) < 0 ? -1 : 0;
+    return pincr(c, packet, F_local_hops) < 0 || pincr(c, packet, F_local_hops_in_group) < 0
+           ? -1 : 0;
+}
 /* `SoAEngine._activate`; `active` is `st.active` when the caller has it. */
 static int
 activate(Core *c, long rid, PyObject *active)
@@ -455,7 +1216,7 @@ apply_credits(Core *c, PyObject *due)
 static int
 receive(Core *c, PyObject *event, PyObject *cycle_o, PyObject *active)
 {
-    PyObject *packet, *dq, *size_o;
+    PyObject *packet, *dq;
     long g, vc, rid, port, q, size, free_phits;
     if (expect_tuple(event, 3, "a link arrival") < 0 || field_long(event, 0, &g) < 0
         || field_long(event, 1, &vc) < 0)
@@ -485,15 +1246,8 @@ receive(Core *c, PyObject *event, PyObject *cycle_o, PyObject *active)
             || set_bool(L(c, alloc_clean), rid, 0) < 0 || activate(c, rid, active) < 0)
             return -1;
     }
-    if (expect_list(dq, "st.in_q[q]") < 0
-        || (size_o = PyObject_GetAttr(packet, s_size_phits)) == NULL)
-        return -1;
-    if (as_long(size_o, &size) < 0) {
-        Py_DECREF(size_o);
-        return -1;
-    }
-    Py_DECREF(size_o);
-    if (get_long(L(c, in_free), q, &free_phits) < 0)
+    if (expect_list(dq, "st.in_q[q]") < 0 || pget_long(c, packet, F_size_phits, &size) < 0
+        || get_long(L(c, in_free), q, &free_phits) < 0)
         return -1;
     if (free_phits < size) {
         PyErr_Format(PyExc_OverflowError, "VC buffer overflow: %ld phits requested, %ld free",
@@ -503,11 +1257,10 @@ receive(Core *c, PyObject *event, PyObject *cycle_o, PyObject *active)
     if (PyList_Append(dq, packet) < 0 || set_long(L(c, in_free), q, free_phits - size) < 0)
         return -1;
     if (c->notify_arrival) {
-        PyObject *view = item(L(c, views), rid), *port_o = PyLong_FromLong(port);
-        PyObject *args[6] = {c->o[S_routing], view, port_o, PyTuple_GET_ITEM(event, 1), packet,
-                             cycle_o};
-        int failed = view == NULL || port_o == NULL
-                     || call_void(s_on_packet_arrival, args, 6) < 0;
+        PyObject *port_o = PyLong_FromLong(port);
+        int failed = port_o == NULL
+                     || arrival_hook(c, rid, port, port_o, PyTuple_GET_ITEM(event, 1), packet,
+                                     cycle_o) < 0;
         Py_XDECREF(port_o);
         if (failed)
             return -1;
@@ -562,7 +1315,7 @@ pop_head(Core *c, long rid, long port, long vc, PyObject *port_o, PyObject *vc_o
     }
     packet = Py_NewRef(PyList_GET_ITEM(dq, 0));
     if (PyList_SetSlice(dq, 0, 1, NULL) < 0
-        || (size_o = PyObject_GetAttr(packet, s_size_phits)) == NULL
+        || (size_o = pget(c, packet, F_size_phits)) == NULL
         || as_long(size_o, &size) < 0 || get_long(L(c, in_free), q, &free_phits) < 0
         || set_long(L(c, in_free), q, free_phits + size) < 0
         || set_bool(L(c, head_seen), q, 0) < 0
@@ -598,12 +1351,8 @@ pop_head(Core *c, long rid, long port, long vc, PyObject *port_o, PyObject *vc_o
         if (failed)
             goto error;
     }
-    if (c->notify_leave) {
-        PyObject *view = item(L(c, views), rid);
-        PyObject *args[6] = {c->o[S_routing], view, port_o, vc_o, packet, cycle_o};
-        if (view == NULL || call_void(s_on_packet_leave_input, args, 6) < 0)
-            goto error;
-    }
+    if (c->notify_leave && leave_hook(c, rid, port_o, vc_o, packet, cycle_o) < 0)
+        goto error;
     Py_DECREF(size_o);
     return packet;
 error:
@@ -618,7 +1367,7 @@ error:
 static int
 commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
 {
-    PyObject *in_port_o, *in_vc_o, *decision, *size_o, *og_o, *view;
+    PyObject *in_port_o, *in_vc_o, *decision, *size_o, *og_o;
     PyObject *packet = NULL, *vc_o = NULL, *done_o = NULL, *event = NULL, *events;
     long in_port, in_vc, out_port, size, og, cq;
     long free_phits, committed, have, occupied, ready, depart, factor, done, down;
@@ -635,29 +1384,17 @@ commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
         || as_long(og_o, &og) < 0 || field_long(req, 6, &cq) < 0)
         return -1;
     packet = pop_head(c, rid, in_port, in_vc, in_port_o, in_vc_o, cycle_o, cycle);
-    if (packet == NULL || (view = item(L(c, views), rid)) == NULL)
+    if (packet == NULL
+        || grant_hook(c, rid, in_port_o, in_vc_o, packet, decision, cycle_o) < 0)
         goto done;
-    {
-        PyObject *args[7] = {c->o[S_routing], view, in_port_o, in_vc_o, packet, decision,
-                             cycle_o};
-        if (call_void(s_on_grant, args, 7) < 0)
-            goto done;
-    }
-    if ((size_t)out_port >= (size_t)PyTuple_GET_SIZE(L(c, kind_is_injection))) {
-        PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+    if ((flag = port_is(c, S_kind_is_injection, out_port)) < 0
+        || (!flag && ((flag = port_is(c, S_kind_is_global, out_port)) < 0
+                      || record_hop(c, packet, flag ? Py_True : Py_False) < 0)))
         goto done;
-    }
-    if ((flag = truth(PyTuple_GET_ITEM(L(c, kind_is_injection), out_port))) < 0)
-        goto done;
-    if (!flag) {
-        PyObject *args[2] = {packet, PyTuple_GET_ITEM(L(c, kind_is_global), out_port)};
-        PyObject *result = PyObject_VectorcallMethod(s_record_hop, args, 1, kw_is_global);
-        if (result == NULL)
-            goto done;
-        Py_DECREF(result);
-    }
-    if ((vc_o = PyObject_GetAttr(decision, s_vc)) == NULL
-        || PyObject_SetAttr(packet, s_current_vc, vc_o) < 0
+    vc_o = Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision))
+           ? Py_NewRef(PyTuple_GET_ITEM(decision, D_vc))
+           : PyObject_GetAttr(decision, s_vc);
+    if (vc_o == NULL || pset(c, packet, F_current_vc, vc_o) < 0
         || get_long(L(c, out_free), og, &free_phits) < 0)
         goto done;
     if (free_phits < size) {
@@ -754,7 +1491,7 @@ release(Core *c, PyObject *due, Py_ssize_t i, long rid)
         if (packet != Py_None) {
             /* Only now, not at the grant: `Packet.delivered` must not read
              * true for a packet still inside the router. */
-            if (PyObject_SetAttr(packet, s_delivered_cycle, PyTuple_GET_ITEM(event, 2)) < 0
+            if (pset(c, packet, F_delivered_cycle, PyTuple_GET_ITEM(event, 2)) < 0
                 || PyList_Append(c->o[S_dlv], packet) < 0)
                 return -1;
         }
@@ -885,19 +1622,735 @@ error:
     return -1;
 }
 
+/* ------------------------------------------------------------- open gates */
+/* A gate row -- `(kind, fallback request, minimal port, candidates, global
+ * VC, local VC, ectn)` -- answers each round with its fallback (minimal)
+ * request unless the mechanism's trigger picks a candidate.  The triggers
+ * are the `choose_*` hooks of OLM / Base / Hybrid / ECtN over the flat
+ * state; each pick is one `routing.rng.integers(0, n)`, exactly where the
+ * object model's `select_output` draws. */
+
+/* `RoutingDecision(output_port=port, vc=vc, ...)`: a tuple of the class
+ * with the fields in order, as the class's `__new__` makes it. */
+static PyObject *
+new_decision(Core *c, PyObject *port, PyObject *vc, int nonminimal_global,
+             int nonminimal_local, PyObject *intermediate, int must_misroute_global)
+{
+    PyTypeObject *type = (PyTypeObject *)L(c, RoutingDecision);
+    PyObject *decision = type->tp_alloc(type, N_DECISION);
+    if (decision == NULL)
+        return NULL;
+    PyTuple_SET_ITEM(decision, D_output_port, Py_NewRef(port));
+    PyTuple_SET_ITEM(decision, D_vc, Py_NewRef(vc));
+    PyTuple_SET_ITEM(decision, D_nonminimal_global,
+                     Py_NewRef(nonminimal_global ? Py_True : Py_False));
+    PyTuple_SET_ITEM(decision, D_nonminimal_local, Py_NewRef(nonminimal_local ? Py_True : Py_False));
+    PyTuple_SET_ITEM(decision, D_set_intermediate_group, Py_NewRef(intermediate));
+    PyTuple_SET_ITEM(decision, D_set_must_misroute_global,
+                     Py_NewRef(must_misroute_global ? Py_True : Py_False));
+    PyTuple_SET_ITEM(decision, D_set_fault_mode, Py_NewRef(Py_False));
+    return decision;
+}
+
+/* `int(routing.rng.integers(0, n))` as an index into a list of `n`. */
+static int
+draw(Core *c, Py_ssize_t n, Py_ssize_t *index)
+{
+    PyObject *rng = PyObject_GetAttr(c->o[S_routing], s_rng), *n_o = NULL, *drawn = NULL;
+    PyObject *as_int = NULL;
+    Py_ssize_t i = -1;
+    if (rng != NULL && (n_o = PyLong_FromSsize_t(n)) != NULL) {
+        PyObject *args[3] = {rng, zero, n_o};
+        if ((drawn = call_method(s_integers, args, 3)) != NULL
+            && (as_int = PyNumber_Long(drawn)) != NULL)
+            i = PyLong_AsSsize_t(as_int);
+    }
+    Py_XDECREF(as_int);
+    Py_XDECREF(drawn);
+    Py_XDECREF(n_o);
+    Py_XDECREF(rng);
+    if (i == -1 && PyErr_Occurred())
+        return -1;
+    c->draws++;
+    if (i < 0)
+        i += n;
+    if (i < 0 || i >= n) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return -1;
+    }
+    *index = i;
+    return 0;
+}
+
+/* What a candidate's port is compared by. */
+enum signal { COUNTER, OCCUPANCY, COMBINED };
+
+/* `preferred = [c for c in candidates if <signal of c.port> < limit]`, then
+ * `preferred[int(rng.integers(0, len(preferred)))]` unless it is empty: 1
+ * with `*chosen` (a new reference), 0 for none, -1 on error.  The signal of
+ * port `p` is `values[offset + p]` (a counter array, ECtN's combined array)
+ * or the occupancy `out_committed + credit_occ` of port `offset + p`. */
+static int
+pick(Core *c, PyObject *candidates, enum signal signal, PyObject *values, long offset,
+     double limit, PyObject **chosen)
+{
+    Py_ssize_t stack[STACK_ITEMS], *kept = stack, n, i, num_kept = 0, at;
+    int found = -1;
+    if (expect_list(candidates, "a candidate list") < 0)
+        return -1;
+    n = PyList_GET_SIZE(candidates);
+    if (n > STACK_ITEMS && (kept = PyMem_Malloc((size_t)n * sizeof *kept)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < n && i < PyList_GET_SIZE(candidates); i++) {
+        long port, value, credit;
+        if (field_long(PyList_GET_ITEM(candidates, i), 0, &port) < 0)
+            goto done;
+        if (signal == OCCUPANCY) {
+            if (get_long(L(c, out_committed), offset + port, &value) < 0
+                || get_long(L(c, credit_occ), offset + port, &credit) < 0)
+                goto done;
+            value += credit;
+        }
+        else if (get_long(values, offset + port, &value) < 0)
+            goto done;
+        if ((double)value < limit)
+            kept[num_kept++] = i;
+    }
+    found = 0;
+    if (num_kept > 0) {
+        PyObject *candidate;
+        if (draw(c, num_kept, &at) < 0 || (candidate = item(candidates, kept[at])) == NULL)
+            found = -1;
+        else {
+            *chosen = Py_NewRef(candidate);
+            found = 1;
+        }
+    }
+done:
+    if (kept != stack)
+        PyMem_Free(kept);
+    return found;
+}
+
+/* `out_committed[g] + credit_occ[g]`. */
+static int
+occupancy(Core *c, long g, long *out)
+{
+    long committed, credit;
+    if (get_long(L(c, out_committed), g, &committed) < 0
+        || get_long(L(c, credit_occ), g, &credit) < 0)
+        return -1;
+    *out = committed + credit;
+    return 0;
+}
+
+/* The local trigger (and the in-transit global one) of the mechanism over
+ * `candidates`, for a head of router `rid` whose minimal output is
+ * `minimal`; `*counts` caches the router's counter array.  As `pick`. */
+static int
+choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObject **counts,
+       PyObject **chosen)
+{
+    long value;
+    if (c->mech < 0) {
+        PyErr_SetString(PyExc_ValueError, "a gate row, but the mechanism has no trigger");
+        return -1;
+    }
+    if (c->mech != MECH_OLM) {
+        /* Base, ECtN's in-transit fallback, Hybrid's contention half. */
+        int found;
+        if (*counts == NULL) {
+            PyObject *counters = item(L(c, counters), rid);
+            if (counters == NULL || (*counts = PyObject_GetAttr(counters, s_counts)) == NULL
+                || expect_list(*counts, "a counter array") < 0)
+                return -1;
+        }
+        if (get_long(*counts, minimal, &value) < 0)
+            return -1;
+        found = (double)value <= c->counter_threshold
+                ? 0 : pick(c, candidates, COUNTER, *counts, 0, c->counter_threshold, chosen);
+        if (found != 0 || c->mech != MECH_HYBRID)
+            return found;
+    }
+    /* OLM, Hybrid's credit half: relative occupancy, once the minimal output
+     * holds enough to compare against. */
+    if (occupancy(c, base + minimal, &value) < 0)
+        return -1;
+    if ((double)value < c->min_occupancy)
+        return 0;
+    return pick(c, candidates, OCCUPANCY, NULL, base, c->occupancy_ratio * (double)value, chosen);
+}
+
+/* The global trigger: ECtN's combined arrays first where the row carries
+ * its injection-side constants `(global candidates, group, minimal link
+ * offset, port -> offset base)`, then `choose`. */
+static int
+choose_global(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObject *ectn,
+              PyObject **counts, PyObject **chosen)
+{
+    if (ectn != Py_None) {
+        PyObject *combined;
+        long min_offset, offset, load;
+        int found;
+        if (expect_tuple(ectn, 4, "ECtN's row constants") < 0
+            || field_long(ectn, 2, &min_offset) < 0 || field_long(ectn, 3, &offset) < 0)
+            return -1;
+        if (!PyDict_Check(L(c, combined))) {
+            PyErr_SetString(PyExc_TypeError, "ECtN's combined arrays must be a dict");
+            return -1;
+        }
+        combined = PyDict_GetItemWithError(L(c, combined), PyTuple_GET_ITEM(ectn, 1));
+        if (combined == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetObject(PyExc_KeyError, PyTuple_GET_ITEM(ectn, 1));
+            return -1;
+        }
+        if (expect_list(combined, "an ECtN combined array") < 0
+            || get_long(combined, min_offset, &load) < 0)
+            return -1;
+        if ((double)load > c->combined_threshold) {
+            Py_INCREF(combined); /* the draw runs Python */
+            found = pick(c, PyTuple_GET_ITEM(ectn, 0), COMBINED, combined, offset,
+                         c->combined_threshold, chosen);
+            Py_DECREF(combined);
+            if (found != 0)
+                return found;
+        }
+    }
+    return choose(c, rid, base, minimal, candidates, counts, chosen);
+}
+
+/* One allocation round's request for a gate row (a new reference). */
+static PyObject *
+open_request(Core *c, long rid, long base, PyObject *row, PyObject **counts)
+{
+    PyObject *fallback, *candidates, *chosen = NULL, *port_o, *vc_o, *decision = NULL;
+    PyObject *request = NULL;
+    long kind, minimal, port, vc;
+    int found;
+    if (expect_tuple(row, 7, "a gate row") < 0 || field_long(row, 0, &kind) < 0
+        || field_long(row, 2, &minimal) < 0)
+        return NULL;
+    fallback = PyTuple_GET_ITEM(row, 1);
+    candidates = PyTuple_GET_ITEM(row, 3);
+    if (kind == ROW_LOCAL)
+        found = choose(c, rid, base, minimal, candidates, counts, &chosen);
+    else {
+        found = choose_global(c, rid, base, minimal, candidates, PyTuple_GET_ITEM(row, 6), counts,
+                              &chosen);
+        /* The committed proxy step leaves the group in any case. */
+        if (found == 0 && kind == ROW_FORCED) {
+            Py_ssize_t at;
+            PyObject *candidate;
+            if (expect_list(candidates, "a candidate list") < 0)
+                found = -1;
+            else if (PyList_GET_SIZE(candidates) > 0) {
+                found = draw(c, PyList_GET_SIZE(candidates), &at) < 0
+                        || (candidate = item(candidates, at)) == NULL ? -1 : 1;
+                if (found == 1)
+                    chosen = Py_NewRef(candidate);
+            }
+        }
+    }
+    if (found <= 0)
+        return found < 0 ? NULL : Py_NewRef(fallback);
+    if ((port_o = field(chosen, 0)) == NULL || as_long(port_o, &port) < 0
+        || field(chosen, 2) == NULL || expect_tuple(fallback, 7, "a request") < 0)
+        goto done;
+    if (kind == ROW_LOCAL) {
+        vc_o = PyTuple_GET_ITEM(row, 5);
+        decision = new_decision(c, port_o, vc_o, 0, 1, Py_None, 0);
+    }
+    else if (kind == ROW_FORCED || PyTuple_GET_ITEM(chosen, 1) == L(c, GLOBAL)) {
+        /* Forced candidates are global links only (no local proxy). */
+        vc_o = PyTuple_GET_ITEM(row, 4);
+        decision = new_decision(c, port_o, vc_o, 1, 0, PyTuple_GET_ITEM(chosen, 2), 0);
+    }
+    else {
+        vc_o = PyTuple_GET_ITEM(row, 5);
+        decision = new_decision(c, port_o, vc_o, 0, 0, Py_None, 1);
+    }
+    if (decision != NULL && as_long(vc_o, &vc) == 0) {
+        long og = base + port;
+        request = Py_BuildValue("(OOOOOll)", PyTuple_GET_ITEM(fallback, 0),
+                                PyTuple_GET_ITEM(fallback, 1), port_o,
+                                PyTuple_GET_ITEM(fallback, 3), decision, og, og * c->V + vc);
+    }
+done:
+    Py_XDECREF(decision);
+    Py_DECREF(chosen);
+    return request;
+}
+
+/* ---------------------------------------------------------------- captures */
+/* A new head of an adaptive mechanism is classified once into its row by
+ * the routing's path policy: the MM+L group policy (Dragonfly, flattened
+ * butterfly), the ring escape (torus) or the uplink multipath (fat tree) --
+ * the gate order of `AdaptiveInTransitRouting.select_output` and its
+ * `_ring_escape_output` / `_uplink_output`.  Only what cannot change while
+ * the packet waits at the head is read (packet fields, topology, the
+ * routing's memoised candidate sets); a topology query or a memo miss is the
+ * Python call the object path makes there. */
+
+/* `routing.plain_decision(port, vc)`: the shared instance in
+ * `_plain_decisions`, made by the method on a miss (a new reference). */
+static PyObject *
+plain_decision(Core *c, long port, long vc)
+{
+    PyObject *row, *decision, *port_o, *vc_o;
+    if ((row = at(L(c, plain), port)) == NULL || (decision = at(row, vc)) == NULL)
+        return NULL;
+    if (decision != Py_None)
+        return Py_NewRef(decision);
+    decision = NULL;
+    port_o = PyLong_FromLong(port);
+    vc_o = PyLong_FromLong(vc);
+    if (port_o != NULL && vc_o != NULL) {
+        PyObject *args[3] = {c->o[S_routing], port_o, vc_o};
+        decision = call_method(s_plain_decision, args, 3);
+    }
+    Py_XDECREF(vc_o);
+    Py_XDECREF(port_o);
+    return decision;
+}
+
+/* `routing.next_vc(head, GLOBAL / LOCAL)`: the path-stage VC. */
+static int
+next_vc(Core *c, PyObject *head, int global, long *vc)
+{
+    long hops, last = (global ? c->global_vcs : c->local_vcs) - 1;
+    int in_group = 0;
+    if (pget_long(c, head, F_global_hops, &hops) < 0
+        || (!global && (in_group = ptruth(c, head, F_local_hops_in_group)) < 0))
+        return -1;
+    *vc = global ? hops : hops == 0 ? in_group : 2 * hops - 1 + in_group;
+    if (*vc > last)
+        *vc = last;
+    return 0;
+}
+
+/* The request `(in port, in VC, out port, size, decision, out g, credit q)`
+ * of `head` (buffer key `k`) for `decision`. */
+static PyObject *
+make_request(Core *c, long base_g, long k, PyObject *head, PyObject *decision)
+{
+    PyObject *port_o, *vc_o = NULL, *size_o = NULL, *request = NULL;
+    long port, vc;
+    if (Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision))) {
+        port_o = Py_NewRef(PyTuple_GET_ITEM(decision, D_output_port));
+        vc_o = Py_NewRef(PyTuple_GET_ITEM(decision, D_vc));
+    }
+    else if ((port_o = PyObject_GetAttr(decision, s_output_port)) != NULL)
+        vc_o = PyObject_GetAttr(decision, s_vc);
+    if (vc_o != NULL && as_long(port_o, &port) == 0 && as_long(vc_o, &vc) == 0
+        && (size_o = pget(c, head, F_size_phits)) != NULL) {
+        long og = base_g + port;
+        request = Py_BuildValue("(llOOOll)", k / c->V, k % c->V, port_o, size_o, decision, og,
+                                og * c->V + vc);
+    }
+    Py_XDECREF(size_o);
+    Py_XDECREF(vc_o);
+    Py_XDECREF(port_o);
+    return request;
+}
+
+/* `memo.get(key)`, else `routing.<name>(*args)` (a new reference). */
+static PyObject *
+memoised(Core *c, PyObject *memo, PyObject *key, PyObject *name, PyObject **args, size_t nargs)
+{
+    PyObject *found = PyDict_GetItemWithError(memo, key);
+    if (found != NULL && found != Py_None)
+        return Py_NewRef(found);
+    if (PyErr_Occurred())
+        return NULL;
+    args[0] = c->o[S_routing];
+    return call_method(name, args, nargs);
+}
+
+/* `routing.global_candidates(rid, group, minimal, proxy)`. */
+static PyObject *
+global_candidates(Core *c, PyObject *rid_o, PyObject *group, PyObject *minimal, PyObject *proxy)
+{
+    PyObject *key = PyTuple_Pack(4, rid_o, group, minimal, proxy), *found;
+    PyObject *args[5] = {NULL, rid_o, group, minimal, proxy};
+    if (key == NULL)
+        return NULL;
+    found = memoised(c, L(c, global_cache), key, s_global_candidates, args, 5);
+    Py_DECREF(key);
+    return found;
+}
+
+/* `routing.local_candidates(minimal)`. */
+static PyObject *
+local_candidates(Core *c, PyObject *minimal)
+{
+    PyObject *args[2] = {NULL, minimal};
+    return memoised(c, L(c, local_cache), minimal, s_local_candidates, args, 2);
+}
+
+/* `topology.minimal_output_port(rid, dst)`, unless the head's contention
+ * counter already holds it. */
+static PyObject *
+minimal_port(Core *c, PyObject *head, PyObject *rid_o, PyObject *dst_o)
+{
+    PyObject *minimal = pget(c, head, F_contention_port);
+    if (minimal == Py_None) {
+        PyObject *args[3] = {L(c, topology), rid_o, dst_o};
+        Py_DECREF(minimal);
+        minimal = call_method(s_minimal_output_port, args, 3);
+    }
+    return minimal;
+}
+
+/* `routing._towards_group(view, head, target)`: the step towards the
+ * intermediate group from the gateway memo, or the method itself on a miss
+ * (and where it falls back to `minimal_decision`). */
+static PyObject *
+towards_group(Core *c, long rid, PyObject *rid_o, PyObject *head, PyObject *target)
+{
+    PyObject *group_o = PyLong_FromLong(pydiv(rid, c->rpg)), *cached = NULL, *vc_o;
+    PyObject *decision = NULL;
+    long vc;
+    int same = group_o == NULL ? -1 : PyObject_RichCompareBool(group_o, target, Py_EQ);
+    Py_XDECREF(group_o);
+    if (same < 0)
+        return NULL;
+    if (!same) {
+        PyObject *key = PyTuple_Pack(2, rid_o, target);
+        if (key == NULL)
+            return NULL;
+        cached = PyDict_GetItemWithError(L(c, towards_cache), key);
+        Py_DECREF(key);
+        if (cached == NULL && PyErr_Occurred())
+            return NULL;
+    }
+    if (cached == NULL || cached == Py_None) {
+        PyObject *view = item(L(c, views), rid);
+        PyObject *args[4] = {c->o[S_routing], view, head, target};
+        return view == NULL ? NULL : call_method(s__towards_group, args, 4);
+    }
+    Py_INCREF(cached);
+    if (expect_tuple(cached, 2, "a region gateway") == 0
+        && (same = truth(PyTuple_GET_ITEM(cached, 1))) >= 0 && next_vc(c, head, same, &vc) == 0
+        && (vc_o = PyLong_FromLong(vc)) != NULL) {
+        decision = new_decision(c, PyTuple_GET_ITEM(cached, 0), vc_o, same, 0, Py_None, 0);
+        Py_DECREF(vc_o);
+    }
+    Py_DECREF(cached);
+    return decision;
+}
+
+/* ECtN's injection-side trigger constants of a head at `check_port` (see
+ * `choose_global`): `None` for another mechanism or a transit port. */
+static PyObject *
+capture_ectn(Core *c, long rid, long check_port, PyObject *head, PyObject *candidates)
+{
+    PyObject *key, *offset = NULL, *global = NULL, *result = NULL;
+    long dst, group, dst_group;
+    Py_ssize_t i;
+    int on;
+    if (c->mech != MECH_ECTN)
+        return Py_NewRef(Py_None);
+    if ((on = port_is(c, S_kind_is_injection, check_port)) <= 0)
+        return on < 0 ? NULL : Py_NewRef(Py_None);
+    if (pget_long(c, head, F_dst, &dst) < 0)
+        return NULL;
+    group = pydiv(rid, c->rpg);
+    dst_group = pydiv(dst, c->npg);
+    if ((key = PyLong_FromLong(group * c->groups + dst_group)) == NULL)
+        return NULL;
+    if ((offset = PyDict_GetItemWithError(L(c, offset_cache), key)) != NULL
+        && offset != Py_None)
+        Py_INCREF(offset);
+    else if (!PyErr_Occurred()) {
+        PyObject *group_o = PyLong_FromLong(group), *dst_group_o = PyLong_FromLong(dst_group);
+        offset = NULL;
+        if (group_o != NULL && dst_group_o != NULL) {
+            PyObject *args[3] = {c->o[S_routing], group_o, dst_group_o};
+            if ((offset = call_method(s_link_offset_for_destination, args, 3)) != NULL
+                && PyDict_SetItem(L(c, offset_cache), key, offset) < 0)
+                Py_CLEAR(offset);
+        }
+        Py_XDECREF(dst_group_o);
+        Py_XDECREF(group_o);
+    }
+    else
+        offset = NULL;
+    Py_DECREF(key);
+    /* Order-preserving pre-filter of the static kind check. */
+    if (offset == NULL || expect_list(candidates, "a candidate list") < 0
+        || (global = PyList_New(0)) == NULL)
+        goto done;
+    for (i = 0; i < PyList_GET_SIZE(candidates); i++) {
+        PyObject *candidate = PyList_GET_ITEM(candidates, i);
+        if (field(candidate, 2) == NULL)
+            goto done;
+        if (PyTuple_GET_ITEM(candidate, 1) == L(c, GLOBAL) && PyList_Append(global, candidate) < 0)
+            goto done;
+    }
+    result = Py_BuildValue("(OlOl)", global, group, offset,
+                           pymod(rid, c->rpg) * c->h - c->first_global);
+done:
+    Py_XDECREF(global);
+    Py_XDECREF(offset);
+    return result;
+}
+
+/* A captured row: `(kind, request)`, or for a gate `(kind, request, minimal
+ * port, candidates, global VC, local VC, ectn)`; NULL if `decision` is. */
+static PyObject *
+make_row(Core *c, long kind, long base_g, long k, PyObject *head, PyObject *decision,
+         PyObject *minimal, PyObject *candidates, long global_vc, long local_vc, PyObject *ectn)
+{
+    PyObject *request = decision == NULL ? NULL : make_request(c, base_g, k, head, decision);
+    PyObject *row = NULL;
+    if (request != NULL)
+        row = kind == ROW_FIXED
+              ? Py_BuildValue("(lO)", kind, request)
+              : Py_BuildValue("(lOOOllO)", kind, request, minimal, candidates, global_vc,
+                              local_vc, ectn);
+    Py_XDECREF(request);
+    return row;
+}
+
+/* The MM+L group policy.  One row per head suffices: the local-misroute gate
+ * needs `current_group == dst_group or global_hops == 1` and the global
+ * gates `dst_group != current_group and global_hops == 0`, so a head never
+ * falls from a failed global gate into the local one -- only into the
+ * minimal fallback, which every row carries. */
+static PyObject *
+capture_group(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
+{
+    PyObject *dst_o, *decision = NULL, *minimal = NULL, *group = NULL, *candidates = NULL;
+    PyObject *ectn = NULL, *row = NULL;
+    long kind = ROW_FIXED, dst, dst_router, current_group, dst_group, port, hops;
+    long min_vc = 0, global_vc = 0, local_vc = 0;
+    int on, global, injection;
+    if ((dst_o = pget(c, head, F_dst)) == NULL || as_long(dst_o, &dst) < 0)
+        goto done;
+    dst_router = pydiv(dst, c->npr);
+    if (rid == dst_router) {
+        decision = plain_decision(c, pymod(dst, c->npr), 0);
+        goto row;
+    }
+    if ((on = pis(c, head, F_phase, L(c, TO_INTERMEDIATE))) < 0)
+        goto done;
+    if (on) {
+        PyObject *target = pget(c, head, F_intermediate_group);
+        if (target == NULL)
+            goto done;
+        if (target != Py_None)
+            decision = towards_group(c, rid, rid_o, head, target);
+        Py_DECREF(target);
+        if (decision != NULL || PyErr_Occurred())
+            goto row;
+    }
+    current_group = pydiv(rid, c->rpg);
+    dst_group = pydiv(dst_router, c->rpg);
+    if ((minimal = minimal_port(c, head, rid_o, dst_o)) == NULL || as_long(minimal, &port) < 0
+        || (global = port_is(c, S_kind_is_global, port)) < 0
+        || (injection = port_is(c, S_kind_is_injection, port)) < 0
+        || ((global || !injection) && next_vc(c, head, global, &min_vc) < 0)
+        || (decision = plain_decision(c, port, min_vc)) == NULL
+        || pget_long(c, head, F_global_hops, &hops) < 0
+        || (on = ptruth(c, head, F_must_misroute_global)) < 0)
+        goto done;
+    if (on && dst_group != current_group && hops == 0) {
+        /* The committed local-proxy step.  Its trigger is asked with port 0,
+         * an injection port on every topology with p >= 1. */
+        kind = ROW_FORCED;
+        if ((group = ask_topology(c, s_node_region, dst_o)) == NULL
+            || (candidates = global_candidates(c, rid_o, group, minimal, Py_False)) == NULL
+            || next_vc(c, head, 1, &global_vc) < 0
+            || (ectn = capture_ectn(c, rid, 0, head, candidates)) == NULL)
+            goto done;
+        goto row;
+    }
+    if (dst_group != current_group && hops == 0) {
+        if ((on = ptruth(c, head, F_globally_misrouted)) < 0)
+            goto done;
+        if (!on) {
+            long path_hops;
+            kind = ROW_GLOBAL;
+            if (pget_long(c, head, F_hops, &path_hops) < 0
+                || (group = PyLong_FromLong(dst_group)) == NULL
+                || (candidates = global_candidates(c, rid_o, group, minimal,
+                                                   path_hops == 0 ? Py_True : Py_False)) == NULL
+                || next_vc(c, head, 1, &global_vc) < 0 || next_vc(c, head, 0, &local_vc) < 0
+                || (ectn = capture_ectn(c, rid, k / c->V, head, candidates)) == NULL)
+                goto done;
+            goto row;
+        }
+    }
+    if (!global && !injection) {
+        long in_group;
+        if (pget_long(c, head, F_local_hops_in_group, &in_group) < 0)
+            goto done;
+        if (in_group == 0 && hops <= 1 && (current_group == dst_group || hops == 1)) {
+            kind = ROW_LOCAL;
+            if ((candidates = local_candidates(c, minimal)) == NULL
+                || next_vc(c, head, 0, &local_vc) < 0)
+                goto done;
+        }
+    }
+row:
+    row = make_row(c, kind, base_g, k, head, decision, minimal, candidates, global_vc, local_vc,
+                   ectn == NULL ? Py_None : ectn);
+done:
+    Py_XDECREF(ectn);
+    Py_XDECREF(candidates);
+    Py_XDECREF(decision);
+    Py_XDECREF(group);
+    Py_XDECREF(minimal);
+    Py_XDECREF(dst_o);
+    return row;
+}
+
+/* The ring-escape policy: the first hop of a ring traversal is a `LOCAL`
+ * row over the opposite-direction port, everything else `FIXED`.  The ring
+ * state `ring_vc` reads changes only in `on_grant` and at a Valiant
+ * intermediate, never while the packet waits at a head. */
+static PyObject *
+capture_ring(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
+{
+    PyObject *dst_o, *decision = NULL, *minimal = NULL, *escape = NULL, *out, *ring, *vc_o;
+    PyObject *row = NULL;
+    long kind = ROW_FIXED, dst, port, dim, direction, ring_dim, ring_dir, escape_vc = 0, vc;
+    int on;
+    if ((dst_o = pget(c, head, F_dst)) == NULL || as_long(dst_o, &dst) < 0)
+        goto done;
+    if (rid == pydiv(dst, c->npr)) {
+        decision = plain_decision(c, pymod(dst, c->npr), 0);
+        goto row;
+    }
+    if ((minimal = minimal_port(c, head, rid_o, dst_o)) == NULL || as_long(minimal, &port) < 0
+        || (ring = at(L(c, ring_dims), port)) == NULL || expect_tuple(ring, 2, "a ring") < 0
+        || field_long(ring, 0, &dim) < 0 || field_long(ring, 1, &direction) < 0
+        || (escape = at(L(c, escapes), port)) == NULL
+        || expect_list(escape, "a candidate list") < 0
+        || pget_long(c, head, F_ring_dim, &ring_dim) < 0
+        || pget_long(c, head, F_ring_dir, &ring_dir) < 0)
+        goto done;
+    Py_INCREF(escape);
+    out = minimal;
+    if (ring_dim != dim || ring_dir == 0) {
+        /* First hop of this dimension's traversal: the trigger may divert
+         * it.  With no candidate no trigger can fire or draw: `FIXED`. */
+        if (PyList_GET_SIZE(escape) > 0) {
+            PyObject *first = field(PyList_GET_ITEM(escape, 0), 0);
+            PyObject *args[4] = {L(c, topology), head, rid_o, first};
+            kind = ROW_LOCAL;
+            if (first == NULL || (vc_o = call_method(s_ring_vc, args, 4)) == NULL)
+                goto done;
+            on = as_long(vc_o, &escape_vc);
+            Py_DECREF(vc_o);
+            if (on < 0)
+                goto done;
+        }
+    }
+    else if (ring_dir != direction) {
+        /* Mid-traversal, committed the long way around. */
+        if ((out = item(escape, 0)) == NULL || (out = field(out, 0)) == NULL)
+            goto done;
+    }
+    {
+        PyObject *args[4] = {L(c, topology), head, rid_o, out};
+        Py_INCREF(out); /* `ring_vc` runs Python */
+        vc_o = call_method(s_ring_vc, args, 4);
+        if (vc_o != NULL && as_long(vc_o, &vc) == 0 && as_long(out, &port) == 0)
+            decision = plain_decision(c, port, vc);
+        Py_XDECREF(vc_o);
+        Py_DECREF(out);
+    }
+row:
+    row = make_row(c, kind, base_g, k, head, decision, minimal, escape, 0, escape_vc, Py_None);
+done:
+    Py_XDECREF(decision);
+    Py_XDECREF(escape);
+    Py_XDECREF(minimal);
+    Py_XDECREF(dst_o);
+    return row;
+}
+
+/* The uplink-multipath policy: a minimal uplink with siblings is a `LOCAL`
+ * row (the routing checked at construction that siblings share one up/down
+ * VC), everything else `FIXED`. */
+static PyObject *
+capture_uplink(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
+{
+    PyObject *dst_o, *decision = NULL, *minimal = NULL, *candidates = NULL, *home, *vc_o;
+    PyObject *row = NULL;
+    long kind = ROW_FIXED, dst, port, home_rid, vc, local_vc = 0;
+    if ((dst_o = pget(c, head, F_dst)) == NULL || as_long(dst_o, &dst) < 0
+        || (home = at(L(c, node_rid), dst)) == NULL || as_long(home, &home_rid) < 0)
+        goto done;
+    if (rid == home_rid) {
+        decision = plain_decision(c, pymod(dst, c->npr), 0);
+        goto row;
+    }
+    if ((minimal = minimal_port(c, head, rid_o, dst_o)) == NULL || as_long(minimal, &port) < 0
+        || (candidates = at(L(c, uplinks), port)) == NULL
+        || expect_list(candidates, "a candidate list") < 0)
+        goto done;
+    Py_INCREF(candidates);
+    /* The object path consults the trigger only for a non-empty sibling
+     * list: without one the row is FIXED. */
+    if (PyList_GET_SIZE(candidates) > 0) {
+        PyObject *first = field(PyList_GET_ITEM(candidates, 0), 0);
+        long sibling;
+        kind = ROW_LOCAL;
+        if (first == NULL || as_long(first, &sibling) < 0
+            || (vc_o = at(L(c, updown_vcs), sibling)) == NULL || as_long(vc_o, &local_vc) < 0)
+            goto done;
+    }
+    if ((vc_o = at(L(c, updown_vcs), port)) == NULL || as_long(vc_o, &vc) < 0)
+        goto done;
+    decision = plain_decision(c, port, vc);
+row:
+    row = make_row(c, kind, base_g, k, head, decision, minimal, candidates, 0, local_vc, Py_None);
+done:
+    Py_XDECREF(decision);
+    Py_XDECREF(candidates);
+    Py_XDECREF(minimal);
+    Py_XDECREF(dst_o);
+    return row;
+}
+
 /* --------------------------------------------------------------- allocate */
 /* `Router.allocate`: report new heads, then the allocation rounds, each head
  * answering with the request of its captured row ("Row kinds" in
  * soa/engine.py). */
 
-/* One new head, buffer key `k_o`: `on_packet_head` if the mechanism has one,
- * then the capture function if one is bound (`capture` is not `None`). */
+/* Capture the head of VC `q` (buffer key `k`) into `rows[q]`. */
 static int
-report_head(Core *c, PyObject *engine, PyObject *capture, long rid, PyObject *rid_o,
-            PyObject *base_o, PyObject *k_o, PyObject *cycle_o)
+capture(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base_o, long q,
+        PyObject *k_o, long k, PyObject *head, PyObject *cycle_o)
+{
+    PyObject *row;
+    long base_g = rid * c->P;
+    if (c->capture == CAPTURE_PURE) {
+        PyObject *q_o = PyLong_FromLong(q);
+        PyObject *args[7] = {engine, rid_o, base_o, q_o, k_o, head, cycle_o};
+        int failed = q_o == NULL || call_void(s__capture_pure, args, 7) < 0;
+        Py_XDECREF(q_o);
+        return failed ? -1 : 0;
+    }
+    row = c->capture == CAPTURE_GROUP  ? capture_group(c, rid, rid_o, base_g, k, head)
+          : c->capture == CAPTURE_RING ? capture_ring(c, rid, rid_o, base_g, k, head)
+                                       : capture_uplink(c, rid, rid_o, base_g, k, head);
+    return set_item(c->o[S_rows], q, row);
+}
+
+/* One new head, buffer key `k_o`: `on_packet_head` if the mechanism has one,
+ * then its capture if the engine captures. */
+static int
+report_head(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base_o,
+            PyObject *k_o, PyObject *cycle_o)
 {
     long k, q;
-    PyObject *seen, *dq, *head, *view;
+    PyObject *seen, *dq, *head;
     int on, failed = 0;
     if (as_long(k_o, &k) < 0)
         return -1;
@@ -906,7 +2359,7 @@ report_head(Core *c, PyObject *engine, PyObject *capture, long rid, PyObject *ri
         return -1;
     if (on)
         return 0;
-    if ((dq = item(L(c, in_q), q)) == NULL || (view = item(L(c, views), rid)) == NULL)
+    if ((dq = item(L(c, in_q), q)) == NULL)
         return -1;
     /* Empty only under faults (a head dropped and its successor granted
      * within one cycle), where nothing is captured. */
@@ -914,23 +2367,15 @@ report_head(Core *c, PyObject *engine, PyObject *capture, long rid, PyObject *ri
     Py_INCREF(head);
     if (c->notify_head) {
         PyObject *port_o = PyLong_FromLong(k / c->V), *vc_o = PyLong_FromLong(k % c->V);
-        PyObject *args[6] = {c->o[S_routing], view, port_o, vc_o, head, cycle_o};
-        failed = port_o == NULL || vc_o == NULL || call_void(s_on_packet_head, args, 6) < 0;
+        failed = port_o == NULL || vc_o == NULL
+                 || head_hook(c, rid, k / c->V, port_o, vc_o, head, cycle_o) < 0;
         Py_XDECREF(port_o);
         Py_XDECREF(vc_o);
     }
     if (!failed)
         failed = set_bool(L(c, head_seen), q, 1) < 0;
-    if (!failed && capture != Py_None) {
-        PyObject *q_o = PyLong_FromLong(q), *result = NULL;
-        if (q_o != NULL) {
-            PyObject *args[7] = {engine, rid_o, base_o, q_o, k_o, head, cycle_o};
-            result = PyObject_Vectorcall(capture, args, 7, NULL);
-        }
-        failed = result == NULL;
-        Py_XDECREF(result);
-        Py_XDECREF(q_o);
-    }
+    if (!failed && c->capture >= 0)
+        failed = capture(c, engine, rid, rid_o, base_o, q, k_o, k, head, cycle_o) < 0;
     Py_DECREF(head);
     return failed ? -1 : 0;
 }
@@ -941,47 +2386,29 @@ static int
 report_new_heads(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *heads,
                  PyObject *cycle_o)
 {
-    PyObject *capture, *base_o;
+    PyObject *base_o;
     Py_ssize_t i;
     int failed = 0;
     if (PyList_GET_SIZE(heads) > 1 && PyList_Sort(heads) < 0)
         return -1;
-    if ((capture = PyObject_GetAttr(engine, s__capture)) == NULL)
+    if ((base_o = PyLong_FromLong(rid * c->P)) == NULL)
         return -1;
-    if ((base_o = PyLong_FromLong(rid * c->P)) == NULL) {
-        Py_DECREF(capture);
-        return -1;
-    }
     for (i = 0; !failed && i < PyList_GET_SIZE(heads); i++) {
         PyObject *k_o = Py_NewRef(PyList_GET_ITEM(heads, i));
-        failed = report_head(c, engine, capture, rid, rid_o, base_o, k_o, cycle_o);
+        failed = report_head(c, engine, rid, rid_o, base_o, k_o, cycle_o);
         Py_DECREF(k_o);
     }
     if (!failed)
         failed = PyList_SetSlice(heads, 0, PyList_GET_SIZE(heads), NULL);
     Py_DECREF(base_o);
-    Py_DECREF(capture);
     return failed ? -1 : 0;
 }
 
-/* `engine._draws == draws0`: 1 / 0, -1 on error. */
-static int
-draws_unchanged(PyObject *engine, PyObject *draws0)
-{
-    PyObject *draws = PyObject_GetAttr(engine, s__draws);
-    int same;
-    if (draws == NULL)
-        return -1;
-    same = PyObject_RichCompareBool(draws, draws0, Py_EQ);
-    Py_DECREF(draws);
-    return same;
-}
-
-
-/* One head's request for this round (a new reference; `None`: no request). */
+/* One head's request for this round (a new reference; `None`: no request).
+ * `*live` is set by a `LIVE` row: its evaluation may draw. */
 static PyObject *
 head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base_o, long k,
-             PyObject *cycle_o, long round_index, PyObject **counts)
+             PyObject *cycle_o, long round_index, PyObject **counts, int *live)
 {
     long base_g = rid * c->P, q = base_g * c->V + k, kind;
     PyObject *row = item(c->o[S_rows], q);
@@ -1000,6 +2427,7 @@ head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *bas
             return NULL;
         if (!PyList_Check(dq) || PyList_GET_SIZE(dq) == 0)
             return Py_NewRef(Py_None);
+        *live = 1;
         head = Py_NewRef(PyList_GET_ITEM(dq, 0));
         q_o = PyLong_FromLong(q);
         k_o = PyLong_FromLong(k);
@@ -1018,43 +2446,10 @@ head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *bas
         return NULL;
     if (kind == ROW_FIXED)
         return Py_NewRef(PyTuple_GET_ITEM(row, 1));
-    /* Closed gate (a counter or occupancy comparison against the captured
-     * minimal port): the draw-free minimal fallback, exactly what the
-     * trigger would answer. */
-    if (kind != ROW_FORCED && c->mech != -1) {
-        long minimal;
-        int closed = 0;
-        if (field(row, 6) == NULL || field_long(row, 2, &minimal) < 0)
-            return NULL;
-        if (c->mech == MECH_BASE || c->mech == MECH_ECTN) {
-            if (PyTuple_GET_ITEM(row, 6) == Py_None) {
-                long count;
-                if (*counts == NULL) {
-                    PyObject *tracker = item(c->o[S_counters], rid);
-                    if (tracker == NULL
-                        || (*counts = PyObject_GetAttr(tracker, s_counts)) == NULL
-                        || expect_list(*counts, "a counter array") < 0)
-                        return NULL;
-                }
-                if (get_long(*counts, minimal, &count) < 0)
-                    return NULL;
-                closed = (double)count <= c->threshold;
-            }
-        }
-        else if (c->mech == MECH_OLM) {
-            long committed, occupancy;
-            if (get_long(L(c, out_committed), base_g + minimal, &committed) < 0
-                || get_long(L(c, credit_occ), base_g + minimal, &occupancy) < 0)
-                return NULL;
-            closed = (double)(committed + occupancy) < c->threshold;
-        }
-        if (closed && PyTuple_GET_ITEM(row, 1) != Py_None)
-            return Py_NewRef(PyTuple_GET_ITEM(row, 1));
-    }
     {
-        PyObject *args[4] = {engine, rid_o, base_o, row}, *req;
-        Py_INCREF(row);
-        req = call_method(s__open_request, args, 4);
+        PyObject *req;
+        Py_INCREF(row); /* the trigger's draw runs Python */
+        req = open_request(c, rid, base_g, row, counts);
         Py_DECREF(row);
         return req;
     }
@@ -1071,10 +2466,10 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
     Py_ssize_t stack_index[2 * STACK_ITEMS], *req_key = stack_index, *grants;
     char stack_granted[STACK_ITEMS], *granted = stack_granted;
     void *heap = NULL;
-    PyObject *heads, *occupied, *draws0 = NULL, *base_o = NULL, *counts = NULL;
+    PyObject *heads, *occupied, *base_o = NULL, *counts = NULL;
     Py_ssize_t n, i, num_reqs = 0;
-    long round_index;
-    int any_granted = 0, failed = -1;
+    long round_index, draws = c->draws;
+    int any_granted = 0, live = 0, failed = -1;
 
     if ((heads = item(L(c, new_heads), rid)) == NULL
         || expect_list(heads, "st.new_heads[rid]") < 0)
@@ -1107,8 +2502,7 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
             goto done;
         granted[i] = 0;
     }
-    if ((draws0 = PyObject_GetAttr(engine, s__draws)) == NULL
-        || (base_o = PyLong_FromLong(base_g)) == NULL)
+    if ((base_o = PyLong_FromLong(base_g)) == NULL)
         goto done;
 
     for (round_index = 0; round_index < c->speedup; round_index++) {
@@ -1122,7 +2516,7 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
             if (granted[i])
                 continue;
             req = head_request(c, engine, rid, rid_o, base_o, keys[i], cycle_o, round_index,
-                               &counts);
+                               &counts, &live);
             if (req == NULL)
                 goto done;
             if (req == Py_None) {
@@ -1176,22 +2570,18 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
         while (num_reqs > 0)
             Py_DECREF(reqs[--num_reqs]);
     }
-    if (!any_granted) {
-        /* Grant-free and draw-free: every input of this evaluation is
-         * router-local and invalidation-tracked, so skip until poked.  A
-         * `FIXED` or closed-gate row must therefore never draw, and a `LIVE`
-         * evaluation always counts as a draw. */
-        int same = draws_unchanged(engine, draws0);
-        if (same < 0 || (same && set_bool(L(c, alloc_clean), rid, 1) < 0))
-            goto done;
-    }
+    /* Grant-free and draw-free: every input of this evaluation is
+     * router-local and invalidation-tracked, so skip until poked.  A `FIXED`
+     * row or a closed gate never draws, and a `LIVE` evaluation always
+     * counts as a draw. */
+    if (!any_granted && !live && c->draws == draws && set_bool(L(c, alloc_clean), rid, 1) < 0)
+        goto done;
     failed = 0;
 done:
     while (num_reqs > 0)
         Py_DECREF(reqs[--num_reqs]);
     Py_XDECREF(counts);
     Py_XDECREF(base_o);
-    Py_XDECREF(draws0);
     PyMem_Free(heap);
     return failed;
 }
@@ -1384,6 +2774,7 @@ static int
 Core_clear(Core *c)
 {
     int i;
+    c->packet_type = NULL; /* it is `o[S_Packet]` */
     for (i = 0; i < N_SLOTS; i++)
         Py_CLEAR(c->o[i]);
     return 0;
@@ -1397,19 +2788,193 @@ Core_dealloc(Core *c)
     Py_TYPE(c)->tp_free((PyObject *)c);
 }
 
+/* The stock functions, types and constants (see "stock" above). */
+static int
+bind_stock(Core *c, PyObject *stock)
+{
+    size_t i;
+    for (i = 0; i < sizeof stock_entries / sizeof stock_entries[0]; i++) {
+        PyObject *value = PyDict_GetItemString(stock, stock_entries[i].key);
+        if (value == NULL) {
+            PyErr_Format(PyExc_KeyError, "stock[%s] is missing", stock_entries[i].key);
+            return -1;
+        }
+        c->o[stock_entries[i].slot] = Py_NewRef(value);
+    }
+    if (!PyType_Check(L(c, Packet)) || !PyType_Check(L(c, ECtNRouting))
+        || !PyType_Check(L(c, RoutingDecision))
+        || !PyType_IsSubtype((PyTypeObject *)L(c, RoutingDecision), &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "stock: Packet, ECtNRouting and RoutingDecision must be "
+                                         "classes, RoutingDecision a tuple");
+        return -1;
+    }
+    {
+        /* Decisions are read (and made) by field position. */
+        PyObject *fields = PyObject_GetAttrString(L(c, RoutingDecision), "_fields");
+        PyObject *expected = Py_BuildValue("(sssssss)", DECISION_FIELDS(DECISION_NAME) NULL);
+        int same = fields == NULL || expected == NULL
+                   ? -1 : PyObject_RichCompareBool(fields, expected, Py_EQ);
+        Py_XDECREF(fields);
+        Py_XDECREF(expected);
+        if (same <= 0) {
+            if (same == 0)
+                PyErr_SetString(PyExc_TypeError, "RoutingDecision's fields are not the ones "
+                                                 "the core reads");
+            return -1;
+        }
+    }
+    /* `Packet`'s fields are read at their slot offsets only if every one is
+     * a writable object slot; else every packet goes through getattr. */
+    c->packet_type = (PyTypeObject *)L(c, Packet);
+    for (i = 0; i < N_FIELDS; i++) {
+        PyObject *descriptor = PyObject_GetAttr(L(c, Packet), field_names[i]);
+        PyMemberDef *member;
+        if (descriptor == NULL)
+            return -1;
+        member = Py_IS_TYPE(descriptor, &PyMemberDescr_Type)
+                 ? ((PyMemberDescrObject *)descriptor)->d_member : NULL;
+        if (member == NULL || member->type != T_OBJECT_EX || (member->flags & READONLY))
+            c->packet_type = NULL;
+        else
+            c->offset[i] = member->offset;
+        Py_DECREF(descriptor);
+    }
+    return 0;
+}
+
+/* `float(owner.<name>)`. */
+static int
+bind_double(PyObject *owner, const char *name, double *out)
+{
+    PyObject *value = PyObject_GetAttrString(owner, name);
+    if (value == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* The trigger constants of mechanism `mech`, as its `choose_*` hooks read
+ * them. */
+static int
+bind_trigger(Core *c, PyObject *routing, int mech)
+{
+    c->mech = mech;
+    if (mech == MECH_OLM)
+        return bind_double(routing, "_olm_threshold", &c->occupancy_ratio) < 0
+               || bind_double(routing, "_min_occupancy", &c->min_occupancy) < 0 ? -1 : 0;
+    if (mech != MECH_BASE && mech != MECH_HYBRID && mech != MECH_ECTN)
+        return 0;
+    if (bind_double(routing, "_threshold", &c->counter_threshold) < 0)
+        return -1;
+    if (!PyList_Check(L(c, counters))) {
+        PyErr_SetString(PyExc_TypeError, "a contention mechanism without counter arrays");
+        return -1;
+    }
+    if (mech == MECH_HYBRID) {
+        PyObject *params = PyObject_GetAttrString(routing, "params");
+        int failed = params == NULL || bind_double(params, "packet_size_phits",
+                                                   &c->min_occupancy) < 0;
+        Py_XDECREF(params);
+        c->min_occupancy *= 2;
+        return failed || bind_double(routing, "congestion_threshold", &c->occupancy_ratio) < 0
+               ? -1 : 0;
+    }
+    return mech == MECH_ECTN
+           ? bind_double(routing, "_combined_threshold", &c->combined_threshold) : 0;
+}
+
+/* `int(owner.<name>)`, which must be positive where it divides. */
+static int
+bind_long(PyObject *owner, const char *name, long *out, int divisor)
+{
+    PyObject *value = PyObject_GetAttrString(owner, name);
+    int failed;
+    if (value == NULL)
+        return -1;
+    failed = as_long(value, out);
+    Py_DECREF(value);
+    if (!failed && divisor && *out <= 0) {
+        PyErr_Format(PyExc_ValueError, "%s must be positive", name);
+        return -1;
+    }
+    return failed;
+}
+
+/* `owner.<name>` into a slot, which must be a `type`; with `type` NULL,
+ * whatever it is, or `None` where `owner` is `None` or has no `name`. */
+static int
+bind_attr(Core *c, int slot, PyObject *owner, const char *name, PyTypeObject *type)
+{
+    PyObject *value = owner == Py_None && type == NULL ? Py_NewRef(Py_None)
+                                                        : PyObject_GetAttrString(owner, name);
+    if (value == NULL) {
+        if (type != NULL || !PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+        value = Py_NewRef(Py_None);
+    }
+    Py_XSETREF(c->o[slot], value);
+    if (type != NULL && !PyObject_TypeCheck(value, type)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a %s, got %R", name, type->tp_name, value);
+        return -1;
+    }
+    return 0;
+}
+
+/* What capture `capture` reads off the routing (see "captures"). */
+static int
+bind_capture(Core *c, PyObject *routing, int capture)
+{
+    c->capture = capture;
+    if (capture < CAPTURE_GROUP)
+        return 0;
+    if (c->mech < 0) {
+        PyErr_SetString(PyExc_ValueError, "an adaptive capture needs a trigger");
+        return -1;
+    }
+    if (bind_long(routing, "_nodes_per_router", &c->npr, 1) < 0
+        || bind_long(routing, "_global_vcs", &c->global_vcs, 0) < 0
+        || bind_long(routing, "_local_vcs", &c->local_vcs, 0) < 0
+        || bind_attr(c, S_plain, routing, "_plain_decisions", &PyList_Type) < 0)
+        return -1;
+    if (capture == CAPTURE_RING)
+        return bind_attr(c, S_ring_dims, routing, "_port_ring_dim", &PyList_Type) < 0
+               || bind_attr(c, S_escapes, routing, "_escape_candidates", &PyList_Type) < 0
+               ? -1 : 0;
+    if (capture == CAPTURE_UPLINK)
+        return bind_attr(c, S_node_rid, routing, "_node_rid", &PyTuple_Type) < 0
+               || bind_attr(c, S_updown_vcs, routing, "_updown_vcs", &PyTuple_Type) < 0
+               || bind_attr(c, S_uplinks, routing, "_uplink_candidates", &PyList_Type) < 0
+               ? -1 : 0;
+    if (bind_long(routing, "_routers_per_group", &c->rpg, 1) < 0
+        || bind_long(routing, "_nodes_per_group", &c->npg, 1) < 0
+        || bind_attr(c, S_global_cache, routing, "_global_candidates_cache", &PyDict_Type) < 0
+        || bind_attr(c, S_local_cache, routing, "_local_candidates_cache", &PyDict_Type) < 0
+        || bind_attr(c, S_towards_cache, routing, "_towards_cache", &PyDict_Type) < 0)
+        return -1;
+    if (c->mech != MECH_ECTN)
+        return 0;
+    return bind_attr(c, S_offset_cache, routing, "_dest_offset_cache", &PyDict_Type) < 0
+           || bind_long(routing, "_h", &c->h, 0) < 0
+           || bind_long(routing, "_first_global_port", &c->first_global, 0) < 0
+           || bind_long(L(c, topology), "num_groups", &c->groups, 0) < 0
+           ? -1 : 0;
+}
+
 static int
 bind(Core *c, PyObject *args, PyObject *kwargs)
 {
-    PyObject *st, *routing, *rows, *drp, *counters, *threshold, *size;
-    int i, arrival, head, leave, mech;
+    PyObject *st, *routing, *rows, *drp, *stock, *size;
+    int i, arrival, head, leave, capture, mech;
     long speedup, latency;
     if (kwargs != NULL && PyDict_GET_SIZE(kwargs) > 0) {
         PyErr_SetString(PyExc_TypeError, "Core() takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "OOO!O!(ppp)lliOO:Core", &st, &routing, &PyList_Type, &rows,
+    if (!PyArg_ParseTuple(args, "OOO!O!(ppp)lliiO!:Core", &st, &routing, &PyList_Type, &rows,
                           &PyList_Type, &drp, &arrival, &head, &leave, &speedup, &latency,
-                          &mech, &counters, &threshold))
+                          &capture, &mech, &PyDict_Type, &stock))
         return -1;
     Core_clear(c);
     for (i = 0; i < N_STATE; i++) {
@@ -1434,7 +2999,13 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
     if ((c->o[S_dlv] = PyList_New(0)) == NULL)
         return -1;
     c->o[S_drp] = Py_NewRef(drp);
-    c->o[S_counters] = Py_NewRef(counters);
+    if (bind_stock(c, stock) < 0
+        || bind_attr(c, S_topology, routing, "topology", &PyBaseObject_Type) < 0
+        || bind_attr(c, S_tracker, routing, "tracker", NULL) < 0
+        || bind_attr(c, S_counters, L(c, tracker), "_counters", NULL) < 0
+        || bind_attr(c, S_partial, routing, "partial", NULL) < 0
+        || bind_attr(c, S_combined, routing, "combined", NULL) < 0)
+        return -1;
     for (i = 0; i < 2; i++) {
         if ((size = PyObject_GetAttrString(st, i ? "V" : "P")) == NULL)
             return -1;
@@ -1448,15 +3019,9 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError, "st.P and st.V must be positive");
         return -1;
     }
-    c->threshold = 0.0;
-    c->mech = mech;
-    if (mech == MECH_OLM || mech == MECH_BASE || mech == MECH_ECTN) {
-        c->threshold = PyFloat_AsDouble(threshold);
-        if (c->threshold == -1.0 && PyErr_Occurred())
-            return -1;
-        if (mech != MECH_OLM && expect_list(counters, "the counter arrays") < 0)
-            return -1;
-    }
+    if (bind_trigger(c, routing, mech) < 0 || bind_capture(c, routing, capture) < 0)
+        return -1;
+    c->draws = 0;
     c->speedup = speedup;
     c->router_latency = latency;
     c->notify_arrival = arrival;
@@ -1588,6 +3153,28 @@ done:
     return granted;
 }
 
+/* `engine._draws += <the triggers' draws since the last call>` (the
+ * `LIVE` rows' evaluations count themselves, in Python). */
+static int
+add_draws(Core *c, PyObject *engine)
+{
+    PyObject *draws, *more, *sum = NULL;
+    int failed;
+    if (c->draws == 0)
+        return 0;
+    if ((draws = PyObject_GetAttr(engine, s__draws)) == NULL)
+        return -1;
+    if ((more = PyLong_FromLong(c->draws)) != NULL)
+        sum = PyNumber_Add(draws, more);
+    failed = sum == NULL || PyObject_SetAttr(engine, s__draws, sum) < 0;
+    Py_XDECREF(sum);
+    Py_XDECREF(more);
+    Py_DECREF(draws);
+    if (!failed)
+        c->draws = 0;
+    return failed ? -1 : 0;
+}
+
 static PyObject *
 Core_router_phase(Core *c, PyObject *args)
 {
@@ -1604,7 +3191,8 @@ Core_router_phase(Core *c, PyObject *args)
         && (faults = PyObject_GetAttr(engine, s_faults)) != NULL
         && (active = PyObject_GetAttr(c->o[S_st], s_active)) != NULL
         && expect_list(active, "st.active") == 0
-        && router_phase(c, engine, cycle_o, cycle, metrics, obs, faults, active, counts) == 0)
+        && router_phase(c, engine, cycle_o, cycle, metrics, obs, faults, active, counts) == 0
+        && add_draws(c, engine) == 0)
         result = Py_BuildValue("(nnn)", counts[0], counts[1], counts[2]);
     Py_XDECREF(active);
     Py_XDECREF(faults);
@@ -1637,7 +3225,7 @@ static PyTypeObject CoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.simulation.soa._core.Core",
     .tp_doc = "Core(st, routing, rows, dropped, (arrival, head, leave hooks), speedup, "
-              "router_latency, mech, counters, threshold)\n\n"
+              "router_latency, capture, mech, stock)\n\n"
               "The compiled hop chain over one SoAState (see soa/engine.py).",
     .tp_basicsize = sizeof(Core),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
@@ -1664,7 +3252,12 @@ PyInit__core(void)
     if ((s_##n = PyUnicode_InternFromString(#n)) == NULL) \
         return NULL;
     NAMES(INTERN_NAME)
-    if ((kw_is_global = PyTuple_Pack(1, s_is_global)) == NULL || PyType_Ready(&CoreType) < 0
+#define INTERN_FIELD(n) \
+    if ((field_names[F_##n] = PyUnicode_InternFromString(#n)) == NULL) \
+        return NULL;
+    PACKET_FIELDS(INTERN_FIELD)
+    if ((zero = PyLong_FromLong(0)) == NULL || (one = PyLong_FromLong(1)) == NULL
+        || (kw_is_global = PyTuple_Pack(1, s_is_global)) == NULL || PyType_Ready(&CoreType) < 0
         || (module = PyModule_Create(&core_module)) == NULL)
         return NULL;
     if (PyModule_AddObjectRef(module, "Core", (PyObject *)&CoreType) < 0) {

@@ -16,7 +16,8 @@ places:
   CPython extension type bound to this engine's :class:`SoAState`, holds the
   state's own lists and calendars and implements credit returns, link
   arrivals, the pop / commit / release chain of a hop, the separable
-  allocator, the allocation rounds and the router-major walk of a cycle
+  allocator, the allocation rounds and the router-major walk of a cycle, and
+  for the stock mechanisms the routing hooks, head captures and trigger gates
   (see "The compiled core" below);
 * **decision capture** — routing decisions are classified once per buffer
   head instead of re-derived from scratch every allocation round.  Heads
@@ -55,71 +56,84 @@ fields, so the transcribed separable allocator accepts both shapes.
 The compiled core
 -----------------
 ``self._core`` (``_core.c``, built on first use by
-:mod:`repro.simulation.soa._loader`) runs everything of a cycle's router phase
-that neither draws nor can be overridden, over the *same* Python lists, tuples,
-dicts and ``Packet`` objects this module and its readers see — nothing is
-copied into typed buffers, so :class:`RouterView`, the obs readers, the
-capture functions and every test that inspects ``st.*`` read live state.  What
-stays Python is called from C with the arguments, and in the order, documented
-here: the routing hooks (``on_grant``, ``on_packet_head``,
-``on_packet_arrival``, ``on_packet_leave_input``, looked up by name on the
-routing instance on every call, so a wrapper installed on the class later is
-seen), the capture function (``self._capture``), :meth:`_open_request` and the
-``_choose*`` transcriptions (they draw from the routing stream),
-:meth:`_live_request` / :meth:`_resolve_faults` / :meth:`_drop_head` (``LIVE``
-rows, fault runs), ``Packet.record_hop``, ``metrics.record_*`` and the obs
-sites.  ``_try_inject`` stays Python as well: it runs once per injected
-packet, around two hook calls.  The core never holds the engine — the engine
-is an argument of ``router_phase`` — so engine → core is the only edge between
-the two, and the type takes part in cyclic collection.  There is no pure-Python
-twin of the compiled functions: where no C compiler works,
-``create_engine("soa", …)`` runs the bit-identical ``object`` engine instead
-(debug a suspected core bug with ``REPRO_BACKEND=object``).
+:mod:`repro.simulation.soa._loader`) runs a cycle's router phase over the
+*same* Python lists, tuples, dicts and ``Packet`` objects this module and its
+readers see — nothing is copied into typed buffers, so :class:`RouterView`,
+the obs readers and every test that inspects ``st.*`` or ``_rows`` read live
+state.  It also answers, in C, what a buffer head of a stock mechanism asks
+of the routing:
+
+* the hooks ``RoutingAlgorithm.on_grant``, ``Packet.record_hop``, Base's
+  contention-counter head / leave (``ContentionTracker.on_head`` /
+  ``on_leave``, ``ContentionCounters.decrement``; Hybrid inherits them),
+  ECtN's partial-counter head / arrival / leave, and the arrival hooks of
+  ``AdaptiveInTransitRouting`` and ``ValiantRouting`` — each only while the
+  function the instance resolves for that name, looked up on every call the
+  way a method call looks it up, is the stock function (``_STOCK_FUNCTIONS``,
+  taken from the classes when the engine is built).  A subclass override or a
+  wrapper on the class or the instance is called by name instead, so
+  ``perf/trace.py``'s wrappers and a test's monkeypatch are seen and counted;
+* the adaptive captures (the MM+L group policy, the ring escape, the uplink
+  multipath) and the open gates of their rows — the ``choose_*`` triggers of
+  OLM / Base / Hybrid / ECtN over the flat state.
+
+What a stock body calls that is not transcribed — topology queries, misses
+of the routing's candidate, gateway and ``plain_decision`` memos, the obs /
+dateline / fault sub-calls, and every draw (``routing.rng.integers(0, n)``)
+— is a Python call made from C, by name and in the Python body's order.
+:meth:`_capture_pure` (it calls ``select_output``), :meth:`_live_request` /
+:meth:`_resolve_faults` / :meth:`_drop_head` (``LIVE`` rows, fault runs),
+``metrics.record_*`` and the obs sites stay Python, and so does
+``_try_inject``: it runs once per injected packet, around two hook calls.
+The core never holds the engine — the engine is an argument of
+``router_phase`` — so engine → core is the only edge between the two, and the
+type takes part in cyclic collection.  There is no pure-Python twin of the
+compiled functions: where no C compiler works, ``create_engine("soa", …)``
+runs the bit-identical ``object`` engine instead (debug a suspected core bug
+with ``REPRO_BACKEND=object``).
 
 Row kinds
 ---------
 There is one allocation path, the core's ``allocate``.  Every buffer head
-is a *row*, one tuple written once into ``_rows[q]`` by the capture function
-the constructor binds and read by every round: ``(FIXED, request)``, or for a
-gate ``(kind, fallback request, minimal port, candidates, global VC, local
-VC, ectn)`` with ``ectn`` the injection-side constants of an ECtN head
-(``None`` otherwise).  A ``q`` nobody captured holds ``None`` and answers as
-``LIVE``.  Which capture function is bound depends only on what the code can
-observe: the exact routing class, its path policy, whether a fault runtime is
-attached.
+is a *row*, one tuple written once into ``_rows[q]`` by the capture and read
+by every round: ``(FIXED, request)``, or for a gate ``(kind, fallback
+request, minimal port, candidates, global VC, local VC, ectn)`` with ``ectn``
+the injection-side constants of an ECtN head (``None`` otherwise).  A ``q``
+nobody captured holds ``None`` and answers as ``LIVE``.  Which capture runs
+(``self._capture``) depends only on what the code can observe: the exact
+routing class, its path policy, whether a fault runtime is attached.
 
 ======  ===================  ==========================  =========  ==========
 kind    captured by          per round                   may draw   may clean
 ======  ===================  ==========================  =========  ==========
 FIXED   every capture        admission check of the      no         yes
                              cached request
-FORCED  ``_capture_group``   global trigger, then a      yes        if no draw
+FORCED  group policy         global trigger, then a      yes        if no draw
                              uniform pick
-GLOBAL  ``_capture_group``   closed gate inline, else    open gate  if no draw
-                             the global trigger
-LOCAL   ``_capture_group``,  closed gate inline, else    open gate  if no draw
-        ``_capture_ring``,   the local trigger over the
-        ``_capture_uplink``  captured candidates
+GLOBAL  group policy         global trigger (closed:     open gate  if no draw
+                             the fallback, no draw)
+LOCAL   group policy,        local trigger over the      open gate  if no draw
+        ring escape,         captured candidates
+        uplink multipath
 LIVE    nobody               ``select_output`` +         yes        never
                              ``_resolve_faults``
 ======  ===================  ==========================  =========  ==========
 
-``_capture_pure`` (healthy MIN / VAL / UGAL / PB) evaluates ``select_output``
-once per head lifetime and stores a ``FIXED`` row.  The adaptive captures
-(healthy OLM / Base / Hybrid / ECtN; "trigger" above is the transcription of
-the mechanism's ``choose_*`` hooks) store ``FIXED`` for ejection, towards-
-intermediate, mid-ring-traversal, down-hop and gate-less heads:
-``_capture_group`` is the MM+L policy (Dragonfly, flattened butterfly) —
-``FORCED`` is the committed local-proxy step, ``GLOBAL`` the source-group
-gate, ``LOCAL`` the local-misroute gate; ``_capture_ring`` is the ring-escape
-policy (torus) — ``LOCAL`` at the first hop of a ring traversal;
-``_capture_uplink`` is the uplink-multipath policy (fat tree) — ``LOCAL``
-where the minimal port is an uplink with siblings.  With a fault runtime
-attached, or a routing class the engine has no transcription for (exact type
-match: a subclass may override the trigger), nothing is captured and every
-head is ``LIVE``: ``routing.select_output`` runs per round on a
-:class:`~repro.simulation.soa.state.RouterView`, the object allocate loop
-verbatim.  A router may be marked clean only after a grant-free *and*
+:meth:`_capture_pure` (healthy MIN / VAL / UGAL / PB) evaluates
+``select_output`` once per head lifetime and stores a ``FIXED`` row.  The
+core's adaptive captures (healthy OLM / Base / Hybrid / ECtN; "trigger"
+above is the transcription of the mechanism's ``choose_*`` hooks) store
+``FIXED`` for ejection, towards-intermediate, mid-ring-traversal, down-hop
+and gate-less heads: the group policy (Dragonfly, flattened butterfly) has
+``FORCED`` for the committed local-proxy step, ``GLOBAL`` for the
+source-group gate, ``LOCAL`` for the local-misroute gate; the ring escape
+(torus) ``LOCAL`` at the first hop of a ring traversal; the uplink multipath
+(fat tree) ``LOCAL`` where the minimal port is an uplink with siblings.  With
+a fault runtime attached, or a routing class the engine has no transcription
+for (exact type match: a subclass may override the trigger), nothing is
+captured and every head is ``LIVE``: ``routing.select_output`` runs per round
+on a :class:`~repro.simulation.soa.state.RouterView`, the object allocate
+loop verbatim.  A router may be marked clean only after a grant-free *and*
 draw-free pass, so a ``LIVE`` row never lets it.
 
 Every deviation from ``Engine``/``Router`` behaviour is a bug; the golden,
@@ -128,11 +142,15 @@ time-warp and property suites assert bit-identical results.
 
 from __future__ import annotations
 
+import inspect
+import sys
 from bisect import insort
 from typing import List
 
-from repro.network.packet import RoutingPhase
-from repro.routing.base import RoutingDecision
+from repro.network.packet import Packet, RoutingPhase
+from repro.routing.adaptive import AdaptiveInTransitRouting
+from repro.routing.base import RoutingAlgorithm, RoutingDecision
+from repro.routing.contention.counters import ContentionCounters, ContentionTracker
 from repro.routing.minimal import MinimalRouting
 from repro.routing.valiant import ValiantRouting
 from repro.routing.ugal import UGALRouting
@@ -149,8 +167,6 @@ from repro.topology.base import PortKind
 __all__ = ["SoAEngine"]
 
 _GLOBAL = PortKind.GLOBAL
-_LOCAL = PortKind.LOCAL
-_TO_INTERMEDIATE = RoutingPhase.TO_INTERMEDIATE
 
 # Row kinds (see module docstring).
 ROW_FIXED = 0  # decision constant while the head waits (cached request)
@@ -159,7 +175,14 @@ ROW_GLOBAL = 2  # source-group global-misroute gate, trigger per round
 ROW_LOCAL = 3  # local-misroute / ring-escape / uplink gate, trigger per round
 # ``LIVE`` is the absence of a row: ``select_output`` per round.
 
-# Trigger transcriptions of the adaptive captures.
+# Who writes the rows: ``_capture_pure``, or the core's capture of an
+# adaptive path policy (``None``: nobody, every row is ``LIVE``).
+CAPTURE_PURE = 0
+CAPTURE_GROUP = 1  # MM+L group policy (Dragonfly, flattened butterfly)
+CAPTURE_RING = 2  # ring-escape policy (torus)
+CAPTURE_UPLINK = 3  # uplink-multipath policy (fat tree)
+
+# The core's trigger transcriptions of the adaptive mechanisms.
 MECH_OLM = 0
 MECH_BASE = 1
 MECH_HYBRID = 2
@@ -173,6 +196,60 @@ _ADAPTIVE_MECHS = {
 }
 _PURE_MECHS = (MinimalRouting, ValiantRouting, UGALRouting, PiggybackRouting)
 
+#: The functions the core answers in C while an instance resolves to them
+#: (see "The compiled core").
+_STOCK_FUNCTIONS = (
+    (RoutingAlgorithm, "on_grant"),
+    (Packet, "record_hop"),
+    (AdaptiveInTransitRouting, "on_packet_arrival"),
+    (ValiantRouting, "on_packet_arrival"),
+    (BaseContentionRouting, "on_packet_head"),
+    (BaseContentionRouting, "on_packet_leave_input"),
+    (ECtNRouting, "on_packet_head"),
+    (ECtNRouting, "on_packet_arrival"),
+    (ECtNRouting, "on_packet_leave_input"),
+    (ECtNRouting, "_maybe_count_partial"),
+    (ContentionTracker, "on_head"),
+    (ContentionTracker, "on_leave"),
+    (ContentionCounters, "decrement"),
+)
+
+
+def _source_function(owner: type, name: str):
+    """The function ``owner``'s source defines as ``name``, through any
+    ``functools.wraps`` wrappers installed on the class since; ``None`` when
+    what the class holds now is something else (the core then calls the hook
+    by name, always)."""
+    function = inspect.unwrap(vars(owner)[name])
+    code = getattr(function, "__code__", None)
+    if (
+        code is None
+        or code.co_name != name
+        or code.co_filename != sys.modules[owner.__module__].__file__
+    ):
+        return None
+    return function
+
+
+def _stock() -> dict:
+    """What ``Core`` compares and builds with: ``"Class.name"`` -> the stock
+    function, plus the packet / decision types and the routing phases.
+    Resolved per engine, so a wrapper installed before this one was built
+    is never mistaken for the stock function."""
+    stock = {
+        f"{owner.__name__}.{name}": _source_function(owner, name)
+        for owner, name in _STOCK_FUNCTIONS
+    }
+    stock.update(
+        Packet=Packet,
+        RoutingDecision=RoutingDecision,
+        ECtNRouting=ECtNRouting,
+        TO_INTERMEDIATE=RoutingPhase.TO_INTERMEDIATE,
+        MINIMAL=RoutingPhase.MINIMAL,
+        GLOBAL=_GLOBAL,
+    )
+    return stock
+
 
 class SoAEngine(Engine):
     """Drop-in :class:`Engine` over :class:`SoAState` (see module doc)."""
@@ -180,23 +257,12 @@ class SoAEngine(Engine):
     __slots__ = (
         "_st",
         "_core",
-        "_mech",
         "_capture",
         "_memo",
         "_routing",
         "_notify_arrival",
         "_drp",
         "_rows",
-        # trigger constants of the adaptive captures
-        "_counters",
-        "_cth",
-        "_hyb_cong",
-        "_olm_th",
-        "_olm_min_occ",
-        "_pkt2",
-        "_ectn_cth",
-        # routing broadcasts
-        "_pb_scan",
         "_draws",
     )
 
@@ -210,61 +276,38 @@ class SoAEngine(Engine):
         self._drp: List = []
         self._draws = 0
 
-        # Which capture function writes the rows.  Exact type matching: a
-        # subclass may override the trigger a transcription assumes, so it
-        # gets no capture — every head stays a LIVE row — like a fault run.
-        # The function is stored unbound (``capture(self, ...)``): a bound
-        # method of ``self`` kept on ``self`` is a reference cycle, and the
-        # engine should be reclaimed by reference counting.
+        # Which capture writes the rows, and which trigger the core runs for
+        # a gate row.  Exact type matching: a subclass may override the
+        # trigger a transcription assumes, so it gets no capture — every head
+        # stays a LIVE row — like a fault run.
         rcls = type(routing)
-        engine_cls = type(self)
-        self._mech = -1
+        mech = -1
         self._capture = None
         if faults is None:
             if rcls in _PURE_MECHS:
-                self._capture = engine_cls._capture_pure
+                self._capture = CAPTURE_PURE
             elif rcls in _ADAPTIVE_MECHS:
-                self._mech = _ADAPTIVE_MECHS[rcls]
+                mech = _ADAPTIVE_MECHS[rcls]
                 if routing._ring_escape:
-                    self._capture = engine_cls._capture_ring
+                    self._capture = CAPTURE_RING
                 elif routing._uplink_multipath:
-                    self._capture = engine_cls._capture_uplink
+                    self._capture = CAPTURE_UPLINK
                 else:
-                    self._capture = engine_cls._capture_group
+                    self._capture = CAPTURE_GROUP
         # LIVE rows of a ``decision_is_pure`` mechanism reuse round 1's
         # decision in the later rounds of a cycle, as ``Router.allocate`` does.
         self._memo = {} if routing.decision_is_pure else None
 
         # One row per buffer head (layout: "Row kinds" in the module doc),
-        # written by the capture function; ``None`` answers as ``LIVE``.
+        # written by the capture; ``None`` answers as ``LIVE``.
         self._rows: List = [None] * (st.R * st.P * st.V)
-        if self._mech >= 0:
-            params = routing.params
-            self._pkt2 = 2 * params.packet_size_phits
-            if self._mech == MECH_OLM:
-                self._olm_th = routing._olm_threshold
-                self._olm_min_occ = routing._min_occupancy
-            else:
-                self._counters = routing._counter_arrays
-                self._cth = routing._threshold
-                if self._mech == MECH_HYBRID:
-                    self._hyb_cong = routing.congestion_threshold
-                elif self._mech == MECH_ECTN:
-                    self._ectn_cth = routing._combined_threshold
 
-        # The compiled hop chain over this state (``_core.c``).  It tests the
-        # closed gates of the adaptive rows inline, so it is handed what they
-        # compare: OLM's minimum occupancy, or the counter arrays and the
-        # threshold of Base / ECtN (Hybrid has no draw-free closed gate).
-        counters = threshold = None
-        if self._mech == MECH_OLM:
-            threshold = self._olm_min_occ
-        elif self._mech in (MECH_BASE, MECH_ECTN):
-            counters, threshold = self._counters, self._cth
+        # The compiled hop chain over this state (``_core.c``); it reads what
+        # the capture and the trigger need off the routing.
         self._core = load_core().Core(
             st, routing, self._rows, self._drp, hooks,
             network.params.internal_speedup, network.params.router_latency,
-            self._mech, counters, threshold,
+            -1 if self._capture is None else self._capture, mech, _stock(),
         )
 
         # There are no object routers on this backend, so a mechanism's
@@ -272,13 +315,13 @@ class SoAEngine(Engine):
         # against the flat state; ECtN's hook reads only the routing's own
         # arrays and runs as is; anything else must use the object backend.
         # The hooks are closures over the arrays they read, not bound methods
-        # of ``self`` (see ``_capture`` above).
-        self._pb_scan = None
+        # of ``self``: a bound method of ``self`` kept on ``self`` is a
+        # reference cycle, and the engine should be reclaimed by reference
+        # counting.
         if self._post_cycle is not None:
             hook = rcls.post_cycle
             if hook is PiggybackRouting.post_cycle:
-                self._pb_scan = _pb_scan(st, routing)
-                self._post_cycle = _pb_post_cycle(st, routing, self._pb_scan)
+                self._post_cycle = _pb_post_cycle(st, routing, _pb_scan(st, routing))
             elif hook is ECtNRouting.post_cycle:
                 self._post_cycle = _ectn_post_cycle(st, routing)
             else:
@@ -433,296 +476,6 @@ class SoAEngine(Engine):
             ROW_FIXED,
             None if decision is None else self._request(base_g, k, head, decision),
         )
-
-    def _capture_group(self, rid, base_g, q, k, head, cycle) -> None:
-        """The MM+L group policy: classify a new head and cache everything
-        constant while it waits.
-
-        Mirrors the gate order of ``AdaptiveInTransitRouting.select_output``;
-        only quantities that cannot change while the packet occupies the
-        buffer head are read here (packet fields, topology, the memoized
-        candidate sets).  Live state — occupancies, contention counters,
-        ECtN/PB broadcasts — is read per round by the trigger transcription.
-        One row per head suffices: the local-misroute gate requires
-        ``current_group == dst_group or global_hops == 1`` while the global
-        gates require ``dst_group != current_group and global_hops == 0``, so
-        a head can never fall from a failed global gate into the local gate —
-        only into the minimal fallback.
-        """
-        routing = self._routing
-        st = self._st
-        dst = head.dst
-        npr = routing._nodes_per_router
-        dst_router = dst // npr
-        kind = ROW_FIXED
-        gate = ()
-        if rid == dst_router:
-            decision = routing.plain_decision(dst % npr, 0)
-        elif head.phase is _TO_INTERMEDIATE and head.intermediate_group is not None:
-            decision = routing._towards_group(st.views[rid], head, head.intermediate_group)
-        else:
-            rpg = routing._routers_per_group
-            current_group = rid // rpg
-            dst_group = dst_router // rpg
-            minimal_port = head.contention_port
-            if minimal_port is None:
-                minimal_port = st.topology.minimal_output_port(rid, dst)
-            minimal_kind = st.port_kinds[minimal_port]
-
-            # Minimal fallback (select_output's tail), shared by every row
-            # kind; the forced-global fallback is value-identical.
-            if minimal_kind is _GLOBAL:
-                g_hops = head.global_hops
-                last = routing._global_vcs - 1
-                min_vc = g_hops if g_hops < last else last
-            elif minimal_kind is _LOCAL:
-                g_hops = head.global_hops
-                local = 1 if head.local_hops_in_group else 0
-                min_vc = local if g_hops == 0 else 2 * g_hops - 1 + local
-                last = routing._local_vcs - 1
-                if min_vc > last:
-                    min_vc = last
-            else:
-                min_vc = 0
-            decision = routing.plain_decision(minimal_port, min_vc)
-
-            if head.must_misroute_global and dst_group != current_group and head.global_hops == 0:
-                kind = ROW_FORCED
-                candidates = routing.global_candidates(
-                    rid, st.topology.node_region(dst), minimal_port, False
-                )
-                # _forced_global_decision passes port=0 to the trigger, and
-                # port 0 is an injection port on every topology with p >= 1.
-                gate = (
-                    minimal_port, candidates, routing.next_vc(head, _GLOBAL), 0,
-                    self._capture_ectn(rid, 0, head, candidates),
-                )
-            elif dst_group != current_group and head.global_hops == 0 and not head.globally_misrouted:
-                kind = ROW_GLOBAL
-                candidates = routing.global_candidates(
-                    rid, dst_group, minimal_port, head.hops == 0
-                )
-                gate = (
-                    minimal_port, candidates,
-                    routing.next_vc(head, _GLOBAL), routing.next_vc(head, _LOCAL),
-                    self._capture_ectn(rid, k // st.V, head, candidates),
-                )
-            elif (
-                minimal_kind is _LOCAL
-                and head.local_hops_in_group == 0
-                and head.global_hops <= 1
-                and (current_group == dst_group or head.global_hops == 1)
-            ):
-                kind = ROW_LOCAL
-                gate = (
-                    minimal_port, routing.local_candidates(minimal_port),
-                    0, routing.next_vc(head, _LOCAL), None,
-                )
-        self._rows[q] = (kind, self._request(base_g, k, head, decision)) + gate
-
-    def _capture_ectn(self, rid: int, check_port: int, head, candidates):
-        """ECtN's injection-side trigger constants (see ``choose_global_misroute``):
-        ``None`` for another mechanism or a head on a transit port."""
-        st = self._st
-        if self._mech != MECH_ECTN or not st.kind_is_injection[check_port]:
-            return None
-        routing = self._routing
-        rpg = routing._routers_per_group
-        group = rid // rpg
-        dst_group = head.dst // routing._nodes_per_group
-        offset_key = group * st.topology.num_groups + dst_group
-        cache = routing._dest_offset_cache
-        min_offset = cache.get(offset_key)
-        if min_offset is None:
-            min_offset = routing.link_offset_for_destination(group, dst_group)
-            cache[offset_key] = min_offset
-        return (
-            # Order-preserving pre-filter of the static kind check.
-            [c for c in candidates if c.kind is _GLOBAL],
-            group,
-            min_offset,
-            (rid % rpg) * routing._h - routing._first_global_port,
-        )
-
-    def _capture_ring(self, rid, base_g, q, k, head, cycle) -> None:
-        """The ring-escape policy (``_ring_escape_output``): the first hop of
-        a ring traversal is a ``LOCAL`` row over the opposite-direction port,
-        everything else is ``FIXED``.
-
-        ``ring_vc`` may be taken at head time: the ring state it reads
-        (``ring_dim``, ``ring_dir``, ``ring_crossed``, ``vc_leg``) changes
-        only in ``on_grant`` and on arrival at a Valiant intermediate, never
-        while the packet waits at a buffer head.
-        """
-        routing = self._routing
-        topo = self._st.topology
-        dst = head.dst
-        npr = routing._nodes_per_router
-        kind = ROW_FIXED
-        gate = ()
-        if rid == dst // npr:
-            decision = routing.plain_decision(dst % npr, 0)
-        else:
-            out_port = head.contention_port
-            if out_port is None:
-                out_port = topo.minimal_output_port(rid, dst)
-            dim, direction = routing._port_ring_dim[out_port]
-            escape = routing._escape_candidates[out_port]
-            if head.ring_dim != dim or head.ring_dir == 0:
-                # First hop of this dimension's traversal: the trigger may
-                # divert it.  With no candidate no trigger can fire or draw,
-                # so the row is FIXED.
-                if escape:
-                    kind = ROW_LOCAL
-                    gate = (out_port, escape, 0, topo.ring_vc(head, rid, escape[0].port), None)
-            elif head.ring_dir != direction:
-                # Mid-traversal, committed the long way around.
-                out_port = escape[0].port
-            decision = routing.plain_decision(out_port, topo.ring_vc(head, rid, out_port))
-        self._rows[q] = (kind, self._request(base_g, k, head, decision)) + gate
-
-    def _capture_uplink(self, rid, base_g, q, k, head, cycle) -> None:
-        """The uplink-multipath policy (``_uplink_output``): a minimal uplink
-        with siblings is a ``LOCAL`` row, everything else is ``FIXED``."""
-        routing = self._routing
-        dst = head.dst
-        kind = ROW_FIXED
-        gate = ()
-        if rid == routing._node_rid[dst]:
-            decision = routing.plain_decision(dst % routing._nodes_per_router, 0)
-        else:
-            minimal_port = head.contention_port
-            if minimal_port is None:
-                minimal_port = self._st.topology.minimal_output_port(rid, dst)
-            port_vcs = routing._updown_vcs
-            candidates = routing._uplink_candidates[minimal_port]
-            # The object path consults the trigger only for a non-empty
-            # sibling list: without one the row is FIXED.
-            if candidates:
-                kind = ROW_LOCAL
-                # A row stores one misroute VC: every sibling uplink must map
-                # to the same up/down class.
-                vc = port_vcs[candidates[0].port]
-                assert all(port_vcs[c.port] == vc for c in candidates)
-                gate = (minimal_port, candidates, 0, vc, None)
-            decision = routing.plain_decision(minimal_port, port_vcs[minimal_port])
-        self._rows[q] = (kind, self._request(base_g, k, head, decision)) + gate
-
-    def _open_request(self, rid: int, base: int, row):
-        """One allocation round's request for an open-gate or forced row.
-
-        The cached-request and closed-gate cases are inlined in
-        the core's round loop; what arrives here runs the transcribed trigger
-        (which may draw).  The fallback request doubles as the head's
-        size/port/vc record.
-        """
-        kind, fallback, minimal_port, candidates, global_vc, local_vc, ectn = row
-        if kind == ROW_LOCAL:
-            chosen = self._choose(rid, base, minimal_port, candidates)
-            if chosen is None:
-                return fallback
-            vc = local_vc
-            decision = RoutingDecision(output_port=chosen.port, vc=vc, nonminimal_local=True)
-        else:
-            chosen = self._choose_global(rid, base, ectn, minimal_port, candidates)
-            if chosen is None and kind == ROW_FORCED and candidates:
-                self._draws += 1
-                chosen = candidates[int(self._routing.rng.integers(0, len(candidates)))]
-            if chosen is None:
-                return fallback
-            # Forced candidates are global links only (no local proxy).
-            if kind == ROW_FORCED or chosen.kind is _GLOBAL:
-                vc = global_vc
-                decision = RoutingDecision(
-                    output_port=chosen.port,
-                    vc=vc,
-                    nonminimal_global=True,
-                    set_intermediate_group=chosen.target_group,
-                )
-            else:
-                vc = local_vc
-                decision = RoutingDecision(
-                    output_port=chosen.port, vc=vc, set_must_misroute_global=True
-                )
-        og = base + chosen.port
-        return (
-            fallback[0], fallback[1], chosen.port, fallback[3], decision,
-            og, og * self._st.V + vc,
-        )
-
-    # ----------------------------------------------------- trigger transcriptions
-    def _choose_global(self, rid: int, base: int, ectn, minimal_port: int, candidates):
-        """``choose_global_misroute`` of the active mechanism, flat-state reads."""
-        if ectn is not None:
-            global_candidates, group, min_offset, pos_base = ectn
-            routing = self._routing
-            combined = routing.combined[group]
-            threshold = self._ectn_cth
-            if combined[min_offset] > threshold:
-                preferred = [
-                    c for c in global_candidates if combined[pos_base + c.port] < threshold
-                ]
-                if preferred:
-                    self._draws += 1
-                    return preferred[int(routing.rng.integers(0, len(preferred)))]
-            # fall through to the Base counters (ECtN's in-transit fallback)
-        return self._choose(rid, base, minimal_port, candidates)
-
-    def _choose(self, rid: int, base: int, minimal_port: int, candidates):
-        """The shared global/local trigger body of OLM / Base / Hybrid / ECtN."""
-        mech = self._mech
-        routing = self._routing
-        if mech == MECH_OLM:
-            st = self._st
-            out_committed = st.out_committed
-            credit_occ = st.credit_occ
-            g = base + minimal_port
-            occ_min = out_committed[g] + credit_occ[g]
-            if occ_min < self._olm_min_occ:
-                return None
-            limit = self._olm_th * occ_min
-            preferred = [
-                c
-                for c in candidates
-                if out_committed[base + c.port] + credit_occ[base + c.port] < limit
-            ]
-            if not preferred:
-                return None
-            self._draws += 1
-            return preferred[int(routing.rng.integers(0, len(preferred)))]
-        counts = self._counters[rid].counts
-        threshold = self._cth
-        if mech == MECH_HYBRID:
-            if counts[minimal_port] > threshold:
-                contention = [c for c in candidates if counts[c.port] < threshold]
-                if contention:
-                    self._draws += 1
-                    return contention[int(routing.rng.integers(0, len(contention)))]
-            st = self._st
-            out_committed = st.out_committed
-            credit_occ = st.credit_occ
-            g = base + minimal_port
-            occ_min = out_committed[g] + credit_occ[g]
-            if occ_min < self._pkt2:
-                return None
-            limit = self._hyb_cong * occ_min
-            preferred = [
-                c
-                for c in candidates
-                if out_committed[base + c.port] + credit_occ[base + c.port] < limit
-            ]
-            if not preferred:
-                return None
-            self._draws += 1
-            return preferred[int(routing.rng.integers(0, len(preferred)))]
-        # MECH_BASE and ECtN's in-transit fallback
-        if counts[minimal_port] <= threshold:
-            return None
-        preferred = [c for c in candidates if counts[c.port] < threshold]
-        if not preferred:
-            return None
-        self._draws += 1
-        return preferred[int(routing.rng.integers(0, len(preferred)))]
 
     # ------------------------------------------------------------- diagnostics
     def schedule_arrival(

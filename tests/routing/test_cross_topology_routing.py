@@ -159,3 +159,26 @@ class TestCapabilityGates:
     @pytest.mark.parametrize("routing", available_routings())
     def test_every_mechanism_constructs_on_dragonfly(self, routing):
         Simulator(SimulationParameters.tiny(), routing, "UN", offered_load=0.0)
+
+    def test_sibling_uplinks_on_different_up_down_vcs_are_refused(self, monkeypatch):
+        """A diverted uplink hop keeps its minimal hop's up/down class (the
+        ``soa`` engine stores one misroute VC per captured uplink head), so
+        the routing checks once, at construction, that the siblings of every
+        uplink share one VC — not per head, where an ``assert`` would vanish
+        under ``python -O``."""
+        from repro.topology.fat_tree import FatTreeTopology
+
+        stock = FatTreeTopology.updown_port_vcs.fget
+
+        def one_uplink_moved_to_the_down_class(self):
+            vcs = list(stock(self))
+            vcs[self.uplink_ports[-1]] = 1
+            return tuple(vcs)
+
+        params = SimulationParameters.tiny(FatTreeConfig(p=2, k=3, levels=2))
+        Simulator(params, "Base", "UN", offered_load=0.0)  # the real table passes
+        monkeypatch.setattr(
+            FatTreeTopology, "updown_port_vcs", property(one_uplink_moved_to_the_down_class)
+        )
+        with pytest.raises(ValueError, match="sibling uplinks of port .* up/down VCs"):
+            Simulator(params, "Base", "UN", offered_load=0.0)

@@ -10,6 +10,7 @@ collector, ``tracemalloc``), and the build-on-first-use machinery falls back,
 races and refuses as documented.
 """
 
+import functools
 import gc
 import os
 import sys
@@ -22,7 +23,15 @@ import pytest
 from repro.config.parameters import SimulationParameters
 from repro.metrics.collector import MetricsCollector
 from repro.network.packet import Packet
-from repro.routing.base import RoutingDecision
+from repro.routing import (
+    ROUTING_REGISTRY,
+    AdaptiveInTransitRouting,
+    BaseContentionRouting,
+    ContentionCounters,
+    ContentionTracker,
+    ECtNRouting,
+)
+from repro.routing.base import RoutingAlgorithm, RoutingDecision
 from repro.service.keys import result_fingerprint
 from repro.simulation.engine import Engine
 from repro.simulation.simulator import Simulator
@@ -138,6 +147,28 @@ class TestKeptChecks:
         )
         assert st.credit_occ[port] == 0
 
+    @pytest.mark.parametrize(
+        "routing, field, held, message",
+        [
+            ("Base", "contention_port", 3, "contention counter underflow on port 3"),
+            ("ECtN", "ectn_offset", 1, "ECtN partial counter underflow"),
+        ],
+    )
+    def test_counter_underflow_on_leaving_the_input(self, routing, field, held, message):
+        """The stock leave hooks run in C, their underflow checks with them."""
+        sim = _sim(routing)
+        core = sim.engine._core
+        packet = _packet()
+        setattr(packet, field, held)  # a counter nobody incremented
+        due = [(1, 0, packet)]
+
+        def plant_and_pop():
+            core.apply_arrivals(due, 3)
+            core.pop_head(0, 1, 0, 3)
+
+        _raises_twice(RuntimeError, message, plant_and_pop, packet, due)
+        assert getattr(packet, field) == held  # the check precedes the release
+
     @pytest.mark.parametrize("hook", ["on_grant", "on_packet_leave_input"])
     def test_a_hook_that_raises_propagates_and_leaks_nothing(self, hook):
         sim = _sim("Base")
@@ -216,36 +247,103 @@ class TestBookings:
         assert not st.svc_cal and not st.arr_cal and not st.cred_cal
 
 
+_HOOKS = ("on_grant", "on_packet_leave_input", "on_packet_head", "on_packet_arrival")
+
+
 class TestHooksAreLookedUpByName:
-    def test_wrappers_installed_on_the_classes_after_construction_are_called(
-        self, monkeypatch
-    ):
-        """``perf/trace.py`` wraps hooks at class level after import, tests
-        patch them: the compiled chain must see both, like a Python caller."""
-        sims = {backend: _sim("Base", 0.3, backend) for backend in ("object", "soa")}
-        calls = {backend: Counter() for backend in sims}
+    """The core answers a hook in C only while the instance resolves it to
+    the stock function; anything else is called by name, exactly where and as
+    often as the object engine calls it."""
+
+    def _counted(self, monkeypatch, routing, targets, before=False, wraps=False):
+        """Calls per wrapped ``(owner, name)`` of one run per backend; the
+        wrappers (``functools.wraps`` ones if ``wraps``) go onto the classes
+        after the Simulators are built unless ``before``."""
+        calls = {backend: Counter() for backend in ("object", "soa")}
         current = []
 
-        def counting(owner, name):
-            original = getattr(owner, name)
-
+        def counting(name, original):
             def wrapper(self, *args, **kwargs):
                 calls[current[0]][name] += 1
                 return original(self, *args, **kwargs)
 
-            monkeypatch.setattr(owner, name, wrapper)
+            return functools.wraps(original)(wrapper) if wraps else wrapper
 
-        routing_class = type(sims["soa"].network.routing)
-        for name in ("on_grant", "on_packet_leave_input", "on_packet_head", "on_packet_arrival"):
-            counting(routing_class, name)
-        counting(MetricsCollector, "record_delivery")
-        counting(Packet, "record_hop")
+        def install():
+            for owner, name in targets:
+                monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+
+        if before:
+            install()
+        sims = {backend: _sim(routing, 0.3, backend) for backend in calls}
+        if not before:
+            install()
         for backend, sim in sims.items():
             current[:] = [backend]
             sim.run_steady_state(50, 150)
         assert calls["soa"] == calls["object"]
-        assert calls["soa"]["on_grant"] == calls["soa"]["on_packet_leave_input"] > 0
-        assert calls["soa"]["record_delivery"] > 0 and calls["soa"]["record_hop"] > 0
+        assert sims["soa"].engine.delivered_packets == sims["object"].engine.delivered_packets
+        return calls["soa"]
+
+    @pytest.mark.parametrize("routing", ["MIN", "VAL", "PB", "OLM", "Base", "Hybrid", "ECtN"])
+    def test_wrappers_installed_on_the_classes_after_construction_are_called(
+        self, monkeypatch, routing
+    ):
+        """``perf/trace.py`` wraps hooks at class level after import, tests
+        patch them: the compiled chain must see both, like a Python caller."""
+        routing_class = type(_sim(routing).network.routing)
+        targets = [(routing_class, name) for name in _HOOKS]
+        targets += [
+            (ContentionTracker, "on_head"),
+            (ContentionTracker, "on_leave"),
+            (MetricsCollector, "record_delivery"),
+            (Packet, "record_hop"),
+        ]
+        calls = self._counted(monkeypatch, routing, targets)
+        assert calls["on_grant"] > 0 and calls["record_hop"] > 0
+        assert calls["record_delivery"] > 0
+        if routing in ("Base", "Hybrid", "ECtN"):
+            assert calls["on_grant"] == calls["on_packet_leave_input"]
+            assert calls["on_head"] == calls["on_packet_head"] > 0
+
+    @pytest.mark.parametrize("routing", ["Base", "Hybrid", "ECtN"])
+    def test_what_a_stock_hook_calls_is_resolved_by_name_too(self, monkeypatch, routing):
+        """Stock hooks, wrapped callees: ``self.tracker.on_head``,
+        ``ContentionCounters.decrement``, ``self._maybe_count_partial`` and
+        ``record_hop`` are resolved where the Python body calls them."""
+        targets = [
+            (ContentionTracker, "on_head"),
+            (ContentionTracker, "on_leave"),
+            (ContentionCounters, "decrement"),
+            (ECtNRouting, "_maybe_count_partial"),
+            (Packet, "record_hop"),
+        ]
+        calls = self._counted(monkeypatch, routing, targets)
+        assert calls["on_head"] >= calls["on_leave"] >= calls["decrement"] > 0
+        assert calls["record_hop"] > 0
+        assert (calls["_maybe_count_partial"] > 0) == (routing == "ECtN")
+
+    def test_a_wrapper_on_the_class_super_reaches_is_called(self, monkeypatch):
+        """ECtN's stock hooks start with ``super()``: a wrapper on Base's or
+        the adaptive family's hook sends the whole ECtN hook by name."""
+        targets = [
+            (BaseContentionRouting, "on_packet_head"),
+            (BaseContentionRouting, "on_packet_leave_input"),
+            (AdaptiveInTransitRouting, "on_packet_arrival"),
+        ]
+        calls = self._counted(monkeypatch, "ECtN", targets)
+        assert min(calls[name] for name in _HOOKS[1:]) > 0
+
+    @pytest.mark.parametrize("wraps", [True, False], ids=["functools.wraps", "plain"])
+    def test_a_wrapper_installed_before_construction_is_not_taken_for_stock(
+        self, monkeypatch, wraps
+    ):
+        """The stock functions are taken from the classes when an engine is
+        built: a wrapper already there — unwrappable or not — stays a
+        wrapper."""
+        targets = [(RoutingAlgorithm, "on_grant"), (Packet, "record_hop")]
+        calls = self._counted(monkeypatch, "Base", targets, before=True, wraps=wraps)
+        assert calls["on_grant"] > 0 and calls["record_hop"] > 0
 
     def test_a_hook_set_on_the_instance_is_called(self):
         sim = _sim("Base", 0.3)
@@ -255,6 +353,65 @@ class TestHooksAreLookedUpByName:
         routing.on_grant = lambda *args: (seen.append(args[3].pid), hook(*args))
         sim.run_cycles(120)
         assert len(seen) > 0
+
+
+class _HopLoggingPacket(Packet):
+    """A packet class overriding ``record_hop``."""
+
+    __slots__ = ()
+    log: list = []
+
+    def record_hop(self, *, is_global: bool) -> None:
+        _HopLoggingPacket.log.append((self.pid, self.hops, is_global))
+        super().record_hop(is_global=is_global)
+
+
+class _GrantLogging(ECtNRouting):
+    """A routing subclass overriding ``on_grant`` and nothing else."""
+
+    name = "GrantLogging"
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.granted = []
+
+    def on_grant(self, router, port, vc, packet, decision, cycle):
+        self.granted.append((cycle, router.router_id, packet.pid, decision.output_port))
+        super().on_grant(router, port, vc, packet, decision, cycle)
+
+
+class TestOverridesAreHonoured:
+    def test_a_packet_subclass_keeps_its_record_hop(self):
+        """Its fields are read through getattr, its hop through its method."""
+        logs = {}
+        for backend in ("object", "soa"):
+            sim = _sim("Base", 0.0, backend)
+            packets = [
+                _HopLoggingPacket(
+                    pid=10**6 + i, src=0, dst=dst, size_phits=sim.params.packet_size_phits,
+                    creation_cycle=0,
+                )
+                for i, dst in enumerate((17, 23, 5))
+            ]
+            _HopLoggingPacket.log = []
+            for i, packet in enumerate(packets):
+                sim.engine.schedule_arrival(0, i % 2, 3 + i, 0, packet)
+            sim.run_cycles(300)
+            assert all(packet.delivered for packet in packets)
+            logs[backend] = list(_HopLoggingPacket.log)
+            assert [pid for pid, _, _ in logs[backend]].count(packets[1].pid) == packets[1].hops
+        assert logs["soa"] == logs["object"] and logs["soa"]
+
+    def test_a_routing_subclass_keeps_its_on_grant(self, monkeypatch):
+        monkeypatch.setitem(ROUTING_REGISTRY, "GrantLogging", _GrantLogging)
+        runs = {backend: _sim("GrantLogging", 0.3, backend) for backend in ("object", "soa")}
+        for sim in runs.values():
+            sim.run_steady_state(50, 150)
+        soa, obj = (runs[b].network.routing for b in ("soa", "object"))
+        assert soa.granted == obj.granted and len(soa.granted) > 100
+        assert runs["soa"].engine.delivered_packets == runs["object"].engine.delivered_packets
+        # Its other hooks are still ECtN's stock ones, answered in C.
+        assert soa.partial == obj.partial and soa.combined == obj.combined
 
 
 class TestLifetime:
