@@ -8,8 +8,7 @@ measurement lengths, seeds, and load grids, so that every figure harness can
 be run at three fidelities:
 
 ``TINY_SCALE``
-    Smallest meaningful runs; used by the test suite and the pytest
-    benchmarks (seconds per point).
+    Smallest meaningful runs; used by the test suite (seconds per point).
 ``SMALL_SCALE``
     The default for the example scripts; preserves the qualitative shapes of
     the paper's figures (tens of seconds per figure).

@@ -124,13 +124,6 @@ class RoutingAlgorithm(ABC):
     #: is part of their RNG-stream contract.
     decision_is_pure: bool = False
 
-    #: Whether the engine must invoke :meth:`post_cycle` at all.  Mechanisms
-    #: that override ``post_cycle`` (PB's saturation broadcast, ECtN's
-    #: partial-array broadcast) MUST set this to ``True``; everything else
-    #: (MIN/VAL/OLM/Base/Hybrid) leaves it ``False`` and pays nothing per
-    #: cycle for the network-wide hook.
-    needs_post_cycle: bool = False
-
     def __init__(self, topology: Topology, params: SimulationParameters, rng):
         self.topology = topology
         self.params = params
@@ -665,14 +658,17 @@ class RoutingAlgorithm(ABC):
         return None
 
     def post_cycle(self, network: "Network", cycle: int) -> None:
-        """Network-wide per-cycle hook (ECN / ECtN broadcasts)."""
+        """Network-wide per-cycle hook (ECN / ECtN broadcasts).
+
+        The engine calls it once per executed cycle, and only when a subclass
+        overrides it: the stock no-op costs the other mechanisms nothing."""
 
     def post_cycle_horizon(self, cycle: int, fabric_idle: bool) -> Optional[int]:
         """Next cycle at which :meth:`post_cycle` must actually run.
 
-        Consulted by the time-warp engine only when :attr:`needs_post_cycle`
-        is set; ``fabric_idle`` says that no router holds or awaits a packet
-        or a credit.  Returning ``cycle`` means "this very cycle" (no warp);
+        Consulted by the time-warp engine only when a subclass overrides
+        :meth:`post_cycle`; ``fabric_idle`` says that no router holds or
+        awaits a packet or a credit.  Returning ``cycle`` means "this very cycle" (no warp);
         ``None`` means "never, until other activity wakes the network up".
         The conservative default pins the engine to cycle-by-cycle stepping,
         so a mechanism that overrides ``post_cycle`` without thinking about

@@ -46,7 +46,6 @@ class ECtNRouting(BaseContentionRouting):
     """Contention-counter routing with explicit contention notification."""
 
     name = "ECtN"
-    needs_post_cycle = True
 
     def __init__(self, topology: DragonflyTopology, params: SimulationParameters, rng):
         # The partial/combined arrays are indexed by group-local global-link

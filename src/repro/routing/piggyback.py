@@ -45,7 +45,6 @@ class PiggybackRouting(UGALRouting):
 
     name = "PB"
     needs_extra_local_vc = True
-    needs_post_cycle = True
 
     def __init__(self, topology, params: SimulationParameters, rng):
         if not isinstance(topology, DragonflyTopology):

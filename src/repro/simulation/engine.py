@@ -11,7 +11,7 @@ time the ``object`` backend.  ``step`` advances the whole network one cycle:
 3. run the router phase: credit returns and link arrivals, routing +
    separable allocation, link serialization and node deliveries;
 4. the routing algorithm's ``post_cycle`` hook (PB / ECtN broadcasts),
-   invoked only for mechanisms that declare ``needs_post_cycle``;
+   invoked only for mechanisms that override it;
 5. progress accounting, warp hints, ``obs.on_cycle``, the stall watchdog.
 
 A backend supplies the router state it steps (built once, when the engine is
@@ -41,7 +41,7 @@ cycle is, by construction, one in which ``step`` would have been a complete
 no-op, so results are bit-identical with the warp on or off (asserted by
 ``tests/simulation/test_time_warp.py``); only wall-clock time changes.  The
 number of cycles skipped this way is reported in
-:attr:`Engine.cycles_skipped` and in the module-level :data:`ENGINE_STATS`.
+:attr:`Engine.cycles_skipped`.
 
 A stall watchdog aborts the simulation with a clear error if packets are
 buffered in the network but none is delivered for a long stretch of cycles —
@@ -62,7 +62,7 @@ from repro.network.network import Network
 from repro.network.router import _NO_EVENT
 from repro.traffic.bernoulli import BernoulliTrafficGenerator
 
-__all__ = ["Engine", "SimulationStallError", "ENGINE_STATS"]
+__all__ = ["Engine", "SimulationStallError"]
 
 _node_id = attrgetter("node_id")
 
@@ -75,34 +75,6 @@ class SimulationStallError(RuntimeError):
     so a stall (a routing deadlock, a wiring bug, or an unhandled fault
     scenario) is debuggable from the exception alone.
     """
-
-
-class _EngineStats:
-    """Process-wide cycle accounting (benchmark/perf-trajectory artifacts)."""
-
-    __slots__ = ("cycles_executed", "cycles_skipped")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.cycles_executed = 0
-        self.cycles_skipped = 0
-
-    @property
-    def cycles_total(self) -> int:
-        return self.cycles_executed + self.cycles_skipped
-
-    def snapshot(self) -> dict:
-        return {
-            "cycles_executed": self.cycles_executed,
-            "cycles_skipped": self.cycles_skipped,
-        }
-
-
-#: Aggregated over every ``Engine.run`` call in this process (per process —
-#: parallel sweep workers each keep their own).
-ENGINE_STATS = _EngineStats()
 
 
 class Engine:
@@ -158,23 +130,15 @@ class Engine:
         #: Cycles ``run`` advanced without executing (the warped-over ones).
         self.cycles_skipped = 0
         self._last_progress_cycle = 0
-        # The network-wide hook is a bound-method cache: ``None`` for the
-        # mechanisms that declare no per-cycle work (MIN/VAL/OLM/Base/Hybrid).
-        # A mechanism that overrides post_cycle without declaring the flag
-        # would silently lose its broadcasts — refuse to run it.  (Fires on
-        # every backend: ``SoAEngine.__init__`` runs this constructor first.)
+        # The network-wide hook is a bound-method cache: ``None`` unless the
+        # mechanism overrides post_cycle (PB, ECtN), so MIN/VAL/OLM/Base/Hybrid
+        # pay nothing per cycle for it.  (Set on every backend:
+        # ``SoAEngine.__init__`` runs this constructor first.)
         routing = network.routing
         from repro.routing.base import RoutingAlgorithm as _Base
 
-        if (
-            not routing.needs_post_cycle
-            and type(routing).post_cycle is not _Base.post_cycle
-        ):
-            raise TypeError(
-                f"{type(routing).__name__} overrides post_cycle but does not "
-                "declare needs_post_cycle = True"
-            )
-        self._post_cycle = routing.post_cycle if routing.needs_post_cycle else None
+        overrides = type(routing).post_cycle is not _Base.post_cycle
+        self._post_cycle = routing.post_cycle if overrides else None
         # Work-horizon hints, filled in by ``step``: the earliest scheduled
         # router event (``None``: the backend left none, ask
         # ``_router_horizon``) and the earliest pending node injection.
@@ -202,71 +166,63 @@ class Engine:
         with the warp on or off and on every backend.
         """
         end = self.cycle + cycles
-        start_cycle = self.cycle
-        skipped_before = self.cycles_skipped
         self._hint_valid = False
-        try:
-            if not self.time_warp:
-                while self.cycle < end:
-                    if until is not None and until():
-                        break
-                    self.step()
-                return
-            traffic = self.traffic
+        if not self.time_warp:
             while self.cycle < end:
                 if until is not None and until():
                     break
-                cycle = self.cycle
-                if self._hint_valid:
-                    horizon = self._hint_router_event
-                    if horizon is None:
-                        horizon = self._router_horizon(cycle)
-                    router_horizon = horizon
-                    node_hint = self._hint_node_injection
-                    if node_hint < horizon:
-                        horizon = node_hint
-                    if self.faults is not None:
-                        # A scheduled fail/repair event is work: never warp
-                        # past it (the topology changes at that cycle).
-                        fault_event = self.faults.pending_event_cycle
-                        if fault_event < horizon:
-                            horizon = fault_event
-                    if horizon > cycle:
-                        # Routers and nodes are quiet: consult the (cheap)
-                        # routing-broadcast and pre-sampled-arrival horizons.
-                        if self._post_cycle is not None:
-                            hook = self._post_cycle_horizon(cycle, router_horizon)
-                            if hook is not None and hook < horizon:
-                                horizon = hook
-                        arrival = traffic.next_arrival_cycle(cycle, end)
-                        if arrival is not None and arrival < horizon:
-                            horizon = arrival
-                else:
-                    horizon = self._work_horizon(cycle, end)
-                if horizon <= cycle:
-                    self.step()
-                    continue
-                target = horizon if horizon < end else end
-                watchdog = self.stall_watchdog_cycles
-                if watchdog is not None:
-                    deadline = self._last_progress_cycle + watchdog
-                    if target > deadline:
-                        if deadline <= cycle:
-                            # The deadline passed without a delivery: either
-                            # the network is empty (marker resets, warp goes
-                            # on) or this is a genuine stall (raises).
-                            self._check_watchdog(cycle)
-                            continue
-                        target = deadline
-                if self.obs is not None:
-                    self.obs.on_warp(cycle, target)
-                self.cycles_skipped += target - cycle
-                self.cycle = target
-        finally:
-            advanced = self.cycle - start_cycle
-            skipped = self.cycles_skipped - skipped_before
-            ENGINE_STATS.cycles_executed += advanced - skipped
-            ENGINE_STATS.cycles_skipped += skipped
+                self.step()
+            return
+        traffic = self.traffic
+        while self.cycle < end:
+            if until is not None and until():
+                break
+            cycle = self.cycle
+            if self._hint_valid:
+                horizon = self._hint_router_event
+                if horizon is None:
+                    horizon = self._router_horizon(cycle)
+                router_horizon = horizon
+                node_hint = self._hint_node_injection
+                if node_hint < horizon:
+                    horizon = node_hint
+                if self.faults is not None:
+                    # A scheduled fail/repair event is work: never warp
+                    # past it (the topology changes at that cycle).
+                    fault_event = self.faults.pending_event_cycle
+                    if fault_event < horizon:
+                        horizon = fault_event
+                if horizon > cycle:
+                    # Routers and nodes are quiet: consult the (cheap)
+                    # routing-broadcast and pre-sampled-arrival horizons.
+                    if self._post_cycle is not None:
+                        hook = self._post_cycle_horizon(cycle, router_horizon)
+                        if hook is not None and hook < horizon:
+                            horizon = hook
+                    arrival = traffic.next_arrival_cycle(cycle, end)
+                    if arrival is not None and arrival < horizon:
+                        horizon = arrival
+            else:
+                horizon = self._work_horizon(cycle, end)
+            if horizon <= cycle:
+                self.step()
+                continue
+            target = horizon if horizon < end else end
+            watchdog = self.stall_watchdog_cycles
+            if watchdog is not None:
+                deadline = self._last_progress_cycle + watchdog
+                if target > deadline:
+                    if deadline <= cycle:
+                        # The deadline passed without a delivery: either
+                        # the network is empty (marker resets, warp goes
+                        # on) or this is a genuine stall (raises).
+                        self._check_watchdog(cycle)
+                        continue
+                    target = deadline
+            if self.obs is not None:
+                self.obs.on_warp(cycle, target)
+            self.cycles_skipped += target - cycle
+            self.cycle = target
 
     # -- time warp ----------------------------------------------------------------
     def _post_cycle_horizon(self, cycle: int, router_horizon: int) -> Optional[int]:
@@ -379,9 +335,8 @@ class Engine:
         )
 
         # 4. network-wide routing hook (PB saturation ECN / ECtN broadcasts);
-        # mechanisms without per-cycle work declare needs_post_cycle=False
-        # and skip the call entirely.  The hooks write only the mechanism's
-        # own tables.
+        # mechanisms that do not override post_cycle skip the call entirely.
+        # The hooks write only the mechanism's own tables.
         if self._post_cycle is not None:
             self._post_cycle(network, cycle)
 

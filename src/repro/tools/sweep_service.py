@@ -4,8 +4,7 @@
 :class:`~repro.service.client.CachingSweepExecutor` backed by an on-disk
 :class:`~repro.service.cache.DirectoryResultCache`, prints the report
 table, and emits a telemetry document (hit/miss counters, wall seconds,
-and optionally the committed BENCH baseline for context — the perf
-artifact as *live* service telemetry instead of a CI-only file).  A second
+cache size).  A second
 ``run`` against the same cache directory is a warm replay: every repeated
 point is served from the content-addressed store, bit-identical to the
 cold computation.
@@ -107,23 +106,6 @@ def run_experiment(
     raise ValueError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
 
 
-def _bench_baseline_excerpt(path: Path) -> dict:
-    """Committed BENCH artifact condensed for the telemetry document."""
-    doc = json.loads(path.read_text())
-    return {
-        "path": str(path),
-        "schema": doc.get("schema"),
-        "tests": {
-            name: {
-                "seconds": entry.get("seconds"),
-                "cycles_per_second": entry.get("cycles_per_second"),
-                "backend": entry.get("backend"),
-            }
-            for name, entry in doc.get("tests", {}).items()
-        },
-    }
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     cache = DirectoryResultCache(args.cache_dir)
     executor = CachingSweepExecutor(cache=cache, workers=args.workers)
@@ -158,8 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "cache_dir": str(cache.root),
         "cache_entries": len(cache),
     }
-    if args.bench_baseline is not None:
-        telemetry["bench_baseline"] = _bench_baseline_excerpt(args.bench_baseline)
 
     if not args.quiet:
         print(report)
@@ -255,12 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-dir", required=True, type=Path)
     run.add_argument("--rows-out", type=Path, default=None, help="write rows JSON")
     run.add_argument("--telemetry-out", type=Path, default=None)
-    run.add_argument(
-        "--bench-baseline",
-        type=Path,
-        default=None,
-        help="embed this BENCH_*.json perf artifact into the telemetry",
-    )
     run.add_argument(
         "--expect-rows",
         type=Path,

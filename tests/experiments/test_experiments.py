@@ -87,6 +87,14 @@ class TestSweep:
         assert len(rows) == 2  # 2 routings x 1 load
         assert {row["routing"] for row in rows} == {"MIN", "Base"}
 
+    def test_load_sweep_explicit_loads_replace_the_scale_loads(self):
+        """One row per routing and given load; the scale's loads are unused."""
+        rows = load_sweep(FAST_SCALE, ["MIN", "Base"], "UN", loads=(0.05, 0.1))
+        assert len(rows) == 4
+        assert {(row["routing"], row["offered_load"]) for row in rows} == {
+            ("MIN", 0.05), ("MIN", 0.1), ("Base", 0.05), ("Base", 0.1),
+        }
+
 
 class TestFigureHarnesses:
     def test_run_figure5_rows(self):
@@ -100,10 +108,17 @@ class TestFigureHarnesses:
         assert len(rows) == 2
         assert {row["uniform_fraction"] for row in rows} == {0.0, 1.0}
 
-    def test_run_figure10_includes_reference_and_thresholds(self):
-        rows = run_figure10(pattern="UN", thresholds=(2, 3), scale=FAST_SCALE)
+    @pytest.mark.parametrize(
+        "pattern,thresholds,reference",
+        [("UN", (2, 3, 5), "MIN"), ("ADV+1", (3, 5, 8), "VAL")],
+        ids=["fig10a_UN", "fig10b_ADV1"],
+    )
+    def test_run_figure10_includes_reference_and_thresholds(
+        self, pattern, thresholds, reference
+    ):
+        rows = run_figure10(pattern=pattern, thresholds=thresholds, scale=FAST_SCALE)
         names = {row["routing"] for row in rows}
-        assert "Base(th=2)" in names and "Base(th=3)" in names and "MIN" in names
+        assert {f"Base(th={t})" for t in thresholds} | {reference} <= names
 
     def test_oscillation_amplitude(self):
         series = {"mean_latency": [100.0, 200.0, 150.0, 160.0, 155.0, 150.0]}

@@ -21,6 +21,7 @@ from repro.config.parameters import (
     SimulationParameters,
     TorusConfig,
 )
+from repro.experiments import run_cross_topology
 from repro.simulation.simulator import Simulator
 
 
@@ -50,6 +51,7 @@ class TestFlattenedButterflyCrossover:
         assert min_result.accepted_load < 0.27
         assert val_result.accepted_load > 1.2 * min_result.accepted_load
         assert val_result.mean_latency < min_result.mean_latency
+        assert min_result.global_misroute_fraction == 0.0
 
     def test_ugal_tracks_the_better_mechanism(self, fb_params):
         min_result = _steady(fb_params, "MIN", "ADV+1", 0.35)
@@ -141,6 +143,7 @@ class TestFatTreeContentionCrossover:
         assert hybrid_result.accepted_load >= 1.3 * min_result.accepted_load
         # A fat tree has no global links: every divert is a local misroute
         # onto a sibling uplink.
+        assert min_result.global_misroute_fraction == 0.0
         assert base_result.global_misroute_fraction == 0.0
         assert base_result.local_misroute_fraction > 0.0
 
@@ -179,6 +182,9 @@ class TestTorusCrossover:
         assert min_result.accepted_load < 0.14
         assert val_result.accepted_load > 1.5 * min_result.accepted_load
         assert val_result.mean_latency < min_result.mean_latency
+        # No global links: neither mechanism misroutes globally.
+        assert min_result.global_misroute_fraction == 0.0
+        assert val_result.global_misroute_fraction == 0.0
 
     def test_ugal_tracks_the_better_mechanism(self, torus_params):
         min_result = _steady(torus_params, "MIN", "ADV+h", 0.25)
@@ -194,3 +200,39 @@ class TestTorusCrossover:
         assert min_result.global_misroute_fraction == 0.0
         assert val_result.global_misroute_fraction == 0.0
         assert val_result.local_misroute_fraction > 0.5
+
+
+@pytest.mark.parametrize(
+    "topology,routing,pattern",
+    [
+        ("flattened_butterfly", "VAL", "ADV+1"),
+        ("torus", "VAL", "ADV+h"),
+        ("torus", "Base", "ADV+h"),
+        ("fat_tree", "Base", "ADV+1"),
+    ],
+)
+def test_cross_topology_sweep_has_the_adversarial_shape(
+    steady_scale, topology, routing, pattern
+):
+    """The cross-topology sweep harness, MIN against a nonminimal mechanism
+    under each topology's adversary: one row per routing and load, all
+    tagged with the topology; at the highest load the nonminimal mechanism
+    delivers at least 95 % of MIN's throughput.  MIN never misroutes
+    globally, and on the torus and the fat tree (no global links) neither
+    does the other mechanism."""
+    rows = run_cross_topology(
+        topologies=(topology,), routings=("MIN", routing), pattern=pattern,
+        scale=steady_scale,
+    )
+    assert len(rows) == 2 * len(steady_scale.adv_loads)
+    assert all(row["topology"] == topology for row in rows)
+    high_load = max(steady_scale.adv_loads)
+    accepted = {
+        row["routing"]: row["accepted_load"]
+        for row in rows
+        if row["offered_load"] == high_load
+    }
+    assert accepted[routing] >= 0.95 * accepted["MIN"]
+    for row in rows:
+        if row["routing"] == "MIN" or topology != "flattened_butterfly":
+            assert row["global_misroute_fraction"] == 0.0, row["routing"]

@@ -12,6 +12,7 @@ from statistics import mean
 import pytest
 
 from repro.config.parameters import SimulationParameters
+from repro.experiments import run_fault_sweep
 from repro.simulation.simulator import Simulator
 from repro.topology.faults import FaultModel
 from repro.topology.registry import topology_preset
@@ -50,3 +51,24 @@ class TestAdaptiveRetainsMinThroughput:
                 f"{routing} on {topology_name} at {failure_percent}% failures: "
                 f"accepted {accepted:.4f} vs MIN {min_accepted:.4f}"
             )
+
+
+@pytest.mark.parametrize("routing", ("Base", "Hybrid", "ECtN"))
+def test_degradation_sweep_reroutes_without_drops(steady_scale, routing):
+    """The degradation-curve harness, healthy vs 5 % failed links on the
+    Dragonfly: nothing drops on the connected surviving graph, the failures
+    do reroute packets, at most 20 % of the throughput is lost, and the
+    contention mechanism retains at least MIN's share."""
+    rows = run_fault_sweep(
+        scale=steady_scale, routings=("MIN", routing), failure_percents=(0.0, 5.0)
+    )
+    assert len(rows) == 4
+    assert all(not row["failures"] for row in rows)
+    assert all(row["dropped_packets"] == 0 for row in rows)
+    faulted = {row["routing"]: row for row in rows if row["link_failure_percent"] == 5.0}
+    assert all(row["fault_rerouted_packets"] > 0 for row in faulted.values())
+    assert all(row["throughput_retained"] >= 0.8 for row in faulted.values())
+    assert (
+        faulted[routing]["throughput_retained"]
+        >= 0.95 * faulted["MIN"]["throughput_retained"]
+    )

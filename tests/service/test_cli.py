@@ -90,27 +90,6 @@ class TestRunCommand:
     def test_speedup_without_cold_telemetry_is_a_usage_error(self, tmp_path):
         assert main(_run_args(tmp_path, "--assert-min-speedup", "10")) == 1
 
-    def test_bench_baseline_is_embedded(self, tmp_path):
-        baseline = tmp_path / "BENCH_fake.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema": "bench-trajectory-v3",
-                    "tests": {
-                        "t": {"seconds": 1.5, "cycles_per_second": 2.0, "backend": "soa"}
-                    },
-                }
-            )
-        )
-        tele = tmp_path / "tele.json"
-        args = _run_args(
-            tmp_path, "--bench-baseline", str(baseline), "--telemetry-out", str(tele)
-        )
-        assert main(args) == 0
-        doc = json.loads(tele.read_text())
-        assert doc["bench_baseline"]["schema"] == "bench-trajectory-v3"
-        assert doc["bench_baseline"]["tests"]["t"]["seconds"] == 1.5
-
 
 class TestAdminCommands:
     def test_stats_prune_clear_cycle(self, tmp_path, capsys):

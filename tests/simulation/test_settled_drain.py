@@ -19,7 +19,6 @@ import pytest
 from repro.config.parameters import SimulationParameters
 from repro.metrics.collector import MetricsCollector
 from repro.service.keys import result_fingerprint
-from repro.simulation.engine import ENGINE_STATS
 from repro.simulation.simulator import Simulator
 from repro.topology.faults import FaultModel
 from repro.topology.registry import topology_preset
@@ -174,26 +173,43 @@ class TestStopCycle:
 
 
 # ------------------------------------------------------------------ slow grid
+def _sweep_simulator(spec):
+    """The simulator ``parallel.run_steady_point`` builds for ``spec``."""
+    return Simulator(
+        spec.params,
+        spec.routing,
+        pattern=spec.pattern,
+        offered_load=spec.offered_load,
+        seed=spec.seed,
+        pattern_factory=spec.pattern_factory,
+        fault_model=spec.fault_model,
+    )
+
+
 def _benchmark_points():
     """The points of the repo benchmark's simulating workloads, as
-    ``(id, callable returning the result)``; needs the checkout's ``perf/``."""
+    ``(id, build, run)``: ``build()`` returns the point's simulator and
+    ``run(sim)`` its result.  Needs the checkout's ``perf/``."""
     workloads = pytest.importorskip("perf.workloads")
-    from repro.experiments import parallel
 
     ctx = workloads.Context(seed=1, quick=False, out=Path("unused"))
     sweep = workloads.SweepCold(ctx)
     for index, spec in enumerate(sweep.specs):
-        yield f"sweep-{index}", lambda spec=spec: parallel.run_steady_point(spec)
+        yield f"sweep-{index}", lambda spec=spec: _sweep_simulator(spec), (
+            lambda sim, spec=spec: sim.run_steady_state(
+                spec.warmup_cycles, spec.measure_cycles
+            )
+        )
     steady = workloads.SteadyUn(ctx)
     for routing, load in steady.grid:
-        yield f"steady-{routing}-{load}", lambda r=routing, l=load: steady._run(
-            steady._simulator(r, l)
-        )
+        yield f"steady-{routing}-{load}", (
+            lambda r=routing, l=load: steady._simulator(r, l)
+        ), steady._run
     transient = workloads.TransientAdv(ctx)
     for routing in workloads.TRANSIENT_ROUTINGS:
-        yield f"transient-{routing}", lambda r=routing: transient._run(
-            transient._simulator(r)
-        )
+        yield f"transient-{routing}", (
+            lambda r=routing: transient._simulator(r)
+        ), transient._run
 
 
 @pytest.mark.slow
@@ -201,15 +217,14 @@ def test_benchmark_sized_grids_equal_fixed_drain(fixed_drain):
     """Every point of ``sweep_cold``, ``steady_un`` and ``transient_adv``:
     the settled drain returns the fixed drain's result in fewer cycles."""
 
-    def timed(point):
-        before = ENGINE_STATS.cycles_total
-        result = point()
-        return result_fingerprint(result), ENGINE_STATS.cycles_total - before
+    def timed(build, run):
+        sim = build()
+        return result_fingerprint(run(sim)), sim.engine.cycle
 
     saved = settled_early = points = 0
-    for name, point in _benchmark_points():
-        (digest, cycles), (fixed_digest, fixed_cycles) = timed(point), fixed_drain(
-            lambda: timed(point)
+    for name, build, run in _benchmark_points():
+        (digest, cycles), (fixed_digest, fixed_cycles) = timed(build, run), fixed_drain(
+            lambda: timed(build, run)
         )
         assert digest == fixed_digest, name
         assert cycles <= fixed_cycles, name

@@ -12,9 +12,9 @@ import pytest
 from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet
 from repro.routing import ROUTING_REGISTRY
-from repro.routing.base import RoutingAlgorithm
 from repro.simulation.engine import SimulationStallError
 from repro.simulation.simulator import Simulator
+from repro.simulation.soa import SoAEngine
 from repro.traffic.bernoulli import BernoulliTrafficGenerator
 from repro.traffic.uniform import UniformTraffic
 
@@ -191,30 +191,39 @@ class TestRoutingHorizons:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2], "the run must end with flag updates in flight"
 
-    def test_every_post_cycle_override_declares_needs_post_cycle(self):
-        for name, cls in ROUTING_REGISTRY.items():
-            overrides = cls.post_cycle is not RoutingAlgorithm.post_cycle
-            assert overrides == cls.needs_post_cycle, (
-                f"{name}: post_cycle override and needs_post_cycle disagree"
-            )
-
-    def test_engine_rejects_undeclared_post_cycle_override(self, tiny_params):
-        """Overriding post_cycle without the flag must fail fast, not silently
-        drop the broadcasts."""
+    @staticmethod
+    def _with_counting_hook(params, backend):
+        """A simulator whose routing is MIN plus an undeclared ``post_cycle``
+        override that counts its calls."""
         from repro.routing.minimal import MinimalRouting
 
-        class Sneaky(MinimalRouting):
-            name = "sneaky"
+        class Counting(MinimalRouting):
+            name = "counting"
+            calls = 0
 
-            def post_cycle(self, network, cycle):  # pragma: no cover - never runs
-                pass
+            def post_cycle(self, network, cycle):
+                self.calls += 1
 
-        sim = Simulator(tiny_params, "MIN", "UN", offered_load=0.0, seed=1)
-        sneaky = Sneaky(sim.topology, tiny_params, sim.rng)
-        sim.network.routing = sneaky
-        # The session's backend: the check lives in the shared constructor.
-        with pytest.raises(TypeError, match="needs_post_cycle"):
-            type(sim.engine)(sim.network, sim.traffic)
+        sim = Simulator(
+            params.with_backend(backend), "MIN", "UN", offered_load=0.2, seed=1
+        )
+        sim.network.routing = Counting(sim.topology, params, sim.rng)
+        return sim
+
+    def test_a_post_cycle_override_is_called_once_per_executed_cycle(self, tiny_params):
+        """Overriding post_cycle is all a mechanism does to get the hook: on
+        ``object`` it runs every executed cycle."""
+        sim = self._with_counting_hook(tiny_params, "object")
+        engine = type(sim.engine)(sim.network, sim.traffic)
+        engine.run(300)
+        assert sim.network.routing.calls == engine.cycle - engine.cycles_skipped == 300
+
+    def test_soa_refuses_a_post_cycle_override_it_cannot_transcribe(self, tiny_params):
+        """``soa`` has no transcription of a hook it does not know, so it
+        refuses the mechanism rather than silently dropping the hook."""
+        sim = self._with_counting_hook(tiny_params, "soa")
+        with pytest.raises(ValueError, match="no transcription of the post_cycle hook"):
+            SoAEngine(sim.network, sim.traffic)
 
 
 # ---------------------------------------------------- block-sampled arrivals

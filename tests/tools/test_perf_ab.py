@@ -1,6 +1,7 @@
-"""``tools/perf_ab.py``: the planned run order and the engine probe (nothing is
-cloned, no benchmark is run)."""
+"""``tools/perf_ab.py``: the planned run order, the engine probe and a hung
+run (nothing is cloned, no benchmark is run)."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -34,16 +35,50 @@ def test_defaults_are_ten_pairs_on_seed_one():
     assert sum(line.endswith("then A=parent") for line in lines) == 5
 
 
-def test_engine_probe_names_the_engine_and_its_core():
-    """The report line that makes a silent ``object`` fallback visible: here,
-    on this checkout, it names whichever of the two is the case."""
-    import importlib.util
-
+def _load_tool():
     spec = importlib.util.spec_from_file_location("perf_ab", TOOL)
     perf_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perf_ab)
-    line = perf_ab.probe_engine(TOOL.parents[1])
+    return perf_ab
+
+
+def test_engine_probe_names_the_engine_and_its_core():
+    """The report line that makes a silent ``object`` fallback visible: here,
+    on this checkout, it names whichever of the two is the case."""
+    line = _load_tool().probe_engine(TOOL.parents[1])
     assert line in (
         "SoAEngine, compiled core repro.simulation.soa._core",
         "Engine: soa FELL BACK, its compiled core is unavailable",
     )
+
+
+def _hang(args, **kwargs):
+    raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+
+def test_a_hung_run_is_one_failed_operation(monkeypatch, tmp_path):
+    """A run past the timeout is recorded, not raised: one hung run must not
+    throw away the pairs already measured."""
+    perf_ab = _load_tool()
+    monkeypatch.setattr(perf_ab.subprocess, "run", _hang)
+    assert perf_ab.run_once(tmp_path, "steady_un", 1, tmp_path / "out") == {
+        "failed": 1, "metrics": {},
+    }
+
+
+def test_a_run_that_writes_no_result_is_one_failed_operation(monkeypatch, tmp_path):
+    """A run that exits without a ``results.json`` counts the same way."""
+    perf_ab = _load_tool()
+    monkeypatch.setattr(
+        perf_ab.subprocess, "run",
+        lambda args, **kwargs: subprocess.CompletedProcess(args, 1),
+    )
+    assert perf_ab.run_once(tmp_path, "steady_un", 1, tmp_path / "out") == {
+        "failed": 1, "metrics": {},
+    }
+
+
+def test_a_hung_probe_reads_probe_failed(monkeypatch, tmp_path):
+    perf_ab = _load_tool()
+    monkeypatch.setattr(perf_ab.subprocess, "run", _hang)
+    assert perf_ab.probe_engine(tmp_path) == "probe failed"

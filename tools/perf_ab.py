@@ -73,10 +73,13 @@ def probe_engine(checkout: Path) -> str:
     """Which engine ``soa`` is in ``checkout`` (this also builds its core)."""
     env = {k: v for k, v in os.environ.items() if k != "REPRO_BACKEND"}
     env["PYTHONPATH"] = str(checkout / "src")
-    done = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", ENGINE_PROBE],
-        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S,
-    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", ENGINE_PROBE],
+            cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "probe failed"
     if done.returncode != 0 or not done.stdout.strip():
         return "probe failed"
     engine, core = done.stdout.split()
@@ -86,15 +89,17 @@ def probe_engine(checkout: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, out: Path) -> Dict:
-    """One ``perf/run.py`` run in ``checkout``; its result document."""
-    subprocess.run(
-        [sys.executable, "perf/run.py", "--workload", workload, "--trace", "0",
-         "--seed", str(seed), "--out", str(out)],
-        cwd=checkout, stdout=subprocess.DEVNULL, timeout=RUN_TIMEOUT_S,
-    )
+    """One ``perf/run.py`` run in ``checkout``; its result document.  A run
+    that crashes, hangs past ``RUN_TIMEOUT_S`` or writes no result counts as
+    one failed operation, so the pairs already measured are kept."""
     try:
+        subprocess.run(
+            [sys.executable, "perf/run.py", "--workload", workload, "--trace", "0",
+             "--seed", str(seed), "--out", str(out)],
+            cwd=checkout, stdout=subprocess.DEVNULL, timeout=RUN_TIMEOUT_S,
+        )
         return json.loads((out / "results.json").read_text())["workloads"][workload]
-    except (OSError, ValueError, KeyError):
+    except (subprocess.TimeoutExpired, OSError, ValueError, KeyError):
         return {"failed": 1, "metrics": {}}
 
 
