@@ -66,8 +66,6 @@ from repro.routing.base import (
 )
 from repro.routing.misrouting import (
     MisrouteCandidate,
-    compute_global_candidates,
-    compute_local_candidates,
     compute_ring_escape_candidates,
     compute_uplink_candidates,
 )
@@ -163,14 +161,19 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
                         f"up/down VCs {vcs}"
                     )
         else:
-            # Candidate sets are pure functions of their key for a fixed
-            # topology; memoizing them removes a per-blocked-head-per-cycle
-            # enumeration from the allocation hot path.  Callers must not
-            # mutate the cached lists.
-            self._global_candidates_cache: Dict[
-                Tuple[int, int, int, bool], List[MisrouteCandidate]
-            ] = {}
-            self._local_candidates_cache: Dict[int, List[MisrouteCandidate]] = {}
+            # One candidate tuple per router, shared by every routing key:
+            # the router's global ports with the group each reaches, then the
+            # local ports (the same objects on every router).  The candidate
+            # lists are filtered views of it, and the SoA core walks it and
+            # skips the excluded ports in place.  Built on a router's first
+            # use: most routers of a short paper-scale run never ask.
+            self._num_global_ports = len(topology.global_ports)
+            self._local_candidates = tuple(
+                MisrouteCandidate(port, _LOCAL, None) for port in topology.local_ports
+            )
+            self._router_candidates: List[Optional[Tuple[MisrouteCandidate, ...]]] = [
+                None
+            ] * topology.num_routers
             self._routers_per_group = topology.routers_per_region
             self._nodes_per_group = (
                 topology.nodes_per_router * topology.routers_per_region
@@ -181,26 +184,46 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
             self._towards_cache: Dict[Tuple[int, int], Tuple[int, bool]] = {}
 
     # ------------------------------------------------------ candidate lookups
+    def router_candidates(self, router_id: int) -> Tuple[MisrouteCandidate, ...]:
+        """The shared candidate tuple of ``router_id``: its global ports with
+        the group each reaches, then the local ports."""
+        candidates = self._router_candidates[router_id]
+        if candidates is None:
+            topology = self.topology
+            candidates = self._router_candidates[router_id] = tuple(
+                MisrouteCandidate(port, _GLOBAL, topology.port_target_region(router_id, port))
+                for port in topology.global_ports
+            ) + self._local_candidates
+        return candidates
+
     def global_candidates(
         self, router_id: int, dst_group: int, minimal_port: int, allow_local_proxy: bool
     ) -> List[MisrouteCandidate]:
-        """Memoized MM+L global-misroute candidate set (do not mutate)."""
-        key = (router_id, dst_group, minimal_port, allow_local_proxy)
-        candidates = self._global_candidates_cache.get(key)
-        if candidates is None:
-            candidates = compute_global_candidates(
-                self.topology, router_id, dst_group, minimal_port, allow_local_proxy
-            )
-            self._global_candidates_cache[key] = candidates
+        """The MM+L global-misroute candidates of one routing key, in
+        :func:`compute_global_candidates`'s order: the router's shared tuple
+        without the minimal port, without the global ports into the
+        destination or the current group, and without the local ports unless
+        ``allow_local_proxy``."""
+        shared = self.router_candidates(router_id)
+        current_group = router_id // self._routers_per_group
+        split = self._num_global_ports
+        candidates = [
+            candidate
+            for candidate in shared[:split]
+            if candidate.port != minimal_port
+            and candidate.target_group != dst_group
+            and candidate.target_group != current_group
+        ]
+        if allow_local_proxy:
+            candidates += [c for c in shared[split:] if c.port != minimal_port]
         return candidates
 
     def local_candidates(self, minimal_port: int) -> List[MisrouteCandidate]:
-        """Memoized local-detour candidate set (do not mutate)."""
-        candidates = self._local_candidates_cache.get(minimal_port)
-        if candidates is None:
-            candidates = compute_local_candidates(self.topology, minimal_port)
-            self._local_candidates_cache[minimal_port] = candidates
-        return candidates
+        """The local-detour candidates of one minimal port: the local ports
+        but the minimal one (none unless the minimal port is local)."""
+        if self.topology.port_kinds[minimal_port] is not _LOCAL:
+            return []
+        return [c for c in self._local_candidates if c.port != minimal_port]
 
     # ----------------------------------------------------------------- hooks
     def on_packet_arrival(

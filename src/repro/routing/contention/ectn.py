@@ -77,8 +77,10 @@ class ECtNRouting(BaseContentionRouting):
         self._first_global_port = min(topology.global_ports)
         self._h = topology.config.h
         self._combined_threshold = params.ectn_combined_threshold
-        # (group, dst_group) -> group-local link offset (static per topology).
-        self._dest_offset_cache: Dict[int, int] = {}
+        # Group-local offset of the link between two groups (the topology's
+        # table, which the SoA core reads too).
+        self._link_offsets = topology.group_link_offsets
+        self._num_groups = topology.num_groups
 
     # ----------------------------------------------------------- thresholds
     @property
@@ -99,9 +101,7 @@ class ECtNRouting(BaseContentionRouting):
     # ------------------------------------------------------------- link ids
     def link_offset_for_destination(self, group: int, dst_group: int) -> int:
         """Group-local offset of the global link from ``group`` to ``dst_group``."""
-        gw_router, gw_port = self.topology.global_link_endpoint(group, dst_group)
-        pos = self.topology.router_position(gw_router)
-        return pos * self.topology.config.h + (gw_port - self._first_global_port)
+        return self._link_offsets[group * self._num_groups + dst_group]
 
     def link_offset_for_port(self, router_id: int, port: int) -> int:
         pos = self.topology.router_position(router_id)
@@ -188,11 +188,7 @@ class ECtNRouting(BaseContentionRouting):
             group = rid // self._routers_per_group
             dst_group = packet.dst // self._nodes_per_group
             combined = self.combined[group]
-            offset_key = group * topo.num_groups + dst_group
-            min_offset = self._dest_offset_cache.get(offset_key)
-            if min_offset is None:
-                min_offset = self.link_offset_for_destination(group, dst_group)
-                self._dest_offset_cache[offset_key] = min_offset
+            min_offset = self._link_offsets[group * self._num_groups + dst_group]
             threshold = self._combined_threshold
             if combined[min_offset] > threshold:
                 pos_base = (rid % self._routers_per_group) * self._h - self._first_global_port

@@ -53,10 +53,10 @@ def compute_global_candidates(
     """Enumerate the MM+L global-misroute candidates for one routing key.
 
     Pure function of ``(router_id, dst_group, minimal_port,
-    allow_local_proxy)`` for a given topology, which is what lets
-    :class:`~repro.routing.adaptive.AdaptiveInTransitRouting` memoize the
-    candidate lists instead of re-enumerating them for every blocked head
-    every cycle.
+    allow_local_proxy)`` for a given topology: the reference enumeration.
+    :class:`~repro.routing.adaptive.AdaptiveInTransitRouting` answers every
+    key as a filtered view of one shared candidate tuple per router, and the
+    tests hold the views to this function.
     """
     current_group = topology.router_region(router_id)
     candidates: List[MisrouteCandidate] = []

@@ -70,12 +70,17 @@ class PiggybackRouting(UGALRouting):
         # notification delay as one local link latency.
         self._pending: Deque[Tuple[int, int, List[bool]]] = deque()
         self.notification_delay = params.local_link_latency
+        self._first_global_port = min(topology.global_ports)
+        # Group-local offset of the link between two groups (the topology's
+        # table): the flag of a source's minimal global link.
+        self._link_offsets = topology.group_link_offsets
+        self._num_groups = topology.num_groups
 
     # ------------------------------------------------------------------ flags
     def global_link_offset(self, router_id: int, port: int) -> int:
         """Group-local index of the global link at ``(router_id, port)``."""
         pos = self.topology.router_position(router_id)
-        return pos * self.topology.config.h + (port - min(self.topology.global_ports))
+        return pos * self.topology.config.h + (port - self._first_global_port)
 
     def is_saturated(self, group: int, offset: int) -> bool:
         return self._flags[group][offset]
@@ -87,7 +92,7 @@ class PiggybackRouting(UGALRouting):
         """Recompute saturation flags and deliver them after the ECN delay."""
         topo = self.topology
         h = topo.config.h
-        first_global = min(topo.global_ports)
+        first_global = self._first_global_port
         scanned = []
         for group in range(topo.num_groups):
             flags = [False] * topo.global_links_per_group
@@ -143,8 +148,6 @@ class PiggybackRouting(UGALRouting):
         topo = self.topology
         src_group = topo.router_group(router.router_id)
         dst_group = topo.node_group(packet.dst)
-        gw_router, gw_port = topo.global_link_endpoint(src_group, dst_group)
-        offset = self.global_link_offset(gw_router, gw_port)
-        if self.is_saturated(src_group, offset):
+        if self._flags[src_group][self._link_offsets[src_group * self._num_groups + dst_group]]:
             return True
         return self._ugal_prefers_valiant(router, packet, intermediate)

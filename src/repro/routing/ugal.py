@@ -49,6 +49,11 @@ class UGALRouting(ValiantRouting):
     name = "UGAL"
     needs_extra_local_vc = True
 
+    def __init__(self, topology, params, rng):
+        super().__init__(topology, params, rng)
+        #: ``T`` of the queue comparison, in phits.
+        self._valiant_threshold = params.pb_offset_threshold * params.packet_size_phits
+
     # -------------------------------------------------------------- injection
     def on_inject(self, router: "Router", packet: Packet, cycle: int) -> None:
         RoutingAlgorithm.on_inject(self, router, packet, cycle)
@@ -86,21 +91,17 @@ class UGALRouting(ValiantRouting):
 
         min_port = topo.minimal_output_port(rid, packet.dst)
         q_min = router.output_occupancy(min_port)
-        len_min = len(topo.minimal_router_path(rid, dst_router)) - 1 + 1
+        len_min = topo.router_hops(rid, dst_router) + 1
 
         if intermediate == rid:
-            val_port = min_port
             q_val = q_min
             len_val = len_min
         else:
             val_port = topo.minimal_route_to_router(rid, intermediate)
             q_val = router.output_occupancy(val_port)
             len_val = (
-                len(topo.minimal_router_path(rid, intermediate))
-                - 1
-                + len(topo.minimal_router_path(intermediate, dst_router))
-                - 1
+                topo.router_hops(rid, intermediate)
+                + topo.router_hops(intermediate, dst_router)
                 + 1
             )
-        threshold = self.params.pb_offset_threshold * self.params.packet_size_phits
-        return q_min * len_min > q_val * len_val + threshold
+        return q_min * len_min > q_val * len_val + self._valiant_threshold

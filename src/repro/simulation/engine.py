@@ -16,9 +16,10 @@ time the ``object`` backend.  ``step`` advances the whole network one cycle:
 
 A backend supplies the router state it steps (built once, when the engine is
 constructed: here the ``Router`` graph of the network, in ``SoAEngine`` the
-flat arrays), step 2's per-node injection, step 3, the router half of the
-work horizon, the buffered-packet count and the stall census through the
-methods marked "backend seam"; ``SoAEngine`` overrides exactly those.
+flat arrays), step 2's per-node injection (the ``_inject`` function,
+``ComputeNode.try_inject`` here), step 3, the router half of the work
+horizon, the buffered-packet count and the stall census through the methods
+marked "backend seam"; ``SoAEngine`` overrides exactly those.
 
 In the object model the three router phases (``begin_cycle``, ``allocate``,
 ``transmit``) run back to back per router, in router-id order: every
@@ -59,6 +60,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.network.network import Network
+from repro.network.node import ComputeNode
 from repro.network.router import _NO_EVENT
 from repro.traffic.bernoulli import BernoulliTrafficGenerator
 
@@ -94,6 +96,7 @@ class Engine:
         "cycles_skipped",
         "_last_progress_cycle",
         "_post_cycle",
+        "_inject",
         "_hint_valid",
         "_hint_router_event",
         "_hint_node_injection",
@@ -139,6 +142,9 @@ class Engine:
 
         overrides = type(routing).post_cycle is not _Base.post_cycle
         self._post_cycle = routing.post_cycle if overrides else None
+        # Backend seam: ``inject(node, cycle)`` places the head of a
+        # backlogged node's source queue if its injection port has room.
+        self._inject = ComputeNode.try_inject
         # Work-horizon hints, filled in by ``step``: the earliest scheduled
         # router event (``None``: the backend left none, ask
         # ``_router_horizon``) and the earliest pending node injection.
@@ -315,11 +321,11 @@ class Engine:
             if network._nodes_unsorted:
                 active_nodes.sort(key=_node_id)
                 network._nodes_unsorted = False
-            try_inject = self._try_inject
+            inject = self._inject
             backlogged = []
             for node in active_nodes:
                 if cycle >= node.next_injection_cycle:
-                    try_inject(node, cycle)
+                    inject(node, cycle)
                 if node.source_queue:
                     backlogged.append(node)
                     injection = node.next_injection_cycle
@@ -362,10 +368,6 @@ class Engine:
         self.cycle = cycle + 1
 
     # -- backend seams (here: the object model) ---------------------------------
-    def _try_inject(self, node, cycle: int) -> None:
-        """Backend seam: inject the head of ``node``'s source queue if it fits."""
-        node.try_inject(cycle)
-
     def _router_phase(self, cycle: int) -> Tuple[int, int, int, Optional[int]]:
         """Backend seam: one cycle of router work.
 

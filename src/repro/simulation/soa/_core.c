@@ -7,7 +7,9 @@
  * allocator, the allocation rounds and the router-major merge walk of a
  * cycle -- and the routing work of a buffer head when the mechanism is a
  * stock one: the routing hooks, `Packet.record_hop`, the head captures of the
- * adaptive mechanisms and the triggers of their open gates.  Everything a
+ * adaptive mechanisms and the triggers of their open gates -- and an
+ * injection with its stock `on_inject`, and the topology queries of a
+ * Dragonfly from its route and link-offset tables.  Everything a
  * test or a probe reads through `st.*` therefore stays what it was: Python
  * ints in Python lists, `Packet`s in VC lists, event tuples in `cycle ->
  * [events]` dicts, row tuples in `engine._rows`.
@@ -16,8 +18,9 @@
  * its name -- resolved on every call, the way a method call resolves it -- is
  * the stock function `SoAEngine` handed over; a subclass override or a
  * wrapper on the class or the instance is called by name instead, with the
- * arguments and in the order the object engine uses.  What a stock body calls
- * that is not transcribed -- topology queries, misses of the routing's memos,
+ * arguments and in the order the object engine uses; a Dragonfly's topology
+ * queries follow the same rule.  What a stock body calls that is not
+ * transcribed -- another topology's queries, misses of the routing's memos,
  * the obs / dateline / fault sub-calls, every draw -- is a Python call made
  * from here, by name and in the body's order.  `_capture_pure`,
  * `_live_request`, `metrics.record_*` and `obs.record_*` stay Python.  The
@@ -81,11 +84,15 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(record_hop) X(is_global) X(vc) X(record_delivery) X(record_dropped) X(metrics) \
     X(obs) X(faults) X(active) X(unsorted) X(counts) X(_draws) X(_capture_pure) \
     X(_live_request) X(on_head) X(on_leave) X(decrement) X(plain_decision) \
-    X(global_candidates) X(local_candidates) X(_towards_group) X(node_region) X(ring_vc) \
+    X(global_candidates) X(local_candidates) X(router_candidates) X(_towards_group) X(ring_vc) \
     X(output_port) \
     X(_maybe_count_partial) X(_obs) X(_dateline) X(_commit_fault_hop) X(commit_ring_hop) \
-    X(record_grant) X(minimal_output_port) X(router_region) X(router_group) X(node_group) \
-    X(link_offset_for_destination) X(rng) X(integers)
+    X(record_grant) X(minimal_output_port) X(minimal_route_to_router) X(router_hops) X(_route_port) \
+    X(router_region) X(node_region) X(router_group) X(node_group) X(node_router) \
+    X(link_offset_for_destination) X(rng) X(integers) \
+    X(on_inject) X(prefers_valiant) X(_ugal_prefers_valiant) X(random_intermediate_router) \
+    X(source_queue) X(popleft) X(node_id) X(port) X(_vc_pointer) X(next_injection_cycle) \
+    X(injected_packets)
 
 #define DECLARE_NAME(n) static PyObject *s_##n;
 NAMES(DECLARE_NAME)
@@ -98,7 +105,7 @@ static PyObject *zero, *one;   /* the ints 0 and 1 */
     X(local_hops) X(global_hops) X(local_hops_in_group) X(vc_leg) X(ring_dim) \
     X(ring_crossed) X(ring_dir) X(globally_misrouted) X(locally_misrouted) \
     X(misroute_recorded_cycle) X(current_vc) X(delivered_cycle) X(contention_port) \
-    X(ectn_offset) X(must_misroute_global)
+    X(ectn_offset) X(must_misroute_global) X(injection_cycle) X(source_group)
 
 #define FIELD_ENUM(n) F_##n,
 enum { PACKET_FIELDS(FIELD_ENUM) N_FIELDS };
@@ -117,24 +124,37 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
  * (`stock["Class.name"]`), and the types and constants those answers build
  * and compare (`stock["name"]`). */
 #define STOCK_FUNCTIONS(X) \
-    X(RoutingAlgorithm, on_grant) X(Packet, record_hop) \
+    X(RoutingAlgorithm, on_grant) X(RoutingAlgorithm, on_inject) X(Packet, record_hop) \
+    X(ValiantRouting, on_inject) X(UGALRouting, on_inject) X(UGALRouting, prefers_valiant) \
+    X(UGALRouting, _ugal_prefers_valiant) X(PiggybackRouting, prefers_valiant) \
     X(AdaptiveInTransitRouting, on_packet_arrival) X(ValiantRouting, on_packet_arrival) \
+    X(AdaptiveInTransitRouting, global_candidates) \
+    X(AdaptiveInTransitRouting, local_candidates) \
     X(BaseContentionRouting, on_packet_head) X(BaseContentionRouting, on_packet_leave_input) \
     X(ECtNRouting, on_packet_head) X(ECtNRouting, on_packet_arrival) \
     X(ECtNRouting, on_packet_leave_input) X(ECtNRouting, _maybe_count_partial) \
+    X(ECtNRouting, link_offset_for_destination) \
     X(ContentionTracker, on_head) X(ContentionTracker, on_leave) \
-    X(ContentionCounters, decrement)
+    X(ContentionCounters, decrement) \
+    X(DragonflyTopology, router_region) X(DragonflyTopology, node_region) \
+    X(DragonflyTopology, router_group) X(DragonflyTopology, node_group) \
+    X(DragonflyTopology, node_router) X(DragonflyTopology, minimal_output_port) \
+    X(DragonflyTopology, minimal_route_to_router) X(DragonflyTopology, router_hops) \
+    X(DragonflyTopology, _route_port)
 #define STOCK_OBJECTS(X) \
-    X(Packet) X(RoutingDecision) X(ECtNRouting) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL)
+    X(Packet) X(RoutingDecision) X(RoutingAlgorithm) X(ValiantRouting) X(ECtNRouting) \
+    X(DragonflyTopology) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL)
 
 /* What the stock hook bodies, the triggers and the captures read off the
  * routing, bound once: the topology, and where the mechanism has them, the
- * contention tracker, its counter arrays, ECtN's partial and combined arrays
- * (`None` otherwise), and the tables and memos of the path policy. */
+ * contention tracker, its counter arrays, ECtN's partial and combined arrays,
+ * PB's flags, the routers' shared candidate tuples (`None` otherwise), the
+ * node -> router table, and the tables and memos of the path policy; and
+ * off a Dragonfly its route and link-offset tables. */
 #define ROUTING_MEMBERS(X) \
-    X(topology) X(tracker) X(counters) X(partial) X(combined) X(plain) X(global_cache) \
-    X(local_cache) X(towards_cache) X(offset_cache) X(ring_dims) X(escapes) X(node_rid) \
-    X(updown_vcs) X(uplinks)
+    X(topology) X(tracker) X(counters) X(partial) X(combined) X(flags) X(shared) X(plain) \
+    X(towards_cache) X(ring_dims) X(escapes) X(node_rid) X(updown_vcs) X(uplinks) \
+    X(route_table) X(link_offsets)
 
 /* ------------------------------------------------------------------ slots */
 /* The state members the core holds.  `active` and `unsorted` are not among
@@ -145,7 +165,7 @@ enum member_kind { LIST, DICT, TUPLE };
     X(max_credits, LIST) X(up_g, LIST) X(up_rid, LIST) X(up_lat, LIST) \
     X(out_committed, LIST) X(out_free, LIST) X(link_busy, LIST) X(link_booked, LIST) \
     X(link_lat, LIST) X(ser_fac, LIST) X(down_g, LIST) X(credit_occ, LIST) \
-    X(in_ptr, LIST) X(out_ptr, LIST) X(occ, LIST) X(new_heads, LIST) \
+    X(in_ptr, LIST) X(out_ptr, LIST) X(occ, LIST) X(new_heads, LIST) X(in_nvcs, LIST) \
     X(alloc_nvc, LIST) X(alloc_clean, LIST) X(active_flag, LIST) X(views, LIST) \
     X(cred_cal, DICT) X(arr_cal, DICT) X(svc_cal, DICT) \
     X(kind_is_injection, TUPLE) X(kind_is_global, TUPLE)
@@ -193,10 +213,16 @@ typedef struct {
     long draws; /* trigger draws not yet added to `engine._draws` */
     /* The capture (`CAPTURE_*`, -1: none) and the routing's constants it
      * reads: nodes per router, routers / nodes per group, the global and
-     * local VC counts, ECtN's groups, links per router and first global
-     * port. */
+     * local VC counts, the global ports of a shared candidate tuple, ECtN's
+     * links per router and first global port. */
     int capture;
-    long npr, rpg, npg, global_vcs, local_vcs, groups, h, first_global;
+    long npr, rpg, npg, global_vcs, local_vcs, num_global, h, first_global;
+    /* A `DragonflyTopology`'s nodes per router, routers per group, global
+     * ports per router, groups and routers (`df_a` 0 on any other topology:
+     * no topology query is answered in C there). */
+    long df_p, df_a, df_h, df_groups, df_routers;
+    /* UGAL's `T`, in phits. */
+    double valiant_threshold;
     /* `Packet` when its fields are verified `__slots__` (read at `offset`),
      * else NULL: every packet then goes through getattr / setattr. */
     PyTypeObject *packet_type;
@@ -644,15 +670,24 @@ stock(const method *m, PyObject *function)
 }
 
 /* Call what `resolve` found, `args[0]` being the object it was resolved on
- * (`PyObject_VectorcallMethod` in two steps); gives up `m`. */
-static int
-invoke(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
+ * (`PyObject_VectorcallMethod` in two steps); gives up `m`.  A new
+ * reference. */
+static PyObject *
+call_found(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
 {
     PyObject *result = m->unbound
         ? PyObject_Vectorcall(m->fn, args, nargs, kwnames)
         : PyObject_Vectorcall(m->fn, args + 1, (nargs - 1) | PY_VECTORCALL_ARGUMENTS_OFFSET,
                               kwnames);
     Py_CLEAR(m->fn);
+    return result;
+}
+
+/* `call_found` for effect. */
+static int
+invoke(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
+{
+    PyObject *result = call_found(m, args, nargs, kwnames);
     if (result == NULL)
         return -1;
     Py_DECREF(result);
@@ -704,12 +739,166 @@ invoke_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
     return invoke(m, args, nargs, NULL);
 }
 
-/* `topology.<name>(argument)`, a new reference. */
-static PyObject *
-ask_topology(Core *c, PyObject *name, PyObject *argument)
+/* ------------------------------------------------------- topology queries */
+/* While the topology resolves a query's name to the `DragonflyTopology`
+ * function `SoAEngine` handed over, the query is answered here from that
+ * function's arithmetic or tables (`df_a > 0`: a Dragonfly's constants are
+ * bound); otherwise it is the call by name, made where and as often as the
+ * Python body makes it.  Every other topology keeps the call. */
+enum query { Q_ROUTER_REGION, Q_ROUTER_GROUP, Q_NODE_REGION, Q_NODE_GROUP, Q_NODE_ROUTER };
+
+static PyObject **const query_names[] = {
+    &s_router_region, &s_router_group, &s_node_region, &s_node_group, &s_node_router};
+static const int query_stock[] = {
+    S_DragonflyTopology_router_region, S_DragonflyTopology_router_group,
+    S_DragonflyTopology_node_region, S_DragonflyTopology_node_group,
+    S_DragonflyTopology_node_router};
+
+/* Whether `m` is the stock Dragonfly function in slot `slot`. */
+static inline int
+df_stock(Core *c, const method *m, int slot)
 {
-    PyObject *args[2] = {L(c, topology), argument};
-    return call_method(name, args, 2);
+    return c->df_a > 0 && stock(m, c->o[slot]);
+}
+
+/* Call what `resolve` found on the topology with the ints `x` (and `y`
+ * where `nargs` is 2): the answer as a long; gives up `m`. */
+static int
+ask_by_name(Core *c, method *m, long x, long y, size_t nargs, long *out)
+{
+    PyObject *x_o = PyLong_FromLong(x), *y_o = nargs > 1 ? PyLong_FromLong(y) : NULL;
+    PyObject *answer = NULL;
+    int failed = -1;
+    if (x_o != NULL && (nargs < 2 || y_o != NULL)) {
+        PyObject *args[3] = {L(c, topology), x_o, y_o};
+        answer = call_found(m, args, 1 + nargs, NULL);
+    }
+    else
+        Py_CLEAR(m->fn);
+    if (answer != NULL) {
+        failed = as_long(answer, out);
+        Py_DECREF(answer);
+    }
+    Py_XDECREF(y_o);
+    Py_XDECREF(x_o);
+    return failed;
+}
+
+/* `topology.<query>(x)`: the region or group of a router or a node, or a
+ * node's router. */
+static int
+ask(Core *c, enum query q, long x, long *out)
+{
+    method m;
+    if (resolve(L(c, topology), *query_names[q], &m) < 0)
+        return -1;
+    if (!df_stock(c, &m, query_stock[q]))
+        return ask_by_name(c, &m, x, 0, 1, out);
+    Py_CLEAR(m.fn);
+    *out = pydiv(x, q == Q_NODE_ROUTER ? c->df_p
+                    : q == Q_NODE_REGION || q == Q_NODE_GROUP ? c->df_p * c->df_a : c->df_a);
+    return 0;
+}
+
+/* `DragonflyTopology._route_port(rid, dst_router)` of two distinct routers:
+ * the local port towards the destination router in its own group, else the
+ * global port of the link between the groups or the local port towards its
+ * owner. */
+static int
+df_route_port(Core *c, long rid, long dst_router, long *port)
+{
+    long a = c->df_a, group = pydiv(rid, a), dst_group = pydiv(dst_router, a);
+    long pos = pymod(rid, a), to = pymod(dst_router, a), offset;
+    if (group != dst_group) {
+        if (get_long(L(c, link_offsets), group * c->df_groups + dst_group, &offset) < 0)
+            return -1;
+        to = pydiv(offset, c->df_h);
+        if (to == pos) {
+            *port = c->df_p + a - 1 + pymod(offset, c->df_h);
+            return 0;
+        }
+    }
+    *port = c->df_p + (to < pos ? to : to - 1);
+    return 0;
+}
+
+/* `topology.minimal_output_port(rid, dst)` (`dst` a node) or, with
+ * `to_router`, `topology.minimal_route_to_router(rid, dst)`: the entry of
+ * the Dragonfly's route table, filled here on a miss while `_route_port` is
+ * stock too (else the call by name fills it). */
+static int
+route(Core *c, long rid, long dst, int to_router, long *port)
+{
+    method m;
+    if (resolve(L(c, topology), to_router ? s_minimal_route_to_router : s_minimal_output_port,
+                &m) < 0)
+        return -1;
+    if (df_stock(c, &m, to_router ? S_DragonflyTopology_minimal_route_to_router
+                                  : S_DragonflyTopology_minimal_output_port)) {
+        long dst_router = to_router ? dst : pydiv(dst, c->df_p);
+        if (!to_router && rid == dst_router) {
+            Py_CLEAR(m.fn);
+            *port = pymod(dst, c->df_p);
+            return 0;
+        }
+        if (rid != dst_router && (unsigned long)rid < (unsigned long)c->df_routers
+            && (unsigned long)dst_router < (unsigned long)c->df_routers) {
+            PyObject *table = L(c, route_table);
+            Py_ssize_t key = (Py_ssize_t)rid * c->df_routers + dst_router;
+            unsigned char entry = key < PyByteArray_GET_SIZE(table)
+                                  ? (unsigned char)PyByteArray_AS_STRING(table)[key] : 0xFF;
+            method fill;
+            int filled;
+            if (entry != 0xFF) {
+                Py_CLEAR(m.fn);
+                *port = entry;
+                return 0;
+            }
+            if (key >= PyByteArray_GET_SIZE(table) || resolve(L(c, topology), s__route_port, &fill) < 0) {
+                Py_CLEAR(m.fn);
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_IndexError, "bytearray index out of range");
+                return -1;
+            }
+            filled = stock(&fill, STOCK(c, DragonflyTopology, _route_port));
+            Py_CLEAR(fill.fn);
+            if (filled) {
+                Py_CLEAR(m.fn);
+                if (df_route_port(c, rid, dst_router, port) < 0)
+                    return -1;
+                PyByteArray_AS_STRING(table)[key] = (char)*port;
+                return 0;
+            }
+        }
+    }
+    return ask_by_name(c, &m, rid, dst, 2, port);
+}
+
+/* `topology.router_hops(a, b)`: on the Dragonfly at most one local hop to
+ * the owner of the link between the two groups, the link, at most one local
+ * hop from where it lands. */
+static int
+hops(Core *c, long a, long b, long *out)
+{
+    long group, dst_group, there, back;
+    method m;
+    if (resolve(L(c, topology), s_router_hops, &m) < 0)
+        return -1;
+    if (!df_stock(c, &m, S_DragonflyTopology_router_hops))
+        return ask_by_name(c, &m, a, b, 2, out);
+    Py_CLEAR(m.fn);
+    group = pydiv(a, c->df_a);
+    dst_group = pydiv(b, c->df_a);
+    if (a == b || group == dst_group) {
+        *out = a != b;
+        return 0;
+    }
+    if (get_long(L(c, link_offsets), group * c->df_groups + dst_group, &there) < 0
+        || get_long(L(c, link_offsets), dst_group * c->df_groups + group, &back) < 0)
+        return -1;
+    *out = 1 + (a != group * c->df_a + pydiv(there, c->df_h))
+           + (b != dst_group * c->df_a + pydiv(back, c->df_h));
+    return 0;
 }
 
 /* `AdaptiveInTransitRouting.on_packet_arrival`: a packet that reached its
@@ -717,21 +906,16 @@ ask_topology(Core *c, PyObject *name, PyObject *argument)
 static int
 group_reached(Core *c, long rid, PyObject *packet)
 {
-    PyObject *target, *rid_o, *region;
+    PyObject *target;
+    long region, wanted;
     int on = pis(c, packet, F_phase, L(c, TO_INTERMEDIATE));
     if (on <= 0)
         return on;
     if ((target = pget(c, packet, F_intermediate_group)) == NULL)
         return -1;
-    if (target == Py_None) {
-        Py_DECREF(target);
-        return 0;
-    }
-    region = (rid_o = PyLong_FromLong(rid)) == NULL ? NULL
-             : ask_topology(c, s_router_region, rid_o);
-    Py_XDECREF(rid_o);
-    on = region == NULL ? -1 : PyObject_RichCompareBool(region, target, Py_EQ);
-    Py_XDECREF(region);
+    on = target == Py_None ? 0
+         : ask(c, Q_ROUTER_REGION, rid, &region) < 0 || as_long(target, &wanted) < 0 ? -1
+         : region == wanted;
     Py_DECREF(target);
     if (on <= 0)
         return on;
@@ -787,15 +971,43 @@ partial_of(Core *c, long rid)
     return counts;
 }
 
+/* `self.link_offset_for_destination(group, dst_group)` of ECtN (a new
+ * reference): the entry of the Dragonfly's link-offset table while stock. */
+static PyObject *
+link_offset(Core *c, long group, long dst_group)
+{
+    PyObject *routing = c->o[S_routing], *group_o, *dst_o, *offset = NULL;
+    method m;
+    if (resolve(routing, s_link_offset_for_destination, &m) < 0)
+        return NULL;
+    if (c->df_a > 0 && stock(&m, STOCK(c, ECtNRouting, link_offset_for_destination))) {
+        Py_CLEAR(m.fn);
+        offset = item(L(c, link_offsets), group * c->df_groups + dst_group);
+        Py_XINCREF(offset);
+        return offset;
+    }
+    group_o = PyLong_FromLong(group);
+    dst_o = PyLong_FromLong(dst_group);
+    if (group_o != NULL && dst_o != NULL) {
+        PyObject *args[3] = {routing, group_o, dst_o};
+        offset = call_found(&m, args, 3, NULL);
+    }
+    else
+        Py_CLEAR(m.fn);
+    Py_XDECREF(dst_o);
+    Py_XDECREF(group_o);
+    return offset;
+}
+
 /* `self._maybe_count_partial(router, packet)` of ECtN's stock hooks: a
  * packet bound for another group counts on its minimal global link. */
 static int
 count_partial(Core *c, long rid, PyObject *packet)
 {
-    PyObject *routing = c->o[S_routing], *group = NULL, *dst = NULL, *dst_group = NULL;
-    PyObject *rid_o = NULL, *offset = NULL, *counts;
+    PyObject *routing = c->o[S_routing], *offset, *counts;
+    long group, dst, dst_group;
     method m;
-    int failed = -1, same;
+    int failed, same;
     if (resolve(routing, s__maybe_count_partial, &m) < 0)
         return -1;
     if (!stock(&m, STOCK(c, ECtNRouting, _maybe_count_partial))) {
@@ -805,27 +1017,17 @@ count_partial(Core *c, long rid, PyObject *packet)
     Py_CLEAR(m.fn);
     if ((same = pis(c, packet, F_ectn_offset, Py_None)) <= 0)
         return same;
-    if ((rid_o = PyLong_FromLong(rid)) == NULL
-        || (group = ask_topology(c, s_router_group, rid_o)) == NULL
-        || (dst = pget(c, packet, F_dst)) == NULL
-        || (dst_group = ask_topology(c, s_node_group, dst)) == NULL
-        || (same = PyObject_RichCompareBool(dst_group, group, Py_EQ)) < 0)
-        goto done;
-    if (!same) {
-        PyObject *args[3] = {routing, group, dst_group};
-        if ((offset = call_method(s_link_offset_for_destination, args, 3)) == NULL
-            || (counts = partial_of(c, rid)) == NULL || add_at(counts, offset, 1) < 0
-            || pset(c, packet, F_ectn_offset, offset) < 0)
-            goto done;
-    }
-    failed = 0;
-done:
-    Py_XDECREF(offset);
-    Py_XDECREF(dst_group);
-    Py_XDECREF(dst);
-    Py_XDECREF(group);
-    Py_XDECREF(rid_o);
-    return failed;
+    if (ask(c, Q_ROUTER_GROUP, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
+        || ask(c, Q_NODE_GROUP, dst, &dst_group) < 0)
+        return -1;
+    if (dst_group == group)
+        return 0;
+    if ((offset = link_offset(c, group, dst_group)) == NULL)
+        return -1;
+    failed = (counts = partial_of(c, rid)) == NULL || add_at(counts, offset, 1) < 0
+             || pset(c, packet, F_ectn_offset, offset) < 0;
+    Py_DECREF(offset);
+    return failed ? -1 : 0;
 }
 
 /* `ContentionTracker.on_head`: the counter of the head's minimal output
@@ -833,25 +1035,22 @@ done:
 static int
 counter_up(Core *c, long rid, PyObject *packet)
 {
-    PyObject *rid_o, *dst = NULL, *minimal = NULL, *counts = NULL;
+    PyObject *minimal, *counters, *counts;
+    long dst, port;
     int failed = -1, none = pis(c, packet, F_contention_port, Py_None);
     if (none <= 0)
         return none;
-    if ((rid_o = PyLong_FromLong(rid)) == NULL)
+    if (pget_long(c, packet, F_dst, &dst) < 0 || route(c, rid, dst, 0, &port) < 0
+        || (minimal = PyLong_FromLong(port)) == NULL)
         return -1;
-    if ((dst = pget(c, packet, F_dst)) != NULL) {
-        PyObject *args[3] = {L(c, topology), rid_o, dst}, *counters;
-        if ((minimal = call_method(s_minimal_output_port, args, 3)) != NULL
-            && (counters = item(L(c, counters), rid)) != NULL
-            && (counts = PyObject_GetAttr(counters, s_counts)) != NULL
-            && expect_list(counts, "a counter array") == 0 && add_at(counts, minimal, 1) == 0
+    if ((counters = item(L(c, counters), rid)) != NULL
+        && (counts = PyObject_GetAttr(counters, s_counts)) != NULL) {
+        if (expect_list(counts, "a counter array") == 0 && add_at(counts, minimal, 1) == 0
             && pset(c, packet, F_contention_port, minimal) == 0)
             failed = 0;
+        Py_DECREF(counts);
     }
-    Py_XDECREF(counts);
-    Py_XDECREF(minimal);
-    Py_XDECREF(dst);
-    Py_DECREF(rid_o);
+    Py_DECREF(minimal);
     return failed;
 }
 
@@ -1212,23 +1411,14 @@ apply_credits(Core *c, PyObject *due)
 }
 
 /* --------------------------------------------------------------- arrivals */
-/* One link arrival `(g, vc, packet)`. */
+/* Store `packet` (`size` phits) into VC `vc` of input port `port` of router
+ * `rid`: a new buffer head gives the router work it must re-evaluate.
+ * `active` is `st.active` when the caller has it. */
 static int
-receive(Core *c, PyObject *event, PyObject *cycle_o, PyObject *active)
+push(Core *c, long rid, long port, long vc, PyObject *packet, long size, PyObject *active)
 {
-    PyObject *packet, *dq;
-    long g, vc, rid, port, q, size, free_phits;
-    if (expect_tuple(event, 3, "a link arrival") < 0 || field_long(event, 0, &g) < 0
-        || field_long(event, 1, &vc) < 0)
-        return -1;
-    if (g < 0) {
-        PyErr_SetString(PyExc_IndexError, "list index out of range");
-        return -1;
-    }
-    packet = PyTuple_GET_ITEM(event, 2);
-    rid = g / c->P;
-    port = g % c->P;
-    q = g * c->V + vc;
+    long q = (rid * c->P + port) * c->V + vc, free_phits;
+    PyObject *dq;
     if ((dq = item(L(c, in_q), q)) == NULL)
         return -1;
     if (dq == Py_None || (PyList_Check(dq) && PyList_GET_SIZE(dq) == 0)) {
@@ -1246,8 +1436,7 @@ receive(Core *c, PyObject *event, PyObject *cycle_o, PyObject *active)
             || set_bool(L(c, alloc_clean), rid, 0) < 0 || activate(c, rid, active) < 0)
             return -1;
     }
-    if (expect_list(dq, "st.in_q[q]") < 0 || pget_long(c, packet, F_size_phits, &size) < 0
-        || get_long(L(c, in_free), q, &free_phits) < 0)
+    if (expect_list(dq, "st.in_q[q]") < 0 || get_long(L(c, in_free), q, &free_phits) < 0)
         return -1;
     if (free_phits < size) {
         PyErr_Format(PyExc_OverflowError, "VC buffer overflow: %ld phits requested, %ld free",
@@ -1255,6 +1444,28 @@ receive(Core *c, PyObject *event, PyObject *cycle_o, PyObject *active)
         return -1;
     }
     if (PyList_Append(dq, packet) < 0 || set_long(L(c, in_free), q, free_phits - size) < 0)
+        return -1;
+    return 0;
+}
+
+/* One link arrival `(g, vc, packet)`. */
+static int
+receive(Core *c, PyObject *event, PyObject *cycle_o, PyObject *active)
+{
+    PyObject *packet;
+    long g, vc, rid, port, size;
+    if (expect_tuple(event, 3, "a link arrival") < 0 || field_long(event, 0, &g) < 0
+        || field_long(event, 1, &vc) < 0)
+        return -1;
+    if (g < 0) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return -1;
+    }
+    packet = PyTuple_GET_ITEM(event, 2);
+    rid = g / c->P;
+    port = g % c->P;
+    if (pget_long(c, packet, F_size_phits, &size) < 0
+        || push(c, rid, port, vc, packet, size, active) < 0)
         return -1;
     if (c->notify_arrival) {
         PyObject *port_o = PyLong_FromLong(port);
@@ -1682,8 +1893,97 @@ draw(Core *c, Py_ssize_t n, Py_ssize_t *index)
     return 0;
 }
 
-/* What a candidate's port is compared by. */
-enum signal { COUNTER, OCCUPANCY, COMBINED };
+/* What a candidate's port is compared by (`ANY`: nothing, every candidate
+ * qualifies). */
+enum signal { ANY, COUNTER, OCCUPANCY, COMBINED };
+
+/* A row's candidates in order: a list as it is, or a view `(shared, first,
+ * dst group, proxy)` of a router's shared candidate tuple -- its global
+ * ports with their target group before `num_global`, then its local ports --
+ * skipping in place what `global_candidates` / `local_candidates` leave out:
+ * the minimal port, a global port into the destination or the current group,
+ * the local ports unless `proxy`.  `globals_only` skips the local candidates
+ * too (ECtN's combined trigger). */
+typedef struct {
+    PyObject *seq;
+    Py_ssize_t next, split, end;
+    long minimal, dst_group, group;
+    int view, globals_only;
+} walk;
+
+static int
+walk_open(Core *c, walk *w, PyObject *candidates, long rid, long minimal, int globals_only)
+{
+    long first, proxy;
+    w->globals_only = globals_only;
+    w->next = w->split = 0;
+    w->minimal = minimal;
+    w->dst_group = w->group = 0;
+    if (PyList_Check(candidates)) {
+        w->seq = candidates;
+        w->view = 0;
+        w->end = PyList_GET_SIZE(candidates);
+        return 0;
+    }
+    if (expect_tuple(candidates, 4, "a candidate view") < 0 || field_long(candidates, 1, &first) < 0
+        || field_long(candidates, 2, &w->dst_group) < 0 || field_long(candidates, 3, &proxy) < 0)
+        return -1;
+    w->seq = PyTuple_GET_ITEM(candidates, 0);
+    if (!PyTuple_Check(w->seq) || c->rpg <= 0) {
+        PyErr_Format(PyExc_TypeError, "a candidate view must hold a candidate tuple, got %R",
+                     w->seq);
+        return -1;
+    }
+    w->view = 1;
+    w->end = PyTuple_GET_SIZE(w->seq);
+    w->split = c->num_global < w->end ? c->num_global : w->end;
+    if (!proxy || globals_only)
+        w->end = w->split;
+    if (first > 0)
+        w->next = first < w->end ? first : w->end;
+    w->group = pydiv(rid, c->rpg);
+    return 0;
+}
+
+/* The next candidate of `w` (borrowed) and its index in `w->seq`: 1, 0 at
+ * the end, -1 on error. */
+static int
+walk_next(Core *c, walk *w, PyObject **candidate, Py_ssize_t *index)
+{
+    while (w->next < w->end) {
+        Py_ssize_t i = w->next++;
+        PyObject *found;
+        long port, target;
+        if (!w->view) {
+            if (i >= PyList_GET_SIZE(w->seq))
+                return 0;
+            found = PyList_GET_ITEM(w->seq, i);
+            if (w->globals_only) {
+                if (field(found, 2) == NULL)
+                    return -1;
+                if (PyTuple_GET_ITEM(found, 1) != L(c, GLOBAL))
+                    continue;
+            }
+        }
+        else {
+            found = PyTuple_GET_ITEM(w->seq, i);
+            if (field_long(found, 0, &port) < 0)
+                return -1;
+            if (port == w->minimal)
+                continue;
+            if (i < w->split) {
+                if (field_long(found, 2, &target) < 0)
+                    return -1;
+                if (target == w->dst_group || target == w->group)
+                    continue;
+            }
+        }
+        *candidate = found;
+        *index = i;
+        return 1;
+    }
+    return 0;
+}
 
 /* `preferred = [c for c in candidates if <signal of c.port> < limit]`, then
  * `preferred[int(rng.integers(0, len(preferred)))]` unless it is empty: 1
@@ -1691,37 +1991,42 @@ enum signal { COUNTER, OCCUPANCY, COMBINED };
  * port `p` is `values[offset + p]` (a counter array, ECtN's combined array)
  * or the occupancy `out_committed + credit_occ` of port `offset + p`. */
 static int
-pick(Core *c, PyObject *candidates, enum signal signal, PyObject *values, long offset,
-     double limit, PyObject **chosen)
+pick(Core *c, long rid, long minimal, PyObject *candidates, int globals_only,
+     enum signal signal, PyObject *values, long offset, double limit, PyObject **chosen)
 {
-    Py_ssize_t stack[STACK_ITEMS], *kept = stack, n, i, num_kept = 0, at;
-    int found = -1;
-    if (expect_list(candidates, "a candidate list") < 0)
+    Py_ssize_t stack[STACK_ITEMS], *kept = stack, num_kept = 0, index, drawn;
+    PyObject *candidate;
+    walk w;
+    int found = -1, more;
+    if (walk_open(c, &w, candidates, rid, minimal, globals_only) < 0)
         return -1;
-    n = PyList_GET_SIZE(candidates);
-    if (n > STACK_ITEMS && (kept = PyMem_Malloc((size_t)n * sizeof *kept)) == NULL) {
+    if (w.end > STACK_ITEMS && (kept = PyMem_Malloc((size_t)w.end * sizeof *kept)) == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    for (i = 0; i < n && i < PyList_GET_SIZE(candidates); i++) {
+    while ((more = walk_next(c, &w, &candidate, &index)) > 0) {
         long port, value, credit;
-        if (field_long(PyList_GET_ITEM(candidates, i), 0, &port) < 0)
-            goto done;
-        if (signal == OCCUPANCY) {
-            if (get_long(L(c, out_committed), offset + port, &value) < 0
-                || get_long(L(c, credit_occ), offset + port, &credit) < 0)
+        if (signal != ANY) {
+            if (field_long(candidate, 0, &port) < 0)
                 goto done;
-            value += credit;
+            if (signal == OCCUPANCY) {
+                if (get_long(L(c, out_committed), offset + port, &value) < 0
+                    || get_long(L(c, credit_occ), offset + port, &credit) < 0)
+                    goto done;
+                value += credit;
+            }
+            else if (get_long(values, offset + port, &value) < 0)
+                goto done;
+            if (!((double)value < limit))
+                continue;
         }
-        else if (get_long(values, offset + port, &value) < 0)
-            goto done;
-        if ((double)value < limit)
-            kept[num_kept++] = i;
+        kept[num_kept++] = index;
     }
+    if (more < 0)
+        goto done;
     found = 0;
     if (num_kept > 0) {
-        PyObject *candidate;
-        if (draw(c, num_kept, &at) < 0 || (candidate = item(candidates, kept[at])) == NULL)
+        if (draw(c, num_kept, &drawn) < 0 || (candidate = at(w.seq, kept[drawn])) == NULL)
             found = -1;
         else {
             *chosen = Py_NewRef(candidate);
@@ -1770,7 +2075,8 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
         if (get_long(*counts, minimal, &value) < 0)
             return -1;
         found = (double)value <= c->counter_threshold
-                ? 0 : pick(c, candidates, COUNTER, *counts, 0, c->counter_threshold, chosen);
+                ? 0 : pick(c, rid, minimal, candidates, 0, COUNTER, *counts, 0,
+                           c->counter_threshold, chosen);
         if (found != 0 || c->mech != MECH_HYBRID)
             return found;
     }
@@ -1780,12 +2086,13 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
         return -1;
     if ((double)value < c->min_occupancy)
         return 0;
-    return pick(c, candidates, OCCUPANCY, NULL, base, c->occupancy_ratio * (double)value, chosen);
+    return pick(c, rid, minimal, candidates, 0, OCCUPANCY, NULL, base,
+                c->occupancy_ratio * (double)value, chosen);
 }
 
-/* The global trigger: ECtN's combined arrays first where the row carries
- * its injection-side constants `(global candidates, group, minimal link
- * offset, port -> offset base)`, then `choose`. */
+/* The global trigger: ECtN's combined arrays over the global candidates
+ * first where the row carries its injection-side constants `(group, minimal
+ * link offset, port -> offset base)`, then `choose`. */
 static int
 choose_global(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObject *ectn,
               PyObject **counts, PyObject **chosen)
@@ -1794,17 +2101,17 @@ choose_global(Core *c, long rid, long base, long minimal, PyObject *candidates, 
         PyObject *combined;
         long min_offset, offset, load;
         int found;
-        if (expect_tuple(ectn, 4, "ECtN's row constants") < 0
-            || field_long(ectn, 2, &min_offset) < 0 || field_long(ectn, 3, &offset) < 0)
+        if (expect_tuple(ectn, 3, "ECtN's row constants") < 0
+            || field_long(ectn, 1, &min_offset) < 0 || field_long(ectn, 2, &offset) < 0)
             return -1;
         if (!PyDict_Check(L(c, combined))) {
             PyErr_SetString(PyExc_TypeError, "ECtN's combined arrays must be a dict");
             return -1;
         }
-        combined = PyDict_GetItemWithError(L(c, combined), PyTuple_GET_ITEM(ectn, 1));
+        combined = PyDict_GetItemWithError(L(c, combined), PyTuple_GET_ITEM(ectn, 0));
         if (combined == NULL) {
             if (!PyErr_Occurred())
-                PyErr_SetObject(PyExc_KeyError, PyTuple_GET_ITEM(ectn, 1));
+                PyErr_SetObject(PyExc_KeyError, PyTuple_GET_ITEM(ectn, 0));
             return -1;
         }
         if (expect_list(combined, "an ECtN combined array") < 0
@@ -1812,7 +2119,7 @@ choose_global(Core *c, long rid, long base, long minimal, PyObject *candidates, 
             return -1;
         if ((double)load > c->combined_threshold) {
             Py_INCREF(combined); /* the draw runs Python */
-            found = pick(c, PyTuple_GET_ITEM(ectn, 0), COMBINED, combined, offset,
+            found = pick(c, rid, minimal, candidates, 1, COMBINED, combined, offset,
                          c->combined_threshold, chosen);
             Py_DECREF(combined);
             if (found != 0)
@@ -1841,18 +2148,8 @@ open_request(Core *c, long rid, long base, PyObject *row, PyObject **counts)
         found = choose_global(c, rid, base, minimal, candidates, PyTuple_GET_ITEM(row, 6), counts,
                               &chosen);
         /* The committed proxy step leaves the group in any case. */
-        if (found == 0 && kind == ROW_FORCED) {
-            Py_ssize_t at;
-            PyObject *candidate;
-            if (expect_list(candidates, "a candidate list") < 0)
-                found = -1;
-            else if (PyList_GET_SIZE(candidates) > 0) {
-                found = draw(c, PyList_GET_SIZE(candidates), &at) < 0
-                        || (candidate = item(candidates, at)) == NULL ? -1 : 1;
-                if (found == 1)
-                    chosen = Py_NewRef(candidate);
-            }
-        }
+        if (found == 0 && kind == ROW_FORCED)
+            found = pick(c, rid, minimal, candidates, 0, ANY, NULL, 0, 0.0, &chosen);
     }
     if (found <= 0)
         return found < 0 ? NULL : Py_NewRef(fallback);
@@ -1882,6 +2179,293 @@ done:
     Py_XDECREF(decision);
     Py_DECREF(chosen);
     return request;
+}
+
+/* --------------------------------------------------------------- injection */
+/* `SoAEngine._inject`: a node's packet enters its router with the stock
+ * `on_inject` of `RoutingAlgorithm`, `ValiantRouting` or `UGALRouting` (and
+ * UGAL's / PB's source-adaptive trigger) answered here, under the rule of
+ * the hooks.  `random_intermediate_router` draws: always by name. */
+
+/* `RoutingAlgorithm.on_inject`: the packet records its source region. */
+static int
+source_region(Core *c, long rid, PyObject *packet)
+{
+    PyObject *region_o;
+    long region;
+    int failed;
+    if (ask(c, Q_ROUTER_REGION, rid, &region) < 0 || (region_o = PyLong_FromLong(region)) == NULL)
+        return -1;
+    failed = pset(c, packet, F_source_group, region_o);
+    Py_DECREF(region_o);
+    return failed;
+}
+
+/* `self.random_intermediate_router(rid)` (a new reference). */
+static PyObject *
+intermediate_router(Core *c, long rid)
+{
+    PyObject *rid_o = PyLong_FromLong(rid), *via = NULL;
+    if (rid_o != NULL) {
+        PyObject *args[2] = {c->o[S_routing], rid_o};
+        via = call_method(s_random_intermediate_router, args, 2);
+        Py_DECREF(rid_o);
+    }
+    return via;
+}
+
+/* Call what `resolve` found with `args[1]` the view of router `rid`: the
+ * truth of its answer, -1 on error. */
+static int
+truth_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
+{
+    PyObject *answer;
+    int on;
+    if ((args[1] = item(L(c, views), rid)) == NULL) {
+        Py_CLEAR(m->fn);
+        return -1;
+    }
+    if ((answer = call_found(m, args, nargs, NULL)) == NULL)
+        return -1;
+    on = truth(answer);
+    Py_DECREF(answer);
+    return on;
+}
+
+/* `self._ugal_prefers_valiant(router, packet, intermediate)`: the queue
+ * comparison `q_min * len_min > q_val * len_val + T` at the source router. */
+static int
+ugal_prefers(Core *c, long rid, PyObject *packet, PyObject *intermediate)
+{
+    PyObject *routing = c->o[S_routing];
+    long dst, dst_router, port, via, q_min, len_min, q_val, len_val, there, onward;
+    method m;
+    if (resolve(routing, s__ugal_prefers_valiant, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, UGALRouting, _ugal_prefers_valiant))) {
+        PyObject *args[4] = {routing, NULL, packet, intermediate};
+        return truth_on_view(c, &m, rid, args, 4);
+    }
+    Py_CLEAR(m.fn);
+    if (pget_long(c, packet, F_dst, &dst) < 0 || ask(c, Q_NODE_ROUTER, dst, &dst_router) < 0
+        || route(c, rid, dst, 0, &port) < 0 || occupancy(c, rid * c->P + port, &q_min) < 0
+        || hops(c, rid, dst_router, &len_min) < 0 || as_long(intermediate, &via) < 0)
+        return -1;
+    len_min += 1;
+    if (via == rid) {
+        q_val = q_min;
+        len_val = len_min;
+    }
+    else if (route(c, rid, via, 1, &port) < 0 || occupancy(c, rid * c->P + port, &q_val) < 0
+             || hops(c, rid, via, &there) < 0 || hops(c, via, dst_router, &onward) < 0)
+        return -1;
+    else
+        len_val = there + onward + 1;
+    return (double)(q_min * len_min) > (double)(q_val * len_val) + c->valiant_threshold;
+}
+
+/* `self.prefers_valiant(router, packet, intermediate, cycle)`: 1 / 0, -1 on
+ * error. */
+static int
+prefers_valiant(Core *c, long rid, PyObject *packet, PyObject *intermediate, PyObject *cycle_o)
+{
+    PyObject *routing = c->o[S_routing];
+    method m;
+    if (resolve(routing, s_prefers_valiant, &m) < 0)
+        return -1;
+    if (stock(&m, STOCK(c, UGALRouting, prefers_valiant))) {
+        Py_CLEAR(m.fn);
+        return ugal_prefers(c, rid, packet, intermediate);
+    }
+    if (df_stock(c, &m, S_PiggybackRouting_prefers_valiant) && PyList_Check(L(c, flags))) {
+        /* PB: the saturation flag of the minimal global link first. */
+        PyObject *flags;
+        long group, dst, dst_group, offset;
+        int on;
+        Py_CLEAR(m.fn);
+        if (ask(c, Q_ROUTER_GROUP, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
+            || ask(c, Q_NODE_GROUP, dst, &dst_group) < 0
+            || get_long(L(c, link_offsets), group * c->df_groups + dst_group, &offset) < 0
+            || (flags = item(L(c, flags), group)) == NULL || (flags = at(flags, offset)) == NULL
+            || (on = truth(flags)) < 0)
+            return -1;
+        return on ? 1 : ugal_prefers(c, rid, packet, intermediate);
+    }
+    {
+        PyObject *args[5] = {routing, NULL, packet, intermediate, cycle_o};
+        return truth_on_view(c, &m, rid, args, 5);
+    }
+}
+
+/* The rest of `ValiantRouting.on_inject`: the intermediate router. */
+static int
+valiant_inject(Core *c, long rid, PyObject *packet)
+{
+    PyObject *via = intermediate_router(c, rid);
+    int failed;
+    if (via == NULL)
+        return -1;
+    failed = pset(c, packet, F_valiant_router, via) < 0
+             || pset(c, packet, F_phase, L(c, TO_INTERMEDIATE)) < 0;
+    Py_DECREF(via);
+    return failed ? -1 : 0;
+}
+
+/* `UGALRouting.on_inject`: minimal, unless the trigger prefers the Valiant
+ * path through a drawn intermediate router. */
+static int
+ugal_inject(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
+{
+    PyObject *via;
+    long src_region, dst, dst_region;
+    int on;
+    if (source_region(c, rid, packet) < 0 || ask(c, Q_ROUTER_REGION, rid, &src_region) < 0
+        || pget_long(c, packet, F_dst, &dst) < 0 || ask(c, Q_NODE_REGION, dst, &dst_region) < 0
+        || pset(c, packet, F_phase, L(c, MINIMAL)) < 0
+        || pset(c, packet, F_valiant_router, Py_None) < 0)
+        return -1;
+    if (dst_region == src_region)
+        return 0;
+    if ((via = intermediate_router(c, rid)) == NULL)
+        return -1;
+    if ((on = prefers_valiant(c, rid, packet, via, cycle_o)) > 0
+        && (pset(c, packet, F_valiant_router, via) < 0
+            || pset(c, packet, F_phase, L(c, TO_INTERMEDIATE)) < 0))
+        on = -1;
+    Py_DECREF(via);
+    return on < 0 ? -1 : 0;
+}
+
+/* Whether `owner.<name>` is the stock function `function` (UGAL calls
+ * `RoutingAlgorithm.on_inject` through the class): 1 / 0, -1 on error. */
+static int
+class_attr_is(PyObject *owner, PyObject *name, PyObject *function)
+{
+    PyObject *found = PyObject_GetAttr(owner, name);
+    if (found == NULL)
+        return -1;
+    Py_DECREF(found);
+    return found == function;
+}
+
+/* `routing.on_inject(view, packet, cycle)`. */
+static int
+inject_hook(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
+{
+    PyObject *routing = c->o[S_routing];
+    method m;
+    int on = 0;
+    if (resolve(routing, s_on_inject, &m) < 0)
+        return -1;
+    if (stock(&m, STOCK(c, RoutingAlgorithm, on_inject))) {
+        Py_CLEAR(m.fn);
+        return source_region(c, rid, packet);
+    }
+    if (stock(&m, STOCK(c, ValiantRouting, on_inject))
+        && (on = super_is(routing, L(c, ValiantRouting), s_on_inject,
+                          STOCK(c, RoutingAlgorithm, on_inject))) > 0) {
+        Py_CLEAR(m.fn);
+        return source_region(c, rid, packet) < 0 ? -1 : valiant_inject(c, rid, packet);
+    }
+    if (on == 0 && stock(&m, STOCK(c, UGALRouting, on_inject))
+        && (on = class_attr_is(L(c, RoutingAlgorithm), s_on_inject,
+                               STOCK(c, RoutingAlgorithm, on_inject))) > 0) {
+        Py_CLEAR(m.fn);
+        return ugal_inject(c, rid, packet, cycle_o);
+    }
+    if (on < 0) {
+        Py_CLEAR(m.fn);
+        return -1;
+    }
+    {
+        PyObject *args[4] = {routing, NULL, packet, cycle_o};
+        return invoke_on_view(c, &m, rid, args, 4);
+    }
+}
+
+/* `int(owner.<name>)`. */
+static int
+attr_long(PyObject *owner, PyObject *name, long *out)
+{
+    PyObject *value = PyObject_GetAttr(owner, name);
+    int failed;
+    if (value == NULL)
+        return -1;
+    failed = as_long(value, out);
+    Py_DECREF(value);
+    return failed;
+}
+
+/* `owner.<name> = v`. */
+static int
+set_attr_long(PyObject *owner, PyObject *name, long v)
+{
+    PyObject *value = PyLong_FromLong(v);
+    int failed;
+    if (value == NULL)
+        return -1;
+    failed = PyObject_SetAttr(owner, name, value);
+    Py_DECREF(value);
+    return failed;
+}
+
+/* `ComputeNode.try_inject` against the flat state: the head of the node's
+ * source queue enters the first VC of its injection port, from the node's
+ * round-robin pointer on, that has room for it -- `on_inject` before the
+ * push, the arrival hook after it, both on the router's view -- or stays
+ * queued. */
+static int
+inject(Core *c, PyObject *node, PyObject *cycle_o, long cycle)
+{
+    PyObject *queue, *packet = NULL, *port_o = NULL, *vc_o = NULL, *rid_o, *popped;
+    long node_id, rid, port, g, num_vcs, pointer, size, offset, vc = 0, free_phits, injected;
+    int failed = -1;
+    if ((queue = PyObject_GetAttr(node, s_source_queue)) == NULL)
+        return -1;
+    if ((packet = PySequence_GetItem(queue, 0)) == NULL || attr_long(node, s_node_id, &node_id) < 0
+        || (rid_o = at(L(c, node_rid), node_id)) == NULL || as_long(rid_o, &rid) < 0
+        || (port_o = PyObject_GetAttr(node, s_port)) == NULL || as_long(port_o, &port) < 0
+        || get_long(L(c, in_nvcs), rid * c->P + port, &num_vcs) < 0
+        || attr_long(node, s__vc_pointer, &pointer) < 0
+        || pget_long(c, packet, F_size_phits, &size) < 0)
+        goto done;
+    g = rid * c->P + port;
+    for (offset = 0; offset < num_vcs; offset++) {
+        vc = pymod(pointer + offset, num_vcs);
+        if (get_long(L(c, in_free), g * c->V + vc, &free_phits) < 0)
+            goto done;
+        if (free_phits >= size)
+            break;
+    }
+    if (offset >= num_vcs) {
+        failed = 0;
+        goto done;
+    }
+    {
+        PyObject *args[1] = {queue};
+        if ((popped = call_method(s_popleft, args, 1)) == NULL)
+            goto done;
+        Py_DECREF(popped);
+    }
+    if (pset(c, packet, F_injection_cycle, cycle_o) < 0 || inject_hook(c, rid, packet, cycle_o) < 0
+        || push(c, rid, port, vc, packet, size, NULL) < 0)
+        goto done;
+    if (c->notify_arrival
+        && ((vc_o = PyLong_FromLong(vc)) == NULL
+            || arrival_hook(c, rid, port, port_o, vc_o, packet, cycle_o) < 0))
+        goto done;
+    if (set_attr_long(node, s__vc_pointer, pymod(vc + 1, num_vcs)) < 0
+        || set_attr_long(node, s_next_injection_cycle, cycle + size) < 0
+        || attr_long(node, s_injected_packets, &injected) < 0
+        || set_attr_long(node, s_injected_packets, injected + 1) < 0)
+        goto done;
+    failed = 0;
+done:
+    Py_XDECREF(vc_o);
+    Py_XDECREF(port_o);
+    Py_XDECREF(packet);
+    Py_DECREF(queue);
+    return failed;
 }
 
 /* ---------------------------------------------------------------- captures */
@@ -1956,50 +2540,73 @@ make_request(Core *c, long base_g, long k, PyObject *head, PyObject *decision)
     return request;
 }
 
-/* `memo.get(key)`, else `routing.<name>(*args)` (a new reference). */
+/* `routing.global_candidates(rid, dst_group, minimal, proxy)` or, with
+ * `local`, `routing.local_candidates(minimal)` (a new reference): while the
+ * name resolves to the stock function, the view `(shared, first, dst_group,
+ * proxy)` of the router's shared candidate tuple that `walk` filters in
+ * place (`routing.router_candidates(rid)` builds the tuple on the router's
+ * first use); else what the call by name returns, as a list. */
 static PyObject *
-memoised(Core *c, PyObject *memo, PyObject *key, PyObject *name, PyObject **args, size_t nargs)
+candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int local)
 {
-    PyObject *found = PyDict_GetItemWithError(memo, key);
-    if (found != NULL && found != Py_None)
-        return Py_NewRef(found);
-    if (PyErr_Occurred())
+    PyObject *routing = c->o[S_routing], *found = NULL, *rid_o, *dst_o, *minimal_o;
+    method m;
+    if (resolve(routing, local ? s_local_candidates : s_global_candidates, &m) < 0)
         return NULL;
-    args[0] = c->o[S_routing];
-    return call_method(name, args, nargs);
-}
-
-/* `routing.global_candidates(rid, group, minimal, proxy)`. */
-static PyObject *
-global_candidates(Core *c, PyObject *rid_o, PyObject *group, PyObject *minimal, PyObject *proxy)
-{
-    PyObject *key = PyTuple_Pack(4, rid_o, group, minimal, proxy), *found;
-    PyObject *args[5] = {NULL, rid_o, group, minimal, proxy};
-    if (key == NULL)
-        return NULL;
-    found = memoised(c, L(c, global_cache), key, s_global_candidates, args, 5);
-    Py_DECREF(key);
+    if (PyList_Check(L(c, shared))
+        && stock(&m, local ? STOCK(c, AdaptiveInTransitRouting, local_candidates)
+                           : STOCK(c, AdaptiveInTransitRouting, global_candidates))) {
+        PyObject *shared;
+        Py_CLEAR(m.fn);
+        if ((shared = item(L(c, shared), rid)) == NULL)
+            return NULL;
+        if (shared != Py_None)
+            Py_INCREF(shared);
+        else if ((rid_o = PyLong_FromLong(rid)) == NULL)
+            return NULL;
+        else {
+            PyObject *args[2] = {routing, rid_o};
+            shared = call_method(s_router_candidates, args, 2);
+            Py_DECREF(rid_o);
+        }
+        if (shared != NULL && !PyTuple_Check(shared))
+            Py_SETREF(shared, PySequence_Tuple(shared));
+        if (shared == NULL)
+            return NULL;
+        found = Py_BuildValue("(Olll)", shared, local ? c->num_global : 0L, dst_group,
+                              (long)proxy);
+        Py_DECREF(shared);
+        return found;
+    }
+    rid_o = PyLong_FromLong(rid);
+    dst_o = PyLong_FromLong(dst_group);
+    minimal_o = PyLong_FromLong(minimal);
+    if (rid_o != NULL && dst_o != NULL && minimal_o != NULL) {
+        PyObject *args[5] = {routing, rid_o, dst_o, minimal_o, proxy ? Py_True : Py_False};
+        if (local)
+            args[1] = minimal_o;
+        found = call_found(&m, args, local ? 2 : 5, NULL);
+    }
+    else
+        Py_CLEAR(m.fn);
+    Py_XDECREF(minimal_o);
+    Py_XDECREF(dst_o);
+    Py_XDECREF(rid_o);
+    if (found != NULL && !PyList_Check(found))
+        Py_SETREF(found, PySequence_List(found));
     return found;
-}
-
-/* `routing.local_candidates(minimal)`. */
-static PyObject *
-local_candidates(Core *c, PyObject *minimal)
-{
-    PyObject *args[2] = {NULL, minimal};
-    return memoised(c, L(c, local_cache), minimal, s_local_candidates, args, 2);
 }
 
 /* `topology.minimal_output_port(rid, dst)`, unless the head's contention
  * counter already holds it. */
 static PyObject *
-minimal_port(Core *c, PyObject *head, PyObject *rid_o, PyObject *dst_o)
+minimal_port(Core *c, PyObject *head, long rid, long dst)
 {
     PyObject *minimal = pget(c, head, F_contention_port);
+    long port;
     if (minimal == Py_None) {
-        PyObject *args[3] = {L(c, topology), rid_o, dst_o};
         Py_DECREF(minimal);
-        minimal = call_method(s_minimal_output_port, args, 3);
+        minimal = route(c, rid, dst, 0, &port) < 0 ? NULL : PyLong_FromLong(port);
     }
     return minimal;
 }
@@ -2043,13 +2650,13 @@ towards_group(Core *c, long rid, PyObject *rid_o, PyObject *head, PyObject *targ
 }
 
 /* ECtN's injection-side trigger constants of a head at `check_port` (see
- * `choose_global`): `None` for another mechanism or a transit port. */
+ * `choose_global`): `None` for another mechanism or a transit port.  The
+ * minimal link's offset is read off the Dragonfly's table, as the trigger's
+ * Python body reads it. */
 static PyObject *
-capture_ectn(Core *c, long rid, long check_port, PyObject *head, PyObject *candidates)
+capture_ectn(Core *c, long rid, long check_port, PyObject *head)
 {
-    PyObject *key, *offset = NULL, *global = NULL, *result = NULL;
-    long dst, group, dst_group;
-    Py_ssize_t i;
+    long dst, group, min_offset;
     int on;
     if (c->mech != MECH_ECTN)
         return Py_NewRef(Py_None);
@@ -2058,44 +2665,9 @@ capture_ectn(Core *c, long rid, long check_port, PyObject *head, PyObject *candi
     if (pget_long(c, head, F_dst, &dst) < 0)
         return NULL;
     group = pydiv(rid, c->rpg);
-    dst_group = pydiv(dst, c->npg);
-    if ((key = PyLong_FromLong(group * c->groups + dst_group)) == NULL)
+    if (get_long(L(c, link_offsets), group * c->df_groups + pydiv(dst, c->npg), &min_offset) < 0)
         return NULL;
-    if ((offset = PyDict_GetItemWithError(L(c, offset_cache), key)) != NULL
-        && offset != Py_None)
-        Py_INCREF(offset);
-    else if (!PyErr_Occurred()) {
-        PyObject *group_o = PyLong_FromLong(group), *dst_group_o = PyLong_FromLong(dst_group);
-        offset = NULL;
-        if (group_o != NULL && dst_group_o != NULL) {
-            PyObject *args[3] = {c->o[S_routing], group_o, dst_group_o};
-            if ((offset = call_method(s_link_offset_for_destination, args, 3)) != NULL
-                && PyDict_SetItem(L(c, offset_cache), key, offset) < 0)
-                Py_CLEAR(offset);
-        }
-        Py_XDECREF(dst_group_o);
-        Py_XDECREF(group_o);
-    }
-    else
-        offset = NULL;
-    Py_DECREF(key);
-    /* Order-preserving pre-filter of the static kind check. */
-    if (offset == NULL || expect_list(candidates, "a candidate list") < 0
-        || (global = PyList_New(0)) == NULL)
-        goto done;
-    for (i = 0; i < PyList_GET_SIZE(candidates); i++) {
-        PyObject *candidate = PyList_GET_ITEM(candidates, i);
-        if (field(candidate, 2) == NULL)
-            goto done;
-        if (PyTuple_GET_ITEM(candidate, 1) == L(c, GLOBAL) && PyList_Append(global, candidate) < 0)
-            goto done;
-    }
-    result = Py_BuildValue("(OlOl)", global, group, offset,
-                           pymod(rid, c->rpg) * c->h - c->first_global);
-done:
-    Py_XDECREF(global);
-    Py_XDECREF(offset);
-    return result;
+    return Py_BuildValue("(lll)", group, min_offset, pymod(rid, c->rpg) * c->h - c->first_global);
 }
 
 /* A captured row: `(kind, request)`, or for a gate `(kind, request, minimal
@@ -2123,12 +2695,11 @@ make_row(Core *c, long kind, long base_g, long k, PyObject *head, PyObject *deci
 static PyObject *
 capture_group(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
 {
-    PyObject *dst_o, *decision = NULL, *minimal = NULL, *group = NULL, *candidates = NULL;
-    PyObject *ectn = NULL, *row = NULL;
+    PyObject *decision = NULL, *minimal = NULL, *candidates = NULL, *ectn = NULL, *row = NULL;
     long kind = ROW_FIXED, dst, dst_router, current_group, dst_group, port, hops;
     long min_vc = 0, global_vc = 0, local_vc = 0;
     int on, global, injection;
-    if ((dst_o = pget(c, head, F_dst)) == NULL || as_long(dst_o, &dst) < 0)
+    if (pget_long(c, head, F_dst, &dst) < 0)
         goto done;
     dst_router = pydiv(dst, c->npr);
     if (rid == dst_router) {
@@ -2149,7 +2720,7 @@ capture_group(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject 
     }
     current_group = pydiv(rid, c->rpg);
     dst_group = pydiv(dst_router, c->rpg);
-    if ((minimal = minimal_port(c, head, rid_o, dst_o)) == NULL || as_long(minimal, &port) < 0
+    if ((minimal = minimal_port(c, head, rid, dst)) == NULL || as_long(minimal, &port) < 0
         || (global = port_is(c, S_kind_is_global, port)) < 0
         || (injection = port_is(c, S_kind_is_injection, port)) < 0
         || ((global || !injection) && next_vc(c, head, global, &min_vc) < 0)
@@ -2160,11 +2731,12 @@ capture_group(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject 
     if (on && dst_group != current_group && hops == 0) {
         /* The committed local-proxy step.  Its trigger is asked with port 0,
          * an injection port on every topology with p >= 1. */
+        long group;
         kind = ROW_FORCED;
-        if ((group = ask_topology(c, s_node_region, dst_o)) == NULL
-            || (candidates = global_candidates(c, rid_o, group, minimal, Py_False)) == NULL
+        if (ask(c, Q_NODE_REGION, dst, &group) < 0
+            || (candidates = candidates_of(c, rid, group, port, 0, 0)) == NULL
             || next_vc(c, head, 1, &global_vc) < 0
-            || (ectn = capture_ectn(c, rid, 0, head, candidates)) == NULL)
+            || (ectn = capture_ectn(c, rid, 0, head)) == NULL)
             goto done;
         goto row;
     }
@@ -2175,11 +2747,9 @@ capture_group(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject 
             long path_hops;
             kind = ROW_GLOBAL;
             if (pget_long(c, head, F_hops, &path_hops) < 0
-                || (group = PyLong_FromLong(dst_group)) == NULL
-                || (candidates = global_candidates(c, rid_o, group, minimal,
-                                                   path_hops == 0 ? Py_True : Py_False)) == NULL
+                || (candidates = candidates_of(c, rid, dst_group, port, path_hops == 0, 0)) == NULL
                 || next_vc(c, head, 1, &global_vc) < 0 || next_vc(c, head, 0, &local_vc) < 0
-                || (ectn = capture_ectn(c, rid, k / c->V, head, candidates)) == NULL)
+                || (ectn = capture_ectn(c, rid, k / c->V, head)) == NULL)
                 goto done;
             goto row;
         }
@@ -2190,7 +2760,7 @@ capture_group(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject 
             goto done;
         if (in_group == 0 && hops <= 1 && (current_group == dst_group || hops == 1)) {
             kind = ROW_LOCAL;
-            if ((candidates = local_candidates(c, minimal)) == NULL
+            if ((candidates = candidates_of(c, rid, dst_group, port, 1, 1)) == NULL
                 || next_vc(c, head, 0, &local_vc) < 0)
                 goto done;
         }
@@ -2202,9 +2772,7 @@ done:
     Py_XDECREF(ectn);
     Py_XDECREF(candidates);
     Py_XDECREF(decision);
-    Py_XDECREF(group);
     Py_XDECREF(minimal);
-    Py_XDECREF(dst_o);
     return row;
 }
 
@@ -2215,17 +2783,17 @@ done:
 static PyObject *
 capture_ring(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
 {
-    PyObject *dst_o, *decision = NULL, *minimal = NULL, *escape = NULL, *out, *ring, *vc_o;
+    PyObject *decision = NULL, *minimal = NULL, *escape = NULL, *out, *ring, *vc_o;
     PyObject *row = NULL;
     long kind = ROW_FIXED, dst, port, dim, direction, ring_dim, ring_dir, escape_vc = 0, vc;
     int on;
-    if ((dst_o = pget(c, head, F_dst)) == NULL || as_long(dst_o, &dst) < 0)
+    if (pget_long(c, head, F_dst, &dst) < 0)
         goto done;
     if (rid == pydiv(dst, c->npr)) {
         decision = plain_decision(c, pymod(dst, c->npr), 0);
         goto row;
     }
-    if ((minimal = minimal_port(c, head, rid_o, dst_o)) == NULL || as_long(minimal, &port) < 0
+    if ((minimal = minimal_port(c, head, rid, dst)) == NULL || as_long(minimal, &port) < 0
         || (ring = at(L(c, ring_dims), port)) == NULL || expect_tuple(ring, 2, "a ring") < 0
         || field_long(ring, 0, &dim) < 0 || field_long(ring, 1, &direction) < 0
         || (escape = at(L(c, escapes), port)) == NULL
@@ -2270,7 +2838,6 @@ done:
     Py_XDECREF(decision);
     Py_XDECREF(escape);
     Py_XDECREF(minimal);
-    Py_XDECREF(dst_o);
     return row;
 }
 
@@ -2278,19 +2845,19 @@ done:
  * row (the routing checked at construction that siblings share one up/down
  * VC), everything else `FIXED`. */
 static PyObject *
-capture_uplink(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
+capture_uplink(Core *c, long rid, long base_g, long k, PyObject *head)
 {
-    PyObject *dst_o, *decision = NULL, *minimal = NULL, *candidates = NULL, *home, *vc_o;
+    PyObject *decision = NULL, *minimal = NULL, *candidates = NULL, *home, *vc_o;
     PyObject *row = NULL;
     long kind = ROW_FIXED, dst, port, home_rid, vc, local_vc = 0;
-    if ((dst_o = pget(c, head, F_dst)) == NULL || as_long(dst_o, &dst) < 0
+    if (pget_long(c, head, F_dst, &dst) < 0
         || (home = at(L(c, node_rid), dst)) == NULL || as_long(home, &home_rid) < 0)
         goto done;
     if (rid == home_rid) {
         decision = plain_decision(c, pymod(dst, c->npr), 0);
         goto row;
     }
-    if ((minimal = minimal_port(c, head, rid_o, dst_o)) == NULL || as_long(minimal, &port) < 0
+    if ((minimal = minimal_port(c, head, rid, dst)) == NULL || as_long(minimal, &port) < 0
         || (candidates = at(L(c, uplinks), port)) == NULL
         || expect_list(candidates, "a candidate list") < 0)
         goto done;
@@ -2314,7 +2881,6 @@ done:
     Py_XDECREF(decision);
     Py_XDECREF(candidates);
     Py_XDECREF(minimal);
-    Py_XDECREF(dst_o);
     return row;
 }
 
@@ -2339,7 +2905,7 @@ capture(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base_o, 
     }
     row = c->capture == CAPTURE_GROUP  ? capture_group(c, rid, rid_o, base_g, k, head)
           : c->capture == CAPTURE_RING ? capture_ring(c, rid, rid_o, base_g, k, head)
-                                       : capture_uplink(c, rid, rid_o, base_g, k, head);
+                                       : capture_uplink(c, rid, base_g, k, head);
     return set_item(c->o[S_rows], q, row);
 }
 
@@ -2802,10 +3368,12 @@ bind_stock(Core *c, PyObject *stock)
         c->o[stock_entries[i].slot] = Py_NewRef(value);
     }
     if (!PyType_Check(L(c, Packet)) || !PyType_Check(L(c, ECtNRouting))
-        || !PyType_Check(L(c, RoutingDecision))
+        || !PyType_Check(L(c, RoutingAlgorithm)) || !PyType_Check(L(c, ValiantRouting))
+        || !PyType_Check(L(c, DragonflyTopology)) || !PyType_Check(L(c, RoutingDecision))
         || !PyType_IsSubtype((PyTypeObject *)L(c, RoutingDecision), &PyTuple_Type)) {
-        PyErr_SetString(PyExc_TypeError, "stock: Packet, ECtNRouting and RoutingDecision must be "
-                                         "classes, RoutingDecision a tuple");
+        PyErr_SetString(PyExc_TypeError, "stock: Packet, RoutingAlgorithm, ValiantRouting, "
+                                         "ECtNRouting, DragonflyTopology and RoutingDecision "
+                                         "must be classes, RoutingDecision a tuple");
         return -1;
     }
     {
@@ -2842,13 +3410,18 @@ bind_stock(Core *c, PyObject *stock)
     return 0;
 }
 
-/* `float(owner.<name>)`. */
+/* `float(owner.<name>)`; with `optional`, 0.0 where `owner` has no `name`. */
 static int
-bind_double(PyObject *owner, const char *name, double *out)
+bind_double(PyObject *owner, const char *name, double *out, int optional)
 {
     PyObject *value = PyObject_GetAttrString(owner, name);
-    if (value == NULL)
-        return -1;
+    *out = 0.0;
+    if (value == NULL) {
+        if (!optional || !PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+        return 0;
+    }
     *out = PyFloat_AsDouble(value);
     Py_DECREF(value);
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
@@ -2861,11 +3434,11 @@ bind_trigger(Core *c, PyObject *routing, int mech)
 {
     c->mech = mech;
     if (mech == MECH_OLM)
-        return bind_double(routing, "_olm_threshold", &c->occupancy_ratio) < 0
-               || bind_double(routing, "_min_occupancy", &c->min_occupancy) < 0 ? -1 : 0;
+        return bind_double(routing, "_olm_threshold", &c->occupancy_ratio, 0) < 0
+               || bind_double(routing, "_min_occupancy", &c->min_occupancy, 0) < 0 ? -1 : 0;
     if (mech != MECH_BASE && mech != MECH_HYBRID && mech != MECH_ECTN)
         return 0;
-    if (bind_double(routing, "_threshold", &c->counter_threshold) < 0)
+    if (bind_double(routing, "_threshold", &c->counter_threshold, 0) < 0)
         return -1;
     if (!PyList_Check(L(c, counters))) {
         PyErr_SetString(PyExc_TypeError, "a contention mechanism without counter arrays");
@@ -2874,14 +3447,14 @@ bind_trigger(Core *c, PyObject *routing, int mech)
     if (mech == MECH_HYBRID) {
         PyObject *params = PyObject_GetAttrString(routing, "params");
         int failed = params == NULL || bind_double(params, "packet_size_phits",
-                                                   &c->min_occupancy) < 0;
+                                                   &c->min_occupancy, 0) < 0;
         Py_XDECREF(params);
         c->min_occupancy *= 2;
-        return failed || bind_double(routing, "congestion_threshold", &c->occupancy_ratio) < 0
+        return failed || bind_double(routing, "congestion_threshold", &c->occupancy_ratio, 0) < 0
                ? -1 : 0;
     }
     return mech == MECH_ECTN
-           ? bind_double(routing, "_combined_threshold", &c->combined_threshold) : 0;
+           ? bind_double(routing, "_combined_threshold", &c->combined_threshold, 0) : 0;
 }
 
 /* `int(owner.<name>)`, which must be positive where it divides. */
@@ -2943,23 +3516,44 @@ bind_capture(Core *c, PyObject *routing, int capture)
                || bind_attr(c, S_escapes, routing, "_escape_candidates", &PyList_Type) < 0
                ? -1 : 0;
     if (capture == CAPTURE_UPLINK)
-        return bind_attr(c, S_node_rid, routing, "_node_rid", &PyTuple_Type) < 0
-               || bind_attr(c, S_updown_vcs, routing, "_updown_vcs", &PyTuple_Type) < 0
+        return bind_attr(c, S_updown_vcs, routing, "_updown_vcs", &PyTuple_Type) < 0
                || bind_attr(c, S_uplinks, routing, "_uplink_candidates", &PyList_Type) < 0
                ? -1 : 0;
     if (bind_long(routing, "_routers_per_group", &c->rpg, 1) < 0
         || bind_long(routing, "_nodes_per_group", &c->npg, 1) < 0
-        || bind_attr(c, S_global_cache, routing, "_global_candidates_cache", &PyDict_Type) < 0
-        || bind_attr(c, S_local_cache, routing, "_local_candidates_cache", &PyDict_Type) < 0
+        || bind_long(routing, "_num_global_ports", &c->num_global, 0) < 0
+        || bind_attr(c, S_shared, routing, "_router_candidates", &PyList_Type) < 0
         || bind_attr(c, S_towards_cache, routing, "_towards_cache", &PyDict_Type) < 0)
         return -1;
     if (c->mech != MECH_ECTN)
         return 0;
-    return bind_attr(c, S_offset_cache, routing, "_dest_offset_cache", &PyDict_Type) < 0
-           || bind_long(routing, "_h", &c->h, 0) < 0
-           || bind_long(routing, "_first_global_port", &c->first_global, 0) < 0
-           || bind_long(L(c, topology), "num_groups", &c->groups, 0) < 0
-           ? -1 : 0;
+    if (c->df_a <= 0) {
+        PyErr_SetString(PyExc_TypeError, "ECtN's capture reads a Dragonfly's link offsets");
+        return -1;
+    }
+    return bind_long(routing, "_h", &c->h, 0) < 0
+           || bind_long(routing, "_first_global_port", &c->first_global, 0) < 0 ? -1 : 0;
+}
+
+/* The constants and tables of a `DragonflyTopology` its stock queries read;
+ * on any other topology `df_a` stays 0 and the tables `None`. */
+static int
+bind_dragonfly(Core *c, PyObject *topology)
+{
+    int is = PyObject_IsInstance(topology, L(c, DragonflyTopology));
+    c->df_p = c->df_a = c->df_h = c->df_groups = c->df_routers = 0;
+    if (is < 0)
+        return -1;
+    if (!is)
+        return bind_attr(c, S_route_table, Py_None, "_route_table", NULL) < 0
+               || bind_attr(c, S_link_offsets, Py_None, "group_link_offsets", NULL) < 0 ? -1 : 0;
+    /* `df_a` last: it says the rest is bound. */
+    return bind_long(topology, "_p", &c->df_p, 1) < 0 || bind_long(topology, "_h", &c->df_h, 1) < 0
+           || bind_long(topology, "_num_groups", &c->df_groups, 1) < 0
+           || bind_long(topology, "_num_routers", &c->df_routers, 1) < 0
+           || bind_attr(c, S_route_table, topology, "_route_table", &PyByteArray_Type) < 0
+           || bind_attr(c, S_link_offsets, topology, "group_link_offsets", &PyList_Type) < 0
+           || bind_long(topology, "_a", &c->df_a, 1) < 0 ? -1 : 0;
 }
 
 static int
@@ -3004,7 +3598,12 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         || bind_attr(c, S_tracker, routing, "tracker", NULL) < 0
         || bind_attr(c, S_counters, L(c, tracker), "_counters", NULL) < 0
         || bind_attr(c, S_partial, routing, "partial", NULL) < 0
-        || bind_attr(c, S_combined, routing, "combined", NULL) < 0)
+        || bind_attr(c, S_combined, routing, "combined", NULL) < 0
+        || bind_attr(c, S_flags, routing, "_flags", NULL) < 0
+        || bind_attr(c, S_shared, routing, "_router_candidates", NULL) < 0
+        || bind_attr(c, S_node_rid, routing, "_node_rid", &PyTuple_Type) < 0
+        || bind_double(routing, "_valiant_threshold", &c->valiant_threshold, 1) < 0
+        || bind_dragonfly(c, L(c, topology)) < 0)
         return -1;
     for (i = 0; i < 2; i++) {
         if ((size = PyObject_GetAttrString(st, i ? "V" : "P")) == NULL)
@@ -3053,10 +3652,16 @@ usable(Core *c)
 }
 
 static PyObject *
-Core_activate(Core *c, PyObject *rid_o)
+Core_inject(Core *c, PyObject *const *args, Py_ssize_t nargs)
 {
-    long rid;
-    if (!usable(c) || as_long(rid_o, &rid) < 0 || activate(c, rid, NULL) < 0)
+    long cycle;
+    if (!usable(c))
+        return NULL;
+    if (nargs != 2 || !PyLong_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "inject(node, cycle) takes a node and an int cycle");
+        return NULL;
+    }
+    if (as_long(args[1], &cycle) < 0 || inject(c, args[0], args[1], cycle) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3202,8 +3807,9 @@ Core_router_phase(Core *c, PyObject *args)
 }
 
 static PyMethodDef Core_methods[] = {
-    {"activate", (PyCFunction)Core_activate, METH_O,
-     "activate(rid): put router `rid` on the active list (`SoAEngine._activate`)."},
+    {"inject", (PyCFunction)(void (*)(void))Core_inject, METH_FASTCALL,
+     "inject(node, cycle): the head of `node`'s source queue into its router if a VC has room "
+     "(`SoAEngine._inject`)."},
     {"apply_credits", (PyCFunction)Core_apply_credits, METH_O,
      "apply_credits(due): the credit returns `(rid, g, q, phits)` of one bucket."},
     {"apply_arrivals", (PyCFunction)Core_apply_arrivals, METH_VARARGS,

@@ -16,9 +16,10 @@ places:
   CPython extension type bound to this engine's :class:`SoAState`, holds the
   state's own lists and calendars and implements credit returns, link
   arrivals, the pop / commit / release chain of a hop, the separable
-  allocator, the allocation rounds and the router-major walk of a cycle, and
-  for the stock mechanisms the routing hooks, head captures and trigger gates
-  (see "The compiled core" below);
+  allocator, the allocation rounds and the router-major walk of a cycle, an
+  injection, and for the stock mechanisms the routing hooks, head captures
+  and trigger gates over the Dragonfly's routing tables (see "The compiled
+  core" below);
 * **decision capture** — routing decisions are classified once per buffer
   head instead of re-derived from scratch every allocation round.  Heads
   whose decision cannot change while they wait (ejection, towards-
@@ -67,24 +68,36 @@ of the routing:
   contention-counter head / leave (``ContentionTracker.on_head`` /
   ``on_leave``, ``ContentionCounters.decrement``; Hybrid inherits them),
   ECtN's partial-counter head / arrival / leave, and the arrival hooks of
-  ``AdaptiveInTransitRouting`` and ``ValiantRouting`` — each only while the
-  function the instance resolves for that name, looked up on every call the
-  way a method call looks it up, is the stock function (``_STOCK_FUNCTIONS``,
-  taken from the classes when the engine is built).  A subclass override or a
-  wrapper on the class or the instance is called by name instead, so
+  ``AdaptiveInTransitRouting`` and ``ValiantRouting``, and at injection
+  (``Core.inject``, this engine's ``_inject``) ``RoutingAlgorithm.on_inject``,
+  ``ValiantRouting.on_inject``, ``UGALRouting.on_inject`` /
+  ``prefers_valiant`` / ``_ugal_prefers_valiant`` and
+  ``PiggybackRouting.prefers_valiant`` — each only while the function the
+  instance resolves for that name, looked up on every call the way a method
+  call looks it up, is the stock function (``_STOCK_FUNCTIONS``, taken from
+  the classes when the engine is built).  A subclass override or a wrapper on
+  the class or the instance is called by name instead, so
   ``perf/trace.py``'s wrappers and a test's monkeypatch are seen and counted;
 * the adaptive captures (the MM+L group policy, the ring escape, the uplink
   multipath) and the open gates of their rows — the ``choose_*`` triggers of
-  OLM / Base / Hybrid / ECtN over the flat state.
+  OLM / Base / Hybrid / ECtN over the flat state;
+* under the same rule, the topology queries of a ``DragonflyTopology``
+  (region, group and node-router arithmetic; ``minimal_output_port`` /
+  ``minimal_route_to_router`` from its one route table; ``router_hops`` and
+  ECtN's ``link_offset_for_destination`` from its ``group_link_offsets``)
+  and the candidate views ``global_candidates`` / ``local_candidates``: a
+  gate row holds a view of the router's shared candidate tuple and skips the
+  excluded ports in place.
 
-What a stock body calls that is not transcribed — topology queries, misses
-of the routing's candidate, gateway and ``plain_decision`` memos, the obs /
-dateline / fault sub-calls, and every draw (``routing.rng.integers(0, n)``)
-— is a Python call made from C, by name and in the Python body's order.
+What a stock body calls that is not transcribed — a topology query of any
+other topology, an unset route-table entry, a router's first
+``router_candidates``, misses of the gateway and ``plain_decision`` memos,
+the obs / dateline / fault sub-calls, and every draw
+(``routing.rng.integers(0, n)``, ``random_intermediate_router``) — is a
+Python call made from C, by name and in the Python body's order.
 :meth:`_capture_pure` (it calls ``select_output``), :meth:`_live_request` /
 :meth:`_resolve_faults` / :meth:`_drop_head` (``LIVE`` rows, fault runs),
-``metrics.record_*`` and the obs sites stay Python, and so does
-``_try_inject``: it runs once per injected packet, around two hook calls.
+``metrics.record_*`` and the obs sites stay Python.
 The core never holds the engine — the engine is an argument of
 ``router_phase`` — so engine → core is the only edge between the two, and the
 type takes part in cyclic collection.  There is no pure-Python twin of the
@@ -97,8 +110,10 @@ Row kinds
 There is one allocation path, the core's ``allocate``.  Every buffer head
 is a *row*, one tuple written once into ``_rows[q]`` by the capture and read
 by every round: ``(FIXED, request)``, or for a gate ``(kind, fallback
-request, minimal port, candidates, global VC, local VC, ectn)`` with ``ectn``
-the injection-side constants of an ECtN head (``None`` otherwise).  A ``q``
+request, minimal port, candidates, global VC, local VC, ectn)`` with
+``candidates`` a list or a view ``(shared tuple, first, dst group, proxy)``
+and ``ectn`` the injection-side constants ``(group, minimal link offset,
+offset base)`` of an ECtN head (``None`` otherwise).  A ``q``
 nobody captured holds ``None`` and answers as ``LIVE``.  Which capture runs
 (``self._capture``) depends only on what the code can observe: the exact
 routing class, its path policy, whether a fault runtime is attached.
@@ -144,7 +159,6 @@ from __future__ import annotations
 
 import inspect
 import sys
-from bisect import insort
 from typing import List
 
 from repro.network.packet import Packet, RoutingPhase
@@ -163,6 +177,7 @@ from repro.simulation.engine import _NO_EVENT, Engine
 from repro.simulation.soa._loader import load_core
 from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind
+from repro.topology.dragonfly import DragonflyTopology
 
 __all__ = ["SoAEngine"]
 
@@ -200,18 +215,36 @@ _PURE_MECHS = (MinimalRouting, ValiantRouting, UGALRouting, PiggybackRouting)
 #: (see "The compiled core").
 _STOCK_FUNCTIONS = (
     (RoutingAlgorithm, "on_grant"),
+    (RoutingAlgorithm, "on_inject"),
     (Packet, "record_hop"),
+    (ValiantRouting, "on_inject"),
+    (UGALRouting, "on_inject"),
+    (UGALRouting, "prefers_valiant"),
+    (UGALRouting, "_ugal_prefers_valiant"),
+    (PiggybackRouting, "prefers_valiant"),
     (AdaptiveInTransitRouting, "on_packet_arrival"),
     (ValiantRouting, "on_packet_arrival"),
+    (AdaptiveInTransitRouting, "global_candidates"),
+    (AdaptiveInTransitRouting, "local_candidates"),
     (BaseContentionRouting, "on_packet_head"),
     (BaseContentionRouting, "on_packet_leave_input"),
     (ECtNRouting, "on_packet_head"),
     (ECtNRouting, "on_packet_arrival"),
     (ECtNRouting, "on_packet_leave_input"),
     (ECtNRouting, "_maybe_count_partial"),
+    (ECtNRouting, "link_offset_for_destination"),
     (ContentionTracker, "on_head"),
     (ContentionTracker, "on_leave"),
     (ContentionCounters, "decrement"),
+    (DragonflyTopology, "router_region"),
+    (DragonflyTopology, "node_region"),
+    (DragonflyTopology, "router_group"),
+    (DragonflyTopology, "node_group"),
+    (DragonflyTopology, "node_router"),
+    (DragonflyTopology, "minimal_output_port"),
+    (DragonflyTopology, "minimal_route_to_router"),
+    (DragonflyTopology, "router_hops"),
+    (DragonflyTopology, "_route_port"),
 )
 
 
@@ -243,7 +276,10 @@ def _stock() -> dict:
     stock.update(
         Packet=Packet,
         RoutingDecision=RoutingDecision,
+        RoutingAlgorithm=RoutingAlgorithm,
+        ValiantRouting=ValiantRouting,
         ECtNRouting=ECtNRouting,
+        DragonflyTopology=DragonflyTopology,
         TO_INTERMEDIATE=RoutingPhase.TO_INTERMEDIATE,
         MINIMAL=RoutingPhase.MINIMAL,
         GLOBAL=_GLOBAL,
@@ -260,7 +296,6 @@ class SoAEngine(Engine):
         "_capture",
         "_memo",
         "_routing",
-        "_notify_arrival",
         "_drp",
         "_rows",
         "_draws",
@@ -272,7 +307,6 @@ class SoAEngine(Engine):
         st = self._st
         routing = self._routing = network.routing
         hooks = routing.overridden_hooks()
-        self._notify_arrival = hooks[0]
         self._drp: List = []
         self._draws = 0
 
@@ -309,6 +343,7 @@ class SoAEngine(Engine):
             network.params.internal_speedup, network.params.router_latency,
             -1 if self._capture is None else self._capture, mech, _stock(),
         )
+        self._inject = self._core.inject
 
         # There are no object routers on this backend, so a mechanism's
         # post_cycle hook has nothing to scan.  PB's scan is transcribed
@@ -368,53 +403,6 @@ class SoAEngine(Engine):
         from repro.obs.readers import SoAStateReader
 
         return SoAStateReader(self._st)
-
-    # ------------------------------------------------------------- injection
-    def _try_inject(self, node, cycle: int) -> None:
-        """``ComputeNode.try_inject`` against the flat state.
-
-        The routing hooks receive the live :class:`RouterView` — UGAL/PB's
-        ``on_inject`` reads ``router.output_occupancy``, which must observe
-        SoA state (``node.router`` is ``None`` on this backend).
-        """
-        queue = node.source_queue
-        packet = queue[0]
-        st = self._st
-        rid = st.node_rid[node.node_id]
-        port = node.port
-        g = rid * st.P + port
-        num_vcs = st.in_nvcs[g]
-        base_q = g * st.V
-        pointer = node._vc_pointer
-        size = packet.size_phits
-        in_free = st.in_free
-        for offset in range(num_vcs):
-            vc = (pointer + offset) % num_vcs
-            q = base_q + vc
-            if in_free[q] < size:
-                continue
-            queue.popleft()
-            packet.injection_cycle = cycle
-            routing = self._routing
-            view = st.views[rid]
-            routing.on_inject(view, packet, cycle)
-            dq = st.in_q[q]
-            if dq is None:
-                dq = st.in_q[q] = []
-            dq.append(packet)
-            in_free[q] = in_free[q] - size
-            if len(dq) == 1:
-                k = port * st.V + vc
-                insort(st.occ[rid], k)
-                st.new_heads[rid].append(k)
-                st.alloc_clean[rid] = False
-            self._core.activate(rid)
-            if self._notify_arrival:
-                routing.on_packet_arrival(view, port, vc, packet, cycle)
-            node._vc_pointer = (vc + 1) % num_vcs
-            node.next_injection_cycle = cycle + size
-            node.injected_packets += 1
-            return
 
     # ------------------------------------------------------------- LIVE rows
     def _live_request(self, rid, base, q, k, head, cycle, round_index):

@@ -486,6 +486,12 @@ class Topology(ABC):
                 )
         return path
 
+    def router_hops(self, src_router: int, dst_router: int) -> int:
+        """Router-to-router hops of the minimal path between two routers,
+        ``len(minimal_router_path(src, dst)) - 1``; a topology may answer it
+        without walking the path (the Dragonfly does)."""
+        return len(self.minimal_router_path(src_router, dst_router)) - 1
+
     def valiant_intermediate_router(self, source_router: int, rng) -> int:
         """Uniformly random Valiant intermediate router for ``source_router``.
 

@@ -106,21 +106,30 @@ class DragonflyTopology(Topology):
             else (PortKind.LOCAL if port < self._first_global_port else PortKind.GLOBAL)
             for port in range(self._radix)
         )
-        # (router, dst_router) -> minimal output port memos; the minimal
-        # paths are static, and routing recomputes them every cycle for every
-        # blocked head.  Dense byte tables rather than dicts: indexing is
-        # faster than hashing on the hot path and the footprint is bounded at
-        # num_routers^2 bytes (~4 MB at the paper scale, a port index fits a
-        # byte) instead of an unbounded dict.  ``_UNSET`` marks an entry not
-        # computed yet.  Allocated lazily on first use — the Valiant-phase
-        # cache, for instance, is never touched by MIN/Base runs.
+        #: Group-local offset of the global link from group ``g`` to group
+        #: ``d`` at ``[g * num_groups + d]`` (-1 on the diagonal): the link's
+        #: owner is router ``o // h`` of ``g``, its port ``o % h`` past the
+        #: first global port.  Public, like ``port_kinds``: ECtN's counters
+        #: and PB's flags are indexed by it on their hot paths, and the SoA
+        #: core reads it.
+        G = self._num_groups
+        self.group_link_offsets: List[int] = [
+            -1 if g == d else self._global_offset_from(g, d)
+            for g in range(G)
+            for d in range(G)
+        ]
+        # (router, dst_router) -> first port of the minimal path: one memo
+        # for ``minimal_output_port`` and ``minimal_route_to_router``, which
+        # answer the same question.  A dense byte table rather than a dict:
+        # indexing is faster than hashing on the hot path and the footprint
+        # is bounded at num_routers^2 bytes (~4 MB at the paper scale, a port
+        # index fits a byte).  ``_UNSET`` marks an entry not computed yet.
         if self._radix >= _UNSET:
             raise ValueError(
                 f"router radix {self._radix} does not fit the byte-sized route "
-                f"memos (at most {_UNSET - 1} ports)"
+                f"memo (at most {_UNSET - 1} ports)"
             )
-        self._minimal_port_cache: Optional[bytearray] = None
-        self._router_route_cache: Optional[bytearray] = None
+        self._route_table = bytearray([_UNSET]) * (self._num_routers * self._num_routers)
         self._path_model = PathModel.from_minimal_paths(
             "dragonfly",
             _MINIMAL_HOP_KINDS,
@@ -176,9 +185,17 @@ class DragonflyTopology(Topology):
         return self._a * self._h
 
     # -------------------------------------------------------------- addressing
+    # The region and group queries are arithmetic without sub-calls: the SoA
+    # core answers them in C while an instance resolves to these functions.
     def router_group(self, router: int) -> int:
         """Group of ``router``."""
         return router // self._a
+
+    def router_region(self, router: int) -> int:
+        return router // self._a
+
+    def node_region(self, node: int) -> int:
+        return node // (self._p * self._a)
 
     def router_position(self, router: int) -> int:
         """Position of ``router`` within its group (``0 <= pos < a``)."""
@@ -200,7 +217,7 @@ class DragonflyTopology(Topology):
 
     def node_group(self, node: int) -> int:
         """Group of the router that ``node`` attaches to."""
-        return self.router_group(self.node_router(node))
+        return node // (self._p * self._a)
 
     def router_nodes(self, router: int) -> List[int]:
         base = router * self._p
@@ -333,13 +350,10 @@ class DragonflyTopology(Topology):
         dst_router = dst_node // self._p
         if router == dst_router:
             return dst_node % self._p
-        cache = self._minimal_port_cache
-        if cache is None:
-            cache = self._minimal_port_cache = self._new_route_memo()
         key = router * self._num_routers + dst_router
-        port = cache[key]
+        port = self._route_table[key]
         if port == _UNSET:
-            port = cache[key] = self._route_port(router, dst_router)
+            port = self._route_table[key] = self._route_port(router, dst_router)
         return port
 
     def minimal_route_to_router(self, router: int, dst_router: int) -> int:
@@ -351,21 +365,31 @@ class DragonflyTopology(Topology):
         """
         if router == dst_router:
             raise ValueError("already at the destination router")
-        cache = self._router_route_cache
-        if cache is None:
-            cache = self._router_route_cache = self._new_route_memo()
         key = router * self._num_routers + dst_router
-        port = cache[key]
+        port = self._route_table[key]
         if port == _UNSET:
-            port = cache[key] = self._route_port(router, dst_router)
+            port = self._route_table[key] = self._route_port(router, dst_router)
         return port
 
-    def _new_route_memo(self) -> bytearray:
-        """An all-unset (router, dst_router) -> port table, one byte an entry."""
-        return bytearray([_UNSET]) * (self._num_routers * self._num_routers)
+    def router_hops(self, src_router: int, dst_router: int) -> int:
+        """Hops of the minimal path between two routers: at most one local
+        hop to the owner of the link between their groups, the link, at most
+        one local hop from where it lands (arithmetic over
+        ``group_link_offsets``; the SoA core transcribes it)."""
+        if src_router == dst_router:
+            return 0
+        a = self._a
+        group, dst_group = src_router // a, dst_router // a
+        if group == dst_group:
+            return 1
+        offsets = self.group_link_offsets
+        G, h = self._num_groups, self._h
+        gateway = group * a + offsets[group * G + dst_group] // h
+        landing = dst_group * a + offsets[dst_group * G + group] // h
+        return 1 + (src_router != gateway) + (landing != dst_router)
 
     def _route_port(self, router: int, dst_router: int) -> int:
-        """What the memo tables cache: the first hop of the minimal path
+        """What the route table caches: the first hop of the minimal path
         between two distinct routers."""
         group = self.router_group(router)
         dst_group = self.router_group(dst_router)

@@ -24,6 +24,31 @@ def remote_packet(topology, src_router=0, dst_group=2, pid=0, size=2):
 
 
 class TestMisrouteCandidates:
+    @pytest.mark.parametrize(
+        "topology, preset",
+        [("dragonfly", "tiny"), ("dragonfly", "small"), ("flattened_butterfly", "tiny")],
+    )
+    def test_the_filtered_views_equal_the_enumeration(self, topology, preset):
+        """``global_candidates`` / ``local_candidates`` filter one shared
+        tuple per router: for every routing key they answer exactly, and in
+        order, what the reference enumeration computes."""
+        from repro.config.parameters import SimulationParameters
+        from repro.routing.misrouting import compute_global_candidates, compute_local_candidates
+        from repro.topology.registry import create_topology, topology_preset
+
+        params = SimulationParameters.tiny(topology_preset(topology, preset))
+        topo = create_topology(params.topology)
+        routing = create_routing("Base", topo, params, None)
+        for rid in range(topo.num_routers):
+            for dst_group in range(topo.num_regions):
+                for minimal in range(topo.router_radix):
+                    for proxy in (False, True):
+                        assert routing.global_candidates(
+                            rid, dst_group, minimal, proxy
+                        ) == compute_global_candidates(topo, rid, dst_group, minimal, proxy)
+        for minimal in range(topo.router_radix):
+            assert routing.local_candidates(minimal) == compute_local_candidates(topo, minimal)
+
     def test_global_candidates_exclude_minimal_current_and_destination(self, small_params):
         sim = make_sim(small_params, "OLM")
         topo = sim.topology

@@ -30,12 +30,17 @@ from repro.routing import (
     ContentionCounters,
     ContentionTracker,
     ECtNRouting,
+    PiggybackRouting,
+    UGALRouting,
+    ValiantRouting,
 )
 from repro.routing.base import RoutingAlgorithm, RoutingDecision
 from repro.service.keys import result_fingerprint
 from repro.simulation.engine import Engine
 from repro.simulation.simulator import Simulator
 from repro.simulation.soa import _loader
+from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.registry import TOPOLOGY_REGISTRY
 
 pytestmark = pytest.mark.soa_core
 
@@ -248,6 +253,22 @@ class TestBookings:
 
 
 _HOOKS = ("on_grant", "on_packet_leave_input", "on_packet_head", "on_packet_arrival")
+_MECHANISMS = ["MIN", "VAL", "UGAL", "PB", "OLM", "Base", "Hybrid", "ECtN"]
+_INJECTION = [
+    (RoutingAlgorithm, "on_inject"),
+    (ValiantRouting, "on_inject"),
+    (UGALRouting, "on_inject"),
+    (UGALRouting, "prefers_valiant"),
+    (UGALRouting, "_ugal_prefers_valiant"),
+    (PiggybackRouting, "prefers_valiant"),
+    (ValiantRouting, "random_intermediate_router"),
+]
+_QUERIES = [
+    (DragonflyTopology, "minimal_output_port"),
+    (DragonflyTopology, "router_region"),
+    (DragonflyTopology, "node_region"),
+    (AdaptiveInTransitRouting, "global_candidates"),
+]
 
 
 class TestHooksAreLookedUpByName:
@@ -255,10 +276,11 @@ class TestHooksAreLookedUpByName:
     the stock function; anything else is called by name, exactly where and as
     often as the object engine calls it."""
 
-    def _counted(self, monkeypatch, routing, targets, before=False, wraps=False):
-        """Calls per wrapped ``(owner, name)`` of one run per backend; the
-        wrappers (``functools.wraps`` ones if ``wraps``) go onto the classes
-        after the Simulators are built unless ``before``."""
+    def _counted(self, monkeypatch, routing, targets, before=False, wraps=False, equal=True):
+        """Calls per wrapped ``(owner, name)`` of one run per backend (``soa``'s
+        returned); the wrappers (``functools.wraps`` ones if ``wraps``) go onto
+        the classes after the Simulators are built unless ``before``.  Without
+        ``equal`` only the names called must agree, not how often."""
         calls = {backend: Counter() for backend in ("object", "soa")}
         current = []
 
@@ -281,7 +303,10 @@ class TestHooksAreLookedUpByName:
         for backend, sim in sims.items():
             current[:] = [backend]
             sim.run_steady_state(50, 150)
-        assert calls["soa"] == calls["object"]
+        if equal:
+            assert calls["soa"] == calls["object"]
+        else:
+            assert set(calls["soa"]) == set(calls["object"])
         assert sims["soa"].engine.delivered_packets == sims["object"].engine.delivered_packets
         return calls["soa"]
 
@@ -354,6 +379,36 @@ class TestHooksAreLookedUpByName:
         sim.run_cycles(120)
         assert len(seen) > 0
 
+    @pytest.mark.parametrize("routing", _MECHANISMS)
+    def test_injection_hooks_and_topology_queries_are_called_as_often_as_on_object(
+        self, monkeypatch, routing
+    ):
+        """A subclass that overrides nothing gets no capture — every head is
+        ``LIVE``, evaluated per round as ``object`` evaluates it — while every
+        name the core answers still resolves to its stock function.  Wrapped,
+        each injection hook and topology query the core would answer in C is
+        called by name, as often as on ``object``."""
+        stock = ROUTING_REGISTRY[routing]
+        monkeypatch.setitem(ROUTING_REGISTRY, routing, type(f"Bare{stock.__name__}", (stock,), {}))
+        calls = self._counted(monkeypatch, routing, _INJECTION + _QUERIES)
+        assert calls["on_inject"] > 0 and calls["router_region"] > 0
+        assert calls["minimal_output_port"] > 0
+        if routing in ("VAL", "UGAL", "PB"):
+            assert calls["random_intermediate_router"] > 0
+        if routing in ("UGAL", "PB"):
+            assert calls["prefers_valiant"] > 0 and calls["_ugal_prefers_valiant"] > 0
+            assert calls["node_region"] > 0
+        if routing in ("OLM", "Base", "Hybrid", "ECtN"):
+            assert calls["global_candidates"] > 0
+
+    @pytest.mark.parametrize("routing", ["OLM", "Base", "Hybrid", "ECtN"])
+    def test_the_captures_call_wrapped_queries_by_name(self, monkeypatch, routing):
+        """A captured head asks once what ``object`` asks per evaluation, so
+        the counts differ; but a query wrapped on its class is called, not
+        read from the tables behind the wrapper's back."""
+        calls = self._counted(monkeypatch, routing, _INJECTION + _QUERIES, equal=False)
+        assert calls["global_candidates"] > 0 and calls["minimal_output_port"] > 0
+
 
 class _HopLoggingPacket(Packet):
     """A packet class overriding ``record_hop``."""
@@ -380,7 +435,55 @@ class _GrantLogging(ECtNRouting):
         super().on_grant(router, port, vc, packet, decision, cycle)
 
 
+class _CountingDragonfly(DragonflyTopology):
+    """A Dragonfly overriding ``minimal_output_port`` (same answers, counted)."""
+
+    asked = 0
+
+    def minimal_output_port(self, router, dst_node):
+        _CountingDragonfly.asked += 1
+        return super().minimal_output_port(router, dst_node)
+
+
+class _NeverValiant(PiggybackRouting):
+    """PB whose source-adaptive trigger never commits to a Valiant path."""
+
+    name = "NeverValiant"
+
+    def prefers_valiant(self, router, packet, intermediate, cycle):
+        return False
+
+
 class TestOverridesAreHonoured:
+    @pytest.mark.parametrize("routing", ["UGAL", "Base"])
+    def test_a_topology_subclass_keeps_its_minimal_output_port(self, monkeypatch, routing):
+        """The route table is read only behind the stock function: an
+        override is asked wherever the Python bodies ask (Base asks only in
+        its head hook, so there the counts match ``object``'s exactly)."""
+        monkeypatch.setattr(TOPOLOGY_REGISTRY["dragonfly"], "topology_cls", _CountingDragonfly)
+        prints, asked = {}, {}
+        for backend in ("object", "soa"):
+            _CountingDragonfly.asked = 0
+            sim = _sim(routing, 0.3, backend)
+            assert type(sim.topology) is _CountingDragonfly
+            prints[backend] = result_fingerprint(sim.run_steady_state(50, 150))
+            asked[backend] = _CountingDragonfly.asked
+        assert prints["soa"] == prints["object"] and asked["soa"] > 0
+        if routing == "Base":
+            assert asked["soa"] == asked["object"]
+
+    def test_a_piggyback_subclass_keeps_its_prefers_valiant(self, monkeypatch):
+        monkeypatch.setitem(ROUTING_REGISTRY, "NeverValiant", _NeverValiant)
+        prints = {
+            backend: result_fingerprint(
+                _sim("NeverValiant", 0.3, backend).run_steady_state(50, 150)
+            )
+            for backend in ("object", "soa")
+        }
+        assert prints["soa"] == prints["object"]
+        # The override decided: stock PB sends some packets through Valiant.
+        assert prints["soa"] != result_fingerprint(_sim("PB", 0.3).run_steady_state(50, 150))
+
     def test_a_packet_subclass_keeps_its_record_hop(self):
         """Its fields are read through getattr, its hop through its method."""
         logs = {}

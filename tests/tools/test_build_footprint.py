@@ -85,6 +85,25 @@ def test_budget_gates_the_traced_build_footprint():
     assert re.search(r"build footprint \d+\.\d\d MB exceeds the budget of 0\.001 MB", done.stderr)
 
 
+def test_with_run_cycles_the_budget_gates_the_footprint_in_flight_too():
+    args = ["--run-cycles", "60", "--pattern", "ADV+1", "--load", "0.5"]
+    lines = _report(*args)
+    mark = lines.index("after 60 cycles of ADV+1 at load 0.5:")
+    build_mb = float(lines[3].split()[1])
+    in_flight_mb = float(lines[mark + 2].split()[1])
+    assert build_mb < in_flight_mb
+    budget = f"{(build_mb + in_flight_mb) / 2:.3f}"
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--preset", "tiny", *args, "--budget-mb", budget],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert re.fullmatch(
+        rf"in-flight footprint \d+\.\d\d MB exceeds the budget of {float(budget):g} MB\n",
+        done.stderr,
+    )
+
+
 def test_unknown_preset_is_rejected():
     done = subprocess.run(
         [sys.executable, str(TOOL), "--preset", "huge"],

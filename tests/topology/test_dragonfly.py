@@ -146,28 +146,54 @@ class TestMinimalRouting:
         with pytest.raises(ValueError):
             topology.minimal_route_to_router(src, src)
 
-    def test_route_memos_are_byte_tables_answering_like_the_uncached_route(self, topology):
+    def test_one_route_table_answers_both_queries_like_the_uncached_route(self, topology):
         R = topology.num_routers
-        assert topology._minimal_port_cache is None and topology._router_route_cache is None
-        for _ in range(2):  # the second pass reads every entry back
-            for router in range(R):
-                for dst_router in range(R):
-                    if router == dst_router:
-                        continue
-                    expected = topology._route_port(router, dst_router)
-                    dst = topology.router_nodes(dst_router)[0]
-                    assert topology.minimal_output_port(router, dst) == expected
-                    assert topology.minimal_route_to_router(router, dst_router) == expected
-        for memo in (topology._minimal_port_cache, topology._router_route_cache):
-            assert type(memo) is bytearray and len(memo) == R * R
-            # Only the diagonal (never asked for) is still unset.
-            assert [key for key, port in enumerate(memo) if port == 0xFF] == [
-                router * R + router for router in range(R)
-            ]
+        table = topology._route_table
+        assert type(table) is bytearray and len(table) == R * R and set(table) == {0xFF}
+        for router in range(R):
+            for dst_router in range(R):
+                if router == dst_router:
+                    continue
+                expected = topology._route_port(router, dst_router)
+                dst = topology.router_nodes(dst_router)[0]
+                # Odd pairs are filled by one query and read back by the
+                # other: the two share every entry.
+                first, second = (
+                    (topology.minimal_route_to_router, topology.minimal_output_port)
+                    if (router + dst_router) % 2
+                    else (topology.minimal_output_port, topology.minimal_route_to_router)
+                )
+                for query in (first, second, first):
+                    target = dst if query == topology.minimal_output_port else dst_router
+                    assert query(router, target) == expected
+        assert topology._route_table is table
+        # Only the diagonal (never asked for) is still unset.
+        assert [key for key, port in enumerate(table) if port == 0xFF] == [
+            router * R + router for router in range(R)
+        ]
+
+    def test_router_hops_is_the_hop_count_of_the_minimal_path(self, topology):
+        R = topology.num_routers
+        for router in range(R):
+            for dst_router in range(R):
+                path = topology.minimal_router_path(router, dst_router)
+                assert topology.router_hops(router, dst_router) == len(path) - 1
+
+    def test_group_link_offsets_index_the_link_between_two_groups(self, topology):
+        G, h = topology.num_groups, topology.config.h
+        first_global = min(topology.global_ports)
+        for group in range(G):
+            for dst_group in range(G):
+                offset = topology.group_link_offsets[group * G + dst_group]
+                if group == dst_group:
+                    assert offset == -1
+                    continue
+                router, port = topology.global_link_endpoint(group, dst_group)
+                assert offset == topology.router_position(router) * h + port - first_global
 
     def test_a_radix_the_memo_byte_cannot_hold_is_rejected(self):
         DragonflyTopology(DragonflyConfig(p=249, a=4, h=2))  # radix 254
-        with pytest.raises(ValueError, match="byte-sized route memos"):
+        with pytest.raises(ValueError, match="byte-sized route memo"):
             DragonflyTopology(DragonflyConfig(p=250, a=4, h=2))
 
     def test_minimal_global_port_info(self, topology):

@@ -121,6 +121,14 @@ class TestMinimalRouting:
                     hops += 1
                 assert topo.minimal_path_length(src, dst) == hops
 
+    def test_router_hops_counts_the_minimal_router_path(self, topo):
+        """``router_hops`` (arithmetic on the Dragonfly, the path walk by
+        default) is the hop count of ``minimal_router_path``."""
+        for router in range(topo.num_routers):
+            for dst_router in range(topo.num_routers):
+                path = topo.minimal_router_path(router, dst_router)
+                assert topo.router_hops(router, dst_router) == len(path) - 1
+
     def test_minimal_route_to_router_consistent(self, topo):
         for router in range(topo.num_routers):
             with pytest.raises(ValueError):
