@@ -45,8 +45,10 @@ def main() -> None:
 
     params = SimulationParameters.small(topology_preset(args.topology, "small"))
     print(f"Simulation parameters (scaled-down Table I, {args.topology}):")
-    for key, value in params.as_dict().items():
-        print(f"  {key:28s} {value}")
+    described = params.as_dict()
+    width = max(map(len, described))
+    for key, value in described.items():
+        print(f"  {key:{width}s} {value}")
     print()
 
     routings = supported_routings(args.topology, PREFERRED_ROUTINGS)

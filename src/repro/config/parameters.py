@@ -660,28 +660,11 @@ class SimulationParameters:
         return replace(self, topology=topology)
 
     def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary view of the parameters (for reporting)."""
+        """Flat dictionary view of the parameters (for reporting): the
+        topology's description, then every other field, ``backend`` too."""
         return {
             **self.topology.describe(),
-            "router_latency": self.router_latency,
-            "internal_speedup": self.internal_speedup,
-            "local_link_latency": self.local_link_latency,
-            "global_link_latency": self.global_link_latency,
-            "packet_size_phits": self.packet_size_phits,
-            "global_port_vcs": self.global_port_vcs,
-            "local_port_vcs": self.local_port_vcs,
-            "injection_vcs": self.injection_vcs,
-            "output_buffer_phits": self.output_buffer_phits,
-            "local_input_buffer_phits": self.local_input_buffer_phits,
-            "global_input_buffer_phits": self.global_input_buffer_phits,
-            "olm_congestion_threshold": self.olm_congestion_threshold,
-            "hybrid_congestion_threshold": self.hybrid_congestion_threshold,
-            "pb_offset_threshold": self.pb_offset_threshold,
-            "base_contention_threshold": self.base_contention_threshold,
-            "hybrid_contention_threshold": self.hybrid_contention_threshold,
-            "ectn_combined_threshold": self.ectn_combined_threshold,
-            "ectn_update_period": self.ectn_update_period,
-            "backend": self.backend,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "topology"},
         }
 
     def with_backend(self, backend: str) -> "SimulationParameters":
@@ -697,8 +680,8 @@ class SimulationParameters:
 
         * every semantic dataclass field is included — enumerated via
           :func:`dataclasses.fields` so a newly added parameter perturbs
-          the hash without anyone remembering to list it (contrast
-          :meth:`as_dict`, a reporting view that omits several fields);
+          the hash without anyone remembering to list it (as
+          :meth:`as_dict` does for the reporting view);
         * ``backend`` is **excluded**: the backends are bit-identical by
           contract, so the hash identifies the simulated system, not the
           engine that computed it.
@@ -831,8 +814,14 @@ def validate_parameters(params: SimulationParameters) -> None:
         raise ValueError("hybrid_congestion_threshold must be in (0, 1]")
     if not (0.0 < params.pb_saturation_fraction <= 1.0):
         raise ValueError("pb_saturation_fraction must be in (0, 1]")
-    if params.base_contention_threshold < 1:
-        raise ValueError("base_contention_threshold must be >= 1")
+    for name in (
+        "base_contention_threshold",
+        "hybrid_contention_threshold",
+        "ectn_local_contention_threshold",
+        "ectn_combined_threshold",
+    ):
+        if getattr(params, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
     if params.ectn_update_period < 1:
         raise ValueError("ectn_update_period must be >= 1")
     if params.backend not in VALID_BACKENDS:

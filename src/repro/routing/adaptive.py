@@ -5,7 +5,7 @@ ECtN) share the same *misrouting policy* — where a packet may be diverted and
 which paths are candidates (Section IV-A: "We implement the same misrouting
 policy and deadlock avoidance mechanisms as OLM") — and differ only in the
 *misrouting trigger*.  :class:`AdaptiveInTransitRouting` implements the
-policy layer and dispatches between the two per-topology path policies the
+policy layer and dispatches between the three per-topology path policies the
 library defines, selected by the topology's
 :class:`~repro.topology.base.PathModel` capability flags:
 
@@ -44,13 +44,27 @@ hops are deterministic.  The diversion leaves the destination-funneled
 default path, so it is accounted as a local misroute and drives the same
 contention counters as the other policies.
 
-Subclasses provide the trigger by implementing
-:meth:`AdaptiveInTransitRouting.choose_global_misroute` and
-:meth:`AdaptiveInTransitRouting.choose_local_misroute` (the ring escape and
-the uplink diversion are offered through the local-misroute trigger: ring
-and tree ports carry the LOCAL kind).  Topologies that declare none of the
-policies (the full mesh) reject the whole mechanism family with
-:class:`UnsupportedTopologyError`.
+**The trigger** is one body for every mechanism.  A mechanism declares
+the signals it reads, each by its threshold (``None``: not read), and
+:meth:`AdaptiveInTransitRouting.choose_global_misroute` /
+:meth:`AdaptiveInTransitRouting.choose_local_misroute` read them in this
+order, the order of the compiled core's ``choose_global`` / ``choose``:
+
+1. ``combined_threshold`` (ECtN): at an injection port only, the group's
+   combined counter of the minimal global link over it diverts the packet
+   to a global candidate whose combined counter is under it;
+2. ``contention_threshold`` (Base, Hybrid, ECtN): the contention counter
+   of the minimal port over it diverts the packet to a candidate whose
+   counter is under it;
+3. ``congestion_threshold`` (OLM, Hybrid): once the minimal output holds
+   two packets, a candidate whose credit occupancy is under this fraction
+   of the minimal output's qualifies.
+
+Each step that finds a candidate draws one of them uniformly and ends the
+trigger.  The ring escape and the uplink diversion are offered through the
+local-misroute trigger (ring and tree ports carry the LOCAL kind).
+Topologies that declare none of the policies (the full mesh) reject the
+whole mechanism family with :class:`UnsupportedTopologyError`.
 """
 
 from __future__ import annotations
@@ -81,6 +95,7 @@ __all__ = ["AdaptiveInTransitRouting"]
 _TO_INTERMEDIATE = RoutingPhase.TO_INTERMEDIATE
 _GLOBAL = PortKind.GLOBAL
 _LOCAL = PortKind.LOCAL
+_INJECTION = PortKind.INJECTION
 
 
 class AdaptiveInTransitRouting(RoutingAlgorithm):
@@ -94,12 +109,18 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
     #: Widens the construction-time deadlock validation to the adaptive
     #: path shapes (MM+L hop kinds / long-way ring traversals).
     uses_in_transit_adaptive = True
+    #: The trigger's signals (module doc, "The trigger"), set by each
+    #: mechanism from its parameters; ``None``: the signal is not read.
+    contention_threshold: Optional[int] = None
+    congestion_threshold: Optional[float] = None
+    combined_threshold: Optional[int] = None
 
     def __init__(self, topology: Topology, params: SimulationParameters, rng):
         # The topology's path model declares which in-transit policy applies:
         # the MM+L group policy (global detours towards an intermediate
-        # region, local detours inside a region, the local-proxy step) or
-        # the nonminimal ring escape.  Neither -> fail loudly.
+        # region, local detours inside a region, the local-proxy step), the
+        # nonminimal ring escape or the uplink multipath.  None -> fail
+        # loudly.
         path_model = topology.path_model
         self._ring_escape = (
             path_model.supports_nonminimal_ring_escape
@@ -123,6 +144,10 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
             )
         super().__init__(topology, params, rng)
         self._nodes_per_router = topology.nodes_per_router
+        # The occupancy signal compares only against a minimal output that
+        # holds a couple of packets: a relative comparison against an almost
+        # empty queue would divert traffic on every transient collision.
+        self._min_occupancy = 2 * params.packet_size_phits
         # Each policy's state stays scoped to its branch: the decision path
         # dispatches unconditionally on _ring_escape, so the other policy's
         # caches would be dead weight (and an invitation to consult a cache
@@ -517,8 +542,30 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
         candidates: Sequence[MisrouteCandidate],
         cycle: int,
     ) -> Optional[MisrouteCandidate]:
-        """Return the candidate to misroute through, or ``None`` to stay minimal."""
-        raise NotImplementedError
+        """The candidate to misroute through, or ``None`` to stay minimal:
+        the combined counters at an injection port, then the local trigger."""
+        threshold = self.combined_threshold
+        if threshold is not None and self.topology.port_kinds[port] is _INJECTION:
+            # ECtN's arrays, indexed by group-local global-link offset.
+            rid = router.router_id
+            group = rid // self._routers_per_group
+            dst_group = packet.dst // self._nodes_per_group
+            combined = self.combined[group]
+            if combined[self._link_offsets[group * self._num_groups + dst_group]] > threshold:
+                base = (rid % self._routers_per_group) * self._h - self._first_global_port
+                chosen = self.pick_random(
+                    [
+                        candidate
+                        for candidate in candidates
+                        if candidate.kind is _GLOBAL
+                        and combined[base + candidate.port] < threshold
+                    ]
+                )
+                if chosen is not None:
+                    return chosen
+        return self.choose_local_misroute(
+            router, port, packet, minimal_port, candidates, cycle
+        )
 
     def choose_local_misroute(
         self,
@@ -529,8 +576,61 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
         candidates: Sequence[MisrouteCandidate],
         cycle: int,
     ) -> Optional[MisrouteCandidate]:
-        """Return the local-detour candidate, or ``None`` to stay minimal."""
-        raise NotImplementedError
+        """The detour candidate, or ``None`` to stay minimal: the contention
+        counters, then the credit occupancy."""
+        threshold = self.contention_threshold
+        if threshold is not None:
+            counts = self._counter_arrays[router.router_id].counts
+            if counts[minimal_port] > threshold:
+                chosen = self.pick_random(
+                    [candidate for candidate in candidates if counts[candidate.port] < threshold]
+                )
+                if chosen is not None:
+                    return chosen
+        ratio = self.congestion_threshold
+        if ratio is None:
+            return None
+        occupancy = router.output_occupancy
+        occ_min = occupancy(minimal_port)
+        if occ_min < self._min_occupancy:
+            return None
+        limit = ratio * occ_min
+        return self.pick_random(
+            [candidate for candidate in candidates if occupancy(candidate.port) < limit]
+        )
+
+    def trigger_observation(self, router: "Router", packet: Packet) -> dict:
+        """The declared signals of ``packet``'s minimal port at grant time.
+
+        The minimal port is recomputed from the topology because at grant
+        time ``contention_port`` has already been cleared by the tracker's
+        leave hook; the counter value likewise excludes the departing
+        packet (post-decrement semantics, identical in both backends).
+        """
+        rid = router.router_id
+        port = self.topology.minimal_output_port(rid, packet.dst)
+        if self.contention_threshold is None:
+            return {
+                "signal": "occupancy",
+                "port": port,
+                "value": router.output_occupancy(port),
+                "threshold": self.congestion_threshold,
+                "min_occupancy": self._min_occupancy,
+            }
+        observation = {
+            "signal": "contention",
+            "port": port,
+            "value": self._counter_arrays[rid].counts[port],
+            "threshold": self.contention_threshold,
+        }
+        if self.congestion_threshold is not None:
+            observation["signal"] = "contention+congestion"
+            observation["occupancy"] = router.output_occupancy(port)
+            observation["congestion_threshold"] = self.congestion_threshold
+        if self.combined_threshold is not None:
+            observation["signal"] = "contention+ectn"
+            observation["combined_threshold"] = self.combined_threshold
+        return observation
 
     # ------------------------------------------------------------- utilities
     def pick_random(self, candidates: List[MisrouteCandidate]) -> Optional[MisrouteCandidate]:

@@ -110,7 +110,8 @@ class RoutingAlgorithm(ABC):
     needs_extra_local_vc: bool = False
 
     #: Whether the mechanism routes packets through an in-transit adaptive
-    #: policy (the MM+L group policy or the nonminimal ring escape).  Set by
+    #: policy (the MM+L group policy, the nonminimal ring escape or the
+    #: uplink multipath).  Set by
     #: :class:`~repro.routing.adaptive.AdaptiveInTransitRouting`; widens the
     #: construction-time deadlock validation to the adaptive path shapes.
     uses_in_transit_adaptive: bool = False

@@ -13,18 +13,18 @@ The trigger is policy-agnostic: on group topologies (Dragonfly, flattened
 butterfly) it steers the MM+L global/local misroute candidates, and on the
 torus it steers the nonminimal ring-direction escape — in every case the
 packet is diverted only towards candidates whose own contention counter is
-under the threshold (see :mod:`repro.routing.adaptive`).
+under the threshold.  Base declares one signal, the contention counter
+(``contention_threshold``; see :mod:`repro.routing.adaptive`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING
 
 from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet
 from repro.routing.adaptive import AdaptiveInTransitRouting
 from repro.routing.contention.counters import ContentionTracker
-from repro.routing.misrouting import MisrouteCandidate
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,16 +42,9 @@ class BaseContentionRouting(AdaptiveInTransitRouting):
         super().__init__(topology, params, rng)
         self.tracker = ContentionTracker(topology)
         # Direct reference to the tracker's per-router counter objects: the
-        # triggers read them for every blocked head on every round.
+        # trigger reads them for every blocked head on every round.
         self._counter_arrays = self.tracker._counters
-        # Cache through the (possibly overridden) property so Hybrid/ECtN get
-        # their own local thresholds; the parameters are immutable.
-        self._threshold = self.contention_threshold
-
-    # ------------------------------------------------------------- threshold
-    @property
-    def contention_threshold(self) -> int:
-        return self.params.base_contention_threshold
+        self.contention_threshold = params.base_contention_threshold
 
     # ----------------------------------------------------------------- faults
     def attach_faults(self, faults) -> None:
@@ -77,73 +70,3 @@ class BaseContentionRouting(AdaptiveInTransitRouting):
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
     ) -> None:
         self.tracker.on_leave(router, packet)
-
-    # -------------------------------------------------------------- triggers
-    def contention_value(self, router: "Router", port: int) -> int:
-        return self.tracker.value(router.router_id, port)
-
-    def trigger_observation(self, router: "Router", packet: Packet) -> dict:
-        """Contention-counter state the trigger saw for ``packet``'s minimal port.
-
-        The minimal port is recomputed from the topology because at grant
-        time ``contention_port`` has already been cleared by the tracker's
-        leave hook; the counter value likewise excludes the departing
-        packet (post-decrement semantics, identical in both backends).
-        """
-        rid = router.router_id
-        minimal_port = self.topology.minimal_output_port(rid, packet.dst)
-        return {
-            "signal": "contention",
-            "port": minimal_port,
-            "value": self._counter_arrays[rid].counts[minimal_port],
-            "threshold": self._threshold,
-        }
-
-    def _contention_preferred(
-        self, router: "Router", minimal_port: int, candidates: Sequence[MisrouteCandidate]
-    ) -> List[MisrouteCandidate]:
-        """Candidates allowed by the contention trigger, or empty if no trigger."""
-        threshold = self._threshold
-        counts = self._counter_arrays[router.router_id].counts
-        if counts[minimal_port] <= threshold:
-            return []
-        return [
-            candidate for candidate in candidates if counts[candidate.port] < threshold
-        ]
-
-    def _choose_contention(
-        self, router: "Router", minimal_port: int, candidates: Sequence[MisrouteCandidate]
-    ) -> Optional[MisrouteCandidate]:
-        """``pick_random(_contention_preferred(...))`` without the extra hops."""
-        threshold = self._threshold
-        counts = self._counter_arrays[router.router_id].counts
-        if counts[minimal_port] <= threshold:
-            return None
-        preferred = [
-            candidate for candidate in candidates if counts[candidate.port] < threshold
-        ]
-        if not preferred:
-            return None
-        return preferred[int(self.rng.integers(0, len(preferred)))]
-
-    def choose_global_misroute(
-        self,
-        router: "Router",
-        port: int,
-        packet: Packet,
-        minimal_port: int,
-        candidates: Sequence[MisrouteCandidate],
-        cycle: int,
-    ) -> Optional[MisrouteCandidate]:
-        return self._choose_contention(router, minimal_port, candidates)
-
-    def choose_local_misroute(
-        self,
-        router: "Router",
-        port: int,
-        packet: Packet,
-        minimal_port: int,
-        candidates: Sequence[MisrouteCandidate],
-        cycle: int,
-    ) -> Optional[MisrouteCandidate]:
-        return self._choose_contention(router, minimal_port, candidates)

@@ -50,9 +50,6 @@ class ContentionCounters:
     def total(self) -> int:
         return sum(self.counts)
 
-    def snapshot(self) -> List[int]:
-        return list(self.counts)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ContentionCounters({self.counts})"
 

@@ -20,18 +20,19 @@ of Base are used.  The group-wide view makes the counters statistically
 significant even at low loads and lets routers misroute directly from the
 injection queues, which gives ECtN the best latency of all mechanisms and a
 perfectly flat response after the first broadcast following a traffic change
-(Figs. 5–9).
+(Figs. 5–9).  ECtN declares the contention counter (``contention_threshold``)
+and the combined counters (``combined_threshold``); the trigger that reads
+them is :class:`~repro.routing.adaptive.AdaptiveInTransitRouting`'s.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet
 from repro.routing.base import UnsupportedTopologyError
 from repro.routing.contention.base_contention import BaseContentionRouting
-from repro.routing.misrouting import MisrouteCandidate
 from repro.topology.base import PortKind
 from repro.topology.dragonfly import DragonflyTopology
 
@@ -76,36 +77,17 @@ class ECtNRouting(BaseContentionRouting):
         }
         self._first_global_port = min(topology.global_ports)
         self._h = topology.config.h
-        self._combined_threshold = params.ectn_combined_threshold
         # Group-local offset of the link between two groups (the topology's
         # table, which the SoA core reads too).
         self._link_offsets = topology.group_link_offsets
         self._num_groups = topology.num_groups
-
-    # ----------------------------------------------------------- thresholds
-    @property
-    def contention_threshold(self) -> int:
-        return self.params.ectn_local_contention_threshold
-
-    @property
-    def combined_threshold(self) -> int:
-        return self.params.ectn_combined_threshold
-
-    def trigger_observation(self, router, packet) -> dict:
-        """The local counter plus the ECtN combined-array threshold."""
-        observation = super().trigger_observation(router, packet)
-        observation["signal"] = "contention+ectn"
-        observation["combined_threshold"] = self._combined_threshold
-        return observation
+        self.contention_threshold = params.ectn_local_contention_threshold
+        self.combined_threshold = params.ectn_combined_threshold
 
     # ------------------------------------------------------------- link ids
     def link_offset_for_destination(self, group: int, dst_group: int) -> int:
         """Group-local offset of the global link from ``group`` to ``dst_group``."""
         return self._link_offsets[group * self._num_groups + dst_group]
-
-    def link_offset_for_port(self, router_id: int, port: int) -> int:
-        pos = self.topology.router_position(router_id)
-        return pos * self.topology.config.h + (port - self._first_global_port)
 
     # -------------------------------------------------------------- tracking
     def _maybe_count_partial(self, router: "Router", packet: Packet) -> None:
@@ -171,37 +153,3 @@ class ECtNRouting(BaseContentionRouting):
         if remainder == 0:
             return cycle
         return cycle + (period - remainder)
-
-    # -------------------------------------------------------------- triggers
-    def choose_global_misroute(
-        self,
-        router: "Router",
-        port: int,
-        packet: Packet,
-        minimal_port: int,
-        candidates: Sequence[MisrouteCandidate],
-        cycle: int,
-    ) -> Optional[MisrouteCandidate]:
-        topo = self.topology
-        if topo.port_kinds[port] is PortKind.INJECTION:
-            rid = router.router_id
-            group = rid // self._routers_per_group
-            dst_group = packet.dst // self._nodes_per_group
-            combined = self.combined[group]
-            min_offset = self._link_offsets[group * self._num_groups + dst_group]
-            threshold = self._combined_threshold
-            if combined[min_offset] > threshold:
-                pos_base = (rid % self._routers_per_group) * self._h - self._first_global_port
-                preferred = [
-                    candidate
-                    for candidate in candidates
-                    if candidate.kind is PortKind.GLOBAL
-                    and combined[pos_base + candidate.port] < threshold
-                ]
-                chosen = self.pick_random(preferred)
-                if chosen is not None:
-                    return chosen
-        # Fall back to the local (Base) counters for in-transit decisions.
-        return super().choose_global_misroute(
-            router, port, packet, minimal_port, candidates, cycle
-        )

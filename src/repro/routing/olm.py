@@ -11,8 +11,10 @@ saturated local links.
 
 Like the contention mechanisms, OLM rides the topology-dispatched policy
 layer of :class:`~repro.routing.adaptive.AdaptiveInTransitRouting`: the
-MM+L policy above on group topologies (Dragonfly, flattened butterfly) and
-the credit-triggered nonminimal ring-direction escape on the torus.
+MM+L policy above on group topologies (Dragonfly, flattened butterfly), the
+nonminimal ring-direction escape on the torus and the uplink multipath on
+the fat tree.  It declares one signal, the credit occupancy
+(``congestion_threshold``).
 
 Because the trigger depends on buffer occupancy it shares the shortcomings
 analysed in Section II of the paper: it reacts only after queues build up,
@@ -23,14 +25,7 @@ to MIN in Fig. 5a).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
-
-from repro.network.packet import Packet
 from repro.routing.adaptive import AdaptiveInTransitRouting
-from repro.routing.misrouting import MisrouteCandidate
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.router import Router
 
 __all__ = ["OLMRouting"]
 
@@ -42,71 +37,4 @@ class OLMRouting(AdaptiveInTransitRouting):
 
     def __init__(self, topology, params, rng):
         super().__init__(topology, params, rng)
-        self._olm_threshold = params.olm_congestion_threshold
-        self._min_occupancy = 2 * params.packet_size_phits
-
-    def _congestion_threshold(self) -> float:
-        return self._olm_threshold
-
-    def trigger_observation(self, router: "Router", packet) -> dict:
-        """Credit-occupancy state OLM's trigger saw for the minimal port."""
-        rid = router.router_id
-        minimal_port = self.topology.minimal_output_port(rid, packet.dst)
-        return {
-            "signal": "occupancy",
-            "port": minimal_port,
-            "value": router.output_occupancy(minimal_port),
-            "threshold": self._olm_threshold,
-            "min_occupancy": self._min_occupancy,
-        }
-
-    def _credit_preferred(
-        self, router: "Router", minimal_port: int, candidates: Sequence[MisrouteCandidate]
-    ) -> List[MisrouteCandidate]:
-        """Candidates whose occupancy is below ``threshold * occ(minimal)``.
-
-        Misrouting is considered only once the minimal output holds at least
-        a couple of packets: a relative comparison against an almost empty
-        queue would divert traffic on every transient collision, which the
-        real mechanism avoids by using credit round-trip information.
-        """
-        outs = router.output_ports
-        out = outs[minimal_port]
-        occ_min = out.buffer.committed_phits + out.credit_occupied
-        if occ_min < self._min_occupancy:
-            return []
-        limit = self._olm_threshold * occ_min
-        preferred: List[MisrouteCandidate] = []
-        for candidate in candidates:
-            out = outs[candidate.port]
-            if out.buffer.committed_phits + out.credit_occupied < limit:
-                preferred.append(candidate)
-        return preferred
-
-    def choose_global_misroute(
-        self,
-        router: "Router",
-        port: int,
-        packet: Packet,
-        minimal_port: int,
-        candidates: Sequence[MisrouteCandidate],
-        cycle: int,
-    ) -> Optional[MisrouteCandidate]:
-        preferred = self._credit_preferred(router, minimal_port, candidates)
-        if not preferred:
-            return None
-        return preferred[int(self.rng.integers(0, len(preferred)))]
-
-    def choose_local_misroute(
-        self,
-        router: "Router",
-        port: int,
-        packet: Packet,
-        minimal_port: int,
-        candidates: Sequence[MisrouteCandidate],
-        cycle: int,
-    ) -> Optional[MisrouteCandidate]:
-        preferred = self._credit_preferred(router, minimal_port, candidates)
-        if not preferred:
-            return None
-        return preferred[int(self.rng.integers(0, len(preferred)))]
+        self.congestion_threshold = params.olm_congestion_threshold

@@ -62,11 +62,10 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
 #define ROW_GLOBAL 2
 #define ROW_LOCAL 3
 
-/* The triggers of the adaptive mechanisms (`SoAEngine._mech`). */
-#define MECH_OLM 0
-#define MECH_BASE 1
-#define MECH_HYBRID 2
-#define MECH_ECTN 3
+/* The signals an adaptive trigger reads (bit i: `bind_trigger`'s i-th name). */
+#define READS_COUNTERS 1
+#define READS_OCCUPANCY 2
+#define READS_COMBINED 4
 
 /* Who writes the rows (`SoAEngine._capture`; -1: nobody, every row `LIVE`):
  * `engine._capture_pure`, or one of the adaptive path policies here. */
@@ -205,10 +204,10 @@ typedef struct {
     long P, V;
     long speedup, router_latency;
     int notify_arrival, notify_head, notify_leave;
-    /* The trigger (`MECH_*`, -1: none) and its constants: the contention
-     * threshold (Base / Hybrid / ECtN), the occupancy ratio and minimum of
-     * OLM and of Hybrid's credit half, ECtN's combined threshold. */
-    int mech;
+    /* The signals the trigger reads (`READS_*`, 0: no trigger) and its
+     * constants: the contention threshold, the occupancy ratio and minimum,
+     * the combined threshold. */
+    int signals;
     double counter_threshold, occupancy_ratio, min_occupancy, combined_threshold;
     long draws; /* trigger draws not yet added to `engine._draws` */
     /* The capture (`CAPTURE_*`, -1: none) and the routing's constants it
@@ -1836,10 +1835,11 @@ error:
 /* ------------------------------------------------------------- open gates */
 /* A gate row -- `(kind, fallback request, minimal port, candidates, global
  * VC, local VC, ectn)` -- answers each round with its fallback (minimal)
- * request unless the mechanism's trigger picks a candidate.  The triggers
- * are the `choose_*` hooks of OLM / Base / Hybrid / ECtN over the flat
- * state; each pick is one `routing.rng.integers(0, n)`, exactly where the
- * object model's `select_output` draws. */
+ * request unless the mechanism's trigger picks a candidate.  The trigger is
+ * `AdaptiveInTransitRouting.choose_*` over the flat state, reading the
+ * signals the mechanism declares; each pick is one
+ * `routing.rng.integers(0, n)`, exactly where the object model's
+ * `select_output` draws. */
 
 /* `RoutingDecision(output_port=port, vc=vc, ...)`: a tuple of the class
  * with the fields in order, as the class's `__new__` makes it. */
@@ -2059,13 +2059,12 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
        PyObject **chosen)
 {
     long value;
-    if (c->mech < 0) {
+    int found;
+    if (!c->signals) {
         PyErr_SetString(PyExc_ValueError, "a gate row, but the mechanism has no trigger");
         return -1;
     }
-    if (c->mech != MECH_OLM) {
-        /* Base, ECtN's in-transit fallback, Hybrid's contention half. */
-        int found;
+    if (c->signals & READS_COUNTERS) {
         if (*counts == NULL) {
             PyObject *counters = item(L(c, counters), rid);
             if (counters == NULL || (*counts = PyObject_GetAttr(counters, s_counts)) == NULL
@@ -2074,14 +2073,15 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
         }
         if (get_long(*counts, minimal, &value) < 0)
             return -1;
-        found = (double)value <= c->counter_threshold
-                ? 0 : pick(c, rid, minimal, candidates, 0, COUNTER, *counts, 0,
-                           c->counter_threshold, chosen);
-        if (found != 0 || c->mech != MECH_HYBRID)
+        if ((double)value > c->counter_threshold
+            && (found = pick(c, rid, minimal, candidates, 0, COUNTER, *counts, 0,
+                             c->counter_threshold, chosen)) != 0)
             return found;
     }
-    /* OLM, Hybrid's credit half: relative occupancy, once the minimal output
-     * holds enough to compare against. */
+    if (!(c->signals & READS_OCCUPANCY))
+        return 0;
+    /* Relative occupancy, once the minimal output holds enough to compare
+     * against. */
     if (occupancy(c, base + minimal, &value) < 0)
         return -1;
     if ((double)value < c->min_occupancy)
@@ -2090,9 +2090,9 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
                 c->occupancy_ratio * (double)value, chosen);
 }
 
-/* The global trigger: ECtN's combined arrays over the global candidates
- * first where the row carries its injection-side constants `(group, minimal
- * link offset, port -> offset base)`, then `choose`. */
+/* The global trigger: the combined arrays over the global candidates first
+ * where the row carries their injection-side constants `(group, minimal link
+ * offset, port -> offset base)`, then `choose`. */
 static int
 choose_global(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObject *ectn,
               PyObject **counts, PyObject **chosen)
@@ -2649,16 +2649,16 @@ towards_group(Core *c, long rid, PyObject *rid_o, PyObject *head, PyObject *targ
     return decision;
 }
 
-/* ECtN's injection-side trigger constants of a head at `check_port` (see
- * `choose_global`): `None` for another mechanism or a transit port.  The
- * minimal link's offset is read off the Dragonfly's table, as the trigger's
- * Python body reads it. */
+/* The combined signal's injection-side constants of a head at `check_port`
+ * (see `choose_global`): `None` for a trigger without it or a transit port.
+ * The minimal link's offset is read off the Dragonfly's table, as the
+ * trigger's Python body reads it. */
 static PyObject *
 capture_ectn(Core *c, long rid, long check_port, PyObject *head)
 {
     long dst, group, min_offset;
     int on;
-    if (c->mech != MECH_ECTN)
+    if (!(c->signals & READS_COMBINED))
         return Py_NewRef(Py_None);
     if ((on = port_is(c, S_kind_is_injection, check_port)) <= 0)
         return on < 0 ? NULL : Py_NewRef(Py_None);
@@ -3410,7 +3410,8 @@ bind_stock(Core *c, PyObject *stock)
     return 0;
 }
 
-/* `float(owner.<name>)`; with `optional`, 0.0 where `owner` has no `name`. */
+/* `float(owner.<name>)`: 1; with `optional`, 0.0 and 0 where `owner` has no
+ * `name` or holds `None` there. */
 static int
 bind_double(PyObject *owner, const char *name, double *out, int optional)
 {
@@ -3422,39 +3423,38 @@ bind_double(PyObject *owner, const char *name, double *out, int optional)
         PyErr_Clear();
         return 0;
     }
+    if (optional && value == Py_None) {
+        Py_DECREF(value);
+        return 0;
+    }
     *out = PyFloat_AsDouble(value);
     Py_DECREF(value);
-    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 1;
 }
 
-/* The trigger constants of mechanism `mech`, as its `choose_*` hooks read
- * them. */
+/* The signals the routing declares (`AdaptiveInTransitRouting`: a threshold
+ * it lacks or holds as `None` is not read), their thresholds, and the
+ * occupancy minimum. */
 static int
-bind_trigger(Core *c, PyObject *routing, int mech)
+bind_trigger(Core *c, PyObject *routing)
 {
-    c->mech = mech;
-    if (mech == MECH_OLM)
-        return bind_double(routing, "_olm_threshold", &c->occupancy_ratio, 0) < 0
-               || bind_double(routing, "_min_occupancy", &c->min_occupancy, 0) < 0 ? -1 : 0;
-    if (mech != MECH_BASE && mech != MECH_HYBRID && mech != MECH_ECTN)
-        return 0;
-    if (bind_double(routing, "_threshold", &c->counter_threshold, 0) < 0)
+    static const char *names[] = {"contention_threshold", "congestion_threshold",
+                                  "combined_threshold"}; /* READS_* order */
+    double *thresholds[] = {&c->counter_threshold, &c->occupancy_ratio, &c->combined_threshold};
+    int i, found;
+    c->signals = 0;
+    for (i = 0; i < 3; i++) {
+        if ((found = bind_double(routing, names[i], thresholds[i], 1)) < 0)
+            return -1;
+        c->signals |= found << i;
+    }
+    if (bind_double(routing, "_min_occupancy", &c->min_occupancy, 1) < 0)
         return -1;
-    if (!PyList_Check(L(c, counters))) {
-        PyErr_SetString(PyExc_TypeError, "a contention mechanism without counter arrays");
+    if ((c->signals & READS_COUNTERS) && !PyList_Check(L(c, counters))) {
+        PyErr_SetString(PyExc_TypeError, "a contention trigger without counter arrays");
         return -1;
     }
-    if (mech == MECH_HYBRID) {
-        PyObject *params = PyObject_GetAttrString(routing, "params");
-        int failed = params == NULL || bind_double(params, "packet_size_phits",
-                                                   &c->min_occupancy, 0) < 0;
-        Py_XDECREF(params);
-        c->min_occupancy *= 2;
-        return failed || bind_double(routing, "congestion_threshold", &c->occupancy_ratio, 0) < 0
-               ? -1 : 0;
-    }
-    return mech == MECH_ECTN
-           ? bind_double(routing, "_combined_threshold", &c->combined_threshold, 0) : 0;
+    return 0;
 }
 
 /* `int(owner.<name>)`, which must be positive where it divides. */
@@ -3502,7 +3502,7 @@ bind_capture(Core *c, PyObject *routing, int capture)
     c->capture = capture;
     if (capture < CAPTURE_GROUP)
         return 0;
-    if (c->mech < 0) {
+    if (!c->signals) {
         PyErr_SetString(PyExc_ValueError, "an adaptive capture needs a trigger");
         return -1;
     }
@@ -3525,10 +3525,10 @@ bind_capture(Core *c, PyObject *routing, int capture)
         || bind_attr(c, S_shared, routing, "_router_candidates", &PyList_Type) < 0
         || bind_attr(c, S_towards_cache, routing, "_towards_cache", &PyDict_Type) < 0)
         return -1;
-    if (c->mech != MECH_ECTN)
+    if (!(c->signals & READS_COMBINED))
         return 0;
     if (c->df_a <= 0) {
-        PyErr_SetString(PyExc_TypeError, "ECtN's capture reads a Dragonfly's link offsets");
+        PyErr_SetString(PyExc_TypeError, "the combined signal reads a Dragonfly's link offsets");
         return -1;
     }
     return bind_long(routing, "_h", &c->h, 0) < 0
@@ -3560,15 +3560,15 @@ static int
 bind(Core *c, PyObject *args, PyObject *kwargs)
 {
     PyObject *st, *routing, *rows, *drp, *stock, *size;
-    int i, arrival, head, leave, capture, mech;
+    int i, arrival, head, leave, capture;
     long speedup, latency;
     if (kwargs != NULL && PyDict_GET_SIZE(kwargs) > 0) {
         PyErr_SetString(PyExc_TypeError, "Core() takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "OOO!O!(ppp)lliiO!:Core", &st, &routing, &PyList_Type, &rows,
+    if (!PyArg_ParseTuple(args, "OOO!O!(ppp)lliO!:Core", &st, &routing, &PyList_Type, &rows,
                           &PyList_Type, &drp, &arrival, &head, &leave, &speedup, &latency,
-                          &capture, &mech, &PyDict_Type, &stock))
+                          &capture, &PyDict_Type, &stock))
         return -1;
     Core_clear(c);
     for (i = 0; i < N_STATE; i++) {
@@ -3618,7 +3618,7 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError, "st.P and st.V must be positive");
         return -1;
     }
-    if (bind_trigger(c, routing, mech) < 0 || bind_capture(c, routing, capture) < 0)
+    if (bind_trigger(c, routing) < 0 || bind_capture(c, routing, capture) < 0)
         return -1;
     c->draws = 0;
     c->speedup = speedup;
@@ -3831,7 +3831,7 @@ static PyTypeObject CoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.simulation.soa._core.Core",
     .tp_doc = "Core(st, routing, rows, dropped, (arrival, head, leave hooks), speedup, "
-              "router_latency, capture, mech, stock)\n\n"
+              "router_latency, capture, stock)\n\n"
               "The compiled hop chain over one SoAState (see soa/engine.py).",
     .tp_basicsize = sizeof(Core),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,

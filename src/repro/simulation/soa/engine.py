@@ -79,8 +79,10 @@ of the routing:
   the class or the instance is called by name instead, so
   ``perf/trace.py``'s wrappers and a test's monkeypatch are seen and counted;
 * the adaptive captures (the MM+L group policy, the ring escape, the uplink
-  multipath) and the open gates of their rows — the ``choose_*`` triggers of
-  OLM / Base / Hybrid / ECtN over the flat state;
+  multipath) and the open gates of their rows — the one trigger of
+  ``AdaptiveInTransitRouting.choose_*`` over the flat state, reading the
+  signals the mechanism declares (``contention_threshold``,
+  ``congestion_threshold``, ``combined_threshold``);
 * under the same rule, the topology queries of a ``DragonflyTopology``
   (region, group and node-router arithmetic; ``minimal_output_port`` /
   ``minimal_route_to_router`` from its one route table; ``router_hops`` and
@@ -137,7 +139,7 @@ LIVE    nobody               ``select_output`` +         yes        never
 :meth:`_capture_pure` (healthy MIN / VAL / UGAL / PB) evaluates
 ``select_output`` once per head lifetime and stores a ``FIXED`` row.  The
 core's adaptive captures (healthy OLM / Base / Hybrid / ECtN; "trigger"
-above is the transcription of the mechanism's ``choose_*`` hooks) store
+above is the transcription of ``AdaptiveInTransitRouting.choose_*``) store
 ``FIXED`` for ejection, towards-intermediate, mid-ring-traversal, down-hop
 and gate-less heads: the group policy (Dragonfly, flattened butterfly) has
 ``FORCED`` for the committed local-proxy step, ``GLOBAL`` for the
@@ -145,7 +147,8 @@ source-group gate, ``LOCAL`` for the local-misroute gate; the ring escape
 (torus) ``LOCAL`` at the first hop of a ring traversal; the uplink multipath
 (fat tree) ``LOCAL`` where the minimal port is an uplink with siblings.  With
 a fault runtime attached, or a routing class the engine has no transcription
-for (exact type match: a subclass may override the trigger), nothing is
+for (exact type match: a subclass may override the trigger or a helper
+the capture transcribes), nothing is
 captured and every head is ``LIVE``: ``routing.select_output`` runs per round
 on a :class:`~repro.simulation.soa.state.RouterView`, the object allocate
 loop verbatim.  A router may be marked clean only after a grant-free *and*
@@ -197,18 +200,9 @@ CAPTURE_GROUP = 1  # MM+L group policy (Dragonfly, flattened butterfly)
 CAPTURE_RING = 2  # ring-escape policy (torus)
 CAPTURE_UPLINK = 3  # uplink-multipath policy (fat tree)
 
-# The core's trigger transcriptions of the adaptive mechanisms.
-MECH_OLM = 0
-MECH_BASE = 1
-MECH_HYBRID = 2
-MECH_ECTN = 3
-
-_ADAPTIVE_MECHS = {
-    OLMRouting: MECH_OLM,
-    BaseContentionRouting: MECH_BASE,
-    HybridContentionRouting: MECH_HYBRID,
-    ECtNRouting: MECH_ECTN,
-}
+# The mechanisms the core's adaptive captures transcribe; their trigger is
+# read off the signals they declare.
+_ADAPTIVE_MECHS = (OLMRouting, BaseContentionRouting, HybridContentionRouting, ECtNRouting)
 _PURE_MECHS = (MinimalRouting, ValiantRouting, UGALRouting, PiggybackRouting)
 
 #: The functions the core answers in C while an instance resolves to them
@@ -310,18 +304,17 @@ class SoAEngine(Engine):
         self._drp: List = []
         self._draws = 0
 
-        # Which capture writes the rows, and which trigger the core runs for
-        # a gate row.  Exact type matching: a subclass may override the
-        # trigger a transcription assumes, so it gets no capture — every head
-        # stays a LIVE row — like a fault run.
+        # Which capture writes the rows.  Exact type matching: a capture
+        # transcribes ``select_output`` with the helpers it calls
+        # (``next_vc``, ``pick_random``, ``_towards_group``, the trigger), any
+        # of which a subclass may override, so a subclass gets no capture —
+        # every head stays a LIVE row — like a fault run.
         rcls = type(routing)
-        mech = -1
         self._capture = None
         if faults is None:
             if rcls in _PURE_MECHS:
                 self._capture = CAPTURE_PURE
             elif rcls in _ADAPTIVE_MECHS:
-                mech = _ADAPTIVE_MECHS[rcls]
                 if routing._ring_escape:
                     self._capture = CAPTURE_RING
                 elif routing._uplink_multipath:
@@ -341,7 +334,7 @@ class SoAEngine(Engine):
         self._core = load_core().Core(
             st, routing, self._rows, self._drp, hooks,
             network.params.internal_speedup, network.params.router_latency,
-            -1 if self._capture is None else self._capture, mech, _stock(),
+            -1 if self._capture is None else self._capture, _stock(),
         )
         self._inject = self._core.inject
 

@@ -147,10 +147,10 @@ class RouterView:
     ``output_ports[p].{kind, buffer.committed_phits, credit_occupied,
     total_occupancy}``, plus ``group``/``position`` for diagnostics.
 
-    ``output_ports`` is built by its first reader — OLM's ``select_output``
-    on a ``LIVE`` row, a test, a tool; the transcribed triggers and
-    ``output_occupancy`` read the arrays directly — so most routers of most
-    runs never have one.
+    ``output_ports`` is built by its first reader — a user trigger on a
+    ``LIVE`` row, a test, a tool; the stock trigger reads
+    ``output_occupancy``, which reads the arrays directly, as do the
+    transcribed triggers — so most routers of most runs never have one.
 
     A view holds the arrays it reads, never the :class:`SoAState` that holds
     the views: no reference cycle, and one attribute hop less per read.

@@ -112,6 +112,12 @@ class TestSimulationParameters:
         assert d["packet_size_phits"] == 8
         assert d["base_contention_threshold"] == 6
 
+    def test_as_dict_reports_every_field(self):
+        d = PAPER_PARAMETERS.as_dict()
+        for f in dataclasses.fields(SimulationParameters):
+            if f.name != "topology":
+                assert d[f.name] == getattr(PAPER_PARAMETERS, f.name), f.name
+
     def test_buffer_must_hold_a_packet(self):
         with pytest.raises(ValueError):
             dataclasses.replace(TINY_PARAMETERS, output_buffer_phits=1)
@@ -120,9 +126,21 @@ class TestSimulationParameters:
         with pytest.raises(ValueError):
             dataclasses.replace(TINY_PARAMETERS, olm_congestion_threshold=0.0)
         with pytest.raises(ValueError):
-            dataclasses.replace(TINY_PARAMETERS, base_contention_threshold=0)
-        with pytest.raises(ValueError):
             dataclasses.replace(TINY_PARAMETERS, ectn_update_period=0)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "base_contention_threshold",
+            "hybrid_contention_threshold",
+            "ectn_local_contention_threshold",
+            "ectn_combined_threshold",
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_contention_thresholds_below_one(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(TINY_PARAMETERS, **{name: value})
 
     def test_rejects_fewer_oblivious_vcs_than_adaptive(self):
         with pytest.raises(ValueError):

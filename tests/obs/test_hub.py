@@ -187,7 +187,7 @@ class TestTriggerTrace:
         for event in hops[:50]:
             trigger = event["trigger"]
             assert trigger["signal"] == "contention"
-            assert trigger["threshold"] == sim.network.routing._threshold
+            assert trigger["threshold"] == sim.network.routing.contention_threshold
             assert trigger["escape"] == (event["kind"] != "minimal")
         last = sim.obs.last_trigger(summary[0]["router"])
         assert last is not None and "pid" in last and "cycle" in last

@@ -1,9 +1,12 @@
 """Tests for the adaptive mechanisms: OLM, Base, Hybrid, ECtN triggers."""
 
+import dataclasses
+
 import pytest
 
 from repro.network.packet import Packet, RoutingPhase
 from repro.routing import create_routing
+from repro.routing.adaptive import AdaptiveInTransitRouting
 from repro.routing.contention.base_contention import BaseContentionRouting
 from repro.routing.contention.ectn import ECtNRouting
 from repro.routing.contention.hybrid import HybridContentionRouting
@@ -21,6 +24,51 @@ def remote_packet(topology, src_router=0, dst_group=2, pid=0, size=2):
     dst = topology.group_nodes(dst_group)[0]
     src = topology.router_nodes(src_router)[0]
     return Packet(pid=pid, src=src, dst=dst, size_phits=size, creation_cycle=0)
+
+
+class TestDeclaredSignals:
+    """The mechanisms differ only in the signals their trigger reads
+    (Section IV-A); the trigger itself is the policy layer's."""
+
+    @pytest.mark.parametrize(
+        "routing, contention, congestion, combined",
+        [
+            ("OLM", None, "olm_congestion_threshold", None),
+            ("Base", "base_contention_threshold", None, None),
+            ("Hybrid", "hybrid_contention_threshold", "hybrid_congestion_threshold", None),
+            ("ECtN", "ectn_local_contention_threshold", None, "ectn_combined_threshold"),
+        ],
+    )
+    def test_each_mechanism_declares_its_signals(
+        self, tiny_params, routing, contention, congestion, combined
+    ):
+        # Pairwise distinct values, so a threshold read off the wrong
+        # parameter shows.
+        params = dataclasses.replace(
+            tiny_params,
+            olm_congestion_threshold=0.41,
+            hybrid_congestion_threshold=0.42,
+            base_contention_threshold=11,
+            hybrid_contention_threshold=12,
+            ectn_local_contention_threshold=13,
+            ectn_combined_threshold=14,
+        )
+        declared = make_sim(params, routing).routing
+        assert (
+            declared.contention_threshold,
+            declared.congestion_threshold,
+            declared.combined_threshold,
+        ) == tuple(
+            None if name is None else getattr(params, name)
+            for name in (contention, congestion, combined)
+        )
+
+    @pytest.mark.parametrize(
+        "cls", [OLMRouting, BaseContentionRouting, HybridContentionRouting, ECtNRouting]
+    )
+    def test_no_mechanism_defines_a_trigger_of_its_own(self, cls):
+        for name in ("choose_global_misroute", "choose_local_misroute", "trigger_observation"):
+            assert getattr(cls, name) is getattr(AdaptiveInTransitRouting, name)
 
 
 class TestMisrouteCandidates:

@@ -19,7 +19,7 @@ class TestContentionCounters:
         assert counters.total() == 3
         counters.decrement(2)
         assert counters.value(2) == 1
-        assert counters.snapshot() == [0, 0, 1, 0, 1]
+        assert counters.counts == [0, 0, 1, 0, 1]
 
     def test_underflow_detected(self):
         counters = ContentionCounters(2)

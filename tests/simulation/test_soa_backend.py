@@ -338,6 +338,20 @@ class _AlwaysFirstCandidate(BaseContentionRouting):
     choose_local_misroute = choose_global_misroute
 
 
+class _OutputPortsReader(BaseContentionRouting):
+    """A user trigger reading ``router.output_ports``: on ``soa`` its
+    ``LIVE`` rows make the routers build their port views."""
+
+    name = "OutputPortsReader"
+
+    def choose_local_misroute(self, router, port, packet, minimal_port, candidates, cycle):
+        if router.output_ports[minimal_port].credit_occupied == 0:
+            return None
+        return super().choose_local_misroute(
+            router, port, packet, minimal_port, candidates, cycle
+        )
+
+
 @pytest.mark.soa_core
 class TestRowCapture:
     """Which heads the engine captures and which stay ``LIVE`` rows."""
@@ -658,13 +672,14 @@ class TestNoObjectGraph:
         gc.disable()
         try:
             before = alive()
-            # PB and ECtN carry the two ``post_cycle`` transcriptions.  OLM's
-            # ``select_output`` reads ``output_ports``: on its ``LIVE`` rows
-            # (a fault run) the routers build their port views.
+            # PB and ECtN carry the two ``post_cycle`` transcriptions.  The
+            # reader's trigger reads ``output_ports``: on its ``LIVE`` rows
+            # the routers build their port views.
+            monkeypatch.setitem(ROUTING_REGISTRY, "OutputPortsReader", _OutputPortsReader)
             faults = FaultModel(link_failure_percent=10.0)
             for routing, model in (
                 ("Base", None), ("PB", None), ("ECtN", None), ("MIN", None),
-                ("OLM", None), ("OLM", faults), ("PB", faults),
+                ("OLM", None), ("OutputPortsReader", faults), ("PB", faults),
             ):
                 sim = Simulator(
                     SimulationParameters.tiny().with_backend("soa"),
@@ -672,15 +687,19 @@ class TestNoObjectGraph:
                 )
                 sim.run_steady_state(100, 200)
                 assert alive() != before
-                if routing == "OLM" and model is not None:
+                if routing == "OutputPortsReader":
                     assert alive()["_OutputPortView"] > 0
                 del sim
                 assert alive() == before, routing
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("routing, faulty", [("Base", False), ("PB", False), ("OLM", True)])
-    def test_a_finished_soa_simulator_with_probes_is_reclaimed_too(self, routing, faulty):
+    @pytest.mark.parametrize(
+        "routing, faulty", [("Base", False), ("PB", False), ("OutputPortsReader", True)]
+    )
+    def test_a_finished_soa_simulator_with_probes_is_reclaimed_too(
+        self, monkeypatch, routing, faulty
+    ):
         """The hub holds a state reader and the routing holds the hub; none
         of that points back at the engine or the Simulator."""
         import gc
@@ -701,6 +720,7 @@ class TestNoObjectGraph:
                 if (count := sum(type(o) is cls for o in gc.get_objects()))
             }
 
+        monkeypatch.setitem(ROUTING_REGISTRY, "OutputPortsReader", _OutputPortsReader)
         gc.collect()
         gc.disable()
         try:
@@ -713,7 +733,7 @@ class TestNoObjectGraph:
             )
             sim.run_steady_state(100, 200)
             assert sim.obs.events and alive() != before
-            assert ("_OutputPortView" in alive()) == faulty  # OLM's LIVE rows
+            assert ("_OutputPortView" in alive()) == faulty  # the reader's LIVE rows
             del sim
             assert alive() == before
         finally:
