@@ -110,7 +110,9 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
     #: path shapes (MM+L hop kinds / long-way ring traversals).
     uses_in_transit_adaptive = True
     #: The trigger's signals (module doc, "The trigger"), set by each
-    #: mechanism from its parameters; ``None``: the signal is not read.
+    #: mechanism from its parameters; ``None``: the signal is not read.  A
+    #: mechanism declaring ``combined_threshold`` also provides
+    #: ``combined_view`` (ECtN's, which owns the combined counters).
     contention_threshold: Optional[int] = None
     congestion_threshold: Optional[float] = None
     combined_threshold: Optional[int] = None
@@ -546,13 +548,10 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
         the combined counters at an injection port, then the local trigger."""
         threshold = self.combined_threshold
         if threshold is not None and self.topology.port_kinds[port] is _INJECTION:
-            # ECtN's arrays, indexed by group-local global-link offset.
-            rid = router.router_id
-            group = rid // self._routers_per_group
-            dst_group = packet.dst // self._nodes_per_group
-            combined = self.combined[group]
-            if combined[self._link_offsets[group * self._num_groups + dst_group]] > threshold:
-                base = (rid % self._routers_per_group) * self._h - self._first_global_port
+            combined, minimal, base = self.combined_view(
+                router.router_id, packet.dst // self._nodes_per_group
+            )
+            if combined[minimal] > threshold:
                 chosen = self.pick_random(
                     [
                         candidate
@@ -589,6 +588,8 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
                     return chosen
         ratio = self.congestion_threshold
         if ratio is None:
+            if threshold is None:
+                raise NotImplementedError(f"{type(self).__name__} declares no trigger signal")
             return None
         occupancy = router.output_occupancy
         occ_min = occupancy(minimal_port)
@@ -599,14 +600,17 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
             [candidate for candidate in candidates if occupancy(candidate.port) < limit]
         )
 
-    def trigger_observation(self, router: "Router", packet: Packet) -> dict:
-        """The declared signals of ``packet``'s minimal port at grant time.
+    def trigger_observation(self, router: "Router", packet: Packet) -> Optional[dict]:
+        """The declared signals of ``packet``'s minimal port at grant time
+        (``None`` when no counter or occupancy signal is declared).
 
         The minimal port is recomputed from the topology because at grant
         time ``contention_port`` has already been cleared by the tracker's
         leave hook; the counter value likewise excludes the departing
         packet (post-decrement semantics, identical in both backends).
         """
+        if self.contention_threshold is None and self.congestion_threshold is None:
+            return None
         rid = router.router_id
         port = self.topology.minimal_output_port(rid, packet.dst)
         if self.contention_threshold is None:

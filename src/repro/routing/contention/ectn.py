@@ -27,7 +27,7 @@ them is :class:`~repro.routing.adaptive.AdaptiveInTransitRouting`'s.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet
@@ -88,6 +88,17 @@ class ECtNRouting(BaseContentionRouting):
     def link_offset_for_destination(self, group: int, dst_group: int) -> int:
         """Group-local offset of the global link from ``group`` to ``dst_group``."""
         return self._link_offsets[group * self._num_groups + dst_group]
+
+    def combined_view(self, router_id: int, dst_group: int) -> Tuple[List[int], int, int]:
+        """What the combined signal reads at ``router_id``: its group's
+        combined counters, the offset of the group's link to ``dst_group`` and
+        the base that a global port of the router adds to for its link's."""
+        group, position = divmod(router_id, self._routers_per_group)
+        return (
+            self.combined[group],
+            self.link_offset_for_destination(group, dst_group),
+            position * self._h - self._first_global_port,
+        )
 
     # -------------------------------------------------------------- tracking
     def _maybe_count_partial(self, router: "Router", packet: Packet) -> None:

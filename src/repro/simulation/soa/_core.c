@@ -2649,14 +2649,14 @@ towards_group(Core *c, long rid, PyObject *rid_o, PyObject *head, PyObject *targ
     return decision;
 }
 
-/* The combined signal's injection-side constants of a head at `check_port`
- * (see `choose_global`): `None` for a trigger without it or a transit port.
- * The minimal link's offset is read off the Dragonfly's table, as the
- * trigger's Python body reads it. */
+/* ECtN's `combined_view` of a head at `check_port` as `(group, minimal link's
+ * offset, port base)` (see `choose_global`): `None` for a trigger without the
+ * combined signal or a transit port. */
 static PyObject *
 capture_ectn(Core *c, long rid, long check_port, PyObject *head)
 {
-    long dst, group, min_offset;
+    PyObject *min_offset;
+    long dst, group;
     int on;
     if (!(c->signals & READS_COMBINED))
         return Py_NewRef(Py_None);
@@ -2665,9 +2665,9 @@ capture_ectn(Core *c, long rid, long check_port, PyObject *head)
     if (pget_long(c, head, F_dst, &dst) < 0)
         return NULL;
     group = pydiv(rid, c->rpg);
-    if (get_long(L(c, link_offsets), group * c->df_groups + pydiv(dst, c->npg), &min_offset) < 0)
+    if ((min_offset = link_offset(c, group, pydiv(dst, c->npg))) == NULL)
         return NULL;
-    return Py_BuildValue("(lll)", group, min_offset, pymod(rid, c->rpg) * c->h - c->first_global);
+    return Py_BuildValue("(lNl)", group, min_offset, pymod(rid, c->rpg) * c->h - c->first_global);
 }
 
 /* A captured row: `(kind, request)`, or for a gate `(kind, request, minimal

@@ -70,6 +70,19 @@ class TestDeclaredSignals:
         for name in ("choose_global_misroute", "choose_local_misroute", "trigger_observation"):
             assert getattr(cls, name) is getattr(AdaptiveInTransitRouting, name)
 
+    def test_a_subclass_declaring_no_signal_observes_nothing_and_cannot_misroute(
+        self, tiny_params
+    ):
+        sim = make_sim(tiny_params, "Base")
+        undeclared = type("Undeclared", (AdaptiveInTransitRouting,), {"name": "Undeclared"})
+        routing = undeclared(sim.topology, tiny_params, sim.routing.rng)
+        router = sim.network.routers[0]
+        packet = remote_packet(sim.topology)
+        assert routing.trigger_observation(router, packet) is None
+        minimal_port = sim.topology.minimal_output_port(0, packet.dst)
+        with pytest.raises(NotImplementedError, match="declares no trigger signal"):
+            routing.choose_local_misroute(router, 0, packet, minimal_port, (), 0)
+
 
 class TestMisrouteCandidates:
     @pytest.mark.parametrize(
@@ -246,12 +259,6 @@ class TestBaseTrigger:
 
 
 class TestHybridTrigger:
-    def test_uses_its_own_thresholds(self, tiny_params):
-        sim = make_sim(tiny_params, "Hybrid")
-        routing: HybridContentionRouting = sim.routing
-        assert routing.contention_threshold == tiny_params.hybrid_contention_threshold
-        assert routing.congestion_threshold == tiny_params.hybrid_congestion_threshold
-
     def test_credit_trigger_fires_without_contention(self, tiny_params):
         sim = make_sim(tiny_params, "Hybrid")
         topo = sim.topology
