@@ -6,8 +6,8 @@ throughout the paper's figures): ``MIN``, ``VAL``, ``UGAL``, ``PB``, ``OLM``,
 ``Base``, ``Hybrid``, ``ECtN``.  MIN, VAL and UGAL run on every registered
 topology.  The in-transit adaptive family (OLM, Base, Hybrid) runs wherever
 the topology declares a path policy for it — the MM+L group policy on the
-Dragonfly and the flattened butterfly, the nonminimal ring-escape policy on
-the torus — and raises :class:`UnsupportedTopologyError` elsewhere (the
+Dragonfly and the flattened butterfly, the ring escape on the torus, the
+uplink multipath on the fat tree — and raises :class:`UnsupportedTopologyError` elsewhere (the
 full mesh).  PB and ECtN additionally need the Dragonfly's intra-group ECN
 / broadcast structure and stay Dragonfly-only.
 """
@@ -32,11 +32,7 @@ from repro.routing.contention import (
 )
 from repro.routing.deadlock import VCAssignmentPolicy
 from repro.routing.minimal import MinimalRouting
-from repro.routing.misrouting import (
-    MisrouteCandidate,
-    global_misroute_candidates,
-    local_misroute_candidates,
-)
+from repro.routing.misrouting import MisrouteCandidate
 from repro.routing.olm import OLMRouting
 from repro.routing.piggyback import PiggybackRouting
 from repro.routing.ugal import UGALRouting
@@ -60,8 +56,6 @@ __all__ = [
     "ContentionTracker",
     "VCAssignmentPolicy",
     "MisrouteCandidate",
-    "global_misroute_candidates",
-    "local_misroute_candidates",
     "ROUTING_REGISTRY",
     "available_routings",
     "create_routing",

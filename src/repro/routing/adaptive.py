@@ -5,12 +5,13 @@ ECtN) share the same *misrouting policy* — where a packet may be diverted and
 which paths are candidates (Section IV-A: "We implement the same misrouting
 policy and deadlock avoidance mechanisms as OLM") — and differ only in the
 *misrouting trigger*.  :class:`AdaptiveInTransitRouting` implements the
-policy layer and dispatches between the three per-topology path policies the
-library defines, selected by the topology's
-:class:`~repro.topology.base.PathModel` capability flags:
+policy layer.  A topology whose :class:`~repro.topology.base.PathModel`
+declares ``supports_in_transit_adaptive`` has an in-transit policy; its
+``vc_schedule`` picks which one, because each policy is proven deadlock-free
+under its own schedule only:
 
-**Group policy** (``supports_in_transit_adaptive``: Dragonfly, flattened
-butterfly).  The MM+L policy over regions and GLOBAL links:
+**Group policy** (``path_stage``: Dragonfly, flattened butterfly).  The MM+L
+policy over regions and GLOBAL links:
 
 * global misrouting may be selected in the source region while the packet
   has not yet crossed a global link, with MM+L candidates (own global
@@ -23,26 +24,17 @@ butterfly).  The MM+L policy over regions and GLOBAL links:
   intermediate or destination region when the minimal output is a local
   link.
 
-**Ring-escape policy** (``supports_nonminimal_ring_escape``: torus).  A
-direct ring network has no global links to detour over; the in-transit
-nonminimal choice is the *direction* around each ring (cf. OutFlank
-routing).  At the first hop of every ring traversal the trigger may divert
-the packet through the opposite-direction port, committing the whole
-traversal (up to ``k - 1`` links) to that direction; dimension order is
-preserved, so the dateline ``(leg, dim, crossed)`` classes stay
-lexicographically monotone and the schedule remains deadlock-free — the
-extended :func:`repro.routing.deadlock.validate_dateline_shapes` re-proves
-this at construction.
-
-**Uplink-multipath policy** (``supports_uplink_multipath``: fat tree).
-Indirect trees have neither global links nor rings; the in-transit
-nonminimal freedom is *which* equal-cost uplink carries the packet towards
-the destination's nearest common ancestor.  At every up hop the trigger may
-divert the packet onto a sibling uplink (same hop count, same up/down class
-schedule — see :func:`repro.routing.deadlock.validate_updown_shapes`); down
-hops are deterministic.  The diversion leaves the destination-funneled
-default path, so it is accounted as a local misroute and drives the same
-contention counters as the other policies.
+**Port-table policy** (``dateline``: torus; ``up_down``: fat tree).  A
+static candidate list per minimal port is offered to the trigger.  On rings
+it is the *ring escape* (cf. OutFlank routing): the opposite-direction port,
+asked at the first hop of each ring traversal, which then commits to the
+granted direction (up to ``k - 1`` links) so the dateline classes stay
+monotone (:func:`repro.routing.deadlock.validate_dateline_shapes`).  On
+trees it is the *uplink multipath*: the equal-cost sibling uplinks, asked at
+every up hop, on the same up/down classes
+(:func:`repro.routing.deadlock.validate_updown_shapes`).  A diversion is
+accounted as a local misroute; every hop's VC is the schedule's
+(:meth:`hop_vc`).
 
 **The trigger** is one body for every mechanism.  A mechanism declares
 the signals it reads, each by its threshold (``None``: not read), and
@@ -61,10 +53,10 @@ order, the order of the compiled core's ``choose_global`` / ``choose``:
    of the minimal output's qualifies.
 
 Each step that finds a candidate draws one of them uniformly and ends the
-trigger.  The ring escape and the uplink diversion are offered through the
-local-misroute trigger (ring and tree ports carry the LOCAL kind).
-Topologies that declare none of the policies (the full mesh) reject the
-whole mechanism family with :class:`UnsupportedTopologyError`.
+trigger.  The port-table candidates are offered through the local-misroute
+trigger (ring and tree ports carry the LOCAL kind).  Topologies without the
+flag (the full mesh) reject the whole mechanism family with
+:class:`UnsupportedTopologyError`.
 """
 
 from __future__ import annotations
@@ -97,6 +89,12 @@ _GLOBAL = PortKind.GLOBAL
 _LOCAL = PortKind.LOCAL
 _INJECTION = PortKind.INJECTION
 
+# The port-table policies' candidate enumerations, by VC schedule.
+_PORT_TABLES = {
+    "dateline": compute_ring_escape_candidates,
+    "up_down": compute_uplink_candidates,
+}
+
 
 class AdaptiveInTransitRouting(RoutingAlgorithm):
     """Base class for OLM-style in-transit adaptive routing."""
@@ -118,22 +116,9 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
     combined_threshold: Optional[int] = None
 
     def __init__(self, topology: Topology, params: SimulationParameters, rng):
-        # The topology's path model declares which in-transit policy applies:
-        # the MM+L group policy (global detours towards an intermediate
-        # region, local detours inside a region, the local-proxy step), the
-        # nonminimal ring escape or the uplink multipath.  None -> fail
-        # loudly.
-        path_model = topology.path_model
-        self._ring_escape = (
-            path_model.supports_nonminimal_ring_escape
-            and not path_model.supports_in_transit_adaptive
-        )
-        self._uplink_multipath = path_model.supports_uplink_multipath
-        if not (
-            path_model.supports_in_transit_adaptive
-            or path_model.supports_nonminimal_ring_escape
-            or path_model.supports_uplink_multipath
-        ):
+        # The path model declares that some in-transit policy is defined and
+        # its VC schedule picks which (module doc).  None -> fail loudly.
+        if not topology.path_model.supports_in_transit_adaptive:
             raise UnsupportedTopologyError.for_mechanism(
                 self.name,
                 topology,
@@ -150,42 +135,29 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
         # holds a couple of packets: a relative comparison against an almost
         # empty queue would divert traffic on every transient collision.
         self._min_occupancy = 2 * params.packet_size_phits
-        # Each policy's state stays scoped to its branch: the decision path
-        # dispatches unconditionally on _ring_escape, so the other policy's
-        # caches would be dead weight (and an invitation to consult a cache
-        # that is never populated).
-        if self._ring_escape:
-            # Port-indexed ring-escape tables: the (dimension, direction) of
-            # every ring port and the single opposite-direction candidate,
-            # resolved once so the per-head decision path is two list
-            # lookups.  Injection ports hold None / empty lists.
+        # The port-table policy's candidates of every minimal port (None:
+        # the group policy), resolved once so the decision path is a lookup.
+        enumerate_port = _PORT_TABLES.get(topology.path_model.vc_schedule)
+        self._port_candidates: Optional[List[List[MisrouteCandidate]]] = None
+        if enumerate_port is not None:
+            ports = range(topology.router_radix)
+            self._port_candidates = [enumerate_port(topology, port) for port in ports]
+            # The (dimension, direction) of every ring port; None off rings.
             self._port_ring_dim: List[Optional[Tuple[int, int]]] = [
-                None
-                if topology.port_kinds[port] is not _LOCAL
-                else topology.port_dimension(port)
-                for port in range(topology.router_radix)
+                topology.port_dimension(port)
+                if self._dateline is not None and topology.port_kinds[port] is _LOCAL
+                else None
+                for port in ports
             ]
-            self._escape_candidates: List[List[MisrouteCandidate]] = [
-                compute_ring_escape_candidates(topology, port)
-                for port in range(topology.router_radix)
-            ]
-        elif self._uplink_multipath:
-            # Port-indexed sibling-uplink tables: equal-cost alternatives to
-            # each minimal uplink (empty lists for injection / down ports),
-            # resolved once so the per-head decision path is one lookup.
-            self._uplink_candidates: List[List[MisrouteCandidate]] = [
-                compute_uplink_candidates(topology, port)
-                for port in range(topology.router_radix)
-            ]
-            # A diverted hop keeps its minimal hop's up/down class: the
+            # A diverted up hop keeps its minimal hop's up/down class: the
             # siblings of an uplink must all ride one VC (the SoA engine
-            # stores one misroute VC per captured uplink head).
-            for port, candidates in enumerate(self._uplink_candidates):
-                vcs = sorted({self._updown_vcs[c.port] for c in candidates})
+            # stores one misroute VC per captured head).
+            for port, candidates in enumerate(self._port_candidates):
+                vcs = {self._updown_vcs[c.port] for c in candidates} if self._updown_vcs else ()
                 if len(vcs) > 1:
                     raise ValueError(
                         f"the sibling uplinks of port {port} map to different "
-                        f"up/down VCs {vcs}"
+                        f"up/down VCs {sorted(vcs)}"
                     )
         else:
             # One candidate tuple per router, shared by every routing key:
@@ -268,10 +240,8 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
     def select_output(
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
     ) -> Optional[RoutingDecision]:
-        if self._ring_escape:
-            return self._ring_escape_output(router, port, vc, packet, cycle)
-        if self._uplink_multipath:
-            return self._uplink_output(router, port, vc, packet, cycle)
+        if self._port_candidates is not None:
+            return self._port_table_output(router, port, vc, packet, cycle)
         topo = self.topology
         rid = router.router_id
         dst = packet.dst
@@ -379,103 +349,49 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
             decision = row[min_vc] = RoutingDecision(minimal_port, min_vc)
         return decision
 
-    def _ring_escape_output(
+    def _port_table_output(
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
     ) -> RoutingDecision:
-        """Decision path of the ring-escape policy (dateline topologies).
+        """Decision path of the port-table policy (ring escape, uplink
+        multipath).
 
-        Dimension-order routing is kept; the only nonminimal freedom is the
-        direction of each ring traversal.  The trigger is consulted exactly
-        once per traversal — while the packet has not yet hopped in the
-        dimension to correct — and the granted direction is then held until
-        the dimension is done, even where the minimal direction would flip
-        past the half-ring tie (re-evaluating mid-ring could cross the
-        dateline twice and void the deadlock argument).
+        The trigger is asked over the minimal port's candidates, except in
+        the middle of a ring traversal: the direction granted at its first
+        hop is held until the dimension is done, even where the minimal
+        direction would flip past the half-ring tie (re-evaluating mid-ring
+        could cross the dateline twice and void the deadlock argument).
         """
-        topo = self.topology
-        rid = router.router_id
-        dst = packet.dst
-        dst_router = dst // self._nodes_per_router
-        if rid == dst_router:
-            return self.plain_decision(dst % self._nodes_per_router, 0)
-        # The contention tracker already computed the minimal (shortest
-        # direction) port for this head; reuse it per round.
-        minimal_port = packet.contention_port
-        if minimal_port is None:
-            minimal_port = topo.minimal_output_port(rid, dst)
-        dim, direction = self._port_ring_dim[minimal_port]
-        if packet.ring_dim == dim and packet.ring_dir != 0:
-            # Mid-traversal: committed to a direction.  Continuation hops of
-            # an escaped traversal carry no misroute flag — the escape was
-            # accounted once, at the diverting hop.
-            if packet.ring_dir != direction:
-                out = self._escape_candidates[minimal_port][0].port
-                return self.plain_decision(out, topo.ring_vc(packet, rid, out))
-        else:
-            # First hop of this dimension's traversal: the trigger may
-            # divert the whole traversal the long way around the ring.
-            escape = self._escape_candidates[minimal_port]
-            if self.faults is not None:
-                # A dead minimal port is handled downstream by the router's
-                # fault resolution; here we only keep the escape itself off
-                # dead links.  Mid-traversal continuation hops (above) get
-                # the same downstream treatment.
-                escape = self.faults.filter_candidates(rid, escape)
-            chosen = self.choose_local_misroute(
-                router,
-                port,
-                packet,
-                minimal_port,
-                escape,
-                cycle,
-            )
-            if chosen is not None:
-                return RoutingDecision(
-                    output_port=chosen.port,
-                    vc=topo.ring_vc(packet, rid, chosen.port),
-                    nonminimal_local=True,
-                )
-        return self.plain_decision(
-            minimal_port, topo.ring_vc(packet, rid, minimal_port)
-        )
-
-    def _uplink_output(
-        self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
-    ) -> RoutingDecision:
-        """Decision path of the uplink-multipath policy (the fat tree).
-
-        Down hops and ejection are pinned by the destination's digits; the
-        only adaptive freedom is which of the equal-cost sibling uplinks
-        carries the packet towards the nearest common ancestor, so the
-        trigger is consulted exactly when the minimal output is an uplink.
-        Every alternative has the same hop count and stays on the up/down
-        class schedule (the VC is a pure function of the output port), so no
-        commitment state is needed — each up hop re-evaluates independently.
-        """
-        topo = self.topology
         rid = router.router_id
         dst = packet.dst
         if rid == self._node_rid[dst]:
             return self.plain_decision(dst % self._nodes_per_router, 0)
         # The contention tracker already computed the minimal port for this
         # head (and clears it when the packet leaves); reuse it per round.
-        minimal_port = packet.contention_port
-        if minimal_port is None:
-            minimal_port = topo.minimal_output_port(rid, dst)
-        candidates = self._uplink_candidates[minimal_port]
-        if candidates:
+        out = packet.contention_port
+        if out is None:
+            out = self.topology.minimal_output_port(rid, dst)
+        candidates = self._port_candidates[out]
+        ring = self._port_ring_dim[out]
+        if ring is not None and packet.ring_dim == ring[0] and packet.ring_dir != 0:
+            # Mid-traversal: committed to a direction.  Continuation hops of
+            # an escaped traversal carry no misroute flag — the escape was
+            # accounted once, at the diverting hop.
+            if packet.ring_dir != ring[1]:
+                out = candidates[0].port
+        elif candidates:
             if self.faults is not None:
+                # A dead minimal port is handled downstream by the router's
+                # fault resolution; here only the diversion keeps off dead
+                # links.
                 candidates = self.faults.filter_candidates(rid, candidates)
-            chosen = self.choose_local_misroute(
-                router, port, packet, minimal_port, candidates, cycle
-            )
+            chosen = self.choose_local_misroute(router, port, packet, out, candidates, cycle)
             if chosen is not None:
                 return RoutingDecision(
                     output_port=chosen.port,
-                    vc=self._updown_vcs[chosen.port],
+                    vc=self.hop_vc(packet, rid, chosen.port, _LOCAL),
                     nonminimal_local=True,
                 )
-        return self.plain_decision(minimal_port, self._updown_vcs[minimal_port])
+        return self.plain_decision(out, self.hop_vc(packet, rid, out, _LOCAL))
 
     def _forced_global_decision(
         self, router: "Router", packet: Packet, minimal_port: int, cycle: int

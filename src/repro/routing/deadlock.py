@@ -349,10 +349,17 @@ def validate_path_model(
     (:attr:`~repro.topology.base.PathModel.adaptive_hop_kinds`) on
     path-stage models, the ring-escape shapes with the long-way traversal
     bound (``k - 1`` links per ring instead of the minimal ``k // 2``) on
-    dateline models that declare the nonminimal ring escape, and the
-    uplink-multipath shapes on up/down models (equal-cost diverts, so they
-    must satisfy the same ascending-rank rule as the minimal shapes).
+    dateline models, and the uplink-multipath shapes on up/down models
+    (equal-cost diverts, so they must satisfy the same ascending-rank rule
+    as the minimal shapes).  A model that declares no in-transit policy
+    (:attr:`~repro.topology.base.PathModel.supports_in_transit_adaptive`)
+    is rejected whatever its schedule.
     """
+    if include_adaptive and not path_model.supports_in_transit_adaptive:
+        raise ValueError(
+            f"{path_model.topology}: in-transit adaptive validation "
+            "requested but the path model declares no in-transit policy"
+        )
     if path_model.vc_schedule == "up_down":
         if path_model.has_global_ports:
             raise ValueError(
@@ -376,12 +383,6 @@ def validate_path_model(
             context=context,
         )
         if include_adaptive:
-            if not path_model.supports_uplink_multipath:
-                raise ValueError(
-                    f"{path_model.topology}: in-transit adaptive validation "
-                    "requested but the path model declares no uplink "
-                    "multipath"
-                )
             validate_updown_shapes(
                 path_model.updown_adaptive_shapes,
                 local_vcs=local_vcs,
@@ -418,12 +419,6 @@ def validate_path_model(
             max_ring_hops=path_model.dateline_max_ring_hops or None,
         )
         if include_adaptive:
-            if not path_model.supports_nonminimal_ring_escape:
-                raise ValueError(
-                    f"{path_model.topology}: in-transit adaptive validation "
-                    "requested but the path model declares no nonminimal "
-                    "ring escape"
-                )
             validate_dateline_shapes(
                 path_model.dateline_adaptive_shapes,
                 ring_vcs=local_vcs,

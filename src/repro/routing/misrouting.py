@@ -1,4 +1,4 @@
-"""Misrouting candidate enumeration (MM+L policy and local detours).
+"""Misrouting candidate enumeration (MM+L policy, local detours, port tables).
 
 The in-transit adaptive mechanisms (OLM and the contention-based mechanisms
 of the paper) separate *when* to misroute (the trigger, which differs per
@@ -10,18 +10,16 @@ router's own global links or through a local link towards another router of
 the group (which then offers its own global links); after the first hop only
 the current router's global links are considered.  Local misrouting inside
 the intermediate or destination group picks a different local link than the
-minimal one, adding one extra local hop.
+minimal one, adding one extra local hop.  The port-table policy's
+candidates (the ring escape, the sibling uplinks) are a function of the
+minimal port alone.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
-from repro.network.packet import Packet
 from repro.topology.base import PortKind, Topology
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.router import Router
 
 __all__ = [
     "MisrouteCandidate",
@@ -29,8 +27,6 @@ __all__ = [
     "compute_local_candidates",
     "compute_ring_escape_candidates",
     "compute_uplink_candidates",
-    "global_misroute_candidates",
-    "local_misroute_candidates",
 ]
 
 
@@ -115,8 +111,8 @@ def compute_uplink_candidates(
 ) -> List[MisrouteCandidate]:
     """Equal-cost uplink alternatives for one minimal port (pure).
 
-    On uplink-multipath topologies (the fat tree,
-    :attr:`~repro.topology.base.PathModel.supports_uplink_multipath`) every
+    On ``up_down``-schedule topologies with an in-transit policy (the fat
+    tree's uplink multipath, :mod:`repro.routing.adaptive`) every
     uplink of a switch below the destination's nearest common ancestor
     reaches it in the same number of hops, so when the minimal port is an
     uplink the *other* uplinks are the adaptive candidates — derived from
@@ -137,44 +133,3 @@ def compute_uplink_candidates(
         for port in uplinks
         if port != minimal_port
     ]
-
-
-def global_misroute_candidates(
-    topology: Topology,
-    router: "Router",
-    packet: Packet,
-    minimal_port: int,
-    *,
-    allow_local_proxy: bool,
-) -> List[MisrouteCandidate]:
-    """Nonminimal candidates for a *global* misroute at ``router``.
-
-    Candidates are the router's global ports leading to a group other than
-    the current and destination groups, excluding the minimal port.  When
-    ``allow_local_proxy`` is true (injection-time decision, the "+L" part of
-    MM+L), local ports towards the other routers of the group are offered as
-    well; a packet forwarded through one of them re-evaluates misrouting at
-    the neighbouring router.
-    """
-    return compute_global_candidates(
-        topology,
-        router.router_id,
-        topology.node_region(packet.dst),
-        minimal_port,
-        allow_local_proxy,
-    )
-
-
-def local_misroute_candidates(
-    topology: Topology,
-    router: "Router",
-    packet: Packet,
-    minimal_port: int,
-) -> List[MisrouteCandidate]:
-    """Nonminimal candidates for a *local* misroute inside the current group.
-
-    Only meaningful when the minimal output is a local port: the candidates
-    are the other local ports of the router (one extra hop through another
-    router of the group).
-    """
-    return compute_local_candidates(topology, minimal_port)

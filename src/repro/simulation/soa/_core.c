@@ -71,8 +71,7 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
  * `engine._capture_pure`, or one of the adaptive path policies here. */
 #define CAPTURE_PURE 0
 #define CAPTURE_GROUP 1
-#define CAPTURE_RING 2
-#define CAPTURE_UPLINK 3
+#define CAPTURE_PORT_TABLE 2
 
 /* Requests per round / occupied heads per router held on the C stack. */
 #define STACK_ITEMS 64
@@ -152,7 +151,7 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
  * off a Dragonfly its route and link-offset tables. */
 #define ROUTING_MEMBERS(X) \
     X(topology) X(tracker) X(counters) X(partial) X(combined) X(flags) X(shared) X(plain) \
-    X(towards_cache) X(ring_dims) X(escapes) X(node_rid) X(updown_vcs) X(uplinks) \
+    X(towards_cache) X(ring_dims) X(port_candidates) X(node_rid) X(updown_vcs) \
     X(route_table) X(link_offsets)
 
 /* ------------------------------------------------------------------ slots */
@@ -2471,12 +2470,12 @@ done:
 /* ---------------------------------------------------------------- captures */
 /* A new head of an adaptive mechanism is classified once into its row by
  * the routing's path policy: the MM+L group policy (Dragonfly, flattened
- * butterfly), the ring escape (torus) or the uplink multipath (fat tree) --
- * the gate order of `AdaptiveInTransitRouting.select_output` and its
- * `_ring_escape_output` / `_uplink_output`.  Only what cannot change while
- * the packet waits at the head is read (packet fields, topology, the
- * routing's memoised candidate sets); a topology query or a memo miss is the
- * Python call the object path makes there. */
+ * butterfly) or the port-table policy (the torus's ring escape, the fat
+ * tree's uplink multipath) -- the gate order of
+ * `AdaptiveInTransitRouting.select_output` and its `_port_table_output`.
+ * Only what cannot change while the packet waits at the head is read (packet
+ * fields, topology, the routing's memoised candidate sets); a topology query
+ * or a memo miss is the Python call the object path makes there. */
 
 /* `routing.plain_decision(port, vc)`: the shared instance in
  * `_plain_decisions`, made by the method on a miss (a new reference). */
@@ -2776,80 +2775,46 @@ done:
     return row;
 }
 
-/* The ring-escape policy: the first hop of a ring traversal is a `LOCAL`
- * row over the opposite-direction port, everything else `FIXED`.  The ring
- * state `ring_vc` reads changes only in `on_grant` and at a Valiant
- * intermediate, never while the packet waits at a head. */
-static PyObject *
-capture_ring(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
+/* The VC of `head`'s hop through `port_o`: `topology.ring_vc(head, rid,
+ * port)` by name on a dateline topology, where `_updown_vcs` is `None` (the
+ * ring state it reads changes only in `on_grant` and at a Valiant
+ * intermediate, never while the packet waits at a head); else the entry of
+ * the up/down table. */
+static int
+port_vc(Core *c, PyObject *rid_o, PyObject *head, PyObject *port_o, long *vc)
 {
-    PyObject *decision = NULL, *minimal = NULL, *escape = NULL, *out, *ring, *vc_o;
-    PyObject *row = NULL;
-    long kind = ROW_FIXED, dst, port, dim, direction, ring_dim, ring_dir, escape_vc = 0, vc;
-    int on;
-    if (pget_long(c, head, F_dst, &dst) < 0)
-        goto done;
-    if (rid == pydiv(dst, c->npr)) {
-        decision = plain_decision(c, pymod(dst, c->npr), 0);
-        goto row;
-    }
-    if ((minimal = minimal_port(c, head, rid, dst)) == NULL || as_long(minimal, &port) < 0
-        || (ring = at(L(c, ring_dims), port)) == NULL || expect_tuple(ring, 2, "a ring") < 0
-        || field_long(ring, 0, &dim) < 0 || field_long(ring, 1, &direction) < 0
-        || (escape = at(L(c, escapes), port)) == NULL
-        || expect_list(escape, "a candidate list") < 0
-        || pget_long(c, head, F_ring_dim, &ring_dim) < 0
-        || pget_long(c, head, F_ring_dir, &ring_dir) < 0)
-        goto done;
-    Py_INCREF(escape);
-    out = minimal;
-    if (ring_dim != dim || ring_dir == 0) {
-        /* First hop of this dimension's traversal: the trigger may divert
-         * it.  With no candidate no trigger can fire or draw: `FIXED`. */
-        if (PyList_GET_SIZE(escape) > 0) {
-            PyObject *first = field(PyList_GET_ITEM(escape, 0), 0);
-            PyObject *args[4] = {L(c, topology), head, rid_o, first};
-            kind = ROW_LOCAL;
-            if (first == NULL || (vc_o = call_method(s_ring_vc, args, 4)) == NULL)
-                goto done;
-            on = as_long(vc_o, &escape_vc);
-            Py_DECREF(vc_o);
-            if (on < 0)
-                goto done;
-        }
-    }
-    else if (ring_dir != direction) {
-        /* Mid-traversal, committed the long way around. */
-        if ((out = item(escape, 0)) == NULL || (out = field(out, 0)) == NULL)
-            goto done;
-    }
+    PyObject *vc_o;
+    long port;
+    int failed;
+    if (L(c, updown_vcs) != Py_None)
+        return as_long(port_o, &port) < 0 || (vc_o = at(L(c, updown_vcs), port)) == NULL
+                   ? -1
+                   : as_long(vc_o, vc);
     {
-        PyObject *args[4] = {L(c, topology), head, rid_o, out};
-        Py_INCREF(out); /* `ring_vc` runs Python */
+        PyObject *args[4] = {L(c, topology), head, rid_o, port_o};
+        Py_INCREF(port_o); /* `ring_vc` runs Python */
         vc_o = call_method(s_ring_vc, args, 4);
-        if (vc_o != NULL && as_long(vc_o, &vc) == 0 && as_long(out, &port) == 0)
-            decision = plain_decision(c, port, vc);
-        Py_XDECREF(vc_o);
-        Py_DECREF(out);
+        Py_DECREF(port_o);
     }
-row:
-    row = make_row(c, kind, base_g, k, head, decision, minimal, escape, 0, escape_vc, Py_None);
-done:
-    Py_XDECREF(decision);
-    Py_XDECREF(escape);
-    Py_XDECREF(minimal);
-    return row;
+    if (vc_o == NULL)
+        return -1;
+    failed = as_long(vc_o, vc);
+    Py_DECREF(vc_o);
+    return failed;
 }
 
-/* The uplink-multipath policy: a minimal uplink with siblings is a `LOCAL`
- * row (the routing checked at construction that siblings share one up/down
- * VC), everything else `FIXED`. */
+/* The port-table policy (ring escape, uplink multipath): a non-empty
+ * candidate list of the minimal port is a `LOCAL` row, its VC the first
+ * candidate's (the routing checked at construction that sibling uplinks
+ * share one; a ring has one escape); everything else is `FIXED`, and in the
+ * middle of a ring traversal the row holds the committed direction. */
 static PyObject *
-capture_uplink(Core *c, long rid, long base_g, long k, PyObject *head)
+capture_port_table(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
 {
-    PyObject *decision = NULL, *minimal = NULL, *candidates = NULL, *home, *vc_o;
+    PyObject *decision = NULL, *minimal = NULL, *candidates = NULL, *home, *ring, *out;
     PyObject *row = NULL;
-    long kind = ROW_FIXED, dst, port, home_rid, vc, local_vc = 0;
+    long kind = ROW_FIXED, dst, home_rid, port, vc, local_vc = 0;
+    int mid = 0;
     if (pget_long(c, head, F_dst, &dst) < 0
         || (home = at(L(c, node_rid), dst)) == NULL || as_long(home, &home_rid) < 0)
         goto done;
@@ -2858,21 +2823,33 @@ capture_uplink(Core *c, long rid, long base_g, long k, PyObject *head)
         goto row;
     }
     if ((minimal = minimal_port(c, head, rid, dst)) == NULL || as_long(minimal, &port) < 0
-        || (candidates = at(L(c, uplinks), port)) == NULL
+        || (ring = at(L(c, ring_dims), port)) == NULL
+        || (candidates = at(L(c, port_candidates), port)) == NULL
         || expect_list(candidates, "a candidate list") < 0)
         goto done;
     Py_INCREF(candidates);
-    /* The object path consults the trigger only for a non-empty sibling
-     * list: without one the row is FIXED. */
-    if (PyList_GET_SIZE(candidates) > 0) {
-        PyObject *first = field(PyList_GET_ITEM(candidates, 0), 0);
-        long sibling;
-        kind = ROW_LOCAL;
-        if (first == NULL || as_long(first, &sibling) < 0
-            || (vc_o = at(L(c, updown_vcs), sibling)) == NULL || as_long(vc_o, &local_vc) < 0)
+    out = minimal;
+    if (ring != Py_None) {
+        long dim, direction, ring_dim, ring_dir;
+        if (expect_tuple(ring, 2, "a ring") < 0 || field_long(ring, 0, &dim) < 0
+            || field_long(ring, 1, &direction) < 0
+            || pget_long(c, head, F_ring_dim, &ring_dim) < 0
+            || pget_long(c, head, F_ring_dir, &ring_dir) < 0)
+            goto done;
+        /* Mid-traversal, committed the long way around: the escape port. */
+        mid = ring_dim == dim && ring_dir != 0;
+        if (mid && ring_dir != direction
+            && ((out = item(candidates, 0)) == NULL || (out = field(out, 0)) == NULL))
             goto done;
     }
-    if ((vc_o = at(L(c, updown_vcs), port)) == NULL || as_long(vc_o, &vc) < 0)
+    /* With no candidate no trigger can fire or draw: `FIXED`. */
+    if (!mid && PyList_GET_SIZE(candidates) > 0) {
+        PyObject *first = field(PyList_GET_ITEM(candidates, 0), 0);
+        kind = ROW_LOCAL;
+        if (first == NULL || port_vc(c, rid_o, head, first, &local_vc) < 0)
+            goto done;
+    }
+    if (port_vc(c, rid_o, head, out, &vc) < 0 || as_long(out, &port) < 0)
         goto done;
     decision = plain_decision(c, port, vc);
 row:
@@ -2903,9 +2880,8 @@ capture(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base_o, 
         Py_XDECREF(q_o);
         return failed ? -1 : 0;
     }
-    row = c->capture == CAPTURE_GROUP  ? capture_group(c, rid, rid_o, base_g, k, head)
-          : c->capture == CAPTURE_RING ? capture_ring(c, rid, rid_o, base_g, k, head)
-                                       : capture_uplink(c, rid, base_g, k, head);
+    row = c->capture == CAPTURE_GROUP ? capture_group(c, rid, rid_o, base_g, k, head)
+                                      : capture_port_table(c, rid, rid_o, base_g, k, head);
     return set_item(c->o[S_rows], q, row);
 }
 
@@ -3511,13 +3487,10 @@ bind_capture(Core *c, PyObject *routing, int capture)
         || bind_long(routing, "_local_vcs", &c->local_vcs, 0) < 0
         || bind_attr(c, S_plain, routing, "_plain_decisions", &PyList_Type) < 0)
         return -1;
-    if (capture == CAPTURE_RING)
+    if (capture == CAPTURE_PORT_TABLE)
         return bind_attr(c, S_ring_dims, routing, "_port_ring_dim", &PyList_Type) < 0
-               || bind_attr(c, S_escapes, routing, "_escape_candidates", &PyList_Type) < 0
-               ? -1 : 0;
-    if (capture == CAPTURE_UPLINK)
-        return bind_attr(c, S_updown_vcs, routing, "_updown_vcs", &PyTuple_Type) < 0
-               || bind_attr(c, S_uplinks, routing, "_uplink_candidates", &PyList_Type) < 0
+               || bind_attr(c, S_port_candidates, routing, "_port_candidates", &PyList_Type) < 0
+               || bind_attr(c, S_updown_vcs, routing, "_updown_vcs", NULL) < 0
                ? -1 : 0;
     if (bind_long(routing, "_routers_per_group", &c->rpg, 1) < 0
         || bind_long(routing, "_nodes_per_group", &c->npg, 1) < 0

@@ -78,8 +78,9 @@ of the routing:
   the classes when the engine is built).  A subclass override or a wrapper on
   the class or the instance is called by name instead, so
   ``perf/trace.py``'s wrappers and a test's monkeypatch are seen and counted;
-* the adaptive captures (the MM+L group policy, the ring escape, the uplink
-  multipath) and the open gates of their rows — the one trigger of
+* the adaptive captures (the MM+L group policy; the port-table policy, that
+  is the ring escape and the uplink multipath) and the open gates of their
+  rows — the one trigger of
   ``AdaptiveInTransitRouting.choose_*`` over the flat state, reading the
   signals the mechanism declares (``contention_threshold``,
   ``congestion_threshold``, ``combined_threshold``);
@@ -130,8 +131,7 @@ FORCED  group policy         global trigger, then a      yes        if no draw
 GLOBAL  group policy         global trigger (closed:     open gate  if no draw
                              the fallback, no draw)
 LOCAL   group policy,        local trigger over the      open gate  if no draw
-        ring escape,         captured candidates
-        uplink multipath
+        port-table policy    captured candidates
 LIVE    nobody               ``select_output`` +         yes        never
                              ``_resolve_faults``
 ======  ===================  ==========================  =========  ==========
@@ -143,9 +143,10 @@ above is the transcription of ``AdaptiveInTransitRouting.choose_*``) store
 ``FIXED`` for ejection, towards-intermediate, mid-ring-traversal, down-hop
 and gate-less heads: the group policy (Dragonfly, flattened butterfly) has
 ``FORCED`` for the committed local-proxy step, ``GLOBAL`` for the
-source-group gate, ``LOCAL`` for the local-misroute gate; the ring escape
-(torus) ``LOCAL`` at the first hop of a ring traversal; the uplink multipath
-(fat tree) ``LOCAL`` where the minimal port is an uplink with siblings.  With
+source-group gate, ``LOCAL`` for the local-misroute gate; the port-table
+policy ``LOCAL`` where the minimal port's candidate list is offered to the
+trigger (the first hop of a ring traversal on the torus, an uplink with
+siblings on the fat tree).  With
 a fault runtime attached, or a routing class the engine has no transcription
 for (exact type match: a subclass may override the trigger or a helper
 the capture transcribes), nothing is
@@ -190,15 +191,14 @@ _GLOBAL = PortKind.GLOBAL
 ROW_FIXED = 0  # decision constant while the head waits (cached request)
 ROW_FORCED = 1  # committed MM+L proxy: forced global hop, trigger per round
 ROW_GLOBAL = 2  # source-group global-misroute gate, trigger per round
-ROW_LOCAL = 3  # local-misroute / ring-escape / uplink gate, trigger per round
+ROW_LOCAL = 3  # local-misroute / port-table gate, trigger per round
 # ``LIVE`` is the absence of a row: ``select_output`` per round.
 
 # Who writes the rows: ``_capture_pure``, or the core's capture of an
 # adaptive path policy (``None``: nobody, every row is ``LIVE``).
 CAPTURE_PURE = 0
 CAPTURE_GROUP = 1  # MM+L group policy (Dragonfly, flattened butterfly)
-CAPTURE_RING = 2  # ring-escape policy (torus)
-CAPTURE_UPLINK = 3  # uplink-multipath policy (fat tree)
+CAPTURE_PORT_TABLE = 2  # port-table policy: ring escape (torus), uplinks (fat tree)
 
 # The mechanisms the core's adaptive captures transcribe; their trigger is
 # read off the signals they declare.
@@ -306,21 +306,18 @@ class SoAEngine(Engine):
 
         # Which capture writes the rows.  Exact type matching: a capture
         # transcribes ``select_output`` with the helpers it calls
-        # (``next_vc``, ``pick_random``, ``_towards_group``, the trigger), any
-        # of which a subclass may override, so a subclass gets no capture —
-        # every head stays a LIVE row — like a fault run.
+        # (``next_vc``, ``hop_vc``, ``pick_random``, ``_towards_group``, the
+        # trigger), any of which a subclass may override, so a subclass gets
+        # no capture — every head stays a LIVE row — like a fault run.
         rcls = type(routing)
         self._capture = None
         if faults is None:
             if rcls in _PURE_MECHS:
                 self._capture = CAPTURE_PURE
             elif rcls in _ADAPTIVE_MECHS:
-                if routing._ring_escape:
-                    self._capture = CAPTURE_RING
-                elif routing._uplink_multipath:
-                    self._capture = CAPTURE_UPLINK
-                else:
-                    self._capture = CAPTURE_GROUP
+                self._capture = (
+                    CAPTURE_GROUP if routing._port_candidates is None else CAPTURE_PORT_TABLE
+                )
         # LIVE rows of a ``decision_is_pure`` mechanism reuse round 1's
         # decision in the later rounds of a cycle, as ``Router.allocate`` does.
         self._memo = {} if routing.decision_is_pure else None

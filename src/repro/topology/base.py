@@ -125,20 +125,13 @@ class PathModel:
     minimal_hop_kinds: Tuple[Tuple[str, ...], ...]
     #: Canonical hop-kind sequences of Valiant paths.
     valiant_hop_kinds: Tuple[Tuple[str, ...], ...] = field(default=())
-    #: Whether the group-style in-transit adaptive policy (MM+L global
-    #: misrouting towards an intermediate region, local detours inside
-    #: regions) is defined for this topology.  True for the Dragonfly and
-    #: the flattened butterfly (rows are groups, column links are the
-    #: global links); mechanisms that need *some* in-transit policy and
-    #: find neither this flag nor :attr:`supports_nonminimal_ring_escape`
-    #: fail loudly at construction.
+    #: Whether an in-transit adaptive policy is defined for this topology;
+    #: :attr:`vc_schedule` picks which, the one proven deadlock-free under
+    #: it (see :mod:`repro.routing.adaptive`): the MM+L group policy on
+    #: ``path_stage`` (Dragonfly, flattened butterfly), the ring escape on
+    #: ``dateline`` (torus) and the uplink multipath on ``up_down`` (fat
+    #: tree).  Mechanisms that need one fail loudly at construction without.
     supports_in_transit_adaptive: bool = False
-    #: Whether the ring-escape in-transit adaptive policy is defined: on a
-    #: dateline-schedule topology (the torus) a packet entering a ring may
-    #: be diverted the *nonminimal direction* around it (cf. OutFlank
-    #: routing), committing to that direction for the whole traversal so
-    #: the dateline argument still cuts every ring cycle.
-    supports_nonminimal_ring_escape: bool = False
     #: Canonical hop-kind sequences of the group-style in-transit adaptive
     #: paths (MM+L global misroute, local proxy hop, local detours) on
     #: path-stage topologies.  Validated at construction for every
@@ -190,15 +183,6 @@ class PathModel:
     #: direction mid-ring would have to declare ``k`` or more and be
     #: rejected.
     dateline_adaptive_max_ring_hops: Tuple[int, ...] = field(default=())
-    #: Whether the per-hop *uplink multipath* adaptive policy is defined:
-    #: on an up/down-schedule topology (the fat tree) every connected
-    #: uplink of a router below the destination's nearest common ancestor
-    #: is equal-cost, so an in-transit adaptive mechanism may divert an up
-    #: hop to any of them without changing the path length or leaving the
-    #: up/down class schedule.  The third in-transit capability, next to
-    #: :attr:`supports_in_transit_adaptive` (group-style MM+L) and
-    #: :attr:`supports_nonminimal_ring_escape` (dateline escape).
-    supports_uplink_multipath: bool = False
     #: For the up/down schedule only: number of *link levels* (``levels-1``
     #: for a k-ary n-tree; link level ``l`` joins router levels ``l`` and
     #: ``l + 1``).
@@ -234,7 +218,6 @@ class PathModel:
         *,
         valiant_first_legs: Optional[Tuple[Tuple[str, ...], ...]] = None,
         supports_in_transit_adaptive: bool = False,
-        supports_nonminimal_ring_escape: bool = False,
         adaptive_hop_kinds: Tuple[Tuple[str, ...], ...] = (),
         vc_schedule: str = "path_stage",
         dateline_minimal_shapes: Tuple[
@@ -275,7 +258,6 @@ class PathModel:
             minimal_hop_kinds=minimal_hop_kinds,
             valiant_hop_kinds=valiant,
             supports_in_transit_adaptive=supports_in_transit_adaptive,
-            supports_nonminimal_ring_escape=supports_nonminimal_ring_escape,
             adaptive_hop_kinds=adaptive_hop_kinds,
             vc_schedule=vc_schedule,
             dateline_minimal_shapes=dateline_minimal_shapes,
@@ -459,8 +441,8 @@ class Topology(ABC):
         topology wires regions together: on the Dragonfly the gateway is
         the group's single global link towards the target (possibly behind
         one local hop), on the flattened butterfly it is the router's own
-        column link to the target row.  Only required when the path model
-        declares :attr:`PathModel.supports_in_transit_adaptive`.
+        column link to the target row.  Only required by the group policy
+        (:attr:`PathModel.supports_in_transit_adaptive` on ``path_stage``).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not define a region gateway (required "
@@ -557,10 +539,10 @@ class Topology(ABC):
     def uplink_ports(self) -> Tuple[int, ...]:
         """Ports that climb towards the roots (uniform across routers).
 
-        Only meaningful on topologies whose path model declares
-        :attr:`PathModel.supports_uplink_multipath`: the adaptive uplink
-        candidate set at a router whose minimal port is one of these is
-        the *rest* of them (see
+        Only meaningful for the uplink multipath
+        (:attr:`PathModel.supports_in_transit_adaptive` on ``up_down``): the
+        adaptive candidate set at a router whose minimal port is one of
+        these is the *rest* of them (see
         :func:`repro.routing.misrouting.compute_uplink_candidates`).
         """
         raise NotImplementedError(

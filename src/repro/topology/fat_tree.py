@@ -36,7 +36,7 @@ ancestor of the destination leaf climbs through up port
 ejects.  Every uplink of a switch below the destination's nearest common
 ancestor is *equal-cost* (an up hop rewrites a digit the descent will
 rewrite again), which is what the uplink-multipath adaptive policy
-(:attr:`~repro.topology.base.PathModel.supports_uplink_multipath`) exploits:
+(:mod:`repro.routing.adaptive`, the ``up_down`` port table) exploits:
 the candidate set at an up hop is simply *the other uplinks*, derived from
 the port layout, not coordinates.
 
@@ -158,7 +158,7 @@ class FatTreeTopology(Topology):
             max_valiant_hops=2 * link_levels,
             minimal_hop_kinds=minimal_kinds,
             valiant_hop_kinds=minimal_kinds,
-            supports_uplink_multipath=True,
+            supports_in_transit_adaptive=True,
             vc_schedule="up_down",
             updown_link_levels=link_levels,
             updown_minimal_shapes=shapes,

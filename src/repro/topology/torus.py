@@ -142,7 +142,7 @@ class TorusTopology(Topology):
         self._path_model = PathModel.from_minimal_paths(
             "torus",
             minimal_kinds,
-            supports_nonminimal_ring_escape=True,
+            supports_in_transit_adaptive=True,
             vc_schedule="dateline",
             dateline_minimal_shapes=dateline_min,
             dateline_valiant_shapes=dateline_val,

@@ -4,20 +4,34 @@ import dataclasses
 
 import pytest
 
+from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet, RoutingPhase
 from repro.routing import create_routing
 from repro.routing.adaptive import AdaptiveInTransitRouting
 from repro.routing.contention.base_contention import BaseContentionRouting
 from repro.routing.contention.ectn import ECtNRouting
 from repro.routing.contention.hybrid import HybridContentionRouting
-from repro.routing.misrouting import global_misroute_candidates, local_misroute_candidates
+from repro.routing.misrouting import (
+    compute_global_candidates,
+    compute_local_candidates,
+    compute_ring_escape_candidates,
+    compute_uplink_candidates,
+)
 from repro.routing.olm import OLMRouting
 from repro.simulation.simulator import Simulator
 from repro.topology.base import PortKind
+from repro.topology.registry import create_topology, topology_preset
 
 
 def make_sim(tiny_params, routing):
     return Simulator(tiny_params, routing, "UN", offered_load=0.0, seed=11)
+
+
+def base_routing(topology, preset):
+    """A topology of ``preset`` and a Base routing over it."""
+    params = SimulationParameters.tiny(topology_preset(topology, preset))
+    topo = create_topology(params.topology)
+    return topo, create_routing("Base", topo, params, None)
 
 
 def remote_packet(topology, src_router=0, dst_group=2, pid=0, size=2):
@@ -93,13 +107,8 @@ class TestMisrouteCandidates:
         """``global_candidates`` / ``local_candidates`` filter one shared
         tuple per router: for every routing key they answer exactly, and in
         order, what the reference enumeration computes."""
-        from repro.config.parameters import SimulationParameters
-        from repro.routing.misrouting import compute_global_candidates, compute_local_candidates
-        from repro.topology.registry import create_topology, topology_preset
-
-        params = SimulationParameters.tiny(topology_preset(topology, preset))
-        topo = create_topology(params.topology)
-        routing = create_routing("Base", topo, params, None)
+        topo, routing = base_routing(topology, preset)
+        assert routing._port_candidates is None
         for rid in range(topo.num_routers):
             for dst_group in range(topo.num_regions):
                 for minimal in range(topo.router_radix):
@@ -110,14 +119,33 @@ class TestMisrouteCandidates:
         for minimal in range(topo.router_radix):
             assert routing.local_candidates(minimal) == compute_local_candidates(topo, minimal)
 
+    @pytest.mark.parametrize(
+        "topology, preset, enumerate_port",
+        [
+            ("torus", "tiny", compute_ring_escape_candidates),
+            ("torus", "small", compute_ring_escape_candidates),
+            ("fat_tree", "tiny", compute_uplink_candidates),
+            ("fat_tree", "small", compute_uplink_candidates),
+        ],
+    )
+    def test_the_port_table_equals_the_enumeration(self, topology, preset, enumerate_port):
+        """The port-table policy's candidates of every minimal port are the
+        reference enumeration of the topology's schedule: the ring escape on
+        the torus, the sibling uplinks on the fat tree."""
+        topo, routing = base_routing(topology, preset)
+        assert len(routing._port_candidates) == topo.router_radix
+        for port in range(topo.router_radix):
+            assert routing._port_candidates[port] == enumerate_port(topo, port)
+        assert any(routing._port_candidates)
+
     def test_global_candidates_exclude_minimal_current_and_destination(self, small_params):
         sim = make_sim(small_params, "OLM")
         topo = sim.topology
         router = sim.network.routers[0]
         packet = remote_packet(topo, 0, 3)
         minimal_port = topo.minimal_output_port(0, packet.dst)
-        candidates = global_misroute_candidates(
-            topo, router, packet, minimal_port, allow_local_proxy=False
+        candidates = compute_global_candidates(
+            topo, router.router_id, topo.node_region(packet.dst), minimal_port, False
         )
         assert candidates, "router with h>=2 should offer at least one global candidate"
         for cand in candidates:
@@ -128,27 +156,20 @@ class TestMisrouteCandidates:
     def test_local_proxy_candidates_added_at_injection(self, small_params):
         sim = make_sim(small_params, "OLM")
         topo = sim.topology
-        router = sim.network.routers[0]
         packet = remote_packet(topo, 0, 3)
         minimal_port = topo.minimal_output_port(0, packet.dst)
-        with_proxy = global_misroute_candidates(
-            topo, router, packet, minimal_port, allow_local_proxy=True
-        )
-        without = global_misroute_candidates(
-            topo, router, packet, minimal_port, allow_local_proxy=False
-        )
+        dst_group = topo.node_region(packet.dst)
+        with_proxy = compute_global_candidates(topo, 0, dst_group, minimal_port, True)
+        without = compute_global_candidates(topo, 0, dst_group, minimal_port, False)
         assert len(with_proxy) > len(without)
         assert any(c.kind is PortKind.LOCAL for c in with_proxy)
 
     def test_local_candidates_only_for_local_minimal_port(self, small_params):
-        sim = make_sim(small_params, "OLM")
-        topo = sim.topology
-        router = sim.network.routers[0]
-        packet = remote_packet(topo, 0, 3)
+        topo = make_sim(small_params, "OLM").topology
         global_port = next(iter(topo.global_ports))
-        assert local_misroute_candidates(topo, router, packet, global_port) == []
+        assert compute_local_candidates(topo, global_port) == []
         local_port = next(iter(topo.local_ports))
-        candidates = local_misroute_candidates(topo, router, packet, local_port)
+        candidates = compute_local_candidates(topo, local_port)
         assert all(c.kind is PortKind.LOCAL and c.port != local_port for c in candidates)
 
 
@@ -506,8 +527,8 @@ class TestButterflyGroupPolicy:
         dst = topo.region_nodes(1)[0]
         packet = Packet(pid=0, src=0, dst=dst, size_phits=2, creation_cycle=0)
         minimal_port = topo.minimal_output_port(0, dst)
-        candidates = global_misroute_candidates(
-            topo, router, packet, minimal_port, allow_local_proxy=False
+        candidates = compute_global_candidates(
+            topo, router.router_id, topo.node_region(packet.dst), minimal_port, False
         )
         assert candidates, "a 3-row butterfly always has a third row to detour over"
         for cand in candidates:

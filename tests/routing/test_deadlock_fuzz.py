@@ -301,16 +301,25 @@ class TestUpdownShapeFuzz:
                 broken, local_vcs=4, global_vcs=2,
                 include_valiant=True, include_adaptive=True,
             )
-        # Adaptive validation without the multipath capability is a
-        # contradiction the validator must also surface.
-        no_multipath = dataclasses.replace(
-            model, supports_uplink_multipath=False
+
+
+@pytest.mark.parametrize("topology", ["dragonfly", "torus", "fat_tree"])
+def test_adaptive_validation_without_a_policy_rejected(topology):
+    """Adaptive validation of a model that declares no in-transit policy is
+    a contradiction the validator surfaces on every schedule: path stage,
+    dateline and up/down alike."""
+    import dataclasses
+
+    from repro.routing.deadlock import validate_path_model
+    from repro.topology.registry import create_topology, topology_preset
+
+    model = create_topology(topology_preset(topology, "tiny")).path_model
+    no_policy = dataclasses.replace(model, supports_in_transit_adaptive=False)
+    with pytest.raises(ValueError, match="declares no in-transit policy"):
+        validate_path_model(
+            no_policy, local_vcs=4, global_vcs=2,
+            include_valiant=True, include_adaptive=True,
         )
-        with pytest.raises(ValueError, match="no uplink multipath"):
-            validate_path_model(
-                no_multipath, local_vcs=4, global_vcs=2,
-                include_valiant=True, include_adaptive=True,
-            )
 
 
 class TestExtendedRingBounds:

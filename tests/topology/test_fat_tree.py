@@ -206,7 +206,9 @@ class TestUplinkMultipath:
 
     def test_path_model_declares_the_multipath_capability(self, topo):
         model = topo.path_model
-        assert model.supports_uplink_multipath
+        # The one in-transit flag, and the schedule that picks the uplink
+        # multipath among the policies.
+        assert model.supports_in_transit_adaptive
         assert model.vc_schedule == "up_down"
         assert model.updown_link_levels == topo.config.levels - 1
         assert not model.has_global_ports

@@ -160,12 +160,9 @@ class TestPathModel:
         prove its path shapes (MM+L hop kinds / long-way ring traversals)
         deadlock-free under the nonminimal VC budget."""
         model = topo.path_model
-        if not (
-            model.supports_in_transit_adaptive
-            or model.supports_nonminimal_ring_escape
-            or model.supports_uplink_multipath
-        ):
+        if not model.supports_in_transit_adaptive:
             pytest.skip("no in-transit adaptive policy declared")
+        assert model.vc_schedule in ("path_stage", "dateline", "up_down")
         params = SimulationParameters.tiny(topo.config)
         validate_path_model(
             model,
