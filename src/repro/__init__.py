@@ -13,6 +13,8 @@ A cycle-level network simulator and routing library reproducing
   paper's contention-counter mechanisms (Base, Hybrid, ECtN);
 * :mod:`repro.traffic` — uniform, adversarial (region-based), mixed and
   transient traffic;
+* :mod:`repro.draws` — the one bounded integer draw every randomized
+  decision makes;
 * :mod:`repro.simulation` — the cycle engine and the steady-state/transient
   measurement protocols;
 * :mod:`repro.metrics` — latency/throughput/misrouting statistics;

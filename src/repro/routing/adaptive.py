@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro import draws
 from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet, RoutingPhase
 from repro.routing.base import (
@@ -556,5 +557,4 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
     def pick_random(self, candidates: List[MisrouteCandidate]) -> Optional[MisrouteCandidate]:
         if not candidates:
             return None
-        index = int(self.rng.integers(0, len(candidates)))
-        return candidates[index]
+        return candidates[draws.integers(self.rng, 0, len(candidates))]

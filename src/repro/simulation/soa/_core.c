@@ -21,11 +21,14 @@
  * arguments and in the order the object engine uses; a Dragonfly's topology
  * queries follow the same rule.  What a stock body calls that is not
  * transcribed -- another topology's queries, misses of the routing's memos,
- * the obs / dateline / fault sub-calls, every draw -- is a Python call made
- * from here, by name and in the body's order.  `_capture_pure`,
- * `_live_request`, `metrics.record_*` and `obs.record_*` stay Python.  The
- * engine is an argument of the two entry points that need it, not a member:
- * engine -> core is the only edge between the two.
+ * the obs / dateline / fault sub-calls -- is a Python call made from here, by
+ * name and in the body's order.  A trigger's draw is answered here too, by
+ * the one bounded draw of a run (the module function `integers`, which
+ * `repro.draws.integers` binds to): numpy's own Lemire step over the bit
+ * generator, and `rng.integers` by name only where that does not apply.
+ * `_capture_pure`, `_live_request`, `metrics.record_*` and `obs.record_*`
+ * stay Python.  The engine is an argument of the two entry points that need
+ * it, not a member: engine -> core is the only edge between the two.
  *
  * Memory safety does not rest on the state being well formed: every list
  * index is bounds-checked, every conversion is checked, and whatever is held
@@ -34,6 +37,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <stdint.h>
 #include <stdlib.h>
 
 #if PY_VERSION_HEX < 0x030A0000 /* 3.9: the two 3.10 conveniences used below */
@@ -87,7 +91,8 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(_maybe_count_partial) X(_obs) X(_dateline) X(_commit_fault_hop) X(commit_ring_hop) \
     X(record_grant) X(minimal_output_port) X(minimal_route_to_router) X(router_hops) X(_route_port) \
     X(router_region) X(node_region) X(router_group) X(node_group) X(node_router) \
-    X(link_offset_for_destination) X(rng) X(integers) \
+    X(link_offset_for_destination) X(rng) X(integers) X(bit_generator) X(capsule) X(lock) \
+    X(acquire) X(release) \
     X(on_inject) X(prefers_valiant) X(_ugal_prefers_valiant) X(random_intermediate_router) \
     X(source_queue) X(popleft) X(node_id) X(port) X(_vc_pointer) X(next_injection_cycle) \
     X(injected_packets)
@@ -545,6 +550,112 @@ call_void(PyObject *name, PyObject **args, size_t nargs)
         return -1;
     Py_DECREF(result);
     return 0;
+}
+
+/* ------------------------------------------------------------------ draws */
+/* `int(rng.integers(low, high))`, the one bounded draw of a run: the module's
+ * `integers` (what `repro.draws.integers` binds to) and the triggers' `draw`
+ * share `bounded_draw`.  It transcribes the scalar int64 path of numpy's
+ * `Generator.integers` where that path is `buffered_bounded_lemire_uint32`
+ * over the bit generator's own `next_uint32`: for an exact `Generator` and
+ * exact int bounds with `0 < high - low <= 2**32 - 1`, under the bit
+ * generator's lock, taken without blocking.  Anything else -- another rng
+ * type, numpy ints, wider or empty bounds, a lock another thread holds -- is
+ * `rng.integers(low, high)` by name, so numpy raises or blocks as it would.
+ * Same values, same stream. */
+
+/* numpy/random/bitgen.h: what a bit generator's "BitGenerator" capsule
+ * points to.  Declared here, so the build needs no numpy headers. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+static PyObject *generator_type; /* numpy.random.Generator */
+
+/* numpy's `buffered_bounded_lemire_uint32` for `rng = width - 1` (2 <=
+ * `width` < 2**32): Lemire's multiply-and-reject. */
+static uint32_t
+bounded_lemire(bitgen_t *bitgen, uint32_t width)
+{
+    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * width;
+    if ((uint32_t)m < width) {
+        const uint32_t threshold = (UINT32_MAX - (width - 1)) % width;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)bitgen->next_uint32(bitgen->state) * width;
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* The transcribed case: 1 with `*out`, 0 if it does not apply (a lock
+ * another thread holds included), -1 on error. */
+static int
+lemire_draw(PyObject *rng, PyObject *low_o, PyObject *high_o, long long *out)
+{
+    PyObject *bit_generator, *capsule, *lock = NULL, *held = NULL;
+    bitgen_t *bitgen;
+    long long low, high;
+    int overflow_low, overflow_high, status = -1;
+    unsigned long long width;
+    if ((PyObject *)Py_TYPE(rng) != generator_type || !PyLong_CheckExact(low_o)
+        || !PyLong_CheckExact(high_o))
+        return 0;
+    /* Exact ints: these cannot fail, only overflow. */
+    low = PyLong_AsLongLongAndOverflow(low_o, &overflow_low);
+    high = PyLong_AsLongLongAndOverflow(high_o, &overflow_high);
+    if (overflow_low || overflow_high || low >= high
+        || (width = (unsigned long long)high - (unsigned long long)low) > UINT32_MAX - 1)
+        return 0;
+    if (width == 1) { /* numpy draws nothing */
+        *out = low;
+        return 1;
+    }
+    if ((bit_generator = PyObject_GetAttr(rng, s_bit_generator)) == NULL)
+        return -1;
+    if ((capsule = PyObject_GetAttr(bit_generator, s_capsule)) != NULL
+        && (bitgen = PyCapsule_GetPointer(capsule, "BitGenerator")) != NULL
+        && (lock = PyObject_GetAttr(bit_generator, s_lock)) != NULL
+        && (held = PyObject_CallMethodOneArg(lock, s_acquire, Py_False)) != NULL) {
+        status = 0;
+        if (held == Py_True) {
+            *out = low + (long long)bounded_lemire(bitgen, (uint32_t)width);
+            status = call_void(s_release, &lock, 1) < 0 ? -1 : 1;
+        }
+    }
+    Py_XDECREF(held);
+    Py_XDECREF(lock);
+    Py_XDECREF(capsule);
+    Py_DECREF(bit_generator);
+    return status;
+}
+
+/* `int(rng.integers(low, high))`: a new int. */
+static PyObject *
+bounded_draw(PyObject *rng, PyObject *low, PyObject *high)
+{
+    PyObject *args[3] = {rng, low, high}, *drawn, *as_int;
+    long long value;
+    int status = lemire_draw(rng, low, high, &value);
+    if (status != 0)
+        return status < 0 ? NULL : PyLong_FromLongLong(value);
+    if ((drawn = call_method(s_integers, args, 3)) == NULL)
+        return NULL;
+    as_int = PyNumber_Long(drawn);
+    Py_DECREF(drawn);
+    return as_int;
+}
+
+static PyObject *
+module_integers(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "integers() takes 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    return bounded_draw(args[0], args[1], args[2]);
 }
 
 /* `list[i] += delta` (`i` a Python int). */
@@ -1837,8 +1948,8 @@ error:
  * request unless the mechanism's trigger picks a candidate.  The trigger is
  * `AdaptiveInTransitRouting.choose_*` over the flat state, reading the
  * signals the mechanism declares; each pick is one
- * `routing.rng.integers(0, n)`, exactly where the object model's
- * `select_output` draws. */
+ * `draws.integers(routing.rng, 0, n)` (`bounded_draw`), exactly where the
+ * object model's `select_output` draws. */
 
 /* `RoutingDecision(output_port=port, vc=vc, ...)`: a tuple of the class
  * with the fields in order, as the class's `__new__` makes it. */
@@ -1862,20 +1973,15 @@ new_decision(Core *c, PyObject *port, PyObject *vc, int nonminimal_global,
     return decision;
 }
 
-/* `int(routing.rng.integers(0, n))` as an index into a list of `n`. */
+/* `draws.integers(routing.rng, 0, n)` as an index into a list of `n`. */
 static int
 draw(Core *c, Py_ssize_t n, Py_ssize_t *index)
 {
     PyObject *rng = PyObject_GetAttr(c->o[S_routing], s_rng), *n_o = NULL, *drawn = NULL;
-    PyObject *as_int = NULL;
     Py_ssize_t i = -1;
-    if (rng != NULL && (n_o = PyLong_FromSsize_t(n)) != NULL) {
-        PyObject *args[3] = {rng, zero, n_o};
-        if ((drawn = call_method(s_integers, args, 3)) != NULL
-            && (as_int = PyNumber_Long(drawn)) != NULL)
-            i = PyLong_AsSsize_t(as_int);
-    }
-    Py_XDECREF(as_int);
+    if (rng != NULL && (n_o = PyLong_FromSsize_t(n)) != NULL
+        && (drawn = bounded_draw(rng, zero, n_o)) != NULL)
+        i = PyLong_AsSsize_t(drawn);
     Py_XDECREF(drawn);
     Py_XDECREF(n_o);
     Py_XDECREF(rng);
@@ -1985,7 +2091,7 @@ walk_next(Core *c, walk *w, PyObject **candidate, Py_ssize_t *index)
 }
 
 /* `preferred = [c for c in candidates if <signal of c.port> < limit]`, then
- * `preferred[int(rng.integers(0, len(preferred)))]` unless it is empty: 1
+ * `preferred[draws.integers(rng, 0, len(preferred))]` unless it is empty: 1
  * with `*chosen` (a new reference), 0 for none, -1 on error.  The signal of
  * port `p` is `values[offset + p]` (a counter array, ECtN's combined array)
  * or the occupancy `out_committed + credit_occ` of port `offset + p`. */
@@ -2117,7 +2223,7 @@ choose_global(Core *c, long rid, long base, long minimal, PyObject *candidates, 
             || get_long(combined, min_offset, &load) < 0)
             return -1;
         if ((double)load > c->combined_threshold) {
-            Py_INCREF(combined); /* the draw runs Python */
+            Py_INCREF(combined); /* the draw may run Python */
             found = pick(c, rid, minimal, candidates, 1, COMBINED, combined, offset,
                          c->combined_threshold, chosen);
             Py_DECREF(combined);
@@ -2990,7 +3096,7 @@ head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *bas
         return Py_NewRef(PyTuple_GET_ITEM(row, 1));
     {
         PyObject *req;
-        Py_INCREF(row); /* the trigger's draw runs Python */
+        Py_INCREF(row); /* the trigger's draw may run Python */
         req = open_request(c, rid, base_g, row, counts);
         Py_DECREF(row);
         return req;
@@ -3816,11 +3922,19 @@ static PyTypeObject CoreType = {
     .tp_methods = Core_methods,
 };
 
+static PyMethodDef module_methods[] = {
+    {"integers", (PyCFunction)(void (*)(void))module_integers, METH_FASTCALL,
+     "integers(rng, low, high) -> int: `int(rng.integers(low, high))`, same value and same "
+     "stream (`repro.draws.integers`)."},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.simulation.soa._core",
     .m_doc = "The compiled hop chain of the SoA engine (built from _core.c on first use).",
     .m_size = -1,
+    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC
@@ -3839,7 +3953,15 @@ PyInit__core(void)
         || (kw_is_global = PyTuple_Pack(1, s_is_global)) == NULL || PyType_Ready(&CoreType) < 0
         || (module = PyModule_Create(&core_module)) == NULL)
         return NULL;
-    if (PyModule_AddObjectRef(module, "Core", (PyObject *)&CoreType) < 0) {
+    if (generator_type == NULL) {
+        PyObject *numpy_random = PyImport_ImportModule("numpy.random");
+        if (numpy_random != NULL) {
+            generator_type = PyObject_GetAttrString(numpy_random, "Generator");
+            Py_DECREF(numpy_random);
+        }
+    }
+    if (generator_type == NULL
+        || PyModule_AddObjectRef(module, "Core", (PyObject *)&CoreType) < 0) {
         Py_DECREF(module);
         return NULL;
     }

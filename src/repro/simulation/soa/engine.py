@@ -95,9 +95,13 @@ of the routing:
 What a stock body calls that is not transcribed — a topology query of any
 other topology, an unset route-table entry, a router's first
 ``router_candidates``, misses of the gateway and ``plain_decision`` memos,
-the obs / dateline / fault sub-calls, and every draw
-(``routing.rng.integers(0, n)``, ``random_intermediate_router``) — is a
-Python call made from C, by name and in the Python body's order.
+the obs / dateline / fault sub-calls, and ``random_intermediate_router`` —
+is a Python call made from C, by name and in the Python body's order.  A
+trigger's pick is not: it is the one bounded draw of a run,
+:func:`repro.draws.integers`, whose compiled body (the core's module function
+``integers``) is numpy's own Lemire step over the bit generator — the same
+value and the same stream as ``int(routing.rng.integers(0, n))``, with
+``rng.integers`` called by name only where the transcription does not apply.
 :meth:`_capture_pure` (it calls ``select_output``), :meth:`_live_request` /
 :meth:`_resolve_faults` / :meth:`_drop_head` (``LIVE`` rows, fault runs),
 ``metrics.record_*`` and the obs sites stay Python.

@@ -69,6 +69,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro import draws
+
 __all__ = ["PortKind", "PathModel", "Topology"]
 
 
@@ -489,7 +491,7 @@ class Topology(ABC):
         """
         rpr = self.routers_per_region
         src_region = self.router_region(source_router)
-        choice = int(rng.integers(0, self.num_routers - rpr))
+        choice = draws.integers(rng, 0, self.num_routers - rpr)
         region, position = divmod(choice, rpr)
         if region >= src_region:
             region += 1

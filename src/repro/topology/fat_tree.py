@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro import draws
 from repro.config.parameters import FatTreeConfig
 from repro.topology.base import PathModel, PortKind, Topology
 
@@ -409,7 +410,7 @@ class FatTreeTopology(Topology):
         up-down-up zigzag and a second turn.  Consumes exactly one draw,
         like the default.
         """
-        choice = int(rng.integers(0, self._m))
+        choice = draws.integers(rng, 0, self._m)
         return self._rid_of(self._levels - 1, choice)
 
     # -------------------------------------------------------------- describing

@@ -13,6 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro import draws
 from repro.topology.base import Topology
 
 __all__ = ["TrafficPattern"]
@@ -49,7 +50,7 @@ class TrafficPattern(ABC):
             if only == exclude:
                 raise ValueError("cannot pick a destination different from the source")
             return only
-        dst = int(rng.integers(candidates_low, candidates_high))
+        dst = draws.integers(rng, candidates_low, candidates_high)
         while dst == exclude:
-            dst = int(rng.integers(candidates_low, candidates_high))
+            dst = draws.integers(rng, candidates_low, candidates_high)
         return dst
