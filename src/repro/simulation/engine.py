@@ -16,10 +16,11 @@ time the ``object`` backend.  ``step`` advances the whole network one cycle:
 
 A backend supplies the router state it steps (built once, when the engine is
 constructed: here the ``Router`` graph of the network, in ``SoAEngine`` the
-flat arrays), step 2's per-node injection (the ``_inject`` function,
-``ComputeNode.try_inject`` here), step 3, the router half of the work
-horizon, the buffered-packet count and the stall census through the methods
-marked "backend seam"; ``SoAEngine`` overrides exactly those.
+flat arrays), steps 1-2 (``_source_phase``) with their per-node injection
+(the ``_inject`` function, ``ComputeNode.try_inject`` here), step 3, the
+router half of the work horizon, the buffered-packet count and the stall
+census through the methods marked "backend seam"; ``SoAEngine`` overrides
+exactly those.
 
 In the object model the three router phases (``begin_cycle``, ``allocate``,
 ``transmit``) run back to back per router, in router-id order: every
@@ -307,33 +308,8 @@ class Engine:
             if faults.apply_due(cycle) and metrics is not None:
                 metrics.on_fault_epoch(cycle)
 
-        # 1. traffic generation (activates the source nodes)
-        nodes = network.nodes
-        for src, packet in self.traffic.generate(cycle):
-            nodes[src].enqueue(packet)
-            if metrics is not None:
-                metrics.record_generated(packet)
-
-        # 2. injection from the backlogged source queues, in node-id order
-        node_hint = _NO_EVENT
-        active_nodes = network._active_nodes
-        if active_nodes:
-            if network._nodes_unsorted:
-                active_nodes.sort(key=_node_id)
-                network._nodes_unsorted = False
-            inject = self._inject
-            backlogged = []
-            for node in active_nodes:
-                if cycle >= node.next_injection_cycle:
-                    inject(node, cycle)
-                if node.source_queue:
-                    backlogged.append(node)
-                    injection = node.next_injection_cycle
-                    if injection < node_hint:
-                        node_hint = injection
-                else:
-                    node.active = False
-            network._active_nodes = backlogged
+        # 1-2. traffic generation and injection from the source queues.
+        node_hint = self._source_phase(cycle)
 
         # 3. the routers: due events, allocation, transmission.
         delivered_now, dropped_now, visited_routers, router_hint = self._router_phase(
@@ -368,6 +344,41 @@ class Engine:
         self.cycle = cycle + 1
 
     # -- backend seams (here: the object model) ---------------------------------
+    def _source_phase(self, cycle: int) -> int:
+        """Backend seam: steps 1-2 of a cycle.  Returns the earliest cycle a
+        node still backlogged may inject again (``_NO_EVENT``: none is)."""
+        network = self.network
+        metrics = self.metrics
+
+        # 1. traffic generation (activates the source nodes)
+        nodes = network.nodes
+        for src, packet in self.traffic.generate(cycle):
+            nodes[src].enqueue(packet)
+            if metrics is not None:
+                metrics.record_generated(packet)
+
+        # 2. injection from the backlogged source queues, in node-id order
+        node_hint = _NO_EVENT
+        active_nodes = network._active_nodes
+        if active_nodes:
+            if network._nodes_unsorted:
+                active_nodes.sort(key=_node_id)
+                network._nodes_unsorted = False
+            inject = self._inject
+            backlogged = []
+            for node in active_nodes:
+                if cycle >= node.next_injection_cycle:
+                    inject(node, cycle)
+                if node.source_queue:
+                    backlogged.append(node)
+                    injection = node.next_injection_cycle
+                    if injection < node_hint:
+                        node_hint = injection
+                else:
+                    node.active = False
+            network._active_nodes = backlogged
+        return node_hint
+
     def _router_phase(self, cycle: int) -> Tuple[int, int, int, Optional[int]]:
         """Backend seam: one cycle of router work.
 

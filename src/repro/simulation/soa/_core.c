@@ -6,13 +6,17 @@
  * link arrivals, the pop / commit / release chain of a hop, the separable
  * allocator, the allocation rounds and the router-major merge walk of a
  * cycle -- and the routing work of a buffer head when the mechanism is a
- * stock one: the routing hooks, `Packet.record_hop`, the head captures of the
- * adaptive mechanisms and the triggers of their open gates -- and an
- * injection with its stock `on_inject`, and the topology queries of a
- * Dragonfly from its route and link-offset tables.  Everything a
- * test or a probe reads through `st.*` therefore stays what it was: Python
- * ints in Python lists, `Packet`s in VC lists, event tuples in `cycle ->
- * [events]` dicts, row tuples in `engine._rows`.
+ * stock one: the routing hooks, `Packet.record_hop`, the head captures (the
+ * pure mechanisms' `select_output`, the adaptive path policies) and the
+ * triggers of their open gates -- and an injection with its stock
+ * `on_inject`, the topology queries of a Dragonfly from its route and
+ * link-offset tables, the source phase of a cycle (the stock Bernoulli
+ * generator, its destinations, `Packet(...)`, `ComputeNode.enqueue`), the
+ * stock delivery accounting of `MetricsCollector` and PB's saturation
+ * broadcast.  Everything a test or a probe reads through `st.*` therefore
+ * stays what it was: Python ints in Python lists, `Packet`s in VC lists,
+ * event tuples in `cycle -> [events]` dicts, row tuples in `engine._rows`,
+ * the collector's counters, samples and time-series bins.
  *
  * A hook is answered here only while the function the instance resolves for
  * its name -- resolved on every call, the way a method call resolves it -- is
@@ -26,9 +30,10 @@
  * the one bounded draw of a run (the module function `integers`, which
  * `repro.draws.integers` binds to): numpy's own Lemire step over the bit
  * generator, and `rng.integers` by name only where that does not apply.
- * `_capture_pure`, `_live_request`, `metrics.record_*` and `obs.record_*`
- * stay Python.  The engine is an argument of the two entry points that need
- * it, not a member: engine -> core is the only edge between the two.
+ * `_live_request` (`LIVE` rows: fault runs, routing subclasses),
+ * `metrics.record_dropped`, `obs.record_*` and ECtN's broadcast stay Python.
+ * The engine is an argument of the entry points that need it, not a member:
+ * engine -> core is the only edge between the two.
  *
  * Memory safety does not rest on the state being well formed: every list
  * index is bounds-checked, every conversion is checked, and whatever is held
@@ -37,6 +42,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <stdarg.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -72,7 +78,7 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
 #define READS_COMBINED 4
 
 /* Who writes the rows (`SoAEngine._capture`; -1: nobody, every row `LIVE`):
- * `engine._capture_pure`, or one of the adaptive path policies here. */
+ * the pure capture or one of the adaptive path policies here. */
 #define CAPTURE_PURE 0
 #define CAPTURE_GROUP 1
 #define CAPTURE_PORT_TABLE 2
@@ -80,11 +86,14 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
 /* Requests per round / occupied heads per router held on the C stack. */
 #define STACK_ITEMS 64
 
+/* Defaulted `Packet` fields a packet built here can have. */
+#define MAX_DEFAULTS 64
+
 /* ------------------------------------------------------------------ names */
 #define NAMES(X) \
     X(on_grant) X(on_packet_head) X(on_packet_arrival) X(on_packet_leave_input) \
     X(record_hop) X(is_global) X(vc) X(record_delivery) X(record_dropped) X(metrics) \
-    X(obs) X(faults) X(active) X(unsorted) X(counts) X(_draws) X(_capture_pure) \
+    X(obs) X(faults) X(active) X(unsorted) X(counts) X(_draws) \
     X(_live_request) X(on_head) X(on_leave) X(decrement) X(plain_decision) \
     X(global_candidates) X(local_candidates) X(router_candidates) X(_towards_group) X(ring_vc) \
     X(output_port) \
@@ -95,16 +104,35 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(acquire) X(release) \
     X(on_inject) X(prefers_valiant) X(_ugal_prefers_valiant) X(random_intermediate_router) \
     X(source_queue) X(popleft) X(node_id) X(port) X(_vc_pointer) X(next_injection_cycle) \
-    X(injected_packets)
+    X(injected_packets) X(select_output) X(port_target_region) \
+    X(record_generated) X(in_window) X(measure_start) X(measure_end) X(throughput) X(latency) \
+    X(misrouting) X(timeseries) X(delivered_packets) X(delivered_phits) \
+    X(fault_rerouted_delivered) X(_epoch_phits) X(generated_in_window) X(_samples) X(record) \
+    X(delivered) X(mean_hops_sum) X(start_cycle) X(end_cycle) X(bin_size) X(_bins) X(count) \
+    X(latency_sum) X(misrouted) X(append) \
+    X(traffic) X(network) X(nodes) X(_active_nodes) X(_nodes_unsorted) X(_inject) X(generate) \
+    X(_packet_probability) X(_ensure_block) X(block_cycles) X(_block_index) X(_event_cycles) \
+    X(_event_nodes) X(_ptr) X(_consumed_cycle) X(pattern) X(destination) X(packet_size_phits) \
+    X(_next_pid) X(generated_packets) X(before) X(after) X(switch_cycle) X(offset) X(topology) \
+    X(num_nodes) X(num_routers) X(num_regions) X(routers_per_region) X(nodes_per_router) \
+    X(region_node_range) X(_random_node_excluding) X(enqueue) X(generated_phits) X(_network) \
+    X(activate_node) X(__init__) X(Packet) X(TimeSeriesPoint) X(deque) X(_p) X(_a) \
+    X(_num_groups) X(_num_routers) \
+    X(valiant_intermediate_router) X(global_port_target_group) X(publish_flags) X(_pending) \
+    X(notification_delay) X(_flags) X(_saturated_groups) X(add) X(discard)
 
 #define DECLARE_NAME(n) static PyObject *s_##n;
 NAMES(DECLARE_NAME)
 static PyObject *kw_is_global; /* ("is_global",) */
+/* The keywords of `Packet(...)` in `generate`, of `MisroutingStats.record`
+ * and of `TimeSeriesRecorder.record`. */
+static PyObject *kw_packet, *kw_route, *kw_bin;
 static PyObject *zero, *one;   /* the ints 0 and 1 */
 
 /* The `Packet` fields the chain reads and writes. */
 #define PACKET_FIELDS(X) \
-    X(dst) X(size_phits) X(phase) X(intermediate_group) X(valiant_router) X(hops) \
+    X(pid) X(src) X(creation_cycle) X(fault_mode) X(dst) X(size_phits) X(phase) \
+    X(intermediate_group) X(valiant_router) X(hops) \
     X(local_hops) X(global_hops) X(local_hops_in_group) X(vc_leg) X(ring_dim) \
     X(ring_crossed) X(ring_dir) X(globally_misrouted) X(locally_misrouted) \
     X(misroute_recorded_cycle) X(current_vc) X(delivered_cycle) X(contention_port) \
@@ -143,10 +171,29 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(DragonflyTopology, router_group) X(DragonflyTopology, node_group) \
     X(DragonflyTopology, node_router) X(DragonflyTopology, minimal_output_port) \
     X(DragonflyTopology, minimal_route_to_router) X(DragonflyTopology, router_hops) \
-    X(DragonflyTopology, _route_port)
+    X(DragonflyTopology, _route_port) \
+    X(MinimalRouting, select_output) X(ValiantRouting, select_output) \
+    X(MetricsCollector, record_delivery) X(MetricsCollector, record_generated) \
+    X(MetricsCollector, in_window) X(ThroughputStats, record_delivery) X(LatencyStats, record) \
+    X(MisroutingStats, record) X(TimeSeriesRecorder, record) \
+    X(BernoulliTrafficGenerator, generate) X(UniformTraffic, destination) \
+    X(AdversarialTraffic, destination) X(TransientTraffic, destination) \
+    X(TrafficPattern, _random_node_excluding) X(Topology, region_node_range) \
+    X(ComputeNode, enqueue) X(Network, activate_node) \
+    X(ValiantRouting, random_intermediate_router) X(Topology, valiant_intermediate_router) \
+    X(DragonflyTopology, port_target_region) X(DragonflyTopology, global_port_target_group) \
+    X(PiggybackRouting, publish_flags)
+/* What a stock body reads or builds with that its class's source does not
+ * define as a function: properties (compared with what the type's MRO holds,
+ * never called) and the dataclass-made `Packet.__init__`. */
+#define STOCK_ATTRIBUTES(X) \
+    X(DragonflyTopology, num_nodes) X(DragonflyTopology, num_routers) \
+    X(DragonflyTopology, num_regions) X(DragonflyTopology, routers_per_region) \
+    X(DragonflyTopology, nodes_per_router) X(Packet, latency) X(Packet, __init__)
 #define STOCK_OBJECTS(X) \
     X(Packet) X(RoutingDecision) X(RoutingAlgorithm) X(ValiantRouting) X(ECtNRouting) \
-    X(DragonflyTopology) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL)
+    X(DragonflyTopology) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL) X(draws) X(packet_defaults) \
+    X(NO_EVENT)
 
 /* What the stock hook bodies, the triggers and the captures read off the
  * routing, bound once: the topology, and where the mechanism has them, the
@@ -157,7 +204,7 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
 #define ROUTING_MEMBERS(X) \
     X(topology) X(tracker) X(counters) X(partial) X(combined) X(flags) X(shared) X(plain) \
     X(towards_cache) X(ring_dims) X(port_candidates) X(node_rid) X(updown_vcs) \
-    X(route_table) X(link_offsets)
+    X(route_table) X(link_offsets) X(offset_to_group)
 
 /* ------------------------------------------------------------------ slots */
 /* The state members the core holds.  `active` and `unsorted` are not among
@@ -186,6 +233,7 @@ enum {
     S_dlv,
     S_drp,
     STOCK_FUNCTIONS(STOCK_FUNCTION_ENUM)
+    STOCK_ATTRIBUTES(STOCK_FUNCTION_ENUM)
     STOCK_OBJECTS(STOCK_OBJECT_ENUM)
     ROUTING_MEMBERS(MEMBER_ENUM)
     N_SLOTS
@@ -200,7 +248,8 @@ static const struct {
 static const struct {
     int slot;
     const char *key;
-} stock_entries[] = {STOCK_FUNCTIONS(STOCK_FUNCTION_ENTRY) STOCK_OBJECTS(STOCK_OBJECT_ENTRY)};
+} stock_entries[] = {STOCK_FUNCTIONS(STOCK_FUNCTION_ENTRY) STOCK_ATTRIBUTES(STOCK_FUNCTION_ENTRY)
+                     STOCK_OBJECTS(STOCK_OBJECT_ENTRY)};
 
 typedef struct {
     PyObject_HEAD
@@ -220,16 +269,26 @@ typedef struct {
      * links per router and first global port. */
     int capture;
     long npr, rpg, npg, global_vcs, local_vcs, num_global, h, first_global;
+    /* The pure capture's: nodes per region (VAL), whether the topology has
+     * global ports, whether it is a dateline topology (`hop_vc` asks the ring
+     * state machine: `select_output` is then called by name). */
+    long npreg;
+    int has_global_ports, dateline;
     /* A `DragonflyTopology`'s nodes per router, routers per group, global
-     * ports per router, groups and routers (`df_a` 0 on any other topology:
-     * no topology query is answered in C there). */
-    long df_p, df_a, df_h, df_groups, df_routers;
+     * ports per router, groups, routers and first global port (`df_a` 0 on
+     * any other topology: no topology query is answered in C there). */
+    long df_p, df_a, df_h, df_groups, df_routers, df_first_global;
     /* UGAL's `T`, in phits. */
     double valiant_threshold;
     /* `Packet` when its fields are verified `__slots__` (read at `offset`),
      * else NULL: every packet then goes through getattr / setattr. */
     PyTypeObject *packet_type;
     Py_ssize_t offset[N_FIELDS];
+    /* A `Packet` built here: the offsets of its defaulted fields, whose
+     * defaults `stock["packet_defaults"]` holds in that order (`defaults`
+     * -1: the class is called). */
+    Py_ssize_t defaults, default_offset[MAX_DEFAULTS];
+    long no_event; /* `_NO_EVENT`: no node has a pending injection */
 } Core;
 
 #define L(c, name) ((c)->o[S_##name])
@@ -427,7 +486,7 @@ pop_bucket(PyObject *calendar, PyObject *cycle)
 typedef struct {
     long key;
     Py_ssize_t index;
-    PyObject *event;
+    PyObject *item;
 } sort_entry;
 
 static int
@@ -439,19 +498,18 @@ compare_entries(const void *a, const void *b)
     return x->index < y->index ? -1 : (x->index > y->index);
 }
 
-/* `events.sort(key=itemgetter(0))`: stable, by the port each event starts
- * with (an event may carry a `Packet`, which does not order). */
+/* `items.sort(key=...)` with an int key: stable. */
 static int
-sort_by_port(PyObject *events)
+sort_by(PyObject *items, int (*key_of)(PyObject *, long *))
 {
-    Py_ssize_t n = PyList_GET_SIZE(events), i;
+    Py_ssize_t n = PyList_GET_SIZE(items), i;
     sort_entry *entries;
     long previous = 0, key;
     int sorted = 1;
     if (n < 2)
         return 0;
     for (i = 0; i < n; i++) {
-        if (field_long(PyList_GET_ITEM(events, i), 0, &key) < 0)
+        if (key_of(PyList_GET_ITEM(items, i), &key) < 0)
             return -1;
         if (i > 0 && key < previous) {
             sorted = 0;
@@ -467,18 +525,32 @@ sort_by_port(PyObject *events)
         return -1;
     }
     for (i = 0; i < n; i++) {
-        entries[i].event = PyList_GET_ITEM(events, i);
+        entries[i].item = PyList_GET_ITEM(items, i);
         entries[i].index = i;
-        if (field_long(entries[i].event, 0, &entries[i].key) < 0) {
+        if (key_of(entries[i].item, &entries[i].key) < 0) {
             PyMem_Free(entries);
             return -1;
         }
     }
     qsort(entries, (size_t)n, sizeof(sort_entry), compare_entries);
     for (i = 0; i < n; i++) /* a permutation: no reference changes hands */
-        PyList_SET_ITEM(events, i, entries[i].event);
+        PyList_SET_ITEM(items, i, entries[i].item);
     PyMem_Free(entries);
     return 0;
+}
+
+static int
+port_key(PyObject *event, long *key)
+{
+    return field_long(event, 0, key);
+}
+
+/* `events.sort(key=itemgetter(0))`: by the port each event starts with (an
+ * event may carry a `Packet`, which does not order). */
+static int
+sort_by_port(PyObject *events)
+{
+    return sort_by(events, port_key);
 }
 
 /* `bisect.insort(keys, k)` on a sorted list of ints. */
@@ -535,6 +607,56 @@ append_long(PyObject *list, long v)
     return failed;
 }
 
+/* `int(owner.<name>)`. */
+static int
+attr_long(PyObject *owner, PyObject *name, long *out)
+{
+    PyObject *value = PyObject_GetAttr(owner, name);
+    int failed;
+    if (value == NULL)
+        return -1;
+    failed = as_long(value, out);
+    Py_DECREF(value);
+    return failed;
+}
+
+/* `owner.<name> = v`. */
+static int
+set_attr_long(PyObject *owner, PyObject *name, long v)
+{
+    PyObject *value = PyLong_FromLong(v);
+    int failed;
+    if (value == NULL)
+        return -1;
+    failed = PyObject_SetAttr(owner, name, value);
+    Py_DECREF(value);
+    return failed;
+}
+
+/* A tuple of `n` items, each a new reference it takes over; NULL if any
+ * item is (the others are released). */
+static PyObject *
+steal_tuple(Py_ssize_t n, ...)
+{
+    PyObject *t = PyTuple_New(n);
+    Py_ssize_t i;
+    int complete = t != NULL;
+    va_list items;
+    va_start(items, n);
+    for (i = 0; i < n; i++) {
+        PyObject *o = va_arg(items, PyObject *);
+        complete = complete && o != NULL;
+        if (complete)
+            PyTuple_SET_ITEM(t, i, o);
+        else
+            Py_XDECREF(o);
+    }
+    va_end(items);
+    if (!complete)
+        Py_CLEAR(t);
+    return t;
+}
+
 static inline PyObject *
 call_method(PyObject *name, PyObject **args, size_t nargs)
 {
@@ -550,6 +672,17 @@ call_void(PyObject *name, PyObject **args, size_t nargs)
         return -1;
     Py_DECREF(result);
     return 0;
+}
+
+/* The global `name` of the module of `function`, a stock Python function
+ * (borrowed), as its body would look it up. */
+static PyObject *
+global_of(PyObject *function, PyObject *name)
+{
+    PyObject *found = PyDict_GetItemWithError(PyFunction_GET_GLOBALS(function), name);
+    if (found == NULL && !PyErr_Occurred())
+        PyErr_Format(PyExc_NameError, "name '%U' is not defined", name);
+    return found;
 }
 
 /* ------------------------------------------------------------------ draws */
@@ -803,6 +936,33 @@ invoke(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
     return 0;
 }
 
+/* `call_found` answered as an int. */
+static int
+found_long(method *m, PyObject **args, size_t nargs, long *out)
+{
+    PyObject *answer = call_found(m, args, nargs, NULL);
+    int failed = answer == NULL ? -1 : as_long(answer, out);
+    Py_XDECREF(answer);
+    return failed;
+}
+
+/* Whether the first class of `mro`, from position `i` on, whose namespace
+ * holds `name` holds `value` there: 1 / 0, -1 on error. */
+static int
+mro_holds(PyObject *mro, Py_ssize_t i, PyObject *name, PyObject *value)
+{
+    for (; i < PyTuple_GET_SIZE(mro); i++) {
+        PyObject *namespace = ((PyTypeObject *)PyTuple_GET_ITEM(mro, i))->tp_dict, *found;
+        if (namespace == NULL)
+            continue;
+        if ((found = PyDict_GetItemWithError(namespace, name)) != NULL)
+            return found == value;
+        if (PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
 /* Whether `super(owner, self).<name>` is the stock function `function`: the
  * first class after `owner` in `type(self).__mro__` whose namespace holds
  * `name` is the one `super()` finds.  1 / 0, -1 on error. */
@@ -816,16 +976,33 @@ super_is(PyObject *self, PyObject *owner, PyObject *name, PyObject *function)
     n = PyTuple_GET_SIZE(mro);
     while (i < n && PyTuple_GET_ITEM(mro, i) != owner)
         i++;
-    for (i++; i < n; i++) {
-        PyObject *namespace = ((PyTypeObject *)PyTuple_GET_ITEM(mro, i))->tp_dict, *found;
-        if (namespace == NULL)
-            continue;
-        if ((found = PyDict_GetItemWithError(namespace, name)) != NULL)
-            return found == function;
-        if (PyErr_Occurred())
-            return -1;
-    }
-    return 0;
+    return mro_holds(mro, i + 1, name, function);
+}
+
+/* Whether `type(obj).<name>` is the stock property `property` (a data
+ * descriptor: the instance cannot shadow it).  1 / 0, -1 on error. */
+static int
+type_holds(PyObject *obj, PyObject *name, PyObject *property)
+{
+    PyObject *mro = Py_TYPE(obj)->tp_mro;
+    return mro == NULL ? 0 : mro_holds(mro, 0, name, property);
+}
+
+/* `obj.<name> += delta`. */
+static int
+attr_iadd(PyObject *obj, PyObject *name, PyObject *delta)
+{
+    PyObject *value = PyObject_GetAttr(obj, name), *sum;
+    int failed;
+    if (value == NULL)
+        return -1;
+    sum = PyNumber_InPlaceAdd(value, delta);
+    Py_DECREF(value);
+    if (sum == NULL)
+        return -1;
+    failed = PyObject_SetAttr(obj, name, sum);
+    Py_DECREF(sum);
+    return failed;
 }
 
 /* ---------------------------------------------------------- routing hooks */
@@ -870,16 +1047,16 @@ df_stock(Core *c, const method *m, int slot)
     return c->df_a > 0 && stock(m, c->o[slot]);
 }
 
-/* Call what `resolve` found on the topology with the ints `x` (and `y`
- * where `nargs` is 2): the answer as a long; gives up `m`. */
+/* Call what `resolve` found on `topology` with the ints `x` (and `y` where
+ * `nargs` is 2): the answer as a long; gives up `m`. */
 static int
-ask_by_name(Core *c, method *m, long x, long y, size_t nargs, long *out)
+ask_by_name(PyObject *topology, method *m, long x, long y, size_t nargs, long *out)
 {
     PyObject *x_o = PyLong_FromLong(x), *y_o = nargs > 1 ? PyLong_FromLong(y) : NULL;
     PyObject *answer = NULL;
     int failed = -1;
     if (x_o != NULL && (nargs < 2 || y_o != NULL)) {
-        PyObject *args[3] = {L(c, topology), x_o, y_o};
+        PyObject *args[3] = {topology, x_o, y_o};
         answer = call_found(m, args, 1 + nargs, NULL);
     }
     else
@@ -893,20 +1070,50 @@ ask_by_name(Core *c, method *m, long x, long y, size_t nargs, long *out)
     return failed;
 }
 
-/* `topology.<query>(x)`: the region or group of a router or a node, or a
+/* `topology.<name>` of a Dragonfly's constant (`_p`, `_a`, ...): `bound`
+ * on the routing's own, else the attribute (a pattern may hold another
+ * instance of the same topology). */
+static int
+df_attr(Core *c, PyObject *topology, PyObject *name, long bound, long *out)
+{
+    if (c->df_a > 0 && topology == L(c, topology)) {
+        *out = bound;
+        return 0;
+    }
+    return attr_long(topology, name, out);
+}
+
+/* `topology.<query>(x)` -- the routing's topology or another instance (a
+ * traffic pattern's): the region or group of a router or a node, or a
  * node's router. */
 static int
+ask_of(Core *c, PyObject *topology, enum query q, long x, long *out)
+{
+    long p = 1, a = 1, divisor;
+    method m;
+    if (resolve(topology, *query_names[q], &m) < 0)
+        return -1;
+    if (!stock(&m, c->o[query_stock[q]]))
+        return ask_by_name(topology, &m, x, 0, 1, out);
+    Py_CLEAR(m.fn);
+    if ((q != Q_ROUTER_REGION && q != Q_ROUTER_GROUP
+         && df_attr(c, topology, s__p, c->df_p, &p) < 0)
+        || (q != Q_NODE_ROUTER && df_attr(c, topology, s__a, c->df_a, &a) < 0))
+        return -1;
+    divisor = q == Q_NODE_ROUTER ? p : q == Q_NODE_REGION || q == Q_NODE_GROUP ? p * a : a;
+    if (divisor <= 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
+        return -1;
+    }
+    *out = pydiv(x, divisor);
+    return 0;
+}
+
+/* `ask_of` the routing's topology. */
+static inline int
 ask(Core *c, enum query q, long x, long *out)
 {
-    method m;
-    if (resolve(L(c, topology), *query_names[q], &m) < 0)
-        return -1;
-    if (!df_stock(c, &m, query_stock[q]))
-        return ask_by_name(c, &m, x, 0, 1, out);
-    Py_CLEAR(m.fn);
-    *out = pydiv(x, q == Q_NODE_ROUTER ? c->df_p
-                    : q == Q_NODE_REGION || q == Q_NODE_GROUP ? c->df_p * c->df_a : c->df_a);
-    return 0;
+    return ask_of(c, L(c, topology), q, x, out);
 }
 
 /* `DragonflyTopology._route_port(rid, dst_router)` of two distinct routers:
@@ -980,7 +1187,7 @@ route(Core *c, long rid, long dst, int to_router, long *port)
             }
         }
     }
-    return ask_by_name(c, &m, rid, dst, 2, port);
+    return ask_by_name(L(c, topology), &m, rid, dst, 2, port);
 }
 
 /* `topology.router_hops(a, b)`: on the Dragonfly at most one local hop to
@@ -994,7 +1201,7 @@ hops(Core *c, long a, long b, long *out)
     if (resolve(L(c, topology), s_router_hops, &m) < 0)
         return -1;
     if (!df_stock(c, &m, S_DragonflyTopology_router_hops))
-        return ask_by_name(c, &m, a, b, 2, out);
+        return ask_by_name(L(c, topology), &m, a, b, 2, out);
     Py_CLEAR(m.fn);
     group = pydiv(a, c->df_a);
     dst_group = pydiv(b, c->df_a);
@@ -1008,6 +1215,66 @@ hops(Core *c, long a, long b, long *out)
     *out = 1 + (a != group * c->df_a + pydiv(there, c->df_h))
            + (b != dst_group * c->df_a + pydiv(back, c->df_h));
     return 0;
+}
+
+/* ---------------------------------------------- properties and draws */
+/* `bool(obj.<name>)`: 1 / 0, -1 on error. */
+static int
+ptruth_attr(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    int on;
+    if (value == NULL)
+        return -1;
+    on = truth(value);
+    Py_DECREF(value);
+    return on;
+}
+
+/* `topology.<property>` (`name`): while the topology's type holds the stock
+ * `DragonflyTopology` property in `slot`, the constant it returns; else the
+ * attribute. */
+static int
+topology_count(Core *c, PyObject *topology, PyObject *name, int slot, long *out)
+{
+    long p;
+    int on = type_holds(topology, name, c->o[slot]);
+    if (on > 0 && slot == S_DragonflyTopology_num_nodes) /* `self.num_routers * self._p` */
+        on = type_holds(topology, s_num_routers, STOCK(c, DragonflyTopology, num_routers));
+    if (on <= 0)
+        return on < 0 ? -1 : attr_long(topology, name, out);
+    if (slot == S_DragonflyTopology_num_routers)
+        return df_attr(c, topology, s__num_routers, c->df_routers, out);
+    if (slot == S_DragonflyTopology_num_nodes) {
+        if (df_attr(c, topology, s__num_routers, c->df_routers, out) < 0
+            || df_attr(c, topology, s__p, c->df_p, &p) < 0)
+            return -1;
+        *out *= p;
+        return 0;
+    }
+    return slot == S_DragonflyTopology_num_regions
+           ? df_attr(c, topology, s__num_groups, c->df_groups, out)
+           : slot == S_DragonflyTopology_routers_per_region
+           ? df_attr(c, topology, s__a, c->df_a, out)
+           : df_attr(c, topology, s__p, c->df_p, out);
+}
+
+/* `draws.integers(rng, low, high)` (a new reference): `bounded_draw` while
+ * the module holds this module's `integers`, else a call of what it holds. */
+static PyObject *
+draw_between(Core *c, PyObject *rng, PyObject *low, PyObject *high)
+{
+    PyObject *integers = PyObject_GetAttr(L(c, draws), s_integers), *drawn;
+    PyObject *args[3] = {rng, low, high};
+    if (integers == NULL)
+        return NULL;
+    drawn = PyCFunction_Check(integers)
+                    && PyCFunction_GET_FUNCTION(integers)
+                           == (PyCFunction)(void (*)(void))module_integers
+                ? bounded_draw(rng, low, high)
+                : PyObject_Vectorcall(integers, args, 3, NULL);
+    Py_DECREF(integers);
+    return drawn;
 }
 
 /* `AdaptiveInTransitRouting.on_packet_arrival`: a packet that reached its
@@ -2276,9 +2543,10 @@ open_request(Core *c, long rid, long base, PyObject *row, PyObject **counts)
     }
     if (decision != NULL && as_long(vc_o, &vc) == 0) {
         long og = base + port;
-        request = Py_BuildValue("(OOOOOll)", PyTuple_GET_ITEM(fallback, 0),
-                                PyTuple_GET_ITEM(fallback, 1), port_o,
-                                PyTuple_GET_ITEM(fallback, 3), decision, og, og * c->V + vc);
+        request = steal_tuple(7, Py_NewRef(PyTuple_GET_ITEM(fallback, 0)),
+                              Py_NewRef(PyTuple_GET_ITEM(fallback, 1)), Py_NewRef(port_o),
+                              Py_NewRef(PyTuple_GET_ITEM(fallback, 3)), Py_NewRef(decision),
+                              PyLong_FromLong(og), PyLong_FromLong(og * c->V + vc));
     }
 done:
     Py_XDECREF(decision);
@@ -2306,16 +2574,69 @@ source_region(Core *c, long rid, PyObject *packet)
     return failed;
 }
 
-/* `self.random_intermediate_router(rid)` (a new reference). */
+/* `topology.valiant_intermediate_router(rid, rng)`, stock: one draw over
+ * the routers outside the source region. */
+static PyObject *
+valiant_router(Core *c, PyObject *topology, long rid, PyObject *rid_o, PyObject *rng)
+{
+    PyObject *args[3] = {topology, rid_o, rng}, *span, *drawn;
+    long per_region, region, routers, choice;
+    method m;
+    if (resolve(topology, s_valiant_intermediate_router, &m) < 0)
+        return NULL;
+    if (!stock(&m, STOCK(c, Topology, valiant_intermediate_router)))
+        return call_found(&m, args, 3, NULL);
+    Py_CLEAR(m.fn);
+    if (topology_count(c, topology, s_routers_per_region, S_DragonflyTopology_routers_per_region,
+                       &per_region) < 0
+        || ask_of(c, topology, Q_ROUTER_REGION, rid, &region) < 0
+        || topology_count(c, topology, s_num_routers, S_DragonflyTopology_num_routers,
+                          &routers) < 0
+        || (span = PyLong_FromLong(routers - per_region)) == NULL)
+        return NULL;
+    drawn = draw_between(c, rng, zero, span);
+    Py_DECREF(span);
+    if (drawn == NULL || as_long(drawn, &choice) < 0) {
+        Py_XDECREF(drawn);
+        return NULL;
+    }
+    Py_DECREF(drawn);
+    if (per_region <= 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
+        return NULL;
+    }
+    /* `region, position = divmod(choice, rpr)`, skipping the source region */
+    return PyLong_FromLong((pydiv(choice, per_region) + (pydiv(choice, per_region) >= region))
+                               * per_region
+                           + pymod(choice, per_region));
+}
+
+/* `self.random_intermediate_router(rid)` (a new reference): the stock
+ * `ValiantRouting` method asks its topology's. */
 static PyObject *
 intermediate_router(Core *c, long rid)
 {
-    PyObject *rid_o = PyLong_FromLong(rid), *via = NULL;
-    if (rid_o != NULL) {
-        PyObject *args[2] = {c->o[S_routing], rid_o};
-        via = call_method(s_random_intermediate_router, args, 2);
-        Py_DECREF(rid_o);
+    PyObject *routing = c->o[S_routing], *rid_o = PyLong_FromLong(rid), *via = NULL;
+    PyObject *topology, *rng;
+    method m;
+    if (rid_o == NULL)
+        return NULL;
+    if (resolve(routing, s_random_intermediate_router, &m) == 0) {
+        PyObject *args[2] = {routing, rid_o};
+        if (!stock(&m, STOCK(c, ValiantRouting, random_intermediate_router)))
+            via = call_found(&m, args, 2, NULL);
+        else {
+            Py_CLEAR(m.fn);
+            if ((topology = PyObject_GetAttr(routing, s_topology)) != NULL) {
+                if ((rng = PyObject_GetAttr(routing, s_rng)) != NULL) {
+                    via = valiant_router(c, topology, rid, rid_o, rng);
+                    Py_DECREF(rng);
+                }
+                Py_DECREF(topology);
+            }
+        }
     }
+    Py_DECREF(rid_o);
     return via;
 }
 
@@ -2488,32 +2809,6 @@ inject_hook(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
     }
 }
 
-/* `int(owner.<name>)`. */
-static int
-attr_long(PyObject *owner, PyObject *name, long *out)
-{
-    PyObject *value = PyObject_GetAttr(owner, name);
-    int failed;
-    if (value == NULL)
-        return -1;
-    failed = as_long(value, out);
-    Py_DECREF(value);
-    return failed;
-}
-
-/* `owner.<name> = v`. */
-static int
-set_attr_long(PyObject *owner, PyObject *name, long v)
-{
-    PyObject *value = PyLong_FromLong(v);
-    int failed;
-    if (value == NULL)
-        return -1;
-    failed = PyObject_SetAttr(owner, name, value);
-    Py_DECREF(value);
-    return failed;
-}
-
 /* `ComputeNode.try_inject` against the flat state: the head of the node's
  * source queue enters the first VC of its injection port, from the node's
  * round-robin pointer on, that has room for it -- `on_inject` before the
@@ -2636,8 +2931,9 @@ make_request(Core *c, long base_g, long k, PyObject *head, PyObject *decision)
     if (vc_o != NULL && as_long(port_o, &port) == 0 && as_long(vc_o, &vc) == 0
         && (size_o = pget(c, head, F_size_phits)) != NULL) {
         long og = base_g + port;
-        request = Py_BuildValue("(llOOOll)", k / c->V, k % c->V, port_o, size_o, decision, og,
-                                og * c->V + vc);
+        request = steal_tuple(7, PyLong_FromLong(k / c->V), PyLong_FromLong(k % c->V),
+                              Py_NewRef(port_o), Py_NewRef(size_o), Py_NewRef(decision),
+                              PyLong_FromLong(og), PyLong_FromLong(og * c->V + vc));
     }
     Py_XDECREF(size_o);
     Py_XDECREF(vc_o);
@@ -2678,10 +2974,8 @@ candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int lo
             Py_SETREF(shared, PySequence_Tuple(shared));
         if (shared == NULL)
             return NULL;
-        found = Py_BuildValue("(Olll)", shared, local ? c->num_global : 0L, dst_group,
-                              (long)proxy);
-        Py_DECREF(shared);
-        return found;
+        return steal_tuple(4, shared, PyLong_FromLong(local ? c->num_global : 0L),
+                           PyLong_FromLong(dst_group), PyLong_FromLong(proxy));
     }
     rid_o = PyLong_FromLong(rid);
     dst_o = PyLong_FromLong(dst_group);
@@ -2772,7 +3066,8 @@ capture_ectn(Core *c, long rid, long check_port, PyObject *head)
     group = pydiv(rid, c->rpg);
     if ((min_offset = link_offset(c, group, pydiv(dst, c->npg))) == NULL)
         return NULL;
-    return Py_BuildValue("(lNl)", group, min_offset, pymod(rid, c->rpg) * c->h - c->first_global);
+    return steal_tuple(3, PyLong_FromLong(group), min_offset,
+                       PyLong_FromLong(pymod(rid, c->rpg) * c->h - c->first_global));
 }
 
 /* A captured row: `(kind, request)`, or for a gate `(kind, request, minimal
@@ -2785,7 +3080,7 @@ make_row(Core *c, long kind, long base_g, long k, PyObject *head, PyObject *deci
     PyObject *row = NULL;
     if (request != NULL)
         row = kind == ROW_FIXED
-              ? Py_BuildValue("(lO)", kind, request)
+              ? steal_tuple(2, PyLong_FromLong(kind), Py_NewRef(request))
               : Py_BuildValue("(lOOOllO)", kind, request, minimal, candidates, global_vc,
                               local_vc, ectn);
     Py_XDECREF(request);
@@ -2967,6 +3262,174 @@ done:
     return row;
 }
 
+/* The pure capture (MIN / VAL / UGAL / PB): `decision_is_pure` plus the
+ * head-constancy of every input (packet fields, topology) make the decision
+ * a constant of the head -- one `select_output` per head lifetime, in a
+ * `FIXED` row.  While the routing resolves the name to `MinimalRouting`'s
+ * or `ValiantRouting`'s stock function (UGAL and PB inherit the latter) its
+ * body runs here, `minimal_decision` and `hop_vc` inlined; on a dateline
+ * topology, where `hop_vc` asks the ring state machine, and for anything
+ * else the method is called by name. */
+
+/* `minimal_decision(router, head)`: the minimal port and its path-stage or
+ * up/down VC. */
+static PyObject *
+pure_minimal(Core *c, long rid, PyObject *head, long dst)
+{
+    long port, vc = 0;
+    int global, injection;
+    if (route(c, rid, dst, 0, &port) < 0)
+        return NULL;
+    if (L(c, updown_vcs) != Py_None) {
+        PyObject *vc_o = at(L(c, updown_vcs), port);
+        if (vc_o == NULL || as_long(vc_o, &vc) < 0)
+            return NULL;
+    }
+    else if ((global = port_is(c, S_kind_is_global, port)) < 0
+             || (injection = port_is(c, S_kind_is_injection, port)) < 0
+             || ((global || !injection) && next_vc(c, head, global, &vc) < 0))
+        return NULL;
+    return plain_decision(c, port, vc);
+}
+
+/* `topology.port_target_region(rid, port)` of a global `port`: on a
+ * Dragonfly whose `port_target_region` and `global_port_target_group` are
+ * stock, the group its link lands in, from `_offset_to_group`. */
+static int
+target_region(Core *c, long rid, PyObject *rid_o, long port, PyObject *port_o, long *region)
+{
+    PyObject *args[3] = {L(c, topology), rid_o, port_o}, *row;
+    long group;
+    method m;
+    if (resolve(L(c, topology), s_port_target_region, &m) < 0)
+        return -1;
+    if (!df_stock(c, &m, S_DragonflyTopology_port_target_region))
+        return found_long(&m, args, 3, region);
+    Py_CLEAR(m.fn);
+    if (resolve(L(c, topology), s_global_port_target_group, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, DragonflyTopology, global_port_target_group)))
+        return found_long(&m, args, 3, region);
+    Py_CLEAR(m.fn);
+    if (ask(c, Q_ROUTER_GROUP, rid, &group) < 0 || (row = at(L(c, offset_to_group), group)) == NULL
+        || (row = at(row, pymod(rid, c->df_a) * c->df_h + port - c->df_first_global)) == NULL)
+        return -1;
+    return as_long(row, region);
+}
+
+/* `ValiantRouting.select_output` past the ejection test: towards the
+ * Valiant intermediate router while the packet has one, else minimal. */
+static PyObject *
+pure_valiant(Core *c, long rid, PyObject *rid_o, PyObject *head, long dst)
+{
+    PyObject *via, *port_o, *vc_o = NULL, *decision = NULL;
+    long target, port, vc = 0, region;
+    int on, global, injection, nonminimal = 0;
+    if ((on = pis(c, head, F_phase, L(c, TO_INTERMEDIATE))) <= 0)
+        return on < 0 ? NULL : pure_minimal(c, rid, head, dst);
+    if ((via = pget(c, head, F_valiant_router)) == NULL)
+        return NULL;
+    if (via == Py_None) {
+        Py_DECREF(via);
+        return pure_minimal(c, rid, head, dst);
+    }
+    on = as_long(via, &target) < 0 || route(c, rid, target, 1, &port) < 0;
+    Py_DECREF(via);
+    if (on || (global = port_is(c, S_kind_is_global, port)) < 0
+        || (port_o = PyLong_FromLong(port)) == NULL)
+        return NULL;
+    if (global) {
+        /* A global hop into a region that is not the destination's is the
+         * detour the metrics count. */
+        if (target_region(c, rid, rid_o, port, port_o, &region) < 0
+            || next_vc(c, head, 1, &vc) < 0)
+            goto done;
+        nonminimal = region != pydiv(dst, c->npreg);
+    }
+    else {
+        /* Without global ports the detour is a local misroute wherever it
+         * leaves the minimal path. */
+        long minimal;
+        if (!c->has_global_ports) {
+            if (route(c, rid, dst, 0, &minimal) < 0)
+                goto done;
+            nonminimal = port != minimal;
+        }
+        if ((injection = port_is(c, S_kind_is_injection, port)) < 0)
+            goto done;
+        if (injection)
+            vc = 0;
+        else if (L(c, updown_vcs) != Py_None) {
+            PyObject *table_vc = at(L(c, updown_vcs), port);
+            if (table_vc == NULL || as_long(table_vc, &vc) < 0)
+                goto done;
+        }
+        else if (next_vc(c, head, 0, &vc) < 0)
+            goto done;
+    }
+    if ((vc_o = PyLong_FromLong(vc)) != NULL)
+        decision = new_decision(c, port_o, vc_o, global && nonminimal, !global && nonminimal,
+                                Py_None, 0);
+done:
+    Py_XDECREF(vc_o);
+    Py_DECREF(port_o);
+    return decision;
+}
+
+/* The stock body: ejection at the destination's router (for VAL only in the
+ * minimal phase), else `pure_valiant` / `minimal_decision`. */
+static PyObject *
+pure_decision(Core *c, long rid, PyObject *rid_o, PyObject *head, int valiant)
+{
+    PyObject *home_o;
+    long dst, home;
+    int ejecting = 1;
+    if (pget_long(c, head, F_dst, &dst) < 0
+        || (valiant && (ejecting = pis(c, head, F_phase, L(c, MINIMAL))) < 0))
+        return NULL;
+    if (ejecting) {
+        if ((home_o = at(L(c, node_rid), dst)) == NULL || as_long(home_o, &home) < 0)
+            return NULL;
+        if (rid == home)
+            return plain_decision(c, pymod(dst, c->npr), 0);
+    }
+    return valiant ? pure_valiant(c, rid, rid_o, head, dst) : pure_minimal(c, rid, head, dst);
+}
+
+static PyObject *
+capture_pure(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head,
+             PyObject *cycle_o)
+{
+    PyObject *routing = c->o[S_routing], *decision = NULL, *row;
+    method m;
+    int valiant = 0;
+    if (resolve(routing, s_select_output, &m) < 0)
+        return NULL;
+    if (!c->dateline
+        && (stock(&m, STOCK(c, MinimalRouting, select_output))
+            || (valiant = stock(&m, STOCK(c, ValiantRouting, select_output))))) {
+        Py_CLEAR(m.fn);
+        decision = pure_decision(c, rid, rid_o, head, valiant);
+    }
+    else {
+        PyObject *port_o = PyLong_FromLong(k / c->V), *vc_o = PyLong_FromLong(k % c->V);
+        PyObject *args[6] = {routing, NULL, port_o, vc_o, head, cycle_o};
+        if (port_o != NULL && vc_o != NULL && (args[1] = item(L(c, views), rid)) != NULL)
+            decision = call_found(&m, args, 6, NULL);
+        else
+            Py_CLEAR(m.fn);
+        Py_XDECREF(vc_o);
+        Py_XDECREF(port_o);
+    }
+    if (decision == NULL)
+        return NULL;
+    row = decision == Py_None ? steal_tuple(2, PyLong_FromLong(ROW_FIXED), Py_NewRef(Py_None))
+                              : make_row(c, ROW_FIXED, base_g, k, head, decision, NULL, NULL, 0,
+                                         0, NULL);
+    Py_DECREF(decision);
+    return row;
+}
+
 /* --------------------------------------------------------------- allocate */
 /* `Router.allocate`: report new heads, then the allocation rounds, each head
  * answering with the request of its captured row ("Row kinds" in
@@ -2974,28 +3437,20 @@ done:
 
 /* Capture the head of VC `q` (buffer key `k`) into `rows[q]`. */
 static int
-capture(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base_o, long q,
-        PyObject *k_o, long k, PyObject *head, PyObject *cycle_o)
+capture(Core *c, long rid, PyObject *rid_o, long q, long k, PyObject *head, PyObject *cycle_o)
 {
-    PyObject *row;
     long base_g = rid * c->P;
-    if (c->capture == CAPTURE_PURE) {
-        PyObject *q_o = PyLong_FromLong(q);
-        PyObject *args[7] = {engine, rid_o, base_o, q_o, k_o, head, cycle_o};
-        int failed = q_o == NULL || call_void(s__capture_pure, args, 7) < 0;
-        Py_XDECREF(q_o);
-        return failed ? -1 : 0;
-    }
-    row = c->capture == CAPTURE_GROUP ? capture_group(c, rid, rid_o, base_g, k, head)
-                                      : capture_port_table(c, rid, rid_o, base_g, k, head);
-    return set_item(c->o[S_rows], q, row);
+    return set_item(c->o[S_rows], q,
+                    c->capture == CAPTURE_PURE ? capture_pure(c, rid, rid_o, base_g, k, head,
+                                                              cycle_o)
+                    : c->capture == CAPTURE_GROUP ? capture_group(c, rid, rid_o, base_g, k, head)
+                    : capture_port_table(c, rid, rid_o, base_g, k, head));
 }
 
 /* One new head, buffer key `k_o`: `on_packet_head` if the mechanism has one,
  * then its capture if the engine captures. */
 static int
-report_head(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base_o,
-            PyObject *k_o, PyObject *cycle_o)
+report_head(Core *c, long rid, PyObject *rid_o, PyObject *k_o, PyObject *cycle_o)
 {
     long k, q;
     PyObject *seen, *dq, *head;
@@ -3023,7 +3478,7 @@ report_head(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base
     if (!failed)
         failed = set_bool(L(c, head_seen), q, 1) < 0;
     if (!failed && c->capture >= 0)
-        failed = capture(c, engine, rid, rid_o, base_o, q, k_o, k, head, cycle_o) < 0;
+        failed = capture(c, rid, rid_o, q, k, head, cycle_o) < 0;
     Py_DECREF(head);
     return failed ? -1 : 0;
 }
@@ -3031,32 +3486,27 @@ report_head(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base
 /* `new_heads` is recorded unconditionally (the captures need every head);
  * the hook calls -- and only those -- stay gated, as in the object model. */
 static int
-report_new_heads(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *heads,
-                 PyObject *cycle_o)
+report_new_heads(Core *c, long rid, PyObject *rid_o, PyObject *heads, PyObject *cycle_o)
 {
-    PyObject *base_o;
     Py_ssize_t i;
     int failed = 0;
     if (PyList_GET_SIZE(heads) > 1 && PyList_Sort(heads) < 0)
         return -1;
-    if ((base_o = PyLong_FromLong(rid * c->P)) == NULL)
-        return -1;
     for (i = 0; !failed && i < PyList_GET_SIZE(heads); i++) {
         PyObject *k_o = Py_NewRef(PyList_GET_ITEM(heads, i));
-        failed = report_head(c, engine, rid, rid_o, base_o, k_o, cycle_o);
+        failed = report_head(c, rid, rid_o, k_o, cycle_o);
         Py_DECREF(k_o);
     }
     if (!failed)
         failed = PyList_SetSlice(heads, 0, PyList_GET_SIZE(heads), NULL);
-    Py_DECREF(base_o);
     return failed ? -1 : 0;
 }
 
 /* One head's request for this round (a new reference; `None`: no request).
  * `*live` is set by a `LIVE` row: its evaluation may draw. */
 static PyObject *
-head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *base_o, long k,
-             PyObject *cycle_o, long round_index, PyObject **counts, int *live)
+head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, long k, PyObject *cycle_o,
+             long round_index, PyObject **counts, int *live)
 {
     long base_g = rid * c->P, q = base_g * c->V + k, kind;
     PyObject *row = item(c->o[S_rows], q);
@@ -3081,8 +3531,13 @@ head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *bas
         k_o = PyLong_FromLong(k);
         round_o = PyLong_FromLong(round_index);
         if (q_o != NULL && k_o != NULL && round_o != NULL) {
-            PyObject *args[8] = {engine, rid_o, base_o, q_o, k_o, head, cycle_o, round_o};
-            req = call_method(s__live_request, args, 8);
+            PyObject *args[7] = {engine, rid_o, q_o, k_o, head, cycle_o, round_o};
+            PyObject *decision = call_method(s__live_request, args, 7);
+            if (decision != NULL) {
+                req = decision == Py_None ? Py_NewRef(Py_None)
+                                          : make_request(c, base_g, k, head, decision);
+                Py_DECREF(decision);
+            }
         }
         Py_XDECREF(round_o);
         Py_XDECREF(k_o);
@@ -3114,7 +3569,7 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
     Py_ssize_t stack_index[2 * STACK_ITEMS], *req_key = stack_index, *grants;
     char stack_granted[STACK_ITEMS], *granted = stack_granted;
     void *heap = NULL;
-    PyObject *heads, *occupied, *base_o = NULL, *counts = NULL;
+    PyObject *heads, *occupied, *counts = NULL;
     Py_ssize_t n, i, num_reqs = 0;
     long round_index, draws = c->draws;
     int any_granted = 0, live = 0, failed = -1;
@@ -3123,7 +3578,7 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
         || expect_list(heads, "st.new_heads[rid]") < 0)
         return -1;
     if (PyList_GET_SIZE(heads) > 0
-        && report_new_heads(c, engine, rid, rid_o, heads, cycle_o) < 0)
+        && report_new_heads(c, rid, rid_o, heads, cycle_o) < 0)
         return -1;
 
     /* Grants remove keys from the live list: iterate a copy. */
@@ -3150,9 +3605,6 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
             goto done;
         granted[i] = 0;
     }
-    if ((base_o = PyLong_FromLong(base_g)) == NULL)
-        goto done;
-
     for (round_index = 0; round_index < c->speedup; round_index++) {
         Py_ssize_t num_grants;
         /* Occupied-key order, every round: an open gate runs its trigger
@@ -3163,8 +3615,8 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
             long size, og, cq, have;
             if (granted[i])
                 continue;
-            req = head_request(c, engine, rid, rid_o, base_o, keys[i], cycle_o, round_index,
-                               &counts, &live);
+            req = head_request(c, engine, rid, rid_o, keys[i], cycle_o, round_index, &counts,
+                               &live);
             if (req == NULL)
                 goto done;
             if (req == Py_None) {
@@ -3229,21 +3681,321 @@ done:
     while (num_reqs > 0)
         Py_DECREF(reqs[--num_reqs]);
     Py_XDECREF(counts);
-    Py_XDECREF(base_o);
     PyMem_Free(heap);
     return failed;
 }
 
-/* ----------------------------------------------------------- router phase */
-/* `for packet in packets: sink.<name>(packet, cycle)`. */
+/* ------------------------------------------------------------- accounting */
+/* The stock `MetricsCollector.record_delivery` and `record_generated`, and
+ * what they call -- `in_window`, `ThroughputStats.record_delivery`,
+ * `LatencyStats.record`, `MisroutingStats.record`,
+ * `TimeSeriesRecorder.record` -- each answered here while its name resolves
+ * to the stock function, else called by name.  The counters, the latency
+ * samples and the time-series bins are the Python objects' own attributes. */
+
+/* `metrics.in_window(cycle)`: 1 / 0, -1 on error. */
 static int
-report_packets(PyObject *sink, PyObject *name, PyObject *packets, PyObject *cycle_o)
+in_window(Core *c, PyObject *metrics, PyObject *cycle_o)
+{
+    PyObject *bound;
+    method m;
+    int on;
+    if (resolve(metrics, s_in_window, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, MetricsCollector, in_window))) {
+        PyObject *args[2] = {metrics, cycle_o}, *answer = call_found(&m, args, 2, NULL);
+        if (answer == NULL)
+            return -1;
+        on = truth(answer);
+        Py_DECREF(answer);
+        return on;
+    }
+    Py_CLEAR(m.fn);
+    if ((bound = PyObject_GetAttr(metrics, s_measure_start)) == NULL)
+        return -1;
+    on = PyObject_RichCompareBool(cycle_o, bound, Py_LT);
+    Py_DECREF(bound);
+    if (on != 0)
+        return on < 0 ? -1 : 0;
+    if ((bound = PyObject_GetAttr(metrics, s_measure_end)) == NULL)
+        return -1;
+    on = bound == Py_None ? 1 : PyObject_RichCompareBool(cycle_o, bound, Py_LT);
+    Py_DECREF(bound);
+    return on;
+}
+
+/* `throughput.record_delivery(size)`. */
+static int
+count_throughput(Core *c, PyObject *throughput, PyObject *size_o)
+{
+    method m;
+    if (resolve(throughput, s_record_delivery, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, ThroughputStats, record_delivery))) {
+        PyObject *args[2] = {throughput, size_o};
+        return invoke(&m, args, 2, NULL);
+    }
+    Py_CLEAR(m.fn);
+    return attr_iadd(throughput, s_delivered_packets, one) < 0
+           || attr_iadd(throughput, s_delivered_phits, size_o) < 0 ? -1 : 0;
+}
+
+/* `latency_stats.record(latency)`: negative is an error. */
+static int
+record_latency(Core *c, PyObject *stats, PyObject *latency)
+{
+    PyObject *samples;
+    method m;
+    int failed;
+    if (resolve(stats, s_record, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, LatencyStats, record))) {
+        PyObject *args[2] = {stats, latency};
+        return invoke(&m, args, 2, NULL);
+    }
+    Py_CLEAR(m.fn);
+    if ((failed = PyObject_RichCompareBool(latency, zero, Py_LT)) != 0) {
+        if (failed > 0)
+            PyErr_SetString(PyExc_ValueError, "latency cannot be negative");
+        return -1;
+    }
+    if ((samples = PyObject_GetAttr(stats, s__samples)) == NULL)
+        return -1;
+    {
+        PyObject *args[2] = {samples, latency};
+        failed = PyList_CheckExact(samples) ? PyList_Append(samples, latency)
+                                            : call_void(s_append, args, 2);
+    }
+    Py_DECREF(samples);
+    return failed;
+}
+
+/* `misrouting.record(globally_misrouted=..., locally_misrouted=...,
+ * hops=...)` of `packet`. */
+static int
+record_route(Core *c, PyObject *stats, PyObject *packet)
+{
+    PyObject *args[4] = {stats, NULL, NULL, NULL};
+    method m;
+    int failed = -1, on;
+    if ((args[1] = pget(c, packet, F_globally_misrouted)) == NULL
+        || (args[2] = pget(c, packet, F_locally_misrouted)) == NULL
+        || (args[3] = pget(c, packet, F_hops)) == NULL || resolve(stats, s_record, &m) < 0)
+        goto done;
+    if (!stock(&m, STOCK(c, MisroutingStats, record))) {
+        failed = invoke(&m, args, 1, kw_route);
+        goto done;
+    }
+    Py_CLEAR(m.fn);
+    if (attr_iadd(stats, s_delivered, one) < 0 || attr_iadd(stats, s_mean_hops_sum, args[3]) < 0
+        || (on = truth(args[1])) < 0
+        || (on && attr_iadd(stats, field_names[F_globally_misrouted], one) < 0)
+        || (on = truth(args[2])) < 0
+        || (on && attr_iadd(stats, field_names[F_locally_misrouted], one) < 0))
+        goto done;
+    failed = 0;
+done:
+    Py_XDECREF(args[3]);
+    Py_XDECREF(args[2]);
+    Py_XDECREF(args[1]);
+    return failed;
+}
+
+/* `series.record(creation, latency, globally_misrouted=..., size_phits=...)`:
+ * the packet joins the bin of its generation cycle. */
+static int
+record_bin(Core *c, PyObject *series, PyObject *creation_o, PyObject *latency, PyObject *misrouted,
+           PyObject *size_o)
+{
+    PyObject *bins = NULL, *key = NULL, *point;
+    long creation, start, end, size;
+    method m;
+    int failed = -1, on;
+    if (resolve(series, s_record, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, TimeSeriesRecorder, record))) {
+        PyObject *args[5] = {series, creation_o, latency, misrouted, size_o};
+        return invoke(&m, args, 3, kw_bin);
+    }
+    Py_CLEAR(m.fn);
+    if (as_long(creation_o, &creation) < 0 || attr_long(series, s_start_cycle, &start) < 0)
+        return -1;
+    if (creation < start)
+        return 0;
+    if ((point = PyObject_GetAttr(series, s_end_cycle)) == NULL)
+        return -1;
+    on = point == Py_None ? 0 : as_long(point, &end) < 0 ? -1 : creation >= end;
+    Py_DECREF(point);
+    if (on != 0)
+        return on < 0 ? -1 : 0;
+    if (attr_long(series, s_bin_size, &size) < 0
+        || (bins = PyObject_GetAttr(series, s__bins)) == NULL)
+        return -1;
+    if (size <= 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
+        goto done;
+    }
+    if (!PyDict_Check(bins)) {
+        PyErr_Format(PyExc_TypeError, "TimeSeriesRecorder._bins must be a dict, got %R", bins);
+        goto done;
+    }
+    if ((key = PyLong_FromLong(pydiv(creation - start, size) * size + start)) == NULL)
+        goto done;
+    if ((point = PyDict_GetItemWithError(bins, key)) != NULL)
+        Py_INCREF(point);
+    else if (PyErr_Occurred()
+             || (point = global_of(STOCK(c, TimeSeriesRecorder, record), s_TimeSeriesPoint)) == NULL
+             || (point = PyObject_CallOneArg(point, key)) == NULL)
+        goto done;
+    else if (PyDict_SetItem(bins, key, point) < 0) {
+        Py_DECREF(point);
+        goto done;
+    }
+    failed = attr_iadd(point, s_count, one) < 0 || attr_iadd(point, s_latency_sum, latency) < 0
+             || attr_iadd(point, s_delivered_phits, size_o) < 0
+             || (on = truth(misrouted)) < 0 || (on && attr_iadd(point, s_misrouted, one) < 0)
+             ? -1 : 0;
+    Py_DECREF(point);
+done:
+    Py_XDECREF(key);
+    Py_DECREF(bins);
+    return failed;
+}
+
+/* `packet.latency` (a new reference): the stock property's difference while
+ * the packet's type holds it, else the attribute. */
+static PyObject *
+packet_latency(Core *c, PyObject *packet)
+{
+    PyObject *delivered, *creation, *latency;
+    int on = type_holds(packet, s_latency, STOCK(c, Packet, latency));
+    if (on <= 0)
+        return on < 0 ? NULL : PyObject_GetAttr(packet, s_latency);
+    if ((delivered = pget(c, packet, F_delivered_cycle)) == NULL || delivered == Py_None)
+        return delivered;
+    latency = (creation = pget(c, packet, F_creation_cycle)) == NULL
+              ? NULL : PyNumber_Subtract(delivered, creation);
+    Py_XDECREF(creation);
+    Py_DECREF(delivered);
+    return latency;
+}
+
+/* `packet.latency`, asserted not `None`. */
+static PyObject *
+delivered_latency(Core *c, PyObject *packet)
+{
+    PyObject *latency = packet_latency(c, packet);
+    if (latency == Py_None) {
+        Py_DECREF(latency);
+        PyErr_SetNone(PyExc_AssertionError);
+        return NULL;
+    }
+    return latency;
+}
+
+/* `metrics.record_delivery(packet, cycle)`. */
+static int
+record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
+{
+    PyObject *delivered = NULL, *size_o = NULL, *creation = NULL, *sink = NULL;
+    PyObject *latency = NULL, *misrouted = NULL, *epoch = NULL, *phits = NULL;
+    method m;
+    int failed = -1, on;
+    if (resolve(metrics, s_record_delivery, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, MetricsCollector, record_delivery))) {
+        PyObject *args[3] = {metrics, packet, cycle_o};
+        return invoke(&m, args, 3, NULL);
+    }
+    Py_CLEAR(m.fn);
+    if ((delivered = pget(c, packet, F_delivered_cycle)) == NULL)
+        return -1;
+    if (delivered == Py_None) {
+        PyErr_SetNone(PyExc_AssertionError);
+        goto done;
+    }
+    if ((on = in_window(c, metrics, delivered)) < 0
+        || (size_o = pget(c, packet, F_size_phits)) == NULL)
+        goto done;
+    if (on && ((sink = PyObject_GetAttr(metrics, s_throughput)) == NULL
+               || count_throughput(c, sink, size_o) < 0
+               || (on = ptruth(c, packet, F_fault_mode)) < 0
+               || (on && attr_iadd(metrics, s_fault_rerouted_delivered, one) < 0)))
+        goto done;
+    Py_CLEAR(sink);
+    /* `self._epoch_phits[-1] += packet.size_phits` */
+    if ((epoch = PyObject_GetAttr(metrics, s__epoch_phits)) == NULL
+        || (phits = PySequence_GetItem(epoch, -1)) == NULL)
+        goto done;
+    Py_SETREF(phits, PyNumber_InPlaceAdd(phits, size_o));
+    if (phits == NULL || PySequence_SetItem(epoch, -1, phits) < 0
+        || (creation = pget(c, packet, F_creation_cycle)) == NULL
+        || (on = in_window(c, metrics, creation)) < 0)
+        goto done;
+    if (on) {
+        if ((latency = delivered_latency(c, packet)) == NULL
+            || (sink = PyObject_GetAttr(metrics, s_latency)) == NULL
+            || record_latency(c, sink, latency) < 0)
+            goto done;
+        Py_SETREF(sink, PyObject_GetAttr(metrics, s_misrouting));
+        if (sink == NULL || record_route(c, sink, packet) < 0)
+            goto done;
+        Py_CLEAR(sink);
+        Py_CLEAR(latency);
+    }
+    if ((sink = PyObject_GetAttr(metrics, s_timeseries)) == NULL)
+        goto done;
+    if (sink != Py_None
+        && ((latency = delivered_latency(c, packet)) == NULL
+            || (misrouted = pget(c, packet, F_globally_misrouted)) == NULL
+            || record_bin(c, sink, creation, latency, misrouted, size_o) < 0))
+        goto done;
+    failed = 0;
+done:
+    Py_XDECREF(phits);
+    Py_XDECREF(epoch);
+    Py_XDECREF(misrouted);
+    Py_XDECREF(latency);
+    Py_XDECREF(sink);
+    Py_XDECREF(creation);
+    Py_XDECREF(size_o);
+    Py_DECREF(delivered);
+    return failed;
+}
+
+/* `metrics.record_generated(packet)`. */
+static int
+record_generated(Core *c, PyObject *metrics, PyObject *packet)
+{
+    PyObject *creation;
+    method m;
+    int on;
+    if (resolve(metrics, s_record_generated, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, MetricsCollector, record_generated))) {
+        PyObject *args[2] = {metrics, packet};
+        return invoke(&m, args, 2, NULL);
+    }
+    Py_CLEAR(m.fn);
+    if ((creation = pget(c, packet, F_creation_cycle)) == NULL)
+        return -1;
+    on = in_window(c, metrics, creation);
+    Py_DECREF(creation);
+    return on <= 0 ? on : attr_iadd(metrics, s_generated_in_window, one);
+}
+
+/* ----------------------------------------------------------- router phase */
+/* `for packet in packets: sink.<name>(packet, cycle)`; with the core `c`, a
+ * delivery through `record_delivery` above. */
+static int
+report_packets(Core *c, PyObject *sink, PyObject *name, PyObject *packets, PyObject *cycle_o)
 {
     Py_ssize_t i;
     for (i = 0; i < PyList_GET_SIZE(packets); i++) {
         PyObject *packet = Py_NewRef(PyList_GET_ITEM(packets, i));
         PyObject *args[3] = {sink, packet, cycle_o};
-        int failed = call_void(name, args, 3);
+        int failed = c != NULL && name == s_record_delivery
+                     ? record_delivery(c, sink, packet, cycle_o) : call_void(name, args, 3);
         Py_DECREF(packet);
         if (failed)
             return -1;
@@ -3254,13 +4006,14 @@ report_packets(PyObject *sink, PyObject *name, PyObject *packets, PyObject *cycl
 /* Report and empty the delivered (or dropped) list; returns how many packets
  * it held, -1 on error. */
 static Py_ssize_t
-drain(PyObject *packets, PyObject *name, PyObject *metrics, PyObject *obs, PyObject *cycle_o)
+drain(Core *c, PyObject *packets, PyObject *name, PyObject *metrics, PyObject *obs,
+      PyObject *cycle_o)
 {
     Py_ssize_t n = PyList_GET_SIZE(packets);
     if (n == 0)
         return 0;
-    if ((metrics != Py_None && report_packets(metrics, name, packets, cycle_o) < 0)
-        || (obs != Py_None && report_packets(obs, name, packets, cycle_o) < 0)
+    if ((metrics != Py_None && report_packets(c, metrics, name, packets, cycle_o) < 0)
+        || (obs != Py_None && report_packets(NULL, obs, name, packets, cycle_o) < 0)
         || PyList_SetSlice(packets, 0, PyList_GET_SIZE(packets), NULL) < 0)
         return -1;
     return n;
@@ -3375,11 +4128,11 @@ router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject 
             if (port < rid * P + P && (si = release(c, svc, si, rid)) < 0)
                 goto done;
         }
-        if ((moved = drain(c->o[S_dlv], s_record_delivery, metrics, obs, cycle_o)) < 0)
+        if ((moved = drain(c, c->o[S_dlv], s_record_delivery, metrics, obs, cycle_o)) < 0)
             goto done;
         counts[0] += moved;
         if (faults != Py_None) {
-            if ((moved = drain(c->o[S_drp], s_record_dropped, metrics, obs, cycle_o)) < 0)
+            if ((moved = drain(c, c->o[S_drp], s_record_dropped, metrics, obs, cycle_o)) < 0)
                 goto done;
             counts[1] += moved;
         }
@@ -3405,6 +4158,495 @@ router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject 
     failed = 0;
 done:
     Py_XDECREF(svc);
+    return failed;
+}
+
+/* ----------------------------------------------------------- source phase */
+/* `Engine._source_phase`, phases 1 and 2 of a cycle: the traffic generated
+ * now into the node source queues, then the injection walk over the sorted
+ * backlogged nodes.  Under the rule of the hooks this answers the stock
+ * `BernoulliTrafficGenerator.generate` over its pre-sampled arrival arrays
+ * (`_ensure_block` by name when a new block is due), the stock destinations
+ * of uniform, adversarial and transient traffic, each draw through
+ * `draws.integers` as that module holds it, `Packet(...)` (its fields
+ * written at their slots), `ComputeNode.enqueue`, `Network.activate_node`
+ * and `MetricsCollector.record_generated`. */
+
+/* `pattern._random_node_excluding(low, high, exclude, rng)` (a new
+ * reference). */
+static PyObject *
+node_excluding(Core *c, PyObject *pattern, long low, long high, PyObject *exclude, PyObject *rng)
+{
+    PyObject *args[5] = {pattern, PyLong_FromLong(low), PyLong_FromLong(high), exclude, rng};
+    PyObject *dst = NULL;
+    long skip, drawn;
+    method m;
+    if (args[1] == NULL || args[2] == NULL || resolve(pattern, s__random_node_excluding, &m) < 0)
+        goto done;
+    if (!stock(&m, STOCK(c, TrafficPattern, _random_node_excluding))) {
+        dst = call_found(&m, args, 5, NULL);
+        goto done;
+    }
+    Py_CLEAR(m.fn);
+    if (as_long(exclude, &skip) < 0)
+        goto done;
+    if (high - low <= 1) {
+        if (low == skip)
+            PyErr_SetString(PyExc_ValueError,
+                            "cannot pick a destination different from the source");
+        else
+            dst = Py_NewRef(args[1]);
+        goto done;
+    }
+    for (;;) {
+        if ((dst = draw_between(c, rng, args[1], args[2])) == NULL)
+            break;
+        if (as_long(dst, &drawn) < 0 || drawn == skip)
+            Py_CLEAR(dst);
+        if (dst != NULL || PyErr_Occurred())
+            break;
+    }
+done:
+    Py_XDECREF(args[2]);
+    Py_XDECREF(args[1]);
+    return dst;
+}
+
+/* `topology.region_node_range(region)` as `*low, *high`. */
+static int
+region_range(Core *c, PyObject *topology, long region, long *low, long *high)
+{
+    PyObject *args[2] = {topology, NULL}, *answer, *pair;
+    long routers, nodes;
+    method m;
+    int failed = -1;
+    if (resolve(topology, s_region_node_range, &m) < 0)
+        return -1;
+    if (stock(&m, STOCK(c, Topology, region_node_range))) {
+        Py_CLEAR(m.fn);
+        if (topology_count(c, topology, s_routers_per_region,
+                           S_DragonflyTopology_routers_per_region, &routers) < 0
+            || topology_count(c, topology, s_nodes_per_router,
+                              S_DragonflyTopology_nodes_per_router, &nodes) < 0)
+            return -1;
+        *low = region * routers * nodes;
+        *high = *low + routers * nodes;
+        return 0;
+    }
+    if ((args[1] = PyLong_FromLong(region)) == NULL) {
+        Py_CLEAR(m.fn);
+        return -1;
+    }
+    answer = call_found(&m, args, 2, NULL);
+    Py_DECREF(args[1]);
+    if (answer == NULL)
+        return -1;
+    if ((pair = PySequence_Fast(answer, "region_node_range must return a pair")) != NULL) {
+        if (PySequence_Fast_GET_SIZE(pair) != 2)
+            PyErr_SetString(PyExc_ValueError, "region_node_range must return a pair");
+        else if (as_long(PySequence_Fast_GET_ITEM(pair, 0), low) == 0)
+            failed = as_long(PySequence_Fast_GET_ITEM(pair, 1), high);
+        Py_DECREF(pair);
+    }
+    Py_DECREF(answer);
+    return failed;
+}
+
+/* `pattern.destination(src, cycle, rng)` (a new reference). */
+static PyObject *
+destination(Core *c, PyObject *pattern, PyObject *src_o, PyObject *cycle_o, PyObject *rng)
+{
+    PyObject *topology, *next, *dst = NULL;
+    long src, low, high, region, offset, regions;
+    method m;
+    int uniform, on;
+    if (resolve(pattern, s_destination, &m) < 0)
+        return NULL;
+    if (stock(&m, STOCK(c, TransientTraffic, destination))) {
+        /* The pattern in effect at `cycle`. */
+        Py_CLEAR(m.fn);
+        if ((next = PyObject_GetAttr(pattern, s_switch_cycle)) == NULL)
+            return NULL;
+        on = PyObject_RichCompareBool(cycle_o, next, Py_LT);
+        Py_DECREF(next);
+        if (on < 0 || (next = PyObject_GetAttr(pattern, on ? s_before : s_after)) == NULL)
+            return NULL;
+        dst = destination(c, next, src_o, cycle_o, rng);
+        Py_DECREF(next);
+        return dst;
+    }
+    uniform = stock(&m, STOCK(c, UniformTraffic, destination));
+    if (!uniform && !stock(&m, STOCK(c, AdversarialTraffic, destination))) {
+        PyObject *args[4] = {pattern, src_o, cycle_o, rng};
+        return call_found(&m, args, 4, NULL);
+    }
+    Py_CLEAR(m.fn);
+    if (as_long(src_o, &src) < 0 || (topology = PyObject_GetAttr(pattern, s_topology)) == NULL)
+        return NULL;
+    if (uniform) {
+        /* UN: any node but the source. */
+        if (topology_count(c, topology, s_num_nodes, S_DragonflyTopology_num_nodes, &high) == 0)
+            dst = node_excluding(c, pattern, 0, high, src_o, rng);
+    }
+    else {
+        /* ADV+offset: any node of the region `offset` regions on. */
+        if (ask_of(c, topology, Q_NODE_REGION, src, &region) == 0
+            && attr_long(pattern, s_offset, &offset) == 0
+            && topology_count(c, topology, s_num_regions, S_DragonflyTopology_num_regions,
+                              &regions) == 0) {
+            if (regions <= 0)
+                PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
+            else if (region_range(c, topology, pymod(region + offset, regions), &low, &high) == 0)
+                dst = node_excluding(c, pattern, low, high, src_o, rng);
+        }
+    }
+    Py_DECREF(topology);
+    return dst;
+}
+
+/* `cls(pid=..., src=..., dst=..., size_phits=..., creation_cycle=...)`
+ * (`fields` in that order): built here with every other field at its
+ * default while `cls` is `Packet` with its stock `__init__`, else the
+ * call. */
+static PyObject *
+new_packet(Core *c, PyObject *cls, PyObject **fields)
+{
+    static const int given[5] = {F_pid, F_src, F_dst, F_size_phits, F_creation_cycle};
+    PyObject *packet, *init;
+    Py_ssize_t i;
+    int built_here = 0;
+    if (c->defaults >= 0 && cls == L(c, Packet)) {
+        if ((init = PyObject_GetAttr(cls, s___init__)) == NULL)
+            return NULL;
+        built_here = init == STOCK(c, Packet, __init__);
+        Py_DECREF(init);
+    }
+    if (!built_here)
+        return PyObject_Vectorcall(cls, fields, 0, kw_packet);
+    if ((packet = c->packet_type->tp_alloc(c->packet_type, 0)) == NULL)
+        return NULL;
+    for (i = 0; i < 5; i++)
+        *(PyObject **)((char *)packet + c->offset[given[i]]) = Py_NewRef(fields[i]);
+    for (i = 0; i < c->defaults; i++)
+        *(PyObject **)((char *)packet + c->default_offset[i])
+            = Py_NewRef(PyTuple_GET_ITEM(L(c, packet_defaults), i));
+    return packet;
+}
+
+/* One packet of `generate`: source `sources[ptr]`, id `pid`, its size and
+ * creation cycle in `fields` already. */
+static int
+emit(Core *c, PyObject *cls, PyObject **fields, PyObject *sources, Py_ssize_t ptr, long pid,
+     PyObject *pattern, PyObject *rng, PyObject *packets)
+{
+    PyObject *packet = NULL;
+    int failed = -1;
+    if ((fields[1] = item(sources, ptr)) == NULL)
+        return -1;
+    Py_INCREF(fields[1]);
+    if ((fields[0] = PyLong_FromLong(pid)) != NULL
+        && (fields[2] = destination(c, pattern, fields[1], fields[4], rng)) != NULL
+        && (packet = new_packet(c, cls, fields)) != NULL)
+        failed = PyList_Append(packets, packet);
+    Py_XDECREF(packet);
+    Py_CLEAR(fields[2]);
+    Py_CLEAR(fields[1]);
+    Py_CLEAR(fields[0]);
+    return failed;
+}
+
+/* The stock `traffic.generate(cycle)`: the packets generated now, appended
+ * to `packets` (a packet's `src` is its source node). */
+static int
+generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *packets)
+{
+    PyObject *value, *cycles = NULL, *sources = NULL, *pattern = NULL, *rng = NULL, *cls = NULL;
+    /* `Packet(...)`'s keyword values: pid, src, dst, size_phits, creation_cycle. */
+    PyObject *fields[5] = {NULL, NULL, NULL, NULL, cycle_o};
+    Py_ssize_t n, ptr;
+    long block, index, event = 0, pid = 0, first_pid = 0;
+    double probability;
+    int failed = -1;
+    if ((value = PyObject_GetAttr(traffic, s__packet_probability)) == NULL)
+        return -1;
+    probability = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    if (probability == -1.0 && PyErr_Occurred())
+        return -1;
+    if (probability <= 0.0)
+        return 0;
+    if (attr_long(traffic, s_block_cycles, &block) < 0
+        || attr_long(traffic, s__block_index, &index) < 0)
+        return -1;
+    if (block <= 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
+        return -1;
+    }
+    if (pydiv(cycle, block) > index) {
+        PyObject *args[2] = {traffic, cycle_o};
+        if (call_void(s__ensure_block, args, 2) < 0)
+            return -1;
+    }
+    if ((cycles = PyObject_GetAttr(traffic, s__event_cycles)) == NULL
+        || expect_list(cycles, "_event_cycles") < 0 || attr_long(traffic, s__ptr, &index) < 0)
+        goto done;
+    n = PyList_GET_SIZE(cycles);
+    for (ptr = index; ptr < n; ptr++)
+        if (get_long(cycles, ptr, &event) < 0)
+            goto done;
+        else if (event >= cycle)
+            break;
+    if (ptr < n && event == cycle) {
+        if ((sources = PyObject_GetAttr(traffic, s__event_nodes)) == NULL
+            || expect_list(sources, "_event_nodes") < 0
+            || (pattern = PyObject_GetAttr(traffic, s_pattern)) == NULL
+            || (rng = PyObject_GetAttr(traffic, s_rng)) == NULL
+            || (fields[3] = PyObject_GetAttr(traffic, s_packet_size_phits)) == NULL
+            || attr_long(traffic, s__next_pid, &first_pid) < 0)
+            goto done;
+        if ((cls = global_of(STOCK(c, BernoulliTrafficGenerator, generate), s_Packet)) == NULL)
+            goto done;
+        Py_INCREF(cls);
+        for (pid = first_pid; ptr < n; ptr++, pid++)
+            if (get_long(cycles, ptr, &event) < 0
+                || (event == cycle
+                    && emit(c, cls, fields, sources, ptr, pid, pattern, rng, packets) < 0))
+                goto done;
+            else if (event != cycle)
+                break;
+    }
+    if (set_attr_long(traffic, s__ptr, ptr) < 0
+        || PyObject_SetAttr(traffic, s__consumed_cycle, cycle_o) < 0)
+        goto done;
+    if (cls != NULL) {
+        /* `self.generated_packets += pid - self._next_pid` */
+        if (attr_long(traffic, s__next_pid, &first_pid) < 0
+            || (value = PyLong_FromLong(pid - first_pid)) == NULL)
+            goto done;
+        failed = attr_iadd(traffic, s_generated_packets, value) < 0
+                 || set_attr_long(traffic, s__next_pid, pid) < 0 ? -1 : 0;
+        Py_DECREF(value);
+        goto done;
+    }
+    failed = 0;
+done:
+    Py_XDECREF(cls);
+    Py_XDECREF(fields[3]);
+    Py_XDECREF(rng);
+    Py_XDECREF(pattern);
+    Py_XDECREF(sources);
+    Py_XDECREF(cycles);
+    return failed;
+}
+
+/* `network.activate_node(node)`. */
+static int
+activate_node(Core *c, PyObject *network, PyObject *node)
+{
+    PyObject *nodes, *args[2] = {network, node};
+    method m;
+    int on, failed;
+    if (resolve(network, s_activate_node, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, Network, activate_node)))
+        return invoke(&m, args, 2, NULL);
+    Py_CLEAR(m.fn);
+    if ((on = ptruth_attr(node, s_active)) != 0)
+        return on < 0 ? -1 : 0;
+    if (PyObject_SetAttr(node, s_active, Py_True) < 0
+        || (nodes = PyObject_GetAttr(network, s__active_nodes)) == NULL)
+        return -1;
+    {
+        PyObject *append[2] = {nodes, node};
+        failed = PyList_CheckExact(nodes) ? PyList_Append(nodes, node)
+                                          : call_void(s_append, append, 2);
+    }
+    Py_DECREF(nodes);
+    return failed < 0 || PyObject_SetAttr(network, s__nodes_unsorted, Py_True) < 0 ? -1 : 0;
+}
+
+/* `node.enqueue(packet)`: the packet joins the node's source queue, made on
+ * first use, and a newly backlogged node registers with its network. */
+static int
+enqueue(Core *c, PyObject *node, PyObject *packet)
+{
+    PyObject *queue, *size_o, *network;
+    method m;
+    int failed = -1, on;
+    if (resolve(node, s_enqueue, &m) < 0)
+        return -1;
+    if (!stock(&m, STOCK(c, ComputeNode, enqueue))) {
+        PyObject *args[2] = {node, packet};
+        return invoke(&m, args, 2, NULL);
+    }
+    Py_CLEAR(m.fn);
+    if ((queue = PyObject_GetAttr(node, s_source_queue)) == NULL)
+        return -1;
+    if (queue == Py_None) {
+        PyObject *make = global_of(STOCK(c, ComputeNode, enqueue), s_deque);
+        Py_SETREF(queue, make == NULL ? NULL : PyObject_CallNoArgs(make));
+        if (queue == NULL || PyObject_SetAttr(node, s_source_queue, queue) < 0)
+            goto done;
+    }
+    {
+        PyObject *args[2] = {queue, packet};
+        if (call_void(s_append, args, 2) < 0 || attr_iadd(node, s_generated_packets, one) < 0
+            || (size_o = pget(c, packet, F_size_phits)) == NULL)
+            goto done;
+    }
+    on = attr_iadd(node, s_generated_phits, size_o);
+    Py_DECREF(size_o);
+    if (on < 0 || (on = ptruth_attr(node, s_active)) < 0)
+        goto done;
+    if (!on) {
+        PyObject *ref = PyObject_GetAttr(node, s__network);
+        if (ref == NULL || (network = PyObject_CallNoArgs(ref)) == NULL) {
+            Py_XDECREF(ref);
+            goto done;
+        }
+        Py_DECREF(ref);
+        on = network != Py_None && activate_node(c, network, node) < 0;
+        Py_DECREF(network);
+        if (on)
+            goto done;
+    }
+    failed = 0;
+done:
+    Py_XDECREF(queue);
+    return failed;
+}
+
+/* One generated packet at its source node: `nodes[src].enqueue(packet)`,
+ * then `metrics.record_generated(packet)`. */
+static int
+admit(Core *c, PyObject *nodes, PyObject *src_o, PyObject *packet, PyObject *metrics)
+{
+    PyObject *node = PyObject_GetItem(nodes, src_o);
+    int failed;
+    if (node == NULL)
+        return -1;
+    failed = enqueue(c, node, packet) < 0
+             || (metrics != Py_None && record_generated(c, metrics, packet) < 0);
+    Py_DECREF(node);
+    return failed ? -1 : 0;
+}
+
+/* Phase 1: the packets `traffic.generate(cycle)` makes, admitted in order. */
+static int
+generate_phase(Core *c, PyObject *traffic, PyObject *nodes, PyObject *metrics,
+               PyObject *cycle_o, long cycle)
+{
+    PyObject *made, *iterator, *pair;
+    method m;
+    int failed = 0;
+    if (resolve(traffic, s_generate, &m) < 0)
+        return -1;
+    if (stock(&m, STOCK(c, BernoulliTrafficGenerator, generate))) {
+        Py_ssize_t i;
+        Py_CLEAR(m.fn);
+        if ((made = PyList_New(0)) == NULL)
+            return -1;
+        failed = generate(c, traffic, cycle_o, cycle, made);
+        for (i = 0; !failed && i < PyList_GET_SIZE(made); i++) {
+            PyObject *packet = PyList_GET_ITEM(made, i), *src_o = pget(c, packet, F_src);
+            failed = src_o == NULL || admit(c, nodes, src_o, packet, metrics) < 0;
+            Py_XDECREF(src_o);
+        }
+        Py_DECREF(made);
+        return failed ? -1 : 0;
+    }
+    {
+        PyObject *args[2] = {traffic, cycle_o};
+        if ((made = call_found(&m, args, 2, NULL)) == NULL)
+            return -1;
+    }
+    iterator = PyObject_GetIter(made);
+    Py_DECREF(made);
+    if (iterator == NULL)
+        return -1;
+    while (!failed && (pair = PyIter_Next(iterator)) != NULL) {
+        PyObject *fast = PySequence_Fast(pair, "generate must yield (source, packet) pairs");
+        failed = fast == NULL;
+        if (!failed && PySequence_Fast_GET_SIZE(fast) != 2) {
+            PyErr_SetString(PyExc_ValueError, "generate must yield (source, packet) pairs");
+            failed = 1;
+        }
+        if (!failed)
+            failed = admit(c, nodes, PySequence_Fast_GET_ITEM(fast, 0),
+                           PySequence_Fast_GET_ITEM(fast, 1), metrics) < 0;
+        Py_XDECREF(fast);
+        Py_DECREF(pair);
+    }
+    Py_DECREF(iterator);
+    return failed || PyErr_Occurred() ? -1 : 0;
+}
+
+static int
+node_key(PyObject *node, long *key)
+{
+    return attr_long(node, s_node_id, key);
+}
+
+/* Phase 2: each backlogged node, in node-id order, injects when its spacing
+ * allows; the nodes still backlogged stay registered, the earliest next
+ * injection among them is `*hint`.  `inject_fn` is `engine._inject`,
+ * `own` whether it is this core's `inject`. */
+static int
+inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject *cycle_o,
+             long cycle, long *hint)
+{
+    PyObject *active, *backlogged = NULL;
+    Py_ssize_t i;
+    long next;
+    int failed = -1, on;
+    *hint = c->no_event;
+    if ((active = PyObject_GetAttr(network, s__active_nodes)) == NULL)
+        return -1;
+    if (expect_list(active, "network._active_nodes") < 0)
+        goto done;
+    if (PyList_GET_SIZE(active) == 0) {
+        failed = 0;
+        goto done;
+    }
+    if ((on = ptruth_attr(network, s__nodes_unsorted)) < 0 || (on && (sort_by(active, node_key) < 0
+                          || PyObject_SetAttr(network, s__nodes_unsorted, Py_False) < 0))
+        || (backlogged = PyList_New(0)) == NULL)
+        goto done;
+    /* The live list, as `for node in active_nodes` walks it. */
+    for (i = 0; i < PyList_GET_SIZE(active); i++) {
+        PyObject *node = Py_NewRef(PyList_GET_ITEM(active, i)), *queue = NULL;
+        int bad = attr_long(node, s_next_injection_cycle, &next) < 0;
+        if (!bad && cycle >= next) {
+            if (own)
+                bad = inject(c, node, cycle_o, cycle) < 0;
+            else {
+                PyObject *args[2] = {node, cycle_o};
+                PyObject *result = PyObject_Vectorcall(inject_fn, args, 2, NULL);
+                bad = result == NULL;
+                Py_XDECREF(result);
+            }
+        }
+        if (!bad && ((queue = PyObject_GetAttr(node, s_source_queue)) == NULL
+                     || (on = truth(queue)) < 0))
+            bad = 1;
+        Py_XDECREF(queue);
+        if (!bad) {
+            if (on)
+                bad = PyList_Append(backlogged, node) < 0
+                      || attr_long(node, s_next_injection_cycle, &next) < 0;
+            else
+                bad = PyObject_SetAttr(node, s_active, Py_False) < 0;
+            if (!bad && on && next < *hint)
+                *hint = next;
+        }
+        Py_DECREF(node);
+        if (bad)
+            goto done;
+    }
+    failed = PyObject_SetAttr(network, s__active_nodes, backlogged);
+done:
+    Py_XDECREF(backlogged);
+    Py_DECREF(active);
     return failed;
 }
 
@@ -3434,6 +4676,46 @@ Core_dealloc(Core *c)
     PyObject_GC_UnTrack(c);
     Core_clear(c);
     Py_TYPE(c)->tp_free((PyObject *)c);
+}
+
+/* `stock["packet_defaults"]`: `None`, or the names and then the defaults of
+ * the `Packet` fields after the five `generate` passes, in field order.  A
+ * packet is built here only if its fields are slots and every one of those
+ * is a writable object slot too. */
+static int
+bind_defaults(Core *c)
+{
+    PyObject *layout = L(c, packet_defaults), *names, *defaults;
+    Py_ssize_t i, n;
+    c->defaults = -1;
+    if (layout == Py_None || c->packet_type == NULL)
+        return 0;
+    if (expect_tuple(layout, 2, "stock['packet_defaults']") < 0)
+        return -1;
+    names = PyTuple_GET_ITEM(layout, 0);
+    defaults = PyTuple_GET_ITEM(layout, 1);
+    if (!PyTuple_Check(names) || !PyTuple_Check(defaults)
+        || (n = PyTuple_GET_SIZE(names)) != PyTuple_GET_SIZE(defaults) || n > MAX_DEFAULTS) {
+        PyErr_SetString(PyExc_ValueError, "stock['packet_defaults'] must be two tuples of "
+                                          "one length, at most MAX_DEFAULTS");
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        PyObject *descriptor = PyObject_GetAttr(L(c, Packet), PyTuple_GET_ITEM(names, i));
+        PyMemberDef *member;
+        if (descriptor == NULL)
+            return -1;
+        member = Py_IS_TYPE(descriptor, &PyMemberDescr_Type)
+                 ? ((PyMemberDescrObject *)descriptor)->d_member : NULL;
+        if (member != NULL && member->type == T_OBJECT_EX && !(member->flags & READONLY))
+            c->default_offset[i] = member->offset;
+        Py_DECREF(descriptor);
+        if (member == NULL || member->type != T_OBJECT_EX || (member->flags & READONLY))
+            return 0;
+    }
+    Py_SETREF(c->o[S_packet_defaults], Py_NewRef(defaults));
+    c->defaults = n;
+    return 0;
 }
 
 /* The stock functions, types and constants (see "stock" above). */
@@ -3489,7 +4771,7 @@ bind_stock(Core *c, PyObject *stock)
             c->offset[i] = member->offset;
         Py_DECREF(descriptor);
     }
-    return 0;
+    return bind_defaults(c) < 0 || as_long(L(c, NO_EVENT), &c->no_event) < 0 ? -1 : 0;
 }
 
 /* `float(owner.<name>)`: 1; with `optional`, 0.0 and 0 where `owner` has no
@@ -3539,6 +4821,19 @@ bind_trigger(Core *c, PyObject *routing)
     return 0;
 }
 
+/* `bool(owner.<name>)`: 1 / 0, -1 on error. */
+static int
+bind_truth(PyObject *owner, const char *name)
+{
+    PyObject *value = PyObject_GetAttrString(owner, name);
+    int on;
+    if (value == NULL)
+        return -1;
+    on = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return on;
+}
+
 /* `int(owner.<name>)`, which must be positive where it divides. */
 static int
 bind_long(PyObject *owner, const char *name, long *out, int divisor)
@@ -3582,21 +4877,36 @@ static int
 bind_capture(Core *c, PyObject *routing, int capture)
 {
     c->capture = capture;
-    if (capture < CAPTURE_GROUP)
+    if (capture == CAPTURE_PURE) {
+        PyObject *dateline = PyObject_GetAttrString(routing, "_dateline");
+        if (dateline == NULL)
+            return -1;
+        c->dateline = dateline != Py_None;
+        Py_DECREF(dateline);
+        c->npreg = 1; /* MIN has no Valiant leg */
+        c->has_global_ports = 1;
+        if (PyObject_HasAttrString(routing, "_nodes_per_region")
+            && (bind_long(routing, "_nodes_per_region", &c->npreg, 1) < 0
+                || (c->has_global_ports = bind_truth(routing, "_has_global_ports")) < 0))
+            return -1;
+    }
+    if (capture < CAPTURE_PURE)
+        return 0;
+    if (bind_long(routing, "_nodes_per_router", &c->npr, 1) < 0
+        || bind_long(routing, "_global_vcs", &c->global_vcs, 0) < 0
+        || bind_long(routing, "_local_vcs", &c->local_vcs, 0) < 0
+        || bind_attr(c, S_plain, routing, "_plain_decisions", &PyList_Type) < 0
+        || bind_attr(c, S_updown_vcs, routing, "_updown_vcs", NULL) < 0)
+        return -1;
+    if (capture == CAPTURE_PURE)
         return 0;
     if (!c->signals) {
         PyErr_SetString(PyExc_ValueError, "an adaptive capture needs a trigger");
         return -1;
     }
-    if (bind_long(routing, "_nodes_per_router", &c->npr, 1) < 0
-        || bind_long(routing, "_global_vcs", &c->global_vcs, 0) < 0
-        || bind_long(routing, "_local_vcs", &c->local_vcs, 0) < 0
-        || bind_attr(c, S_plain, routing, "_plain_decisions", &PyList_Type) < 0)
-        return -1;
     if (capture == CAPTURE_PORT_TABLE)
         return bind_attr(c, S_ring_dims, routing, "_port_ring_dim", &PyList_Type) < 0
                || bind_attr(c, S_port_candidates, routing, "_port_candidates", &PyList_Type) < 0
-               || bind_attr(c, S_updown_vcs, routing, "_updown_vcs", NULL) < 0
                ? -1 : 0;
     if (bind_long(routing, "_routers_per_group", &c->rpg, 1) < 0
         || bind_long(routing, "_nodes_per_group", &c->npg, 1) < 0
@@ -3625,13 +4935,16 @@ bind_dragonfly(Core *c, PyObject *topology)
         return -1;
     if (!is)
         return bind_attr(c, S_route_table, Py_None, "_route_table", NULL) < 0
-               || bind_attr(c, S_link_offsets, Py_None, "group_link_offsets", NULL) < 0 ? -1 : 0;
+               || bind_attr(c, S_link_offsets, Py_None, "group_link_offsets", NULL) < 0
+               || bind_attr(c, S_offset_to_group, Py_None, "_offset_to_group", NULL) < 0 ? -1 : 0;
     /* `df_a` last: it says the rest is bound. */
     return bind_long(topology, "_p", &c->df_p, 1) < 0 || bind_long(topology, "_h", &c->df_h, 1) < 0
            || bind_long(topology, "_num_groups", &c->df_groups, 1) < 0
            || bind_long(topology, "_num_routers", &c->df_routers, 1) < 0
+           || bind_long(topology, "_first_global_port", &c->df_first_global, 0) < 0
            || bind_attr(c, S_route_table, topology, "_route_table", &PyByteArray_Type) < 0
            || bind_attr(c, S_link_offsets, topology, "group_link_offsets", &PyList_Type) < 0
+           || bind_attr(c, S_offset_to_group, topology, "_offset_to_group", &PyList_Type) < 0
            || bind_long(topology, "_a", &c->df_a, 1) < 0 ? -1 : 0;
 }
 
@@ -3885,6 +5198,162 @@ Core_router_phase(Core *c, PyObject *args)
     return result;
 }
 
+/* `Engine._source_phase(cycle)`: traffic generation and injection; the
+ * earliest pending node injection. */
+static PyObject *
+Core_source_phase(Core *c, PyObject *args)
+{
+    PyObject *engine, *cycle_o, *traffic = NULL, *network = NULL, *metrics = NULL;
+    PyObject *nodes = NULL, *inject_fn = NULL, *result = NULL;
+    long cycle, hint;
+    int own;
+    if (!usable(c) || !PyArg_ParseTuple(args, "OO!:source_phase", &engine, &PyLong_Type,
+                                        &cycle_o)
+        || as_long(cycle_o, &cycle) < 0)
+        return NULL;
+    if ((traffic = PyObject_GetAttr(engine, s_traffic)) == NULL
+        || (network = PyObject_GetAttr(engine, s_network)) == NULL
+        || (metrics = PyObject_GetAttr(engine, s_metrics)) == NULL
+        || (nodes = PyObject_GetAttr(network, s_nodes)) == NULL
+        || generate_phase(c, traffic, nodes, metrics, cycle_o, cycle) < 0
+        || (inject_fn = PyObject_GetAttr(engine, s__inject)) == NULL)
+        goto done;
+    own = PyCFunction_Check(inject_fn) && PyCFunction_GET_SELF(inject_fn) == (PyObject *)c
+          && PyCFunction_GET_FUNCTION(inject_fn) == (PyCFunction)(void (*)(void))Core_inject;
+    if (inject_phase(c, network, inject_fn, own, cycle_o, cycle, &hint) == 0)
+        result = PyLong_FromLong(hint);
+done:
+    Py_XDECREF(inject_fn);
+    Py_XDECREF(nodes);
+    Py_XDECREF(metrics);
+    Py_XDECREF(network);
+    Py_XDECREF(traffic);
+    return result;
+}
+
+/* `PiggybackRouting.publish_flags(cycle, scanned)`, stock: this cycle's
+ * scan joins the notification queue, and the flags now due are delivered. */
+static int
+publish_flags(Core *c, PyObject *cycle_o, PyObject *scanned)
+{
+    PyObject *routing = c->o[S_routing], *pending, *delay, *due = NULL, *entry, *table = NULL;
+    PyObject *saturated = NULL;
+    Py_ssize_t group;
+    int failed = -1, on;
+    if ((pending = PyObject_GetAttr(routing, s__pending)) == NULL)
+        return -1;
+    if ((delay = PyObject_GetAttr(routing, s_notification_delay)) == NULL
+        || (due = PyNumber_Add(cycle_o, delay)) == NULL)
+        goto done;
+    for (group = 0; group < PyList_GET_SIZE(scanned); group++) {
+        PyObject *args[2] = {pending, NULL};
+        if ((args[1] = steal_tuple(3, Py_NewRef(due), PyLong_FromSsize_t(group),
+                                   Py_NewRef(PyList_GET_ITEM(scanned, group)))) == NULL)
+            goto done;
+        on = call_void(s_append, args, 2);
+        Py_DECREF(args[1]);
+        if (on < 0)
+            goto done;
+    }
+    if ((table = PyObject_GetAttr(routing, s__flags)) == NULL
+        || (saturated = PyObject_GetAttr(routing, s__saturated_groups)) == NULL)
+        goto done;
+    while ((on = PyObject_IsTrue(pending)) > 0) {
+        PyObject *first = PySequence_GetItem(pending, 0), *when, *flags;
+        Py_ssize_t i;
+        int any = 0;
+        if (first == NULL || (when = PySequence_GetItem(first, 0)) == NULL) {
+            Py_XDECREF(first);
+            goto done;
+        }
+        Py_DECREF(first);
+        on = PyObject_RichCompareBool(when, cycle_o, Py_LE);
+        Py_DECREF(when);
+        if (on <= 0)
+            break;
+        if ((entry = call_method(s_popleft, &pending, 1)) == NULL)
+            goto done;
+        if (expect_tuple(entry, 3, "a pending flag update") < 0
+            || PyObject_SetItem(table, PyTuple_GET_ITEM(entry, 1), PyTuple_GET_ITEM(entry, 2)) < 0
+            || expect_list(flags = PyTuple_GET_ITEM(entry, 2), "a flag list") < 0) {
+            Py_DECREF(entry);
+            goto done;
+        }
+        for (i = 0; !any && i < PyList_GET_SIZE(flags); i++)
+            if ((any = truth(PyList_GET_ITEM(flags, i))) < 0)
+                break;
+        if (any >= 0) {
+            PyObject *args[2] = {saturated, PyTuple_GET_ITEM(entry, 1)};
+            any = call_void(any ? s_add : s_discard, args, 2);
+        }
+        Py_DECREF(entry);
+        if (any < 0)
+            goto done;
+    }
+    failed = on < 0 ? -1 : 0;
+done:
+    Py_XDECREF(saturated);
+    Py_XDECREF(table);
+    Py_XDECREF(due);
+    Py_XDECREF(delay);
+    Py_DECREF(pending);
+    return failed;
+}
+
+/* `PiggybackRouting.post_cycle(network, cycle)` over the flat state, with
+ * `scan` bound first: per group, the flags `out_committed[g] +
+ * credit_occ[g] >= limit` of its scan slots `(g, limit)`, handed to
+ * `routing.publish_flags(cycle, scanned)`. */
+static PyObject *
+Core_publish_saturation(Core *c, PyObject *args)
+{
+    PyObject *scan, *network, *cycle_o, *scanned;
+    Py_ssize_t i, j;
+    method m;
+    int failed;
+    if (!usable(c) || !PyArg_ParseTuple(args, "O!OO!:publish_saturation", &PyList_Type, &scan,
+                                        &network, &PyLong_Type, &cycle_o)
+        || (scanned = PyList_New(PyList_GET_SIZE(scan))) == NULL)
+        return NULL;
+    for (i = 0; i < PyList_GET_SIZE(scanned); i++) {
+        PyObject *slots = PyList_GET_ITEM(scan, i), *flags;
+        if (expect_list(slots, "a scan row") < 0
+            || (flags = PyList_New(PyList_GET_SIZE(slots))) == NULL)
+            goto error;
+        PyList_SET_ITEM(scanned, i, flags);
+        for (j = 0; j < PyList_GET_SIZE(flags); j++) {
+            PyObject *slot = PyList_GET_ITEM(slots, j);
+            long g, committed, occupied;
+            double limit;
+            if (expect_tuple(slot, 2, "a scan slot") < 0 || field_long(slot, 0, &g) < 0
+                || ((limit = PyFloat_AsDouble(PyTuple_GET_ITEM(slot, 1))) == -1.0
+                    && PyErr_Occurred())
+                || get_long(L(c, out_committed), g, &committed) < 0
+                || get_long(L(c, credit_occ), g, &occupied) < 0)
+                goto error;
+            PyList_SET_ITEM(flags, j, Py_NewRef((double)(committed + occupied) >= limit
+                                                ? Py_True : Py_False));
+        }
+    }
+    if (resolve(c->o[S_routing], s_publish_flags, &m) < 0)
+        goto error;
+    if (stock(&m, STOCK(c, PiggybackRouting, publish_flags))) {
+        Py_CLEAR(m.fn);
+        failed = publish_flags(c, cycle_o, scanned);
+    }
+    else {
+        PyObject *call[3] = {c->o[S_routing], cycle_o, scanned};
+        failed = invoke(&m, call, 3, NULL);
+    }
+    Py_DECREF(scanned);
+    if (failed < 0)
+        return NULL;
+    Py_RETURN_NONE;
+error:
+    Py_DECREF(scanned);
+    return NULL;
+}
+
 static PyMethodDef Core_methods[] = {
     {"inject", (PyCFunction)(void (*)(void))Core_inject, METH_FASTCALL,
      "inject(node, cycle): the head of `node`'s source queue into its router if a VC has room "
@@ -3903,6 +5372,12 @@ static PyMethodDef Core_methods[] = {
      "alloc_round(rid, base, requests) -> grants: one separable allocation."},
     {"router_phase", (PyCFunction)Core_router_phase, METH_VARARGS,
      "router_phase(engine, cycle) -> (delivered, dropped, visited routers)."},
+    {"publish_saturation", (PyCFunction)Core_publish_saturation, METH_VARARGS,
+     "publish_saturation(scan, network, cycle): PB's `post_cycle`, its saturation scan over "
+     "the flat state, then `routing.publish_flags(cycle, flags)`."},
+    {"source_phase", (PyCFunction)Core_source_phase, METH_VARARGS,
+     "source_phase(engine, cycle) -> node hint: traffic generation and injection "
+     "(`SoAEngine._source_phase`)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -3950,7 +5425,16 @@ PyInit__core(void)
         return NULL;
     PACKET_FIELDS(INTERN_FIELD)
     if ((zero = PyLong_FromLong(0)) == NULL || (one = PyLong_FromLong(1)) == NULL
-        || (kw_is_global = PyTuple_Pack(1, s_is_global)) == NULL || PyType_Ready(&CoreType) < 0
+        || (kw_is_global = PyTuple_Pack(1, s_is_global)) == NULL
+        || (kw_packet = PyTuple_Pack(5, field_names[F_pid], field_names[F_src],
+                                     field_names[F_dst], field_names[F_size_phits],
+                                     field_names[F_creation_cycle])) == NULL
+        || (kw_route = PyTuple_Pack(3, field_names[F_globally_misrouted],
+                                    field_names[F_locally_misrouted], field_names[F_hops]))
+               == NULL
+        || (kw_bin = PyTuple_Pack(2, field_names[F_globally_misrouted],
+                                  field_names[F_size_phits])) == NULL
+        || PyType_Ready(&CoreType) < 0
         || (module = PyModule_Create(&core_module)) == NULL)
         return NULL;
     if (generator_type == NULL) {

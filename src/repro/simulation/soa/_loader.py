@@ -14,7 +14,9 @@ stale binary, and nothing ever needs invalidating by hand — under
 Concurrent first builds (pool workers, two test processes) are safe: each
 compiles to a unique temporary name and publishes with :func:`os.replace`, so
 a loader sees either no file or a complete one, and the loser of the race
-merely overwrites an identical file.
+merely overwrites an identical file.  A compile into the source tree removes
+the builds of every other key beside it (earlier versions of the source): a
+process that already loaded one keeps its mapping.
 
 Where the build fails — no compiler, no ``Python.h``, a compile error —
 :class:`CoreUnavailable` carries the reason (the compiler's stderr included),
@@ -23,10 +25,12 @@ and ``create_engine("soa", …)`` falls back to the ``object`` engine.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -159,6 +163,11 @@ def _build() -> Path:
             raise CoreUnavailable(f"no writable build directory: {exc}") from exc
     if not target.exists():
         _compile(target)
+        if in_tree:  # the builds of earlier sources beside it are stale
+            with contextlib.suppress(OSError):
+                for entry in target.parent.parent.iterdir():
+                    if entry.name != key and entry.is_dir():
+                        shutil.rmtree(entry, ignore_errors=True)
     return target
 
 

@@ -16,9 +16,10 @@ places:
   CPython extension type bound to this engine's :class:`SoAState`, holds the
   state's own lists and calendars and implements credit returns, link
   arrivals, the pop / commit / release chain of a hop, the separable
-  allocator, the allocation rounds and the router-major walk of a cycle, an
-  injection, and for the stock mechanisms the routing hooks, head captures
-  and trigger gates over the Dragonfly's routing tables (see "The compiled
+  allocator, the allocation rounds and the router-major walk of a cycle, the
+  source phase (traffic generation and injection), and for the stock
+  mechanisms the routing hooks, head captures and trigger gates over the
+  Dragonfly's routing tables and the delivery accounting (see "The compiled
   core" below);
 * **decision capture** — routing decisions are classified once per buffer
   head instead of re-derived from scratch every allocation round.  Heads
@@ -57,60 +58,44 @@ fields, so the transcribed separable allocator accepts both shapes.
 The compiled core
 -----------------
 ``self._core`` (``_core.c``, built on first use by
-:mod:`repro.simulation.soa._loader`) runs a cycle's router phase over the
-*same* Python lists, tuples, dicts and ``Packet`` objects this module and its
-readers see — nothing is copied into typed buffers, so :class:`RouterView`,
-the obs readers and every test that inspects ``st.*`` or ``_rows`` read live
-state.  It also answers, in C, what a buffer head of a stock mechanism asks
-of the routing:
+:mod:`repro.simulation.soa._loader`) runs a cycle's source phase
+(:meth:`_source_phase`) and router phase over the *same* Python lists,
+tuples, dicts and ``Packet`` objects this module and its readers see —
+nothing is copied into typed buffers, so :class:`RouterView`, the obs readers
+and every test that inspects ``st.*`` or ``_rows`` read live state.  Each of
+``_STOCK_FUNCTIONS`` is answered in C only while the function the instance
+resolves for that name, looked up on every call the way a method call looks
+it up, is the stock one taken from the class when the engine was built; a
+subclass override or a wrapper on the class or the instance is called by
+name, so ``perf/trace.py``'s wrappers and a test's monkeypatch are seen and
+counted.  That covers, for the stock mechanisms:
 
-* the hooks ``RoutingAlgorithm.on_grant``, ``Packet.record_hop``, Base's
-  contention-counter head / leave (``ContentionTracker.on_head`` /
-  ``on_leave``, ``ContentionCounters.decrement``; Hybrid inherits them),
-  ECtN's partial-counter head / arrival / leave, and the arrival hooks of
-  ``AdaptiveInTransitRouting`` and ``ValiantRouting``, and at injection
-  (``Core.inject``, this engine's ``_inject``) ``RoutingAlgorithm.on_inject``,
-  ``ValiantRouting.on_inject``, ``UGALRouting.on_inject`` /
-  ``prefers_valiant`` / ``_ugal_prefers_valiant`` and
-  ``PiggybackRouting.prefers_valiant`` — each only while the function the
-  instance resolves for that name, looked up on every call the way a method
-  call looks it up, is the stock function (``_STOCK_FUNCTIONS``, taken from
-  the classes when the engine is built).  A subclass override or a wrapper on
-  the class or the instance is called by name instead, so
-  ``perf/trace.py``'s wrappers and a test's monkeypatch are seen and counted;
-* the adaptive captures (the MM+L group policy; the port-table policy, that
-  is the ring escape and the uplink multipath) and the open gates of their
-  rows — the one trigger of
-  ``AdaptiveInTransitRouting.choose_*`` over the flat state, reading the
-  signals the mechanism declares (``contention_threshold``,
-  ``congestion_threshold``, ``combined_threshold``);
-* under the same rule, the topology queries of a ``DragonflyTopology``
-  (region, group and node-router arithmetic; ``minimal_output_port`` /
-  ``minimal_route_to_router`` from its one route table; ``router_hops`` and
-  ECtN's ``link_offset_for_destination`` from its ``group_link_offsets``)
-  and the candidate views ``global_candidates`` / ``local_candidates``: a
-  gate row holds a view of the router's shared candidate tuple and skips the
-  excluded ports in place.
+* the routing hooks, ``Packet.record_hop`` and, at injection, ``on_inject``
+  with UGAL / PB's source trigger and the Valiant intermediate;
+* the captures — the pure one (``MinimalRouting`` / ``ValiantRouting``'s
+  ``select_output``), the adaptive path policies and the one trigger of
+  their open gates, reading the signals the mechanism declares — over the
+  Dragonfly's queries, route table and the routers' shared candidate tuples;
+* the source phase: ``BernoulliTrafficGenerator.generate``, the uniform /
+  adversarial / transient destinations, ``Packet(...)`` at its slots,
+  ``ComputeNode.enqueue``, the sorted injection walk over ``Core.inject``;
+* the delivery accounting of ``MetricsCollector`` down to its latency
+  samples and time-series bins, and PB's saturation broadcast.
 
-What a stock body calls that is not transcribed — a topology query of any
-other topology, an unset route-table entry, a router's first
-``router_candidates``, misses of the gateway and ``plain_decision`` memos,
-the obs / dateline / fault sub-calls, and ``random_intermediate_router`` —
-is a Python call made from C, by name and in the Python body's order.  A
-trigger's pick is not: it is the one bounded draw of a run,
-:func:`repro.draws.integers`, whose compiled body (the core's module function
-``integers``) is numpy's own Lemire step over the bit generator — the same
-value and the same stream as ``int(routing.rng.integers(0, n))``, with
-``rng.integers`` called by name only where the transcription does not apply.
-:meth:`_capture_pure` (it calls ``select_output``), :meth:`_live_request` /
-:meth:`_resolve_faults` / :meth:`_drop_head` (``LIVE`` rows, fault runs),
-``metrics.record_*`` and the obs sites stay Python.
-The core never holds the engine — the engine is an argument of
-``router_phase`` — so engine → core is the only edge between the two, and the
-type takes part in cyclic collection.  There is no pure-Python twin of the
-compiled functions: where no C compiler works, ``create_engine("soa", …)``
-runs the bit-identical ``object`` engine instead (debug a suspected core bug
-with ``REPRO_BACKEND=object``).
+What a stock body calls that is not transcribed — another topology's
+queries, memo misses, the obs / dateline / fault sub-calls, ``select_output``
+on a dateline topology, ``_ensure_block`` on a new arrival block — is a
+Python call made from C, by name and in the Python body's order; every pick
+is :func:`repro.draws.integers`, whose compiled body draws the same stream
+as ``rng.integers``.  :meth:`_live_request` / :meth:`_resolve_faults` /
+:meth:`_drop_head` (``LIVE`` rows), ``metrics.record_dropped``, ECtN's
+broadcast and the obs sites stay Python (docs/architecture.md, "The compiled
+core", has the full lists).  The core never holds the engine — it is an
+argument of the entry points — so engine → core is the only edge between
+the two, and the type takes part in cyclic collection.  There is no
+pure-Python twin of the compiled functions: where no C compiler works,
+``create_engine("soa", …)`` runs the bit-identical ``object`` engine instead
+(debug a suspected core bug with ``REPRO_BACKEND=object``).
 
 Row kinds
 ---------
@@ -140,8 +125,10 @@ LIVE    nobody               ``select_output`` +         yes        never
                              ``_resolve_faults``
 ======  ===================  ==========================  =========  ==========
 
-:meth:`_capture_pure` (healthy MIN / VAL / UGAL / PB) evaluates
-``select_output`` once per head lifetime and stores a ``FIXED`` row.  The
+The core's pure capture (healthy MIN / VAL / UGAL / PB) evaluates
+``select_output`` once per head lifetime — ``decision_is_pure`` plus the
+head-constancy of every input make the decision a constant of the head —
+and stores a ``FIXED`` row.  The
 core's adaptive captures (healthy OLM / Base / Hybrid / ECtN; "trigger"
 above is the transcription of ``AdaptiveInTransitRouting.choose_*``) store
 ``FIXED`` for ejection, towards-intermediate, mid-ring-traversal, down-hop
@@ -165,41 +152,38 @@ time-warp and property suites assert bit-identical results.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import sys
+from functools import partial
 from typing import List
 
-from repro.network.packet import Packet, RoutingPhase
-from repro.routing.adaptive import AdaptiveInTransitRouting
-from repro.routing.base import RoutingAlgorithm, RoutingDecision
-from repro.routing.contention.counters import ContentionCounters, ContentionTracker
-from repro.routing.minimal import MinimalRouting
-from repro.routing.valiant import ValiantRouting
-from repro.routing.ugal import UGALRouting
-from repro.routing.piggyback import PiggybackRouting
-from repro.routing.olm import OLMRouting
-from repro.routing.contention.base_contention import BaseContentionRouting
-from repro.routing.contention.hybrid import HybridContentionRouting
-from repro.routing.contention.ectn import ECtNRouting
+from repro import draws
+from repro.metrics import (
+    LatencyStats, MetricsCollector, MisroutingStats, ThroughputStats, TimeSeriesRecorder,
+)
+from repro.network import ComputeNode, Network, Packet, RoutingPhase
+from repro.routing import (
+    AdaptiveInTransitRouting, BaseContentionRouting, ContentionCounters, ContentionTracker,
+    ECtNRouting, HybridContentionRouting, MinimalRouting, OLMRouting, PiggybackRouting,
+    RoutingAlgorithm, RoutingDecision, UGALRouting, ValiantRouting,
+)
 from repro.simulation.engine import _NO_EVENT, Engine
 from repro.simulation.soa._loader import load_core
 from repro.simulation.soa.state import SoAState
-from repro.topology.base import PortKind
+from repro.topology.base import PortKind, Topology
 from repro.topology.dragonfly import DragonflyTopology
+from repro.traffic import (
+    AdversarialTraffic, BernoulliTrafficGenerator, TrafficPattern, TransientTraffic,
+    UniformTraffic,
+)
 
 __all__ = ["SoAEngine"]
 
 _GLOBAL = PortKind.GLOBAL
 
-# Row kinds (see module docstring).
-ROW_FIXED = 0  # decision constant while the head waits (cached request)
-ROW_FORCED = 1  # committed MM+L proxy: forced global hop, trigger per round
-ROW_GLOBAL = 2  # source-group global-misroute gate, trigger per round
-ROW_LOCAL = 3  # local-misroute / port-table gate, trigger per round
-# ``LIVE`` is the absence of a row: ``select_output`` per round.
-
-# Who writes the rows: ``_capture_pure``, or the core's capture of an
-# adaptive path policy (``None``: nobody, every row is ``LIVE``).
+# Who writes the rows: the core's pure capture or its capture of an adaptive
+# path policy (``None``: nobody, every row is ``LIVE``).
 CAPTURE_PURE = 0
 CAPTURE_GROUP = 1  # MM+L group policy (Dragonfly, flattened butterfly)
 CAPTURE_PORT_TABLE = 2  # port-table policy: ring escape (torus), uplinks (fat tree)
@@ -210,40 +194,54 @@ _ADAPTIVE_MECHS = (OLMRouting, BaseContentionRouting, HybridContentionRouting, E
 _PURE_MECHS = (MinimalRouting, ValiantRouting, UGALRouting, PiggybackRouting)
 
 #: The functions the core answers in C while an instance resolves to them
-#: (see "The compiled core").
-_STOCK_FUNCTIONS = (
-    (RoutingAlgorithm, "on_grant"),
-    (RoutingAlgorithm, "on_inject"),
-    (Packet, "record_hop"),
-    (ValiantRouting, "on_inject"),
-    (UGALRouting, "on_inject"),
-    (UGALRouting, "prefers_valiant"),
-    (UGALRouting, "_ugal_prefers_valiant"),
-    (PiggybackRouting, "prefers_valiant"),
-    (AdaptiveInTransitRouting, "on_packet_arrival"),
-    (ValiantRouting, "on_packet_arrival"),
-    (AdaptiveInTransitRouting, "global_candidates"),
-    (AdaptiveInTransitRouting, "local_candidates"),
-    (BaseContentionRouting, "on_packet_head"),
-    (BaseContentionRouting, "on_packet_leave_input"),
-    (ECtNRouting, "on_packet_head"),
-    (ECtNRouting, "on_packet_arrival"),
-    (ECtNRouting, "on_packet_leave_input"),
-    (ECtNRouting, "_maybe_count_partial"),
-    (ECtNRouting, "link_offset_for_destination"),
-    (ContentionTracker, "on_head"),
-    (ContentionTracker, "on_leave"),
-    (ContentionCounters, "decrement"),
-    (DragonflyTopology, "router_region"),
-    (DragonflyTopology, "node_region"),
-    (DragonflyTopology, "router_group"),
-    (DragonflyTopology, "node_group"),
-    (DragonflyTopology, "node_router"),
-    (DragonflyTopology, "minimal_output_port"),
-    (DragonflyTopology, "minimal_route_to_router"),
-    (DragonflyTopology, "router_hops"),
-    (DragonflyTopology, "_route_port"),
+#: (see "The compiled core"), per class.
+_STOCK_FUNCTIONS = tuple(
+    (owner, name)
+    for owner, names in (
+        (RoutingAlgorithm, "on_grant on_inject"),
+        (Packet, "record_hop"),
+        (MinimalRouting, "select_output"),
+        (ValiantRouting, "on_inject on_packet_arrival select_output random_intermediate_router"),
+        (UGALRouting, "on_inject prefers_valiant _ugal_prefers_valiant"),
+        (PiggybackRouting, "prefers_valiant publish_flags"),
+        (AdaptiveInTransitRouting, "on_packet_arrival global_candidates local_candidates"),
+        (BaseContentionRouting, "on_packet_head on_packet_leave_input"),
+        (ECtNRouting, "on_packet_head on_packet_arrival on_packet_leave_input "
+                      "_maybe_count_partial link_offset_for_destination"),
+        (ContentionTracker, "on_head on_leave"),
+        (ContentionCounters, "decrement"),
+        (Topology, "region_node_range valiant_intermediate_router"),
+        (DragonflyTopology, "router_region node_region router_group node_group node_router "
+                            "minimal_output_port minimal_route_to_router router_hops "
+                            "_route_port port_target_region global_port_target_group"),
+        (MetricsCollector, "record_delivery record_generated in_window"),
+        (ThroughputStats, "record_delivery"),
+        (LatencyStats, "record"),
+        (MisroutingStats, "record"),
+        (TimeSeriesRecorder, "record"),
+        (BernoulliTrafficGenerator, "generate"),
+        (TrafficPattern, "_random_node_excluding"),
+        (UniformTraffic, "destination"),
+        (AdversarialTraffic, "destination"),
+        (TransientTraffic, "destination"),
+        (ComputeNode, "enqueue"),
+        (Network, "activate_node"),
+    )
+    for name in names.split()
 )
+
+#: What those bodies read or build that is not a function the class's source
+#: defines: properties, compared by identity and never called, and the
+#: dataclass-made ``Packet.__init__`` the core builds packets in place of.
+_STOCK_ATTRIBUTES = (
+    *((DragonflyTopology, name) for name in (
+        "num_nodes", "num_routers", "num_regions", "routers_per_region", "nodes_per_router")),
+    (Packet, "latency"),
+    (Packet, "__init__"),
+)
+
+#: The keywords ``BernoulliTrafficGenerator.generate`` builds a packet with.
+_PACKET_KEYWORDS = ("pid", "src", "dst", "size_phits", "creation_cycle")
 
 
 def _source_function(owner: type, name: str):
@@ -262,25 +260,37 @@ def _source_function(owner: type, name: str):
     return function
 
 
+def _packet_defaults():
+    """The names and the defaults of the ``Packet`` fields after
+    ``_PACKET_KEYWORDS`` as two tuples; ``None`` (the core calls the class)
+    where a field has no plain default."""
+    fields = dataclasses.fields(Packet)
+    given, rest = fields[: len(_PACKET_KEYWORDS)], fields[len(_PACKET_KEYWORDS):]
+    if tuple(f.name for f in given) != _PACKET_KEYWORDS or any(
+        not f.init or f.default is dataclasses.MISSING for f in rest
+    ):
+        return None
+    return tuple(f.name for f in rest), tuple(f.default for f in rest)
+
+
 def _stock() -> dict:
     """What ``Core`` compares and builds with: ``"Class.name"`` -> the stock
-    function, plus the packet / decision types and the routing phases.
-    Resolved per engine, so a wrapper installed before this one was built
-    is never mistaken for the stock function."""
+    function or attribute, plus the types, constants and defaults its bodies
+    build with.  Resolved per engine, so a wrapper installed before this one
+    was built is never mistaken for the stock function."""
     stock = {
         f"{owner.__name__}.{name}": _source_function(owner, name)
         for owner, name in _STOCK_FUNCTIONS
     }
     stock.update(
-        Packet=Packet,
-        RoutingDecision=RoutingDecision,
-        RoutingAlgorithm=RoutingAlgorithm,
-        ValiantRouting=ValiantRouting,
-        ECtNRouting=ECtNRouting,
-        DragonflyTopology=DragonflyTopology,
-        TO_INTERMEDIATE=RoutingPhase.TO_INTERMEDIATE,
-        MINIMAL=RoutingPhase.MINIMAL,
-        GLOBAL=_GLOBAL,
+        (f"{owner.__name__}.{name}", vars(owner)[name]) for owner, name in _STOCK_ATTRIBUTES
+    )
+    stock.update(
+        Packet=Packet, RoutingDecision=RoutingDecision, RoutingAlgorithm=RoutingAlgorithm,
+        ValiantRouting=ValiantRouting, ECtNRouting=ECtNRouting,
+        DragonflyTopology=DragonflyTopology, TO_INTERMEDIATE=RoutingPhase.TO_INTERMEDIATE,
+        MINIMAL=RoutingPhase.MINIMAL, GLOBAL=_GLOBAL, draws=draws,
+        packet_defaults=_packet_defaults(), NO_EVENT=_NO_EVENT,
     )
     return stock
 
@@ -350,7 +360,7 @@ class SoAEngine(Engine):
         if self._post_cycle is not None:
             hook = rcls.post_cycle
             if hook is PiggybackRouting.post_cycle:
-                self._post_cycle = _pb_post_cycle(st, routing, _pb_scan(st, routing))
+                self._post_cycle = partial(self._core.publish_saturation, _pb_scan(st, routing))
             elif hook is ECtNRouting.post_cycle:
                 self._post_cycle = _ectn_post_cycle(st, routing)
             else:
@@ -379,6 +389,11 @@ class SoAEngine(Engine):
         # An occupied head retries allocation every cycle.
         return cycle if self._st.active else self._calendar_horizon()
 
+    # ---------------------------------------------------------- source phase
+    def _source_phase(self, cycle: int) -> int:
+        """Traffic generation and injection, in the compiled core."""
+        return self._core.source_phase(self, cycle)
+
     # ---------------------------------------------------------- router phase
     def _router_phase(self, cycle: int):
         """The events due this cycle, then allocation and output service
@@ -399,9 +414,10 @@ class SoAEngine(Engine):
         return SoAStateReader(self._st)
 
     # ------------------------------------------------------------- LIVE rows
-    def _live_request(self, rid, base, q, k, head, cycle, round_index):
-        """A ``LIVE`` row's request: the per-head body of ``Router.allocate``
-        verbatim, ``select_output`` on the view plus the fault resolution."""
+    def _live_request(self, rid, q, k, head, cycle, round_index):
+        """A ``LIVE`` row's decision (the core makes its request): the
+        per-head body of ``Router.allocate`` verbatim, ``select_output`` on the
+        view plus the fault resolution."""
         st = self._st
         port, vc = divmod(k, st.V)
         memo = self._memo
@@ -415,9 +431,7 @@ class SoAEngine(Engine):
             decision = self._resolve_faults(rid, port, vc, head, decision, cycle)
         # The call may have drawn, dropped the head or mutated routing state.
         self._draws += 1
-        if decision is None:
-            return None
-        return self._request(base, k, head, decision)
+        return decision
 
     def _resolve_faults(self, rid, port, vc, head, decision, cycle):
         """``Router._resolve_faults`` over the flat state."""
@@ -436,28 +450,6 @@ class SoAEngine(Engine):
         packet.dropped_cycle = cycle
         self.faults.dropped_packets += 1
         self._drp.append(packet)
-
-    # --------------------------------------------------------------- capture
-    def _request(self, base_g: int, k: int, head, decision):
-        """The request tuple of ``head`` (buffer key ``k``) for ``decision``."""
-        V = self._st.V
-        out_port = decision.output_port
-        og = base_g + out_port
-        return (
-            k // V, k % V, out_port, head.size_phits, decision,
-            og, og * V + decision.vc,
-        )
-
-    def _capture_pure(self, rid, base_g, q, k, head, cycle) -> None:
-        """MIN / VAL / UGAL / PB: ``decision_is_pure`` plus the head-constancy
-        of every input (packet fields, topology) make the decision a constant
-        of the head — one ``select_output`` per head lifetime."""
-        st = self._st
-        decision = self._routing.select_output(st.views[rid], k // st.V, k % st.V, head, cycle)
-        self._rows[q] = (
-            ROW_FIXED,
-            None if decision is None else self._request(base_g, k, head, decision),
-        )
 
     # ------------------------------------------------------------- diagnostics
     def schedule_arrival(
@@ -506,23 +498,6 @@ def _pb_scan(st: SoAState, routing) -> List[list]:
                 slots[position * h + k] = (g, fraction * st.cap_sum[g])
         scan.append(slots)
     return scan
-
-
-def _pb_post_cycle(st: SoAState, routing, scan):
-    """``PiggybackRouting.post_cycle`` with the scan over the flat state."""
-    out_committed = st.out_committed
-    credit_occ = st.credit_occ
-
-    def post_cycle(network, cycle: int) -> None:
-        routing.publish_flags(
-            cycle,
-            [
-                [out_committed[g] + credit_occ[g] >= limit for g, limit in slots]
-                for slots in scan
-            ],
-        )
-
-    return post_cycle
 
 
 def _ectn_post_cycle(st: SoAState, routing):

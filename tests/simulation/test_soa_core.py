@@ -643,6 +643,19 @@ class TestBuildOnFirstUse:
         scratch_loader.write_text(TINY_SOURCE + "/* edited */\n")
         assert _loader._build().parent != first.parent
 
+    def test_a_compile_in_the_tree_prunes_the_builds_of_other_sources(self, scratch_loader):
+        builds = scratch_loader.with_name("_build")
+        stale = builds / "stale-key"
+        stale.mkdir(parents=True)
+        (stale / f"_core{_loader.EXT_SUFFIX}").write_text("an earlier build")
+        (builds / "a-file").write_text("not a build directory")
+        current = _loader._build()
+        assert current.exists() and not stale.exists()
+        assert sorted(os.listdir(builds)) == sorted([current.parent.name, "a-file"])
+        # Reusing a build compiles nothing, so it prunes nothing either.
+        stale.mkdir()
+        assert _loader._build() == current and stale.exists()
+
     def test_compile_error_surfaces_the_compilers_words(self, scratch_loader):
         scratch_loader.write_text("#error broken on purpose\n")
         with pytest.raises(_loader.CoreUnavailable, match="broken on purpose"):
