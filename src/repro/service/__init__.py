@@ -1,22 +1,19 @@
-"""Sweep service: content-addressed result caching over sharded worker pools.
+"""Sweep service: content-addressed result caching for figure sweeps.
 
-The production-scale serving layer above
-:class:`~repro.experiments.parallel.ParallelSweepExecutor` (ROADMAP:
-"millions of users").  Determinism makes result caching *sound* — identical
-(configuration, seed) provably yield identical results, bit-exactly across
-engine backends — so repeated figure requests are free:
+The caching layer above
+:class:`~repro.experiments.parallel.ParallelSweepExecutor`.  Determinism
+makes result caching *sound* — identical (configuration, seed) provably
+yield identical results, bit-exactly across engine backends — so repeated
+figure requests are free:
 
 * :mod:`repro.service.keys` — the cache-key contract: the same sha256
   ``config_hash`` the trace manifests carry, plus the point coordinates,
   the seed and the goldens-schema revision;
 * :mod:`repro.service.cache` — in-memory and on-disk content-addressed
   stores with fingerprint-verified lookups;
-* :mod:`repro.service.service` — the async front end: sharded job queues,
-  request coalescing, bounded-queue backpressure, streaming partial
-  results, typed failures that never poison the cache;
-* :mod:`repro.service.client` — the figure-facing surfaces: the
-  ``executor=``-compatible :class:`CachingSweepExecutor` and a
-  synchronous :class:`ServiceClient`.
+* :mod:`repro.service.client` — :class:`CachingSweepExecutor`, the
+  ``executor=``-compatible sweep executor every figure harness, the CLI
+  and the benchmark reach the cache through.
 
 CLI: ``python -m repro.tools.sweep_service`` (see EXPERIMENTS.md).
 """
@@ -26,7 +23,7 @@ from repro.service.cache import (
     DirectoryResultCache,
     InMemoryResultCache,
 )
-from repro.service.client import CachingSweepExecutor, ServiceClient
+from repro.service.client import CachingSweepExecutor
 from repro.service.keys import (
     canonical_fault_model,
     is_cacheable,
@@ -34,30 +31,15 @@ from repro.service.keys import (
     point_payload,
     result_fingerprint,
 )
-from repro.service.service import (
-    Job,
-    PointOutcome,
-    ServiceConfig,
-    ServiceOverloadedError,
-    SweepService,
-    run_point,
-)
 
 __all__ = [
     "CacheStats",
     "DirectoryResultCache",
     "InMemoryResultCache",
     "CachingSweepExecutor",
-    "ServiceClient",
     "canonical_fault_model",
     "is_cacheable",
     "point_key",
     "point_payload",
     "result_fingerprint",
-    "Job",
-    "PointOutcome",
-    "ServiceConfig",
-    "ServiceOverloadedError",
-    "SweepService",
-    "run_point",
 ]

@@ -67,7 +67,7 @@ _KINDS = {
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting of one cache (or one service run)."""
+    """Hit/miss accounting of one cache (or one caching executor)."""
 
     hits: int = 0
     misses: int = 0
@@ -93,13 +93,6 @@ class CacheStats:
             "invalidated": self.invalidated,
             "hit_rate": self.hit_rate,
         }
-
-    def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.coalesced += other.coalesced
-        self.invalidated += other.invalidated
 
 
 def encode_entry(key: str, result: Any) -> Dict[str, Any]:

@@ -1,28 +1,20 @@
-"""Client surfaces of the sweep service.
+"""The caching sweep executor.
 
-Two ways in, for two kinds of caller:
+:class:`CachingSweepExecutor` is a drop-in
+:class:`~repro.experiments.parallel.ParallelSweepExecutor` that fronts
+every ``map`` / ``map_robust`` call with the content-addressed result
+cache.  This is how the figure harnesses route through the cache: every
+experiment entry point accepts ``executor=``, so
 
-:class:`CachingSweepExecutor`
-    A drop-in :class:`~repro.experiments.parallel.ParallelSweepExecutor`
-    that fronts every ``map`` / ``map_robust`` call with the
-    content-addressed result cache.  This is how the figure harnesses
-    route through the service: every experiment entry point accepts
-    ``executor=``, so
+>>> from repro.service import CachingSweepExecutor, DirectoryResultCache
+>>> from repro.experiments.figure5 import run_figure5
+>>> exe = CachingSweepExecutor(cache=DirectoryResultCache(".sweep-cache"))
+>>> rows = run_figure5("UN", workers=4, executor=exe)   # cold: computes
+>>> rows = run_figure5("UN", workers=4, executor=exe)   # warm: all hits
 
-    >>> from repro.service import CachingSweepExecutor, DirectoryResultCache
-    >>> from repro.experiments.figure5 import run_figure5
-    >>> exe = CachingSweepExecutor(cache=DirectoryResultCache(".sweep-cache"))
-    >>> rows = run_figure5("UN", workers=4, executor=exe)   # cold: computes
-    >>> rows = run_figure5("UN", workers=4, executor=exe)   # warm: all hits
-
-    gives identical rows both times — bit-identical, because a hit is the
-    byte round-trip of the very result the cold run produced, verified by
-    fingerprint on the way out.
-
-:class:`ServiceClient`
-    A synchronous wrapper around the async :class:`~repro.service.service.SweepService`
-    for callers that want the full front end (sharding, coalescing,
-    backpressure) without managing an event loop.
+gives identical rows both times — bit-identical, because a hit is the
+byte round-trip of the very result the cold run produced, verified by
+fingerprint on the way out.
 
 Only the recognized point runners are cached (the module-level steady /
 transient runners the sweeps use); an unknown function, or a spec with no
@@ -33,7 +25,6 @@ never changes a value.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.experiments.parallel import (
@@ -44,12 +35,11 @@ from repro.experiments.parallel import (
 )
 from repro.service.cache import CacheStats, InMemoryResultCache
 from repro.service.keys import is_cacheable, point_key
-from repro.service.service import ServiceConfig, SweepService, run_point
 
-__all__ = ["CachingSweepExecutor", "ServiceClient"]
+__all__ = ["CachingSweepExecutor"]
 
 #: Point runners whose (func, spec) pairs have a sound content address.
-_CACHEABLE_RUNNERS = (run_steady_point, run_transient_point_spec, run_point)
+_CACHEABLE_RUNNERS = (run_steady_point, run_transient_point_spec)
 
 
 class CachingSweepExecutor(ParallelSweepExecutor):
@@ -139,28 +129,3 @@ class CachingSweepExecutor(ParallelSweepExecutor):
                 if results[i] is None:  # its computation failed: mirror it
                     results[i] = results[computing[keys[i]]]
         return results
-
-
-class ServiceClient:
-    """Synchronous facade over :class:`~repro.service.service.SweepService`.
-
-    Each :meth:`run` call spins up a service (with the client's cache and
-    config), submits the whole batch, and returns the values in
-    submission order.  The cache outlives the call, so successive runs
-    against the same client are warm.
-    """
-
-    def __init__(self, cache=None, config: Optional[ServiceConfig] = None):
-        self.cache = cache if cache is not None else InMemoryResultCache()
-        self.config = config or ServiceConfig()
-        self.last_telemetry: Optional[dict] = None
-
-    def run(self, specs: Sequence[Any]) -> List[Any]:
-        return asyncio.run(self._run(specs))
-
-    async def _run(self, specs: Sequence[Any]) -> List[Any]:
-        async with SweepService(cache=self.cache, config=self.config) as service:
-            job = await service.submit(specs)
-            values = await job.results()
-            self.last_telemetry = service.telemetry()
-            return values

@@ -4678,6 +4678,35 @@ Core_dealloc(Core *c)
     Py_TYPE(c)->tp_free((PyObject *)c);
 }
 
+/* `owner.<name>` by the interned name.  The type attribute cache keeps a
+ * reference to the name object a lookup passes, so a fresh string per lookup
+ * (`PyObject_GetAttrString`) would be an allocation each new core leaves
+ * behind; the interned one is the string the class's own dict already
+ * holds. */
+static PyObject *
+named_attr(PyObject *owner, const char *name)
+{
+    PyObject *key = PyUnicode_InternFromString(name), *value;
+    if (key == NULL)
+        return NULL;
+    value = PyObject_GetAttr(owner, key);
+    Py_DECREF(key);
+    return value;
+}
+
+/* `hasattr(owner, name)`, as `PyObject_HasAttrString` answers it. */
+static int
+has_named(PyObject *owner, const char *name)
+{
+    PyObject *value = named_attr(owner, name);
+    if (value == NULL) {
+        PyErr_Clear();
+        return 0;
+    }
+    Py_DECREF(value);
+    return 1;
+}
+
 /* `stock["packet_defaults"]`: `None`, or the names and then the defaults of
  * the `Packet` fields after the five `generate` passes, in field order.  A
  * packet is built here only if its fields are slots and every one of those
@@ -4742,7 +4771,7 @@ bind_stock(Core *c, PyObject *stock)
     }
     {
         /* Decisions are read (and made) by field position. */
-        PyObject *fields = PyObject_GetAttrString(L(c, RoutingDecision), "_fields");
+        PyObject *fields = named_attr(L(c, RoutingDecision), "_fields");
         PyObject *expected = Py_BuildValue("(sssssss)", DECISION_FIELDS(DECISION_NAME) NULL);
         int same = fields == NULL || expected == NULL
                    ? -1 : PyObject_RichCompareBool(fields, expected, Py_EQ);
@@ -4779,7 +4808,7 @@ bind_stock(Core *c, PyObject *stock)
 static int
 bind_double(PyObject *owner, const char *name, double *out, int optional)
 {
-    PyObject *value = PyObject_GetAttrString(owner, name);
+    PyObject *value = named_attr(owner, name);
     *out = 0.0;
     if (value == NULL) {
         if (!optional || !PyErr_ExceptionMatches(PyExc_AttributeError))
@@ -4825,7 +4854,7 @@ bind_trigger(Core *c, PyObject *routing)
 static int
 bind_truth(PyObject *owner, const char *name)
 {
-    PyObject *value = PyObject_GetAttrString(owner, name);
+    PyObject *value = named_attr(owner, name);
     int on;
     if (value == NULL)
         return -1;
@@ -4838,7 +4867,7 @@ bind_truth(PyObject *owner, const char *name)
 static int
 bind_long(PyObject *owner, const char *name, long *out, int divisor)
 {
-    PyObject *value = PyObject_GetAttrString(owner, name);
+    PyObject *value = named_attr(owner, name);
     int failed;
     if (value == NULL)
         return -1;
@@ -4857,7 +4886,7 @@ static int
 bind_attr(Core *c, int slot, PyObject *owner, const char *name, PyTypeObject *type)
 {
     PyObject *value = owner == Py_None && type == NULL ? Py_NewRef(Py_None)
-                                                        : PyObject_GetAttrString(owner, name);
+                                                        : named_attr(owner, name);
     if (value == NULL) {
         if (type != NULL || !PyErr_ExceptionMatches(PyExc_AttributeError))
             return -1;
@@ -4878,14 +4907,14 @@ bind_capture(Core *c, PyObject *routing, int capture)
 {
     c->capture = capture;
     if (capture == CAPTURE_PURE) {
-        PyObject *dateline = PyObject_GetAttrString(routing, "_dateline");
+        PyObject *dateline = named_attr(routing, "_dateline");
         if (dateline == NULL)
             return -1;
         c->dateline = dateline != Py_None;
         Py_DECREF(dateline);
         c->npreg = 1; /* MIN has no Valiant leg */
         c->has_global_ports = 1;
-        if (PyObject_HasAttrString(routing, "_nodes_per_region")
+        if (has_named(routing, "_nodes_per_region")
             && (bind_long(routing, "_nodes_per_region", &c->npreg, 1) < 0
                 || (c->has_global_ports = bind_truth(routing, "_has_global_ports")) < 0))
             return -1;
@@ -4964,7 +4993,7 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         return -1;
     Core_clear(c);
     for (i = 0; i < N_STATE; i++) {
-        PyObject *member = PyObject_GetAttrString(st, state_members[i].name);
+        PyObject *member = named_attr(st, state_members[i].name);
         int right;
         if (member == NULL)
             return -1;
@@ -4998,7 +5027,7 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         || bind_dragonfly(c, L(c, topology)) < 0)
         return -1;
     for (i = 0; i < 2; i++) {
-        if ((size = PyObject_GetAttrString(st, i ? "V" : "P")) == NULL)
+        if ((size = named_attr(st, i ? "V" : "P")) == NULL)
             return -1;
         if (as_long(size, i ? &c->V : &c->P) < 0) {
             Py_DECREF(size);

@@ -136,7 +136,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "rows": len(rows),
         "points": stats.lookups,
         "wall_seconds": round(wall_seconds, 6),
-        "cache": stats.as_dict(),
+        # The executor counts hits, misses, stores and coalesced duplicates;
+        # only the cache sees an entry it drops as invalid.
+        "cache": {**stats.as_dict(), "invalidated": cache.stats.invalidated},
         "cache_dir": str(cache.root),
         "cache_entries": len(cache),
     }

@@ -259,17 +259,5 @@ class TestCacheStats:
         assert stats.hit_rate == 0.75
         assert CacheStats().hit_rate == 0.0
 
-    def test_merge_accumulates_every_counter(self):
-        a = CacheStats(hits=1, misses=2, stores=3, coalesced=4, invalidated=5)
-        b = CacheStats(hits=10, misses=20, stores=30, coalesced=40, invalidated=50)
-        a.merge(b)
-        assert (a.hits, a.misses, a.stores, a.coalesced, a.invalidated) == (
-            11,
-            22,
-            33,
-            44,
-            55,
-        )
-
     def test_as_dict_is_json_serializable(self):
         json.dumps(CacheStats(hits=1, misses=1).as_dict())

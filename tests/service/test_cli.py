@@ -77,6 +77,15 @@ class TestRunCommand:
         rows_warm = (tmp_path / "out" / "rows-warm.json").read_text()
         assert rows_warm == rows_cold  # byte-identical replay
 
+    def test_corrupt_entry_is_reported_as_invalidated(self, tmp_path):
+        tele = tmp_path / "tele.json"
+        assert main(_run_args(tmp_path)) == 0
+        (entry,) = (tmp_path / "cache").glob("??/*.json")
+        entry.write_text("{ not json")
+        assert main(_run_args(tmp_path, "--telemetry-out", str(tele))) == 0
+        cache = json.loads(tele.read_text())["cache"]
+        assert (cache["hits"], cache["misses"], cache["invalidated"]) == (0, 1, 1)
+
     def test_failed_row_expectation_exits_2(self, tmp_path):
         assert main(_run_args(tmp_path)) == 0
         wrong = tmp_path / "wrong-rows.json"
