@@ -14,14 +14,16 @@
  * generator, its destinations, `Packet(...)`, `ComputeNode.enqueue`), the
  * stock delivery accounting of `MetricsCollector` and PB's saturation
  * broadcast.  Everything a test or a probe reads through `st.*` therefore
- * stays what it was: Python ints in Python lists, `Packet`s in VC lists,
- * event tuples in `cycle -> [events]` dicts, row tuples in `engine._rows`,
- * the collector's counters, samples and time-series bins.
+ * stays live state: the integer columns are `array('q')`s this core holds a
+ * buffer on, `Packet`s sit in VC lists, event tuples in `cycle -> [events]`
+ * dicts, row tuples in `engine._rows`, and the collector's counters, samples
+ * and time-series bins are its own attributes.
  *
  * A hook is answered here only while the function the instance resolves for
- * its name -- resolved on every call, the way a method call resolves it -- is
- * the stock function `SoAEngine` handed over; a subclass override or a
- * wrapper on the class or the instance is called by name instead, with the
+ * its name -- resolved the way a method call resolves it, the type's part
+ * through the name cache, valid per type version -- is the stock function
+ * `SoAEngine` handed over; a subclass override or a wrapper on the class or
+ * the instance, installed at any time, is called by name instead, with the
  * arguments and in the order the object engine uses; a Dragonfly's topology
  * queries follow the same rule.  What a stock body calls that is not
  * transcribed -- another topology's queries, misses of the routing's memos,
@@ -45,6 +47,7 @@
 #include <stdarg.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #if PY_VERSION_HEX < 0x030A0000 /* 3.9: the two 3.10 conveniences used below */
 static inline PyObject *
@@ -119,7 +122,7 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(activate_node) X(__init__) X(Packet) X(TimeSeriesPoint) X(deque) X(_p) X(_a) \
     X(_num_groups) X(_num_routers) \
     X(valiant_intermediate_router) X(global_port_target_group) X(publish_flags) X(_pending) \
-    X(notification_delay) X(_flags) X(_saturated_groups) X(add) X(discard)
+    X(notification_delay) X(_flags) X(_saturated_groups) X(add) X(discard) X(__version_probe__)
 
 #define DECLARE_NAME(n) static PyObject *s_##n;
 NAMES(DECLARE_NAME)
@@ -208,17 +211,27 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
 
 /* ------------------------------------------------------------------ slots */
 /* The state members the core holds.  `active` and `unsorted` are not among
- * them: the state rebinds those, so they are read through `st` when needed. */
+ * them: the state rebinds those, so they are read through `st` when needed.
+ * The integer columns the core stores into event tuples as objects (`up_g`,
+ * `up_rid`, `down_g`) are lists; the flags are lists of bools. */
 enum member_kind { LIST, DICT, TUPLE };
 #define STATE_MEMBERS(X) \
-    X(in_q, LIST) X(in_free, LIST) X(head_seen, LIST) X(credits, LIST) \
-    X(max_credits, LIST) X(up_g, LIST) X(up_rid, LIST) X(up_lat, LIST) \
-    X(out_committed, LIST) X(out_free, LIST) X(link_busy, LIST) X(link_booked, LIST) \
-    X(link_lat, LIST) X(ser_fac, LIST) X(down_g, LIST) X(credit_occ, LIST) \
-    X(in_ptr, LIST) X(out_ptr, LIST) X(occ, LIST) X(new_heads, LIST) X(in_nvcs, LIST) \
-    X(alloc_nvc, LIST) X(alloc_clean, LIST) X(active_flag, LIST) X(views, LIST) \
+    X(in_q, LIST) X(head_seen, LIST) X(up_g, LIST) X(up_rid, LIST) X(down_g, LIST) \
+    X(occ, LIST) X(new_heads, LIST) X(alloc_clean, LIST) X(active_flag, LIST) X(views, LIST) \
     X(cred_cal, DICT) X(arr_cal, DICT) X(svc_cal, DICT) \
     X(kind_is_injection, TUPLE) X(kind_is_global, TUPLE)
+
+/* The integer columns the core reads and writes as numbers: `array('q')`s,
+ * each held through a buffer from `__init__` to `Core_clear` (which keeps
+ * the array from resizing under it). */
+#define STATE_COLUMNS(X) \
+    X(in_free) X(credits) X(max_credits) X(up_lat) X(out_committed) X(out_free) X(link_busy) \
+    X(link_booked) X(link_lat) X(ser_fac) X(credit_occ) X(in_ptr) X(out_ptr) X(in_nvcs) \
+    X(alloc_nvc)
+#define COLUMN_ENUM(name) C_##name,
+#define COLUMN_NAME(name) #name,
+enum { STATE_COLUMNS(COLUMN_ENUM) N_COLUMNS };
+static const char *const column_names[N_COLUMNS] = {STATE_COLUMNS(COLUMN_NAME)};
 
 #define SLOT_ENUM(name, kind) S_##name,
 #define STOCK_FUNCTION_ENUM(owner, name) S_##owner##_##name,
@@ -254,6 +267,7 @@ static const struct {
 typedef struct {
     PyObject_HEAD
     PyObject *o[N_SLOTS];
+    Py_buffer column[N_COLUMNS];
     long P, V;
     long speedup, router_latency;
     int notify_arrival, notify_head, notify_leave;
@@ -350,6 +364,35 @@ set_bool(PyObject *list, Py_ssize_t i, int v)
 {
     return set_item(list, i, Py_NewRef(v ? Py_True : Py_False));
 }
+
+/* `st.<column>[i]` of a typed column (`C_*`). */
+static inline int
+column_get(Core *c, int column, long i, long *out)
+{
+    const Py_buffer *view = &c->column[column];
+    if ((size_t)i >= (size_t)view->len / sizeof(long long)) {
+        PyErr_SetString(PyExc_IndexError, "array index out of range");
+        return -1;
+    }
+    *out = (long)((const long long *)view->buf)[i];
+    return 0;
+}
+
+/* `st.<column>[i] = v`. */
+static inline int
+column_set(Core *c, int column, long i, long v)
+{
+    const Py_buffer *view = &c->column[column];
+    if ((size_t)i >= (size_t)view->len / sizeof(long long)) {
+        PyErr_SetString(PyExc_IndexError, "array assignment index out of range");
+        return -1;
+    }
+    ((long long *)view->buf)[i] = v;
+    return 0;
+}
+
+#define get_col(c, name, i, out) column_get((c), C_##name, (i), (out))
+#define set_col(c, name, i, v) column_set((c), C_##name, (i), (v))
 
 static inline int
 truth(PyObject *o)
@@ -607,11 +650,336 @@ append_long(PyObject *list, long v)
     return failed;
 }
 
+/* ------------------------------------------------------------- name cache */
+/* What a type's MRO holds for a name, looked up once per type version: one
+ * four-way set-associative table keyed by (type, name, where the walk
+ * starts), each entry good while the type's version tag is the one it was
+ * filled under.
+ * The interpreter gives a type a new tag whenever its namespace, a base's or
+ * its MRO changes, so a function wrapped on a class -- or a class attribute
+ * replaced -- misses here and is looked up again.  Like the interpreter's own
+ * method cache the table holds no references: a type is compared, never
+ * dereferenced, and what an entry found is trusted only under a matching
+ * tag.  A miss walks the MRO with public API.  A type without a valid tag is
+ * given one first (3.11 tags a type at its next attribute lookup: one of a
+ * name nothing defines); one that still has none is walked each time and not
+ * stored.  The keys are this module's interned names, which live as long as
+ * the process. */
+#define CACHE_SETS 256
+#define CACHE_WAYS 4 /* per set, the most recently filled first */
+
+enum entry_kind {
+    E_PLAIN,  /* nothing, a plain class attribute or a non-data descriptor */
+    E_SLOT,   /* a writable object slot of `__slots__`, at `offset` */
+    E_DATA,   /* another data descriptor: a property, a getset, a member */
+    E_METHOD, /* a method descriptor (a function): what a method call binds */
+};
+
+typedef struct {
+    PyTypeObject *type; /* compared, not held */
+    PyObject *name, *after;
+    unsigned int tag;
+    int kind;
+    PyObject *found; /* what the walk found (NULL: nothing); not held */
+    Py_ssize_t offset;
+} cache_entry;
+
+static cache_entry name_cache[CACHE_SETS][CACHE_WAYS];
+
+/* Whether the type's version tag is one the interpreter keeps current. */
+static inline int
+tag_valid(PyTypeObject *type)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    return type->tp_version_tag != 0;
+#else
+    return PyType_HasFeature(type, Py_TPFLAGS_VALID_VERSION_TAG) && type->tp_version_tag != 0;
+#endif
+}
+
+/* Have the interpreter give `type` a version tag if it can: 1 if it has
+ * one, 0 if not, -1 on error. */
+static int
+assign_tag(PyTypeObject *type)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    return PyUnstable_Type_AssignVersionTag(type) ? 1 : 0;
+#else
+    /* The generic `type.__getattribute__` looks the name up on the type,
+     * which tags it; the name is not defined anywhere, so no descriptor
+     * runs. */
+    if (Py_TYPE(type)->tp_getattro == PyType_Type.tp_getattro) {
+        PyObject *nothing = PyObject_GetAttr((PyObject *)type, s___version_probe__);
+        if (nothing != NULL)
+            Py_DECREF(nothing);
+        else if (PyErr_ExceptionMatches(PyExc_AttributeError))
+            PyErr_Clear();
+        else
+            return -1;
+    }
+    return tag_valid(type);
+#endif
+}
+
+/* The first namespace of `type.__mro__` -- after class `after`, when given,
+ * as `super(after, obj)` looks -- holding `name`, into `e`.  0, -1 on
+ * error. */
+static int
+walk_mro(PyTypeObject *type, PyObject *name, PyObject *after, cache_entry *e)
+{
+    PyObject *mro = type->tp_mro, *found = NULL;
+    PyTypeObject *kind;
+    Py_ssize_t i = 0, n;
+    e->found = NULL;
+    e->kind = E_PLAIN;
+    e->offset = 0;
+    if (mro == NULL || !PyTuple_Check(mro))
+        return 0;
+    n = PyTuple_GET_SIZE(mro);
+    if (after != NULL) {
+        while (i < n && PyTuple_GET_ITEM(mro, i) != after)
+            i++;
+        i++;
+    }
+    for (; i < n && found == NULL; i++) {
+#if PY_VERSION_HEX >= 0x030C0000
+        PyObject *namespace = PyType_GetDict((PyTypeObject *)PyTuple_GET_ITEM(mro, i));
+        found = namespace == NULL ? NULL : PyDict_GetItemWithError(namespace, name);
+        Py_XDECREF(namespace); /* the class holds it: `found` stays valid */
+#else
+        PyObject *namespace = ((PyTypeObject *)PyTuple_GET_ITEM(mro, i))->tp_dict;
+        found = namespace == NULL ? NULL : PyDict_GetItemWithError(namespace, name);
+#endif
+        if (found == NULL && PyErr_Occurred())
+            return -1;
+    }
+    if ((e->found = found) == NULL)
+        return 0;
+    kind = Py_TYPE(found);
+    if (PyType_HasFeature(kind, Py_TPFLAGS_METHOD_DESCRIPTOR))
+        e->kind = E_METHOD;
+    else if (kind == &PyMemberDescr_Type) {
+        PyMemberDef *member = ((PyMemberDescrObject *)found)->d_member;
+        e->kind = E_DATA;
+        if (member->type == T_OBJECT_EX && !(member->flags & READONLY)
+            && PyType_IsSubtype(type, PyDescr_TYPE(found))) {
+            e->kind = E_SLOT;
+            e->offset = member->offset;
+        }
+    }
+    else if (kind->tp_descr_get != NULL && kind->tp_descr_set != NULL)
+        e->kind = E_DATA;
+    return 0;
+}
+
+/* The entry of `name` on `type` (walked from after `after`, or NULL): the
+ * table's, or `scratch` filled when the type cannot be cached.  NULL on
+ * error. */
+static cache_entry *
+lookup(PyTypeObject *type, PyObject *name, PyObject *after, cache_entry *scratch)
+{
+    uint64_t h = ((uint64_t)(uintptr_t)type ^ ((uint64_t)(uintptr_t)name << 1)
+                  ^ ((uint64_t)(uintptr_t)after << 2)) * UINT64_C(0x9E3779B97F4A7C15);
+    cache_entry *set = name_cache[(h >> 40) % CACHE_SETS];
+    unsigned int tag;
+    int tagged = tag_valid(type), way;
+    if (!tagged && (tagged = assign_tag(type)) < 0)
+        return NULL;
+    tag = type->tp_version_tag;
+    for (way = 0; tagged && way < CACHE_WAYS; way++) {
+        cache_entry *e = &set[way];
+        if (e->type == type && e->tag == tag && e->name == name && e->after == after)
+            return e;
+    }
+    if (walk_mro(type, name, after, scratch) < 0)
+        return NULL;
+    if (!tagged || !tag_valid(type) || type->tp_version_tag != tag)
+        return scratch;
+    scratch->type = type;
+    scratch->name = name;
+    scratch->after = after;
+    scratch->tag = tag;
+    memmove(&set[1], &set[0], (CACHE_WAYS - 1) * sizeof(cache_entry));
+    set[0] = *scratch;
+    return &set[0];
+}
+
+/* Whether instances of `type` can have their own `__dict__`. */
+static inline int
+has_dict(PyTypeObject *type)
+{
+    return type->tp_dictoffset != 0 || PyType_HasFeature(type, Py_TPFLAGS_MANAGED_DICT);
+}
+
+/* `obj.<name>` (a new reference): a slot read at its offset, another data
+ * descriptor's `__get__`, else the generic attribute lookup -- each only
+ * while the type keeps the generic `__getattribute__`. */
+static PyObject *
+get_attr(PyObject *obj, PyObject *name)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    if (type->tp_getattro == PyObject_GenericGetAttr) {
+        cache_entry scratch, *e = lookup(type, name, NULL, &scratch);
+        if (e == NULL)
+            return NULL;
+        if (e->kind == E_SLOT) {
+            PyObject *value = *(PyObject **)((char *)obj + e->offset);
+            if (value != NULL)
+                return Py_NewRef(value);
+        }
+        else if (e->kind == E_DATA) {
+            PyObject *descriptor = Py_NewRef(e->found), *value;
+            value = Py_TYPE(descriptor)->tp_descr_get(descriptor, obj, (PyObject *)type);
+            Py_DECREF(descriptor);
+            return value;
+        }
+    }
+    return PyObject_GetAttr(obj, name);
+}
+
+/* `obj.<name> = value`: a slot written at its offset while the type keeps
+ * the generic `__setattr__`, else the generic assignment. */
+static int
+set_attr(PyObject *obj, PyObject *name, PyObject *value)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    if (type->tp_setattro == PyObject_GenericSetAttr) {
+        cache_entry scratch, *e = lookup(type, name, NULL, &scratch);
+        if (e == NULL)
+            return -1;
+        if (e->kind == E_SLOT) {
+            PyObject **slot = (PyObject **)((char *)obj + e->offset), *old = *slot;
+            *slot = Py_NewRef(value);
+            Py_XDECREF(old);
+            return 0;
+        }
+    }
+    return PyObject_SetAttr(obj, name, value);
+}
+
+/* Whether `type.__mro__` (after class `after`, or NULL) resolves `name` to
+ * `value` -- compared, never called.  1 / 0, -1 on error. */
+static int
+mro_resolves(PyTypeObject *type, PyObject *name, PyObject *after, PyObject *value)
+{
+    cache_entry scratch, *e = lookup(type, name, after, &scratch);
+    return e == NULL ? -1 : e->found == value;
+}
+
+/* ---------------------------------------------------------------- dispatch */
+/* `self.<name>` resolved as a method call resolves it -- the instance's own
+ * attribute first, then the type's -- without making a bound method: `fn` is
+ * a new reference, `unbound` says it is the type's function (`self` first).
+ * Where the instance has a `__dict__`, whether it holds `name` is read only
+ * when it matters, by `stock` (`unprobed` until then): reading an instance
+ * dict through the API turns the object's attributes into a dict for good,
+ * which slows every Python method of the object, so it is done only for an
+ * object whose type holds the stock function. */
+typedef struct {
+    PyObject *fn;
+    PyObject *self, *name; /* borrowed: what `fn` was resolved on, and for */
+    int unbound, unprobed;
+} method;
+
+/* A function the type's MRO holds (found in the name cache) is the answer
+ * unless the instance's own dict holds the name; anything else -- a data
+ * descriptor, a plain attribute, a type with its own `__getattribute__` --
+ * is the generic lookup's bound answer. */
+static int
+resolve(PyObject *self, PyObject *name, method *m)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    m->self = self;
+    m->name = name;
+    m->unbound = m->unprobed = 0;
+    if (type->tp_getattro == PyObject_GenericGetAttr) {
+        cache_entry scratch, *e = lookup(type, name, NULL, &scratch);
+        if (e == NULL) {
+            m->fn = NULL;
+            return -1;
+        }
+        if (e->kind == E_METHOD) {
+            m->fn = Py_NewRef(e->found);
+            m->unbound = 1;
+            m->unprobed = has_dict(type);
+            return 0;
+        }
+    }
+    m->fn = PyObject_GetAttr(self, name);
+    return m->fn == NULL ? -1 : 0;
+}
+
+/* Whether `m` is the stock function `function`: the type's function, which
+ * the instance's own dict does not shadow.  A dict that cannot be read
+ * leaves the answer "no" and `m` unprobed: the call goes by name. */
+static int
+stock(method *m, PyObject *function)
+{
+    if (!m->unbound || m->fn != function)
+        return 0;
+    if (m->unprobed) {
+        PyObject *dict = PyObject_GenericGetDict(m->self, NULL), *own = NULL;
+        if (dict != NULL) {
+            own = PyDict_GetItemWithError(dict, m->name);
+            Py_XINCREF(own);
+            Py_DECREF(dict);
+        }
+        if (own == NULL && PyErr_Occurred()) {
+            PyErr_Clear();
+            return 0;
+        }
+        m->unprobed = 0;
+        if (own != NULL) {
+            Py_SETREF(m->fn, own);
+            m->unbound = 0;
+            return 0;
+        }
+    }
+    return 1;
+}
+
+/* Call what `resolve` found, `args[0]` being the object it was resolved on
+ * (an unprobed instance by name, as `PyObject_VectorcallMethod` resolves
+ * it); gives up `m`.  A new reference. */
+static PyObject *
+call_found(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
+{
+    PyObject *result = m->unprobed
+        ? PyObject_VectorcallMethod(m->name, args, nargs, kwnames)
+        : m->unbound
+        ? PyObject_Vectorcall(m->fn, args, nargs, kwnames)
+        : PyObject_Vectorcall(m->fn, args + 1, (nargs - 1) | PY_VECTORCALL_ARGUMENTS_OFFSET,
+                              kwnames);
+    Py_CLEAR(m->fn);
+    return result;
+}
+
+/* `call_found` for effect. */
+static int
+invoke(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
+{
+    PyObject *result = call_found(m, args, nargs, kwnames);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* `call_found` answered as an int. */
+static int
+found_long(method *m, PyObject **args, size_t nargs, long *out)
+{
+    PyObject *answer = call_found(m, args, nargs, NULL);
+    int failed = answer == NULL ? -1 : as_long(answer, out);
+    Py_XDECREF(answer);
+    return failed;
+}
+
 /* `int(owner.<name>)`. */
 static int
 attr_long(PyObject *owner, PyObject *name, long *out)
 {
-    PyObject *value = PyObject_GetAttr(owner, name);
+    PyObject *value = get_attr(owner, name);
     int failed;
     if (value == NULL)
         return -1;
@@ -628,7 +996,7 @@ set_attr_long(PyObject *owner, PyObject *name, long v)
     int failed;
     if (value == NULL)
         return -1;
-    failed = PyObject_SetAttr(owner, name, value);
+    failed = set_attr(owner, name, value);
     Py_DECREF(value);
     return failed;
 }
@@ -660,7 +1028,8 @@ steal_tuple(Py_ssize_t n, ...)
 static inline PyObject *
 call_method(PyObject *name, PyObject **args, size_t nargs)
 {
-    return PyObject_VectorcallMethod(name, args, nargs, NULL);
+    method m;
+    return resolve(args[0], name, &m) < 0 ? NULL : call_found(&m, args, nargs, NULL);
 }
 
 /* Call for effect. */
@@ -746,16 +1115,18 @@ lemire_draw(PyObject *rng, PyObject *low_o, PyObject *high_o, long long *out)
         *out = low;
         return 1;
     }
-    if ((bit_generator = PyObject_GetAttr(rng, s_bit_generator)) == NULL)
+    if ((bit_generator = get_attr(rng, s_bit_generator)) == NULL)
         return -1;
-    if ((capsule = PyObject_GetAttr(bit_generator, s_capsule)) != NULL
+    if ((capsule = get_attr(bit_generator, s_capsule)) != NULL
         && (bitgen = PyCapsule_GetPointer(capsule, "BitGenerator")) != NULL
-        && (lock = PyObject_GetAttr(bit_generator, s_lock)) != NULL
-        && (held = PyObject_CallMethodOneArg(lock, s_acquire, Py_False)) != NULL) {
-        status = 0;
-        if (held == Py_True) {
-            *out = low + (long long)bounded_lemire(bitgen, (uint32_t)width);
-            status = call_void(s_release, &lock, 1) < 0 ? -1 : 1;
+        && (lock = get_attr(bit_generator, s_lock)) != NULL) {
+        PyObject *args[2] = {lock, Py_False};
+        if ((held = call_method(s_acquire, args, 2)) != NULL) {
+            status = 0;
+            if (held == Py_True) {
+                *out = low + (long long)bounded_lemire(bitgen, (uint32_t)width);
+                status = call_void(s_release, &lock, 1) < 0 ? -1 : 1;
+            }
         }
     }
     Py_XDECREF(held);
@@ -817,7 +1188,7 @@ pget(Core *c, PyObject *packet, int f)
         if (value != NULL)
             return Py_NewRef(value);
     }
-    return PyObject_GetAttr(packet, field_names[f]);
+    return get_attr(packet, field_names[f]);
 }
 
 /* `packet.<f> = value`. */
@@ -830,7 +1201,7 @@ pset(Core *c, PyObject *packet, int f, PyObject *value)
         Py_XDECREF(old);
         return 0;
     }
-    return PyObject_SetAttr(packet, field_names[f], value);
+    return set_attr(packet, field_names[f], value);
 }
 
 static int
@@ -888,95 +1259,14 @@ pincr(Core *c, PyObject *packet, int f)
     return failed;
 }
 
-/* ---------------------------------------------------------------- dispatch */
-/* `self.<name>` resolved as a method call resolves it -- the instance's own
- * attribute first, then the type's -- without making a bound method: `fn` is
- * a new reference, `unbound` says it is the type's function (`self` first). */
-typedef struct {
-    PyObject *fn;
-    int unbound;
-} method;
-
-static inline int
-resolve(PyObject *self, PyObject *name, method *m)
-{
-    m->unbound = _PyObject_GetMethod(self, name, &m->fn);
-    return m->fn == NULL ? -1 : 0;
-}
-
-/* Whether `m` is the stock function `function`. */
-static inline int
-stock(const method *m, PyObject *function)
-{
-    return m->unbound && m->fn == function;
-}
-
-/* Call what `resolve` found, `args[0]` being the object it was resolved on
- * (`PyObject_VectorcallMethod` in two steps); gives up `m`.  A new
- * reference. */
-static PyObject *
-call_found(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
-{
-    PyObject *result = m->unbound
-        ? PyObject_Vectorcall(m->fn, args, nargs, kwnames)
-        : PyObject_Vectorcall(m->fn, args + 1, (nargs - 1) | PY_VECTORCALL_ARGUMENTS_OFFSET,
-                              kwnames);
-    Py_CLEAR(m->fn);
-    return result;
-}
-
-/* `call_found` for effect. */
-static int
-invoke(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
-{
-    PyObject *result = call_found(m, args, nargs, kwnames);
-    if (result == NULL)
-        return -1;
-    Py_DECREF(result);
-    return 0;
-}
-
-/* `call_found` answered as an int. */
-static int
-found_long(method *m, PyObject **args, size_t nargs, long *out)
-{
-    PyObject *answer = call_found(m, args, nargs, NULL);
-    int failed = answer == NULL ? -1 : as_long(answer, out);
-    Py_XDECREF(answer);
-    return failed;
-}
-
-/* Whether the first class of `mro`, from position `i` on, whose namespace
- * holds `name` holds `value` there: 1 / 0, -1 on error. */
-static int
-mro_holds(PyObject *mro, Py_ssize_t i, PyObject *name, PyObject *value)
-{
-    for (; i < PyTuple_GET_SIZE(mro); i++) {
-        PyObject *namespace = ((PyTypeObject *)PyTuple_GET_ITEM(mro, i))->tp_dict, *found;
-        if (namespace == NULL)
-            continue;
-        if ((found = PyDict_GetItemWithError(namespace, name)) != NULL)
-            return found == value;
-        if (PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
-
+/* ------------------------------------------------------------- properties */
 /* Whether `super(owner, self).<name>` is the stock function `function`: the
  * first class after `owner` in `type(self).__mro__` whose namespace holds
  * `name` is the one `super()` finds.  1 / 0, -1 on error. */
 static int
 super_is(PyObject *self, PyObject *owner, PyObject *name, PyObject *function)
 {
-    PyObject *mro = Py_TYPE(self)->tp_mro;
-    Py_ssize_t i = 0, n;
-    if (mro == NULL)
-        return 0;
-    n = PyTuple_GET_SIZE(mro);
-    while (i < n && PyTuple_GET_ITEM(mro, i) != owner)
-        i++;
-    return mro_holds(mro, i + 1, name, function);
+    return mro_resolves(Py_TYPE(self), name, owner, function);
 }
 
 /* Whether `type(obj).<name>` is the stock property `property` (a data
@@ -984,15 +1274,14 @@ super_is(PyObject *self, PyObject *owner, PyObject *name, PyObject *function)
 static int
 type_holds(PyObject *obj, PyObject *name, PyObject *property)
 {
-    PyObject *mro = Py_TYPE(obj)->tp_mro;
-    return mro == NULL ? 0 : mro_holds(mro, 0, name, property);
+    return mro_resolves(Py_TYPE(obj), name, NULL, property);
 }
 
 /* `obj.<name> += delta`. */
 static int
 attr_iadd(PyObject *obj, PyObject *name, PyObject *delta)
 {
-    PyObject *value = PyObject_GetAttr(obj, name), *sum;
+    PyObject *value = get_attr(obj, name), *sum;
     int failed;
     if (value == NULL)
         return -1;
@@ -1000,7 +1289,7 @@ attr_iadd(PyObject *obj, PyObject *name, PyObject *delta)
     Py_DECREF(value);
     if (sum == NULL)
         return -1;
-    failed = PyObject_SetAttr(obj, name, sum);
+    failed = set_attr(obj, name, sum);
     Py_DECREF(sum);
     return failed;
 }
@@ -1042,7 +1331,7 @@ static const int query_stock[] = {
 
 /* Whether `m` is the stock Dragonfly function in slot `slot`. */
 static inline int
-df_stock(Core *c, const method *m, int slot)
+df_stock(Core *c, method *m, int slot)
 {
     return c->df_a > 0 && stock(m, c->o[slot]);
 }
@@ -1222,7 +1511,7 @@ hops(Core *c, long a, long b, long *out)
 static int
 ptruth_attr(PyObject *obj, PyObject *name)
 {
-    PyObject *value = PyObject_GetAttr(obj, name);
+    PyObject *value = get_attr(obj, name);
     int on;
     if (value == NULL)
         return -1;
@@ -1264,7 +1553,7 @@ topology_count(Core *c, PyObject *topology, PyObject *name, int slot, long *out)
 static PyObject *
 draw_between(Core *c, PyObject *rng, PyObject *low, PyObject *high)
 {
-    PyObject *integers = PyObject_GetAttr(L(c, draws), s_integers), *drawn;
+    PyObject *integers = get_attr(L(c, draws), s_integers), *drawn;
     PyObject *args[3] = {rng, low, high};
     if (integers == NULL)
         return NULL;
@@ -1420,7 +1709,7 @@ counter_up(Core *c, long rid, PyObject *packet)
         || (minimal = PyLong_FromLong(port)) == NULL)
         return -1;
     if ((counters = item(L(c, counters), rid)) != NULL
-        && (counts = PyObject_GetAttr(counters, s_counts)) != NULL) {
+        && (counts = get_attr(counters, s_counts)) != NULL) {
         if (expect_list(counts, "a counter array") == 0 && add_at(counts, minimal, 1) == 0
             && pset(c, packet, F_contention_port, minimal) == 0)
             failed = 0;
@@ -1455,7 +1744,7 @@ counter_down(Core *c, long rid, PyObject *packet)
     else {
         long at, value;
         Py_CLEAR(m.fn);
-        if ((counts = PyObject_GetAttr(counters, s_counts)) == NULL
+        if ((counts = get_attr(counters, s_counts)) == NULL
             || expect_list(counts, "a counter array") < 0 || as_long(port, &at) < 0
             || get_long(counts, at, &value) < 0)
             goto done;
@@ -1666,7 +1955,7 @@ commit_decision(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *p
         if (call_void(s__commit_fault_hop, args, 3) < 0)
             return -1;
     }
-    if ((sub = PyObject_GetAttr(routing, s__dateline)) == NULL)
+    if ((sub = get_attr(routing, s__dateline)) == NULL)
         return -1;
     if (sub != Py_None) {
         PyObject *rid_o = PyLong_FromLong(rid);
@@ -1679,7 +1968,7 @@ commit_decision(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *p
         }
     }
     Py_DECREF(sub);
-    if ((sub = PyObject_GetAttr(routing, s__obs)) == NULL)
+    if ((sub = get_attr(routing, s__obs)) == NULL)
         return -1;
     on = 0;
     if (sub != Py_None) {
@@ -1747,10 +2036,10 @@ activate(Core *c, long rid, PyObject *active)
         return -1;
     if (active != NULL)
         Py_INCREF(active);
-    else if ((active = PyObject_GetAttr(c->o[S_st], s_active)) == NULL)
+    else if ((active = get_attr(c->o[S_st], s_active)) == NULL)
         return -1;
     failed = expect_list(active, "st.active") < 0 || append_long(active, rid) < 0
-             || PyObject_SetAttr(c->o[S_st], s_unsorted, Py_True) < 0;
+             || set_attr(c->o[S_st], s_unsorted, Py_True) < 0;
     Py_DECREF(active);
     return failed ? -1 : 0;
 }
@@ -1771,11 +2060,11 @@ apply_credits(Core *c, PyObject *due)
         /* Returned credits can unblock waiting heads (and feed the occupancy
          * triggers): re-evaluate allocation. */
         if (set_bool(L(c, alloc_clean), rid, 0) < 0
-            || get_long(L(c, credits), q, &have) < 0
-            || set_long(L(c, credits), q, have + phits) < 0
-            || get_long(L(c, credit_occ), g, &occupied) < 0
-            || set_long(L(c, credit_occ), g, occupied - phits) < 0
-            || get_long(L(c, max_credits), q, &most) < 0)
+            || get_col(c, credits, q, &have) < 0
+            || set_col(c, credits, q, have + phits) < 0
+            || get_col(c, credit_occ, g, &occupied) < 0
+            || set_col(c, credit_occ, g, occupied - phits) < 0
+            || get_col(c, max_credits, q, &most) < 0)
             return -1;
         if (have + phits > most) {
             PyErr_Format(PyExc_RuntimeError, "credit overflow on router %ld port %ld vc %ld",
@@ -1812,14 +2101,14 @@ push(Core *c, long rid, long port, long vc, PyObject *packet, long size, PyObjec
             || set_bool(L(c, alloc_clean), rid, 0) < 0 || activate(c, rid, active) < 0)
             return -1;
     }
-    if (expect_list(dq, "st.in_q[q]") < 0 || get_long(L(c, in_free), q, &free_phits) < 0)
+    if (expect_list(dq, "st.in_q[q]") < 0 || get_col(c, in_free, q, &free_phits) < 0)
         return -1;
     if (free_phits < size) {
         PyErr_Format(PyExc_OverflowError, "VC buffer overflow: %ld phits requested, %ld free",
                      size, free_phits);
         return -1;
     }
-    if (PyList_Append(dq, packet) < 0 || set_long(L(c, in_free), q, free_phits - size) < 0)
+    if (PyList_Append(dq, packet) < 0 || set_col(c, in_free, q, free_phits - size) < 0)
         return -1;
     return 0;
 }
@@ -1903,8 +2192,8 @@ pop_head(Core *c, long rid, long port, long vc, PyObject *port_o, PyObject *vc_o
     packet = Py_NewRef(PyList_GET_ITEM(dq, 0));
     if (PyList_SetSlice(dq, 0, 1, NULL) < 0
         || (size_o = pget(c, packet, F_size_phits)) == NULL
-        || as_long(size_o, &size) < 0 || get_long(L(c, in_free), q, &free_phits) < 0
-        || set_long(L(c, in_free), q, free_phits + size) < 0
+        || as_long(size_o, &size) < 0 || get_col(c, in_free, q, &free_phits) < 0
+        || set_col(c, in_free, q, free_phits + size) < 0
         || set_bool(L(c, head_seen), q, 0) < 0
         || (keys = item(L(c, occ), rid)) == NULL || expect_list(keys, "st.occ[rid]") < 0)
         goto error;
@@ -1924,7 +2213,7 @@ pop_head(Core *c, long rid, long port, long vc, PyObject *port_o, PyObject *vc_o
         long latency;
         PyObject *events, *up_rid_o, *q_o, *event;
         int failed;
-        if (get_long(L(c, up_lat), g, &latency) < 0
+        if (get_col(c, up_lat, g, &latency) < 0
             || (events = bucket(L(c, cred_cal), cycle + latency)) == NULL
             || (up_rid_o = item(L(c, up_rid), g)) == NULL
             || (q_o = PyLong_FromLong(up * c->V + vc)) == NULL)
@@ -1980,29 +2269,29 @@ commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
         goto done;
     vc_o = Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision))
            ? Py_NewRef(PyTuple_GET_ITEM(decision, D_vc))
-           : PyObject_GetAttr(decision, s_vc);
+           : get_attr(decision, s_vc);
     if (vc_o == NULL || pset(c, packet, F_current_vc, vc_o) < 0
-        || get_long(L(c, out_free), og, &free_phits) < 0)
+        || get_col(c, out_free, og, &free_phits) < 0)
         goto done;
     if (free_phits < size) {
         PyErr_Format(PyExc_OverflowError, "output buffer over-commit: %ld requested, %ld free",
                      size, free_phits);
         goto done;
     }
-    if (get_long(L(c, out_committed), og, &committed) < 0
-        || set_long(L(c, out_committed), og, committed + size) < 0
-        || set_long(L(c, out_free), og, free_phits - size) < 0
-        || get_long(L(c, credits), cq, &have) < 0)
+    if (get_col(c, out_committed, og, &committed) < 0
+        || set_col(c, out_committed, og, committed + size) < 0
+        || set_col(c, out_free, og, free_phits - size) < 0
+        || get_col(c, credits, cq, &have) < 0)
         goto done;
     if (have < size) {
         PyErr_Format(PyExc_RuntimeError, "credit underflow on router %ld port %ld vc %S", rid,
                      out_port, vc_o);
         goto done;
     }
-    if (set_long(L(c, credits), cq, have - size) < 0
-        || get_long(L(c, credit_occ), og, &occupied) < 0
-        || set_long(L(c, credit_occ), og, occupied + size) < 0
-        || get_long(L(c, link_booked), og, &depart) < 0)
+    if (set_col(c, credits, cq, have - size) < 0
+        || get_col(c, credit_occ, og, &occupied) < 0
+        || set_col(c, credit_occ, og, occupied + size) < 0
+        || get_col(c, link_booked, og, &depart) < 0)
         goto done;
     /* The packet leaves the pipeline at `ready` and starts on the wire once
      * the packets granted before it are through: ready times are monotone
@@ -2017,18 +2306,18 @@ commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
     }
     else
         depart = ready;
-    if (get_long(L(c, ser_fac), og, &factor) < 0)
+    if (get_col(c, ser_fac, og, &factor) < 0)
         goto done;
     done = depart + size * factor;
     if ((done_o = PyLong_FromLong(done)) == NULL
-        || set_item(L(c, link_booked), og, Py_NewRef(done_o)) < 0
+        || set_col(c, link_booked, og, done) < 0
         || get_long(L(c, down_g), og, &down) < 0)
         goto done;
     if (down >= 0) {
         long latency;
         PyObject *down_o = PyList_GET_ITEM(L(c, down_g), og);
         int append_failed;
-        if (get_long(L(c, link_lat), og, &latency) < 0
+        if (get_col(c, link_lat, og, &latency) < 0
             || (events = bucket(L(c, arr_cal), done + latency)) == NULL
             || (event = PyTuple_Pack(3, down_o, vc_o, packet)) == NULL)
             goto done;
@@ -2061,7 +2350,7 @@ release(Core *c, PyObject *due, Py_ssize_t i, long rid)
     long limit = rid * c->P + c->P;
     while (i < PyList_GET_SIZE(due)) {
         PyObject *event = PyList_GET_ITEM(due, i), *packet;
-        long g, size, committed, free_phits;
+        long g, size, committed, free_phits, busy;
         if (expect_tuple(event, 4, "a release") < 0 || field_long(event, 0, &g) < 0)
             return -1;
         if (g >= limit)
@@ -2069,11 +2358,11 @@ release(Core *c, PyObject *due, Py_ssize_t i, long rid)
         i++;
         packet = PyTuple_GET_ITEM(event, 3);
         if (field_long(event, 1, &size) < 0
-            || get_long(L(c, out_committed), g, &committed) < 0
-            || set_long(L(c, out_committed), g, committed - size) < 0
-            || get_long(L(c, out_free), g, &free_phits) < 0
-            || set_long(L(c, out_free), g, free_phits + size) < 0
-            || set_item(L(c, link_busy), g, Py_NewRef(PyTuple_GET_ITEM(event, 2))) < 0)
+            || get_col(c, out_committed, g, &committed) < 0
+            || set_col(c, out_committed, g, committed - size) < 0
+            || get_col(c, out_free, g, &free_phits) < 0
+            || set_col(c, out_free, g, free_phits + size) < 0
+            || field_long(event, 2, &busy) < 0 || set_col(c, link_busy, g, busy) < 0)
             return -1;
         if (packet != Py_None) {
             /* Only now, not at the grant: `Packet.delivered` must not read
@@ -2101,13 +2390,12 @@ static Py_ssize_t
 alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, const long *vc,
             const long *out_port, Py_ssize_t *grants)
 {
-    PyObject *in_ptr = L(c, in_ptr), *out_ptr = L(c, out_ptr);
     Py_ssize_t stack_winners[STACK_ITEMS], *winners = stack_winners;
     char stack_seen[STACK_ITEMS], *seen = stack_seen;
     Py_ssize_t i, j, num_winners = 0, num_grants = 0;
     long P = c->P, nvc, pointer;
     int distinct = 1;
-    if (get_long(L(c, alloc_nvc), rid, &nvc) < 0)
+    if (get_col(c, alloc_nvc, rid, &nvc) < 0)
         return -1;
     if (nvc <= 0 || P <= 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
@@ -2122,8 +2410,8 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
     if (distinct) {
         /* Nothing to arbitrate: every request wins, the pointers rotate. */
         for (i = 0; i < n; i++) {
-            if (set_long(in_ptr, base + in_port[i], pymod(vc[i] + 1, nvc)) < 0
-                || set_long(out_ptr, base + out_port[i], pymod(in_port[i] + 1, P)) < 0)
+            if (set_col(c, in_ptr, base + in_port[i], pymod(vc[i] + 1, nvc)) < 0
+                || set_col(c, out_ptr, base + out_port[i], pymod(in_port[i] + 1, P)) < 0)
                 return -1;
             grants[i] = i;
         }
@@ -2146,7 +2434,7 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
         long best_distance = nvc;
         if (seen[i])
             continue;
-        if (get_long(in_ptr, base + in_port[i], &pointer) < 0)
+        if (get_col(c, in_ptr, base + in_port[i], &pointer) < 0)
             goto error;
         for (j = i; j < n; j++) {
             long distance;
@@ -2165,7 +2453,7 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
         }
         if (best < 0)
             continue;
-        if (set_long(in_ptr, base + in_port[i], pymod(vc[best] + 1, nvc)) < 0)
+        if (set_col(c, in_ptr, base + in_port[i], pymod(vc[best] + 1, nvc)) < 0)
             goto error;
         winners[num_winners++] = best;
     }
@@ -2177,7 +2465,7 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
         long best_distance = P, port = out_port[winners[i]];
         if (seen[i])
             continue;
-        if (get_long(out_ptr, base + port, &pointer) < 0)
+        if (get_col(c, out_ptr, base + port, &pointer) < 0)
             goto error;
         for (j = i; j < num_winners; j++) {
             long client = in_port[winners[j]], distance;
@@ -2196,7 +2484,7 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
         }
         if (best < 0)
             continue;
-        if (set_long(out_ptr, base + port, pymod(in_port[best] + 1, P)) < 0)
+        if (set_col(c, out_ptr, base + port, pymod(in_port[best] + 1, P)) < 0)
             goto error;
         grants[num_grants++] = best;
     }
@@ -2244,7 +2532,7 @@ new_decision(Core *c, PyObject *port, PyObject *vc, int nonminimal_global,
 static int
 draw(Core *c, Py_ssize_t n, Py_ssize_t *index)
 {
-    PyObject *rng = PyObject_GetAttr(c->o[S_routing], s_rng), *n_o = NULL, *drawn = NULL;
+    PyObject *rng = get_attr(c->o[S_routing], s_rng), *n_o = NULL, *drawn = NULL;
     Py_ssize_t i = -1;
     if (rng != NULL && (n_o = PyLong_FromSsize_t(n)) != NULL
         && (drawn = bounded_draw(rng, zero, n_o)) != NULL)
@@ -2382,8 +2670,8 @@ pick(Core *c, long rid, long minimal, PyObject *candidates, int globals_only,
             if (field_long(candidate, 0, &port) < 0)
                 goto done;
             if (signal == OCCUPANCY) {
-                if (get_long(L(c, out_committed), offset + port, &value) < 0
-                    || get_long(L(c, credit_occ), offset + port, &credit) < 0)
+                if (get_col(c, out_committed, offset + port, &value) < 0
+                    || get_col(c, credit_occ, offset + port, &credit) < 0)
                     goto done;
                 value += credit;
             }
@@ -2416,8 +2704,8 @@ static int
 occupancy(Core *c, long g, long *out)
 {
     long committed, credit;
-    if (get_long(L(c, out_committed), g, &committed) < 0
-        || get_long(L(c, credit_occ), g, &credit) < 0)
+    if (get_col(c, out_committed, g, &committed) < 0
+        || get_col(c, credit_occ, g, &credit) < 0)
         return -1;
     *out = committed + credit;
     return 0;
@@ -2439,7 +2727,7 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
     if (c->signals & READS_COUNTERS) {
         if (*counts == NULL) {
             PyObject *counters = item(L(c, counters), rid);
-            if (counters == NULL || (*counts = PyObject_GetAttr(counters, s_counts)) == NULL
+            if (counters == NULL || (*counts = get_attr(counters, s_counts)) == NULL
                 || expect_list(*counts, "a counter array") < 0)
                 return -1;
         }
@@ -2627,8 +2915,8 @@ intermediate_router(Core *c, long rid)
             via = call_found(&m, args, 2, NULL);
         else {
             Py_CLEAR(m.fn);
-            if ((topology = PyObject_GetAttr(routing, s_topology)) != NULL) {
-                if ((rng = PyObject_GetAttr(routing, s_rng)) != NULL) {
+            if ((topology = get_attr(routing, s_topology)) != NULL) {
+                if ((rng = get_attr(routing, s_rng)) != NULL) {
                     via = valiant_router(c, topology, rid, rid_o, rng);
                     Py_DECREF(rng);
                 }
@@ -2767,7 +3055,7 @@ ugal_inject(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
 static int
 class_attr_is(PyObject *owner, PyObject *name, PyObject *function)
 {
-    PyObject *found = PyObject_GetAttr(owner, name);
+    PyObject *found = get_attr(owner, name);
     if (found == NULL)
         return -1;
     Py_DECREF(found);
@@ -2820,19 +3108,19 @@ inject(Core *c, PyObject *node, PyObject *cycle_o, long cycle)
     PyObject *queue, *packet = NULL, *port_o = NULL, *vc_o = NULL, *rid_o, *popped;
     long node_id, rid, port, g, num_vcs, pointer, size, offset, vc = 0, free_phits, injected;
     int failed = -1;
-    if ((queue = PyObject_GetAttr(node, s_source_queue)) == NULL)
+    if ((queue = get_attr(node, s_source_queue)) == NULL)
         return -1;
     if ((packet = PySequence_GetItem(queue, 0)) == NULL || attr_long(node, s_node_id, &node_id) < 0
         || (rid_o = at(L(c, node_rid), node_id)) == NULL || as_long(rid_o, &rid) < 0
-        || (port_o = PyObject_GetAttr(node, s_port)) == NULL || as_long(port_o, &port) < 0
-        || get_long(L(c, in_nvcs), rid * c->P + port, &num_vcs) < 0
+        || (port_o = get_attr(node, s_port)) == NULL || as_long(port_o, &port) < 0
+        || get_col(c, in_nvcs, rid * c->P + port, &num_vcs) < 0
         || attr_long(node, s__vc_pointer, &pointer) < 0
         || pget_long(c, packet, F_size_phits, &size) < 0)
         goto done;
     g = rid * c->P + port;
     for (offset = 0; offset < num_vcs; offset++) {
         vc = pymod(pointer + offset, num_vcs);
-        if (get_long(L(c, in_free), g * c->V + vc, &free_phits) < 0)
+        if (get_col(c, in_free, g * c->V + vc, &free_phits) < 0)
             goto done;
         if (free_phits >= size)
             break;
@@ -2926,8 +3214,8 @@ make_request(Core *c, long base_g, long k, PyObject *head, PyObject *decision)
         port_o = Py_NewRef(PyTuple_GET_ITEM(decision, D_output_port));
         vc_o = Py_NewRef(PyTuple_GET_ITEM(decision, D_vc));
     }
-    else if ((port_o = PyObject_GetAttr(decision, s_output_port)) != NULL)
-        vc_o = PyObject_GetAttr(decision, s_vc);
+    else if ((port_o = get_attr(decision, s_output_port)) != NULL)
+        vc_o = get_attr(decision, s_vc);
     if (vc_o != NULL && as_long(port_o, &port) == 0 && as_long(vc_o, &vc) == 0
         && (size_o = pget(c, head, F_size_phits)) != NULL) {
         long og = base_g + port;
@@ -3629,8 +3917,8 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
                 || field_long(req, 1, &req_vc[num_reqs - 1]) < 0
                 || field_long(req, 2, &req_out[num_reqs - 1]) < 0
                 || field_long(req, 3, &size) < 0 || field_long(req, 5, &og) < 0
-                || field_long(req, 6, &cq) < 0 || get_long(L(c, out_free), og, &have) < 0
-                || (have >= size && get_long(L(c, credits), cq, &have) < 0))
+                || field_long(req, 6, &cq) < 0 || get_col(c, out_free, og, &have) < 0
+                || (have >= size && get_col(c, credits, cq, &have) < 0))
                 goto done;
             if (have < size) {
                 Py_DECREF(reqs[--num_reqs]);
@@ -3641,14 +3929,14 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
                  * succeeds (only the arbiter pointers rotate) and every
                  * later round is a no-op. */
                 long nvc;
-                if (get_long(L(c, alloc_nvc), rid, &nvc) < 0)
+                if (get_col(c, alloc_nvc, rid, &nvc) < 0)
                     goto done;
                 if (nvc <= 0) {
                     PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
                     goto done;
                 }
-                if (set_long(L(c, in_ptr), base_g + req_in[0], pymod(req_vc[0] + 1, nvc)) < 0
-                    || set_long(L(c, out_ptr), og, pymod(req_in[0] + 1, c->P)) < 0
+                if (set_col(c, in_ptr, base_g + req_in[0], pymod(req_vc[0] + 1, nvc)) < 0
+                    || set_col(c, out_ptr, og, pymod(req_in[0] + 1, c->P)) < 0
                     || commit(c, rid, req, cycle_o, cycle) < 0)
                     goto done;
                 failed = 0;
@@ -3711,13 +3999,13 @@ in_window(Core *c, PyObject *metrics, PyObject *cycle_o)
         return on;
     }
     Py_CLEAR(m.fn);
-    if ((bound = PyObject_GetAttr(metrics, s_measure_start)) == NULL)
+    if ((bound = get_attr(metrics, s_measure_start)) == NULL)
         return -1;
     on = PyObject_RichCompareBool(cycle_o, bound, Py_LT);
     Py_DECREF(bound);
     if (on != 0)
         return on < 0 ? -1 : 0;
-    if ((bound = PyObject_GetAttr(metrics, s_measure_end)) == NULL)
+    if ((bound = get_attr(metrics, s_measure_end)) == NULL)
         return -1;
     on = bound == Py_None ? 1 : PyObject_RichCompareBool(cycle_o, bound, Py_LT);
     Py_DECREF(bound);
@@ -3759,7 +4047,7 @@ record_latency(Core *c, PyObject *stats, PyObject *latency)
             PyErr_SetString(PyExc_ValueError, "latency cannot be negative");
         return -1;
     }
-    if ((samples = PyObject_GetAttr(stats, s__samples)) == NULL)
+    if ((samples = get_attr(stats, s__samples)) == NULL)
         return -1;
     {
         PyObject *args[2] = {samples, latency};
@@ -3822,14 +4110,14 @@ record_bin(Core *c, PyObject *series, PyObject *creation_o, PyObject *latency, P
         return -1;
     if (creation < start)
         return 0;
-    if ((point = PyObject_GetAttr(series, s_end_cycle)) == NULL)
+    if ((point = get_attr(series, s_end_cycle)) == NULL)
         return -1;
     on = point == Py_None ? 0 : as_long(point, &end) < 0 ? -1 : creation >= end;
     Py_DECREF(point);
     if (on != 0)
         return on < 0 ? -1 : 0;
     if (attr_long(series, s_bin_size, &size) < 0
-        || (bins = PyObject_GetAttr(series, s__bins)) == NULL)
+        || (bins = get_attr(series, s__bins)) == NULL)
         return -1;
     if (size <= 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
@@ -3870,7 +4158,7 @@ packet_latency(Core *c, PyObject *packet)
     PyObject *delivered, *creation, *latency;
     int on = type_holds(packet, s_latency, STOCK(c, Packet, latency));
     if (on <= 0)
-        return on < 0 ? NULL : PyObject_GetAttr(packet, s_latency);
+        return on < 0 ? NULL : get_attr(packet, s_latency);
     if ((delivered = pget(c, packet, F_delivered_cycle)) == NULL || delivered == Py_None)
         return delivered;
     latency = (creation = pget(c, packet, F_creation_cycle)) == NULL
@@ -3917,14 +4205,14 @@ record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
     if ((on = in_window(c, metrics, delivered)) < 0
         || (size_o = pget(c, packet, F_size_phits)) == NULL)
         goto done;
-    if (on && ((sink = PyObject_GetAttr(metrics, s_throughput)) == NULL
+    if (on && ((sink = get_attr(metrics, s_throughput)) == NULL
                || count_throughput(c, sink, size_o) < 0
                || (on = ptruth(c, packet, F_fault_mode)) < 0
                || (on && attr_iadd(metrics, s_fault_rerouted_delivered, one) < 0)))
         goto done;
     Py_CLEAR(sink);
     /* `self._epoch_phits[-1] += packet.size_phits` */
-    if ((epoch = PyObject_GetAttr(metrics, s__epoch_phits)) == NULL
+    if ((epoch = get_attr(metrics, s__epoch_phits)) == NULL
         || (phits = PySequence_GetItem(epoch, -1)) == NULL)
         goto done;
     Py_SETREF(phits, PyNumber_InPlaceAdd(phits, size_o));
@@ -3934,16 +4222,16 @@ record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
         goto done;
     if (on) {
         if ((latency = delivered_latency(c, packet)) == NULL
-            || (sink = PyObject_GetAttr(metrics, s_latency)) == NULL
+            || (sink = get_attr(metrics, s_latency)) == NULL
             || record_latency(c, sink, latency) < 0)
             goto done;
-        Py_SETREF(sink, PyObject_GetAttr(metrics, s_misrouting));
+        Py_SETREF(sink, get_attr(metrics, s_misrouting));
         if (sink == NULL || record_route(c, sink, packet) < 0)
             goto done;
         Py_CLEAR(sink);
         Py_CLEAR(latency);
     }
-    if ((sink = PyObject_GetAttr(metrics, s_timeseries)) == NULL)
+    if ((sink = get_attr(metrics, s_timeseries)) == NULL)
         goto done;
     if (sink != Py_None
         && ((latency = delivered_latency(c, packet)) == NULL
@@ -4054,14 +4342,14 @@ router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject 
         return -1;
     counts[2] = num_active = PyList_GET_SIZE(active);
     if (num_active > 0 || num_due > 0) {
-        PyObject *unsorted = PyObject_GetAttr(c->o[S_st], s_unsorted);
+        PyObject *unsorted = get_attr(c->o[S_st], s_unsorted);
         if (unsorted == NULL)
             goto done;
         on = truth(unsorted);
         Py_DECREF(unsorted);
         if (on < 0
             || (on && (PyList_Sort(active) < 0
-                       || PyObject_SetAttr(c->o[S_st], s_unsorted, Py_False) < 0)))
+                       || set_attr(c->o[S_st], s_unsorted, Py_False) < 0)))
             goto done;
         /* A release carries a `Packet`, which does not order: sort by the
          * port alone (a port has at most one release a cycle). */
@@ -4265,11 +4553,11 @@ destination(Core *c, PyObject *pattern, PyObject *src_o, PyObject *cycle_o, PyOb
     if (stock(&m, STOCK(c, TransientTraffic, destination))) {
         /* The pattern in effect at `cycle`. */
         Py_CLEAR(m.fn);
-        if ((next = PyObject_GetAttr(pattern, s_switch_cycle)) == NULL)
+        if ((next = get_attr(pattern, s_switch_cycle)) == NULL)
             return NULL;
         on = PyObject_RichCompareBool(cycle_o, next, Py_LT);
         Py_DECREF(next);
-        if (on < 0 || (next = PyObject_GetAttr(pattern, on ? s_before : s_after)) == NULL)
+        if (on < 0 || (next = get_attr(pattern, on ? s_before : s_after)) == NULL)
             return NULL;
         dst = destination(c, next, src_o, cycle_o, rng);
         Py_DECREF(next);
@@ -4281,7 +4569,7 @@ destination(Core *c, PyObject *pattern, PyObject *src_o, PyObject *cycle_o, PyOb
         return call_found(&m, args, 4, NULL);
     }
     Py_CLEAR(m.fn);
-    if (as_long(src_o, &src) < 0 || (topology = PyObject_GetAttr(pattern, s_topology)) == NULL)
+    if (as_long(src_o, &src) < 0 || (topology = get_attr(pattern, s_topology)) == NULL)
         return NULL;
     if (uniform) {
         /* UN: any node but the source. */
@@ -4316,7 +4604,7 @@ new_packet(Core *c, PyObject *cls, PyObject **fields)
     Py_ssize_t i;
     int built_here = 0;
     if (c->defaults >= 0 && cls == L(c, Packet)) {
-        if ((init = PyObject_GetAttr(cls, s___init__)) == NULL)
+        if ((init = get_attr(cls, s___init__)) == NULL)
             return NULL;
         built_here = init == STOCK(c, Packet, __init__);
         Py_DECREF(init);
@@ -4367,7 +4655,7 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
     long block, index, event = 0, pid = 0, first_pid = 0;
     double probability;
     int failed = -1;
-    if ((value = PyObject_GetAttr(traffic, s__packet_probability)) == NULL)
+    if ((value = get_attr(traffic, s__packet_probability)) == NULL)
         return -1;
     probability = PyFloat_AsDouble(value);
     Py_DECREF(value);
@@ -4387,7 +4675,7 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
         if (call_void(s__ensure_block, args, 2) < 0)
             return -1;
     }
-    if ((cycles = PyObject_GetAttr(traffic, s__event_cycles)) == NULL
+    if ((cycles = get_attr(traffic, s__event_cycles)) == NULL
         || expect_list(cycles, "_event_cycles") < 0 || attr_long(traffic, s__ptr, &index) < 0)
         goto done;
     n = PyList_GET_SIZE(cycles);
@@ -4397,11 +4685,11 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
         else if (event >= cycle)
             break;
     if (ptr < n && event == cycle) {
-        if ((sources = PyObject_GetAttr(traffic, s__event_nodes)) == NULL
+        if ((sources = get_attr(traffic, s__event_nodes)) == NULL
             || expect_list(sources, "_event_nodes") < 0
-            || (pattern = PyObject_GetAttr(traffic, s_pattern)) == NULL
-            || (rng = PyObject_GetAttr(traffic, s_rng)) == NULL
-            || (fields[3] = PyObject_GetAttr(traffic, s_packet_size_phits)) == NULL
+            || (pattern = get_attr(traffic, s_pattern)) == NULL
+            || (rng = get_attr(traffic, s_rng)) == NULL
+            || (fields[3] = get_attr(traffic, s_packet_size_phits)) == NULL
             || attr_long(traffic, s__next_pid, &first_pid) < 0)
             goto done;
         if ((cls = global_of(STOCK(c, BernoulliTrafficGenerator, generate), s_Packet)) == NULL)
@@ -4416,7 +4704,7 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
                 break;
     }
     if (set_attr_long(traffic, s__ptr, ptr) < 0
-        || PyObject_SetAttr(traffic, s__consumed_cycle, cycle_o) < 0)
+        || set_attr(traffic, s__consumed_cycle, cycle_o) < 0)
         goto done;
     if (cls != NULL) {
         /* `self.generated_packets += pid - self._next_pid` */
@@ -4453,8 +4741,8 @@ activate_node(Core *c, PyObject *network, PyObject *node)
     Py_CLEAR(m.fn);
     if ((on = ptruth_attr(node, s_active)) != 0)
         return on < 0 ? -1 : 0;
-    if (PyObject_SetAttr(node, s_active, Py_True) < 0
-        || (nodes = PyObject_GetAttr(network, s__active_nodes)) == NULL)
+    if (set_attr(node, s_active, Py_True) < 0
+        || (nodes = get_attr(network, s__active_nodes)) == NULL)
         return -1;
     {
         PyObject *append[2] = {nodes, node};
@@ -4462,7 +4750,7 @@ activate_node(Core *c, PyObject *network, PyObject *node)
                                           : call_void(s_append, append, 2);
     }
     Py_DECREF(nodes);
-    return failed < 0 || PyObject_SetAttr(network, s__nodes_unsorted, Py_True) < 0 ? -1 : 0;
+    return failed < 0 || set_attr(network, s__nodes_unsorted, Py_True) < 0 ? -1 : 0;
 }
 
 /* `node.enqueue(packet)`: the packet joins the node's source queue, made on
@@ -4480,12 +4768,12 @@ enqueue(Core *c, PyObject *node, PyObject *packet)
         return invoke(&m, args, 2, NULL);
     }
     Py_CLEAR(m.fn);
-    if ((queue = PyObject_GetAttr(node, s_source_queue)) == NULL)
+    if ((queue = get_attr(node, s_source_queue)) == NULL)
         return -1;
     if (queue == Py_None) {
         PyObject *make = global_of(STOCK(c, ComputeNode, enqueue), s_deque);
         Py_SETREF(queue, make == NULL ? NULL : PyObject_CallNoArgs(make));
-        if (queue == NULL || PyObject_SetAttr(node, s_source_queue, queue) < 0)
+        if (queue == NULL || set_attr(node, s_source_queue, queue) < 0)
             goto done;
     }
     {
@@ -4499,7 +4787,7 @@ enqueue(Core *c, PyObject *node, PyObject *packet)
     if (on < 0 || (on = ptruth_attr(node, s_active)) < 0)
         goto done;
     if (!on) {
-        PyObject *ref = PyObject_GetAttr(node, s__network);
+        PyObject *ref = get_attr(node, s__network);
         if (ref == NULL || (network = PyObject_CallNoArgs(ref)) == NULL) {
             Py_XDECREF(ref);
             goto done;
@@ -4600,7 +4888,7 @@ inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject 
     long next;
     int failed = -1, on;
     *hint = c->no_event;
-    if ((active = PyObject_GetAttr(network, s__active_nodes)) == NULL)
+    if ((active = get_attr(network, s__active_nodes)) == NULL)
         return -1;
     if (expect_list(active, "network._active_nodes") < 0)
         goto done;
@@ -4609,7 +4897,7 @@ inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject 
         goto done;
     }
     if ((on = ptruth_attr(network, s__nodes_unsorted)) < 0 || (on && (sort_by(active, node_key) < 0
-                          || PyObject_SetAttr(network, s__nodes_unsorted, Py_False) < 0))
+                          || set_attr(network, s__nodes_unsorted, Py_False) < 0))
         || (backlogged = PyList_New(0)) == NULL)
         goto done;
     /* The live list, as `for node in active_nodes` walks it. */
@@ -4626,7 +4914,7 @@ inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject 
                 Py_XDECREF(result);
             }
         }
-        if (!bad && ((queue = PyObject_GetAttr(node, s_source_queue)) == NULL
+        if (!bad && ((queue = get_attr(node, s_source_queue)) == NULL
                      || (on = truth(queue)) < 0))
             bad = 1;
         Py_XDECREF(queue);
@@ -4635,7 +4923,7 @@ inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject 
                 bad = PyList_Append(backlogged, node) < 0
                       || attr_long(node, s_next_injection_cycle, &next) < 0;
             else
-                bad = PyObject_SetAttr(node, s_active, Py_False) < 0;
+                bad = set_attr(node, s_active, Py_False) < 0;
             if (!bad && on && next < *hint)
                 *hint = next;
         }
@@ -4643,7 +4931,7 @@ inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject 
         if (bad)
             goto done;
     }
-    failed = PyObject_SetAttr(network, s__active_nodes, backlogged);
+    failed = set_attr(network, s__active_nodes, backlogged);
 done:
     Py_XDECREF(backlogged);
     Py_DECREF(active);
@@ -4667,6 +4955,8 @@ Core_clear(Core *c)
     c->packet_type = NULL; /* it is `o[S_Packet]` */
     for (i = 0; i < N_SLOTS; i++)
         Py_CLEAR(c->o[i]);
+    for (i = 0; i < N_COLUMNS; i++)
+        PyBuffer_Release(&c->column[i]); /* a no-op on one never taken */
     return 0;
 }
 
@@ -4977,6 +5267,36 @@ bind_dragonfly(Core *c, PyObject *topology)
            || bind_long(topology, "_a", &c->df_a, 1) < 0 ? -1 : 0;
 }
 
+/* `st.<column_names[i]>` through a writable buffer, which must hold C
+ * `long long`s (an `array('q')`); anything else is a `TypeError`. */
+static int
+bind_column(Core *c, PyObject *st, int i)
+{
+    PyObject *column = named_attr(st, column_names[i]);
+    Py_buffer *view = &c->column[i];
+    int taken;
+    if (column == NULL)
+        return -1;
+    taken = PyObject_GetBuffer(column, view, PyBUF_WRITABLE | PyBUF_FORMAT) == 0;
+    if (!taken && !PyErr_ExceptionMatches(PyExc_TypeError)
+        && !PyErr_ExceptionMatches(PyExc_BufferError)) {
+        Py_DECREF(column);
+        return -1;
+    }
+    if (!taken || view->itemsize != (Py_ssize_t)sizeof(long long) || view->format == NULL
+        || strcmp(view->format, "q") != 0) {
+        if (taken)
+            PyBuffer_Release(view);
+        PyErr_Clear();
+        PyErr_Format(PyExc_TypeError, "st.%s must be an array('q'), got %R", column_names[i],
+                     column);
+        Py_DECREF(column);
+        return -1;
+    }
+    Py_DECREF(column); /* the buffer holds it */
+    return 0;
+}
+
 static int
 bind(Core *c, PyObject *args, PyObject *kwargs)
 {
@@ -5007,6 +5327,9 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
             return -1;
         }
     }
+    for (i = 0; i < N_COLUMNS; i++)
+        if (bind_column(c, st, i) < 0)
+            return -1;
     c->o[S_st] = Py_NewRef(st);
     c->o[S_routing] = Py_NewRef(routing);
     c->o[S_rows] = Py_NewRef(rows);
@@ -5188,11 +5511,11 @@ add_draws(Core *c, PyObject *engine)
     int failed;
     if (c->draws == 0)
         return 0;
-    if ((draws = PyObject_GetAttr(engine, s__draws)) == NULL)
+    if ((draws = get_attr(engine, s__draws)) == NULL)
         return -1;
     if ((more = PyLong_FromLong(c->draws)) != NULL)
         sum = PyNumber_Add(draws, more);
-    failed = sum == NULL || PyObject_SetAttr(engine, s__draws, sum) < 0;
+    failed = sum == NULL || set_attr(engine, s__draws, sum) < 0;
     Py_XDECREF(sum);
     Py_XDECREF(more);
     Py_DECREF(draws);
@@ -5212,10 +5535,10 @@ Core_router_phase(Core *c, PyObject *args)
                                         &cycle_o)
         || as_long(cycle_o, &cycle) < 0)
         return NULL;
-    if ((metrics = PyObject_GetAttr(engine, s_metrics)) != NULL
-        && (obs = PyObject_GetAttr(engine, s_obs)) != NULL
-        && (faults = PyObject_GetAttr(engine, s_faults)) != NULL
-        && (active = PyObject_GetAttr(c->o[S_st], s_active)) != NULL
+    if ((metrics = get_attr(engine, s_metrics)) != NULL
+        && (obs = get_attr(engine, s_obs)) != NULL
+        && (faults = get_attr(engine, s_faults)) != NULL
+        && (active = get_attr(c->o[S_st], s_active)) != NULL
         && expect_list(active, "st.active") == 0
         && router_phase(c, engine, cycle_o, cycle, metrics, obs, faults, active, counts) == 0
         && add_draws(c, engine) == 0)
@@ -5240,12 +5563,12 @@ Core_source_phase(Core *c, PyObject *args)
                                         &cycle_o)
         || as_long(cycle_o, &cycle) < 0)
         return NULL;
-    if ((traffic = PyObject_GetAttr(engine, s_traffic)) == NULL
-        || (network = PyObject_GetAttr(engine, s_network)) == NULL
-        || (metrics = PyObject_GetAttr(engine, s_metrics)) == NULL
-        || (nodes = PyObject_GetAttr(network, s_nodes)) == NULL
+    if ((traffic = get_attr(engine, s_traffic)) == NULL
+        || (network = get_attr(engine, s_network)) == NULL
+        || (metrics = get_attr(engine, s_metrics)) == NULL
+        || (nodes = get_attr(network, s_nodes)) == NULL
         || generate_phase(c, traffic, nodes, metrics, cycle_o, cycle) < 0
-        || (inject_fn = PyObject_GetAttr(engine, s__inject)) == NULL)
+        || (inject_fn = get_attr(engine, s__inject)) == NULL)
         goto done;
     own = PyCFunction_Check(inject_fn) && PyCFunction_GET_SELF(inject_fn) == (PyObject *)c
           && PyCFunction_GET_FUNCTION(inject_fn) == (PyCFunction)(void (*)(void))Core_inject;
@@ -5269,9 +5592,9 @@ publish_flags(Core *c, PyObject *cycle_o, PyObject *scanned)
     PyObject *saturated = NULL;
     Py_ssize_t group;
     int failed = -1, on;
-    if ((pending = PyObject_GetAttr(routing, s__pending)) == NULL)
+    if ((pending = get_attr(routing, s__pending)) == NULL)
         return -1;
-    if ((delay = PyObject_GetAttr(routing, s_notification_delay)) == NULL
+    if ((delay = get_attr(routing, s_notification_delay)) == NULL
         || (due = PyNumber_Add(cycle_o, delay)) == NULL)
         goto done;
     for (group = 0; group < PyList_GET_SIZE(scanned); group++) {
@@ -5284,8 +5607,8 @@ publish_flags(Core *c, PyObject *cycle_o, PyObject *scanned)
         if (on < 0)
             goto done;
     }
-    if ((table = PyObject_GetAttr(routing, s__flags)) == NULL
-        || (saturated = PyObject_GetAttr(routing, s__saturated_groups)) == NULL)
+    if ((table = get_attr(routing, s__flags)) == NULL
+        || (saturated = get_attr(routing, s__saturated_groups)) == NULL)
         goto done;
     while ((on = PyObject_IsTrue(pending)) > 0) {
         PyObject *first = PySequence_GetItem(pending, 0), *when, *flags;
@@ -5357,8 +5680,8 @@ Core_publish_saturation(Core *c, PyObject *args)
             if (expect_tuple(slot, 2, "a scan slot") < 0 || field_long(slot, 0, &g) < 0
                 || ((limit = PyFloat_AsDouble(PyTuple_GET_ITEM(slot, 1))) == -1.0
                     && PyErr_Occurred())
-                || get_long(L(c, out_committed), g, &committed) < 0
-                || get_long(L(c, credit_occ), g, &occupied) < 0)
+                || get_col(c, out_committed, g, &committed) < 0
+                || get_col(c, credit_occ, g, &occupied) < 0)
                 goto error;
             PyList_SET_ITEM(flags, j, Py_NewRef((double)(committed + occupied) >= limit
                                                 ? Py_True : Py_False));

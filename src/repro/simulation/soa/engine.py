@@ -11,7 +11,7 @@ reads and writes the flat arrays of
 places:
 
 * **flat state** — the begin/commit/release phases are integer arithmetic
-  on Python lists instead of attribute loads across an object graph;
+  on flat columns instead of attribute loads across an object graph;
 * **a compiled hop chain** — that arithmetic runs in C: ``_core.c``, one
   CPython extension type bound to this engine's :class:`SoAState`, holds the
   state's own lists and calendars and implements credit returns, link
@@ -59,16 +59,16 @@ The compiled core
 -----------------
 ``self._core`` (``_core.c``, built on first use by
 :mod:`repro.simulation.soa._loader`) runs a cycle's source phase
-(:meth:`_source_phase`) and router phase over the *same* Python lists,
-tuples, dicts and ``Packet`` objects this module and its readers see —
-nothing is copied into typed buffers, so :class:`RouterView`, the obs readers
+(:meth:`_source_phase`) and router phase over the *same* lists, integer
+``array('q')`` columns, tuples, dicts and ``Packet`` objects this module and
+its readers see — nothing is copied, so :class:`RouterView`, the obs readers
 and every test that inspects ``st.*`` or ``_rows`` read live state.  Each of
 ``_STOCK_FUNCTIONS`` is answered in C only while the function the instance
-resolves for that name, looked up on every call the way a method call looks
-it up, is the stock one taken from the class when the engine was built; a
-subclass override or a wrapper on the class or the instance is called by
-name, so ``perf/trace.py``'s wrappers and a test's monkeypatch are seen and
-counted.  That covers, for the stock mechanisms:
+resolves for that name, the way a method call resolves it (the type's part
+cached per type version), is the stock one taken from the class when the
+engine was built; a subclass override or a wrapper on the class or the
+instance — installed at any time — is called by name, so ``perf/trace.py``'s
+wrappers and a test's monkeypatch are seen and counted.  That covers, for the stock mechanisms:
 
 * the routing hooks, ``Packet.record_hop`` and, at injection, ``on_inject``
   with UGAL / PB's source trigger and the Valiant intermediate;

@@ -1,7 +1,7 @@
 """Struct-of-arrays router state for the SoA simulation backend.
 
 :class:`SoAState` holds every hot per-(router, port, vc) quantity of the
-network in flat Python lists indexed arithmetically:
+network in flat columns indexed arithmetically:
 
 * ``g = rid * P + port`` addresses per-port state (output buffers, links,
   credit aggregates, allocator pointers);
@@ -31,9 +31,14 @@ goes into ``arr_cal`` at once, and one *release* event, due when the packet
 starts on the wire, gives the output-buffer space back (and, on an ejection
 port, delivers the packet).
 
-Scalar-hot state intentionally lives in plain Python lists, not numpy
-arrays: the inner loops index single elements, where list indexing is
-several times cheaper than numpy scalar indexing.
+The integer columns are ``array('q')`` columns, allocated at their size in
+one block: the compiled core reads and writes them as C ``long long`` through
+a buffer it holds for its lifetime (so they cannot be resized), with no
+integer object per element and nothing inside for the cyclic collector to
+traverse.  Python readers index them like lists.  Three integer columns stay lists,
+``up_g``, ``up_rid`` and ``down_g``: the core stores their elements into
+event tuples as they are.  The flags are lists of bools, and the per-VC
+queues, the per-router key lists and the calendars hold objects.
 
 Construction fills numbers only; containers follow traffic.  ``in_q[q]`` is
 ``None`` until the first packet is pushed into that VC and a plain ``list``
@@ -51,6 +56,7 @@ so every hook and ``select_output`` call observes live SoA state.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from typing import TYPE_CHECKING, DefaultDict, List, NamedTuple, Optional, Tuple
 
@@ -63,16 +69,21 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SoAState", "RouterView"]
 
 
+def _column(n: int, fill: int) -> "array[int]":
+    """An integer column of ``n`` elements, all ``fill``."""
+    return array("q", (fill,)) * n
+
+
 class _PortColumns(NamedTuple):
     """The arrays the port views read: what a :class:`RouterView` keeps so it
     can build its ports later without holding the :class:`SoAState`."""
 
-    out_committed: List[int]
-    out_free: List[int]
-    credit_occ: List[int]
-    link_busy: List[int]
-    max_credits: List[int]
-    down_nvcs: List[int]
+    out_committed: "array[int]"
+    out_free: "array[int]"
+    credit_occ: "array[int]"
+    link_busy: "array[int]"
+    max_credits: "array[int]"
+    down_nvcs: "array[int]"
     V: int
     port_kinds: Tuple[PortKind, ...]
 
@@ -133,7 +144,7 @@ class _OutputPortView:
     @property
     def max_credits(self) -> List[int]:
         base = self._g * self._V
-        return self._max_credits[base : base + self._down_nvcs[self._g]]
+        return self._max_credits[base : base + self._down_nvcs[self._g]].tolist()
 
     def total_occupancy(self) -> int:
         return self._out_committed[self._g] + self._credit_occ[self._g]
@@ -270,28 +281,28 @@ class SoAState:
         nG = R * P
 
         # -- per-g -----------------------------------------------------------
-        self.in_nvcs = [0] * nG
+        self.in_nvcs = _column(nG, 0)
         self.up_g = [-1] * nG
         self.up_rid = [-1] * nG
-        self.out_committed = [0] * nG
-        self.out_free = [0] * nG
+        self.out_committed = _column(nG, 0)
+        self.out_free = _column(nG, 0)
         # Busy-until of the packet on the wire (the object model's
         # ``link_busy_until``), and of every grant booked so far.
-        self.link_busy = [0] * nG
-        self.link_booked = [0] * nG
-        self.link_lat = [1] * nG
-        self.ser_fac = [1] * nG
+        self.link_busy = _column(nG, 0)
+        self.link_booked = _column(nG, 0)
+        self.link_lat = _column(nG, 1)
+        self.ser_fac = _column(nG, 1)
         self.down_g = [-1] * nG
-        self.down_nvcs = [1] * nG
-        self.credit_occ = [0] * nG
-        self.cap_sum = [0] * nG
-        self.in_ptr = [0] * nG
-        self.out_ptr = [0] * nG
+        self.down_nvcs = _column(nG, 1)
+        self.credit_occ = _column(nG, 0)
+        self.cap_sum = _column(nG, 0)
+        self.in_ptr = _column(nG, 0)
+        self.out_ptr = _column(nG, 0)
 
         # -- per-rid ---------------------------------------------------------
         self.occ: List[list] = [[] for _ in range(R)]
         self.new_heads: List[list] = [[] for _ in range(R)]
-        self.alloc_nvc = [1] * R
+        self.alloc_nvc = _column(R, 1)
         # "Clean" routers proved unable to act (no grant, no RNG draw) at
         # their last allocation; the engine skips their allocate phase until
         # an event that could change the outcome clears the flag.
@@ -335,17 +346,20 @@ class SoAState:
                     self.down_g[g] = self.up_g[g] = nbr_rid * P + nbr_port
         # A credit travels back over the link its packet came in on.
         link_lat = self.link_lat
-        self.up_lat = [link_lat[up] if up >= 0 else 1 for up in self.up_g]
+        up_lat = self.up_lat = _column(nG, 1)
+        for g, up in enumerate(self.up_g):
+            if up >= 0:
+                up_lat[g] = link_lat[up]
 
         # -- per-q -----------------------------------------------------------
         V = self.V = max(self.in_nvcs)
         nQ = nG * V
         # ``None`` until the VC's first push, then a plain list (module doc).
         self.in_q: List[Optional[list]] = [None] * nQ
-        self.in_free = [0] * nQ
+        self.in_free = _column(nQ, 0)
         self.head_seen = [False] * nQ
-        self.credits = [0] * nQ
-        self.max_credits = [0] * nQ
+        self.credits = _column(nQ, 0)
+        self.max_credits = _column(nQ, 0)
         for g in range(nG):
             base = g * V
             capacity = in_capacity[g]

@@ -163,14 +163,14 @@ class TestBothConsumersAgree:
                 expect["down_nvcs"].append(len(op.credits))
                 down = op.neighbor
                 expect["down_g"].append(-1 if down is None else down[0] * P + down[1])
-        got = {name: getattr(st, name) for name in expect if name != "has_queue"}
+        got = {name: list(getattr(st, name)) for name in expect if name != "has_queue"}
         # A VC exists where ``vc < in_nvcs[g]``; its container does not, until
         # traffic pushes into it.
         got["has_queue"] = [int(vc < nvcs) for nvcs in st.in_nvcs for vc in range(V)]
         assert st.in_q == [None] * len(st.in_free)
         for name, values in expect.items():
             assert got[name] == values, name
-        assert st.alloc_nvc == [router.allocator.max_vcs for router in routers]
+        assert list(st.alloc_nvc) == [router.allocator.max_vcs for router in routers]
         assert st.node_rid == [node.router.router_id for node in soa_simulator.network.nodes]
 
     def test_a_materialised_graph_is_wired_like_the_flat_state(self, soa_simulator):

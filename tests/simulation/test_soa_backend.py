@@ -442,8 +442,8 @@ class TestAllocRoundMicroStates:
                 (g.input_port, g.input_vc, g.output_port) for g in ref_grants
             ]
             # ... and the arbiter pointers it leaves behind.
-            assert st.in_ptr[:P] == [a.pointer for a in reference._input_arbiters]
-            assert st.out_ptr[:P] == [a.pointer for a in reference._output_arbiters]
+            assert list(st.in_ptr[:P]) == [a.pointer for a in reference._input_arbiters]
+            assert list(st.out_ptr[:P]) == [a.pointer for a in reference._output_arbiters]
 
     def _request(self, in_port, vc, out_port, size=4):
         return AllocationRequest(

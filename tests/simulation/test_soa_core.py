@@ -1,11 +1,12 @@
 """The compiled hop chain of the SoA engine (``soa/_core.c``).
 
-The chain runs the parent's Python statements over the same Python lists, so
-what is pinned here is what C could silently get wrong: every overflow /
-underflow / over-commit check still fires with the parent's exception type and
-message and releases what it took, hooks are looked up by name on every call,
-the ``svc_cal[ready]`` horizon marker and the bookings of a grant have the
-parent's shapes, nothing outlives a run (reference counts, the cyclic
+The chain runs the parent's Python statements over the same state, so what is
+pinned here is what C could silently get wrong: every overflow / underflow /
+over-commit check still fires with the parent's exception type and message and
+releases what it took, hooks are looked up by name per type version (a class
+changed after a warm run included), the integer columns are bound as typed
+buffers, the ``svc_cal[ready]`` horizon marker and the bookings of a grant have
+the parent's shapes, nothing outlives a run (reference counts, the cyclic
 collector, ``tracemalloc``), and the build-on-first-use machinery falls back,
 races and refuses as documented.
 """
@@ -16,12 +17,15 @@ import os
 import sys
 import threading
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 
 from repro.config.parameters import SimulationParameters
+from repro.metrics import ThroughputStats
 from repro.metrics.collector import MetricsCollector
+from repro.network.node import ComputeNode
 from repro.network.packet import Packet
 from repro.routing import (
     ROUTING_REGISTRY,
@@ -39,6 +43,7 @@ from repro.service.keys import result_fingerprint
 from repro.simulation.engine import Engine
 from repro.simulation.simulator import Simulator
 from repro.simulation.soa import _loader
+from repro.simulation.soa.engine import _stock
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.registry import TOPOLOGY_REGISTRY
 
@@ -252,6 +257,11 @@ class TestBookings:
         assert not st.svc_cal and not st.arr_cal and not st.cred_cal
 
 
+_COLUMNS = (
+    "in_free", "credits", "max_credits", "up_lat", "out_committed", "out_free", "link_busy",
+    "link_booked", "link_lat", "ser_fac", "credit_occ", "in_ptr", "out_ptr", "in_nvcs",
+    "alloc_nvc", "down_nvcs", "cap_sum",
+)
 _HOOKS = ("on_grant", "on_packet_leave_input", "on_packet_head", "on_packet_arrival")
 _MECHANISMS = ["MIN", "VAL", "UGAL", "PB", "OLM", "Base", "Hybrid", "ECtN"]
 _INJECTION = [
@@ -515,6 +525,110 @@ class TestOverridesAreHonoured:
         assert runs["soa"].engine.delivered_packets == runs["object"].engine.delivered_packets
         # Its other hooks are still ECtN's stock ones, answered in C.
         assert soa.partial == obj.partial and soa.combined == obj.combined
+
+
+class _CountingThroughput(ThroughputStats):
+    """A collector sink whose slotted ``delivered_packets`` a property
+    shadows: the core must write through the property, not the slot."""
+
+    __slots__ = ()
+
+    @property
+    def delivered_packets(self):
+        return ThroughputStats.delivered_packets.__get__(self)
+
+    @delivered_packets.setter
+    def delivered_packets(self, value):
+        _CountingThroughput.writes[_CountingThroughput.backend] += 1
+        ThroughputStats.delivered_packets.__set__(self, value)
+
+
+class TestTheNameCacheFollowsTheClasses:
+    """The core looks a name up once per version of the instance's type; a
+    class changed after a warm run is a new version, and what the class holds
+    now is what the next run calls."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (BaseContentionRouting, "on_packet_head"),
+            (ContentionTracker, "on_leave"),
+            (MetricsCollector, "record_delivery"),
+            (ThroughputStats, "record_delivery"),
+            (ComputeNode, "enqueue"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_a_wrapper_installed_after_a_warm_run_is_called(self, monkeypatch, owner, name):
+        sims = {backend: _sim("Base", 0.3, backend) for backend in ("object", "soa")}
+        for sim in sims.values():
+            sim.run_steady_state(50, 100)  # every name the stock bodies use is cached now
+        calls = Counter()
+        current = []
+        original = getattr(owner, name)
+
+        @functools.wraps(original)
+        def wrapper(self, *args, **kwargs):
+            calls[current[0]] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        for backend, sim in sims.items():
+            current[:] = [backend]
+            sim.run_steady_state(0, 200)
+        assert calls["soa"] == calls["object"] > 0
+        assert sims["soa"].engine.delivered_packets == sims["object"].engine.delivered_packets
+
+    def test_a_subclass_property_over_a_slot_is_used(self, monkeypatch):
+        delivered, writes = {}, Counter()
+        monkeypatch.setattr(_CountingThroughput, "writes", writes, raising=False)
+        for backend in ("object", "soa"):
+            sim = _sim("Base", 0.3, backend)
+            sim.run_steady_state(50, 100)  # the stock sink's slots are cached now
+            start = sim.cycle
+            metrics = MetricsCollector(
+                num_nodes=sim.topology.num_nodes, measure_start=start, measure_end=start + 200
+            )
+            metrics.finalize_window()
+            metrics.throughput.__class__ = _CountingThroughput
+            monkeypatch.setattr(_CountingThroughput, "backend", backend, raising=False)
+            sim.engine.metrics = metrics
+            sim.engine.run(200)
+            delivered[backend] = metrics.throughput.delivered_packets
+        assert writes["soa"] == writes["object"] == delivered["soa"] == delivered["object"] > 0
+
+
+class TestTypedColumns:
+    def test_the_integer_columns_hold_nothing_for_the_collector(self):
+        """An ``array`` is a container the collector tracks (it visits its
+        type), but it holds no element objects: a pass over the state visits
+        no integer of it."""
+        st = _sim().engine._st
+        for name in _COLUMNS:
+            column = getattr(st, name)
+            assert type(column) is array and column.typecode == "q", name
+            assert gc.get_referents(column) in ([], [array]), name
+
+    @pytest.mark.parametrize(
+        "wrong", [list, lambda c: array("i", c), lambda c: array("d", c), bytearray],
+        ids=["list", "array('i')", "array('d')", "bytearray"],
+    )
+    def test_a_column_of_another_type_is_refused_at_bind_time(self, wrong):
+        engine = _sim().engine
+        st = engine._st
+        st.in_free = wrong(st.in_free)
+        with pytest.raises(TypeError, match=r"st\.in_free must be an array\('q'\)"):
+            type(engine._core)(
+                st, engine._routing, engine._rows, engine._drp, (True, True, True), 1, 0, -1,
+                _stock(),
+            )
+
+    def test_a_bound_column_cannot_be_resized(self):
+        """The core holds a buffer on each column: a resize would move it."""
+        sim = _sim()
+        st = sim.engine._st
+        with pytest.raises(BufferError):
+            st.credits.append(0)
 
 
 class TestLifetime:

@@ -82,3 +82,56 @@ def test_a_hung_probe_reads_probe_failed(monkeypatch, tmp_path):
     perf_ab = _load_tool()
     monkeypatch.setattr(perf_ab.subprocess, "run", _hang)
     assert perf_ab.probe_engine(tmp_path) == "probe failed"
+
+
+_SPEC = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15}]}
+
+
+def _verdict_line(parent, change):
+    """The ``wall_s`` line ``report`` prints for these synthetic runs."""
+    perf_ab = _load_tool()
+    runs = {
+        side: [{"metrics": {"wall_s": value}, "failed": 0, "sim_digest": "d"} for value in values]
+        for side, values in (("A", parent), ("B", change))
+    }
+    lines = []
+    perf_ab.print = lambda *args, **kwargs: lines.append(" ".join(map(str, args)))
+    perf_ab.report(_SPEC, runs, {"A": "parent", "B": "change"}, {"A": "a", "B": "b"})
+    (line,) = [line for line in lines if line.lstrip().startswith("wall_s")]
+    return line
+
+
+PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+
+def test_a_clear_win_is_a_gain():
+    assert _verdict_line(PARENT, [v * 0.85 for v in PARENT]).endswith(" gain")
+
+
+def test_a_win_inside_the_parents_spread_is_no_gain():
+    """Every pair won, but the medians differ by less than the parent's IQR."""
+    change = [v - 0.001 for v in PARENT]
+    assert _verdict_line(PARENT, change).endswith(" within bound")
+
+
+def test_eight_pairs_in_ten_are_no_gain():
+    change = [v * 0.8 for v in PARENT[:8]] + [v * 1.01 for v in PARENT[8:]]
+    assert _verdict_line(PARENT, change).endswith(" within bound")
+
+
+def test_a_median_past_the_bound_is_worse_than_bound():
+    assert _verdict_line(PARENT, [v * 1.2 for v in PARENT]).endswith(" worse than bound")
+
+
+def test_a_parent_range_past_the_bound_is_unresolved():
+    parent = [1.0, 1.3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    change = [1.01] * 10
+    assert _verdict_line(parent, change).endswith(" unresolved")
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved():
+    """A parent range wider than the bound does not leave a change unresolved
+    when every change run beats every parent run."""
+    parent = [0.95, 1.30, 1.05, 0.96, 1.04, 0.97, 1.03, 0.98, 1.02, 1.00]
+    change = [0.949] * 10  # inside the parent's IQR of its median: no gain
+    assert _verdict_line(parent, change).endswith(" within bound")

@@ -7,12 +7,12 @@ Clones both revisions of this repository into a temporary directory, then
 runs ``python3 perf/run.py --workload W --trace 0 --seed S`` once per side
 and pair, alternating which side runs first.  REV_A is the parent, REV_B the
 change.  For every end-to-end metric of ``BENCHMARK.json`` (REV_A's copy) it
-prints each side's median and quartiles, the pairs the change won, and the
-word ``unresolved`` where the parent's own range exceeds the metric's bound;
-then the failed operations per side and whether the ``sim_digest`` of every
-pair agrees.  Before the first pair an untimed probe in each clone builds one
-``soa`` Simulator and the report says per side which engine that was and
-whether its compiled core was in use — so a side that silently ran the
+prints each side's median and quartiles, the parent's range, the pairs the
+change won and a verdict (see :func:`verdict`); then the failed operations
+per side and whether the ``sim_digest`` of every pair agrees.  Before the
+first pair an untimed probe in each clone builds one ``soa`` Simulator and
+the report says per side which engine that was and whether its compiled
+core was in use — so a side that silently ran the
 ``object`` fallback is visible — and the clone's one-time build of that core
 is paid there, not in pair 0.  ``--dry-run`` prints the planned run order and
 runs nothing.
@@ -110,6 +110,32 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(a: List[float], b: List[float], won: int, pairs: int, better: str, bound: float) -> str:
+    """One metric's verdict over the parent's runs ``a`` and the change's
+    ``b``, the change having won ``won`` of ``pairs`` pairs:
+
+    * ``gain``: the change won at least nine tenths of the pairs and its
+      median beats the parent's by more than the parent's interquartile range;
+    * ``worse than bound``: the change's median is worse than the parent's by
+      more than ``bound`` (a fraction of the parent's median);
+    * ``unresolved``: the parent's own range exceeds ``bound`` -- unless every
+      run of the change beats every run of the parent;
+    * ``within bound``: none of these.
+    """
+    sign = 1 if better == "higher" else -1
+    (qa1, ma, qa3), (_, mb, _) = quartiles(a), quartiles(b)
+    gain = sign * (mb - ma)
+    if 10 * won >= 9 * pairs and gain > qa3 - qa1:
+        return "gain"
+    if ma and -gain / abs(ma) > bound:
+        return "worse than bound"
+    dominates = (min(b) > max(a)) if sign > 0 else (max(b) < min(a))
+    spread = (max(a) - min(a)) / abs(ma) if ma else 0.0
+    if spread > bound and not dominates:
+        return "unresolved"
+    return "within bound"
+
+
 def report(
     spec: Dict, runs: Dict[str, List[Dict]], revs: Dict[str, str], engines: Dict[str, str]
 ) -> None:
@@ -138,8 +164,8 @@ def report(
             f"  {name:<14} A {ma:10.4f} [{qa1:.4f}, {qa3:.4f}]  "
             f"B {mb:10.4f} [{qb1:.4f}, {qb3:.4f}]  {metric['unit']:<4} "
             f"B/A {mb / ma - 1:+7.2%}  A iqr {(qa3 - qa1) / ma:6.2%}  "
-            f"B won {won}/{pairs}"
-            + (f"  unresolved (A range {spread:.1%} > bound {bound:.0%})" if spread > bound else "")
+            f"A range {spread:6.1%}  B won {won}/{pairs}  "
+            + verdict(sides["A"], sides["B"], won, pairs, metric["better"], bound)
         )
     for side in "AB":
         print(f"  failed {side}: {sum(r.get('failed', 1) for r in runs[side])}")
