@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "TopologyConfig",
@@ -190,10 +190,6 @@ class DragonflyConfig(TopologyConfig):
         return self.a - 1
 
     @property
-    def global_ports_per_router(self) -> int:
-        return self.h
-
-    @property
     def global_links_per_group(self) -> int:
         return self.a * self.h
 
@@ -265,10 +261,6 @@ class FlattenedButterflyConfig(TopologyConfig):
     @property
     def nodes_per_router(self) -> int:
         return self.p
-
-    @property
-    def routers_per_row(self) -> int:
-        return self.cols
 
     @property
     def row_ports_per_router(self) -> int:
@@ -410,10 +402,6 @@ class TorusConfig(TopologyConfig):
             )
 
     # -- Derived quantities -------------------------------------------------
-    @property
-    def num_dimensions(self) -> int:
-        return len(self.dims)
-
     @property
     def num_routers(self) -> int:
         n = 1
@@ -619,25 +607,6 @@ class SimulationParameters:
         validate_parameters(self)
 
     # -- Derived ------------------------------------------------------------
-    @property
-    def phits_per_packet(self) -> int:
-        return self.packet_size_phits
-
-    def vcs_for_port(self, port_kind: str, routing_needs_extra_local_vc: bool = False) -> int:
-        """Number of virtual channels for a port of the given kind.
-
-        ``port_kind`` is one of ``"injection"``, ``"local"``, ``"global"``.
-        """
-        if port_kind == "injection":
-            return self.injection_vcs
-        if port_kind == "local":
-            if routing_needs_extra_local_vc:
-                return self.local_port_vcs_oblivious
-            return self.local_port_vcs
-        if port_kind == "global":
-            return self.global_port_vcs
-        raise ValueError(f"Unknown port kind {port_kind!r}")
-
     def input_buffer_phits(self, port_kind: str) -> int:
         """Per-VC input-buffer size (phits) for a port of the given kind."""
         if port_kind == "global":

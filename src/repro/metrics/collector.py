@@ -35,9 +35,6 @@ class MetricsCollector:
         "dropped_packets",
         "dropped_in_window",
         "fault_rerouted_delivered",
-        "_epoch_starts",
-        "_epoch_phits",
-        "_last_fault_cycle",
     )
 
     def __init__(
@@ -61,12 +58,6 @@ class MetricsCollector:
         self.dropped_in_window = 0
         #: Delivered packets that took at least one fault-fallback hop.
         self.fault_rerouted_delivered = 0
-        # Per-fault-epoch throughput: epoch i spans
-        # [_epoch_starts[i], _epoch_starts[i+1]) and delivered
-        # _epoch_phits[i] phits.  Epoch 0 starts at cycle 0.
-        self._epoch_starts = [0]
-        self._epoch_phits = [0]
-        self._last_fault_cycle = 0
 
     # -- window helpers ---------------------------------------------------------
     def in_window(self, cycle: int) -> bool:
@@ -110,7 +101,6 @@ class MetricsCollector:
             self.throughput.record_delivery(packet.size_phits)
             if packet.fault_mode:
                 self.fault_rerouted_delivered += 1
-        self._epoch_phits[-1] += packet.size_phits
         if self.in_window(packet.creation_cycle):
             latency = packet.latency
             assert latency is not None
@@ -135,32 +125,6 @@ class MetricsCollector:
         self.dropped_packets += 1
         if self.in_window(packet.creation_cycle):
             self.dropped_in_window += 1
-
-    def on_fault_epoch(self, cycle: int) -> None:
-        """The fault state changed at ``cycle``: open a new throughput epoch."""
-        if cycle == self._last_fault_cycle and len(self._epoch_starts) > 1:
-            return
-        self._epoch_starts.append(cycle)
-        self._epoch_phits.append(0)
-        self._last_fault_cycle = cycle
-
-    def epoch_throughput(self, end_cycle: int) -> list:
-        """Per-fault-epoch delivered phits/cycle, as ``(start, end, rate)``.
-
-        ``end_cycle`` closes the last (still open) epoch.  On a run with no
-        scheduled fault events this is a single epoch spanning the whole run.
-        """
-        out = []
-        for i, start in enumerate(self._epoch_starts):
-            end = (
-                self._epoch_starts[i + 1]
-                if i + 1 < len(self._epoch_starts)
-                else end_cycle
-            )
-            span = end - start
-            rate = self._epoch_phits[i] / span if span > 0 else 0.0
-            out.append((start, end, rate))
-        return out
 
     # -- summaries ---------------------------------------------------------------
     def summary(self) -> Dict[str, float]:

@@ -32,10 +32,6 @@ class ThroughputStats:
         self._window_cycles = cycles
 
     @property
-    def window_cycles(self) -> int:
-        return self._window_cycles
-
-    @property
     def accepted_load(self) -> float:
         """Delivered phits per node per cycle (the paper's y-axis in Fig. 5)."""
         if self._window_cycles <= 0:

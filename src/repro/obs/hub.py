@@ -133,7 +133,6 @@ class ObservationHub:
         "_reader",
         "_radix",
         "_port_chars",
-        "_topology",
         "_link_phits",
         "_seen_pids",
         "_next_snapshot",
@@ -166,7 +165,6 @@ class ObservationHub:
         self._reader = None
         self._radix = 0
         self._port_chars: List[str] = []
-        self._topology = None
         self._link_phits: List[int] = []
         #: Sampled pids currently in flight (granted, not yet delivered/dropped).
         self._seen_pids: set = set()
@@ -188,7 +186,6 @@ class ObservationHub:
         """Bind to an engine: build the backend's state reader, size tables."""
         self._reader = engine._make_obs_reader()
         topology = engine.network.topology
-        self._topology = topology
         self._radix = topology.router_radix
         self._port_chars = [_KIND_CHAR[kind] for kind in topology.port_kinds]
         self._link_phits = [0] * (topology.num_routers * self._radix)

@@ -14,7 +14,7 @@ full mesh).  PB and ECtN additionally need the Dragonfly's intra-group ECN
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Type
+from typing import Dict, List, Type
 
 from repro.config.parameters import SimulationParameters
 from repro.routing.adaptive import AdaptiveInTransitRouting
@@ -30,7 +30,6 @@ from repro.routing.contention import (
     ECtNRouting,
     HybridContentionRouting,
 )
-from repro.routing.deadlock import VCAssignmentPolicy
 from repro.routing.minimal import MinimalRouting
 from repro.routing.misrouting import MisrouteCandidate
 from repro.routing.olm import OLMRouting
@@ -54,7 +53,6 @@ __all__ = [
     "ECtNRouting",
     "ContentionCounters",
     "ContentionTracker",
-    "VCAssignmentPolicy",
     "MisrouteCandidate",
     "ROUTING_REGISTRY",
     "available_routings",

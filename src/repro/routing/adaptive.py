@@ -327,28 +327,7 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
                     nonminimal_local=True,
                 )
 
-        # Inlined ``next_vc`` for the minimal fallback (the common case);
-        # see the NOTE on RoutingAlgorithm.next_vc — keep in sync.
-        if minimal_kind is _GLOBAL:
-            g = packet.global_hops
-            last = self._global_vcs - 1
-            min_vc = g if g < last else last
-        elif minimal_kind is _LOCAL:
-            g = packet.global_hops
-            l = 1 if packet.local_hops_in_group else 0
-            min_vc = l if g == 0 else 2 * g - 1 + l
-            last = self._local_vcs - 1
-            if min_vc > last:
-                min_vc = last
-        else:
-            min_vc = 0  # ejection
-        # Shared flag-free instance (see RoutingAlgorithm.plain_decision),
-        # inlined for the hottest return path.
-        row = self._plain_decisions[minimal_port]
-        decision = row[min_vc]
-        if decision is None:
-            decision = row[min_vc] = RoutingDecision(minimal_port, min_vc)
-        return decision
+        return self.plain_decision(minimal_port, self.next_vc(packet, minimal_kind))
 
     def _port_table_output(
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet, RoutingPhase
+from repro.routing.deadlock import BUFFER_CLASS_ORDER, path_stage_vc, validate_path_model
 from repro.topology.base import PortKind, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,8 +95,8 @@ class RoutingDecision(NamedTuple):
     #: packet must take a global hop at the next router.
     set_must_misroute_global: bool = False
     #: This hop was produced by the fault fallback (a dead output port on
-    #: the policy's chosen path): the packet enters *fault mode* and follows
-    #: the surviving-path BFS tree to its destination (see
+    #: the policy's chosen path): the packet enters *fault mode* and keeps
+    #: to the fault-aware detours until delivery (see
     #: :meth:`RoutingAlgorithm.fault_decision`).
     set_fault_mode: bool = False
 
@@ -174,8 +175,6 @@ class RoutingAlgorithm(ABC):
         # mechanisms take at most the Valiant shapes; the in-transit
         # adaptive policy additionally gates on the path model's capability
         # flag in AdaptiveInTransitRouting.
-        from repro.routing.deadlock import validate_path_model
-
         validate_path_model(
             topology.path_model,
             local_vcs=self._local_vcs,
@@ -320,14 +319,19 @@ class RoutingAlgorithm(ABC):
     def fault_decision(
         self, router: "Router", packet: Packet, cycle: int, in_port: int, in_vc: int
     ) -> Optional[RoutingDecision]:
-        """Fault-fallback decision: steer along the surviving-path BFS tree.
+        """Fault-fallback decision: a deadlock-free detour on the surviving
+        graph.
 
         Invoked by the router's allocation stage when the policy's chosen
-        output port is dead, or for a packet already in fault mode.  Fault
-        mode is *sticky* until delivery: re-consulting the healthy policy
-        after a detour could steer the packet straight back to the dead
-        link (a livelock on topologies with a unique minimal gateway), while
-        the per-epoch BFS next-hop tree makes strictly decreasing progress.
+        output port is dead, or for a packet already in fault mode.  The
+        detour is the topology's own schedule where it can express one —
+        dimension-order steering over surviving rings on dateline
+        topologies, the buffer-class ladder on path-stage ones — and the
+        escape VC on the per-epoch spanning tree otherwise.  Fault mode is
+        *sticky* until delivery: re-consulting the healthy policy after a
+        detour could steer the packet straight back to the dead link (a
+        livelock on topologies with a unique minimal gateway), while the
+        per-epoch detour tables make strictly decreasing progress.
 
         Returns ``None`` when the destination router is unreachable on the
         surviving graph — the caller then drops and counts the packet
@@ -424,10 +428,10 @@ class RoutingAlgorithm(ABC):
     ) -> RoutingDecision:
         """Fault detour on path-stage topologies: the buffer-class ladder.
 
-        Raw BFS detours can exceed the hop budget of the path-stage VC
-        chain; once the hop-counter assignment caps at the top class the
-        strictly increasing class order is lost and faulted runs can
-        deadlock (observed on the dragonfly).  The detour instead follows a
+        Unconstrained shortest-path detours can exceed the hop budget of the
+        path-stage VC chain; once the hop-counter assignment caps at the top
+        class the strictly increasing class order is lost and faulted runs
+        can deadlock (observed on the dragonfly).  The detour instead follows a
         shortest path in the *layered* surviving graph whose states are
         ``(router, next usable class)``: every hop consumes a buffer class
         of the matching kind from the global order ``L0 < G0 < L1 < L2 <
@@ -473,8 +477,6 @@ class RoutingAlgorithm(ABC):
         """Buffer-class chain usable by fault detours, in global class order."""
         chain = self._fault_chain
         if chain is None:
-            from repro.routing.deadlock import BUFFER_CLASS_ORDER
-
             chain = tuple(
                 (kind, vc)
                 for kind, vc in BUFFER_CLASS_ORDER
@@ -565,9 +567,10 @@ class RoutingAlgorithm(ABC):
     ) -> RoutingDecision:
         """Fault detour on dateline (ring) topologies.
 
-        Raw BFS steering is *not* safe here: an arbitrary surviving path can
-        revisit dimensions and re-cross datelines, which voids the dateline
-        deadlock argument (and measurably deadlocks a faulted torus).  This
+        Unconstrained shortest-path steering is *not* safe here: an
+        arbitrary surviving path can revisit dimensions and re-cross
+        datelines, which voids the dateline deadlock argument (and
+        measurably deadlocks a faulted torus).  This
         fallback keeps the proof intact instead: dimension order over the
         *surviving* rings — correcting the lowest dimension whose ring arc
         to the target coordinate is fully alive in some direction — with one
@@ -689,41 +692,22 @@ class RoutingAlgorithm(ABC):
         return self.params.local_port_vcs
 
     def next_vc(self, packet: Packet, output_kind: PortKind) -> int:
-        """Deadlock-avoidance VC assignment by path stage.
+        """Path-stage VC of ``packet``'s next hop through a port of
+        ``output_kind``: :func:`~repro.routing.deadlock.path_stage_vc` over
+        the packet's stage counters and this mechanism's VC budget
+        (:meth:`num_vcs`).  The construction-time deadlock check validates
+        the same function.
 
-        The virtual channel of a hop is derived from how many global hops the
-        packet has taken (``g``) and how many local hops it has taken inside
-        the current group (``l``):
-
-        * global hop  -> global VC ``g``;
-        * local hop   -> local VC ``min(l, 1)`` while still in the source
-          group (``g = 0``) and ``2*g - 1 + min(l, 1)`` afterwards.
-
-        Along every path allowed by the routing mechanisms the resulting
-        buffer classes follow the strictly increasing order
-        ``L0 < G0 < L1 < L2 < G1 < L3 < ejection``, so the channel dependency
-        graph is acyclic and routing is deadlock-free (see
-        :mod:`repro.routing.deadlock`).
-
-        This is the **path-stage** formula only; on dateline-schedule
-        topologies (the torus) callers must use :meth:`hop_vc`, which routes
-        through the topology's dateline state machine instead.
-
-        NOTE: this formula is hand-inlined in two hot paths —
-        ``minimal_decision`` below and the minimal fallback at the end of
-        ``AdaptiveInTransitRouting.select_output`` — keep all three in sync.
+        This is the **path-stage** schedule only; on dateline and up/down
+        topologies callers must use :meth:`hop_vc`.
         """
-        if output_kind is PortKind.GLOBAL:
-            g = packet.global_hops
-            last = self._global_vcs - 1
-            return g if g < last else last
-        if output_kind is PortKind.LOCAL:
-            g = packet.global_hops
-            l = 1 if packet.local_hops_in_group else 0
-            vc = l if g == 0 else 2 * g - 1 + l
-            last = self._local_vcs - 1
-            return vc if vc < last else last
-        return 0  # ejection
+        return path_stage_vc(
+            packet.global_hops,
+            packet.local_hops_in_group,
+            output_kind,
+            self._local_vcs,
+            self._global_vcs,
+        )
 
     def hop_vc(self, packet: Packet, router_id: int, port: int, kind: PortKind) -> int:
         """Schedule-aware VC for ``packet``'s next hop through ``port``.
@@ -750,33 +734,11 @@ class RoutingAlgorithm(ABC):
     def minimal_decision(self, router: "Router", packet: Packet) -> RoutingDecision:
         """Decision following the (unique) minimal path towards the destination."""
         topo = self.topology
-        port = topo.minimal_output_port(router.router_id, packet.dst)
-        if self._dateline is not None:
-            if topo.port_kinds[port] is PortKind.INJECTION:
-                return self.plain_decision(port, 0)
-            return self.plain_decision(
-                port, self._dateline.ring_vc(packet, router.router_id, port)
-            )
-        if self._updown_vcs is not None:
-            # Injection entries of the table are 0, so ejection needs no
-            # separate branch.
-            return self.plain_decision(port, self._updown_vcs[port])
-        # Inlined ``next_vc`` (see the NOTE there) — the hottest routing helper.
-        kind = topo.port_kinds[port]
-        if kind is PortKind.GLOBAL:
-            g = packet.global_hops
-            last = self._global_vcs - 1
-            vc = g if g < last else last
-        elif kind is PortKind.LOCAL:
-            g = packet.global_hops
-            l = 1 if packet.local_hops_in_group else 0
-            vc = l if g == 0 else 2 * g - 1 + l
-            last = self._local_vcs - 1
-            if vc > last:
-                vc = last
-        else:
-            vc = 0  # ejection
-        return self.plain_decision(port, vc)
+        rid = router.router_id
+        port = topo.minimal_output_port(rid, packet.dst)
+        return self.plain_decision(
+            port, self.hop_vc(packet, rid, port, topo.port_kinds[port])
+        )
 
     def describe(self) -> str:
         return self.name

@@ -26,7 +26,9 @@ so the channel dependency graph is acyclic and the network cannot deadlock.
 This needs 4 local VCs and 2 global VCs for the nonminimal mechanisms — the
 same budget Table I gives VAL and PB.  (The paper's OLM-style mechanisms use
 3 local VCs with a more intricate argument that we do not replicate; the
-extra local VC is documented as a deviation in DESIGN.md.)
+extra local VC is documented as a deviation in docs/architecture.md, "The
+deadlock-check contract".)  :func:`path_stage_vc` is the one body of the
+assignment: the routers call it and :func:`validate_hop_sequences` checks it.
 
 **Dateline schedule** (torus).  Ring links form cycles, so *some* VC index
 must be reused around each ring and the strictly-increasing argument cannot
@@ -45,7 +47,7 @@ those conditions for every class shape a topology declares.
 descend exactly once, so each hop occupies the buffer class ``(direction,
 link_level)`` — up hops ride VC 0, down hops VC 1, both a pure function of
 the output port.  Ranking up link level ``l`` as ``l`` and down link level
-``l`` as ``2 * L - 1 - l`` (``L`` link levels) makes every legal shape
+``l`` as ``2 * L - l - 1`` (``L`` link levels) makes every legal shape
 strictly ascending: up legs climb levels, the up->down turn happens at most
 once (every down rank exceeds every up rank), and down legs descend levels
 in ascending rank order.  Distinct, totally ordered classes visited in
@@ -58,15 +60,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from repro.network.packet import Packet
 from repro.topology.base import PortKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology.base import PathModel
 
 __all__ = [
-    "VCAssignmentPolicy",
-    "buffer_class_order",
+    "path_stage_vc",
     "path_buffer_classes",
     "validate_hop_sequences",
     "validate_dateline_shapes",
@@ -87,11 +87,6 @@ BUFFER_CLASS_ORDER: List[Tuple[str, int]] = [
 ]
 
 
-def buffer_class_order() -> List[Tuple[str, int]]:
-    """The global order of (port kind, VC) buffer classes."""
-    return list(BUFFER_CLASS_ORDER)
-
-
 def class_rank(kind: str, vc: int) -> int:
     """Rank of a buffer class in the global order (larger = later)."""
     try:
@@ -100,43 +95,66 @@ def class_rank(kind: str, vc: int) -> int:
         raise ValueError(f"unknown buffer class ({kind}, {vc})") from exc
 
 
-class VCAssignmentPolicy:
-    """Path-stage VC assignment, parameterised by the VC counts."""
+def path_stage_vc(
+    global_hops: int,
+    local_hops_in_group: int,
+    kind: PortKind,
+    local_vcs: int,
+    global_vcs: int,
+) -> int:
+    """The path-stage VC of a hop through a port of ``kind``.
 
-    def __init__(self, local_vcs: int, global_vcs: int, injection_vcs: int):
-        if min(local_vcs, global_vcs, injection_vcs) < 1:
-            raise ValueError("every port class needs at least one VC")
-        self.local_vcs = local_vcs
-        self.global_vcs = global_vcs
-        self.injection_vcs = injection_vcs
+    ``global_hops`` counts the global hops already taken (``g``) and
+    ``local_hops_in_group`` the local hops already taken inside the current
+    group (``l``).  A global hop rides global VC ``g``; a local hop rides
+    local VC ``min(l, 1)`` in the source group and ``2g - 1 + min(l, 1)``
+    after it; an injection/ejection hop rides VC 0.  Each index is capped at
+    the last VC of the budget (``local_vcs`` / ``global_vcs``).
 
-    def vc_for_hop(self, packet: Packet, output_kind: PortKind) -> int:
-        """VC to request on the next hop of ``packet`` through ``output_kind``."""
-        if output_kind is PortKind.GLOBAL:
-            return min(packet.global_hops, self.global_vcs - 1)
-        if output_kind is PortKind.LOCAL:
-            g = packet.global_hops
-            l = min(packet.local_hops_in_group, 1)
-            vc = l if g == 0 else 2 * g - 1 + l
-            return min(vc, self.local_vcs - 1)
-        return 0
+    This is the one body of the rule: the routers call it through
+    :meth:`~repro.routing.base.RoutingAlgorithm.next_vc`, and
+    :func:`validate_hop_sequences` checks the classes it yields.
+    """
+    if kind is PortKind.GLOBAL:
+        last = global_vcs - 1
+        return global_hops if global_hops < last else last
+    if kind is PortKind.LOCAL:
+        l = 1 if local_hops_in_group else 0
+        vc = l if global_hops == 0 else 2 * global_hops - 1 + l
+        last = local_vcs - 1
+        return vc if vc < last else last
+    return 0
 
-    def vc_for_stage(self, global_hops: int, local_hops_in_group: int, output_kind: PortKind) -> int:
-        """Same as :meth:`vc_for_hop` but from explicit stage counters."""
-        if output_kind is PortKind.GLOBAL:
-            return min(global_hops, self.global_vcs - 1)
-        if output_kind is PortKind.LOCAL:
-            l = min(local_hops_in_group, 1)
-            vc = l if global_hops == 0 else 2 * global_hops - 1 + l
-            return min(vc, self.local_vcs - 1)
-        return 0
 
-    def max_vcs(self, kind: PortKind) -> int:
+_HOP_KINDS = {"local": PortKind.LOCAL, "global": PortKind.GLOBAL}
+
+
+def path_buffer_classes(
+    hop_kinds: Sequence[str], local_vcs: int, global_vcs: int
+) -> List[Tuple[str, int]]:
+    """Buffer classes used along a path described by its hop kinds.
+
+    ``hop_kinds`` is a sequence of ``"local"`` / ``"global"`` strings in path
+    order.  Returns the ``(kind, vc)`` class of every hop under
+    :func:`path_stage_vc` with the given VC budget, tracking the stage
+    counters the way :meth:`~repro.network.packet.Packet.record_hop` does.
+    """
+    classes: List[Tuple[str, int]] = []
+    g = 0
+    l_in_group = 0
+    for kind_name in hop_kinds:
+        kind = _HOP_KINDS.get(kind_name)
+        if kind is None:
+            raise ValueError(f"unknown hop kind {kind_name!r}")
+        classes.append(
+            (kind_name, path_stage_vc(g, l_in_group, kind, local_vcs, global_vcs))
+        )
         if kind is PortKind.GLOBAL:
-            return self.global_vcs
-        if kind is PortKind.LOCAL:
-            return self.local_vcs
-        return self.injection_vcs
+            g += 1
+            l_in_group = 0
+        else:
+            l_in_group += 1
+    return classes
 
 
 def validate_hop_sequences(
@@ -150,29 +168,18 @@ def validate_hop_sequences(
 
     This is the topology-generic deadlock-freedom argument, parameterized by
     the topology's :class:`~repro.topology.base.PathModel`: for each declared
-    hop-kind sequence, the *capped* path-stage VC assignment (the exact
-    formula the routing hot paths use, with the given VC budget) must visit
-    ``(kind, vc)`` buffer classes in strictly increasing global order.  A
+    hop-kind sequence, the classes :func:`path_buffer_classes` derives from
+    :func:`path_stage_vc` — the function the routers call — within the given
+    VC budget must be visited in strictly increasing global order.  A
     violation means the VC budget is too small for the topology's paths —
     raising here at construction time replaces a silent deadlock risk at
     simulation time.
     """
-    policy = VCAssignmentPolicy(
-        local_vcs=local_vcs, global_vcs=global_vcs, injection_vcs=1
-    )
     for hops in hop_sequences:
-        ranks: List[int] = []
-        g = 0
-        l_in_group = 0
-        for kind_name in hops:
-            kind = PortKind.GLOBAL if kind_name == "global" else PortKind.LOCAL
-            vc = policy.vc_for_stage(g, l_in_group, kind)
-            ranks.append(class_rank(kind_name, vc))
-            if kind_name == "global":
-                g += 1
-                l_in_group = 0
-            else:
-                l_in_group += 1
+        ranks = [
+            class_rank(kind, vc)
+            for kind, vc in path_buffer_classes(hops, local_vcs, global_vcs)
+        ]
         if any(b <= a for a, b in zip(ranks, ranks[1:])):
             raise ValueError(
                 f"{context}: hop sequence {'-'.join(hops)} does not walk "
@@ -272,7 +279,7 @@ def validate_updown_shapes(
     up/down-schedule :class:`~repro.topology.base.PathModel`.  The schedule
     is deadlock-free when every shape visits classes in **strictly
     ascending rank order**, with up link level ``l`` ranked ``l`` and down
-    link level ``l`` ranked ``2 * link_levels - 1 - l``.  Ascending ranks
+    link level ``l`` ranked ``2 * link_levels - l - 1``.  Ascending ranks
     force exactly the legal tree-path structure — up hops on ascending
     levels, at most one up->down turn (every down rank exceeds every up
     rank), down hops on descending levels — so the distinct, totally
@@ -312,7 +319,7 @@ def validate_updown_shapes(
                     f"{direction} but only {local_vcs} local VCs are "
                     "budgeted; the configuration is not deadlock-free"
                 )
-            rank = level if direction == 0 else 2 * link_levels - 1 - level
+            rank = level if direction == 0 else 2 * link_levels - level - 1
             ranks.append(rank)
         if any(b <= a for a, b in zip(ranks, ranks[1:])):
             raise ValueError(
@@ -439,28 +446,3 @@ def validate_path_model(
         context=f"{path_model.topology} path model",
     )
 
-
-def path_buffer_classes(hop_kinds: Sequence[str]) -> List[Tuple[str, int]]:
-    """Buffer classes used along a path described by its hop kinds.
-
-    ``hop_kinds`` is a sequence of ``"local"`` / ``"global"`` strings in path
-    order.  Returns the (kind, vc) class of every hop under the path-stage
-    assignment with unlimited VCs; used by the property tests to check that
-    every allowed path visits classes in strictly increasing order.
-    """
-    classes: List[Tuple[str, int]] = []
-    g = 0
-    l_in_group = 0
-    for kind in hop_kinds:
-        if kind == "global":
-            classes.append(("global", g))
-            g += 1
-            l_in_group = 0
-        elif kind == "local":
-            l = min(l_in_group, 1)
-            vc = l if g == 0 else 2 * g - 1 + l
-            classes.append(("local", vc))
-            l_in_group += 1
-        else:
-            raise ValueError(f"unknown hop kind {kind!r}")
-    return classes

@@ -314,15 +314,13 @@ class Engine:
         """Advance the simulation by one cycle (every backend; see module doc)."""
         cycle = self.cycle
         network = self.network
-        metrics = self.metrics
 
         # 0. scheduled topology changes.  Applied before any router phase so
         # the whole cycle sees one consistent fault epoch; the warp horizon
         # guarantees we never jump past a due event.
         faults = self.faults
         if faults is not None and faults.pending_event_cycle <= cycle:
-            if faults.apply_due(cycle) and metrics is not None:
-                metrics.on_fault_epoch(cycle)
+            faults.apply_due(cycle)
 
         # 1-2. traffic generation and injection from the source queues.
         node_hint = self._source_phase(cycle)

@@ -167,8 +167,9 @@ class Simulator:
         it takes the closed window to settle."""
         engine = self.engine
         start = engine.cycle
-        # A fault run drains in full: ``dropped_packets`` and the per-epoch
-        # throughput are defined over the whole span the collector is attached.
+        # A fault run drains in full: ``dropped_packets`` counts every drop
+        # over the whole span the collector is attached, not only the
+        # window's packets.
         until = metrics.window_settled if self.faults is None else None
         engine.run(drain_cycles, until)
         self.drain_cycles_used = engine.cycle - start

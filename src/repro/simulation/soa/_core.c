@@ -110,7 +110,7 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(injected_packets) X(select_output) X(port_target_region) \
     X(record_generated) X(in_window) X(measure_start) X(measure_end) X(throughput) X(latency) \
     X(misrouting) X(timeseries) X(delivered_packets) X(delivered_phits) \
-    X(fault_rerouted_delivered) X(_epoch_phits) X(generated_in_window) X(_samples) X(record) \
+    X(fault_rerouted_delivered) X(generated_in_window) X(_samples) X(record) \
     X(delivered) X(mean_hops_sum) X(start_cycle) X(end_cycle) X(bin_size) X(_bins) X(count) \
     X(latency_sum) X(misrouted) X(append) \
     X(traffic) X(network) X(nodes) X(_active_nodes) X(_nodes_unsorted) X(_inject) X(generate) \
@@ -4186,7 +4186,7 @@ static int
 record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
 {
     PyObject *delivered = NULL, *size_o = NULL, *creation = NULL, *sink = NULL;
-    PyObject *latency = NULL, *misrouted = NULL, *epoch = NULL, *phits = NULL;
+    PyObject *latency = NULL, *misrouted = NULL;
     method m;
     int failed = -1, on;
     if (resolve(metrics, s_record_delivery, &m) < 0)
@@ -4211,13 +4211,7 @@ record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
                || (on && attr_iadd(metrics, s_fault_rerouted_delivered, one) < 0)))
         goto done;
     Py_CLEAR(sink);
-    /* `self._epoch_phits[-1] += packet.size_phits` */
-    if ((epoch = get_attr(metrics, s__epoch_phits)) == NULL
-        || (phits = PySequence_GetItem(epoch, -1)) == NULL)
-        goto done;
-    Py_SETREF(phits, PyNumber_InPlaceAdd(phits, size_o));
-    if (phits == NULL || PySequence_SetItem(epoch, -1, phits) < 0
-        || (creation = pget(c, packet, F_creation_cycle)) == NULL
+    if ((creation = pget(c, packet, F_creation_cycle)) == NULL
         || (on = in_window(c, metrics, creation)) < 0)
         goto done;
     if (on) {
@@ -4240,8 +4234,6 @@ record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
         goto done;
     failed = 0;
 done:
-    Py_XDECREF(phits);
-    Py_XDECREF(epoch);
     Py_XDECREF(misrouted);
     Py_XDECREF(latency);
     Py_XDECREF(sink);

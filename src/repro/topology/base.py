@@ -193,7 +193,7 @@ class PathModel:
     #: paths.  Each shape is a tuple of ``(direction, link_level)`` classes
     #: in path order (direction 0 = up, 1 = down); the validator requires
     #: strictly ascending class ranks (up level ``l`` has rank ``l``, down
-    #: level ``l`` rank ``2 * L - 1 - l``), which forces ascending up legs,
+    #: level ``l`` rank ``2 * L - l - 1``), which forces ascending up legs,
     #: a single turn, and descending down legs.
     updown_minimal_shapes: Tuple[Tuple[Tuple[int, int], ...], ...] = field(
         default=()
@@ -552,16 +552,7 @@ class Topology(ABC):
             "for the uplink-multipath adaptive policy only)"
         )
 
-    # -- Convenience --------------------------------------------------------
-    def is_injection_port(self, port: int) -> bool:
-        return self.port_kind(port) is PortKind.INJECTION
-
-    def is_local_port(self, port: int) -> bool:
-        return self.port_kind(port) is PortKind.LOCAL
-
-    def is_global_port(self, port: int) -> bool:
-        return self.port_kind(port) is PortKind.GLOBAL
-
+    # -- Validation ---------------------------------------------------------
     def validate(self) -> None:
         """Check structural invariants (bidirectional links, port kinds).
 

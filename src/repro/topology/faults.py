@@ -14,7 +14,7 @@ module provides the fault layer the rest of the stack consumes:
 :class:`FaultRuntime`
     The mutable per-simulation state derived from a model: which ports are
     currently dead, connected-component labels for reachability queries, and
-    per-destination BFS next-hop tables used by the fault-aware routing
+    the per-epoch escape spanning tree used by the fault-aware routing
     fallback.  Every piece of randomness comes from a dedicated *fault RNG
     stream* spawned by the simulator **after** the three healthy streams
     (routing / arrival / payload), so a healthy run's draw sequences — and
@@ -37,11 +37,10 @@ the watchdog.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -213,11 +212,12 @@ class FaultRuntime:
 
     Holds the currently-failed port sets consulted by the router's
     allocation stage, the fault schedule cursor consulted by the engine's
-    time-warp horizon, and the reachability / BFS-detour tables consulted by
-    the routing algorithms' fault fallback.  The detour tables are memoized
-    per *fault epoch* (bumped by every applied fail/repair batch), so every
-    packet steered within one epoch follows a single consistent shortest-
-    surviving-path tree — which is what makes the fault fallback loop-free.
+    time-warp horizon, and the reachability labels and escape-tree tables
+    consulted by the routing algorithms' fault fallback
+    (:meth:`~repro.routing.base.RoutingAlgorithm.fault_decision`).  The
+    tables are memoized per *fault epoch* (bumped by every applied
+    fail/repair batch), so every packet steered within one epoch follows a
+    single consistent tree — which is what makes the escape path loop-free.
     """
 
     def __init__(self, topology: Topology, model: FaultModel, rng: "np.random.Generator"):
@@ -279,17 +279,18 @@ class FaultRuntime:
             self._fail_link(index)
 
         #: Monotone counter bumped by every applied fail/repair batch; the
-        #: reachability and detour caches are valid for one epoch only.
+        #: reachability and escape-tree caches (and the routing's class-ladder
+        #: tables) are valid for one epoch only.
         self.epoch = 0
         self._components: Optional[List[int]] = None
-        self._detour_cache: Dict[int, List[int]] = {}
         self._escape_tree: Optional[List[List[Tuple[int, int]]]] = None
         self._escape_cache: Dict[int, List[int]] = {}
 
         # --- counters ----------------------------------------------------------
         #: Packets dropped because their destination became unreachable.
         self.dropped_packets = 0
-        #: Hops granted through the fault-fallback BFS steering.
+        #: Hops granted through the fault fallback (dateline steering, class
+        #: ladder or escape tree).
         self.fault_reroute_hops = 0
         #: Distinct packets that entered fault mode at least once.
         self.rerouted_packets = 0
@@ -412,49 +413,6 @@ class FaultRuntime:
             labels = self._components = self._component_labels(self._failed_links)
         return labels[router_a] == labels[router_b]
 
-    def detour_port(self, router: int, target_router: int) -> int:
-        """Next-hop port of the shortest surviving path towards a router.
-
-        Computed by one BFS from the target over the surviving links and
-        memoized for the current fault epoch, so every consult within an
-        epoch follows the same next-hop tree: a packet steered by it makes
-        strictly decreasing progress to the target and cannot loop.
-        """
-        table = self._detour_cache.get(target_router)
-        if table is None:
-            table = self._bfs_next_hops(target_router)
-            self._detour_cache[target_router] = table
-        return table[router]
-
-    def _bfs_next_hops(self, target_router: int) -> List[int]:
-        topo = self.topology
-        link_index = self._link_index
-        failed = self._failed_links
-        links = self._links
-        next_hop = [-1] * self._num_routers
-        dist = [-1] * self._num_routers
-        dist[target_router] = 0
-        queue = deque((target_router,))
-        while queue:
-            rid = queue.popleft()
-            for port in range(topo.router_radix):
-                index = link_index.get((rid, port))
-                if index is None or index in failed:
-                    continue
-                link = links[index]
-                if link.router_a == rid:
-                    nbr, nbr_port = link.router_b, link.port_b
-                else:
-                    nbr, nbr_port = link.router_a, link.port_a
-                if dist[nbr] == -1:
-                    dist[nbr] = dist[rid] + 1
-                    # The neighbour reaches the target through its port back
-                    # to ``rid``; ports are scanned in increasing order, so
-                    # ties resolve deterministically to the lowest port.
-                    next_hop[nbr] = nbr_port
-                    queue.append(nbr)
-        return next_hop
-
     def escape_port(self, router: int, target_router: int) -> int:
         """Next-hop port of the unique escape-tree path towards a router.
 
@@ -553,7 +511,7 @@ class FaultRuntime:
 
         Returns whether anything changed (one *epoch* per call, however many
         same-cycle events were batched).  Invalidates the reachability and
-        detour caches so the routing fallback re-plans on the new graph.
+        escape-tree caches so the routing fallback re-plans on the new graph.
         """
         events = self._events
         i = self._next_event
@@ -571,7 +529,6 @@ class FaultRuntime:
         if changed:
             self.epoch += 1
             self._components = None
-            self._detour_cache.clear()
             self._escape_tree = None
             self._escape_cache.clear()
         return changed

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config.parameters import (
@@ -12,6 +13,9 @@ from repro.config.parameters import (
     SimulationParameters,
     validate_parameters,
 )
+from repro.routing import create_routing
+from repro.topology.base import PortKind
+from repro.topology.dragonfly import DragonflyTopology
 
 
 class TestDragonflyConfig:
@@ -73,14 +77,18 @@ class TestSimulationParameters:
                        SimulationParameters.transient()):
             validate_parameters(preset)  # should not raise
 
-    def test_vcs_for_port(self):
+    def test_routing_vc_budget(self):
+        """The budget the routers use (``RoutingAlgorithm.num_vcs``) on the
+        Table I parameters."""
         p = PAPER_PARAMETERS
-        assert p.vcs_for_port("injection") == 3
-        assert p.vcs_for_port("global") == 2
-        assert p.vcs_for_port("local") == 3
-        assert p.vcs_for_port("local", routing_needs_extra_local_vc=True) == 4
-        with pytest.raises(ValueError):
-            p.vcs_for_port("optical")
+        topology = DragonflyTopology(p.topology)
+        minimal = create_routing("MIN", topology, p, np.random.default_rng(0))
+        valiant = create_routing("VAL", topology, p, np.random.default_rng(0))
+        for routing in (minimal, valiant):
+            assert routing.num_vcs(PortKind.INJECTION) == 3
+            assert routing.num_vcs(PortKind.GLOBAL) == 2
+        assert minimal.num_vcs(PortKind.LOCAL) == 3
+        assert valiant.num_vcs(PortKind.LOCAL) == 4
 
     def test_input_buffer_phits_by_kind(self):
         p = PAPER_PARAMETERS

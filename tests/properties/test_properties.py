@@ -1,14 +1,18 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+from dataclasses import replace
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.parameters import DragonflyConfig
+from repro.config.parameters import DragonflyConfig, SimulationParameters
 from repro.metrics.statistics import aggregate_scalar, average_series
 from repro.network.allocator import AllocationRequest, SeparableAllocator
 from repro.network.buffer import VCBuffer
 from repro.network.packet import Packet
-from repro.routing.deadlock import VCAssignmentPolicy, class_rank, path_buffer_classes
+from repro.routing import create_routing
+from repro.routing.deadlock import class_rank, path_buffer_classes
 from repro.topology.base import PortKind
 from repro.topology.dragonfly import DragonflyTopology
 
@@ -120,16 +124,25 @@ def test_separable_allocator_grants_are_a_matching(requests):
 )
 @settings(max_examples=60, deadline=None)
 def test_vc_assignment_never_decreases_within_a_class(hops, local_vcs, global_vcs):
-    """Along any hop sequence, the VC index used on each port class never
-    decreases (the capped path-stage assignment is monotone per class)."""
-    policy = VCAssignmentPolicy(local_vcs=local_vcs, global_vcs=global_vcs, injection_vcs=3)
+    """Along any hop sequence, the VC index a routing's ``next_vc`` gives on
+    each port class never decreases and stays inside its ``num_vcs`` (the
+    capped path-stage assignment is monotone per class)."""
+    params = replace(
+        SimulationParameters.tiny(),
+        local_port_vcs=local_vcs,
+        local_port_vcs_oblivious=local_vcs,
+        global_port_vcs=global_vcs,
+    )
+    routing = create_routing(
+        "MIN", DragonflyTopology(params.topology), params, np.random.default_rng(0)
+    )
     packet = Packet(pid=0, src=0, dst=1, size_phits=4, creation_cycle=0)
     last = {"local": -1, "global": -1}
     for hop in hops:
         kind = PortKind.LOCAL if hop == "local" else PortKind.GLOBAL
-        vc = policy.vc_for_hop(packet, kind)
+        vc = routing.next_vc(packet, kind)
         assert vc >= last[hop]
-        assert vc < policy.max_vcs(kind)
+        assert vc < routing.num_vcs(kind)
         last[hop] = vc
         packet.record_hop(is_global=(hop == "global"))
 
@@ -166,7 +179,8 @@ def test_allowed_dragonfly_paths_use_strictly_increasing_classes(
         hops.append("global")
         if dst_local:
             hops.append("local")
-    ranks = [class_rank(kind, vc) for kind, vc in path_buffer_classes(hops)]
+    # Table I's nonminimal budget: 4 local and 2 global VCs.
+    ranks = [class_rank(kind, vc) for kind, vc in path_buffer_classes(hops, 4, 2)]
     assert ranks == sorted(ranks)
     assert len(set(ranks)) == len(ranks)
 

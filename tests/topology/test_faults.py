@@ -201,7 +201,7 @@ class TestFaultRuntime:
         assert runtime.epoch == 2
         assert runtime.pending_event_cycle == NO_FAULT_EVENT
 
-    def test_detour_port_reaches_target_without_loops(self, tiny_topology):
+    def test_escape_port_reaches_target_without_loops(self, tiny_topology):
         link = _some_link(tiny_topology)
         runtime = FaultRuntime(
             tiny_topology, FaultModel(failed_links=(link,)), _rng()
@@ -211,22 +211,23 @@ class TestFaultRuntime:
             rid = start
             hops = 0
             while rid != target:
-                port = runtime.detour_port(rid, target)
+                port = runtime.escape_port(rid, target)
                 assert port >= 0
                 assert port not in runtime.failed_ports[rid]
                 rid, _ = tiny_topology.neighbor(rid, port)
                 hops += 1
-                assert hops <= tiny_topology.num_routers, "detour loops"
+                assert hops <= tiny_topology.num_routers, "escape path loops"
 
-    def test_detour_avoids_failed_links_after_event(self, tiny_topology):
+    def test_escape_port_avoids_failed_links_after_event(self, tiny_topology):
         link = _some_link(tiny_topology)
         nbr_router, _ = tiny_topology.neighbor(*link)
         schedule = FaultSchedule(events=(FaultEvent(50, link, "fail"),))
         runtime = FaultRuntime(tiny_topology, FaultModel(schedule=schedule), _rng())
-        # Healthy epoch: the direct port is the shortest path.
-        assert runtime.detour_port(link[0], nbr_router) == link[1]
+        # Healthy epoch: the root's first link is a tree edge, so the escape
+        # path to its far end is that link.
+        assert runtime.escape_port(link[0], nbr_router) == link[1]
         runtime.apply_due(50)
-        port = runtime.detour_port(link[0], nbr_router)
+        port = runtime.escape_port(link[0], nbr_router)
         assert port != link[1]
         assert port not in runtime.failed_ports[link[0]]
 
