@@ -201,23 +201,17 @@ class ParallelSweepExecutor:
     close it themselves.
     """
 
-    def __init__(self, workers: Optional[int] = None, start_method: Optional[str] = None):
+    def __init__(self, workers: Optional[int] = None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self._start_method = start_method
         self._pool = None
 
     def _ensure_pool(self):
         if self._pool is None:
-            context = (
-                multiprocessing.get_context(self._start_method)
-                if self._start_method
-                else multiprocessing.get_context()
-            )
-            self._pool = context.Pool(processes=self.workers)
+            self._pool = multiprocessing.Pool(processes=self.workers)
         return self._pool
 
     def map(self, func: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:

@@ -1,22 +1,18 @@
-"""Measurement: latency, throughput, misrouting, time series, aggregation."""
+"""Measurement: the delivery collector, latency samples, time series, aggregation."""
 
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.latency import LatencyStats
-from repro.metrics.misrouting import MisroutingStats
 from repro.metrics.statistics import (
     AggregateResult,
     aggregate_rows,
     aggregate_scalar,
     average_series,
 )
-from repro.metrics.throughput import ThroughputStats
 from repro.metrics.timeseries import TimeSeriesPoint, TimeSeriesRecorder
 
 __all__ = [
     "MetricsCollector",
     "LatencyStats",
-    "ThroughputStats",
-    "MisroutingStats",
     "TimeSeriesRecorder",
     "TimeSeriesPoint",
     "AggregateResult",

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from typing import Optional
 
 from repro.metrics.latency import LatencyStats
-from repro.metrics.misrouting import MisroutingStats
-from repro.metrics.throughput import ThroughputStats
 from repro.metrics.timeseries import TimeSeriesRecorder
 from repro.network.packet import Packet
 
@@ -14,7 +13,8 @@ __all__ = ["MetricsCollector"]
 
 
 class MetricsCollector:
-    """Aggregates latency, throughput and misrouting inside a window.
+    """The one sink of delivered packets: latency, accepted load and
+    misrouting inside a window.
 
     ``measure_start``/``measure_end`` bound the measurement window in cycles.
     Latency and misrouting are attributed to packets *generated* inside the
@@ -25,13 +25,17 @@ class MetricsCollector:
     """
 
     __slots__ = (
+        "num_nodes",
         "measure_start",
         "measure_end",
         "latency",
-        "throughput",
-        "misrouting",
         "timeseries",
         "generated_in_window",
+        "delivered_packets",
+        "delivered_phits",
+        "globally_misrouted",
+        "locally_misrouted",
+        "hops_sum",
         "dropped_packets",
         "dropped_in_window",
         "fault_rerouted_delivered",
@@ -44,13 +48,22 @@ class MetricsCollector:
         measure_end: Optional[int] = None,
         timeseries: Optional[TimeSeriesRecorder] = None,
     ):
+        if num_nodes < 1:
+            raise ValueError("num_nodes must be positive")
+        self.num_nodes = num_nodes
         self.measure_start = measure_start
         self.measure_end = measure_end
+        #: One sample per window packet delivered.
         self.latency = LatencyStats()
-        self.throughput = ThroughputStats(num_nodes)
-        self.misrouting = MisroutingStats()
         self.timeseries = timeseries
         self.generated_in_window = 0
+        # --- deliveries inside the window (throughput) ----------------------
+        self.delivered_packets = 0
+        self.delivered_phits = 0
+        # --- window packets delivered (misrouting) --------------------------
+        self.globally_misrouted = 0
+        self.locally_misrouted = 0
+        self.hops_sum = 0
         # --- fault accounting (zero on healthy runs) -----------------------
         #: Packets dropped because no surviving path reached the destination.
         self.dropped_packets = 0
@@ -65,14 +78,15 @@ class MetricsCollector:
             return False
         return self.measure_end is None or cycle < self.measure_end
 
+    @property
+    def delivered_in_window(self) -> int:
+        """Window packets delivered so far (one latency sample each)."""
+        return len(self.latency._samples)
+
     def unsettled_packets(self) -> int:
         """Packets generated in the window and neither delivered nor dropped
         yet.  More can still be generated until the window closes."""
-        return (
-            self.generated_in_window
-            - self.misrouting.delivered
-            - self.dropped_in_window
-        )
+        return self.generated_in_window - self.delivered_in_window - self.dropped_in_window
 
     def window_settled(self) -> bool:
         """Every packet generated in the window was delivered or dropped.
@@ -84,35 +98,28 @@ class MetricsCollector:
         """
         return self.unsettled_packets() == 0
 
-    def finalize_window(self) -> None:
-        """Set the throughput normalisation once the window bounds are known."""
-        if self.measure_end is None:
-            raise ValueError("measure_end must be set before finalizing the window")
-        self.throughput.set_window(self.measure_end - self.measure_start)
-
     # -- event sinks --------------------------------------------------------------
     def record_generated(self, packet: Packet) -> None:
         if self.in_window(packet.creation_cycle):
             self.generated_in_window += 1
 
     def record_delivery(self, packet: Packet, cycle: int) -> None:
-        assert packet.delivered_cycle is not None
+        latency = packet.delivered_cycle - packet.creation_cycle
+        if latency < 0:
+            raise ValueError("latency cannot be negative")
         if self.in_window(packet.delivered_cycle):
-            self.throughput.record_delivery(packet.size_phits)
+            self.delivered_packets += 1
+            self.delivered_phits += packet.size_phits
             if packet.fault_mode:
                 self.fault_rerouted_delivered += 1
         if self.in_window(packet.creation_cycle):
-            latency = packet.latency
-            assert latency is not None
-            self.latency.record(latency)
-            self.misrouting.record(
-                globally_misrouted=packet.globally_misrouted,
-                locally_misrouted=packet.locally_misrouted,
-                hops=packet.hops,
-            )
+            self.latency._samples.append(latency)
+            self.hops_sum += packet.hops
+            if packet.globally_misrouted:
+                self.globally_misrouted += 1
+            if packet.locally_misrouted:
+                self.locally_misrouted += 1
         if self.timeseries is not None:
-            latency = packet.latency
-            assert latency is not None
             self.timeseries.record(
                 packet.creation_cycle,
                 latency,
@@ -126,13 +133,29 @@ class MetricsCollector:
         if self.in_window(packet.creation_cycle):
             self.dropped_in_window += 1
 
-    # -- summaries ---------------------------------------------------------------
-    def summary(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        out.update({f"latency_{k}": v for k, v in self.latency.summary().items()})
-        out.update(self.throughput.summary())
-        out.update(self.misrouting.summary())
-        out["generated_in_window"] = float(self.generated_in_window)
-        out["dropped_packets"] = float(self.dropped_packets)
-        out["fault_rerouted_delivered"] = float(self.fault_rerouted_delivered)
-        return out
+    # -- results ------------------------------------------------------------------
+    @property
+    def accepted_load(self) -> float:
+        """Phits delivered in the window per node per cycle (the paper's
+        y-axis in Fig. 5); NaN without a closed, non-empty window."""
+        if self.measure_end is None or self.measure_end <= self.measure_start:
+            return math.nan
+        return self.delivered_phits / (
+            self.num_nodes * (self.measure_end - self.measure_start)
+        )
+
+    @property
+    def global_misroute_fraction(self) -> float:
+        return self._per_window_packet(self.globally_misrouted)
+
+    @property
+    def local_misroute_fraction(self) -> float:
+        return self._per_window_packet(self.locally_misrouted)
+
+    @property
+    def mean_hops(self) -> float:
+        return self._per_window_packet(self.hops_sum)
+
+    def _per_window_packet(self, total: int) -> float:
+        delivered = self.delivered_in_window
+        return total / delivered if delivered else math.nan

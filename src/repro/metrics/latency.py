@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -11,22 +11,13 @@ __all__ = ["LatencyStats"]
 
 
 class LatencyStats:
-    """Accumulates end-to-end packet latencies (in cycles)."""
+    """End-to-end packet latencies (in cycles); the
+    :class:`~repro.metrics.collector.MetricsCollector` appends the samples."""
 
     __slots__ = ("_samples",)
 
     def __init__(self) -> None:
         self._samples: List[int] = []
-
-    def record(self, latency: int) -> None:
-        if latency < 0:
-            raise ValueError("latency cannot be negative")
-        self._samples.append(latency)
-
-    # -- summaries -------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        return len(self._samples)
 
     @property
     def mean(self) -> float:
@@ -34,35 +25,7 @@ class LatencyStats:
             return math.nan
         return float(np.mean(self._samples))
 
-    @property
-    def std(self) -> float:
-        if len(self._samples) < 2:
-            return 0.0
-        return float(np.std(self._samples, ddof=1))
-
-    @property
-    def minimum(self) -> Optional[int]:
-        return min(self._samples) if self._samples else None
-
-    @property
-    def maximum(self) -> Optional[int]:
-        return max(self._samples) if self._samples else None
-
     def percentile(self, q: float) -> float:
         if not self._samples:
             return math.nan
         return float(np.percentile(self._samples, q))
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "std": self.std,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-        }
-
-    def samples(self) -> List[int]:
-        """Copy of the raw latency samples (used by the statistics helpers)."""
-        return list(self._samples)

@@ -83,23 +83,3 @@ class TimeSeriesRecorder:
     # -- output -----------------------------------------------------------------
     def points(self) -> List[TimeSeriesPoint]:
         return [self._bins[k] for k in sorted(self._bins)]
-
-    def bins(self) -> List[int]:
-        return sorted(self._bins)
-
-    def latency_series(self) -> List[float]:
-        return [p.mean_latency for p in self.points()]
-
-    def misrouted_series(self) -> List[float]:
-        return [p.misrouted_fraction for p in self.points()]
-
-    def as_rows(self) -> List[Dict[str, float]]:
-        return [
-            {
-                "cycle": float(p.bin_start),
-                "mean_latency": p.mean_latency,
-                "misrouted_fraction": p.misrouted_fraction,
-                "packets": float(p.count),
-            }
-            for p in self.points()
-        ]

@@ -126,9 +126,6 @@ class Network:
         routers = self.routers
         return [routers[r] for r in self.topology.region_routers(region)]
 
-    #: Dragonfly-vocabulary alias (regions of a Dragonfly are its groups).
-    group_routers = region_routers
-
     # ------------------------------------------------------------------ state
     def total_buffered_packets(self) -> int:
         """Packets currently inside the object router graph (buffers,

@@ -102,20 +102,6 @@ class Packet:
     hops: int = 0
 
     @property
-    def latency(self) -> Optional[int]:
-        """End-to-end latency in cycles (``None`` until delivered)."""
-        if self.delivered_cycle is None:
-            return None
-        return self.delivered_cycle - self.creation_cycle
-
-    @property
-    def queue_latency(self) -> Optional[int]:
-        """Cycles spent waiting in the source queue before injection."""
-        if self.injection_cycle is None:
-            return None
-        return self.injection_cycle - self.creation_cycle
-
-    @property
     def delivered(self) -> bool:
         return self.delivered_cycle is not None
 

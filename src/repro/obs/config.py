@@ -21,29 +21,6 @@ __all__ = ["ObservationConfig", "pid_sampled"]
 _HASH_MULT = 0x9E3779B1
 _HASH_MASK = 0xFFFFFFFF
 
-_TRUE_SPELLINGS = frozenset({"1", "true", "yes", "on"})
-_FALSE_SPELLINGS = frozenset({"0", "false", "no", "off"})
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    """Parse a boolean ``REPRO_OBS`` value, rejecting unknown spellings.
-
-    Accepting only the usual spellings (case-insensitively) keeps a typo
-    like ``link=fasle`` — or a well-meant ``link=off`` under a parser that
-    only knew ``0``/``false`` — from silently enabling the probe.
-    """
-    lowered = value.lower()
-    if lowered in _TRUE_SPELLINGS:
-        return True
-    if lowered in _FALSE_SPELLINGS:
-        return False
-    raise ValueError(
-        f"REPRO_OBS {key}={value!r} is not a boolean; use one of "
-        f"{'/'.join(sorted(_TRUE_SPELLINGS))} or "
-        f"{'/'.join(sorted(_FALSE_SPELLINGS))}"
-    )
-
-
 def pid_sampled(pid: int, threshold: int) -> bool:
     """Deterministic, RNG-free sampling decision for packet ``pid``.
 
@@ -69,11 +46,6 @@ class ObservationConfig:
     flight_sample_rate: float = 1.0
     #: Cycles between occupancy snapshots; 0 disables periodic snapshots.
     snapshot_period: int = 0
-    #: Accumulate per-(router, output port) forwarded phits.
-    link_utilization: bool = True
-    #: Attach trigger consultations (counter value, threshold, outcome) to
-    #: sampled hop events and keep per-router trigger aggregates.
-    trigger_trace: bool = True
     #: Hard cap on recorded events; beyond it events are counted as dropped
     #: in the ``perf`` block instead of silently growing without bound.
     max_events: int = 1_000_000
@@ -101,9 +73,7 @@ class ObservationConfig:
         ``REPRO_OBS=1`` enables the defaults; a comma-separated key=value
         list tunes them, e.g. ``REPRO_OBS=sample=0.25,snapshot=100``.
         Recognized keys: ``sample`` (flight sample rate), ``snapshot``
-        (snapshot period in cycles), ``link`` / ``trigger`` (booleans:
-        ``1/true/yes/on`` or ``0/false/no/off``, case-insensitive),
-        ``max_events``.
+        (snapshot period in cycles), ``max_events``.
         """
         if environ is None:
             environ = os.environ
@@ -128,10 +98,6 @@ class ObservationConfig:
                     kwargs["flight_sample_rate"] = float(value)
                 elif key == "snapshot":
                     kwargs["snapshot_period"] = int(value)
-                elif key == "link":
-                    kwargs["link_utilization"] = _parse_bool(key, value)
-                elif key == "trigger":
-                    kwargs["trigger_trace"] = _parse_bool(key, value)
                 elif key == "max_events":
                     kwargs["max_events"] = int(value)
                 else:

@@ -128,8 +128,6 @@ class ObservationHub:
         "_schema_tags",
         "_threshold",
         "_max_events",
-        "_link_utilization",
-        "_trigger_trace",
         "_reader",
         "_radix",
         "_port_chars",
@@ -160,8 +158,6 @@ class ObservationHub:
         # The config is frozen: what the per-grant site reads is copied out.
         self._threshold = self.config.sample_threshold()
         self._max_events = self.config.max_events
-        self._link_utilization = self.config.link_utilization
-        self._trigger_trace = self.config.trigger_trace
         self._reader = None
         self._radix = 0
         self._port_chars: List[str] = []
@@ -204,8 +200,7 @@ class ObservationHub:
         self._grants += 1
         out_port = decision.output_port
         rid = router.router_id
-        if self._link_utilization:
-            self._link_phits[rid * self._radix + out_port] += packet.size_phits
+        self._link_phits[rid * self._radix + out_port] += packet.size_phits
         pid = packet.pid
         if ((pid * _HASH_MULT) & _HASH_MASK) >= self._threshold:  # not pid_sampled
             return
@@ -243,8 +238,7 @@ class ObservationHub:
                 kind = "nm_local"
             else:
                 kind = "minimal"
-            if self._trigger_trace:
-                trigger = routing.trigger_observation(router, packet)
+            trigger = routing.trigger_observation(router, packet)
         if trigger is None:
             row = (_HOP, pid, cycle, rid, port, vc, out_port, out_vc, char, kind)
         else:

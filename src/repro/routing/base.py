@@ -739,6 +739,3 @@ class RoutingAlgorithm(ABC):
         return self.plain_decision(
             port, self.hop_vc(packet, rid, port, topo.port_kinds[port])
         )
-
-    def describe(self) -> str:
-        return self.name

@@ -73,14 +73,14 @@ class ECtNRouting(BaseContentionRouting):
         }
         #: Combined arrays, one per group (shared by the group's routers).
         self.combined: Dict[int, List[int]] = {
-            g: [0] * links for g in range(topology.num_groups)
+            g: [0] * links for g in range(topology.num_regions)
         }
         self._first_global_port = min(topology.global_ports)
         self._h = topology.config.h
         # Group-local offset of the link between two groups (the topology's
         # table, which the SoA core reads too).
         self._link_offsets = topology.group_link_offsets
-        self._num_groups = topology.num_groups
+        self._num_groups = topology.num_regions
         self.contention_threshold = params.ectn_local_contention_threshold
         self.combined_threshold = params.ectn_combined_threshold
 
@@ -104,8 +104,8 @@ class ECtNRouting(BaseContentionRouting):
     def _maybe_count_partial(self, router: "Router", packet: Packet) -> None:
         if packet.ectn_offset is not None:
             return
-        group = self.topology.router_group(router.router_id)
-        dst_group = self.topology.node_group(packet.dst)
+        group = self.topology.router_region(router.router_id)
+        dst_group = self.topology.node_region(packet.dst)
         if dst_group == group:
             return
         offset = self.link_offset_for_destination(group, dst_group)
@@ -143,9 +143,9 @@ class ECtNRouting(BaseContentionRouting):
             return
         topo = self.topology
         links = topo.global_links_per_group
-        for group in range(topo.num_groups):
+        for group in range(topo.num_regions):
             combined = [0] * links
-            for rid in topo.group_routers(group):
+            for rid in topo.region_routers(group):
                 partial = self.partial[rid]
                 for i in range(links):
                     combined[i] += partial[i]

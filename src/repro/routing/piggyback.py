@@ -61,7 +61,7 @@ class PiggybackRouting(UGALRouting):
         # offset (router_position * h + global_port_index).
         links = topology.global_links_per_group
         self._flags: List[List[bool]] = [
-            [False] * links for _ in range(topology.num_groups)
+            [False] * links for _ in range(topology.num_regions)
         ]
         # Groups with at least one saturated flag, maintained by post_cycle
         # so the time-warp horizon check is O(1).
@@ -74,7 +74,7 @@ class PiggybackRouting(UGALRouting):
         # Group-local offset of the link between two groups (the topology's
         # table): the flag of a source's minimal global link.
         self._link_offsets = topology.group_link_offsets
-        self._num_groups = topology.num_groups
+        self._num_groups = topology.num_regions
 
     # ------------------------------------------------------------------ flags
     def global_link_offset(self, router_id: int, port: int) -> int:
@@ -94,9 +94,9 @@ class PiggybackRouting(UGALRouting):
         h = topo.config.h
         first_global = self._first_global_port
         scanned = []
-        for group in range(topo.num_groups):
+        for group in range(topo.num_regions):
             flags = [False] * topo.global_links_per_group
-            for router in network.group_routers(group):
+            for router in network.region_routers(group):
                 pos = router.position
                 for k in range(h):
                     port = first_global + k
@@ -146,8 +146,8 @@ class PiggybackRouting(UGALRouting):
     ) -> bool:
         """Saturation-flag ECN first, then the inherited UGAL comparison."""
         topo = self.topology
-        src_group = topo.router_group(router.router_id)
-        dst_group = topo.node_group(packet.dst)
+        src_group = topo.router_region(router.router_id)
+        dst_group = topo.node_region(packet.dst)
         if self._flags[src_group][self._link_offsets[src_group * self._num_groups + dst_group]]:
             return True
         return self._ugal_prefers_valiant(router, packet, intermediate)

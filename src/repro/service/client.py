@@ -58,13 +58,8 @@ class CachingSweepExecutor(ParallelSweepExecutor):
       content address, fall through to the parent unchanged.
     """
 
-    def __init__(
-        self,
-        cache=None,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ):
-        super().__init__(workers=workers, start_method=start_method)
+    def __init__(self, cache=None, workers: Optional[int] = None):
+        super().__init__(workers=workers)
         self.cache = cache if cache is not None else InMemoryResultCache()
         self.stats = CacheStats()
 

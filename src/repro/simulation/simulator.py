@@ -199,7 +199,6 @@ class Simulator:
         metrics = MetricsCollector(
             num_nodes=self.topology.num_nodes, measure_start=start, measure_end=end
         )
-        metrics.finalize_window()
         self.engine.metrics = metrics
         with phase_timer(obs, "measure"):
             self.engine.run(measure_cycles)
@@ -216,11 +215,11 @@ class Simulator:
             seed=self.seed,
             mean_latency=metrics.latency.mean,
             p99_latency=metrics.latency.percentile(99),
-            accepted_load=metrics.throughput.accepted_load,
-            global_misroute_fraction=metrics.misrouting.global_misroute_fraction,
-            local_misroute_fraction=metrics.misrouting.local_misroute_fraction,
-            mean_hops=metrics.misrouting.mean_hops,
-            delivered_packets=metrics.misrouting.delivered,
+            accepted_load=metrics.accepted_load,
+            global_misroute_fraction=metrics.global_misroute_fraction,
+            local_misroute_fraction=metrics.local_misroute_fraction,
+            mean_hops=metrics.mean_hops,
+            delivered_packets=metrics.delivered_in_window,
             dropped_packets=metrics.dropped_packets,
             fault_rerouted_packets=metrics.fault_rerouted_delivered,
         )
@@ -264,7 +263,6 @@ class Simulator:
             measure_end=switch + observe_after,
             timeseries=series,
         )
-        metrics.finalize_window()
         self.engine.metrics = metrics
         with phase_timer(self.obs, "transient"):
             self.engine.run(switch + observe_after)
@@ -305,19 +303,21 @@ class Simulator:
         time_warp: bool = True,
     ) -> "Simulator":
         """Convenience constructor for UN→ADV-style transient experiments."""
-        topology = create_topology(params.topology)
-        pattern = TransientTraffic(
-            topology,
-            before=create_pattern(before, topology),
-            after=create_pattern(after, topology),
-            switch_cycle=switch_cycle,
-        )
+
+        def patterns(topology: Topology) -> TransientTraffic:
+            return TransientTraffic(
+                topology,
+                before=create_pattern(before, topology),
+                after=create_pattern(after, topology),
+                switch_cycle=switch_cycle,
+            )
+
         return cls(
             params,
             routing,
-            pattern,
-            offered_load,
+            offered_load=offered_load,
             seed=seed,
             stall_watchdog_cycles=stall_watchdog_cycles,
+            pattern_factory=patterns,
             time_warp=time_warp,
         )

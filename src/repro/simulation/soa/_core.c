@@ -102,16 +102,16 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(output_port) \
     X(_maybe_count_partial) X(_obs) X(_dateline) X(_commit_fault_hop) X(commit_ring_hop) \
     X(record_grant) X(minimal_output_port) X(minimal_route_to_router) X(router_hops) X(_route_port) \
-    X(router_region) X(node_region) X(router_group) X(node_group) X(node_router) \
+    X(router_region) X(node_region) X(node_router) \
     X(link_offset_for_destination) X(rng) X(integers) X(bit_generator) X(capsule) X(lock) \
     X(acquire) X(release) \
     X(on_inject) X(prefers_valiant) X(_ugal_prefers_valiant) X(random_intermediate_router) \
     X(source_queue) X(popleft) X(node_id) X(port) X(_vc_pointer) X(next_injection_cycle) \
     X(injected_packets) X(select_output) X(port_target_region) \
-    X(record_generated) X(in_window) X(measure_start) X(measure_end) X(throughput) X(latency) \
-    X(misrouting) X(timeseries) X(delivered_packets) X(delivered_phits) \
+    X(record_generated) X(in_window) X(measure_start) X(measure_end) X(latency) \
+    X(timeseries) X(delivered_packets) X(delivered_phits) \
     X(fault_rerouted_delivered) X(generated_in_window) X(_samples) X(record) \
-    X(delivered) X(mean_hops_sum) X(start_cycle) X(end_cycle) X(bin_size) X(_bins) X(count) \
+    X(hops_sum) X(start_cycle) X(end_cycle) X(bin_size) X(_bins) X(count) \
     X(latency_sum) X(misrouted) X(append) \
     X(traffic) X(network) X(nodes) X(_active_nodes) X(_nodes_unsorted) X(_inject) X(generate) \
     X(_packet_probability) X(_ensure_block) X(block_cycles) X(_block_index) X(_event_cycles) \
@@ -121,15 +121,15 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(region_node_range) X(_random_node_excluding) X(enqueue) X(generated_phits) X(_network) \
     X(activate_node) X(__init__) X(Packet) X(TimeSeriesPoint) X(deque) X(_p) X(_a) \
     X(_num_groups) X(_num_routers) \
-    X(valiant_intermediate_router) X(global_port_target_group) X(publish_flags) X(_pending) \
+    X(valiant_intermediate_router) X(publish_flags) X(_pending) \
     X(notification_delay) X(_flags) X(_saturated_groups) X(add) X(discard) X(__version_probe__)
 
 #define DECLARE_NAME(n) static PyObject *s_##n;
 NAMES(DECLARE_NAME)
 static PyObject *kw_is_global; /* ("is_global",) */
-/* The keywords of `Packet(...)` in `generate`, of `MisroutingStats.record`
- * and of `TimeSeriesRecorder.record`. */
-static PyObject *kw_packet, *kw_route, *kw_bin;
+/* The keywords of `Packet(...)` in `generate` and of
+ * `TimeSeriesRecorder.record`. */
+static PyObject *kw_packet, *kw_bin;
 static PyObject *zero, *one;   /* the ints 0 and 1 */
 
 /* The `Packet` fields the chain reads and writes. */
@@ -171,28 +171,25 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(ContentionTracker, on_head) X(ContentionTracker, on_leave) \
     X(ContentionCounters, decrement) \
     X(DragonflyTopology, router_region) X(DragonflyTopology, node_region) \
-    X(DragonflyTopology, router_group) X(DragonflyTopology, node_group) \
     X(DragonflyTopology, node_router) X(DragonflyTopology, minimal_output_port) \
     X(DragonflyTopology, minimal_route_to_router) X(DragonflyTopology, router_hops) \
     X(DragonflyTopology, _route_port) \
     X(MinimalRouting, select_output) X(ValiantRouting, select_output) \
     X(MetricsCollector, record_delivery) X(MetricsCollector, record_generated) \
-    X(MetricsCollector, in_window) X(ThroughputStats, record_delivery) X(LatencyStats, record) \
-    X(MisroutingStats, record) X(TimeSeriesRecorder, record) \
+    X(MetricsCollector, in_window) X(TimeSeriesRecorder, record) \
     X(BernoulliTrafficGenerator, generate) X(UniformTraffic, destination) \
     X(AdversarialTraffic, destination) X(TransientTraffic, destination) \
     X(TrafficPattern, _random_node_excluding) X(Topology, region_node_range) \
     X(ComputeNode, enqueue) X(Network, activate_node) \
     X(ValiantRouting, random_intermediate_router) X(Topology, valiant_intermediate_router) \
-    X(DragonflyTopology, port_target_region) X(DragonflyTopology, global_port_target_group) \
-    X(PiggybackRouting, publish_flags)
+    X(DragonflyTopology, port_target_region) X(PiggybackRouting, publish_flags)
 /* What a stock body reads or builds with that its class's source does not
  * define as a function: properties (compared with what the type's MRO holds,
  * never called) and the dataclass-made `Packet.__init__`. */
 #define STOCK_ATTRIBUTES(X) \
     X(DragonflyTopology, num_nodes) X(DragonflyTopology, num_routers) \
     X(DragonflyTopology, num_regions) X(DragonflyTopology, routers_per_region) \
-    X(DragonflyTopology, nodes_per_router) X(Packet, latency) X(Packet, __init__)
+    X(DragonflyTopology, nodes_per_router) X(Packet, __init__)
 #define STOCK_OBJECTS(X) \
     X(Packet) X(RoutingDecision) X(RoutingAlgorithm) X(ValiantRouting) X(ECtNRouting) \
     X(DragonflyTopology) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL) X(draws) X(packet_defaults) \
@@ -1320,13 +1317,11 @@ invoke_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
  * function's arithmetic or tables (`df_a > 0`: a Dragonfly's constants are
  * bound); otherwise it is the call by name, made where and as often as the
  * Python body makes it.  Every other topology keeps the call. */
-enum query { Q_ROUTER_REGION, Q_ROUTER_GROUP, Q_NODE_REGION, Q_NODE_GROUP, Q_NODE_ROUTER };
+enum query { Q_ROUTER_REGION, Q_NODE_REGION, Q_NODE_ROUTER };
 
-static PyObject **const query_names[] = {
-    &s_router_region, &s_router_group, &s_node_region, &s_node_group, &s_node_router};
+static PyObject **const query_names[] = {&s_router_region, &s_node_region, &s_node_router};
 static const int query_stock[] = {
-    S_DragonflyTopology_router_region, S_DragonflyTopology_router_group,
-    S_DragonflyTopology_node_region, S_DragonflyTopology_node_group,
+    S_DragonflyTopology_router_region, S_DragonflyTopology_node_region,
     S_DragonflyTopology_node_router};
 
 /* Whether `m` is the stock Dragonfly function in slot `slot`. */
@@ -1385,11 +1380,10 @@ ask_of(Core *c, PyObject *topology, enum query q, long x, long *out)
     if (!stock(&m, c->o[query_stock[q]]))
         return ask_by_name(topology, &m, x, 0, 1, out);
     Py_CLEAR(m.fn);
-    if ((q != Q_ROUTER_REGION && q != Q_ROUTER_GROUP
-         && df_attr(c, topology, s__p, c->df_p, &p) < 0)
+    if ((q != Q_ROUTER_REGION && df_attr(c, topology, s__p, c->df_p, &p) < 0)
         || (q != Q_NODE_ROUTER && df_attr(c, topology, s__a, c->df_a, &a) < 0))
         return -1;
-    divisor = q == Q_NODE_ROUTER ? p : q == Q_NODE_REGION || q == Q_NODE_GROUP ? p * a : a;
+    divisor = q == Q_NODE_ROUTER ? p : q == Q_NODE_REGION ? p * a : a;
     if (divisor <= 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
         return -1;
@@ -1682,8 +1676,8 @@ count_partial(Core *c, long rid, PyObject *packet)
     Py_CLEAR(m.fn);
     if ((same = pis(c, packet, F_ectn_offset, Py_None)) <= 0)
         return same;
-    if (ask(c, Q_ROUTER_GROUP, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
-        || ask(c, Q_NODE_GROUP, dst, &dst_group) < 0)
+    if (ask(c, Q_ROUTER_REGION, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
+        || ask(c, Q_NODE_REGION, dst, &dst_group) < 0)
         return -1;
     if (dst_group == group)
         return 0;
@@ -2997,8 +2991,8 @@ prefers_valiant(Core *c, long rid, PyObject *packet, PyObject *intermediate, PyO
         long group, dst, dst_group, offset;
         int on;
         Py_CLEAR(m.fn);
-        if (ask(c, Q_ROUTER_GROUP, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
-            || ask(c, Q_NODE_GROUP, dst, &dst_group) < 0
+        if (ask(c, Q_ROUTER_REGION, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
+            || ask(c, Q_NODE_REGION, dst, &dst_group) < 0
             || get_long(L(c, link_offsets), group * c->df_groups + dst_group, &offset) < 0
             || (flags = item(L(c, flags), group)) == NULL || (flags = at(flags, offset)) == NULL
             || (on = truth(flags)) < 0)
@@ -3581,25 +3575,19 @@ pure_minimal(Core *c, long rid, PyObject *head, long dst)
 }
 
 /* `topology.port_target_region(rid, port)` of a global `port`: on a
- * Dragonfly whose `port_target_region` and `global_port_target_group` are
- * stock, the group its link lands in, from `_offset_to_group`. */
+ * Dragonfly whose `port_target_region` is stock, the group its link lands
+ * in, from `_offset_to_group`. */
 static int
 target_region(Core *c, long rid, PyObject *rid_o, long port, PyObject *port_o, long *region)
 {
     PyObject *args[3] = {L(c, topology), rid_o, port_o}, *row;
-    long group;
     method m;
     if (resolve(L(c, topology), s_port_target_region, &m) < 0)
         return -1;
     if (!df_stock(c, &m, S_DragonflyTopology_port_target_region))
         return found_long(&m, args, 3, region);
     Py_CLEAR(m.fn);
-    if (resolve(L(c, topology), s_global_port_target_group, &m) < 0)
-        return -1;
-    if (!stock(&m, STOCK(c, DragonflyTopology, global_port_target_group)))
-        return found_long(&m, args, 3, region);
-    Py_CLEAR(m.fn);
-    if (ask(c, Q_ROUTER_GROUP, rid, &group) < 0 || (row = at(L(c, offset_to_group), group)) == NULL
+    if ((row = at(L(c, offset_to_group), pydiv(rid, c->df_a))) == NULL
         || (row = at(row, pymod(rid, c->df_a) * c->df_h + port - c->df_first_global)) == NULL)
         return -1;
     return as_long(row, region);
@@ -3975,11 +3963,10 @@ done:
 
 /* ------------------------------------------------------------- accounting */
 /* The stock `MetricsCollector.record_delivery` and `record_generated`, and
- * what they call -- `in_window`, `ThroughputStats.record_delivery`,
- * `LatencyStats.record`, `MisroutingStats.record`,
- * `TimeSeriesRecorder.record` -- each answered here while its name resolves
- * to the stock function, else called by name.  The counters, the latency
- * samples and the time-series bins are the Python objects' own attributes. */
+ * what they call -- `in_window`, `TimeSeriesRecorder.record` -- each
+ * answered here while its name resolves to the stock function, else called
+ * by name.  The counters, the latency samples and the time-series bins are
+ * the Python objects' own attributes. */
 
 /* `metrics.in_window(cycle)`: 1 / 0, -1 on error. */
 static int
@@ -4010,83 +3997,6 @@ in_window(Core *c, PyObject *metrics, PyObject *cycle_o)
     on = bound == Py_None ? 1 : PyObject_RichCompareBool(cycle_o, bound, Py_LT);
     Py_DECREF(bound);
     return on;
-}
-
-/* `throughput.record_delivery(size)`. */
-static int
-count_throughput(Core *c, PyObject *throughput, PyObject *size_o)
-{
-    method m;
-    if (resolve(throughput, s_record_delivery, &m) < 0)
-        return -1;
-    if (!stock(&m, STOCK(c, ThroughputStats, record_delivery))) {
-        PyObject *args[2] = {throughput, size_o};
-        return invoke(&m, args, 2, NULL);
-    }
-    Py_CLEAR(m.fn);
-    return attr_iadd(throughput, s_delivered_packets, one) < 0
-           || attr_iadd(throughput, s_delivered_phits, size_o) < 0 ? -1 : 0;
-}
-
-/* `latency_stats.record(latency)`: negative is an error. */
-static int
-record_latency(Core *c, PyObject *stats, PyObject *latency)
-{
-    PyObject *samples;
-    method m;
-    int failed;
-    if (resolve(stats, s_record, &m) < 0)
-        return -1;
-    if (!stock(&m, STOCK(c, LatencyStats, record))) {
-        PyObject *args[2] = {stats, latency};
-        return invoke(&m, args, 2, NULL);
-    }
-    Py_CLEAR(m.fn);
-    if ((failed = PyObject_RichCompareBool(latency, zero, Py_LT)) != 0) {
-        if (failed > 0)
-            PyErr_SetString(PyExc_ValueError, "latency cannot be negative");
-        return -1;
-    }
-    if ((samples = get_attr(stats, s__samples)) == NULL)
-        return -1;
-    {
-        PyObject *args[2] = {samples, latency};
-        failed = PyList_CheckExact(samples) ? PyList_Append(samples, latency)
-                                            : call_void(s_append, args, 2);
-    }
-    Py_DECREF(samples);
-    return failed;
-}
-
-/* `misrouting.record(globally_misrouted=..., locally_misrouted=...,
- * hops=...)` of `packet`. */
-static int
-record_route(Core *c, PyObject *stats, PyObject *packet)
-{
-    PyObject *args[4] = {stats, NULL, NULL, NULL};
-    method m;
-    int failed = -1, on;
-    if ((args[1] = pget(c, packet, F_globally_misrouted)) == NULL
-        || (args[2] = pget(c, packet, F_locally_misrouted)) == NULL
-        || (args[3] = pget(c, packet, F_hops)) == NULL || resolve(stats, s_record, &m) < 0)
-        goto done;
-    if (!stock(&m, STOCK(c, MisroutingStats, record))) {
-        failed = invoke(&m, args, 1, kw_route);
-        goto done;
-    }
-    Py_CLEAR(m.fn);
-    if (attr_iadd(stats, s_delivered, one) < 0 || attr_iadd(stats, s_mean_hops_sum, args[3]) < 0
-        || (on = truth(args[1])) < 0
-        || (on && attr_iadd(stats, field_names[F_globally_misrouted], one) < 0)
-        || (on = truth(args[2])) < 0
-        || (on && attr_iadd(stats, field_names[F_locally_misrouted], one) < 0))
-        goto done;
-    failed = 0;
-done:
-    Py_XDECREF(args[3]);
-    Py_XDECREF(args[2]);
-    Py_XDECREF(args[1]);
-    return failed;
 }
 
 /* `series.record(creation, latency, globally_misrouted=..., size_phits=...)`:
@@ -4150,43 +4060,35 @@ done:
     return failed;
 }
 
-/* `packet.latency` (a new reference): the stock property's difference while
- * the packet's type holds it, else the attribute. */
-static PyObject *
-packet_latency(Core *c, PyObject *packet)
+/* `metrics.latency._samples.append(latency)`. */
+static int
+append_sample(PyObject *metrics, PyObject *latency)
 {
-    PyObject *delivered, *creation, *latency;
-    int on = type_holds(packet, s_latency, STOCK(c, Packet, latency));
-    if (on <= 0)
-        return on < 0 ? NULL : get_attr(packet, s_latency);
-    if ((delivered = pget(c, packet, F_delivered_cycle)) == NULL || delivered == Py_None)
-        return delivered;
-    latency = (creation = pget(c, packet, F_creation_cycle)) == NULL
-              ? NULL : PyNumber_Subtract(delivered, creation);
-    Py_XDECREF(creation);
-    Py_DECREF(delivered);
-    return latency;
-}
-
-/* `packet.latency`, asserted not `None`. */
-static PyObject *
-delivered_latency(Core *c, PyObject *packet)
-{
-    PyObject *latency = packet_latency(c, packet);
-    if (latency == Py_None) {
-        Py_DECREF(latency);
-        PyErr_SetNone(PyExc_AssertionError);
-        return NULL;
+    PyObject *stats = get_attr(metrics, s_latency), *samples;
+    int failed;
+    if (stats == NULL)
+        return -1;
+    samples = get_attr(stats, s__samples);
+    Py_DECREF(stats);
+    if (samples == NULL)
+        return -1;
+    {
+        PyObject *args[2] = {samples, latency};
+        failed = PyList_CheckExact(samples) ? PyList_Append(samples, latency)
+                                            : call_void(s_append, args, 2);
     }
-    return latency;
+    Py_DECREF(samples);
+    return failed;
 }
 
-/* `metrics.record_delivery(packet, cycle)`. */
+/* `metrics.record_delivery(packet, cycle)`: the latency, negative an error;
+ * the window's throughput counts; a window packet's latency sample, hops and
+ * misroutes; its time-series bin. */
 static int
 record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
 {
-    PyObject *delivered = NULL, *size_o = NULL, *creation = NULL, *sink = NULL;
-    PyObject *latency = NULL, *misrouted = NULL;
+    PyObject *delivered = NULL, *creation = NULL, *latency = NULL, *size_o = NULL;
+    PyObject *value = NULL;
     method m;
     int failed = -1, on;
     if (resolve(metrics, s_record_delivery, &m) < 0)
@@ -4196,50 +4098,50 @@ record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
         return invoke(&m, args, 3, NULL);
     }
     Py_CLEAR(m.fn);
-    if ((delivered = pget(c, packet, F_delivered_cycle)) == NULL)
-        return -1;
-    if (delivered == Py_None) {
-        PyErr_SetNone(PyExc_AssertionError);
+    if ((delivered = pget(c, packet, F_delivered_cycle)) == NULL
+        || (creation = pget(c, packet, F_creation_cycle)) == NULL
+        || (latency = PyNumber_Subtract(delivered, creation)) == NULL
+        || (on = PyObject_RichCompareBool(latency, zero, Py_LT)) < 0)
+        goto done;
+    if (on) {
+        PyErr_SetString(PyExc_ValueError, "latency cannot be negative");
         goto done;
     }
     if ((on = in_window(c, metrics, delivered)) < 0
         || (size_o = pget(c, packet, F_size_phits)) == NULL)
         goto done;
-    if (on && ((sink = get_attr(metrics, s_throughput)) == NULL
-               || count_throughput(c, sink, size_o) < 0
+    if (on && (attr_iadd(metrics, s_delivered_packets, one) < 0
+               || attr_iadd(metrics, s_delivered_phits, size_o) < 0
                || (on = ptruth(c, packet, F_fault_mode)) < 0
                || (on && attr_iadd(metrics, s_fault_rerouted_delivered, one) < 0)))
         goto done;
-    Py_CLEAR(sink);
-    if ((creation = pget(c, packet, F_creation_cycle)) == NULL
-        || (on = in_window(c, metrics, creation)) < 0)
+    if ((on = in_window(c, metrics, creation)) < 0)
         goto done;
-    if (on) {
-        if ((latency = delivered_latency(c, packet)) == NULL
-            || (sink = get_attr(metrics, s_latency)) == NULL
-            || record_latency(c, sink, latency) < 0)
+    if (on && (append_sample(metrics, latency) < 0
+               || (value = pget(c, packet, F_hops)) == NULL
+               || attr_iadd(metrics, s_hops_sum, value) < 0
+               || (on = ptruth(c, packet, F_globally_misrouted)) < 0
+               || (on && attr_iadd(metrics, field_names[F_globally_misrouted], one) < 0)
+               || (on = ptruth(c, packet, F_locally_misrouted)) < 0
+               || (on && attr_iadd(metrics, field_names[F_locally_misrouted], one) < 0)))
+        goto done;
+    Py_CLEAR(value);
+    if ((value = get_attr(metrics, s_timeseries)) == NULL)
+        goto done;
+    if (value != Py_None) {
+        PyObject *misrouted = pget(c, packet, F_globally_misrouted);
+        on = misrouted == NULL || record_bin(c, value, creation, latency, misrouted, size_o) < 0;
+        Py_XDECREF(misrouted);
+        if (on)
             goto done;
-        Py_SETREF(sink, get_attr(metrics, s_misrouting));
-        if (sink == NULL || record_route(c, sink, packet) < 0)
-            goto done;
-        Py_CLEAR(sink);
-        Py_CLEAR(latency);
     }
-    if ((sink = get_attr(metrics, s_timeseries)) == NULL)
-        goto done;
-    if (sink != Py_None
-        && ((latency = delivered_latency(c, packet)) == NULL
-            || (misrouted = pget(c, packet, F_globally_misrouted)) == NULL
-            || record_bin(c, sink, creation, latency, misrouted, size_o) < 0))
-        goto done;
     failed = 0;
 done:
-    Py_XDECREF(misrouted);
-    Py_XDECREF(latency);
-    Py_XDECREF(sink);
-    Py_XDECREF(creation);
+    Py_XDECREF(value);
     Py_XDECREF(size_o);
-    Py_DECREF(delivered);
+    Py_XDECREF(latency);
+    Py_XDECREF(creation);
+    Py_XDECREF(delivered);
     return failed;
 }
 
@@ -5773,9 +5675,6 @@ PyInit__core(void)
         || (kw_packet = PyTuple_Pack(5, field_names[F_pid], field_names[F_src],
                                      field_names[F_dst], field_names[F_size_phits],
                                      field_names[F_creation_cycle])) == NULL
-        || (kw_route = PyTuple_Pack(3, field_names[F_globally_misrouted],
-                                    field_names[F_locally_misrouted], field_names[F_hops]))
-               == NULL
         || (kw_bin = PyTuple_Pack(2, field_names[F_globally_misrouted],
                                   field_names[F_size_phits])) == NULL
         || PyType_Ready(&CoreType) < 0

@@ -75,12 +75,14 @@ wrappers and a test's monkeypatch are seen and counted.  That covers, for the st
 * the captures — the pure one (``MinimalRouting`` / ``ValiantRouting``'s
   ``select_output``), the adaptive path policies and the one trigger of
   their open gates, reading the signals the mechanism declares — over the
-  Dragonfly's queries, route table and the routers' shared candidate tuples;
+  Dragonfly's region queries, route table and the routers' shared candidate
+  tuples;
 * the source phase: ``BernoulliTrafficGenerator.generate``, the uniform /
   adversarial / transient destinations, ``Packet(...)`` at its slots,
   ``ComputeNode.enqueue``, the sorted injection walk over ``Core.inject``;
-* the delivery accounting of ``MetricsCollector`` down to its latency
-  samples and time-series bins, and PB's saturation broadcast.
+* ``MetricsCollector.record_delivery`` — one body writing the collector's
+  own counters, its latency samples and the time-series bins — and PB's
+  saturation broadcast.
 
 What a stock body calls that is not transcribed — another topology's
 queries, memo misses, the obs / dateline / fault sub-calls, ``select_output``
@@ -159,9 +161,7 @@ from functools import partial
 from typing import List
 
 from repro import draws
-from repro.metrics import (
-    LatencyStats, MetricsCollector, MisroutingStats, ThroughputStats, TimeSeriesRecorder,
-)
+from repro.metrics import MetricsCollector, TimeSeriesRecorder
 from repro.network import ComputeNode, Network, Packet, RoutingPhase
 from repro.routing import (
     AdaptiveInTransitRouting, BaseContentionRouting, ContentionCounters, ContentionTracker,
@@ -211,13 +211,10 @@ _STOCK_FUNCTIONS = tuple(
         (ContentionTracker, "on_head on_leave"),
         (ContentionCounters, "decrement"),
         (Topology, "region_node_range valiant_intermediate_router"),
-        (DragonflyTopology, "router_region node_region router_group node_group node_router "
-                            "minimal_output_port minimal_route_to_router router_hops "
-                            "_route_port port_target_region global_port_target_group"),
+        (DragonflyTopology, "router_region node_region node_router minimal_output_port "
+                            "minimal_route_to_router router_hops _route_port "
+                            "port_target_region"),
         (MetricsCollector, "record_delivery record_generated in_window"),
-        (ThroughputStats, "record_delivery"),
-        (LatencyStats, "record"),
-        (MisroutingStats, "record"),
         (TimeSeriesRecorder, "record"),
         (BernoulliTrafficGenerator, "generate"),
         (TrafficPattern, "_random_node_excluding"),
@@ -236,7 +233,6 @@ _STOCK_FUNCTIONS = tuple(
 _STOCK_ATTRIBUTES = (
     *((DragonflyTopology, name) for name in (
         "num_nodes", "num_routers", "num_regions", "routers_per_region", "nodes_per_router")),
-    (Packet, "latency"),
     (Packet, "__init__"),
 )
 
@@ -489,7 +485,7 @@ def _pb_scan(st: SoAState, routing) -> List[list]:
     first_global = min(topo.global_ports)
     fraction = routing.params.pb_saturation_fraction
     scan = []
-    for group in range(topo.num_groups):
+    for group in range(topo.num_regions):
         slots = [None] * topo.global_links_per_group
         for rid in topo.region_routers(group):
             position = topo.router_position(rid)

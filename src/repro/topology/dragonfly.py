@@ -107,7 +107,7 @@ class DragonflyTopology(Topology):
             for port in range(self._radix)
         )
         #: Group-local offset of the global link from group ``g`` to group
-        #: ``d`` at ``[g * num_groups + d]`` (-1 on the diagonal): the link's
+        #: ``d`` at ``[g * G + d]`` for ``G`` groups (-1 on the diagonal): the link's
         #: owner is router ``o // h`` of ``g``, its port ``o % h`` past the
         #: first global port.  Public, like ``port_kinds``: ECtN's counters
         #: and PB's flags are indexed by it on their hot paths, and the SoA
@@ -138,14 +138,6 @@ class DragonflyTopology(Topology):
         )
 
     # ------------------------------------------------------------------ sizes
-    @property
-    def num_groups(self) -> int:
-        return self._num_groups
-
-    @property
-    def routers_per_group(self) -> int:
-        return self._a
-
     # Regions of a Dragonfly are its groups.
     @property
     def num_regions(self) -> int:
@@ -185,12 +177,8 @@ class DragonflyTopology(Topology):
         return self._a * self._h
 
     # -------------------------------------------------------------- addressing
-    # The region and group queries are arithmetic without sub-calls: the SoA
-    # core answers them in C while an instance resolves to these functions.
-    def router_group(self, router: int) -> int:
-        """Group of ``router``."""
-        return router // self._a
-
+    # The region queries are arithmetic without sub-calls: the SoA core
+    # answers them in C while an instance resolves to these functions.
     def router_region(self, router: int) -> int:
         return router // self._a
 
@@ -215,23 +203,9 @@ class DragonflyTopology(Topology):
     def node_port(self, node: int) -> int:
         return node % self._p
 
-    def node_group(self, node: int) -> int:
-        """Group of the router that ``node`` attaches to."""
-        return node // (self._p * self._a)
-
     def router_nodes(self, router: int) -> List[int]:
         base = router * self._p
         return list(range(base, base + self._p))
-
-    def group_routers(self, group: int) -> List[int]:
-        base = group * self._a
-        return list(range(base, base + self._a))
-
-    def group_nodes(self, group: int) -> List[int]:
-        nodes: List[int] = []
-        for r in self.group_routers(group):
-            nodes.extend(self.router_nodes(r))
-        return nodes
 
     # ------------------------------------------------------------------- ports
     def port_kind(self, port: int) -> PortKind:
@@ -291,7 +265,7 @@ class DragonflyTopology(Topology):
     def region_gateway(self, router: int, target_region: int) -> Tuple[int, bool]:
         """Next hop towards ``target_region``: the group's single global link
         to the target group, behind at most one local hop to its owner."""
-        group = self.router_group(router)
+        group = self.router_region(router)
         if group == target_region:
             raise ValueError("router is already inside the target region")
         gw_router, gw_port = self.global_link_endpoint(group, target_region)
@@ -304,37 +278,33 @@ class DragonflyTopology(Topology):
             False,
         )
 
-    def global_port_target_group(self, router: int, port: int) -> int:
-        """Remote group reached through global ``port`` of ``router``."""
-        if self.port_kind(port) is not PortKind.GLOBAL:
-            raise ValueError(f"port {port} is not a global port")
-        group = self.router_group(router)
-        pos = self.router_position(router)
-        offset = pos * self._h + (port - self._first_global_port)
-        return self._offset_to_group[group][offset]
-
     def port_target_region(self, router: int, port: int) -> int:
-        """Region (group) reached through ``port``; arithmetic, no neighbor walk."""
+        """Region (group) reached through ``port``: the router's own group over
+        a local port, the global link's remote group from ``_offset_to_group``
+        over a global one; arithmetic without sub-calls, no neighbor walk."""
         kind = self.port_kinds[port]
-        if kind is PortKind.GLOBAL:
-            return self.global_port_target_group(router, port)
         if kind is PortKind.INJECTION:
             raise ValueError(f"port {port} is an injection port")
-        return self.router_group(router)
+        group, position = divmod(router, self._a)
+        if kind is PortKind.LOCAL:
+            return group
+        return self._offset_to_group[group][
+            position * self._h + port - self._first_global_port
+        ]
 
     # --------------------------------------------------------------- neighbors
     def neighbor(self, router: int, port: int) -> Optional[Tuple[int, int]]:
         kind = self.port_kind(port)
         if kind is PortKind.INJECTION:
             return None
-        group = self.router_group(router)
+        group = self.router_region(router)
         pos = self.router_position(router)
         if kind is PortKind.LOCAL:
             peer_pos = self.local_port_peer(pos, port)
             peer = self.router_id(group, peer_pos)
             return peer, self.local_port_to(peer_pos, pos)
         # Global port.
-        dst_group = self.global_port_target_group(router, port)
+        dst_group = self.port_target_region(router, port)
         peer_router, peer_port = self.global_link_endpoint(dst_group, group)
         return peer_router, peer_port
 
@@ -391,8 +361,8 @@ class DragonflyTopology(Topology):
     def _route_port(self, router: int, dst_router: int) -> int:
         """What the route table caches: the first hop of the minimal path
         between two distinct routers."""
-        group = self.router_group(router)
-        dst_group = self.router_group(dst_router)
+        group = self.router_region(router)
+        dst_group = self.router_region(dst_router)
         pos = self.router_position(router)
         if group == dst_group:
             return self.local_port_to(pos, self.router_position(dst_router))
@@ -400,18 +370,6 @@ class DragonflyTopology(Topology):
         if gw_router == router:
             return gw_port
         return self.local_port_to(pos, self.router_position(gw_router))
-
-    def minimal_global_port_info(self, router: int, dst_node: int) -> Optional[Tuple[int, int]]:
-        """Return ``(gateway_router, global_port)`` of the minimal global link.
-
-        For a destination in the same group, returns ``None`` (the minimal
-        path uses no global link).
-        """
-        group = self.router_group(router)
-        dst_group = self.node_group(dst_node)
-        if group == dst_group:
-            return None
-        return self.global_link_endpoint(group, dst_group)
 
     def minimal_path_length(self, src_node: int, dst_node: int) -> int:
         src_router = self.node_router(src_node)
@@ -445,20 +403,6 @@ class DragonflyTopology(Topology):
             r = nbr[0]
             path.append(r)
         return path
-
-    # -------------------------------------------------------------- describing
-    def describe(self) -> Dict[str, int]:
-        """Summary of the topology sizes (for reports and examples)."""
-        return {
-            "p": self._p,
-            "a": self._a,
-            "h": self._h,
-            "groups": self._num_groups,
-            "routers": self.num_routers,
-            "nodes": self.num_nodes,
-            "router_radix": self._radix,
-            "global_links_per_group": self.global_links_per_group,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -413,17 +413,6 @@ class FatTreeTopology(Topology):
         choice = draws.integers(rng, 0, self._m)
         return self._rid_of(self._levels - 1, choice)
 
-    # -------------------------------------------------------------- describing
-    def describe(self) -> Dict[str, object]:
-        return {
-            "p": self._p,
-            "k": self._k,
-            "levels": self._levels,
-            "routers": self.num_routers,
-            "nodes": self.num_nodes,
-            "router_radix": self._radix,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FatTreeTopology(p={self._p}, k={self._k}, "

@@ -29,7 +29,7 @@ two-leg Valiant concatenations).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config.parameters import FlattenedButterflyConfig
 from repro.topology.base import PathModel, PortKind, Topology
@@ -241,17 +241,6 @@ class FlattenedButterflyTopology(Topology):
         sx, sy = self.router_coords(src_router)
         dx, dy = self.router_coords(dst_router)
         return (sx != dx) + (sy != dy)
-
-    # -------------------------------------------------------------- describing
-    def describe(self) -> Dict[str, int]:
-        return {
-            "p": self._p,
-            "rows": self._rows,
-            "cols": self._cols,
-            "routers": self.num_routers,
-            "nodes": self.num_nodes,
-            "router_radix": self._radix,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

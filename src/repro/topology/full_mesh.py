@@ -23,7 +23,7 @@ Valiant spreads the same traffic over all two-hop paths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config.parameters import FullMeshConfig
 from repro.topology.base import PathModel, PortKind, Topology
@@ -144,16 +144,6 @@ class FullMeshTopology(Topology):
 
     def minimal_path_length(self, src_node: int, dst_node: int) -> int:
         return 0 if self.node_router(src_node) == self.node_router(dst_node) else 1
-
-    # -------------------------------------------------------------- describing
-    def describe(self) -> Dict[str, int]:
-        return {
-            "p": self._p,
-            "a": self._a,
-            "routers": self.num_routers,
-            "nodes": self.num_nodes,
-            "router_radix": self._radix,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FullMeshTopology(p={self._p}, a={self._a}, nodes={self.num_nodes})"

@@ -373,16 +373,6 @@ class TorusTopology(Topology):
             packet.ring_crossed = True
         packet.ring_dir = direction
 
-    # -------------------------------------------------------------- describing
-    def describe(self) -> Dict[str, object]:
-        return {
-            "p": self._p,
-            "dims": "x".join(str(k) for k in self._dims),
-            "routers": self.num_routers,
-            "nodes": self.num_nodes,
-            "router_radix": self._radix,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         dims = "x".join(str(k) for k in self._dims)
         return f"TorusTopology(p={self._p}, dims={dims}, nodes={self.num_nodes})"

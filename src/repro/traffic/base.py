@@ -36,9 +36,6 @@ class TrafficPattern(ABC):
         has more than one node.
         """
 
-    def describe(self) -> str:
-        return self.name
-
     # -- helpers for subclasses ------------------------------------------------
     def _random_node_excluding(
         self, candidates_low: int, candidates_high: int, exclude: int, rng: np.random.Generator

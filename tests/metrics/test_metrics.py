@@ -1,4 +1,4 @@
-"""Tests for latency/throughput/misrouting statistics, time series and aggregation."""
+"""Tests for the delivery collector, latency samples, time series and aggregation."""
 
 import math
 
@@ -7,67 +7,23 @@ import pytest
 
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.latency import LatencyStats
-from repro.metrics.misrouting import MisroutingStats
 from repro.metrics.statistics import aggregate_rows, aggregate_scalar, average_series
-from repro.metrics.throughput import ThroughputStats
 from repro.metrics.timeseries import TimeSeriesRecorder
 from repro.network.packet import Packet
 
 
 class TestLatencyStats:
-    def test_summary_statistics(self):
+    def test_mean_and_percentile(self):
         stats = LatencyStats()
-        for value in [100, 120, 140, 160, 180]:
-            stats.record(value)
-        assert stats.count == 5
+        stats._samples.extend([100, 120, 140, 160, 180])
         assert stats.mean == pytest.approx(140)
-        assert stats.minimum == 100 and stats.maximum == 180
         assert stats.percentile(50) == pytest.approx(140)
-        assert stats.summary()["p99"] >= stats.summary()["p50"]
+        assert stats.percentile(99) >= stats.percentile(50)
 
     def test_empty_stats_are_nan(self):
         stats = LatencyStats()
         assert math.isnan(stats.mean)
         assert math.isnan(stats.percentile(99))
-        assert stats.minimum is None
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyStats().record(-1)
-
-
-class TestThroughputStats:
-    def test_accepted_load_normalisation(self):
-        stats = ThroughputStats(num_nodes=10)
-        stats.set_window(100)
-        for _ in range(50):
-            stats.record_delivery(8)
-        assert stats.accepted_load == pytest.approx(400 / 1000)
-
-    def test_without_window_is_nan(self):
-        stats = ThroughputStats(num_nodes=10)
-        stats.record_delivery(8)
-        assert math.isnan(stats.accepted_load)
-
-    def test_rejects_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            ThroughputStats(0)
-        with pytest.raises(ValueError):
-            ThroughputStats(1).set_window(-5)
-
-
-class TestMisroutingStats:
-    def test_fractions(self):
-        stats = MisroutingStats()
-        stats.record(globally_misrouted=True, locally_misrouted=False, hops=5)
-        stats.record(globally_misrouted=False, locally_misrouted=True, hops=3)
-        stats.record(globally_misrouted=False, locally_misrouted=False, hops=2)
-        assert stats.global_misroute_fraction == pytest.approx(1 / 3)
-        assert stats.local_misroute_fraction == pytest.approx(1 / 3)
-        assert stats.mean_hops == pytest.approx(10 / 3)
-
-    def test_empty_is_nan(self):
-        assert math.isnan(MisroutingStats().global_misroute_fraction)
 
 
 class TestTimeSeriesRecorder:
@@ -77,44 +33,74 @@ class TestTimeSeriesRecorder:
         recorder.record(7, 200, globally_misrouted=True, size_phits=8)
         recorder.record(25, 300, globally_misrouted=True, size_phits=8)
         recorder.record(45, 400, globally_misrouted=True, size_phits=8)  # outside window
-        assert recorder.bins() == [0, 20]
-        assert recorder.latency_series() == [150.0, 300.0]
-        assert recorder.misrouted_series() == [0.5, 1.0]
-        rows = recorder.as_rows()
-        assert rows[0]["packets"] == 2
+        points = recorder.points()
+        assert [p.bin_start for p in points] == [0, 20]
+        assert [p.mean_latency for p in points] == [150.0, 300.0]
+        assert [p.misrouted_fraction for p in points] == [0.5, 1.0]
+        assert points[0].count == 2
 
     def test_rejects_bad_bin_size(self):
         with pytest.raises(ValueError):
             TimeSeriesRecorder(bin_size=0)
 
 
-class TestMetricsCollector:
-    def _delivered_packet(self, created, delivered, misrouted=False):
-        p = Packet(pid=0, src=0, dst=1, size_phits=8, creation_cycle=created)
-        p.delivered_cycle = delivered
-        p.globally_misrouted = misrouted
-        return p
+def _delivered_packet(created, delivered, *, misrouted=False, local=False, hops=3):
+    p = Packet(pid=0, src=0, dst=1, size_phits=8, creation_cycle=created)
+    p.delivered_cycle = delivered
+    p.globally_misrouted = misrouted
+    p.locally_misrouted = local
+    p.hops = hops
+    return p
 
+
+class TestMetricsCollector:
     def test_window_filtering(self):
         collector = MetricsCollector(num_nodes=4, measure_start=100, measure_end=200)
-        collector.finalize_window()
         # Created before the window: throughput counts it, latency does not.
-        collector.record_delivery(self._delivered_packet(50, 150), 150)
+        collector.record_delivery(_delivered_packet(50, 150), 150)
         # Created and delivered inside the window: both count.
-        collector.record_delivery(self._delivered_packet(120, 180, misrouted=True), 180)
+        collector.record_delivery(_delivered_packet(120, 180, misrouted=True), 180)
         # Delivered after the window: latency counts (created inside), throughput not.
-        collector.record_delivery(self._delivered_packet(150, 250), 250)
-        assert collector.latency.count == 2
-        assert collector.throughput.delivered_packets == 2
-        assert collector.misrouting.delivered == 2
-        assert collector.misrouting.globally_misrouted == 1
-        summary = collector.summary()
-        assert summary["latency_count"] == 2.0
+        collector.record_delivery(_delivered_packet(150, 250), 250)
+        assert collector.latency.mean == pytest.approx((60 + 100) / 2)
+        assert collector.delivered_packets == 2
+        assert collector.delivered_phits == 16
+        assert collector.delivered_in_window == 2
+        assert collector.globally_misrouted == 1
 
-    def test_finalize_window_requires_end(self):
-        collector = MetricsCollector(num_nodes=4, measure_start=0, measure_end=None)
+    def test_accepted_load_normalisation(self):
+        collector = MetricsCollector(num_nodes=10, measure_start=0, measure_end=100)
+        for _ in range(50):
+            collector.record_delivery(_delivered_packet(0, 10), 10)
+        assert collector.accepted_load == pytest.approx(400 / 1000)
+
+    def test_without_a_closed_window_the_load_is_nan(self):
+        collector = MetricsCollector(num_nodes=10, measure_start=0, measure_end=None)
+        collector.record_delivery(_delivered_packet(0, 10), 10)
+        assert math.isnan(collector.accepted_load)
+
+    def test_fractions_and_mean_hops(self):
+        collector = MetricsCollector(num_nodes=4, measure_start=0, measure_end=100)
+        collector.record_delivery(_delivered_packet(0, 10, misrouted=True, hops=5), 10)
+        collector.record_delivery(_delivered_packet(0, 10, local=True, hops=3), 10)
+        collector.record_delivery(_delivered_packet(0, 10, hops=2), 10)
+        assert collector.global_misroute_fraction == pytest.approx(1 / 3)
+        assert collector.local_misroute_fraction == pytest.approx(1 / 3)
+        assert collector.mean_hops == pytest.approx(10 / 3)
+
+    def test_empty_is_nan(self):
+        collector = MetricsCollector(num_nodes=4, measure_start=0, measure_end=100)
+        assert math.isnan(collector.global_misroute_fraction)
+        assert math.isnan(collector.mean_hops)
+
+    def test_negative_latency_rejected(self):
+        collector = MetricsCollector(num_nodes=4)
+        with pytest.raises(ValueError, match="latency cannot be negative"):
+            collector.record_delivery(_delivered_packet(10, 9), 9)
+
+    def test_rejects_no_nodes(self):
         with pytest.raises(ValueError):
-            collector.finalize_window()
+            MetricsCollector(num_nodes=0)
 
 
 class TestAggregation:

@@ -56,44 +56,17 @@ class TestFromEnv:
 
     def test_key_value_list_tunes_fields(self):
         config = ObservationConfig.from_env(
-            {"REPRO_OBS": "sample=0.25, snapshot=100, link=0, trigger=1, max_events=9"}
+            {"REPRO_OBS": "sample=0.25, snapshot=100, max_events=9"}
         )
         assert config == ObservationConfig(
-            flight_sample_rate=0.25,
-            snapshot_period=100,
-            link_utilization=False,
-            trigger_trace=True,
-            max_events=9,
+            flight_sample_rate=0.25, snapshot_period=100, max_events=9
         )
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown REPRO_OBS key"):
-            ObservationConfig.from_env({"REPRO_OBS": "sampel=0.5"})
+        for item in ("sampel=0.5", "link=0", "trigger=1"):
+            with pytest.raises(ValueError, match="unknown REPRO_OBS key"):
+                ObservationConfig.from_env({"REPRO_OBS": item})
 
     def test_bare_token_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             ObservationConfig.from_env({"REPRO_OBS": "snapshot"})
-
-    # Regression: the parser used to treat anything outside {"0", "false"}
-    # as True, so link=False / link=off / link=no all *enabled* the probe.
-    @pytest.mark.parametrize("spelling", ["0", "false", "False", "FALSE", "no", "off", "OFF"])
-    def test_falsy_spellings_disable(self, spelling):
-        config = ObservationConfig.from_env({"REPRO_OBS": f"link={spelling}"})
-        assert config.link_utilization is False
-        config = ObservationConfig.from_env({"REPRO_OBS": f"trigger={spelling}"})
-        assert config.trigger_trace is False
-
-    @pytest.mark.parametrize("spelling", ["1", "true", "True", "yes", "on", "ON"])
-    def test_truthy_spellings_enable(self, spelling):
-        config = ObservationConfig.from_env(
-            {"REPRO_OBS": f"link={spelling},trigger={spelling}"}
-        )
-        assert config.link_utilization is True
-        assert config.trigger_trace is True
-
-    @pytest.mark.parametrize("spelling", ["fasle", "2", "nope", ""])
-    def test_unrecognized_boolean_spelling_rejected(self, spelling):
-        with pytest.raises(ValueError, match="is not a boolean"):
-            ObservationConfig.from_env({"REPRO_OBS": f"link={spelling}"})
-        with pytest.raises(ValueError, match="is not a boolean"):
-            ObservationConfig.from_env({"REPRO_OBS": f"trigger={spelling}"})

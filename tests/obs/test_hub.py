@@ -196,15 +196,6 @@ class TestTriggerTrace:
         sim, _ = traced_run(routing="MIN", pattern="UN", load=0.2)
         assert sim.obs.trigger_summary() == []
 
-    def test_trigger_trace_off_strips_the_probe(self, traced_run):
-        sim, _ = traced_run(
-            observation=ObservationConfig(trigger_trace=False)
-        )
-        assert sim.obs.trigger_summary() == []
-        assert not [
-            e for e in sim.obs.flight_events() if e.get("trigger") is not None
-        ]
-
     @pytest.mark.parametrize(
         "routing,signal,extra_key",
         [
@@ -246,10 +237,6 @@ class TestLinkUtilization:
         for row in rows:
             assert row["phits"] == phits[(row["router"], row["port"])]
             assert row["kind"] in ("G", "L", "E")
-
-    def test_link_probe_off_keeps_no_counters(self, traced_run):
-        sim, _ = traced_run(observation=ObservationConfig(link_utilization=False))
-        assert sim.obs.link_utilization() == []
 
 
 class TestPerfBlock:

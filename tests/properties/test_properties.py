@@ -38,8 +38,8 @@ def test_dragonfly_structure_invariants(config):
     pairs = set()
     for r in range(topo.num_routers):
         for port in topo.global_ports:
-            pairs.add((topo.router_group(r), topo.global_port_target_group(r, port)))
-    assert len(pairs) == topo.num_groups * (topo.num_groups - 1)
+            pairs.add((topo.router_region(r), topo.port_target_region(r, port)))
+    assert len(pairs) == topo.num_regions * (topo.num_regions - 1)
 
 
 @given(dragonfly_configs, st.data())

@@ -35,7 +35,7 @@ def base_routing(topology, preset):
 
 
 def remote_packet(topology, src_router=0, dst_group=2, pid=0, size=2):
-    dst = topology.group_nodes(dst_group)[0]
+    dst = topology.region_nodes(dst_group)[0]
     src = topology.router_nodes(src_router)[0]
     return Packet(pid=pid, src=src, dst=dst, size_phits=size, creation_cycle=0)
 
@@ -206,9 +206,9 @@ class TestOLMTrigger:
         packet.globally_misrouted = True
         dst_router = topo.node_router(packet.dst)
         # At a router of the destination group the packet must go minimally.
-        router = sim.network.routers[topo.group_routers(2)[0]]
+        router = sim.network.routers[topo.region_routers(2)[0]]
         if router.router_id == dst_router:
-            router = sim.network.routers[topo.group_routers(2)[1]]
+            router = sim.network.routers[topo.region_routers(2)[1]]
         decision = sim.routing.select_output(router, 4, 0, packet, 0)
         assert decision.output_port == topo.minimal_output_port(router.router_id, packet.dst)
 

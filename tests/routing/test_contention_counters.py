@@ -37,7 +37,7 @@ class TestContentionTracker:
         tracker: ContentionTracker = sim.routing.tracker
         topo: DragonflyTopology = sim.topology
         router = sim.network.routers[0]
-        dst = topo.group_nodes(2)[0]
+        dst = topo.region_nodes(2)[0]
         packet = Packet(pid=0, src=0, dst=dst, size_phits=2, creation_cycle=0)
         minimal_port = topo.minimal_output_port(0, dst)
 
@@ -78,8 +78,8 @@ class TestContentionTracker:
         tracker = sim.routing.tracker
         topo = sim.topology
         hot_values = []
-        for group in range(topo.num_groups):
-            dst_group = (group + 1) % topo.num_groups
+        for group in range(topo.num_regions):
+            dst_group = (group + 1) % topo.num_regions
             gw_router, gw_port = topo.global_link_endpoint(group, dst_group)
             hot_values.append(tracker.value(gw_router, gw_port))
         # At 0.4 offered load the single minimal global link of each group is

@@ -35,7 +35,7 @@ class TestMinimalRouting:
 
     def test_minimal_decisions_follow_minimal_path(self, sim_min):
         topo = sim_min.topology
-        dst = topo.group_nodes(2)[0]
+        dst = topo.region_nodes(2)[0]
         packet = make_packet(0, dst)
         rid = 0
         hops = 0
@@ -63,15 +63,15 @@ class TestValiantRouting:
         topo = sim_val.topology
         routing = sim_val.routing
         for source_router in range(topo.num_routers):
-            src_group = topo.router_group(source_router)
+            src_group = topo.router_region(source_router)
             for _ in range(20):
                 intermediate = routing.random_intermediate_router(source_router)
                 assert 0 <= intermediate < topo.num_routers
-                assert topo.router_group(intermediate) != src_group
+                assert topo.router_region(intermediate) != src_group
 
     def test_on_inject_sets_valiant_state(self, sim_val):
         topo = sim_val.topology
-        packet = make_packet(0, topo.group_nodes(2)[0])
+        packet = make_packet(0, topo.region_nodes(2)[0])
         router = sim_val.network.routers[0]
         sim_val.routing.on_inject(router, packet, cycle=0)
         assert packet.phase is RoutingPhase.TO_INTERMEDIATE
@@ -80,7 +80,7 @@ class TestValiantRouting:
 
     def test_arrival_at_intermediate_switches_to_minimal(self, sim_val):
         topo = sim_val.topology
-        packet = make_packet(0, topo.group_nodes(2)[0])
+        packet = make_packet(0, topo.region_nodes(2)[0])
         router = sim_val.network.routers[0]
         sim_val.routing.on_inject(router, packet, cycle=0)
         intermediate = packet.valiant_router
@@ -92,7 +92,7 @@ class TestValiantRouting:
 
     def test_global_hops_towards_wrong_group_flagged_nonminimal(self, sim_val):
         topo = sim_val.topology
-        dst = topo.group_nodes(3)[0]
+        dst = topo.region_nodes(3)[0]
         packet = make_packet(0, dst)
         router = sim_val.network.routers[0]
         sim_val.routing.on_inject(router, packet, cycle=0)
@@ -103,8 +103,8 @@ class TestValiantRouting:
             decision = sim_val.routing.select_output(router, 0, 0, packet, 0)
             kind = topo.port_kind(decision.output_port)
             if kind is PortKind.GLOBAL:
-                target = topo.global_port_target_group(rid, decision.output_port)
-                assert decision.nonminimal_global == (target != topo.node_group(dst))
+                target = topo.port_target_region(rid, decision.output_port)
+                assert decision.nonminimal_global == (target != topo.node_region(dst))
                 break
             rid = topo.neighbor(rid, decision.output_port)[0]
             packet.record_hop(is_global=False)

@@ -13,14 +13,14 @@ def sim(tiny_params):
 
 
 def remote_packet(topology, dst_group=2):
-    dst = topology.group_nodes(dst_group)[0]
+    dst = topology.region_nodes(dst_group)[0]
     return Packet(pid=0, src=0, dst=dst, size_phits=2, creation_cycle=0)
 
 
 class TestSaturationFlags:
     def test_flags_start_clear(self, sim):
         routing: PiggybackRouting = sim.routing
-        for group in range(sim.topology.num_groups):
+        for group in range(sim.topology.num_regions):
             assert not any(routing.saturation_flags(group))
 
     def test_flag_set_after_notification_delay(self, sim):
@@ -76,7 +76,7 @@ class TestSourceDecision:
         routing.on_inject(sim.network.routers[0], packet, cycle=0)
         assert packet.phase is RoutingPhase.TO_INTERMEDIATE
         assert packet.valiant_router is not None
-        assert topo.router_group(packet.valiant_router) != 0
+        assert topo.router_region(packet.valiant_router) != 0
 
     def test_intra_group_traffic_never_diverted(self, sim):
         topo = sim.topology
@@ -106,7 +106,7 @@ class TestSourceDecision:
         """Once PB picks Valiant at the source, in-transit hops never change it."""
         topo = sim.topology
         packet = remote_packet(topo, dst_group=2)
-        packet.valiant_router = topo.group_routers(3)[0]
+        packet.valiant_router = topo.region_routers(3)[0]
         packet.phase = RoutingPhase.TO_INTERMEDIATE
         rid = 0
         hops = 0

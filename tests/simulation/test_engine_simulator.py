@@ -111,6 +111,13 @@ class TestTransientProtocol:
         with pytest.raises(ValueError):
             sim.run_transient(warmup_cycles=50, observe_before=20, observe_after=50)
 
+    def test_transient_patterns_share_the_simulator_topology(self, tiny_params):
+        sim = Simulator.build_transient(
+            tiny_params, "Base", "UN", "ADV+1", offered_load=0.2, switch_cycle=100, seed=1
+        )
+        for pattern in (sim.pattern, sim.pattern.before, sim.pattern.after):
+            assert pattern.topology is sim.topology
+
     def test_transient_series_covers_observation_window(self, tiny_params):
         sim = Simulator.build_transient(
             tiny_params, "Base", "UN", "ADV+1", offered_load=0.2, switch_cycle=150, seed=1

@@ -2,7 +2,8 @@
 
 On a stock ``soa`` run the core answers, in C, ``select_output`` of the pure
 mechanisms (their capture), ``MetricsCollector.record_delivery`` /
-``record_generated`` and the accumulators they call,
+``record_generated`` with the ``in_window`` test and the time-series bin
+they call,
 ``BernoulliTrafficGenerator.generate`` with the uniform, adversarial and
 transient destinations, ``Packet(...)`` and ``ComputeNode.enqueue``.  A stock
 check the core silently misses would fail no result test — it would only
@@ -26,9 +27,6 @@ import repro.network.network
 import repro.simulation.simulator
 from repro.config.parameters import SimulationParameters
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.latency import LatencyStats
-from repro.metrics.misrouting import MisroutingStats
-from repro.metrics.throughput import ThroughputStats
 from repro.metrics.timeseries import TimeSeriesRecorder
 from repro.network.network import Network
 from repro.network.node import ComputeNode
@@ -55,9 +53,6 @@ FAST = [
     (MetricsCollector, "record_delivery"),
     (MetricsCollector, "record_generated"),
     (MetricsCollector, "in_window"),
-    (ThroughputStats, "record_delivery"),
-    (LatencyStats, "record"),
-    (MisroutingStats, "record"),
     (TimeSeriesRecorder, "record"),
     (BernoulliTrafficGenerator, "generate"),
     (TrafficPattern, "_random_node_excluding"),
@@ -98,13 +93,10 @@ def _watched():
     pairs = list(FAST)
     pairs += [(c, "select_output") for c in _subclasses(RoutingAlgorithm)]
     pairs += [(c, "destination") for c in _subclasses(TrafficPattern)]
-    pairs.append((Packet, "latency"))
     code = {}
     for owner, name in pairs:
         if name in vars(owner):
-            function = vars(owner)[name]
-            function = function.fget if isinstance(function, property) else function
-            code[inspect.unwrap(function).__code__] = f"{owner.__name__}.{name}"
+            code[inspect.unwrap(vars(owner)[name]).__code__] = f"{owner.__name__}.{name}"
     return code
 
 

@@ -23,7 +23,6 @@ from collections import Counter
 import pytest
 
 from repro.config.parameters import SimulationParameters
-from repro.metrics import ThroughputStats
 from repro.metrics.collector import MetricsCollector
 from repro.network.node import ComputeNode
 from repro.network.packet import Packet
@@ -527,20 +526,20 @@ class TestOverridesAreHonoured:
         assert soa.partial == obj.partial and soa.combined == obj.combined
 
 
-class _CountingThroughput(ThroughputStats):
-    """A collector sink whose slotted ``delivered_packets`` a property
-    shadows: the core must write through the property, not the slot."""
+class _CountingCollector(MetricsCollector):
+    """A collector whose slotted ``delivered_packets`` a property shadows:
+    the core must write through the property, not the slot."""
 
     __slots__ = ()
 
     @property
     def delivered_packets(self):
-        return ThroughputStats.delivered_packets.__get__(self)
+        return MetricsCollector.delivered_packets.__get__(self)
 
     @delivered_packets.setter
     def delivered_packets(self, value):
-        _CountingThroughput.writes[_CountingThroughput.backend] += 1
-        ThroughputStats.delivered_packets.__set__(self, value)
+        _CountingCollector.writes[_CountingCollector.backend] += 1
+        MetricsCollector.delivered_packets.__set__(self, value)
 
 
 class TestTheNameCacheFollowsTheClasses:
@@ -554,7 +553,7 @@ class TestTheNameCacheFollowsTheClasses:
             (BaseContentionRouting, "on_packet_head"),
             (ContentionTracker, "on_leave"),
             (MetricsCollector, "record_delivery"),
-            (ThroughputStats, "record_delivery"),
+            (MetricsCollector, "in_window"),
             (ComputeNode, "enqueue"),
         ],
         ids=lambda value: getattr(value, "__name__", value),
@@ -581,7 +580,7 @@ class TestTheNameCacheFollowsTheClasses:
 
     def test_a_subclass_property_over_a_slot_is_used(self, monkeypatch):
         delivered, writes = {}, Counter()
-        monkeypatch.setattr(_CountingThroughput, "writes", writes, raising=False)
+        monkeypatch.setattr(_CountingCollector, "writes", writes, raising=False)
         for backend in ("object", "soa"):
             sim = _sim("Base", 0.3, backend)
             sim.run_steady_state(50, 100)  # the stock sink's slots are cached now
@@ -589,12 +588,11 @@ class TestTheNameCacheFollowsTheClasses:
             metrics = MetricsCollector(
                 num_nodes=sim.topology.num_nodes, measure_start=start, measure_end=start + 200
             )
-            metrics.finalize_window()
-            metrics.throughput.__class__ = _CountingThroughput
-            monkeypatch.setattr(_CountingThroughput, "backend", backend, raising=False)
+            metrics.__class__ = _CountingCollector
+            monkeypatch.setattr(_CountingCollector, "backend", backend, raising=False)
             sim.engine.metrics = metrics
             sim.engine.run(200)
-            delivered[backend] = metrics.throughput.delivered_packets
+            delivered[backend] = metrics.delivered_packets
         assert writes["soa"] == writes["object"] == delivered["soa"] == delivered["object"] > 0
 
 

@@ -15,7 +15,7 @@ def topology(request) -> DragonflyTopology:
 class TestStructure:
     def test_sizes(self, topology):
         cfg = topology.config
-        assert topology.num_groups == cfg.a * cfg.h + 1 == 7
+        assert topology.num_regions == cfg.a * cfg.h + 1 == 7
         assert topology.num_routers == 21
         assert topology.num_nodes == 42
         assert topology.router_radix == 2 + 2 + 2
@@ -40,24 +40,24 @@ class TestStructure:
     def test_each_group_pair_joined_by_exactly_one_global_link(self, topology):
         seen = {}
         for r in range(topology.num_routers):
-            g = topology.router_group(r)
+            g = topology.router_region(r)
             for port in topology.global_ports:
-                dst = topology.global_port_target_group(r, port)
+                dst = topology.port_target_region(r, port)
                 assert dst != g
                 key = (g, dst)
                 assert key not in seen, f"duplicate global link {key}"
                 seen[key] = (r, port)
-        expected_pairs = topology.num_groups * (topology.num_groups - 1)
+        expected_pairs = topology.num_regions * (topology.num_regions - 1)
         assert len(seen) == expected_pairs
 
     def test_global_link_endpoint_is_inverse_of_target_group(self, topology):
-        for g in range(topology.num_groups):
-            for d in range(topology.num_groups):
+        for g in range(topology.num_regions):
+            for d in range(topology.num_regions):
                 if g == d:
                     continue
                 router, port = topology.global_link_endpoint(g, d)
-                assert topology.router_group(router) == g
-                assert topology.global_port_target_group(router, port) == d
+                assert topology.router_region(router) == g
+                assert topology.port_target_region(router, port) == d
 
     def test_local_ports_form_complete_graph(self, topology):
         a = topology.config.a
@@ -82,13 +82,13 @@ class TestStructure:
 class TestAddressing:
     def test_router_group_position_roundtrip(self, topology):
         for r in range(topology.num_routers):
-            g = topology.router_group(r)
+            g = topology.router_region(r)
             pos = topology.router_position(r)
             assert topology.router_id(g, pos) == r
 
     def test_router_id_bounds(self, topology):
         with pytest.raises(ValueError):
-            topology.router_id(topology.num_groups, 0)
+            topology.router_id(topology.num_regions, 0)
         with pytest.raises(ValueError):
             topology.router_id(0, topology.config.a)
 
@@ -97,12 +97,12 @@ class TestAddressing:
             r = topology.node_router(n)
             assert n in topology.router_nodes(r)
             assert topology.node_port(n) < topology.config.p
-            assert topology.node_group(n) == topology.router_group(r)
+            assert topology.node_region(n) == topology.router_region(r)
 
     def test_group_nodes_partition(self, topology):
         all_nodes = []
-        for g in range(topology.num_groups):
-            all_nodes.extend(topology.group_nodes(g))
+        for g in range(topology.num_regions):
+            all_nodes.extend(topology.region_nodes(g))
         assert sorted(all_nodes) == list(range(topology.num_nodes))
 
 
@@ -180,7 +180,7 @@ class TestMinimalRouting:
                 assert topology.router_hops(router, dst_router) == len(path) - 1
 
     def test_group_link_offsets_index_the_link_between_two_groups(self, topology):
-        G, h = topology.num_groups, topology.config.h
+        G, h = topology.num_regions, topology.config.h
         first_global = min(topology.global_ports)
         for group in range(G):
             for dst_group in range(G):
@@ -195,21 +195,6 @@ class TestMinimalRouting:
         DragonflyTopology(DragonflyConfig(p=249, a=4, h=2))  # radix 254
         with pytest.raises(ValueError, match="byte-sized route memo"):
             DragonflyTopology(DragonflyConfig(p=250, a=4, h=2))
-
-    def test_minimal_global_port_info(self, topology):
-        # Same group: no global link on the minimal path.
-        same_group_node = topology.router_nodes(1)[0]
-        assert topology.minimal_global_port_info(0, same_group_node) is None
-        # Remote group: the gateway belongs to the source group.
-        remote_node = topology.group_nodes(3)[0]
-        gw, port = topology.minimal_global_port_info(0, remote_node)
-        assert topology.router_group(gw) == topology.router_group(0)
-        assert topology.global_port_target_group(gw, port) == 3
-
-    def test_describe(self, topology):
-        info = topology.describe()
-        assert info["routers"] == topology.num_routers
-        assert info["nodes"] == topology.num_nodes
 
 
 def test_paper_scale_topology_constructs():

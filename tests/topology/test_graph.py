@@ -15,7 +15,7 @@ def topology() -> DragonflyTopology:
 def test_to_networkx_edge_counts(topology):
     g = to_networkx(topology)
     assert g.number_of_nodes() == topology.num_routers
-    groups = topology.num_groups
+    groups = topology.num_regions
     a = topology.config.a
     local_edges = groups * a * (a - 1) // 2
     global_edges = groups * (groups - 1) // 2
@@ -31,7 +31,7 @@ def test_router_graph_is_connected_with_small_diameter(topology):
 
 def test_link_census_counts_unidirectional_links(topology):
     census = link_census(topology)
-    groups = topology.num_groups
+    groups = topology.num_regions
     a = topology.config.a
     assert census["local"] == groups * a * (a - 1)
     assert census["global"] == groups * (groups - 1)

@@ -23,8 +23,8 @@ class TestUniformTraffic:
 
     def test_destinations_cover_many_groups(self, tiny_topology, rng):
         pattern = UniformTraffic(tiny_topology)
-        groups = {tiny_topology.node_group(pattern.destination(0, 0, rng)) for _ in range(200)}
-        assert len(groups) >= tiny_topology.num_groups - 1
+        groups = {tiny_topology.node_region(pattern.destination(0, 0, rng)) for _ in range(200)}
+        assert len(groups) >= tiny_topology.num_regions - 1
 
 
 class TestAdversarialTraffic:
@@ -32,18 +32,18 @@ class TestAdversarialTraffic:
         pattern = AdversarialTraffic(tiny_topology, offset=1)
         for src in range(tiny_topology.num_nodes):
             dst = pattern.destination(src, 0, rng)
-            expected = (tiny_topology.node_group(src) + 1) % tiny_topology.num_groups
-            assert tiny_topology.node_group(dst) == expected
+            expected = (tiny_topology.node_region(src) + 1) % tiny_topology.num_regions
+            assert tiny_topology.node_region(dst) == expected
 
     def test_adv_offset_wraps_around(self, tiny_topology, rng):
-        offset = tiny_topology.num_groups + 1  # equivalent to +1 after wrap
+        offset = tiny_topology.num_regions + 1  # equivalent to +1 after wrap
         pattern = AdversarialTraffic(tiny_topology, offset=offset)
         dst = pattern.destination(0, 0, rng)
-        assert tiny_topology.node_group(dst) == 1 % tiny_topology.num_groups
+        assert tiny_topology.node_region(dst) == 1 % tiny_topology.num_regions
 
     def test_rejects_degenerate_offset(self, tiny_topology):
         with pytest.raises(ValueError):
-            AdversarialTraffic(tiny_topology, offset=tiny_topology.num_groups)
+            AdversarialTraffic(tiny_topology, offset=tiny_topology.num_regions)
 
     def test_name_reflects_offset(self, tiny_topology):
         assert AdversarialTraffic(tiny_topology, offset=3).name == "ADV+3"
@@ -55,13 +55,13 @@ class TestMixedTraffic:
         mixed = MixedTraffic(tiny_topology, [(adv, 1.0), (UniformTraffic(tiny_topology), 0.0)])
         for src in range(0, tiny_topology.num_nodes, 3):
             dst = mixed.destination(src, 0, rng)
-            assert tiny_topology.node_group(dst) == (tiny_topology.node_group(src) + 1) % tiny_topology.num_groups
+            assert tiny_topology.node_region(dst) == (tiny_topology.node_region(src) + 1) % tiny_topology.num_regions
 
     def test_blend_produces_both_components(self, tiny_topology, rng):
         adv = AdversarialTraffic(tiny_topology, offset=1)
         uni = UniformTraffic(tiny_topology)
         mixed = MixedTraffic(tiny_topology, [(adv, 0.5), (uni, 0.5)])
-        groups = {tiny_topology.node_group(mixed.destination(0, 0, rng)) for _ in range(300)}
+        groups = {tiny_topology.node_region(mixed.destination(0, 0, rng)) for _ in range(300)}
         assert len(groups) > 1  # not everything to group +1
 
     def test_rejects_invalid_weights(self, tiny_topology):
@@ -81,8 +81,8 @@ class TestTransientTraffic:
         transient = TransientTraffic(tiny_topology, before, after, switch_cycle=100)
         dst_before = transient.destination(0, 99, rng)
         dst_after = transient.destination(0, 100, rng)
-        assert tiny_topology.node_group(dst_before) == 1
-        assert tiny_topology.node_group(dst_after) == 2
+        assert tiny_topology.node_region(dst_before) == 1
+        assert tiny_topology.node_region(dst_after) == 2
         assert transient.active_pattern(99) is before
         assert transient.active_pattern(100) is after
 
