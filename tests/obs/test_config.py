@@ -70,3 +70,22 @@ class TestFromEnv:
     def test_bare_token_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             ObservationConfig.from_env({"REPRO_OBS": "snapshot"})
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ("sample=half", "could not convert"),
+            ("snapshot=1.5", "invalid literal"),
+            ("max_events=many", "invalid literal"),
+            ("sample=1.5", "flight_sample_rate"),
+            ("snapshot=-1", "snapshot_period"),
+            ("max_events=-5", "max_events"),
+        ],
+    )
+    def test_bad_value_rejected(self, item, message):
+        with pytest.raises(ValueError, match=message):
+            ObservationConfig.from_env({"REPRO_OBS": item})
+
+    def test_blank_entries_and_padding_are_ignored(self):
+        config = ObservationConfig.from_env({"REPRO_OBS": " ,sample = 0.5,, snapshot= 10 ,"})
+        assert config == ObservationConfig(flight_sample_rate=0.5, snapshot_period=10)

@@ -59,6 +59,42 @@ class TestStructure:
                 assert topology.router_region(router) == g
                 assert topology.port_target_region(router, port) == d
 
+    def test_port_target_region_matches_the_wiring(self, topology):
+        # The arithmetic over ``_offset_to_group`` answers what a neighbor
+        # walk would, on every local and global port of every router.
+        for router in range(topology.num_routers):
+            for port in range(topology.router_radix):
+                if topology.port_kind(port) is PortKind.INJECTION:
+                    with pytest.raises(ValueError, match="injection port"):
+                        topology.port_target_region(router, port)
+                    continue
+                nbr_router, _ = topology.neighbor(router, port)
+                assert topology.port_target_region(router, port) == topology.router_region(
+                    nbr_router
+                )
+
+    def test_region_gateway_leads_into_the_target_region(self, topology):
+        for router in range(topology.num_routers):
+            group = topology.router_region(router)
+            with pytest.raises(ValueError, match="already inside"):
+                topology.region_gateway(router, group)
+            for target in range(topology.num_regions):
+                if target == group:
+                    continue
+                port, is_global = topology.region_gateway(router, target)
+                assert is_global == (topology.port_kind(port) is PortKind.GLOBAL)
+                if not is_global:
+                    # One local hop to the owner of the group's link.
+                    router_next, _ = topology.neighbor(router, port)
+                    assert topology.router_region(router_next) == group
+                    port, is_global = topology.region_gateway(router_next, target)
+                    assert is_global
+                    router_here = router_next
+                else:
+                    router_here = router
+                assert (router_here, port) == topology.global_link_endpoint(group, target)
+                assert topology.port_target_region(router_here, port) == target
+
     def test_local_ports_form_complete_graph(self, topology):
         a = topology.config.a
         for pos in range(a):
@@ -190,6 +226,25 @@ class TestMinimalRouting:
                     continue
                 router, port = topology.global_link_endpoint(group, dst_group)
                 assert offset == topology.router_position(router) * h + port - first_global
+
+    def test_a_minimal_path_crosses_one_global_link_between_the_two_regions(self, topology):
+        for src_router in range(topology.num_routers):
+            src_group = topology.router_region(src_router)
+            for dst_router in range(topology.num_routers):
+                path = topology.minimal_router_path(src_router, dst_router)
+                global_hops = [
+                    (a, b)
+                    for a, b in zip(path, path[1:])
+                    if topology.router_region(a) != topology.router_region(b)
+                ]
+                dst_group = topology.router_region(dst_router)
+                if dst_group == src_group:
+                    assert global_hops == []
+                    continue
+                [(gateway, landing)] = global_hops
+                assert topology.router_region(gateway) == src_group
+                assert topology.router_region(landing) == dst_group
+                assert gateway == topology.global_link_endpoint(src_group, dst_group)[0]
 
     def test_a_radix_the_memo_byte_cannot_hold_is_rejected(self):
         DragonflyTopology(DragonflyConfig(p=249, a=4, h=2))  # radix 254
