@@ -9,26 +9,29 @@
  * stock one: the routing hooks, `Packet.record_hop`, the head captures (the
  * pure mechanisms' `select_output`, the adaptive path policies) and the
  * triggers of their open gates -- and an injection with its stock
- * `on_inject`, the topology queries of a Dragonfly from its route and
- * link-offset tables, the source phase of a cycle (the stock Bernoulli
- * generator, its destinations, `Packet(...)`, `ComputeNode.enqueue`), the
- * stock delivery accounting of `MetricsCollector` and PB's saturation
- * broadcast.  Everything a test or a probe reads through `st.*` therefore
- * stays live state: the integer columns are `array('q')`s this core holds a
- * buffer on, `Packet`s sit in VC lists, event tuples in `cycle -> [events]`
- * dicts, row tuples in `engine._rows`, and the collector's counters, samples
- * and time-series bins are its own attributes.
+ * `on_inject`, the topology queries of every topology from its route table,
+ * hop memo and sizes (a Dragonfly's link-offset tables, a torus's dateline
+ * state machine over its ring table), the source phase of a cycle (the
+ * stock Bernoulli generator, its destinations, `Packet(...)`,
+ * `ComputeNode.enqueue`), the stock delivery accounting of
+ * `MetricsCollector` and PB's saturation broadcast.  Everything a test or
+ * a probe reads through `st.*` therefore stays live state: the integer
+ * columns are `array('q')`s this core holds a buffer on, `Packet`s sit in
+ * VC lists, event tuples in `cycle -> [events]` dicts, row tuples in
+ * `engine._rows`, and the collector's counters, samples and time-series
+ * bins are its own attributes.
  *
  * A hook is answered here only while the function the instance resolves for
  * its name -- resolved the way a method call resolves it, the type's part
  * through the name cache, valid per type version -- is the stock function
  * `SoAEngine` handed over; a subclass override or a wrapper on the class or
  * the instance, installed at any time, is called by name instead, with the
- * arguments and in the order the object engine uses; a Dragonfly's topology
- * queries follow the same rule.  What a stock body calls that is not
- * transcribed -- another topology's queries, misses of the routing's memos,
- * the obs / dateline / fault sub-calls -- is a Python call made from here, by
- * name and in the body's order.  A trigger's draw is answered here too, by
+ * arguments and in the order the object engine uses; the topology queries
+ * follow the same rule.  What a stock body calls that is not transcribed --
+ * a route-table fill by a topology's `_route_port` (the Dragonfly's
+ * excepted), misses of the hop memo and of the routing's memos, the obs /
+ * fault sub-calls -- is a Python call made from here, by name and in the
+ * body's order.  A trigger's draw is answered here too, by
  * the one bounded draw of a run (the module function `integers`, which
  * `repro.draws.integers` binds to): numpy's own Lemire step over the bit
  * generator, and `rng.integers` by name only where that does not apply.
@@ -102,7 +105,7 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(output_port) \
     X(_maybe_count_partial) X(_obs) X(_dateline) X(_commit_fault_hop) X(commit_ring_hop) \
     X(record_grant) X(minimal_output_port) X(minimal_route_to_router) X(router_hops) X(_route_port) \
-    X(router_region) X(node_region) X(node_router) \
+    X(router_region) X(node_region) X(node_router) X(minimal_router_path) X(_hop_table) \
     X(link_offset_for_destination) X(rng) X(integers) X(bit_generator) X(capsule) X(lock) \
     X(acquire) X(release) \
     X(on_inject) X(prefers_valiant) X(_ugal_prefers_valiant) X(random_intermediate_router) \
@@ -170,10 +173,12 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(ECtNRouting, link_offset_for_destination) \
     X(ContentionTracker, on_head) X(ContentionTracker, on_leave) \
     X(ContentionCounters, decrement) \
-    X(DragonflyTopology, router_region) X(DragonflyTopology, node_region) \
-    X(DragonflyTopology, node_router) X(DragonflyTopology, minimal_output_port) \
-    X(DragonflyTopology, minimal_route_to_router) X(DragonflyTopology, router_hops) \
-    X(DragonflyTopology, _route_port) \
+    X(Topology, router_region) X(Topology, node_region) X(Topology, node_router) \
+    X(Topology, minimal_output_port) X(Topology, minimal_route_to_router) \
+    X(Topology, router_hops) X(DragonflyTopology, router_hops) \
+    X(DragonflyTopology, _route_port) X(FatTreeTopology, node_router) \
+    X(FatTreeTopology, minimal_output_port) \
+    X(TorusTopology, ring_vc) X(TorusTopology, commit_ring_hop) \
     X(MinimalRouting, select_output) X(ValiantRouting, select_output) \
     X(MetricsCollector, record_delivery) X(MetricsCollector, record_generated) \
     X(MetricsCollector, in_window) X(TimeSeriesRecorder, record) \
@@ -199,12 +204,13 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
  * routing, bound once: the topology, and where the mechanism has them, the
  * contention tracker, its counter arrays, ECtN's partial and combined arrays,
  * PB's flags, the routers' shared candidate tuples (`None` otherwise), the
- * node -> router table, and the tables and memos of the path policy; and
- * off a Dragonfly its route and link-offset tables. */
+ * node -> router table, and the tables and memos of the path policy; off
+ * the topology its route table, and where it has them a Dragonfly's
+ * link-offset tables, a fat tree's leaf map and a torus's ring table. */
 #define ROUTING_MEMBERS(X) \
     X(topology) X(tracker) X(counters) X(partial) X(combined) X(flags) X(shared) X(plain) \
     X(towards_cache) X(ring_dims) X(port_candidates) X(node_rid) X(updown_vcs) \
-    X(route_table) X(link_offsets) X(offset_to_group)
+    X(route_table) X(link_offsets) X(offset_to_group) X(leaf_rid) X(ring_info)
 
 /* ------------------------------------------------------------------ slots */
 /* The state members the core holds.  `active` and `unsorted` are not among
@@ -282,13 +288,16 @@ typedef struct {
     long npr, rpg, npg, global_vcs, local_vcs, num_global, h, first_global;
     /* The pure capture's: nodes per region (VAL), whether the topology has
      * global ports, whether it is a dateline topology (`hop_vc` asks the ring
-     * state machine: `select_output` is then called by name). */
+     * state machine, `ring_vc`). */
     long npreg;
     int has_global_ports, dateline;
-    /* A `DragonflyTopology`'s nodes per router, routers per group, global
-     * ports per router, groups, routers and first global port (`df_a` 0 on
-     * any other topology: no topology query is answered in C there). */
-    long df_p, df_a, df_h, df_groups, df_routers, df_first_global;
+    /* The topology's nodes per router (`_p`), routers per region, nodes per
+     * region and routers (`_num_routers`; 0 where it has no route table: no
+     * query of the base `Topology` is answered in C then). */
+    long top_p, top_rpr, top_npreg, top_routers;
+    /* A `DragonflyTopology`'s routers per group, global ports per router,
+     * groups and first global port (`df_a` 0 on any other topology). */
+    long df_a, df_h, df_groups, df_first_global;
     /* UGAL's `T`, in phits. */
     double valiant_threshold;
     /* `Packet` when its fields are verified `__slots__` (read at `offset`),
@@ -1312,17 +1321,19 @@ invoke_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
 }
 
 /* ------------------------------------------------------- topology queries */
-/* While the topology resolves a query's name to the `DragonflyTopology`
- * function `SoAEngine` handed over, the query is answered here from that
- * function's arithmetic or tables (`df_a > 0`: a Dragonfly's constants are
- * bound); otherwise it is the call by name, made where and as often as the
- * Python body makes it.  Every other topology keeps the call. */
+/* While the topology resolves a query's name to the stock function
+ * `SoAEngine` handed over -- the base `Topology` one, or where a topology
+ * has its own, that one -- the query is answered here from the function's
+ * arithmetic or tables; otherwise it is the call by name, made where and as
+ * often as the Python body makes it.  The routing's own topology is read
+ * through the constants and tables bound with the core (`top_routers > 0`);
+ * a traffic pattern may hold another instance, whose sizes are read as
+ * attributes. */
 enum query { Q_ROUTER_REGION, Q_NODE_REGION, Q_NODE_ROUTER };
 
 static PyObject **const query_names[] = {&s_router_region, &s_node_region, &s_node_router};
 static const int query_stock[] = {
-    S_DragonflyTopology_router_region, S_DragonflyTopology_node_region,
-    S_DragonflyTopology_node_router};
+    S_Topology_router_region, S_Topology_node_region, S_Topology_node_router};
 
 /* Whether `m` is the stock Dragonfly function in slot `slot`. */
 static inline int
@@ -1354,42 +1365,71 @@ ask_by_name(PyObject *topology, method *m, long x, long y, size_t nargs, long *o
     return failed;
 }
 
-/* `topology.<name>` of a Dragonfly's constant (`_p`, `_a`, ...): `bound`
- * on the routing's own, else the attribute (a pattern may hold another
- * instance of the same topology). */
+/* `topology.<name>` of a size (`_p`, `routers_per_region`, ...): `bound` on
+ * the routing's own topology, else the attribute. */
 static int
-df_attr(Core *c, PyObject *topology, PyObject *name, long bound, long *out)
+top_attr(Core *c, PyObject *topology, PyObject *name, long bound, long *out)
 {
-    if (c->df_a > 0 && topology == L(c, topology)) {
+    if (c->top_routers > 0 && topology == L(c, topology)) {
         *out = bound;
         return 0;
     }
     return attr_long(topology, name, out);
 }
 
-/* `topology.<query>(x)` -- the routing's topology or another instance (a
- * traffic pattern's): the region or group of a router or a node, or a
- * node's router. */
+/* `x // divisor` of a size read off a topology. */
 static int
-ask_of(Core *c, PyObject *topology, enum query q, long x, long *out)
+divide(long x, long divisor, long *out)
 {
-    long p = 1, a = 1, divisor;
-    method m;
-    if (resolve(topology, *query_names[q], &m) < 0)
-        return -1;
-    if (!stock(&m, c->o[query_stock[q]]))
-        return ask_by_name(topology, &m, x, 0, 1, out);
-    Py_CLEAR(m.fn);
-    if ((q != Q_ROUTER_REGION && df_attr(c, topology, s__p, c->df_p, &p) < 0)
-        || (q != Q_NODE_ROUTER && df_attr(c, topology, s__a, c->df_a, &a) < 0))
-        return -1;
-    divisor = q == Q_NODE_ROUTER ? p : q == Q_NODE_REGION ? p * a : a;
     if (divisor <= 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
         return -1;
     }
     *out = pydiv(x, divisor);
     return 0;
+}
+
+/* `topology.num_nodes // topology.num_regions`. */
+static int
+nodes_per_region(Core *c, PyObject *topology, long *out)
+{
+    long nodes, regions;
+    if (c->top_routers > 0 && topology == L(c, topology)) {
+        *out = c->top_npreg;
+        return 0;
+    }
+    return attr_long(topology, s_num_nodes, &nodes) < 0
+           || attr_long(topology, s_num_regions, &regions) < 0 ? -1 : divide(nodes, regions, out);
+}
+
+/* `topology.<query>(x)` -- the routing's topology or another instance (a
+ * traffic pattern's): the region of a router or a node, or a node's router.
+ * The base bodies: `router // routers_per_region`,
+ * `node // (num_nodes // num_regions)` and `node // _p`; a fat tree's own
+ * `node_router` reads its leaf map. */
+static int
+ask_of(Core *c, PyObject *topology, enum query q, long x, long *out)
+{
+    long size;
+    method m;
+    if (resolve(topology, *query_names[q], &m) < 0)
+        return -1;
+    if (stock(&m, c->o[query_stock[q]])) {
+        Py_CLEAR(m.fn);
+        return (q == Q_NODE_ROUTER    ? top_attr(c, topology, s__p, c->top_p, &size)
+                : q == Q_NODE_REGION ? nodes_per_region(c, topology, &size)
+                                     : top_attr(c, topology, s_routers_per_region, c->top_rpr,
+                                                &size)) < 0
+               ? -1 : divide(x, size, out);
+    }
+    if (q == Q_NODE_ROUTER && c->top_routers > 0 && L(c, leaf_rid) != Py_None
+        && topology == L(c, topology) && stock(&m, STOCK(c, FatTreeTopology, node_router))) {
+        PyObject *leaf;
+        Py_CLEAR(m.fn);
+        return divide(x, c->top_p, &size) < 0 || (leaf = at(L(c, leaf_rid), size)) == NULL
+               ? -1 : as_long(leaf, out);
+    }
+    return ask_by_name(topology, &m, x, 0, 1, out);
 }
 
 /* `ask_of` the routing's topology. */
@@ -1413,91 +1453,288 @@ df_route_port(Core *c, long rid, long dst_router, long *port)
             return -1;
         to = pydiv(offset, c->df_h);
         if (to == pos) {
-            *port = c->df_p + a - 1 + pymod(offset, c->df_h);
+            *port = c->top_p + a - 1 + pymod(offset, c->df_h);
             return 0;
         }
     }
-    *port = c->df_p + (to < pos ? to : to - 1);
+    *port = c->top_p + (to < pos ? to : to - 1);
+    return 0;
+}
+
+/* `table[key] = value` of a byte table: what a `bytearray` accepts. */
+static int
+store_byte(PyObject *table, Py_ssize_t key, long value)
+{
+    if (value < 0 || value > 255) {
+        PyErr_SetString(PyExc_ValueError, "byte must be in range(0, 256)");
+        return -1;
+    }
+    PyByteArray_AS_STRING(table)[key] = (char)value;
     return 0;
 }
 
 /* `topology.minimal_output_port(rid, dst)` (`dst` a node) or, with
- * `to_router`, `topology.minimal_route_to_router(rid, dst)`: the entry of
- * the Dragonfly's route table, filled here on a miss while `_route_port` is
- * stock too (else the call by name fills it). */
+ * `to_router`, `topology.minimal_route_to_router(rid, dst)`: the base
+ * bodies (and the fat tree's, which finds the node's router in its leaf
+ * map) -- the ejection port at the node's router, else the entry of the
+ * route table, filled on a miss by `_route_port`: the Dragonfly's here while
+ * it is stock, any other by name. */
 static int
 route(Core *c, long rid, long dst, int to_router, long *port)
 {
-    method m;
+    PyObject *table = L(c, route_table), *leaf;
+    long dst_router = dst, R = c->top_routers;
+    Py_ssize_t key;
+    unsigned char entry;
+    method m, fill;
+    int own, leaves = 0;
     if (resolve(L(c, topology), to_router ? s_minimal_route_to_router : s_minimal_output_port,
                 &m) < 0)
         return -1;
-    if (df_stock(c, &m, to_router ? S_DragonflyTopology_minimal_route_to_router
-                                  : S_DragonflyTopology_minimal_output_port)) {
-        long dst_router = to_router ? dst : pydiv(dst, c->df_p);
-        if (!to_router && rid == dst_router) {
-            Py_CLEAR(m.fn);
-            *port = pymod(dst, c->df_p);
-            return 0;
-        }
-        if (rid != dst_router && (unsigned long)rid < (unsigned long)c->df_routers
-            && (unsigned long)dst_router < (unsigned long)c->df_routers) {
-            PyObject *table = L(c, route_table);
-            Py_ssize_t key = (Py_ssize_t)rid * c->df_routers + dst_router;
-            unsigned char entry = key < PyByteArray_GET_SIZE(table)
-                                  ? (unsigned char)PyByteArray_AS_STRING(table)[key] : 0xFF;
-            method fill;
-            int filled;
-            if (entry != 0xFF) {
+    if (R <= 0
+        || !(to_router ? stock(&m, STOCK(c, Topology, minimal_route_to_router))
+                       : stock(&m, STOCK(c, Topology, minimal_output_port))
+                         || (leaves = L(c, leaf_rid) != Py_None
+                                      && stock(&m, STOCK(c, FatTreeTopology,
+                                                         minimal_output_port)))))
+        return ask_by_name(L(c, topology), &m, rid, dst, 2, port);
+    if (!to_router) {
+        dst_router = pydiv(dst, c->top_p);
+        if (leaves) {
+            if ((leaf = at(L(c, leaf_rid), dst_router)) == NULL || as_long(leaf, &dst_router) < 0) {
                 Py_CLEAR(m.fn);
-                *port = entry;
-                return 0;
-            }
-            if (key >= PyByteArray_GET_SIZE(table) || resolve(L(c, topology), s__route_port, &fill) < 0) {
-                Py_CLEAR(m.fn);
-                if (!PyErr_Occurred())
-                    PyErr_SetString(PyExc_IndexError, "bytearray index out of range");
                 return -1;
             }
-            filled = stock(&fill, STOCK(c, DragonflyTopology, _route_port));
-            Py_CLEAR(fill.fn);
-            if (filled) {
-                Py_CLEAR(m.fn);
-                if (df_route_port(c, rid, dst_router, port) < 0)
-                    return -1;
-                PyByteArray_AS_STRING(table)[key] = (char)*port;
-                return 0;
-            }
+        }
+        if (rid == dst_router) {
+            Py_CLEAR(m.fn);
+            *port = pymod(dst, c->top_p);
+            return 0;
         }
     }
-    return ask_by_name(L(c, topology), &m, rid, dst, 2, port);
+    /* The diagonal raises, and an index outside the table is the body's to
+     * answer. */
+    key = (Py_ssize_t)rid * R + dst_router;
+    if (rid == dst_router || (unsigned long)rid >= (unsigned long)R
+        || (unsigned long)dst_router >= (unsigned long)R || key >= PyByteArray_GET_SIZE(table))
+        return ask_by_name(L(c, topology), &m, rid, dst, 2, port);
+    Py_CLEAR(m.fn);
+    entry = (unsigned char)PyByteArray_AS_STRING(table)[key];
+    if (entry != 0xFF) {
+        *port = entry;
+        return 0;
+    }
+    if (resolve(L(c, topology), s__route_port, &fill) < 0)
+        return -1;
+    own = df_stock(c, &fill, S_DragonflyTopology__route_port);
+    if (own)
+        Py_CLEAR(fill.fn);
+    if ((own ? df_route_port(c, rid, dst_router, port)
+             : ask_by_name(L(c, topology), &fill, rid, dst_router, 2, port)) < 0)
+        return -1;
+    /* A fill by name may have run Python: the table is held, its size is
+     * read again. */
+    if (key >= PyByteArray_GET_SIZE(table)) {
+        PyErr_SetString(PyExc_IndexError, "bytearray index out of range");
+        return -1;
+    }
+    return store_byte(table, key, *port);
 }
 
 /* `topology.router_hops(a, b)`: on the Dragonfly at most one local hop to
  * the owner of the link between the two groups, the link, at most one local
- * hop from where it lands. */
+ * hop from where it lands; on the base `Topology` the entry of the hop memo,
+ * which the first call allocates, filled on a miss from
+ * `minimal_router_path` by name. */
 static int
 hops(Core *c, long a, long b, long *out)
 {
-    long group, dst_group, there, back;
+    PyObject *topology = L(c, topology), *table, *path;
+    long group, dst_group, there, back, R = c->top_routers;
+    Py_ssize_t key;
     method m;
-    if (resolve(L(c, topology), s_router_hops, &m) < 0)
+    int failed;
+    if (resolve(topology, s_router_hops, &m) < 0)
         return -1;
-    if (!df_stock(c, &m, S_DragonflyTopology_router_hops))
-        return ask_by_name(L(c, topology), &m, a, b, 2, out);
-    Py_CLEAR(m.fn);
-    group = pydiv(a, c->df_a);
-    dst_group = pydiv(b, c->df_a);
-    if (a == b || group == dst_group) {
-        *out = a != b;
+    if (df_stock(c, &m, S_DragonflyTopology_router_hops)) {
+        Py_CLEAR(m.fn);
+        group = pydiv(a, c->df_a);
+        dst_group = pydiv(b, c->df_a);
+        if (a == b || group == dst_group) {
+            *out = a != b;
+            return 0;
+        }
+        if (get_long(L(c, link_offsets), group * c->df_groups + dst_group, &there) < 0
+            || get_long(L(c, link_offsets), dst_group * c->df_groups + group, &back) < 0)
+            return -1;
+        *out = 1 + (a != group * c->df_a + pydiv(there, c->df_h))
+               + (b != dst_group * c->df_a + pydiv(back, c->df_h));
         return 0;
     }
-    if (get_long(L(c, link_offsets), group * c->df_groups + dst_group, &there) < 0
-        || get_long(L(c, link_offsets), dst_group * c->df_groups + group, &back) < 0)
+    if (R <= 0 || (unsigned long)a >= (unsigned long)R || (unsigned long)b >= (unsigned long)R
+        || !stock(&m, STOCK(c, Topology, router_hops)))
+        return ask_by_name(topology, &m, a, b, 2, out);
+    Py_CLEAR(m.fn);
+    if ((table = get_attr(topology, s__hop_table)) == NULL)
         return -1;
-    *out = 1 + (a != group * c->df_a + pydiv(there, c->df_h))
-           + (b != dst_group * c->df_a + pydiv(back, c->df_h));
+    if (table == Py_None) {
+        Py_DECREF(table);
+        if ((table = PyByteArray_FromStringAndSize(NULL, (Py_ssize_t)R * R)) == NULL)
+            return -1;
+        memset(PyByteArray_AS_STRING(table), 0xFF, (size_t)R * (size_t)R);
+        if (set_attr(topology, s__hop_table, table) < 0) {
+            Py_DECREF(table);
+            return -1;
+        }
+    }
+    key = (Py_ssize_t)a * R + b;
+    if (!PyByteArray_Check(table) || key >= PyByteArray_GET_SIZE(table)) {
+        PyErr_Format(PyExc_TypeError, "_hop_table must be a bytearray of %ld entries", R * R);
+        Py_DECREF(table);
+        return -1;
+    }
+    if ((unsigned char)PyByteArray_AS_STRING(table)[key] != 0xFF) {
+        *out = (unsigned char)PyByteArray_AS_STRING(table)[key];
+        Py_DECREF(table);
+        return 0;
+    }
+    failed = -1;
+    if (resolve(topology, s_minimal_router_path, &m) == 0) {
+        PyObject *a_o = PyLong_FromLong(a), *b_o = PyLong_FromLong(b);
+        PyObject *args[3] = {topology, a_o, b_o};
+        path = a_o != NULL && b_o != NULL ? call_found(&m, args, 3, NULL) : NULL;
+        if (path == NULL)
+            Py_CLEAR(m.fn);
+        Py_XDECREF(b_o);
+        Py_XDECREF(a_o);
+        if (path != NULL) {
+            Py_ssize_t n = PyObject_Length(path);
+            Py_DECREF(path);
+            if (n >= 0) {
+                *out = (long)n - 1;
+                failed = key < PyByteArray_GET_SIZE(table) ? store_byte(table, key, *out) : -1;
+                if (failed && !PyErr_Occurred())
+                    PyErr_SetString(PyExc_IndexError, "bytearray index out of range");
+            }
+        }
+    }
+    Py_DECREF(table);
+    return failed;
+}
+
+/* ----------------------------------------------------------- torus rings */
+/* `_ring_info[port]` of a torus: its dimension, stride, ring length, the
+ * coordinate whose outgoing hop wraps and the direction (`info`, borrowed
+ * in `dim_o` / `dir_o`); 0 where the entry is `None`. */
+static int
+ring_of(Core *c, long port, long info[5], PyObject **dim_o, PyObject **dir_o)
+{
+    PyObject *entry = at(L(c, ring_info), port);
+    int i;
+    if (entry == NULL)
+        return -1;
+    if (entry == Py_None)
+        return 0;
+    if (expect_tuple(entry, 5, "a ring entry") < 0)
+        return -1;
+    for (i = 0; i < 5; i++)
+        if (field_long(entry, i, &info[i]) < 0)
+            return -1;
+    if (info[1] <= 0 || info[2] <= 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
+        return -1;
+    }
+    *dim_o = PyTuple_GET_ITEM(entry, 0);
+    *dir_o = PyTuple_GET_ITEM(entry, 4);
+    return 1;
+}
+
+/* `topology.ring_vc(head, rid, port)`: `2 * leg + crossed`, `crossed` when
+ * the hop wraps or continues a traversal past its dateline. */
+static int
+ring_vc(Core *c, PyObject *head, long rid, PyObject *port_o, long *vc)
+{
+    PyObject *dim_o, *dir_o;
+    long port, info[5], leg, ring_dim;
+    int crossed;
+    method m;
+    if (resolve(L(c, topology), s_ring_vc, &m) < 0)
+        return -1;
+    if (L(c, ring_info) == Py_None || !stock(&m, STOCK(c, TorusTopology, ring_vc))) {
+        PyObject *rid_o = PyLong_FromLong(rid);
+        PyObject *args[4] = {L(c, topology), head, rid_o, port_o};
+        int failed;
+        if (rid_o == NULL) {
+            Py_CLEAR(m.fn);
+            return -1;
+        }
+        Py_INCREF(port_o); /* `ring_vc` runs Python */
+        failed = found_long(&m, args, 4, vc);
+        Py_DECREF(port_o);
+        Py_DECREF(rid_o);
+        return failed;
+    }
+    Py_CLEAR(m.fn);
+    if (as_long(port_o, &port) < 0)
+        return -1;
+    if ((crossed = ring_of(c, port, info, &dim_o, &dir_o)) <= 0) {
+        if (crossed == 0)
+            PyErr_SetString(PyExc_TypeError, "cannot unpack non-iterable NoneType object");
+        return -1;
+    }
+    crossed = pymod(pydiv(rid, info[1]), info[2]) == info[3];
+    if (!crossed) {
+        if (pget_long(c, head, F_ring_dim, &ring_dim) < 0)
+            return -1;
+        if (ring_dim == info[0] && (crossed = ptruth(c, head, F_ring_crossed)) < 0)
+            return -1;
+    }
+    if (pget_long(c, head, F_vc_leg, &leg) < 0)
+        return -1;
+    *vc = 2 * leg + crossed;
     return 0;
+}
+
+/* `topology.commit_ring_hop(packet, rid, port)` after a granted hop: a new
+ * dimension starts a fresh traversal, a wrap hop marks it crossed, and the
+ * traversal's direction is recorded. */
+static int
+commit_ring(Core *c, PyObject *topology, PyObject *packet, long rid, PyObject *port_o)
+{
+    PyObject *dim_o, *dir_o;
+    long port, info[5], ring_dim;
+    int on, wrap;
+    method m;
+    if (resolve(topology, s_commit_ring_hop, &m) < 0)
+        return -1;
+    if (topology != L(c, topology) || L(c, ring_info) == Py_None
+        || !stock(&m, STOCK(c, TorusTopology, commit_ring_hop))) {
+        PyObject *rid_o = PyLong_FromLong(rid);
+        PyObject *args[4] = {topology, packet, rid_o, port_o};
+        if (rid_o == NULL) {
+            Py_CLEAR(m.fn);
+            return -1;
+        }
+        on = invoke(&m, args, 4, NULL);
+        Py_DECREF(rid_o);
+        return on;
+    }
+    Py_CLEAR(m.fn);
+    if (as_long(port_o, &port) < 0 || (on = ring_of(c, port, info, &dim_o, &dir_o)) < 0)
+        return -1;
+    if (on == 0) /* ejection: no ring state to track */
+        return 0;
+    wrap = pymod(pydiv(rid, info[1]), info[2]) == info[3];
+    if (pget_long(c, packet, F_ring_dim, &ring_dim) < 0)
+        return -1;
+    if (ring_dim != info[0]) {
+        if (pset(c, packet, F_ring_dim, dim_o) < 0
+            || pset(c, packet, F_ring_crossed, wrap ? Py_True : Py_False) < 0)
+            return -1;
+    }
+    else if (wrap && pset(c, packet, F_ring_crossed, Py_True) < 0)
+        return -1;
+    return pset(c, packet, F_ring_dir, dir_o);
 }
 
 /* ---------------------------------------------- properties and draws */
@@ -1526,20 +1763,22 @@ topology_count(Core *c, PyObject *topology, PyObject *name, int slot, long *out)
         on = type_holds(topology, s_num_routers, STOCK(c, DragonflyTopology, num_routers));
     if (on <= 0)
         return on < 0 ? -1 : attr_long(topology, name, out);
+    /* The type holds the Dragonfly's property: the routing's own topology
+     * is then a Dragonfly, whose constants are bound. */
     if (slot == S_DragonflyTopology_num_routers)
-        return df_attr(c, topology, s__num_routers, c->df_routers, out);
+        return top_attr(c, topology, s__num_routers, c->top_routers, out);
     if (slot == S_DragonflyTopology_num_nodes) {
-        if (df_attr(c, topology, s__num_routers, c->df_routers, out) < 0
-            || df_attr(c, topology, s__p, c->df_p, &p) < 0)
+        if (top_attr(c, topology, s__num_routers, c->top_routers, out) < 0
+            || top_attr(c, topology, s__p, c->top_p, &p) < 0)
             return -1;
         *out *= p;
         return 0;
     }
     return slot == S_DragonflyTopology_num_regions
-           ? df_attr(c, topology, s__num_groups, c->df_groups, out)
+           ? top_attr(c, topology, s__num_groups, c->df_groups, out)
            : slot == S_DragonflyTopology_routers_per_region
-           ? df_attr(c, topology, s__a, c->df_a, out)
-           : df_attr(c, topology, s__p, c->df_p, out);
+           ? top_attr(c, topology, s__a, c->df_a, out)
+           : top_attr(c, topology, s__p, c->top_p, out);
 }
 
 /* `draws.integers(rng, low, high)` (a new reference): `bounded_draw` while
@@ -1951,17 +2190,10 @@ commit_decision(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *p
     }
     if ((sub = get_attr(routing, s__dateline)) == NULL)
         return -1;
-    if (sub != Py_None) {
-        PyObject *rid_o = PyLong_FromLong(rid);
-        PyObject *args[4] = {sub, packet, rid_o, FIELD(output_port)};
-        on = rid_o == NULL || call_void(s_commit_ring_hop, args, 4) < 0;
-        Py_XDECREF(rid_o);
-        if (on) {
-            Py_DECREF(sub);
-            return -1;
-        }
-    }
+    on = sub != Py_None && commit_ring(c, sub, packet, rid, FIELD(output_port)) < 0;
     Py_DECREF(sub);
+    if (on)
+        return -1;
     if ((sub = get_attr(routing, s__obs)) == NULL)
         return -1;
     on = 0;
@@ -3459,31 +3691,20 @@ done:
 }
 
 /* The VC of `head`'s hop through `port_o`: `topology.ring_vc(head, rid,
- * port)` by name on a dateline topology, where `_updown_vcs` is `None` (the
- * ring state it reads changes only in `on_grant` and at a Valiant
- * intermediate, never while the packet waits at a head); else the entry of
- * the up/down table. */
+ * port)` on a dateline topology, where `_updown_vcs` is `None` (the ring
+ * state it reads changes only in `on_grant` and at a Valiant intermediate,
+ * never while the packet waits at a head); else the entry of the up/down
+ * table. */
 static int
-port_vc(Core *c, PyObject *rid_o, PyObject *head, PyObject *port_o, long *vc)
+port_vc(Core *c, long rid, PyObject *head, PyObject *port_o, long *vc)
 {
     PyObject *vc_o;
     long port;
-    int failed;
-    if (L(c, updown_vcs) != Py_None)
-        return as_long(port_o, &port) < 0 || (vc_o = at(L(c, updown_vcs), port)) == NULL
-                   ? -1
-                   : as_long(vc_o, vc);
-    {
-        PyObject *args[4] = {L(c, topology), head, rid_o, port_o};
-        Py_INCREF(port_o); /* `ring_vc` runs Python */
-        vc_o = call_method(s_ring_vc, args, 4);
-        Py_DECREF(port_o);
-    }
-    if (vc_o == NULL)
-        return -1;
-    failed = as_long(vc_o, vc);
-    Py_DECREF(vc_o);
-    return failed;
+    if (L(c, updown_vcs) == Py_None)
+        return ring_vc(c, head, rid, port_o, vc);
+    return as_long(port_o, &port) < 0 || (vc_o = at(L(c, updown_vcs), port)) == NULL
+               ? -1
+               : as_long(vc_o, vc);
 }
 
 /* The port-table policy (ring escape, uplink multipath): a non-empty
@@ -3492,7 +3713,7 @@ port_vc(Core *c, PyObject *rid_o, PyObject *head, PyObject *port_o, long *vc)
  * share one; a ring has one escape); everything else is `FIXED`, and in the
  * middle of a ring traversal the row holds the committed direction. */
 static PyObject *
-capture_port_table(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
+capture_port_table(Core *c, long rid, long base_g, long k, PyObject *head)
 {
     PyObject *decision = NULL, *minimal = NULL, *candidates = NULL, *home, *ring, *out;
     PyObject *row = NULL;
@@ -3529,10 +3750,10 @@ capture_port_table(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyOb
     if (!mid && PyList_GET_SIZE(candidates) > 0) {
         PyObject *first = field(PyList_GET_ITEM(candidates, 0), 0);
         kind = ROW_LOCAL;
-        if (first == NULL || port_vc(c, rid_o, head, first, &local_vc) < 0)
+        if (first == NULL || port_vc(c, rid, head, first, &local_vc) < 0)
             goto done;
     }
-    if (port_vc(c, rid_o, head, out, &vc) < 0 || as_long(out, &port) < 0)
+    if (port_vc(c, rid, head, out, &vc) < 0 || as_long(out, &port) < 0)
         goto done;
     decision = plain_decision(c, port, vc);
 row:
@@ -3549,12 +3770,26 @@ done:
  * a constant of the head -- one `select_output` per head lifetime, in a
  * `FIXED` row.  While the routing resolves the name to `MinimalRouting`'s
  * or `ValiantRouting`'s stock function (UGAL and PB inherit the latter) its
- * body runs here, `minimal_decision` and `hop_vc` inlined; on a dateline
- * topology, where `hop_vc` asks the ring state machine, and for anything
+ * body runs here, `minimal_decision` and `hop_vc` inlined (on a dateline
+ * topology `hop_vc` asks the ring state machine, `ring_vc`); for anything
  * else the method is called by name. */
 
-/* `minimal_decision(router, head)`: the minimal port and its path-stage or
- * up/down VC. */
+/* `hop_vc(head, rid, port, kind)` of a non-injection `port` on a dateline
+ * topology: `ring_vc`. */
+static int
+dateline_vc(Core *c, PyObject *head, long rid, long port, long *vc)
+{
+    PyObject *port_o = PyLong_FromLong(port);
+    int failed;
+    if (port_o == NULL)
+        return -1;
+    failed = ring_vc(c, head, rid, port_o, vc);
+    Py_DECREF(port_o);
+    return failed;
+}
+
+/* `minimal_decision(router, head)`: the minimal port and its path-stage,
+ * dateline or up/down VC. */
 static PyObject *
 pure_minimal(Core *c, long rid, PyObject *head, long dst)
 {
@@ -3562,7 +3797,12 @@ pure_minimal(Core *c, long rid, PyObject *head, long dst)
     int global, injection;
     if (route(c, rid, dst, 0, &port) < 0)
         return NULL;
-    if (L(c, updown_vcs) != Py_None) {
+    if (c->dateline) {
+        if ((injection = port_is(c, S_kind_is_injection, port)) < 0
+            || (!injection && dateline_vc(c, head, rid, port, &vc) < 0))
+            return NULL;
+    }
+    else if (L(c, updown_vcs) != Py_None) {
         PyObject *vc_o = at(L(c, updown_vcs), port);
         if (vc_o == NULL || as_long(vc_o, &vc) < 0)
             return NULL;
@@ -3635,6 +3875,10 @@ pure_valiant(Core *c, long rid, PyObject *rid_o, PyObject *head, long dst)
             goto done;
         if (injection)
             vc = 0;
+        else if (c->dateline) {
+            if (ring_vc(c, head, rid, port_o, &vc) < 0)
+                goto done;
+        }
         else if (L(c, updown_vcs) != Py_None) {
             PyObject *table_vc = at(L(c, updown_vcs), port);
             if (table_vc == NULL || as_long(table_vc, &vc) < 0)
@@ -3681,9 +3925,8 @@ capture_pure(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *
     int valiant = 0;
     if (resolve(routing, s_select_output, &m) < 0)
         return NULL;
-    if (!c->dateline
-        && (stock(&m, STOCK(c, MinimalRouting, select_output))
-            || (valiant = stock(&m, STOCK(c, ValiantRouting, select_output))))) {
+    if (stock(&m, STOCK(c, MinimalRouting, select_output))
+        || (valiant = stock(&m, STOCK(c, ValiantRouting, select_output)))) {
         Py_CLEAR(m.fn);
         decision = pure_decision(c, rid, rid_o, head, valiant);
     }
@@ -3720,7 +3963,7 @@ capture(Core *c, long rid, PyObject *rid_o, long q, long k, PyObject *head, PyOb
                     c->capture == CAPTURE_PURE ? capture_pure(c, rid, rid_o, base_g, k, head,
                                                               cycle_o)
                     : c->capture == CAPTURE_GROUP ? capture_group(c, rid, rid_o, base_g, k, head)
-                    : capture_port_table(c, rid, rid_o, base_g, k, head));
+                    : capture_port_table(c, rid, base_g, k, head));
 }
 
 /* One new head, buffer key `k_o`: `on_packet_head` if the mechanism has one,
@@ -5137,25 +5380,56 @@ bind_capture(Core *c, PyObject *routing, int capture)
            || bind_long(routing, "_first_global_port", &c->first_global, 0) < 0 ? -1 : 0;
 }
 
-/* The constants and tables of a `DragonflyTopology` its stock queries read;
- * on any other topology `df_a` stays 0 and the tables `None`. */
+/* The sizes and the route table of the routing's topology the stock
+ * `Topology` queries read, and where it has them a fat tree's leaf map, a
+ * torus's ring table and a `DragonflyTopology`'s constants and link-offset
+ * tables (`df_a` stays 0 on any other topology).  A topology without a
+ * route table leaves `top_routers` 0: every query is then a call by name. */
 static int
-bind_dragonfly(Core *c, PyObject *topology)
+bind_topology(Core *c, PyObject *topology)
 {
-    int is = PyObject_IsInstance(topology, L(c, DragonflyTopology));
-    c->df_p = c->df_a = c->df_h = c->df_groups = c->df_routers = 0;
-    if (is < 0)
+    int is;
+    c->top_p = c->top_rpr = c->top_npreg = c->top_routers = 0;
+    c->df_a = c->df_h = c->df_groups = 0;
+    if (bind_attr(c, S_route_table, topology, "_route_table", NULL) < 0
+        || bind_attr(c, S_leaf_rid, topology, "_leaf_rid", NULL) < 0
+        || bind_attr(c, S_ring_info, topology, "_ring_info", NULL) < 0)
         return -1;
-    if (!is)
-        return bind_attr(c, S_route_table, Py_None, "_route_table", NULL) < 0
-               || bind_attr(c, S_link_offsets, Py_None, "group_link_offsets", NULL) < 0
+    if (L(c, leaf_rid) != Py_None && !PyTuple_Check(L(c, leaf_rid))) {
+        PyErr_Format(PyExc_TypeError, "_leaf_rid must be a tuple, got %R", L(c, leaf_rid));
+        return -1;
+    }
+    if (L(c, ring_info) != Py_None && expect_list(L(c, ring_info), "_ring_info") < 0)
+        return -1;
+    if (L(c, route_table) != Py_None) {
+        if (!PyByteArray_Check(L(c, route_table))) {
+            PyErr_Format(PyExc_TypeError, "_route_table must be a bytearray, got %R",
+                         L(c, route_table));
+            return -1;
+        }
+        /* `top_routers` last: it says the sizes are bound. */
+        long nodes, regions;
+        if (bind_long(topology, "_p", &c->top_p, 1) < 0
+            || bind_long(topology, "routers_per_region", &c->top_rpr, 1) < 0
+            || bind_long(topology, "num_nodes", &nodes, 1) < 0
+            || bind_long(topology, "num_regions", &regions, 1) < 0)
+            return -1;
+        if ((c->top_npreg = nodes / regions) <= 0) {
+            PyErr_SetString(PyExc_ValueError, "a region must hold a node");
+            return -1;
+        }
+        if (bind_long(topology, "_num_routers", &c->top_routers, 1) < 0)
+            return -1;
+    }
+    if ((is = PyObject_IsInstance(topology, L(c, DragonflyTopology))) < 0)
+        return -1;
+    if (!is || c->top_routers <= 0)
+        return bind_attr(c, S_link_offsets, Py_None, "group_link_offsets", NULL) < 0
                || bind_attr(c, S_offset_to_group, Py_None, "_offset_to_group", NULL) < 0 ? -1 : 0;
     /* `df_a` last: it says the rest is bound. */
-    return bind_long(topology, "_p", &c->df_p, 1) < 0 || bind_long(topology, "_h", &c->df_h, 1) < 0
+    return bind_long(topology, "_h", &c->df_h, 1) < 0
            || bind_long(topology, "_num_groups", &c->df_groups, 1) < 0
-           || bind_long(topology, "_num_routers", &c->df_routers, 1) < 0
            || bind_long(topology, "_first_global_port", &c->df_first_global, 0) < 0
-           || bind_attr(c, S_route_table, topology, "_route_table", &PyByteArray_Type) < 0
            || bind_attr(c, S_link_offsets, topology, "group_link_offsets", &PyList_Type) < 0
            || bind_attr(c, S_offset_to_group, topology, "_offset_to_group", &PyList_Type) < 0
            || bind_long(topology, "_a", &c->df_a, 1) < 0 ? -1 : 0;
@@ -5241,7 +5515,7 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         || bind_attr(c, S_shared, routing, "_router_candidates", NULL) < 0
         || bind_attr(c, S_node_rid, routing, "_node_rid", &PyTuple_Type) < 0
         || bind_double(routing, "_valiant_threshold", &c->valiant_threshold, 1) < 0
-        || bind_dragonfly(c, L(c, topology)) < 0)
+        || bind_topology(c, L(c, topology)) < 0)
         return -1;
     for (i = 0; i < 2; i++) {
         if ((size = named_attr(st, i ? "V" : "P")) == NULL)

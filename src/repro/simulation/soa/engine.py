@@ -18,9 +18,9 @@ places:
   arrivals, the pop / commit / release chain of a hop, the separable
   allocator, the allocation rounds and the router-major walk of a cycle, the
   source phase (traffic generation and injection), and for the stock
-  mechanisms the routing hooks, head captures and trigger gates over the
-  Dragonfly's routing tables and the delivery accounting (see "The compiled
-  core" below);
+  mechanisms the routing hooks, head captures and trigger gates over every
+  topology's route table and region arithmetic, and the delivery accounting
+  (see "The compiled core" below);
 * **decision capture** — routing decisions are classified once per buffer
   head instead of re-derived from scratch every allocation round.  Heads
   whose decision cannot change while they wait (ejection, towards-
@@ -75,8 +75,11 @@ wrappers and a test's monkeypatch are seen and counted.  That covers, for the st
 * the captures — the pure one (``MinimalRouting`` / ``ValiantRouting``'s
   ``select_output``), the adaptive path policies and the one trigger of
   their open gates, reading the signals the mechanism declares — over the
-  Dragonfly's region queries, route table and the routers' shared candidate
-  tuples;
+  topology queries of every topology (the base ``Topology`` route table, hop
+  memo and region arithmetic, the Dragonfly's closed-form hops, the fat
+  tree's leaf map in front of the same table, the torus's dateline
+  ``ring_vc`` / ``commit_ring_hop``)
+  and the routers' shared candidate tuples;
 * the source phase: ``BernoulliTrafficGenerator.generate``, the uniform /
   adversarial / transient destinations, ``Packet(...)`` at its slots,
   ``ComputeNode.enqueue``, the sorted injection walk over ``Core.inject``;
@@ -84,10 +87,11 @@ wrappers and a test's monkeypatch are seen and counted.  That covers, for the st
   own counters, its latency samples and the time-series bins — and PB's
   saturation broadcast.
 
-What a stock body calls that is not transcribed — another topology's
-queries, memo misses, the obs / dateline / fault sub-calls, ``select_output``
-on a dateline topology, ``_ensure_block`` on a new arrival block — is a
-Python call made from C, by name and in the Python body's order; every pick
+What a stock body calls that is not transcribed — a route-table fill by a
+topology's ``_route_port`` (the Dragonfly's excepted), the fat tree's BFS
+router routes, memo misses, the obs / fault sub-calls, ``_ensure_block`` on
+a new arrival block — is a Python call made from C, by name and in the
+Python body's order; every pick
 is :func:`repro.draws.integers`, whose compiled body draws the same stream
 as ``rng.integers``.  :meth:`_live_request` / :meth:`_resolve_faults` /
 :meth:`_drop_head` (``LIVE`` rows), ``metrics.record_dropped``, ECtN's
@@ -173,6 +177,8 @@ from repro.simulation.soa._loader import load_core
 from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind, Topology
 from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.fat_tree import FatTreeTopology
+from repro.topology.torus import TorusTopology
 from repro.traffic import (
     AdversarialTraffic, BernoulliTrafficGenerator, TrafficPattern, TransientTraffic,
     UniformTraffic,
@@ -210,10 +216,11 @@ _STOCK_FUNCTIONS = tuple(
                       "_maybe_count_partial link_offset_for_destination"),
         (ContentionTracker, "on_head on_leave"),
         (ContentionCounters, "decrement"),
-        (Topology, "region_node_range valiant_intermediate_router"),
-        (DragonflyTopology, "router_region node_region node_router minimal_output_port "
-                            "minimal_route_to_router router_hops _route_port "
-                            "port_target_region"),
+        (Topology, "region_node_range valiant_intermediate_router router_region node_region "
+                   "node_router minimal_output_port minimal_route_to_router router_hops"),
+        (DragonflyTopology, "router_hops _route_port port_target_region"),
+        (FatTreeTopology, "node_router minimal_output_port"),
+        (TorusTopology, "ring_vc commit_ring_hop"),
         (MetricsCollector, "record_delivery record_generated in_window"),
         (TimeSeriesRecorder, "record"),
         (BernoulliTrafficGenerator, "generate"),

@@ -73,6 +73,9 @@ from repro import draws
 
 __all__ = ["PortKind", "PathModel", "Topology"]
 
+#: "Not computed yet" in the byte-sized router-pair tables.
+_UNSET = 0xFF
+
 
 class PortKind(enum.Enum):
     """Classification of a router port."""
@@ -279,7 +282,19 @@ class Topology(ABC):
     ``router_radix`` ports identified by integers in ``[0, router_radix)``.
     Implementations must also set :attr:`port_kinds` — a tuple mapping port
     index to :class:`PortKind`, identical on every router — which the
-    routing hot paths index directly instead of calling :meth:`port_kind`.
+    routing hot paths index directly instead of calling :meth:`port_kind`,
+    store their router count as ``_num_routers`` and their nodes per router
+    as ``_p``, define :meth:`_route_port` and call :meth:`_init_route_table`
+    at the end of ``__init__``.
+
+    **One route table.**  :meth:`minimal_output_port` and
+    :meth:`minimal_route_to_router` answer the same question — the first
+    hop of the minimal path from a router to a router — so both read one
+    dense ``num_routers ** 2`` byte table, filled on a miss by the
+    topology's :meth:`_route_port`.  Indexing is faster than hashing on the
+    hot path and a port index fits a byte (:data:`_UNSET` marks an entry not
+    computed yet).  The SoA core reads the same table while an instance
+    resolves the two names to the functions below.
     """
 
     #: Port index -> kind table (set by concrete topologies in ``__init__``).
@@ -339,8 +354,9 @@ class Topology(ABC):
         return router % self.routers_per_region
 
     def node_region(self, node: int) -> int:
-        """Region of the router that ``node`` attaches to."""
-        return self.router_region(self.node_router(node))
+        """Region of the router that ``node`` attaches to (regions cover
+        contiguous, equal node ranges)."""
+        return node // (self.num_nodes // self.num_regions)
 
     def region_routers(self, region: int) -> List[int]:
         """Routers of ``region`` in ascending id order."""
@@ -364,13 +380,14 @@ class Topology(ABC):
         return 1
 
     # -- Node / router mapping ----------------------------------------------
-    @abstractmethod
     def node_router(self, node: int) -> int:
-        """Router to which ``node`` is attached."""
+        """Router to which ``node`` is attached (dense addressing; the fat
+        tree, whose nodes sit on its leaves only, overrides it)."""
+        return node // self._p
 
-    @abstractmethod
     def node_port(self, node: int) -> int:
         """Injection/ejection port index of ``node`` at its router."""
+        return node % self._p
 
     @abstractmethod
     def router_nodes(self, router: int) -> List[int]:
@@ -415,9 +432,24 @@ class Topology(ABC):
         return self.router_region(nbr[0])
 
     # -- Routing helpers ----------------------------------------------------
-    @abstractmethod
     def minimal_output_port(self, router: int, dst_node: int) -> int:
-        """Output port of ``router`` on the minimal path towards ``dst_node``."""
+        """Output port of ``router`` on the minimal path towards ``dst_node``:
+        its ejection port at the node's own router, else the route table's
+        entry for the node's router (dense addressing; the fat tree maps the
+        node through its leaf map first)."""
+        dst_router = dst_node // self._p
+        if router == dst_router:
+            return dst_node % self._p
+        key = router * self._num_routers + dst_router
+        port = self._route_table[key]
+        if port == _UNSET:
+            port = self._route_table[key] = self._route_port(router, dst_router)
+        return port
+
+    @abstractmethod
+    def _route_port(self, router: int, dst_router: int) -> int:
+        """What the route table caches: the first hop of the minimal path
+        between two distinct routers."""
 
     @abstractmethod
     def minimal_path_length(self, src_node: int, dst_node: int) -> int:
@@ -432,7 +464,11 @@ class Topology(ABC):
         """
         if router == dst_router:
             raise ValueError("already at the destination router")
-        return self.minimal_output_port(router, dst_router * self.nodes_per_router)
+        key = router * self._num_routers + dst_router
+        port = self._route_table[key]
+        if port == _UNSET:
+            port = self._route_table[key] = self._route_port(router, dst_router)
+        return port
 
     def region_gateway(self, router: int, target_region: int) -> Tuple[int, bool]:
         """Next hop ``(output_port, is_global)`` from ``router`` into
@@ -452,14 +488,16 @@ class Topology(ABC):
         )
 
     def minimal_router_path(self, src_router: int, dst_router: int) -> List[int]:
-        """Sequence of routers (inclusive) on the minimal path between routers."""
+        """Sequence of routers (inclusive) on the minimal path between
+        routers, walked over the route table."""
         path = [src_router]
         r = src_router
-        if src_router == dst_router:
-            return path
-        dst_node_proxy = dst_router * self.nodes_per_router
+        table, R = self._route_table, self._num_routers
         while r != dst_router:
-            port = self.minimal_output_port(r, dst_node_proxy)
+            key = r * R + dst_router
+            port = table[key]
+            if port == _UNSET:
+                port = table[key] = self._route_port(r, dst_router)
             nbr = self.neighbor(r, port)
             assert nbr is not None
             r = nbr[0]
@@ -472,9 +510,36 @@ class Topology(ABC):
 
     def router_hops(self, src_router: int, dst_router: int) -> int:
         """Router-to-router hops of the minimal path between two routers,
-        ``len(minimal_router_path(src, dst)) - 1``; a topology may answer it
-        without walking the path (the Dragonfly does)."""
-        return len(self.minimal_router_path(src_router, dst_router)) - 1
+        ``len(minimal_router_path(src, dst)) - 1``, memoised in a byte table
+        allocated on the first call (the Dragonfly answers in closed form
+        and never allocates it)."""
+        R = self._num_routers
+        table = self._hop_table
+        if table is None:
+            table = self._hop_table = bytearray([_UNSET]) * (R * R)
+        key = src_router * R + dst_router
+        hops = table[key]
+        if hops == _UNSET:
+            hops = table[key] = len(self.minimal_router_path(src_router, dst_router)) - 1
+        return hops
+
+    def _init_route_table(self) -> None:
+        """Allocate the route table (the hop memo stays unallocated until
+        :meth:`router_hops` first runs).  Called by every topology at the
+        end of its ``__init__``."""
+        if self.router_radix >= _UNSET:
+            raise ValueError(
+                f"router radix {self.router_radix} does not fit the byte-sized "
+                f"route memo (at most {_UNSET - 1} ports)"
+            )
+        if self.path_model.max_minimal_hops >= _UNSET:
+            raise ValueError(
+                f"minimal paths of {self.path_model.max_minimal_hops} hops do "
+                f"not fit the byte-sized hop memo (at most {_UNSET - 1})"
+            )
+        R = self._num_routers
+        self._route_table = bytearray([_UNSET]) * (R * R)
+        self._hop_table: Optional[bytearray] = None
 
     def valiant_intermediate_router(self, source_router: int, rng) -> int:
         """Uniformly random Valiant intermediate router for ``source_router``.

@@ -64,10 +64,6 @@ _ADAPTIVE_HOP_KINDS = (
     ("local", "global", "local", "local", "global", "local"),
 )
 
-#: "Not computed yet" in the byte-sized route memos.
-_UNSET = 0xFF
-
-
 class DragonflyTopology(Topology):
     """Canonical (complete-graph / complete-graph) Dragonfly."""
 
@@ -118,24 +114,13 @@ class DragonflyTopology(Topology):
             for g in range(G)
             for d in range(G)
         ]
-        # (router, dst_router) -> first port of the minimal path: one memo
-        # for ``minimal_output_port`` and ``minimal_route_to_router``, which
-        # answer the same question.  A dense byte table rather than a dict:
-        # indexing is faster than hashing on the hot path and the footprint
-        # is bounded at num_routers^2 bytes (~4 MB at the paper scale, a port
-        # index fits a byte).  ``_UNSET`` marks an entry not computed yet.
-        if self._radix >= _UNSET:
-            raise ValueError(
-                f"router radix {self._radix} does not fit the byte-sized route "
-                f"memo (at most {_UNSET - 1} ports)"
-            )
-        self._route_table = bytearray([_UNSET]) * (self._num_routers * self._num_routers)
         self._path_model = PathModel.from_minimal_paths(
             "dragonfly",
             _MINIMAL_HOP_KINDS,
             supports_in_transit_adaptive=True,
             adaptive_hop_kinds=_ADAPTIVE_HOP_KINDS,
         )
+        self._init_route_table()
 
     # ------------------------------------------------------------------ sizes
     # Regions of a Dragonfly are its groups.
@@ -177,14 +162,6 @@ class DragonflyTopology(Topology):
         return self._a * self._h
 
     # -------------------------------------------------------------- addressing
-    # The region queries are arithmetic without sub-calls: the SoA core
-    # answers them in C while an instance resolves to these functions.
-    def router_region(self, router: int) -> int:
-        return router // self._a
-
-    def node_region(self, node: int) -> int:
-        return node // (self._p * self._a)
-
     def router_position(self, router: int) -> int:
         """Position of ``router`` within its group (``0 <= pos < a``)."""
         return router % self._a
@@ -196,12 +173,6 @@ class DragonflyTopology(Topology):
         if not (0 <= position < self._a):
             raise ValueError(f"position {position} out of range [0, {self._a})")
         return group * self._a + position
-
-    def node_router(self, node: int) -> int:
-        return node // self._p
-
-    def node_port(self, node: int) -> int:
-        return node % self._p
 
     def router_nodes(self, router: int) -> List[int]:
         base = router * self._p
@@ -309,38 +280,6 @@ class DragonflyTopology(Topology):
         return peer_router, peer_port
 
     # ----------------------------------------------------------------- routing
-    def minimal_output_port(self, router: int, dst_node: int) -> int:
-        """Output port on the (unique) minimal path from ``router`` to ``dst_node``.
-
-        The canonical Dragonfly has a single minimal path between any pair of
-        routers: up to one local hop in the source group, the single global
-        link joining the two groups, and up to one local hop in the
-        destination group.
-        """
-        dst_router = dst_node // self._p
-        if router == dst_router:
-            return dst_node % self._p
-        key = router * self._num_routers + dst_router
-        port = self._route_table[key]
-        if port == _UNSET:
-            port = self._route_table[key] = self._route_port(router, dst_router)
-        return port
-
-    def minimal_route_to_router(self, router: int, dst_router: int) -> int:
-        """Output port on the minimal path from ``router`` towards ``dst_router``.
-
-        Unlike :meth:`minimal_output_port` the destination is a *router*;
-        used by Valiant routing to reach the intermediate router.  Raises if
-        ``router == dst_router`` (there is no hop to take).
-        """
-        if router == dst_router:
-            raise ValueError("already at the destination router")
-        key = router * self._num_routers + dst_router
-        port = self._route_table[key]
-        if port == _UNSET:
-            port = self._route_table[key] = self._route_port(router, dst_router)
-        return port
-
     def router_hops(self, src_router: int, dst_router: int) -> int:
         """Hops of the minimal path between two routers: at most one local
         hop to the owner of the link between their groups, the link, at most
@@ -388,21 +327,6 @@ class DragonflyTopology(Topology):
             if hops > 3:  # pragma: no cover - structural safety net
                 raise RuntimeError("minimal path longer than the Dragonfly diameter")
         return hops
-
-    def minimal_router_path(self, src_router: int, dst_router: int) -> List[int]:
-        """Sequence of routers (inclusive) on the minimal path between routers."""
-        path = [src_router]
-        r = src_router
-        if src_router == dst_router:
-            return path
-        dst_node_proxy = dst_router * self._p  # any node of the destination router
-        while r != dst_router:
-            port = self.minimal_output_port(r, dst_node_proxy)
-            nbr = self.neighbor(r, port)
-            assert nbr is not None
-            r = nbr[0]
-            path.append(r)
-        return path
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -40,10 +40,13 @@ rewrite again), which is what the uplink-multipath adaptive policy
 the candidate set at an up hop is simply *the other uplinks*, derived from
 the port layout, not coordinates.
 
+The destination-digit rule is the fat tree's ``_route_port``: it fills
+the router-pair route table of :class:`~repro.topology.base.Topology` for
+leaf destinations, which is all :meth:`minimal_output_port` asks for.
 Router-to-router targets (Valiant steering, UGAL path estimates) cannot
-reuse the node-proxy arithmetic of the dense topologies — nodes live on
-leaves only — so they resolve through per-target BFS next-hop tables over
-the tree links (smallest-port tie-break).  The Valiant intermediate is
+reuse the digit rule — it funnels towards a leaf — so they resolve through
+per-target BFS next-hop tables over the tree links (smallest-port
+tie-break).  The Valiant intermediate is
 drawn uniformly over the *roots*: every root is an ancestor of every leaf,
 so both Valiant legs keep the up-then-down shape and need no extra VCs.
 
@@ -67,7 +70,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import draws
 from repro.config.parameters import FatTreeConfig
-from repro.topology.base import PathModel, PortKind, Topology
+from repro.topology.base import _UNSET, PathModel, PortKind, Topology
 
 __all__ = ["FatTreeTopology"]
 
@@ -138,12 +141,12 @@ class FatTreeTopology(Topology):
             1 if self._first_down_port <= port < self._first_up_port else 0
             for port in range(self._radix)
         )
-        # Lazy per-target BFS next-hop tables for router-proxy destinations.
+        # Lazy per-target BFS next-hop tables for router targets.
         self._router_tables: Dict[int, List[int]] = {}
         link_levels = self._levels - 1
         shapes = _updown_shapes(link_levels)
         # Leaf-to-leaf minimal paths have even lengths (h up, h down), but
-        # router-anchored walks (router proxies, Valiant legs) also expose
+        # router-anchored walks (router targets, Valiant legs) also expose
         # the partial all-up / all-down prefixes, so every length up to the
         # diameter is a declared hop-kind sequence.
         minimal_kinds = tuple(
@@ -166,6 +169,7 @@ class FatTreeTopology(Topology):
             updown_valiant_shapes=(shapes[-1],),
             updown_adaptive_shapes=shapes,
         )
+        self._init_route_table()
 
     # -------------------------------------------------------------- addressing
     def _rid_of(self, level: int, w: int) -> int:
@@ -228,9 +232,6 @@ class FatTreeTopology(Topology):
     # -------------------------------------------------------- node attachment
     def node_router(self, node: int) -> int:
         return self._leaf_rid[node // self._p]
-
-    def node_port(self, node: int) -> int:
-        return node % self._p
 
     def router_nodes(self, router: int) -> List[int]:
         if self._rid_level[router] != 0:
@@ -303,24 +304,28 @@ class FatTreeTopology(Topology):
 
     # ----------------------------------------------------------------- routing
     def minimal_output_port(self, router: int, dst_node: int) -> int:
-        """Destination-funneled up/down output port towards ``dst_node``.
+        """The base table read, with the destination node's router taken
+        from the leaf map."""
+        dst_router = self._leaf_rid[dst_node // self._p]
+        if router == dst_router:
+            return dst_node % self._p
+        key = router * self._num_routers + dst_router
+        port = self._route_table[key]
+        if port == _UNSET:
+            port = self._route_table[key] = self._route_port(router, dst_router)
+        return port
 
-        ``dst_node`` ids at or above ``num_nodes`` address *router*
-        ``dst_node - num_nodes`` (the router-proxy convention of
-        :meth:`minimal_route_to_router`) and resolve through the BFS
-        next-hop tables; real node ids use digit arithmetic.
-        """
-        if dst_node >= self._num_nodes:
-            return self._router_step(router, dst_node - self._num_nodes)
+    def _route_port(self, router: int, dst_router: int) -> int:
+        """Destination-funneled up/down output port towards leaf ``dst_router``
+        (the router of the node :meth:`minimal_output_port` was asked for;
+        router targets go through :meth:`minimal_route_to_router`)."""
         level = self._rid_level[router]
         w = self._rid_label[router]
-        wd = dst_node // self._p
+        wd = self._rid_label[dst_router]
         pk = self._pow_k[level]
         if w // pk == wd // pk:
-            # Ancestor of (or at) the destination leaf: descend, digit by
-            # digit — the down path is unique.
-            if level == 0:
-                return dst_node % self._p
+            # Ancestor of the destination leaf: descend, digit by digit —
+            # the down path is unique.
             return self._first_down_port + (wd // self._pow_k[level - 1]) % self._k
         # Not an ancestor: climb.  Funnel through the destination's digit
         # at this level (any uplink would be equal-cost; the deterministic

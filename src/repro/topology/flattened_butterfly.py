@@ -87,6 +87,7 @@ class FlattenedButterflyTopology(Topology):
             supports_in_transit_adaptive=True,
             adaptive_hop_kinds=_ADAPTIVE_HOP_KINDS,
         )
+        self._init_route_table()
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -130,12 +131,6 @@ class FlattenedButterflyTopology(Topology):
         if not (0 <= row < self._rows):
             raise ValueError(f"row {row} out of range [0, {self._rows})")
         return row * self._cols + column
-
-    def node_router(self, node: int) -> int:
-        return node // self._p
-
-    def node_port(self, node: int) -> int:
-        return node % self._p
 
     def router_nodes(self, router: int) -> List[int]:
         base = router * self._p
@@ -217,16 +212,13 @@ class FlattenedButterflyTopology(Topology):
         return self.router_id(x, peer_y), self.column_port_to(peer_y, y)
 
     # ----------------------------------------------------------------- routing
-    def minimal_output_port(self, router: int, dst_node: int) -> int:
-        """Dimension-ordered (row-first) minimal output port towards ``dst_node``.
+    def _route_port(self, router: int, dst_router: int) -> int:
+        """Dimension-ordered (row-first) minimal output port towards ``dst_router``.
 
         At most two hops: a row hop to the destination's column, then a
         column hop to the destination's row.  When only one coordinate
         differs the single correcting hop is taken directly.
         """
-        dst_router = dst_node // self._p
-        if router == dst_router:
-            return dst_node % self._p
         x, y = self.router_coords(router)
         dst_x, dst_y = self.router_coords(dst_router)
         if x != dst_x:

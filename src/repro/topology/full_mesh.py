@@ -39,7 +39,7 @@ class FullMeshTopology(Topology):
     def __init__(self, config: FullMeshConfig):
         self.config = config
         self._p = config.p
-        self._a = config.a
+        self._a = self._num_routers = config.a
         self._radix = config.router_radix
         self._first_mesh_port = self._p
         self.port_kinds: Tuple[PortKind, ...] = tuple(
@@ -49,6 +49,7 @@ class FullMeshTopology(Topology):
         self._path_model = PathModel.from_minimal_paths(
             "full_mesh", _MINIMAL_HOP_KINDS
         )
+        self._init_route_table()
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -81,12 +82,6 @@ class FullMeshTopology(Topology):
         return self._path_model
 
     # -------------------------------------------------------------- addressing
-    def node_router(self, node: int) -> int:
-        return node // self._p
-
-    def node_port(self, node: int) -> int:
-        return node % self._p
-
     def router_nodes(self, router: int) -> List[int]:
         base = router * self._p
         return list(range(base, base + self._p))
@@ -136,10 +131,7 @@ class FullMeshTopology(Topology):
         return peer, self.mesh_port_to(peer, router)
 
     # ----------------------------------------------------------------- routing
-    def minimal_output_port(self, router: int, dst_node: int) -> int:
-        dst_router = dst_node // self._p
-        if router == dst_router:
-            return dst_node % self._p
+    def _route_port(self, router: int, dst_router: int) -> int:
         return self.mesh_port_to(router, dst_router)
 
     def minimal_path_length(self, src_node: int, dst_node: int) -> int:

@@ -151,6 +151,7 @@ class TorusTopology(Topology):
             dateline_max_ring_hops=tuple(k // 2 for k in self._dims),
             dateline_adaptive_max_ring_hops=tuple(k - 1 for k in self._dims),
         )
+        self._init_route_table()
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -210,12 +211,6 @@ class TorusTopology(Topology):
                 raise ValueError(f"coordinate {c} out of range [0, {k})")
             rid += c * stride
         return rid
-
-    def node_router(self, node: int) -> int:
-        return node // self._p
-
-    def node_port(self, node: int) -> int:
-        return node % self._p
 
     def router_nodes(self, router: int) -> List[int]:
         base = router * self._p
@@ -307,15 +302,12 @@ class TorusTopology(Topology):
         backward = (coord - dst_coord) % k
         return +1 if forward <= backward else -1
 
-    def minimal_output_port(self, router: int, dst_node: int) -> int:
-        """Dimension-ordered minimal output port towards ``dst_node``.
+    def _route_port(self, router: int, dst_router: int) -> int:
+        """Dimension-ordered minimal output port towards ``dst_router``.
 
         Corrects the lowest differing dimension first, taking the shorter
-        way around its ring (ties towards plus); ejects once co-located.
+        way around its ring (ties towards plus).
         """
-        dst_router = dst_node // self._p
-        if router == dst_router:
-            return dst_node % self._p
         r, d = router, dst_router
         for dim, k in enumerate(self._dims):
             r, coord = divmod(r, k)

@@ -38,3 +38,19 @@ def test_the_stock_tables_match_the_core():
 
     assert _python_table(_STOCK_FUNCTIONS) == _x_macro("STOCK_FUNCTIONS")
     assert _python_table(_STOCK_ATTRIBUTES) == _x_macro("STOCK_ATTRIBUTES")
+
+
+def test_every_stock_function_is_one_its_owner_defines():
+    """A stock pair names the class whose source defines the function (the
+    base ``Topology`` for the queries every topology shares, a topology's own
+    class for its own rule): a pair left behind when a function moves to
+    another class would otherwise fail every engine build."""
+    from repro.simulation.soa.engine import _STOCK_FUNCTIONS, _source_function
+
+    for owner, name in _STOCK_FUNCTIONS:
+        assert name in vars(owner), f"{owner.__name__} does not define {name}"
+        assert _source_function(owner, name) is not None
+    pairs = _python_table(_STOCK_FUNCTIONS)
+    for query in ("minimal_output_port", "minimal_route_to_router", "router_hops",
+                  "router_region", "node_region", "node_router"):
+        assert ("Topology", query) in pairs

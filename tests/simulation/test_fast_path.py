@@ -1,7 +1,12 @@
 """The per-packet hooks the compiled core answers run no Python frame.
 
 On a stock ``soa`` run the core answers, in C, ``select_output`` of the pure
-mechanisms (their capture), ``MetricsCollector.record_delivery`` /
+mechanisms (their capture), the topology queries of every topology (the
+route table behind ``minimal_output_port`` / ``minimal_route_to_router``,
+the hop memo of ``router_hops``, the region queries and the torus's dateline
+state machine ``ring_vc`` / ``commit_ring_hop``; a route-table miss of any
+topology but the Dragonfly is filled by its ``_route_port``, at most once
+per router pair), ``MetricsCollector.record_delivery`` /
 ``record_generated`` with the ``in_window`` test and the time-series bin
 they call,
 ``BernoulliTrafficGenerator.generate`` with the uniform, adversarial and
@@ -36,6 +41,9 @@ from repro.routing.base import RoutingAlgorithm
 from repro.service.keys import result_fingerprint
 from repro.simulation.simulator import Simulator
 from repro.topology.base import Topology
+from repro.topology.fat_tree import FatTreeTopology
+from repro.topology.registry import topology_preset
+from repro.topology.torus import TorusTopology
 from repro.traffic.adversarial import AdversarialTraffic
 from repro.traffic.base import TrafficPattern
 from repro.traffic.bernoulli import BernoulliTrafficGenerator
@@ -218,3 +226,119 @@ def test_overrides_are_called_as_often_as_on_object(monkeypatch, routing, mode):
         expected.discard("select_output")
     assert soa == obj
     assert set(soa) == expected and min(soa.values()) > 0
+
+
+# ------------------------------------------------------- every topology
+#: The topology queries a stock run answers in C on every topology.
+TOPOLOGY_FAST = [
+    (Topology, name)
+    for name in (
+        "minimal_output_port", "minimal_route_to_router", "router_hops", "router_region",
+        "node_region", "node_router",
+    )
+] + [
+    (FatTreeTopology, "node_router"),
+    (FatTreeTopology, "minimal_output_port"),
+    (TorusTopology, "ring_vc"),
+    (TorusTopology, "commit_ring_hop"),
+]
+#: The topologies besides the Dragonfly, with the mechanisms the sweeps run
+#: on them: the pure ones everywhere, Base where an in-transit policy exists.
+OTHER_TOPOLOGIES = [
+    (topology, routing)
+    for topology, routings in (
+        ("torus", ("MIN", "VAL", "UGAL", "Base")),
+        ("flattened_butterfly", ("MIN", "VAL", "UGAL", "Base")),
+        ("full_mesh", ("MIN", "VAL", "UGAL")),
+        ("fat_tree", ("MIN", "VAL", "UGAL", "Base")),
+    )
+    for routing in routings
+]
+
+
+def _steady(topology, routing, backend):
+    sim = Simulator(
+        SimulationParameters.tiny(topology_preset(topology)).with_backend(backend), routing,
+        pattern="ADV+1", offered_load=0.3, seed=3,
+    )
+    return sim, sim.run_steady_state(40, 80)
+
+
+@pytest.mark.parametrize("topology,routing", OTHER_TOPOLOGIES)
+def test_every_topology_answers_its_queries_without_python(monkeypatch, topology, routing):
+    # Probes off: an attached hub's trigger snapshot asks the topology in
+    # Python, on both backends alike.
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    watched = _watched()
+    for owner, name in TOPOLOGY_FAST:
+        watched[vars(owner)[name].__code__] = f"{owner.__name__}.{name}"
+    fills = {
+        vars(cls)["_route_port"].__code__ for cls in _subclasses(Topology)
+        if "_route_port" in vars(cls)
+    }
+    ran, filled = Counter(), 0
+
+    def profile(frame, event, arg):
+        nonlocal filled
+        if event == "call":
+            name = watched.get(frame.f_code)
+            if name is not None:
+                ran[name] += 1
+            elif frame.f_code in fills:
+                filled += 1
+
+    sim = Simulator(
+        SimulationParameters.tiny(topology_preset(topology)).with_backend("soa"), routing,
+        pattern="ADV+1", offered_load=0.3, seed=3,
+    )
+    sys.setprofile(profile)
+    try:
+        result = sim.run_steady_state(40, 80)
+    finally:
+        sys.setprofile(None)
+    assert ran == Counter()
+    R = sim.topology.num_routers
+    assert 0 < filled <= R * R
+    assert sim.engine.delivered_packets > 50
+    assert result_fingerprint(result) == result_fingerprint(_steady(topology, routing, "object")[1])
+
+
+#: A wrapper on each of these is called as often on ``soa`` as on ``object``
+#: wherever the Python bodies call it outside ``select_output``: the hop
+#: memo from UGAL's source trigger, the dateline commit from ``on_grant``,
+#: the minimal port from Base's head hook (the fat tree's own, which reads
+#: its leaf map, on the fat tree).
+EQUAL_COUNTS = [
+    (Topology, "minimal_output_port"),
+    (FatTreeTopology, "minimal_output_port"),
+    (Topology, "router_hops"),
+    (TorusTopology, "commit_ring_hop"),
+]
+#: Asked by a head's decision: a captured head asks once where ``object``
+#: asks once per evaluation.
+PER_DECISION = [(TorusTopology, "ring_vc")]
+
+
+@pytest.mark.parametrize("topology,routing", OTHER_TOPOLOGIES)
+def test_topology_wrappers_are_called_as_often_as_on_object(monkeypatch, topology, routing):
+    stock = result_fingerprint(_steady(topology, routing, "soa")[1])
+    for owner, name in EQUAL_COUNTS + PER_DECISION:
+        key = name if name == "minimal_output_port" else f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, _counting(key, vars(owner)[name]))
+    counts = {}
+    for backend in ("object", "soa"):
+        calls.clear()
+        assert result_fingerprint(_steady(topology, routing, backend)[1]) == stock
+        counts[backend] = Counter(calls)
+    soa, obj = counts["soa"], counts["object"]
+    for owner, name in PER_DECISION:
+        key = f"{owner.__name__}.{name}"
+        asked = soa.pop(key, 0)
+        assert asked <= obj.pop(key, 0) and (asked > 0) == (topology == "torus")
+    if routing != "Base":
+        # The pure capture asks for the minimal port once per head.
+        asked = soa.pop("minimal_output_port")
+        assert 0 < asked <= obj.pop("minimal_output_port")
+    assert soa == obj
+    assert ("Topology.router_hops" in soa) == (routing == "UGAL")
+    assert ("TorusTopology.commit_ring_hop" in soa) == (topology == "torus")

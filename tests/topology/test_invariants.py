@@ -122,8 +122,8 @@ class TestMinimalRouting:
                 assert topo.minimal_path_length(src, dst) == hops
 
     def test_router_hops_counts_the_minimal_router_path(self, topo):
-        """``router_hops`` (arithmetic on the Dragonfly, the path walk by
-        default) is the hop count of ``minimal_router_path``."""
+        """``router_hops`` (arithmetic on the Dragonfly, the memoised path
+        walk by default) is the hop count of ``minimal_router_path``."""
         for router in range(topo.num_routers):
             for dst_router in range(topo.num_routers):
                 path = topo.minimal_router_path(router, dst_router)
