@@ -21,8 +21,11 @@ topologies without touching the microarchitectural parameters.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Dict, Tuple
 
 __all__ = [
@@ -662,6 +665,20 @@ class SimulationParameters:
             payload[f.name] = getattr(self, f.name)
         payload["topology"] = self.topology.canonical_dict()
         return payload
+
+    @cached_property
+    def _config_hash(self) -> str:
+        """Memo behind :func:`repro.obs.telemetry.config_hash`; call that.
+
+        Computed once per instance: a sweep's specs share one parameter
+        set, so its keys hash the configuration once, not once per point.
+        The memo is sound because the dataclass is frozen, every copy
+        (``replace``, ``with_*``) is a new instance with an empty memo, and
+        the memo is not a field, so ``__eq__``, ``__hash__``, ``as_dict``
+        and :meth:`canonical_dict` never see it.
+        """
+        canonical = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     # -- Presets ------------------------------------------------------------
     @classmethod

@@ -10,8 +10,6 @@ block, which is emitted as the last line of the stream.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,10 +42,12 @@ def config_hash(params) -> str:
     service builds its content-addressed cache key on this same hash
     (:mod:`repro.service.keys`), so cache entries and trace manifests
     always agree on configuration identity.
+
+    The hash is the 16-hex sha256 prefix of the compact, key-sorted JSON
+    of that dict, computed once per parameter instance (the frozen
+    dataclass memoises it in ``SimulationParameters._config_hash``).
     """
-    payload = params.canonical_dict()
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return params._config_hash
 
 
 def git_revision(start: Optional[Path] = None) -> str:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.service.keys import result_fingerprint
+from repro.service.keys import result_fingerprint, row_fingerprint
 from repro.simulation.results import (
     GOLDENS_SCHEMA_REV,
     SteadyStateResult,
@@ -99,13 +99,14 @@ def encode_entry(key: str, result: Any) -> Dict[str, Any]:
     """Serialize one result into its cache-entry envelope."""
     for kind, cls in _KINDS.items():
         if isinstance(result, cls):
+            row = result.as_dict()
             return {
                 "entry_schema": CACHE_ENTRY_SCHEMA,
                 "schema": GOLDENS_SCHEMA_REV,
                 "key": key,
                 "kind": kind,
-                "result": result.as_dict(),
-                "fingerprint": result_fingerprint(result),
+                "result": row,
+                "fingerprint": row_fingerprint(row),
             }
     raise TypeError(f"cannot cache a {type(result).__name__}")
 
@@ -113,11 +114,13 @@ def encode_entry(key: str, result: Any) -> Dict[str, Any]:
 def decode_entry(entry: Dict[str, Any], key: str) -> Optional[Any]:
     """Deserialize and *verify* one entry; ``None`` when it is unusable.
 
-    Unusable means: wrong envelope layout, a different result-schema
-    revision (goldens-schema bump invalidation), a key mismatch, an
-    unknown result kind, or a fingerprint that no longer matches the
-    deserialized result.
+    Unusable means: not a JSON object, wrong envelope layout, a different
+    result-schema revision (goldens-schema bump invalidation), a key
+    mismatch, an unknown result kind, or a fingerprint that no longer
+    matches the deserialized result.
     """
+    if not isinstance(entry, dict):
+        return None
     try:
         if entry.get("entry_schema") != CACHE_ENTRY_SCHEMA:
             return None
@@ -134,6 +137,21 @@ def decode_entry(entry: Dict[str, Any], key: str) -> Optional[Any]:
         return result
     except (KeyError, TypeError, ValueError):
         return None
+
+
+def _read_entry(path: "str | os.PathLike") -> Optional[Dict[str, Any]]:
+    """One entry file parsed; ``None`` when it is unreadable or not an object.
+
+    Read once as bytes: ``json.loads`` detects the encoding itself, and a
+    file that is not UTF-8 fails as a ``ValueError`` like any other parse
+    error, so every corrupt payload degrades to ``None``.
+    """
+    try:
+        with open(path, "rb") as handle:
+            entry = json.loads(handle.read())
+    except (OSError, ValueError):
+        return None
+    return entry if isinstance(entry, dict) else None
 
 
 class InMemoryResultCache:
@@ -183,24 +201,21 @@ class DirectoryResultCache:
     def __init__(self, root: "str | os.PathLike") -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)  # per-lookup paths are joined as strings
         self.stats = CacheStats()
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._root}/{key[:2]}/{key}.json"
 
     def lookup(self, key: str) -> Optional[Any]:
         path = self._path(key)
-        entry = None
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            pass
+        entry = _read_entry(path)
         result = decode_entry(entry, key) if entry is not None else None
         if result is None:
-            if path.exists():
+            if os.path.exists(path):
                 self.stats.invalidated += 1
                 try:
-                    path.unlink()
+                    os.unlink(path)
                 except OSError:  # pragma: no cover - racing unlink
                     pass
             self.stats.misses += 1
@@ -211,8 +226,9 @@ class DirectoryResultCache:
     def store(self, key: str, result: Any) -> None:
         entry = encode_entry(key, result)
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 json.dump(entry, handle, sort_keys=True)
@@ -269,10 +285,7 @@ class DirectoryResultCache:
         """
         removed = 0
         for path in self._files():
-            try:
-                entry = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                entry = None
+            entry = _read_entry(path)
             if entry is None or entry.get("schema") != GOLDENS_SCHEMA_REV:
                 try:
                     path.unlink()
@@ -301,13 +314,17 @@ class DirectoryResultCache:
         corrupt = 0
         files = self._files()
         for path in files:
-            try:
-                entry = json.loads(path.read_text())
-                total_bytes += path.stat().st_size
-            except (OSError, json.JSONDecodeError):
+            entry = _read_entry(path)
+            if entry is None:
                 corrupt += 1
                 continue
-            kinds[entry.get("kind", "?")] = kinds.get(entry.get("kind", "?"), 0) + 1
+            try:
+                total_bytes += path.stat().st_size
+            except OSError:  # pragma: no cover - racing unlink
+                corrupt += 1
+                continue
+            kind = str(entry.get("kind", "?"))
+            kinds[kind] = kinds.get(kind, 0) + 1
             schema = str(entry.get("schema", "?"))
             schemas[schema] = schemas.get(schema, 0) + 1
         return {
@@ -325,4 +342,4 @@ class DirectoryResultCache:
         return len(self._files())
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+        return os.path.exists(self._path(key))

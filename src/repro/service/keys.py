@@ -45,7 +45,14 @@ __all__ = [
     "point_key",
     "point_payload",
     "result_fingerprint",
+    "row_fingerprint",
 ]
+
+# One encoder each, built once: ``json.dumps`` with options constructs a new
+# ``JSONEncoder`` per call.  The options are the key and fingerprint formats
+# themselves; changing either empties every existing cache.
+_KEY_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_FINGERPRINT_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def canonical_fault_model(model: Optional[FaultModel]) -> Optional[Dict[str, Any]]:
@@ -134,7 +141,7 @@ def point_payload(spec: Any) -> Dict[str, Any]:
 
 def point_key(spec: Any) -> str:
     """Content address of one sweep point (64 hex chars, sha256)."""
-    canonical = json.dumps(point_payload(spec), sort_keys=True, separators=(",", ":"))
+    canonical = _KEY_JSON.encode(point_payload(spec))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -147,5 +154,9 @@ def result_fingerprint(result: Any) -> str:
     so a corrupted or mis-deserialized entry surfaces as a miss, never as
     a silently wrong row.
     """
-    payload = json.dumps(result.as_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return row_fingerprint(result.as_dict())
+
+
+def row_fingerprint(row: Dict[str, Any]) -> str:
+    """:func:`result_fingerprint` of the result whose ``as_dict()`` is ``row``."""
+    return hashlib.sha256(_FINGERPRINT_JSON.encode(row).encode()).hexdigest()

@@ -1,9 +1,13 @@
 """Manifest, config hash, git revision and phase timers."""
 
+import hashlib
+import json
+import pickle
 import re
 
 import pytest
 
+from repro.config.parameters import SimulationParameters
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
@@ -15,6 +19,25 @@ from repro.obs import (
     phase_timer,
 )
 from repro.simulation.simulator import Simulator
+from repro.topology.registry import available_topologies, topology_preset
+
+#: Every preset of the parameter set, and the tiny preset of every topology.
+PRESETS = {
+    "tiny": SimulationParameters.tiny,
+    "small": SimulationParameters.small,
+    "transient": SimulationParameters.transient,
+    "paper": SimulationParameters.paper,
+    **{
+        f"tiny-{name}": (lambda name=name: SimulationParameters.tiny(topology_preset(name)))
+        for name in available_topologies()
+    },
+}
+
+
+def fresh_hash(params) -> str:
+    """The configuration hash recomputed from scratch, without the memo."""
+    canonical = json.dumps(params.canonical_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 class TestConfigHash:
@@ -30,6 +53,37 @@ class TestConfigHash:
 
     def test_any_other_field_changes_the_hash(self, tiny_params, small_params):
         assert config_hash(tiny_params) != config_hash(small_params)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+class TestConfigHashMemo:
+    """The per-instance memo never answers differently from a fresh hash."""
+
+    def test_memo_equals_a_fresh_hash(self, preset):
+        params = PRESETS[preset]()
+        assert config_hash(params) == fresh_hash(params)
+        assert config_hash(params) == fresh_hash(params)  # served from the memo
+
+    def test_copies_hash_by_their_own_fields(self, preset):
+        params = PRESETS[preset]()
+        config_hash(params)  # fill the memo before copying
+        other = "object" if params.backend == "soa" else "soa"
+        assert config_hash(params.with_backend(other)) == config_hash(params)
+        changed = params.with_threshold(params.base_contention_threshold + 1)
+        assert config_hash(changed) != config_hash(params)
+        assert config_hash(changed) == fresh_hash(changed)
+
+    def test_pickle_keeps_the_hash_and_equality(self, preset):
+        empty = PRESETS[preset]()
+        filled = PRESETS[preset]()
+        digest = config_hash(filled)
+        assert empty == filled and hash(empty) == hash(filled)
+        assert empty.as_dict() == filled.as_dict()
+        assert empty.canonical_dict() == filled.canonical_dict()
+        for params in (empty, filled):
+            copy = pickle.loads(pickle.dumps(params))
+            assert copy == empty == filled
+            assert config_hash(copy) == digest
 
 
 class TestGitRevision:

@@ -34,6 +34,10 @@ from repro.simulation.results import (
 KEY = "ab" * 32
 OTHER_KEY = "cd" * 32
 
+#: Entry files that are not a usable JSON object: bytes that are not UTF-8,
+#: and valid JSON that is not an object.  Each must read as a miss.
+CORRUPT_PAYLOADS = [b"\xff\xfe\x00\xd8 not utf-8", b"[]", b"42"]
+
 
 def steady_result(**overrides) -> SteadyStateResult:
     base = dict(
@@ -119,6 +123,10 @@ class TestEntryEnvelope:
         del entry["result"]["mean_latency"]
         assert decode_entry(entry, KEY) is None
 
+    @pytest.mark.parametrize("entry", [[], 42, "entry", None])
+    def test_a_non_object_entry_invalidates(self, entry):
+        assert decode_entry(entry, KEY) is None
+
 
 class TestInMemoryCache:
     def test_miss_then_store_then_hit(self):
@@ -177,6 +185,66 @@ class TestDirectoryCache:
         path.write_text(json.dumps(entry))
         assert cache.lookup(KEY) is None
         assert not path.exists()
+
+    # Regression: a non-UTF-8 file raised UnicodeDecodeError and a JSON
+    # array or number raised AttributeError, out of lookup, summary and
+    # prune_stale alike, instead of reading as a corrupt entry.
+    @pytest.mark.parametrize("payload", CORRUPT_PAYLOADS)
+    def test_a_corrupt_payload_is_a_miss_and_removed(self, tmp_path, payload):
+        cache = DirectoryResultCache(tmp_path / "c")
+        cache.store(KEY, steady_result())
+        path = tmp_path / "c" / KEY[:2] / f"{KEY}.json"
+        path.write_bytes(payload)
+        assert cache.lookup(KEY) is None
+        assert cache.stats.invalidated == 1
+        assert cache.stats.misses == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("payload", CORRUPT_PAYLOADS)
+    def test_summary_counts_a_corrupt_payload(self, tmp_path, payload):
+        cache = DirectoryResultCache(tmp_path / "c")
+        cache.store(KEY, steady_result())
+        cache.store(OTHER_KEY, transient_result())
+        (tmp_path / "c" / KEY[:2] / f"{KEY}.json").write_bytes(payload)
+        summary = cache.summary()
+        assert summary["corrupt"] == 1
+        assert summary["entries"] == 1
+        assert summary["kinds"] == {"transient": 1}
+
+    def test_summary_survives_an_object_with_an_unhashable_kind(self, tmp_path):
+        cache = DirectoryResultCache(tmp_path / "c")
+        cache.store(KEY, steady_result())
+        (tmp_path / "c" / KEY[:2] / f"{KEY}.json").write_text('{"kind": [], "schema": 3}')
+        summary = cache.summary()
+        assert summary["kinds"] == {"[]": 1}
+        assert summary["schemas"] == {"3": 1}
+
+    @pytest.mark.parametrize("payload", CORRUPT_PAYLOADS)
+    def test_prune_stale_removes_a_corrupt_payload(self, tmp_path, payload):
+        cache = DirectoryResultCache(tmp_path / "c")
+        cache.store(KEY, steady_result())
+        cache.store(OTHER_KEY, transient_result())
+        path = tmp_path / "c" / KEY[:2] / f"{KEY}.json"
+        path.write_bytes(payload)
+        assert cache.prune_stale() == 1
+        assert not path.exists()
+        assert cache.lookup(OTHER_KEY) == transient_result()
+
+    @pytest.mark.parametrize("result", [steady_result(), transient_result()])
+    def test_store_writes_the_sorted_json_of_the_envelope(self, tmp_path, result):
+        """The on-disk bytes are the envelope's ``json.dumps(..., sort_keys=True)``."""
+        cache = DirectoryResultCache(tmp_path / "c")
+        cache.store(KEY, result)
+        envelope = {
+            "entry_schema": CACHE_ENTRY_SCHEMA,
+            "schema": GOLDENS_SCHEMA_REV,
+            "key": KEY,
+            "kind": "steady" if isinstance(result, SteadyStateResult) else "transient",
+            "result": result.as_dict(),
+            "fingerprint": result_fingerprint(result),
+        }
+        written = (tmp_path / "c" / KEY[:2] / f"{KEY}.json").read_bytes()
+        assert written == json.dumps(envelope, sort_keys=True).encode()
 
     def test_prune_stale_drops_only_old_schema_entries(self, tmp_path):
         cache = DirectoryResultCache(tmp_path / "c")

@@ -29,7 +29,9 @@ from repro.service.keys import (
     is_cacheable,
     point_key,
     point_payload,
+    result_fingerprint,
 )
+from repro.simulation.results import SteadyStateResult
 from repro.topology.faults import DegradedLink, FaultModel, FaultSchedule
 from repro.topology.registry import topology_preset
 
@@ -103,6 +105,62 @@ class TestKeyFormat:
 
         assert point_payload(steady_spec())["schema"] == GOLDENS_SCHEMA_REV
         assert point_payload(transient_spec())["schema"] == GOLDENS_SCHEMA_REV
+
+
+class TestKeyStability:
+    """Literal keys and fingerprints: a format drift must fail here, loudly.
+
+    Any change to the key payload or to either JSON encoding silently turns
+    every existing on-disk cache into misses.  These literals were recorded
+    from the code that wrote the caches in use; re-record them only with a
+    deliberate, announced key-format change.
+    """
+
+    def test_steady_key(self):
+        assert point_key(steady_spec()) == (
+            "05042fb34ec8b4b858c0b58276a2f518d22d89efa2ac3cfc3eb154e6cd392f19"
+        )
+
+    def test_transient_key(self):
+        assert point_key(transient_spec()) == (
+            "e572cb2ab53b2fee8e09a73713f0281d6f2f207dc8c75cdb2785b6be8defde8c"
+        )
+
+    def test_faulty_steady_key(self):
+        model = FaultModel(
+            link_failure_percent=5.0,
+            failed_links=((1, 3), (0, 2)),
+            degraded_links=(
+                (
+                    (2, 4),
+                    DegradedLink(bandwidth_factor=1.5, latency_factor=3, contention_bias=1),
+                ),
+            ),
+            schedule=FaultSchedule(((50, (0, 2), "fail"), (120, (0, 2), "repair"))),
+        )
+        assert point_key(steady_spec(fault_model=model)) == (
+            "d8652e7ef55b1b620fac7b846aadcb5ba50cb2a1ee9e5ab27326d02dea74e0f8"
+        )
+
+    def test_result_fingerprint(self):
+        result = SteadyStateResult(
+            routing="Base",
+            pattern="ADV+1",
+            offered_load=0.3,
+            seed=42,
+            mean_latency=123.456789,
+            p99_latency=987.654321,
+            accepted_load=0.29,
+            global_misroute_fraction=0.125,
+            local_misroute_fraction=0.0625,
+            mean_hops=3.5,
+            delivered_packets=12345,
+            dropped_packets=3,
+            fault_rerouted_packets=7,
+        )
+        assert result_fingerprint(result) == (
+            "b60b366cd5e62a592937d10bec7fae2be8cf8782a59fcdf866ba7cbbb4a5899c"
+        )
 
 
 class TestCacheability:

@@ -12,6 +12,8 @@ the other, compare fingerprints.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.config.parameters import SimulationParameters
@@ -124,7 +126,7 @@ def test_cache_hit_is_byte_round_trip_of_the_stored_row(tmp_path):
     try:
         spec = _steady_spec("object")
         (produced,) = exe.map(run_steady_point, [spec])
-        path = cache._path(point_key(spec))
+        path = Path(cache._path(point_key(spec)))
         path.write_text(path.read_text().replace("mean_latency", "mean_lateness"))
         (recomputed,) = exe.map(run_steady_point, [spec])
         assert exe.stats.invalidated == 0  # executor counts via cache.stats
