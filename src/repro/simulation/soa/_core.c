@@ -23,8 +23,8 @@
  *
  * A hook is answered here only while the function the instance resolves for
  * its name -- resolved the way a method call resolves it, the type's part
- * through the name cache, valid per type version -- is the stock function
- * `SoAEngine` handed over; a subclass override or a wrapper on the class or
+ * valid per type version, the instance dict's part per epoch (see "memo"
+ * and "epoch") -- is the stock function `SoAEngine` handed over; a subclass override or a wrapper on the class or
  * the instance, installed at any time, is called by name instead, with the
  * arguments and in the order the object engine uses; the topology queries
  * follow the same rule.  What a stock body calls that is not transcribed --
@@ -51,26 +51,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#if PY_VERSION_HEX < 0x030A0000 /* 3.9: the two 3.10 conveniences used below */
-static inline PyObject *
-Py_NewRef(PyObject *o)
-{
-    Py_INCREF(o);
-    return o;
-}
-
-static inline int
-PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
-{
-    Py_INCREF(value);
-    if (PyModule_AddObject(module, name, value) < 0) {
-        Py_DECREF(value);
-        return -1;
-    }
-    return 0;
-}
-#endif
 
 /* Row kinds of `SoAEngine._rows` (soa/engine.py, "Row kinds"). */
 #define ROW_FIXED 0
@@ -127,8 +107,6 @@ PyModule_AddObjectRef(PyObject *module, const char *name, PyObject *value)
     X(valiant_intermediate_router) X(publish_flags) X(_pending) \
     X(notification_delay) X(_flags) X(_saturated_groups) X(add) X(discard) X(__version_probe__)
 
-#define DECLARE_NAME(n) static PyObject *s_##n;
-NAMES(DECLARE_NAME)
 static PyObject *kw_is_global; /* ("is_global",) */
 /* The keywords of `Packet(...)` in `generate` and of
  * `TimeSeriesRecorder.record`. */
@@ -146,7 +124,14 @@ static PyObject *zero, *one;   /* the ints 0 and 1 */
 
 #define FIELD_ENUM(n) F_##n,
 enum { PACKET_FIELDS(FIELD_ENUM) N_FIELDS };
-static PyObject *field_names[N_FIELDS];
+
+/* Every name above, interned, by index (`N_<name>`; the packet fields last,
+ * in field order): what the core reads and calls, and the key of its memo
+ * (see "memo" below). */
+#define NAME_INDEX(n) N_##n,
+enum { NAMES(NAME_INDEX) PACKET_FIELDS(NAME_INDEX) N_NAMES };
+static PyObject *name_of[N_NAMES];
+#define FIELD_NAME(f) (N_pid + (f))
 
 /* `RoutingDecision`'s fields, in order. */
 #define DECISION_FIELDS(X) \
@@ -189,12 +174,25 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(ValiantRouting, random_intermediate_router) X(Topology, valiant_intermediate_router) \
     X(DragonflyTopology, port_target_region) X(PiggybackRouting, publish_flags)
 /* What a stock body reads or builds with that its class's source does not
- * define as a function: properties (compared with what the type's MRO holds,
- * never called) and the dataclass-made `Packet.__init__`. */
+ * define as a function: every topology's size properties (compared with
+ * what the type's MRO holds, never called; `SIZE_SLOTS` below lists them per
+ * class) and the dataclass-made `Packet.__init__`. */
 #define STOCK_ATTRIBUTES(X) \
     X(DragonflyTopology, num_nodes) X(DragonflyTopology, num_routers) \
     X(DragonflyTopology, num_regions) X(DragonflyTopology, routers_per_region) \
-    X(DragonflyTopology, nodes_per_router) X(Packet, __init__)
+    X(DragonflyTopology, nodes_per_router) \
+    X(FatTreeTopology, num_nodes) X(FatTreeTopology, num_routers) \
+    X(FatTreeTopology, num_regions) X(FatTreeTopology, routers_per_region) \
+    X(FatTreeTopology, nodes_per_router) \
+    X(FlattenedButterflyTopology, num_nodes) X(FlattenedButterflyTopology, num_routers) \
+    X(FlattenedButterflyTopology, num_regions) X(FlattenedButterflyTopology, routers_per_region) \
+    X(FlattenedButterflyTopology, nodes_per_router) \
+    X(FullMeshTopology, num_nodes) X(FullMeshTopology, num_routers) \
+    X(FullMeshTopology, num_regions) X(FullMeshTopology, routers_per_region) \
+    X(FullMeshTopology, nodes_per_router) \
+    X(TorusTopology, num_nodes) X(TorusTopology, num_routers) \
+    X(TorusTopology, num_regions) X(TorusTopology, routers_per_region) \
+    X(TorusTopology, nodes_per_router) X(Packet, __init__)
 #define STOCK_OBJECTS(X) \
     X(Packet) X(RoutingDecision) X(RoutingAlgorithm) X(ValiantRouting) X(ECtNRouting) \
     X(DragonflyTopology) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL) X(draws) X(packet_defaults) \
@@ -267,6 +265,43 @@ static const struct {
 } stock_entries[] = {STOCK_FUNCTIONS(STOCK_FUNCTION_ENTRY) STOCK_ATTRIBUTES(STOCK_FUNCTION_ENTRY)
                      STOCK_OBJECTS(STOCK_OBJECT_ENTRY)};
 
+/* ------------------------------------------------------------------ memo */
+/* What a name resolves to on a type's MRO (see "name cache" below). */
+enum entry_kind {
+    E_PLAIN,  /* nothing, a plain class attribute or a non-data descriptor */
+    E_SLOT,   /* a writable object slot of `__slots__`, at `offset` */
+    E_DATA,   /* another data descriptor: a property, a getset, a member */
+    E_METHOD, /* a method descriptor (a function): what a method call binds */
+};
+
+/* One answer of the core's memo for a name (`N_*`): its type part -- what
+ * `type`'s MRO holds for the name, good while the type's version tag is
+ * `tag` -- and its instance part -- what the instance `self` has for it,
+ * good for the epoch it was read in (see "epoch" below): for a method name
+ * the entry of the instance's own `__dict__` (NULL: none), for another name
+ * the value a lookup that ran no Python code returned.  The type and the
+ * objects it found are compared and trusted only under the tag, never held;
+ * `self` is held, so an address cannot be reused while it is remembered. */
+typedef struct {
+    PyTypeObject *type; /* NULL: an empty or one-use entry */
+    unsigned int tag;
+    int kind;           /* `enum entry_kind` */
+    int stock;          /* `found` is a stock function (`STOCK_FUNCTIONS`) */
+    Py_ssize_t offset;  /* E_SLOT */
+    PyObject *found;    /* what the MRO holds (NULL: nothing) */
+    PyObject *self;     /* the instance part's object (held), or NULL */
+    uint64_t epoch;
+    PyObject *own;
+} memo;
+
+/* Types a name is memoised for at once (a name the core reads off two kinds
+ * of object, like `active` off nodes and the state, keeps both). */
+#define MEMO_WAYS 2
+
+/* The size properties every topology defines, in `SIZE_SLOTS` order. */
+enum size { Z_NUM_NODES, Z_NUM_ROUTERS, Z_NUM_REGIONS, Z_ROUTERS_PER_REGION, Z_NODES_PER_ROUTER,
+            N_SIZES };
+
 typedef struct {
     PyObject_HEAD
     PyObject *o[N_SLOTS];
@@ -298,17 +333,32 @@ typedef struct {
     /* A `DragonflyTopology`'s routers per group, global ports per router,
      * groups and first global port (`df_a` 0 on any other topology). */
     long df_a, df_h, df_groups, df_first_global;
+    /* The routing's own topology's size properties (`enum size`): each
+     * stock property its type resolved the name to when the core was bound
+     * (borrowed from the stock slots; `sizes` 0: not every one was stock) and
+     * the value it returned then, and the type version they were last
+     * checked under. */
+    int sizes;
+    PyObject *size_property[N_SIZES];
+    long size[N_SIZES];
+    unsigned int sizes_tag;
     /* UGAL's `T`, in phits. */
     double valiant_threshold;
-    /* `Packet` when its fields are verified `__slots__` (read at `offset`),
-     * else NULL: every packet then goes through getattr / setattr. */
+    /* `Packet`, whose exact instances are read and written at the slot
+     * offsets bound for the type version `packet_tag` (`packet_slots`: every
+     * field is a writable object slot under it; rebound when the tag moves). */
     PyTypeObject *packet_type;
+    unsigned int packet_tag;
+    int packet_slots;
     Py_ssize_t offset[N_FIELDS];
     /* A `Packet` built here: the offsets of its defaulted fields, whose
-     * defaults `stock["packet_defaults"]` holds in that order (`defaults`
-     * -1: the class is called). */
+     * defaults `stock["packet_defaults"][1]` holds in that order (`defaults`
+     * -1: the class is called), and whether the class holds the stock
+     * `__init__` (`packet_init`); bound with the slots. */
     Py_ssize_t defaults, default_offset[MAX_DEFAULTS];
+    int packet_init;
     long no_event; /* `_NO_EVENT`: no node has a pending injection */
+    memo memo[N_NAMES][MEMO_WAYS];
 } Core;
 
 #define L(c, name) ((c)->o[S_##name])
@@ -547,9 +597,9 @@ compare_entries(const void *a, const void *b)
     return x->index < y->index ? -1 : (x->index > y->index);
 }
 
-/* `items.sort(key=...)` with an int key: stable. */
+/* `items.sort(key=...)` with an int key (read with the core `c`): stable. */
 static int
-sort_by(PyObject *items, int (*key_of)(PyObject *, long *))
+sort_by(Core *c, PyObject *items, int (*key_of)(Core *, PyObject *, long *))
 {
     Py_ssize_t n = PyList_GET_SIZE(items), i;
     sort_entry *entries;
@@ -558,7 +608,7 @@ sort_by(PyObject *items, int (*key_of)(PyObject *, long *))
     if (n < 2)
         return 0;
     for (i = 0; i < n; i++) {
-        if (key_of(PyList_GET_ITEM(items, i), &key) < 0)
+        if (key_of(c, PyList_GET_ITEM(items, i), &key) < 0)
             return -1;
         if (i > 0 && key < previous) {
             sorted = 0;
@@ -576,7 +626,7 @@ sort_by(PyObject *items, int (*key_of)(PyObject *, long *))
     for (i = 0; i < n; i++) {
         entries[i].item = PyList_GET_ITEM(items, i);
         entries[i].index = i;
-        if (key_of(entries[i].item, &entries[i].key) < 0) {
+        if (key_of(c, entries[i].item, &entries[i].key) < 0) {
             PyMem_Free(entries);
             return -1;
         }
@@ -589,7 +639,7 @@ sort_by(PyObject *items, int (*key_of)(PyObject *, long *))
 }
 
 static int
-port_key(PyObject *event, long *key)
+port_key(Core *Py_UNUSED(c), PyObject *event, long *key)
 {
     return field_long(event, 0, key);
 }
@@ -599,7 +649,7 @@ port_key(PyObject *event, long *key)
 static int
 sort_by_port(PyObject *events)
 {
-    return sort_by(events, port_key);
+    return sort_by(NULL, events, port_key);
 }
 
 /* `bisect.insort(keys, k)` on a sorted list of ints. */
@@ -674,13 +724,6 @@ append_long(PyObject *list, long v)
 #define CACHE_SETS 256
 #define CACHE_WAYS 4 /* per set, the most recently filled first */
 
-enum entry_kind {
-    E_PLAIN,  /* nothing, a plain class attribute or a non-data descriptor */
-    E_SLOT,   /* a writable object slot of `__slots__`, at `offset` */
-    E_DATA,   /* another data descriptor: a property, a getset, a member */
-    E_METHOD, /* a method descriptor (a function): what a method call binds */
-};
-
 typedef struct {
     PyTypeObject *type; /* compared, not held */
     PyObject *name, *after;
@@ -715,7 +758,7 @@ assign_tag(PyTypeObject *type)
      * which tags it; the name is not defined anywhere, so no descriptor
      * runs. */
     if (Py_TYPE(type)->tp_getattro == PyType_Type.tp_getattro) {
-        PyObject *nothing = PyObject_GetAttr((PyObject *)type, s___version_probe__);
+        PyObject *nothing = PyObject_GetAttr((PyObject *)type, name_of[N___version_probe__]);
         if (nothing != NULL)
             Py_DECREF(nothing);
         else if (PyErr_ExceptionMatches(PyExc_AttributeError))
@@ -814,56 +857,14 @@ lookup(PyTypeObject *type, PyObject *name, PyObject *after, cache_entry *scratch
 static inline int
 has_dict(PyTypeObject *type)
 {
+#ifdef Py_TPFLAGS_MANAGED_DICT /* 3.11 */
     return type->tp_dictoffset != 0 || PyType_HasFeature(type, Py_TPFLAGS_MANAGED_DICT);
+#else
+    return type->tp_dictoffset != 0;
+#endif
 }
 
-/* `obj.<name>` (a new reference): a slot read at its offset, another data
- * descriptor's `__get__`, else the generic attribute lookup -- each only
- * while the type keeps the generic `__getattribute__`. */
-static PyObject *
-get_attr(PyObject *obj, PyObject *name)
-{
-    PyTypeObject *type = Py_TYPE(obj);
-    if (type->tp_getattro == PyObject_GenericGetAttr) {
-        cache_entry scratch, *e = lookup(type, name, NULL, &scratch);
-        if (e == NULL)
-            return NULL;
-        if (e->kind == E_SLOT) {
-            PyObject *value = *(PyObject **)((char *)obj + e->offset);
-            if (value != NULL)
-                return Py_NewRef(value);
-        }
-        else if (e->kind == E_DATA) {
-            PyObject *descriptor = Py_NewRef(e->found), *value;
-            value = Py_TYPE(descriptor)->tp_descr_get(descriptor, obj, (PyObject *)type);
-            Py_DECREF(descriptor);
-            return value;
-        }
-    }
-    return PyObject_GetAttr(obj, name);
-}
-
-/* `obj.<name> = value`: a slot written at its offset while the type keeps
- * the generic `__setattr__`, else the generic assignment. */
-static int
-set_attr(PyObject *obj, PyObject *name, PyObject *value)
-{
-    PyTypeObject *type = Py_TYPE(obj);
-    if (type->tp_setattro == PyObject_GenericSetAttr) {
-        cache_entry scratch, *e = lookup(type, name, NULL, &scratch);
-        if (e == NULL)
-            return -1;
-        if (e->kind == E_SLOT) {
-            PyObject **slot = (PyObject **)((char *)obj + e->offset), *old = *slot;
-            *slot = Py_NewRef(value);
-            Py_XDECREF(old);
-            return 0;
-        }
-    }
-    return PyObject_SetAttr(obj, name, value);
-}
-
-/* Whether `type.__mro__` (after class `after`, or NULL) resolves `name` to
+/* Whether `mro(type)` (after class `after`, or NULL) resolves `name` to
  * `value` -- compared, never called.  1 / 0, -1 on error. */
 static int
 mro_resolves(PyTypeObject *type, PyObject *name, PyObject *after, PyObject *value)
@@ -872,120 +873,266 @@ mro_resolves(PyTypeObject *type, PyObject *name, PyObject *after, PyObject *valu
     return e == NULL ? -1 : e->found == value;
 }
 
-/* ---------------------------------------------------------------- dispatch */
-/* `self.<name>` resolved as a method call resolves it -- the instance's own
- * attribute first, then the type's -- without making a bound method: `fn` is
- * a new reference, `unbound` says it is the type's function (`self` first).
- * Where the instance has a `__dict__`, whether it holds `name` is read only
- * when it matters, by `stock` (`unprobed` until then): reading an instance
- * dict through the API turns the object's attributes into a dict for good,
- * which slows every Python method of the object, so it is done only for an
- * object whose type holds the stock function. */
-typedef struct {
-    PyObject *fn;
-    PyObject *self, *name; /* borrowed: what `fn` was resolved on, and for */
-    int unbound, unprobed;
-} method;
+/* ------------------------------------------------------------------ epoch */
+/* What an instance's own `__dict__` holds, and what a generic lookup finds
+ * there, can change whenever Python code runs.  `epoch` numbers the
+ * stretches in which none can have: it goes up at every entry into the core
+ * (the caller's code ran since the last one) and after every call the core
+ * makes that may run Python code -- a method, hook or callable called (a
+ * built-in method of an immutable built-in type, like `deque.popleft` or a
+ * lock's `acquire`, is C code and does not count), a property or another
+ * Python-level descriptor read or written, a lookup the generic path makes
+ * on a type with its own `__getattribute__`.  The instance part of a memo
+ * entry holds for the epoch it was read in.  A stock cycle calls no Python
+ * code, so it reads each instance dict once per entry.  Python that runs on
+ * its own inside such a stretch -- a finalizer of an object the core
+ * releases, a weakref callback -- is not a call the core makes and does not
+ * end it. */
+static uint64_t epoch = 1;
 
-/* A function the type's MRO holds (found in the name cache) is the answer
- * unless the instance's own dict holds the name; anything else -- a data
- * descriptor, a plain attribute, a type with its own `__getattribute__` --
- * is the generic lookup's bound answer. */
-static int
-resolve(PyObject *self, PyObject *name, method *m)
+static inline void
+new_epoch(void)
 {
-    PyTypeObject *type = Py_TYPE(self);
-    m->self = self;
-    m->name = name;
-    m->unbound = m->unprobed = 0;
-    if (type->tp_getattro == PyObject_GenericGetAttr) {
-        cache_entry scratch, *e = lookup(type, name, NULL, &scratch);
-        if (e == NULL) {
-            m->fn = NULL;
-            return -1;
-        }
-        if (e->kind == E_METHOD) {
-            m->fn = Py_NewRef(e->found);
-            m->unbound = 1;
-            m->unprobed = has_dict(type);
-            return 0;
-        }
-    }
-    m->fn = PyObject_GetAttr(self, name);
-    return m->fn == NULL ? -1 : 0;
+    epoch++;
 }
 
-/* Whether `m` is the stock function `function`: the type's function, which
- * the instance's own dict does not shadow.  A dict that cannot be read
- * leaves the answer "no" and `m` unprobed: the call goes by name. */
-static int
-stock(method *m, PyObject *function)
+/* Whether `descriptor` is one whose `__get__` / `__set__` is C code of the
+ * interpreter: a getset (a C property) or a member. */
+static inline int
+c_descriptor(PyObject *descriptor)
 {
-    if (!m->unbound || m->fn != function)
+    return Py_IS_TYPE(descriptor, &PyGetSetDescr_Type)
+           || Py_IS_TYPE(descriptor, &PyMemberDescr_Type);
+}
+
+/* ------------------------------------------------------------------- memo */
+/* The core's memo of what the names it reads and calls resolve to, one
+ * entry per name and type (`MEMO_WAYS` types per name, the most recently
+ * used first): a hit is a type and tag compare -- no hash -- and, for an
+ * object with a `__dict__`, an identity and epoch compare.  A miss is filled
+ * from the name cache.  With no core (`c` NULL) `scratch` is filled and used
+ * once. */
+
+/* Whether `function` is one of the stock functions. */
+static int
+is_stock_function(Core *c, PyObject *function)
+{
+#define STOCK_IS(owner, name) || function == STOCK(c, owner, name)
+    return function != NULL && (0 STOCK_FUNCTIONS(STOCK_IS));
+#undef STOCK_IS
+}
+
+/* The type part of name `n` on `type`: the entry, valid now.  NULL on
+ * error. */
+static memo *
+type_part(Core *c, PyTypeObject *type, int n, memo *scratch)
+{
+    memo *ways, *e;
+    cache_entry found_scratch, *found;
+    PyObject *evicted = NULL;
+    unsigned int tag = type->tp_version_tag;
+    int tagged = tag_valid(type), way;
+    if (c != NULL) {
+        ways = c->memo[n];
+        for (way = 0; tagged && way < MEMO_WAYS; way++)
+            if (ways[way].type == type && ways[way].tag == tag) {
+                if (way > 0) {
+                    memo hit = ways[way];
+                    memmove(&ways[1], &ways[0], (size_t)way * sizeof(memo));
+                    ways[0] = hit;
+                }
+                return &ways[0];
+            }
+    }
+    if ((found = lookup(type, name_of[n], NULL, &found_scratch)) == NULL)
+        return NULL;
+    if (c == NULL || found == &found_scratch) {
+        e = scratch;
+        e->type = NULL;
+    }
+    else {
+        ways = c->memo[n];
+        evicted = ways[MEMO_WAYS - 1].self;
+        memmove(&ways[1], &ways[0], (MEMO_WAYS - 1) * sizeof(memo));
+        e = &ways[0];
+        e->type = type;
+        e->tag = found->tag;
+    }
+    e->self = NULL;
+    e->kind = found->kind;
+    e->offset = found->offset;
+    e->found = found->found;
+    e->stock = c != NULL && e->kind == E_METHOD && is_stock_function(c, e->found);
+    Py_XDECREF(evicted); /* last: releasing it may run Python */
+    return e;
+}
+
+/* Whether the instance part of `e` answers for `self` now. */
+static inline int
+remembered(memo *e, PyObject *self)
+{
+    return e->self == self && e->epoch == epoch;
+}
+
+/* Remember `own` as what `self` has for the entry's name, this epoch. */
+static inline void
+remember(memo *e, PyObject *self, PyObject *own)
+{
+    PyObject *previous = e->self;
+    if (e->type == NULL)
+        return;
+    e->self = Py_NewRef(self);
+    e->epoch = epoch;
+    e->own = own;
+    Py_XDECREF(previous); /* last: releasing it may run Python */
+}
+
+/* What `self.<name n>` resolves to, the way a method call resolves it -- the
+ * instance's own attribute first, then the type's -- when that is a stock
+ * function: `*fn` is the function (borrowed), else NULL -- which equals no
+ * stock slot (a missing stock function is `None`) -- and the hook is called
+ * by name.  Where the instance has a `__dict__`, whether it holds the
+ * name is read only for a type whose function is a stock one: reading an
+ * instance dict through the API turns the object's attributes into a dict
+ * for good, which slows every Python method of the object.  A dict that
+ * cannot be read leaves the answer "no".  0, -1 on error. */
+static int
+stock_hook(Core *c, PyObject *self, int n, PyObject **fn)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    PyObject *found;
+    memo scratch, *e;
+    *fn = NULL;
+    if (type->tp_getattro != PyObject_GenericGetAttr)
         return 0;
-    if (m->unprobed) {
-        PyObject *dict = PyObject_GenericGetDict(m->self, NULL), *own = NULL;
+    if ((e = type_part(c, type, n, &scratch)) == NULL)
+        return -1;
+    if (!e->stock)
+        return 0;
+    found = e->found;
+    if (has_dict(type) && !remembered(e, self)) {
+        PyObject *dict = PyObject_GenericGetDict(self, NULL), *own = NULL;
         if (dict != NULL) {
-            own = PyDict_GetItemWithError(dict, m->name);
-            Py_XINCREF(own);
+            own = PyDict_GetItemWithError(dict, name_of[n]); /* the dict holds it */
             Py_DECREF(dict);
         }
         if (own == NULL && PyErr_Occurred()) {
             PyErr_Clear();
             return 0;
         }
-        m->unprobed = 0;
-        if (own != NULL) {
-            Py_SETREF(m->fn, own);
-            m->unbound = 0;
+        remember(e, self, own);
+        if (own != NULL)
             return 0;
-        }
     }
-    return 1;
-}
-
-/* Call what `resolve` found, `args[0]` being the object it was resolved on
- * (an unprobed instance by name, as `PyObject_VectorcallMethod` resolves
- * it); gives up `m`.  A new reference. */
-static PyObject *
-call_found(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
-{
-    PyObject *result = m->unprobed
-        ? PyObject_VectorcallMethod(m->name, args, nargs, kwnames)
-        : m->unbound
-        ? PyObject_Vectorcall(m->fn, args, nargs, kwnames)
-        : PyObject_Vectorcall(m->fn, args + 1, (nargs - 1) | PY_VECTORCALL_ARGUMENTS_OFFSET,
-                              kwnames);
-    Py_CLEAR(m->fn);
-    return result;
-}
-
-/* `call_found` for effect. */
-static int
-invoke(method *m, PyObject **args, size_t nargs, PyObject *kwnames)
-{
-    PyObject *result = call_found(m, args, nargs, kwnames);
-    if (result == NULL)
-        return -1;
-    Py_DECREF(result);
+    else if (has_dict(type) && e->own != NULL)
+        return 0;
+    *fn = found;
     return 0;
 }
 
-/* `call_found` answered as an int. */
+/* Whether `super(owner, self).<name n>` is the stock function `function`:
+ * the first class after `owner` in `type(self).__mro__` whose namespace
+ * holds the name is the one `super()` finds.  1 / 0, -1 on error. */
 static int
-found_long(method *m, PyObject **args, size_t nargs, long *out)
+super_is(PyObject *self, PyObject *owner, int n, PyObject *function)
 {
-    PyObject *answer = call_found(m, args, nargs, NULL);
-    int failed = answer == NULL ? -1 : as_long(answer, out);
-    Py_XDECREF(answer);
+    return mro_resolves(Py_TYPE(self), name_of[n], owner, function);
+}
+
+/* `obj.<name n>` (a new reference): a slot read at its offset, a data
+ * descriptor's `__get__`, the value the instance part remembers, else the
+ * generic lookup -- the first three while the type keeps the generic
+ * `__getattribute__`.  A lookup that can run no Python code -- the instance
+ * dict, then a plain class attribute -- is remembered for the epoch; what
+ * may run Python code (a property, a type's own `__getattribute__`) ends
+ * the epoch.  An exact module's dict is read the same way while its type
+ * defines no attribute of the name. */
+static PyObject *
+get_attr(Core *c, PyObject *obj, int n)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    PyObject *value;
+    memo scratch, *e;
+    if (type->tp_getattro == PyObject_GenericGetAttr) {
+        if ((e = type_part(c, type, n, &scratch)) == NULL)
+            return NULL;
+        if (e->kind == E_SLOT) {
+            value = *(PyObject **)((char *)obj + e->offset);
+            /* An unset slot: the generic lookup raises, running nothing. */
+            return value != NULL ? Py_NewRef(value) : PyObject_GenericGetAttr(obj, name_of[n]);
+        }
+        if (e->kind == E_DATA) {
+            PyObject *descriptor = Py_NewRef(e->found);
+            value = Py_TYPE(descriptor)->tp_descr_get(descriptor, obj, (PyObject *)type);
+            if (!c_descriptor(descriptor))
+                new_epoch();
+            Py_DECREF(descriptor);
+            return value;
+        }
+        if (e->found == NULL || Py_TYPE(e->found)->tp_descr_get == NULL) {
+            if (remembered(e, obj) && e->own != NULL)
+                return Py_NewRef(e->own);
+            /* Held by the instance or the class: good for the epoch. */
+            if ((value = PyObject_GenericGetAttr(obj, name_of[n])) != NULL && has_dict(type))
+                remember(e, obj, value);
+            return value;
+        }
+    }
+    else if (PyModule_CheckExact(obj)) {
+        if ((e = type_part(c, type, n, &scratch)) == NULL)
+            return NULL;
+        if (e->found == NULL) {
+            if (remembered(e, obj))
+                return Py_NewRef(e->own);
+            value = PyDict_GetItemWithError(PyModule_GetDict(obj), name_of[n]);
+            if (value != NULL) {
+                remember(e, obj, value);
+                return Py_NewRef(value);
+            }
+            if (PyErr_Occurred())
+                return NULL;
+        }
+    }
+    value = PyObject_GetAttr(obj, name_of[n]);
+    new_epoch();
+    return value;
+}
+
+/* `obj.<name n> = value`: a slot written at its offset while the type keeps
+ * the generic `__setattr__`, else the generic assignment, after which the
+ * name's instance parts are forgotten (and the epoch ends where a Python
+ * setter may have run). */
+static int
+set_attr(Core *c, PyObject *obj, int n, PyObject *value)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    memo scratch, *e;
+    int failed, way, python = 1;
+    if (type->tp_setattro == PyObject_GenericSetAttr) {
+        if ((e = type_part(c, type, n, &scratch)) == NULL)
+            return -1;
+        if (e->kind == E_SLOT) {
+            PyObject **slot = (PyObject **)((char *)obj + e->offset), *old = *slot;
+            *slot = Py_NewRef(value);
+            Py_XDECREF(old);
+            return 0;
+        }
+        python = e->found != NULL && Py_TYPE(e->found)->tp_descr_set != NULL
+                 && !c_descriptor(e->found);
+    }
+    failed = PyObject_SetAttr(obj, name_of[n], value);
+    for (way = 0; c != NULL && way < MEMO_WAYS; way++)
+        c->memo[n][way].epoch = 0;
+    if (python)
+        new_epoch();
     return failed;
 }
 
-/* `int(owner.<name>)`. */
+/* `int(owner.<name n>)`. */
 static int
-attr_long(PyObject *owner, PyObject *name, long *out)
+attr_long(Core *c, PyObject *owner, int n, long *out)
 {
-    PyObject *value = get_attr(owner, name);
+    PyObject *value = get_attr(c, owner, n);
     int failed;
     if (value == NULL)
         return -1;
@@ -994,15 +1141,15 @@ attr_long(PyObject *owner, PyObject *name, long *out)
     return failed;
 }
 
-/* `owner.<name> = v`. */
+/* `owner.<name n> = v`. */
 static int
-set_attr_long(PyObject *owner, PyObject *name, long v)
+set_attr_long(Core *c, PyObject *owner, int n, long v)
 {
     PyObject *value = PyLong_FromLong(v);
     int failed;
     if (value == NULL)
         return -1;
-    failed = set_attr(owner, name, value);
+    failed = set_attr(c, owner, n, value);
     Py_DECREF(value);
     return failed;
 }
@@ -1031,22 +1178,61 @@ steal_tuple(Py_ssize_t n, ...)
     return t;
 }
 
-static inline PyObject *
-call_method(PyObject *name, PyObject **args, size_t nargs)
+/* ---------------------------------------------------------------- by name */
+/* `args[0].<name n>(*args[1:])`, resolved as a method call resolves it (a
+ * new reference).  A built-in method of an immutable built-in type runs C
+ * code; any other call may run Python code and ends the epoch. */
+static PyObject *
+call_method(Core *c, int n, PyObject *const *args, size_t nargs, PyObject *kwnames)
 {
-    method m;
-    return resolve(args[0], name, &m) < 0 ? NULL : call_found(&m, args, nargs, NULL);
+    PyTypeObject *type = Py_TYPE(args[0]);
+    PyObject *result;
+    if (PyType_HasFeature(type, Py_TPFLAGS_IMMUTABLETYPE) && !has_dict(type)
+        && type->tp_getattro == PyObject_GenericGetAttr) {
+        memo scratch, *e = type_part(c, type, n, &scratch);
+        if (e == NULL)
+            return NULL;
+        if (e->kind == E_METHOD && Py_IS_TYPE(e->found, &PyMethodDescr_Type))
+            return PyObject_Vectorcall(e->found, args, nargs, kwnames);
+    }
+    result = PyObject_VectorcallMethod(name_of[n], args, nargs, kwnames);
+    new_epoch();
+    return result;
 }
 
 /* Call for effect. */
 static inline int
-call_void(PyObject *name, PyObject **args, size_t nargs)
+call_void(Core *c, int n, PyObject *const *args, size_t nargs)
 {
-    PyObject *result = call_method(name, args, nargs);
+    PyObject *result = call_method(c, n, args, nargs, NULL);
     if (result == NULL)
         return -1;
     Py_DECREF(result);
     return 0;
+}
+
+/* `call_method` answered as an int. */
+static int
+call_long(Core *c, int n, PyObject *const *args, size_t nargs, long *out)
+{
+    PyObject *answer = call_method(c, n, args, nargs, NULL);
+    int failed = answer == NULL ? -1 : as_long(answer, out);
+    Py_XDECREF(answer);
+    return failed;
+}
+
+/* `callable(*args)` (a new reference).  A built-in function or an immutable
+ * built-in type (`deque`) is C code; any other callable may be Python code
+ * and ends the epoch. */
+static PyObject *
+call_python(PyObject *callable, PyObject *const *args, size_t nargs, PyObject *kwnames)
+{
+    PyObject *result = PyObject_Vectorcall(callable, args, nargs, kwnames);
+    if (!PyCFunction_CheckExact(callable)
+        && !(PyType_Check(callable)
+             && PyType_HasFeature((PyTypeObject *)callable, Py_TPFLAGS_IMMUTABLETYPE)))
+        new_epoch();
+    return result;
 }
 
 /* The global `name` of the module of `function`, a stock Python function
@@ -1101,7 +1287,7 @@ bounded_lemire(bitgen_t *bitgen, uint32_t width)
 /* The transcribed case: 1 with `*out`, 0 if it does not apply (a lock
  * another thread holds included), -1 on error. */
 static int
-lemire_draw(PyObject *rng, PyObject *low_o, PyObject *high_o, long long *out)
+lemire_draw(Core *c, PyObject *rng, PyObject *low_o, PyObject *high_o, long long *out)
 {
     PyObject *bit_generator, *capsule, *lock = NULL, *held = NULL;
     bitgen_t *bitgen;
@@ -1121,17 +1307,17 @@ lemire_draw(PyObject *rng, PyObject *low_o, PyObject *high_o, long long *out)
         *out = low;
         return 1;
     }
-    if ((bit_generator = get_attr(rng, s_bit_generator)) == NULL)
+    if ((bit_generator = get_attr(c, rng, N_bit_generator)) == NULL)
         return -1;
-    if ((capsule = get_attr(bit_generator, s_capsule)) != NULL
+    if ((capsule = get_attr(c, bit_generator, N_capsule)) != NULL
         && (bitgen = PyCapsule_GetPointer(capsule, "BitGenerator")) != NULL
-        && (lock = get_attr(bit_generator, s_lock)) != NULL) {
+        && (lock = get_attr(c, bit_generator, N_lock)) != NULL) {
         PyObject *args[2] = {lock, Py_False};
-        if ((held = call_method(s_acquire, args, 2)) != NULL) {
+        if ((held = call_method(c, N_acquire, args, 2, NULL)) != NULL) {
             status = 0;
             if (held == Py_True) {
                 *out = low + (long long)bounded_lemire(bitgen, (uint32_t)width);
-                status = call_void(s_release, &lock, 1) < 0 ? -1 : 1;
+                status = call_void(c, N_release, &lock, 1) < 0 ? -1 : 1;
             }
         }
     }
@@ -1142,16 +1328,17 @@ lemire_draw(PyObject *rng, PyObject *low_o, PyObject *high_o, long long *out)
     return status;
 }
 
-/* `int(rng.integers(low, high))`: a new int. */
+/* `int(rng.integers(low, high))`: a new int (`c`: the core drawing, or
+ * NULL). */
 static PyObject *
-bounded_draw(PyObject *rng, PyObject *low, PyObject *high)
+bounded_draw(Core *c, PyObject *rng, PyObject *low, PyObject *high)
 {
     PyObject *args[3] = {rng, low, high}, *drawn, *as_int;
     long long value;
-    int status = lemire_draw(rng, low, high, &value);
+    int status = lemire_draw(c, rng, low, high, &value);
     if (status != 0)
         return status < 0 ? NULL : PyLong_FromLongLong(value);
-    if ((drawn = call_method(s_integers, args, 3)) == NULL)
+    if ((drawn = call_method(c, N_integers, args, 3, NULL)) == NULL)
         return NULL;
     as_int = PyNumber_Long(drawn);
     Py_DECREF(drawn);
@@ -1165,7 +1352,7 @@ module_integers(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t n
         PyErr_Format(PyExc_TypeError, "integers() takes 3 arguments (%zd given)", nargs);
         return NULL;
     }
-    return bounded_draw(args[0], args[1], args[2]);
+    return bounded_draw(NULL, args[0], args[1], args[2]);
 }
 
 /* `list[i] += delta` (`i` a Python int). */
@@ -1183,31 +1370,94 @@ add_at(PyObject *list, PyObject *i_o, long delta)
 }
 
 /* ---------------------------------------------------------- packet fields */
-/* A packet whose type is exactly `Packet` keeps its fields in `__slots__`,
- * read and written at their offsets; anything else goes through getattr /
- * setattr.  A new reference. */
+/* `Packet`'s field offsets, its defaulted fields' offsets and whether it
+ * holds the stock `__init__`, for the type version it has now: each field
+ * must be a writable object slot (`packet_slots`), and a packet is built here
+ * only if every defaulted field is one too (`defaults` -1 otherwise).
+ * `stock["packet_defaults"]` is `None`, or the names and then the defaults of
+ * the fields after the five `generate` passes, in field order.  0, -1 on
+ * error. */
+static int
+bind_packet(Core *c)
+{
+    PyTypeObject *type = c->packet_type;
+    PyObject *layout = L(c, packet_defaults), *names;
+    cache_entry scratch, *e;
+    Py_ssize_t i, n;
+    int on;
+    c->packet_tag = 0;
+    c->packet_slots = 0;
+    c->defaults = -1;
+    if (!tag_valid(type) && assign_tag(type) <= 0)
+        return PyErr_Occurred() ? -1 : 0; /* no tag to bind under */
+    for (i = 0; i < N_FIELDS; i++) {
+        if ((e = lookup(type, name_of[FIELD_NAME(i)], NULL, &scratch)) == NULL)
+            return -1;
+        if (e->kind != E_SLOT)
+            break;
+        c->offset[i] = e->offset;
+    }
+    c->packet_slots = i == N_FIELDS;
+    if (c->packet_slots && layout != Py_None) {
+        names = PyTuple_GET_ITEM(layout, 0);
+        n = PyTuple_GET_SIZE(names);
+        for (i = 0; i < n; i++) {
+            if ((e = lookup(type, PyTuple_GET_ITEM(names, i), NULL, &scratch)) == NULL)
+                return -1;
+            if (e->kind != E_SLOT)
+                break;
+            c->default_offset[i] = e->offset;
+        }
+        if (i == n)
+            c->defaults = n;
+    }
+    if ((on = mro_resolves(type, name_of[N___init__], NULL, STOCK(c, Packet, __init__))) < 0)
+        return -1;
+    c->packet_init = on;
+    /* The tag last, read again: a walk that ran Python leaves it unbound. */
+    c->packet_tag = tag_valid(type) ? type->tp_version_tag : 0;
+    return 0;
+}
+
+/* Whether `packet`'s fields are read at the slot offsets: it is exactly a
+ * `Packet`, and the binding is current (rebound when the class changed).
+ * 1 / 0, -1 on error. */
+static inline int
+packet_slots(Core *c, PyObject *packet)
+{
+    PyTypeObject *type = c->packet_type;
+    if (!Py_IS_TYPE(packet, type))
+        return 0;
+    if ((!tag_valid(type) || type->tp_version_tag != c->packet_tag) && bind_packet(c) < 0)
+        return -1;
+    return c->packet_tag != 0 && c->packet_slots;
+}
+
+/* `packet.<f>`: a new reference. */
 static PyObject *
 pget(Core *c, PyObject *packet, int f)
 {
-    if (Py_IS_TYPE(packet, c->packet_type)) {
+    int on = packet_slots(c, packet);
+    if (on > 0) {
         PyObject *value = *(PyObject **)((char *)packet + c->offset[f]);
         if (value != NULL)
             return Py_NewRef(value);
     }
-    return get_attr(packet, field_names[f]);
+    return on < 0 ? NULL : get_attr(c, packet, FIELD_NAME(f));
 }
 
 /* `packet.<f> = value`. */
 static int
 pset(Core *c, PyObject *packet, int f, PyObject *value)
 {
-    if (Py_IS_TYPE(packet, c->packet_type)) {
+    int on = packet_slots(c, packet);
+    if (on > 0) {
         PyObject **slot = (PyObject **)((char *)packet + c->offset[f]), *old = *slot;
         *slot = Py_NewRef(value);
         Py_XDECREF(old);
         return 0;
     }
-    return set_attr(packet, field_names[f], value);
+    return on < 0 ? -1 : set_attr(c, packet, FIELD_NAME(f), value);
 }
 
 static int
@@ -1266,28 +1516,11 @@ pincr(Core *c, PyObject *packet, int f)
 }
 
 /* ------------------------------------------------------------- properties */
-/* Whether `super(owner, self).<name>` is the stock function `function`: the
- * first class after `owner` in `type(self).__mro__` whose namespace holds
- * `name` is the one `super()` finds.  1 / 0, -1 on error. */
+/* `obj.<name n> += delta`. */
 static int
-super_is(PyObject *self, PyObject *owner, PyObject *name, PyObject *function)
+attr_iadd(Core *c, PyObject *obj, int n, PyObject *delta)
 {
-    return mro_resolves(Py_TYPE(self), name, owner, function);
-}
-
-/* Whether `type(obj).<name>` is the stock property `property` (a data
- * descriptor: the instance cannot shadow it).  1 / 0, -1 on error. */
-static int
-type_holds(PyObject *obj, PyObject *name, PyObject *property)
-{
-    return mro_resolves(Py_TYPE(obj), name, NULL, property);
-}
-
-/* `obj.<name> += delta`. */
-static int
-attr_iadd(PyObject *obj, PyObject *name, PyObject *delta)
-{
-    PyObject *value = get_attr(obj, name), *sum;
+    PyObject *value = get_attr(c, obj, n), *sum;
     int failed;
     if (value == NULL)
         return -1;
@@ -1295,29 +1528,29 @@ attr_iadd(PyObject *obj, PyObject *name, PyObject *delta)
     Py_DECREF(value);
     if (sum == NULL)
         return -1;
-    failed = set_attr(obj, name, sum);
+    failed = set_attr(c, obj, n, sum);
     Py_DECREF(sum);
     return failed;
 }
 
 /* ---------------------------------------------------------- routing hooks */
-/* Each hook below resolves its name on the routing instance and runs the
- * stock body it found (the Python function named in its comment, statement
- * for statement), or calls what it found with the object engine's arguments
- * `(view, port, vc, packet, ...)`.  A stock body resolves its own method
- * calls (`self.tracker.on_head`, `self._maybe_count_partial`, ...) the same
- * way at the point the Python body makes them, and `super()` through the
- * instance type's MRO before it has changed anything. */
+/* Each hook below resolves its name on the routing instance (`stock_hook`)
+ * and runs the stock body it found (the Python function named in its
+ * comment, statement for statement), or calls the hook by name with the
+ * object engine's arguments `(view, port, vc, packet, ...)`.  A stock body
+ * resolves its own method calls (`self.tracker.on_head`,
+ * `self._maybe_count_partial`, ...) the same way at the point the Python
+ * body makes them, and `super()` through the instance type's MRO before it
+ * has changed anything. */
 
-/* `hook(args)` by name after all, `args[1]` being the view of router `rid`. */
+/* `args[0].<name n>(args)` by name, `args[1]` being the view of router
+ * `rid`. */
 static int
-invoke_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
+invoke_on_view(Core *c, int n, long rid, PyObject **args, size_t nargs)
 {
-    if ((args[1] = item(L(c, views), rid)) == NULL) {
-        Py_CLEAR(m->fn);
+    if ((args[1] = item(L(c, views), rid)) == NULL)
         return -1;
-    }
-    return invoke(m, args, nargs, NULL);
+    return call_void(c, n, args, nargs);
 }
 
 /* ------------------------------------------------------- topology queries */
@@ -1331,50 +1564,43 @@ invoke_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
  * attributes. */
 enum query { Q_ROUTER_REGION, Q_NODE_REGION, Q_NODE_ROUTER };
 
-static PyObject **const query_names[] = {&s_router_region, &s_node_region, &s_node_router};
+static const int query_names[] = {N_router_region, N_node_region, N_node_router};
 static const int query_stock[] = {
     S_Topology_router_region, S_Topology_node_region, S_Topology_node_router};
 
-/* Whether `m` is the stock Dragonfly function in slot `slot`. */
-static inline int
-df_stock(Core *c, method *m, int slot)
-{
-    return c->df_a > 0 && stock(m, c->o[slot]);
-}
-
-/* Call what `resolve` found on `topology` with the ints `x` (and `y` where
- * `nargs` is 2): the answer as a long; gives up `m`. */
+/* `topology.<name n>(x)` (or `(x, y)` where `nargs` is 2) by name, answered
+ * as a long. */
 static int
-ask_by_name(PyObject *topology, method *m, long x, long y, size_t nargs, long *out)
+ask_by_name(Core *c, PyObject *topology, int n, long x, long y, size_t nargs, long *out)
 {
     PyObject *x_o = PyLong_FromLong(x), *y_o = nargs > 1 ? PyLong_FromLong(y) : NULL;
-    PyObject *answer = NULL;
     int failed = -1;
     if (x_o != NULL && (nargs < 2 || y_o != NULL)) {
         PyObject *args[3] = {topology, x_o, y_o};
-        answer = call_found(m, args, 1 + nargs, NULL);
-    }
-    else
-        Py_CLEAR(m->fn);
-    if (answer != NULL) {
-        failed = as_long(answer, out);
-        Py_DECREF(answer);
+        failed = call_long(c, n, args, 1 + nargs, out);
     }
     Py_XDECREF(y_o);
     Py_XDECREF(x_o);
     return failed;
 }
 
-/* `topology.<name>` of a size (`_p`, `routers_per_region`, ...): `bound` on
- * the routing's own topology, else the attribute. */
-static int
-top_attr(Core *c, PyObject *topology, PyObject *name, long bound, long *out)
+/* Whether `topology` is the routing's own one with its sizes bound. */
+static inline int
+own_topology(Core *c, PyObject *topology)
 {
-    if (c->top_routers > 0 && topology == L(c, topology)) {
+    return c->top_routers > 0 && topology == L(c, topology);
+}
+
+/* `topology.<name n>` of a size (`_p`, `routers_per_region`, ...): `bound`
+ * on the routing's own topology, else the attribute. */
+static int
+top_attr(Core *c, PyObject *topology, int n, long bound, long *out)
+{
+    if (own_topology(c, topology)) {
         *out = bound;
         return 0;
     }
-    return attr_long(topology, name, out);
+    return attr_long(c, topology, n, out);
 }
 
 /* `x // divisor` of a size read off a topology. */
@@ -1394,12 +1620,12 @@ static int
 nodes_per_region(Core *c, PyObject *topology, long *out)
 {
     long nodes, regions;
-    if (c->top_routers > 0 && topology == L(c, topology)) {
+    if (own_topology(c, topology)) {
         *out = c->top_npreg;
         return 0;
     }
-    return attr_long(topology, s_num_nodes, &nodes) < 0
-           || attr_long(topology, s_num_regions, &regions) < 0 ? -1 : divide(nodes, regions, out);
+    return attr_long(c, topology, N_num_nodes, &nodes) < 0
+           || attr_long(c, topology, N_num_regions, &regions) < 0 ? -1 : divide(nodes, regions, out);
 }
 
 /* `topology.<query>(x)` -- the routing's topology or another instance (a
@@ -1410,26 +1636,21 @@ nodes_per_region(Core *c, PyObject *topology, long *out)
 static int
 ask_of(Core *c, PyObject *topology, enum query q, long x, long *out)
 {
+    PyObject *fn, *leaf;
     long size;
-    method m;
-    if (resolve(topology, *query_names[q], &m) < 0)
+    if (stock_hook(c, topology, query_names[q], &fn) < 0)
         return -1;
-    if (stock(&m, c->o[query_stock[q]])) {
-        Py_CLEAR(m.fn);
-        return (q == Q_NODE_ROUTER    ? top_attr(c, topology, s__p, c->top_p, &size)
+    if (fn == c->o[query_stock[q]])
+        return (q == Q_NODE_ROUTER    ? top_attr(c, topology, N__p, c->top_p, &size)
                 : q == Q_NODE_REGION ? nodes_per_region(c, topology, &size)
-                                     : top_attr(c, topology, s_routers_per_region, c->top_rpr,
+                                     : top_attr(c, topology, N_routers_per_region, c->top_rpr,
                                                 &size)) < 0
                ? -1 : divide(x, size, out);
-    }
-    if (q == Q_NODE_ROUTER && c->top_routers > 0 && L(c, leaf_rid) != Py_None
-        && topology == L(c, topology) && stock(&m, STOCK(c, FatTreeTopology, node_router))) {
-        PyObject *leaf;
-        Py_CLEAR(m.fn);
+    if (q == Q_NODE_ROUTER && fn == STOCK(c, FatTreeTopology, node_router)
+        && L(c, leaf_rid) != Py_None && own_topology(c, topology))
         return divide(x, c->top_p, &size) < 0 || (leaf = at(L(c, leaf_rid), size)) == NULL
                ? -1 : as_long(leaf, out);
-    }
-    return ask_by_name(topology, &m, x, 0, 1, out);
+    return ask_by_name(c, topology, query_names[q], x, 0, 1, out);
 }
 
 /* `ask_of` the routing's topology. */
@@ -1482,32 +1703,25 @@ store_byte(PyObject *table, Py_ssize_t key, long value)
 static int
 route(Core *c, long rid, long dst, int to_router, long *port)
 {
-    PyObject *table = L(c, route_table), *leaf;
+    PyObject *table = L(c, route_table), *leaf, *fn;
     long dst_router = dst, R = c->top_routers;
+    int n = to_router ? N_minimal_route_to_router : N_minimal_output_port, leaves = 0;
     Py_ssize_t key;
     unsigned char entry;
-    method m, fill;
-    int own, leaves = 0;
-    if (resolve(L(c, topology), to_router ? s_minimal_route_to_router : s_minimal_output_port,
-                &m) < 0)
+    if (stock_hook(c, L(c, topology), n, &fn) < 0)
         return -1;
     if (R <= 0
-        || !(to_router ? stock(&m, STOCK(c, Topology, minimal_route_to_router))
-                       : stock(&m, STOCK(c, Topology, minimal_output_port))
+        || !(to_router ? fn == STOCK(c, Topology, minimal_route_to_router)
+                       : fn == STOCK(c, Topology, minimal_output_port)
                          || (leaves = L(c, leaf_rid) != Py_None
-                                      && stock(&m, STOCK(c, FatTreeTopology,
-                                                         minimal_output_port)))))
-        return ask_by_name(L(c, topology), &m, rid, dst, 2, port);
+                                      && fn == STOCK(c, FatTreeTopology, minimal_output_port))))
+        return ask_by_name(c, L(c, topology), n, rid, dst, 2, port);
     if (!to_router) {
         dst_router = pydiv(dst, c->top_p);
-        if (leaves) {
-            if ((leaf = at(L(c, leaf_rid), dst_router)) == NULL || as_long(leaf, &dst_router) < 0) {
-                Py_CLEAR(m.fn);
-                return -1;
-            }
-        }
+        if (leaves && ((leaf = at(L(c, leaf_rid), dst_router)) == NULL
+                       || as_long(leaf, &dst_router) < 0))
+            return -1;
         if (rid == dst_router) {
-            Py_CLEAR(m.fn);
             *port = pymod(dst, c->top_p);
             return 0;
         }
@@ -1517,20 +1731,17 @@ route(Core *c, long rid, long dst, int to_router, long *port)
     key = (Py_ssize_t)rid * R + dst_router;
     if (rid == dst_router || (unsigned long)rid >= (unsigned long)R
         || (unsigned long)dst_router >= (unsigned long)R || key >= PyByteArray_GET_SIZE(table))
-        return ask_by_name(L(c, topology), &m, rid, dst, 2, port);
-    Py_CLEAR(m.fn);
+        return ask_by_name(c, L(c, topology), n, rid, dst, 2, port);
     entry = (unsigned char)PyByteArray_AS_STRING(table)[key];
     if (entry != 0xFF) {
         *port = entry;
         return 0;
     }
-    if (resolve(L(c, topology), s__route_port, &fill) < 0)
+    if (stock_hook(c, L(c, topology), N__route_port, &fn) < 0)
         return -1;
-    own = df_stock(c, &fill, S_DragonflyTopology__route_port);
-    if (own)
-        Py_CLEAR(fill.fn);
-    if ((own ? df_route_port(c, rid, dst_router, port)
-             : ask_by_name(L(c, topology), &fill, rid, dst_router, 2, port)) < 0)
+    if ((c->df_a > 0 && fn == STOCK(c, DragonflyTopology, _route_port)
+             ? df_route_port(c, rid, dst_router, port)
+             : ask_by_name(c, L(c, topology), N__route_port, rid, dst_router, 2, port)) < 0)
         return -1;
     /* A fill by name may have run Python: the table is held, its size is
      * read again. */
@@ -1549,15 +1760,13 @@ route(Core *c, long rid, long dst, int to_router, long *port)
 static int
 hops(Core *c, long a, long b, long *out)
 {
-    PyObject *topology = L(c, topology), *table, *path;
+    PyObject *topology = L(c, topology), *table, *path, *fn;
     long group, dst_group, there, back, R = c->top_routers;
     Py_ssize_t key;
-    method m;
     int failed;
-    if (resolve(topology, s_router_hops, &m) < 0)
+    if (stock_hook(c, topology, N_router_hops, &fn) < 0)
         return -1;
-    if (df_stock(c, &m, S_DragonflyTopology_router_hops)) {
-        Py_CLEAR(m.fn);
+    if (c->df_a > 0 && fn == STOCK(c, DragonflyTopology, router_hops)) {
         group = pydiv(a, c->df_a);
         dst_group = pydiv(b, c->df_a);
         if (a == b || group == dst_group) {
@@ -1572,17 +1781,16 @@ hops(Core *c, long a, long b, long *out)
         return 0;
     }
     if (R <= 0 || (unsigned long)a >= (unsigned long)R || (unsigned long)b >= (unsigned long)R
-        || !stock(&m, STOCK(c, Topology, router_hops)))
-        return ask_by_name(topology, &m, a, b, 2, out);
-    Py_CLEAR(m.fn);
-    if ((table = get_attr(topology, s__hop_table)) == NULL)
+        || fn != STOCK(c, Topology, router_hops))
+        return ask_by_name(c, topology, N_router_hops, a, b, 2, out);
+    if ((table = get_attr(c, topology, N__hop_table)) == NULL)
         return -1;
     if (table == Py_None) {
         Py_DECREF(table);
         if ((table = PyByteArray_FromStringAndSize(NULL, (Py_ssize_t)R * R)) == NULL)
             return -1;
         memset(PyByteArray_AS_STRING(table), 0xFF, (size_t)R * (size_t)R);
-        if (set_attr(topology, s__hop_table, table) < 0) {
+        if (set_attr(c, topology, N__hop_table, table) < 0) {
             Py_DECREF(table);
             return -1;
         }
@@ -1599,23 +1807,22 @@ hops(Core *c, long a, long b, long *out)
         return 0;
     }
     failed = -1;
-    if (resolve(topology, s_minimal_router_path, &m) == 0) {
+    {
         PyObject *a_o = PyLong_FromLong(a), *b_o = PyLong_FromLong(b);
         PyObject *args[3] = {topology, a_o, b_o};
-        path = a_o != NULL && b_o != NULL ? call_found(&m, args, 3, NULL) : NULL;
-        if (path == NULL)
-            Py_CLEAR(m.fn);
+        path = a_o != NULL && b_o != NULL ? call_method(c, N_minimal_router_path, args, 3, NULL)
+                                          : NULL;
         Py_XDECREF(b_o);
         Py_XDECREF(a_o);
-        if (path != NULL) {
-            Py_ssize_t n = PyObject_Length(path);
-            Py_DECREF(path);
-            if (n >= 0) {
-                *out = (long)n - 1;
-                failed = key < PyByteArray_GET_SIZE(table) ? store_byte(table, key, *out) : -1;
-                if (failed && !PyErr_Occurred())
-                    PyErr_SetString(PyExc_IndexError, "bytearray index out of range");
-            }
+    }
+    if (path != NULL) {
+        Py_ssize_t length = PyObject_Length(path);
+        Py_DECREF(path);
+        if (length >= 0) {
+            *out = (long)length - 1;
+            failed = key < PyByteArray_GET_SIZE(table) ? store_byte(table, key, *out) : -1;
+            if (failed && !PyErr_Occurred())
+                PyErr_SetString(PyExc_IndexError, "bytearray index out of range");
         }
     }
     Py_DECREF(table);
@@ -1654,27 +1861,23 @@ ring_of(Core *c, long port, long info[5], PyObject **dim_o, PyObject **dir_o)
 static int
 ring_vc(Core *c, PyObject *head, long rid, PyObject *port_o, long *vc)
 {
-    PyObject *dim_o, *dir_o;
+    PyObject *dim_o, *dir_o, *fn;
     long port, info[5], leg, ring_dim;
     int crossed;
-    method m;
-    if (resolve(L(c, topology), s_ring_vc, &m) < 0)
+    if (stock_hook(c, L(c, topology), N_ring_vc, &fn) < 0)
         return -1;
-    if (L(c, ring_info) == Py_None || !stock(&m, STOCK(c, TorusTopology, ring_vc))) {
+    if (L(c, ring_info) == Py_None || fn != STOCK(c, TorusTopology, ring_vc)) {
         PyObject *rid_o = PyLong_FromLong(rid);
         PyObject *args[4] = {L(c, topology), head, rid_o, port_o};
         int failed;
-        if (rid_o == NULL) {
-            Py_CLEAR(m.fn);
+        if (rid_o == NULL)
             return -1;
-        }
         Py_INCREF(port_o); /* `ring_vc` runs Python */
-        failed = found_long(&m, args, 4, vc);
+        failed = call_long(c, N_ring_vc, args, 4, vc);
         Py_DECREF(port_o);
         Py_DECREF(rid_o);
         return failed;
     }
-    Py_CLEAR(m.fn);
     if (as_long(port_o, &port) < 0)
         return -1;
     if ((crossed = ring_of(c, port, info, &dim_o, &dir_o)) <= 0) {
@@ -1701,25 +1904,21 @@ ring_vc(Core *c, PyObject *head, long rid, PyObject *port_o, long *vc)
 static int
 commit_ring(Core *c, PyObject *topology, PyObject *packet, long rid, PyObject *port_o)
 {
-    PyObject *dim_o, *dir_o;
+    PyObject *dim_o, *dir_o, *fn;
     long port, info[5], ring_dim;
     int on, wrap;
-    method m;
-    if (resolve(topology, s_commit_ring_hop, &m) < 0)
+    if (stock_hook(c, topology, N_commit_ring_hop, &fn) < 0)
         return -1;
     if (topology != L(c, topology) || L(c, ring_info) == Py_None
-        || !stock(&m, STOCK(c, TorusTopology, commit_ring_hop))) {
+        || fn != STOCK(c, TorusTopology, commit_ring_hop)) {
         PyObject *rid_o = PyLong_FromLong(rid);
         PyObject *args[4] = {topology, packet, rid_o, port_o};
-        if (rid_o == NULL) {
-            Py_CLEAR(m.fn);
+        if (rid_o == NULL)
             return -1;
-        }
-        on = invoke(&m, args, 4, NULL);
+        on = call_void(c, N_commit_ring_hop, args, 4);
         Py_DECREF(rid_o);
         return on;
     }
-    Py_CLEAR(m.fn);
     if (as_long(port_o, &port) < 0 || (on = ring_of(c, port, info, &dim_o, &dir_o)) < 0)
         return -1;
     if (on == 0) /* ejection: no ring state to track */
@@ -1738,11 +1937,11 @@ commit_ring(Core *c, PyObject *topology, PyObject *packet, long rid, PyObject *p
 }
 
 /* ---------------------------------------------- properties and draws */
-/* `bool(obj.<name>)`: 1 / 0, -1 on error. */
+/* `bool(obj.<name n>)`: 1 / 0, -1 on error. */
 static int
-ptruth_attr(PyObject *obj, PyObject *name)
+ptruth_attr(Core *c, PyObject *obj, int n)
 {
-    PyObject *value = get_attr(obj, name);
+    PyObject *value = get_attr(c, obj, n);
     int on;
     if (value == NULL)
         return -1;
@@ -1751,34 +1950,55 @@ ptruth_attr(PyObject *obj, PyObject *name)
     return on;
 }
 
-/* `topology.<property>` (`name`): while the topology's type holds the stock
- * `DragonflyTopology` property in `slot`, the constant it returns; else the
- * attribute. */
+/* The size properties in `enum size` order, and per topology class the
+ * stock properties of those names. */
+static const int size_names[N_SIZES] = {N_num_nodes, N_num_routers, N_num_regions,
+                                        N_routers_per_region, N_nodes_per_router};
+#define SIZE_SLOTS(T) \
+    {S_##T##_num_nodes, S_##T##_num_routers, S_##T##_num_regions, S_##T##_routers_per_region, \
+     S_##T##_nodes_per_router},
+static const int size_slots[][N_SIZES] = {
+    SIZE_SLOTS(DragonflyTopology) SIZE_SLOTS(FatTreeTopology)
+    SIZE_SLOTS(FlattenedButterflyTopology) SIZE_SLOTS(FullMeshTopology)
+    SIZE_SLOTS(TorusTopology)};
+
+/* Whether the routing's own topology `topology` still resolves each size
+ * property to the stock one bound with the core, whose values are then the
+ * bound ones (properties are data descriptors: the instance cannot shadow
+ * them).  Checked once per type version.  1 / 0, -1 on error. */
 static int
-topology_count(Core *c, PyObject *topology, PyObject *name, int slot, long *out)
+sizes_stock(Core *c, PyObject *topology)
 {
-    long p;
-    int on = type_holds(topology, name, c->o[slot]);
-    if (on > 0 && slot == S_DragonflyTopology_num_nodes) /* `self.num_routers * self._p` */
-        on = type_holds(topology, s_num_routers, STOCK(c, DragonflyTopology, num_routers));
-    if (on <= 0)
-        return on < 0 ? -1 : attr_long(topology, name, out);
-    /* The type holds the Dragonfly's property: the routing's own topology
-     * is then a Dragonfly, whose constants are bound. */
-    if (slot == S_DragonflyTopology_num_routers)
-        return top_attr(c, topology, s__num_routers, c->top_routers, out);
-    if (slot == S_DragonflyTopology_num_nodes) {
-        if (top_attr(c, topology, s__num_routers, c->top_routers, out) < 0
-            || top_attr(c, topology, s__p, c->top_p, &p) < 0)
+    PyTypeObject *type = Py_TYPE(topology);
+    int z;
+    if (!c->sizes || topology != L(c, topology))
+        return 0;
+    if (tag_valid(type) && type->tp_version_tag == c->sizes_tag)
+        return 1;
+    for (z = 0; z < N_SIZES; z++) {
+        memo scratch, *e = type_part(c, type, size_names[z], &scratch);
+        if (e == NULL)
             return -1;
-        *out *= p;
+        if (e->found != c->size_property[z])
+            return 0;
+    }
+    c->sizes_tag = tag_valid(type) ? type->tp_version_tag : 0;
+    return 1;
+}
+
+/* `topology.<size z>`: the value bound with the core while `sizes_stock`,
+ * else the attribute. */
+static int
+topology_size(Core *c, PyObject *topology, enum size z, long *out)
+{
+    int on = sizes_stock(c, topology);
+    if (on < 0)
+        return -1;
+    if (on) {
+        *out = c->size[z];
         return 0;
     }
-    return slot == S_DragonflyTopology_num_regions
-           ? top_attr(c, topology, s__num_groups, c->df_groups, out)
-           : slot == S_DragonflyTopology_routers_per_region
-           ? top_attr(c, topology, s__a, c->df_a, out)
-           : top_attr(c, topology, s__p, c->top_p, out);
+    return attr_long(c, topology, size_names[z], out);
 }
 
 /* `draws.integers(rng, low, high)` (a new reference): `bounded_draw` while
@@ -1786,15 +2006,15 @@ topology_count(Core *c, PyObject *topology, PyObject *name, int slot, long *out)
 static PyObject *
 draw_between(Core *c, PyObject *rng, PyObject *low, PyObject *high)
 {
-    PyObject *integers = get_attr(L(c, draws), s_integers), *drawn;
+    PyObject *integers = get_attr(c, L(c, draws), N_integers), *drawn;
     PyObject *args[3] = {rng, low, high};
     if (integers == NULL)
         return NULL;
     drawn = PyCFunction_Check(integers)
                     && PyCFunction_GET_FUNCTION(integers)
                            == (PyCFunction)(void (*)(void))module_integers
-                ? bounded_draw(rng, low, high)
-                : PyObject_Vectorcall(integers, args, 3, NULL);
+                ? bounded_draw(c, rng, low, high)
+                : call_python(integers, args, 3, NULL);
     Py_DECREF(integers);
     return drawn;
 }
@@ -1874,12 +2094,10 @@ partial_of(Core *c, long rid)
 static PyObject *
 link_offset(Core *c, long group, long dst_group)
 {
-    PyObject *routing = c->o[S_routing], *group_o, *dst_o, *offset = NULL;
-    method m;
-    if (resolve(routing, s_link_offset_for_destination, &m) < 0)
+    PyObject *routing = c->o[S_routing], *group_o, *dst_o, *offset = NULL, *fn;
+    if (stock_hook(c, routing, N_link_offset_for_destination, &fn) < 0)
         return NULL;
-    if (c->df_a > 0 && stock(&m, STOCK(c, ECtNRouting, link_offset_for_destination))) {
-        Py_CLEAR(m.fn);
+    if (c->df_a > 0 && fn == STOCK(c, ECtNRouting, link_offset_for_destination)) {
         offset = item(L(c, link_offsets), group * c->df_groups + dst_group);
         Py_XINCREF(offset);
         return offset;
@@ -1888,10 +2106,8 @@ link_offset(Core *c, long group, long dst_group)
     dst_o = PyLong_FromLong(dst_group);
     if (group_o != NULL && dst_o != NULL) {
         PyObject *args[3] = {routing, group_o, dst_o};
-        offset = call_found(&m, args, 3, NULL);
+        offset = call_method(c, N_link_offset_for_destination, args, 3, NULL);
     }
-    else
-        Py_CLEAR(m.fn);
     Py_XDECREF(dst_o);
     Py_XDECREF(group_o);
     return offset;
@@ -1902,17 +2118,15 @@ link_offset(Core *c, long group, long dst_group)
 static int
 count_partial(Core *c, long rid, PyObject *packet)
 {
-    PyObject *routing = c->o[S_routing], *offset, *counts;
+    PyObject *routing = c->o[S_routing], *offset, *counts, *fn;
     long group, dst, dst_group;
-    method m;
     int failed, same;
-    if (resolve(routing, s__maybe_count_partial, &m) < 0)
+    if (stock_hook(c, routing, N__maybe_count_partial, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, ECtNRouting, _maybe_count_partial))) {
+    if (fn != STOCK(c, ECtNRouting, _maybe_count_partial)) {
         PyObject *args[3] = {routing, NULL, packet};
-        return invoke_on_view(c, &m, rid, args, 3);
+        return invoke_on_view(c, N__maybe_count_partial, rid, args, 3);
     }
-    Py_CLEAR(m.fn);
     if ((same = pis(c, packet, F_ectn_offset, Py_None)) <= 0)
         return same;
     if (ask(c, Q_ROUTER_REGION, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
@@ -1942,7 +2156,7 @@ counter_up(Core *c, long rid, PyObject *packet)
         || (minimal = PyLong_FromLong(port)) == NULL)
         return -1;
     if ((counters = item(L(c, counters), rid)) != NULL
-        && (counts = get_attr(counters, s_counts)) != NULL) {
+        && (counts = get_attr(c, counters, N_counts)) != NULL) {
         if (expect_list(counts, "a counter array") == 0 && add_at(counts, minimal, 1) == 0
             && pset(c, packet, F_contention_port, minimal) == 0)
             failed = 0;
@@ -1957,8 +2171,7 @@ counter_up(Core *c, long rid, PyObject *packet)
 static int
 counter_down(Core *c, long rid, PyObject *packet)
 {
-    PyObject *port, *counters, *counts = NULL;
-    method m;
+    PyObject *port, *counters, *counts = NULL, *fn;
     int failed = -1;
     if ((port = pget(c, packet, F_contention_port)) == NULL)
         return -1;
@@ -1966,18 +2179,18 @@ counter_down(Core *c, long rid, PyObject *packet)
         Py_DECREF(port);
         return 0;
     }
-    if ((counters = item(L(c, counters), rid)) == NULL || resolve(counters, s_decrement, &m) < 0)
+    if ((counters = item(L(c, counters), rid)) == NULL
+        || stock_hook(c, counters, N_decrement, &fn) < 0)
         goto done;
-    if (!stock(&m, STOCK(c, ContentionCounters, decrement))) {
+    if (fn != STOCK(c, ContentionCounters, decrement)) {
         PyObject *args[2] = {counters, port};
         Py_INCREF(counters);
-        failed = invoke(&m, args, 2, NULL);
+        failed = call_void(c, N_decrement, args, 2);
         Py_DECREF(counters);
     }
     else {
         long at, value;
-        Py_CLEAR(m.fn);
-        if ((counts = get_attr(counters, s_counts)) == NULL
+        if ((counts = get_attr(c, counters, N_counts)) == NULL
             || expect_list(counts, "a counter array") < 0 || as_long(port, &at) < 0
             || get_long(counts, at, &value) < 0)
             goto done;
@@ -2000,16 +2213,15 @@ done:
 static int
 track(Core *c, long rid, PyObject *packet, int leave)
 {
-    PyObject *tracker = L(c, tracker);
-    method m;
-    if (resolve(tracker, leave ? s_on_leave : s_on_head, &m) < 0)
+    PyObject *tracker = L(c, tracker), *fn;
+    int n = leave ? N_on_leave : N_on_head;
+    if (stock_hook(c, tracker, n, &fn) < 0)
         return -1;
-    if (!stock(&m, leave ? STOCK(c, ContentionTracker, on_leave)
-                         : STOCK(c, ContentionTracker, on_head))) {
+    if (fn != (leave ? STOCK(c, ContentionTracker, on_leave)
+                                   : STOCK(c, ContentionTracker, on_head))) {
         PyObject *args[3] = {tracker, NULL, packet};
-        return invoke_on_view(c, &m, rid, args, 3);
+        return invoke_on_view(c, n, rid, args, 3);
     }
-    Py_CLEAR(m.fn);
     return leave ? counter_down(c, rid, packet) : counter_up(c, rid, packet);
 }
 
@@ -2051,34 +2263,26 @@ static int
 arrival_hook(Core *c, long rid, long port, PyObject *port_o, PyObject *vc_o, PyObject *packet,
              PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing];
-    method m;
+    PyObject *routing = c->o[S_routing], *fn;
     int on = 0;
-    if (resolve(routing, s_on_packet_arrival, &m) < 0)
+    if (stock_hook(c, routing, N_on_packet_arrival, &fn) < 0)
         return -1;
-    if (stock(&m, STOCK(c, AdaptiveInTransitRouting, on_packet_arrival))) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, AdaptiveInTransitRouting, on_packet_arrival))
         return group_reached(c, rid, packet);
-    }
-    if (stock(&m, STOCK(c, ValiantRouting, on_packet_arrival))) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, ValiantRouting, on_packet_arrival))
         return valiant_reached(c, rid, packet);
-    }
-    if (stock(&m, STOCK(c, ECtNRouting, on_packet_arrival)) && tracked(c, 1)
-        && (on = super_is(routing, L(c, ECtNRouting), s_on_packet_arrival,
+    if (fn == STOCK(c, ECtNRouting, on_packet_arrival) && tracked(c, 1)
+        && (on = super_is(routing, L(c, ECtNRouting), N_on_packet_arrival,
                           STOCK(c, AdaptiveInTransitRouting, on_packet_arrival))) > 0) {
-        Py_CLEAR(m.fn);
         if (group_reached(c, rid, packet) < 0 || (on = port_is(c, S_kind_is_global, port)) < 0)
             return -1;
         return on ? count_partial(c, rid, packet) : 0;
     }
-    if (on < 0) {
-        Py_CLEAR(m.fn);
+    if (on < 0)
         return -1;
-    }
     {
         PyObject *args[6] = {routing, NULL, port_o, vc_o, packet, cycle_o};
-        return invoke_on_view(c, &m, rid, args, 6);
+        return invoke_on_view(c, N_on_packet_arrival, rid, args, 6);
     }
 }
 
@@ -2087,30 +2291,24 @@ static int
 head_hook(Core *c, long rid, long port, PyObject *port_o, PyObject *vc_o, PyObject *packet,
           PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing];
-    method m;
+    PyObject *routing = c->o[S_routing], *fn;
     int on = 0;
-    if (resolve(routing, s_on_packet_head, &m) < 0)
+    if (stock_hook(c, routing, N_on_packet_head, &fn) < 0)
         return -1;
-    if (stock(&m, STOCK(c, BaseContentionRouting, on_packet_head)) && tracked(c, 0)) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, BaseContentionRouting, on_packet_head) && tracked(c, 0))
         return track(c, rid, packet, 0);
-    }
-    if (stock(&m, STOCK(c, ECtNRouting, on_packet_head)) && tracked(c, 1)
-        && (on = super_is(routing, L(c, ECtNRouting), s_on_packet_head,
+    if (fn == STOCK(c, ECtNRouting, on_packet_head) && tracked(c, 1)
+        && (on = super_is(routing, L(c, ECtNRouting), N_on_packet_head,
                           STOCK(c, BaseContentionRouting, on_packet_head))) > 0) {
-        Py_CLEAR(m.fn);
         if (track(c, rid, packet, 0) < 0 || (on = port_is(c, S_kind_is_injection, port)) < 0)
             return -1;
         return on ? count_partial(c, rid, packet) : 0;
     }
-    if (on < 0) {
-        Py_CLEAR(m.fn);
+    if (on < 0)
         return -1;
-    }
     {
         PyObject *args[6] = {routing, NULL, port_o, vc_o, packet, cycle_o};
-        return invoke_on_view(c, &m, rid, args, 6);
+        return invoke_on_view(c, N_on_packet_head, rid, args, 6);
     }
 }
 
@@ -2119,28 +2317,22 @@ static int
 leave_hook(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *packet,
            PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing];
-    method m;
+    PyObject *routing = c->o[S_routing], *fn;
     int on = 0;
-    if (resolve(routing, s_on_packet_leave_input, &m) < 0)
+    if (stock_hook(c, routing, N_on_packet_leave_input, &fn) < 0)
         return -1;
-    if (stock(&m, STOCK(c, BaseContentionRouting, on_packet_leave_input)) && tracked(c, 0)) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, BaseContentionRouting, on_packet_leave_input)
+        && tracked(c, 0))
         return track(c, rid, packet, 1);
-    }
-    if (stock(&m, STOCK(c, ECtNRouting, on_packet_leave_input)) && tracked(c, 1)
-        && (on = super_is(routing, L(c, ECtNRouting), s_on_packet_leave_input,
-                          STOCK(c, BaseContentionRouting, on_packet_leave_input))) > 0) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, ECtNRouting, on_packet_leave_input) && tracked(c, 1)
+        && (on = super_is(routing, L(c, ECtNRouting), N_on_packet_leave_input,
+                          STOCK(c, BaseContentionRouting, on_packet_leave_input))) > 0)
         return track(c, rid, packet, 1) < 0 ? -1 : partial_down(c, rid, packet);
-    }
-    if (on < 0) {
-        Py_CLEAR(m.fn);
+    if (on < 0)
         return -1;
-    }
     {
         PyObject *args[6] = {routing, NULL, port_o, vc_o, packet, cycle_o};
-        return invoke_on_view(c, &m, rid, args, 6);
+        return invoke_on_view(c, N_on_packet_leave_input, rid, args, 6);
     }
 }
 
@@ -2185,22 +2377,22 @@ commit_decision(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *p
         return -1;
     if (on) {
         PyObject *args[3] = {routing, packet, decision};
-        if (call_void(s__commit_fault_hop, args, 3) < 0)
+        if (call_void(c, N__commit_fault_hop, args, 3) < 0)
             return -1;
     }
-    if ((sub = get_attr(routing, s__dateline)) == NULL)
+    if ((sub = get_attr(c, routing, N__dateline)) == NULL)
         return -1;
     on = sub != Py_None && commit_ring(c, sub, packet, rid, FIELD(output_port)) < 0;
     Py_DECREF(sub);
     if (on)
         return -1;
-    if ((sub = get_attr(routing, s__obs)) == NULL)
+    if ((sub = get_attr(c, routing, N__obs)) == NULL)
         return -1;
     on = 0;
     if (sub != Py_None) {
         PyObject *view = item(L(c, views), rid);
         PyObject *args[8] = {sub, routing, view, port_o, vc_o, packet, decision, cycle_o};
-        on = view == NULL || call_void(s_record_grant, args, 8) < 0;
+        on = view == NULL || call_void(c, N_record_grant, args, 8) < 0;
     }
     Py_DECREF(sub);
     return on ? -1 : 0;
@@ -2212,18 +2404,15 @@ static int
 grant_hook(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *packet,
            PyObject *decision, PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing];
-    method m;
-    if (resolve(routing, s_on_grant, &m) < 0)
+    PyObject *routing = c->o[S_routing], *fn;
+    if (stock_hook(c, routing, N_on_grant, &fn) < 0)
         return -1;
-    if (stock(&m, STOCK(c, RoutingAlgorithm, on_grant))
-        && Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision))) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, RoutingAlgorithm, on_grant)
+        && Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision)))
         return commit_decision(c, rid, port_o, vc_o, packet, decision, cycle_o);
-    }
     {
         PyObject *args[7] = {routing, NULL, port_o, vc_o, packet, decision, cycle_o};
-        return invoke_on_view(c, &m, rid, args, 7);
+        return invoke_on_view(c, N_on_grant, rid, args, 7);
     }
 }
 
@@ -2231,15 +2420,17 @@ grant_hook(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *packet
 static int
 record_hop(Core *c, PyObject *packet, PyObject *is_global)
 {
-    method m;
+    PyObject *fn, *result;
     int on;
-    if (resolve(packet, s_record_hop, &m) < 0)
+    if (stock_hook(c, packet, N_record_hop, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, Packet, record_hop))) {
+    if (fn != STOCK(c, Packet, record_hop)) {
         PyObject *args[2] = {packet, is_global};
-        return invoke(&m, args, 1, kw_is_global);
+        if ((result = call_method(c, N_record_hop, args, 1, kw_is_global)) == NULL)
+            return -1;
+        Py_DECREF(result);
+        return 0;
     }
-    Py_CLEAR(m.fn);
     if (pincr(c, packet, F_hops) < 0 || (on = truth(is_global)) < 0)
         return -1;
     if (on)
@@ -2262,10 +2453,10 @@ activate(Core *c, long rid, PyObject *active)
         return -1;
     if (active != NULL)
         Py_INCREF(active);
-    else if ((active = get_attr(c->o[S_st], s_active)) == NULL)
+    else if ((active = get_attr(c, c->o[S_st], N_active)) == NULL)
         return -1;
     failed = expect_list(active, "st.active") < 0 || append_long(active, rid) < 0
-             || set_attr(c->o[S_st], s_unsorted, Py_True) < 0;
+             || set_attr(c, c->o[S_st], N_unsorted, Py_True) < 0;
     Py_DECREF(active);
     return failed ? -1 : 0;
 }
@@ -2495,7 +2686,7 @@ commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
         goto done;
     vc_o = Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision))
            ? Py_NewRef(PyTuple_GET_ITEM(decision, D_vc))
-           : get_attr(decision, s_vc);
+           : get_attr(c, decision, N_vc);
     if (vc_o == NULL || pset(c, packet, F_current_vc, vc_o) < 0
         || get_col(c, out_free, og, &free_phits) < 0)
         goto done;
@@ -2758,10 +2949,10 @@ new_decision(Core *c, PyObject *port, PyObject *vc, int nonminimal_global,
 static int
 draw(Core *c, Py_ssize_t n, Py_ssize_t *index)
 {
-    PyObject *rng = get_attr(c->o[S_routing], s_rng), *n_o = NULL, *drawn = NULL;
+    PyObject *rng = get_attr(c, c->o[S_routing], N_rng), *n_o = NULL, *drawn = NULL;
     Py_ssize_t i = -1;
     if (rng != NULL && (n_o = PyLong_FromSsize_t(n)) != NULL
-        && (drawn = bounded_draw(rng, zero, n_o)) != NULL)
+        && (drawn = bounded_draw(c, rng, zero, n_o)) != NULL)
         i = PyLong_AsSsize_t(drawn);
     Py_XDECREF(drawn);
     Py_XDECREF(n_o);
@@ -2953,7 +3144,7 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
     if (c->signals & READS_COUNTERS) {
         if (*counts == NULL) {
             PyObject *counters = item(L(c, counters), rid);
-            if (counters == NULL || (*counts = get_attr(counters, s_counts)) == NULL
+            if (counters == NULL || (*counts = get_attr(c, counters, N_counts)) == NULL
                 || expect_list(*counts, "a counter array") < 0)
                 return -1;
         }
@@ -3093,19 +3284,15 @@ source_region(Core *c, long rid, PyObject *packet)
 static PyObject *
 valiant_router(Core *c, PyObject *topology, long rid, PyObject *rid_o, PyObject *rng)
 {
-    PyObject *args[3] = {topology, rid_o, rng}, *span, *drawn;
+    PyObject *args[3] = {topology, rid_o, rng}, *span, *drawn, *fn;
     long per_region, region, routers, choice;
-    method m;
-    if (resolve(topology, s_valiant_intermediate_router, &m) < 0)
+    if (stock_hook(c, topology, N_valiant_intermediate_router, &fn) < 0)
         return NULL;
-    if (!stock(&m, STOCK(c, Topology, valiant_intermediate_router)))
-        return call_found(&m, args, 3, NULL);
-    Py_CLEAR(m.fn);
-    if (topology_count(c, topology, s_routers_per_region, S_DragonflyTopology_routers_per_region,
-                       &per_region) < 0
+    if (fn != STOCK(c, Topology, valiant_intermediate_router))
+        return call_method(c, N_valiant_intermediate_router, args, 3, NULL);
+    if (topology_size(c, topology, Z_ROUTERS_PER_REGION, &per_region) < 0
         || ask_of(c, topology, Q_ROUTER_REGION, rid, &region) < 0
-        || topology_count(c, topology, s_num_routers, S_DragonflyTopology_num_routers,
-                          &routers) < 0
+        || topology_size(c, topology, Z_NUM_ROUTERS, &routers) < 0
         || (span = PyLong_FromLong(routers - per_region)) == NULL)
         return NULL;
     drawn = draw_between(c, rng, zero, span);
@@ -3131,18 +3318,16 @@ static PyObject *
 intermediate_router(Core *c, long rid)
 {
     PyObject *routing = c->o[S_routing], *rid_o = PyLong_FromLong(rid), *via = NULL;
-    PyObject *topology, *rng;
-    method m;
+    PyObject *topology, *rng, *fn;
     if (rid_o == NULL)
         return NULL;
-    if (resolve(routing, s_random_intermediate_router, &m) == 0) {
+    if (stock_hook(c, routing, N_random_intermediate_router, &fn) == 0) {
         PyObject *args[2] = {routing, rid_o};
-        if (!stock(&m, STOCK(c, ValiantRouting, random_intermediate_router)))
-            via = call_found(&m, args, 2, NULL);
+        if (fn != STOCK(c, ValiantRouting, random_intermediate_router))
+            via = call_method(c, N_random_intermediate_router, args, 2, NULL);
         else {
-            Py_CLEAR(m.fn);
-            if ((topology = get_attr(routing, s_topology)) != NULL) {
-                if ((rng = get_attr(routing, s_rng)) != NULL) {
+            if ((topology = get_attr(c, routing, N_topology)) != NULL) {
+                if ((rng = get_attr(c, routing, N_rng)) != NULL) {
                     via = valiant_router(c, topology, rid, rid_o, rng);
                     Py_DECREF(rng);
                 }
@@ -3154,18 +3339,16 @@ intermediate_router(Core *c, long rid)
     return via;
 }
 
-/* Call what `resolve` found with `args[1]` the view of router `rid`: the
- * truth of its answer, -1 on error. */
+/* `args[0].<name n>(args)` by name with `args[1]` the view of router
+ * `rid`: the truth of its answer, -1 on error. */
 static int
-truth_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
+truth_on_view(Core *c, int n, long rid, PyObject **args, size_t nargs)
 {
     PyObject *answer;
     int on;
-    if ((args[1] = item(L(c, views), rid)) == NULL) {
-        Py_CLEAR(m->fn);
+    if ((args[1] = item(L(c, views), rid)) == NULL)
         return -1;
-    }
-    if ((answer = call_found(m, args, nargs, NULL)) == NULL)
+    if ((answer = call_method(c, n, args, nargs, NULL)) == NULL)
         return -1;
     on = truth(answer);
     Py_DECREF(answer);
@@ -3177,16 +3360,14 @@ truth_on_view(Core *c, method *m, long rid, PyObject **args, size_t nargs)
 static int
 ugal_prefers(Core *c, long rid, PyObject *packet, PyObject *intermediate)
 {
-    PyObject *routing = c->o[S_routing];
+    PyObject *routing = c->o[S_routing], *fn;
     long dst, dst_router, port, via, q_min, len_min, q_val, len_val, there, onward;
-    method m;
-    if (resolve(routing, s__ugal_prefers_valiant, &m) < 0)
+    if (stock_hook(c, routing, N__ugal_prefers_valiant, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, UGALRouting, _ugal_prefers_valiant))) {
+    if (fn != STOCK(c, UGALRouting, _ugal_prefers_valiant)) {
         PyObject *args[4] = {routing, NULL, packet, intermediate};
-        return truth_on_view(c, &m, rid, args, 4);
+        return truth_on_view(c, N__ugal_prefers_valiant, rid, args, 4);
     }
-    Py_CLEAR(m.fn);
     if (pget_long(c, packet, F_dst, &dst) < 0 || ask(c, Q_NODE_ROUTER, dst, &dst_router) < 0
         || route(c, rid, dst, 0, &port) < 0 || occupancy(c, rid * c->P + port, &q_min) < 0
         || hops(c, rid, dst_router, &len_min) < 0 || as_long(intermediate, &via) < 0)
@@ -3209,20 +3390,17 @@ ugal_prefers(Core *c, long rid, PyObject *packet, PyObject *intermediate)
 static int
 prefers_valiant(Core *c, long rid, PyObject *packet, PyObject *intermediate, PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing];
-    method m;
-    if (resolve(routing, s_prefers_valiant, &m) < 0)
+    PyObject *routing = c->o[S_routing], *fn;
+    if (stock_hook(c, routing, N_prefers_valiant, &fn) < 0)
         return -1;
-    if (stock(&m, STOCK(c, UGALRouting, prefers_valiant))) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, UGALRouting, prefers_valiant))
         return ugal_prefers(c, rid, packet, intermediate);
-    }
-    if (df_stock(c, &m, S_PiggybackRouting_prefers_valiant) && PyList_Check(L(c, flags))) {
+    if (c->df_a > 0 && fn == STOCK(c, PiggybackRouting, prefers_valiant)
+        && PyList_Check(L(c, flags))) {
         /* PB: the saturation flag of the minimal global link first. */
         PyObject *flags;
         long group, dst, dst_group, offset;
         int on;
-        Py_CLEAR(m.fn);
         if (ask(c, Q_ROUTER_REGION, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
             || ask(c, Q_NODE_REGION, dst, &dst_group) < 0
             || get_long(L(c, link_offsets), group * c->df_groups + dst_group, &offset) < 0
@@ -3233,7 +3411,7 @@ prefers_valiant(Core *c, long rid, PyObject *packet, PyObject *intermediate, PyO
     }
     {
         PyObject *args[5] = {routing, NULL, packet, intermediate, cycle_o};
-        return truth_on_view(c, &m, rid, args, 5);
+        return truth_on_view(c, N_prefers_valiant, rid, args, 5);
     }
 }
 
@@ -3276,50 +3454,45 @@ ugal_inject(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
     return on < 0 ? -1 : 0;
 }
 
-/* Whether `owner.<name>` is the stock function `function` (UGAL calls
- * `RoutingAlgorithm.on_inject` through the class): 1 / 0, -1 on error. */
+/* Whether `owner.<name n>` of the class `owner` is the stock function
+ * `function` (UGAL calls `RoutingAlgorithm.on_inject` through the class):
+ * what the class's MRO holds, while its metaclass keeps the generic
+ * `type.__getattribute__` and defines nothing of the name.  1 / 0, -1 on
+ * error. */
 static int
-class_attr_is(PyObject *owner, PyObject *name, PyObject *function)
+class_attr_is(Core *c, PyObject *owner, int n, PyObject *function)
 {
-    PyObject *found = get_attr(owner, name);
-    if (found == NULL)
+    memo scratch, *e = type_part(c, (PyTypeObject *)owner, n, &scratch);
+    if (e == NULL)
         return -1;
-    Py_DECREF(found);
-    return found == function;
+    if (e->found != function || Py_TYPE(owner)->tp_getattro != PyType_Type.tp_getattro)
+        return 0;
+    return mro_resolves(Py_TYPE(owner), name_of[n], NULL, NULL);
 }
 
 /* `routing.on_inject(view, packet, cycle)`. */
 static int
 inject_hook(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing];
-    method m;
+    PyObject *routing = c->o[S_routing], *fn;
     int on = 0;
-    if (resolve(routing, s_on_inject, &m) < 0)
+    if (stock_hook(c, routing, N_on_inject, &fn) < 0)
         return -1;
-    if (stock(&m, STOCK(c, RoutingAlgorithm, on_inject))) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, RoutingAlgorithm, on_inject))
         return source_region(c, rid, packet);
-    }
-    if (stock(&m, STOCK(c, ValiantRouting, on_inject))
-        && (on = super_is(routing, L(c, ValiantRouting), s_on_inject,
-                          STOCK(c, RoutingAlgorithm, on_inject))) > 0) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, ValiantRouting, on_inject)
+        && (on = super_is(routing, L(c, ValiantRouting), N_on_inject,
+                          STOCK(c, RoutingAlgorithm, on_inject))) > 0)
         return source_region(c, rid, packet) < 0 ? -1 : valiant_inject(c, rid, packet);
-    }
-    if (on == 0 && stock(&m, STOCK(c, UGALRouting, on_inject))
-        && (on = class_attr_is(L(c, RoutingAlgorithm), s_on_inject,
-                               STOCK(c, RoutingAlgorithm, on_inject))) > 0) {
-        Py_CLEAR(m.fn);
+    if (on == 0 && fn == STOCK(c, UGALRouting, on_inject)
+        && (on = class_attr_is(c, L(c, RoutingAlgorithm), N_on_inject,
+                               STOCK(c, RoutingAlgorithm, on_inject))) > 0)
         return ugal_inject(c, rid, packet, cycle_o);
-    }
-    if (on < 0) {
-        Py_CLEAR(m.fn);
+    if (on < 0)
         return -1;
-    }
     {
         PyObject *args[4] = {routing, NULL, packet, cycle_o};
-        return invoke_on_view(c, &m, rid, args, 4);
+        return invoke_on_view(c, N_on_inject, rid, args, 4);
     }
 }
 
@@ -3334,13 +3507,13 @@ inject(Core *c, PyObject *node, PyObject *cycle_o, long cycle)
     PyObject *queue, *packet = NULL, *port_o = NULL, *vc_o = NULL, *rid_o, *popped;
     long node_id, rid, port, g, num_vcs, pointer, size, offset, vc = 0, free_phits, injected;
     int failed = -1;
-    if ((queue = get_attr(node, s_source_queue)) == NULL)
+    if ((queue = get_attr(c, node, N_source_queue)) == NULL)
         return -1;
-    if ((packet = PySequence_GetItem(queue, 0)) == NULL || attr_long(node, s_node_id, &node_id) < 0
+    if ((packet = PySequence_GetItem(queue, 0)) == NULL || attr_long(c, node, N_node_id, &node_id) < 0
         || (rid_o = at(L(c, node_rid), node_id)) == NULL || as_long(rid_o, &rid) < 0
-        || (port_o = get_attr(node, s_port)) == NULL || as_long(port_o, &port) < 0
+        || (port_o = get_attr(c, node, N_port)) == NULL || as_long(port_o, &port) < 0
         || get_col(c, in_nvcs, rid * c->P + port, &num_vcs) < 0
-        || attr_long(node, s__vc_pointer, &pointer) < 0
+        || attr_long(c, node, N__vc_pointer, &pointer) < 0
         || pget_long(c, packet, F_size_phits, &size) < 0)
         goto done;
     g = rid * c->P + port;
@@ -3357,7 +3530,7 @@ inject(Core *c, PyObject *node, PyObject *cycle_o, long cycle)
     }
     {
         PyObject *args[1] = {queue};
-        if ((popped = call_method(s_popleft, args, 1)) == NULL)
+        if ((popped = call_method(c, N_popleft, args, 1, NULL)) == NULL)
             goto done;
         Py_DECREF(popped);
     }
@@ -3368,10 +3541,10 @@ inject(Core *c, PyObject *node, PyObject *cycle_o, long cycle)
         && ((vc_o = PyLong_FromLong(vc)) == NULL
             || arrival_hook(c, rid, port, port_o, vc_o, packet, cycle_o) < 0))
         goto done;
-    if (set_attr_long(node, s__vc_pointer, pymod(vc + 1, num_vcs)) < 0
-        || set_attr_long(node, s_next_injection_cycle, cycle + size) < 0
-        || attr_long(node, s_injected_packets, &injected) < 0
-        || set_attr_long(node, s_injected_packets, injected + 1) < 0)
+    if (set_attr_long(c, node, N__vc_pointer, pymod(vc + 1, num_vcs)) < 0
+        || set_attr_long(c, node, N_next_injection_cycle, cycle + size) < 0
+        || attr_long(c, node, N_injected_packets, &injected) < 0
+        || set_attr_long(c, node, N_injected_packets, injected + 1) < 0)
         goto done;
     failed = 0;
 done:
@@ -3407,7 +3580,7 @@ plain_decision(Core *c, long port, long vc)
     vc_o = PyLong_FromLong(vc);
     if (port_o != NULL && vc_o != NULL) {
         PyObject *args[3] = {c->o[S_routing], port_o, vc_o};
-        decision = call_method(s_plain_decision, args, 3);
+        decision = call_method(c, N_plain_decision, args, 3, NULL);
     }
     Py_XDECREF(vc_o);
     Py_XDECREF(port_o);
@@ -3440,8 +3613,8 @@ make_request(Core *c, long base_g, long k, PyObject *head, PyObject *decision)
         port_o = Py_NewRef(PyTuple_GET_ITEM(decision, D_output_port));
         vc_o = Py_NewRef(PyTuple_GET_ITEM(decision, D_vc));
     }
-    else if ((port_o = get_attr(decision, s_output_port)) != NULL)
-        vc_o = get_attr(decision, s_vc);
+    else if ((port_o = get_attr(c, decision, N_output_port)) != NULL)
+        vc_o = get_attr(c, decision, N_vc);
     if (vc_o != NULL && as_long(port_o, &port) == 0 && as_long(vc_o, &vc) == 0
         && (size_o = pget(c, head, F_size_phits)) != NULL) {
         long og = base_g + port;
@@ -3464,15 +3637,14 @@ make_request(Core *c, long base_g, long k, PyObject *head, PyObject *decision)
 static PyObject *
 candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int local)
 {
-    PyObject *routing = c->o[S_routing], *found = NULL, *rid_o, *dst_o, *minimal_o;
-    method m;
-    if (resolve(routing, local ? s_local_candidates : s_global_candidates, &m) < 0)
+    PyObject *routing = c->o[S_routing], *found = NULL, *rid_o, *dst_o, *minimal_o, *fn;
+    int n = local ? N_local_candidates : N_global_candidates;
+    if (stock_hook(c, routing, n, &fn) < 0)
         return NULL;
     if (PyList_Check(L(c, shared))
-        && stock(&m, local ? STOCK(c, AdaptiveInTransitRouting, local_candidates)
-                           : STOCK(c, AdaptiveInTransitRouting, global_candidates))) {
+        && fn == (local ? STOCK(c, AdaptiveInTransitRouting, local_candidates)
+                        : STOCK(c, AdaptiveInTransitRouting, global_candidates))) {
         PyObject *shared;
-        Py_CLEAR(m.fn);
         if ((shared = item(L(c, shared), rid)) == NULL)
             return NULL;
         if (shared != Py_None)
@@ -3481,7 +3653,7 @@ candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int lo
             return NULL;
         else {
             PyObject *args[2] = {routing, rid_o};
-            shared = call_method(s_router_candidates, args, 2);
+            shared = call_method(c, N_router_candidates, args, 2, NULL);
             Py_DECREF(rid_o);
         }
         if (shared != NULL && !PyTuple_Check(shared))
@@ -3498,10 +3670,8 @@ candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int lo
         PyObject *args[5] = {routing, rid_o, dst_o, minimal_o, proxy ? Py_True : Py_False};
         if (local)
             args[1] = minimal_o;
-        found = call_found(&m, args, local ? 2 : 5, NULL);
+        found = call_method(c, n, args, local ? 2 : 5, NULL);
     }
-    else
-        Py_CLEAR(m.fn);
     Py_XDECREF(minimal_o);
     Py_XDECREF(dst_o);
     Py_XDECREF(rid_o);
@@ -3549,7 +3719,7 @@ towards_group(Core *c, long rid, PyObject *rid_o, PyObject *head, PyObject *targ
     if (cached == NULL || cached == Py_None) {
         PyObject *view = item(L(c, views), rid);
         PyObject *args[4] = {c->o[S_routing], view, head, target};
-        return view == NULL ? NULL : call_method(s__towards_group, args, 4);
+        return view == NULL ? NULL : call_method(c, N__towards_group, args, 4, NULL);
     }
     Py_INCREF(cached);
     if (expect_tuple(cached, 2, "a region gateway") == 0
@@ -3820,13 +3990,11 @@ pure_minimal(Core *c, long rid, PyObject *head, long dst)
 static int
 target_region(Core *c, long rid, PyObject *rid_o, long port, PyObject *port_o, long *region)
 {
-    PyObject *args[3] = {L(c, topology), rid_o, port_o}, *row;
-    method m;
-    if (resolve(L(c, topology), s_port_target_region, &m) < 0)
+    PyObject *args[3] = {L(c, topology), rid_o, port_o}, *row, *fn;
+    if (stock_hook(c, L(c, topology), N_port_target_region, &fn) < 0)
         return -1;
-    if (!df_stock(c, &m, S_DragonflyTopology_port_target_region))
-        return found_long(&m, args, 3, region);
-    Py_CLEAR(m.fn);
+    if (c->df_a <= 0 || fn != STOCK(c, DragonflyTopology, port_target_region))
+        return call_long(c, N_port_target_region, args, 3, region);
     if ((row = at(L(c, offset_to_group), pydiv(rid, c->df_a))) == NULL
         || (row = at(row, pymod(rid, c->df_a) * c->df_h + port - c->df_first_global)) == NULL)
         return -1;
@@ -3920,23 +4088,18 @@ static PyObject *
 capture_pure(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head,
              PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing], *decision = NULL, *row;
-    method m;
+    PyObject *routing = c->o[S_routing], *decision = NULL, *row, *fn;
     int valiant = 0;
-    if (resolve(routing, s_select_output, &m) < 0)
+    if (stock_hook(c, routing, N_select_output, &fn) < 0)
         return NULL;
-    if (stock(&m, STOCK(c, MinimalRouting, select_output))
-        || (valiant = stock(&m, STOCK(c, ValiantRouting, select_output)))) {
-        Py_CLEAR(m.fn);
+    if ((fn == STOCK(c, MinimalRouting, select_output)
+                       || (valiant = fn == STOCK(c, ValiantRouting, select_output))))
         decision = pure_decision(c, rid, rid_o, head, valiant);
-    }
     else {
         PyObject *port_o = PyLong_FromLong(k / c->V), *vc_o = PyLong_FromLong(k % c->V);
         PyObject *args[6] = {routing, NULL, port_o, vc_o, head, cycle_o};
         if (port_o != NULL && vc_o != NULL && (args[1] = item(L(c, views), rid)) != NULL)
-            decision = call_found(&m, args, 6, NULL);
-        else
-            Py_CLEAR(m.fn);
+            decision = call_method(c, N_select_output, args, 6, NULL);
         Py_XDECREF(vc_o);
         Py_XDECREF(port_o);
     }
@@ -4051,7 +4214,7 @@ head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, long k, PyObj
         round_o = PyLong_FromLong(round_index);
         if (q_o != NULL && k_o != NULL && round_o != NULL) {
             PyObject *args[7] = {engine, rid_o, q_o, k_o, head, cycle_o, round_o};
-            PyObject *decision = call_method(s__live_request, args, 7);
+            PyObject *decision = call_method(c, N__live_request, args, 7, NULL);
             if (decision != NULL) {
                 req = decision == Py_None ? Py_NewRef(Py_None)
                                           : make_request(c, base_g, k, head, decision);
@@ -4215,27 +4378,25 @@ done:
 static int
 in_window(Core *c, PyObject *metrics, PyObject *cycle_o)
 {
-    PyObject *bound;
-    method m;
+    PyObject *bound, *fn;
     int on;
-    if (resolve(metrics, s_in_window, &m) < 0)
+    if (stock_hook(c, metrics, N_in_window, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, MetricsCollector, in_window))) {
-        PyObject *args[2] = {metrics, cycle_o}, *answer = call_found(&m, args, 2, NULL);
-        if (answer == NULL)
+    if (fn != STOCK(c, MetricsCollector, in_window)) {
+        PyObject *args[2] = {metrics, cycle_o}, *answer;
+        if ((answer = call_method(c, N_in_window, args, 2, NULL)) == NULL)
             return -1;
         on = truth(answer);
         Py_DECREF(answer);
         return on;
     }
-    Py_CLEAR(m.fn);
-    if ((bound = get_attr(metrics, s_measure_start)) == NULL)
+    if ((bound = get_attr(c, metrics, N_measure_start)) == NULL)
         return -1;
     on = PyObject_RichCompareBool(cycle_o, bound, Py_LT);
     Py_DECREF(bound);
     if (on != 0)
         return on < 0 ? -1 : 0;
-    if ((bound = get_attr(metrics, s_measure_end)) == NULL)
+    if ((bound = get_attr(c, metrics, N_measure_end)) == NULL)
         return -1;
     on = bound == Py_None ? 1 : PyObject_RichCompareBool(cycle_o, bound, Py_LT);
     Py_DECREF(bound);
@@ -4248,29 +4409,30 @@ static int
 record_bin(Core *c, PyObject *series, PyObject *creation_o, PyObject *latency, PyObject *misrouted,
            PyObject *size_o)
 {
-    PyObject *bins = NULL, *key = NULL, *point;
+    PyObject *bins = NULL, *key = NULL, *point, *fn;
     long creation, start, end, size;
-    method m;
     int failed = -1, on;
-    if (resolve(series, s_record, &m) < 0)
+    if (stock_hook(c, series, N_record, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, TimeSeriesRecorder, record))) {
+    if (fn != STOCK(c, TimeSeriesRecorder, record)) {
         PyObject *args[5] = {series, creation_o, latency, misrouted, size_o};
-        return invoke(&m, args, 3, kw_bin);
+        if ((point = call_method(c, N_record, args, 3, kw_bin)) == NULL)
+            return -1;
+        Py_DECREF(point);
+        return 0;
     }
-    Py_CLEAR(m.fn);
-    if (as_long(creation_o, &creation) < 0 || attr_long(series, s_start_cycle, &start) < 0)
+    if (as_long(creation_o, &creation) < 0 || attr_long(c, series, N_start_cycle, &start) < 0)
         return -1;
     if (creation < start)
         return 0;
-    if ((point = get_attr(series, s_end_cycle)) == NULL)
+    if ((point = get_attr(c, series, N_end_cycle)) == NULL)
         return -1;
     on = point == Py_None ? 0 : as_long(point, &end) < 0 ? -1 : creation >= end;
     Py_DECREF(point);
     if (on != 0)
         return on < 0 ? -1 : 0;
-    if (attr_long(series, s_bin_size, &size) < 0
-        || (bins = get_attr(series, s__bins)) == NULL)
+    if (attr_long(c, series, N_bin_size, &size) < 0
+        || (bins = get_attr(c, series, N__bins)) == NULL)
         return -1;
     if (size <= 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
@@ -4285,16 +4447,16 @@ record_bin(Core *c, PyObject *series, PyObject *creation_o, PyObject *latency, P
     if ((point = PyDict_GetItemWithError(bins, key)) != NULL)
         Py_INCREF(point);
     else if (PyErr_Occurred()
-             || (point = global_of(STOCK(c, TimeSeriesRecorder, record), s_TimeSeriesPoint)) == NULL
-             || (point = PyObject_CallOneArg(point, key)) == NULL)
+             || (point = global_of(STOCK(c, TimeSeriesRecorder, record), name_of[N_TimeSeriesPoint])) == NULL
+             || (point = call_python(point, &key, 1, NULL)) == NULL)
         goto done;
     else if (PyDict_SetItem(bins, key, point) < 0) {
         Py_DECREF(point);
         goto done;
     }
-    failed = attr_iadd(point, s_count, one) < 0 || attr_iadd(point, s_latency_sum, latency) < 0
-             || attr_iadd(point, s_delivered_phits, size_o) < 0
-             || (on = truth(misrouted)) < 0 || (on && attr_iadd(point, s_misrouted, one) < 0)
+    failed = attr_iadd(c, point, N_count, one) < 0 || attr_iadd(c, point, N_latency_sum, latency) < 0
+             || attr_iadd(c, point, N_delivered_phits, size_o) < 0
+             || (on = truth(misrouted)) < 0 || (on && attr_iadd(c, point, N_misrouted, one) < 0)
              ? -1 : 0;
     Py_DECREF(point);
 done:
@@ -4305,20 +4467,20 @@ done:
 
 /* `metrics.latency._samples.append(latency)`. */
 static int
-append_sample(PyObject *metrics, PyObject *latency)
+append_sample(Core *c, PyObject *metrics, PyObject *latency)
 {
-    PyObject *stats = get_attr(metrics, s_latency), *samples;
+    PyObject *stats = get_attr(c, metrics, N_latency), *samples;
     int failed;
     if (stats == NULL)
         return -1;
-    samples = get_attr(stats, s__samples);
+    samples = get_attr(c, stats, N__samples);
     Py_DECREF(stats);
     if (samples == NULL)
         return -1;
     {
         PyObject *args[2] = {samples, latency};
         failed = PyList_CheckExact(samples) ? PyList_Append(samples, latency)
-                                            : call_void(s_append, args, 2);
+                                            : call_void(c, N_append, args, 2);
     }
     Py_DECREF(samples);
     return failed;
@@ -4331,16 +4493,14 @@ static int
 record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
 {
     PyObject *delivered = NULL, *creation = NULL, *latency = NULL, *size_o = NULL;
-    PyObject *value = NULL;
-    method m;
+    PyObject *value = NULL, *fn;
     int failed = -1, on;
-    if (resolve(metrics, s_record_delivery, &m) < 0)
+    if (stock_hook(c, metrics, N_record_delivery, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, MetricsCollector, record_delivery))) {
+    if (fn != STOCK(c, MetricsCollector, record_delivery)) {
         PyObject *args[3] = {metrics, packet, cycle_o};
-        return invoke(&m, args, 3, NULL);
+        return call_void(c, N_record_delivery, args, 3);
     }
-    Py_CLEAR(m.fn);
     if ((delivered = pget(c, packet, F_delivered_cycle)) == NULL
         || (creation = pget(c, packet, F_creation_cycle)) == NULL
         || (latency = PyNumber_Subtract(delivered, creation)) == NULL
@@ -4353,23 +4513,23 @@ record_delivery(Core *c, PyObject *metrics, PyObject *packet, PyObject *cycle_o)
     if ((on = in_window(c, metrics, delivered)) < 0
         || (size_o = pget(c, packet, F_size_phits)) == NULL)
         goto done;
-    if (on && (attr_iadd(metrics, s_delivered_packets, one) < 0
-               || attr_iadd(metrics, s_delivered_phits, size_o) < 0
+    if (on && (attr_iadd(c, metrics, N_delivered_packets, one) < 0
+               || attr_iadd(c, metrics, N_delivered_phits, size_o) < 0
                || (on = ptruth(c, packet, F_fault_mode)) < 0
-               || (on && attr_iadd(metrics, s_fault_rerouted_delivered, one) < 0)))
+               || (on && attr_iadd(c, metrics, N_fault_rerouted_delivered, one) < 0)))
         goto done;
     if ((on = in_window(c, metrics, creation)) < 0)
         goto done;
-    if (on && (append_sample(metrics, latency) < 0
+    if (on && (append_sample(c, metrics, latency) < 0
                || (value = pget(c, packet, F_hops)) == NULL
-               || attr_iadd(metrics, s_hops_sum, value) < 0
+               || attr_iadd(c, metrics, N_hops_sum, value) < 0
                || (on = ptruth(c, packet, F_globally_misrouted)) < 0
-               || (on && attr_iadd(metrics, field_names[F_globally_misrouted], one) < 0)
+               || (on && attr_iadd(c, metrics, FIELD_NAME(F_globally_misrouted), one) < 0)
                || (on = ptruth(c, packet, F_locally_misrouted)) < 0
-               || (on && attr_iadd(metrics, field_names[F_locally_misrouted], one) < 0)))
+               || (on && attr_iadd(c, metrics, FIELD_NAME(F_locally_misrouted), one) < 0)))
         goto done;
     Py_CLEAR(value);
-    if ((value = get_attr(metrics, s_timeseries)) == NULL)
+    if ((value = get_attr(c, metrics, N_timeseries)) == NULL)
         goto done;
     if (value != Py_None) {
         PyObject *misrouted = pget(c, packet, F_globally_misrouted);
@@ -4392,35 +4552,34 @@ done:
 static int
 record_generated(Core *c, PyObject *metrics, PyObject *packet)
 {
-    PyObject *creation;
-    method m;
+    PyObject *creation, *fn;
     int on;
-    if (resolve(metrics, s_record_generated, &m) < 0)
+    if (stock_hook(c, metrics, N_record_generated, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, MetricsCollector, record_generated))) {
+    if (fn != STOCK(c, MetricsCollector, record_generated)) {
         PyObject *args[2] = {metrics, packet};
-        return invoke(&m, args, 2, NULL);
+        return call_void(c, N_record_generated, args, 2);
     }
-    Py_CLEAR(m.fn);
     if ((creation = pget(c, packet, F_creation_cycle)) == NULL)
         return -1;
     on = in_window(c, metrics, creation);
     Py_DECREF(creation);
-    return on <= 0 ? on : attr_iadd(metrics, s_generated_in_window, one);
+    return on <= 0 ? on : attr_iadd(c, metrics, N_generated_in_window, one);
 }
 
 /* ----------------------------------------------------------- router phase */
-/* `for packet in packets: sink.<name>(packet, cycle)`; with the core `c`, a
- * delivery through `record_delivery` above. */
+/* `for packet in packets: sink.<name n>(packet, cycle)`; with `collector`,
+ * a delivery through `record_delivery` above. */
 static int
-report_packets(Core *c, PyObject *sink, PyObject *name, PyObject *packets, PyObject *cycle_o)
+report_packets(Core *c, PyObject *sink, int n, PyObject *packets, PyObject *cycle_o,
+               int collector)
 {
     Py_ssize_t i;
     for (i = 0; i < PyList_GET_SIZE(packets); i++) {
         PyObject *packet = Py_NewRef(PyList_GET_ITEM(packets, i));
         PyObject *args[3] = {sink, packet, cycle_o};
-        int failed = c != NULL && name == s_record_delivery
-                     ? record_delivery(c, sink, packet, cycle_o) : call_void(name, args, 3);
+        int failed = collector && n == N_record_delivery
+                     ? record_delivery(c, sink, packet, cycle_o) : call_void(c, n, args, 3);
         Py_DECREF(packet);
         if (failed)
             return -1;
@@ -4431,17 +4590,16 @@ report_packets(Core *c, PyObject *sink, PyObject *name, PyObject *packets, PyObj
 /* Report and empty the delivered (or dropped) list; returns how many packets
  * it held, -1 on error. */
 static Py_ssize_t
-drain(Core *c, PyObject *packets, PyObject *name, PyObject *metrics, PyObject *obs,
-      PyObject *cycle_o)
+drain(Core *c, PyObject *packets, int n, PyObject *metrics, PyObject *obs, PyObject *cycle_o)
 {
-    Py_ssize_t n = PyList_GET_SIZE(packets);
-    if (n == 0)
+    Py_ssize_t held = PyList_GET_SIZE(packets);
+    if (held == 0)
         return 0;
-    if ((metrics != Py_None && report_packets(c, metrics, name, packets, cycle_o) < 0)
-        || (obs != Py_None && report_packets(NULL, obs, name, packets, cycle_o) < 0)
+    if ((metrics != Py_None && report_packets(c, metrics, n, packets, cycle_o, 1) < 0)
+        || (obs != Py_None && report_packets(c, obs, n, packets, cycle_o, 0) < 0)
         || PyList_SetSlice(packets, 0, PyList_GET_SIZE(packets), NULL) < 0)
         return -1;
-    return n;
+    return held;
 }
 
 /* The events due this cycle, then allocation and output service router by
@@ -4479,14 +4637,14 @@ router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject 
         return -1;
     counts[2] = num_active = PyList_GET_SIZE(active);
     if (num_active > 0 || num_due > 0) {
-        PyObject *unsorted = get_attr(c->o[S_st], s_unsorted);
+        PyObject *unsorted = get_attr(c, c->o[S_st], N_unsorted);
         if (unsorted == NULL)
             goto done;
         on = truth(unsorted);
         Py_DECREF(unsorted);
         if (on < 0
             || (on && (PyList_Sort(active) < 0
-                       || set_attr(c->o[S_st], s_unsorted, Py_False) < 0)))
+                       || set_attr(c, c->o[S_st], N_unsorted, Py_False) < 0)))
             goto done;
         /* A release carries a `Packet`, which does not order: sort by the
          * port alone (a port has at most one release a cycle). */
@@ -4553,11 +4711,11 @@ router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject 
             if (port < rid * P + P && (si = release(c, svc, si, rid)) < 0)
                 goto done;
         }
-        if ((moved = drain(c, c->o[S_dlv], s_record_delivery, metrics, obs, cycle_o)) < 0)
+        if ((moved = drain(c, c->o[S_dlv], N_record_delivery, metrics, obs, cycle_o)) < 0)
             goto done;
         counts[0] += moved;
         if (faults != Py_None) {
-            if ((moved = drain(c, c->o[S_drp], s_record_dropped, metrics, obs, cycle_o)) < 0)
+            if ((moved = drain(c, c->o[S_drp], N_record_dropped, metrics, obs, cycle_o)) < 0)
                 goto done;
             counts[1] += moved;
         }
@@ -4603,16 +4761,15 @@ static PyObject *
 node_excluding(Core *c, PyObject *pattern, long low, long high, PyObject *exclude, PyObject *rng)
 {
     PyObject *args[5] = {pattern, PyLong_FromLong(low), PyLong_FromLong(high), exclude, rng};
-    PyObject *dst = NULL;
+    PyObject *dst = NULL, *fn;
     long skip, drawn;
-    method m;
-    if (args[1] == NULL || args[2] == NULL || resolve(pattern, s__random_node_excluding, &m) < 0)
+    if (args[1] == NULL || args[2] == NULL
+        || stock_hook(c, pattern, N__random_node_excluding, &fn) < 0)
         goto done;
-    if (!stock(&m, STOCK(c, TrafficPattern, _random_node_excluding))) {
-        dst = call_found(&m, args, 5, NULL);
+    if (fn != STOCK(c, TrafficPattern, _random_node_excluding)) {
+        dst = call_method(c, N__random_node_excluding, args, 5, NULL);
         goto done;
     }
-    Py_CLEAR(m.fn);
     if (as_long(exclude, &skip) < 0)
         goto done;
     if (high - low <= 1) {
@@ -4641,28 +4798,22 @@ done:
 static int
 region_range(Core *c, PyObject *topology, long region, long *low, long *high)
 {
-    PyObject *args[2] = {topology, NULL}, *answer, *pair;
+    PyObject *args[2] = {topology, NULL}, *answer, *pair, *fn;
     long routers, nodes;
-    method m;
     int failed = -1;
-    if (resolve(topology, s_region_node_range, &m) < 0)
+    if (stock_hook(c, topology, N_region_node_range, &fn) < 0)
         return -1;
-    if (stock(&m, STOCK(c, Topology, region_node_range))) {
-        Py_CLEAR(m.fn);
-        if (topology_count(c, topology, s_routers_per_region,
-                           S_DragonflyTopology_routers_per_region, &routers) < 0
-            || topology_count(c, topology, s_nodes_per_router,
-                              S_DragonflyTopology_nodes_per_router, &nodes) < 0)
+    if (fn == STOCK(c, Topology, region_node_range)) {
+        if (topology_size(c, topology, Z_ROUTERS_PER_REGION, &routers) < 0
+            || topology_size(c, topology, Z_NODES_PER_ROUTER, &nodes) < 0)
             return -1;
         *low = region * routers * nodes;
         *high = *low + routers * nodes;
         return 0;
     }
-    if ((args[1] = PyLong_FromLong(region)) == NULL) {
-        Py_CLEAR(m.fn);
+    if ((args[1] = PyLong_FromLong(region)) == NULL)
         return -1;
-    }
-    answer = call_found(&m, args, 2, NULL);
+    answer = call_method(c, N_region_node_range, args, 2, NULL);
     Py_DECREF(args[1]);
     if (answer == NULL)
         return -1;
@@ -4681,44 +4832,40 @@ region_range(Core *c, PyObject *topology, long region, long *low, long *high)
 static PyObject *
 destination(Core *c, PyObject *pattern, PyObject *src_o, PyObject *cycle_o, PyObject *rng)
 {
-    PyObject *topology, *next, *dst = NULL;
+    PyObject *topology, *next, *dst = NULL, *fn;
     long src, low, high, region, offset, regions;
-    method m;
     int uniform, on;
-    if (resolve(pattern, s_destination, &m) < 0)
+    if (stock_hook(c, pattern, N_destination, &fn) < 0)
         return NULL;
-    if (stock(&m, STOCK(c, TransientTraffic, destination))) {
+    if (fn == STOCK(c, TransientTraffic, destination)) {
         /* The pattern in effect at `cycle`. */
-        Py_CLEAR(m.fn);
-        if ((next = get_attr(pattern, s_switch_cycle)) == NULL)
+        if ((next = get_attr(c, pattern, N_switch_cycle)) == NULL)
             return NULL;
         on = PyObject_RichCompareBool(cycle_o, next, Py_LT);
         Py_DECREF(next);
-        if (on < 0 || (next = get_attr(pattern, on ? s_before : s_after)) == NULL)
+        if (on < 0 || (next = get_attr(c, pattern, on ? N_before : N_after)) == NULL)
             return NULL;
         dst = destination(c, next, src_o, cycle_o, rng);
         Py_DECREF(next);
         return dst;
     }
-    uniform = stock(&m, STOCK(c, UniformTraffic, destination));
-    if (!uniform && !stock(&m, STOCK(c, AdversarialTraffic, destination))) {
+    uniform = fn == STOCK(c, UniformTraffic, destination);
+    if (!uniform && (fn != STOCK(c, AdversarialTraffic, destination))) {
         PyObject *args[4] = {pattern, src_o, cycle_o, rng};
-        return call_found(&m, args, 4, NULL);
+        return call_method(c, N_destination, args, 4, NULL);
     }
-    Py_CLEAR(m.fn);
-    if (as_long(src_o, &src) < 0 || (topology = get_attr(pattern, s_topology)) == NULL)
+    if (as_long(src_o, &src) < 0 || (topology = get_attr(c, pattern, N_topology)) == NULL)
         return NULL;
     if (uniform) {
         /* UN: any node but the source. */
-        if (topology_count(c, topology, s_num_nodes, S_DragonflyTopology_num_nodes, &high) == 0)
+        if (topology_size(c, topology, Z_NUM_NODES, &high) == 0)
             dst = node_excluding(c, pattern, 0, high, src_o, rng);
     }
     else {
         /* ADV+offset: any node of the region `offset` regions on. */
         if (ask_of(c, topology, Q_NODE_REGION, src, &region) == 0
-            && attr_long(pattern, s_offset, &offset) == 0
-            && topology_count(c, topology, s_num_regions, S_DragonflyTopology_num_regions,
-                              &regions) == 0) {
+            && attr_long(c, pattern, N_offset, &offset) == 0
+            && topology_size(c, topology, Z_NUM_REGIONS, &regions) == 0) {
             if (regions <= 0)
                 PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
             else if (region_range(c, topology, pymod(region + offset, regions), &low, &high) == 0)
@@ -4731,30 +4878,30 @@ destination(Core *c, PyObject *pattern, PyObject *src_o, PyObject *cycle_o, PyOb
 
 /* `cls(pid=..., src=..., dst=..., size_phits=..., creation_cycle=...)`
  * (`fields` in that order): built here with every other field at its
- * default while `cls` is `Packet` with its stock `__init__`, else the
- * call. */
+ * default while `cls` is `Packet` with its stock `__init__` and slots
+ * (`bind_packet`), else the call. */
 static PyObject *
 new_packet(Core *c, PyObject *cls, PyObject **fields)
 {
     static const int given[5] = {F_pid, F_src, F_dst, F_size_phits, F_creation_cycle};
-    PyObject *packet, *init;
+    PyObject *packet;
     Py_ssize_t i;
     int built_here = 0;
-    if (c->defaults >= 0 && cls == L(c, Packet)) {
-        if ((init = get_attr(cls, s___init__)) == NULL)
+    if (cls == L(c, Packet)) {
+        PyTypeObject *type = c->packet_type;
+        if ((!tag_valid(type) || type->tp_version_tag != c->packet_tag) && bind_packet(c) < 0)
             return NULL;
-        built_here = init == STOCK(c, Packet, __init__);
-        Py_DECREF(init);
+        built_here = c->packet_tag != 0 && c->defaults >= 0 && c->packet_init;
     }
     if (!built_here)
-        return PyObject_Vectorcall(cls, fields, 0, kw_packet);
+        return call_python(cls, fields, 0, kw_packet);
     if ((packet = c->packet_type->tp_alloc(c->packet_type, 0)) == NULL)
         return NULL;
     for (i = 0; i < 5; i++)
         *(PyObject **)((char *)packet + c->offset[given[i]]) = Py_NewRef(fields[i]);
     for (i = 0; i < c->defaults; i++)
         *(PyObject **)((char *)packet + c->default_offset[i])
-            = Py_NewRef(PyTuple_GET_ITEM(L(c, packet_defaults), i));
+            = Py_NewRef(PyTuple_GET_ITEM(PyTuple_GET_ITEM(L(c, packet_defaults), 1), i));
     return packet;
 }
 
@@ -4792,7 +4939,7 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
     long block, index, event = 0, pid = 0, first_pid = 0;
     double probability;
     int failed = -1;
-    if ((value = get_attr(traffic, s__packet_probability)) == NULL)
+    if ((value = get_attr(c, traffic, N__packet_probability)) == NULL)
         return -1;
     probability = PyFloat_AsDouble(value);
     Py_DECREF(value);
@@ -4800,8 +4947,8 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
         return -1;
     if (probability <= 0.0)
         return 0;
-    if (attr_long(traffic, s_block_cycles, &block) < 0
-        || attr_long(traffic, s__block_index, &index) < 0)
+    if (attr_long(c, traffic, N_block_cycles, &block) < 0
+        || attr_long(c, traffic, N__block_index, &index) < 0)
         return -1;
     if (block <= 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
@@ -4809,11 +4956,11 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
     }
     if (pydiv(cycle, block) > index) {
         PyObject *args[2] = {traffic, cycle_o};
-        if (call_void(s__ensure_block, args, 2) < 0)
+        if (call_void(c, N__ensure_block, args, 2) < 0)
             return -1;
     }
-    if ((cycles = get_attr(traffic, s__event_cycles)) == NULL
-        || expect_list(cycles, "_event_cycles") < 0 || attr_long(traffic, s__ptr, &index) < 0)
+    if ((cycles = get_attr(c, traffic, N__event_cycles)) == NULL
+        || expect_list(cycles, "_event_cycles") < 0 || attr_long(c, traffic, N__ptr, &index) < 0)
         goto done;
     n = PyList_GET_SIZE(cycles);
     for (ptr = index; ptr < n; ptr++)
@@ -4822,14 +4969,14 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
         else if (event >= cycle)
             break;
     if (ptr < n && event == cycle) {
-        if ((sources = get_attr(traffic, s__event_nodes)) == NULL
+        if ((sources = get_attr(c, traffic, N__event_nodes)) == NULL
             || expect_list(sources, "_event_nodes") < 0
-            || (pattern = get_attr(traffic, s_pattern)) == NULL
-            || (rng = get_attr(traffic, s_rng)) == NULL
-            || (fields[3] = get_attr(traffic, s_packet_size_phits)) == NULL
-            || attr_long(traffic, s__next_pid, &first_pid) < 0)
+            || (pattern = get_attr(c, traffic, N_pattern)) == NULL
+            || (rng = get_attr(c, traffic, N_rng)) == NULL
+            || (fields[3] = get_attr(c, traffic, N_packet_size_phits)) == NULL
+            || attr_long(c, traffic, N__next_pid, &first_pid) < 0)
             goto done;
-        if ((cls = global_of(STOCK(c, BernoulliTrafficGenerator, generate), s_Packet)) == NULL)
+        if ((cls = global_of(STOCK(c, BernoulliTrafficGenerator, generate), name_of[N_Packet])) == NULL)
             goto done;
         Py_INCREF(cls);
         for (pid = first_pid; ptr < n; ptr++, pid++)
@@ -4840,16 +4987,16 @@ generate(Core *c, PyObject *traffic, PyObject *cycle_o, long cycle, PyObject *pa
             else if (event != cycle)
                 break;
     }
-    if (set_attr_long(traffic, s__ptr, ptr) < 0
-        || set_attr(traffic, s__consumed_cycle, cycle_o) < 0)
+    if (set_attr_long(c, traffic, N__ptr, ptr) < 0
+        || set_attr(c, traffic, N__consumed_cycle, cycle_o) < 0)
         goto done;
     if (cls != NULL) {
         /* `self.generated_packets += pid - self._next_pid` */
-        if (attr_long(traffic, s__next_pid, &first_pid) < 0
+        if (attr_long(c, traffic, N__next_pid, &first_pid) < 0
             || (value = PyLong_FromLong(pid - first_pid)) == NULL)
             goto done;
-        failed = attr_iadd(traffic, s_generated_packets, value) < 0
-                 || set_attr_long(traffic, s__next_pid, pid) < 0 ? -1 : 0;
+        failed = attr_iadd(c, traffic, N_generated_packets, value) < 0
+                 || set_attr_long(c, traffic, N__next_pid, pid) < 0 ? -1 : 0;
         Py_DECREF(value);
         goto done;
     }
@@ -4868,26 +5015,24 @@ done:
 static int
 activate_node(Core *c, PyObject *network, PyObject *node)
 {
-    PyObject *nodes, *args[2] = {network, node};
-    method m;
+    PyObject *nodes, *args[2] = {network, node}, *fn;
     int on, failed;
-    if (resolve(network, s_activate_node, &m) < 0)
+    if (stock_hook(c, network, N_activate_node, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, Network, activate_node)))
-        return invoke(&m, args, 2, NULL);
-    Py_CLEAR(m.fn);
-    if ((on = ptruth_attr(node, s_active)) != 0)
+    if (fn != STOCK(c, Network, activate_node))
+        return call_void(c, N_activate_node, args, 2);
+    if ((on = ptruth_attr(c, node, N_active)) != 0)
         return on < 0 ? -1 : 0;
-    if (set_attr(node, s_active, Py_True) < 0
-        || (nodes = get_attr(network, s__active_nodes)) == NULL)
+    if (set_attr(c, node, N_active, Py_True) < 0
+        || (nodes = get_attr(c, network, N__active_nodes)) == NULL)
         return -1;
     {
         PyObject *append[2] = {nodes, node};
         failed = PyList_CheckExact(nodes) ? PyList_Append(nodes, node)
-                                          : call_void(s_append, append, 2);
+                                          : call_void(c, N_append, append, 2);
     }
     Py_DECREF(nodes);
-    return failed < 0 || set_attr(network, s__nodes_unsorted, Py_True) < 0 ? -1 : 0;
+    return failed < 0 || set_attr(c, network, N__nodes_unsorted, Py_True) < 0 ? -1 : 0;
 }
 
 /* `node.enqueue(packet)`: the packet joins the node's source queue, made on
@@ -4895,37 +5040,39 @@ activate_node(Core *c, PyObject *network, PyObject *node)
 static int
 enqueue(Core *c, PyObject *node, PyObject *packet)
 {
-    PyObject *queue, *size_o, *network;
-    method m;
+    PyObject *queue, *size_o, *network, *fn;
     int failed = -1, on;
-    if (resolve(node, s_enqueue, &m) < 0)
+    if (stock_hook(c, node, N_enqueue, &fn) < 0)
         return -1;
-    if (!stock(&m, STOCK(c, ComputeNode, enqueue))) {
+    if (fn != STOCK(c, ComputeNode, enqueue)) {
         PyObject *args[2] = {node, packet};
-        return invoke(&m, args, 2, NULL);
+        return call_void(c, N_enqueue, args, 2);
     }
-    Py_CLEAR(m.fn);
-    if ((queue = get_attr(node, s_source_queue)) == NULL)
+    if ((queue = get_attr(c, node, N_source_queue)) == NULL)
         return -1;
     if (queue == Py_None) {
-        PyObject *make = global_of(STOCK(c, ComputeNode, enqueue), s_deque);
-        Py_SETREF(queue, make == NULL ? NULL : PyObject_CallNoArgs(make));
-        if (queue == NULL || set_attr(node, s_source_queue, queue) < 0)
+        PyObject *make = global_of(STOCK(c, ComputeNode, enqueue), name_of[N_deque]);
+        Py_SETREF(queue, make == NULL ? NULL : call_python(make, NULL, 0, NULL));
+        if (queue == NULL || set_attr(c, node, N_source_queue, queue) < 0)
             goto done;
     }
     {
         PyObject *args[2] = {queue, packet};
-        if (call_void(s_append, args, 2) < 0 || attr_iadd(node, s_generated_packets, one) < 0
+        if (call_void(c, N_append, args, 2) < 0 || attr_iadd(c, node, N_generated_packets, one) < 0
             || (size_o = pget(c, packet, F_size_phits)) == NULL)
             goto done;
     }
-    on = attr_iadd(node, s_generated_phits, size_o);
+    on = attr_iadd(c, node, N_generated_phits, size_o);
     Py_DECREF(size_o);
-    if (on < 0 || (on = ptruth_attr(node, s_active)) < 0)
+    if (on < 0 || (on = ptruth_attr(c, node, N_active)) < 0)
         goto done;
     if (!on) {
-        PyObject *ref = get_attr(node, s__network);
-        if (ref == NULL || (network = PyObject_CallNoArgs(ref)) == NULL) {
+        PyObject *ref = get_attr(c, node, N__network);
+        /* A weak reference's call runs no Python code. */
+        if (ref == NULL
+            || (network = PyWeakref_CheckRefExact(ref) ? PyObject_CallNoArgs(ref)
+                                                       : call_python(ref, NULL, 0, NULL))
+                   == NULL) {
             Py_XDECREF(ref);
             goto done;
         }
@@ -4948,6 +5095,8 @@ admit(Core *c, PyObject *nodes, PyObject *src_o, PyObject *packet, PyObject *met
 {
     PyObject *node = PyObject_GetItem(nodes, src_o);
     int failed;
+    if (!PyList_CheckExact(nodes) && !PyTuple_CheckExact(nodes))
+        new_epoch(); /* a `__getitem__` may be Python code */
     if (node == NULL)
         return -1;
     failed = enqueue(c, node, packet) < 0
@@ -4961,14 +5110,12 @@ static int
 generate_phase(Core *c, PyObject *traffic, PyObject *nodes, PyObject *metrics,
                PyObject *cycle_o, long cycle)
 {
-    PyObject *made, *iterator, *pair;
-    method m;
+    PyObject *made, *iterator, *pair, *fn;
     int failed = 0;
-    if (resolve(traffic, s_generate, &m) < 0)
+    if (stock_hook(c, traffic, N_generate, &fn) < 0)
         return -1;
-    if (stock(&m, STOCK(c, BernoulliTrafficGenerator, generate))) {
+    if (fn == STOCK(c, BernoulliTrafficGenerator, generate)) {
         Py_ssize_t i;
-        Py_CLEAR(m.fn);
         if ((made = PyList_New(0)) == NULL)
             return -1;
         failed = generate(c, traffic, cycle_o, cycle, made);
@@ -4982,14 +5129,15 @@ generate_phase(Core *c, PyObject *traffic, PyObject *nodes, PyObject *metrics,
     }
     {
         PyObject *args[2] = {traffic, cycle_o};
-        if ((made = call_found(&m, args, 2, NULL)) == NULL)
+        if ((made = call_method(c, N_generate, args, 2, NULL)) == NULL)
             return -1;
     }
     iterator = PyObject_GetIter(made);
     Py_DECREF(made);
     if (iterator == NULL)
         return -1;
-    while (!failed && (pair = PyIter_Next(iterator)) != NULL) {
+    /* Each step may run the generator's Python code. */
+    while (!failed && (new_epoch(), pair = PyIter_Next(iterator)) != NULL) {
         PyObject *fast = PySequence_Fast(pair, "generate must yield (source, packet) pairs");
         failed = fast == NULL;
         if (!failed && PySequence_Fast_GET_SIZE(fast) != 2) {
@@ -5007,9 +5155,9 @@ generate_phase(Core *c, PyObject *traffic, PyObject *nodes, PyObject *metrics,
 }
 
 static int
-node_key(PyObject *node, long *key)
+node_key(Core *c, PyObject *node, long *key)
 {
-    return attr_long(node, s_node_id, key);
+    return attr_long(c, node, N_node_id, key);
 }
 
 /* Phase 2: each backlogged node, in node-id order, injects when its spacing
@@ -5025,7 +5173,7 @@ inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject 
     long next;
     int failed = -1, on;
     *hint = c->no_event;
-    if ((active = get_attr(network, s__active_nodes)) == NULL)
+    if ((active = get_attr(c, network, N__active_nodes)) == NULL)
         return -1;
     if (expect_list(active, "network._active_nodes") < 0)
         goto done;
@@ -5033,34 +5181,34 @@ inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject 
         failed = 0;
         goto done;
     }
-    if ((on = ptruth_attr(network, s__nodes_unsorted)) < 0 || (on && (sort_by(active, node_key) < 0
-                          || set_attr(network, s__nodes_unsorted, Py_False) < 0))
+    if ((on = ptruth_attr(c, network, N__nodes_unsorted)) < 0 || (on && (sort_by(c, active, node_key) < 0
+                          || set_attr(c, network, N__nodes_unsorted, Py_False) < 0))
         || (backlogged = PyList_New(0)) == NULL)
         goto done;
     /* The live list, as `for node in active_nodes` walks it. */
     for (i = 0; i < PyList_GET_SIZE(active); i++) {
         PyObject *node = Py_NewRef(PyList_GET_ITEM(active, i)), *queue = NULL;
-        int bad = attr_long(node, s_next_injection_cycle, &next) < 0;
+        int bad = attr_long(c, node, N_next_injection_cycle, &next) < 0;
         if (!bad && cycle >= next) {
             if (own)
                 bad = inject(c, node, cycle_o, cycle) < 0;
             else {
                 PyObject *args[2] = {node, cycle_o};
-                PyObject *result = PyObject_Vectorcall(inject_fn, args, 2, NULL);
+                PyObject *result = call_python(inject_fn, args, 2, NULL);
                 bad = result == NULL;
                 Py_XDECREF(result);
             }
         }
-        if (!bad && ((queue = get_attr(node, s_source_queue)) == NULL
+        if (!bad && ((queue = get_attr(c, node, N_source_queue)) == NULL
                      || (on = truth(queue)) < 0))
             bad = 1;
         Py_XDECREF(queue);
         if (!bad) {
             if (on)
                 bad = PyList_Append(backlogged, node) < 0
-                      || attr_long(node, s_next_injection_cycle, &next) < 0;
+                      || attr_long(c, node, N_next_injection_cycle, &next) < 0;
             else
-                bad = set_attr(node, s_active, Py_False) < 0;
+                bad = set_attr(c, node, N_active, Py_False) < 0;
             if (!bad && on && next < *hint)
                 *hint = next;
         }
@@ -5068,7 +5216,7 @@ inject_phase(Core *c, PyObject *network, PyObject *inject_fn, int own, PyObject 
         if (bad)
             goto done;
     }
-    failed = set_attr(network, s__active_nodes, backlogged);
+    failed = set_attr(c, network, N__active_nodes, backlogged);
 done:
     Py_XDECREF(backlogged);
     Py_DECREF(active);
@@ -5079,17 +5227,26 @@ done:
 static int
 Core_traverse(Core *c, visitproc visit, void *arg)
 {
-    int i;
+    int i, way;
     for (i = 0; i < N_SLOTS; i++)
         Py_VISIT(c->o[i]);
+    for (i = 0; i < N_NAMES; i++)
+        for (way = 0; way < MEMO_WAYS; way++)
+            Py_VISIT(c->memo[i][way].self);
     return 0;
 }
 
 static int
 Core_clear(Core *c)
 {
-    int i;
+    int i, way;
     c->packet_type = NULL; /* it is `o[S_Packet]` */
+    c->sizes = 0;          /* the properties are stock slots */
+    for (i = 0; i < N_NAMES; i++)
+        for (way = 0; way < MEMO_WAYS; way++) {
+            Py_CLEAR(c->memo[i][way].self);
+            c->memo[i][way].type = NULL;
+        }
     for (i = 0; i < N_SLOTS; i++)
         Py_CLEAR(c->o[i]);
     for (i = 0; i < N_COLUMNS; i++)
@@ -5134,43 +5291,25 @@ has_named(PyObject *owner, const char *name)
     return 1;
 }
 
-/* `stock["packet_defaults"]`: `None`, or the names and then the defaults of
- * the `Packet` fields after the five `generate` passes, in field order.  A
- * packet is built here only if its fields are slots and every one of those
- * is a writable object slot too. */
+/* `stock["packet_defaults"]` (see `bind_packet`): `None` or two tuples of
+ * one length, at most `MAX_DEFAULTS`. */
 static int
-bind_defaults(Core *c)
+check_defaults(Core *c)
 {
     PyObject *layout = L(c, packet_defaults), *names, *defaults;
-    Py_ssize_t i, n;
-    c->defaults = -1;
-    if (layout == Py_None || c->packet_type == NULL)
+    if (layout == Py_None)
         return 0;
     if (expect_tuple(layout, 2, "stock['packet_defaults']") < 0)
         return -1;
     names = PyTuple_GET_ITEM(layout, 0);
     defaults = PyTuple_GET_ITEM(layout, 1);
     if (!PyTuple_Check(names) || !PyTuple_Check(defaults)
-        || (n = PyTuple_GET_SIZE(names)) != PyTuple_GET_SIZE(defaults) || n > MAX_DEFAULTS) {
+        || PyTuple_GET_SIZE(names) != PyTuple_GET_SIZE(defaults)
+        || PyTuple_GET_SIZE(names) > MAX_DEFAULTS) {
         PyErr_SetString(PyExc_ValueError, "stock['packet_defaults'] must be two tuples of "
                                           "one length, at most MAX_DEFAULTS");
         return -1;
     }
-    for (i = 0; i < n; i++) {
-        PyObject *descriptor = PyObject_GetAttr(L(c, Packet), PyTuple_GET_ITEM(names, i));
-        PyMemberDef *member;
-        if (descriptor == NULL)
-            return -1;
-        member = Py_IS_TYPE(descriptor, &PyMemberDescr_Type)
-                 ? ((PyMemberDescrObject *)descriptor)->d_member : NULL;
-        if (member != NULL && member->type == T_OBJECT_EX && !(member->flags & READONLY))
-            c->default_offset[i] = member->offset;
-        Py_DECREF(descriptor);
-        if (member == NULL || member->type != T_OBJECT_EX || (member->flags & READONLY))
-            return 0;
-    }
-    Py_SETREF(c->o[S_packet_defaults], Py_NewRef(defaults));
-    c->defaults = n;
     return 0;
 }
 
@@ -5211,23 +5350,9 @@ bind_stock(Core *c, PyObject *stock)
             return -1;
         }
     }
-    /* `Packet`'s fields are read at their slot offsets only if every one is
-     * a writable object slot; else every packet goes through getattr. */
     c->packet_type = (PyTypeObject *)L(c, Packet);
-    for (i = 0; i < N_FIELDS; i++) {
-        PyObject *descriptor = PyObject_GetAttr(L(c, Packet), field_names[i]);
-        PyMemberDef *member;
-        if (descriptor == NULL)
-            return -1;
-        member = Py_IS_TYPE(descriptor, &PyMemberDescr_Type)
-                 ? ((PyMemberDescrObject *)descriptor)->d_member : NULL;
-        if (member == NULL || member->type != T_OBJECT_EX || (member->flags & READONLY))
-            c->packet_type = NULL;
-        else
-            c->offset[i] = member->offset;
-        Py_DECREF(descriptor);
-    }
-    return bind_defaults(c) < 0 || as_long(L(c, NO_EVENT), &c->no_event) < 0 ? -1 : 0;
+    return check_defaults(c) < 0 || bind_packet(c) < 0 || as_long(L(c, NO_EVENT), &c->no_event) < 0
+           ? -1 : 0;
 }
 
 /* `float(owner.<name>)`: 1; with `optional`, 0.0 and 0 where `owner` has no
@@ -5380,6 +5505,32 @@ bind_capture(Core *c, PyObject *routing, int capture)
            || bind_long(routing, "_first_global_port", &c->first_global, 0) < 0 ? -1 : 0;
 }
 
+/* The routing's own topology's size properties (see `sizes_stock`): bound
+ * where its type resolves every one to a stock property -- the one of its
+ * class or another topology's -- each read once here.  0, -1 on error. */
+static int
+bind_sizes(Core *c, PyObject *topology)
+{
+    const size_t classes = sizeof size_slots / sizeof size_slots[0];
+    size_t k;
+    int z;
+    for (z = 0; z < N_SIZES; z++) {
+        cache_entry scratch, *e = lookup(Py_TYPE(topology), name_of[size_names[z]], NULL,
+                                         &scratch);
+        if (e == NULL)
+            return -1;
+        for (k = 0; k < classes && e->found != c->o[size_slots[k][z]]; k++)
+            ;
+        if (k == classes)
+            return 0;
+        c->size_property[z] = c->o[size_slots[k][z]];
+        if (attr_long(c, topology, size_names[z], &c->size[z]) < 0)
+            return -1;
+    }
+    c->sizes = 1;
+    return 0;
+}
+
 /* The sizes and the route table of the routing's topology the stock
  * `Topology` queries read, and where it has them a fat tree's leaf map, a
  * torus's ring table and a `DragonflyTopology`'s constants and link-offset
@@ -5391,6 +5542,8 @@ bind_topology(Core *c, PyObject *topology)
     int is;
     c->top_p = c->top_rpr = c->top_npreg = c->top_routers = 0;
     c->df_a = c->df_h = c->df_groups = 0;
+    c->sizes = 0;
+    c->sizes_tag = 0;
     if (bind_attr(c, S_route_table, topology, "_route_table", NULL) < 0
         || bind_attr(c, S_leaf_rid, topology, "_leaf_rid", NULL) < 0
         || bind_attr(c, S_ring_info, topology, "_ring_info", NULL) < 0)
@@ -5418,7 +5571,8 @@ bind_topology(Core *c, PyObject *topology)
             PyErr_SetString(PyExc_ValueError, "a region must hold a node");
             return -1;
         }
-        if (bind_long(topology, "_num_routers", &c->top_routers, 1) < 0)
+        if (bind_long(topology, "_num_routers", &c->top_routers, 1) < 0
+            || bind_sizes(c, topology) < 0)
             return -1;
     }
     if ((is = PyObject_IsInstance(topology, L(c, DragonflyTopology))) < 0)
@@ -5552,10 +5706,12 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
 }
 
 /* Whether the core is bound: not when `__init__` failed, nor once the
- * collector cleared it. */
+ * collector cleared it.  Every entry asks first, and every entry starts a
+ * new epoch: the caller's code ran since the last one. */
 static int
 usable(Core *c)
 {
+    new_epoch();
     if (c->o[S_st] == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "this Core is not bound to a state");
         return 0;
@@ -5679,11 +5835,11 @@ add_draws(Core *c, PyObject *engine)
     int failed;
     if (c->draws == 0)
         return 0;
-    if ((draws = get_attr(engine, s__draws)) == NULL)
+    if ((draws = get_attr(c, engine, N__draws)) == NULL)
         return -1;
     if ((more = PyLong_FromLong(c->draws)) != NULL)
         sum = PyNumber_Add(draws, more);
-    failed = sum == NULL || set_attr(engine, s__draws, sum) < 0;
+    failed = sum == NULL || set_attr(c, engine, N__draws, sum) < 0;
     Py_XDECREF(sum);
     Py_XDECREF(more);
     Py_DECREF(draws);
@@ -5692,25 +5848,70 @@ add_draws(Core *c, PyObject *engine)
     return failed ? -1 : 0;
 }
 
+/* The earliest due cycle over the three calendars (`_NO_EVENT`: none),
+ * as `min()` of each one's keys. */
+static int
+calendar_horizon(Core *c, long *horizon)
+{
+    static const int calendars[3] = {S_cred_cal, S_arr_cal, S_svc_cal};
+    int i;
+    *horizon = c->no_event;
+    for (i = 0; i < 3; i++) {
+        PyObject *key, *events;
+        Py_ssize_t at = 0;
+        long due;
+        while (PyDict_Next(c->o[calendars[i]], &at, &key, &events)) {
+            if (as_long(key, &due) < 0)
+                return -1;
+            if (due < *horizon)
+                *horizon = due;
+        }
+    }
+    return 0;
+}
+
+/* The router half of the warp horizon after a router phase: -1 ("now")
+ * while any head is occupied -- allocation retries every cycle -- else
+ * `calendar_horizon`. */
+static int
+router_hint(Core *c, long *hint)
+{
+    PyObject *active = get_attr(c, c->o[S_st], N_active);
+    int on = active == NULL ? -1 : truth(active);
+    Py_XDECREF(active);
+    if (on)
+        *hint = -1;
+    return on < 0 ? -1 : on ? 0 : calendar_horizon(c, hint);
+}
+
+static PyObject *
+Core_calendar_horizon(Core *c, PyObject *Py_UNUSED(ignored))
+{
+    long horizon;
+    if (!usable(c) || calendar_horizon(c, &horizon) < 0)
+        return NULL;
+    return PyLong_FromLong(horizon);
+}
+
 static PyObject *
 Core_router_phase(Core *c, PyObject *args)
 {
     PyObject *engine, *cycle_o, *metrics = NULL, *obs = NULL, *faults = NULL, *active = NULL;
     PyObject *result = NULL;
     Py_ssize_t counts[3] = {0, 0, 0};
-    long cycle;
+    long cycle, hint;
     if (!usable(c) || !PyArg_ParseTuple(args, "OO!:router_phase", &engine, &PyLong_Type,
                                         &cycle_o)
         || as_long(cycle_o, &cycle) < 0)
         return NULL;
-    if ((metrics = get_attr(engine, s_metrics)) != NULL
-        && (obs = get_attr(engine, s_obs)) != NULL
-        && (faults = get_attr(engine, s_faults)) != NULL
-        && (active = get_attr(c->o[S_st], s_active)) != NULL
+    if ((metrics = get_attr(c, engine, N_metrics)) != NULL
+        && (obs = get_attr(c, engine, N_obs)) != NULL
+        && (faults = get_attr(c, engine, N_faults)) != NULL
+        && (active = get_attr(c, c->o[S_st], N_active)) != NULL
         && expect_list(active, "st.active") == 0
         && router_phase(c, engine, cycle_o, cycle, metrics, obs, faults, active, counts) == 0
-        && add_draws(c, engine) == 0)
-        result = Py_BuildValue("(nnn)", counts[0], counts[1], counts[2]);
+        && add_draws(c, engine) == 0 && router_hint(c, &hint) == 0)
+        result = Py_BuildValue("(nnnl)", counts[0], counts[1], counts[2], hint);
     Py_XDECREF(active);
     Py_XDECREF(faults);
     Py_XDECREF(obs);
@@ -5731,12 +5932,12 @@ Core_source_phase(Core *c, PyObject *args)
                                         &cycle_o)
         || as_long(cycle_o, &cycle) < 0)
         return NULL;
-    if ((traffic = get_attr(engine, s_traffic)) == NULL
-        || (network = get_attr(engine, s_network)) == NULL
-        || (metrics = get_attr(engine, s_metrics)) == NULL
-        || (nodes = get_attr(network, s_nodes)) == NULL
+    if ((traffic = get_attr(c, engine, N_traffic)) == NULL
+        || (network = get_attr(c, engine, N_network)) == NULL
+        || (metrics = get_attr(c, engine, N_metrics)) == NULL
+        || (nodes = get_attr(c, network, N_nodes)) == NULL
         || generate_phase(c, traffic, nodes, metrics, cycle_o, cycle) < 0
-        || (inject_fn = get_attr(engine, s__inject)) == NULL)
+        || (inject_fn = get_attr(c, engine, N__inject)) == NULL)
         goto done;
     own = PyCFunction_Check(inject_fn) && PyCFunction_GET_SELF(inject_fn) == (PyObject *)c
           && PyCFunction_GET_FUNCTION(inject_fn) == (PyCFunction)(void (*)(void))Core_inject;
@@ -5760,9 +5961,9 @@ publish_flags(Core *c, PyObject *cycle_o, PyObject *scanned)
     PyObject *saturated = NULL;
     Py_ssize_t group;
     int failed = -1, on;
-    if ((pending = get_attr(routing, s__pending)) == NULL)
+    if ((pending = get_attr(c, routing, N__pending)) == NULL)
         return -1;
-    if ((delay = get_attr(routing, s_notification_delay)) == NULL
+    if ((delay = get_attr(c, routing, N_notification_delay)) == NULL
         || (due = PyNumber_Add(cycle_o, delay)) == NULL)
         goto done;
     for (group = 0; group < PyList_GET_SIZE(scanned); group++) {
@@ -5770,13 +5971,13 @@ publish_flags(Core *c, PyObject *cycle_o, PyObject *scanned)
         if ((args[1] = steal_tuple(3, Py_NewRef(due), PyLong_FromSsize_t(group),
                                    Py_NewRef(PyList_GET_ITEM(scanned, group)))) == NULL)
             goto done;
-        on = call_void(s_append, args, 2);
+        on = call_void(c, N_append, args, 2);
         Py_DECREF(args[1]);
         if (on < 0)
             goto done;
     }
-    if ((table = get_attr(routing, s__flags)) == NULL
-        || (saturated = get_attr(routing, s__saturated_groups)) == NULL)
+    if ((table = get_attr(c, routing, N__flags)) == NULL
+        || (saturated = get_attr(c, routing, N__saturated_groups)) == NULL)
         goto done;
     while ((on = PyObject_IsTrue(pending)) > 0) {
         PyObject *first = PySequence_GetItem(pending, 0), *when, *flags;
@@ -5791,7 +5992,7 @@ publish_flags(Core *c, PyObject *cycle_o, PyObject *scanned)
         Py_DECREF(when);
         if (on <= 0)
             break;
-        if ((entry = call_method(s_popleft, &pending, 1)) == NULL)
+        if ((entry = call_method(c, N_popleft, &pending, 1, NULL)) == NULL)
             goto done;
         if (expect_tuple(entry, 3, "a pending flag update") < 0
             || PyObject_SetItem(table, PyTuple_GET_ITEM(entry, 1), PyTuple_GET_ITEM(entry, 2)) < 0
@@ -5804,7 +6005,7 @@ publish_flags(Core *c, PyObject *cycle_o, PyObject *scanned)
                 break;
         if (any >= 0) {
             PyObject *args[2] = {saturated, PyTuple_GET_ITEM(entry, 1)};
-            any = call_void(any ? s_add : s_discard, args, 2);
+            any = call_void(c, any ? N_add : N_discard, args, 2);
         }
         Py_DECREF(entry);
         if (any < 0)
@@ -5827,9 +6028,8 @@ done:
 static PyObject *
 Core_publish_saturation(Core *c, PyObject *args)
 {
-    PyObject *scan, *network, *cycle_o, *scanned;
+    PyObject *scan, *network, *cycle_o, *scanned, *fn;
     Py_ssize_t i, j;
-    method m;
     int failed;
     if (!usable(c) || !PyArg_ParseTuple(args, "O!OO!:publish_saturation", &PyList_Type, &scan,
                                         &network, &PyLong_Type, &cycle_o)
@@ -5855,15 +6055,13 @@ Core_publish_saturation(Core *c, PyObject *args)
                                                 ? Py_True : Py_False));
         }
     }
-    if (resolve(c->o[S_routing], s_publish_flags, &m) < 0)
+    if (stock_hook(c, c->o[S_routing], N_publish_flags, &fn) < 0)
         goto error;
-    if (stock(&m, STOCK(c, PiggybackRouting, publish_flags))) {
-        Py_CLEAR(m.fn);
+    if (fn == STOCK(c, PiggybackRouting, publish_flags))
         failed = publish_flags(c, cycle_o, scanned);
-    }
     else {
         PyObject *call[3] = {c->o[S_routing], cycle_o, scanned};
-        failed = invoke(&m, call, 3, NULL);
+        failed = call_void(c, N_publish_flags, call, 3);
     }
     Py_DECREF(scanned);
     if (failed < 0)
@@ -5891,7 +6089,11 @@ static PyMethodDef Core_methods[] = {
     {"alloc_round", (PyCFunction)Core_alloc_round, METH_VARARGS,
      "alloc_round(rid, base, requests) -> grants: one separable allocation."},
     {"router_phase", (PyCFunction)Core_router_phase, METH_VARARGS,
-     "router_phase(engine, cycle) -> (delivered, dropped, visited routers)."},
+     "router_phase(engine, cycle) -> (delivered, dropped, visited routers, router hint): the "
+     "hint is -1 while a head is occupied, else `calendar_horizon()`."},
+    {"calendar_horizon", (PyCFunction)Core_calendar_horizon, METH_NOARGS,
+     "calendar_horizon() -> int: the earliest due cycle over the three calendars "
+     "(`_NO_EVENT`: none)."},
     {"publish_saturation", (PyCFunction)Core_publish_saturation, METH_VARARGS,
      "publish_saturation(scan, network, cycle): PB's `post_cycle`, its saturation scan over "
      "the flat state, then `routing.publish_flags(cycle, flags)`."},
@@ -5937,20 +6139,17 @@ PyInit__core(void)
 {
     PyObject *module;
 #define INTERN_NAME(n) \
-    if ((s_##n = PyUnicode_InternFromString(#n)) == NULL) \
+    if ((name_of[N_##n] = PyUnicode_InternFromString(#n)) == NULL) \
         return NULL;
     NAMES(INTERN_NAME)
-#define INTERN_FIELD(n) \
-    if ((field_names[F_##n] = PyUnicode_InternFromString(#n)) == NULL) \
-        return NULL;
-    PACKET_FIELDS(INTERN_FIELD)
+    PACKET_FIELDS(INTERN_NAME)
     if ((zero = PyLong_FromLong(0)) == NULL || (one = PyLong_FromLong(1)) == NULL
-        || (kw_is_global = PyTuple_Pack(1, s_is_global)) == NULL
-        || (kw_packet = PyTuple_Pack(5, field_names[F_pid], field_names[F_src],
-                                     field_names[F_dst], field_names[F_size_phits],
-                                     field_names[F_creation_cycle])) == NULL
-        || (kw_bin = PyTuple_Pack(2, field_names[F_globally_misrouted],
-                                  field_names[F_size_phits])) == NULL
+        || (kw_is_global = PyTuple_Pack(1, name_of[N_is_global])) == NULL
+        || (kw_packet = PyTuple_Pack(5, name_of[N_pid], name_of[N_src],
+                                     name_of[N_dst], name_of[N_size_phits],
+                                     name_of[N_creation_cycle])) == NULL
+        || (kw_bin = PyTuple_Pack(2, name_of[N_globally_misrouted],
+                                  name_of[N_size_phits])) == NULL
         || PyType_Ready(&CoreType) < 0
         || (module = PyModule_Create(&core_module)) == NULL)
         return NULL;

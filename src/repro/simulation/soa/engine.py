@@ -64,11 +64,19 @@ The compiled core
 its readers see — nothing is copied, so :class:`RouterView`, the obs readers
 and every test that inspects ``st.*`` or ``_rows`` read live state.  Each of
 ``_STOCK_FUNCTIONS`` is answered in C only while the function the instance
-resolves for that name, the way a method call resolves it (the type's part
-cached per type version), is the stock one taken from the class when the
-engine was built; a subclass override or a wrapper on the class or the
-instance — installed at any time — is called by name, so ``perf/trace.py``'s
-wrappers and a test's monkeypatch are seen and counted.  That covers, for the stock mechanisms:
+resolves for that name, the way a method call resolves it, is the stock one
+taken from the class when the engine was built; a subclass override or a
+wrapper on the class or the instance — installed at any time — is called by
+name, so ``perf/trace.py``'s wrappers and a test's monkeypatch are seen and
+counted.  The core memoises those answers per name: the type's part for the
+type version it was found under, the instance dict's part for one *epoch* —
+the stretch between two points where Python code may have run (an entry into
+the core, a call it makes that may run Python code: a hook by name, a
+property, a Python callable).  A stock cycle runs none, so each instance dict
+is read once per core entry instead of once per hop, and a wrapper a hook
+installs mid-cycle is still found by the very next lookup
+(docs/architecture.md, "The stock-function rule").  That covers, for the
+stock mechanisms:
 
 * the routing hooks, ``Packet.record_hop`` and, at injection, ``on_inject``
   with UGAL / PB's source trigger and the Valiant intermediate;
@@ -178,6 +186,8 @@ from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind, Topology
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.fat_tree import FatTreeTopology
+from repro.topology.flattened_butterfly import FlattenedButterflyTopology
+from repro.topology.full_mesh import FullMeshTopology
 from repro.topology.torus import TorusTopology
 from repro.traffic import (
     AdversarialTraffic, BernoulliTrafficGenerator, TrafficPattern, TransientTraffic,
@@ -235,11 +245,17 @@ _STOCK_FUNCTIONS = tuple(
 )
 
 #: What those bodies read or build that is not a function the class's source
-#: defines: properties, compared by identity and never called, and the
-#: dataclass-made ``Packet.__init__`` the core builds packets in place of.
+#: defines: every topology's size properties, compared by identity and never
+#: called, and the dataclass-made ``Packet.__init__`` the core builds packets
+#: in place of.
 _STOCK_ATTRIBUTES = (
-    *((DragonflyTopology, name) for name in (
-        "num_nodes", "num_routers", "num_regions", "routers_per_region", "nodes_per_router")),
+    *(
+        (owner, name)
+        for owner in (DragonflyTopology, FatTreeTopology, FlattenedButterflyTopology,
+                      FullMeshTopology, TorusTopology)
+        for name in ("num_nodes", "num_routers", "num_regions", "routers_per_region",
+                     "nodes_per_router")
+    ),
     (Packet, "__init__"),
 )
 
@@ -276,15 +292,34 @@ def _packet_defaults():
     return tuple(f.name for f in rest), tuple(f.default for f in rest)
 
 
+#: ``_stock_functions``' last answer and the class attributes it was read
+#: from.
+_stock_memo = ((), {})
+
+
+def _stock_functions() -> dict:
+    """``"Class.name"`` -> :func:`_source_function` of each stock pair,
+    resolved again only when a class attribute of one of them is not the
+    object it was the last time: a class patched since then misses."""
+    global _stock_memo
+    held = tuple(vars(owner)[name] for owner, name in _STOCK_FUNCTIONS)
+    seen, functions = _stock_memo
+    if len(seen) != len(held) or any(a is not b for a, b in zip(seen, held)):
+        functions = {
+            f"{owner.__name__}.{name}": _source_function(owner, name)
+            for owner, name in _STOCK_FUNCTIONS
+        }
+        _stock_memo = (held, functions)
+    return functions
+
+
 def _stock() -> dict:
     """What ``Core`` compares and builds with: ``"Class.name"`` -> the stock
     function or attribute, plus the types, constants and defaults its bodies
-    build with.  Resolved per engine, so a wrapper installed before this one
-    was built is never mistaken for the stock function."""
-    stock = {
-        f"{owner.__name__}.{name}": _source_function(owner, name)
-        for owner, name in _STOCK_FUNCTIONS
-    }
+    build with.  Resolved per engine build (the functions through
+    :func:`_stock_functions`), so a wrapper installed before this one was
+    built is never mistaken for the stock function."""
+    stock = dict(_stock_functions())
     stock.update(
         (f"{owner.__name__}.{name}", vars(owner)[name]) for owner, name in _STOCK_ATTRIBUTES
     )
@@ -378,15 +413,10 @@ class SoAEngine(Engine):
 
     # ------------------------------------------------------------------ warp
     def _calendar_horizon(self) -> int:
-        """Earliest due cycle over the three calendars (``_NO_EVENT``: none)."""
-        st = self._st
-        horizon = _NO_EVENT
-        for calendar in (st.cred_cal, st.arr_cal, st.svc_cal):
-            if calendar:
-                due = min(calendar)
-                if due < horizon:
-                    horizon = due
-        return horizon
+        """Earliest due cycle over the three calendars (``_NO_EVENT``: none),
+        computed by the core, which also hands it back from
+        :meth:`_router_phase`."""
+        return self._core.calendar_horizon()
 
     def _router_horizon(self, cycle: int) -> int:
         # An occupied head retries allocation every cycle.
@@ -402,13 +432,11 @@ class SoAEngine(Engine):
         """The events due this cycle, then allocation and output service
         router by router, then retirement —
         all of it in the compiled core, which reads ``metrics`` / ``obs`` /
-        ``faults`` off this engine each cycle."""
-        delivered_now, dropped_now, visited_routers = self._core.router_phase(self, cycle)
-        # The router half of the warp horizon is "now" while any head is
-        # occupied (allocation retries every cycle), else the earliest
-        # calendar key.
-        router_hint = -1 if self._st.active else self._calendar_horizon()
-        return delivered_now, dropped_now, visited_routers, router_hint
+        ``faults`` off this engine each cycle.  The core also returns the
+        router half of the warp horizon: -1 ("now") while any head is
+        occupied (allocation retries every cycle), else
+        :meth:`_calendar_horizon`."""
+        return self._core.router_phase(self, cycle)
 
     # ----------------------------------------------------------- observation
     def _make_obs_reader(self):

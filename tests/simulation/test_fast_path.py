@@ -18,7 +18,10 @@ class-level ``functools.wraps`` wrapper of any of them is called by name,
 exactly as often as on ``object``, and the results do not change.  The one
 exception is ``select_output`` under a wrapper: a captured head asks it once
 per head (the pure capture) or never (the adaptive captures transcribe the
-trigger), where ``object`` asks once per evaluation.
+trigger), where ``object`` asks once per evaluation.  The core memoises
+what a name resolves to for as long as no Python code can have run: a
+wrapper installed between two steps, or by a hook in the middle of a cycle,
+is still called from its next lookup on.
 """
 
 import functools
@@ -36,7 +39,7 @@ from repro.metrics.timeseries import TimeSeriesRecorder
 from repro.network.network import Network
 from repro.network.node import ComputeNode
 from repro.network.packet import Packet
-from repro.routing import ROUTING_REGISTRY
+from repro.routing import ROUTING_REGISTRY, BaseContentionRouting, ContentionTracker
 from repro.routing.base import RoutingAlgorithm
 from repro.service.keys import result_fingerprint
 from repro.simulation.simulator import Simulator
@@ -342,3 +345,171 @@ def test_topology_wrappers_are_called_as_often_as_on_object(monkeypatch, topolog
     assert soa == obj
     assert ("Topology.router_hops" in soa) == (routing == "UGAL")
     assert ("TorusTopology.commit_ring_hop" in soa) == (topology == "torus")
+
+
+# ------------------------------------------------------- wrappers mid-run
+#: Hooks the core answers in C for Base, each asked at the same points by
+#: both backends: the grant, the head and the tracker's head hooks, and the
+#: minimal port the tracker asks for (routing, tracker or topology instance).
+MID_RUN = [
+    (RoutingAlgorithm, "on_grant", "routing"),
+    (BaseContentionRouting, "on_packet_head", "routing"),
+    (ContentionTracker, "on_head", "tracker"),
+    (Topology, "minimal_output_port", "topology"),
+]
+STEPS = 60
+
+
+def _instance(sim, where):
+    routing = sim.network.routing
+    return {"routing": routing, "tracker": routing.tracker, "topology": sim.topology}[where]
+
+
+def _stepped(backend, install):
+    """``STEPS`` single steps of Base, ``install(sim)``, ``STEPS`` more: the
+    result and the wrappers' calls after the install."""
+    sim = Simulator(
+        SimulationParameters.tiny().with_backend(backend), "Base", "UN", offered_load=0.3,
+        seed=3,
+    )
+    calls.clear()
+    for _ in range(STEPS):
+        sim.engine.step()
+    install(sim)
+    for _ in range(STEPS):
+        sim.engine.step()
+    engine = sim.engine
+    assert engine.delivered_packets > 20
+    return (engine.delivered_packets, engine.traffic.generated_packets), Counter(calls)
+
+
+@pytest.mark.parametrize("where", ["class", "instance"])
+def test_a_wrapper_installed_between_steps_is_called_from_the_next_step(monkeypatch, where):
+    """The memo does not outlive a core entry: a wrapper put on the class or
+    on the instance between two ``Engine.step`` calls is called from the next
+    step on, exactly as often as on ``object``."""
+
+    def install(sim):
+        for owner, name, holder in MID_RUN:
+            key = f"{owner.__name__}.{name}"
+            if where == "class":
+                monkeypatch.setattr(owner, name, _counting(key, vars(owner)[name]))
+            else:
+                target = _instance(sim, holder)
+                monkeypatch.setattr(target, name, _counting(key, getattr(target, name)))
+
+    results = {}
+    for backend in ("object", "soa"):
+        results[backend] = _stepped(backend, install)
+        monkeypatch.undo()
+    (obj, obj_calls), (soa, soa_calls) = results["object"], results["soa"]
+    assert soa == obj
+    assert soa_calls == obj_calls
+    assert set(soa_calls) == {f"{owner.__name__}.{name}" for owner, name, _ in MID_RUN}
+
+
+class InstallingRouting(BaseContentionRouting):
+    """Base whose ``on_packet_leave_input`` -- an override, called by name --
+    puts a counting wrapper on the instance's ``on_grant`` at its first call
+    that follows a grant of the same cycle (a leave is always followed by its
+    grant), so the core has resolved ``on_grant`` earlier in the same entry."""
+
+    def on_packet_leave_input(self, router, port, vc, packet, cycle):
+        super().on_packet_leave_input(router, port, vc, packet, cycle)
+        if getattr(self, "_leave_cycle", None) == cycle and "on_grant" not in vars(self):
+            self.on_grant = _counting("on_grant", self.on_grant)
+        self._leave_cycle = cycle
+
+
+def test_a_wrapper_a_hook_installs_mid_cycle_is_called_by_the_next_grant(monkeypatch):
+    """Python a hook runs ends what the core remembers of instance dicts: the
+    grant right after the installing hook calls the wrapper, as on
+    ``object`` (a memo dropped only at core entries answers that grant with
+    the stock body it resolved earlier in the entry)."""
+    monkeypatch.setitem(ROUTING_REGISTRY, "Base", InstallingRouting)
+    results = {
+        backend: _stepped(backend, lambda sim: None) for backend in ("object", "soa")
+    }
+    (obj, obj_calls), (soa, soa_calls) = results["object"], results["soa"]
+    assert soa == obj
+    assert obj_calls["on_grant"] > 0
+    assert soa_calls == obj_calls
+
+
+def test_a_stock_function_patched_between_builds_is_seen_by_the_next_build(monkeypatch):
+    """``_stock()`` resolves the stock functions again when a class attribute
+    changed since the last build: a plain replacement is called by name by
+    the engine built after it, and once it is removed the next engine
+    answers the stock body in C again."""
+    from repro.simulation.soa.engine import _stock
+
+    original = vars(MetricsCollector)["in_window"]
+
+    def in_window(self, cycle):
+        calls["in_window"] += 1
+        return original(self, cycle)
+
+    def run():
+        calls.clear()
+        return _transient("Base", "soa")
+
+    stock = run()
+    assert _stock()["MetricsCollector.in_window"] is original
+    monkeypatch.setattr(MetricsCollector, "in_window", in_window)
+    assert _stock()["MetricsCollector.in_window"] is None
+    assert run() == stock
+    assert calls["in_window"] > 0
+    monkeypatch.undo()
+    assert _stock()["MetricsCollector.in_window"] is original
+    ran = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is original.__code__:
+            ran["in_window"] += 1
+
+    sys.setprofile(profile)
+    try:
+        assert run() == stock
+    finally:
+        sys.setprofile(None)
+    assert ran == Counter()
+
+
+# ------------------------------------------------------- topology sizes
+@pytest.mark.parametrize("topology,routing", [
+    ("torus", "VAL"), ("torus", "UGAL"), ("fat_tree", "VAL"), ("flattened_butterfly", "UGAL"),
+    ("full_mesh", "VAL"),
+])
+def test_every_topology_answers_its_sizes_without_python(monkeypatch, topology, routing):
+    """A Valiant intermediate and an adversarial destination read the
+    topology's size properties: on the routing's own topology the core
+    answers them from the sizes bound with it, on every topology."""
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    sizes = ("num_nodes", "num_routers", "num_regions", "routers_per_region",
+             "nodes_per_router")
+    watched = {
+        vars(owner)[name].fget.__code__: f"{owner.__name__}.{name}"
+        for owner in _subclasses(Topology) for name in sizes if name in vars(owner)
+    }
+    ran = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            ran[watched[frame.f_code]] += 1
+
+    sims = {
+        backend: Simulator(
+            SimulationParameters.tiny(topology_preset(topology)).with_backend(backend), routing,
+            pattern="ADV+1", offered_load=0.3, seed=3,
+        )
+        for backend in ("object", "soa")
+    }
+    sims["object"].run_cycles(120)
+    sys.setprofile(profile)
+    try:
+        sims["soa"].run_cycles(120)
+    finally:
+        sys.setprofile(None)
+    assert ran == Counter()
+    delivered = {backend: sim.engine.delivered_packets for backend, sim in sims.items()}
+    assert delivered["soa"] == delivered["object"] > 50

@@ -542,6 +542,26 @@ class _CountingCollector(MetricsCollector):
         MetricsCollector.delivered_packets.__set__(self, value)
 
 
+class _CountingHopsPacket(Packet):
+    """A packet whose slotted ``hops`` a property shadows: the core must read
+    and write it through the property, never at the slot offset it binds for
+    an exact ``Packet``."""
+
+    __slots__ = ()
+    uses: Counter = Counter()
+    backend = ""
+
+    @property
+    def hops(self):
+        _CountingHopsPacket.uses[_CountingHopsPacket.backend] += 1
+        return Packet.hops.__get__(self)
+
+    @hops.setter
+    def hops(self, value):
+        _CountingHopsPacket.uses[_CountingHopsPacket.backend] += 1
+        Packet.hops.__set__(self, value)
+
+
 class TestTheNameCacheFollowsTheClasses:
     """The core looks a name up once per version of the instance's type; a
     class changed after a warm run is a new version, and what the class holds
@@ -595,6 +615,28 @@ class TestTheNameCacheFollowsTheClasses:
             delivered[backend] = metrics.delivered_packets
         assert writes["soa"] == writes["object"] == delivered["soa"] == delivered["object"] > 0
 
+
+    def test_a_packet_subclass_property_over_a_slot_is_used(self, monkeypatch):
+        uses, hops = Counter(), {}
+        monkeypatch.setattr(_CountingHopsPacket, "uses", uses)
+        for backend in ("object", "soa"):
+            monkeypatch.setattr(_CountingHopsPacket, "backend", backend)
+            sim = _sim("Base", 0.3, backend)
+            sim.run_steady_state(20, 40)  # exact packets: the slot offsets are bound now
+            packets = [
+                _CountingHopsPacket(
+                    pid=10**6 + i, src=0, dst=dst, size_phits=sim.params.packet_size_phits,
+                    creation_cycle=sim.cycle,
+                )
+                for i, dst in enumerate((17, 23, 5))
+            ]
+            for i, packet in enumerate(packets):
+                sim.engine.schedule_arrival(0, i % 2, sim.cycle + 3 + i, 0, packet)
+            sim.run_cycles(300)
+            assert all(packet.delivered for packet in packets)
+            hops[backend] = [Packet.hops.__get__(packet) for packet in packets]
+        assert hops["soa"] == hops["object"] and min(hops["soa"]) > 0
+        assert uses["soa"] == uses["object"] > 0
 
 class TestTypedColumns:
     def test_the_integer_columns_hold_nothing_for_the_collector(self):

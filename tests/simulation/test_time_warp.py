@@ -12,7 +12,7 @@ import pytest
 from repro.config.parameters import SimulationParameters
 from repro.network.packet import Packet
 from repro.routing import ROUTING_REGISTRY
-from repro.simulation.engine import SimulationStallError
+from repro.simulation.engine import _NO_EVENT, SimulationStallError
 from repro.simulation.simulator import Simulator
 from repro.simulation.soa import SoAEngine
 from repro.traffic.bernoulli import BernoulliTrafficGenerator
@@ -136,6 +136,35 @@ class TestWatchdogUnderWarp:
         sim.run_cycles(100_000)
         assert sim.engine.cycle == 100_000
         assert sim.engine.cycles_skipped == 100_000
+
+
+# ------------------------------------------------------------- router hint
+@pytest.mark.soa_core
+class TestTheCoreComputesTheRouterHint:
+    """``Core.router_phase`` returns the router half of the warp horizon and
+    ``SoAEngine._calendar_horizon`` asks the core for the same number: -1
+    while any head is occupied, else the earliest key of the three calendars
+    (``_NO_EVENT`` when they are all empty)."""
+
+    @staticmethod
+    def _calendars(st):
+        keys = [min(calendar) for calendar in (st.cred_cal, st.arr_cal, st.svc_cal) if calendar]
+        return min(keys, default=_NO_EVENT)
+
+    @pytest.mark.parametrize("routing", ["MIN", "Base", "PB"])
+    def test_every_step_hands_back_the_python_rule(self, tiny_params, routing):
+        sim = Simulator(tiny_params.with_backend("soa"), routing, "UN", offered_load=0.1, seed=9)
+        engine, st = sim.engine, sim.engine._st
+        kinds = set()
+        for cycle in range(400):
+            if cycle == 200:
+                engine.traffic.set_offered_load(0.0)  # the fabric drains: idle at the end
+            engine.step()
+            horizon = self._calendars(st)
+            assert engine._calendar_horizon() == horizon
+            assert engine._hint_router_event == (-1 if st.active else horizon)
+            kinds.add(-1 if st.active else "idle" if horizon == _NO_EVENT else "calendar")
+        assert kinds == {-1, "calendar", "idle"}
 
 
 # ----------------------------------------------------------- routing horizons
