@@ -1,8 +1,10 @@
 /* The hop chain of the SoA engine, compiled.
  *
  * One `Core` is bound to one `SoAState`: it holds the state's own lists,
- * tuples and calendar dicts (never copies, never the engine) and runs over
- * them the statements `SoAEngine` used to run in Python -- credit returns,
+ * tuples and integer columns (never copies, never the engine), owns the
+ * three calendars of events due at later cycles (see "calendars": C structs
+ * in pooled wheels, no Python object per event), and runs over them the
+ * statements `SoAEngine` used to run in Python -- credit returns,
  * link arrivals, the pop / commit / release chain of a hop, the separable
  * allocator, the allocation rounds and the router-major merge walk of a
  * cycle -- and the routing work of a buffer head when the mechanism is a
@@ -17,9 +19,9 @@
  * `MetricsCollector` and PB's saturation broadcast.  Everything a test or
  * a probe reads through `st.*` therefore stays live state: the integer
  * columns are `array('q')`s this core holds a buffer on, `Packet`s sit in
- * VC lists, event tuples in `cycle -> [events]` dicts, row tuples in
- * `engine._rows`, and the collector's counters, samples and time-series
- * bins are its own attributes.
+ * VC lists (or in a calendar event while on a link: `Core.calendars()` shows
+ * those as event tuples), row tuples in `engine._rows`, and the collector's
+ * counters, samples and time-series bins are its own attributes.
  *
  * A hook is answered here only while the function the instance resolves for
  * its name -- resolved the way a method call resolves it, the type's part
@@ -69,7 +71,8 @@
 #define CAPTURE_GROUP 1
 #define CAPTURE_PORT_TABLE 2
 
-/* Requests per round / occupied heads per router held on the C stack. */
+/* Requests per round / occupied heads per router / events due in a cycle
+ * held on the C stack. */
 #define STACK_ITEMS 64
 
 /* Defaulted `Packet` fields a packet built here can have. */
@@ -213,13 +216,11 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
 /* ------------------------------------------------------------------ slots */
 /* The state members the core holds.  `active` and `unsorted` are not among
  * them: the state rebinds those, so they are read through `st` when needed.
- * The integer columns the core stores into event tuples as objects (`up_g`,
- * `up_rid`, `down_g`) are lists; the flags are lists of bools. */
-enum member_kind { LIST, DICT, TUPLE };
+ * The flags are lists of bools. */
+enum member_kind { LIST, TUPLE };
 #define STATE_MEMBERS(X) \
-    X(in_q, LIST) X(head_seen, LIST) X(up_g, LIST) X(up_rid, LIST) X(down_g, LIST) \
+    X(in_q, LIST) X(head_seen, LIST) \
     X(occ, LIST) X(new_heads, LIST) X(alloc_clean, LIST) X(active_flag, LIST) X(views, LIST) \
-    X(cred_cal, DICT) X(arr_cal, DICT) X(svc_cal, DICT) \
     X(kind_is_injection, TUPLE) X(kind_is_global, TUPLE)
 
 /* The integer columns the core reads and writes as numbers: `array('q')`s,
@@ -228,7 +229,7 @@ enum member_kind { LIST, DICT, TUPLE };
 #define STATE_COLUMNS(X) \
     X(in_free) X(credits) X(max_credits) X(up_lat) X(out_committed) X(out_free) X(link_busy) \
     X(link_booked) X(link_lat) X(ser_fac) X(credit_occ) X(in_ptr) X(out_ptr) X(in_nvcs) \
-    X(alloc_nvc)
+    X(alloc_nvc) X(up_g) X(up_rid) X(down_g)
 #define COLUMN_ENUM(name) C_##name,
 #define COLUMN_NAME(name) #name,
 enum { STATE_COLUMNS(COLUMN_ENUM) N_COLUMNS };
@@ -302,6 +303,42 @@ typedef struct {
 enum size { Z_NUM_NODES, Z_NUM_ROUTERS, Z_NUM_REGIONS, Z_ROUTERS_PER_REGION, Z_NODES_PER_ROUTER,
             N_SIZES };
 
+/* ------------------------------------------------------------- calendars */
+/* Everything a grant schedules for a later cycle -- credit returns, link
+ * arrivals, output-port releases -- waits in one of three calendars.  A
+ * calendar is a pool of `event`s, grown by doubling and recycled through a
+ * free list, so its memory follows the peak number of events in flight, and
+ * a wheel of `WHEEL` slots: slot `due & (WHEEL - 1)` holds the FIFO list of
+ * the events due then or whole turns later.  A pop at `cycle` takes exactly
+ * the events due at `cycle`, in push order, so the wheel's size decides how
+ * far a slot's list is walked and never a result. */
+#define WHEEL 256
+
+enum calendar_kind { CAL_CREDIT, CAL_ARRIVAL, CAL_RELEASE, N_CALENDARS };
+static const char *const calendar_names[N_CALENDARS] = {"credit", "arrival", "release"};
+
+/* One scheduled event: a credit return `(rid, g, q, phits)`, a link arrival
+ * `(g, vc)` with its packet, a release `(g, phits, link-free cycle)` with the
+ * packet only on an ejection port, or a release *marker* (`f[0]` -1): the
+ * pipeline exit of a grant behind a busy link, which a pop drops and the
+ * warp horizon sees. */
+typedef struct {
+    long due;
+    long f[4];
+    PyObject *packet; /* held, or NULL */
+    /* In a calendar the next event of its slot or of the free list (-1:
+     * none); in a `due_list` the order it was popped in. */
+    int32_t next;
+} event;
+
+typedef struct {
+    event *pool;     /* NULL until the first push */
+    int32_t *slot;   /* the first and the last event of each wheel slot */
+    int32_t capacity, free;
+    Py_ssize_t live, held; /* events in the calendar; those holding a packet */
+    long floor;      /* no event is due before it */
+} calendar;
+
 typedef struct {
     PyObject_HEAD
     PyObject *o[N_SLOTS];
@@ -359,6 +396,8 @@ typedef struct {
     int packet_init;
     long no_event; /* `_NO_EVENT`: no node has a pending injection */
     memo memo[N_NAMES][MEMO_WAYS];
+    calendar cal[N_CALENDARS];
+    long clock; /* the cycle after the last router phase's */
 } Core;
 
 #define L(c, name) ((c)->o[S_##name])
@@ -542,46 +581,6 @@ expect_list(PyObject *o, const char *what)
     return 0;
 }
 
-/* `calendar[cycle]` of a `defaultdict(list)` (borrowed; made if missing). */
-static PyObject *
-bucket(PyObject *calendar, long cycle)
-{
-    PyObject *key = PyLong_FromLong(cycle);
-    PyObject *events;
-    if (key == NULL)
-        return NULL;
-    events = PyDict_GetItemWithError(calendar, key);
-    if (events == NULL && !PyErr_Occurred()) {
-        events = PyList_New(0);
-        if (events != NULL) {
-            int failed = PyDict_SetItem(calendar, key, events);
-            Py_DECREF(events); /* the calendar holds it now */
-            if (failed)
-                events = NULL;
-        }
-    }
-    Py_DECREF(key);
-    if (events != NULL && expect_list(events, "a calendar bucket") < 0)
-        return NULL;
-    return events;
-}
-
-/* `calendar.pop(cycle, None)`: a new reference, or NULL -- with no error set
- * when there is no such bucket. */
-static PyObject *
-pop_bucket(PyObject *calendar, PyObject *cycle)
-{
-    PyObject *events = PyDict_GetItemWithError(calendar, cycle);
-    if (events == NULL)
-        return NULL;
-    Py_INCREF(events);
-    if (PyDict_DelItem(calendar, cycle) < 0 || expect_list(events, "a calendar bucket") < 0) {
-        Py_DECREF(events);
-        return NULL;
-    }
-    return events;
-}
-
 typedef struct {
     long key;
     Py_ssize_t index;
@@ -638,18 +637,286 @@ sort_by(Core *c, PyObject *items, int (*key_of)(Core *, PyObject *, long *))
     return 0;
 }
 
-static int
-port_key(Core *Py_UNUSED(c), PyObject *event, long *key)
+/* ------------------------------------------------------------- calendars */
+/* Events popped for one cycle, in the order they were popped, each holding
+ * its packet: on the C stack up to `STACK_ITEMS`, then on the heap.  A list
+ * points into itself, so it is never copied or swapped, only filled. */
+typedef struct {
+    event *items;
+    Py_ssize_t n, capacity;
+    event stack[STACK_ITEMS];
+} due_list;
+
+static void
+due_init(due_list *d)
 {
-    return field_long(event, 0, key);
+    d->items = d->stack;
+    d->n = 0;
+    d->capacity = STACK_ITEMS;
 }
 
-/* `events.sort(key=itemgetter(0))`: by the port each event starts with (an
- * event may carry a `Packet`, which does not order). */
+/* Room for one more event. */
 static int
-sort_by_port(PyObject *events)
+due_reserve(due_list *d)
 {
-    return sort_by(NULL, events, port_key);
+    event *items;
+    Py_ssize_t capacity = 2 * d->capacity;
+    if (d->n < d->capacity)
+        return 0;
+    if (d->items == d->stack) {
+        if ((items = PyMem_Malloc((size_t)capacity * sizeof(event))) != NULL)
+            memcpy(items, d->stack, (size_t)d->n * sizeof(event));
+    }
+    else
+        items = PyMem_Realloc(d->items, (size_t)capacity * sizeof(event));
+    if (items == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    d->items = items;
+    d->capacity = capacity;
+    return 0;
+}
+
+/* Release the packets and the heap part; the list is empty after. */
+static void
+due_free(due_list *d)
+{
+    Py_ssize_t i, n = d->n;
+    d->n = 0;
+    for (i = 0; i < n; i++)
+        Py_CLEAR(d->items[i].packet);
+    if (d->items != d->stack)
+        PyMem_Free(d->items);
+    due_init(d);
+}
+
+static int
+compare_events(const void *a, const void *b)
+{
+    const event *x = a, *y = b;
+    if (x->f[0] != y->f[0])
+        return x->f[0] < y->f[0] ? -1 : 1;
+    return x->next < y->next ? -1 : (x->next > y->next);
+}
+
+/* Sort `d->items[from:]` by port, then by pop order: the (router, port)
+ * order the object engine's per-router `begin_cycle` and `transmit` keep. */
+static void
+due_sort(due_list *d, Py_ssize_t from)
+{
+    Py_ssize_t i;
+    for (i = from + 1; i < d->n && compare_events(&d->items[i - 1], &d->items[i]) < 0; i++)
+        ;
+    if (i < d->n)
+        qsort(d->items + from, (size_t)(d->n - from), sizeof(event), compare_events);
+}
+
+/* Empty, with nothing allocated.  A zeroed calendar must come through here
+ * before its first push: its `free` 0 would name an event it has not got. */
+static void
+cal_clear(calendar *cal)
+{
+    event *pool = cal->pool;
+    int32_t i, n = cal->capacity;
+    PyMem_Free(cal->slot);
+    cal->pool = NULL;
+    cal->slot = NULL;
+    cal->capacity = 0;
+    cal->free = -1;
+    cal->live = cal->held = 0;
+    cal->floor = LONG_MAX;
+    /* Detached first: a packet's release may run any code. */
+    for (i = 0; i < n; i++)
+        Py_XDECREF(pool[i].packet);
+    PyMem_Free(pool);
+}
+
+/* Twice the pool (the wheel with the first one), the new events free. */
+static int
+cal_grow(calendar *cal)
+{
+    int32_t old = cal->capacity, size, i;
+    event *pool;
+    if (old > INT32_MAX / 2) {
+        PyErr_SetString(PyExc_MemoryError, "too many calendar events in flight");
+        return -1;
+    }
+    size = old ? 2 * old : 64;
+    if (cal->slot == NULL) {
+        if ((cal->slot = PyMem_Malloc(2 * WHEEL * sizeof(int32_t))) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (i = 0; i < 2 * WHEEL; i++)
+            cal->slot[i] = -1;
+    }
+    if ((pool = PyMem_Realloc(cal->pool, (size_t)size * sizeof(event))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = old; i < size; i++) {
+        pool[i].packet = NULL;
+        pool[i].next = i + 1 < size ? i + 1 : cal->free;
+    }
+    cal->pool = pool;
+    cal->capacity = size;
+    cal->free = old;
+    return 0;
+}
+
+/* A new event due at `due`, holding `packet` (may be NULL), at the end of
+ * its slot; the caller fills `f` before the next push (which may move the
+ * pool).  NULL on error. */
+static event *
+cal_push(calendar *cal, long due, PyObject *packet)
+{
+    int32_t i, *slot;
+    event *e;
+    if (cal->free < 0 && cal_grow(cal) < 0)
+        return NULL;
+    i = cal->free;
+    e = &cal->pool[i];
+    cal->free = e->next;
+    e->due = due;
+    e->next = -1;
+    e->packet = Py_XNewRef(packet);
+    slot = &cal->slot[2 * (due & (WHEEL - 1))];
+    if (slot[1] < 0)
+        slot[0] = i;
+    else
+        cal->pool[slot[1]].next = i;
+    slot[1] = i;
+    cal->live++;
+    cal->held += packet != NULL;
+    if (due < cal->floor)
+        cal->floor = due;
+    return e;
+}
+
+/* The events due at `cycle`, in push order, onto the end of `out` (which
+ * owns their packets then); markers are dropped. */
+static int
+cal_pop(calendar *cal, long cycle, due_list *out)
+{
+    int32_t *slot, i, previous = -1;
+    if (cal->live > 0) {
+        slot = &cal->slot[2 * (cycle & (WHEEL - 1))];
+        for (i = slot[0]; i >= 0;) {
+            event *e = &cal->pool[i];
+            int32_t next = e->next;
+            if (e->due != cycle) {
+                previous = i;
+                i = next;
+                continue;
+            }
+            if (e->f[0] >= 0) {
+                if (due_reserve(out) < 0)
+                    return -1;
+                out->items[out->n] = *e;
+                out->items[out->n].next = (int32_t)out->n;
+                out->n++;
+            }
+            if (previous < 0)
+                slot[0] = next;
+            else
+                cal->pool[previous].next = next;
+            if (slot[1] == i)
+                slot[1] = previous;
+            cal->held -= e->packet != NULL;
+            cal->live--;
+            e->packet = NULL; /* `out` holds it now */
+            e->next = cal->free;
+            cal->free = i;
+            i = next;
+        }
+    }
+    if (cal->floor <= cycle)
+        cal->floor = cycle + 1;
+    return 0;
+}
+
+/* The earliest due cycle of the calendar (LONG_MAX: none): the first wheel
+ * slot from `floor` on with an event due on its turn, else -- everything is
+ * a turn or more ahead -- the minimum over every slot. */
+static long
+cal_horizon(calendar *cal)
+{
+    long k, best = LONG_MAX;
+    int32_t i;
+    if (cal->live == 0)
+        return LONG_MAX;
+    for (k = 0; k < WHEEL; k++) {
+        long due = cal->floor + k;
+        for (i = cal->slot[2 * (due & (WHEEL - 1))]; i >= 0; i = cal->pool[i].next)
+            if (cal->pool[i].due == due)
+                return cal->floor = due;
+    }
+    for (k = 0; k < WHEEL; k++)
+        for (i = cal->slot[2 * k]; i >= 0; i = cal->pool[i].next)
+            if (cal->pool[i].due < best)
+                best = cal->pool[i].due;
+    return cal->floor = best;
+}
+
+/* An event of calendar `kind` read off its tuple shape: a credit return
+ * `(rid, g, q, phits)`, a link arrival `(g, vc, packet)`, a release
+ * `(g, phits, link-free cycle, packet or None)`; `packet` borrowed. */
+static int
+event_from_tuple(int kind, PyObject *t, event *e)
+{
+    static const char *const what[N_CALENDARS] = {"a credit return", "a link arrival",
+                                                  "a release"};
+    Py_ssize_t longs = kind == CAL_CREDIT ? 4 : kind == CAL_ARRIVAL ? 2 : 3, i;
+    if (expect_tuple(t, kind == CAL_ARRIVAL ? 3 : 4, what[kind]) < 0)
+        return -1;
+    e->packet = NULL;
+    for (i = 0; i < longs; i++)
+        if (as_long(PyTuple_GET_ITEM(t, i), &e->f[i]) < 0)
+            return -1;
+    if (kind != CAL_CREDIT && PyTuple_GET_ITEM(t, longs) != Py_None)
+        e->packet = PyTuple_GET_ITEM(t, longs);
+    else if (kind == CAL_ARRIVAL) {
+        PyErr_Format(PyExc_TypeError, "a link arrival carries a packet, got %R", t);
+        return -1;
+    }
+    if (e->f[0] < 0) {
+        PyErr_Format(PyExc_IndexError, "%s names a negative index: %R", what[kind], t);
+        return -1;
+    }
+    return 0;
+}
+
+/* The tuple shape of an event of calendar `kind` (a new reference). */
+static PyObject *
+event_tuple(int kind, const event *e)
+{
+    PyObject *packet = e->packet != NULL ? e->packet : Py_None;
+    if (kind == CAL_CREDIT)
+        return Py_BuildValue("(llll)", e->f[0], e->f[1], e->f[2], e->f[3]);
+    if (kind == CAL_ARRIVAL)
+        return Py_BuildValue("(llO)", e->f[0], e->f[1], packet);
+    return Py_BuildValue("(lllO)", e->f[0], e->f[1], e->f[2], packet);
+}
+
+/* A list of event tuples of calendar `kind` into `out`, in list order (a
+ * test surface: the chain's bodies run on what it pops). */
+static int
+due_from_list(int kind, PyObject *events, due_list *out)
+{
+    Py_ssize_t i;
+    if (expect_list(events, "due") < 0)
+        return -1;
+    for (i = 0; i < PyList_GET_SIZE(events); i++) {
+        event e;
+        memset(&e, 0, sizeof e);
+        if (event_from_tuple(kind, PyList_GET_ITEM(events, i), &e) < 0 || due_reserve(out) < 0)
+            return -1;
+        e.next = (int32_t)out->n;
+        Py_XINCREF(e.packet);
+        out->items[out->n++] = e;
+    }
+    return 0;
 }
 
 /* `bisect.insort(keys, k)` on a sorted list of ints. */
@@ -2260,10 +2527,9 @@ tracked(Core *c, int ectn)
 
 /* `routing.on_packet_arrival(view, port, vc, packet, cycle)`. */
 static int
-arrival_hook(Core *c, long rid, long port, PyObject *port_o, PyObject *vc_o, PyObject *packet,
-             PyObject *cycle_o)
+arrival_hook(Core *c, long rid, long port, long vc, PyObject *packet, PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing], *fn;
+    PyObject *routing = c->o[S_routing], *fn, *port_o, *vc_o;
     int on = 0;
     if (stock_hook(c, routing, N_on_packet_arrival, &fn) < 0)
         return -1;
@@ -2278,12 +2544,15 @@ arrival_hook(Core *c, long rid, long port, PyObject *port_o, PyObject *vc_o, PyO
             return -1;
         return on ? count_partial(c, rid, packet) : 0;
     }
-    if (on < 0)
+    if (on < 0 || (port_o = PyLong_FromLong(port)) == NULL)
         return -1;
-    {
+    if ((vc_o = PyLong_FromLong(vc)) != NULL) {
         PyObject *args[6] = {routing, NULL, port_o, vc_o, packet, cycle_o};
-        return invoke_on_view(c, N_on_packet_arrival, rid, args, 6);
+        on = invoke_on_view(c, N_on_packet_arrival, rid, args, 6);
+        Py_DECREF(vc_o);
     }
+    Py_DECREF(port_o);
+    return vc_o == NULL ? -1 : on;
 }
 
 /* `routing.on_packet_head(view, port, vc, packet, cycle)`. */
@@ -2464,16 +2733,12 @@ activate(Core *c, long rid, PyObject *active)
 /* ---------------------------------------------------------------- credits */
 /* `Router.begin_cycle`, credit half: the returns due this cycle. */
 static int
-apply_credits(Core *c, PyObject *due)
+apply_credits(Core *c, const due_list *due)
 {
     Py_ssize_t i;
-    for (i = 0; i < PyList_GET_SIZE(due); i++) {
-        PyObject *event = PyList_GET_ITEM(due, i);
-        long rid, g, q, phits, have, occupied, most;
-        if (expect_tuple(event, 4, "a credit return") < 0
-            || field_long(event, 0, &rid) < 0 || field_long(event, 1, &g) < 0
-            || field_long(event, 2, &q) < 0 || field_long(event, 3, &phits) < 0)
-            return -1;
+    for (i = 0; i < due->n; i++) {
+        const long *f = due->items[i].f;
+        long rid = f[0], g = f[1], q = f[2], phits = f[3], have, occupied, most;
         /* Returned credits can unblock waiting heads (and feed the occupancy
          * triggers): re-evaluate allocation. */
         if (set_bool(L(c, alloc_clean), rid, 0) < 0
@@ -2530,55 +2795,29 @@ push(Core *c, long rid, long port, long vc, PyObject *packet, long size, PyObjec
     return 0;
 }
 
-/* One link arrival `(g, vc, packet)`. */
+/* One link arrival `(g, vc)` of its packet. */
 static int
-receive(Core *c, PyObject *event, PyObject *cycle_o, PyObject *active)
+receive(Core *c, const event *e, PyObject *cycle_o, PyObject *active)
 {
-    PyObject *packet;
-    long g, vc, rid, port, size;
-    if (expect_tuple(event, 3, "a link arrival") < 0 || field_long(event, 0, &g) < 0
-        || field_long(event, 1, &vc) < 0)
+    long g = e->f[0], vc = e->f[1], rid = g / c->P, port = g % c->P, size;
+    if (pget_long(c, e->packet, F_size_phits, &size) < 0
+        || push(c, rid, port, vc, e->packet, size, active) < 0)
         return -1;
-    if (g < 0) {
-        PyErr_SetString(PyExc_IndexError, "list index out of range");
-        return -1;
-    }
-    packet = PyTuple_GET_ITEM(event, 2);
-    rid = g / c->P;
-    port = g % c->P;
-    if (pget_long(c, packet, F_size_phits, &size) < 0
-        || push(c, rid, port, vc, packet, size, active) < 0)
-        return -1;
-    if (c->notify_arrival) {
-        PyObject *port_o = PyLong_FromLong(port);
-        int failed = port_o == NULL
-                     || arrival_hook(c, rid, port, port_o, PyTuple_GET_ITEM(event, 1), packet,
-                                     cycle_o) < 0;
-        Py_XDECREF(port_o);
-        if (failed)
-            return -1;
-    }
-    return 0;
+    return c->notify_arrival ? arrival_hook(c, rid, port, vc, e->packet, cycle_o) : 0;
 }
 
 /* `Router.begin_cycle`, arrival half: the link arrivals due this cycle. */
 static int
-apply_arrivals(Core *c, PyObject *due, PyObject *cycle_o, PyObject *active)
+apply_arrivals(Core *c, due_list *due, PyObject *cycle_o, PyObject *active)
 {
     Py_ssize_t i;
     /* (router, port) order -- the order the object engine's per-router
      * `begin_cycle` calls fire `on_packet_arrival` in.  A link completes at
-     * most one packet per cycle; the sort is stable. */
-    if (sort_by_port(due) < 0)
-        return -1;
-    for (i = 0; i < PyList_GET_SIZE(due); i++) {
-        /* Held: the arrival hook may do anything to `due`. */
-        PyObject *event = Py_NewRef(PyList_GET_ITEM(due, i));
-        int failed = receive(c, event, cycle_o, active);
-        Py_DECREF(event);
-        if (failed)
+     * most one packet per cycle; ties keep their push order. */
+    due_sort(due, 0);
+    for (i = 0; i < due->n; i++)
+        if (receive(c, &due->items[i], cycle_o, active) < 0)
             return -1;
-    }
     return 0;
 }
 
@@ -2593,7 +2832,7 @@ pop_head(Core *c, long rid, long port, long vc, PyObject *port_o, PyObject *vc_o
 {
     long g = rid * c->P + port, q = g * c->V + vc, k = port * c->V + vc;
     long size, free_phits, up;
-    PyObject *dq, *packet, *size_o = NULL, *keys, *up_o;
+    PyObject *dq, *packet, *keys;
     if ((dq = item(L(c, in_q), q)) == NULL)
         return NULL;
     if (dq == Py_None) {
@@ -2608,8 +2847,7 @@ pop_head(Core *c, long rid, long port, long vc, PyObject *port_o, PyObject *vc_o
     }
     packet = Py_NewRef(PyList_GET_ITEM(dq, 0));
     if (PyList_SetSlice(dq, 0, 1, NULL) < 0
-        || (size_o = pget(c, packet, F_size_phits)) == NULL
-        || as_long(size_o, &size) < 0 || get_col(c, in_free, q, &free_phits) < 0
+        || pget_long(c, packet, F_size_phits, &size) < 0 || get_col(c, in_free, q, &free_phits) < 0
         || set_col(c, in_free, q, free_phits + size) < 0
         || set_bool(L(c, head_seen), q, 0) < 0
         || (keys = item(L(c, occ), rid)) == NULL || expect_list(keys, "st.occ[rid]") < 0)
@@ -2624,32 +2862,23 @@ pop_head(Core *c, long rid, long port, long vc, PyObject *port_o, PyObject *vc_o
             || append_long(heads, k) < 0)
             goto error;
     }
-    if ((up_o = item(L(c, up_g), g)) == NULL || as_long(up_o, &up) < 0)
+    if (get_col(c, up_g, g, &up) < 0)
         goto error;
     if (up >= 0) {
-        long latency;
-        PyObject *events, *up_rid_o, *q_o, *event;
-        int failed;
-        if (get_col(c, up_lat, g, &latency) < 0
-            || (events = bucket(L(c, cred_cal), cycle + latency)) == NULL
-            || (up_rid_o = item(L(c, up_rid), g)) == NULL
-            || (q_o = PyLong_FromLong(up * c->V + vc)) == NULL)
+        long latency, up_rid;
+        event *credit;
+        if (get_col(c, up_lat, g, &latency) < 0 || get_col(c, up_rid, g, &up_rid) < 0
+            || (credit = cal_push(&c->cal[CAL_CREDIT], cycle + latency, NULL)) == NULL)
             goto error;
-        event = PyTuple_Pack(4, up_rid_o, up_o, q_o, size_o);
-        Py_DECREF(q_o);
-        if (event == NULL)
-            goto error;
-        failed = PyList_Append(events, event);
-        Py_DECREF(event);
-        if (failed)
-            goto error;
+        credit->f[0] = up_rid;
+        credit->f[1] = up;
+        credit->f[2] = up * c->V + vc;
+        credit->f[3] = size;
     }
     if (c->notify_leave && leave_hook(c, rid, port_o, vc_o, packet, cycle_o) < 0)
         goto error;
-    Py_DECREF(size_o);
     return packet;
 error:
-    Py_XDECREF(size_o);
     Py_DECREF(packet);
     return NULL;
 }
@@ -2660,21 +2889,19 @@ error:
 static int
 commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
 {
-    PyObject *in_port_o, *in_vc_o, *decision, *size_o, *og_o;
-    PyObject *packet = NULL, *vc_o = NULL, *done_o = NULL, *event = NULL, *events;
-    long in_port, in_vc, out_port, size, og, cq;
+    PyObject *in_port_o, *in_vc_o, *decision, *packet = NULL, *vc_o = NULL;
+    long in_port, in_vc, out_port, size, og, cq, vc;
     long free_phits, committed, have, occupied, ready, depart, factor, done, down;
+    event *e;
     int flag, failed = -1;
     if (expect_tuple(req, 7, "a request") < 0)
         return -1;
     in_port_o = PyTuple_GET_ITEM(req, 0);
     in_vc_o = PyTuple_GET_ITEM(req, 1);
-    size_o = PyTuple_GET_ITEM(req, 3);
     decision = PyTuple_GET_ITEM(req, 4);
-    og_o = PyTuple_GET_ITEM(req, 5);
     if (as_long(in_port_o, &in_port) < 0 || as_long(in_vc_o, &in_vc) < 0
-        || field_long(req, 2, &out_port) < 0 || as_long(size_o, &size) < 0
-        || as_long(og_o, &og) < 0 || field_long(req, 6, &cq) < 0)
+        || field_long(req, 2, &out_port) < 0 || field_long(req, 3, &size) < 0
+        || field_long(req, 5, &og) < 0 || field_long(req, 6, &cq) < 0)
         return -1;
     packet = pop_head(c, rid, in_port, in_vc, in_port_o, in_vc_o, cycle_o, cycle);
     if (packet == NULL
@@ -2687,7 +2914,7 @@ commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
     vc_o = Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision))
            ? Py_NewRef(PyTuple_GET_ITEM(decision, D_vc))
            : get_attr(c, decision, N_vc);
-    if (vc_o == NULL || pset(c, packet, F_current_vc, vc_o) < 0
+    if (vc_o == NULL || as_long(vc_o, &vc) < 0 || pset(c, packet, F_current_vc, vc_o) < 0
         || get_col(c, out_free, og, &free_phits) < 0)
         goto done;
     if (free_phits < size) {
@@ -2716,42 +2943,35 @@ commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
     ready = cycle + c->router_latency;
     if (depart > ready) {
         /* `object` wakes at `ready` (its pipeline exit) even though the link
-         * is still busy: touch that cycle's bucket so the warp horizon sees
-         * it and `cycles_skipped` stays equal. */
-        if (bucket(L(c, svc_cal), ready) == NULL)
+         * is still busy: a marker there lets the warp horizon see it and
+         * keeps `cycles_skipped` equal. */
+        if ((e = cal_push(&c->cal[CAL_RELEASE], ready, NULL)) == NULL)
             goto done;
+        e->f[0] = -1;
     }
     else
         depart = ready;
     if (get_col(c, ser_fac, og, &factor) < 0)
         goto done;
     done = depart + size * factor;
-    if ((done_o = PyLong_FromLong(done)) == NULL
-        || set_col(c, link_booked, og, done) < 0
-        || get_long(L(c, down_g), og, &down) < 0)
+    if (set_col(c, link_booked, og, done) < 0 || get_col(c, down_g, og, &down) < 0)
         goto done;
     if (down >= 0) {
         long latency;
-        PyObject *down_o = PyList_GET_ITEM(L(c, down_g), og);
-        int append_failed;
         if (get_col(c, link_lat, og, &latency) < 0
-            || (events = bucket(L(c, arr_cal), done + latency)) == NULL
-            || (event = PyTuple_Pack(3, down_o, vc_o, packet)) == NULL)
+            || (e = cal_push(&c->cal[CAL_ARRIVAL], done + latency, packet)) == NULL)
             goto done;
-        append_failed = PyList_Append(events, event);
-        Py_CLEAR(event);
-        if (append_failed)
-            goto done;
+        e->f[0] = down;
+        e->f[1] = vc;
     }
     /* Only an ejection's release carries its packet. */
-    if ((events = bucket(L(c, svc_cal), depart)) == NULL
-        || (event = PyTuple_Pack(4, og_o, size_o, done_o, down >= 0 ? Py_None : packet)) == NULL
-        || PyList_Append(events, event) < 0)
+    if ((e = cal_push(&c->cal[CAL_RELEASE], depart, down >= 0 ? NULL : packet)) == NULL)
         goto done;
+    e->f[0] = og;
+    e->f[1] = size;
+    e->f[2] = done;
     failed = 0;
 done:
-    Py_XDECREF(event);
-    Py_XDECREF(done_o);
     Py_XDECREF(vc_o);
     Py_XDECREF(packet);
     return failed;
@@ -2759,33 +2979,29 @@ done:
 
 /* ---------------------------------------------------------------- release */
 /* What is left of `Router.transmit`: the releases of router `rid`, which
- * start at `due[i]` -- each a packet starting on the wire this cycle;
+ * start at `due->items[i]` -- each a packet starting on the wire this cycle;
  * returns the index of the next router's (-1 on error). */
 static Py_ssize_t
-release(Core *c, PyObject *due, Py_ssize_t i, long rid)
+release(Core *c, const due_list *due, Py_ssize_t i, long rid)
 {
     long limit = rid * c->P + c->P;
-    while (i < PyList_GET_SIZE(due)) {
-        PyObject *event = PyList_GET_ITEM(due, i), *packet;
-        long g, size, committed, free_phits, busy;
-        if (expect_tuple(event, 4, "a release") < 0 || field_long(event, 0, &g) < 0)
-            return -1;
-        if (g >= limit)
-            break;
-        i++;
-        packet = PyTuple_GET_ITEM(event, 3);
-        if (field_long(event, 1, &size) < 0
-            || get_col(c, out_committed, g, &committed) < 0
+    for (; i < due->n && due->items[i].f[0] < limit; i++) {
+        const event *e = &due->items[i];
+        long g = e->f[0], size = e->f[1], committed, free_phits;
+        if (get_col(c, out_committed, g, &committed) < 0
             || set_col(c, out_committed, g, committed - size) < 0
             || get_col(c, out_free, g, &free_phits) < 0
             || set_col(c, out_free, g, free_phits + size) < 0
-            || field_long(event, 2, &busy) < 0 || set_col(c, link_busy, g, busy) < 0)
+            || set_col(c, link_busy, g, e->f[2]) < 0)
             return -1;
-        if (packet != Py_None) {
+        if (e->packet != NULL) {
             /* Only now, not at the grant: `Packet.delivered` must not read
              * true for a packet still inside the router. */
-            if (pset(c, packet, F_delivered_cycle, PyTuple_GET_ITEM(event, 2)) < 0
-                || PyList_Append(c->o[S_dlv], packet) < 0)
+            PyObject *done = PyLong_FromLong(e->f[2]);
+            int failed = done == NULL || pset(c, e->packet, F_delivered_cycle, done) < 0
+                         || PyList_Append(c->o[S_dlv], e->packet) < 0;
+            Py_XDECREF(done);
+            if (failed)
                 return -1;
         }
     }
@@ -3504,14 +3720,14 @@ inject_hook(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
 static int
 inject(Core *c, PyObject *node, PyObject *cycle_o, long cycle)
 {
-    PyObject *queue, *packet = NULL, *port_o = NULL, *vc_o = NULL, *rid_o, *popped;
+    PyObject *queue, *packet = NULL, *rid_o, *popped;
     long node_id, rid, port, g, num_vcs, pointer, size, offset, vc = 0, free_phits, injected;
     int failed = -1;
     if ((queue = get_attr(c, node, N_source_queue)) == NULL)
         return -1;
     if ((packet = PySequence_GetItem(queue, 0)) == NULL || attr_long(c, node, N_node_id, &node_id) < 0
         || (rid_o = at(L(c, node_rid), node_id)) == NULL || as_long(rid_o, &rid) < 0
-        || (port_o = get_attr(c, node, N_port)) == NULL || as_long(port_o, &port) < 0
+        || attr_long(c, node, N_port, &port) < 0
         || get_col(c, in_nvcs, rid * c->P + port, &num_vcs) < 0
         || attr_long(c, node, N__vc_pointer, &pointer) < 0
         || pget_long(c, packet, F_size_phits, &size) < 0)
@@ -3537,9 +3753,7 @@ inject(Core *c, PyObject *node, PyObject *cycle_o, long cycle)
     if (pset(c, packet, F_injection_cycle, cycle_o) < 0 || inject_hook(c, rid, packet, cycle_o) < 0
         || push(c, rid, port, vc, packet, size, NULL) < 0)
         goto done;
-    if (c->notify_arrival
-        && ((vc_o = PyLong_FromLong(vc)) == NULL
-            || arrival_hook(c, rid, port, port_o, vc_o, packet, cycle_o) < 0))
+    if (c->notify_arrival && arrival_hook(c, rid, port, vc, packet, cycle_o) < 0)
         goto done;
     if (set_attr_long(c, node, N__vc_pointer, pymod(vc + 1, num_vcs)) < 0
         || set_attr_long(c, node, N_next_injection_cycle, cycle + size) < 0
@@ -3548,8 +3762,6 @@ inject(Core *c, PyObject *node, PyObject *cycle_o, long cycle)
         goto done;
     failed = 0;
 done:
-    Py_XDECREF(vc_o);
-    Py_XDECREF(port_o);
     Py_XDECREF(packet);
     Py_DECREF(queue);
     return failed;
@@ -4608,35 +4820,25 @@ static int
 router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject *metrics,
              PyObject *obs, PyObject *faults, PyObject *active, Py_ssize_t *counts)
 {
-    PyObject *due, *svc = NULL;
-    Py_ssize_t num_active, num_due = 0, ai = 0, si = 0, n, kept;
+    due_list due, svc;
+    Py_ssize_t num_active, ai = 0, si = 0, n, kept;
+    calendar *releases = &c->cal[CAL_RELEASE];
     long P = c->P;
     int failed = -1, on;
+    due_init(&due);
+    due_init(&svc);
     /* The calendars are popped only now, after the driver's injection pass:
      * UGAL/PB `on_inject` reads `credit_occ`, and the object engine runs
      * `begin_cycle` after injection too. */
-    if ((due = pop_bucket(L(c, cred_cal), cycle_o)) != NULL) {
-        on = apply_credits(c, due);
-        Py_DECREF(due);
-        if (on < 0)
-            return -1;
-    }
-    else if (PyErr_Occurred())
-        return -1;
-    if ((due = pop_bucket(L(c, arr_cal), cycle_o)) != NULL) {
-        on = apply_arrivals(c, due, cycle_o, active);
-        Py_DECREF(due);
-        if (on < 0)
-            return -1;
-    }
-    else if (PyErr_Occurred())
-        return -1;
-    if ((svc = pop_bucket(L(c, svc_cal), cycle_o)) != NULL)
-        num_due = PyList_GET_SIZE(svc);
-    else if (PyErr_Occurred())
-        return -1;
+    if (cal_pop(&c->cal[CAL_CREDIT], cycle, &due) < 0 || apply_credits(c, &due) < 0)
+        goto done;
+    due_free(&due);
+    if (cal_pop(&c->cal[CAL_ARRIVAL], cycle, &due) < 0
+        || apply_arrivals(c, &due, cycle_o, active) < 0 || cal_pop(releases, cycle, &svc) < 0)
+        goto done;
+    due_free(&due);
     counts[2] = num_active = PyList_GET_SIZE(active);
-    if (num_active > 0 || num_due > 0) {
+    if (num_active > 0 || svc.n > 0) {
         PyObject *unsorted = get_attr(c, c->o[S_st], N_unsorted);
         if (unsorted == NULL)
             goto done;
@@ -4646,23 +4848,19 @@ router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject 
             || (on && (PyList_Sort(active) < 0
                        || set_attr(c, c->o[S_st], N_unsorted, Py_False) < 0)))
             goto done;
-        /* A release carries a `Packet`, which does not order: sort by the
-         * port alone (a port has at most one release a cycle). */
-        if (svc != NULL && sort_by_port(svc) < 0)
-            goto done;
+        /* A port has at most one release a cycle. */
+        due_sort(&svc, 0);
     }
     /* Merge-walk the sorted routers-with-a-head list and the sorted due-port
      * list, so deliveries, metrics and `repro.obs` flight events keep the
      * object engine's router-major order. */
-    while ((ai < num_active && ai < PyList_GET_SIZE(active)) || si < num_due) {
-        long rid, port = 0, first;
+    while ((ai < num_active && ai < PyList_GET_SIZE(active)) || si < svc.n) {
+        long rid, port = si < svc.n ? svc.items[si].f[0] : 0, first;
         Py_ssize_t moved;
         int have_active = ai < num_active && ai < PyList_GET_SIZE(active);
-        if (si < num_due && field_long(PyList_GET_ITEM(svc, si), 0, &port) < 0)
-            goto done;
         if (have_active && as_long(PyList_GET_ITEM(active, ai), &first) < 0)
             goto done;
-        if (have_active && (si == num_due || first * P <= port)) {
+        if (have_active && (si == svc.n || first * P <= port)) {
             PyObject *rid_o = Py_NewRef(PyList_GET_ITEM(active, ai)), *clean;
             rid = first;
             ai++;
@@ -4673,44 +4871,25 @@ router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject 
             }
             Py_DECREF(rid_o);
             /* With `router_latency = 0` a grant's release (or its marker) is
-             * due in this very cycle, *after* the bucket above was popped:
-             * the router's same-cycle events are merged into its release
-             * step below (popping the bucket before the allocation loop
-             * alone diverges from `object`, which transmits right after
-             * allocate). */
+             * due in this very cycle, after the calendar was popped: the
+             * router's same-cycle releases join the due ones still to come,
+             * which are all this router's or later ones' (popping the
+             * releases before the allocation loop alone diverges from
+             * `object`, which transmits right after allocate). */
             if (c->router_latency == 0) {
-                PyObject *merged = pop_bucket(L(c, svc_cal), cycle_o);
-                if (merged == NULL && PyErr_Occurred())
+                Py_ssize_t before = svc.n;
+                if (cal_pop(releases, cycle, &svc) < 0)
                     goto done;
-                if (merged != NULL) {
-                    if (svc != NULL) {
-                        PyObject *rest = PyList_GetSlice(svc, si, num_due);
-                        int joined = rest == NULL ? -1
-                                     : PyList_SetSlice(merged, PyList_GET_SIZE(merged),
-                                                       PyList_GET_SIZE(merged), rest);
-                        Py_XDECREF(rest);
-                        if (joined < 0) {
-                            Py_DECREF(merged);
-                            goto done;
-                        }
-                    }
-                    Py_XSETREF(svc, merged);
-                    if (sort_by_port(svc) < 0)
-                        goto done;
-                    si = 0;
-                    num_due = PyList_GET_SIZE(svc);
-                }
+                if (svc.n > before)
+                    due_sort(&svc, si);
             }
         }
         else
             /* Due releases on a router without an occupied head. */
             rid = port / P;
-        if (si < num_due) {
-            if (field_long(PyList_GET_ITEM(svc, si), 0, &port) < 0)
-                goto done;
-            if (port < rid * P + P && (si = release(c, svc, si, rid)) < 0)
-                goto done;
-        }
+        if (si < svc.n && svc.items[si].f[0] < rid * P + P
+            && (si = release(c, &svc, si, rid)) < 0)
+            goto done;
         if ((moved = drain(c, c->o[S_dlv], N_record_delivery, metrics, obs, cycle_o)) < 0)
             goto done;
         counts[0] += moved;
@@ -4740,7 +4919,8 @@ router_phase(Core *c, PyObject *engine, PyObject *cycle_o, long cycle, PyObject 
         goto done;
     failed = 0;
 done:
-    Py_XDECREF(svc);
+    due_free(&svc);
+    due_free(&due);
     return failed;
 }
 
@@ -5228,11 +5408,16 @@ static int
 Core_traverse(Core *c, visitproc visit, void *arg)
 {
     int i, way;
+    int32_t j;
     for (i = 0; i < N_SLOTS; i++)
         Py_VISIT(c->o[i]);
     for (i = 0; i < N_NAMES; i++)
         for (way = 0; way < MEMO_WAYS; way++)
             Py_VISIT(c->memo[i][way].self);
+    /* The packets in flight; a free event holds none. */
+    for (i = 0; i < N_CALENDARS; i++)
+        for (j = 0; j < c->cal[i].capacity; j++)
+            Py_VISIT(c->cal[i].pool[j].packet);
     return 0;
 }
 
@@ -5251,6 +5436,10 @@ Core_clear(Core *c)
         Py_CLEAR(c->o[i]);
     for (i = 0; i < N_COLUMNS; i++)
         PyBuffer_Release(&c->column[i]); /* a no-op on one never taken */
+    /* After the slots: unbound, the core takes no new event. */
+    for (i = 0; i < N_CALENDARS; i++)
+        cal_clear(&c->cal[i]);
+    c->clock = 0;
     return 0;
 }
 
@@ -5640,9 +5829,7 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         if (member == NULL)
             return -1;
         c->o[i] = member;
-        right = state_members[i].kind == LIST   ? PyList_Check(member)
-                : state_members[i].kind == DICT ? PyDict_Check(member)
-                                                : PyTuple_Check(member);
+        right = state_members[i].kind == LIST ? PyList_Check(member) : PyTuple_Check(member);
         if (!right) {
             PyErr_Format(PyExc_TypeError, "st.%s has the wrong type: %R",
                          state_members[i].name, member);
@@ -5734,10 +5921,19 @@ Core_inject(Core *c, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
+/* `apply_credits(due)` / `apply_arrivals(due, cycle)` of a list of event
+ * tuples: the bodies the router phase runs on what it pops. */
 static PyObject *
-Core_apply_credits(Core *c, PyObject *due)
+Core_apply_credits(Core *c, PyObject *events)
 {
-    if (!usable(c) || expect_list(due, "due") < 0 || apply_credits(c, due) < 0)
+    due_list due;
+    int failed;
+    if (!usable(c))
+        return NULL;
+    due_init(&due);
+    failed = due_from_list(CAL_CREDIT, events, &due) < 0 || apply_credits(c, &due) < 0;
+    due_free(&due);
+    if (failed)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -5745,10 +5941,17 @@ Core_apply_credits(Core *c, PyObject *due)
 static PyObject *
 Core_apply_arrivals(Core *c, PyObject *args)
 {
-    PyObject *due, *cycle_o;
-    if (!usable(c) || !PyArg_ParseTuple(args, "O!O!:apply_arrivals", &PyList_Type, &due,
-                                        &PyLong_Type, &cycle_o)
-        || apply_arrivals(c, due, cycle_o, NULL) < 0)
+    PyObject *events, *cycle_o;
+    due_list due;
+    int failed;
+    if (!usable(c) || !PyArg_ParseTuple(args, "O!O!:apply_arrivals", &PyList_Type, &events,
+                                        &PyLong_Type, &cycle_o))
+        return NULL;
+    due_init(&due);
+    failed = due_from_list(CAL_ARRIVAL, events, &due) < 0
+             || apply_arrivals(c, &due, cycle_o, NULL) < 0;
+    due_free(&due);
+    if (failed)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -5779,18 +5982,23 @@ Core_commit(Core *c, PyObject *args)
 static PyObject *
 Core_release(Core *c, PyObject *args)
 {
-    PyObject *due;
+    PyObject *events;
+    due_list due;
     Py_ssize_t i;
     long rid;
-    if (!usable(c) || !PyArg_ParseTuple(args, "O!nl:release", &PyList_Type, &due, &i, &rid))
+    if (!usable(c) || !PyArg_ParseTuple(args, "O!nl:release", &PyList_Type, &events, &i, &rid))
         return NULL;
     if (i < 0) {
         PyErr_SetString(PyExc_IndexError, "list index out of range");
         return NULL;
     }
-    if ((i = release(c, due, i, rid)) < 0)
-        return NULL;
-    return PyLong_FromSsize_t(i);
+    due_init(&due);
+    if (due_from_list(CAL_RELEASE, events, &due) < 0)
+        i = -1;
+    else
+        i = release(c, &due, i, rid);
+    due_free(&due);
+    return i < 0 ? NULL : PyLong_FromSsize_t(i);
 }
 
 static PyObject *
@@ -5848,26 +6056,17 @@ add_draws(Core *c, PyObject *engine)
     return failed ? -1 : 0;
 }
 
-/* The earliest due cycle over the three calendars (`_NO_EVENT`: none),
- * as `min()` of each one's keys. */
-static int
+/* The earliest due cycle over the three calendars (`_NO_EVENT`: none). */
+static void
 calendar_horizon(Core *c, long *horizon)
 {
-    static const int calendars[3] = {S_cred_cal, S_arr_cal, S_svc_cal};
     int i;
     *horizon = c->no_event;
-    for (i = 0; i < 3; i++) {
-        PyObject *key, *events;
-        Py_ssize_t at = 0;
-        long due;
-        while (PyDict_Next(c->o[calendars[i]], &at, &key, &events)) {
-            if (as_long(key, &due) < 0)
-                return -1;
-            if (due < *horizon)
-                *horizon = due;
-        }
+    for (i = 0; i < N_CALENDARS; i++) {
+        long due = cal_horizon(&c->cal[i]);
+        if (due < *horizon)
+            *horizon = due;
     }
-    return 0;
 }
 
 /* The router half of the warp horizon after a router phase: -1 ("now")
@@ -5879,18 +6078,128 @@ router_hint(Core *c, long *hint)
     PyObject *active = get_attr(c, c->o[S_st], N_active);
     int on = active == NULL ? -1 : truth(active);
     Py_XDECREF(active);
-    if (on)
+    if (on > 0)
         *hint = -1;
-    return on < 0 ? -1 : on ? 0 : calendar_horizon(c, hint);
+    else if (on == 0)
+        calendar_horizon(c, hint);
+    return on < 0 ? -1 : 0;
 }
 
 static PyObject *
 Core_calendar_horizon(Core *c, PyObject *Py_UNUSED(ignored))
 {
     long horizon;
-    if (!usable(c) || calendar_horizon(c, &horizon) < 0)
+    if (!usable(c))
         return NULL;
+    calendar_horizon(c, &horizon);
     return PyLong_FromLong(horizon);
+}
+
+/* The calendar named `name` (`calendar_names`), -1 with an error if none. */
+static int
+calendar_kind(PyObject *name)
+{
+    int kind;
+    for (kind = 0; kind < N_CALENDARS; kind++)
+        if (PyUnicode_Check(name) && PyUnicode_CompareWithASCIIString(name, calendar_names[kind]) == 0)
+            return kind;
+    PyErr_Format(PyExc_ValueError, "no calendar %R: 'credit', 'arrival' or 'release'", name);
+    return -1;
+}
+
+static PyObject *
+Core_schedule(Core *c, PyObject *args)
+{
+    PyObject *name, *t;
+    event parsed, *e;
+    long due;
+    int kind;
+    memset(&parsed, 0, sizeof parsed);
+    if (!usable(c) || !PyArg_ParseTuple(args, "UlO!:schedule", &name, &due, &PyTuple_Type, &t)
+        || (kind = calendar_kind(name)) < 0 || event_from_tuple(kind, t, &parsed) < 0)
+        return NULL;
+    if (due < c->clock) {
+        PyErr_Format(PyExc_ValueError, "an event due at %ld is behind the calendars' clock (%ld)",
+                     due, c->clock);
+        return NULL;
+    }
+    if ((e = cal_push(&c->cal[kind], due, parsed.packet)) == NULL)
+        return NULL;
+    memcpy(e->f, parsed.f, sizeof e->f);
+    Py_RETURN_NONE;
+}
+
+/* One calendar as `{due: [event tuples]}`, each due's events in push order
+ * (they share a slot, whose list keeps it); a due holding only markers maps
+ * to `[]`. */
+static PyObject *
+calendar_snapshot(const calendar *cal, int kind)
+{
+    PyObject *snapshot = PyDict_New();
+    int32_t slot, i;
+    for (slot = 0; snapshot != NULL && cal->live > 0 && slot < WHEEL; slot++)
+        for (i = cal->slot[2 * slot]; i >= 0; i = cal->pool[i].next) {
+            const event *e = &cal->pool[i];
+            PyObject *key = PyLong_FromLong(e->due), *events = NULL, *t = NULL;
+            int failed = key == NULL
+                         || (events = PyDict_SetDefault(snapshot, key, Py_None)) == NULL;
+            if (!failed && events == Py_None) {
+                failed = (events = PyList_New(0)) == NULL
+                         || PyDict_SetItem(snapshot, key, events) < 0;
+                Py_XDECREF(events); /* the snapshot holds it */
+            }
+            failed = failed
+                     || (e->f[0] >= 0 && ((t = event_tuple(kind, e)) == NULL
+                                          || PyList_Append(events, t) < 0));
+            Py_XDECREF(t);
+            Py_XDECREF(key);
+            if (failed) {
+                Py_CLEAR(snapshot);
+                break;
+            }
+        }
+    return snapshot;
+}
+
+static PyObject *
+Core_calendars(Core *c, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *calendars;
+    int kind;
+    if (!usable(c) || (calendars = PyDict_New()) == NULL)
+        return NULL;
+    for (kind = 0; kind < N_CALENDARS; kind++) {
+        PyObject *snapshot = calendar_snapshot(&c->cal[kind], kind);
+        if (snapshot == NULL || PyDict_SetItemString(calendars, calendar_names[kind], snapshot) < 0) {
+            Py_XDECREF(snapshot);
+            Py_DECREF(calendars);
+            return NULL;
+        }
+        Py_DECREF(snapshot);
+    }
+    return calendars;
+}
+
+static PyObject *
+Core_in_flight(Core *c, PyObject *Py_UNUSED(ignored))
+{
+    if (!usable(c))
+        return NULL;
+    return PyLong_FromSsize_t(c->cal[CAL_ARRIVAL].held + c->cal[CAL_RELEASE].held);
+}
+
+static PyObject *
+Core_sizeof(Core *c, PyObject *Py_UNUSED(ignored))
+{
+    size_t size = (size_t)Py_TYPE(c)->tp_basicsize;
+    int kind;
+    for (kind = 0; kind < N_CALENDARS; kind++) {
+        const calendar *cal = &c->cal[kind];
+        size += (size_t)cal->capacity * sizeof(event);
+        if (cal->slot != NULL)
+            size += 2 * WHEEL * sizeof(int32_t);
+    }
+    return PyLong_FromSize_t(size);
 }
 
 static PyObject *
@@ -5910,8 +6219,11 @@ Core_router_phase(Core *c, PyObject *args)
         && (active = get_attr(c, c->o[S_st], N_active)) != NULL
         && expect_list(active, "st.active") == 0
         && router_phase(c, engine, cycle_o, cycle, metrics, obs, faults, active, counts) == 0
-        && add_draws(c, engine) == 0 && router_hint(c, &hint) == 0)
+        && add_draws(c, engine) == 0 && router_hint(c, &hint) == 0) {
+        if (cycle >= c->clock)
+            c->clock = cycle + 1;
         result = Py_BuildValue("(nnnl)", counts[0], counts[1], counts[2], hint);
+    }
     Py_XDECREF(active);
     Py_XDECREF(faults);
     Py_XDECREF(obs);
@@ -6077,15 +6389,17 @@ static PyMethodDef Core_methods[] = {
      "inject(node, cycle): the head of `node`'s source queue into its router if a VC has room "
      "(`SoAEngine._inject`)."},
     {"apply_credits", (PyCFunction)Core_apply_credits, METH_O,
-     "apply_credits(due): the credit returns `(rid, g, q, phits)` of one bucket."},
+     "apply_credits(due): the credit returns `(rid, g, q, phits)` in the list, as if due now."},
     {"apply_arrivals", (PyCFunction)Core_apply_arrivals, METH_VARARGS,
-     "apply_arrivals(due, cycle): the link arrivals `(g, vc, packet)` of one bucket."},
+     "apply_arrivals(due, cycle): the link arrivals `(g, vc, packet)` in the list, as if due "
+     "at `cycle`."},
     {"pop_head", (PyCFunction)Core_pop_head, METH_VARARGS,
      "pop_head(rid, port, vc, cycle) -> packet: the input side of a hop."},
     {"commit", (PyCFunction)Core_commit, METH_VARARGS,
      "commit(rid, request, cycle): commit a grant and book its release and arrival."},
     {"release", (PyCFunction)Core_release, METH_VARARGS,
-     "release(due, i, rid) -> int: the releases of router `rid` starting at `due[i]`."},
+     "release(due, i, rid) -> int: the releases `(g, phits, link-free cycle, packet or None)` "
+     "of router `rid` starting at `due[i]`; the index of the next router's."},
     {"alloc_round", (PyCFunction)Core_alloc_round, METH_VARARGS,
      "alloc_round(rid, base, requests) -> grants: one separable allocation."},
     {"router_phase", (PyCFunction)Core_router_phase, METH_VARARGS,
@@ -6094,6 +6408,17 @@ static PyMethodDef Core_methods[] = {
     {"calendar_horizon", (PyCFunction)Core_calendar_horizon, METH_NOARGS,
      "calendar_horizon() -> int: the earliest due cycle over the three calendars "
      "(`_NO_EVENT`: none)."},
+    {"schedule", (PyCFunction)Core_schedule, METH_VARARGS,
+     "schedule(calendar, due, event): push an event of that calendar's shape ('credit': "
+     "`(rid, g, q, phits)`, 'arrival': `(g, vc, packet)`, 'release': `(g, phits, link-free "
+     "cycle, packet or None)`), due no earlier than the next router phase."},
+    {"calendars", (PyCFunction)Core_calendars, METH_NOARGS,
+     "calendars() -> {'credit' | 'arrival' | 'release': {due: [event tuples]}}: a snapshot, "
+     "each due's events in push order (a release marker makes its due's key only)."},
+    {"in_flight", (PyCFunction)Core_in_flight, METH_NOARGS,
+     "in_flight() -> int: the packets the calendars hold (on a link or leaving by ejection)."},
+    {"__sizeof__", (PyCFunction)Core_sizeof, METH_NOARGS,
+     "__sizeof__() -> int: the core with its calendars' pools and wheels."},
     {"publish_saturation", (PyCFunction)Core_publish_saturation, METH_VARARGS,
      "publish_saturation(scan, network, cycle): PB's `post_cycle`, its saturation scan over "
      "the flat state, then `routing.publish_flags(cycle, flags)`."},

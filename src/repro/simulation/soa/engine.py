@@ -14,7 +14,8 @@ places:
   on flat columns instead of attribute loads across an object graph;
 * **a compiled hop chain** — that arithmetic runs in C: ``_core.c``, one
   CPython extension type bound to this engine's :class:`SoAState`, holds the
-  state's own lists and calendars and implements credit returns, link
+  state's own lists and columns, owns the event calendars and implements
+  credit returns, link
   arrivals, the pop / commit / release chain of a hop, the separable
   allocator, the allocation rounds and the router-major walk of a cycle, the
   source phase (traffic generation and injection), and for the stock
@@ -30,9 +31,10 @@ places:
   one RNG draw — runs per round, exactly as many times and in exactly the
   same order as the object model's ``select_output`` calls;
 * **event calendars** — credit returns, link arrivals and output-port
-  releases are bucketed by absolute due cycle, so a step pops exactly the
-  events due now and visits only routers holding an occupied head; a router
-  that merely waits costs nothing;
+  releases are C structs in the core, pooled and hung on a wheel by absolute
+  due cycle, so a step pops exactly the events due now, allocates no Python
+  object per event, and visits only routers holding an occupied head; a
+  router that merely waits costs nothing;
 * **output ports booked at grant time** — a constant-latency pipeline, a
   FIFO output buffer and a work-conserving link make a hop's output-side
   timeline a function of the grant cycle: the core's ``commit`` computes it,
@@ -62,7 +64,10 @@ The compiled core
 (:meth:`_source_phase`) and router phase over the *same* lists, integer
 ``array('q')`` columns, tuples, dicts and ``Packet`` objects this module and
 its readers see — nothing is copied, so :class:`RouterView`, the obs readers
-and every test that inspects ``st.*`` or ``_rows`` read live state.  Each of
+and every test that inspects ``st.*`` or ``_rows`` read live state.  The
+calendars are the core's own (``Core.calendars()`` is their snapshot,
+``Core.schedule`` plants an event, ``Core.in_flight()`` counts the packets
+they hold).  Each of
 ``_STOCK_FUNCTIONS`` is answered in C only while the function the instance
 resolves for that name, the way a method call resolves it, is the stock one
 taken from the class when the engine was built; a subclass override or a
@@ -487,16 +492,17 @@ class SoAEngine(Engine):
         self, rid: int, port: int, complete_cycle: int, vc: int, packet
     ) -> None:
         """Fabricate a link arrival over the flat state (test surface)."""
-        st = self._st
-        # A bucket behind the clock would never be popped: an already
+        # An event behind the clock would never be popped: an already
         # complete arrival is received by the next step.
         due = complete_cycle if complete_cycle > self.cycle else self.cycle
-        st.arr_cal[due].append((rid * st.P + port, vc, packet))
+        self._core.schedule("arrival", due, (rid * self._st.P + port, vc, packet))
 
     def total_buffered_packets(self) -> int:
-        """Packets inside the fabric — counted over the flat arrays (there
+        """Packets inside the fabric: the input buffers of the flat state, a
+        forwarded packet from its grant until it arrives and an ejecting one
+        until its release delivers it (both in the core's calendars; there
         is no object router graph on this backend)."""
-        return self._st.total_buffered_packets()
+        return self._st.buffered_packets() + self._core.in_flight()
 
     def _stall_census(self):
         st = self._st

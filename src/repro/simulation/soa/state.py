@@ -19,26 +19,26 @@ by construction instead of duplicating it, without ever building a
 asks the network for its ``routers``.
 
 Everything scheduled for a later cycle — credit returns, link arrivals,
-output-port releases — lives in three *calendars*, ``cycle -> [events]``
-dicts keyed by absolute due cycle, so a step pops exactly the events due now
-instead of scanning every port that has something pending.
+output-port releases — is not state of this class: it lives in the three
+*calendars* of the compiled core (``_core.c``), C event structs keyed by
+absolute due cycle, so a step pops exactly the events due now instead of
+scanning every port that has something pending.  ``Core.calendars()`` shows
+them as ``{due: [event tuples]}``, ``Core.schedule`` plants one.
 
 The output side of a hop holds no packets: with a constant pipeline latency,
 a FIFO output buffer and a work-conserving link of fixed speed, the cycles a
 granted packet starts on the wire, leaves it and arrives downstream follow
 from the grant cycle and ``link_booked``.  The grant books them: the arrival
-goes into ``arr_cal`` at once, and one *release* event, due when the packet
-starts on the wire, gives the output-buffer space back (and, on an ejection
-port, delivers the packet).
+goes into the arrival calendar at once, and one *release* event, due when the
+packet starts on the wire, gives the output-buffer space back (and, on an
+ejection port, delivers the packet).
 
 The integer columns are ``array('q')`` columns, allocated at their size in
 one block: the compiled core reads and writes them as C ``long long`` through
 a buffer it holds for its lifetime (so they cannot be resized), with no
 integer object per element and nothing inside for the cyclic collector to
-traverse.  Python readers index them like lists.  Three integer columns stay lists,
-``up_g``, ``up_rid`` and ``down_g``: the core stores their elements into
-event tuples as they are.  The flags are lists of bools, and the per-VC
-queues, the per-router key lists and the calendars hold objects.
+traverse.  Python readers index them like lists.  The flags are lists of
+bools, and the per-VC queues and the per-router key lists hold objects.
 
 Construction fills numbers only; containers follow traffic.  ``in_q[q]`` is
 ``None`` until the first packet is pushed into that VC and a plain ``list``
@@ -57,8 +57,7 @@ so every hook and ``select_output`` call observes live SoA state.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
-from typing import TYPE_CHECKING, DefaultDict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.network.specs import port_specs
 from repro.topology.base import PortKind
@@ -261,10 +260,6 @@ class SoAState:
         "unsorted",
         "views",
         "node_rid",
-        # calendars: absolute due cycle -> events
-        "cred_cal",
-        "arr_cal",
-        "svc_cal",
     )
 
     def __init__(self, network: "Network"):
@@ -282,8 +277,8 @@ class SoAState:
 
         # -- per-g -----------------------------------------------------------
         self.in_nvcs = _column(nG, 0)
-        self.up_g = [-1] * nG
-        self.up_rid = [-1] * nG
+        self.up_g = _column(nG, -1)
+        self.up_rid = _column(nG, -1)
         self.out_committed = _column(nG, 0)
         self.out_free = _column(nG, 0)
         # Busy-until of the packet on the wire (the object model's
@@ -292,7 +287,7 @@ class SoAState:
         self.link_booked = _column(nG, 0)
         self.link_lat = _column(nG, 1)
         self.ser_fac = _column(nG, 1)
-        self.down_g = [-1] * nG
+        self.down_g = _column(nG, -1)
         self.down_nvcs = _column(nG, 1)
         self.credit_occ = _column(nG, 0)
         self.cap_sum = _column(nG, 0)
@@ -369,18 +364,6 @@ class SoAState:
             for q in range(base, base + self.down_nvcs[g]):
                 self.credits[q] = self.max_credits[q] = capacity
 
-        # -- calendars -------------------------------------------------------
-        # Plain dicts, so there is no wheel size to tune; a bucket is popped
-        # whole on its due cycle.  Event shapes: credit returns
-        # ``(rid, g, q, phits)``, link arrivals ``(g, vc, packet)``,
-        # output-port releases ``(g, phits, link-free cycle, packet)`` with
-        # the packet only on an ejection port (``None`` on a link: it already
-        # sits in ``arr_cal``).  An empty ``svc_cal`` bucket is a horizon
-        # marker (see ``commit`` in ``_core.c``).
-        self.cred_cal: DefaultDict[int, list] = defaultdict(list)
-        self.arr_cal: DefaultDict[int, list] = defaultdict(list)
-        self.svc_cal: DefaultDict[int, list] = defaultdict(list)
-
         columns = _PortColumns(
             self.out_committed, self.out_free, self.credit_occ, self.link_busy,
             self.max_credits, self.down_nvcs, V, self.port_kinds,
@@ -390,19 +373,7 @@ class SoAState:
         self.node_rid = [topo.node_router(nid) for nid in range(topo.num_nodes)]
 
     # ------------------------------------------------------------- inspection
-    def total_buffered_packets(self) -> int:
-        """Packets inside the network (input buffers, output side, links).
-
-        Mirrors ``Network.total_buffered_packets`` over the flat state: a
-        forwarded packet sits in ``arr_cal`` from its grant until it arrives,
-        an ejecting one rides its release event until it is delivered.
-        """
-        n = 0
-        for dq in self.in_q:
-            if dq:
-                n += len(dq)
-        for bucket in self.arr_cal.values():
-            n += len(bucket)
-        for bucket in self.svc_cal.values():
-            n += sum(event[3] is not None for event in bucket)
-        return n
+    def buffered_packets(self) -> int:
+        """Packets in the input buffers (the calendars hold the rest of what
+        ``total_buffered_packets`` counts: ``SoAEngine`` adds them)."""
+        return sum(len(dq) for dq in self.in_q if dq)

@@ -32,7 +32,7 @@ from repro.routing.base import UnsupportedTopologyError
 from repro.routing.deadlock import class_rank
 from repro.simulation.simulator import Simulator
 from repro.topology.base import PortKind
-from repro.topology.registry import topology_preset
+from repro.topology.registry import available_topologies, topology_preset
 
 ROUTINGS = ("Base", "Hybrid", "UGAL")
 
@@ -135,18 +135,18 @@ def _supported(topology: str, routing: str) -> bool:
     return True
 
 
-@pytest.fixture(params=ROUTINGS)
-def contention_routing(request) -> str:
+@pytest.fixture(
+    params=[
+        pytest.param((topology, routing), id=f"{topology}-{routing}")
+        for topology in available_topologies()
+        for routing in ROUTINGS
+        if _supported(topology, routing)
+    ]
+)
+def supported_pair(request):
+    """The (topology, routing) pairs that construct; the refusal of every
+    other one is asserted by ``tests/routing/test_unsupported_matrix.py``."""
     return request.param
-
-
-@pytest.fixture
-def supported_pair(every_topology, contention_routing):
-    """(topology, routing) pairs that construct; unsupported ones skip
-    (their loud refusal is asserted by the probe-matrix suite)."""
-    if not _supported(every_topology, contention_routing):
-        pytest.skip(f"{contention_routing} unsupported on {every_topology}")
-    return every_topology, contention_routing
 
 
 class TestHopSequencesObeyPathModel:

@@ -5,7 +5,7 @@ pinned here is what C could silently get wrong: every overflow / underflow /
 over-commit check still fires with the parent's exception type and message and
 releases what it took, hooks are looked up by name per type version (a class
 changed after a warm run included), the integer columns are bound as typed
-buffers, the ``svc_cal[ready]`` horizon marker and the bookings of a grant have
+buffers, the release marker at ``ready`` and the bookings of a grant have
 the parent's shapes, nothing outlives a run (reference counts, the cyclic
 collector, ``tracemalloc``), and the build-on-first-use machinery falls back,
 races and refuses as documented.
@@ -208,16 +208,17 @@ class TestBookings:
         core.commit(0, (1, 0, port, size, decision, port, port * st.V + 1), cycle)
 
         done = busy_until + size * st.ser_fac[port]
+        calendars = core.calendars()
         # ``object`` wakes at the pipeline exit although the link is busy: the
-        # empty bucket is the marker the warp horizon reads.
-        assert st.svc_cal.get(cycle + latency) == []  # ``get``: a read must not make it
-        assert st.svc_cal.get(busy_until) == [(port, size, done, None)]
-        assert st.arr_cal.get(done + st.link_lat[port]) == [(st.down_g[port], 1, packet)]
+        # marker there, a key with no event, is what the warp horizon reads.
+        assert calendars["release"].get(cycle + latency) == []
+        assert calendars["release"].get(busy_until) == [(port, size, done, None)]
+        assert calendars["arrival"].get(done + st.link_lat[port]) == [(st.down_g[port], 1, packet)]
         assert st.link_booked[port] == done and st.link_busy[port] == 0
         assert (st.out_committed[port], st.credit_occ[port]) == (size, size)
         assert packet.current_vc == 1 and packet.hops == 1
         # An injection port has no upstream: no credit is owed.
-        assert not st.cred_cal
+        assert not calendars["credit"]
 
     def test_ejection_release_carries_its_packet(self):
         sim = _sim()
@@ -227,9 +228,10 @@ class TestBookings:
         core.apply_arrivals([(1, 0, packet)], 2)
         core.commit(0, (1, 0, 0, size, RoutingDecision(output_port=0, vc=0), 0, 0), 2)
         depart = 2 + sim.params.router_latency
-        assert list(st.svc_cal) == [depart]
-        assert st.svc_cal.get(depart) == [(0, size, depart + size, packet)]
-        assert not st.arr_cal and packet.hops == 0  # an ejection is no hop
+        calendars = core.calendars()
+        assert list(calendars["release"]) == [depart]
+        assert calendars["release"].get(depart) == [(0, size, depart + size, packet)]
+        assert not calendars["arrival"] and packet.hops == 0  # an ejection is no hop
 
     @pytest.mark.parametrize("router_latency", [0, 1])
     def test_same_cycle_release_and_marker_leave_no_stale_bucket(self, router_latency):
@@ -252,14 +254,13 @@ class TestBookings:
         (obj, obj_cycles), (soa, soa_cycles) = runs["object"], runs["soa"]
         assert soa_cycles == obj_cycles and None not in soa_cycles
         assert soa.engine.cycles_skipped == obj.engine.cycles_skipped
-        st = soa.engine._st
-        assert not st.svc_cal and not st.arr_cal and not st.cred_cal
+        assert not any(soa.engine._core.calendars().values())
 
 
 _COLUMNS = (
     "in_free", "credits", "max_credits", "up_lat", "out_committed", "out_free", "link_busy",
     "link_booked", "link_lat", "ser_fac", "credit_occ", "in_ptr", "out_ptr", "in_nvcs",
-    "alloc_nvc", "down_nvcs", "cap_sum",
+    "alloc_nvc", "down_nvcs", "cap_sum", "up_g", "up_rid", "down_g",
 )
 _HOOKS = ("on_grant", "on_packet_leave_input", "on_packet_head", "on_packet_arrival")
 _MECHANISMS = ["MIN", "VAL", "UGAL", "PB", "OLM", "Base", "Hybrid", "ECtN"]
@@ -702,10 +703,9 @@ class TestLifetime:
         sim.run_cycles(2_000)
         engine = sim.engine
         assert engine.delivered_packets > 100 and mine.delivered
-        assert engine._st.total_buffered_packets() == 0
-        st = engine._st
-        assert not st.cred_cal and not st.arr_cal and not st.svc_cal
-        # The event tuples, the VC list, the delivered list, the hook
+        assert engine.total_buffered_packets() == 0
+        assert not any(engine._core.calendars().values())
+        # The calendar events, the VC list, the delivered list, the hook
         # arguments: every reference the chain took is given back.
         assert sys.getrefcount(mine) == baseline
 

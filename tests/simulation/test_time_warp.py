@@ -147,8 +147,8 @@ class TestTheCoreComputesTheRouterHint:
     (``_NO_EVENT`` when they are all empty)."""
 
     @staticmethod
-    def _calendars(st):
-        keys = [min(calendar) for calendar in (st.cred_cal, st.arr_cal, st.svc_cal) if calendar]
+    def _calendars(engine):
+        keys = [min(calendar) for calendar in engine._core.calendars().values() if calendar]
         return min(keys, default=_NO_EVENT)
 
     @pytest.mark.parametrize("routing", ["MIN", "Base", "PB"])
@@ -160,7 +160,7 @@ class TestTheCoreComputesTheRouterHint:
             if cycle == 200:
                 engine.traffic.set_offered_load(0.0)  # the fabric drains: idle at the end
             engine.step()
-            horizon = self._calendars(st)
+            horizon = self._calendars(engine)
             assert engine._calendar_horizon() == horizon
             assert engine._hint_router_event == (-1 if st.active else horizon)
             kinds.add(-1 if st.active else "idle" if horizon == _NO_EVENT else "calendar")
