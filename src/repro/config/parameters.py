@@ -463,8 +463,9 @@ class FatTreeConfig(TopologyConfig):
     (leaves have no children below them, roots no parents above; those
     ports exist in the uniform radix but stay unconnected).  Compute nodes
     attach to the leaf switches only, ``p`` per leaf, so ``num_nodes`` is
-    ``k**(levels-1) * p`` — *not* ``num_routers * p`` — and the node id
-    map is non-dense (:attr:`~repro.topology.base.Topology.dense_node_map`).
+    ``k**(levels-1) * p`` — *not* ``num_routers * p`` — and the topology
+    passes its own node -> router map to
+    :class:`~repro.topology.base.Topology`.
 
     The ``k`` most-significant-digit subtrees play the role of the
     Dragonfly's groups for region-based traffic: ``ADV+1`` sends every

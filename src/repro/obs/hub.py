@@ -386,9 +386,6 @@ class ObservationHub:
                 "snapshots_skipped": self._snapshots_skipped,
             }
         )
-        draws = getattr(engine, "_draws", None)
-        if draws is not None:
-            perf["rng_draws"] = draws
         return perf
 
     def set_manifest(self, manifest: dict) -> None:

@@ -175,9 +175,7 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
                 None
             ] * topology.num_routers
             self._routers_per_group = topology.routers_per_region
-            self._nodes_per_group = (
-                topology.nodes_per_router * topology.routers_per_region
-            )
+            self._nodes_per_group = topology.num_nodes // topology.num_regions
             # (router, target_group) -> (output_port, is_global) for the
             # minimal step towards an intermediate group (static for a
             # fixed topology).

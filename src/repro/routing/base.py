@@ -161,14 +161,10 @@ class RoutingAlgorithm(ABC):
             if topology.path_model.vc_schedule == "up_down"
             else None
         )
-        # Node -> router table.  The hot paths historically divided by
-        # nodes_per_router, which breaks on topologies whose nodes are not
-        # dense across routers (the fat tree attaches nodes to leaf
-        # switches only); resolving the mapping once here keeps them a
-        # single tuple index with identical values on dense topologies.
-        self._node_rid = tuple(
-            topology.node_router(n) for n in range(topology.num_nodes)
-        )
+        # The topology's node -> router table, one tuple index per lookup
+        # on the hot paths (the fat tree attaches nodes to leaf switches
+        # only, so a division by nodes_per_router would not do).
+        self._node_rid = topology._node_rid
         # Deadlock-freedom gate: every path shape this mechanism can take on
         # this topology must walk strictly increasing buffer classes within
         # the VC budget (see repro.routing.deadlock).  Oblivious/minimal

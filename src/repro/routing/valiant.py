@@ -47,7 +47,7 @@ class ValiantRouting(RoutingAlgorithm):
     def __init__(self, topology, params, rng):
         super().__init__(topology, params, rng)
         self._nodes_per_router = topology.nodes_per_router
-        self._nodes_per_region = topology.nodes_per_router * topology.routers_per_region
+        self._nodes_per_region = topology.num_nodes // topology.num_regions
         #: Whether misrouting shows up on GLOBAL links (Dragonfly, flattened
         #: butterfly) or on LOCAL links (topologies without global ports,
         #: where the detour through the intermediate router *is* the local

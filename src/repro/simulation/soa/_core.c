@@ -11,9 +11,10 @@
  * stock one: the routing hooks, `Packet.record_hop`, the head captures (the
  * pure mechanisms' `select_output`, the adaptive path policies) and the
  * triggers of their open gates -- and an injection with its stock
- * `on_inject`, the topology queries of every topology from its route table,
- * hop memo and sizes (a Dragonfly's link-offset tables, a torus's dateline
- * state machine over its ring table), the source phase of a cycle (the
+ * `on_inject`, the topology queries of every topology from the node map,
+ * route table, hop memo and sizes `Topology` holds for it (a Dragonfly's
+ * link-offset tables, a torus's dateline state machine over its ring
+ * table), the source phase of a cycle (the
  * stock Bernoulli generator, its destinations, `Packet(...)`,
  * `ComputeNode.enqueue`), the stock delivery accounting of
  * `MetricsCollector` and PB's saturation broadcast.  Everything a test or
@@ -82,7 +83,7 @@
 #define NAMES(X) \
     X(on_grant) X(on_packet_head) X(on_packet_arrival) X(on_packet_leave_input) \
     X(record_hop) X(is_global) X(vc) X(record_delivery) X(record_dropped) X(metrics) \
-    X(obs) X(faults) X(active) X(unsorted) X(counts) X(_draws) \
+    X(obs) X(faults) X(active) X(unsorted) X(counts) \
     X(_live_request) X(on_head) X(on_leave) X(decrement) X(plain_decision) \
     X(global_candidates) X(local_candidates) X(router_candidates) X(_towards_group) X(ring_vc) \
     X(output_port) \
@@ -164,9 +165,7 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(Topology, router_region) X(Topology, node_region) X(Topology, node_router) \
     X(Topology, minimal_output_port) X(Topology, minimal_route_to_router) \
     X(Topology, router_hops) X(DragonflyTopology, router_hops) \
-    X(DragonflyTopology, _route_port) X(FatTreeTopology, node_router) \
-    X(FatTreeTopology, minimal_output_port) \
-    X(TorusTopology, ring_vc) X(TorusTopology, commit_ring_hop) \
+    X(DragonflyTopology, _route_port) X(TorusTopology, ring_vc) X(TorusTopology, commit_ring_hop) \
     X(MinimalRouting, select_output) X(ValiantRouting, select_output) \
     X(MetricsCollector, record_delivery) X(MetricsCollector, record_generated) \
     X(MetricsCollector, in_window) X(TimeSeriesRecorder, record) \
@@ -177,25 +176,12 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(ValiantRouting, random_intermediate_router) X(Topology, valiant_intermediate_router) \
     X(DragonflyTopology, port_target_region) X(PiggybackRouting, publish_flags)
 /* What a stock body reads or builds with that its class's source does not
- * define as a function: every topology's size properties (compared with
- * what the type's MRO holds, never called; `SIZE_SLOTS` below lists them per
- * class) and the dataclass-made `Packet.__init__`. */
+ * define as a function: the size properties of `Topology` (compared with
+ * what the type's MRO holds, never called), in `enum size` order, and the
+ * dataclass-made `Packet.__init__`. */
 #define STOCK_ATTRIBUTES(X) \
-    X(DragonflyTopology, num_nodes) X(DragonflyTopology, num_routers) \
-    X(DragonflyTopology, num_regions) X(DragonflyTopology, routers_per_region) \
-    X(DragonflyTopology, nodes_per_router) \
-    X(FatTreeTopology, num_nodes) X(FatTreeTopology, num_routers) \
-    X(FatTreeTopology, num_regions) X(FatTreeTopology, routers_per_region) \
-    X(FatTreeTopology, nodes_per_router) \
-    X(FlattenedButterflyTopology, num_nodes) X(FlattenedButterflyTopology, num_routers) \
-    X(FlattenedButterflyTopology, num_regions) X(FlattenedButterflyTopology, routers_per_region) \
-    X(FlattenedButterflyTopology, nodes_per_router) \
-    X(FullMeshTopology, num_nodes) X(FullMeshTopology, num_routers) \
-    X(FullMeshTopology, num_regions) X(FullMeshTopology, routers_per_region) \
-    X(FullMeshTopology, nodes_per_router) \
-    X(TorusTopology, num_nodes) X(TorusTopology, num_routers) \
-    X(TorusTopology, num_regions) X(TorusTopology, routers_per_region) \
-    X(TorusTopology, nodes_per_router) X(Packet, __init__)
+    X(Topology, num_nodes) X(Topology, num_routers) X(Topology, num_regions) \
+    X(Topology, routers_per_region) X(Topology, nodes_per_router) X(Packet, __init__)
 #define STOCK_OBJECTS(X) \
     X(Packet) X(RoutingDecision) X(RoutingAlgorithm) X(ValiantRouting) X(ECtNRouting) \
     X(DragonflyTopology) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL) X(draws) X(packet_defaults) \
@@ -204,14 +190,14 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
 /* What the stock hook bodies, the triggers and the captures read off the
  * routing, bound once: the topology, and where the mechanism has them, the
  * contention tracker, its counter arrays, ECtN's partial and combined arrays,
- * PB's flags, the routers' shared candidate tuples (`None` otherwise), the
- * node -> router table, and the tables and memos of the path policy; off
- * the topology its route table, and where it has them a Dragonfly's
- * link-offset tables, a fat tree's leaf map and a torus's ring table. */
+ * PB's flags, the routers' shared candidate tuples (`None` otherwise) and
+ * the tables and memos of the path policy; off the topology its node ->
+ * router table and route table, and where it has them a Dragonfly's
+ * link-offset tables and a torus's ring table. */
 #define ROUTING_MEMBERS(X) \
     X(topology) X(tracker) X(counters) X(partial) X(combined) X(flags) X(shared) X(plain) \
     X(towards_cache) X(ring_dims) X(port_candidates) X(node_rid) X(updown_vcs) \
-    X(route_table) X(link_offsets) X(offset_to_group) X(leaf_rid) X(ring_info)
+    X(route_table) X(link_offsets) X(offset_to_group) X(ring_info)
 
 /* ------------------------------------------------------------------ slots */
 /* The state members the core holds.  `active` and `unsorted` are not among
@@ -299,7 +285,7 @@ typedef struct {
  * of object, like `active` off nodes and the state, keeps both). */
 #define MEMO_WAYS 2
 
-/* The size properties every topology defines, in `SIZE_SLOTS` order. */
+/* The size properties `Topology` defines, in `STOCK_ATTRIBUTES` order. */
 enum size { Z_NUM_NODES, Z_NUM_ROUTERS, Z_NUM_REGIONS, Z_ROUTERS_PER_REGION, Z_NODES_PER_ROUTER,
             N_SIZES };
 
@@ -351,7 +337,7 @@ typedef struct {
      * the combined threshold. */
     int signals;
     double counter_threshold, occupancy_ratio, min_occupancy, combined_threshold;
-    long draws; /* trigger draws not yet added to `engine._draws` */
+    long draws; /* trigger draws so far: a pass that moved it drew */
     /* The capture (`CAPTURE_*`, -1: none) and the routing's constants it
      * reads: nodes per router, routers / nodes per group, the global and
      * local VC counts, the global ports of a shared candidate tuple, ECtN's
@@ -363,21 +349,17 @@ typedef struct {
      * state machine, `ring_vc`). */
     long npreg;
     int has_global_ports, dateline;
-    /* The topology's nodes per router (`_p`), routers per region, nodes per
-     * region and routers (`_num_routers`; 0 where it has no route table: no
-     * query of the base `Topology` is answered in C then). */
-    long top_p, top_rpr, top_npreg, top_routers;
     /* A `DragonflyTopology`'s routers per group, global ports per router,
      * groups and first global port (`df_a` 0 on any other topology). */
     long df_a, df_h, df_groups, df_first_global;
-    /* The routing's own topology's size properties (`enum size`): each
-     * stock property its type resolved the name to when the core was bound
-     * (borrowed from the stock slots; `sizes` 0: not every one was stock) and
-     * the value it returned then, and the type version they were last
-     * checked under. */
+    /* The routing's own topology's sizes (`enum size`), read when the core
+     * was bound where its type resolved every size property to the stock one
+     * and it has a node map and a route table (`sizes` 0 otherwise: no query
+     * of the base `Topology` is answered in C then), and the type version
+     * the properties were last checked under. */
     int sizes;
-    PyObject *size_property[N_SIZES];
     long size[N_SIZES];
+    long nodes_per_region; /* `num_nodes // num_regions` of those */
     unsigned int sizes_tag;
     /* UGAL's `T`, in phits. */
     double valiant_threshold;
@@ -1826,9 +1808,10 @@ invoke_on_view(Core *c, int n, long rid, PyObject **args, size_t nargs)
  * has its own, that one -- the query is answered here from the function's
  * arithmetic or tables; otherwise it is the call by name, made where and as
  * often as the Python body makes it.  The routing's own topology is read
- * through the constants and tables bound with the core (`top_routers > 0`);
- * a traffic pattern may hold another instance, whose sizes are read as
- * attributes. */
+ * through the sizes, node map and tables bound with the core, while its
+ * size properties are the stock ones (`sizes_stock`); a traffic pattern may
+ * hold another instance, whose queries are calls by name and whose sizes
+ * are read as attributes. */
 enum query { Q_ROUTER_REGION, Q_NODE_REGION, Q_NODE_ROUTER };
 
 static const int query_names[] = {N_router_region, N_node_region, N_node_router};
@@ -1851,72 +1834,77 @@ ask_by_name(Core *c, PyObject *topology, int n, long x, long y, size_t nargs, lo
     return failed;
 }
 
-/* Whether `topology` is the routing's own one with its sizes bound. */
-static inline int
-own_topology(Core *c, PyObject *topology)
-{
-    return c->top_routers > 0 && topology == L(c, topology);
-}
+/* The size properties in `enum size` order, and the stock ones of those
+ * names. */
+static const int size_names[N_SIZES] = {N_num_nodes, N_num_routers, N_num_regions,
+                                        N_routers_per_region, N_nodes_per_router};
+static const int size_slots[N_SIZES] = {S_Topology_num_nodes, S_Topology_num_routers,
+                                        S_Topology_num_regions, S_Topology_routers_per_region,
+                                        S_Topology_nodes_per_router};
 
-/* `topology.<name n>` of a size (`_p`, `routers_per_region`, ...): `bound`
- * on the routing's own topology, else the attribute. */
+/* Whether `topology` is the routing's own one, its sizes bound and its type
+ * still resolving each size property to the stock one, whose values are
+ * then the bound ones (properties are data descriptors: the instance cannot
+ * shadow them).  Checked once per type version.  1 / 0, -1 on error. */
 static int
-top_attr(Core *c, PyObject *topology, int n, long bound, long *out)
+sizes_stock(Core *c, PyObject *topology)
 {
-    if (own_topology(c, topology)) {
-        *out = bound;
+    PyTypeObject *type = Py_TYPE(topology);
+    int z;
+    if (!c->sizes || topology != L(c, topology))
         return 0;
+    if (tag_valid(type) && type->tp_version_tag == c->sizes_tag)
+        return 1;
+    for (z = 0; z < N_SIZES; z++) {
+        memo scratch, *e = type_part(c, type, size_names[z], &scratch);
+        if (e == NULL)
+            return -1;
+        if (e->found != c->o[size_slots[z]])
+            return 0;
     }
-    return attr_long(c, topology, n, out);
+    c->sizes_tag = tag_valid(type) ? type->tp_version_tag : 0;
+    return 1;
 }
 
-/* `x // divisor` of a size read off a topology. */
+/* `topology.<size z>`: the value bound with the core while `sizes_stock`,
+ * else the attribute. */
 static int
-divide(long x, long divisor, long *out)
+topology_size(Core *c, PyObject *topology, enum size z, long *out)
 {
-    if (divisor <= 0) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
+    int on = sizes_stock(c, topology);
+    if (on < 0)
         return -1;
-    }
-    *out = pydiv(x, divisor);
-    return 0;
-}
-
-/* `topology.num_nodes // topology.num_regions`. */
-static int
-nodes_per_region(Core *c, PyObject *topology, long *out)
-{
-    long nodes, regions;
-    if (own_topology(c, topology)) {
-        *out = c->top_npreg;
+    if (on) {
+        *out = c->size[z];
         return 0;
     }
-    return attr_long(c, topology, N_num_nodes, &nodes) < 0
-           || attr_long(c, topology, N_num_regions, &regions) < 0 ? -1 : divide(nodes, regions, out);
+    return attr_long(c, topology, size_names[z], out);
 }
 
 /* `topology.<query>(x)` -- the routing's topology or another instance (a
  * traffic pattern's): the region of a router or a node, or a node's router.
- * The base bodies: `router // routers_per_region`,
- * `node // (num_nodes // num_regions)` and `node // _p`; a fat tree's own
- * `node_router` reads its leaf map. */
+ * The base bodies, `router // routers_per_region`,
+ * `node // (num_nodes // num_regions)` and `_node_rid[node]`, over the
+ * sizes and the node map bound with the core; on another instance, with
+ * other sizes or for a node outside the map, the call by name. */
 static int
 ask_of(Core *c, PyObject *topology, enum query q, long x, long *out)
 {
-    PyObject *fn, *leaf;
-    long size;
+    PyObject *fn, *map = L(c, node_rid);
+    int on;
     if (stock_hook(c, topology, query_names[q], &fn) < 0)
         return -1;
-    if (fn == c->o[query_stock[q]])
-        return (q == Q_NODE_ROUTER    ? top_attr(c, topology, N__p, c->top_p, &size)
-                : q == Q_NODE_REGION ? nodes_per_region(c, topology, &size)
-                                     : top_attr(c, topology, N_routers_per_region, c->top_rpr,
-                                                &size)) < 0
-               ? -1 : divide(x, size, out);
-    if (q == Q_NODE_ROUTER && fn == STOCK(c, FatTreeTopology, node_router)
-        && L(c, leaf_rid) != Py_None && own_topology(c, topology))
-        return divide(x, c->top_p, &size) < 0 || (leaf = at(L(c, leaf_rid), size)) == NULL
-               ? -1 : as_long(leaf, out);
+    if (fn == c->o[query_stock[q]] && (on = sizes_stock(c, topology)) != 0) {
+        if (on < 0)
+            return -1;
+        if (q != Q_NODE_ROUTER) {
+            *out = pydiv(x, q == Q_ROUTER_REGION ? c->size[Z_ROUTERS_PER_REGION]
+                                                 : c->nodes_per_region);
+            return 0;
+        }
+        if ((unsigned long)x < (unsigned long)PyTuple_GET_SIZE(map))
+            return as_long(PyTuple_GET_ITEM(map, x), out);
+    }
     return ask_by_name(c, topology, query_names[q], x, 0, 1, out);
 }
 
@@ -1941,11 +1929,11 @@ df_route_port(Core *c, long rid, long dst_router, long *port)
             return -1;
         to = pydiv(offset, c->df_h);
         if (to == pos) {
-            *port = c->top_p + a - 1 + pymod(offset, c->df_h);
+            *port = c->size[Z_NODES_PER_ROUTER] + a - 1 + pymod(offset, c->df_h);
             return 0;
         }
     }
-    *port = c->top_p + (to < pos ? to : to - 1);
+    *port = c->size[Z_NODES_PER_ROUTER] + (to < pos ? to : to - 1);
     return 0;
 }
 
@@ -1963,33 +1951,32 @@ store_byte(PyObject *table, Py_ssize_t key, long value)
 
 /* `topology.minimal_output_port(rid, dst)` (`dst` a node) or, with
  * `to_router`, `topology.minimal_route_to_router(rid, dst)`: the base
- * bodies (and the fat tree's, which finds the node's router in its leaf
- * map) -- the ejection port at the node's router, else the entry of the
- * route table, filled on a miss by `_route_port`: the Dragonfly's here while
- * it is stock, any other by name. */
+ * bodies -- the ejection port at the node's router (`_node_rid`), else the
+ * entry of the route table, filled on a miss by `_route_port`: the
+ * Dragonfly's here while it is stock, any other by name. */
 static int
 route(Core *c, long rid, long dst, int to_router, long *port)
 {
-    PyObject *table = L(c, route_table), *leaf, *fn;
-    long dst_router = dst, R = c->top_routers;
-    int n = to_router ? N_minimal_route_to_router : N_minimal_output_port, leaves = 0;
+    PyObject *topology = L(c, topology), *table = L(c, route_table), *map = L(c, node_rid), *fn;
+    long dst_router = dst, R = c->size[Z_NUM_ROUTERS];
+    int n = to_router ? N_minimal_route_to_router : N_minimal_output_port, on;
     Py_ssize_t key;
     unsigned char entry;
-    if (stock_hook(c, L(c, topology), n, &fn) < 0)
+    if (stock_hook(c, topology, n, &fn) < 0)
         return -1;
-    if (R <= 0
-        || !(to_router ? fn == STOCK(c, Topology, minimal_route_to_router)
-                       : fn == STOCK(c, Topology, minimal_output_port)
-                         || (leaves = L(c, leaf_rid) != Py_None
-                                      && fn == STOCK(c, FatTreeTopology, minimal_output_port))))
-        return ask_by_name(c, L(c, topology), n, rid, dst, 2, port);
+    if (fn != (to_router ? STOCK(c, Topology, minimal_route_to_router)
+                         : STOCK(c, Topology, minimal_output_port))
+        || (on = sizes_stock(c, topology)) == 0)
+        return ask_by_name(c, topology, n, rid, dst, 2, port);
+    if (on < 0)
+        return -1;
     if (!to_router) {
-        dst_router = pydiv(dst, c->top_p);
-        if (leaves && ((leaf = at(L(c, leaf_rid), dst_router)) == NULL
-                       || as_long(leaf, &dst_router) < 0))
+        if ((unsigned long)dst >= (unsigned long)PyTuple_GET_SIZE(map))
+            return ask_by_name(c, topology, n, rid, dst, 2, port);
+        if (as_long(PyTuple_GET_ITEM(map, dst), &dst_router) < 0)
             return -1;
         if (rid == dst_router) {
-            *port = pymod(dst, c->top_p);
+            *port = pymod(dst, c->size[Z_NODES_PER_ROUTER]);
             return 0;
         }
     }
@@ -1998,17 +1985,17 @@ route(Core *c, long rid, long dst, int to_router, long *port)
     key = (Py_ssize_t)rid * R + dst_router;
     if (rid == dst_router || (unsigned long)rid >= (unsigned long)R
         || (unsigned long)dst_router >= (unsigned long)R || key >= PyByteArray_GET_SIZE(table))
-        return ask_by_name(c, L(c, topology), n, rid, dst, 2, port);
+        return ask_by_name(c, topology, n, rid, dst, 2, port);
     entry = (unsigned char)PyByteArray_AS_STRING(table)[key];
     if (entry != 0xFF) {
         *port = entry;
         return 0;
     }
-    if (stock_hook(c, L(c, topology), N__route_port, &fn) < 0)
+    if (stock_hook(c, topology, N__route_port, &fn) < 0)
         return -1;
     if ((c->df_a > 0 && fn == STOCK(c, DragonflyTopology, _route_port)
              ? df_route_port(c, rid, dst_router, port)
-             : ask_by_name(c, L(c, topology), N__route_port, rid, dst_router, 2, port)) < 0)
+             : ask_by_name(c, topology, N__route_port, rid, dst_router, 2, port)) < 0)
         return -1;
     /* A fill by name may have run Python: the table is held, its size is
      * read again. */
@@ -2028,9 +2015,9 @@ static int
 hops(Core *c, long a, long b, long *out)
 {
     PyObject *topology = L(c, topology), *table, *path, *fn;
-    long group, dst_group, there, back, R = c->top_routers;
+    long group, dst_group, there, back, R = c->size[Z_NUM_ROUTERS];
     Py_ssize_t key;
-    int failed;
+    int failed, on;
     if (stock_hook(c, topology, N_router_hops, &fn) < 0)
         return -1;
     if (c->df_a > 0 && fn == STOCK(c, DragonflyTopology, router_hops)) {
@@ -2047,8 +2034,11 @@ hops(Core *c, long a, long b, long *out)
                + (b != dst_group * c->df_a + pydiv(back, c->df_h));
         return 0;
     }
-    if (R <= 0 || (unsigned long)a >= (unsigned long)R || (unsigned long)b >= (unsigned long)R
-        || fn != STOCK(c, Topology, router_hops))
+    if (fn != STOCK(c, Topology, router_hops) || (on = sizes_stock(c, topology)) == 0)
+        return ask_by_name(c, topology, N_router_hops, a, b, 2, out);
+    if (on < 0)
+        return -1;
+    if ((unsigned long)a >= (unsigned long)R || (unsigned long)b >= (unsigned long)R)
         return ask_by_name(c, topology, N_router_hops, a, b, 2, out);
     if ((table = get_attr(c, topology, N__hop_table)) == NULL)
         return -1;
@@ -2215,57 +2205,6 @@ ptruth_attr(Core *c, PyObject *obj, int n)
     on = truth(value);
     Py_DECREF(value);
     return on;
-}
-
-/* The size properties in `enum size` order, and per topology class the
- * stock properties of those names. */
-static const int size_names[N_SIZES] = {N_num_nodes, N_num_routers, N_num_regions,
-                                        N_routers_per_region, N_nodes_per_router};
-#define SIZE_SLOTS(T) \
-    {S_##T##_num_nodes, S_##T##_num_routers, S_##T##_num_regions, S_##T##_routers_per_region, \
-     S_##T##_nodes_per_router},
-static const int size_slots[][N_SIZES] = {
-    SIZE_SLOTS(DragonflyTopology) SIZE_SLOTS(FatTreeTopology)
-    SIZE_SLOTS(FlattenedButterflyTopology) SIZE_SLOTS(FullMeshTopology)
-    SIZE_SLOTS(TorusTopology)};
-
-/* Whether the routing's own topology `topology` still resolves each size
- * property to the stock one bound with the core, whose values are then the
- * bound ones (properties are data descriptors: the instance cannot shadow
- * them).  Checked once per type version.  1 / 0, -1 on error. */
-static int
-sizes_stock(Core *c, PyObject *topology)
-{
-    PyTypeObject *type = Py_TYPE(topology);
-    int z;
-    if (!c->sizes || topology != L(c, topology))
-        return 0;
-    if (tag_valid(type) && type->tp_version_tag == c->sizes_tag)
-        return 1;
-    for (z = 0; z < N_SIZES; z++) {
-        memo scratch, *e = type_part(c, type, size_names[z], &scratch);
-        if (e == NULL)
-            return -1;
-        if (e->found != c->size_property[z])
-            return 0;
-    }
-    c->sizes_tag = tag_valid(type) ? type->tp_version_tag : 0;
-    return 1;
-}
-
-/* `topology.<size z>`: the value bound with the core while `sizes_stock`,
- * else the attribute. */
-static int
-topology_size(Core *c, PyObject *topology, enum size z, long *out)
-{
-    int on = sizes_stock(c, topology);
-    if (on < 0)
-        return -1;
-    if (on) {
-        *out = c->size[z];
-        return 0;
-    }
-    return attr_long(c, topology, size_names[z], out);
 }
 
 /* `draws.integers(rng, low, high)` (a new reference): `bounded_draw` while
@@ -4979,16 +4918,21 @@ static int
 region_range(Core *c, PyObject *topology, long region, long *low, long *high)
 {
     PyObject *args[2] = {topology, NULL}, *answer, *pair, *fn;
-    long routers, nodes;
+    long nodes, regions;
     int failed = -1;
     if (stock_hook(c, topology, N_region_node_range, &fn) < 0)
         return -1;
     if (fn == STOCK(c, Topology, region_node_range)) {
-        if (topology_size(c, topology, Z_ROUTERS_PER_REGION, &routers) < 0
-            || topology_size(c, topology, Z_NODES_PER_ROUTER, &nodes) < 0)
+        /* `nodes_per_region = num_nodes // num_regions` */
+        if (topology_size(c, topology, Z_NUM_NODES, &nodes) < 0
+            || topology_size(c, topology, Z_NUM_REGIONS, &regions) < 0)
             return -1;
-        *low = region * routers * nodes;
-        *high = *low + routers * nodes;
+        if (regions == 0) {
+            PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
+            return -1;
+        }
+        *low = region * pydiv(nodes, regions);
+        *high = *low + pydiv(nodes, regions);
         return 0;
     }
     if ((args[1] = PyLong_FromLong(region)) == NULL)
@@ -5426,7 +5370,7 @@ Core_clear(Core *c)
 {
     int i, way;
     c->packet_type = NULL; /* it is `o[S_Packet]` */
-    c->sizes = 0;          /* the properties are stock slots */
+    c->sizes = 0;          /* it vouches for slots cleared below */
     for (i = 0; i < N_NAMES; i++)
         for (way = 0; way < MEMO_WAYS; way++) {
             Py_CLEAR(c->memo[i][way].self);
@@ -5694,79 +5638,68 @@ bind_capture(Core *c, PyObject *routing, int capture)
            || bind_long(routing, "_first_global_port", &c->first_global, 0) < 0 ? -1 : 0;
 }
 
-/* The routing's own topology's size properties (see `sizes_stock`): bound
- * where its type resolves every one to a stock property -- the one of its
- * class or another topology's -- each read once here.  0, -1 on error. */
+/* The routing's own topology's sizes (see `sizes_stock`), each read once
+ * here: bound where it has a route table and its type resolves every size
+ * property to the stock one.  0, -1 on error. */
 static int
 bind_sizes(Core *c, PyObject *topology)
 {
-    const size_t classes = sizeof size_slots / sizeof size_slots[0];
-    size_t k;
     int z;
+    if (L(c, route_table) == Py_None)
+        return 0;
+    if (!PyByteArray_Check(L(c, route_table))) {
+        PyErr_Format(PyExc_TypeError, "_route_table must be a bytearray, got %R",
+                     L(c, route_table));
+        return -1;
+    }
     for (z = 0; z < N_SIZES; z++) {
         cache_entry scratch, *e = lookup(Py_TYPE(topology), name_of[size_names[z]], NULL,
                                          &scratch);
         if (e == NULL)
             return -1;
-        for (k = 0; k < classes && e->found != c->o[size_slots[k][z]]; k++)
-            ;
-        if (k == classes)
+        if (e->found != c->o[size_slots[z]])
             return 0;
-        c->size_property[z] = c->o[size_slots[k][z]];
+    }
+    for (z = 0; z < N_SIZES; z++) {
         if (attr_long(c, topology, size_names[z], &c->size[z]) < 0)
             return -1;
+        if (c->size[z] <= 0) {
+            PyErr_Format(PyExc_ValueError, "%U must be positive", name_of[size_names[z]]);
+            return -1;
+        }
+    }
+    if ((c->nodes_per_region = c->size[Z_NUM_NODES] / c->size[Z_NUM_REGIONS]) == 0) {
+        PyErr_SetString(PyExc_ValueError, "a region must hold a node");
+        return -1;
     }
     c->sizes = 1;
     return 0;
 }
 
-/* The sizes and the route table of the routing's topology the stock
- * `Topology` queries read, and where it has them a fat tree's leaf map, a
- * torus's ring table and a `DragonflyTopology`'s constants and link-offset
- * tables (`df_a` stays 0 on any other topology).  A topology without a
- * route table leaves `top_routers` 0: every query is then a call by name. */
+/* What the stock `Topology` queries of the routing's topology read -- its
+ * node map, route table and sizes -- and where it has them a torus's ring
+ * table and a `DragonflyTopology`'s constants and link-offset tables
+ * (`df_a` stays 0 on any other topology or without a route table).
+ * Without a route table or with a size property that is not the stock one
+ * `sizes` stays 0: every query of the base `Topology` is then a call by
+ * name. */
 static int
 bind_topology(Core *c, PyObject *topology)
 {
     int is;
-    c->top_p = c->top_rpr = c->top_npreg = c->top_routers = 0;
     c->df_a = c->df_h = c->df_groups = 0;
     c->sizes = 0;
     c->sizes_tag = 0;
-    if (bind_attr(c, S_route_table, topology, "_route_table", NULL) < 0
-        || bind_attr(c, S_leaf_rid, topology, "_leaf_rid", NULL) < 0
+    if (bind_attr(c, S_node_rid, topology, "_node_rid", &PyTuple_Type) < 0
+        || bind_attr(c, S_route_table, topology, "_route_table", NULL) < 0
         || bind_attr(c, S_ring_info, topology, "_ring_info", NULL) < 0)
         return -1;
-    if (L(c, leaf_rid) != Py_None && !PyTuple_Check(L(c, leaf_rid))) {
-        PyErr_Format(PyExc_TypeError, "_leaf_rid must be a tuple, got %R", L(c, leaf_rid));
-        return -1;
-    }
     if (L(c, ring_info) != Py_None && expect_list(L(c, ring_info), "_ring_info") < 0)
         return -1;
-    if (L(c, route_table) != Py_None) {
-        if (!PyByteArray_Check(L(c, route_table))) {
-            PyErr_Format(PyExc_TypeError, "_route_table must be a bytearray, got %R",
-                         L(c, route_table));
-            return -1;
-        }
-        /* `top_routers` last: it says the sizes are bound. */
-        long nodes, regions;
-        if (bind_long(topology, "_p", &c->top_p, 1) < 0
-            || bind_long(topology, "routers_per_region", &c->top_rpr, 1) < 0
-            || bind_long(topology, "num_nodes", &nodes, 1) < 0
-            || bind_long(topology, "num_regions", &regions, 1) < 0)
-            return -1;
-        if ((c->top_npreg = nodes / regions) <= 0) {
-            PyErr_SetString(PyExc_ValueError, "a region must hold a node");
-            return -1;
-        }
-        if (bind_long(topology, "_num_routers", &c->top_routers, 1) < 0
-            || bind_sizes(c, topology) < 0)
-            return -1;
-    }
-    if ((is = PyObject_IsInstance(topology, L(c, DragonflyTopology))) < 0)
+    if (bind_sizes(c, topology) < 0
+        || (is = PyObject_IsInstance(topology, L(c, DragonflyTopology))) < 0)
         return -1;
-    if (!is || c->top_routers <= 0)
+    if (!is || L(c, route_table) == Py_None)
         return bind_attr(c, S_link_offsets, Py_None, "group_link_offsets", NULL) < 0
                || bind_attr(c, S_offset_to_group, Py_None, "_offset_to_group", NULL) < 0 ? -1 : 0;
     /* `df_a` last: it says the rest is bound. */
@@ -5854,7 +5787,6 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         || bind_attr(c, S_combined, routing, "combined", NULL) < 0
         || bind_attr(c, S_flags, routing, "_flags", NULL) < 0
         || bind_attr(c, S_shared, routing, "_router_candidates", NULL) < 0
-        || bind_attr(c, S_node_rid, routing, "_node_rid", &PyTuple_Type) < 0
         || bind_double(routing, "_valiant_threshold", &c->valiant_threshold, 1) < 0
         || bind_topology(c, L(c, topology)) < 0)
         return -1;
@@ -6034,28 +5966,6 @@ done:
     return granted;
 }
 
-/* `engine._draws += <the triggers' draws since the last call>` (the
- * `LIVE` rows' evaluations count themselves, in Python). */
-static int
-add_draws(Core *c, PyObject *engine)
-{
-    PyObject *draws, *more, *sum = NULL;
-    int failed;
-    if (c->draws == 0)
-        return 0;
-    if ((draws = get_attr(c, engine, N__draws)) == NULL)
-        return -1;
-    if ((more = PyLong_FromLong(c->draws)) != NULL)
-        sum = PyNumber_Add(draws, more);
-    failed = sum == NULL || set_attr(c, engine, N__draws, sum) < 0;
-    Py_XDECREF(sum);
-    Py_XDECREF(more);
-    Py_DECREF(draws);
-    if (!failed)
-        c->draws = 0;
-    return failed ? -1 : 0;
-}
-
 /* The earliest due cycle over the three calendars (`_NO_EVENT`: none). */
 static void
 calendar_horizon(Core *c, long *horizon)
@@ -6219,7 +6129,7 @@ Core_router_phase(Core *c, PyObject *args)
         && (active = get_attr(c, c->o[S_st], N_active)) != NULL
         && expect_list(active, "st.active") == 0
         && router_phase(c, engine, cycle_o, cycle, metrics, obs, faults, active, counts) == 0
-        && add_draws(c, engine) == 0 && router_hint(c, &hint) == 0) {
+        && router_hint(c, &hint) == 0) {
         if (cycle >= c->clock)
             c->clock = cycle + 1;
         result = Py_BuildValue("(nnnl)", counts[0], counts[1], counts[2], hint);

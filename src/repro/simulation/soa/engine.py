@@ -88,10 +88,10 @@ stock mechanisms:
 * the captures — the pure one (``MinimalRouting`` / ``ValiantRouting``'s
   ``select_output``), the adaptive path policies and the one trigger of
   their open gates, reading the signals the mechanism declares — over the
-  topology queries of every topology (the base ``Topology`` route table, hop
-  memo and region arithmetic, the Dragonfly's closed-form hops, the fat
-  tree's leaf map in front of the same table, the torus's dateline
-  ``ring_vc`` / ``commit_ring_hop``)
+  topology queries of every topology (the base ``Topology`` node map, route
+  table, hop memo and region arithmetic over the sizes it owns, the
+  Dragonfly's closed-form hops, the torus's dateline ``ring_vc`` /
+  ``commit_ring_hop``)
   and the routers' shared candidate tuples;
 * the source phase: ``BernoulliTrafficGenerator.generate``, the uniform /
   adversarial / transient destinations, ``Packet(...)`` at its slots,
@@ -190,9 +190,6 @@ from repro.simulation.soa._loader import load_core
 from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind, Topology
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.fat_tree import FatTreeTopology
-from repro.topology.flattened_butterfly import FlattenedButterflyTopology
-from repro.topology.full_mesh import FullMeshTopology
 from repro.topology.torus import TorusTopology
 from repro.traffic import (
     AdversarialTraffic, BernoulliTrafficGenerator, TrafficPattern, TransientTraffic,
@@ -234,7 +231,6 @@ _STOCK_FUNCTIONS = tuple(
         (Topology, "region_node_range valiant_intermediate_router router_region node_region "
                    "node_router minimal_output_port minimal_route_to_router router_hops"),
         (DragonflyTopology, "router_hops _route_port port_target_region"),
-        (FatTreeTopology, "node_router minimal_output_port"),
         (TorusTopology, "ring_vc commit_ring_hop"),
         (MetricsCollector, "record_delivery record_generated in_window"),
         (TimeSeriesRecorder, "record"),
@@ -250,14 +246,12 @@ _STOCK_FUNCTIONS = tuple(
 )
 
 #: What those bodies read or build that is not a function the class's source
-#: defines: every topology's size properties, compared by identity and never
-#: called, and the dataclass-made ``Packet.__init__`` the core builds packets
-#: in place of.
+#: defines: the size properties every topology inherits from ``Topology``,
+#: compared by identity and never called, and the dataclass-made
+#: ``Packet.__init__`` the core builds packets in place of.
 _STOCK_ATTRIBUTES = (
     *(
-        (owner, name)
-        for owner in (DragonflyTopology, FatTreeTopology, FlattenedButterflyTopology,
-                      FullMeshTopology, TorusTopology)
+        (Topology, name)
         for name in ("num_nodes", "num_routers", "num_regions", "routers_per_region",
                      "nodes_per_router")
     ),
@@ -349,7 +343,6 @@ class SoAEngine(Engine):
         "_routing",
         "_drp",
         "_rows",
-        "_draws",
     )
 
     def __init__(self, network, traffic, **engine_options):
@@ -359,7 +352,6 @@ class SoAEngine(Engine):
         routing = self._routing = network.routing
         hooks = routing.overridden_hooks()
         self._drp: List = []
-        self._draws = 0
 
         # Which capture writes the rows.  Exact type matching: a capture
         # transcribes ``select_output`` with the helpers it calls
@@ -465,8 +457,6 @@ class SoAEngine(Engine):
             decision = memo[q]
         if self.faults is not None:
             decision = self._resolve_faults(rid, port, vc, head, decision, cycle)
-        # The call may have drawn, dropped the head or mutated routing state.
-        self._draws += 1
         return decision
 
     def _resolve_faults(self, rid, port, vc, head, decision, cycle):

@@ -14,9 +14,13 @@ Two topology-wide contracts keep the routing layer topology-agnostic:
 
 **Dense, uniform addressing.**  Routers are identified by integers in
 ``[0, num_routers)`` and compute nodes by integers in ``[0, num_nodes)``;
-every router attaches exactly ``nodes_per_router`` nodes in id order
-(``node_router(n) == n // nodes_per_router``), and every *region* (see
-below) covers ``routers_per_region`` consecutive router ids.
+a router attaches ``nodes_per_router`` consecutive nodes or none, as one
+node -> router table says (``node_router(n) == n // nodes_per_router``
+unless the topology passes its own map, as the fat tree does for its
+leaves), and every *region* (see below) covers ``routers_per_region``
+consecutive router ids and ``num_nodes // num_regions`` consecutive node
+ids.  :class:`Topology` writes all of this once; a concrete topology
+passes its numbers to :meth:`Topology.__init__` and defines its wiring.
 
 **Regions.**  Every topology partitions its routers into equal, contiguous
 *regions* — the generalization of Dragonfly groups.  For the Dragonfly a
@@ -67,7 +71,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import draws
 
@@ -280,12 +284,23 @@ class Topology(ABC):
     Routers are identified by integers in ``[0, num_routers)`` and compute
     nodes by integers in ``[0, num_nodes)``.  Every router exposes
     ``router_radix`` ports identified by integers in ``[0, router_radix)``.
-    Implementations must also set :attr:`port_kinds` — a tuple mapping port
-    index to :class:`PortKind`, identical on every router — which the
-    routing hot paths index directly instead of calling :meth:`port_kind`,
-    store their router count as ``_num_routers`` and their nodes per router
-    as ``_p``, define :meth:`_route_port` and call :meth:`_init_route_table`
-    at the end of ``__init__``.
+
+    **What a topology writes.**  The sizes, the port classification, the
+    node map, the regions and the route table are this class's: a concrete
+    topology sets :attr:`port_kinds` — a tuple mapping port index to
+    :class:`PortKind`, identical on every router, which the routing hot
+    paths index directly instead of calling :meth:`port_kind` — and calls
+    :meth:`__init__` with its numbers, then defines its wiring
+    (:meth:`neighbor`), the first hop between two routers
+    (:meth:`_route_port`) and :meth:`minimal_path_length`.
+
+    **One node map.**  ``_node_rid[n]`` is the router of node ``n``: by
+    default ``n // nodes_per_router`` (every router attaches
+    ``nodes_per_router`` nodes in id order); a topology whose nodes sit on
+    some routers only (the fat tree's leaves) passes its own map.  Either
+    way a router attaches ``nodes_per_router`` consecutive nodes or none,
+    and node ``n`` sits on port ``n % nodes_per_router``.  The routing
+    layer and the SoA core read the same tuple.
 
     **One route table.**  :meth:`minimal_output_port` and
     :meth:`minimal_route_to_router` answer the same question — the first
@@ -300,50 +315,85 @@ class Topology(ABC):
     #: Port index -> kind table (set by concrete topologies in ``__init__``).
     port_kinds: Tuple[PortKind, ...]
 
-    #: Whether node ids are dense across routers (``node_router(n) ==
-    #: n // nodes_per_router`` with ``num_nodes == num_routers * p``).
-    #: True for every flat topology; the fat tree attaches nodes to its
-    #: *leaf* switches only and sets this False, which relaxes the dense
-    #: addressing checks in :meth:`validate` (the routing layer resolves
-    #: node -> router through :meth:`node_router` either way).
-    dense_node_map: bool = True
+    def __init__(
+        self,
+        num_routers: int,
+        nodes_per_router: int,
+        radix: int,
+        num_regions: int,
+        path_model: PathModel,
+        node_routers: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Set the sizes, the node map and the route table.
+
+        ``node_routers`` is the router of every node in node order; without
+        it every router attaches ``nodes_per_router`` nodes in id order.
+        Regions are ``num_regions`` equal blocks of consecutive router ids
+        and of consecutive node ids.  The hop memo stays unallocated until
+        :meth:`router_hops` first runs.
+        """
+        if radix >= _UNSET:
+            raise ValueError(
+                f"router radix {radix} does not fit the byte-sized "
+                f"route memo (at most {_UNSET - 1} ports)"
+            )
+        if path_model.max_minimal_hops >= _UNSET:
+            raise ValueError(
+                f"minimal paths of {path_model.max_minimal_hops} hops do "
+                f"not fit the byte-sized hop memo (at most {_UNSET - 1})"
+            )
+        self._num_routers = num_routers
+        self._p = nodes_per_router
+        self._radix = radix
+        self._num_regions = num_regions
+        self._routers_per_region = num_routers // num_regions
+        self._path_model = path_model
+        if node_routers is None:
+            node_routers = (
+                node // nodes_per_router
+                for node in range(num_routers * nodes_per_router)
+            )
+        self._node_rid: Tuple[int, ...] = tuple(node_routers)
+        self._num_nodes = len(self._node_rid)
+        self._route_table = bytearray([_UNSET]) * (num_routers * num_routers)
+        self._hop_table: Optional[bytearray] = None
 
     # -- Sizes --------------------------------------------------------------
     @property
-    @abstractmethod
     def num_routers(self) -> int:
         """Total number of routers."""
+        return self._num_routers
 
     @property
-    @abstractmethod
     def num_nodes(self) -> int:
         """Total number of compute nodes."""
+        return self._num_nodes
 
     @property
-    @abstractmethod
     def router_radix(self) -> int:
         """Number of ports per router."""
+        return self._radix
 
     @property
-    @abstractmethod
     def nodes_per_router(self) -> int:
-        """Compute nodes attached to each router (uniform across routers)."""
+        """Compute nodes attached to each router that has any."""
+        return self._p
 
     # -- Regions ------------------------------------------------------------
     @property
-    @abstractmethod
     def num_regions(self) -> int:
         """Number of regions (Dragonfly groups, butterfly rows, ...)."""
+        return self._num_regions
 
     @property
-    @abstractmethod
     def routers_per_region(self) -> int:
         """Routers per region (uniform; regions cover contiguous ids)."""
+        return self._routers_per_region
 
     @property
-    @abstractmethod
     def path_model(self) -> PathModel:
         """The hop-class path model of this topology."""
+        return self._path_model
 
     def router_region(self, router: int) -> int:
         """Region of ``router`` (regions are contiguous id blocks)."""
@@ -351,7 +401,7 @@ class Topology(ABC):
 
     def router_position(self, router: int) -> int:
         """Position of ``router`` within its region."""
-        return router % self.routers_per_region
+        return router % self._routers_per_region
 
     def node_region(self, node: int) -> int:
         """Region of the router that ``node`` attaches to (regions cover
@@ -365,7 +415,7 @@ class Topology(ABC):
 
     def region_node_range(self, region: int) -> Tuple[int, int]:
         """Half-open node-id range ``[low, high)`` of ``region``."""
-        nodes_per_region = self.routers_per_region * self.nodes_per_router
+        nodes_per_region = self.num_nodes // self.num_regions
         low = region * nodes_per_region
         return low, low + nodes_per_region
 
@@ -381,22 +431,33 @@ class Topology(ABC):
 
     # -- Node / router mapping ----------------------------------------------
     def node_router(self, node: int) -> int:
-        """Router to which ``node`` is attached (dense addressing; the fat
-        tree, whose nodes sit on its leaves only, overrides it)."""
-        return node // self._p
+        """Router to which ``node`` is attached."""
+        return self._node_rid[node]
 
     def node_port(self, node: int) -> int:
         """Injection/ejection port index of ``node`` at its router."""
         return node % self._p
 
-    @abstractmethod
     def router_nodes(self, router: int) -> List[int]:
-        """Compute nodes attached to ``router``."""
+        """Compute nodes attached to ``router``: ``nodes_per_router``
+        consecutive ids, or none."""
+        try:
+            first = self._node_rid.index(router)
+        except ValueError:
+            return []
+        return list(range(first, first + self._p))
 
     # -- Ports --------------------------------------------------------------
-    @abstractmethod
     def port_kind(self, port: int) -> PortKind:
         """Classify port ``port`` (same layout on every router)."""
+        if 0 <= port < self._radix:
+            return self.port_kinds[port]
+        raise ValueError(f"port {port} out of range [0, {self._radix})")
+
+    @property
+    def injection_ports(self) -> range:
+        """The ports nodes attach to: ``[0, nodes_per_router)``."""
+        return range(0, self._p)
 
     @abstractmethod
     def neighbor(self, router: int, port: int) -> Optional[Tuple[int, int]]:
@@ -435,9 +496,8 @@ class Topology(ABC):
     def minimal_output_port(self, router: int, dst_node: int) -> int:
         """Output port of ``router`` on the minimal path towards ``dst_node``:
         its ejection port at the node's own router, else the route table's
-        entry for the node's router (dense addressing; the fat tree maps the
-        node through its leaf map first)."""
-        dst_router = dst_node // self._p
+        entry for the node's router."""
+        dst_router = self._node_rid[dst_node]
         if router == dst_router:
             return dst_node % self._p
         key = router * self._num_routers + dst_router
@@ -522,24 +582,6 @@ class Topology(ABC):
         if hops == _UNSET:
             hops = table[key] = len(self.minimal_router_path(src_router, dst_router)) - 1
         return hops
-
-    def _init_route_table(self) -> None:
-        """Allocate the route table (the hop memo stays unallocated until
-        :meth:`router_hops` first runs).  Called by every topology at the
-        end of its ``__init__``."""
-        if self.router_radix >= _UNSET:
-            raise ValueError(
-                f"router radix {self.router_radix} does not fit the byte-sized "
-                f"route memo (at most {_UNSET - 1} ports)"
-            )
-        if self.path_model.max_minimal_hops >= _UNSET:
-            raise ValueError(
-                f"minimal paths of {self.path_model.max_minimal_hops} hops do "
-                f"not fit the byte-sized hop memo (at most {_UNSET - 1})"
-            )
-        R = self._num_routers
-        self._route_table = bytearray([_UNSET]) * (R * R)
-        self._hop_table: Optional[bytearray] = None
 
     def valiant_intermediate_router(self, source_router: int, rng) -> int:
         """Uniformly random Valiant intermediate router for ``source_router``.
@@ -626,12 +668,10 @@ class Topology(ABC):
         """
         assert len(self.port_kinds) == self.router_radix
         assert self.num_routers == self.num_regions * self.routers_per_region
-        if self.dense_node_map:
-            assert self.num_nodes == self.num_routers * self.nodes_per_router
-        else:
-            assert self.num_nodes == sum(
-                len(self.router_nodes(r)) for r in range(self.num_routers)
-            )
+        assert self.num_nodes % self.num_regions == 0
+        assert self.num_nodes == sum(
+            len(self.router_nodes(r)) for r in range(self.num_routers)
+        )
         for r in range(self.num_routers):
             for port in range(self.router_radix):
                 kind = self.port_kind(port)
@@ -666,10 +706,6 @@ class Topology(ABC):
         for n in range(self.num_nodes):
             r = self.node_router(n)
             assert 0 <= r < self.num_routers
-            if self.dense_node_map:
-                assert r == n // self.nodes_per_router, (
-                    "node ids must be dense per router (node_router(n) == n // p)"
-                )
             assert n in self.router_nodes(r)
             assert self.port_kind(self.node_port(n)) is PortKind.INJECTION
             assert self.node_region(n) == self.router_region(r)

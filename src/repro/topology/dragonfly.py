@@ -68,13 +68,22 @@ class DragonflyTopology(Topology):
     """Canonical (complete-graph / complete-graph) Dragonfly."""
 
     def __init__(self, config: DragonflyConfig):
+        super().__init__(
+            config.num_groups * config.a,
+            config.p,
+            config.router_radix,
+            config.num_groups,
+            PathModel.from_minimal_paths(
+                "dragonfly",
+                _MINIMAL_HOP_KINDS,
+                supports_in_transit_adaptive=True,
+                adaptive_hop_kinds=_ADAPTIVE_HOP_KINDS,
+            ),
+        )
         self.config = config
-        self._p = config.p
         self._a = config.a
         self._h = config.h
         self._num_groups = config.num_groups
-        self._num_routers = config.num_groups * config.a
-        self._radix = config.router_radix
         # Port-range boundaries.
         self._first_local_port = self._p
         self._first_global_port = self._p + self._a - 1
@@ -114,27 +123,6 @@ class DragonflyTopology(Topology):
             for g in range(G)
             for d in range(G)
         ]
-        self._path_model = PathModel.from_minimal_paths(
-            "dragonfly",
-            _MINIMAL_HOP_KINDS,
-            supports_in_transit_adaptive=True,
-            adaptive_hop_kinds=_ADAPTIVE_HOP_KINDS,
-        )
-        self._init_route_table()
-
-    # ------------------------------------------------------------------ sizes
-    # Regions of a Dragonfly are its groups.
-    @property
-    def num_regions(self) -> int:
-        return self._num_groups
-
-    @property
-    def routers_per_region(self) -> int:
-        return self._a
-
-    @property
-    def path_model(self) -> PathModel:
-        return self._path_model
 
     @property
     def hard_adversarial_offset(self) -> int:
@@ -142,30 +130,10 @@ class DragonflyTopology(Topology):
         return self._h
 
     @property
-    def num_routers(self) -> int:
-        return self._num_routers
-
-    @property
-    def num_nodes(self) -> int:
-        return self.num_routers * self._p
-
-    @property
-    def router_radix(self) -> int:
-        return self._radix
-
-    @property
-    def nodes_per_router(self) -> int:
-        return self._p
-
-    @property
     def global_links_per_group(self) -> int:
         return self._a * self._h
 
     # -------------------------------------------------------------- addressing
-    def router_position(self, router: int) -> int:
-        """Position of ``router`` within its group (``0 <= pos < a``)."""
-        return router % self._a
-
     def router_id(self, group: int, position: int) -> int:
         """Router id from ``(group, position)``."""
         if not (0 <= group < self._num_groups):
@@ -174,20 +142,7 @@ class DragonflyTopology(Topology):
             raise ValueError(f"position {position} out of range [0, {self._a})")
         return group * self._a + position
 
-    def router_nodes(self, router: int) -> List[int]:
-        base = router * self._p
-        return list(range(base, base + self._p))
-
     # ------------------------------------------------------------------- ports
-    def port_kind(self, port: int) -> PortKind:
-        if 0 <= port < self._radix:
-            return self.port_kinds[port]
-        raise ValueError(f"port {port} out of range [0, {self._radix})")
-
-    @property
-    def injection_ports(self) -> range:
-        return range(0, self._p)
-
     @property
     def local_ports(self) -> range:
         return range(self._first_local_port, self._first_global_port)

@@ -29,6 +29,11 @@ a single uplink (the subtree hotspot), which is exactly the pattern the
 adaptive uplink multipath is measured against, so ``ADV+h`` keeps the
 default offset 1.
 
+Only the leaves carry nodes (node ``n`` on leaf ``n // p``): the tree
+hands that node map to :class:`~repro.topology.base.Topology`, whose node
+queries, region node ranges and route-table reads then serve it like any
+other topology's.
+
 Minimal routing is destination-funneled up/down: a switch that is not an
 ancestor of the destination leaf climbs through up port
 ``digit_level(dst_leaf)``; an ancestor descends through down port
@@ -70,7 +75,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import draws
 from repro.config.parameters import FatTreeConfig
-from repro.topology.base import _UNSET, PathModel, PortKind, Topology
+from repro.topology.base import PathModel, PortKind, Topology
 
 __all__ = ["FatTreeTopology"]
 
@@ -92,23 +97,52 @@ def _updown_shapes(link_levels: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
 class FatTreeTopology(Topology):
     """k-ary n-tree with destination-funneled up/down minimal routing."""
 
-    dense_node_map = False
-
     def __init__(self, config: FatTreeConfig):
         self.config = config
-        self._p = config.p
         self._k = config.k
         self._levels = config.levels
         self._m = config.switches_per_level
-        self._num_routers = config.num_routers
-        self._num_nodes = config.num_nodes
-        self._radix = config.router_radix
-        self._first_down_port = self._p
-        self._first_up_port = self._p + self._k
         # Region geometry: the k most-significant-digit subtrees, each a
         # contiguous id block of ``levels * B`` switches (B leaves apiece).
         self._B = self._k ** (self._levels - 2)
         self._pow_k = tuple(self._k ** i for i in range(self._levels))
+        link_levels = self._levels - 1
+        shapes = _updown_shapes(link_levels)
+        # Leaf-to-leaf minimal paths have even lengths (h up, h down), but
+        # router-anchored walks (router targets, Valiant legs) also expose
+        # the partial all-up / all-down prefixes, so every length up to the
+        # diameter is a declared hop-kind sequence.
+        minimal_kinds = tuple(
+            ("local",) * n for n in range(1, 2 * link_levels + 1)
+        )
+        # Valiant turns at a root, so its shapes are the full-height
+        # minimal shape; a granted uplink divert is equal-cost, so the
+        # adaptive shapes equal the minimal ones.  Only the leaves carry
+        # nodes: node ``n`` sits on leaf ``n // p``.
+        leaves = [self._rid_of(0, w) for w in range(self._m)]
+        super().__init__(
+            config.num_routers,
+            config.p,
+            config.router_radix,
+            self._k,
+            PathModel(
+                topology="fat_tree",
+                has_global_ports=False,
+                max_minimal_hops=2 * link_levels,
+                max_valiant_hops=2 * link_levels,
+                minimal_hop_kinds=minimal_kinds,
+                valiant_hop_kinds=minimal_kinds,
+                supports_in_transit_adaptive=True,
+                vc_schedule="up_down",
+                updown_link_levels=link_levels,
+                updown_minimal_shapes=shapes,
+                updown_valiant_shapes=(shapes[-1],),
+                updown_adaptive_shapes=shapes,
+            ),
+            node_routers=[rid for rid in leaves for _ in range(config.p)],
+        )
+        self._first_down_port = self._p
+        self._first_up_port = self._p + self._k
         self.port_kinds: Tuple[PortKind, ...] = tuple(
             PortKind.INJECTION if port < self._p else PortKind.LOCAL
             for port in range(self._radix)
@@ -122,9 +156,6 @@ class FatTreeTopology(Topology):
                 rid = self._rid_of(level, w)
                 self._rid_level[rid] = level
                 self._rid_label[rid] = w
-        self._leaf_rid: Tuple[int, ...] = tuple(
-            self._rid_of(0, w) for w in range(self._m)
-        )
         # Level -> connected link ports (leaves have no children, roots no
         # parents); used by the BFS router-target tables.
         down = tuple(range(self._first_down_port, self._first_up_port))
@@ -143,33 +174,6 @@ class FatTreeTopology(Topology):
         )
         # Lazy per-target BFS next-hop tables for router targets.
         self._router_tables: Dict[int, List[int]] = {}
-        link_levels = self._levels - 1
-        shapes = _updown_shapes(link_levels)
-        # Leaf-to-leaf minimal paths have even lengths (h up, h down), but
-        # router-anchored walks (router targets, Valiant legs) also expose
-        # the partial all-up / all-down prefixes, so every length up to the
-        # diameter is a declared hop-kind sequence.
-        minimal_kinds = tuple(
-            ("local",) * n for n in range(1, 2 * link_levels + 1)
-        )
-        # Valiant turns at a root, so its shapes are the full-height
-        # minimal shape; a granted uplink divert is equal-cost, so the
-        # adaptive shapes equal the minimal ones.
-        self._path_model = PathModel(
-            topology="fat_tree",
-            has_global_ports=False,
-            max_minimal_hops=2 * link_levels,
-            max_valiant_hops=2 * link_levels,
-            minimal_hop_kinds=minimal_kinds,
-            valiant_hop_kinds=minimal_kinds,
-            supports_in_transit_adaptive=True,
-            vc_schedule="up_down",
-            updown_link_levels=link_levels,
-            updown_minimal_shapes=shapes,
-            updown_valiant_shapes=(shapes[-1],),
-            updown_adaptive_shapes=shapes,
-        )
-        self._init_route_table()
 
     # -------------------------------------------------------------- addressing
     def _rid_of(self, level: int, w: int) -> int:
@@ -187,68 +191,9 @@ class FatTreeTopology(Topology):
 
     def leaf_router(self, leaf: int) -> int:
         """Router id of leaf switch ``<0, leaf>``."""
-        return self._leaf_rid[leaf]
-
-    # ------------------------------------------------------------------ sizes
-    @property
-    def num_routers(self) -> int:
-        return self._num_routers
-
-    @property
-    def num_nodes(self) -> int:
-        return self._num_nodes
-
-    @property
-    def router_radix(self) -> int:
-        return self._radix
-
-    @property
-    def nodes_per_router(self) -> int:
-        return self._p
-
-    # Regions of a fat tree are its k most-significant-digit subtrees.
-    @property
-    def num_regions(self) -> int:
-        return self._k
-
-    @property
-    def routers_per_region(self) -> int:
-        return self._levels * self._B
-
-    @property
-    def path_model(self) -> PathModel:
-        return self._path_model
-
-    def region_node_range(self, region: int) -> Tuple[int, int]:
-        """Nodes of a subtree: its ``B`` leaves times ``p`` nodes each.
-
-        Overrides the dense default (``routers_per_region * p``), which
-        would over-count — only the leaf level carries nodes.
-        """
-        nodes_per_region = self._B * self._p
-        low = region * nodes_per_region
-        return low, low + nodes_per_region
-
-    # -------------------------------------------------------- node attachment
-    def node_router(self, node: int) -> int:
-        return self._leaf_rid[node // self._p]
-
-    def router_nodes(self, router: int) -> List[int]:
-        if self._rid_level[router] != 0:
-            return []
-        base = self._rid_label[router] * self._p
-        return list(range(base, base + self._p))
+        return self._rid_of(0, leaf)
 
     # ------------------------------------------------------------------- ports
-    def port_kind(self, port: int) -> PortKind:
-        if 0 <= port < self._radix:
-            return self.port_kinds[port]
-        raise ValueError(f"port {port} out of range [0, {self._radix})")
-
-    @property
-    def injection_ports(self) -> range:
-        return range(0, self._p)
-
     @property
     def downlink_ports(self) -> range:
         return range(self._first_down_port, self._first_up_port)
@@ -303,18 +248,6 @@ class FatTreeTopology(Topology):
         return None
 
     # ----------------------------------------------------------------- routing
-    def minimal_output_port(self, router: int, dst_node: int) -> int:
-        """The base table read, with the destination node's router taken
-        from the leaf map."""
-        dst_router = self._leaf_rid[dst_node // self._p]
-        if router == dst_router:
-            return dst_node % self._p
-        key = router * self._num_routers + dst_router
-        port = self._route_table[key]
-        if port == _UNSET:
-            port = self._route_table[key] = self._route_port(router, dst_router)
-        return port
-
     def _route_port(self, router: int, dst_router: int) -> int:
         """Destination-funneled up/down output port towards leaf ``dst_router``
         (the router of the node :meth:`minimal_output_port` was asked for;

@@ -29,7 +29,7 @@ two-leg Valiant concatenations).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.config.parameters import FlattenedButterflyConfig
 from repro.topology.base import PathModel, PortKind, Topology
@@ -66,12 +66,22 @@ class FlattenedButterflyTopology(Topology):
     """2-D flattened butterfly with dimension-ordered (row-first) routing."""
 
     def __init__(self, config: FlattenedButterflyConfig):
+        # Regions of a flattened butterfly are its rows.
+        super().__init__(
+            config.num_routers,
+            config.p,
+            config.router_radix,
+            config.rows,
+            PathModel.from_minimal_paths(
+                "flattened_butterfly",
+                _MINIMAL_HOP_KINDS,
+                supports_in_transit_adaptive=True,
+                adaptive_hop_kinds=_ADAPTIVE_HOP_KINDS,
+            ),
+        )
         self.config = config
-        self._p = config.p
         self._rows = config.rows
         self._cols = config.cols
-        self._num_routers = config.num_routers
-        self._radix = config.router_radix
         # Port-range boundaries.
         self._first_row_port = self._p
         self._first_col_port = self._p + self._cols - 1
@@ -81,43 +91,6 @@ class FlattenedButterflyTopology(Topology):
             else (PortKind.LOCAL if port < self._first_col_port else PortKind.GLOBAL)
             for port in range(self._radix)
         )
-        self._path_model = PathModel.from_minimal_paths(
-            "flattened_butterfly",
-            _MINIMAL_HOP_KINDS,
-            supports_in_transit_adaptive=True,
-            adaptive_hop_kinds=_ADAPTIVE_HOP_KINDS,
-        )
-        self._init_route_table()
-
-    # ------------------------------------------------------------------ sizes
-    @property
-    def num_routers(self) -> int:
-        return self._num_routers
-
-    @property
-    def num_nodes(self) -> int:
-        return self._num_routers * self._p
-
-    @property
-    def router_radix(self) -> int:
-        return self._radix
-
-    @property
-    def nodes_per_router(self) -> int:
-        return self._p
-
-    # Regions of a flattened butterfly are its rows.
-    @property
-    def num_regions(self) -> int:
-        return self._rows
-
-    @property
-    def routers_per_region(self) -> int:
-        return self._cols
-
-    @property
-    def path_model(self) -> PathModel:
-        return self._path_model
 
     # -------------------------------------------------------------- addressing
     def router_coords(self, router: int) -> Tuple[int, int]:
@@ -132,20 +105,7 @@ class FlattenedButterflyTopology(Topology):
             raise ValueError(f"row {row} out of range [0, {self._rows})")
         return row * self._cols + column
 
-    def router_nodes(self, router: int) -> List[int]:
-        base = router * self._p
-        return list(range(base, base + self._p))
-
     # ------------------------------------------------------------------- ports
-    def port_kind(self, port: int) -> PortKind:
-        if 0 <= port < self._radix:
-            return self.port_kinds[port]
-        raise ValueError(f"port {port} out of range [0, {self._radix})")
-
-    @property
-    def injection_ports(self) -> range:
-        return range(0, self._p)
-
     @property
     def row_ports(self) -> range:
         return range(self._first_row_port, self._first_col_port)

@@ -23,7 +23,7 @@ Valiant spreads the same traffic over all two-hop paths.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.config.parameters import FullMeshConfig
 from repro.topology.base import PathModel, PortKind, Topology
@@ -37,65 +37,23 @@ class FullMeshTopology(Topology):
     """Complete graph of routers (the single-group Dragonfly limit)."""
 
     def __init__(self, config: FullMeshConfig):
+        # Every router is its own region.
+        super().__init__(
+            config.a,
+            config.p,
+            config.router_radix,
+            config.a,
+            PathModel.from_minimal_paths("full_mesh", _MINIMAL_HOP_KINDS),
+        )
         self.config = config
-        self._p = config.p
-        self._a = self._num_routers = config.a
-        self._radix = config.router_radix
+        self._a = config.a
         self._first_mesh_port = self._p
         self.port_kinds: Tuple[PortKind, ...] = tuple(
             PortKind.INJECTION if port < self._p else PortKind.LOCAL
             for port in range(self._radix)
         )
-        self._path_model = PathModel.from_minimal_paths(
-            "full_mesh", _MINIMAL_HOP_KINDS
-        )
-        self._init_route_table()
-
-    # ------------------------------------------------------------------ sizes
-    @property
-    def num_routers(self) -> int:
-        return self._a
-
-    @property
-    def num_nodes(self) -> int:
-        return self._a * self._p
-
-    @property
-    def router_radix(self) -> int:
-        return self._radix
-
-    @property
-    def nodes_per_router(self) -> int:
-        return self._p
-
-    # Every router is its own region.
-    @property
-    def num_regions(self) -> int:
-        return self._a
-
-    @property
-    def routers_per_region(self) -> int:
-        return 1
-
-    @property
-    def path_model(self) -> PathModel:
-        return self._path_model
-
-    # -------------------------------------------------------------- addressing
-    def router_nodes(self, router: int) -> List[int]:
-        base = router * self._p
-        return list(range(base, base + self._p))
 
     # ------------------------------------------------------------------- ports
-    def port_kind(self, port: int) -> PortKind:
-        if 0 <= port < self._radix:
-            return self.port_kinds[port]
-        raise ValueError(f"port {port} out of range [0, {self._radix})")
-
-    @property
-    def injection_ports(self) -> range:
-        return range(0, self._p)
-
     @property
     def mesh_ports(self) -> range:
         return range(self._first_mesh_port, self._radix)

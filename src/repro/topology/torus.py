@@ -86,12 +86,40 @@ class TorusTopology(Topology):
     """k-ary n-cube with dimension-order minimal routing and dateline VCs."""
 
     def __init__(self, config: TorusConfig):
+        dims = config.dims
+        diameter = sum(k // 2 for k in dims)
+        minimal_kinds = tuple(("local",) * m for m in range(1, diameter + 1))
+        dateline_min, dateline_val = _dateline_shapes(len(dims))
+        # The nonminimal ring escape (contention-triggered direction choice,
+        # see repro.routing.adaptive) changes only how many links a traversal
+        # covers, never its (leg, dim, crossed) class structure — so the
+        # escape shapes equal the minimal ones.  The max-ring-hops tuples
+        # declare the two policies' runtime worst cases (shortest-way
+        # dimension-order routing: k // 2; a committed single-direction
+        # escape: the k - 1 long way), which the extended dateline validator
+        # checks against the ring lengths at construction.  Regions of a
+        # torus are the slabs of its last dimension.
+        super().__init__(
+            config.num_routers,
+            config.p,
+            config.router_radix,
+            dims[-1],
+            PathModel.from_minimal_paths(
+                "torus",
+                minimal_kinds,
+                supports_in_transit_adaptive=True,
+                vc_schedule="dateline",
+                dateline_minimal_shapes=dateline_min,
+                dateline_valiant_shapes=dateline_val,
+                dateline_adaptive_shapes=dateline_min,
+                ring_lengths=dims,
+                dateline_max_ring_hops=tuple(k // 2 for k in dims),
+                dateline_adaptive_max_ring_hops=tuple(k - 1 for k in dims),
+            ),
+        )
         self.config = config
-        self._p = config.p
-        self._dims = config.dims
-        self._n = len(config.dims)
-        self._num_routers = config.num_routers
-        self._radix = config.router_radix
+        self._dims = dims
+        self._n = len(dims)
         self._first_ring_port = self._p
         # Row-major strides, dimension 0 fastest.
         strides = []
@@ -128,60 +156,6 @@ class TorusTopology(Topology):
                 wrap_coord,
                 direction,
             )
-        diameter = sum(k // 2 for k in self._dims)
-        minimal_kinds = tuple(("local",) * m for m in range(1, diameter + 1))
-        dateline_min, dateline_val = _dateline_shapes(self._n)
-        # The nonminimal ring escape (contention-triggered direction choice,
-        # see repro.routing.adaptive) changes only how many links a traversal
-        # covers, never its (leg, dim, crossed) class structure — so the
-        # escape shapes equal the minimal ones.  The max-ring-hops tuples
-        # declare the two policies' runtime worst cases (shortest-way
-        # dimension-order routing: k // 2; a committed single-direction
-        # escape: the k - 1 long way), which the extended dateline validator
-        # checks against the ring lengths at construction.
-        self._path_model = PathModel.from_minimal_paths(
-            "torus",
-            minimal_kinds,
-            supports_in_transit_adaptive=True,
-            vc_schedule="dateline",
-            dateline_minimal_shapes=dateline_min,
-            dateline_valiant_shapes=dateline_val,
-            dateline_adaptive_shapes=dateline_min,
-            ring_lengths=self._dims,
-            dateline_max_ring_hops=tuple(k // 2 for k in self._dims),
-            dateline_adaptive_max_ring_hops=tuple(k - 1 for k in self._dims),
-        )
-        self._init_route_table()
-
-    # ------------------------------------------------------------------ sizes
-    @property
-    def num_routers(self) -> int:
-        return self._num_routers
-
-    @property
-    def num_nodes(self) -> int:
-        return self._num_routers * self._p
-
-    @property
-    def router_radix(self) -> int:
-        return self._radix
-
-    @property
-    def nodes_per_router(self) -> int:
-        return self._p
-
-    # Regions of a torus are the slabs of its last dimension.
-    @property
-    def num_regions(self) -> int:
-        return self._dims[-1]
-
-    @property
-    def routers_per_region(self) -> int:
-        return self._num_routers // self._dims[-1]
-
-    @property
-    def path_model(self) -> PathModel:
-        return self._path_model
 
     @property
     def hard_adversarial_offset(self) -> int:
@@ -212,20 +186,7 @@ class TorusTopology(Topology):
             rid += c * stride
         return rid
 
-    def router_nodes(self, router: int) -> List[int]:
-        base = router * self._p
-        return list(range(base, base + self._p))
-
     # ------------------------------------------------------------------- ports
-    def port_kind(self, port: int) -> PortKind:
-        if 0 <= port < self._radix:
-            return self.port_kinds[port]
-        raise ValueError(f"port {port} out of range [0, {self._radix})")
-
-    @property
-    def injection_ports(self) -> range:
-        return range(0, self._p)
-
     @property
     def ring_ports(self) -> range:
         return range(self._first_ring_port, self._radix)

@@ -87,10 +87,39 @@ class TestConfigHashMemo:
 
 
 class TestGitRevision:
-    def test_resolves_this_repository(self):
-        rev = git_revision()
-        assert rev != "unknown"
-        assert re.fullmatch(r"[0-9a-f]{12}", rev)
+    """``git_revision`` reads ``.git`` itself, so each case builds one."""
+
+    SHA = "0123456789abcdef0123456789abcdef01234567"
+
+    def _repository(self, root, head):
+        git_dir = root / ".git"
+        git_dir.mkdir()
+        (git_dir / "HEAD").write_text(head + "\n")
+        return git_dir
+
+    def test_resolves_a_loose_ref(self, tmp_path):
+        git_dir = self._repository(tmp_path, "ref: refs/heads/main")
+        (git_dir / "refs" / "heads").mkdir(parents=True)
+        (git_dir / "refs" / "heads" / "main").write_text(self.SHA + "\n")
+        assert git_revision(tmp_path / "src" / "module.py") == self.SHA[:12]
+
+    def test_resolves_a_ref_only_in_packed_refs(self, tmp_path):
+        git_dir = self._repository(tmp_path, "ref: refs/heads/main")
+        other = "f" * 40
+        (git_dir / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{other} refs/heads/other\n"
+            f"{self.SHA} refs/heads/main\n"
+        )
+        assert git_revision(tmp_path) == self.SHA[:12]
+
+    def test_resolves_a_detached_head(self, tmp_path):
+        self._repository(tmp_path, self.SHA)
+        assert git_revision(tmp_path / "deep" / "er") == self.SHA[:12]
+
+    def test_unknown_for_a_ref_nowhere(self, tmp_path):
+        self._repository(tmp_path, "ref: refs/heads/gone")
+        assert git_revision(tmp_path) == "unknown"
 
     def test_unknown_outside_a_repository(self, tmp_path):
         assert git_revision(tmp_path / "nowhere") == "unknown"

@@ -44,7 +44,6 @@ from repro.routing.base import RoutingAlgorithm
 from repro.service.keys import result_fingerprint
 from repro.simulation.simulator import Simulator
 from repro.topology.base import Topology
-from repro.topology.fat_tree import FatTreeTopology
 from repro.topology.registry import topology_preset
 from repro.topology.torus import TorusTopology
 from repro.traffic.adversarial import AdversarialTraffic
@@ -240,8 +239,6 @@ TOPOLOGY_FAST = [
         "node_region", "node_router",
     )
 ] + [
-    (FatTreeTopology, "node_router"),
-    (FatTreeTopology, "minimal_output_port"),
     (TorusTopology, "ring_vc"),
     (TorusTopology, "commit_ring_hop"),
 ]
@@ -275,6 +272,12 @@ def test_every_topology_answers_its_queries_without_python(monkeypatch, topology
     watched = _watched()
     for owner, name in TOPOLOGY_FAST:
         watched[vars(owner)[name].__code__] = f"{owner.__name__}.{name}"
+    # The node map and the region ranges are the base class's on every
+    # topology: a topology's own body of either would run as Python.
+    for cls in _subclasses(Topology):
+        for name in ("node_router", "region_node_range"):
+            if name in vars(cls):
+                watched[vars(cls)[name].__code__] = f"{cls.__name__}.{name}"
     fills = {
         vars(cls)["_route_port"].__code__ for cls in _subclasses(Topology)
         if "_route_port" in vars(cls)
@@ -309,11 +312,9 @@ def test_every_topology_answers_its_queries_without_python(monkeypatch, topology
 #: A wrapper on each of these is called as often on ``soa`` as on ``object``
 #: wherever the Python bodies call it outside ``select_output``: the hop
 #: memo from UGAL's source trigger, the dateline commit from ``on_grant``,
-#: the minimal port from Base's head hook (the fat tree's own, which reads
-#: its leaf map, on the fat tree).
+#: the minimal port from Base's head hook.
 EQUAL_COUNTS = [
     (Topology, "minimal_output_port"),
-    (FatTreeTopology, "minimal_output_port"),
     (Topology, "router_hops"),
     (TorusTopology, "commit_ring_hop"),
 ]
