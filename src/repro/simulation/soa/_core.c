@@ -90,6 +90,7 @@
     X(_maybe_count_partial) X(_obs) X(_dateline) X(_commit_fault_hop) X(commit_ring_hop) \
     X(record_grant) X(minimal_output_port) X(minimal_route_to_router) X(router_hops) X(_route_port) \
     X(router_region) X(node_region) X(node_router) X(minimal_router_path) X(_hop_table) \
+    X(_link_peer) X(_target_port) \
     X(link_offset_for_destination) X(rng) X(integers) X(bit_generator) X(capsule) X(lock) \
     X(acquire) X(release) \
     X(on_inject) X(prefers_valiant) X(_ugal_prefers_valiant) X(random_intermediate_router) \
@@ -106,8 +107,7 @@
     X(_next_pid) X(generated_packets) X(before) X(after) X(switch_cycle) X(offset) X(topology) \
     X(num_nodes) X(num_routers) X(num_regions) X(routers_per_region) X(nodes_per_router) \
     X(region_node_range) X(_random_node_excluding) X(enqueue) X(generated_phits) X(_network) \
-    X(activate_node) X(__init__) X(Packet) X(TimeSeriesPoint) X(deque) X(_p) X(_a) \
-    X(_num_groups) X(_num_routers) \
+    X(activate_node) X(__init__) X(Packet) X(TimeSeriesPoint) X(deque) \
     X(valiant_intermediate_router) X(publish_flags) X(_pending) \
     X(notification_delay) X(_flags) X(_saturated_groups) X(add) X(discard) X(__version_probe__)
 
@@ -164,7 +164,8 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(ContentionCounters, decrement) \
     X(Topology, router_region) X(Topology, node_region) X(Topology, node_router) \
     X(Topology, minimal_output_port) X(Topology, minimal_route_to_router) \
-    X(Topology, router_hops) X(DragonflyTopology, router_hops) \
+    X(Topology, router_hops) X(Topology, port_target_region) \
+    X(DragonflyTopology, router_hops) \
     X(DragonflyTopology, _route_port) X(TorusTopology, ring_vc) X(TorusTopology, commit_ring_hop) \
     X(MinimalRouting, select_output) X(ValiantRouting, select_output) \
     X(MetricsCollector, record_delivery) X(MetricsCollector, record_generated) \
@@ -174,7 +175,7 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(TrafficPattern, _random_node_excluding) X(Topology, region_node_range) \
     X(ComputeNode, enqueue) X(Network, activate_node) \
     X(ValiantRouting, random_intermediate_router) X(Topology, valiant_intermediate_router) \
-    X(DragonflyTopology, port_target_region) X(PiggybackRouting, publish_flags)
+    X(PiggybackRouting, publish_flags)
 /* What a stock body reads or builds with that its class's source does not
  * define as a function: the size properties of `Topology` (compared with
  * what the type's MRO holds, never called), in `enum size` order, and the
@@ -192,12 +193,12 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
  * contention tracker, its counter arrays, ECtN's partial and combined arrays,
  * PB's flags, the routers' shared candidate tuples (`None` otherwise) and
  * the tables and memos of the path policy; off the topology its node ->
- * router table and route table, and where it has them a Dragonfly's
- * link-offset tables and a torus's ring table. */
+ * router table, route table and router-target table, and where it has them
+ * a Dragonfly's link-offset table and a torus's ring table. */
 #define ROUTING_MEMBERS(X) \
     X(topology) X(tracker) X(counters) X(partial) X(combined) X(flags) X(shared) X(plain) \
     X(towards_cache) X(ring_dims) X(port_candidates) X(node_rid) X(updown_vcs) \
-    X(route_table) X(link_offsets) X(offset_to_group) X(ring_info)
+    X(route_table) X(target_table) X(link_offsets) X(ring_info)
 
 /* ------------------------------------------------------------------ slots */
 /* The state members the core holds.  `active` and `unsorted` are not among
@@ -349,9 +350,10 @@ typedef struct {
      * state machine, `ring_vc`). */
     long npreg;
     int has_global_ports, dateline;
-    /* A `DragonflyTopology`'s routers per group, global ports per router,
-     * groups and first global port (`df_a` 0 on any other topology). */
-    long df_a, df_h, df_groups, df_first_global;
+    /* Whether the topology is a `DragonflyTopology` with its sizes bound,
+     * and its global ports per router. */
+    int dragonfly;
+    long df_h;
     /* The routing's own topology's sizes (`enum size`), read when the core
      * was bound where its type resolved every size property to the stock one
      * and it has a node map and a route table (`sizes` 0 otherwise: no query
@@ -361,6 +363,11 @@ typedef struct {
     long size[N_SIZES];
     long nodes_per_region; /* `num_nodes // num_regions` of those */
     unsigned int sizes_tag;
+    /* Bound with the sizes: the peer table (`_peer_table`, `radix` entries
+     * per router) and the Valiant window (first position, width, whether the
+     * source region is skipped). */
+    Py_buffer peers;
+    long radix, valiant_window[3];
     /* UGAL's `T`, in phits. */
     double valiant_threshold;
     /* `Packet`, whose exact instances are read and written at the slot
@@ -428,12 +435,6 @@ set_item(PyObject *list, Py_ssize_t i, PyObject *value) /* steals `value` */
     PyList_SET_ITEM(list, i, value);
     Py_DECREF(old);
     return 0;
-}
-
-static inline int
-set_long(PyObject *list, Py_ssize_t i, long v)
-{
-    return set_item(list, i, PyLong_FromLong(v));
 }
 
 static inline int
@@ -1922,10 +1923,10 @@ ask(Core *c, enum query q, long x, long *out)
 static int
 df_route_port(Core *c, long rid, long dst_router, long *port)
 {
-    long a = c->df_a, group = pydiv(rid, a), dst_group = pydiv(dst_router, a);
+    long a = c->size[Z_ROUTERS_PER_REGION], group = pydiv(rid, a), dst_group = pydiv(dst_router, a);
     long pos = pymod(rid, a), to = pymod(dst_router, a), offset;
     if (group != dst_group) {
-        if (get_long(L(c, link_offsets), group * c->df_groups + dst_group, &offset) < 0)
+        if (get_long(L(c, link_offsets), group * c->size[Z_NUM_REGIONS] + dst_group, &offset) < 0)
             return -1;
         to = pydiv(offset, c->df_h);
         if (to == pos) {
@@ -1937,31 +1938,21 @@ df_route_port(Core *c, long rid, long dst_router, long *port)
     return 0;
 }
 
-/* `table[key] = value` of a byte table: what a `bytearray` accepts. */
-static int
-store_byte(PyObject *table, Py_ssize_t key, long value)
-{
-    if (value < 0 || value > 255) {
-        PyErr_SetString(PyExc_ValueError, "byte must be in range(0, 256)");
-        return -1;
-    }
-    PyByteArray_AS_STRING(table)[key] = (char)value;
-    return 0;
-}
-
 /* `topology.minimal_output_port(rid, dst)` (`dst` a node) or, with
  * `to_router`, `topology.minimal_route_to_router(rid, dst)`: the base
  * bodies -- the ejection port at the node's router (`_node_rid`), else the
- * entry of the route table, filled on a miss by `_route_port`: the
- * Dragonfly's here while it is stock, any other by name. */
+ * entry of the route table (of the router-target table, with `to_router`).
+ * A route-table miss is filled by `_route_port`: the Dragonfly's here while
+ * it is stock, any other by name; a miss of a router-target table of its
+ * own by `_target_port` by name. */
 static int
 route(Core *c, long rid, long dst, int to_router, long *port)
 {
-    PyObject *topology = L(c, topology), *table = L(c, route_table), *map = L(c, node_rid), *fn;
+    PyObject *topology = L(c, topology), *map = L(c, node_rid), *fn;
+    PyObject *table = to_router ? L(c, target_table) : L(c, route_table);
     long dst_router = dst, R = c->size[Z_NUM_ROUTERS];
     int n = to_router ? N_minimal_route_to_router : N_minimal_output_port, on;
     Py_ssize_t key;
-    unsigned char entry;
     if (stock_hook(c, topology, n, &fn) < 0)
         return -1;
     if (fn != (to_router ? STOCK(c, Topology, minimal_route_to_router)
@@ -1986,16 +1977,16 @@ route(Core *c, long rid, long dst, int to_router, long *port)
     if (rid == dst_router || (unsigned long)rid >= (unsigned long)R
         || (unsigned long)dst_router >= (unsigned long)R || key >= PyByteArray_GET_SIZE(table))
         return ask_by_name(c, topology, n, rid, dst, 2, port);
-    entry = (unsigned char)PyByteArray_AS_STRING(table)[key];
-    if (entry != 0xFF) {
-        *port = entry;
+    *port = (unsigned char)PyByteArray_AS_STRING(table)[key];
+    if (*port != 0xFF)
         return 0;
-    }
-    if (stock_hook(c, topology, N__route_port, &fn) < 0)
-        return -1;
-    if ((c->df_a > 0 && fn == STOCK(c, DragonflyTopology, _route_port)
-             ? df_route_port(c, rid, dst_router, port)
-             : ask_by_name(c, topology, N__route_port, rid, dst_router, 2, port)) < 0)
+    if (table != L(c, route_table))
+        on = ask_by_name(c, topology, N__target_port, rid, dst_router, 2, port);
+    else if ((on = stock_hook(c, topology, N__route_port, &fn)) == 0)
+        on = c->dragonfly && fn == STOCK(c, DragonflyTopology, _route_port)
+                 ? df_route_port(c, rid, dst_router, port)
+                 : ask_by_name(c, topology, N__route_port, rid, dst_router, 2, port);
+    if (on < 0)
         return -1;
     /* A fill by name may have run Python: the table is held, its size is
      * read again. */
@@ -2003,87 +1994,77 @@ route(Core *c, long rid, long dst, int to_router, long *port)
         PyErr_SetString(PyExc_IndexError, "bytearray index out of range");
         return -1;
     }
-    return store_byte(table, key, *port);
+    if (*port < 0 || *port > 255) {
+        PyErr_SetString(PyExc_ValueError, "byte must be in range(0, 256)");
+        return -1;
+    }
+    PyByteArray_AS_STRING(table)[key] = (char)*port;
+    return 0;
+}
+
+/* The peer table's "not read yet" and "no link" entries. */
+#define PEER_UNSET (-1)
+#define NO_LINK (-2)
+
+/* `topology._link_peer(rid, port)` of the routing's topology (sizes bound):
+ * the router `port` of `rid` links to (`NO_LINK`: none), from the peer
+ * table; a miss is the body's, by name (it fills the entry from
+ * `neighbor`), and so is a port outside the radix. */
+static int
+link_peer(Core *c, long rid, long port, long *peer)
+{
+    const long long *table = c->peers.buf;
+    Py_ssize_t key = (Py_ssize_t)rid * c->radix + port;
+    if ((unsigned long)port < (unsigned long)c->radix
+        && (size_t)key < (size_t)c->peers.len / sizeof(long long) && table[key] != PEER_UNSET) {
+        *peer = (long)table[key];
+        return 0;
+    }
+    return ask_by_name(c, L(c, topology), N__link_peer, rid, port, 2, peer);
 }
 
 /* `topology.router_hops(a, b)`: on the Dragonfly at most one local hop to
  * the owner of the link between the two groups, the link, at most one local
- * hop from where it lands; on the base `Topology` the entry of the hop memo,
- * which the first call allocates, filled on a miss from
- * `minimal_router_path` by name. */
+ * hop from where it lands; on the base `Topology` the entry of the hop
+ * memo, else the call by name, whose body allocates the memo and fills the
+ * entry from `minimal_router_path`. */
 static int
 hops(Core *c, long a, long b, long *out)
 {
-    PyObject *topology = L(c, topology), *table, *path, *fn;
+    PyObject *topology = L(c, topology), *table, *fn;
+    long rpr = c->size[Z_ROUTERS_PER_REGION], G = c->size[Z_NUM_REGIONS];
     long group, dst_group, there, back, R = c->size[Z_NUM_ROUTERS];
-    Py_ssize_t key;
-    int failed, on;
+    Py_ssize_t key = (Py_ssize_t)a * R + b;
+    int on;
     if (stock_hook(c, topology, N_router_hops, &fn) < 0)
         return -1;
-    if (c->df_a > 0 && fn == STOCK(c, DragonflyTopology, router_hops)) {
-        group = pydiv(a, c->df_a);
-        dst_group = pydiv(b, c->df_a);
+    if (c->dragonfly && fn == STOCK(c, DragonflyTopology, router_hops)) {
+        group = pydiv(a, rpr);
+        dst_group = pydiv(b, rpr);
         if (a == b || group == dst_group) {
             *out = a != b;
             return 0;
         }
-        if (get_long(L(c, link_offsets), group * c->df_groups + dst_group, &there) < 0
-            || get_long(L(c, link_offsets), dst_group * c->df_groups + group, &back) < 0)
+        if (get_long(L(c, link_offsets), group * G + dst_group, &there) < 0
+            || get_long(L(c, link_offsets), dst_group * G + group, &back) < 0)
             return -1;
-        *out = 1 + (a != group * c->df_a + pydiv(there, c->df_h))
-               + (b != dst_group * c->df_a + pydiv(back, c->df_h));
+        *out = 1 + (a != group * rpr + pydiv(there, c->df_h))
+               + (b != dst_group * rpr + pydiv(back, c->df_h));
         return 0;
     }
-    if (fn != STOCK(c, Topology, router_hops) || (on = sizes_stock(c, topology)) == 0)
-        return ask_by_name(c, topology, N_router_hops, a, b, 2, out);
-    if (on < 0)
-        return -1;
-    if ((unsigned long)a >= (unsigned long)R || (unsigned long)b >= (unsigned long)R)
-        return ask_by_name(c, topology, N_router_hops, a, b, 2, out);
-    if ((table = get_attr(c, topology, N__hop_table)) == NULL)
-        return -1;
-    if (table == Py_None) {
-        Py_DECREF(table);
-        if ((table = PyByteArray_FromStringAndSize(NULL, (Py_ssize_t)R * R)) == NULL)
+    if (fn == STOCK(c, Topology, router_hops) && (on = sizes_stock(c, topology)) != 0) {
+        if (on < 0 || (table = get_attr(c, topology, N__hop_table)) == NULL)
             return -1;
-        memset(PyByteArray_AS_STRING(table), 0xFF, (size_t)R * (size_t)R);
-        if (set_attr(c, topology, N__hop_table, table) < 0) {
-            Py_DECREF(table);
-            return -1;
-        }
-    }
-    key = (Py_ssize_t)a * R + b;
-    if (!PyByteArray_Check(table) || key >= PyByteArray_GET_SIZE(table)) {
-        PyErr_Format(PyExc_TypeError, "_hop_table must be a bytearray of %ld entries", R * R);
+        on = PyByteArray_Check(table) && (unsigned long)a < (unsigned long)R
+             && (unsigned long)b < (unsigned long)R && key < PyByteArray_GET_SIZE(table)
+             && (unsigned char)PyByteArray_AS_STRING(table)[key] != 0xFF;
+        if (on)
+            *out = (unsigned char)PyByteArray_AS_STRING(table)[key];
         Py_DECREF(table);
-        return -1;
+        if (on)
+            return 0;
     }
-    if ((unsigned char)PyByteArray_AS_STRING(table)[key] != 0xFF) {
-        *out = (unsigned char)PyByteArray_AS_STRING(table)[key];
-        Py_DECREF(table);
-        return 0;
-    }
-    failed = -1;
-    {
-        PyObject *a_o = PyLong_FromLong(a), *b_o = PyLong_FromLong(b);
-        PyObject *args[3] = {topology, a_o, b_o};
-        path = a_o != NULL && b_o != NULL ? call_method(c, N_minimal_router_path, args, 3, NULL)
-                                          : NULL;
-        Py_XDECREF(b_o);
-        Py_XDECREF(a_o);
-    }
-    if (path != NULL) {
-        Py_ssize_t length = PyObject_Length(path);
-        Py_DECREF(path);
-        if (length >= 0) {
-            *out = (long)length - 1;
-            failed = key < PyByteArray_GET_SIZE(table) ? store_byte(table, key, *out) : -1;
-            if (failed && !PyErr_Occurred())
-                PyErr_SetString(PyExc_IndexError, "bytearray index out of range");
-        }
-    }
-    Py_DECREF(table);
-    return failed;
+    return ask_by_name(c, topology, N_router_hops, a, b, 2, out);
 }
 
 /* ----------------------------------------------------------- torus rings */
@@ -2303,8 +2284,8 @@ link_offset(Core *c, long group, long dst_group)
     PyObject *routing = c->o[S_routing], *group_o, *dst_o, *offset = NULL, *fn;
     if (stock_hook(c, routing, N_link_offset_for_destination, &fn) < 0)
         return NULL;
-    if (c->df_a > 0 && fn == STOCK(c, ECtNRouting, link_offset_for_destination)) {
-        offset = item(L(c, link_offsets), group * c->df_groups + dst_group);
+    if (c->dragonfly && fn == STOCK(c, ECtNRouting, link_offset_for_destination)) {
+        offset = item(L(c, link_offsets), group * c->size[Z_NUM_REGIONS] + dst_group);
         Py_XINCREF(offset);
         return offset;
     }
@@ -3434,21 +3415,22 @@ source_region(Core *c, long rid, PyObject *packet)
     return failed;
 }
 
-/* `topology.valiant_intermediate_router(rid, rng)`, stock: one draw over
- * the routers outside the source region. */
+/* `topology.valiant_intermediate_router(rid, rng)`, stock on the routing's
+ * own topology: one draw over the Valiant window, skipping the source region
+ * where the window says so. */
 static PyObject *
 valiant_router(Core *c, PyObject *topology, long rid, PyObject *rid_o, PyObject *rng)
 {
     PyObject *args[3] = {topology, rid_o, rng}, *span, *drawn, *fn;
-    long per_region, region, routers, choice;
+    long first = c->valiant_window[0], width = c->valiant_window[1];
+    long skip = c->valiant_window[2], rpr = c->size[Z_ROUTERS_PER_REGION], choice, region;
+    int on;
     if (stock_hook(c, topology, N_valiant_intermediate_router, &fn) < 0)
         return NULL;
-    if (fn != STOCK(c, Topology, valiant_intermediate_router))
+    if (fn != STOCK(c, Topology, valiant_intermediate_router)
+        || (on = sizes_stock(c, topology)) == 0)
         return call_method(c, N_valiant_intermediate_router, args, 3, NULL);
-    if (topology_size(c, topology, Z_ROUTERS_PER_REGION, &per_region) < 0
-        || ask_of(c, topology, Q_ROUTER_REGION, rid, &region) < 0
-        || topology_size(c, topology, Z_NUM_ROUTERS, &routers) < 0
-        || (span = PyLong_FromLong(routers - per_region)) == NULL)
+    if (on < 0 || (span = PyLong_FromLong((c->size[Z_NUM_REGIONS] - skip) * width)) == NULL)
         return NULL;
     drawn = draw_between(c, rng, zero, span);
     Py_DECREF(span);
@@ -3457,14 +3439,11 @@ valiant_router(Core *c, PyObject *topology, long rid, PyObject *rid_o, PyObject 
         return NULL;
     }
     Py_DECREF(drawn);
-    if (per_region <= 0) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "integer division or modulo by zero");
-        return NULL;
-    }
-    /* `region, position = divmod(choice, rpr)`, skipping the source region */
-    return PyLong_FromLong((pydiv(choice, per_region) + (pydiv(choice, per_region) >= region))
-                               * per_region
-                           + pymod(choice, per_region));
+    /* `region, position = divmod(choice, width)` */
+    region = pydiv(choice, width);
+    if (skip && region >= pydiv(rid, rpr))
+        region += 1;
+    return PyLong_FromLong(region * rpr + first + pymod(choice, width));
 }
 
 /* `self.random_intermediate_router(rid)` (a new reference): the stock
@@ -3550,7 +3529,7 @@ prefers_valiant(Core *c, long rid, PyObject *packet, PyObject *intermediate, PyO
         return -1;
     if (fn == STOCK(c, UGALRouting, prefers_valiant))
         return ugal_prefers(c, rid, packet, intermediate);
-    if (c->df_a > 0 && fn == STOCK(c, PiggybackRouting, prefers_valiant)
+    if (c->dragonfly && fn == STOCK(c, PiggybackRouting, prefers_valiant)
         && PyList_Check(L(c, flags))) {
         /* PB: the saturation flag of the minimal global link first. */
         PyObject *flags;
@@ -3558,7 +3537,7 @@ prefers_valiant(Core *c, long rid, PyObject *packet, PyObject *intermediate, PyO
         int on;
         if (ask(c, Q_ROUTER_REGION, rid, &group) < 0 || pget_long(c, packet, F_dst, &dst) < 0
             || ask(c, Q_NODE_REGION, dst, &dst_group) < 0
-            || get_long(L(c, link_offsets), group * c->df_groups + dst_group, &offset) < 0
+            || get_long(L(c, link_offsets), group * c->size[Z_NUM_REGIONS] + dst_group, &offset) < 0
             || (flags = item(L(c, flags), group)) == NULL || (flags = at(flags, offset)) == NULL
             || (on = truth(flags)) < 0)
             return -1;
@@ -4135,21 +4114,26 @@ pure_minimal(Core *c, long rid, PyObject *head, long dst)
     return plain_decision(c, port, vc);
 }
 
-/* `topology.port_target_region(rid, port)` of a global `port`: on a
- * Dragonfly whose `port_target_region` is stock, the group its link lands
- * in, from `_offset_to_group`. */
+/* `topology.port_target_region(rid, port)` of a global `port`, stock: the
+ * region of the router its link reaches, from the peer table; an override,
+ * or a port without a link (the body raises), by name. */
 static int
 target_region(Core *c, long rid, PyObject *rid_o, long port, PyObject *port_o, long *region)
 {
-    PyObject *args[3] = {L(c, topology), rid_o, port_o}, *row, *fn;
+    PyObject *args[3] = {L(c, topology), rid_o, port_o}, *fn;
+    long peer;
+    int on;
     if (stock_hook(c, L(c, topology), N_port_target_region, &fn) < 0)
         return -1;
-    if (c->df_a <= 0 || fn != STOCK(c, DragonflyTopology, port_target_region))
-        return call_long(c, N_port_target_region, args, 3, region);
-    if ((row = at(L(c, offset_to_group), pydiv(rid, c->df_a))) == NULL
-        || (row = at(row, pymod(rid, c->df_a) * c->df_h + port - c->df_first_global)) == NULL)
-        return -1;
-    return as_long(row, region);
+    if (fn == STOCK(c, Topology, port_target_region) && (on = sizes_stock(c, L(c, topology)))) {
+        if (on < 0 || link_peer(c, rid, port, &peer) < 0)
+            return -1;
+        if (peer != NO_LINK) {
+            *region = pydiv(peer, c->size[Z_ROUTERS_PER_REGION]);
+            return 0;
+        }
+    }
+    return call_long(c, N_port_target_region, args, 3, region);
 }
 
 /* `ValiantRouting.select_output` past the ejection test: towards the
@@ -5380,6 +5364,7 @@ Core_clear(Core *c)
         Py_CLEAR(c->o[i]);
     for (i = 0; i < N_COLUMNS; i++)
         PyBuffer_Release(&c->column[i]); /* a no-op on one never taken */
+    PyBuffer_Release(&c->peers);
     /* After the slots: unbound, the core takes no new event. */
     for (i = 0; i < N_CALENDARS; i++)
         cal_clear(&c->cal[i]);
@@ -5630,7 +5615,7 @@ bind_capture(Core *c, PyObject *routing, int capture)
         return -1;
     if (!(c->signals & READS_COMBINED))
         return 0;
-    if (c->df_a <= 0) {
+    if (!c->dragonfly) {
         PyErr_SetString(PyExc_TypeError, "the combined signal reads a Dragonfly's link offsets");
         return -1;
     }
@@ -5638,13 +5623,43 @@ bind_capture(Core *c, PyObject *routing, int capture)
            || bind_long(routing, "_first_global_port", &c->first_global, 0) < 0 ? -1 : 0;
 }
 
+/* `<what><name>` (`owner.<name>`) through a writable buffer, which must
+ * hold C `long long`s (an `array('q')`); anything else is a `TypeError`. */
+static int
+bind_column(PyObject *owner, const char *what, const char *name, Py_buffer *view)
+{
+    PyObject *column = named_attr(owner, name);
+    int taken;
+    if (column == NULL)
+        return -1;
+    taken = PyObject_GetBuffer(column, view, PyBUF_WRITABLE | PyBUF_FORMAT) == 0;
+    if (!taken && !PyErr_ExceptionMatches(PyExc_TypeError)
+        && !PyErr_ExceptionMatches(PyExc_BufferError)) {
+        Py_DECREF(column);
+        return -1;
+    }
+    if (!taken || view->itemsize != (Py_ssize_t)sizeof(long long) || view->format == NULL
+        || strcmp(view->format, "q") != 0) {
+        if (taken)
+            PyBuffer_Release(view);
+        PyErr_Clear();
+        PyErr_Format(PyExc_TypeError, "%s%s must be an array('q'), got %R", what, name, column);
+        Py_DECREF(column);
+        return -1;
+    }
+    Py_DECREF(column); /* the buffer holds it */
+    return 0;
+}
+
 /* The routing's own topology's sizes (see `sizes_stock`), each read once
- * here: bound where it has a route table and its type resolves every size
+ * here, its router-target and peer tables, its radix and its Valiant
+ * window: bound where it has a route table and its type resolves every size
  * property to the stock one.  0, -1 on error. */
 static int
 bind_sizes(Core *c, PyObject *topology)
 {
-    int z;
+    PyObject *window;
+    int z, failed;
     if (L(c, route_table) == Py_None)
         return 0;
     if (!PyByteArray_Check(L(c, route_table))) {
@@ -5672,14 +5687,23 @@ bind_sizes(Core *c, PyObject *topology)
         PyErr_SetString(PyExc_ValueError, "a region must hold a node");
         return -1;
     }
-    c->sizes = 1;
-    return 0;
+    if (bind_attr(c, S_target_table, topology, "_target_table", &PyByteArray_Type) < 0
+        || bind_column(topology, "", "_peer_table", &c->peers) < 0
+        || bind_long(topology, "_radix", &c->radix, 1) < 0
+        || (window = named_attr(topology, "_valiant_window")) == NULL)
+        return -1;
+    failed = expect_tuple(window, 3, "_valiant_window");
+    for (z = 0; !failed && z < 3; z++)
+        failed = field_long(window, z, &c->valiant_window[z]);
+    Py_DECREF(window);
+    c->sizes = !failed;
+    return failed;
 }
 
 /* What the stock `Topology` queries of the routing's topology read -- its
- * node map, route table and sizes -- and where it has them a torus's ring
- * table and a `DragonflyTopology`'s constants and link-offset tables
- * (`df_a` stays 0 on any other topology or without a route table).
+ * node map, tables and sizes -- and where it has them a torus's ring table
+ * and a `DragonflyTopology`'s link-offset table and global ports per router
+ * (`dragonfly` stays 0 on any other topology or without the sizes).
  * Without a route table or with a size property that is not the stock one
  * `sizes` stays 0: every query of the base `Topology` is then a call by
  * name. */
@@ -5687,7 +5711,7 @@ static int
 bind_topology(Core *c, PyObject *topology)
 {
     int is;
-    c->df_a = c->df_h = c->df_groups = 0;
+    c->dragonfly = 0;
     c->sizes = 0;
     c->sizes_tag = 0;
     if (bind_attr(c, S_node_rid, topology, "_node_rid", &PyTuple_Type) < 0
@@ -5699,45 +5723,12 @@ bind_topology(Core *c, PyObject *topology)
     if (bind_sizes(c, topology) < 0
         || (is = PyObject_IsInstance(topology, L(c, DragonflyTopology))) < 0)
         return -1;
-    if (!is || L(c, route_table) == Py_None)
-        return bind_attr(c, S_link_offsets, Py_None, "group_link_offsets", NULL) < 0
-               || bind_attr(c, S_offset_to_group, Py_None, "_offset_to_group", NULL) < 0 ? -1 : 0;
-    /* `df_a` last: it says the rest is bound. */
-    return bind_long(topology, "_h", &c->df_h, 1) < 0
-           || bind_long(topology, "_num_groups", &c->df_groups, 1) < 0
-           || bind_long(topology, "_first_global_port", &c->df_first_global, 0) < 0
-           || bind_attr(c, S_link_offsets, topology, "group_link_offsets", &PyList_Type) < 0
-           || bind_attr(c, S_offset_to_group, topology, "_offset_to_group", &PyList_Type) < 0
-           || bind_long(topology, "_a", &c->df_a, 1) < 0 ? -1 : 0;
-}
-
-/* `st.<column_names[i]>` through a writable buffer, which must hold C
- * `long long`s (an `array('q')`); anything else is a `TypeError`. */
-static int
-bind_column(Core *c, PyObject *st, int i)
-{
-    PyObject *column = named_attr(st, column_names[i]);
-    Py_buffer *view = &c->column[i];
-    int taken;
-    if (column == NULL)
+    if (!is || !c->sizes)
+        return bind_attr(c, S_link_offsets, Py_None, "group_link_offsets", NULL);
+    if (bind_long(topology, "_h", &c->df_h, 1) < 0
+        || bind_attr(c, S_link_offsets, topology, "group_link_offsets", &PyList_Type) < 0)
         return -1;
-    taken = PyObject_GetBuffer(column, view, PyBUF_WRITABLE | PyBUF_FORMAT) == 0;
-    if (!taken && !PyErr_ExceptionMatches(PyExc_TypeError)
-        && !PyErr_ExceptionMatches(PyExc_BufferError)) {
-        Py_DECREF(column);
-        return -1;
-    }
-    if (!taken || view->itemsize != (Py_ssize_t)sizeof(long long) || view->format == NULL
-        || strcmp(view->format, "q") != 0) {
-        if (taken)
-            PyBuffer_Release(view);
-        PyErr_Clear();
-        PyErr_Format(PyExc_TypeError, "st.%s must be an array('q'), got %R", column_names[i],
-                     column);
-        Py_DECREF(column);
-        return -1;
-    }
-    Py_DECREF(column); /* the buffer holds it */
+    c->dragonfly = 1;
     return 0;
 }
 
@@ -5770,7 +5761,7 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
         }
     }
     for (i = 0; i < N_COLUMNS; i++)
-        if (bind_column(c, st, i) < 0)
+        if (bind_column(st, "st.", column_names[i], &c->column[i]) < 0)
             return -1;
     c->o[S_st] = Py_NewRef(st);
     c->o[S_routing] = Py_NewRef(routing);

@@ -229,8 +229,9 @@ _STOCK_FUNCTIONS = tuple(
         (ContentionTracker, "on_head on_leave"),
         (ContentionCounters, "decrement"),
         (Topology, "region_node_range valiant_intermediate_router router_region node_region "
-                   "node_router minimal_output_port minimal_route_to_router router_hops"),
-        (DragonflyTopology, "router_hops _route_port port_target_region"),
+                   "node_router minimal_output_port minimal_route_to_router router_hops "
+                   "port_target_region"),
+        (DragonflyTopology, "router_hops _route_port"),
         (TorusTopology, "ring_vc commit_ring_hop"),
         (MetricsCollector, "record_delivery record_generated in_window"),
         (TimeSeriesRecorder, "record"),

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -79,6 +80,8 @@ __all__ = ["PortKind", "PathModel", "Topology"]
 
 #: "Not computed yet" in the byte-sized router-pair tables.
 _UNSET = 0xFF
+#: The peer table's "not read yet" and "no link" entries.
+_PEER_UNSET, _NO_LINK = -1, -2
 
 
 class PortKind(enum.Enum):
@@ -302,14 +305,21 @@ class Topology(ABC):
     and node ``n`` sits on port ``n % nodes_per_router``.  The routing
     layer and the SoA core read the same tuple.
 
-    **One route table.**  :meth:`minimal_output_port` and
-    :meth:`minimal_route_to_router` answer the same question — the first
-    hop of the minimal path from a router to a router — so both read one
-    dense ``num_routers ** 2`` byte table, filled on a miss by the
-    topology's :meth:`_route_port`.  Indexing is faster than hashing on the
-    hot path and a port index fits a byte (:data:`_UNSET` marks an entry not
-    computed yet).  The SoA core reads the same table while an instance
-    resolves the two names to the functions below.
+    **One body per query, from tables.**  :meth:`minimal_output_port`
+    reads one dense ``num_routers ** 2`` byte route table, filled on a miss
+    by the topology's :meth:`_route_port` (a port index fits a byte;
+    :data:`_UNSET` marks an entry not computed yet).
+    :meth:`minimal_route_to_router` and :meth:`minimal_router_path` read a
+    router-target table of the same shape: the route table itself, or where
+    the topology's route rule aims at nodes only (the fat tree funnels
+    towards a leaf) a table of its own whose misses fill the target's whole
+    column by one breadth-first search over the links.
+    :meth:`port_target_region` and those walks read the router behind each
+    port from an ``R x radix`` signed column filled on a miss by
+    :meth:`neighbor`.  :meth:`valiant_intermediate_router` draws once over
+    a declared window of region positions.  No topology overrides these;
+    the SoA core reads the same tables while an instance resolves the names
+    to the functions below.
     """
 
     #: Port index -> kind table (set by concrete topologies in ``__init__``).
@@ -323,14 +333,21 @@ class Topology(ABC):
         num_regions: int,
         path_model: PathModel,
         node_routers: Optional[Sequence[int]] = None,
+        valiant_window: Optional[Tuple[int, int]] = None,
+        router_targets_by_bfs: bool = False,
     ) -> None:
-        """Set the sizes, the node map and the route table.
+        """Set the sizes, the node map and the tables.
 
         ``node_routers`` is the router of every node in node order; without
         it every router attaches ``nodes_per_router`` nodes in id order.
         Regions are ``num_regions`` equal blocks of consecutive router ids
-        and of consecutive node ids.  The hop memo stays unallocated until
-        :meth:`router_hops` first runs.
+        and of consecutive node ids.  ``valiant_window`` ``(first, width)``
+        restricts Valiant intermediates to the positions
+        ``[first, first + width)`` of every region, the source's included;
+        without it they are every position of every other region.  With
+        ``router_targets_by_bfs`` router targets get their own table, filled
+        by breadth-first search instead of :meth:`_route_port`.  The hop
+        memo stays unallocated until :meth:`router_hops` first runs.
         """
         if radix >= _UNSET:
             raise ValueError(
@@ -356,7 +373,17 @@ class Topology(ABC):
         self._node_rid: Tuple[int, ...] = tuple(node_routers)
         self._num_nodes = len(self._node_rid)
         self._route_table = bytearray([_UNSET]) * (num_routers * num_routers)
+        self._target_table = (
+            bytearray(self._route_table) if router_targets_by_bfs else self._route_table
+        )
+        self._peer_table = array("q", [_PEER_UNSET]) * (num_routers * radix)
         self._hop_table: Optional[bytearray] = None
+        #: ``(first position, width, whether the source region is skipped)``.
+        self._valiant_window = (
+            (0, self._routers_per_region, True)
+            if valiant_window is None
+            else (*valiant_window, False)
+        )
 
     # -- Sizes --------------------------------------------------------------
     @property
@@ -480,17 +507,28 @@ class Topology(ABC):
         """
         return True
 
-    def port_target_region(self, router: int, port: int) -> int:
-        """Region of the router reached through ``port`` of ``router``.
+    def _link_peer(self, router: int, port: int) -> int:
+        """Router that ``port`` of ``router`` links to (:data:`_NO_LINK`
+        where it has none), from the peer table, filled on a miss by
+        :meth:`neighbor`."""
+        if not 0 <= port < self._radix:
+            raise ValueError(f"port {port} out of range [0, {self._radix})")
+        key = router * self._radix + port
+        peer = self._peer_table[key]
+        if peer == _PEER_UNSET:
+            nbr = self.neighbor(router, port)
+            peer = self._peer_table[key] = _NO_LINK if nbr is None else nbr[0]
+        return peer
 
-        Topologies may override this with arithmetic faster than the
-        generic neighbor lookup (the Valiant hot path calls it for every
-        global-port decision).
-        """
-        nbr = self.neighbor(router, port)
-        if nbr is None:
-            raise ValueError(f"port {port} is an injection port")
-        return self.router_region(nbr[0])
+    def port_target_region(self, router: int, port: int) -> int:
+        """Region of the router reached through ``port`` of ``router`` (the
+        Valiant leg and the MM+L misroute ask it of every global port)."""
+        peer = self._link_peer(router, port)
+        if peer == _NO_LINK:
+            raise ValueError(
+                f"port {port} of router {router} is an injection port or has no link"
+            )
+        return peer // self._routers_per_region
 
     # -- Routing helpers ----------------------------------------------------
     def minimal_output_port(self, router: int, dst_node: int) -> int:
@@ -525,10 +563,48 @@ class Topology(ABC):
         if router == dst_router:
             raise ValueError("already at the destination router")
         key = router * self._num_routers + dst_router
-        port = self._route_table[key]
+        table = self._target_table
+        port = table[key]
         if port == _UNSET:
-            port = self._route_table[key] = self._route_port(router, dst_router)
+            fill = self._route_port if table is self._route_table else self._target_port
+            port = table[key] = fill(router, dst_router)
         return port
+
+    def _target_port(self, router: int, target: int) -> int:
+        """What a router-target table of its own caches: fills its column
+        ``target`` from one breadth-first search over the links — every
+        router's entry is its smallest port one hop closer to ``target`` —
+        and returns the entry of ``router``."""
+        R = self._num_routers
+        links = [
+            [
+                (port, peer)
+                for port in range(self._p, self._radix)
+                if (peer := self._link_peer(r, port)) != _NO_LINK
+            ]
+            for r in range(R)
+        ]
+        dist = [-1] * R
+        dist[target] = 0
+        frontier = [target]
+        while frontier:
+            reached = []
+            for r in frontier:
+                for _, peer in links[r]:
+                    if dist[peer] < 0:
+                        dist[peer] = dist[r] + 1
+                        reached.append(peer)
+            frontier = reached
+        for r in range(R):
+            if r == target:
+                continue
+            for port, peer in links[r]:
+                if dist[peer] == dist[r] - 1:
+                    self._target_table[r * R + target] = port
+                    break
+            else:
+                raise ValueError(f"no link path joins router {r} to router {target}")
+        return self._target_table[router * R + target]
 
     def region_gateway(self, router: int, target_region: int) -> Tuple[int, bool]:
         """Next hop ``(output_port, is_global)`` from ``router`` into
@@ -549,22 +625,16 @@ class Topology(ABC):
 
     def minimal_router_path(self, src_router: int, dst_router: int) -> List[int]:
         """Sequence of routers (inclusive) on the minimal path between
-        routers, walked over the route table."""
+        routers, walked over the router-target and peer tables."""
         path = [src_router]
         r = src_router
-        table, R = self._route_table, self._num_routers
         while r != dst_router:
-            key = r * R + dst_router
-            port = table[key]
-            if port == _UNSET:
-                port = table[key] = self._route_port(r, dst_router)
-            nbr = self.neighbor(r, port)
-            assert nbr is not None
-            r = nbr[0]
+            r = self._link_peer(r, self.minimal_route_to_router(r, dst_router))
             path.append(r)
-            if len(path) > self.path_model.max_minimal_hops + 1:
+            if r == _NO_LINK or len(path) > self._path_model.max_minimal_hops + 1:
                 raise RuntimeError(
-                    "minimal path exceeds the topology's declared diameter"
+                    f"no minimal path of at most {self._path_model.max_minimal_hops} "
+                    f"hops joins router {src_router} to router {dst_router}"
                 )
         return path
 
@@ -586,23 +656,24 @@ class Topology(ABC):
     def valiant_intermediate_router(self, source_router: int, rng) -> int:
         """Uniformly random Valiant intermediate router for ``source_router``.
 
-        The default draws uniformly over the routers *outside* the source
-        region — on path-stage and dateline topologies the VC schedules
-        prove exactly the source->intermediate->destination shapes that
-        such a choice produces.  Topologies whose deadlock argument needs a
-        structurally constrained intermediate override this (the fat tree
-        draws a *root*, so both Valiant legs keep the up-then-down shape).
+        Draws uniformly over the declared window (see :meth:`__init__`): by
+        default the routers *outside* the source region — on path-stage and
+        dateline topologies the VC schedules prove exactly the
+        source->intermediate->destination shapes that such a choice
+        produces.  A topology whose deadlock argument needs a structurally
+        constrained intermediate declares a narrower window (the fat tree's
+        is its *roots*, so both Valiant legs keep the up-then-down shape).
 
         Consumes exactly one draw from ``rng``; the draw count and order
         are part of the determinism contract.
         """
-        rpr = self.routers_per_region
-        src_region = self.router_region(source_router)
-        choice = draws.integers(rng, 0, self.num_routers - rpr)
-        region, position = divmod(choice, rpr)
-        if region >= src_region:
+        first, width, skip_source = self._valiant_window
+        rpr = self._routers_per_region
+        choice = draws.integers(rng, 0, (self._num_regions - skip_source) * width)
+        region, position = divmod(choice, width)
+        if skip_source and region >= source_router // rpr:
             region += 1
-        return region * rpr + position
+        return region * rpr + first + position
 
     # -- Dateline VC schedule (ring topologies only) -------------------------
     def ring_vc(self, packet, router: int, port: int) -> int:

@@ -81,22 +81,18 @@ class DragonflyTopology(Topology):
             ),
         )
         self.config = config
-        self._a = config.a
         self._h = config.h
-        self._num_groups = config.num_groups
-        # Port-range boundaries.
-        self._first_local_port = self._p
-        self._first_global_port = self._p + self._a - 1
+        a, G = self._routers_per_region, self._num_regions
+        self._first_global_port = self._p + a - 1
         # Precomputed tables -------------------------------------------------
         # For each group-local offset o in [0, a*h): the remote group reached.
         self._offset_to_group: List[List[int]] = [
-            [self._global_offset_target(g, o) for o in range(self._a * self._h)]
-            for g in range(self._num_groups)
+            [self._global_offset_target(g, o) for o in range(a * self._h)] for g in range(G)
         ]
         # For each (group, remote group): the (router position, global port)
         # within `group` owning the link towards `remote group`.
         self._group_route: List[Dict[int, Tuple[int, int]]] = []
-        for g in range(self._num_groups):
+        for g in range(G):
             table: Dict[int, Tuple[int, int]] = {}
             for o, dst in enumerate(self._offset_to_group[g]):
                 pos, k = divmod(o, self._h)
@@ -107,7 +103,7 @@ class DragonflyTopology(Topology):
         # it directly instead of paying a method call per lookup.
         self.port_kinds: Tuple[PortKind, ...] = tuple(
             PortKind.INJECTION
-            if port < self._first_local_port
+            if port < self._p
             else (PortKind.LOCAL if port < self._first_global_port else PortKind.GLOBAL)
             for port in range(self._radix)
         )
@@ -117,7 +113,6 @@ class DragonflyTopology(Topology):
         #: first global port.  Public, like ``port_kinds``: ECtN's counters
         #: and PB's flags are indexed by it on their hot paths, and the SoA
         #: core reads it.
-        G = self._num_groups
         self.group_link_offsets: List[int] = [
             -1 if g == d else self._global_offset_from(g, d)
             for g in range(G)
@@ -131,21 +126,23 @@ class DragonflyTopology(Topology):
 
     @property
     def global_links_per_group(self) -> int:
-        return self._a * self._h
+        return self._routers_per_region * self._h
 
     # -------------------------------------------------------------- addressing
     def router_id(self, group: int, position: int) -> int:
         """Router id from ``(group, position)``."""
-        if not (0 <= group < self._num_groups):
-            raise ValueError(f"group {group} out of range [0, {self._num_groups})")
-        if not (0 <= position < self._a):
-            raise ValueError(f"position {position} out of range [0, {self._a})")
-        return group * self._a + position
+        if not (0 <= group < self._num_regions):
+            raise ValueError(f"group {group} out of range [0, {self._num_regions})")
+        if not (0 <= position < self._routers_per_region):
+            raise ValueError(
+                f"position {position} out of range [0, {self._routers_per_region})"
+            )
+        return group * self._routers_per_region + position
 
     # ------------------------------------------------------------------- ports
     @property
     def local_ports(self) -> range:
-        return range(self._first_local_port, self._first_global_port)
+        return range(self._p, self._first_global_port)
 
     @property
     def global_ports(self) -> range:
@@ -156,27 +153,27 @@ class DragonflyTopology(Topology):
         if position == peer_position:
             raise ValueError("a router has no local port to itself")
         idx = peer_position if peer_position < position else peer_position - 1
-        return self._first_local_port + idx
+        return self._p + idx
 
     def local_port_peer(self, position: int, port: int) -> int:
         """Group position of the router reached through local ``port``."""
         if self.port_kind(port) is not PortKind.LOCAL:
             raise ValueError(f"port {port} is not a local port")
-        idx = port - self._first_local_port
+        idx = port - self._p
         peer = idx if idx < position else idx + 1
         return peer
 
     # ----------------------------------------------------- global arrangement
     def _global_offset_target(self, group: int, offset: int) -> int:
         """Remote group reached by the global link with ``offset`` in ``group``."""
-        n = self._num_groups
+        n = self._num_regions
         if self.config.global_arrangement == "palmtree":
             return (group - offset - 1) % n
         return (group + offset + 1) % n
 
     def _global_offset_from(self, group: int, remote_group: int) -> int:
         """Group-local offset of the global link from ``group`` to ``remote_group``."""
-        n = self._num_groups
+        n = self._num_regions
         if group == remote_group:
             raise ValueError("no global link joins a group with itself")
         if self.config.global_arrangement == "palmtree":
@@ -204,20 +201,6 @@ class DragonflyTopology(Topology):
             False,
         )
 
-    def port_target_region(self, router: int, port: int) -> int:
-        """Region (group) reached through ``port``: the router's own group over
-        a local port, the global link's remote group from ``_offset_to_group``
-        over a global one; arithmetic without sub-calls, no neighbor walk."""
-        kind = self.port_kinds[port]
-        if kind is PortKind.INJECTION:
-            raise ValueError(f"port {port} is an injection port")
-        group, position = divmod(router, self._a)
-        if kind is PortKind.LOCAL:
-            return group
-        return self._offset_to_group[group][
-            position * self._h + port - self._first_global_port
-        ]
-
     # --------------------------------------------------------------- neighbors
     def neighbor(self, router: int, port: int) -> Optional[Tuple[int, int]]:
         kind = self.port_kind(port)
@@ -229,8 +212,10 @@ class DragonflyTopology(Topology):
             peer_pos = self.local_port_peer(pos, port)
             peer = self.router_id(group, peer_pos)
             return peer, self.local_port_to(peer_pos, pos)
-        # Global port.
-        dst_group = self.port_target_region(router, port)
+        # Global port: the link with offset ``pos * h + k`` of the group.
+        dst_group = self._offset_to_group[group][
+            pos * self._h + port - self._first_global_port
+        ]
         peer_router, peer_port = self.global_link_endpoint(dst_group, group)
         return peer_router, peer_port
 
@@ -242,12 +227,12 @@ class DragonflyTopology(Topology):
         ``group_link_offsets``; the SoA core transcribes it)."""
         if src_router == dst_router:
             return 0
-        a = self._a
+        a = self._routers_per_region
         group, dst_group = src_router // a, dst_router // a
         if group == dst_group:
             return 1
         offsets = self.group_link_offsets
-        G, h = self._num_groups, self._h
+        G, h = self._num_regions, self._h
         gateway = group * a + offsets[group * G + dst_group] // h
         landing = dst_group * a + offsets[dst_group * G + group] // h
         return 1 + (src_router != gateway) + (landing != dst_router)
@@ -285,6 +270,6 @@ class DragonflyTopology(Topology):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DragonflyTopology(p={self._p}, a={self._a}, h={self._h}, "
-            f"groups={self._num_groups}, nodes={self.num_nodes})"
+            f"DragonflyTopology(p={self._p}, a={self._routers_per_region}, h={self._h}, "
+            f"groups={self._num_regions}, nodes={self.num_nodes})"
         )

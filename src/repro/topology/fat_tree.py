@@ -49,11 +49,12 @@ The destination-digit rule is the fat tree's ``_route_port``: it fills
 the router-pair route table of :class:`~repro.topology.base.Topology` for
 leaf destinations, which is all :meth:`minimal_output_port` asks for.
 Router-to-router targets (Valiant steering, UGAL path estimates) cannot
-reuse the digit rule — it funnels towards a leaf — so they resolve through
-per-target BFS next-hop tables over the tree links (smallest-port
-tie-break).  The Valiant intermediate is
-drawn uniformly over the *roots*: every root is an ancestor of every leaf,
-so both Valiant legs keep the up-then-down shape and need no extra VCs.
+reuse the digit rule — it funnels towards a leaf — so the tree asks the
+base for a router-target table of its own, filled per target by a BFS over
+the tree links (smallest-port tie-break).  The Valiant window is the
+*roots* (the last ``k**(levels-2)`` positions of every region): every root
+is an ancestor of every leaf, so both Valiant legs keep the up-then-down
+shape and need no extra VCs.
 
 Up/down VC schedule
 -------------------
@@ -71,9 +72,8 @@ re-proves this at construction time for every shape the path model declares.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro import draws
 from repro.config.parameters import FatTreeConfig
 from repro.topology.base import PathModel, PortKind, Topology
 
@@ -118,7 +118,8 @@ class FatTreeTopology(Topology):
         # Valiant turns at a root, so its shapes are the full-height
         # minimal shape; a granted uplink divert is equal-cost, so the
         # adaptive shapes equal the minimal ones.  Only the leaves carry
-        # nodes: node ``n`` sits on leaf ``n // p``.
+        # nodes: node ``n`` sits on leaf ``n // p``.  The roots close every
+        # region's id block.
         leaves = [self._rid_of(0, w) for w in range(self._m)]
         super().__init__(
             config.num_routers,
@@ -140,8 +141,9 @@ class FatTreeTopology(Topology):
                 updown_adaptive_shapes=shapes,
             ),
             node_routers=[rid for rid in leaves for _ in range(config.p)],
+            valiant_window=((self._levels - 1) * self._B, self._B),
+            router_targets_by_bfs=True,
         )
-        self._first_down_port = self._p
         self._first_up_port = self._p + self._k
         self.port_kinds: Tuple[PortKind, ...] = tuple(
             PortKind.INJECTION if port < self._p else PortKind.LOCAL
@@ -156,24 +158,12 @@ class FatTreeTopology(Topology):
                 rid = self._rid_of(level, w)
                 self._rid_level[rid] = level
                 self._rid_label[rid] = w
-        # Level -> connected link ports (leaves have no children, roots no
-        # parents); used by the BFS router-target tables.
-        down = tuple(range(self._first_down_port, self._first_up_port))
-        up = tuple(range(self._first_up_port, self._radix))
-        self._level_link_ports: Tuple[Tuple[int, ...], ...] = tuple(
-            (up if level == 0 else down + up)
-            if level < self._levels - 1
-            else down
-            for level in range(self._levels)
-        )
         # Up/down VC table: injection and up ports ride VC 0, down ports
         # VC 1 (pure function of the output port; see module docstring).
         self._updown_port_vcs: Tuple[int, ...] = tuple(
-            1 if self._first_down_port <= port < self._first_up_port else 0
+            1 if self._p <= port < self._first_up_port else 0
             for port in range(self._radix)
         )
-        # Lazy per-target BFS next-hop tables for router targets.
-        self._router_tables: Dict[int, List[int]] = {}
 
     # -------------------------------------------------------------- addressing
     def _rid_of(self, level: int, w: int) -> int:
@@ -181,22 +171,10 @@ class FatTreeTopology(Topology):
         region, t = divmod(w, self._B)
         return (region * self._levels + level) * self._B + t
 
-    def router_level(self, router: int) -> int:
-        """Level of ``router`` (0 = leaves, ``levels - 1`` = roots)."""
-        return self._rid_level[router]
-
-    def router_label(self, router: int) -> int:
-        """Base-k switch label ``w`` of ``router`` within its level."""
-        return self._rid_label[router]
-
-    def leaf_router(self, leaf: int) -> int:
-        """Router id of leaf switch ``<0, leaf>``."""
-        return self._rid_of(0, leaf)
-
     # ------------------------------------------------------------------- ports
     @property
     def downlink_ports(self) -> range:
-        return range(self._first_down_port, self._first_up_port)
+        return range(self._p, self._first_up_port)
 
     @property
     def uplink_ports(self) -> range:
@@ -204,7 +182,7 @@ class FatTreeTopology(Topology):
 
     @property
     def local_ports(self) -> range:
-        return range(self._first_down_port, self._radix)
+        return range(self._p, self._radix)
 
     @property
     def global_ports(self) -> range:
@@ -217,7 +195,7 @@ class FatTreeTopology(Topology):
     def port_connected(self, router: int, port: int) -> bool:
         """Leaf down ports and root up ports exist but carry no link."""
         level = self._rid_level[router]
-        if self._first_down_port <= port < self._first_up_port:
+        if self._p <= port < self._first_up_port:
             return level > 0
         if self._first_up_port <= port < self._radix:
             return level < self._levels - 1
@@ -235,11 +213,11 @@ class FatTreeTopology(Topology):
             digit = (w // pk) % self._k
             parent = w + (j - digit) * pk
             # The parent's down port back to us is our digit at its level.
-            return self._rid_of(level + 1, parent), self._first_down_port + digit
-        if self._first_down_port <= port < self._first_up_port:
+            return self._rid_of(level + 1, parent), self._p + digit
+        if self._p <= port < self._first_up_port:
             if level == 0:
                 return None  # leaves have no children
-            j = port - self._first_down_port
+            j = port - self._p
             pk = self._pow_k[level - 1]
             digit = (w // pk) % self._k
             child = w + (j - digit) * pk
@@ -259,7 +237,7 @@ class FatTreeTopology(Topology):
         if w // pk == wd // pk:
             # Ancestor of the destination leaf: descend, digit by digit —
             # the down path is unique.
-            return self._first_down_port + (wd // self._pow_k[level - 1]) % self._k
+            return self._p + (wd // self._pow_k[level - 1]) % self._k
         # Not an ancestor: climb.  Funnel through the destination's digit
         # at this level (any uplink would be equal-cost; the deterministic
         # funnel is what the adaptive multipath spreads out).
@@ -274,82 +252,6 @@ class FatTreeTopology(Topology):
         while w1 // self._pow_k[h] != w2 // self._pow_k[h]:
             h += 1
         return 2 * h
-
-    def minimal_route_to_router(self, router: int, dst_router: int) -> int:
-        if router == dst_router:
-            raise ValueError("already at the destination router")
-        return self._router_step(router, dst_router)
-
-    def minimal_router_path(self, src_router: int, dst_router: int) -> List[int]:
-        path = [src_router]
-        r = src_router
-        while r != dst_router:
-            nbr = self.neighbor(r, self._router_step(r, dst_router))
-            assert nbr is not None
-            r = nbr[0]
-            path.append(r)
-            if len(path) > 2 * (self._levels - 1) + 1:
-                raise RuntimeError(
-                    "router path exceeds the fat-tree router diameter"
-                )
-        return path
-
-    def _router_step(self, router: int, dst_router: int) -> int:
-        """Next-hop port from ``router`` towards router ``dst_router``."""
-        table = self._router_tables.get(dst_router)
-        if table is None:
-            table = self._build_router_table(dst_router)
-            self._router_tables[dst_router] = table
-        port = table[router]
-        if port < 0:
-            raise ValueError("already at the destination router")
-        return port
-
-    def _build_router_table(self, target: int) -> List[int]:
-        """BFS next-hop table towards ``target`` (smallest-port tie-break).
-
-        Needed because router-to-router shortest paths are not always
-        up-then-down (root to root descends first; some same-level pairs
-        zigzag), so the node digit rule cannot serve router targets.  Used
-        for steering metadata only — Valiant intermediates are roots, whose
-        tables degenerate to the unique all-up paths.
-        """
-        dist = [-1] * self._num_routers
-        dist[target] = 0
-        frontier = [target]
-        while frontier:
-            nxt: List[int] = []
-            for r in frontier:
-                for port in self._level_link_ports[self._rid_level[r]]:
-                    nbr = self.neighbor(r, port)
-                    assert nbr is not None
-                    if dist[nbr[0]] < 0:
-                        dist[nbr[0]] = dist[r] + 1
-                        nxt.append(nbr[0])
-            frontier = nxt
-        next_port = [-1] * self._num_routers
-        for r in range(self._num_routers):
-            if r == target:
-                continue
-            for port in self._level_link_ports[self._rid_level[r]]:
-                nbr = self.neighbor(r, port)
-                assert nbr is not None
-                if dist[nbr[0]] == dist[r] - 1:
-                    next_port[r] = port
-                    break
-        return next_port
-
-    def valiant_intermediate_router(self, source_router: int, rng) -> int:
-        """Draw a uniformly random *root* as the Valiant intermediate.
-
-        Every root is an ancestor of every leaf, so both Valiant legs keep
-        the up-then-down shape the up/down schedule proves deadlock-free —
-        an arbitrary intermediate (the dense default) could force an
-        up-down-up zigzag and a second turn.  Consumes exactly one draw,
-        like the default.
-        """
-        choice = draws.integers(rng, 0, self._m)
-        return self._rid_of(self._levels - 1, choice)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -82,12 +82,10 @@ class FlattenedButterflyTopology(Topology):
         self.config = config
         self._rows = config.rows
         self._cols = config.cols
-        # Port-range boundaries.
-        self._first_row_port = self._p
         self._first_col_port = self._p + self._cols - 1
         self.port_kinds: Tuple[PortKind, ...] = tuple(
             PortKind.INJECTION
-            if port < self._first_row_port
+            if port < self._p
             else (PortKind.LOCAL if port < self._first_col_port else PortKind.GLOBAL)
             for port in range(self._radix)
         )
@@ -108,7 +106,7 @@ class FlattenedButterflyTopology(Topology):
     # ------------------------------------------------------------------- ports
     @property
     def row_ports(self) -> range:
-        return range(self._first_row_port, self._first_col_port)
+        return range(self._p, self._first_col_port)
 
     @property
     def column_ports(self) -> range:
@@ -123,7 +121,7 @@ class FlattenedButterflyTopology(Topology):
         if column == peer_column:
             raise ValueError("a router has no row port to itself")
         idx = peer_column if peer_column < column else peer_column - 1
-        return self._first_row_port + idx
+        return self._p + idx
 
     def column_port_to(self, row: int, peer_row: int) -> int:
         """Column port of a router in ``row`` leading to ``peer_row``."""
@@ -133,7 +131,7 @@ class FlattenedButterflyTopology(Topology):
         return self._first_col_port + idx
 
     def _row_port_peer(self, column: int, port: int) -> int:
-        idx = port - self._first_row_port
+        idx = port - self._p
         return idx if idx < column else idx + 1
 
     def _column_port_peer(self, row: int, port: int) -> int:
@@ -148,16 +146,6 @@ class FlattenedButterflyTopology(Topology):
         if row == target_region:
             raise ValueError("router is already inside the target region")
         return self.column_port_to(row, target_region), True
-
-    def port_target_region(self, router: int, port: int) -> int:
-        """Row reached through ``port`` (the router's own row for row ports)."""
-        kind = self.port_kinds[port]
-        if kind is PortKind.INJECTION:
-            raise ValueError(f"port {port} is an injection port")
-        row = router // self._cols
-        if kind is PortKind.LOCAL:
-            return row
-        return self._column_port_peer(row, port)
 
     # --------------------------------------------------------------- neighbors
     def neighbor(self, router: int, port: int) -> Optional[Tuple[int, int]]:

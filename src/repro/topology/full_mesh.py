@@ -46,8 +46,6 @@ class FullMeshTopology(Topology):
             PathModel.from_minimal_paths("full_mesh", _MINIMAL_HOP_KINDS),
         )
         self.config = config
-        self._a = config.a
-        self._first_mesh_port = self._p
         self.port_kinds: Tuple[PortKind, ...] = tuple(
             PortKind.INJECTION if port < self._p else PortKind.LOCAL
             for port in range(self._radix)
@@ -56,7 +54,7 @@ class FullMeshTopology(Topology):
     # ------------------------------------------------------------------- ports
     @property
     def mesh_ports(self) -> range:
-        return range(self._first_mesh_port, self._radix)
+        return range(self._p, self._radix)
 
     # Dragonfly-vocabulary aliases used by topology-generic helpers.
     local_ports = mesh_ports
@@ -70,16 +68,11 @@ class FullMeshTopology(Topology):
         if router == peer_router:
             raise ValueError("a router has no mesh port to itself")
         idx = peer_router if peer_router < router else peer_router - 1
-        return self._first_mesh_port + idx
+        return self._p + idx
 
     def _mesh_port_peer(self, router: int, port: int) -> int:
-        idx = port - self._first_mesh_port
+        idx = port - self._p
         return idx if idx < router else idx + 1
-
-    def port_target_region(self, router: int, port: int) -> int:
-        if self.port_kinds[port] is PortKind.INJECTION:
-            raise ValueError(f"port {port} is an injection port")
-        return self._mesh_port_peer(router, port)
 
     # --------------------------------------------------------------- neighbors
     def neighbor(self, router: int, port: int) -> Optional[Tuple[int, int]]:
@@ -96,4 +89,4 @@ class FullMeshTopology(Topology):
         return 0 if self.node_router(src_node) == self.node_router(dst_node) else 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FullMeshTopology(p={self._p}, a={self._a}, nodes={self.num_nodes})"
+        return f"FullMeshTopology(p={self._p}, a={self._num_routers}, nodes={self.num_nodes})"

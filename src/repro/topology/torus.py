@@ -120,7 +120,6 @@ class TorusTopology(Topology):
         self.config = config
         self._dims = dims
         self._n = len(dims)
-        self._first_ring_port = self._p
         # Row-major strides, dimension 0 fastest.
         strides = []
         stride = 1
@@ -189,7 +188,7 @@ class TorusTopology(Topology):
     # ------------------------------------------------------------------- ports
     @property
     def ring_ports(self) -> range:
-        return range(self._first_ring_port, self._radix)
+        return range(self._p, self._radix)
 
     # Dragonfly-vocabulary aliases used by topology-generic helpers.
     local_ports = ring_ports
@@ -204,7 +203,7 @@ class TorusTopology(Topology):
             raise ValueError(f"dimension {dim} out of range [0, {self._n})")
         if direction not in (+1, -1):
             raise ValueError(f"direction must be +1 or -1, got {direction}")
-        return self._first_ring_port + 2 * dim + (0 if direction == +1 else 1)
+        return self._p + 2 * dim + (0 if direction == +1 else 1)
 
     def port_dimension(self, port: int) -> Tuple[int, int]:
         """``(dimension, direction)`` of ring ``port``."""
@@ -223,17 +222,6 @@ class TorusTopology(Topology):
         dim, direction = self.port_dimension(port)
         return self.ring_port(dim, -direction)
 
-    def is_dateline_link(self, router: int, port: int) -> bool:
-        """Whether the hop from ``router`` through ``port`` wraps around.
-
-        The wrap-around link of each ring (plus direction: coordinate
-        ``k-1 -> 0``; minus direction: ``0 -> k-1``) is the ring's dateline;
-        traversing it bumps the packet's buffer class.
-        """
-        dim, direction = self.port_dimension(port)
-        coord = (router // self._strides[dim]) % self._dims[dim]
-        return coord == (self._dims[dim] - 1 if direction == +1 else 0)
-
     # --------------------------------------------------------------- neighbors
     def neighbor(self, router: int, port: int) -> Optional[Tuple[int, int]]:
         ring = self._port_ring.get(port)
@@ -248,13 +236,6 @@ class TorusTopology(Topology):
         # The reverse side of a plus link is the peer's minus port (and
         # vice versa), also in dimension ``dim``.
         return peer, self.ring_port(dim, -direction)
-
-    def port_target_region(self, router: int, port: int) -> int:
-        dim, direction = self.port_dimension(port)
-        if dim != self._n - 1:
-            return router // self.routers_per_region
-        k = self._dims[-1]
-        return (router // self.routers_per_region + direction) % k
 
     # ----------------------------------------------------------------- routing
     def ring_direction(self, coord: int, dst_coord: int, k: int) -> int:

@@ -109,7 +109,7 @@ class HopRecorder:
         uplinks = topo.uplink_ports
         ranks = []
         for port, _, _, rid in hops:
-            level = topo.router_level(rid)
+            level = topo._rid_level[rid]
             ranks.append(level if port in uplinks else 2 * link_levels - level)
         return ranks
 

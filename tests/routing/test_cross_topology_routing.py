@@ -57,7 +57,7 @@ class TestValiantOnNewTopologies:
         for source_router in range(topo.num_routers):
             for _ in range(20):
                 intermediate = sim.routing.random_intermediate_router(source_router)
-                assert topo.router_level(intermediate) == top
+                assert topo._rid_level[intermediate] == top
 
     @pytest.mark.parametrize(
         "params_factory, pattern",

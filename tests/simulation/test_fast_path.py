@@ -2,11 +2,15 @@
 
 On a stock ``soa`` run the core answers, in C, ``select_output`` of the pure
 mechanisms (their capture), the topology queries of every topology (the
-route table behind ``minimal_output_port`` / ``minimal_route_to_router``,
-the hop memo of ``router_hops``, the region queries and the torus's dateline
-state machine ``ring_vc`` / ``commit_ring_hop``; a route-table miss of any
-topology but the Dragonfly is filled by its ``_route_port``, at most once
-per router pair), ``MetricsCollector.record_delivery`` /
+route and router-target tables behind ``minimal_output_port`` /
+``minimal_route_to_router``, the hop memo of ``router_hops``, the peer table
+behind ``port_target_region``, ``valiant_intermediate_router``, the region
+queries and the torus's dateline state machine ``ring_vc`` /
+``commit_ring_hop``; the misses are Python fills: a route-table entry by the
+topology's ``_route_port`` (the Dragonfly's excepted), a hop-memo entry by
+``router_hops``, each at most once per router pair, a peer-table entry by
+``neighbor``, at most once per port, and a fat-tree router-target column by
+one breadth-first search per target), ``MetricsCollector.record_delivery`` /
 ``record_generated`` with the ``in_window`` test and the time-series bin
 they call,
 ``BernoulliTrafficGenerator.generate`` with the uniform, adversarial and
@@ -40,11 +44,12 @@ from repro.network.network import Network
 from repro.network.node import ComputeNode
 from repro.network.packet import Packet
 from repro.routing import ROUTING_REGISTRY, BaseContentionRouting, ContentionTracker
+from repro.routing.adaptive import AdaptiveInTransitRouting
 from repro.routing.base import RoutingAlgorithm
 from repro.service.keys import result_fingerprint
 from repro.simulation.simulator import Simulator
 from repro.topology.base import Topology
-from repro.topology.registry import topology_preset
+from repro.topology.registry import TOPOLOGY_REGISTRY, topology_preset
 from repro.topology.torus import TorusTopology
 from repro.traffic.adversarial import AdversarialTraffic
 from repro.traffic.base import TrafficPattern
@@ -231,12 +236,13 @@ def test_overrides_are_called_as_often_as_on_object(monkeypatch, routing, mode):
 
 
 # ------------------------------------------------------- every topology
-#: The topology queries a stock run answers in C on every topology.
+#: The topology queries a stock run answers in C on every topology
+#: (``router_hops`` too, but its misses are fills, counted as such below).
 TOPOLOGY_FAST = [
     (Topology, name)
     for name in (
-        "minimal_output_port", "minimal_route_to_router", "router_hops", "router_region",
-        "node_region", "node_router",
+        "minimal_output_port", "minimal_route_to_router", "router_region", "node_region",
+        "node_router", "minimal_router_path", "port_target_region", "valiant_intermediate_router",
     )
 ] + [
     (TorusTopology, "ring_vc"),
@@ -278,20 +284,40 @@ def test_every_topology_answers_its_queries_without_python(monkeypatch, topology
         for name in ("node_router", "region_node_range"):
             if name in vars(cls):
                 watched[vars(cls)[name].__code__] = f"{cls.__name__}.{name}"
+    # The misses the core asks by name, Python by design and each bounded by
+    # what it fills: a route-table entry per ``_route_port`` frame, a
+    # peer-table entry per ``_link_peer`` frame, a router-target column per
+    # ``_target_port`` frame, a hop-memo entry per ``router_hops`` frame and
+    # a router's shared candidate tuple (the group policy) per
+    # ``router_candidates`` frame.  What runs inside a fill is the fill's;
+    # every ``neighbor`` frame, inside one or not, fills a peer-table entry.
     fills = {
-        vars(cls)["_route_port"].__code__ for cls in _subclasses(Topology)
+        vars(cls)["_route_port"].__code__: "route" for cls in _subclasses(Topology)
         if "_route_port" in vars(cls)
     }
-    ran, filled = Counter(), 0
+    fills[Topology._link_peer.__code__] = "peer"
+    fills[Topology._target_port.__code__] = "target"
+    fills[Topology.router_hops.__code__] = "hop"
+    fills[AdaptiveInTransitRouting.router_candidates.__code__] = "candidates"
+    neighbors = {
+        vars(cls)["neighbor"].__code__ for cls in _subclasses(Topology) if "neighbor" in vars(cls)
+    }
+    ran, filled, depth = Counter(), Counter(), 0
 
     def profile(frame, event, arg):
-        nonlocal filled
-        if event == "call":
-            name = watched.get(frame.f_code)
-            if name is not None:
-                ran[name] += 1
-            elif frame.f_code in fills:
-                filled += 1
+        nonlocal depth
+        fill = fills.get(frame.f_code)
+        if fill is not None:
+            if event == "call":
+                filled[fill] += not depth
+                depth += 1
+            elif event == "return":
+                depth -= 1
+        elif event == "call":
+            if frame.f_code in neighbors:
+                filled["neighbor"] += 1
+            elif not depth and frame.f_code in watched:
+                ran[watched[frame.f_code]] += 1
 
     sim = Simulator(
         SimulationParameters.tiny(topology_preset(topology)).with_backend("soa"), routing,
@@ -303,10 +329,26 @@ def test_every_topology_answers_its_queries_without_python(monkeypatch, topology
     finally:
         sys.setprofile(None)
     assert ran == Counter()
-    R = sim.topology.num_routers
-    assert 0 < filled <= R * R
+    topo = sim.topology
+    R = topo.num_routers
+    peers = sum(peer != -1 for peer in topo._peer_table)
+    assert 0 < filled["route"] <= R * R
+    assert filled["peer"] <= peers == filled["neighbor"]
+    assert filled["target"] <= R and filled["candidates"] <= R
+    assert filled["hop"] == sum(hops != 0xFF for hops in topo._hop_table or b"")
+    assert (filled["hop"] > 0) == (routing == "UGAL")
     assert sim.engine.delivered_packets > 50
     assert result_fingerprint(result) == result_fingerprint(_steady(topology, routing, "object")[1])
+
+
+def test_no_topology_defines_a_query_the_core_answers_from_the_base_tables():
+    names = (
+        "port_target_region", "valiant_intermediate_router", "minimal_route_to_router",
+        "minimal_router_path",
+    )
+    classes = [TOPOLOGY_REGISTRY[name].topology_cls for name in TOPOLOGY_REGISTRY]
+    assert all(name in vars(Topology) for name in names)
+    assert [(cls.__name__, name) for cls in classes for name in names if name in vars(cls)] == []
 
 
 #: A wrapper on each of these is called as often on ``soa`` as on ``object``

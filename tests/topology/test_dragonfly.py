@@ -60,8 +60,8 @@ class TestStructure:
                 assert topology.port_target_region(router, port) == d
 
     def test_port_target_region_matches_the_wiring(self, topology):
-        # The arithmetic over ``_offset_to_group`` answers what a neighbor
-        # walk would, on every local and global port of every router.
+        # The peer table answers what the wiring says, on every local and
+        # global port of every router.
         for router in range(topology.num_routers):
             for port in range(topology.router_radix):
                 if topology.port_kind(port) is PortKind.INJECTION:

@@ -65,7 +65,7 @@ class TestStructure:
         assert topo.router_radix == cfg.p + 2 * cfg.k
         per_level = [0] * cfg.levels
         for rid in range(topo.num_routers):
-            per_level[topo.router_level(rid)] += 1
+            per_level[topo._rid_level[rid]] += 1
         assert per_level == [m] * cfg.levels
 
     def test_up_port_rewrites_exactly_the_level_digit(self, topo):
@@ -73,14 +73,14 @@ class TestStructure:
         wiring of the k-ary n-tree."""
         k = topo.config.k
         for rid in range(topo.num_routers):
-            level = topo.router_level(rid)
+            level = topo._rid_level[rid]
             if level == topo.config.levels - 1:
                 continue
-            w = topo.router_label(rid)
+            w = topo._rid_label[rid]
             for j in range(k):
                 parent, back = topo.neighbor(rid, min(topo.uplink_ports) + j)
-                assert topo.router_level(parent) == level + 1
-                pw = topo.router_label(parent)
+                assert topo._rid_level[parent] == level + 1
+                pw = topo._rid_label[parent]
                 assert (pw // k**level) % k == j
                 # Every other digit is preserved.
                 assert pw - ((pw // k**level) % k) * k**level == w - (
@@ -93,8 +93,8 @@ class TestStructure:
         its digits at positions >= l."""
         k = topo.config.k
         for rid in range(topo.num_routers):
-            level = topo.router_level(rid)
-            w = topo.router_label(rid)
+            level = topo._rid_level[rid]
+            w = topo._rid_label[rid]
             reachable = {w} if level == 0 else set()
             frontier = [rid] if level > 0 else []
             while frontier:
@@ -104,8 +104,8 @@ class TestStructure:
                         child = topo.neighbor(r, port)
                         if child is None:
                             continue
-                        if topo.router_level(child[0]) == 0:
-                            reachable.add(topo.router_label(child[0]))
+                        if topo._rid_level[child[0]] == 0:
+                            reachable.add(topo._rid_label[child[0]])
                         else:
                             nxt.append(child[0])
                 frontier = nxt
@@ -117,7 +117,7 @@ class TestStructure:
     def test_boundary_ports_are_unconnected(self, topo):
         top = topo.config.levels - 1
         for rid in range(topo.num_routers):
-            level = topo.router_level(rid)
+            level = topo._rid_level[rid]
             for port in topo.downlink_ports:
                 assert topo.port_connected(rid, port) == (level > 0)
                 if level == 0:
@@ -132,7 +132,7 @@ class TestStructure:
         B = topo.config.switches_per_level // k
         assert topo.num_regions == k
         for rid in range(topo.num_routers):
-            assert topo.router_region(rid) == topo.router_label(rid) // B
+            assert topo.router_region(rid) == topo._rid_label[rid] // B
 
 
 class TestMinimalRouting:
@@ -222,7 +222,7 @@ class TestValiant:
         seen = set()
         for _ in range(200):
             intermediate = topo.valiant_intermediate_router(0, rng)
-            assert topo.router_level(intermediate) == top
+            assert topo._rid_level[intermediate] == top
             seen.add(intermediate)
         assert len(seen) == topo.config.switches_per_level
 
@@ -232,11 +232,11 @@ class TestValiant:
         roots = [
             rid
             for rid in range(topo.num_routers)
-            if topo.router_level(rid) == topo.config.levels - 1
+            if topo._rid_level[rid] == topo.config.levels - 1
         ]
         for leaf in range(topo.config.switches_per_level):
-            target = topo.leaf_router(leaf)
+            target = topo.node_router(leaf * topo.nodes_per_router)
             for root in roots:
                 path = topo.minimal_router_path(root, target)
-                levels = [topo.router_level(r) for r in path]
+                levels = [topo._rid_level[r] for r in path]
                 assert levels == list(range(topo.config.levels - 1, -1, -1))

@@ -1,11 +1,14 @@
-"""The router-pair tables of ``Topology``, on every registered topology.
+"""The router-pair and port tables of ``Topology``, on every registered topology.
 
-``minimal_output_port`` and ``minimal_route_to_router`` read one byte table
-filled by the topology's ``_route_port``; ``router_hops`` memoises
-``len(minimal_router_path) - 1`` in a second one allocated on its first call
-(the Dragonfly answers it in closed form).  The SoA core reads the same
-tables, so an entry that disagreed with the topology's own rule would change
-every backend's routes at once.
+``minimal_output_port`` reads one byte table filled by the topology's
+``_route_port``, and so does ``minimal_route_to_router`` everywhere but on
+the fat tree, whose router targets have a table of their own filled by
+breadth-first search; ``router_hops`` memoises
+``len(minimal_router_path) - 1`` in a byte table allocated on its first call
+(the Dragonfly answers it in closed form), and the router behind each port
+is read from a peer table filled by ``neighbor``.  The SoA core reads the
+same tables, so an entry that disagreed with the topology's own rule would
+change every backend's routes at once.
 """
 
 import pytest
@@ -95,3 +98,20 @@ def test_minimal_route_to_router_raises_on_the_diagonal(topology):
     for router in range(topology.num_routers):
         with pytest.raises(ValueError, match="already at the destination router"):
             topology.minimal_route_to_router(router, router)
+
+
+def test_router_targets_read_the_route_table_except_on_the_fat_tree(topology):
+    own = type(topology).__name__ == "FatTreeTopology"
+    assert (topology._target_table is topology._route_table) is not own
+    assert len(topology._target_table) == topology.num_routers ** 2
+
+
+def test_the_peer_table_starts_unset_and_fills_from_neighbor(topology):
+    R, P = topology.num_routers, topology.router_radix
+    table = topology._peer_table
+    assert table.typecode == "q" and len(table) == R * P and set(table) == {-1}
+    for router in range(R):
+        for port in range(P):
+            nbr = topology.neighbor(router, port)
+            assert topology._link_peer(router, port) == (-2 if nbr is None else nbr[0])
+    assert -1 not in table

@@ -123,7 +123,8 @@ class TestDatelineSchedule:
             for port in topo.ring_ports:
                 dim, direction = topo.port_dimension(port)
                 expected = coords[dim] == (topo.dims[dim] - 1 if direction == +1 else 0)
-                assert topo.is_dateline_link(router, port) == expected
+                _, stride, k, wrap_coord, _ = topo._ring_info[port]
+                assert ((router // stride) % k == wrap_coord) == expected
 
     def test_ring_vc_bumps_at_dateline_and_resets_across_dimensions(self):
         topo = make_torus(dims=(4, 4))
