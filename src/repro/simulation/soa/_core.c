@@ -21,8 +21,10 @@
  * a probe reads through `st.*` therefore stays live state: the integer
  * columns are `array('q')`s this core holds a buffer on, `Packet`s sit in
  * VC lists (or in a calendar event while on a link: `Core.calendars()` shows
- * those as event tuples), row tuples in `engine._rows`, and the collector's
- * counters, samples and time-series bins are its own attributes.
+ * those as event tuples), and the collector's counters, samples and
+ * time-series bins are its own attributes.  The captured rows of the buffer
+ * heads are the core's own C structs (see "rows"; `Core.row(q)` shows one as
+ * a dict), and so is the request a head makes in an allocation round.
  *
  * A hook is answered here only while the function the instance resolves for
  * its name -- resolved the way a method call resolves it, the type's part
@@ -55,11 +57,15 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Row kinds of `SoAEngine._rows` (soa/engine.py, "Row kinds"). */
-#define ROW_FIXED 0
-#define ROW_FORCED 1
-#define ROW_GLOBAL 2
-#define ROW_LOCAL 3
+/* Row kinds (soa/engine.py, "Row kinds"); `ROW_LIVE` is the kind of a head
+ * nobody captured and of a row on the free list. */
+enum row_kind { ROW_LIVE = -1, ROW_FIXED, ROW_FORCED, ROW_GLOBAL, ROW_LOCAL };
+static const char *const row_kinds[] = {"FIXED", "FORCED", "GLOBAL", "LOCAL"};
+
+/* The decision a gate's pick makes: a local misroute, a global misroute
+ * (towards the candidate's group) or the local step to a proxy that must
+ * misroute globally next. */
+enum pick_kind { PICK_LOCAL, PICK_GLOBAL, PICK_PROXY };
 
 /* The signals an adaptive trigger reads (bit i: `bind_trigger`'s i-th name). */
 #define READS_COUNTERS 1
@@ -231,7 +237,6 @@ enum {
     N_STATE,
     S_st = N_STATE,
     S_routing,
-    S_rows,
     S_dlv,
     S_drp,
     STOCK_FUNCTIONS(STOCK_FUNCTION_ENUM)
@@ -326,6 +331,55 @@ typedef struct {
     long floor;      /* no event is due before it */
 } calendar;
 
+/* ------------------------------------------------------------------ rows */
+/* A buffer head's captured row (soa/engine.py, "Row kinds"), written once by
+ * the capture and read by every allocation round.  The rows live in a pool
+ * grown by doubling and recycled through a free list, as the calendars' events
+ * do, so their memory follows the heads in the fabric; `slot[q]`, a column
+ * made at the first capture, is the pool index + 1 of VC `q`'s row (0: nobody
+ * captured the head, it is `LIVE`).  A row is taken at capture and returned
+ * when its head leaves (`pop_head`).  The input port and VC are `q`'s, the
+ * output buffer and the credit counter the request's port's: none is
+ * stored. */
+typedef struct {
+    int kind;             /* `enum row_kind` */
+    /* The fixed request -- a gate's fallback: output port, VC and size, and
+     * its decision (held; NULL: the head makes no request). */
+    long out_port, vc, size;
+    PyObject *decision;
+    /* A gate's minimal port and candidates in order: a list as it is, or
+     * (`view`) the router's shared candidate tuple from `first` on, for
+     * `dst_group`, with its local ports only for a `proxy` (see `walk`). */
+    long minimal, first, dst_group;
+    PyObject *candidates; /* held, or NULL */
+    int view, proxy;
+    /* The VCs of a global and of a local pick. */
+    long global_vc, local_vc;
+    /* ECtN's injection-side constants (`ectn` 0: none): the group, its
+     * minimal link's offset, the port -> offset base. */
+    int ectn;
+    long ectn_group, ectn_min_offset, ectn_base;
+    int32_t next;         /* on the free list: the next free row (-1: none) */
+} row;
+
+typedef struct {
+    row *pool;            /* NULL until the first capture */
+    int32_t *slot;        /* per VC `q`, `slots` of them: NULL until then too */
+    Py_ssize_t slots, heads; /* `heads`: R * P * V where the engine captures */
+    int32_t capacity, free;
+} row_pool;
+
+/* One head's request in an allocation round: the row's fixed request, a
+ * `LIVE` head's decision, or a gate's pick, whose decision `commit` makes
+ * only if it is granted. */
+typedef struct {
+    long in_port, in_vc, out_port, vc, size;
+    PyObject *decision;   /* held; NULL for a pick */
+    PyObject *chosen;     /* a pick's candidate (held), else NULL */
+    int pick;             /* `enum pick_kind` of a pick */
+    Py_ssize_t key;       /* `allocate`: the position of its head's key */
+} request;
+
 typedef struct {
     PyObject_HEAD
     PyObject *o[N_SLOTS];
@@ -387,6 +441,7 @@ typedef struct {
     memo memo[N_NAMES][MEMO_WAYS];
     calendar cal[N_CALENDARS];
     long clock; /* the cycle after the last router phase's */
+    row_pool rows;
 } Core;
 
 #define L(c, name) ((c)->o[S_##name])
@@ -954,6 +1009,124 @@ append_long(PyObject *list, long v)
     failed = PyList_Append(list, value);
     Py_DECREF(value);
     return failed;
+}
+
+/* ------------------------------------------------------------------ rows */
+/* Release what a row holds; it is empty after. */
+static void
+row_clear(row *r)
+{
+    Py_CLEAR(r->decision);
+    Py_CLEAR(r->candidates);
+}
+
+/* No row, nothing allocated, nothing to capture. */
+static void
+rows_clear(row_pool *t)
+{
+    row *pool = t->pool;
+    int32_t i, n = t->capacity;
+    PyMem_Free(t->slot);
+    t->pool = NULL;
+    t->slot = NULL;
+    t->slots = t->heads = 0;
+    t->capacity = 0;
+    t->free = -1;
+    /* Detached first: a decision's release may run any code. */
+    for (i = 0; i < n; i++)
+        row_clear(&pool[i]);
+    PyMem_Free(pool);
+}
+
+/* The row of VC `q` (NULL: the head is `LIVE`).  Valid until the next
+ * capture, which may move the pool, and the next call that may run Python
+ * code. */
+static inline row *
+row_of(Core *c, long q)
+{
+    const row_pool *t = &c->rows;
+    int32_t i;
+    if ((size_t)q >= (size_t)t->slots || (i = t->slot[q]) == 0)
+        return NULL;
+    return &t->pool[i - 1];
+}
+
+/* Twice the pool, the new rows free. */
+static int
+rows_grow(row_pool *t)
+{
+    int32_t old = t->capacity, size, i;
+    row *pool;
+    if (old > INT32_MAX / 2) {
+        PyErr_SetString(PyExc_MemoryError, "too many captured heads");
+        return -1;
+    }
+    size = old ? 2 * old : 64;
+    if ((pool = PyMem_Realloc(t->pool, (size_t)size * sizeof(row))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(pool + old, 0, (size_t)(size - old) * sizeof(row));
+    for (i = old; i < size; i++) {
+        pool[i].kind = ROW_LIVE;
+        pool[i].next = i + 1 < size ? i + 1 : t->free;
+    }
+    t->pool = pool;
+    t->capacity = size;
+    t->free = old;
+    return 0;
+}
+
+/* VC `q`'s head left: its row goes back to the free list. */
+static void
+release_row(Core *c, long q)
+{
+    row_pool *t = &c->rows;
+    row *r = row_of(c, q), held;
+    int32_t i;
+    if (r == NULL)
+        return;
+    i = t->slot[q] - 1;
+    held = *r;
+    memset(r, 0, sizeof *r);
+    r->kind = ROW_LIVE;
+    r->next = t->free;
+    t->free = i;
+    t->slot[q] = 0;
+    row_clear(&held); /* detached first, as in `rows_clear` */
+}
+
+/* `r` becomes VC `q`'s row, its references with it (they are released on
+ * error too). */
+static int
+store_row(Core *c, long q, row *r)
+{
+    row_pool *t = &c->rows;
+    int32_t i;
+    if ((size_t)q >= (size_t)t->heads) {
+        row_clear(r);
+        PyErr_SetString(PyExc_IndexError, "no row for this VC");
+        return -1;
+    }
+    if (t->slot == NULL) {
+        if ((t->slot = PyMem_Calloc((size_t)t->heads, sizeof(int32_t))) == NULL) {
+            row_clear(r);
+            PyErr_NoMemory();
+            return -1;
+        }
+        t->slots = t->heads;
+    }
+    release_row(c, q);
+    if (t->free < 0 && rows_grow(t) < 0) {
+        row_clear(r);
+        return -1;
+    }
+    i = t->free;
+    t->free = t->pool[i].next;
+    r->next = -1;
+    t->pool[i] = *r;
+    t->slot[q] = i + 1;
+    return 0;
 }
 
 /* ------------------------------------------------------------- name cache */
@@ -2797,6 +2970,7 @@ pop_head(Core *c, long rid, long port, long vc, PyObject *port_o, PyObject *vc_o
     }
     if (c->notify_leave && leave_hook(c, rid, port_o, vc_o, packet, cycle_o) < 0)
         goto error;
+    release_row(c, q);
     return packet;
 error:
     Py_DECREF(packet);
@@ -2804,25 +2978,25 @@ error:
 }
 
 /* ----------------------------------------------------------------- commit */
+static PyObject *pick_decision(Core *c, const request *req);
+
 /* `Router._commit_grant`, and the booking of what the grant decides: the
- * packet's release and its downstream arrival. */
+ * packet's release and its downstream arrival.  A pick's decision is made
+ * here, for the granted request only. */
 static int
-commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
+commit(Core *c, long rid, const request *req, PyObject *cycle_o, long cycle)
 {
     PyObject *in_port_o, *in_vc_o, *decision, *packet = NULL, *vc_o = NULL;
-    long in_port, in_vc, out_port, size, og, cq, vc;
+    long in_port = req->in_port, in_vc = req->in_vc, out_port = req->out_port, size = req->size;
+    long og = rid * c->P + out_port, cq = og * c->V + req->vc, vc;
     long free_phits, committed, have, occupied, ready, depart, factor, done, down;
     event *e;
     int flag, failed = -1;
-    if (expect_tuple(req, 7, "a request") < 0)
-        return -1;
-    in_port_o = PyTuple_GET_ITEM(req, 0);
-    in_vc_o = PyTuple_GET_ITEM(req, 1);
-    decision = PyTuple_GET_ITEM(req, 4);
-    if (as_long(in_port_o, &in_port) < 0 || as_long(in_vc_o, &in_vc) < 0
-        || field_long(req, 2, &out_port) < 0 || field_long(req, 3, &size) < 0
-        || field_long(req, 5, &og) < 0 || field_long(req, 6, &cq) < 0)
-        return -1;
+    decision = req->decision != NULL ? Py_NewRef(req->decision) : pick_decision(c, req);
+    in_port_o = PyLong_FromLong(in_port);
+    in_vc_o = PyLong_FromLong(in_vc);
+    if (decision == NULL || in_port_o == NULL || in_vc_o == NULL)
+        goto done;
     packet = pop_head(c, rid, in_port, in_vc, in_port_o, in_vc_o, cycle_o, cycle);
     if (packet == NULL
         || grant_hook(c, rid, in_port_o, in_vc_o, packet, decision, cycle_o) < 0)
@@ -2894,6 +3068,9 @@ commit(Core *c, long rid, PyObject *req, PyObject *cycle_o, long cycle)
 done:
     Py_XDECREF(vc_o);
     Py_XDECREF(packet);
+    Py_XDECREF(in_vc_o);
+    Py_XDECREF(in_port_o);
+    Py_XDECREF(decision);
     return failed;
 }
 
@@ -2937,11 +3114,10 @@ release(Core *c, const due_list *due, Py_ssize_t i, long rid)
  * num_clients` over the in-range clients; the two stages below inline it. */
 
 /* `SeparableAllocator.allocate` over the flat pointer arrays, for `n`
- * requests given by field: the indices of the granted ones go to `grants`
- * in grant order; returns how many, -1 on error. */
+ * requests: the indices of the granted ones go to `grants` in grant order;
+ * returns how many, -1 on error. */
 static Py_ssize_t
-alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, const long *vc,
-            const long *out_port, Py_ssize_t *grants)
+alloc_round(Core *c, long rid, long base, Py_ssize_t n, const request *reqs, Py_ssize_t *grants)
 {
     Py_ssize_t stack_winners[STACK_ITEMS], *winners = stack_winners;
     char stack_seen[STACK_ITEMS], *seen = stack_seen;
@@ -2956,15 +3132,15 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
     }
     for (i = 1; i < n && distinct; i++)
         for (j = 0; j < i; j++)
-            if (in_port[i] == in_port[j] || out_port[i] == out_port[j]) {
+            if (reqs[i].in_port == reqs[j].in_port || reqs[i].out_port == reqs[j].out_port) {
                 distinct = 0;
                 break;
             }
     if (distinct) {
         /* Nothing to arbitrate: every request wins, the pointers rotate. */
         for (i = 0; i < n; i++) {
-            if (set_col(c, in_ptr, base + in_port[i], pymod(vc[i] + 1, nvc)) < 0
-                || set_col(c, out_ptr, base + out_port[i], pymod(in_port[i] + 1, P)) < 0)
+            if (set_col(c, in_ptr, base + reqs[i].in_port, pymod(reqs[i].in_vc + 1, nvc)) < 0
+                || set_col(c, out_ptr, base + reqs[i].out_port, pymod(reqs[i].in_port + 1, P)) < 0)
                 return -1;
             grants[i] = i;
         }
@@ -2987,26 +3163,26 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
         long best_distance = nvc;
         if (seen[i])
             continue;
-        if (get_col(c, in_ptr, base + in_port[i], &pointer) < 0)
+        if (get_col(c, in_ptr, base + reqs[i].in_port, &pointer) < 0)
             goto error;
         for (j = i; j < n; j++) {
             long distance;
-            if (in_port[j] != in_port[i])
+            if (reqs[j].in_port != reqs[i].in_port)
                 continue;
             seen[j] = 1;
-            if (vc[j] < 0 || vc[j] >= nvc)
+            if (reqs[j].in_vc < 0 || reqs[j].in_vc >= nvc)
                 continue;
-            distance = vc[j] - pointer;
+            distance = reqs[j].in_vc - pointer;
             if (distance < 0)
                 distance += nvc;
-            if (distance < best_distance || (best >= 0 && vc[j] == vc[best])) {
+            if (distance < best_distance || (best >= 0 && reqs[j].in_vc == reqs[best].in_vc)) {
                 best_distance = distance;
                 best = j;
             }
         }
         if (best < 0)
             continue;
-        if (set_col(c, in_ptr, base + in_port[i], pymod(vc[best] + 1, nvc)) < 0)
+        if (set_col(c, in_ptr, base + reqs[i].in_port, pymod(reqs[best].in_vc + 1, nvc)) < 0)
             goto error;
         winners[num_winners++] = best;
     }
@@ -3015,14 +3191,14 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
     memset(seen, 0, (size_t)num_winners);
     for (i = 0; i < num_winners; i++) {
         Py_ssize_t best = -1;
-        long best_distance = P, port = out_port[winners[i]];
+        long best_distance = P, port = reqs[winners[i]].out_port;
         if (seen[i])
             continue;
         if (get_col(c, out_ptr, base + port, &pointer) < 0)
             goto error;
         for (j = i; j < num_winners; j++) {
-            long client = in_port[winners[j]], distance;
-            if (out_port[winners[j]] != port)
+            long client = reqs[winners[j]].in_port, distance;
+            if (reqs[winners[j]].out_port != port)
                 continue;
             seen[j] = 1;
             if (client < 0 || client >= P)
@@ -3037,7 +3213,7 @@ alloc_round(Core *c, long rid, long base, Py_ssize_t n, const long *in_port, con
         }
         if (best < 0)
             continue;
-        if (set_col(c, out_ptr, base + port, pymod(in_port[best] + 1, P)) < 0)
+        if (set_col(c, out_ptr, base + port, pymod(reqs[best].in_port + 1, P)) < 0)
             goto error;
         grants[num_grants++] = best;
     }
@@ -3051,9 +3227,8 @@ error:
 }
 
 /* ------------------------------------------------------------- open gates */
-/* A gate row -- `(kind, fallback request, minimal port, candidates, global
- * VC, local VC, ectn)` -- answers each round with its fallback (minimal)
- * request unless the mechanism's trigger picks a candidate.  The trigger is
+/* A gate row answers each round with its fixed (minimal) request unless
+ * the mechanism's trigger picks a candidate.  The trigger is
  * `AdaptiveInTransitRouting.choose_*` over the flat state, reading the
  * signals the mechanism declares; each pick is one
  * `draws.integers(routing.rng, 0, n)` (`bounded_draw`), exactly where the
@@ -3110,10 +3285,10 @@ draw(Core *c, Py_ssize_t n, Py_ssize_t *index)
  * qualifies). */
 enum signal { ANY, COUNTER, OCCUPANCY, COMBINED };
 
-/* A row's candidates in order: a list as it is, or a view `(shared, first,
- * dst group, proxy)` of a router's shared candidate tuple -- its global
- * ports with their target group before `num_global`, then its local ports --
- * skipping in place what `global_candidates` / `local_candidates` leave out:
+/* A row's candidates in order: a list as it is, or a view of a router's
+ * shared candidate tuple -- its global ports with their target group before
+ * `num_global`, then its local ports -- from `first` on, skipping in place
+ * what `global_candidates` / `local_candidates` leave out:
  * the minimal port, a global port into the destination or the current group,
  * the local ports unless `proxy`.  `globals_only` skips the local candidates
  * too (ECtN's combined trigger). */
@@ -3125,35 +3300,34 @@ typedef struct {
 } walk;
 
 static int
-walk_open(Core *c, walk *w, PyObject *candidates, long rid, long minimal, int globals_only)
+walk_open(Core *c, walk *w, const row *r, long rid, int globals_only)
 {
-    long first, proxy;
     w->globals_only = globals_only;
     w->next = w->split = 0;
-    w->minimal = minimal;
+    w->minimal = r->minimal;
     w->dst_group = w->group = 0;
-    if (PyList_Check(candidates)) {
-        w->seq = candidates;
-        w->view = 0;
-        w->end = PyList_GET_SIZE(candidates);
+    w->seq = r->candidates;
+    w->view = r->view;
+    if (!w->view) {
+        if (!PyList_Check(w->seq)) {
+            PyErr_Format(PyExc_TypeError, "a candidate list must be a list, got %R", w->seq);
+            return -1;
+        }
+        w->end = PyList_GET_SIZE(w->seq);
         return 0;
     }
-    if (expect_tuple(candidates, 4, "a candidate view") < 0 || field_long(candidates, 1, &first) < 0
-        || field_long(candidates, 2, &w->dst_group) < 0 || field_long(candidates, 3, &proxy) < 0)
-        return -1;
-    w->seq = PyTuple_GET_ITEM(candidates, 0);
     if (!PyTuple_Check(w->seq) || c->rpg <= 0) {
         PyErr_Format(PyExc_TypeError, "a candidate view must hold a candidate tuple, got %R",
                      w->seq);
         return -1;
     }
-    w->view = 1;
+    w->dst_group = r->dst_group;
     w->end = PyTuple_GET_SIZE(w->seq);
     w->split = c->num_global < w->end ? c->num_global : w->end;
-    if (!proxy || globals_only)
+    if (!r->proxy || globals_only)
         w->end = w->split;
-    if (first > 0)
-        w->next = first < w->end ? first : w->end;
+    if (r->first > 0)
+        w->next = r->first < w->end ? r->first : w->end;
     w->group = pydiv(rid, c->rpg);
     return 0;
 }
@@ -3204,14 +3378,14 @@ walk_next(Core *c, walk *w, PyObject **candidate, Py_ssize_t *index)
  * port `p` is `values[offset + p]` (a counter array, ECtN's combined array)
  * or the occupancy `out_committed + credit_occ` of port `offset + p`. */
 static int
-pick(Core *c, long rid, long minimal, PyObject *candidates, int globals_only,
-     enum signal signal, PyObject *values, long offset, double limit, PyObject **chosen)
+pick(Core *c, long rid, const row *r, int globals_only, enum signal signal, PyObject *values,
+     long offset, double limit, PyObject **chosen)
 {
     Py_ssize_t stack[STACK_ITEMS], *kept = stack, num_kept = 0, index, drawn;
     PyObject *candidate;
     walk w;
     int found = -1, more;
-    if (walk_open(c, &w, candidates, rid, minimal, globals_only) < 0)
+    if (walk_open(c, &w, r, rid, globals_only) < 0)
         return -1;
     if (w.end > STACK_ITEMS && (kept = PyMem_Malloc((size_t)w.end * sizeof *kept)) == NULL) {
         PyErr_NoMemory();
@@ -3265,13 +3439,12 @@ occupancy(Core *c, long g, long *out)
 }
 
 /* The local trigger (and the in-transit global one) of the mechanism over
- * `candidates`, for a head of router `rid` whose minimal output is
- * `minimal`; `*counts` caches the router's counter array.  As `pick`. */
+ * the candidates of gate row `r` of router `rid`; `*counts` caches the
+ * router's counter array.  As `pick`. */
 static int
-choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObject **counts,
-       PyObject **chosen)
+choose(Core *c, long rid, long base, const row *r, PyObject **counts, PyObject **chosen)
 {
-    long value;
+    long value, minimal = r->minimal;
     int found;
     if (!c->signals) {
         PyErr_SetString(PyExc_ValueError, "a gate row, but the mechanism has no trigger");
@@ -3287,8 +3460,8 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
         if (get_long(*counts, minimal, &value) < 0)
             return -1;
         if ((double)value > c->counter_threshold
-            && (found = pick(c, rid, minimal, candidates, 0, COUNTER, *counts, 0,
-                             c->counter_threshold, chosen)) != 0)
+            && (found = pick(c, rid, r, 0, COUNTER, *counts, 0, c->counter_threshold,
+                             chosen)) != 0)
             return found;
     }
     if (!(c->signals & READS_OCCUPANCY))
@@ -3299,100 +3472,111 @@ choose(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObjec
         return -1;
     if ((double)value < c->min_occupancy)
         return 0;
-    return pick(c, rid, minimal, candidates, 0, OCCUPANCY, NULL, base,
-                c->occupancy_ratio * (double)value, chosen);
+    return pick(c, rid, r, 0, OCCUPANCY, NULL, base, c->occupancy_ratio * (double)value, chosen);
 }
 
 /* The global trigger: the combined arrays over the global candidates first
- * where the row carries their injection-side constants `(group, minimal link
- * offset, port -> offset base)`, then `choose`. */
+ * where the row carries ECtN's injection-side constants, then `choose`. */
 static int
-choose_global(Core *c, long rid, long base, long minimal, PyObject *candidates, PyObject *ectn,
-              PyObject **counts, PyObject **chosen)
+choose_global(Core *c, long rid, long base, const row *r, PyObject **counts, PyObject **chosen)
 {
-    if (ectn != Py_None) {
-        PyObject *combined;
-        long min_offset, offset, load;
+    if (r->ectn) {
+        PyObject *combined, *group_o;
+        long load;
         int found;
-        if (expect_tuple(ectn, 3, "ECtN's row constants") < 0
-            || field_long(ectn, 1, &min_offset) < 0 || field_long(ectn, 2, &offset) < 0)
-            return -1;
         if (!PyDict_Check(L(c, combined))) {
             PyErr_SetString(PyExc_TypeError, "ECtN's combined arrays must be a dict");
             return -1;
         }
-        combined = PyDict_GetItemWithError(L(c, combined), PyTuple_GET_ITEM(ectn, 0));
-        if (combined == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetObject(PyExc_KeyError, PyTuple_GET_ITEM(ectn, 0));
+        if ((group_o = PyLong_FromLong(r->ectn_group)) == NULL)
             return -1;
-        }
-        if (expect_list(combined, "an ECtN combined array") < 0
-            || get_long(combined, min_offset, &load) < 0)
+        combined = PyDict_GetItemWithError(L(c, combined), group_o);
+        if (combined == NULL && !PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, group_o);
+        Py_DECREF(group_o);
+        if (combined == NULL || expect_list(combined, "an ECtN combined array") < 0
+            || get_long(combined, r->ectn_min_offset, &load) < 0)
             return -1;
         if ((double)load > c->combined_threshold) {
             Py_INCREF(combined); /* the draw may run Python */
-            found = pick(c, rid, minimal, candidates, 1, COMBINED, combined, offset,
-                         c->combined_threshold, chosen);
+            found = pick(c, rid, r, 1, COMBINED, combined, r->ectn_base, c->combined_threshold,
+                         chosen);
             Py_DECREF(combined);
             if (found != 0)
                 return found;
         }
     }
-    return choose(c, rid, base, minimal, candidates, counts, chosen);
+    return choose(c, rid, base, r, counts, chosen);
 }
 
-/* One allocation round's request for a gate row (a new reference). */
-static PyObject *
-open_request(Core *c, long rid, long base, PyObject *row, PyObject **counts)
+/* `req`'s fixed request: `r`'s (0: it makes none). */
+static int
+fixed_request(const row *r, request *req)
 {
-    PyObject *fallback, *candidates, *chosen = NULL, *port_o, *vc_o, *decision = NULL;
-    PyObject *request = NULL;
-    long kind, minimal, port, vc;
+    if (r->decision == NULL)
+        return 0;
+    req->out_port = r->out_port;
+    req->vc = r->vc;
+    req->size = r->size;
+    req->decision = Py_NewRef(r->decision);
+    return 1;
+}
+
+/* One allocation round's request of gate row `r` (a copy whose references
+ * the caller holds: the trigger's draw may run Python) into `req`: the
+ * fixed request, or the candidate the trigger picks, with the VC of its
+ * hop.  1, 0 for no request, -1 on error. */
+static int
+gate_request(Core *c, long rid, long base, const row *r, PyObject **counts, request *req)
+{
+    PyObject *chosen = NULL;
     int found;
-    if (expect_tuple(row, 7, "a gate row") < 0 || field_long(row, 0, &kind) < 0
-        || field_long(row, 2, &minimal) < 0)
-        return NULL;
-    fallback = PyTuple_GET_ITEM(row, 1);
-    candidates = PyTuple_GET_ITEM(row, 3);
-    if (kind == ROW_LOCAL)
-        found = choose(c, rid, base, minimal, candidates, counts, &chosen);
+    if (r->kind == ROW_LOCAL)
+        found = choose(c, rid, base, r, counts, &chosen);
     else {
-        found = choose_global(c, rid, base, minimal, candidates, PyTuple_GET_ITEM(row, 6), counts,
-                              &chosen);
+        found = choose_global(c, rid, base, r, counts, &chosen);
         /* The committed proxy step leaves the group in any case. */
-        if (found == 0 && kind == ROW_FORCED)
-            found = pick(c, rid, minimal, candidates, 0, ANY, NULL, 0, 0.0, &chosen);
+        if (found == 0 && r->kind == ROW_FORCED)
+            found = pick(c, rid, r, 0, ANY, NULL, 0, 0.0, &chosen);
     }
     if (found <= 0)
-        return found < 0 ? NULL : Py_NewRef(fallback);
-    if ((port_o = field(chosen, 0)) == NULL || as_long(port_o, &port) < 0
-        || field(chosen, 2) == NULL || expect_tuple(fallback, 7, "a request") < 0)
-        goto done;
-    if (kind == ROW_LOCAL) {
-        vc_o = PyTuple_GET_ITEM(row, 5);
-        decision = new_decision(c, port_o, vc_o, 0, 1, Py_None, 0);
+        return found < 0 ? -1 : fixed_request(r, req);
+    if (field_long(chosen, 0, &req->out_port) < 0 || field(chosen, 2) == NULL) {
+        Py_DECREF(chosen);
+        return -1;
     }
-    else if (kind == ROW_FORCED || PyTuple_GET_ITEM(chosen, 1) == L(c, GLOBAL)) {
+    if (r->kind == ROW_LOCAL) {
+        req->pick = PICK_LOCAL;
+        req->vc = r->local_vc;
+    }
+    else if (r->kind == ROW_FORCED || PyTuple_GET_ITEM(chosen, 1) == L(c, GLOBAL)) {
         /* Forced candidates are global links only (no local proxy). */
-        vc_o = PyTuple_GET_ITEM(row, 4);
-        decision = new_decision(c, port_o, vc_o, 1, 0, PyTuple_GET_ITEM(chosen, 2), 0);
+        req->pick = PICK_GLOBAL;
+        req->vc = r->global_vc;
     }
     else {
-        vc_o = PyTuple_GET_ITEM(row, 5);
-        decision = new_decision(c, port_o, vc_o, 0, 0, Py_None, 1);
+        req->pick = PICK_PROXY;
+        req->vc = r->local_vc;
     }
-    if (decision != NULL && as_long(vc_o, &vc) == 0) {
-        long og = base + port;
-        request = steal_tuple(7, Py_NewRef(PyTuple_GET_ITEM(fallback, 0)),
-                              Py_NewRef(PyTuple_GET_ITEM(fallback, 1)), Py_NewRef(port_o),
-                              Py_NewRef(PyTuple_GET_ITEM(fallback, 3)), Py_NewRef(decision),
-                              PyLong_FromLong(og), PyLong_FromLong(og * c->V + vc));
-    }
-done:
-    Py_XDECREF(decision);
-    Py_DECREF(chosen);
-    return request;
+    req->size = r->size;
+    req->chosen = chosen;
+    return 1;
+}
+
+/* The decision of a granted pick (a new reference). */
+static PyObject *
+pick_decision(Core *c, const request *req)
+{
+    PyObject *port_o = PyTuple_GET_ITEM(req->chosen, 0), *vc_o = PyLong_FromLong(req->vc);
+    PyObject *decision;
+    if (vc_o == NULL)
+        return NULL;
+    decision = req->pick == PICK_LOCAL ? new_decision(c, port_o, vc_o, 0, 1, Py_None, 0)
+               : req->pick == PICK_GLOBAL
+                   ? new_decision(c, port_o, vc_o, 1, 0, PyTuple_GET_ITEM(req->chosen, 2), 0)
+                   : new_decision(c, port_o, vc_o, 0, 0, Py_None, 1);
+    Py_DECREF(vc_o);
+    return decision;
 }
 
 /* --------------------------------------------------------------- injection */
@@ -3732,55 +3916,76 @@ next_vc(Core *c, PyObject *head, int global, long *vc)
     return 0;
 }
 
-/* The request `(in port, in VC, out port, size, decision, out g, credit q)`
- * of `head` (buffer key `k`) for `decision`. */
-static PyObject *
-make_request(Core *c, long base_g, long k, PyObject *head, PyObject *decision)
+/* The output port and VC of `decision`: by field position from an exact
+ * `RoutingDecision`, else by attribute. */
+static int
+decision_port_vc(Core *c, PyObject *decision, long *port, long *vc)
 {
-    PyObject *port_o, *vc_o = NULL, *size_o = NULL, *request = NULL;
-    long port, vc;
+    PyObject *port_o, *vc_o = NULL;
+    int failed;
     if (Py_IS_TYPE(decision, (PyTypeObject *)L(c, RoutingDecision))) {
         port_o = Py_NewRef(PyTuple_GET_ITEM(decision, D_output_port));
         vc_o = Py_NewRef(PyTuple_GET_ITEM(decision, D_vc));
     }
     else if ((port_o = get_attr(c, decision, N_output_port)) != NULL)
         vc_o = get_attr(c, decision, N_vc);
-    if (vc_o != NULL && as_long(port_o, &port) == 0 && as_long(vc_o, &vc) == 0
-        && (size_o = pget(c, head, F_size_phits)) != NULL) {
-        long og = base_g + port;
-        request = steal_tuple(7, PyLong_FromLong(k / c->V), PyLong_FromLong(k % c->V),
-                              Py_NewRef(port_o), Py_NewRef(size_o), Py_NewRef(decision),
-                              PyLong_FromLong(og), PyLong_FromLong(og * c->V + vc));
-    }
-    Py_XDECREF(size_o);
+    failed = vc_o == NULL || as_long(port_o, port) < 0 || as_long(vc_o, vc) < 0;
     Py_XDECREF(vc_o);
     Py_XDECREF(port_o);
-    return request;
+    return failed ? -1 : 0;
 }
 
+/* `head`'s request for `decision`, which it steals (NULL: an error; `None`:
+ * no request): its output port and VC (`decision_port_vc`), its size and the
+ * decision into the fields given.  1, 0 for no request, -1 on error. */
+static int
+fix(Core *c, PyObject *head, PyObject *decision, long *port, long *vc, long *size,
+    PyObject **held)
+{
+    if (decision == NULL)
+        return -1;
+    if (decision == Py_None) {
+        Py_DECREF(decision);
+        return 0;
+    }
+    if (decision_port_vc(c, decision, port, vc) < 0
+        || pget_long(c, head, F_size_phits, size) < 0) {
+        Py_DECREF(decision);
+        return -1;
+    }
+    *held = decision;
+    return 1;
+}
+
+/* `fix` of the decision `made` into row or request `x`. */
+#define FIX(c, x, head, made) \
+    fix((c), (head), (made), &(x)->out_port, &(x)->vc, &(x)->size, &(x)->decision)
+
 /* `routing.global_candidates(rid, dst_group, minimal, proxy)` or, with
- * `local`, `routing.local_candidates(minimal)` (a new reference): while the
- * name resolves to the stock function, the view `(shared, first, dst_group,
- * proxy)` of the router's shared candidate tuple that `walk` filters in
- * place (`routing.router_candidates(rid)` builds the tuple on the router's
- * first use); else what the call by name returns, as a list. */
-static PyObject *
-candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int local)
+ * `local`, `routing.local_candidates(minimal)`, as gate row `r`'s
+ * candidates: while the name resolves to the stock function, a view of the
+ * router's shared candidate tuple that `walk` filters in place
+ * (`routing.router_candidates(rid)` builds the tuple on the router's first
+ * use); else what the call by name returns, as a list. */
+static int
+candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int local, row *r)
 {
     PyObject *routing = c->o[S_routing], *found = NULL, *rid_o, *dst_o, *minimal_o, *fn;
     int n = local ? N_local_candidates : N_global_candidates;
+    r->minimal = minimal;
+    r->view = 0;
     if (stock_hook(c, routing, n, &fn) < 0)
-        return NULL;
+        return -1;
     if (PyList_Check(L(c, shared))
         && fn == (local ? STOCK(c, AdaptiveInTransitRouting, local_candidates)
                         : STOCK(c, AdaptiveInTransitRouting, global_candidates))) {
         PyObject *shared;
         if ((shared = item(L(c, shared), rid)) == NULL)
-            return NULL;
+            return -1;
         if (shared != Py_None)
             Py_INCREF(shared);
         else if ((rid_o = PyLong_FromLong(rid)) == NULL)
-            return NULL;
+            return -1;
         else {
             PyObject *args[2] = {routing, rid_o};
             shared = call_method(c, N_router_candidates, args, 2, NULL);
@@ -3789,9 +3994,13 @@ candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int lo
         if (shared != NULL && !PyTuple_Check(shared))
             Py_SETREF(shared, PySequence_Tuple(shared));
         if (shared == NULL)
-            return NULL;
-        return steal_tuple(4, shared, PyLong_FromLong(local ? c->num_global : 0L),
-                           PyLong_FromLong(dst_group), PyLong_FromLong(proxy));
+            return -1;
+        r->candidates = shared;
+        r->view = 1;
+        r->first = local ? c->num_global : 0;
+        r->dst_group = dst_group;
+        r->proxy = proxy;
+        return 0;
     }
     rid_o = PyLong_FromLong(rid);
     dst_o = PyLong_FromLong(dst_group);
@@ -3807,7 +4016,8 @@ candidates_of(Core *c, long rid, long dst_group, long minimal, int proxy, int lo
     Py_XDECREF(rid_o);
     if (found != NULL && !PyList_Check(found))
         Py_SETREF(found, PySequence_List(found));
-    return found;
+    r->candidates = found;
+    return found == NULL ? -1 : 0;
 }
 
 /* `topology.minimal_output_port(rid, dst)`, unless the head's contention
@@ -3862,43 +4072,29 @@ towards_group(Core *c, long rid, PyObject *rid_o, PyObject *head, PyObject *targ
     return decision;
 }
 
-/* ECtN's `combined_view` of a head at `check_port` as `(group, minimal link's
- * offset, port base)` (see `choose_global`): `None` for a trigger without the
- * combined signal or a transit port. */
-static PyObject *
-capture_ectn(Core *c, long rid, long check_port, PyObject *head)
+/* ECtN's `combined_view` of a head at `check_port` into gate row `r`: the
+ * group, its minimal link's offset and the port base (see `choose_global`);
+ * none for a trigger without the combined signal or a transit port. */
+static int
+capture_ectn(Core *c, long rid, long check_port, PyObject *head, row *r)
 {
     PyObject *min_offset;
-    long dst, group;
-    int on;
+    long dst;
+    int on, failed;
     if (!(c->signals & READS_COMBINED))
-        return Py_NewRef(Py_None);
+        return 0;
     if ((on = port_is(c, S_kind_is_injection, check_port)) <= 0)
-        return on < 0 ? NULL : Py_NewRef(Py_None);
+        return on;
     if (pget_long(c, head, F_dst, &dst) < 0)
-        return NULL;
-    group = pydiv(rid, c->rpg);
-    if ((min_offset = link_offset(c, group, pydiv(dst, c->npg))) == NULL)
-        return NULL;
-    return steal_tuple(3, PyLong_FromLong(group), min_offset,
-                       PyLong_FromLong(pymod(rid, c->rpg) * c->h - c->first_global));
-}
-
-/* A captured row: `(kind, request)`, or for a gate `(kind, request, minimal
- * port, candidates, global VC, local VC, ectn)`; NULL if `decision` is. */
-static PyObject *
-make_row(Core *c, long kind, long base_g, long k, PyObject *head, PyObject *decision,
-         PyObject *minimal, PyObject *candidates, long global_vc, long local_vc, PyObject *ectn)
-{
-    PyObject *request = decision == NULL ? NULL : make_request(c, base_g, k, head, decision);
-    PyObject *row = NULL;
-    if (request != NULL)
-        row = kind == ROW_FIXED
-              ? steal_tuple(2, PyLong_FromLong(kind), Py_NewRef(request))
-              : Py_BuildValue("(lOOOllO)", kind, request, minimal, candidates, global_vc,
-                              local_vc, ectn);
-    Py_XDECREF(request);
-    return row;
+        return -1;
+    r->ectn_group = pydiv(rid, c->rpg);
+    if ((min_offset = link_offset(c, r->ectn_group, pydiv(dst, c->npg))) == NULL)
+        return -1;
+    failed = as_long(min_offset, &r->ectn_min_offset);
+    Py_DECREF(min_offset);
+    r->ectn = !failed;
+    r->ectn_base = pymod(rid, c->rpg) * c->h - c->first_global;
+    return failed;
 }
 
 /* The MM+L group policy.  One row per head suffices: the local-misroute gate
@@ -3906,88 +4102,76 @@ make_row(Core *c, long kind, long base_g, long k, PyObject *head, PyObject *deci
  * gates `dst_group != current_group and global_hops == 0`, so a head never
  * falls from a failed global gate into the local one -- only into the
  * minimal fallback, which every row carries. */
-static PyObject *
-capture_group(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head)
+static int
+capture_group(Core *c, long rid, PyObject *rid_o, long k, PyObject *head, row *r)
 {
-    PyObject *decision = NULL, *minimal = NULL, *candidates = NULL, *ectn = NULL, *row = NULL;
-    long kind = ROW_FIXED, dst, dst_router, current_group, dst_group, port, hops;
-    long min_vc = 0, global_vc = 0, local_vc = 0;
+    PyObject *decision = NULL, *minimal;
+    long dst, dst_router, current_group, dst_group, port, hops, min_vc = 0;
     int on, global, injection;
     if (pget_long(c, head, F_dst, &dst) < 0)
-        goto done;
+        return -1;
     dst_router = pydiv(dst, c->npr);
-    if (rid == dst_router) {
-        decision = plain_decision(c, pymod(dst, c->npr), 0);
-        goto row;
-    }
+    if (rid == dst_router)
+        return FIX(c, r, head, plain_decision(c, pymod(dst, c->npr), 0)) < 0 ? -1 : 0;
     if ((on = pis(c, head, F_phase, L(c, TO_INTERMEDIATE))) < 0)
-        goto done;
+        return -1;
     if (on) {
         PyObject *target = pget(c, head, F_intermediate_group);
         if (target == NULL)
-            goto done;
+            return -1;
         if (target != Py_None)
             decision = towards_group(c, rid, rid_o, head, target);
         Py_DECREF(target);
         if (decision != NULL || PyErr_Occurred())
-            goto row;
+            return FIX(c, r, head, decision) < 0 ? -1 : 0;
     }
     current_group = pydiv(rid, c->rpg);
     dst_group = pydiv(dst_router, c->rpg);
-    if ((minimal = minimal_port(c, head, rid, dst)) == NULL || as_long(minimal, &port) < 0
-        || (global = port_is(c, S_kind_is_global, port)) < 0
+    if ((minimal = minimal_port(c, head, rid, dst)) == NULL)
+        return -1;
+    on = as_long(minimal, &port);
+    Py_DECREF(minimal);
+    if (on < 0 || (global = port_is(c, S_kind_is_global, port)) < 0
         || (injection = port_is(c, S_kind_is_injection, port)) < 0
         || ((global || !injection) && next_vc(c, head, global, &min_vc) < 0)
-        || (decision = plain_decision(c, port, min_vc)) == NULL
+        || FIX(c, r, head, plain_decision(c, port, min_vc)) < 0
         || pget_long(c, head, F_global_hops, &hops) < 0
         || (on = ptruth(c, head, F_must_misroute_global)) < 0)
-        goto done;
+        return -1;
     if (on && dst_group != current_group && hops == 0) {
         /* The committed local-proxy step.  Its trigger is asked with port 0,
          * an injection port on every topology with p >= 1. */
         long group;
-        kind = ROW_FORCED;
-        if (ask(c, Q_NODE_REGION, dst, &group) < 0
-            || (candidates = candidates_of(c, rid, group, port, 0, 0)) == NULL
-            || next_vc(c, head, 1, &global_vc) < 0
-            || (ectn = capture_ectn(c, rid, 0, head)) == NULL)
-            goto done;
-        goto row;
+        r->kind = ROW_FORCED;
+        return ask(c, Q_NODE_REGION, dst, &group) < 0
+               || candidates_of(c, rid, group, port, 0, 0, r) < 0
+               || next_vc(c, head, 1, &r->global_vc) < 0
+               || capture_ectn(c, rid, 0, head, r) < 0 ? -1 : 0;
     }
     if (dst_group != current_group && hops == 0) {
         if ((on = ptruth(c, head, F_globally_misrouted)) < 0)
-            goto done;
+            return -1;
         if (!on) {
             long path_hops;
-            kind = ROW_GLOBAL;
-            if (pget_long(c, head, F_hops, &path_hops) < 0
-                || (candidates = candidates_of(c, rid, dst_group, port, path_hops == 0, 0)) == NULL
-                || next_vc(c, head, 1, &global_vc) < 0 || next_vc(c, head, 0, &local_vc) < 0
-                || (ectn = capture_ectn(c, rid, k / c->V, head)) == NULL)
-                goto done;
-            goto row;
+            r->kind = ROW_GLOBAL;
+            return pget_long(c, head, F_hops, &path_hops) < 0
+                   || candidates_of(c, rid, dst_group, port, path_hops == 0, 0, r) < 0
+                   || next_vc(c, head, 1, &r->global_vc) < 0
+                   || next_vc(c, head, 0, &r->local_vc) < 0
+                   || capture_ectn(c, rid, k / c->V, head, r) < 0 ? -1 : 0;
         }
     }
     if (!global && !injection) {
         long in_group;
         if (pget_long(c, head, F_local_hops_in_group, &in_group) < 0)
-            goto done;
+            return -1;
         if (in_group == 0 && hops <= 1 && (current_group == dst_group || hops == 1)) {
-            kind = ROW_LOCAL;
-            if ((candidates = candidates_of(c, rid, dst_group, port, 1, 1)) == NULL
-                || next_vc(c, head, 0, &local_vc) < 0)
-                goto done;
+            r->kind = ROW_LOCAL;
+            return candidates_of(c, rid, dst_group, port, 1, 1, r) < 0
+                   || next_vc(c, head, 0, &r->local_vc) < 0 ? -1 : 0;
         }
     }
-row:
-    row = make_row(c, kind, base_g, k, head, decision, minimal, candidates, global_vc, local_vc,
-                   ectn == NULL ? Py_None : ectn);
-done:
-    Py_XDECREF(ectn);
-    Py_XDECREF(candidates);
-    Py_XDECREF(decision);
-    Py_XDECREF(minimal);
-    return row;
+    return 0;
 }
 
 /* The VC of `head`'s hop through `port_o`: `topology.ring_vc(head, rid,
@@ -4012,25 +4196,25 @@ port_vc(Core *c, long rid, PyObject *head, PyObject *port_o, long *vc)
  * candidate's (the routing checked at construction that sibling uplinks
  * share one; a ring has one escape); everything else is `FIXED`, and in the
  * middle of a ring traversal the row holds the committed direction. */
-static PyObject *
-capture_port_table(Core *c, long rid, long base_g, long k, PyObject *head)
+static int
+capture_port_table(Core *c, long rid, PyObject *head, row *r)
 {
-    PyObject *decision = NULL, *minimal = NULL, *candidates = NULL, *home, *ring, *out;
-    PyObject *row = NULL;
-    long kind = ROW_FIXED, dst, home_rid, port, vc, local_vc = 0;
-    int mid = 0;
+    PyObject *minimal, *candidates = NULL, *home, *ring, *out;
+    long dst, home_rid, port, vc;
+    int mid = 0, failed = -1;
     if (pget_long(c, head, F_dst, &dst) < 0
         || (home = at(L(c, node_rid), dst)) == NULL || as_long(home, &home_rid) < 0)
-        goto done;
-    if (rid == home_rid) {
-        decision = plain_decision(c, pymod(dst, c->npr), 0);
-        goto row;
+        return -1;
+    if (rid == home_rid)
+        return FIX(c, r, head, plain_decision(c, pymod(dst, c->npr), 0)) < 0 ? -1 : 0;
+    if ((minimal = minimal_port(c, head, rid, dst)) == NULL)
+        return -1;
+    if (as_long(minimal, &r->minimal) < 0 || (ring = at(L(c, ring_dims), r->minimal)) == NULL
+        || (candidates = at(L(c, port_candidates), r->minimal)) == NULL
+        || expect_list(candidates, "a candidate list") < 0) {
+        Py_DECREF(minimal);
+        return -1;
     }
-    if ((minimal = minimal_port(c, head, rid, dst)) == NULL || as_long(minimal, &port) < 0
-        || (ring = at(L(c, ring_dims), port)) == NULL
-        || (candidates = at(L(c, port_candidates), port)) == NULL
-        || expect_list(candidates, "a candidate list") < 0)
-        goto done;
     Py_INCREF(candidates);
     out = minimal;
     if (ring != Py_None) {
@@ -4049,20 +4233,18 @@ capture_port_table(Core *c, long rid, long base_g, long k, PyObject *head)
     /* With no candidate no trigger can fire or draw: `FIXED`. */
     if (!mid && PyList_GET_SIZE(candidates) > 0) {
         PyObject *first = field(PyList_GET_ITEM(candidates, 0), 0);
-        kind = ROW_LOCAL;
-        if (first == NULL || port_vc(c, rid, head, first, &local_vc) < 0)
+        r->kind = ROW_LOCAL;
+        r->candidates = Py_NewRef(candidates);
+        if (first == NULL || port_vc(c, rid, head, first, &r->local_vc) < 0)
             goto done;
     }
     if (port_vc(c, rid, head, out, &vc) < 0 || as_long(out, &port) < 0)
         goto done;
-    decision = plain_decision(c, port, vc);
-row:
-    row = make_row(c, kind, base_g, k, head, decision, minimal, candidates, 0, local_vc, Py_None);
+    failed = FIX(c, r, head, plain_decision(c, port, vc)) < 0 ? -1 : 0;
 done:
-    Py_XDECREF(decision);
-    Py_XDECREF(candidates);
-    Py_XDECREF(minimal);
-    return row;
+    Py_DECREF(candidates);
+    Py_DECREF(minimal);
+    return failed;
 }
 
 /* The pure capture (MIN / VAL / UGAL / PB): `decision_is_pure` plus the
@@ -4219,14 +4401,14 @@ pure_decision(Core *c, long rid, PyObject *rid_o, PyObject *head, int valiant)
     return valiant ? pure_valiant(c, rid, rid_o, head, dst) : pure_minimal(c, rid, head, dst);
 }
 
-static PyObject *
-capture_pure(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *head,
-             PyObject *cycle_o)
+static int
+capture_pure(Core *c, long rid, PyObject *rid_o, long k, PyObject *head, PyObject *cycle_o,
+             row *r)
 {
-    PyObject *routing = c->o[S_routing], *decision = NULL, *row, *fn;
+    PyObject *routing = c->o[S_routing], *decision = NULL, *fn;
     int valiant = 0;
     if (stock_hook(c, routing, N_select_output, &fn) < 0)
-        return NULL;
+        return -1;
     if ((fn == STOCK(c, MinimalRouting, select_output)
                        || (valiant = fn == STOCK(c, ValiantRouting, select_output))))
         decision = pure_decision(c, rid, rid_o, head, valiant);
@@ -4238,13 +4420,7 @@ capture_pure(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *
         Py_XDECREF(vc_o);
         Py_XDECREF(port_o);
     }
-    if (decision == NULL)
-        return NULL;
-    row = decision == Py_None ? steal_tuple(2, PyLong_FromLong(ROW_FIXED), Py_NewRef(Py_None))
-                              : make_row(c, ROW_FIXED, base_g, k, head, decision, NULL, NULL, 0,
-                                         0, NULL);
-    Py_DECREF(decision);
-    return row;
+    return FIX(c, r, head, decision) < 0 ? -1 : 0;
 }
 
 /* --------------------------------------------------------------- allocate */
@@ -4252,16 +4428,22 @@ capture_pure(Core *c, long rid, PyObject *rid_o, long base_g, long k, PyObject *
  * answering with the request of its captured row ("Row kinds" in
  * soa/engine.py). */
 
-/* Capture the head of VC `q` (buffer key `k`) into `rows[q]`. */
+/* Capture the head of VC `q` (buffer key `k`) into its row. */
 static int
 capture(Core *c, long rid, PyObject *rid_o, long q, long k, PyObject *head, PyObject *cycle_o)
 {
-    long base_g = rid * c->P;
-    return set_item(c->o[S_rows], q,
-                    c->capture == CAPTURE_PURE ? capture_pure(c, rid, rid_o, base_g, k, head,
-                                                              cycle_o)
-                    : c->capture == CAPTURE_GROUP ? capture_group(c, rid, rid_o, base_g, k, head)
-                    : capture_port_table(c, rid, base_g, k, head));
+    row r;
+    int failed;
+    memset(&r, 0, sizeof r);
+    r.kind = ROW_FIXED;
+    failed = c->capture == CAPTURE_PURE ? capture_pure(c, rid, rid_o, k, head, cycle_o, &r)
+             : c->capture == CAPTURE_GROUP ? capture_group(c, rid, rid_o, k, head, &r)
+             : capture_port_table(c, rid, head, &r);
+    if (failed < 0) {
+        row_clear(&r);
+        return -1;
+    }
+    return store_row(c, q, &r);
 }
 
 /* One new head, buffer key `k_o`: `on_packet_head` if the mechanism has one,
@@ -4319,29 +4501,31 @@ report_new_heads(Core *c, long rid, PyObject *rid_o, PyObject *heads, PyObject *
     return failed ? -1 : 0;
 }
 
-/* One head's request for this round (a new reference; `None`: no request).
- * `*live` is set by a `LIVE` row: its evaluation may draw. */
-static PyObject *
+/* Head `k`'s request for this round into `req`: 1, 0 for no request, -1 on
+ * error (`req` holds nothing then).  `*live` is set by a `LIVE` head: its
+ * evaluation may draw. */
+static int
 head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, long k, PyObject *cycle_o,
-             long round_index, PyObject **counts, int *live)
+             long round_index, PyObject **counts, int *live, request *req)
 {
-    long base_g = rid * c->P, q = base_g * c->V + k, kind;
-    PyObject *row = item(c->o[S_rows], q);
-    if (row == NULL)
-        return NULL;
-    if (row == Py_None) {
+    long base_g = rid * c->P, q = base_g * c->V + k;
+    const row *r = row_of(c, q);
+    req->in_port = k / c->V;
+    req->in_vc = k % c->V;
+    req->decision = req->chosen = NULL;
+    if (r == NULL) {
         /* Only here can a key of `occupied` have lost its head without a
          * grant: `_resolve_faults` drops heads, and with faults attached
          * nothing is captured.  The head is read fresh for the same reason:
          * a drop while round 1 gathers requests lets round 2 meet a
          * successor no `on_packet_head` was called for yet (it is reported
          * next cycle, as in the object model). */
-        PyObject *dq = item(L(c, in_q), q), *req = NULL;
-        PyObject *head, *q_o, *k_o, *round_o;
+        PyObject *dq = item(L(c, in_q), q), *head, *q_o, *k_o, *round_o;
+        int made = -1;
         if (dq == NULL)
-            return NULL;
+            return -1;
         if (!PyList_Check(dq) || PyList_GET_SIZE(dq) == 0)
-            return Py_NewRef(Py_None);
+            return 0;
         *live = 1;
         head = Py_NewRef(PyList_GET_ITEM(dq, 0));
         q_o = PyLong_FromLong(q);
@@ -4349,29 +4533,37 @@ head_request(Core *c, PyObject *engine, long rid, PyObject *rid_o, long k, PyObj
         round_o = PyLong_FromLong(round_index);
         if (q_o != NULL && k_o != NULL && round_o != NULL) {
             PyObject *args[7] = {engine, rid_o, q_o, k_o, head, cycle_o, round_o};
-            PyObject *decision = call_method(c, N__live_request, args, 7, NULL);
-            if (decision != NULL) {
-                req = decision == Py_None ? Py_NewRef(Py_None)
-                                          : make_request(c, base_g, k, head, decision);
-                Py_DECREF(decision);
-            }
+            made = FIX(c, req, head, call_method(c, N__live_request, args, 7, NULL));
         }
         Py_XDECREF(round_o);
         Py_XDECREF(k_o);
         Py_XDECREF(q_o);
         Py_DECREF(head);
-        return req;
+        return made;
     }
-    if (field_long(row, 0, &kind) < 0 || field(row, 1) == NULL)
-        return NULL;
-    if (kind == ROW_FIXED)
-        return Py_NewRef(PyTuple_GET_ITEM(row, 1));
+    if (r->kind == ROW_FIXED)
+        return fixed_request(r, req);
     {
-        PyObject *req;
-        Py_INCREF(row); /* the trigger's draw may run Python */
-        req = open_request(c, rid, base_g, row, counts);
-        Py_DECREF(row);
-        return req;
+        /* The trigger's draw may run Python: a copy of the row, holding what
+         * it refers to. */
+        row gate = *r;
+        int made;
+        Py_XINCREF(gate.decision);
+        Py_XINCREF(gate.candidates);
+        made = gate_request(c, rid, base_g, &gate, counts, req);
+        row_clear(&gate);
+        return made;
+    }
+}
+
+/* Release what `n` requests hold. */
+static void
+requests_clear(request *reqs, Py_ssize_t n)
+{
+    Py_ssize_t i;
+    for (i = 0; i < n; i++) {
+        Py_CLEAR(reqs[i].decision);
+        Py_CLEAR(reqs[i].chosen);
     }
 }
 
@@ -4379,11 +4571,11 @@ static int
 allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o, long cycle)
 {
     long base_g = rid * c->P;
-    /* Per occupied head: its key; per gathered request: input port, VC,
-     * output port, the request, the position of its key, its grant slot. */
-    long stack_longs[4 * STACK_ITEMS], *keys = stack_longs, *req_in, *req_vc, *req_out;
-    PyObject *stack_reqs[STACK_ITEMS], **reqs = stack_reqs;
-    Py_ssize_t stack_index[2 * STACK_ITEMS], *req_key = stack_index, *grants;
+    /* Per occupied head: its key and whether it was granted; per gathered
+     * request: the request and its grant slot. */
+    request stack_reqs[STACK_ITEMS], *reqs = stack_reqs;
+    long stack_keys[STACK_ITEMS], *keys = stack_keys;
+    Py_ssize_t stack_grants[STACK_ITEMS], *grants = stack_grants;
     char stack_granted[STACK_ITEMS], *granted = stack_granted;
     void *heap = NULL;
     PyObject *heads, *occupied, *counts = NULL;
@@ -4403,20 +4595,16 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
         return -1;
     n = PyList_GET_SIZE(occupied);
     if (n > STACK_ITEMS) {
-        size_t per_head = 4 * sizeof(long) + sizeof(PyObject *) + 2 * sizeof(Py_ssize_t) + 1;
+        size_t per_head = sizeof(request) + sizeof(long) + sizeof(Py_ssize_t) + 1;
         if ((heap = PyMem_Malloc((size_t)n * per_head)) == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        keys = heap;
-        reqs = (PyObject **)(keys + 4 * n);
-        req_key = (Py_ssize_t *)(reqs + n);
-        granted = (char *)(req_key + 2 * n);
+        reqs = heap;
+        keys = (long *)(reqs + n);
+        grants = (Py_ssize_t *)(keys + n);
+        granted = (char *)(grants + n);
     }
-    req_in = keys + n;
-    req_vc = req_in + n;
-    req_out = req_vc + n;
-    grants = req_key + n;
     for (i = 0; i < n; i++) {
         if (as_long(PyList_GET_ITEM(occupied, i), &keys[i]) < 0)
             goto done;
@@ -4428,29 +4616,25 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
          * exactly as many times, in exactly the order, that `object` calls
          * `select_output` -- the draw count is the RNG contract. */
         for (i = 0; i < n; i++) {
-            PyObject *req;
-            long size, og, cq, have;
+            request *req = &reqs[num_reqs];
+            long og, have;
+            int made;
             if (granted[i])
                 continue;
-            req = head_request(c, engine, rid, rid_o, keys[i], cycle_o, round_index, &counts,
-                               &live);
-            if (req == NULL)
+            made = head_request(c, engine, rid, rid_o, keys[i], cycle_o, round_index, &counts,
+                                &live, req);
+            if (made < 0)
                 goto done;
-            if (req == Py_None) {
-                Py_DECREF(req);
+            if (made == 0)
                 continue;
-            }
-            reqs[num_reqs++] = req; /* released at `done` or after the round */
-            if (expect_tuple(req, 7, "a request") < 0
-                || field_long(req, 0, &req_in[num_reqs - 1]) < 0
-                || field_long(req, 1, &req_vc[num_reqs - 1]) < 0
-                || field_long(req, 2, &req_out[num_reqs - 1]) < 0
-                || field_long(req, 3, &size) < 0 || field_long(req, 5, &og) < 0
-                || field_long(req, 6, &cq) < 0 || get_col(c, out_free, og, &have) < 0
-                || (have >= size && get_col(c, credits, cq, &have) < 0))
+            num_reqs++; /* released at `done` or after the round */
+            og = base_g + req->out_port;
+            if (get_col(c, out_free, og, &have) < 0
+                || (have >= req->size && get_col(c, credits, og * c->V + req->vc, &have) < 0))
                 goto done;
-            if (have < size) {
-                Py_DECREF(reqs[--num_reqs]);
+            if (have < req->size) {
+                requests_clear(req, 1);
+                num_reqs--;
                 continue;
             }
             if (n == 1) {
@@ -4464,28 +4648,28 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
                     PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
                     goto done;
                 }
-                if (set_col(c, in_ptr, base_g + req_in[0], pymod(req_vc[0] + 1, nvc)) < 0
-                    || set_col(c, out_ptr, og, pymod(req_in[0] + 1, c->P)) < 0
+                if (set_col(c, in_ptr, base_g + req->in_port, pymod(req->in_vc + 1, nvc)) < 0
+                    || set_col(c, out_ptr, og, pymod(req->in_port + 1, c->P)) < 0
                     || commit(c, rid, req, cycle_o, cycle) < 0)
                     goto done;
                 failed = 0;
                 goto done;
             }
-            req_key[num_reqs - 1] = i;
+            req->key = i;
         }
         if (num_reqs == 0)
             break;
-        num_grants = alloc_round(c, rid, base_g, num_reqs, req_in, req_vc, req_out, grants);
+        num_grants = alloc_round(c, rid, base_g, num_reqs, reqs, grants);
         if (num_grants < 0)
             goto done;
         for (i = 0; i < num_grants; i++) {
-            if (commit(c, rid, reqs[grants[i]], cycle_o, cycle) < 0)
+            if (commit(c, rid, &reqs[grants[i]], cycle_o, cycle) < 0)
                 goto done;
-            granted[req_key[grants[i]]] = 1;
+            granted[reqs[grants[i]].key] = 1;
             any_granted = 1;
         }
-        while (num_reqs > 0)
-            Py_DECREF(reqs[--num_reqs]);
+        requests_clear(reqs, num_reqs);
+        num_reqs = 0;
     }
     /* Grant-free and draw-free: every input of this evaluation is
      * router-local and invalidation-tracked, so skip until poked.  A `FIXED`
@@ -4495,8 +4679,7 @@ allocate(Core *c, PyObject *engine, long rid, PyObject *rid_o, PyObject *cycle_o
         goto done;
     failed = 0;
 done:
-    while (num_reqs > 0)
-        Py_DECREF(reqs[--num_reqs]);
+    requests_clear(reqs, num_reqs);
     Py_XDECREF(counts);
     PyMem_Free(heap);
     return failed;
@@ -5346,6 +5529,11 @@ Core_traverse(Core *c, visitproc visit, void *arg)
     for (i = 0; i < N_CALENDARS; i++)
         for (j = 0; j < c->cal[i].capacity; j++)
             Py_VISIT(c->cal[i].pool[j].packet);
+    /* What the rows hold; a free row holds nothing. */
+    for (j = 0; j < c->rows.capacity; j++) {
+        Py_VISIT(c->rows.pool[j].decision);
+        Py_VISIT(c->rows.pool[j].candidates);
+    }
     return 0;
 }
 
@@ -5368,6 +5556,7 @@ Core_clear(Core *c)
     /* After the slots: unbound, the core takes no new event. */
     for (i = 0; i < N_CALENDARS; i++)
         cal_clear(&c->cal[i]);
+    rows_clear(&c->rows);
     c->clock = 0;
     return 0;
 }
@@ -5735,16 +5924,16 @@ bind_topology(Core *c, PyObject *topology)
 static int
 bind(Core *c, PyObject *args, PyObject *kwargs)
 {
-    PyObject *st, *routing, *rows, *drp, *stock, *size;
+    PyObject *st, *routing, *drp, *stock, *size;
     int i, arrival, head, leave, capture;
     long speedup, latency;
     if (kwargs != NULL && PyDict_GET_SIZE(kwargs) > 0) {
         PyErr_SetString(PyExc_TypeError, "Core() takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "OOO!O!(ppp)lliO!:Core", &st, &routing, &PyList_Type, &rows,
-                          &PyList_Type, &drp, &arrival, &head, &leave, &speedup, &latency,
-                          &capture, &PyDict_Type, &stock))
+    if (!PyArg_ParseTuple(args, "OOO!(ppp)lliO!:Core", &st, &routing, &PyList_Type, &drp,
+                          &arrival, &head, &leave, &speedup, &latency, &capture, &PyDict_Type,
+                          &stock))
         return -1;
     Core_clear(c);
     for (i = 0; i < N_STATE; i++) {
@@ -5765,7 +5954,6 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
             return -1;
     c->o[S_st] = Py_NewRef(st);
     c->o[S_routing] = Py_NewRef(routing);
-    c->o[S_rows] = Py_NewRef(rows);
     /* Packets a release delivered, until the walk has reported them. */
     if ((c->o[S_dlv] = PyList_New(0)) == NULL)
         return -1;
@@ -5796,6 +5984,9 @@ bind(Core *c, PyObject *args, PyObject *kwargs)
     }
     if (bind_trigger(c, routing) < 0 || bind_capture(c, routing, capture) < 0)
         return -1;
+    /* A row per captured head, from the first capture on. */
+    if (capture >= 0)
+        c->rows.heads = PyList_GET_SIZE(L(c, in_q));
     c->draws = 0;
     c->speedup = speedup;
     c->router_latency = latency;
@@ -5894,10 +6085,22 @@ Core_pop_head(Core *c, PyObject *args)
 static PyObject *
 Core_commit(Core *c, PyObject *args)
 {
-    PyObject *req, *cycle_o;
-    long rid, cycle;
-    if (!usable(c) || !PyArg_ParseTuple(args, "lOO!:commit", &rid, &req, &PyLong_Type, &cycle_o)
-        || as_long(cycle_o, &cycle) < 0 || commit(c, rid, req, cycle_o, cycle) < 0)
+    PyObject *t, *cycle_o;
+    request req;
+    long rid, cycle, port;
+    if (!usable(c) || !PyArg_ParseTuple(args, "lO!O!:commit", &rid, &PyTuple_Type, &t,
+                                        &PyLong_Type, &cycle_o)
+        || as_long(cycle_o, &cycle) < 0 || expect_tuple(t, 5, "a request") < 0
+        || as_long(PyTuple_GET_ITEM(t, 0), &req.in_port) < 0
+        || as_long(PyTuple_GET_ITEM(t, 1), &req.in_vc) < 0
+        || as_long(PyTuple_GET_ITEM(t, 2), &req.out_port) < 0
+        || as_long(PyTuple_GET_ITEM(t, 3), &req.size) < 0)
+        return NULL;
+    /* The decision is the argument's (held by it); the VC is its own. */
+    req.decision = PyTuple_GET_ITEM(t, 4);
+    req.chosen = NULL;
+    if (decision_port_vc(c, req.decision, &port, &req.vc) < 0
+        || commit(c, rid, &req, cycle_o, cycle) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -5928,32 +6131,32 @@ static PyObject *
 Core_alloc_round(Core *c, PyObject *args)
 {
     PyObject *requests, *granted = NULL;
-    long rid, base, *fields;
+    request *reqs;
+    long rid, base;
     Py_ssize_t n, i, num_grants, *grants;
     if (!usable(c) || !PyArg_ParseTuple(args, "llO!:alloc_round", &rid, &base, &PyList_Type,
                                         &requests))
         return NULL;
     n = PyList_GET_SIZE(requests);
-    /* Requests are read positionally -- slots 0/1/2 are input port, input
-     * VC and output port in both the captured-tuple shape and
-     * `AllocationRequest` (a NamedTuple with the same field order). */
-    fields = PyMem_Malloc((size_t)(n ? n : 1) * (3 * sizeof(long) + sizeof(Py_ssize_t)));
-    if (fields == NULL)
+    /* Requests are read positionally: fields 0 / 1 / 2 are input port,
+     * input VC and output port, as in `AllocationRequest`. */
+    reqs = PyMem_Malloc((size_t)(n ? n : 1) * (sizeof(request) + sizeof(Py_ssize_t)));
+    if (reqs == NULL)
         return PyErr_NoMemory();
-    grants = (Py_ssize_t *)(fields + 3 * n);
+    grants = (Py_ssize_t *)(reqs + n);
     for (i = 0; i < n; i++) {
         PyObject *req = PyList_GET_ITEM(requests, i);
-        if (field_long(req, 0, &fields[i]) < 0 || field_long(req, 1, &fields[n + i]) < 0
-            || field_long(req, 2, &fields[2 * n + i]) < 0)
+        if (field_long(req, 0, &reqs[i].in_port) < 0 || field_long(req, 1, &reqs[i].in_vc) < 0
+            || field_long(req, 2, &reqs[i].out_port) < 0)
             goto done;
     }
-    num_grants = alloc_round(c, rid, base, n, fields, fields + n, fields + 2 * n, grants);
+    num_grants = alloc_round(c, rid, base, n, reqs, grants);
     if (num_grants < 0 || (granted = PyList_New(num_grants)) == NULL)
         goto done;
     for (i = 0; i < num_grants; i++)
         PyList_SET_ITEM(granted, i, Py_NewRef(PyList_GET_ITEM(requests, grants[i])));
 done:
-    PyMem_Free(fields);
+    PyMem_Free(reqs);
     return granted;
 }
 
@@ -6089,6 +6292,56 @@ Core_in_flight(Core *c, PyObject *Py_UNUSED(ignored))
     return PyLong_FromSsize_t(c->cal[CAL_ARRIVAL].held + c->cal[CAL_RELEASE].held);
 }
 
+/* The row of VC `q` as a dict (`None`: the head is `LIVE`): its kind, its
+ * fixed request (`output_port`, `vc`, `size`, `decision`; all `None` for a
+ * head that makes no request) and for a gate `minimal`, `candidates` (a list,
+ * or a view `(shared tuple, first, dst group, proxy)`), `global_vc`,
+ * `local_vc` and `ectn` (`(group, minimal link offset, offset base)` or
+ * `None`). */
+static PyObject *
+Core_row(Core *c, PyObject *q_o)
+{
+    PyObject *snapshot = NULL, *gate = NULL;
+    const row *r;
+    row held;
+    long q;
+    if (!usable(c) || as_long(q_o, &q) < 0)
+        return NULL;
+    if (q < 0 || q >= PyList_GET_SIZE(L(c, in_q))) {
+        PyErr_SetString(PyExc_IndexError, "no VC of this index");
+        return NULL;
+    }
+    if ((r = row_of(c, q)) == NULL)
+        Py_RETURN_NONE;
+    held = *r; /* an allocation may run a collection, and that any code */
+    Py_XINCREF(held.decision);
+    Py_XINCREF(held.candidates);
+    if (held.decision == NULL)
+        snapshot = Py_BuildValue("{s:s,s:O,s:O,s:O,s:O}", "kind", row_kinds[held.kind],
+                                 "output_port", Py_None, "vc", Py_None, "size", Py_None,
+                                 "decision", Py_None);
+    else
+        snapshot = Py_BuildValue("{s:s,s:l,s:l,s:l,s:O}", "kind", row_kinds[held.kind],
+                                 "output_port", held.out_port, "vc", held.vc, "size", held.size,
+                                 "decision", held.decision);
+    if (snapshot != NULL && held.kind != ROW_FIXED) {
+        gate = Py_BuildValue(
+            "{s:l,s:N,s:l,s:l,s:N}", "minimal", held.minimal, "candidates",
+            held.view ? Py_BuildValue("(Olll)", held.candidates, held.first, held.dst_group,
+                                      (long)held.proxy)
+                      : Py_NewRef(held.candidates),
+            "global_vc", held.global_vc, "local_vc", held.local_vc, "ectn",
+            held.ectn ? Py_BuildValue("(lll)", held.ectn_group, held.ectn_min_offset,
+                                      held.ectn_base)
+                      : Py_NewRef(Py_None));
+        if (gate == NULL || PyDict_Update(snapshot, gate) < 0)
+            Py_CLEAR(snapshot);
+        Py_XDECREF(gate);
+    }
+    row_clear(&held);
+    return snapshot;
+}
+
 static PyObject *
 Core_sizeof(Core *c, PyObject *Py_UNUSED(ignored))
 {
@@ -6100,6 +6353,7 @@ Core_sizeof(Core *c, PyObject *Py_UNUSED(ignored))
         if (cal->slot != NULL)
             size += 2 * WHEEL * sizeof(int32_t);
     }
+    size += (size_t)c->rows.capacity * sizeof(row) + (size_t)c->rows.slots * sizeof(int32_t);
     return PyLong_FromSize_t(size);
 }
 
@@ -6297,7 +6551,8 @@ static PyMethodDef Core_methods[] = {
     {"pop_head", (PyCFunction)Core_pop_head, METH_VARARGS,
      "pop_head(rid, port, vc, cycle) -> packet: the input side of a hop."},
     {"commit", (PyCFunction)Core_commit, METH_VARARGS,
-     "commit(rid, request, cycle): commit a grant and book its release and arrival."},
+     "commit(rid, (in_port, in_vc, out_port, size, decision), cycle): commit a grant and book "
+     "its release and arrival."},
     {"release", (PyCFunction)Core_release, METH_VARARGS,
      "release(due, i, rid) -> int: the releases `(g, phits, link-free cycle, packet or None)` "
      "of router `rid` starting at `due[i]`; the index of the next router's."},
@@ -6318,8 +6573,11 @@ static PyMethodDef Core_methods[] = {
      "each due's events in push order (a release marker makes its due's key only)."},
     {"in_flight", (PyCFunction)Core_in_flight, METH_NOARGS,
      "in_flight() -> int: the packets the calendars hold (on a link or leaving by ejection)."},
+    {"row", (PyCFunction)Core_row, METH_O,
+     "row(q) -> dict or None: a snapshot of the captured row of VC `q` (None: the head is "
+     "LIVE, nobody captured it)."},
     {"__sizeof__", (PyCFunction)Core_sizeof, METH_NOARGS,
-     "__sizeof__() -> int: the core with its calendars' pools and wheels."},
+     "__sizeof__() -> int: the core with its calendars' pools and wheels and its row pool."},
     {"publish_saturation", (PyCFunction)Core_publish_saturation, METH_VARARGS,
      "publish_saturation(scan, network, cycle): PB's `post_cycle`, its saturation scan over "
      "the flat state, then `routing.publish_flags(cycle, flags)`."},
@@ -6332,9 +6590,10 @@ static PyMethodDef Core_methods[] = {
 static PyTypeObject CoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.simulation.soa._core.Core",
-    .tp_doc = "Core(st, routing, rows, dropped, (arrival, head, leave hooks), speedup, "
+    .tp_doc = "Core(st, routing, dropped, (arrival, head, leave hooks), speedup, "
               "router_latency, capture, stock)\n\n"
-              "The compiled hop chain over one SoAState (see soa/engine.py).",
+              "The compiled hop chain over one SoAState (see soa/engine.py); it owns the "
+              "calendars and the captured rows of the buffer heads as C structs.",
     .tp_basicsize = sizeof(Core),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_new = PyType_GenericNew,

@@ -51,11 +51,10 @@ places:
   of the per-cycle work.
 
 Buffer-head keys are flat integers ``k = port * V + vc`` (their numeric
-order equals the object model's ``(port, vc)`` tuple order), and captured
-requests are plain tuples ``(in_port, in_vc, out_port, size, decision,
-out_g, credit_q)`` whose last two fields precompute the admission-check
-indices.  ``AllocationRequest`` is a NamedTuple with the same first five
-fields, so the transcribed separable allocator accepts both shapes.
+order equals the object model's ``(port, vc)`` tuple order).  A head's
+request in an allocation round is a C struct of the core; its input port and
+VC come from the key, its output buffer and credit counter from the output
+port.
 
 The compiled core
 -----------------
@@ -64,10 +63,10 @@ The compiled core
 (:meth:`_source_phase`) and router phase over the *same* lists, integer
 ``array('q')`` columns, tuples, dicts and ``Packet`` objects this module and
 its readers see — nothing is copied, so :class:`RouterView`, the obs readers
-and every test that inspects ``st.*`` or ``_rows`` read live state.  The
-calendars are the core's own (``Core.calendars()`` is their snapshot,
-``Core.schedule`` plants an event, ``Core.in_flight()`` counts the packets
-they hold).  Each of
+and every test that inspects ``st.*`` read live state.  The calendars and
+the captured rows are the core's own C structs (``Core.calendars()`` and
+``Core.row(q)`` are their snapshots, ``Core.schedule`` plants an event,
+``Core.in_flight()`` counts the packets the calendars hold).  Each of
 ``_STOCK_FUNCTIONS`` is answered in C only while the function the instance
 resolves for that name, the way a method call resolves it, is the stock one
 taken from the class when the engine was built; a subclass override or a
@@ -119,13 +118,13 @@ pure-Python twin of the compiled functions: where no C compiler works,
 Row kinds
 ---------
 There is one allocation path, the core's ``allocate``.  Every buffer head
-is a *row*, one tuple written once into ``_rows[q]`` by the capture and read
-by every round: ``(FIXED, request)``, or for a gate ``(kind, fallback
-request, minimal port, candidates, global VC, local VC, ectn)`` with
-``candidates`` a list or a view ``(shared tuple, first, dst group, proxy)``
-and ``ectn`` the injection-side constants ``(group, minimal link offset,
-offset base)`` of an ECtN head (``None`` otherwise).  A ``q``
-nobody captured holds ``None`` and answers as ``LIVE``.  Which capture runs
+is a *row*, a C struct of the core written once by the capture and read by
+every round: its kind, its fixed request (output port, VC, size, decision)
+and for a gate the minimal port, the candidates and the VCs of a pick
+(``_core.c``, "rows", has the layout).  A row is taken from a pool at capture
+and given back when its head leaves; a gate's pick makes its
+``RoutingDecision`` only if it is granted.  A head nobody captured has no
+row (``Core.row(q)`` is ``None``) and answers as ``LIVE``.  Which capture runs
 (``self._capture``) depends only on what the code can observe: the exact
 routing class, its path policy, whether a fault runtime is attached.
 
@@ -343,7 +342,6 @@ class SoAEngine(Engine):
         "_memo",
         "_routing",
         "_drp",
-        "_rows",
     )
 
     def __init__(self, network, traffic, **engine_options):
@@ -372,14 +370,11 @@ class SoAEngine(Engine):
         # decision in the later rounds of a cycle, as ``Router.allocate`` does.
         self._memo = {} if routing.decision_is_pure else None
 
-        # One row per buffer head (layout: "Row kinds" in the module doc),
-        # written by the capture; ``None`` answers as ``LIVE``.
-        self._rows: List = [None] * (st.R * st.P * st.V)
-
-        # The compiled hop chain over this state (``_core.c``); it reads what
-        # the capture and the trigger need off the routing.
+        # The compiled hop chain over this state (``_core.c``), which holds
+        # the captured rows ("Row kinds" in the module doc); it reads what the
+        # capture and the trigger need off the routing.
         self._core = load_core().Core(
-            st, routing, self._rows, self._drp, hooks,
+            st, routing, self._drp, hooks,
             network.params.internal_speedup, network.params.router_latency,
             -1 if self._capture is None else self._capture, _stock(),
         )

@@ -757,7 +757,7 @@ def _containers(sim):
             census[type(obj).__name__] += 1
     census["vc_queues"] = sum(dq is not None for dq in st.in_q)
     census["node_queues"] = sum(n.source_queue is not None for n in sim.network.nodes)
-    census["rows"] = sum(row is not None for row in sim.engine._rows)
+    census["rows"] = sum(sim.engine._core.row(q) is not None for q in range(len(st.in_q)))
     return census
 
 

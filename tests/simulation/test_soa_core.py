@@ -17,12 +17,13 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from array import array
 from collections import Counter
 
 import pytest
 
-from repro.config.parameters import SimulationParameters
+from repro.config.parameters import DragonflyConfig, SimulationParameters
 from repro.metrics.collector import MetricsCollector
 from repro.network.node import ComputeNode
 from repro.network.packet import Packet
@@ -44,6 +45,7 @@ from repro.simulation.simulator import Simulator
 from repro.simulation.soa import _loader
 from repro.simulation.soa.engine import _stock
 from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.faults import FaultModel
 from repro.topology.registry import TOPOLOGY_REGISTRY
 
 pytestmark = pytest.mark.soa_core
@@ -121,10 +123,10 @@ class TestKeptChecks:
     def _grant(self, sim, out_port):
         """A head on router 0, injection port 1, VC 0 and a request sending it
         through ``out_port``: a function that (re)plants the head and commits."""
-        core, st = sim.engine._core, sim.engine._st
+        core = sim.engine._core
         packet = _packet()
         decision = RoutingDecision(output_port=out_port, vc=0)
-        request = (1, 0, out_port, packet.size_phits, decision, out_port, out_port * st.V)
+        request = (1, 0, out_port, packet.size_phits, decision)
 
         def plant_and_commit():
             core.apply_arrivals([(1, 0, packet)], 3)
@@ -205,7 +207,7 @@ class TestBookings:
         st.link_booked[port] = busy_until
         core.apply_arrivals([(1, 0, packet)], cycle)
         decision = RoutingDecision(output_port=port, vc=1)
-        core.commit(0, (1, 0, port, size, decision, port, port * st.V + 1), cycle)
+        core.commit(0, (1, 0, port, size, decision), cycle)
 
         done = busy_until + size * st.ser_fac[port]
         calendars = core.calendars()
@@ -226,7 +228,7 @@ class TestBookings:
         packet = _packet()
         size = packet.size_phits
         core.apply_arrivals([(1, 0, packet)], 2)
-        core.commit(0, (1, 0, 0, size, RoutingDecision(output_port=0, vc=0), 0, 0), 2)
+        core.commit(0, (1, 0, 0, size, RoutingDecision(output_port=0, vc=0)), 2)
         depart = 2 + sim.params.router_latency
         calendars = core.calendars()
         assert list(calendars["release"]) == [depart]
@@ -255,6 +257,83 @@ class TestBookings:
         assert soa_cycles == obj_cycles and None not in soa_cycles
         assert soa.engine.cycles_skipped == obj.engine.cycles_skipped
         assert not any(soa.engine._core.calendars().values())
+
+
+class TestRows:
+    """The captured rows are the core's C structs, seen through ``Core.row``."""
+
+    @pytest.mark.parametrize("routing", ["MIN", "VAL"])
+    def test_a_captured_row_requests_what_select_output_decides(self, routing):
+        """The pure decision is a constant of the head, so each captured row
+        must carry the port and VC the spec's ``select_output`` gives now."""
+        sim = _sim(routing, 0.6)
+        core, st = sim.engine._core, sim.engine._st
+        per_router = st.P * st.V
+        checked = 0
+        for _ in range(30):
+            sim.run_cycles(10)
+            for q, queue in enumerate(st.in_q):
+                row = core.row(q)
+                if row is None:
+                    continue
+                assert queue, f"VC {q} has a row but no head"
+                rid, k = divmod(q, per_router)
+                port, vc = divmod(k, st.V)
+                decision = sim.routing.select_output(st.views[rid], port, vc, queue[0], sim.cycle)
+                assert row["kind"] == "FIXED"
+                assert (row["output_port"], row["vc"]) == (decision.output_port, decision.vc)
+                assert row["size"] == queue[0].size_phits
+                checked += 1
+        assert checked > 100
+
+    def test_a_gate_row_shows_its_candidates(self):
+        sim = _sim("Base", 0.4)
+        sim.run_cycles(200)
+        core, st = sim.engine._core, sim.engine._st
+        rows = [core.row(q) for q in range(len(st.in_q))]
+        gates = [row for row in rows if row is not None and row["kind"] != "FIXED"]
+        assert gates
+        for row in gates:
+            assert row["decision"].output_port == row["output_port"] == row["minimal"]
+            shared, first, _, proxy = row["candidates"]
+            assert type(shared) is tuple and first >= 0 and proxy in (0, 1)
+
+    def test_nobody_captures_a_live_head(self):
+        sim = Simulator(
+            SimulationParameters.tiny().with_backend("soa"), "Base", "UN", 0.4, seed=1,
+            fault_model=FaultModel(link_failure_percent=10.0),
+        )
+        sim.run_cycles(100)
+        st = sim.engine._st
+        assert any(st.occ) and all(sim.engine._core.row(q) is None for q in range(len(st.in_q)))
+        with pytest.raises(IndexError):
+            sim.engine._core.row(len(st.in_q))
+
+    def test_no_row_or_request_tuple_is_held(self):
+        """Nothing the core holds (through lists, tuples and dicts) has the
+        shape of a captured row tuple or of a request tuple."""
+        params = SimulationParameters.small(DragonflyConfig(p=2, a=4, h=2)).with_backend("soa")
+        sim = Simulator(params, "Base", "UN", 0.3, seed=1)
+        fresh = sim.engine._core.__sizeof__()
+        sim.run_cycles(500)
+        core = sim.engine._core
+        assert core.__sizeof__() > fresh  # rows were taken (and given back)
+
+        def request_shaped(t):
+            return type(t) is tuple and len(t) == 7 and isinstance(t[4], RoutingDecision)
+
+        def row_shaped(t):
+            return type(t) is tuple and len(t) in (2, 7) and request_shaped(t[1])
+
+        seen, todo = set(), list(gc.get_referents(core))
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or type(obj) not in (list, tuple, dict):
+                continue
+            seen.add(id(obj))
+            assert not request_shaped(obj) and not row_shaped(obj), obj
+            todo.extend(gc.get_referents(obj))
+        assert len(seen) > 100
 
 
 _COLUMNS = (
@@ -660,8 +739,7 @@ class TestTypedColumns:
         st.in_free = wrong(st.in_free)
         with pytest.raises(TypeError, match=r"st\.in_free must be an array\('q'\)"):
             type(engine._core)(
-                st, engine._routing, engine._rows, engine._drp, (True, True, True), 1, 0, -1,
-                _stock(),
+                st, engine._routing, engine._drp, (True, True, True), 1, 0, -1, _stock(),
             )
 
     def test_a_bound_column_cannot_be_resized(self):
@@ -692,6 +770,39 @@ class TestLifetime:
         del sim
         gc.collect()
         assert alive() == before
+
+    def test_a_row_whose_decision_refers_to_the_simulator_is_collected(self, monkeypatch):
+        """A row holds its decision: one that points back at the Simulator
+        makes a cycle through the core's row pool, which the collector sees
+        only if the core visits every reference a row holds."""
+
+        class Holding:
+            """A decision that also holds the simulator it was made in."""
+
+            def __init__(self, decision, owner):
+                self.decision, self.owner = decision, owner
+
+            def __getattr__(self, name):
+                return getattr(self.decision, name)
+
+        sim = _sim("MIN", 0.4)
+        routing = sim.routing
+        stock = type(routing).select_output
+        owner = [sim]
+        # The pure capture calls an instance's own ``select_output`` by name.
+        monkeypatch.setattr(
+            routing, "select_output",
+            lambda *args: Holding(stock(routing, *args), owner[0]), raising=False,
+        )
+        sim.run_cycles(100)
+        core, st = sim.engine._core, sim.engine._st
+        held = [core.row(q) for q in range(len(st.in_q))]
+        assert any(row is not None and type(row["decision"]) is Holding for row in held)
+        alive = weakref.ref(sim)
+        del sim, held, core, st, routing, owner[:]
+        monkeypatch.undo()
+        gc.collect()
+        assert alive() is None
 
     def test_nothing_of_a_drained_run_is_reachable_from_the_engine(self):
         sim = _sim("Base", 0.3)
