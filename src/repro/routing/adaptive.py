@@ -17,9 +17,10 @@ policy over regions and GLOBAL links:
   has not yet crossed a global link, with MM+L candidates (own global
   links, plus local-proxy links at injection);
 * once a nonminimal global link is chosen, the packet records its
-  intermediate region and proceeds minimally to it
-  (:meth:`~repro.topology.base.Topology.region_gateway`), then minimally to
-  the destination (at most one global misroute per packet);
+  intermediate region and proceeds minimally to it (the router-target route
+  towards the router at its own position in that region, whose first global
+  hop enters it), then minimally to the destination (at most one global
+  misroute per packet);
 * local misrouting (one extra local hop) may be selected in the
   intermediate or destination region when the minimal output is a local
   link.
@@ -61,7 +62,7 @@ flag (the full mesh) reject the whole mechanism family with
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro import draws
 from repro.config.parameters import SimulationParameters
@@ -176,10 +177,6 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
             ] * topology.num_routers
             self._routers_per_group = topology.routers_per_region
             self._nodes_per_group = topology.num_nodes // topology.num_regions
-            # (router, target_group) -> (output_port, is_global) for the
-            # minimal step towards an intermediate group (static for a
-            # fixed topology).
-            self._towards_cache: Dict[Tuple[int, int], Tuple[int, bool]] = {}
 
     # ------------------------------------------------------ candidate lookups
     def router_candidates(self, router_id: int) -> Tuple[MisrouteCandidate, ...]:
@@ -411,22 +408,19 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
         """Minimal step towards ``target_group`` (used while heading to the
         intermediate group of a global misroute)."""
         rid = router.router_id
-        if rid // self._routers_per_group == target_group:
+        rpg = self._routers_per_group
+        if rid // rpg == target_group:
             # Arrival hook normally clears this state; fall back to minimal.
             return self.minimal_decision(router, packet)
-        key = (rid, target_group)
-        cached = self._towards_cache.get(key)
-        if cached is None:
-            cached = self.topology.region_gateway(rid, target_group)
-            self._towards_cache[key] = cached
-        out_port, is_global = cached
-        if is_global:
+        topo = self.topology
+        out_port = topo.minimal_route_to_router(rid, target_group * rpg + rid % rpg)
+        if topo.port_kinds[out_port] is _GLOBAL:
             return RoutingDecision(
                 output_port=out_port,
                 vc=self.next_vc(packet, PortKind.GLOBAL),
                 nonminimal_global=True,
             )
-        return RoutingDecision(output_port=out_port, vc=self.next_vc(packet, PortKind.LOCAL))
+        return self.plain_decision(out_port, self.next_vc(packet, PortKind.LOCAL))
 
     # ------------------------------------------------------------- triggers
     def choose_global_misroute(

@@ -170,8 +170,7 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(ContentionCounters, decrement) \
     X(Topology, router_region) X(Topology, node_region) X(Topology, node_router) \
     X(Topology, minimal_output_port) X(Topology, minimal_route_to_router) \
-    X(Topology, router_hops) X(Topology, port_target_region) \
-    X(DragonflyTopology, router_hops) \
+    X(Topology, router_hops) X(Topology, minimal_router_path) X(Topology, port_target_region) \
     X(DragonflyTopology, _route_port) X(TorusTopology, ring_vc) X(TorusTopology, commit_ring_hop) \
     X(MinimalRouting, select_output) X(ValiantRouting, select_output) \
     X(MetricsCollector, record_delivery) X(MetricsCollector, record_generated) \
@@ -203,7 +202,7 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
  * a Dragonfly's link-offset table and a torus's ring table. */
 #define ROUTING_MEMBERS(X) \
     X(topology) X(tracker) X(counters) X(partial) X(combined) X(flags) X(shared) X(plain) \
-    X(towards_cache) X(ring_dims) X(port_candidates) X(node_rid) X(updown_vcs) \
+    X(ring_dims) X(port_candidates) X(node_rid) X(updown_vcs) \
     X(route_table) X(target_table) X(link_offsets) X(ring_info)
 
 /* ------------------------------------------------------------------ slots */
@@ -418,10 +417,10 @@ typedef struct {
     long nodes_per_region; /* `num_nodes // num_regions` of those */
     unsigned int sizes_tag;
     /* Bound with the sizes: the peer table (`_peer_table`, `radix` entries
-     * per router) and the Valiant window (first position, width, whether the
-     * source region is skipped). */
+     * per router), the Valiant window (first position, width, whether the
+     * source region is skipped) and the longest minimal path's hops. */
     Py_buffer peers;
-    long radix, valiant_window[3];
+    long radix, valiant_window[3], max_minimal_hops;
     /* UGAL's `T`, in phits. */
     double valiant_threshold;
     /* `Packet`, whose exact instances are read and written at the slot
@@ -2196,46 +2195,42 @@ link_peer(Core *c, long rid, long port, long *peer)
     return ask_by_name(c, L(c, topology), N__link_peer, rid, port, 2, peer);
 }
 
-/* `topology.router_hops(a, b)`: on the Dragonfly at most one local hop to
- * the owner of the link between the two groups, the link, at most one local
- * hop from where it lands; on the base `Topology` the entry of the hop
- * memo, else the call by name, whose body allocates the memo and fills the
- * entry from `minimal_router_path`. */
+/* `topology.router_hops(a, b)` of the base `Topology`: the entry of the hop
+ * memo, an unset one filled here by walking the router-target and peer
+ * tables (`route(..., 1)`, `link_peer`) for at most `max_minimal_hops`
+ * hops.  An unallocated memo, an index outside it, a walk that has not
+ * arrived by then or that ends at `NO_LINK` are the body's, by name (it
+ * allocates the memo, or raises). */
 static int
 hops(Core *c, long a, long b, long *out)
 {
     PyObject *topology = L(c, topology), *table, *fn;
-    long rpr = c->size[Z_ROUTERS_PER_REGION], G = c->size[Z_NUM_REGIONS];
-    long group, dst_group, there, back, R = c->size[Z_NUM_ROUTERS];
+    long R = c->size[Z_NUM_ROUTERS], r = a, port, n;
     Py_ssize_t key = (Py_ssize_t)a * R + b;
     int on;
     if (stock_hook(c, topology, N_router_hops, &fn) < 0)
         return -1;
-    if (c->dragonfly && fn == STOCK(c, DragonflyTopology, router_hops)) {
-        group = pydiv(a, rpr);
-        dst_group = pydiv(b, rpr);
-        if (a == b || group == dst_group) {
-            *out = a != b;
-            return 0;
-        }
-        if (get_long(L(c, link_offsets), group * G + dst_group, &there) < 0
-            || get_long(L(c, link_offsets), dst_group * G + group, &back) < 0)
-            return -1;
-        *out = 1 + (a != group * rpr + pydiv(there, c->df_h))
-               + (b != dst_group * rpr + pydiv(back, c->df_h));
-        return 0;
-    }
     if (fn == STOCK(c, Topology, router_hops) && (on = sizes_stock(c, topology)) != 0) {
         if (on < 0 || (table = get_attr(c, topology, N__hop_table)) == NULL)
             return -1;
         on = PyByteArray_Check(table) && (unsigned long)a < (unsigned long)R
-             && (unsigned long)b < (unsigned long)R && key < PyByteArray_GET_SIZE(table)
-             && (unsigned char)PyByteArray_AS_STRING(table)[key] != 0xFF;
-        if (on)
-            *out = (unsigned char)PyByteArray_AS_STRING(table)[key];
+             && (unsigned long)b < (unsigned long)R && key < PyByteArray_GET_SIZE(table);
+        if (on && (*out = (unsigned char)PyByteArray_AS_STRING(table)[key]) == 0xFF) {
+            /* The walk is the stock `minimal_router_path`; an override is
+             * asked, by name, through `router_hops`. */
+            on = stock_hook(c, topology, N_minimal_router_path, &fn) < 0
+                     ? -1 : fn == STOCK(c, Topology, minimal_router_path);
+            for (n = 0; on > 0 && r != b && r != NO_LINK && n < c->max_minimal_hops; n++)
+                if (route(c, r, b, 1, &port) < 0 || link_peer(c, r, port, &r) < 0)
+                    on = -1;
+            /* A fill by name may have run Python: the memo's size is read
+             * again. */
+            if (on > 0 && (on = r == b && key < PyByteArray_GET_SIZE(table)))
+                PyByteArray_AS_STRING(table)[key] = (char)(*out = n);
+        }
         Py_DECREF(table);
         if (on)
-            return 0;
+            return on < 0 ? -1 : 0;
     }
     return ask_by_name(c, topology, N_router_hops, a, b, 2, out);
 }
@@ -4034,44 +4029,6 @@ minimal_port(Core *c, PyObject *head, long rid, long dst)
     return minimal;
 }
 
-/* `routing._towards_group(view, head, target)`: the step towards the
- * intermediate group from the gateway memo, or the method itself on a miss
- * (and where it falls back to `minimal_decision`). */
-static PyObject *
-towards_group(Core *c, long rid, PyObject *rid_o, PyObject *head, PyObject *target)
-{
-    PyObject *group_o = PyLong_FromLong(pydiv(rid, c->rpg)), *cached = NULL, *vc_o;
-    PyObject *decision = NULL;
-    long vc;
-    int same = group_o == NULL ? -1 : PyObject_RichCompareBool(group_o, target, Py_EQ);
-    Py_XDECREF(group_o);
-    if (same < 0)
-        return NULL;
-    if (!same) {
-        PyObject *key = PyTuple_Pack(2, rid_o, target);
-        if (key == NULL)
-            return NULL;
-        cached = PyDict_GetItemWithError(L(c, towards_cache), key);
-        Py_DECREF(key);
-        if (cached == NULL && PyErr_Occurred())
-            return NULL;
-    }
-    if (cached == NULL || cached == Py_None) {
-        PyObject *view = item(L(c, views), rid);
-        PyObject *args[4] = {c->o[S_routing], view, head, target};
-        return view == NULL ? NULL : call_method(c, N__towards_group, args, 4, NULL);
-    }
-    Py_INCREF(cached);
-    if (expect_tuple(cached, 2, "a region gateway") == 0
-        && (same = truth(PyTuple_GET_ITEM(cached, 1))) >= 0 && next_vc(c, head, same, &vc) == 0
-        && (vc_o = PyLong_FromLong(vc)) != NULL) {
-        decision = new_decision(c, PyTuple_GET_ITEM(cached, 0), vc_o, same, 0, Py_None, 0);
-        Py_DECREF(vc_o);
-    }
-    Py_DECREF(cached);
-    return decision;
-}
-
 /* ECtN's `combined_view` of a head at `check_port` into gate row `r`: the
  * group, its minimal link's offset and the port base (see `choose_global`);
  * none for a trigger without the combined signal or a transit port. */
@@ -4103,7 +4060,7 @@ capture_ectn(Core *c, long rid, long check_port, PyObject *head, row *r)
  * falls from a failed global gate into the local one -- only into the
  * minimal fallback, which every row carries. */
 static int
-capture_group(Core *c, long rid, PyObject *rid_o, long k, PyObject *head, row *r)
+capture_group(Core *c, long rid, long k, PyObject *head, row *r)
 {
     PyObject *decision = NULL, *minimal;
     long dst, dst_router, current_group, dst_group, port, hops, min_vc = 0;
@@ -4119,8 +4076,14 @@ capture_group(Core *c, long rid, PyObject *rid_o, long k, PyObject *head, row *r
         PyObject *target = pget(c, head, F_intermediate_group);
         if (target == NULL)
             return -1;
-        if (target != Py_None)
-            decision = towards_group(c, rid, rid_o, head, target);
+        /* On the way to a misroute's intermediate group: the method, by
+         * name.  No fault-free run gets here -- the misroute lands in that
+         * group, whose arrival hook clears the target. */
+        if (target != Py_None) {
+            PyObject *view = item(L(c, views), rid);
+            PyObject *args[4] = {c->o[S_routing], view, head, target};
+            decision = view == NULL ? NULL : call_method(c, N__towards_group, args, 4, NULL);
+        }
         Py_DECREF(target);
         if (decision != NULL || PyErr_Occurred())
             return FIX(c, r, head, decision) < 0 ? -1 : 0;
@@ -4372,9 +4335,11 @@ pure_valiant(Core *c, long rid, PyObject *rid_o, PyObject *head, long dst)
         else if (next_vc(c, head, 0, &vc) < 0)
             goto done;
     }
-    if ((vc_o = PyLong_FromLong(vc)) != NULL)
-        decision = new_decision(c, port_o, vc_o, global && nonminimal, !global && nonminimal,
-                                Py_None, 0);
+    /* A hop that is no detour is the shared flag-free decision. */
+    if (!nonminimal)
+        decision = plain_decision(c, port, vc);
+    else if ((vc_o = PyLong_FromLong(vc)) != NULL)
+        decision = new_decision(c, port_o, vc_o, global, !global, Py_None, 0);
 done:
     Py_XDECREF(vc_o);
     Py_DECREF(port_o);
@@ -4437,7 +4402,7 @@ capture(Core *c, long rid, PyObject *rid_o, long q, long k, PyObject *head, PyOb
     memset(&r, 0, sizeof r);
     r.kind = ROW_FIXED;
     failed = c->capture == CAPTURE_PURE ? capture_pure(c, rid, rid_o, k, head, cycle_o, &r)
-             : c->capture == CAPTURE_GROUP ? capture_group(c, rid, rid_o, k, head, &r)
+             : c->capture == CAPTURE_GROUP ? capture_group(c, rid, k, head, &r)
              : capture_port_table(c, rid, head, &r);
     if (failed < 0) {
         row_clear(&r);
@@ -5799,8 +5764,7 @@ bind_capture(Core *c, PyObject *routing, int capture)
     if (bind_long(routing, "_routers_per_group", &c->rpg, 1) < 0
         || bind_long(routing, "_nodes_per_group", &c->npg, 1) < 0
         || bind_long(routing, "_num_global_ports", &c->num_global, 0) < 0
-        || bind_attr(c, S_shared, routing, "_router_candidates", &PyList_Type) < 0
-        || bind_attr(c, S_towards_cache, routing, "_towards_cache", &PyDict_Type) < 0)
+        || bind_attr(c, S_shared, routing, "_router_candidates", &PyList_Type) < 0)
         return -1;
     if (!(c->signals & READS_COMBINED))
         return 0;
@@ -5847,7 +5811,7 @@ bind_column(PyObject *owner, const char *what, const char *name, Py_buffer *view
 static int
 bind_sizes(Core *c, PyObject *topology)
 {
-    PyObject *window;
+    PyObject *window, *model;
     int z, failed;
     if (L(c, route_table) == Py_None)
         return 0;
@@ -5879,7 +5843,11 @@ bind_sizes(Core *c, PyObject *topology)
     if (bind_attr(c, S_target_table, topology, "_target_table", &PyByteArray_Type) < 0
         || bind_column(topology, "", "_peer_table", &c->peers) < 0
         || bind_long(topology, "_radix", &c->radix, 1) < 0
-        || (window = named_attr(topology, "_valiant_window")) == NULL)
+        || (model = named_attr(topology, "_path_model")) == NULL)
+        return -1;
+    failed = bind_long(model, "max_minimal_hops", &c->max_minimal_hops, 0);
+    Py_DECREF(model);
+    if (failed || (window = named_attr(topology, "_valiant_window")) == NULL)
         return -1;
     failed = expect_tuple(window, 3, "_valiant_window");
     for (z = 0; !failed && z < 3; z++)

@@ -88,9 +88,9 @@ stock mechanisms:
   ``select_output``), the adaptive path policies and the one trigger of
   their open gates, reading the signals the mechanism declares — over the
   topology queries of every topology (the base ``Topology`` node map, route
-  table, hop memo and region arithmetic over the sizes it owns, the
-  Dragonfly's closed-form hops, the torus's dateline ``ring_vc`` /
-  ``commit_ring_hop``)
+  table, hop memo filled by a walk over the router-target and peer tables,
+  and region arithmetic over the sizes it owns; the torus's dateline
+  ``ring_vc`` / ``commit_ring_hop``)
   and the routers' shared candidate tuples;
 * the source phase: ``BernoulliTrafficGenerator.generate``, the uniform /
   adversarial / transient destinations, ``Packet(...)`` at its slots,
@@ -229,8 +229,8 @@ _STOCK_FUNCTIONS = tuple(
         (ContentionCounters, "decrement"),
         (Topology, "region_node_range valiant_intermediate_router router_region node_region "
                    "node_router minimal_output_port minimal_route_to_router router_hops "
-                   "port_target_region"),
-        (DragonflyTopology, "router_hops _route_port"),
+                   "minimal_router_path port_target_region"),
+        (DragonflyTopology, "_route_port"),
         (TorusTopology, "ring_vc commit_ring_hop"),
         (MetricsCollector, "record_delivery record_generated in_window"),
         (TimeSeriesRecorder, "record"),

@@ -294,8 +294,8 @@ class Topology(ABC):
     :class:`PortKind`, identical on every router, which the routing hot
     paths index directly instead of calling :meth:`port_kind` — and calls
     :meth:`__init__` with its numbers, then defines its wiring
-    (:meth:`neighbor`), the first hop between two routers
-    (:meth:`_route_port`) and :meth:`minimal_path_length`.
+    (:meth:`neighbor`) and the first hop between two routers
+    (:meth:`_route_port`).
 
     **One node map.**  ``_node_rid[n]`` is the router of node ``n``: by
     default ``n // nodes_per_router`` (every router attaches
@@ -316,7 +316,8 @@ class Topology(ABC):
     column by one breadth-first search over the links.
     :meth:`port_target_region` and those walks read the router behind each
     port from an ``R x radix`` signed column filled on a miss by
-    :meth:`neighbor`.  :meth:`valiant_intermediate_router` draws once over
+    :meth:`neighbor`; :meth:`router_hops` memoises the length of the walk.
+    :meth:`valiant_intermediate_router` draws once over
     a declared window of region positions.  No topology overrides these;
     the SoA core reads the same tables while an instance resolves the names
     to the functions below.
@@ -549,10 +550,6 @@ class Topology(ABC):
         """What the route table caches: the first hop of the minimal path
         between two distinct routers."""
 
-    @abstractmethod
-    def minimal_path_length(self, src_node: int, dst_node: int) -> int:
-        """Number of router-to-router hops on the minimal path."""
-
     def minimal_route_to_router(self, router: int, dst_router: int) -> int:
         """Output port on the minimal path from ``router`` towards ``dst_router``.
 
@@ -606,23 +603,6 @@ class Topology(ABC):
                 raise ValueError(f"no link path joins router {r} to router {target}")
         return self._target_table[router * R + target]
 
-    def region_gateway(self, router: int, target_region: int) -> Tuple[int, bool]:
-        """Next hop ``(output_port, is_global)`` from ``router`` into
-        ``target_region`` along a shortest inter-region route.
-
-        This is what lets the group-style in-transit adaptive policy head
-        for the *region* chosen by a global misroute without caring how the
-        topology wires regions together: on the Dragonfly the gateway is
-        the group's single global link towards the target (possibly behind
-        one local hop), on the flattened butterfly it is the router's own
-        column link to the target row.  Only required by the group policy
-        (:attr:`PathModel.supports_in_transit_adaptive` on ``path_stage``).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define a region gateway (required "
-            "for group-style in-transit adaptive routing only)"
-        )
-
     def minimal_router_path(self, src_router: int, dst_router: int) -> List[int]:
         """Sequence of routers (inclusive) on the minimal path between
         routers, walked over the router-target and peer tables."""
@@ -641,8 +621,7 @@ class Topology(ABC):
     def router_hops(self, src_router: int, dst_router: int) -> int:
         """Router-to-router hops of the minimal path between two routers,
         ``len(minimal_router_path(src, dst)) - 1``, memoised in a byte table
-        allocated on the first call (the Dragonfly answers in closed form
-        and never allocates it)."""
+        allocated on the first call."""
         R = self._num_routers
         table = self._hop_table
         if table is None:

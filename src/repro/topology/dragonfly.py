@@ -185,22 +185,6 @@ class DragonflyTopology(Topology):
         pos, port = self._group_route[group][dst_group]
         return self.router_id(group, pos), port
 
-    def region_gateway(self, router: int, target_region: int) -> Tuple[int, bool]:
-        """Next hop towards ``target_region``: the group's single global link
-        to the target group, behind at most one local hop to its owner."""
-        group = self.router_region(router)
-        if group == target_region:
-            raise ValueError("router is already inside the target region")
-        gw_router, gw_port = self.global_link_endpoint(group, target_region)
-        if gw_router == router:
-            return gw_port, True
-        return (
-            self.local_port_to(
-                self.router_position(router), self.router_position(gw_router)
-            ),
-            False,
-        )
-
     # --------------------------------------------------------------- neighbors
     def neighbor(self, router: int, port: int) -> Optional[Tuple[int, int]]:
         kind = self.port_kind(port)
@@ -220,23 +204,6 @@ class DragonflyTopology(Topology):
         return peer_router, peer_port
 
     # ----------------------------------------------------------------- routing
-    def router_hops(self, src_router: int, dst_router: int) -> int:
-        """Hops of the minimal path between two routers: at most one local
-        hop to the owner of the link between their groups, the link, at most
-        one local hop from where it lands (arithmetic over
-        ``group_link_offsets``; the SoA core transcribes it)."""
-        if src_router == dst_router:
-            return 0
-        a = self._routers_per_region
-        group, dst_group = src_router // a, dst_router // a
-        if group == dst_group:
-            return 1
-        offsets = self.group_link_offsets
-        G, h = self._num_regions, self._h
-        gateway = group * a + offsets[group * G + dst_group] // h
-        landing = dst_group * a + offsets[dst_group * G + group] // h
-        return 1 + (src_router != gateway) + (landing != dst_router)
-
     def _route_port(self, router: int, dst_router: int) -> int:
         """What the route table caches: the first hop of the minimal path
         between two distinct routers."""
@@ -249,24 +216,6 @@ class DragonflyTopology(Topology):
         if gw_router == router:
             return gw_port
         return self.local_port_to(pos, self.router_position(gw_router))
-
-    def minimal_path_length(self, src_node: int, dst_node: int) -> int:
-        src_router = self.node_router(src_node)
-        dst_router = self.node_router(dst_node)
-        if src_router == dst_router:
-            return 0
-        hops = 0
-        r = src_router
-        # Bounded by the diameter (3 router-to-router hops).
-        while r != dst_router:
-            port = self.minimal_output_port(r, dst_node)
-            nbr = self.neighbor(r, port)
-            assert nbr is not None
-            r = nbr[0]
-            hops += 1
-            if hops > 3:  # pragma: no cover - structural safety net
-                raise RuntimeError("minimal path longer than the Dragonfly diameter")
-        return hops
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

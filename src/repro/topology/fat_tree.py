@@ -243,16 +243,6 @@ class FatTreeTopology(Topology):
         # funnel is what the adaptive multipath spreads out).
         return self._first_up_port + (wd // pk) % self._k
 
-    def minimal_path_length(self, src_node: int, dst_node: int) -> int:
-        w1 = src_node // self._p
-        w2 = dst_node // self._p
-        if w1 == w2:
-            return 0
-        h = 1
-        while w1 // self._pow_k[h] != w2 // self._pow_k[h]:
-            h += 1
-        return 2 * h
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FatTreeTopology(p={self._p}, k={self._k}, "

@@ -138,15 +138,6 @@ class FlattenedButterflyTopology(Topology):
         idx = port - self._first_col_port
         return idx if idx < row else idx + 1
 
-    def region_gateway(self, router: int, target_region: int) -> Tuple[int, bool]:
-        """Next hop towards row ``target_region``: every router has its own
-        column link directly into every other row, so the gateway is always
-        the local column port (a single GLOBAL hop, no proxy needed)."""
-        row = router // self._cols
-        if row == target_region:
-            raise ValueError("router is already inside the target region")
-        return self.column_port_to(row, target_region), True
-
     # --------------------------------------------------------------- neighbors
     def neighbor(self, router: int, port: int) -> Optional[Tuple[int, int]]:
         kind = self.port_kinds[port]
@@ -172,15 +163,6 @@ class FlattenedButterflyTopology(Topology):
         if x != dst_x:
             return self.row_port_to(x, dst_x)
         return self.column_port_to(y, dst_y)
-
-    def minimal_path_length(self, src_node: int, dst_node: int) -> int:
-        src_router = self.node_router(src_node)
-        dst_router = self.node_router(dst_node)
-        if src_router == dst_router:
-            return 0
-        sx, sy = self.router_coords(src_router)
-        dx, dy = self.router_coords(dst_router)
-        return (sx != dx) + (sy != dy)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

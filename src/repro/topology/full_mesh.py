@@ -85,8 +85,5 @@ class FullMeshTopology(Topology):
     def _route_port(self, router: int, dst_router: int) -> int:
         return self.mesh_port_to(router, dst_router)
 
-    def minimal_path_length(self, src_node: int, dst_node: int) -> int:
-        return 0 if self.node_router(src_node) == self.node_router(dst_node) else 1
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FullMeshTopology(p={self._p}, a={self._num_routers}, nodes={self.num_nodes})"

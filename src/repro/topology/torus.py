@@ -258,17 +258,6 @@ class TorusTopology(Topology):
                 return self.ring_port(dim, self.ring_direction(coord, dst_coord, k))
         raise AssertionError("distinct routers must differ in some dimension")
 
-    def minimal_path_length(self, src_node: int, dst_node: int) -> int:
-        r = self.node_router(src_node)
-        d = self.node_router(dst_node)
-        hops = 0
-        for k in self._dims:
-            r, coord = divmod(r, k)
-            d, dst_coord = divmod(d, k)
-            forward = (dst_coord - coord) % k
-            hops += min(forward, k - forward)
-        return hops
-
     # ----------------------------------------------------- dateline VC schedule
     def ring_vc(self, packet, router: int, port: int) -> int:
         """Dateline VC for ``packet``'s next hop: ``2 * leg + crossed``.

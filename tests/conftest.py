@@ -75,6 +75,42 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+def _independent_hops(topology: Topology, src_router: int, dst_router: int) -> int:
+    """Hops of the minimal path between two routers, from the wiring alone:
+    on the Dragonfly the local hop to the owner of the link between the two
+    groups, the link and the local hop from where it lands, each where
+    needed; elsewhere the breadth-first distance over ``neighbor``."""
+    if src_router == dst_router:
+        return 0
+    if isinstance(topology, DragonflyTopology):
+        group, dst_group = topology.router_region(src_router), topology.router_region(dst_router)
+        if group == dst_group:
+            return 1
+        gateway, port = topology.global_link_endpoint(group, dst_group)
+        landing = topology.neighbor(gateway, port)[0]
+        return 1 + (src_router != gateway) + (landing != dst_router)
+    dist = {src_router: 0}
+    frontier = [src_router]
+    while dst_router not in dist:
+        assert frontier, f"no link path joins router {src_router} to router {dst_router}"
+        reached = []
+        for router in frontier:
+            for port in range(topology.nodes_per_router, topology.router_radix):
+                nbr = topology.neighbor(router, port)
+                if nbr is not None and nbr[0] not in dist:
+                    dist[nbr[0]] = dist[router] + 1
+                    reached.append(nbr[0])
+        frontier = reached
+    return dist[dst_router]
+
+
+@pytest.fixture(scope="session")
+def independent_hops():
+    """``hops(topology, src_router, dst_router)``: an oracle for
+    ``router_hops`` that never reads the route table."""
+    return _independent_hops
+
+
 # ---------------------------------------------------------- registry fixtures
 @pytest.fixture(params=available_topologies())
 def every_topology(request) -> str:

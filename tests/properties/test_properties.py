@@ -44,7 +44,7 @@ def test_dragonfly_structure_invariants(config):
 
 @given(dragonfly_configs, st.data())
 @settings(max_examples=25, deadline=None)
-def test_minimal_paths_reach_destination_within_diameter(config, data):
+def test_minimal_paths_reach_destination_within_diameter(independent_hops, config, data):
     topo = DragonflyTopology(config)
     src = data.draw(st.integers(min_value=0, max_value=topo.num_nodes - 1))
     dst = data.draw(st.integers(min_value=0, max_value=topo.num_nodes - 1))
@@ -57,7 +57,9 @@ def test_minimal_paths_reach_destination_within_diameter(config, data):
         router = topo.neighbor(router, port)[0]
         hops += 1
         assert hops <= 3
-    assert topo.minimal_path_length(src, dst) == hops
+    src_router = topo.node_router(src)
+    assert topo.router_hops(src_router, dst_router) == hops
+    assert independent_hops(topo, src_router, dst_router) == hops
 
 
 # --------------------------------------------------------------------------- buffers

@@ -495,8 +495,8 @@ class TestRingEscapePolicy:
 
 class TestButterflyGroupPolicy:
     """The MM+L policy on the flattened butterfly: rows are the groups,
-    column links the global links, and the region gateway is always the
-    router's own column port."""
+    column links the global links, and the step towards an intermediate row
+    is always the router's own column port."""
 
     @staticmethod
     def _fb_sim(routing="Base"):
@@ -505,20 +505,21 @@ class TestButterflyGroupPolicy:
         params = SimulationParameters.tiny(FlattenedButterflyConfig.tiny())
         return Simulator(params, routing, "UN", offered_load=0.0, seed=11)
 
-    def test_region_gateway_is_the_column_port(self):
+    def test_the_gateway_step_is_the_column_port(self):
         sim = self._fb_sim()
         topo = sim.topology
-        for router in range(topo.num_routers):
-            row = topo.router_region(router)
+        routing = sim.network.routing
+        for router in sim.network.routers:
+            row = topo.router_region(router.router_id)
             for target in range(topo.num_regions):
+                packet = Packet(pid=0, src=0, dst=0, size_phits=2, creation_cycle=0)
+                decision = routing._towards_group(router, packet, target)
                 if target == row:
-                    with pytest.raises(ValueError):
-                        topo.region_gateway(router, target)
+                    assert decision == routing.minimal_decision(router, packet)
                     continue
-                port, is_global = topo.region_gateway(router, target)
-                assert is_global
-                assert topo.port_kinds[port] is PortKind.GLOBAL
-                assert topo.port_target_region(router, port) == target
+                assert decision.nonminimal_global
+                assert topo.port_kinds[decision.output_port] is PortKind.GLOBAL
+                assert topo.port_target_region(router.router_id, decision.output_port) == target
 
     def test_global_candidates_avoid_source_and_destination_rows(self):
         sim = self._fb_sim()

@@ -3,14 +3,16 @@
 On a stock ``soa`` run the core answers, in C, ``select_output`` of the pure
 mechanisms (their capture), the topology queries of every topology (the
 route and router-target tables behind ``minimal_output_port`` /
-``minimal_route_to_router``, the hop memo of ``router_hops``, the peer table
+``minimal_route_to_router``, the hop memo of ``router_hops`` and its fill,
+the stock ``minimal_router_path`` walked over those tables, the peer table
 behind ``port_target_region``, ``valiant_intermediate_router``, the region
 queries and the torus's dateline state machine ``ring_vc`` /
 ``commit_ring_hop``; the misses are Python fills: a route-table entry by the
-topology's ``_route_port`` (the Dragonfly's excepted), a hop-memo entry by
-``router_hops``, each at most once per router pair, a peer-table entry by
-``neighbor``, at most once per port, and a fat-tree router-target column by
-one breadth-first search per target), ``MetricsCollector.record_delivery`` /
+topology's ``_route_port`` (the Dragonfly's excepted), at most once per
+router pair, the hop memo's allocation by ``router_hops``, once per
+topology, a peer-table entry by ``neighbor``, at most once per port, and a
+fat-tree router-target column by one breadth-first search per target),
+``MetricsCollector.record_delivery`` /
 ``record_generated`` with the ``in_window`` test and the time-series bin
 they call,
 ``BernoulliTrafficGenerator.generate`` with the uniform, adversarial and
@@ -30,11 +32,14 @@ is still called from its next lookup on.
 
 import functools
 import inspect
+import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.network.network
 import repro.simulation.simulator
 from repro.config.parameters import SimulationParameters
@@ -237,7 +242,8 @@ def test_overrides_are_called_as_often_as_on_object(monkeypatch, routing, mode):
 
 # ------------------------------------------------------- every topology
 #: The topology queries a stock run answers in C on every topology
-#: (``router_hops`` too, but its misses are fills, counted as such below).
+#: (``router_hops`` too, but its first call allocates the memo, counted as a
+#: fill below).
 TOPOLOGY_FAST = [
     (Topology, name)
     for name in (
@@ -260,6 +266,10 @@ OTHER_TOPOLOGIES = [
     )
     for routing in routings
 ]
+#: The same on the Dragonfly, where the hop memo serves UGAL and PB.
+TOPOLOGY_CASES = OTHER_TOPOLOGIES + [("dragonfly", routing) for routing in ("UGAL", "PB", "Base")]
+#: The mechanisms that compare minimal and Valiant path lengths.
+HOP_COUNTING = ("UGAL", "PB")
 
 
 def _steady(topology, routing, backend):
@@ -270,7 +280,7 @@ def _steady(topology, routing, backend):
     return sim, sim.run_steady_state(40, 80)
 
 
-@pytest.mark.parametrize("topology,routing", OTHER_TOPOLOGIES)
+@pytest.mark.parametrize("topology,routing", TOPOLOGY_CASES)
 def test_every_topology_answers_its_queries_without_python(monkeypatch, topology, routing):
     # Probes off: an attached hub's trigger snapshot asks the topology in
     # Python, on both backends alike.
@@ -287,10 +297,11 @@ def test_every_topology_answers_its_queries_without_python(monkeypatch, topology
     # The misses the core asks by name, Python by design and each bounded by
     # what it fills: a route-table entry per ``_route_port`` frame, a
     # peer-table entry per ``_link_peer`` frame, a router-target column per
-    # ``_target_port`` frame, a hop-memo entry per ``router_hops`` frame and
-    # a router's shared candidate tuple (the group policy) per
-    # ``router_candidates`` frame.  What runs inside a fill is the fill's;
-    # every ``neighbor`` frame, inside one or not, fills a peer-table entry.
+    # ``_target_port`` frame, the hop memo's allocation (and one entry) per
+    # ``router_hops`` frame and a router's shared candidate tuple (the group
+    # policy) per ``router_candidates`` frame.  What runs inside a fill is
+    # the fill's; every ``neighbor`` frame, inside one or not, fills a
+    # peer-table entry.
     fills = {
         vars(cls)["_route_port"].__code__: "route" for cls in _subclasses(Topology)
         if "_route_port" in vars(cls)
@@ -332,11 +343,14 @@ def test_every_topology_answers_its_queries_without_python(monkeypatch, topology
     topo = sim.topology
     R = topo.num_routers
     peers = sum(peer != -1 for peer in topo._peer_table)
-    assert 0 < filled["route"] <= R * R
+    # The core transcribes the Dragonfly's ``_route_port``.
+    assert filled["route"] <= R * R and (filled["route"] > 0) == (topology != "dragonfly")
     assert filled["peer"] <= peers == filled["neighbor"]
     assert filled["target"] <= R and filled["candidates"] <= R
-    assert filled["hop"] == sum(hops != 0xFF for hops in topo._hop_table or b"")
-    assert (filled["hop"] > 0) == (routing == "UGAL")
+    # The core fills the hop memo itself: Python only allocates it.
+    assert filled["hop"] == (routing in HOP_COUNTING)
+    assert (topo._hop_table is None) == (routing not in HOP_COUNTING)
+    assert routing not in HOP_COUNTING or sum(hops != 0xFF for hops in topo._hop_table) > 1
     assert sim.engine.delivered_packets > 50
     assert result_fingerprint(result) == result_fingerprint(_steady(topology, routing, "object")[1])
 
@@ -344,11 +358,26 @@ def test_every_topology_answers_its_queries_without_python(monkeypatch, topology
 def test_no_topology_defines_a_query_the_core_answers_from_the_base_tables():
     names = (
         "port_target_region", "valiant_intermediate_router", "minimal_route_to_router",
-        "minimal_router_path",
+        "minimal_router_path", "router_hops",
     )
     classes = [TOPOLOGY_REGISTRY[name].topology_cls for name in TOPOLOGY_REGISTRY]
     assert all(name in vars(Topology) for name in names)
     assert [(cls.__name__, name) for cls in classes for name in names if name in vars(cls)] == []
+
+
+def test_nothing_defines_a_closed_form_hop_count_or_a_region_gateway():
+    """Hop counts come from ``router_hops`` and the step towards another
+    region from the router-target table, on every topology: no source file
+    defines ``minimal_path_length`` or ``region_gateway``, or keeps a
+    gateway memo."""
+    src = Path(repro.__file__).parent
+    pattern = re.compile(r"def (?:minimal_path_length|region_gateway)\b|towards_cache")
+    found = [
+        (path.name, match.group(0))
+        for path in sorted(src.rglob("*.py")) + sorted(src.rglob("*.c"))
+        for match in pattern.finditer(path.read_text())
+    ]
+    assert found == []
 
 
 #: A wrapper on each of these is called as often on ``soa`` as on ``object``
@@ -365,7 +394,7 @@ EQUAL_COUNTS = [
 PER_DECISION = [(TorusTopology, "ring_vc")]
 
 
-@pytest.mark.parametrize("topology,routing", OTHER_TOPOLOGIES)
+@pytest.mark.parametrize("topology,routing", TOPOLOGY_CASES)
 def test_topology_wrappers_are_called_as_often_as_on_object(monkeypatch, topology, routing):
     stock = result_fingerprint(_steady(topology, routing, "soa")[1])
     for owner, name in EQUAL_COUNTS + PER_DECISION:
@@ -386,8 +415,27 @@ def test_topology_wrappers_are_called_as_often_as_on_object(monkeypatch, topolog
         asked = soa.pop("minimal_output_port")
         assert 0 < asked <= obj.pop("minimal_output_port")
     assert soa == obj
-    assert ("Topology.router_hops" in soa) == (routing == "UGAL")
+    assert ("Topology.router_hops" in soa) == (routing in HOP_COUNTING)
     assert ("TorusTopology.commit_ring_hop" in soa) == (topology == "torus")
+
+
+@pytest.mark.parametrize("topology", ["dragonfly", "flattened_butterfly"])
+def test_a_wrapped_minimal_router_path_fills_the_hop_memo_on_both_backends(monkeypatch, topology):
+    """The core walks the tables for a hop-memo miss only under the stock
+    ``minimal_router_path``: a wrapper on it (``router_hops`` left stock) is
+    called once per memo entry on both backends."""
+    stock = result_fingerprint(_steady(topology, "UGAL", "soa")[1])
+    monkeypatch.setattr(
+        Topology, "minimal_router_path", _counting("path", vars(Topology)["minimal_router_path"])
+    )
+    counts = {}
+    for backend in ("object", "soa"):
+        calls.clear()
+        sim, result = _steady(topology, "UGAL", backend)
+        assert result_fingerprint(result) == stock
+        counts[backend] = calls["path"]
+        assert counts[backend] == sum(hops != 0xFF for hops in sim.topology._hop_table)
+    assert counts["soa"] == counts["object"] > 1
 
 
 # ------------------------------------------------------- wrappers mid-run

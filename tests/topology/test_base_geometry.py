@@ -63,9 +63,6 @@ class ToyRing(Topology):
     def _route_port(self, router, dst_router):
         return self._p if self._distance(router, dst_router)[1] else self._p + 1
 
-    def minimal_path_length(self, src_node, dst_node):
-        return self._distance(self.node_router(src_node), self.node_router(dst_node))[0]
-
 
 @pytest.fixture(params=[False, True], ids=["dense", "sparse"])
 def toy(request):
@@ -103,3 +100,10 @@ def test_the_node_map_and_the_regions_agree_with_a_brute_force(toy):
         ]
         assert toy.region_node_range(region) == (members[0], members[-1] + 1)
         assert members == list(range(*toy.region_node_range(region)))
+
+
+def test_router_hops_of_a_topology_of_wiring_is_its_ring_distance(toy):
+    for router in range(toy.num_routers):
+        for dst_router in range(toy.num_routers):
+            hops = toy._distance(router, dst_router)[0]
+            assert toy.router_hops(router, dst_router) == hops

@@ -73,25 +73,27 @@ class TestStructure:
                     nbr_router
                 )
 
-    def test_region_gateway_leads_into_the_target_region(self, topology):
+    def test_the_gateway_step_leads_into_the_target_region(self, topology):
+        # The step the group policy takes towards an intermediate group: the
+        # route towards the router at the same position in that group.
+        a = topology.routers_per_region
+
+        def step(router, target):
+            return topology.minimal_route_to_router(router, target * a + router % a)
+
         for router in range(topology.num_routers):
             group = topology.router_region(router)
-            with pytest.raises(ValueError, match="already inside"):
-                topology.region_gateway(router, group)
             for target in range(topology.num_regions):
                 if target == group:
                     continue
-                port, is_global = topology.region_gateway(router, target)
-                assert is_global == (topology.port_kind(port) is PortKind.GLOBAL)
-                if not is_global:
+                port = step(router, target)
+                router_here = router
+                if topology.port_kind(port) is PortKind.LOCAL:
                     # One local hop to the owner of the group's link.
-                    router_next, _ = topology.neighbor(router, port)
-                    assert topology.router_region(router_next) == group
-                    port, is_global = topology.region_gateway(router_next, target)
-                    assert is_global
-                    router_here = router_next
-                else:
-                    router_here = router
+                    router_here, _ = topology.neighbor(router, port)
+                    assert topology.router_region(router_here) == group
+                    port = step(router_here, target)
+                assert topology.port_kind(port) is PortKind.GLOBAL
                 assert (router_here, port) == topology.global_link_endpoint(group, target)
                 assert topology.port_target_region(router_here, port) == target
 
@@ -143,14 +145,13 @@ class TestAddressing:
 
 
 class TestMinimalRouting:
-    def test_minimal_path_length_at_most_diameter(self, topology):
+    def test_router_hops_at_most_diameter(self, topology, independent_hops):
         # Dragonfly diameter is 3 router-to-router hops (l-g-l).
         nodes = range(topology.num_nodes)
         for src in list(nodes)[:8]:
             for dst in list(nodes)[::5]:
-                if src == dst:
-                    continue
-                assert topology.minimal_path_length(src, dst) <= 3
+                a, b = topology.node_router(src), topology.node_router(dst)
+                assert topology.router_hops(a, b) == independent_hops(topology, a, b) <= 3
 
     def test_minimal_output_port_reaches_destination(self, topology):
         # Following minimal_output_port hop by hop must arrive at the
@@ -252,9 +253,10 @@ class TestMinimalRouting:
             DragonflyTopology(DragonflyConfig(p=250, a=4, h=2))
 
 
-def test_paper_scale_topology_constructs():
+def test_paper_scale_topology_constructs(independent_hops):
     topo = DragonflyTopology(DragonflyConfig.paper())
     assert topo.num_nodes == 16_512
     assert topo.num_routers == 2_064
     # Spot-check a minimal path across groups at full scale.
-    assert topo.minimal_path_length(0, topo.num_nodes - 1) <= 3
+    a, b = topo.node_router(0), topo.node_router(topo.num_nodes - 1)
+    assert topo.router_hops(a, b) == independent_hops(topo, a, b) <= 3

@@ -147,7 +147,7 @@ class TestMinimalRouting:
                     w1 //= k
                     w2 //= k
                     h += 1
-                assert topo.minimal_path_length(src, dst) == 2 * h
+                assert topo.router_hops(topo.node_router(src), topo.node_router(dst)) == 2 * h
                 assert _walk_hops(topo, topo.node_router(src), dst) == 2 * h
 
     def test_minimal_routing_is_destination_funneled(self, topo):

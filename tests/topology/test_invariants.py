@@ -111,7 +111,13 @@ class TestMinimalRouting:
                     assert hops <= max_hops, (router, dst)
                 assert topo.minimal_output_port(r, dst) == topo.node_port(dst)
 
-    def test_minimal_path_length_matches_walk(self, topo):
+    def test_the_minimal_walk_and_router_hops_match_an_independent_oracle(
+        self, topo, independent_hops
+    ):
+        """The hops of the ``minimal_output_port`` walk and ``router_hops``
+        of the two nodes' routers equal a count from the wiring alone (the
+        breadth-first distance; the local-global-local rule on the
+        Dragonfly)."""
         for src in range(0, topo.num_nodes, max(1, topo.nodes_per_router)):
             for dst in range(topo.num_nodes):
                 r = topo.node_router(src)
@@ -119,11 +125,12 @@ class TestMinimalRouting:
                 while r != topo.node_router(dst):
                     r = topo.neighbor(r, topo.minimal_output_port(r, dst))[0]
                     hops += 1
-                assert topo.minimal_path_length(src, dst) == hops
+                a, b = topo.node_router(src), topo.node_router(dst)
+                assert hops == topo.router_hops(a, b) == independent_hops(topo, a, b)
 
     def test_router_hops_counts_the_minimal_router_path(self, topo):
-        """``router_hops`` (arithmetic on the Dragonfly, the memoised path
-        walk by default) is the hop count of ``minimal_router_path``."""
+        """``router_hops`` (the memoised path walk) is the hop count of
+        ``minimal_router_path``."""
         for router in range(topo.num_routers):
             for dst_router in range(topo.num_routers):
                 path = topo.minimal_router_path(router, dst_router)

@@ -68,9 +68,8 @@ class TestFlattenedButterfly:
         same_col = fb.router_nodes(fb.router_id(0, 2))[0]
         diagonal = fb.router_nodes(fb.router_id(3, 2))[0]
         src = fb.router_nodes(fb.router_id(0, 0))[0]
-        assert fb.minimal_path_length(src, same_row) == 1
-        assert fb.minimal_path_length(src, same_col) == 1
-        assert fb.minimal_path_length(src, diagonal) == 2
+        for dst, hops in ((src, 0), (same_row, 1), (same_col, 1), (diagonal, 2)):
+            assert fb.router_hops(fb.node_router(src), fb.node_router(dst)) == hops
 
     def test_each_row_pair_joined_by_one_link_per_column(self, fb):
         links = set()
@@ -113,4 +112,4 @@ class TestFullMesh:
                 expected = (
                     0 if mesh.node_router(src) == mesh.node_router(dst) else 1
                 )
-                assert mesh.minimal_path_length(src, dst) == expected
+                assert mesh.router_hops(mesh.node_router(src), mesh.node_router(dst)) == expected

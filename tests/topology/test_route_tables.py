@@ -5,7 +5,7 @@
 the fat tree, whose router targets have a table of their own filled by
 breadth-first search; ``router_hops`` memoises
 ``len(minimal_router_path) - 1`` in a byte table allocated on its first call
-(the Dragonfly answers it in closed form), and the router behind each port
+on every topology, and the router behind each port
 is read from a peer table filled by ``neighbor``.  The SoA core reads the
 same tables, so an entry that disagreed with the topology's own rule would
 change every backend's routes at once.
@@ -24,11 +24,6 @@ CASES = [(name, preset) for name in available_topologies() for preset in ("tiny"
 def topology(request):
     name, preset = request.param
     return create_topology(topology_preset(name, preset))
-
-
-def _closed_form(topology):
-    """The Dragonfly answers ``router_hops`` in closed form, without a memo."""
-    return type(topology).__name__ == "DragonflyTopology"
 
 
 def _pairs(topology):
@@ -82,16 +77,13 @@ def test_router_hops_is_the_length_of_the_minimal_router_path(topology):
             assert path[0] == a and path[-1] == b
             assert topology.router_hops(a, b) == len(path) - 1
     memo = topology._hop_table
-    if _closed_form(topology):
-        assert memo is None
-    else:
-        assert type(memo) is bytearray and len(memo) == R * R and UNSET not in memo
+    assert type(memo) is bytearray and len(memo) == R * R and UNSET not in memo
 
 
 def test_the_hop_memo_is_allocated_on_first_use_only(topology):
     assert topology._hop_table is None
     topology.router_hops(0, topology.num_routers - 1)
-    assert (topology._hop_table is None) == _closed_form(topology)
+    assert topology._hop_table is not None
 
 
 def test_minimal_route_to_router_raises_on_the_diagonal(topology):
