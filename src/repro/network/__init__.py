@@ -4,7 +4,7 @@ from repro.network.allocator import AllocationRequest, RoundRobinArbiter, Separa
 from repro.network.buffer import OutputBuffer, VCBuffer
 from repro.network.network import Network
 from repro.network.node import ComputeNode
-from repro.network.packet import Packet, RoutingPhase
+from repro.network.packet import Packet
 from repro.network.ports import InputPort, InputVC, OutputPort
 from repro.network.router import Router
 
@@ -17,7 +17,6 @@ __all__ = [
     "Network",
     "ComputeNode",
     "Packet",
-    "RoutingPhase",
     "InputPort",
     "InputVC",
     "OutputPort",

@@ -4,35 +4,20 @@ The simulator works at packet granularity with phit-accurate accounting:
 a packet occupies ``size_phits`` phits of buffer space and serializes over a
 link at one phit per cycle.  Besides the usual identity fields, a packet
 carries the routing state needed by the adaptive mechanisms: hop counters
-(for virtual-channel assignment), the Valiant intermediate router (oblivious
-nonminimal routing) or the intermediate group chosen by an in-transit global
-misroute, and flags recording whether the packet has been misrouted globally
-or locally (used both by the routing restrictions and by the metrics).
+(for virtual-channel assignment), the Valiant intermediate router of a
+source-routed nonminimal path (the packet is on its Valiant leg exactly
+while it has one), and flags recording whether the packet has been
+misrouted globally or locally (used both by the routing restrictions and by
+the metrics).  An in-transit global misroute needs no target of its own:
+the group its global link enters is the intermediate group.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["Packet", "RoutingPhase"]
-
-
-class RoutingPhase(enum.Enum):
-    """Coarse routing state of a packet.
-
-    ``MINIMAL``
-        The packet proceeds minimally towards its destination (possibly with
-        local misrouting inside a group).
-    ``TO_INTERMEDIATE``
-        The packet is heading towards a nonminimal intermediate point: a
-        Valiant intermediate router (VAL/PB) or an intermediate group chosen
-        by an in-transit global misroute (OLM/Base/Hybrid/ECtN).
-    """
-
-    MINIMAL = "minimal"
-    TO_INTERMEDIATE = "to_intermediate"
+__all__ = ["Packet"]
 
 
 @dataclass(slots=True)
@@ -50,10 +35,8 @@ class Packet:
     delivered_cycle: Optional[int] = None   # tail left the ejection port
 
     # --- routing state -----------------------------------------------------
-    phase: RoutingPhase = RoutingPhase.MINIMAL
-    valiant_router: Optional[int] = None     # VAL/PB intermediate router
-    intermediate_group: Optional[int] = None  # in-transit global-misroute target
-    local_hops: int = 0
+    #: Valiant intermediate router (VAL/UGAL/PB) until the packet reaches it.
+    valiant_router: Optional[int] = None
     global_hops: int = 0
     local_hops_in_group: int = 0   # local hops taken inside the current group
     # --- dateline VC state (ring topologies; see repro.topology.torus) ------
@@ -74,9 +57,7 @@ class Packet:
     ring_dir: int = 0
     globally_misrouted: bool = False
     locally_misrouted: bool = False
-    misroute_recorded_cycle: Optional[int] = None  # first nonminimal global hop
     current_vc: int = 0
-    source_group: int = -1
 
     # --- contention-counter bookkeeping (Section III) -----------------------
     #: Output port whose contention counter this packet is currently holding
@@ -94,9 +75,6 @@ class Packet:
     #: surviving-path BFS tree to its destination (cleared never; the flag
     #: also feeds the rerouted-due-to-fault delivery counter).
     fault_mode: bool = False
-    #: Cycle at which the packet was dropped because its destination became
-    #: unreachable on the surviving graph (``None`` = not dropped).
-    dropped_cycle: Optional[int] = None
 
     # --- bookkeeping -------------------------------------------------------
     hops: int = 0
@@ -117,12 +95,11 @@ class Packet:
             self.global_hops += 1
             self.local_hops_in_group = 0
         else:
-            self.local_hops += 1
             self.local_hops_in_group += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Packet(pid={self.pid}, {self.src}->{self.dst}, size={self.size_phits}, "
-            f"phase={self.phase.value}, hops={self.hops}, "
+            f"via={self.valiant_router}, hops={self.hops}, "
             f"gm={self.globally_misrouted}, lm={self.locally_misrouted})"
         )

@@ -311,7 +311,6 @@ class Router:
             )
         if self._notify_leave:
             self.routing.on_packet_leave_input(self, port, vc, packet, cycle)
-        packet.dropped_cycle = cycle
         self._faults.dropped_packets += 1
         self.dropped.append(packet)
 

@@ -16,11 +16,9 @@ policy over regions and GLOBAL links:
 * global misrouting may be selected in the source region while the packet
   has not yet crossed a global link, with MM+L candidates (own global
   links, plus local-proxy links at injection);
-* once a nonminimal global link is chosen, the packet records its
-  intermediate region and proceeds minimally to it (the router-target route
-  towards the router at its own position in that region, whose first global
-  hop enters it), then minimally to the destination (at most one global
-  misroute per packet);
+* once a nonminimal global link is chosen, the region that link enters is
+  the intermediate region: the packet lands there on that hop and proceeds
+  minimally to the destination (at most one global misroute per packet);
 * local misrouting (one extra local hop) may be selected in the
   intermediate or destination region when the minimal output is a local
   link.
@@ -66,7 +64,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro import draws
 from repro.config.parameters import SimulationParameters
-from repro.network.packet import Packet, RoutingPhase
+from repro.network.packet import Packet
 from repro.routing.base import (
     RoutingAlgorithm,
     RoutingDecision,
@@ -86,7 +84,6 @@ __all__ = ["AdaptiveInTransitRouting"]
 
 # Module-level aliases: locals/globals resolve faster than enum attribute
 # lookups in the per-head-per-round decision path.
-_TO_INTERMEDIATE = RoutingPhase.TO_INTERMEDIATE
 _GLOBAL = PortKind.GLOBAL
 _LOCAL = PortKind.LOCAL
 _INJECTION = PortKind.INJECTION
@@ -220,18 +217,6 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
             return []
         return [c for c in self._local_candidates if c.port != minimal_port]
 
-    # ----------------------------------------------------------------- hooks
-    def on_packet_arrival(
-        self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
-    ) -> None:
-        if (
-            packet.phase is RoutingPhase.TO_INTERMEDIATE
-            and packet.intermediate_group is not None
-            and self.topology.router_region(router.router_id) == packet.intermediate_group
-        ):
-            packet.intermediate_group = None
-            packet.phase = RoutingPhase.MINIMAL
-
     # -------------------------------------------------------------- decisions
     def select_output(
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
@@ -244,9 +229,6 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
         dst_router = dst // self._nodes_per_router
         if rid == dst_router:
             return self.plain_decision(dst % self._nodes_per_router, 0)
-
-        if packet.phase is _TO_INTERMEDIATE and packet.intermediate_group is not None:
-            return self._towards_group(router, packet, packet.intermediate_group)
 
         current_group = rid // self._routers_per_group
         dst_group = dst_router // self._routers_per_group
@@ -287,7 +269,6 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
                         output_port=chosen.port,
                         vc=self.next_vc(packet, _GLOBAL),
                         nonminimal_global=True,
-                        set_intermediate_group=chosen.target_group,
                     )
                 # Local proxy hop: move to a neighbouring router of the group
                 # and misroute through one of its global links (the "+L" of
@@ -393,7 +374,6 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
                 output_port=chosen.port,
                 vc=self.next_vc(packet, PortKind.GLOBAL),
                 nonminimal_global=True,
-                set_intermediate_group=chosen.target_group,
             )
         # No usable nonminimal global link: fall back to the minimal path,
         # which from this router must be a global hop if it exists here.
@@ -401,26 +381,6 @@ class AdaptiveInTransitRouting(RoutingAlgorithm):
         return RoutingDecision(
             output_port=minimal_port, vc=self.next_vc(packet, minimal_kind)
         )
-
-    def _towards_group(
-        self, router: "Router", packet: Packet, target_group: int
-    ) -> RoutingDecision:
-        """Minimal step towards ``target_group`` (used while heading to the
-        intermediate group of a global misroute)."""
-        rid = router.router_id
-        rpg = self._routers_per_group
-        if rid // rpg == target_group:
-            # Arrival hook normally clears this state; fall back to minimal.
-            return self.minimal_decision(router, packet)
-        topo = self.topology
-        out_port = topo.minimal_route_to_router(rid, target_group * rpg + rid % rpg)
-        if topo.port_kinds[out_port] is _GLOBAL:
-            return RoutingDecision(
-                output_port=out_port,
-                vc=self.next_vc(packet, PortKind.GLOBAL),
-                nonminimal_global=True,
-            )
-        return self.plain_decision(out_port, self.next_vc(packet, PortKind.LOCAL))
 
     # ------------------------------------------------------------- triggers
     def choose_global_misroute(

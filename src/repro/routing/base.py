@@ -11,8 +11,8 @@ model consults and notifies:
   at its source router (source-routing decisions: Valiant intermediate,
   PiggyBacking's MIN/VAL choice).
 * :meth:`RoutingAlgorithm.on_packet_arrival` — called when a packet is stored
-  into an input buffer (phase transitions such as "reached the intermediate
-  group", ECtN partial-counter bookkeeping).
+  into an input buffer (leg changes such as "reached the Valiant
+  intermediate router", ECtN partial-counter bookkeeping).
 * :meth:`RoutingAlgorithm.on_packet_head` / :meth:`on_packet_leave_input` —
   called when a packet reaches the head of an input VC and when it leaves the
   input buffer; the contention-counter mechanisms maintain their counters in
@@ -34,7 +34,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from repro.config.parameters import SimulationParameters
-from repro.network.packet import Packet, RoutingPhase
+from repro.network.packet import Packet
 from repro.routing.deadlock import BUFFER_CLASS_ORDER, path_stage_vc, validate_path_model
 from repro.topology.base import PortKind, Topology
 
@@ -88,9 +88,6 @@ class RoutingDecision(NamedTuple):
     nonminimal_global: bool = False
     #: This hop is a nonminimal *local* detour inside a group.
     nonminimal_local: bool = False
-    #: Intermediate group chosen by an in-transit global misroute (recorded on
-    #: the packet when the grant is committed).
-    set_intermediate_group: Optional[int] = None
     #: This hop is the local "proxy" step of an MM+L global misroute; the
     #: packet must take a global hop at the next router.
     set_must_misroute_global: bool = False
@@ -206,7 +203,6 @@ class RoutingAlgorithm(ABC):
 
     def on_inject(self, router: "Router", packet: Packet, cycle: int) -> None:
         """Source-routing hook, called right before injection-buffer insertion."""
-        packet.source_group = self.topology.router_region(router.router_id)
 
     def on_packet_arrival(
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
@@ -264,17 +260,12 @@ class RoutingAlgorithm(ABC):
         cycle: int,
     ) -> None:
         """Commit the routing decision once allocation succeeded."""
-        if decision.set_intermediate_group is not None:
-            packet.intermediate_group = decision.set_intermediate_group
-            packet.phase = RoutingPhase.TO_INTERMEDIATE
         if decision.set_must_misroute_global:
             packet.must_misroute_global = True
         elif self.topology.port_kinds[decision.output_port] is PortKind.GLOBAL:
             packet.must_misroute_global = False
-        if decision.nonminimal_global and not packet.globally_misrouted:
+        if decision.nonminimal_global:
             packet.globally_misrouted = True
-            if packet.misroute_recorded_cycle is None:
-                packet.misroute_recorded_cycle = cycle
         if decision.nonminimal_local:
             packet.locally_misrouted = True
         if decision.set_fault_mode:
@@ -346,18 +337,12 @@ class RoutingAlgorithm(ABC):
         # eagerly — the dateline leg bump below must be visible to the VC
         # computation of this very decision.
         target = dst_router
-        if packet.phase is RoutingPhase.TO_INTERMEDIATE:
-            intermediate = packet.valiant_router
-            if (
-                intermediate is not None
-                and intermediate != rid
-                and faults.reachable(rid, intermediate)
-            ):
+        intermediate = packet.valiant_router
+        if intermediate is not None:
+            if intermediate != rid and faults.reachable(rid, intermediate):
                 target = intermediate
             else:
                 packet.valiant_router = None
-                packet.intermediate_group = None
-                packet.phase = RoutingPhase.MINIMAL
                 if self._dateline is not None and packet.vc_leg == 0:
                     packet.vc_leg = 1
                     packet.ring_dim = -1
@@ -406,10 +391,7 @@ class RoutingAlgorithm(ABC):
         topo = self.topology
         rid = router.router_id
         dst_router = topo.node_router(packet.dst)
-        if packet.phase is RoutingPhase.TO_INTERMEDIATE:
-            packet.valiant_router = None
-            packet.intermediate_group = None
-            packet.phase = RoutingPhase.MINIMAL
+        packet.valiant_router = None
         if not faults.reachable(rid, dst_router):
             return None
         port = faults.escape_port(rid, dst_router)
@@ -458,8 +440,6 @@ class RoutingAlgorithm(ABC):
             # The class budget cannot carry the packet through the Valiant
             # intermediate; abandon it and aim straight for the destination.
             packet.valiant_router = None
-            packet.intermediate_group = None
-            packet.phase = RoutingPhase.MINIMAL
             target = dst_router
             step = self._ladder_step(target, rid, rank)
         if step is not None:
@@ -612,8 +592,6 @@ class RoutingAlgorithm(ABC):
             # the violating traversal in a fresh class prefix; recompute the
             # step against the final destination.
             packet.valiant_router = None
-            packet.intermediate_group = None
-            packet.phase = RoutingPhase.MINIMAL
             packet.vc_leg = 1
             packet.ring_dim = -1
             packet.ring_crossed = False

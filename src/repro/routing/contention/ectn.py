@@ -115,7 +115,6 @@ class ECtNRouting(BaseContentionRouting):
     def on_packet_arrival(
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
     ) -> None:
-        super().on_packet_arrival(router, port, vc, packet, cycle)
         if self.topology.port_kinds[port] is PortKind.GLOBAL:
             self._maybe_count_partial(router, packet)
 

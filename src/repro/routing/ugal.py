@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.network.packet import Packet, RoutingPhase
-from repro.routing.base import RoutingAlgorithm
+from repro.network.packet import Packet
 from repro.routing.valiant import ValiantRouting
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,12 +55,9 @@ class UGALRouting(ValiantRouting):
 
     # -------------------------------------------------------------- injection
     def on_inject(self, router: "Router", packet: Packet, cycle: int) -> None:
-        RoutingAlgorithm.on_inject(self, router, packet, cycle)
         topo = self.topology
         src_region = topo.router_region(router.router_id)
         dst_region = topo.node_region(packet.dst)
-        packet.phase = RoutingPhase.MINIMAL
-        packet.valiant_router = None
         if dst_region == src_region:
             return
 
@@ -70,7 +66,6 @@ class UGALRouting(ValiantRouting):
         intermediate = self.random_intermediate_router(router.router_id)
         if self.prefers_valiant(router, packet, intermediate, cycle):
             packet.valiant_router = intermediate
-            packet.phase = RoutingPhase.TO_INTERMEDIATE
 
     def prefers_valiant(
         self, router: "Router", packet: Packet, intermediate: int, cycle: int

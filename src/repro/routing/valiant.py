@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.network.packet import Packet, RoutingPhase
+from repro.network.packet import Packet
 from repro.routing.base import RoutingAlgorithm, RoutingDecision
 from repro.topology.base import PortKind
 
@@ -70,19 +70,13 @@ class ValiantRouting(RoutingAlgorithm):
         return self.topology.valiant_intermediate_router(source_router, self.rng)
 
     def on_inject(self, router: "Router", packet: Packet, cycle: int) -> None:
-        super().on_inject(router, packet, cycle)
         packet.valiant_router = self.random_intermediate_router(router.router_id)
-        packet.phase = RoutingPhase.TO_INTERMEDIATE
 
     def on_packet_arrival(
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
     ) -> None:
-        if (
-            packet.phase is RoutingPhase.TO_INTERMEDIATE
-            and packet.valiant_router == router.router_id
-        ):
+        if packet.valiant_router == router.router_id:
             packet.valiant_router = None
-            packet.phase = RoutingPhase.MINIMAL
             # Dateline schedule: the second leg uses the disjoint higher
             # class block, and its first ring traversal starts fresh (the
             # first leg's dateline state must not leak into it).
@@ -95,37 +89,34 @@ class ValiantRouting(RoutingAlgorithm):
         self, router: "Router", port: int, vc: int, packet: Packet, cycle: int
     ) -> Optional[RoutingDecision]:
         topo = self.topology
-        phase = packet.phase
+        via = packet.valiant_router
         dst = packet.dst
-        if (
-            phase is RoutingPhase.MINIMAL
-            and router.router_id == self._node_rid[dst]
-        ):
-            return self.plain_decision(dst % self._nodes_per_router, 0)
-        if phase is RoutingPhase.TO_INTERMEDIATE and packet.valiant_router is not None:
-            out_port = topo.minimal_route_to_router(router.router_id, packet.valiant_router)
-            kind = topo.port_kinds[out_port]
-            if kind is PortKind.GLOBAL:
-                # A global hop towards a region that is not the destination's
-                # is the nonminimal detour the metrics count.
-                nonminimal_global = (
-                    topo.port_target_region(router.router_id, out_port)
-                    != dst // self._nodes_per_region
-                )
-                return RoutingDecision(
-                    output_port=out_port,
-                    vc=self.next_vc(packet, kind),
-                    nonminimal_global=nonminimal_global,
-                )
-            # Without global ports the detour to the intermediate router is a
-            # local misroute whenever it leaves the minimal path.
-            nonminimal_local = (
-                not self._has_global_ports
-                and out_port != topo.minimal_output_port(router.router_id, dst)
+        if via is None:
+            if router.router_id == self._node_rid[dst]:
+                return self.plain_decision(dst % self._nodes_per_router, 0)
+            return self.minimal_decision(router, packet)
+        out_port = topo.minimal_route_to_router(router.router_id, via)
+        kind = topo.port_kinds[out_port]
+        if kind is PortKind.GLOBAL:
+            # A global hop towards a region that is not the destination's
+            # is the nonminimal detour the metrics count.
+            nonminimal_global = (
+                topo.port_target_region(router.router_id, out_port)
+                != dst // self._nodes_per_region
             )
             return RoutingDecision(
                 output_port=out_port,
-                vc=self.hop_vc(packet, router.router_id, out_port, kind),
-                nonminimal_local=nonminimal_local,
+                vc=self.next_vc(packet, kind),
+                nonminimal_global=nonminimal_global,
             )
-        return self.minimal_decision(router, packet)
+        # Without global ports the detour to the intermediate router is a
+        # local misroute whenever it leaves the minimal path.
+        nonminimal_local = (
+            not self._has_global_ports
+            and out_port != topo.minimal_output_port(router.router_id, dst)
+        )
+        return RoutingDecision(
+            output_port=out_port,
+            vc=self.hop_vc(packet, router.router_id, out_port, kind),
+            nonminimal_local=nonminimal_local,
+        )

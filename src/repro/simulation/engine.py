@@ -531,7 +531,7 @@ class Engine:
         if oldest is not None:
             lines.append(
                 f"  oldest buffered packet: pid={oldest.pid} "
-                f"{oldest.src}->{oldest.dst} phase={oldest.phase.value} "
+                f"{oldest.src}->{oldest.dst} via={oldest.valiant_router} "
                 f"hops={oldest.hops} fault_mode={oldest.fault_mode} "
                 f"age={cycle - oldest.creation_cycle} cycles "
                 f"at router {oldest_router}"

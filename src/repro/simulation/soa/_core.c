@@ -63,7 +63,7 @@ enum row_kind { ROW_LIVE = -1, ROW_FIXED, ROW_FORCED, ROW_GLOBAL, ROW_LOCAL };
 static const char *const row_kinds[] = {"FIXED", "FORCED", "GLOBAL", "LOCAL"};
 
 /* The decision a gate's pick makes: a local misroute, a global misroute
- * (towards the candidate's group) or the local step to a proxy that must
+ * (into the candidate's group) or the local step to a proxy that must
  * misroute globally next. */
 enum pick_kind { PICK_LOCAL, PICK_GLOBAL, PICK_PROXY };
 
@@ -91,7 +91,7 @@ enum pick_kind { PICK_LOCAL, PICK_GLOBAL, PICK_PROXY };
     X(record_hop) X(is_global) X(vc) X(record_delivery) X(record_dropped) X(metrics) \
     X(obs) X(faults) X(active) X(unsorted) X(counts) \
     X(_live_request) X(on_head) X(on_leave) X(decrement) X(plain_decision) \
-    X(global_candidates) X(local_candidates) X(router_candidates) X(_towards_group) X(ring_vc) \
+    X(global_candidates) X(local_candidates) X(router_candidates) X(ring_vc) \
     X(output_port) \
     X(_maybe_count_partial) X(_obs) X(_dateline) X(_commit_fault_hop) X(commit_ring_hop) \
     X(record_grant) X(minimal_output_port) X(minimal_route_to_router) X(router_hops) X(_route_port) \
@@ -125,12 +125,11 @@ static PyObject *zero, *one;   /* the ints 0 and 1 */
 
 /* The `Packet` fields the chain reads and writes. */
 #define PACKET_FIELDS(X) \
-    X(pid) X(src) X(creation_cycle) X(fault_mode) X(dst) X(size_phits) X(phase) \
-    X(intermediate_group) X(valiant_router) X(hops) \
-    X(local_hops) X(global_hops) X(local_hops_in_group) X(vc_leg) X(ring_dim) \
+    X(pid) X(src) X(creation_cycle) X(fault_mode) X(dst) X(size_phits) X(valiant_router) \
+    X(hops) X(global_hops) X(local_hops_in_group) X(vc_leg) X(ring_dim) \
     X(ring_crossed) X(ring_dir) X(globally_misrouted) X(locally_misrouted) \
-    X(misroute_recorded_cycle) X(current_vc) X(delivered_cycle) X(contention_port) \
-    X(ectn_offset) X(must_misroute_global) X(injection_cycle) X(source_group)
+    X(current_vc) X(delivered_cycle) X(contention_port) \
+    X(ectn_offset) X(must_misroute_global) X(injection_cycle)
 
 #define FIELD_ENUM(n) F_##n,
 enum { PACKET_FIELDS(FIELD_ENUM) N_FIELDS };
@@ -146,7 +145,7 @@ static PyObject *name_of[N_NAMES];
 /* `RoutingDecision`'s fields, in order. */
 #define DECISION_FIELDS(X) \
     X(output_port) X(vc) X(nonminimal_global) X(nonminimal_local) \
-    X(set_intermediate_group) X(set_must_misroute_global) X(set_fault_mode)
+    X(set_must_misroute_global) X(set_fault_mode)
 #define DECISION_ENUM(n) D_##n,
 #define DECISION_NAME(n) #n,
 enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
@@ -159,8 +158,7 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(RoutingAlgorithm, on_grant) X(RoutingAlgorithm, on_inject) X(Packet, record_hop) \
     X(ValiantRouting, on_inject) X(UGALRouting, on_inject) X(UGALRouting, prefers_valiant) \
     X(UGALRouting, _ugal_prefers_valiant) X(PiggybackRouting, prefers_valiant) \
-    X(AdaptiveInTransitRouting, on_packet_arrival) X(ValiantRouting, on_packet_arrival) \
-    X(AdaptiveInTransitRouting, global_candidates) \
+    X(ValiantRouting, on_packet_arrival) X(AdaptiveInTransitRouting, global_candidates) \
     X(AdaptiveInTransitRouting, local_candidates) \
     X(BaseContentionRouting, on_packet_head) X(BaseContentionRouting, on_packet_leave_input) \
     X(ECtNRouting, on_packet_head) X(ECtNRouting, on_packet_arrival) \
@@ -189,9 +187,8 @@ enum { DECISION_FIELDS(DECISION_ENUM) N_DECISION };
     X(Topology, num_nodes) X(Topology, num_routers) X(Topology, num_regions) \
     X(Topology, routers_per_region) X(Topology, nodes_per_router) X(Packet, __init__)
 #define STOCK_OBJECTS(X) \
-    X(Packet) X(RoutingDecision) X(RoutingAlgorithm) X(ValiantRouting) X(ECtNRouting) \
-    X(DragonflyTopology) X(TO_INTERMEDIATE) X(MINIMAL) X(GLOBAL) X(draws) X(packet_defaults) \
-    X(NO_EVENT)
+    X(Packet) X(RoutingDecision) X(ECtNRouting) X(DragonflyTopology) X(GLOBAL) X(draws) \
+    X(packet_defaults) X(NO_EVENT)
 
 /* What the stock hook bodies, the triggers and the captures read off the
  * routing, bound once: the topology, and where the mechanism has them, the
@@ -2374,50 +2371,25 @@ draw_between(Core *c, PyObject *rng, PyObject *low, PyObject *high)
     return drawn;
 }
 
-/* `AdaptiveInTransitRouting.on_packet_arrival`: a packet that reached its
- * intermediate group continues minimally. */
-static int
-group_reached(Core *c, long rid, PyObject *packet)
-{
-    PyObject *target;
-    long region, wanted;
-    int on = pis(c, packet, F_phase, L(c, TO_INTERMEDIATE));
-    if (on <= 0)
-        return on;
-    if ((target = pget(c, packet, F_intermediate_group)) == NULL)
-        return -1;
-    on = target == Py_None ? 0
-         : ask(c, Q_ROUTER_REGION, rid, &region) < 0 || as_long(target, &wanted) < 0 ? -1
-         : region == wanted;
-    Py_DECREF(target);
-    if (on <= 0)
-        return on;
-    if (pset(c, packet, F_intermediate_group, Py_None) < 0
-        || pset(c, packet, F_phase, L(c, MINIMAL)) < 0)
-        return -1;
-    return 0;
-}
-
 /* `ValiantRouting.on_packet_arrival`: at its intermediate router a packet
  * starts its second leg. */
 static int
 valiant_reached(Core *c, long rid, PyObject *packet)
 {
-    PyObject *via, *rid_o, *minus_one;
-    int on = pis(c, packet, F_phase, L(c, TO_INTERMEDIATE));
-    if (on <= 0)
-        return on;
+    PyObject *via, *rid_o = NULL, *minus_one;
+    int on;
     if ((via = pget(c, packet, F_valiant_router)) == NULL)
         return -1;
-    on = (rid_o = PyLong_FromLong(rid)) == NULL ? -1 : PyObject_RichCompareBool(via, rid_o, Py_EQ);
+    on = via == Py_None ? 0
+         : (rid_o = PyLong_FromLong(rid)) == NULL ? -1
+         : PyObject_RichCompareBool(via, rid_o, Py_EQ);
     Py_XDECREF(rid_o);
     Py_DECREF(via);
     if (on <= 0)
         return on;
     if ((minus_one = PyLong_FromLong(-1)) == NULL)
         return -1;
-    on = pset(c, packet, F_valiant_router, Py_None) < 0
-         || pset(c, packet, F_phase, L(c, MINIMAL)) < 0 || pset(c, packet, F_vc_leg, one) < 0
+    on = pset(c, packet, F_valiant_router, Py_None) < 0 || pset(c, packet, F_vc_leg, one) < 0
          || pset(c, packet, F_ring_dim, minus_one) < 0
          || pset(c, packet, F_ring_crossed, Py_False) < 0 || pset(c, packet, F_ring_dir, zero) < 0;
     Py_DECREF(minus_one);
@@ -2618,21 +2590,17 @@ static int
 arrival_hook(Core *c, long rid, long port, long vc, PyObject *packet, PyObject *cycle_o)
 {
     PyObject *routing = c->o[S_routing], *fn, *port_o, *vc_o;
-    int on = 0;
+    int on;
     if (stock_hook(c, routing, N_on_packet_arrival, &fn) < 0)
         return -1;
-    if (fn == STOCK(c, AdaptiveInTransitRouting, on_packet_arrival))
-        return group_reached(c, rid, packet);
     if (fn == STOCK(c, ValiantRouting, on_packet_arrival))
         return valiant_reached(c, rid, packet);
-    if (fn == STOCK(c, ECtNRouting, on_packet_arrival) && tracked(c, 1)
-        && (on = super_is(routing, L(c, ECtNRouting), N_on_packet_arrival,
-                          STOCK(c, AdaptiveInTransitRouting, on_packet_arrival))) > 0) {
-        if (group_reached(c, rid, packet) < 0 || (on = port_is(c, S_kind_is_global, port)) < 0)
+    if (fn == STOCK(c, ECtNRouting, on_packet_arrival) && tracked(c, 1)) {
+        if ((on = port_is(c, S_kind_is_global, port)) < 0)
             return -1;
         return on ? count_partial(c, rid, packet) : 0;
     }
-    if (on < 0 || (port_o = PyLong_FromLong(port)) == NULL)
+    if ((port_o = PyLong_FromLong(port)) == NULL)
         return -1;
     if ((vc_o = PyLong_FromLong(vc)) != NULL) {
         PyObject *args[6] = {routing, NULL, port_o, vc_o, packet, cycle_o};
@@ -2699,14 +2667,10 @@ static int
 commit_decision(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *packet,
                 PyObject *decision, PyObject *cycle_o)
 {
-    PyObject *routing = c->o[S_routing], *field_o, *sub;
+    PyObject *routing = c->o[S_routing], *sub;
     long out_port;
     int on;
 #define FIELD(n) PyTuple_GET_ITEM(decision, D_##n)
-    if ((field_o = FIELD(set_intermediate_group)) != Py_None
-        && (pset(c, packet, F_intermediate_group, field_o) < 0
-            || pset(c, packet, F_phase, L(c, TO_INTERMEDIATE)) < 0))
-        return -1;
     if ((on = truth(FIELD(set_must_misroute_global))) < 0)
         return -1;
     if (on) {
@@ -2717,18 +2681,9 @@ commit_decision(Core *c, long rid, PyObject *port_o, PyObject *vc_o, PyObject *p
              || (on = port_is(c, S_kind_is_global, out_port)) < 0
              || (on && pset(c, packet, F_must_misroute_global, Py_False) < 0))
         return -1;
-    if ((on = truth(FIELD(nonminimal_global))) < 0)
-        return -1;
-    if (on) {
-        if ((on = ptruth(c, packet, F_globally_misrouted)) < 0)
-            return -1;
-        if (!on
-            && (pset(c, packet, F_globally_misrouted, Py_True) < 0
-                || (on = pis(c, packet, F_misroute_recorded_cycle, Py_None)) < 0
-                || (on && pset(c, packet, F_misroute_recorded_cycle, cycle_o) < 0)))
-            return -1;
-    }
-    if ((on = truth(FIELD(nonminimal_local))) < 0
+    if ((on = truth(FIELD(nonminimal_global))) < 0
+        || (on && pset(c, packet, F_globally_misrouted, Py_True) < 0)
+        || (on = truth(FIELD(nonminimal_local))) < 0
         || (on && pset(c, packet, F_locally_misrouted, Py_True) < 0)
         || (on = truth(FIELD(set_fault_mode))) < 0)
         return -1;
@@ -2793,8 +2748,7 @@ record_hop(Core *c, PyObject *packet, PyObject *is_global)
     if (on)
         return pincr(c, packet, F_global_hops) < 0
                || pset(c, packet, F_local_hops_in_group, zero) < 0 ? -1 : 0;
-    return pincr(c, packet, F_local_hops) < 0 || pincr(c, packet, F_local_hops_in_group) < 0
-           ? -1 : 0;
+    return pincr(c, packet, F_local_hops_in_group);
 }
 /* `SoAEngine._activate`; `active` is `st.active` when the caller has it. */
 static int
@@ -3233,7 +3187,7 @@ error:
  * with the fields in order, as the class's `__new__` makes it. */
 static PyObject *
 new_decision(Core *c, PyObject *port, PyObject *vc, int nonminimal_global,
-             int nonminimal_local, PyObject *intermediate, int must_misroute_global)
+             int nonminimal_local, int must_misroute_global)
 {
     PyTypeObject *type = (PyTypeObject *)L(c, RoutingDecision);
     PyObject *decision = type->tp_alloc(type, N_DECISION);
@@ -3244,7 +3198,6 @@ new_decision(Core *c, PyObject *port, PyObject *vc, int nonminimal_global,
     PyTuple_SET_ITEM(decision, D_nonminimal_global,
                      Py_NewRef(nonminimal_global ? Py_True : Py_False));
     PyTuple_SET_ITEM(decision, D_nonminimal_local, Py_NewRef(nonminimal_local ? Py_True : Py_False));
-    PyTuple_SET_ITEM(decision, D_set_intermediate_group, Py_NewRef(intermediate));
     PyTuple_SET_ITEM(decision, D_set_must_misroute_global,
                      Py_NewRef(must_misroute_global ? Py_True : Py_False));
     PyTuple_SET_ITEM(decision, D_set_fault_mode, Py_NewRef(Py_False));
@@ -3566,10 +3519,8 @@ pick_decision(Core *c, const request *req)
     PyObject *decision;
     if (vc_o == NULL)
         return NULL;
-    decision = req->pick == PICK_LOCAL ? new_decision(c, port_o, vc_o, 0, 1, Py_None, 0)
-               : req->pick == PICK_GLOBAL
-                   ? new_decision(c, port_o, vc_o, 1, 0, PyTuple_GET_ITEM(req->chosen, 2), 0)
-                   : new_decision(c, port_o, vc_o, 0, 0, Py_None, 1);
+    decision = new_decision(c, port_o, vc_o, req->pick == PICK_GLOBAL, req->pick == PICK_LOCAL,
+                            req->pick == PICK_PROXY);
     Py_DECREF(vc_o);
     return decision;
 }
@@ -3579,20 +3530,6 @@ pick_decision(Core *c, const request *req)
  * `on_inject` of `RoutingAlgorithm`, `ValiantRouting` or `UGALRouting` (and
  * UGAL's / PB's source-adaptive trigger) answered here, under the rule of
  * the hooks.  `random_intermediate_router` draws: always by name. */
-
-/* `RoutingAlgorithm.on_inject`: the packet records its source region. */
-static int
-source_region(Core *c, long rid, PyObject *packet)
-{
-    PyObject *region_o;
-    long region;
-    int failed;
-    if (ask(c, Q_ROUTER_REGION, rid, &region) < 0 || (region_o = PyLong_FromLong(region)) == NULL)
-        return -1;
-    failed = pset(c, packet, F_source_group, region_o);
-    Py_DECREF(region_o);
-    return failed;
-}
 
 /* `topology.valiant_intermediate_router(rid, rng)`, stock on the routing's
  * own topology: one draw over the Valiant window, skipping the source region
@@ -3728,7 +3665,7 @@ prefers_valiant(Core *c, long rid, PyObject *packet, PyObject *intermediate, PyO
     }
 }
 
-/* The rest of `ValiantRouting.on_inject`: the intermediate router. */
+/* `ValiantRouting.on_inject`: the intermediate router. */
 static int
 valiant_inject(Core *c, long rid, PyObject *packet)
 {
@@ -3736,10 +3673,9 @@ valiant_inject(Core *c, long rid, PyObject *packet)
     int failed;
     if (via == NULL)
         return -1;
-    failed = pset(c, packet, F_valiant_router, via) < 0
-             || pset(c, packet, F_phase, L(c, TO_INTERMEDIATE)) < 0;
+    failed = pset(c, packet, F_valiant_router, via);
     Py_DECREF(via);
-    return failed ? -1 : 0;
+    return failed;
 }
 
 /* `UGALRouting.on_inject`: minimal, unless the trigger prefers the Valiant
@@ -3750,37 +3686,18 @@ ugal_inject(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
     PyObject *via;
     long src_region, dst, dst_region;
     int on;
-    if (source_region(c, rid, packet) < 0 || ask(c, Q_ROUTER_REGION, rid, &src_region) < 0
-        || pget_long(c, packet, F_dst, &dst) < 0 || ask(c, Q_NODE_REGION, dst, &dst_region) < 0
-        || pset(c, packet, F_phase, L(c, MINIMAL)) < 0
-        || pset(c, packet, F_valiant_router, Py_None) < 0)
+    if (ask(c, Q_ROUTER_REGION, rid, &src_region) < 0 || pget_long(c, packet, F_dst, &dst) < 0
+        || ask(c, Q_NODE_REGION, dst, &dst_region) < 0)
         return -1;
     if (dst_region == src_region)
         return 0;
     if ((via = intermediate_router(c, rid)) == NULL)
         return -1;
     if ((on = prefers_valiant(c, rid, packet, via, cycle_o)) > 0
-        && (pset(c, packet, F_valiant_router, via) < 0
-            || pset(c, packet, F_phase, L(c, TO_INTERMEDIATE)) < 0))
+        && pset(c, packet, F_valiant_router, via) < 0)
         on = -1;
     Py_DECREF(via);
     return on < 0 ? -1 : 0;
-}
-
-/* Whether `owner.<name n>` of the class `owner` is the stock function
- * `function` (UGAL calls `RoutingAlgorithm.on_inject` through the class):
- * what the class's MRO holds, while its metaclass keeps the generic
- * `type.__getattribute__` and defines nothing of the name.  1 / 0, -1 on
- * error. */
-static int
-class_attr_is(Core *c, PyObject *owner, int n, PyObject *function)
-{
-    memo scratch, *e = type_part(c, (PyTypeObject *)owner, n, &scratch);
-    if (e == NULL)
-        return -1;
-    if (e->found != function || Py_TYPE(owner)->tp_getattro != PyType_Type.tp_getattro)
-        return 0;
-    return mro_resolves(Py_TYPE(owner), name_of[n], NULL, NULL);
 }
 
 /* `routing.on_inject(view, packet, cycle)`. */
@@ -3788,21 +3705,14 @@ static int
 inject_hook(Core *c, long rid, PyObject *packet, PyObject *cycle_o)
 {
     PyObject *routing = c->o[S_routing], *fn;
-    int on = 0;
     if (stock_hook(c, routing, N_on_inject, &fn) < 0)
         return -1;
     if (fn == STOCK(c, RoutingAlgorithm, on_inject))
-        return source_region(c, rid, packet);
-    if (fn == STOCK(c, ValiantRouting, on_inject)
-        && (on = super_is(routing, L(c, ValiantRouting), N_on_inject,
-                          STOCK(c, RoutingAlgorithm, on_inject))) > 0)
-        return source_region(c, rid, packet) < 0 ? -1 : valiant_inject(c, rid, packet);
-    if (on == 0 && fn == STOCK(c, UGALRouting, on_inject)
-        && (on = class_attr_is(c, L(c, RoutingAlgorithm), N_on_inject,
-                               STOCK(c, RoutingAlgorithm, on_inject))) > 0)
+        return 0;
+    if (fn == STOCK(c, ValiantRouting, on_inject))
+        return valiant_inject(c, rid, packet);
+    if (fn == STOCK(c, UGALRouting, on_inject))
         return ugal_inject(c, rid, packet, cycle_o);
-    if (on < 0)
-        return -1;
     {
         PyObject *args[4] = {routing, NULL, packet, cycle_o};
         return invoke_on_view(c, N_on_inject, rid, args, 4);
@@ -4062,7 +3972,7 @@ capture_ectn(Core *c, long rid, long check_port, PyObject *head, row *r)
 static int
 capture_group(Core *c, long rid, long k, PyObject *head, row *r)
 {
-    PyObject *decision = NULL, *minimal;
+    PyObject *minimal;
     long dst, dst_router, current_group, dst_group, port, hops, min_vc = 0;
     int on, global, injection;
     if (pget_long(c, head, F_dst, &dst) < 0)
@@ -4070,24 +3980,6 @@ capture_group(Core *c, long rid, long k, PyObject *head, row *r)
     dst_router = pydiv(dst, c->npr);
     if (rid == dst_router)
         return FIX(c, r, head, plain_decision(c, pymod(dst, c->npr), 0)) < 0 ? -1 : 0;
-    if ((on = pis(c, head, F_phase, L(c, TO_INTERMEDIATE))) < 0)
-        return -1;
-    if (on) {
-        PyObject *target = pget(c, head, F_intermediate_group);
-        if (target == NULL)
-            return -1;
-        /* On the way to a misroute's intermediate group: the method, by
-         * name.  No fault-free run gets here -- the misroute lands in that
-         * group, whose arrival hook clears the target. */
-        if (target != Py_None) {
-            PyObject *view = item(L(c, views), rid);
-            PyObject *args[4] = {c->o[S_routing], view, head, target};
-            decision = view == NULL ? NULL : call_method(c, N__towards_group, args, 4, NULL);
-        }
-        Py_DECREF(target);
-        if (decision != NULL || PyErr_Occurred())
-            return FIX(c, r, head, decision) < 0 ? -1 : 0;
-    }
     current_group = pydiv(rid, c->rpg);
     dst_group = pydiv(dst_router, c->rpg);
     if ((minimal = minimal_port(c, head, rid, dst)) == NULL)
@@ -4289,8 +4181,6 @@ pure_valiant(Core *c, long rid, PyObject *rid_o, PyObject *head, long dst)
     PyObject *via, *port_o, *vc_o = NULL, *decision = NULL;
     long target, port, vc = 0, region;
     int on, global, injection, nonminimal = 0;
-    if ((on = pis(c, head, F_phase, L(c, TO_INTERMEDIATE))) <= 0)
-        return on < 0 ? NULL : pure_minimal(c, rid, head, dst);
     if ((via = pget(c, head, F_valiant_router)) == NULL)
         return NULL;
     if (via == Py_None) {
@@ -4339,15 +4229,15 @@ pure_valiant(Core *c, long rid, PyObject *rid_o, PyObject *head, long dst)
     if (!nonminimal)
         decision = plain_decision(c, port, vc);
     else if ((vc_o = PyLong_FromLong(vc)) != NULL)
-        decision = new_decision(c, port_o, vc_o, global, !global, Py_None, 0);
+        decision = new_decision(c, port_o, vc_o, global, !global, 0);
 done:
     Py_XDECREF(vc_o);
     Py_DECREF(port_o);
     return decision;
 }
 
-/* The stock body: ejection at the destination's router (for VAL only in the
- * minimal phase), else `pure_valiant` / `minimal_decision`. */
+/* The stock body: ejection at the destination's router (for VAL only without
+ * a Valiant router), else `pure_valiant` / `minimal_decision`. */
 static PyObject *
 pure_decision(Core *c, long rid, PyObject *rid_o, PyObject *head, int valiant)
 {
@@ -4355,7 +4245,7 @@ pure_decision(Core *c, long rid, PyObject *rid_o, PyObject *head, int valiant)
     long dst, home;
     int ejecting = 1;
     if (pget_long(c, head, F_dst, &dst) < 0
-        || (valiant && (ejecting = pis(c, head, F_phase, L(c, MINIMAL))) < 0))
+        || (valiant && (ejecting = pis(c, head, F_valiant_router, Py_None)) < 0))
         return NULL;
     if (ejecting) {
         if ((home_o = at(L(c, node_rid), dst)) == NULL || as_long(home_o, &home) < 0)
@@ -5599,18 +5489,17 @@ bind_stock(Core *c, PyObject *stock)
         c->o[stock_entries[i].slot] = Py_NewRef(value);
     }
     if (!PyType_Check(L(c, Packet)) || !PyType_Check(L(c, ECtNRouting))
-        || !PyType_Check(L(c, RoutingAlgorithm)) || !PyType_Check(L(c, ValiantRouting))
         || !PyType_Check(L(c, DragonflyTopology)) || !PyType_Check(L(c, RoutingDecision))
         || !PyType_IsSubtype((PyTypeObject *)L(c, RoutingDecision), &PyTuple_Type)) {
-        PyErr_SetString(PyExc_TypeError, "stock: Packet, RoutingAlgorithm, ValiantRouting, "
-                                         "ECtNRouting, DragonflyTopology and RoutingDecision "
-                                         "must be classes, RoutingDecision a tuple");
+        PyErr_SetString(PyExc_TypeError, "stock: Packet, ECtNRouting, DragonflyTopology and "
+                                         "RoutingDecision must be classes, RoutingDecision a "
+                                         "tuple");
         return -1;
     }
     {
         /* Decisions are read (and made) by field position. */
         PyObject *fields = named_attr(L(c, RoutingDecision), "_fields");
-        PyObject *expected = Py_BuildValue("(sssssss)", DECISION_FIELDS(DECISION_NAME) NULL);
+        PyObject *expected = Py_BuildValue("(ssssss)", DECISION_FIELDS(DECISION_NAME) NULL);
         int same = fields == NULL || expected == NULL
                    ? -1 : PyObject_RichCompareBool(fields, expected, Py_EQ);
         Py_XDECREF(fields);

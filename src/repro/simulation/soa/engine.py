@@ -24,10 +24,9 @@ places:
   (see "The compiled core" below);
 * **decision capture** — routing decisions are classified once per buffer
   head instead of re-derived from scratch every allocation round.  Heads
-  whose decision cannot change while they wait (ejection, towards-
-  intermediate, pure mechanisms) carry a cached request; heads governed by an
-  adaptive trigger carry their (static) candidate list and VC assignments,
-  and only the trigger itself — a couple of counter comparisons and at most
+  whose decision cannot change while they wait (ejection, pure mechanisms)
+  carry a cached request; heads governed by an adaptive trigger carry their
+  (static) candidate list and VC assignments, and only the trigger itself — a couple of counter comparisons and at most
   one RNG draw — runs per round, exactly as many times and in exactly the
   same order as the object model's ``select_output`` calls;
 * **event calendars** — credit returns, link arrivals and output-port
@@ -149,7 +148,7 @@ head-constancy of every input make the decision a constant of the head —
 and stores a ``FIXED`` row.  The
 core's adaptive captures (healthy OLM / Base / Hybrid / ECtN; "trigger"
 above is the transcription of ``AdaptiveInTransitRouting.choose_*``) store
-``FIXED`` for ejection, towards-intermediate, mid-ring-traversal, down-hop
+``FIXED`` for ejection, mid-ring-traversal, down-hop
 and gate-less heads: the group policy (Dragonfly, flattened butterfly) has
 ``FORCED`` for the committed local-proxy step, ``GLOBAL`` for the
 source-group gate, ``LOCAL`` for the local-misroute gate; the port-table
@@ -178,7 +177,7 @@ from typing import List
 
 from repro import draws
 from repro.metrics import MetricsCollector, TimeSeriesRecorder
-from repro.network import ComputeNode, Network, Packet, RoutingPhase
+from repro.network import ComputeNode, Network, Packet
 from repro.routing import (
     AdaptiveInTransitRouting, BaseContentionRouting, ContentionCounters, ContentionTracker,
     ECtNRouting, HybridContentionRouting, MinimalRouting, OLMRouting, PiggybackRouting,
@@ -221,7 +220,7 @@ _STOCK_FUNCTIONS = tuple(
         (ValiantRouting, "on_inject on_packet_arrival select_output random_intermediate_router"),
         (UGALRouting, "on_inject prefers_valiant _ugal_prefers_valiant"),
         (PiggybackRouting, "prefers_valiant publish_flags"),
-        (AdaptiveInTransitRouting, "on_packet_arrival global_candidates local_candidates"),
+        (AdaptiveInTransitRouting, "global_candidates local_candidates"),
         (BaseContentionRouting, "on_packet_head on_packet_leave_input"),
         (ECtNRouting, "on_packet_head on_packet_arrival on_packet_leave_input "
                       "_maybe_count_partial link_offset_for_destination"),
@@ -323,10 +322,8 @@ def _stock() -> dict:
         (f"{owner.__name__}.{name}", vars(owner)[name]) for owner, name in _STOCK_ATTRIBUTES
     )
     stock.update(
-        Packet=Packet, RoutingDecision=RoutingDecision, RoutingAlgorithm=RoutingAlgorithm,
-        ValiantRouting=ValiantRouting, ECtNRouting=ECtNRouting,
-        DragonflyTopology=DragonflyTopology, TO_INTERMEDIATE=RoutingPhase.TO_INTERMEDIATE,
-        MINIMAL=RoutingPhase.MINIMAL, GLOBAL=_GLOBAL, draws=draws,
+        Packet=Packet, RoutingDecision=RoutingDecision, ECtNRouting=ECtNRouting,
+        DragonflyTopology=DragonflyTopology, GLOBAL=_GLOBAL, draws=draws,
         packet_defaults=_packet_defaults(), NO_EVENT=_NO_EVENT,
     )
     return stock
@@ -354,9 +351,9 @@ class SoAEngine(Engine):
 
         # Which capture writes the rows.  Exact type matching: a capture
         # transcribes ``select_output`` with the helpers it calls
-        # (``next_vc``, ``hop_vc``, ``pick_random``, ``_towards_group``, the
-        # trigger), any of which a subclass may override, so a subclass gets
-        # no capture — every head stays a LIVE row — like a fault run.
+        # (``next_vc``, ``hop_vc``, ``pick_random``, the trigger), any of
+        # which a subclass may override, so a subclass gets no capture —
+        # every head stays a LIVE row — like a fault run.
         rcls = type(routing)
         self._capture = None
         if faults is None:
@@ -469,7 +466,6 @@ class SoAEngine(Engine):
     def _drop_head(self, rid: int, port: int, vc: int, cycle: int) -> None:
         """``Router._drop_head`` over the flat state."""
         packet = self._core.pop_head(rid, port, vc, cycle)
-        packet.dropped_cycle = cycle
         self.faults.dropped_packets += 1
         self._drp.append(packet)
 

@@ -60,13 +60,18 @@ class HopRecorder:
         #: pid -> list of (output_port, port_kind, vc, router_id) per
         #: granted non-ejection hop, in path order.
         self.hops = defaultdict(list)
-        #: pid -> committed global misroutes / local-misroute decisions /
-        #: MM+L proxy commitments.
+        #: pid -> committed global misroutes (``nonminimal_global`` grants
+        #: on a GLOBAL port) / local-misroute decisions / MM+L proxy
+        #: commitments.
         self.global_commits = defaultdict(int)
         self.local_misroutes = defaultdict(int)
         self.proxy_commits = defaultdict(int)
+        #: (pid, current region, destination region, region the port
+        #: enters) of every committed global misroute.
+        self.global_misroutes = []
         original = sim.routing.on_grant
-        port_kinds = sim.topology.port_kinds
+        topology = sim.topology
+        port_kinds = topology.port_kinds
 
         def on_grant(router, port, vc, packet, decision, cycle):
             kind = port_kinds[decision.output_port]
@@ -74,8 +79,15 @@ class HopRecorder:
                 self.hops[packet.pid].append(
                     (decision.output_port, kind, decision.vc, router.router_id)
                 )
-            if decision.set_intermediate_group is not None:
+            if decision.nonminimal_global and kind is PortKind.GLOBAL:
+                rid = router.router_id
                 self.global_commits[packet.pid] += 1
+                self.global_misroutes.append((
+                    packet.pid,
+                    topology.router_region(rid),
+                    topology.node_region(packet.dst),
+                    topology.port_target_region(rid, decision.output_port),
+                ))
             if decision.nonminimal_local:
                 self.local_misroutes[packet.pid] += 1
             if decision.set_must_misroute_global:
@@ -209,9 +221,10 @@ class TestHopSequencesObeyPathModel:
 class TestMisrouteBudgets:
     def test_misroute_counts_never_exceed_budget(self, supported_pair):
         """At most one committed global misroute (and one MM+L proxy) per
-        packet; local detours bounded by the policy — two per group path,
-        one ring escape per dimension on the torus, the Valiant detour
-        hops on UGAL."""
+        packet, each entering a region that is neither the current nor the
+        destination one; local detours bounded by the policy — two per
+        group path, one ring escape per dimension on the torus, the Valiant
+        detour hops on UGAL."""
         topology, routing = supported_pair
         for pattern, load, seed in _POINTS:
             sim, rec = _run_recorded(topology, routing, pattern, load, seed)
@@ -243,6 +256,8 @@ class TestMisrouteBudgets:
                     rec.local_misroutes[pid],
                     local_budget,
                 )
+            for pid, current, destination, entered in rec.global_misroutes:
+                assert entered not in (current, destination), (pid, current, destination)
 
 
 class TestWarpBitIdentical:

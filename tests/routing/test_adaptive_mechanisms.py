@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.config.parameters import SimulationParameters
-from repro.network.packet import Packet, RoutingPhase
+from repro.network.packet import Packet
 from repro.routing import create_routing
 from repro.routing.adaptive import AdaptiveInTransitRouting
 from repro.routing.contention.base_contention import BaseContentionRouting
@@ -38,6 +38,21 @@ def remote_packet(topology, src_router=0, dst_group=2, pid=0, size=2):
     dst = topology.region_nodes(dst_group)[0]
     src = topology.router_nodes(src_router)[0]
     return Packet(pid=pid, src=src, dst=dst, size_phits=size, creation_cycle=0)
+
+
+@pytest.mark.parametrize(
+    "routing, arrival",
+    [
+        ("MIN", False), ("OLM", False), ("Base", False), ("Hybrid", False),
+        ("ECtN", True), ("VAL", True), ("UGAL", True), ("PB", True),
+    ],
+)
+def test_only_a_mechanism_that_acts_on_arrivals_watches_them(tiny_params, routing, arrival):
+    """The group policy keeps no target to clear when a packet arrives, so
+    OLM / Base / Hybrid leave the arrival hook to the no-op base and both
+    engines skip it; ECtN counts arrivals over global links and the Valiant
+    family starts its second leg at the intermediate router."""
+    assert make_sim(tiny_params, routing).routing.overridden_hooks()[0] is arrival
 
 
 class TestDeclaredSignals:
@@ -494,9 +509,9 @@ class TestRingEscapePolicy:
 
 
 class TestButterflyGroupPolicy:
-    """The MM+L policy on the flattened butterfly: rows are the groups,
-    column links the global links, and the step towards an intermediate row
-    is always the router's own column port."""
+    """The MM+L policy on the flattened butterfly: rows are the groups and
+    column links the global links, so a global misroute's column link enters
+    its intermediate row."""
 
     @staticmethod
     def _fb_sim(routing="Base"):
@@ -504,22 +519,6 @@ class TestButterflyGroupPolicy:
 
         params = SimulationParameters.tiny(FlattenedButterflyConfig.tiny())
         return Simulator(params, routing, "UN", offered_load=0.0, seed=11)
-
-    def test_the_gateway_step_is_the_column_port(self):
-        sim = self._fb_sim()
-        topo = sim.topology
-        routing = sim.network.routing
-        for router in sim.network.routers:
-            row = topo.router_region(router.router_id)
-            for target in range(topo.num_regions):
-                packet = Packet(pid=0, src=0, dst=0, size_phits=2, creation_cycle=0)
-                decision = routing._towards_group(router, packet, target)
-                if target == row:
-                    assert decision == routing.minimal_decision(router, packet)
-                    continue
-                assert decision.nonminimal_global
-                assert topo.port_kinds[decision.output_port] is PortKind.GLOBAL
-                assert topo.port_target_region(router.router_id, decision.output_port) == target
 
     def test_global_candidates_avoid_source_and_destination_rows(self):
         sim = self._fb_sim()
@@ -538,7 +537,7 @@ class TestButterflyGroupPolicy:
 
     def test_contention_escape_over_a_third_row(self):
         """Hot column counter at injection: Base diverts through another
-        row's column link and commits the intermediate region."""
+        row's column link, which enters the intermediate row."""
         sim = self._fb_sim()
         topo = sim.topology
         routing: BaseContentionRouting = sim.routing
@@ -559,5 +558,4 @@ class TestButterflyGroupPolicy:
             counts[port] = routing.contention_threshold
         decision = routing.select_output(router, 0, 0, packet, cycle=0)
         assert decision.nonminimal_global
-        assert decision.set_intermediate_group == 2
         assert topo.port_target_region(0, decision.output_port) == 2

@@ -9,7 +9,7 @@ from repro.config.parameters import (
     SimulationParameters,
     TorusConfig,
 )
-from repro.network.packet import Packet, RoutingPhase
+from repro.network.packet import Packet
 from repro.routing import UnsupportedTopologyError, available_routings
 from repro.simulation.simulator import Simulator
 from repro.topology.base import PortKind
@@ -90,7 +90,6 @@ class TestUGAL:
         dst = topo.num_nodes - 1
         packet = make_packet(0, dst)
         sim.routing.on_inject(router, packet, cycle=0)
-        assert packet.phase is RoutingPhase.MINIMAL
         assert packet.valiant_router is None
 
     def test_intra_region_traffic_never_diverted(self):
@@ -101,7 +100,6 @@ class TestUGAL:
         same_region_router = topo.region_routers(0)[1]
         packet = make_packet(0, topo.router_nodes(same_region_router)[0])
         sim.routing.on_inject(router, packet, cycle=0)
-        assert packet.phase is RoutingPhase.MINIMAL
         assert packet.valiant_router is None
 
     def test_delivers_on_every_topology(self, every_topology):

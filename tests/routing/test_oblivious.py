@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config.parameters import SimulationParameters
-from repro.network.packet import Packet, RoutingPhase
+from repro.network.packet import Packet
 from repro.routing import create_routing
 from repro.simulation.simulator import Simulator
 from repro.topology.base import PortKind
@@ -74,9 +74,8 @@ class TestValiantRouting:
         packet = make_packet(0, topo.region_nodes(2)[0])
         router = sim_val.network.routers[0]
         sim_val.routing.on_inject(router, packet, cycle=0)
-        assert packet.phase is RoutingPhase.TO_INTERMEDIATE
         assert packet.valiant_router is not None
-        assert packet.source_group == 0
+        assert topo.router_region(packet.valiant_router) != topo.router_region(0)
 
     def test_arrival_at_intermediate_switches_to_minimal(self, sim_val):
         topo = sim_val.topology
@@ -87,8 +86,8 @@ class TestValiantRouting:
         sim_val.routing.on_packet_arrival(
             sim_val.network.routers[intermediate], 2, 0, packet, cycle=10
         )
-        assert packet.phase is RoutingPhase.MINIMAL
         assert packet.valiant_router is None
+        assert packet.vc_leg == 1
 
     def test_global_hops_towards_wrong_group_flagged_nonminimal(self, sim_val):
         topo = sim_val.topology

@@ -380,6 +380,25 @@ def test_nothing_defines_a_closed_form_hop_count_or_a_region_gateway():
     assert found == []
 
 
+def test_nothing_keeps_a_misroute_target_or_a_phase():
+    """A packet is on its Valiant leg exactly while it has a
+    ``valiant_router``, and a global misroute's link enters its intermediate
+    group, so no source file names a routing phase, a per-packet
+    intermediate group or the step towards one, or the per-packet state and
+    core helpers that served them."""
+    src = Path(repro.__file__).parent
+    pattern = re.compile(
+        r"\b(?:RoutingPhase|intermediate_group|_towards_group|source_group"
+        r"|misroute_recorded_cycle|group_reached|source_region|class_attr_is)\b"
+    )
+    found = [
+        (path.name, match.group(0))
+        for path in sorted(src.rglob("*.py")) + sorted(src.rglob("*.c"))
+        for match in pattern.finditer(path.read_text())
+    ]
+    assert found == []
+
+
 #: A wrapper on each of these is called as often on ``soa`` as on ``object``
 #: wherever the Python bodies call it outside ``select_output``: the hop
 #: memo from UGAL's source trigger, the dateline commit from ``on_grant``,

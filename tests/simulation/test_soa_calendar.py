@@ -46,7 +46,7 @@ def _calendars_empty(engine):
 
 class TestSameCycleEvents:
     def test_credits_and_arrivals_apply_once_in_router_port_order(self, tiny_params):
-        sim = _sim(tiny_params, "Base")  # Base has an on_packet_arrival hook
+        sim = _sim(tiny_params, "VAL")  # VAL has an on_packet_arrival hook
         engine, st = sim.engine, sim.engine._st
         size = tiny_params.packet_size_phits
         due = 7
@@ -242,10 +242,10 @@ class _Anchored(Packet):
 
 class TestWheel:
     def _arrivals(self, params, backend, plan):
-        """A Base simulator with one arrival per ``(rid, port, vc, due)`` of
+        """A VAL simulator with one arrival per ``(rid, port, vc, due)`` of
         ``plan`` (each one hop from its node), in plan order, and the
         ``(pid, cycle)`` of every ``on_packet_arrival`` it fires."""
-        sim = _sim(params, "Base", backend=backend)
+        sim = _sim(params, "VAL", backend=backend)
         size = params.packet_size_phits
         for pid, (rid, port, vc, due) in enumerate(plan):
             sim.engine.schedule_arrival(rid, port, due, vc, _packet(pid, 2 * rid + port, size))

@@ -87,3 +87,23 @@ class TestStallWatchdog:
         assert "occupied VCs" in message
         assert "oldest buffered packet" in message
         assert "pid=" in message
+
+    def test_the_diagnostics_name_the_oldest_packets_valiant_router(
+        self, tiny_params, wedge_ejection_ports
+    ):
+        sim = Simulator(
+            tiny_params, "VAL", "UN", offered_load=0.2, seed=1, stall_watchdog_cycles=100
+        )
+        wedge_ejection_ports(sim)
+        with pytest.raises(SimulationStallError) as excinfo:
+            sim.run_cycles(2_000)
+        engine = sim.engine
+        oldest = min(
+            (packet for _, _, packets in engine._stall_census() for packet in packets),
+            key=lambda packet: packet.creation_cycle,
+        )
+        named = f"pid={oldest.pid} {oldest.src}->{oldest.dst} via={{}} hops="
+        assert named.format(oldest.valiant_router) in str(excinfo.value)
+        # A packet still on its Valiant leg shows the router it heads for.
+        oldest.valiant_router = 3
+        assert named.format(3) in engine._stall_snapshot(engine.cycle)

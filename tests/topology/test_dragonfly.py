@@ -73,30 +73,6 @@ class TestStructure:
                     nbr_router
                 )
 
-    def test_the_gateway_step_leads_into_the_target_region(self, topology):
-        # The step the group policy takes towards an intermediate group: the
-        # route towards the router at the same position in that group.
-        a = topology.routers_per_region
-
-        def step(router, target):
-            return topology.minimal_route_to_router(router, target * a + router % a)
-
-        for router in range(topology.num_routers):
-            group = topology.router_region(router)
-            for target in range(topology.num_regions):
-                if target == group:
-                    continue
-                port = step(router, target)
-                router_here = router
-                if topology.port_kind(port) is PortKind.LOCAL:
-                    # One local hop to the owner of the group's link.
-                    router_here, _ = topology.neighbor(router, port)
-                    assert topology.router_region(router_here) == group
-                    port = step(router_here, target)
-                assert topology.port_kind(port) is PortKind.GLOBAL
-                assert (router_here, port) == topology.global_link_endpoint(group, target)
-                assert topology.port_target_region(router_here, port) == target
-
     def test_local_ports_form_complete_graph(self, topology):
         a = topology.config.a
         for pos in range(a):

@@ -2,25 +2,18 @@
 
 ``port_target_region``, the router-target routes (``minimal_route_to_router``
 and ``router_hops``) and ``valiant_intermediate_router`` each have one body
-on ``Topology``, reading tables the topology fills from its wiring, and so
-does the group policy's step towards an intermediate region.  The literals
-below are what the per-topology bodies they replaced answered on the
-``tiny`` and ``small`` preset of every registered topology: a digest of
-every port region and router-pair entry, the first 32 Valiant intermediates
-from router 0, and on the group-policy topologies a digest of the step
-(port, whether it is global) from every router towards every other region.
+on ``Topology``, reading tables the topology fills from its wiring.  The
+literals below are what the per-topology bodies they replaced answered on
+the ``tiny`` and ``small`` preset of every registered topology: a digest of
+every port region and router-pair entry and the first 32 Valiant
+intermediates from router 0.
 """
 
 import hashlib
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from repro.config.parameters import DragonflyConfig, SimulationParameters
-from repro.network.packet import Packet
-from repro.routing import create_routing
 from repro.topology.base import PortKind
 from repro.topology.registry import create_topology, topology_preset
 
@@ -117,41 +110,3 @@ def test_the_first_valiant_intermediates_from_router_zero(case):
     rng = np.random.default_rng(7)
     assert [topology.valiant_intermediate_router(0, rng) for _ in range(32)] == intermediates
 
-
-#: The topology configs and the digest of ``(port, is_global)`` of the step
-#: towards every other region from every router, recorded with the
-#: per-topology ``region_gateway`` the step replaced.
-GATEWAYS = [
-    pytest.param(topology_preset("dragonfly", "tiny"), "28be8a533d1a1251", id="dragonfly-tiny"),
-    pytest.param(topology_preset("dragonfly", "small"), "748092d86f91eb35", id="dragonfly-small"),
-    pytest.param(
-        DragonflyConfig(p=2, a=4, h=2, global_arrangement="consecutive"), "7df36901f21b115c",
-        id="dragonfly-consecutive",
-    ),
-    pytest.param(
-        topology_preset("flattened_butterfly", "tiny"), "bc98b726419b981d",
-        id="flattened_butterfly-tiny",
-    ),
-    pytest.param(
-        topology_preset("flattened_butterfly", "small"), "a017446d2d99df89",
-        id="flattened_butterfly-small",
-    ),
-]
-
-
-@pytest.mark.parametrize("config,digest", GATEWAYS)
-def test_the_step_towards_every_other_region(config, digest):
-    params = SimulationParameters.tiny(config)
-    topology = create_topology(config)
-    routing = create_routing("Base", topology, params, None)
-    steps = []
-    for router in range(topology.num_routers):
-        for region in range(topology.num_regions):
-            if region == topology.router_region(router):
-                continue
-            packet = Packet(pid=0, src=0, dst=0, size_phits=2, creation_cycle=0)
-            decision = routing._towards_group(SimpleNamespace(router_id=router), packet, region)
-            is_global = topology.port_kinds[decision.output_port] is PortKind.GLOBAL
-            assert decision.nonminimal_global is is_global
-            steps.append(f"{decision.output_port}:{int(is_global)}")
-    assert _digest(steps) == digest
